@@ -5,8 +5,13 @@
 //
 // works like sys.Session(...).ParseQuery(dsl, ...).Rows(ctx), streaming
 // records with backpressure. Records arrive byte-identical to
-// in-process execution: the wire format is the record's fixed-size
-// little-endian attribute array (see internal/server wire types).
+// in-process execution: a /v1/query answer carries them as binary
+// frames of verbatim record bytes between JSON control lines (the
+// grammar is in internal/server/wire.go), and the cursor serves each
+// record as a slice of the frame it arrived in — no per-row decoding,
+// no per-row allocation. Everything the stream announces is checked
+// before it is trusted: record size, frame size against
+// server.MaxFrameBytes, frame and stream completeness.
 // Cancelling ctx — or calling Rows.Close early — tears down the HTTP
 // request, which the server observes as a disconnect and turns into
 // cursor cancellation, releasing the query's memory grant and
@@ -191,34 +196,32 @@ func (q *Query) Rows(ctx context.Context) (*Rows, error) {
 		defer resp.Body.Close()
 		return nil, decodeError(resp)
 	}
-	sc := bufio.NewScanner(resp.Body)
-	// A row line is ~20 bytes per attribute; 1 MiB headroom covers very
-	// wide records.
-	sc.Buffer(make([]byte, 64<<10), 1<<20)
-	r := &Rows{body: resp.Body, sc: sc}
-	if !sc.Scan() {
-		r.Close()
-		if err := sc.Err(); err != nil {
-			return nil, err
-		}
-		return nil, io.ErrUnexpectedEOF
+	return openRows(resp.Body)
+}
+
+// maxControlLine bounds one JSON control line of a stream. The end line
+// carries the plan explanation, the only one that grows with the query.
+const maxControlLine = 1 << 20
+
+// openRows reads the stream's header line and returns the cursor over
+// what follows. It owns body from here on.
+func openRows(body io.ReadCloser) (*Rows, error) {
+	r := &Rows{body: body, br: bufio.NewReader(body)}
+	line, err := r.readLine()
+	switch {
+	case err != nil:
+	case line.Error != "":
+		err = fmt.Errorf("wlpm client: %s", line.Error)
+	case line.Header == nil:
+		err = fmt.Errorf("wlpm client: stream did not open with a header")
+	case line.Header.RecordSize <= 0 || line.Header.RecordSize > server.MaxFrameBytes:
+		err = fmt.Errorf("wlpm client: header announces a record size of %d bytes", line.Header.RecordSize)
 	}
-	var line server.Line
-	if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+	if err != nil {
 		r.Close()
 		return nil, err
 	}
-	switch {
-	case line.Header != nil:
-		r.header = *line.Header
-		r.rec = make([]byte, line.Header.RecordSize)
-	case line.Error != "":
-		r.Close()
-		return nil, fmt.Errorf("wlpm client: %s", line.Error)
-	default:
-		r.Close()
-		return nil, fmt.Errorf("wlpm client: stream did not open with a header")
-	}
+	r.recSize = line.Header.RecordSize
 	return r, nil
 }
 
@@ -226,66 +229,103 @@ func (q *Query) Rows(ctx context.Context) (*Rows, error) {
 // Scan / Record / Err / Close, plus Explain once the stream is drained.
 // Like its in-process counterpart it is single-owner.
 type Rows struct {
-	mu     sync.Mutex
-	body   io.ReadCloser
-	sc     *bufio.Scanner
-	header server.Header
-	rec    []byte
-	valid  bool
-	end    *server.End
-	err    error
-	closed bool
+	mu      sync.Mutex
+	body    io.ReadCloser
+	br      *bufio.Reader
+	recSize int
+	frame   []byte // the frame in hand; its buffer is reused frame to frame
+	pos     int    // offset in frame of the record after rec
+	rec     []byte // the current record, a slice of frame; nil when there is none
+	got     int64  // records received in frames so far
+	line    []byte // a control line longer than br's buffer, assembled
+	end     *server.End
+	err     error
+	closed  bool
+}
+
+// readLine reads and decodes one control line. A body that ends where a
+// line should start — or inside one — is a truncated stream.
+func (r *Rows) readLine() (server.Line, error) {
+	var line server.Line
+	text, err := r.br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull { // longer than br's buffer: assemble it
+		r.line = r.line[:0]
+		for err == bufio.ErrBufferFull && len(r.line) <= maxControlLine {
+			r.line = append(r.line, text...)
+			text, err = r.br.ReadSlice('\n')
+		}
+		if r.line = append(r.line, text...); len(r.line) > maxControlLine {
+			return line, fmt.Errorf("wlpm client: control line over %d bytes", maxControlLine)
+		}
+		text = r.line
+	}
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		return line, err
+	}
+	if err := json.Unmarshal(text, &line); err != nil {
+		return line, fmt.Errorf("wlpm client: bad control line %.64q: %w", text, err)
+	}
+	return line, nil
 }
 
 // Next advances to the next record; false on end of stream or error.
 func (r *Rows) Next() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.valid = false
-	if r.err != nil || r.end != nil || r.closed {
-		return false
-	}
-	if !r.sc.Scan() {
-		if err := r.sc.Err(); err != nil {
-			r.err = err
-		} else {
-			r.err = io.ErrUnexpectedEOF // no terminal end/error line
+	if r.pos == len(r.frame) { // frame used up, none read yet, or closed
+		r.rec = nil
+		if r.err != nil || r.end != nil || r.closed {
+			return false
 		}
-		return false
+		if r.err = r.readFrameLocked(); r.err != nil || r.end != nil {
+			return false
+		}
 	}
-	var line server.Line
-	if err := json.Unmarshal(r.sc.Bytes(), &line); err != nil {
-		r.err = err
-		return false
-	}
+	r.rec = r.frame[r.pos : r.pos+r.recSize]
+	r.pos += r.recSize
+	return true
+}
+
+// readFrameLocked reads the next control line and the frame it
+// announces into r.frame, or sets r.end at the end line. The caller
+// holds r.mu.
+func (r *Rows) readFrameLocked() error {
+	r.frame, r.pos = r.frame[:0], 0
+	line, err := r.readLine()
 	switch {
-	case line.Row != nil:
-		if len(line.Row) != r.header.Attrs {
-			r.err = fmt.Errorf("wlpm client: row with %d attrs, header says %d", len(line.Row), r.header.Attrs)
-			return false
+	case err != nil:
+		return err
+	case line.Batch > 0:
+		if line.Batch > server.MaxFrameBytes/r.recSize {
+			return fmt.Errorf("wlpm client: frame of %d records of %d bytes is over the %d-byte frame limit",
+				line.Batch, r.recSize, server.MaxFrameBytes)
 		}
-		for i, v := range line.Row {
-			binary.LittleEndian.PutUint64(r.rec[i*8:], v)
+		n := line.Batch * r.recSize
+		if cap(r.frame) < n {
+			r.frame = make([]byte, 0, n)
 		}
-		r.valid = true
-		return true
-	case line.Raw != nil:
-		if len(line.Raw) != len(r.rec) {
-			r.err = fmt.Errorf("wlpm client: raw record of %d bytes, header says %d", len(line.Raw), len(r.rec))
-			return false
+		if _, err := io.ReadFull(r.br, r.frame[:n]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
 		}
-		copy(r.rec, line.Raw)
-		r.valid = true
-		return true
+		r.frame = r.frame[:n]
+		r.got += int64(line.Batch)
+		return nil
 	case line.End != nil:
+		if line.End.Rows != r.got {
+			return fmt.Errorf("wlpm client: end line counts %d rows, frames carried %d", line.End.Rows, r.got)
+		}
 		r.end = line.End
-		return false
+		return nil
 	case line.Error != "":
-		r.err = fmt.Errorf("wlpm client: %s", line.Error)
-		return false
+		return fmt.Errorf("wlpm client: %s", line.Error)
 	default:
-		r.err = fmt.Errorf("wlpm client: unrecognized stream line %q", r.sc.Text())
-		return false
+		return fmt.Errorf("wlpm client: control line is not batch, end or error")
 	}
 }
 
@@ -294,21 +334,18 @@ func (r *Rows) Next() bool {
 func (r *Rows) Record() []byte {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.valid {
-		return nil
-	}
 	return r.rec
 }
 
 // RecordSize is the byte width of the stream's records.
-func (r *Rows) RecordSize() int { return r.header.RecordSize }
+func (r *Rows) RecordSize() int { return r.recSize }
 
 // Scan copies the current record's attributes into dsts (*uint64 each),
 // or the whole record into a single *[]byte — the in-process contract.
 func (r *Rows) Scan(dsts ...any) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.valid {
+	if r.rec == nil {
 		return fmt.Errorf("wlpm client: Scan called without a successful Next")
 	}
 	if len(dsts) == 1 {
@@ -365,6 +402,7 @@ func (r *Rows) Close() error {
 		return nil
 	}
 	r.closed = true
+	r.frame, r.pos, r.rec = nil, 0, nil
 	return r.body.Close()
 }
 

@@ -1,8 +1,9 @@
 // Command wlserved serves the query engine over HTTP: it generates the
 // declared tables on a simulated persistent-memory device, then accepts
-// plan-DSL queries on /v1/query (NDJSON result streaming), plan
-// explanations on /v1/explain and broker/device/tenant telemetry on
-// /v1/metrics. Each tenant runs in its own engine session — own
+// plan-DSL queries on /v1/query (results stream back as binary record
+// frames between JSON control lines — see internal/server/wire.go; the
+// body is not line-only text), plan explanations on /v1/explain and
+// broker/device/tenant telemetry on /v1/metrics (both plain JSON). Each tenant runs in its own engine session — own
 // working-memory grant, admission policy and collection namespace — and
 // a weighted fairness gate schedules tenants' queries into the memory
 // broker, so one tenant's burst cannot starve the rest.

@@ -1,11 +1,12 @@
 // Package server is the network-facing multi-tenant query service: an
 // HTTP front over the session/broker/cursor machinery. It accepts the
-// plan DSL over POST /v1/query and streams result batches back as
-// NDJSON with backpressure (a stalled or disconnected client cancels
-// the cursor through the ordinary context plumbing, releasing its
-// memory grant and temporaries), returns compiled-plan explanations
-// from POST /v1/explain, and exposes broker, device and per-tenant
-// counters on GET /v1/metrics.
+// plan DSL over POST /v1/query and streams the result back as binary
+// record frames between JSON control lines (the grammar is in wire.go),
+// with backpressure: a stalled or disconnected client cancels the
+// cursor through the ordinary context plumbing, releasing its memory
+// grant and temporaries. It returns compiled-plan explanations from
+// POST /v1/explain and exposes broker, device and per-tenant counters
+// on GET /v1/metrics, both as plain JSON.
 //
 // Each authenticated tenant maps to one engine session with its own
 // working-memory budget and admission policy, and a queue-aware

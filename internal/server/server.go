@@ -2,19 +2,18 @@ package server
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"wlpm/internal/broker"
-	"wlpm/internal/record"
 )
 
 // TenantHeader selects the tenant on unauthenticated requests: in open
@@ -59,10 +58,6 @@ type Config struct {
 	// streams get this long to finish before their contexts are
 	// cancelled (default 10s).
 	DrainTimeout time.Duration
-	// FlushRows flushes the response stream every this many rows
-	// (default 64), bounding how long a slow consumer's rows sit in the
-	// server's buffers.
-	FlushRows int
 	// Logf, when set, receives one line per completed request.
 	Logf func(format string, args ...any)
 }
@@ -90,8 +85,9 @@ type Server struct {
 
 	inFlight atomic.Int64
 
-	hsMu sync.Mutex
-	hs   *http.Server
+	// hs exists from New on, so that Shutdown closes it whether or not
+	// Serve has started: a Serve that comes later returns at once.
+	hs *http.Server
 }
 
 // tenantState is one tenant's runtime: its config and its lazily opened
@@ -117,9 +113,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 10 * time.Second
-	}
-	if cfg.FlushRows <= 0 {
-		cfg.FlushRows = 64
 	}
 	//lint:allow wlvet/ctxparam the server owns its lifetime root; per-request contexts derive from it and Shutdown cancels it
 	base, cancel := context.WithCancel(context.Background())
@@ -155,19 +148,17 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/v1/query", s.handleQuery)
 	s.mux.HandleFunc("/v1/explain", s.handleExplain)
 	s.mux.HandleFunc("/v1/metrics", s.handleMetrics)
+	s.hs = &http.Server{Handler: s.mux}
 	return s, nil
 }
 
 // Handler is the service's HTTP handler (for tests and embedding).
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Serve accepts connections on l until Shutdown.
+// Serve accepts connections on l until Shutdown; after Shutdown it
+// closes l and returns nil at once.
 func (s *Server) Serve(l net.Listener) error {
-	hs := &http.Server{Handler: s.mux}
-	s.hsMu.Lock()
-	s.hs = hs
-	s.hsMu.Unlock()
-	err := hs.Serve(l)
+	err := s.hs.Serve(l)
 	if errors.Is(err, http.ErrServerClosed) {
 		return nil
 	}
@@ -191,29 +182,17 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	drain, cancelDrain := context.WithTimeout(ctx, s.cfg.DrainTimeout)
 	defer cancelDrain()
 
-	s.hsMu.Lock()
-	hs := s.hs
-	s.hsMu.Unlock()
-
 	done := make(chan error, 1)
-	if hs != nil {
+	go func() {
 		//lint:allow wlvet/ctxparam graceful drain must outlive the request contexts being drained; DrainTimeout bounds it below
-		go func() { done <- hs.Shutdown(context.Background()) }()
-	} else {
-		// Handler-only use (tests): nothing accepts connections; just
-		// wait for in-flight requests below.
-		go func() {
-			for s.inFlight.Load() > 0 {
-				select {
-				case <-drain.Done():
-					done <- nil
-					return
-				case <-time.After(time.Millisecond):
-				}
-			}
-			done <- nil
-		}()
-	}
+		err := s.hs.Shutdown(context.Background())
+		// Requests that reached Handler() some other way (tests,
+		// embedding) are not the http.Server's to wait for.
+		for s.inFlight.Load() > 0 {
+			time.Sleep(time.Millisecond)
+		}
+		done <- err
+	}()
 
 	var err error
 	select {
@@ -307,6 +286,10 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
+// maxRequestBytes bounds a query/explain request body; a plan is a line
+// of DSL, so anything near this is not one.
+const maxRequestBytes = 1 << 20
+
 // parseRequest authenticates and parses a query/explain request,
 // answering the error responses itself. The returned query is bound to
 // the tenant's engine session.
@@ -321,8 +304,13 @@ func (s *Server) parseRequest(w http.ResponseWriter, r *http.Request) (*tenantSt
 		return nil, nil, false
 	}
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, "bad request body: %v", err)
 		return nil, nil, false
 	}
 	if strings.TrimSpace(req.Plan) == "" {
@@ -402,7 +390,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer tc.active.Add(-1)
 	defer rows.Close()
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("Content-Type", "application/octet-stream")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	flush := func() {
@@ -413,30 +401,29 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 
 	rs := rows.RecordSize()
-	attrs := 0
-	if rs%record.AttrSize == 0 {
-		attrs = rs / record.AttrSize
-	}
-	if err := enc.Encode(Line{Header: &Header{RecordSize: rs, Attrs: attrs}}); err != nil {
+	if err := enc.Encode(Line{Header: &Header{RecordSize: rs}}); err != nil {
 		tc.cancelled.Add(1)
 		return
 	}
 	flush()
 
+	// One buffer carries a whole frame — control line, then payload — so
+	// a frame is one Write and one flush. The line is written last, once
+	// the count is known, right-aligned into the room kept ahead of the
+	// payload. The buffer grows by append to the largest frame sent: a
+	// short answer never pays for a full-size frame.
 	var n int64
-	row := make([]uint64, attrs)
-	for rows.Next() {
-		rec := rows.Record()
-		var werr error
-		if attrs > 0 {
-			for i := range row {
-				row[i] = binary.LittleEndian.Uint64(rec[i*record.AttrSize:])
-			}
-			werr = enc.Encode(Line{Row: row})
-		} else {
-			werr = enc.Encode(Line{Raw: rec})
+	frame := make([]byte, batchLineRoom)
+	for more := true; more; {
+		if more = rows.Next(); more {
+			frame = append(frame, rows.Record()...)
 		}
-		if werr != nil {
+		payload := len(frame) - batchLineRoom
+		if payload == 0 || more && payload+rs <= frameTarget {
+			continue // nothing to send, or room for the next record
+		}
+		k := payload / rs
+		if _, err := w.Write(frame[putBatchLine(frame[:batchLineRoom], k):]); err != nil {
 			// Client gone: abort the cursor and unwind. rows.Close (and
 			// cancel) release the grant and destroy temporaries.
 			cancel()
@@ -446,10 +433,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			s.logf("query tenant=%s rows=%d disconnect", name, n)
 			return
 		}
-		n++
-		if n%int64(s.cfg.FlushRows) == 0 {
-			flush()
-		}
+		flush()
+		n += int64(k)
+		frame = frame[:batchLineRoom]
 	}
 	tc.rows.Add(n)
 	tc.bytes.Add(n * int64(rs))
@@ -468,6 +454,21 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	enc.Encode(Line{End: &End{Rows: n, Explain: rows.Explain()}})
 	flush()
 	s.logf("query tenant=%s rows=%d ok", name, n)
+}
+
+// batchLineRoom is the space a frame buffer keeps ahead of its payload
+// for the frame's control line: `{"batch":N}` and a newline, N up to 19
+// digits.
+const batchLineRoom = len(`{"batch":}`) + 19 + 1
+
+// putBatchLine writes the control line of an n-record frame flush
+// against the end of room (batchLineRoom bytes) and returns where in
+// room it starts. The bytes are those json.Marshal(Line{Batch: n})
+// gives, without its reflection and allocation per frame.
+func putBatchLine(room []byte, n int) int {
+	var buf [batchLineRoom]byte
+	line := append(strconv.AppendInt(append(buf[:0], `{"batch":`...), int64(n), 10), '}', '\n')
+	return len(room) - copy(room[len(room)-len(line):], line)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

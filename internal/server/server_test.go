@@ -7,20 +7,24 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"wlpm/internal/exec"
 	"wlpm/internal/pmem"
 )
 
-// fakeEngine serves plans of the form "rows(N)": N records of two
-// little-endian uint64 attrs, (i, i*i). It lets the handler tests run
-// without a storage rig.
+// fakeEngine serves plans of the form "rows(N)": N records of recSize
+// bytes (default 16) whose first two little-endian uint64 attrs are
+// (i, i*i). It lets the handler tests run without a storage rig.
 type fakeEngine struct {
+	recSize  int
 	sessions atomic.Int64
 	closed   atomic.Int64
 }
@@ -46,26 +50,50 @@ func (s *fakeSession) Query(dsl string) (EngineQuery, error) {
 	if _, err := fmt.Sscanf(dsl, "rows(%d)", &n); err != nil {
 		return nil, fmt.Errorf("bad plan %q", dsl)
 	}
-	return &fakeQuery{n: n}, nil
+	q := &fakeQuery{n: n, recSize: 16}
+	if s.eng.recSize > 0 {
+		q.recSize = s.eng.recSize
+	}
+	return q, nil
 }
 
 func (s *fakeSession) Close() error { s.eng.closed.Add(1); return nil }
 
-type fakeQuery struct{ n int }
+// appendFakeRecord appends record i of a "rows(n)" answer.
+func appendFakeRecord(dst []byte, i, recSize int) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(i))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(i*i))
+	for pad := recSize - 16; pad > 0; pad-- {
+		dst = append(dst, 0)
+	}
+	return dst
+}
+
+// fakeRecords is the byte stream a "rows(n)" plan answers with.
+func fakeRecords(n, recSize int) []byte {
+	var data []byte
+	for i := 0; i < n; i++ {
+		data = appendFakeRecord(data, i, recSize)
+	}
+	return data
+}
+
+type fakeQuery struct{ n, recSize int }
 
 func (q *fakeQuery) Explain() (*exec.Explain, error) {
-	return &exec.Explain{Root: "fake", RecordSize: 16}, nil
+	return &exec.Explain{Root: "fake", RecordSize: q.recSize}, nil
 }
 
 func (q *fakeQuery) Rows(ctx context.Context) (RowStream, error) {
-	return &fakeStream{n: q.n, ctx: ctx, rec: make([]byte, 16)}, nil
+	return &fakeStream{n: q.n, recSize: q.recSize, ctx: ctx}, nil
 }
 
 type fakeStream struct {
-	n, i int
-	ctx  context.Context
-	rec  []byte
-	err  error
+	n, recSize int
+	ctx        context.Context
+	i          int // index of the next record
+	rec        []byte
+	err        error
 }
 
 func (st *fakeStream) Next() bool {
@@ -76,17 +104,68 @@ func (st *fakeStream) Next() bool {
 		st.err = err
 		return false
 	}
-	binary.LittleEndian.PutUint64(st.rec[0:], uint64(st.i))
-	binary.LittleEndian.PutUint64(st.rec[8:], uint64(st.i*st.i))
+	st.rec = appendFakeRecord(st.rec[:0], st.i, st.recSize)
 	st.i++
 	return true
 }
 
-func (st *fakeStream) Record() []byte         { return st.rec }
-func (st *fakeStream) RecordSize() int        { return 16 }
-func (st *fakeStream) Err() error             { return st.err }
-func (st *fakeStream) Explain() *exec.Explain { return &exec.Explain{Root: "fake", RecordSize: 16} }
-func (st *fakeStream) Close() error           { return nil }
+func (st *fakeStream) Record() []byte  { return st.rec }
+func (st *fakeStream) RecordSize() int { return st.recSize }
+func (st *fakeStream) Err() error      { return st.err }
+func (st *fakeStream) Explain() *exec.Explain {
+	return &exec.Explain{Root: "fake", RecordSize: st.recSize}
+}
+func (st *fakeStream) Close() error { return nil }
+
+// stream is a parsed /v1/query answer: the header, each frame's payload
+// and the terminal line.
+type stream struct {
+	header Header
+	frames [][]byte
+	last   Line // the end or error line
+}
+
+// readStream parses a query answer by the grammar in wire.go, failing
+// the test on anything outside it.
+func readStream(t testing.TB, body io.Reader) stream {
+	t.Helper()
+	br := bufio.NewReader(body)
+	var st stream
+	for first := true; ; first = false {
+		text, err := br.ReadBytes('\n')
+		if err != nil {
+			t.Fatalf("stream ended without a terminal line: %v", err)
+		}
+		var line Line
+		if err := json.Unmarshal(text, &line); err != nil {
+			t.Fatalf("bad control line %q: %v", text, err)
+		}
+		switch {
+		case first:
+			if line.Header == nil {
+				t.Fatalf("stream opened with %q, not a header", text)
+			}
+			st.header = *line.Header
+		case line.Batch > 0:
+			if want := fmt.Sprintf("{\"batch\":%d}\n", line.Batch); string(text) != want {
+				t.Fatalf("batch line %q, want %q", text, want)
+			}
+			frame := make([]byte, line.Batch*st.header.RecordSize)
+			if _, err := io.ReadFull(br, frame); err != nil {
+				t.Fatalf("frame of %d records cut short: %v", line.Batch, err)
+			}
+			st.frames = append(st.frames, frame)
+		case line.End != nil || line.Error != "":
+			if rest, _ := io.ReadAll(br); len(rest) > 0 {
+				t.Fatalf("%d bytes after the terminal line", len(rest))
+			}
+			st.last = line
+			return st
+		default:
+			t.Fatalf("unexpected control line %q", text)
+		}
+	}
+}
 
 func newTestServer(t *testing.T, tenants ...Tenant) (*Server, *httptest.Server) {
 	t.Helper()
@@ -116,8 +195,9 @@ func postQuery(t *testing.T, url, plan string, hdr map[string]string) *http.Resp
 	return resp
 }
 
-// TestServeHandlerStreamsRows checks the NDJSON stream shape end to end:
-// header, attr-array rows in order, terminal end with the row count.
+// TestServeHandlerStreamsRows checks the stream shape end to end:
+// header, the records verbatim in one short frame, terminal end with
+// the row count.
 func TestServeHandlerStreamsRows(t *testing.T) {
 	_, hs := newTestServer(t)
 	resp := postQuery(t, hs.URL+"/v1/query", "rows(100)", nil)
@@ -125,45 +205,68 @@ func TestServeHandlerStreamsRows(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	sc := bufio.NewScanner(resp.Body)
-	var rows int
-	var sawHeader, sawEnd bool
-	for sc.Scan() {
-		var line Line
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			t.Fatalf("bad line %q: %v", sc.Text(), err)
+	st := readStream(t, resp.Body)
+	if st.header.RecordSize != 16 {
+		t.Fatalf("header %+v", st.header)
+	}
+	if len(st.frames) != 1 || !bytes.Equal(st.frames[0], fakeRecords(100, 16)) {
+		t.Fatalf("%d frames; want the 100 records, verbatim, in one", len(st.frames))
+	}
+	end := st.last.End
+	if end == nil || end.Rows != 100 {
+		t.Fatalf("terminal line %+v", st.last)
+	}
+	if end.Explain == nil || end.Explain.Root != "fake" {
+		t.Fatalf("end explain %+v", end.Explain)
+	}
+}
+
+// TestServeHandlerFrames checks how records fall into frames: each frame
+// but the last carries as many whole records as fit frameTarget, a
+// record wider than the target travels alone, and the payloads
+// concatenate to the engine's bytes exactly.
+func TestServeHandlerFrames(t *testing.T) {
+	for _, tc := range []struct{ rows, recSize, perFrame int }{
+		{rows: 10000, recSize: 24, perFrame: frameTarget / 24},
+		{rows: frameTarget / 32 * 3, recSize: 32, perFrame: frameTarget / 32}, // no short last frame
+		{rows: 3, recSize: frameTarget + 8, perFrame: 1},
+	} {
+		s, err := New(Config{Engine: &fakeEngine{recSize: tc.recSize}})
+		if err != nil {
+			t.Fatal(err)
 		}
-		switch {
-		case line.Header != nil:
-			if rows > 0 || sawHeader {
-				t.Fatal("header not first")
+		hs := httptest.NewServer(s.Handler())
+		resp := postQuery(t, hs.URL+"/v1/query", fmt.Sprintf("rows(%d)", tc.rows), nil)
+		st := readStream(t, resp.Body)
+		resp.Body.Close()
+		hs.Close()
+
+		var got []byte
+		for i, f := range st.frames {
+			if want := min(tc.perFrame, tc.rows-i*tc.perFrame) * tc.recSize; len(f) != want {
+				t.Fatalf("%d-byte records: frame %d carries %d bytes, want %d", tc.recSize, i, len(f), want)
 			}
-			sawHeader = true
-			if line.Header.RecordSize != 16 || line.Header.Attrs != 2 {
-				t.Fatalf("header %+v", line.Header)
-			}
-		case line.Row != nil:
-			if want := uint64(rows); line.Row[0] != want || line.Row[1] != want*want {
-				t.Fatalf("row %d = %v", rows, line.Row)
-			}
-			rows++
-		case line.End != nil:
-			sawEnd = true
-			if line.End.Rows != 100 {
-				t.Fatalf("end rows %d", line.End.Rows)
-			}
-			if line.End.Explain == nil || line.End.Explain.Root != "fake" {
-				t.Fatalf("end explain %+v", line.End.Explain)
-			}
-		case line.Error != "":
-			t.Fatalf("stream error: %s", line.Error)
+			got = append(got, f...)
+		}
+		if !bytes.Equal(got, fakeRecords(tc.rows, tc.recSize)) {
+			t.Fatalf("%d-byte records: frame payloads differ from the engine's records", tc.recSize)
+		}
+		if st.last.End == nil || st.last.End.Rows != int64(tc.rows) {
+			t.Fatalf("%d-byte records: terminal line %+v", tc.recSize, st.last)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if !sawHeader || rows != 100 || !sawEnd {
-		t.Fatalf("header=%v rows=%d end=%v", sawHeader, rows, sawEnd)
+}
+
+// TestPutBatchLine pins the hand-written batch line to the JSON
+// encoding of the Line it stands for.
+func TestPutBatchLine(t *testing.T) {
+	for _, n := range []int{1, 9, 10, 1024, 1<<63 - 1} {
+		room := make([]byte, batchLineRoom)
+		got := room[putBatchLine(room, n):]
+		want, _ := json.Marshal(Line{Batch: n})
+		if string(got) != string(want)+"\n" {
+			t.Errorf("putBatchLine(%d) = %q, want %q", n, got, want)
+		}
 	}
 }
 
@@ -208,6 +311,11 @@ func TestServeHandlerErrors(t *testing.T) {
 	var e ErrorResponse
 	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error == "" {
 		t.Fatalf("bad plan: error doc %+v, %v", e, err)
+	}
+	big := postQuery(t, hs.URL+"/v1/query", strings.Repeat("x", maxRequestBytes), nil)
+	big.Body.Close()
+	if big.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized plan: status %d", big.StatusCode)
 	}
 	resp2, err := http.Get(hs.URL + "/v1/query")
 	if err != nil {
@@ -305,26 +413,99 @@ func TestServeShutdownClosesSessions(t *testing.T) {
 	}
 }
 
+// TestServeShutdownBeforeServe: a Shutdown that overtakes Serve still
+// closes the server, so the late Serve gives the listener back closed
+// instead of accepting on it forever.
+func TestServeShutdownBeforeServe(t *testing.T) {
+	s, err := New(Config{Engine: &fakeEngine{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(l) }()
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("Serve after Shutdown: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Serve after Shutdown is still accepting")
+	}
+	if c, err := net.DialTimeout("tcp", l.Addr().String(), time.Second); err == nil {
+		c.Close()
+		t.Fatal("listener still accepts connections after Shutdown")
+	}
+}
+
 func drainBody(t *testing.T, resp *http.Response) {
 	t.Helper()
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		b := new(strings.Builder)
-		sc := bufio.NewScanner(resp.Body)
-		for sc.Scan() {
-			b.WriteString(sc.Text())
-		}
-		t.Fatalf("status %d: %s", resp.StatusCode, b.String())
+		b, _ := io.ReadAll(resp.Body)
+		t.Fatalf("status %d: %s", resp.StatusCode, b)
 	}
-	sc := bufio.NewScanner(resp.Body)
-	var last Line
-	for sc.Scan() {
-		last = Line{}
-		if err := json.Unmarshal(sc.Bytes(), &last); err != nil {
-			t.Fatal(err)
-		}
+	if st := readStream(t, resp.Body); st.last.End == nil {
+		t.Fatalf("stream did not end cleanly: %+v", st.last)
 	}
-	if last.End == nil {
-		t.Fatalf("stream did not end cleanly: %+v", last)
+}
+
+// discardWriter is a ResponseWriter that counts the body and drops it.
+type discardWriter struct {
+	header http.Header
+	status int
+	bytes  int64
+}
+
+func (w *discardWriter) Header() http.Header         { return w.header }
+func (w *discardWriter) WriteHeader(status int)      { w.status = status }
+func (w *discardWriter) Write(p []byte) (int, error) { w.bytes += int64(len(p)); return len(p), nil }
+func (w *discardWriter) Flush()                      {}
+
+const encodeRows, encodeRecSize = 50_000, 32
+
+// serveEncode answers one 50k-row query into a discarding writer: the
+// handler's whole cost with no socket behind it.
+func serveEncode(tb testing.TB, h http.Handler) {
+	req := httptest.NewRequest(http.MethodPost, "/v1/query", strings.NewReader(fmt.Sprintf(`{"plan":"rows(%d)"}`, encodeRows)))
+	w := &discardWriter{header: make(http.Header)}
+	h.ServeHTTP(w, req)
+	if w.status != http.StatusOK || w.bytes < encodeRows*encodeRecSize {
+		tb.Fatalf("status %d, %d body bytes", w.status, w.bytes)
 	}
+}
+
+func BenchmarkServeEncode(b *testing.B) {
+	s, err := New(Config{Engine: &fakeEngine{recSize: encodeRecSize}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.SetBytes(encodeRows * encodeRecSize)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serveEncode(b, s.Handler())
+	}
+}
+
+// TestServeEncodeAllocs holds the handler's streaming loop to its
+// budget: what a query allocates is per request (parsing, the frame
+// buffer's growth, the control lines), nothing per row.
+func TestServeEncodeAllocs(t *testing.T) {
+	s, err := New(Config{Engine: &fakeEngine{recSize: encodeRecSize}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() { serveEncode(t, s.Handler()) })
+	if perRow := allocs / encodeRows; perRow >= 0.01 {
+		t.Fatalf("%.0f allocations for %d rows: %.3f per row, want 0", allocs, encodeRows, perRow)
+	}
+	t.Logf("%.0f allocations per %d-row query", allocs, encodeRows)
 }

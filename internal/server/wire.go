@@ -3,19 +3,37 @@ package server
 import "wlpm/internal/exec"
 
 // Wire types of the /v1 protocol. POST /v1/query and /v1/explain take a
-// QueryRequest; /v1/explain answers with one ExplainResponse document,
-// while /v1/query streams NDJSON — one Line per text line, in order:
+// QueryRequest; /v1/explain answers with one ExplainResponse document
+// and /v1/metrics with one Metrics document, both plain JSON.
 //
-//	{"header":{...}}        exactly once, before any row
-//	{"row":[1,2,...]}       one per record: the 8-byte attrs as uint64s
-//	{"raw":"base64..."}     instead of "row" when the record size is not
-//	                        a multiple of the attribute size
-//	{"end":{...}}           terminal on success (row count + explain)
-//	{"error":"..."}         terminal on failure
+// A /v1/query answer is a stream of JSON control lines — one Line per
+// "\n"-terminated text line — with the records themselves in binary
+// frames between them, so the body is not line-only text:
 //
-// Records are little-endian fixed-size attribute arrays, so the row form
-// reconstructs the record bytes exactly; remote results are therefore
-// byte-identical to in-process execution.
+//	{"header":{"record_size":R}}   exactly once, first
+//	{"batch":N}                    N ≥ 1, followed immediately by exactly
+//	<N×R bytes>                    N×R raw record bytes (no terminator);
+//	                               any number of frames
+//	{"end":{...}}                  terminal on success (row count + explain)
+//	{"error":"..."}                terminal on failure
+//
+// A frame's bytes are the engine's records verbatim, concatenated in
+// stream order, which is what makes remote results byte-identical to
+// in-process execution. The server fills each frame with as many whole
+// records as fit frameTarget bytes and flushes once per frame; frame
+// boundaries mean nothing else. A frame never exceeds MaxFrameBytes,
+// the size a client may refuse to buffer.
+
+// MaxFrameBytes bounds N×R of one frame. The server stays under it by
+// construction; the client checks it before allocating for a frame.
+const MaxFrameBytes = 16 << 20
+
+// frameTarget is the payload size the server fills a frame to before
+// flushing it: large enough that per-frame costs (control line, flush,
+// chunk header, syscalls) vanish per row, small enough that the first
+// rows of a long stream leave promptly. A record wider than the target
+// travels alone in its frame.
+const frameTarget = 64 << 10
 
 // QueryRequest is the body of POST /v1/query and POST /v1/explain.
 type QueryRequest struct {
@@ -23,22 +41,21 @@ type QueryRequest struct {
 	Plan string `json:"plan"`
 }
 
-// Line is one NDJSON line of a query response stream. Exactly one of
+// Line is one control line of a query response stream. Exactly one of
 // the fields is set.
 type Line struct {
-	Header *Header  `json:"header,omitempty"`
-	Row    []uint64 `json:"row,omitempty"`
-	Raw    []byte   `json:"raw,omitempty"`
-	End    *End     `json:"end,omitempty"`
-	Error  string   `json:"error,omitempty"`
+	Header *Header `json:"header,omitempty"`
+	// Batch announces a frame: that many records follow the line as raw
+	// bytes.
+	Batch int    `json:"batch,omitempty"`
+	End   *End   `json:"end,omitempty"`
+	Error string `json:"error,omitempty"`
 }
 
 // Header opens a query stream.
 type Header struct {
+	// RecordSize is the fixed byte width of every record of the stream.
 	RecordSize int `json:"record_size"`
-	// Attrs is RecordSize / 8 when records are attribute arrays (rows
-	// stream as "row" lines), 0 when they stream as "raw" lines.
-	Attrs int `json:"attrs"`
 }
 
 // End closes a successful query stream.
