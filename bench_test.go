@@ -7,6 +7,7 @@ package wlpm_test
 // therefore regenerates every experiment end to end.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -81,7 +82,7 @@ func benchSort(b *testing.B, a wlpm.SortAlgorithm, backend string) {
 		}
 		sys.ResetStats()
 		b.StartTimer()
-		if err := sys.Sort(a, in, out, int64(microMemFrac*microRows*wlpm.RecordSize)); err != nil {
+		if err := sys.SortCtx(context.Background(), a, in, out, int64(microMemFrac*microRows*wlpm.RecordSize)); err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()
@@ -135,7 +136,7 @@ func benchJoin(b *testing.B, a wlpm.JoinAlgorithm, backend string) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if err := sys.Join(a, dim, fact, out, int64(microMemFrac*microDim*wlpm.RecordSize)); err != nil {
+		if err := sys.JoinCtx(context.Background(), a, dim, fact, out, int64(microMemFrac*microDim*wlpm.RecordSize)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -178,7 +179,7 @@ func BenchmarkAblationBlockSize(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := sys.Sort(wlpm.SegmentSort(0.5), in, out, int64(microMemFrac*microRows*wlpm.RecordSize)); err != nil {
+				if err := sys.SortCtx(context.Background(), wlpm.SegmentSort(0.5), in, out, int64(microMemFrac*microRows*wlpm.RecordSize)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -212,7 +213,7 @@ func BenchmarkAblationLambda(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := sys.Sort(wlpm.LazySort(), in, out, int64(microMemFrac*microRows*wlpm.RecordSize)); err != nil {
+				if err := sys.SortCtx(context.Background(), wlpm.LazySort(), in, out, int64(microMemFrac*microRows*wlpm.RecordSize)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -259,7 +260,7 @@ func BenchmarkAblationEnergy(b *testing.B) {
 					b.Fatal(err)
 				}
 				sys.ResetStats()
-				if err := sys.Sort(tc.algo, in, out, int64(microMemFrac*microRows*wlpm.RecordSize)); err != nil {
+				if err := sys.SortCtx(context.Background(), tc.algo, in, out, int64(microMemFrac*microRows*wlpm.RecordSize)); err != nil {
 					b.Fatal(err)
 				}
 				energy += sys.EnergyPJ()
@@ -294,7 +295,7 @@ func BenchmarkAblationRunFormation(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := sys.Sort(wlpm.ExternalMergeSort(), in, out, int64(memFrac*microRows*wlpm.RecordSize)); err != nil {
+				if err := sys.SortCtx(context.Background(), wlpm.ExternalMergeSort(), in, out, int64(memFrac*microRows*wlpm.RecordSize)); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -139,9 +139,9 @@ func printAlloc(spec string, m, lambda float64) {
 	for i, s := range stages {
 		s := s
 		if s.kind == "sort" {
-			pricers[i] = func(mm float64) float64 { return cost.BestSortPlan(s.t, mm, lambda).Cost }
+			pricers[i] = func(mm float64) float64 { return cost.BestSortPlanP(s.t, mm, lambda, 1).Cost }
 		} else {
-			pricers[i] = func(mm float64) float64 { return cost.BestJoinPlan(s.t, s.v, mm, lambda).Cost }
+			pricers[i] = func(mm float64) float64 { return cost.BestJoinPlanP(s.t, s.v, mm, lambda, 1).Cost }
 		}
 	}
 	total := int64(m)

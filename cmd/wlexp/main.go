@@ -39,7 +39,6 @@ func main() {
 		scalOut  = flag.String("scaling-json", "BENCH_scaling.json", "path where the scaling experiment writes its JSON result (empty = don't write)")
 		sessions = flag.Int("sessions", 0, "K concurrent sessions for the concurrency experiment (0 = its default of 4)")
 		spin     = flag.Bool("spin", false, "inject device latencies as real delays (scaling forces this on)")
-		budget   = flag.Bool("budget", false, "shorthand for -run budget: even vs cost-driven stage shares vs grant bidding")
 		list     = flag.Bool("list", false, "list experiment ids and exit")
 		verbose  = flag.Bool("v", false, "progress output on stderr")
 	)
@@ -100,17 +99,6 @@ func main() {
 			if !known[ids[i]] {
 				cliutil.Usage(cmd, "unknown experiment %q (have %s)", ids[i], strings.Join(wlpm.Experiments(), " "))
 			}
-		}
-	} else if *budget {
-		ids = nil
-	}
-	if *budget {
-		found := false
-		for _, id := range ids {
-			found = found || id == "budget"
-		}
-		if !found {
-			ids = append(ids, "budget")
 		}
 	}
 	for _, id := range ids {

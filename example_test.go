@@ -1,15 +1,16 @@
 package wlpm_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"wlpm"
 )
 
-// ExampleSystem_Sort sorts a small collection with a write-limited
+// ExampleSystem_SortCtx sorts a small collection with a write-limited
 // algorithm and inspects the device counters.
-func ExampleSystem_Sort() {
+func ExampleSystem_SortCtx() {
 	sys, err := wlpm.New(wlpm.WithCapacity(64 << 20))
 	if err != nil {
 		log.Fatal(err)
@@ -23,7 +24,7 @@ func ExampleSystem_Sort() {
 	in.Close()
 
 	out, _ := sys.Create("sorted")
-	if err := sys.Sort(wlpm.SegmentSort(0.5), in, out, 1<<20); err != nil {
+	if err := sys.SortCtx(context.Background(), wlpm.SegmentSort(0.5), in, out, 1<<20); err != nil {
 		log.Fatal(err)
 	}
 
@@ -40,9 +41,9 @@ func ExampleSystem_Sort() {
 	// Output: 0 1 2 3 4 5
 }
 
-// ExampleSystem_Join joins a dimension with a fact input and counts
+// ExampleSystem_JoinCtx joins a dimension with a fact input and counts
 // matches.
-func ExampleSystem_Join() {
+func ExampleSystem_JoinCtx() {
 	sys, err := wlpm.New(wlpm.WithCapacity(64 << 20))
 	if err != nil {
 		log.Fatal(err)
@@ -56,16 +57,16 @@ func ExampleSystem_Join() {
 	fact.Close()
 
 	out, _ := sys.CreateSized("result", 2*wlpm.RecordSize)
-	if err := sys.Join(wlpm.LazyHashJoin(), dim, fact, out, 1<<16); err != nil {
+	if err := sys.JoinCtx(context.Background(), wlpm.LazyHashJoin(), dim, fact, out, 1<<16); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("matches:", out.Len())
 	// Output: matches: 40
 }
 
-// ExampleSystem_GroupBy rolls readings up per key with a write-limited
+// ExampleSystem_GroupByCtx rolls readings up per key with a write-limited
 // sort underneath.
-func ExampleSystem_GroupBy() {
+func ExampleSystem_GroupByCtx() {
 	sys, err := wlpm.New(wlpm.WithCapacity(64 << 20))
 	if err != nil {
 		log.Fatal(err)
@@ -81,7 +82,7 @@ func ExampleSystem_GroupBy() {
 	in.Close()
 
 	out, _ := sys.Create("rollup")
-	if err := sys.GroupBy(wlpm.LazySort(), in, 3, out, 1<<16); err != nil {
+	if err := sys.GroupByCtx(context.Background(), wlpm.LazySort(), in, 3, out, 1<<16); err != nil {
 		log.Fatal(err)
 	}
 	it := out.Scan()

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -86,7 +87,7 @@ func runSort(a wlpm.SortAlgorithm) (time.Duration, uint64) {
 		log.Fatal(err)
 	}
 	sys.ResetStats()
-	if err := sys.Sort(a, in, out, int64(memFrac*rows*wlpm.RecordSize)); err != nil {
+	if err := sys.SortCtx(context.Background(), a, in, out, int64(memFrac*rows*wlpm.RecordSize)); err != nil {
 		log.Fatal(err)
 	}
 	st := sys.Stats()

@@ -1,6 +1,7 @@
 package wlpm_test
 
 import (
+	"context"
 	"io"
 	"testing"
 
@@ -50,7 +51,7 @@ func TestQueryPipelineAcrossBackends(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := sys.Sort(sortAlg, dim, sortedDim, budget); err != nil {
+				if err := sys.SortCtx(context.Background(), sortAlg, dim, sortedDim, budget); err != nil {
 					t.Fatal(err)
 				}
 
@@ -58,7 +59,7 @@ func TestQueryPipelineAcrossBackends(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := sys.Join(joinAlg, sortedDim, fact, joined, budget); err != nil {
+				if err := sys.JoinCtx(context.Background(), joinAlg, sortedDim, fact, joined, budget); err != nil {
 					t.Fatal(err)
 				}
 
@@ -66,7 +67,7 @@ func TestQueryPipelineAcrossBackends(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := sys.GroupBy(sortAlg, joined, 1, rollup, budget); err != nil {
+				if err := sys.GroupByCtx(context.Background(), sortAlg, joined, 1, rollup, budget); err != nil {
 					t.Fatal(err)
 				}
 

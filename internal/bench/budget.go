@@ -4,11 +4,12 @@ package bench
 // cost-driven memory planning this repository adds on top of Viglas'14.
 // A deliberately skewed star pipeline — a large fact-table join feeding
 // a group-by that collapses to a handful of rows, then a tiny final
-// sort — is run per memory point with (a) the legacy even budget split,
-// (b) the marginal-benefit allocator's shares, and (c) K concurrent
-// copies admitted through the broker with fixed grants vs grant bidding.
-// The even-vs-cost-driven rows show where shifting memory toward the
-// stage whose cost curve bends most buys writes and response; the
+// sort — is run per memory point with (a) the marginal-benefit
+// allocator's shares and (b) K concurrent copies admitted through the
+// broker with fixed grants vs grant bidding. The cost-driven row prints
+// the allocator's predicted plan cost next to its prediction for the
+// even split (its internal no-worse fallback), showing where shifting
+// memory toward the stage whose cost curve bends most buys cost; the
 // fixed-vs-bidding rows show broker wait time falling when queries bid
 // for the smaller grants their plans price well at.
 
@@ -31,8 +32,9 @@ const budgetContenders = 3
 // candidates within 2× of the full-budget prediction join the bid.
 const budgetBidSlack = 2.0
 
-// Budget measures even vs cost-driven stage shares and fixed-grant vs
-// grant-bidding admission on the skewed star pipeline.
+// Budget measures the cost-driven stage shares against the even split's
+// prediction, and fixed-grant vs grant-bidding admission, on the skewed
+// star pipeline.
 func Budget(cfg Config) ([]*Report, error) {
 	cfg.Spin = true // overlap device latencies, like the concurrency experiment
 	nDim, nFact := cfg.JoinRows()
@@ -41,27 +43,22 @@ func Budget(cfg Config) ([]*Report, error) {
 		Title: fmt.Sprintf("Cost-driven memory planning, skewed star pipeline (%d ⋈ %d ⋈ %d, backend=%s, K=%d)",
 			nDim, nFact, nDim, cfg.Backend, budgetContenders),
 		Columns: []string{"memory", "mode", "resp/wall (ms)", "writes (M)", "predicted cost",
-			"broker wait (ms)"},
+			"even-split cost", "broker wait (ms)"},
 	}
 	for _, frac := range cfg.memFracs(pipelineMemPoints) {
 		budget := int64(frac * float64(nFact) * record.Size)
 		if budget < int64(record.Size) {
 			budget = record.Size
 		}
-		for _, mode := range []struct {
-			name string
-			even bool
-		}{{"even split", true}, {"cost-driven", false}} {
-			cfg.logf("budget: mem=%.1f%% %s", frac*100, mode.name)
-			m, predicted, err := measureBudgetSplit(cfg, nDim, nFact, budget, mode.even)
-			if err != nil {
-				return nil, err
-			}
-			rep.Rows = append(rep.Rows, []string{
-				fmtPct(frac), mode.name, fmtDur(m.Response), fmtMillions(m.Writes),
-				fmt.Sprintf("%.4g", predicted), "—",
-			})
+		cfg.logf("budget: mem=%.1f%% cost-driven", frac*100)
+		m, ex, err := measureBudgetSplit(cfg, nDim, nFact, budget)
+		if err != nil {
+			return nil, err
 		}
+		rep.Rows = append(rep.Rows, []string{
+			fmtPct(frac), "cost-driven", fmtDur(m.Response), fmtMillions(m.Writes),
+			fmt.Sprintf("%.4g", ex.PlanCost), fmt.Sprintf("%.4g", ex.EvenCost), "—",
+		})
 		for _, mode := range []struct {
 			name string
 			bid  bool
@@ -73,14 +70,15 @@ func Budget(cfg Config) ([]*Report, error) {
 				return nil, err
 			}
 			rep.Rows = append(rep.Rows, []string{
-				fmtPct(frac), mode.name, fmtDur(wall), fmtMillions(writes), "—", fmtDur(wait),
+				fmtPct(frac), mode.name, fmtDur(wall), fmtMillions(writes), "—", "—", fmtDur(wait),
 			})
 		}
 	}
 	rep.Notes = append(rep.Notes,
 		"The pipeline is skewed on purpose: the group-by collapses the join output to the dimension "+
 			"cardinality, so the final sort's cost curve is flat and the allocator shifts its share to "+
-			"the join and the aggregation. Results are byte-identical under both splits.",
+			"the join and the aggregation. The even-split column is the allocator's prediction for the "+
+			"split it falls back to whenever the cost-driven shares would not beat it.",
 		fmt.Sprintf("Contended rows run K=%d copies against a broker budget of 1.5 grants: fixed-size "+
 			"requests serialize, while bidding sessions accept a half or quarter grant (within %.1fx "+
 			"predicted cost) and overlap. Broker wait is the summed time queries spent waiting for memory.",
@@ -120,30 +118,31 @@ func budgetRig(cfg Config, nDim, nFact int, capMul int64) (*rig, func() *exec.Pl
 	return r, plan, nil
 }
 
-// measureBudgetSplit runs the pipeline once under the chosen split and
-// reports the metrics plus the allocator's predicted plan cost.
-func measureBudgetSplit(cfg Config, nDim, nFact int, budget int64, even bool) (Metrics, float64, error) {
+// measureBudgetSplit runs the pipeline once at the allocator's shares and
+// reports the metrics plus the plan explanation (predicted plan cost and
+// the even split's).
+func measureBudgetSplit(cfg Config, nDim, nFact int, budget int64) (Metrics, *exec.Explain, error) {
 	r, plan, err := budgetRig(cfg, nDim, nFact, 1)
 	if err != nil {
-		return Metrics{}, 0, err
+		return Metrics{}, nil, err
 	}
 	ctx := cfg.newExecCtx(r.fac, budget)
-	root, ex, err := exec.CompileWith(ctx, plan(), exec.CompileOptions{EvenBudgetSplit: even})
+	root, ex, err := exec.Compile(ctx, plan())
 	if err != nil {
-		return Metrics{}, 0, err
+		return Metrics{}, nil, err
 	}
 	out, err := r.fac.Create("result", record.Size)
 	if err != nil {
-		return Metrics{}, 0, err
+		return Metrics{}, nil, err
 	}
 	m, err := r.measure(cfg, func() error { return exec.Run(ctx, root, out) })
 	if err != nil {
-		return Metrics{}, 0, fmt.Errorf("budget (mem %d B, even %v): %w", budget, even, err)
+		return Metrics{}, nil, fmt.Errorf("budget (mem %d B): %w", budget, err)
 	}
 	if out.Len() != nDim {
-		return Metrics{}, 0, fmt.Errorf("budget: %d result groups, want %d", out.Len(), nDim)
+		return Metrics{}, nil, fmt.Errorf("budget: %d result groups, want %d", out.Len(), nDim)
 	}
-	return m, ex.PlanCost, nil
+	return m, ex, nil
 }
 
 // measureBudgetContention runs K copies of the pipeline against a

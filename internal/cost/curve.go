@@ -9,12 +9,12 @@ import "math"
 // run this blocking stage as a function of its memory share m?". That
 // function is what a budget allocator water-fills over: memory should
 // flow to the stage whose cost curve bends most, not be split evenly.
-// BestSortPlan and BestJoinPlan answer it pointwise (the cheapest shipped
-// implementation with its intensity knobs placed, exactly the candidate
-// set exec.ChooseSort/ChooseJoin instantiate), and Curve exposes the
+// BestSortPlanP and BestJoinPlanP answer it pointwise (the cheapest
+// shipped implementation with its intensity knobs placed, exactly the
+// candidate set the exec planner instantiates), and Curve exposes the
 // piecewise curve sampled over a memory range for display and analysis.
 
-// Sort algorithm identifiers of BestSortPlan results.
+// Sort algorithm identifiers of BestSortPlanP results.
 const (
 	SortExMS = "ExMS"
 	SortSelS = "SelS"
@@ -23,7 +23,7 @@ const (
 	SortHybS = "HybS"
 )
 
-// Join algorithm identifiers of BestJoinPlan results.
+// Join algorithm identifiers of BestJoinPlanP results.
 const (
 	JoinNLJ  = "NLJ"
 	JoinGJ   = "GJ"
@@ -53,20 +53,15 @@ type JoinPlan struct {
 	Cost    float64
 }
 
-// BestSortPlan prices every shipped sort implementation (knobs placed by
-// solver-seeded grid search) for t input buffers with m buffers of
-// memory at write/read ratio λ and returns the cheapest. Candidate order
-// and tie-breaking match exec.ChooseSort, which instantiates the result.
-func BestSortPlan(t, m, lambda float64) SortPlan {
-	return BestSortPlanP(t, m, lambda, 1)
-}
-
-// BestSortPlanP is BestSortPlan under par-way intra-operator
-// parallelism: each candidate is priced with its serial portions at full
-// cost and the rest overlapped par ways, so the knob search sees — and
-// exploits — a phase's parallel discount. At par > 1 the write-serial
-// algorithms (SelS, LaS) lose ground to ExMS/HybS exactly as their
-// engine counterparts do.
+// BestSortPlanP prices every shipped sort implementation (knobs placed
+// by solver-seeded grid search) for t input buffers with m buffers of
+// memory at write/read ratio λ under par-way intra-operator parallelism
+// and returns the cheapest; the exec planner instantiates the result.
+// Each candidate is priced with its serial portions at full cost and the
+// rest overlapped par ways, so the knob search sees — and exploits — a
+// phase's parallel discount. At par > 1 the write-serial algorithms
+// (SelS, LaS) lose ground to ExMS/HybS exactly as their engine
+// counterparts do; par = 1 is the paper's serial price.
 func BestSortPlanP(t, m, lambda, par float64) SortPlan {
 	best := SortPlan{Cost: math.Inf(1)}
 	consider := func(algo string, knob float64, p Profile) {
@@ -85,16 +80,10 @@ func BestSortPlanP(t, m, lambda, par float64) SortPlan {
 	return best
 }
 
-// BestJoinPlan prices every shipped equi-join implementation for t
+// BestJoinPlanP prices every shipped equi-join implementation for t
 // build-side and v probe-side buffers with m buffers of memory at ratio
-// λ and returns the cheapest. Candidate order and tie-breaking match
-// exec.ChooseJoin.
-func BestJoinPlan(t, v, m, lambda float64) JoinPlan {
-	return BestJoinPlanP(t, v, m, lambda, 1)
-}
-
-// BestJoinPlanP is BestJoinPlan under par-way intra-operator
-// parallelism (see BestSortPlanP).
+// λ under par-way intra-operator parallelism (see BestSortPlanP) and
+// returns the cheapest.
 func BestJoinPlanP(t, v, m, lambda, par float64) JoinPlan {
 	best := JoinPlan{Cost: math.Inf(1)}
 	consider := func(algo string, x, y float64, p Profile) {
@@ -130,15 +119,11 @@ func BestJoinPlanP(t, v, m, lambda, par float64) JoinPlan {
 	return best
 }
 
-// BestKnob grid-searches an intensity knob x ∈ [0, 1] (step 0.05) plus
-// any analytic seeds for the cheapest profile price at ratio λ.
-func BestKnob(lambda float64, f func(x float64) Profile, seeds ...float64) float64 {
-	return BestKnobP(lambda, 1, f, seeds...)
-}
-
-// BestKnobP is BestKnob priced under par-way parallelism; a knob that
-// shifts work from a serial phase to a parallel one pays off more as par
-// grows, so the placed intensity depends on par.
+// BestKnobP grid-searches an intensity knob x ∈ [0, 1] (step 0.05) plus
+// any analytic seeds for the cheapest profile price at ratio λ under
+// par-way parallelism; a knob that shifts work from a serial phase to a
+// parallel one pays off more as par grows, so the placed intensity
+// depends on par.
 func BestKnobP(lambda, par float64, f func(x float64) Profile, seeds ...float64) float64 {
 	bestX, bestC := 0.0, math.Inf(1)
 	try := func(x float64) {

@@ -12,14 +12,14 @@ func TestBestSortPlanIsArgmin(t *testing.T) {
 		for _, frac := range []float64{0.01, 0.05, 0.15} {
 			tb := 4000.0
 			m := tb * frac
-			best := BestSortPlan(tb, m, lambda)
+			best := BestSortPlanP(tb, m, lambda, 1)
 			candidates := []Profile{
 				ExMSProfile(tb, m),
 				SelSProfile(tb, m),
 				LaSProfile(tb, m, lambda),
-				SegSProfile(BestKnob(lambda, func(x float64) Profile { return SegSProfile(x, tb, m) },
+				SegSProfile(BestKnobP(lambda, 1, func(x float64) Profile { return SegSProfile(x, tb, m) },
 					SegmentSortOptimalX(tb, m, lambda)), tb, m),
-				HybSProfile(BestKnob(lambda, func(x float64) Profile { return HybSProfile(x, tb, m) }), tb, m),
+				HybSProfile(BestKnobP(lambda, 1, func(x float64) Profile { return HybSProfile(x, tb, m) }), tb, m),
 			}
 			min := math.Inf(1)
 			for _, p := range candidates {
@@ -28,7 +28,7 @@ func TestBestSortPlanIsArgmin(t *testing.T) {
 				}
 			}
 			if best.Cost > min*(1+1e-12) {
-				t.Errorf("λ=%.1f m=%.0f: BestSortPlan %s at %.6g, candidate minimum %.6g",
+				t.Errorf("λ=%.1f m=%.0f: BestSortPlanP %s at %.6g, candidate minimum %.6g",
 					lambda, m, best.Algo, best.Cost, min)
 			}
 			if got := best.Profile.Price(1, lambda); math.Abs(got-best.Cost) > 1e-9*(1+best.Cost) {
@@ -44,7 +44,7 @@ func TestBestJoinPlanIsArgmin(t *testing.T) {
 		tb, vb := 1000.0, 10000.0
 		for _, frac := range []float64{0.01, 0.05, 0.15} {
 			m := tb * frac
-			best := BestJoinPlan(tb, vb, m, lambda)
+			best := BestJoinPlanP(tb, vb, m, lambda, 1)
 			min := math.Inf(1)
 			for _, p := range []Profile{
 				NLJProfile(tb, vb, m), GJProfile(tb, vb), HJProfile(tb, vb, m),
@@ -55,7 +55,7 @@ func TestBestJoinPlanIsArgmin(t *testing.T) {
 				}
 			}
 			if best.Cost > min*(1+1e-12) {
-				t.Errorf("λ=%.1f m=%.0f: BestJoinPlan %s at %.6g above a fixed candidate at %.6g",
+				t.Errorf("λ=%.1f m=%.0f: BestJoinPlanP %s at %.6g above a fixed candidate at %.6g",
 					lambda, m, best.Algo, best.Cost, min)
 			}
 		}

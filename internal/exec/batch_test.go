@@ -152,9 +152,8 @@ func runBatchCase(t *testing.T, pc batchCase, par, batchSize int) ([]byte, pmem.
 	r := newRig(t)
 	plan := pc.build(t, r)
 	ec := r.ctx(pc.budget, par)
-	opts := pc.opts
-	opts.BatchSize = batchSize
-	root, ex, err := CompileWith(ec, plan, opts)
+	ec.BatchSize = batchSize
+	root, ex, err := CompileWith(ec, plan, pc.opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,10 @@ import (
 
 	"wlpm/internal/algo"
 	"wlpm/internal/cost"
+	"wlpm/internal/joins"
 	"wlpm/internal/record"
+	"wlpm/internal/sorts"
+	"wlpm/internal/storage"
 )
 
 // Budget allocation: memory planning as a first-class layer.
@@ -14,8 +17,7 @@ import (
 // The plan's DRAM budget M used to be split evenly across the blocking
 // stages. The allocator here splits it by marginal benefit instead: each
 // stage exposes the price of its cheapest implementation as a function
-// of its share (cost.BestSortPlan / cost.BestJoinPlan, plus the
-// hash-aggregation fit cliff), and a greedy water-filling pass hands
+// of its share (stageAlloc.plan), and a greedy water-filling pass hands
 // quanta of the budget to whichever stage's cost curve bends most. The
 // even split remains a guaranteed-no-worse fallback: the allocator
 // compares the two predictions and keeps the even shares whenever the
@@ -36,7 +38,7 @@ type Allocation struct {
 	Shares   []int64 // per-stage share in bytes, stage order
 	Cost     float64 // predicted plan cost at Shares (buffer-read units)
 	EvenCost float64 // predicted plan cost at the even split
-	Even     bool    // the even split won (or was forced) — Shares hold it
+	Even     bool    // the even split won — Shares hold it
 }
 
 // stageFloor is the smallest useful stage share: two persistence-layer
@@ -149,39 +151,203 @@ func Allocate(total int64, blockSize int, pricers []func(m float64) float64) All
 	return Allocation{Shares: shares, Cost: greedyCost, EvenCost: evenCost}
 }
 
-// stageAlloc is one blocking stage's allocation state, shared between
-// the compiler (which prices it from estimates), the Explain choice
-// (which displays it) and the run (which re-splits it from actuals).
+// stageAlloc is one blocking stage of a compiled plan, and the only place
+// the stage is priced. The demand walk fills it from the cardinality
+// estimates; the allocator water-fills over plan(t, v, ·); the compiler
+// instantiates what plan names at the allocated share and shows it in
+// the Explain choice; and the stage's operator calls open with its
+// actual input sizes, which re-splits the unopened shares and re-plans —
+// so the allocator's curves, Explain and the run can never disagree.
 type stageAlloc struct {
-	op     string
-	idx    int                           // position in the plan's stage order (build's post-order)
-	price  func(t, v, m float64) float64 // cheapest-impl price at input sizes (buffers)
-	t, v   float64                       // current input-size estimates (buffers)
-	inEst  float64                       // estimated build/input rows, divergence baseline
-	tFrom  int                           // stage index feeding the t input (-1: base tables only)
-	vFrom  int                           // stage index feeding the v input (-1: none/base)
-	share  int64                         // allocated share in bytes
-	opened bool                          // the stage has started; its share is frozen
-	choice *Choice                       // Explain entry mirroring share/resplit
+	op       string          // "OrderBy", "GroupBy" or "Join"
+	idx      int             // position in the plan's stage order (build's post-order)
+	bp       *budgetPlan     // the plan's pricing inputs and live shares
+	sortA    sorts.Algorithm // pinned sort (order-by, group-by); nil = planner's choice
+	joinA    joins.Algorithm // pinned join; nil = planner's choice
+	groupEst int             // group-by: distinct-group estimate (0 = none)
+	groupBuf float64         // group-by: estimated result size (buffers)
+	outBuf   float64         // join: estimated output size (buffers)
+	t, v     float64         // current input-size estimates (buffers)
+	inEst    float64         // estimated build/input rows, divergence baseline
+	tFrom    int             // stage index feeding the t input (-1: base tables only)
+	vFrom    int             // stage index feeding the v input (-1: none/base)
+	share    int64           // allocated share in bytes
+	opened   bool            // the stage has started; its share is frozen
+	choice   *Choice         // Explain entry mirroring share, cost and actuals
 }
 
-func (s *stageAlloc) pricer(blockSize int) func(m float64) float64 {
-	return func(m float64) float64 { return s.price(s.t, s.v, m) }
+// stagePlan is one pricing of a stage: the predicted cost and what would
+// run. Plain values — plan sits inside the allocator's probe loop;
+// sortFor and joinFor instantiate only the plan that is finally used.
+type stagePlan struct {
+	cost float64
+	hash bool          // group-by: the in-memory hash aggregation
+	sort cost.SortPlan // the planner's sort (zero when pinned, hashed or a join)
+	join cost.JoinPlan // the planner's join (zero when pinned or not a join)
 }
 
-// budgetPlan carries one compiled plan's allocation through its run.
+// plan prices the stage for t (and, for joins, v) input buffers at a
+// share of m buffers. A pinned algorithm is priced by its own profile,
+// or at the cheapest plan when the profile table does not know the
+// implementation; an open choice is the cheapest shipped plan.
+func (s *stageAlloc) plan(t, v, m float64) stagePlan {
+	lambda, par := s.bp.lambda, s.bp.par
+	if s.op == "Join" {
+		// The cost profiles charge the paper's microbenchmark output (|V|
+		// single-record results), but the engine materializes left‖right
+		// concatenations of the estimated output cardinality. Re-pricing
+		// that term is a constant shift across the algorithm candidates —
+		// the argmin is unchanged — yet it matters when comparing join
+		// orders, where v flips sides while the real output stays put.
+		adjust := lambda * (s.outBuf - v)
+		if prof, ok := pinnedJoinProfile(s.joinA, t, v, m, lambda); ok {
+			return stagePlan{cost: prof.PriceP(1, lambda, par) + adjust}
+		}
+		best := cost.BestJoinPlanP(t, v, m, lambda, par)
+		return stagePlan{cost: best.Cost + adjust, join: best}
+	}
+	// The hash-aggregation fit cliff: once the estimated groups' table
+	// fits the share (the paper's f expansion plus headroom for estimate
+	// error), the stage reads its input once and writes only the result;
+	// an underestimate degrades to the sort-merge spill rather than
+	// failing. Without an estimate every record is assumed its own group
+	// and the stage stays on the spill-safe sort path. Hash aggregation
+	// is not parallelized, so its price ignores par. The hash-or-sort
+	// decision is taken once, at compile: an opened stage runs the
+	// sort-based operator and re-plans among sorts only (HashAggregate
+	// never re-plans), while the allocator prices unopened stages only,
+	// whose curve keeps the cliff.
+	if s.op == "GroupBy" && s.sortA == nil && !s.opened && s.groupEst > 0 &&
+		float64(s.groupEst) <= hashAggCap(m*float64(s.bp.blockSize)) {
+		return stagePlan{cost: cost.Profile{Reads: t, Writes: s.groupBuf}.Price(1, lambda), hash: true}
+	}
+	if prof, ok := pinnedSortProfile(s.sortA, t, m, lambda); ok {
+		return stagePlan{cost: prof.PriceP(1, lambda, par)}
+	}
+	best := cost.BestSortPlanP(t, m, lambda, par)
+	return stagePlan{cost: best.Cost, sort: best}
+}
+
+// sortFor returns the sort pl runs: the pinned algorithm, else a fresh
+// instance of the planner's pick with its intensity knob placed.
+func (s *stageAlloc) sortFor(pl stagePlan) sorts.Algorithm {
+	if s.sortA != nil {
+		return s.sortA
+	}
+	switch pl.sort.Algo {
+	case cost.SortSelS:
+		return sorts.NewSelectionSort()
+	case cost.SortLaS:
+		return sorts.NewLazySort()
+	case cost.SortSegS:
+		return sorts.NewSegmentSort(pl.sort.Intensity)
+	case cost.SortHybS:
+		return sorts.NewHybridSort(pl.sort.Intensity)
+	default:
+		return sorts.NewExternalMergeSort()
+	}
+}
+
+// joinFor is sortFor's join twin.
+func (s *stageAlloc) joinFor(pl stagePlan) joins.Algorithm {
+	if s.joinA != nil {
+		return s.joinA
+	}
+	switch pl.join.Algo {
+	case cost.JoinGJ:
+		return joins.NewGrace()
+	case cost.JoinHJ:
+		return joins.NewHash()
+	case cost.JoinLaJ:
+		return joins.NewLazyHash()
+	case cost.JoinHybJ:
+		return joins.NewHybridGraceNL(pl.join.X, pl.join.Y)
+	case cost.JoinSegJ:
+		return joins.NewSegmentedGrace(pl.join.X)
+	default:
+		return joins.NewNestedLoops()
+	}
+}
+
+// open is called by the stage's operator once its inputs are
+// materialized: it records the actual rows on the Explain choice,
+// re-splits the unopened stages' shares from the actual sizes (commit)
+// and re-plans the stage at the share that left it — the misestimate
+// repair the fixed selectivities and hints cannot make at compile time.
+// Pinned choices are re-priced too, so cost and algorithm always
+// describe each other.
+func (s *stageAlloc) open(rows int, t, v float64) stagePlan {
+	s.choice.ActualRows = rows
+	pl := s.plan(t, v, s.bp.commit(s.idx, t, v, rows))
+	s.choice.Share, s.choice.Cost = s.share, pl.cost
+	return pl
+}
+
+// openSort opens a sort stage (order-by, sort-based group-by) on its
+// materialized input and returns the algorithm to run: cur, unless the
+// planner owns the choice and the actuals changed it.
+func (s *stageAlloc) openSort(in storage.Collection, cur sorts.Algorithm) sorts.Algorithm {
+	t := buffers(in.Len(), in.RecordSize(), s.bp.blockSize)
+	return replanned(s, cur, s.sortFor(s.open(in.Len(), t, 0)))
+}
+
+// openJoin is openSort's join twin (the actual rows are the build
+// side's); the re-priced cost keeps the compile-time output estimate —
+// the output hasn't been produced yet.
+func (s *stageAlloc) openJoin(left, right storage.Collection, cur joins.Algorithm) joins.Algorithm {
+	t := buffers(left.Len(), left.RecordSize(), s.bp.blockSize)
+	v := buffers(right.Len(), right.RecordSize(), s.bp.blockSize)
+	return replanned(s, cur, s.joinFor(s.open(left.Len(), t, v)))
+}
+
+// replanned keeps cur when the re-plan names the same algorithm (always,
+// for a pinned one) and otherwise records the change on the choice.
+func replanned[A interface{ Name() string }](s *stageAlloc, cur, a A) A {
+	if a.Name() == cur.Name() {
+		return cur
+	}
+	s.choice.Replanned, s.choice.Algorithm = true, a.Name()
+	return a
+}
+
+// freeze marks the stage opened at its current share without re-pricing
+// (HashAggregate learns its input size only while draining it).
+func (s *stageAlloc) freeze() {
+	s.bp.commit(s.idx, 0, 0, 0)
+}
+
+// budgetPlan carries one compiled plan's pricing inputs and allocation
+// through its run.
 type budgetPlan struct {
 	mu        sync.Mutex
+	lambda    float64 // device write/read ratio
+	par       float64 // effective intra-operator parallelism (≥ 1) for P-aware pricing
 	blockSize int
 	total     int64
-	stages    []*stageAlloc
+	stages    []*stageAlloc // the compiler's stage list
 }
 
-// pricersOf builds the allocator inputs for a subset of stages.
-func pricersOf(stages []*stageAlloc, blockSize int) []func(m float64) float64 {
+// buffers converts a (rows, recordSize) pair to buffer units (t or v of
+// the cost model), floored at 1.
+func buffers(rows, recSize, blockSize int) float64 {
+	b := math.Ceil(float64(rows) * float64(recSize) / float64(blockSize))
+	if b < 1 {
+		b = 1
+	}
+	return b
+}
+
+// buffers is buffers at the plan's block size.
+func (c *compiler) buffers(rows, recSize int) float64 {
+	return buffers(rows, recSize, c.blockSize)
+}
+
+// pricersOf builds the allocator inputs for a subset of stages at their
+// current input-size estimates.
+func pricersOf(stages []*stageAlloc) []func(m float64) float64 {
 	ps := make([]func(m float64) float64, len(stages))
 	for i, s := range stages {
-		ps[i] = s.pricer(blockSize)
+		ps[i] = func(m float64) float64 { return s.plan(s.t, s.v, m).cost }
 	}
 	return ps
 }
@@ -250,15 +416,13 @@ func (bp *budgetPlan) commit(idx int, actT, actV float64, actRows int) float64 {
 		}
 	}
 	if remaining > 0 && len(open) > 0 {
-		alloc := Allocate(remaining, bp.blockSize, pricersOf(open, bp.blockSize))
+		alloc := Allocate(remaining, bp.blockSize, pricersOf(open))
 		for i, d := range open {
-			if alloc.Shares[i] != d.share && d.choice != nil {
+			if alloc.Shares[i] != d.share {
 				d.choice.Resplit = true
 			}
 			d.share = alloc.Shares[i]
-			if d.choice != nil {
-				d.choice.Share = d.share
-			}
+			d.choice.Share = d.share
 		}
 	}
 	s.opened = true
@@ -269,119 +433,82 @@ func (bp *budgetPlan) commit(idx int, actT, actV float64, actRows int) float64 {
 
 // hashAggCap is the largest estimated group count whose hash table the
 // planner trusts to a stage share: the paper's f expansion plus 2×
-// headroom for estimate error. Shared by the compiler's hash-vs-sort
-// decision and the allocator's group-by cost curve so the two can never
-// disagree about which side of the cliff a share lands on.
+// headroom for estimate error.
 func hashAggCap(shareBytes float64) float64 {
 	return shareBytes / (2 * algo.HashTableExpansion * float64(record.Size))
 }
 
-// stageDemands walks the (already join-reordered) plan in build's
-// post-order, returning one stageAlloc per blocking stage: the stage's
-// cost-vs-memory pricer at the compile-time cardinality estimates, plus
-// the dataflow links divergence propagation follows.
-func (c *compiler) stageDemands(p *Plan) []*stageAlloc {
-	var out []*stageAlloc
-	c.demandWalk(p, &out)
-	return out
+// estimateNode derives the node's output estimate bottom-up without
+// collecting stages — what the join-order rewrite sorts the leaves by.
+func (c *compiler) estimateNode(p *Plan) planEstimate {
+	est, _ := c.demandWalk(p, false)
+	return est
 }
 
-// demandWalk returns the node's output estimate and the index of the
+// demandWalk walks the (already join-reordered) plan in build's
+// post-order and returns the node's output estimate and the index of the
 // blocking stage its output streams from (-1 when it derives from base
-// tables only).
-func (c *compiler) demandWalk(p *Plan, out *[]*stageAlloc) (planEstimate, int) {
-	if p == nil || p.err != nil {
-		return planEstimate{}, -1
+// tables only). With collect set it appends one stageAlloc per blocking
+// stage to the compiler's list: the stage's pricing inputs at the
+// compile-time cardinality estimates, plus the dataflow links divergence
+// propagation follows.
+func (c *compiler) demandWalk(p *Plan, collect bool) (planEstimate, int) {
+	add := func(s *stageAlloc) int {
+		s.idx = len(c.stages)
+		c.stages = append(c.stages, s)
+		return s.idx
 	}
 	switch p.kind {
 	case planScan:
 		return planEstimate{rows: p.col.Len(), tbl: c.statsFor(p)}, -1
 
 	case planFilter:
-		in, from := c.demandWalk(p.left, out)
+		in, from := c.demandWalk(p.left, collect)
 		return c.filterEstimate(in, p.pred), from
 
 	case planProject:
-		in, from := c.demandWalk(p.left, out)
+		in, from := c.demandWalk(p.left, collect)
 		return projectEstimate(in, p.attrs), from
 
 	case planLimit:
-		in, from := c.demandWalk(p.left, out)
+		in, from := c.demandWalk(p.left, collect)
 		return limitEstimate(in, p.n), from
 
 	case planOrderBy:
-		in, from := c.demandWalk(p.left, out)
-		t := c.buffers(in.rows, planRecordSize(p.left))
-		lambda, par, pinned := c.lambda, c.par, p.sortA
-		s := &stageAlloc{
-			op: "OrderBy",
-			price: func(t, _, m float64) float64 {
-				if pinned != nil {
-					if prof, ok := pinnedSortProfile(pinned, t, m, lambda); ok {
-						return prof.PriceP(1, lambda, par)
-					}
-				}
-				return cost.BestSortPlanP(t, m, lambda, par).Cost
-			},
-			t: t, inEst: float64(in.rows), tFrom: from, vFrom: -1,
+		in, from := c.demandWalk(p.left, collect)
+		if !collect {
+			return in, -1
 		}
-		*out = append(*out, s)
-		return in, len(*out) - 1
+		return in, add(&stageAlloc{
+			op: "OrderBy", sortA: p.sortA,
+			t: c.buffers(in.rows, planRecordSize(p.left)), inEst: float64(in.rows), tFrom: from, vFrom: -1,
+		})
 
 	case planGroupBy:
-		in, from := c.demandWalk(p.left, out)
+		in, from := c.demandWalk(p.left, collect)
 		est, groups := c.groupEstimate(p, in)
-		t := c.buffers(in.rows, planRecordSize(p.left))
-		groupBuf := c.buffers(groups, record.Size)
-		lambda, par, blockSize, pinned := c.lambda, c.par, float64(c.blockSize), p.sortA
-		s := &stageAlloc{
-			op: "GroupBy",
-			price: func(t, _, m float64) float64 {
-				if pinned != nil {
-					if prof, ok := pinnedSortProfile(pinned, t, m, lambda); ok {
-						return prof.PriceP(1, lambda, par)
-					}
-					return cost.BestSortPlanP(t, m, lambda, par).Cost
-				}
-				// The fit cliff: once the estimated groups' hash table
-				// fits the share, the stage reads its input once and
-				// writes only the result. Hash aggregation is not
-				// parallelized, so its price ignores par.
-				if est > 0 && float64(est) <= hashAggCap(m*blockSize) {
-					return cost.Profile{Reads: t, Writes: groupBuf}.Price(1, lambda)
-				}
-				return cost.BestSortPlanP(t, m, lambda, par).Cost
-			},
-			t: t, inEst: float64(in.rows), tFrom: from, vFrom: -1,
+		out := planEstimate{rows: groups}
+		if !collect {
+			return out, -1
 		}
-		*out = append(*out, s)
-		return planEstimate{rows: groups}, len(*out) - 1
+		return out, add(&stageAlloc{
+			op: "GroupBy", sortA: p.sortA, groupEst: est, groupBuf: c.buffers(groups, record.Size),
+			t: c.buffers(in.rows, planRecordSize(p.left)), inEst: float64(in.rows), tFrom: from, vFrom: -1,
+		})
 
 	case planJoin:
-		lest, lfrom := c.demandWalk(p.left, out)
-		rest, rfrom := c.demandWalk(p.right, out)
-		t := c.buffers(lest.rows, planRecordSize(p.left))
-		v := c.buffers(rest.rows, planRecordSize(p.right))
-		outEst := c.joinEstimate(lest, rest)
-		outBuf := c.buffers(outEst.rows, planRecordSize(p.left)+planRecordSize(p.right))
-		lambda, par, pinned := c.lambda, c.par, p.joinA
-		s := &stageAlloc{
-			op: "Join",
-			price: func(t, v, m float64) float64 {
-				// The engine's concatenated-output write term, the same
-				// constant shift build applies (see the adjust closure).
-				adjust := lambda * (outBuf - v)
-				if pinned != nil {
-					if prof, ok := pinnedJoinProfile(pinned, t, v, m, lambda); ok {
-						return prof.PriceP(1, lambda, par) + adjust
-					}
-				}
-				return cost.BestJoinPlanP(t, v, m, lambda, par).Cost + adjust
-			},
-			t: t, v: v, inEst: float64(lest.rows), tFrom: lfrom, vFrom: rfrom,
+		lest, lfrom := c.demandWalk(p.left, collect)
+		rest, rfrom := c.demandWalk(p.right, collect)
+		out := c.joinEstimate(lest, rest)
+		if !collect {
+			return out, -1
 		}
-		*out = append(*out, s)
-		return outEst, len(*out) - 1
+		lrec, rrec := planRecordSize(p.left), planRecordSize(p.right)
+		return out, add(&stageAlloc{
+			op: "Join", joinA: p.joinA, outBuf: c.buffers(out.rows, lrec+rrec),
+			t: c.buffers(lest.rows, lrec), v: c.buffers(rest.rows, rrec),
+			inEst: float64(lest.rows), tFrom: lfrom, vFrom: rfrom,
+		})
 	}
 	return planEstimate{}, -1
 }
@@ -392,27 +519,14 @@ func (c *compiler) demandWalk(p *Plan, out *[]*stageAlloc) (planEstimate, int) {
 // for memory — a plan whose cost barely moves between M and M/2 can bid
 // for the smaller grant and start instead of queueing.
 func PlanCosts(ctx *Ctx, p *Plan, budgets []int64) ([]float64, error) {
-	if err := ctx.validate(); err != nil {
+	c, _, err := newCompiler(ctx, p, CompileOptions{})
+	if err != nil {
 		return nil, err
 	}
-	if p == nil {
-		return nil, errNilPlan
-	}
-	if p.err != nil {
-		return nil, p.err
-	}
-	c := &compiler{
-		lambda:    ctx.Factory.Device().Lambda(),
-		par:       parOf(ctx.Parallelism),
-		blockSize: ctx.Factory.BlockSize(),
-		stats:     ctx.Stats,
-	}
-	p = c.reorderJoins(p)
-	demands := c.stageDemands(p)
-	pricers := pricersOf(demands, c.blockSize)
+	pricers := pricersOf(c.stages)
 	costs := make([]float64, len(budgets))
 	for i, b := range budgets {
-		if len(demands) == 0 || b <= 0 {
+		if len(pricers) == 0 || b <= 0 {
 			continue
 		}
 		costs[i] = Allocate(b, c.blockSize, pricers).Cost

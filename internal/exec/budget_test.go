@@ -1,10 +1,12 @@
 package exec
 
 import (
-	"bytes"
+	"math"
 	"testing"
 	"time"
 
+	"wlpm/internal/algo"
+	"wlpm/internal/joins"
 	"wlpm/internal/pmem"
 	"wlpm/internal/record"
 	"wlpm/internal/sorts"
@@ -33,6 +35,21 @@ func budgetPlanShapes(dim1, dim2, fact storage.Collection) map[string]func() *Pl
 	}
 }
 
+// forEachWriteLatency runs f on a freshly loaded star schema per device
+// asymmetry of the planner grids: write latencies of 15, 150 and 900 ns
+// against 10 ns reads.
+func forEachWriteLatency(t *testing.T, f func(lambdaWrite time.Duration, fac storage.Factory, dim1, dim2, fact storage.Collection)) {
+	for _, lambdaWrite := range []time.Duration{15 * time.Nanosecond, 150 * time.Nanosecond, 900 * time.Nanosecond} {
+		dev := pmem.MustOpen(pmem.Config{Capacity: 256 << 20, ReadLatency: 10 * time.Nanosecond, WriteLatency: lambdaWrite})
+		fac, err := all.New("blocked", dev, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dim1, dim2, fact := (&rig{dev: dev, fac: fac}).loadStar(t, testDim, testFact)
+		f(lambdaWrite, fac, dim1, dim2, fact)
+	}
+}
+
 // TestAllocatorNeverWorseThanEvenSplit is the acceptance grid: for every
 // plan shape × memory point × device asymmetry, the cost-driven shares'
 // predicted total cost must not exceed the even split's, every stage
@@ -40,14 +57,7 @@ func budgetPlanShapes(dim1, dim2, fact storage.Collection) map[string]func() *Pl
 // oversubscribe the budget (beyond the floors a degenerate budget
 // forces).
 func TestAllocatorNeverWorseThanEvenSplit(t *testing.T) {
-	for _, lambdaWrite := range []time.Duration{15 * time.Nanosecond, 150 * time.Nanosecond, 900 * time.Nanosecond} {
-		dev := pmem.MustOpen(pmem.Config{Capacity: 256 << 20, ReadLatency: 10 * time.Nanosecond, WriteLatency: lambdaWrite})
-		fac, err := all.New("blocked", dev, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := &rig{dev: dev, fac: fac}
-		dim1, dim2, fact := r.loadStar(t, testDim, testFact)
+	forEachWriteLatency(t, func(lambdaWrite time.Duration, fac storage.Factory, dim1, dim2, fact storage.Collection) {
 		floor := 2 * int64(fac.BlockSize())
 		for name, plan := range budgetPlanShapes(dim1, dim2, fact) {
 			for _, frac := range []float64{0.01, 0.05, 0.15} {
@@ -80,45 +90,7 @@ func TestAllocatorNeverWorseThanEvenSplit(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestBudgetSplitsByteIdenticalOutput pins the safety half of the
-// refactor: the even split and the cost-driven split run the same
-// algorithms' contracts, so the query output must be byte-identical —
-// only device traffic and predicted cost may differ.
-func TestBudgetSplitsByteIdenticalOutput(t *testing.T) {
-	for _, frac := range []float64{0.01, 0.05} {
-		budget := int64(frac * float64(testFact) * record.Size)
-		run := func(even bool) []byte {
-			r := newRig(t)
-			dim1, dim2, fact := r.loadStar(t, testDim, testFact)
-			inner := Table(dim1).Join(Table(fact))
-			plan := Table(dim2).Join(inner).
-				Project(0, 1, 12, 13, 23, 24, 5, 16, 27, 8).GroupBy(3).OrderBy()
-			ctx := r.ctx(budget, 1)
-			root, ex, err := CompileWith(ctx, plan, CompileOptions{EvenBudgetSplit: even})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if even != ex.EvenSplit && even {
-				t.Fatalf("EvenBudgetSplit not reflected in Explain: %+v", ex)
-			}
-			out := r.create(t, "out", record.Size)
-			if err := Run(ctx, root, out); err != nil {
-				t.Fatal(err)
-			}
-			return readBytes(t, out)
-		}
-		evenOut := run(true)
-		costOut := run(false)
-		if len(evenOut) == 0 {
-			t.Fatal("even split produced no output")
-		}
-		if !bytes.Equal(evenOut, costOut) {
-			t.Errorf("mem=%.0f%%: cost-driven output differs from even split", frac*100)
-		}
-	}
+	})
 }
 
 // TestStageShareFloor is the satellite bugfix regression: a budget far
@@ -141,9 +113,6 @@ func TestStageShareFloor(t *testing.T) {
 		if s < floor {
 			t.Errorf("stage %d share %d B, want ≥ %d B", i, s, floor)
 		}
-	}
-	if got := ctx.StageBudget(); got < floor {
-		t.Errorf("Ctx.StageBudget() = %d B, want ≥ %d B", got, floor)
 	}
 }
 
@@ -259,39 +228,114 @@ func TestAllocateSyntheticCurves(t *testing.T) {
 	}
 }
 
-// TestEvenSplitOptionPinsLegacyBehaviour: under EvenBudgetSplit every
-// stage share is the even split and no Open-time re-split happens even
-// when actuals diverge.
-func TestEvenSplitOptionPinsLegacyBehaviour(t *testing.T) {
+// choiceCostSum is Σ Choice.Cost — what Explain shows per stage.
+func choiceCostSum(ex *Explain) float64 {
+	sum := 0.0
+	for _, c := range ex.Choices {
+		sum += c.Cost
+	}
+	return sum
+}
+
+// TestOnePricerGrid is the one-pricer property: the allocator's plan
+// prediction and the per-stage costs Explain displays come from the same
+// stageAlloc.plan, so Σ Choice.Cost must equal Explain.PlanCost for every
+// plan shape — planner-owned and pinned — × memory point × device
+// asymmetry × parallelism.
+func TestOnePricerGrid(t *testing.T) {
+	forEachWriteLatency(t, func(lambdaWrite time.Duration, fac storage.Factory, dim1, dim2, fact storage.Collection) {
+		shapes := budgetPlanShapes(dim1, dim2, fact)
+		shapes["pinned join+sort"] = func() *Plan {
+			return Table(dim1).JoinWith(Table(fact), joins.NewSegmentedGrace(0.5)).OrderByWith(sorts.NewSegmentSort(0.3))
+		}
+		shapes["pinned groupby"] = func() *Plan {
+			return Table(fact).GroupHint(testDim).GroupByWith(3, sorts.NewHybridSort(0.5)).OrderBy()
+		}
+		for name, plan := range shapes {
+			for _, frac := range []float64{0.01, 0.05, 0.15} {
+				for _, par := range []int{1, 4} {
+					budget := int64(frac * float64(testFact) * record.Size)
+					_, ex, err := Compile(NewCtx(fac, budget, par), plan())
+					if err != nil {
+						t.Fatalf("%s λw=%v mem=%.0f%% P=%d: %v", name, lambdaWrite, frac*100, par, err)
+					}
+					if sum := choiceCostSum(ex); math.Abs(sum-ex.PlanCost) > 1e-6*ex.PlanCost {
+						t.Errorf("%s λw=%v mem=%.0f%% P=%d: Σ Choice.Cost %.9g, PlanCost %.9g",
+							name, lambdaWrite, frac*100, par, sum, ex.PlanCost)
+					}
+				}
+			}
+		}
+	})
+}
+
+// foreignSort and foreignJoin are caller implementations the planner's
+// profile table does not know: they run a shipped algorithm under a name
+// of their own and count their invocations.
+type foreignSort struct {
+	sorts.Algorithm
+	calls int
+}
+
+func (f *foreignSort) Name() string { return "Foreign" }
+func (f *foreignSort) Sort(env *algo.Env, in, out storage.Collection) error {
+	f.calls++
+	return f.Algorithm.Sort(env, in, out)
+}
+
+type foreignJoin struct {
+	joins.Algorithm
+	calls int
+}
+
+func (f *foreignJoin) Name() string { return "Foreign" }
+func (f *foreignJoin) Join(env *algo.Env, left, right, out storage.Collection) error {
+	f.calls++
+	return f.Algorithm.Join(env, left, right, out)
+}
+
+// TestForeignPinnedAlgorithmsArePriced is the regression for the priced-
+// at-zero bug: a pinned algorithm outside the profile table was shown at
+// Choice.Cost 0 (and never re-priced at Open) while PlanCost and the
+// allocator priced its stage at the cheapest plan. Both now come from
+// stageAlloc.plan — and the pinned algorithm is still the one that runs.
+func TestForeignPinnedAlgorithmsArePriced(t *testing.T) {
 	r := newRig(t)
-	in := r.create(t, "in", record.Size)
-	if err := record.Generate(2000, 3, in.Append); err != nil {
-		t.Fatal(err)
-	}
-	if err := in.Close(); err != nil {
-		t.Fatal(err)
-	}
-	plan := Table(in).Filter(Predicate{Attr: 0, Op: Ge, Value: 0}).
-		OrderByWith(sorts.NewExternalMergeSort()).OrderByWith(sorts.NewExternalMergeSort())
-	ctx := r.ctx(int64(2000*record.Size/10), 1)
-	root, ex, err := CompileWith(ctx, plan, CompileOptions{EvenBudgetSplit: true})
+	dim1, _, fact := r.loadStar(t, testDim, testFact)
+	fs := &foreignSort{Algorithm: sorts.NewExternalMergeSort()}
+	fg := &foreignSort{Algorithm: sorts.NewExternalMergeSort()}
+	fj := &foreignJoin{Algorithm: joins.NewGrace()}
+	plan := Table(dim1).JoinWith(Table(fact), fj).
+		Project(0, 1, 12, 13, 14, 5, 16, 7, 18, 9).GroupByWith(3, fg).OrderByWith(fs)
+	ctx := r.ctx(testBudget, 1)
+	root, ex, err := Compile(ctx, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ex.EvenSplit {
-		t.Fatal("EvenSplit flag not set")
+	check := func(when string) {
+		t.Helper()
+		if len(ex.Choices) != 3 {
+			t.Fatalf("%s: %d choices, want 3 (join, groupby, orderby)", when, len(ex.Choices))
+		}
+		for _, c := range ex.Choices {
+			if !c.Pinned || c.Algorithm != "Foreign" || c.Replanned {
+				t.Errorf("%s: %s choice %+v, want the pinned Foreign algorithm", when, c.Operator, *c)
+			}
+			if !(c.Cost > 0) {
+				t.Errorf("%s: %s pinned to a foreign algorithm is priced %v, want > 0", when, c.Operator, c.Cost)
+			}
+		}
 	}
-	want := ctx.MemoryBudget / 2
+	check("compiled")
+	if sum := choiceCostSum(ex); math.Abs(sum-ex.PlanCost) > 1e-6*ex.PlanCost {
+		t.Errorf("Σ Choice.Cost %.9g, PlanCost %.9g", sum, ex.PlanCost)
+	}
 	out := r.create(t, "out", record.Size)
 	if err := Run(ctx, root, out); err != nil {
 		t.Fatal(err)
 	}
-	for i, c := range ex.Choices {
-		if c.Share != want {
-			t.Errorf("stage %d share %d, want even %d", i, c.Share, want)
-		}
-		if c.Resplit {
-			t.Errorf("stage %d re-split under EvenBudgetSplit", i)
-		}
+	check("after the run")
+	if fj.calls != 1 || fg.calls != 1 || fs.calls != 1 {
+		t.Errorf("foreign algorithms ran join=%d groupby=%d orderby=%d times, want 1 each", fj.calls, fg.calls, fs.calls)
 	}
 }

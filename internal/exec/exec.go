@@ -65,8 +65,8 @@ type Operator interface {
 	Close() error
 }
 
-// memoryConsumer marks blocking operators that claim an equal share of
-// the plan's memory budget. Materialize is deliberately not one: it
+// memoryConsumer marks blocking operators that claim a share of the
+// plan's memory budget. Materialize is deliberately not one: it
 // breaks the pipeline but holds no working state beyond one record.
 type memoryConsumer interface {
 	consumesMemory() bool
@@ -105,12 +105,11 @@ type Ctx struct {
 	// Nil planning falls back to the textbook defaults.
 	Stats stats.Provider
 
-	stages  int       // blocking stages sharing the budget (≥ 1)
 	scratch *algo.Env // root environment: temp tracking + cancellation ctx
 }
 
-// NewCtx builds a context. The budget is the whole plan's M; Run divides
-// it among the blocking stages it finds in the operator tree.
+// NewCtx builds a context. The budget is the whole plan's M; Compile
+// divides it among the plan's blocking stages.
 func NewCtx(fac storage.Factory, memoryBudget int64, parallelism int) *Ctx {
 	return &Ctx{Factory: fac, MemoryBudget: memoryBudget, Parallelism: parallelism}
 }
@@ -139,71 +138,25 @@ func (c *Ctx) batchSize() int {
 	return DefaultBatchSize
 }
 
-// init counts the blocking stages of the tree rooted at op so StageEnv
-// can split the budget, and binds the run's cancellation context to the
-// root environment every stage environment derives from. Idempotent per
-// run.
-func (c *Ctx) init(ctx context.Context, root Operator) error {
+// Bind prepares the context for one run of a compiled plan: it validates
+// the configuration and binds the run's cancellation context to the root
+// environment every stage environment derives from. RunCtx binds for
+// itself; cursor-driven callers (the façade's Rows) Bind, then Open the
+// root and pull it themselves.
+func (c *Ctx) Bind(ctx context.Context) error {
 	if err := c.validate(); err != nil {
 		return err
-	}
-	c.stages = countConsumers(root)
-	if c.stages < 1 {
-		c.stages = 1
 	}
 	c.scratch = algo.NewParallelEnv(c.Factory, c.MemoryBudget, c.Parallelism).WithContext(ctx)
 	return nil
 }
 
-func countConsumers(op Operator) int {
-	n := 0
-	if m, ok := op.(memoryConsumer); ok && m.consumesMemory() {
-		n++
-	}
-	for _, ch := range op.Children() {
-		n += countConsumers(ch)
-	}
-	return n
-}
-
-// Stages reports the number of blocking stages found by the last run
-// (for display; 0 before any run).
-func (c *Ctx) Stages() int { return c.stages }
-
-// StageBudget is the even per-blocking-stage share of the plan budget —
-// the fallback for operators built without the planner's allocation.
-// Floored at two persistence-layer buffers (one fan-in plus one output
-// buffer, matching algo.Env.BudgetBuffers): the old 1-byte floor
-// admitted shares no algorithm could actually run at, so hash caps and
-// merge fan-ins were computed from a budget the engine then ignored.
-func (c *Ctx) StageBudget() int64 {
-	stages := c.stages
-	if stages < 1 {
-		stages = 1
-	}
-	share := c.MemoryBudget / int64(stages)
-	if floor := 2 * int64(c.Factory.BlockSize()); share < floor {
-		share = floor
-	}
-	return share
-}
-
-// StageEnv builds the execution environment of one blocking stage at the
-// even split, carrying the plan parallelism, the run's cancellation
-// context and the shared temp tracker.
-func (c *Ctx) StageEnv() *algo.Env {
-	return c.tempEnv().Derive(c.StageBudget())
-}
-
-// StageEnvFor is StageEnv at the stage's allocated share: blocking
-// operators compiled by the planner carry their runtimeChoice, whose
-// share the budget allocator sized (and Open-time re-splitting may have
-// moved). Operators without one fall back to the even split.
-func (c *Ctx) StageEnvFor(rc *runtimeChoice) *algo.Env {
-	if share := rc.stageShare(); share > 0 {
-		return c.tempEnv().Derive(share)
-	}
-	return c.StageEnv()
+// stageEnv builds the execution environment of one blocking stage at
+// its current share — the allocator sized it and Open-time re-splitting
+// may have moved it — carrying the plan parallelism, the run's
+// cancellation context and the shared temp tracker.
+func (c *Ctx) stageEnv(s *stageAlloc) *algo.Env {
+	return c.tempEnv().Derive(s.share)
 }
 
 // tempEnv is the environment non-consuming operators (Materialize,
@@ -235,15 +188,6 @@ func (c *Ctx) SweepTemps() error {
 	return c.scratch.SweepTemps()
 }
 
-// Bind prepares the context for an incremental (cursor-driven) run of
-// the plan rooted at root: it validates the configuration, counts the
-// blocking stages that will share the budget and attaches ctx to the
-// root environment. Callers then Open the root themselves and pull it
-// record by record — the streaming shape of the façade's Rows cursor.
-func (c *Ctx) Bind(ctx context.Context, root Operator) error {
-	return c.init(ctx, root)
-}
-
 // Run executes the plan rooted at root, appending its stream to out (in
 // stream order) and closing both the tree and out. It is RunCtx without
 // cancellation.
@@ -259,7 +203,7 @@ func Run(ec *Ctx, root Operator, out storage.Collection) error {
 // temp-and-copy. On error — including cancellation — the operator tree
 // is closed and every temporary the run created is destroyed.
 func RunCtx(ctx context.Context, ec *Ctx, root Operator, out storage.Collection) error {
-	if err := ec.init(ctx, root); err != nil {
+	if err := ec.Bind(ctx); err != nil {
 		return err
 	}
 	if out == nil {

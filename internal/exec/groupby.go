@@ -24,14 +24,9 @@ type GroupBy struct {
 	child   Operator
 	attr    int
 	algo    sorts.Algorithm
-	rc      *runtimeChoice // planner handle: Open-time estimate clamping
+	st      *stageAlloc // the planner's stage: share, Open-time re-planning
 	grouped storage.Collection
 	sc      *batchScanner
-}
-
-// NewGroupBy returns a sort-based group-by over child aggregating attr.
-func NewGroupBy(child Operator, attr int, a sorts.Algorithm) *GroupBy {
-	return &GroupBy{child: child, attr: attr, algo: a}
 }
 
 func (g *GroupBy) Name() string {
@@ -50,12 +45,11 @@ func (g *GroupBy) groupInto(ctx context.Context, ec *Ctx, dst storage.Collection
 	if err != nil {
 		return err
 	}
-	// Clamp the compile-time estimate against the materialized input: a
-	// planner-owned sort choice is re-priced at the actual cardinality,
-	// and the stage's budget share is re-split from the actuals first.
-	g.algo = g.rc.clampSort(in.Len(), in.RecordSize(), g.algo)
-	env := ec.StageEnvFor(g.rc)
-	if err := aggregate.GroupBy(env, g.algo, in, g.attr, dst); err != nil {
+	// Clamp the compile-time estimate against the materialized input:
+	// the stage's budget share is re-split from the actuals, then the
+	// sort choice is re-priced (and, when the planner owns it, re-made).
+	g.algo = g.st.openSort(in, g.algo)
+	if err := aggregate.GroupBy(ec.stageEnv(g.st), g.algo, in, g.attr, dst); err != nil {
 		cleanup() //nolint:errcheck // best-effort cleanup after failure
 		return err
 	}
@@ -128,7 +122,7 @@ func (g *GroupBy) source() (storage.Collection, bool) { return g.grouped, g.grou
 type HashAggregate struct {
 	child Operator
 	attr  int
-	rc    *runtimeChoice // planner handle: actuals + spill reporting
+	st    *stageAlloc // the planner's stage: share, actuals + spill reporting
 
 	groups map[uint64]*aggState
 	keys   []uint64
@@ -143,12 +137,6 @@ type HashAggregate struct {
 
 type aggState struct {
 	count, sum, min, max uint64
-}
-
-// NewHashAggregate returns an in-memory group-by over child aggregating
-// attr.
-func NewHashAggregate(child Operator, attr int) *HashAggregate {
-	return &HashAggregate{child: child, attr: attr}
 }
 
 func (h *HashAggregate) Name() string {
@@ -174,8 +162,8 @@ func (h *HashAggregate) aggregate(ctx context.Context, ec *Ctx) error {
 	// The hash table learns its real input only while draining it, so the
 	// stage freezes at its compiled share — later stages' re-splits must
 	// not move memory a running hash table is already counting on.
-	h.rc.freeze()
-	h.env = ec.StageEnvFor(h.rc)
+	h.st.freeze()
+	h.env = ec.stageEnv(h.st)
 	budget := h.env.BudgetHashRecords(record.Size)
 	h.groups = make(map[uint64]*aggState)
 	rows := 0
@@ -203,9 +191,7 @@ func (h *HashAggregate) aggregate(ctx context.Context, ec *Ctx) error {
 		}
 		return nil
 	})
-	if h.rc != nil {
-		h.rc.choice.ActualRows = rows
-	}
+	h.st.choice.ActualRows = rows
 	return err
 }
 
@@ -224,9 +210,7 @@ func (h *HashAggregate) sortedKeys() []uint64 {
 // the runs merge (combining groups) into dst — the sort-based fallback
 // the estimate should have selected up front.
 func (h *HashAggregate) finishSpill(dst storage.Collection) error {
-	if h.rc != nil {
-		h.rc.choice.Spilled = true
-	}
+	h.st.choice.Spilled = true
 	if err := h.spill(); err != nil {
 		return err
 	}

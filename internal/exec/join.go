@@ -17,15 +17,9 @@ import (
 type Join struct {
 	left, right Operator
 	algo        joins.Algorithm
-	rc          *runtimeChoice // planner handle: Open-time estimate clamping
+	st          *stageAlloc // the planner's stage: share, Open-time re-planning
 	joined      storage.Collection
 	sc          *batchScanner
-}
-
-// NewJoin returns a join of left ⋈ right with the given algorithm (the
-// physical planner chooses one from the cost model).
-func NewJoin(left, right Operator, a joins.Algorithm) *Join {
-	return &Join{left: left, right: right, algo: a}
 }
 
 func (j *Join) Name() string {
@@ -45,12 +39,11 @@ func (j *Join) joinInto(ctx context.Context, ec *Ctx, dst storage.Collection) er
 		lclean() //nolint:errcheck // best-effort cleanup after failure
 		return err
 	}
-	// Clamp the compile-time estimates against the materialized inputs: a
-	// planner-owned choice is re-priced at the actual cardinalities, and
-	// the stage's budget share is re-split from the actuals first.
-	j.algo = j.rc.clampJoin(lcoll.Len(), lcoll.RecordSize(), rcoll.Len(), rcoll.RecordSize(), j.algo)
-	env := ec.StageEnvFor(j.rc)
-	if err := j.algo.Join(env, lcoll, rcoll, dst); err != nil {
+	// Clamp the compile-time estimates against the materialized inputs:
+	// the stage's budget share is re-split from the actuals, then the
+	// choice is re-priced (and, when the planner owns it, re-made).
+	j.algo = j.st.openJoin(lcoll, rcoll, j.algo)
+	if err := j.algo.Join(ec.stageEnv(j.st), lcoll, rcoll, dst); err != nil {
 		lclean() //nolint:errcheck // best-effort cleanup after failure
 		rclean() //nolint:errcheck // best-effort cleanup after failure
 		return err

@@ -17,15 +17,9 @@ import (
 type OrderBy struct {
 	child  Operator
 	algo   sorts.Algorithm
-	rc     *runtimeChoice // planner handle: Open-time estimate clamping
+	st     *stageAlloc // the planner's stage: share, Open-time re-planning
 	sorted storage.Collection
 	sc     *batchScanner
-}
-
-// NewOrderBy returns an order-by over child using the given sort
-// algorithm (the physical planner chooses one from the cost model).
-func NewOrderBy(child Operator, a sorts.Algorithm) *OrderBy {
-	return &OrderBy{child: child, algo: a}
 }
 
 func (o *OrderBy) Name() string {
@@ -41,12 +35,11 @@ func (o *OrderBy) sortInto(ctx context.Context, ec *Ctx, dst storage.Collection)
 	if err != nil {
 		return err
 	}
-	// Clamp the compile-time estimate against the materialized input: a
-	// planner-owned choice is re-priced at the actual cardinality, and
-	// the stage's budget share is re-split from the actuals first.
-	o.algo = o.rc.clampSort(in.Len(), in.RecordSize(), o.algo)
-	env := ec.StageEnvFor(o.rc)
-	if err := o.algo.Sort(env, in, dst); err != nil {
+	// Clamp the compile-time estimate against the materialized input:
+	// the stage's budget share is re-split from the actuals, then the
+	// choice is re-priced (and, when the planner owns it, re-made).
+	o.algo = o.st.openSort(in, o.algo)
+	if err := o.algo.Sort(ec.stageEnv(o.st), in, dst); err != nil {
 		cleanup() //nolint:errcheck // best-effort cleanup after failure
 		return err
 	}

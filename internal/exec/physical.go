@@ -22,16 +22,6 @@ type CompileOptions struct {
 	// instead of letting the planner rebuild them smallest-build-first
 	// from the cardinality estimates.
 	DisableJoinReorder bool
-	// EvenBudgetSplit forces the legacy even budget split across the
-	// blocking stages instead of the marginal-benefit allocation, and
-	// disables Open-time share re-splitting — the baseline the budget
-	// experiment and the byte-identity tests compare against.
-	EvenBudgetSplit bool
-	// BatchSize overrides the context's records-per-batch window for
-	// this compilation (0 keeps the context's setting; see
-	// Ctx.BatchSize). 1 yields record-at-a-time execution with
-	// identical output and device traffic.
-	BatchSize int
 }
 
 var errNilPlan = fmt.Errorf("exec: nil plan")
@@ -64,7 +54,7 @@ type Explain struct {
 	Stages      int     // blocking stages sharing the budget
 	TotalBudget int64   // plan M in bytes
 	StageShares []int64 // compile-time per-stage shares in bytes, stage order
-	EvenSplit   bool    // the allocator fell back to (or was forced to) the even split
+	EvenSplit   bool    // the allocator fell back to the even split
 	PlanCost    float64 // predicted plan cost at StageShares (buffer-read units)
 	EvenCost    float64 // predicted plan cost at the even split
 	Lambda      float64
@@ -148,58 +138,24 @@ func Compile(ctx *Ctx, p *Plan) (Operator, *Explain, error) {
 
 // CompileWith is Compile with options.
 func CompileWith(ctx *Ctx, p *Plan, opts CompileOptions) (Operator, *Explain, error) {
-	if err := ctx.validate(); err != nil {
-		return nil, nil, err
-	}
-	if p == nil {
-		return nil, nil, errNilPlan
-	}
-	if p.err != nil {
-		return nil, nil, p.err
-	}
-	if opts.BatchSize > 0 {
-		ctx.BatchSize = opts.BatchSize
-	}
-	c := &compiler{
-		opts:      opts,
-		lambda:    ctx.Factory.Device().Lambda(),
-		par:       parOf(ctx.Parallelism),
-		blockSize: ctx.Factory.BlockSize(),
-		stats:     ctx.Stats,
-	}
-	if !opts.DisableJoinReorder {
-		p = c.reorderJoins(p)
-	}
-	// Memory planning: price every blocking stage's cheapest
-	// implementation as a function of its share and split the plan
-	// budget by marginal benefit (the even split is the guaranteed
-	// no-worse fallback, and the forced baseline under EvenBudgetSplit).
-	demands := c.stageDemands(p)
-	alloc := Allocate(ctx.MemoryBudget, c.blockSize, pricersOf(demands, c.blockSize))
-	if opts.EvenBudgetSplit && len(demands) > 0 {
-		even := stageFloor(c.blockSize)
-		if s := ctx.MemoryBudget / int64(len(demands)); s > even {
-			even = s
-		}
-		shares := make([]int64, len(demands))
-		for i := range shares {
-			shares[i] = even
-		}
-		alloc = Allocation{Shares: shares, Cost: alloc.EvenCost, EvenCost: alloc.EvenCost, Even: true}
-	}
-	for i, d := range demands {
-		d.idx = i
-		d.share = alloc.Shares[i]
-	}
-	c.stages = demands
-	if !opts.EvenBudgetSplit {
-		c.bp = &budgetPlan{blockSize: c.blockSize, total: ctx.MemoryBudget, stages: demands}
-	}
-	root, _, err := c.build(p)
+	c, p, err := newCompiler(ctx, p, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	stages := len(demands)
+	// Memory planning: price every blocking stage's cheapest
+	// implementation as a function of its share and split the plan
+	// budget by marginal benefit (the even split is the allocator's
+	// guaranteed no-worse fallback).
+	bp := c.bp
+	alloc := Allocate(bp.total, bp.blockSize, pricersOf(c.stages))
+	for i, s := range c.stages {
+		s.share = alloc.Shares[i]
+	}
+	root, err := c.build(p)
+	if err != nil {
+		return nil, nil, err
+	}
+	stages := len(c.stages)
 	if stages < 1 {
 		stages = 1
 	}
@@ -207,12 +163,12 @@ func CompileWith(ctx *Ctx, p *Plan, opts CompileOptions) (Operator, *Explain, er
 		Root:        root.Name(),
 		RecordSize:  root.RecordSize(),
 		Stages:      stages,
-		TotalBudget: ctx.MemoryBudget,
+		TotalBudget: bp.total,
 		StageShares: alloc.Shares,
 		EvenSplit:   alloc.Even,
 		PlanCost:    alloc.Cost,
 		EvenCost:    alloc.EvenCost,
-		Lambda:      c.lambda,
+		Lambda:      bp.lambda,
 		BatchSize:   ctx.batchSize(),
 		Reordered:   c.reordered,
 		Choices:     c.choices,
@@ -222,43 +178,44 @@ func CompileWith(ctx *Ctx, p *Plan, opts CompileOptions) (Operator, *Explain, er
 
 type compiler struct {
 	opts      CompileOptions
-	lambda    float64
-	par       float64 // effective intra-operator parallelism (≥1) for P-aware pricing
-	blockSize int
 	stats     stats.Provider
-	stages    []*stageAlloc // allocated blocking stages, build's post-order
-	bp        *budgetPlan   // runtime re-split state (nil under EvenBudgetSplit)
+	blockSize int
+	stages    []*stageAlloc // blocking stages, build's post-order
+	bp        *budgetPlan   // the stages' pricing inputs and run-time re-split state
 	next      int           // stages consumed by build so far
 	reordered bool
 	choices   []*Choice
 }
 
-// takeStage hands build the next blocking stage's allocation. The demand
-// walk mirrors build's traversal exactly, so the cursor stays aligned;
-// the fallback covers plans that error later in build anyway.
-func (c *compiler) takeStage() *stageAlloc {
-	if c.next >= len(c.stages) {
-		return &stageAlloc{share: stageFloor(c.blockSize)}
+// newCompiler validates the inputs, applies the join-order rewrite and
+// runs the demand walk: the returned compiler holds one priceable, not
+// yet allocated stage per blocking operator of the returned plan.
+func newCompiler(ctx *Ctx, p *Plan, opts CompileOptions) (*compiler, *Plan, error) {
+	if err := ctx.validate(); err != nil {
+		return nil, nil, err
 	}
-	s := c.stages[c.next]
-	c.next++
-	return s
-}
-
-// stageBuffers is a stage share in buffer units (m of the cost model),
-// floored at 2 like algo.Env.BudgetBuffers.
-func (c *compiler) stageBuffers(s *stageAlloc) float64 {
-	return allocBuffers(s.share, c.blockSize)
-}
-
-// buffers converts a (rows, recordSize) estimate to buffer units (t or v
-// of the cost model), floored at 1.
-func (c *compiler) buffers(rows, recSize int) float64 {
-	b := math.Ceil(float64(rows) * float64(recSize) / float64(c.blockSize))
-	if b < 1 {
-		b = 1
+	if p == nil {
+		return nil, nil, errNilPlan
 	}
-	return b
+	if p.err != nil {
+		return nil, nil, p.err
+	}
+	c := &compiler{opts: opts, stats: ctx.Stats, blockSize: ctx.Factory.BlockSize()}
+	if !opts.DisableJoinReorder {
+		p = c.reorderJoins(p)
+	}
+	c.demandWalk(p, true)
+	c.bp = &budgetPlan{
+		lambda:    ctx.Factory.Device().Lambda(),
+		par:       parOf(ctx.Parallelism),
+		blockSize: c.blockSize,
+		total:     ctx.MemoryBudget,
+		stages:    c.stages,
+	}
+	for _, s := range c.stages {
+		s.bp = c.bp
+	}
+	return c, p, nil
 }
 
 // breaker wraps op in a Materialize barrier in MaterializeEveryStep
@@ -276,176 +233,111 @@ func (c *compiler) breaker(op Operator) Operator {
 	return NewMaterialize(op)
 }
 
-// newChoice registers an Explain entry for the given stage and returns
-// it together with the runtime-clamp handle handed to the blocking
-// operator.
-func (c *compiler) newChoice(ch Choice, s *stageAlloc) (*Choice, *runtimeChoice) {
-	ch.ActualRows = -1
-	ch.Share = s.share
-	p := &ch
-	s.choice = p
-	c.choices = append(c.choices, p)
-	return p, &runtimeChoice{choice: p, m: c.stageBuffers(s), lambda: c.lambda, par: c.par, blockSize: c.blockSize, bp: c.bp, stage: s}
+// takeStage hands build the next blocking stage — the demand walk
+// visited the same nodes in the same post-order — priced at its
+// allocated share, and registers its Explain entry; build fills in the
+// name of the algorithm it instantiates from the plan.
+func (c *compiler) takeStage() (*stageAlloc, stagePlan) {
+	s := c.stages[c.next]
+	c.next++
+	pl := s.plan(s.t, s.v, allocBuffers(s.share, c.blockSize))
+	s.choice = &Choice{
+		Operator: s.op, Pinned: s.sortA != nil || s.joinA != nil,
+		InputRows: int(s.inEst), ActualRows: -1, Buffers: s.t, RightBuf: s.v,
+		Cost: pl.cost, Share: s.share,
+	}
+	c.choices = append(c.choices, s.choice)
+	return s, pl
 }
 
-// build compiles the node and returns the operator plus its output
-// estimate.
-func (c *compiler) build(p *Plan) (Operator, planEstimate, error) {
-	if p.err != nil {
-		return nil, planEstimate{}, p.err
-	}
+// build validates the node against its compiled children and
+// instantiates its operator; cardinalities, shares and prices come from
+// the stages the demand walk collected.
+func (c *compiler) build(p *Plan) (Operator, error) {
 	switch p.kind {
 	case planScan:
-		return NewScan(p.col), c.estimateNode(p), nil
+		return NewScan(p.col), nil
 
 	case planFilter:
-		child, in, err := c.build(p.left)
+		child, err := c.build(p.left)
 		if err != nil {
-			return nil, planEstimate{}, err
+			return nil, err
 		}
 		if err := p.pred.validate(child.RecordSize()); err != nil {
-			return nil, planEstimate{}, err
+			return nil, err
 		}
-		return c.breaker(NewFilter(child, p.pred)), c.filterEstimate(in, p.pred), nil
+		return c.breaker(NewFilter(child, p.pred)), nil
 
 	case planProject:
-		child, in, err := c.build(p.left)
+		child, err := c.build(p.left)
 		if err != nil {
-			return nil, planEstimate{}, err
+			return nil, err
 		}
 		if len(p.attrs) == 0 {
-			return nil, planEstimate{}, fmt.Errorf("exec: projection with no attributes")
+			return nil, fmt.Errorf("exec: projection with no attributes")
 		}
 		for _, a := range p.attrs {
 			if a < 0 || (a+1)*record.AttrSize > child.RecordSize() {
-				return nil, planEstimate{}, fmt.Errorf("exec: projected attribute a%d outside %d-byte record", a, child.RecordSize())
+				return nil, fmt.Errorf("exec: projected attribute a%d outside %d-byte record", a, child.RecordSize())
 			}
 		}
-		return c.breaker(NewProject(child, p.attrs...)), projectEstimate(in, p.attrs), nil
+		return c.breaker(NewProject(child, p.attrs...)), nil
 
 	case planLimit:
-		child, in, err := c.build(p.left)
+		child, err := c.build(p.left)
 		if err != nil {
-			return nil, planEstimate{}, err
+			return nil, err
 		}
-		return c.breaker(NewLimit(child, p.n)), limitEstimate(in, p.n), nil
+		return c.breaker(NewLimit(child, p.n)), nil
 
 	case planOrderBy:
-		child, in, err := c.build(p.left)
+		child, err := c.build(p.left)
 		if err != nil {
-			return nil, planEstimate{}, err
+			return nil, err
 		}
-		st := c.takeStage()
-		t, m := c.buffers(in.rows, child.RecordSize()), c.stageBuffers(st)
-		a := p.sortA
-		ch := Choice{Operator: "OrderBy", InputRows: in.rows, Buffers: t, Pinned: a != nil}
-		if a == nil {
-			var prof cost.Profile
-			a, prof = ChooseSortP(t, m, c.lambda, c.par)
-			ch.Cost = prof.PriceP(1, c.lambda, c.par)
-		} else if prof, ok := pinnedSortProfile(a, t, m, c.lambda); ok {
-			ch.Cost = prof.PriceP(1, c.lambda, c.par)
-		}
-		ch.Algorithm = a.Name()
-		_, rc := c.newChoice(ch, st)
-		op := NewOrderBy(child, a)
-		op.rc = rc
-		return c.breaker(op), in, nil
+		st, pl := c.takeStage()
+		a := st.sortFor(pl)
+		st.choice.Algorithm = a.Name()
+		return c.breaker(&OrderBy{child: child, algo: a, st: st}), nil
 
 	case planGroupBy:
-		child, in, err := c.build(p.left)
+		child, err := c.build(p.left)
 		if err != nil {
-			return nil, planEstimate{}, err
+			return nil, err
 		}
 		// Fail width mismatches at plan time so Explain never prices a
 		// group-by that cannot execute.
 		if child.RecordSize() != record.Size {
-			return nil, planEstimate{}, fmt.Errorf("exec: group-by needs %d-byte benchmark records, input emits %d (project first)",
+			return nil, fmt.Errorf("exec: group-by needs %d-byte benchmark records, input emits %d (project first)",
 				record.Size, child.RecordSize())
 		}
 		if p.attr < 0 || p.attr >= record.NumAttrs {
-			return nil, planEstimate{}, fmt.Errorf("exec: aggregate attribute a%d out of schema (0..%d)", p.attr, record.NumAttrs-1)
+			return nil, fmt.Errorf("exec: aggregate attribute a%d out of schema (0..%d)", p.attr, record.NumAttrs-1)
 		}
-		est, groups := c.groupEstimate(p, in)
-		st := c.takeStage()
-		t, m := c.buffers(in.rows, child.RecordSize()), c.stageBuffers(st)
-		out := planEstimate{rows: groups}
-		ch := Choice{Operator: "GroupBy", InputRows: in.rows, Buffers: t, Pinned: p.sortA != nil}
-		if p.sortA != nil {
-			ch.Algorithm = p.sortA.Name()
-			if prof, ok := pinnedSortProfile(p.sortA, t, m, c.lambda); ok {
-				ch.Cost = prof.PriceP(1, c.lambda, c.par)
-			}
-			_, rc := c.newChoice(ch, st)
-			op := NewGroupBy(child, p.attr, p.sortA)
-			op.rc = rc
-			return c.breaker(op), out, nil
+		st, pl := c.takeStage()
+		if pl.hash {
+			st.choice.Algorithm = "HashAgg"
+			return c.breaker(&HashAggregate{child: child, attr: p.attr, st: st}), nil
 		}
-		// The hash table must fit the stage share with the paper's f
-		// expansion and headroom for estimate error (hashAggCap, shared
-		// with the allocator's cost curve so the fit cliff the allocator
-		// priced is the one the compiler acts on). An estimate (hint or
-		// statistics) is required: without one the planner assumes every
-		// record is its own group and stays on the spill-safe sort path.
-		if est > 0 && float64(est) <= hashAggCap(m*float64(c.blockSize)) {
-			ch.Algorithm = "HashAgg"
-			// The hash path reads the input once and writes only the
-			// result; an underestimate degrades to the sort-merge spill
-			// fallback rather than failing.
-			ch.Cost = cost.Profile{Reads: t, Writes: c.buffers(groups, record.Size)}.Price(1, c.lambda)
-			_, rc := c.newChoice(ch, st)
-			op := NewHashAggregate(child, p.attr)
-			op.rc = rc
-			return c.breaker(op), out, nil
-		}
-		a, prof := ChooseSortP(t, m, c.lambda, c.par)
-		ch.Algorithm = a.Name()
-		ch.Cost = prof.PriceP(1, c.lambda, c.par)
-		_, rc := c.newChoice(ch, st)
-		op := NewGroupBy(child, p.attr, a)
-		op.rc = rc
-		return c.breaker(op), out, nil
+		a := st.sortFor(pl)
+		st.choice.Algorithm = a.Name()
+		return c.breaker(&GroupBy{child: child, attr: p.attr, algo: a, st: st}), nil
 
 	case planJoin:
-		left, lest, err := c.build(p.left)
+		left, err := c.build(p.left)
 		if err != nil {
-			return nil, planEstimate{}, err
+			return nil, err
 		}
-		right, rest, err := c.build(p.right)
+		right, err := c.build(p.right)
 		if err != nil {
-			return nil, planEstimate{}, err
+			return nil, err
 		}
-		st := c.takeStage()
-		t := c.buffers(lest.rows, left.RecordSize())
-		v := c.buffers(rest.rows, right.RecordSize())
-		m := c.stageBuffers(st)
-		out := c.joinEstimate(lest, rest)
-		// The cost profiles charge the paper's microbenchmark output
-		// (joinOutput: |V| single-record results), but the engine
-		// materializes full left‖right concatenations of the estimated
-		// output cardinality. Re-pricing that term is a constant shift
-		// across the algorithm candidates — the argmin is unchanged — yet
-		// it matters when comparing join orders, where v flips sides while
-		// the real output stays put.
-		outBuf := c.buffers(out.rows, left.RecordSize()+right.RecordSize())
-		adjust := func(price float64) float64 { return price + c.lambda*(outBuf-v) }
-		a := p.joinA
-		ch := Choice{Operator: "Join", InputRows: lest.rows, Buffers: t, RightBuf: v, Pinned: a != nil}
-		if a == nil {
-			var prof cost.Profile
-			a, prof = ChooseJoinP(t, v, m, c.lambda, c.par)
-			ch.Cost = adjust(prof.PriceP(1, c.lambda, c.par))
-		} else if prof, ok := pinnedJoinProfile(a, t, v, m, c.lambda); ok {
-			ch.Cost = adjust(prof.PriceP(1, c.lambda, c.par))
-		}
-		ch.Algorithm = a.Name()
-		_, rc := c.newChoice(ch, st)
-		rc.outBuf = outBuf
-		op := NewJoin(left, right, a)
-		op.rc = rc
-		return c.breaker(op), out, nil
+		st, pl := c.takeStage()
+		a := st.joinFor(pl)
+		st.choice.Algorithm = a.Name()
+		return c.breaker(&Join{left: left, right: right, algo: a, st: st}), nil
 	}
-	return nil, planEstimate{}, fmt.Errorf("exec: unknown plan node %d", p.kind)
+	return nil, fmt.Errorf("exec: unknown plan node %d", p.kind)
 }
 
 // --- Cardinality estimates ---
@@ -464,33 +356,6 @@ func (c *compiler) statsFor(p *Plan) *stats.Table {
 		return nil
 	}
 	return c.stats.TableStats(p.col)
-}
-
-// estimateNode derives the node's output estimate bottom-up, without
-// building operators — used by the join-order rewrite (build applies the
-// same per-node transforms incrementally to its children's estimates).
-func (c *compiler) estimateNode(p *Plan) planEstimate {
-	if p == nil || p.err != nil {
-		return planEstimate{}
-	}
-	switch p.kind {
-	case planScan:
-		return planEstimate{rows: p.col.Len(), tbl: c.statsFor(p)}
-	case planFilter:
-		return c.filterEstimate(c.estimateNode(p.left), p.pred)
-	case planProject:
-		return projectEstimate(c.estimateNode(p.left), p.attrs)
-	case planLimit:
-		return limitEstimate(c.estimateNode(p.left), p.n)
-	case planOrderBy:
-		return c.estimateNode(p.left)
-	case planGroupBy:
-		_, groups := c.groupEstimate(p, c.estimateNode(p.left))
-		return planEstimate{rows: groups}
-	case planJoin:
-		return c.joinEstimate(c.estimateNode(p.left), c.estimateNode(p.right))
-	}
-	return planEstimate{}
 }
 
 // filterEstimate applies a predicate's selectivity to the input estimate
@@ -625,9 +490,9 @@ func (c *compiler) joinEstimate(l, r planEstimate) planEstimate {
 
 // --- Pinned-choice pricing ---
 
-// pinnedSortProfile prices a caller-pinned sort algorithm with the same
-// implementation profiles the planner ranks, so Explain reports a cost
-// for pinned choices too. Unknown implementations report ok=false.
+// pinnedSortProfile looks up a caller-pinned sort algorithm in the
+// implementation profiles the planner ranks. Unknown implementations —
+// and nil, the planner's own choice — report ok=false.
 func pinnedSortProfile(a sorts.Algorithm, t, m, lambda float64) (cost.Profile, bool) {
 	switch s := a.(type) {
 	case *sorts.ExternalMergeSort:
@@ -672,118 +537,6 @@ func pinnedJoinProfile(a joins.Algorithm, t, v, m, lambda float64) (cost.Profile
 	return cost.Profile{}, false
 }
 
-// --- Open-time clamping ---
-
-// runtimeChoice carries the planner's pricing inputs into a blocking
-// operator so its Open can clamp the compile-time estimates against the
-// actual input cardinalities: actuals are recorded on the shared Explain
-// choice, the stage's memory share is re-split (commit propagates the
-// observed divergence to the unopened stages and water-fills the
-// remaining budget over them), and a non-pinned algorithm is re-chosen
-// from the actual sizes at the re-split share — the misestimate repair
-// the fixed selectivities and hints cannot make at compile time.
-type runtimeChoice struct {
-	choice    *Choice
-	m         float64
-	lambda    float64
-	par       float64 // intra-operator parallelism the plan will run with
-	blockSize int
-	outBuf    float64     // joins: estimated output buffers for cost adjustment
-	bp        *budgetPlan // runtime re-split state (nil: fixed shares)
-	stage     *stageAlloc // this operator's allocation entry
-}
-
-// stageShare is the operator's current memory share in bytes; Ctx uses
-// it to size the stage environment. Zero when the operator was built
-// without the planner.
-func (rc *runtimeChoice) stageShare() int64 {
-	if rc == nil || rc.stage == nil {
-		return 0
-	}
-	return rc.stage.share
-}
-
-// commit records the actual input sizes with the budget plan, re-splits
-// the unopened stages' shares and updates this choice's m accordingly.
-func (rc *runtimeChoice) commit(t, v float64, rows int) {
-	if rc.bp == nil || rc.stage == nil {
-		return
-	}
-	rc.m = rc.bp.commit(rc.stage.idx, t, v, rows)
-	rc.choice.Share = rc.stage.share
-}
-
-// freeze marks the stage opened at its current share without re-pricing
-// (used by operators that learn their input size only after running).
-func (rc *runtimeChoice) freeze() {
-	if rc == nil || rc.bp == nil || rc.stage == nil {
-		return
-	}
-	rc.bp.commit(rc.stage.idx, 0, 0, 0)
-}
-
-func (rc *runtimeChoice) buffers(rows, recSize int) float64 {
-	b := math.Ceil(float64(rows) * float64(recSize) / float64(rc.blockSize))
-	if b < 1 {
-		b = 1
-	}
-	return b
-}
-
-// clampSort records the actual input size, re-prices the choice at the
-// actual cardinality (pinned choices via their own profile, so cost and
-// algorithm always describe each other), and re-runs the planner's
-// choice when it owns the decision.
-func (rc *runtimeChoice) clampSort(rows, recSize int, cur sorts.Algorithm) sorts.Algorithm {
-	if rc == nil {
-		return cur
-	}
-	rc.choice.ActualRows = rows
-	t := rc.buffers(rows, recSize)
-	rc.commit(t, 0, rows)
-	if rc.choice.Pinned {
-		if prof, ok := pinnedSortProfile(cur, t, rc.m, rc.lambda); ok {
-			rc.choice.Cost = prof.PriceP(1, rc.lambda, rc.par)
-		}
-		return cur
-	}
-	a, prof := ChooseSortP(t, rc.m, rc.lambda, rc.par)
-	rc.choice.Cost = prof.PriceP(1, rc.lambda, rc.par)
-	if a.Name() != cur.Name() {
-		rc.choice.Replanned = true
-		rc.choice.Algorithm = a.Name()
-		return a
-	}
-	return cur
-}
-
-// clampJoin is clampSort's join twin (actuals are the build side's
-// rows); the re-priced cost keeps the compile-time output adjustment —
-// the output hasn't been produced yet, so its estimate stands.
-func (rc *runtimeChoice) clampJoin(lrows, lrec, rrows, rrec int, cur joins.Algorithm) joins.Algorithm {
-	if rc == nil {
-		return cur
-	}
-	rc.choice.ActualRows = lrows
-	t, v := rc.buffers(lrows, lrec), rc.buffers(rrows, rrec)
-	rc.commit(t, v, lrows)
-	adjust := func(price float64) float64 { return price + rc.lambda*(rc.outBuf-v) }
-	if rc.choice.Pinned {
-		if prof, ok := pinnedJoinProfile(cur, t, v, rc.m, rc.lambda); ok {
-			rc.choice.Cost = adjust(prof.PriceP(1, rc.lambda, rc.par))
-		}
-		return cur
-	}
-	a, prof := ChooseJoinP(t, v, rc.m, rc.lambda, rc.par)
-	rc.choice.Cost = adjust(prof.PriceP(1, rc.lambda, rc.par))
-	if a.Name() != cur.Name() {
-		rc.choice.Replanned = true
-		rc.choice.Algorithm = a.Name()
-		return a
-	}
-	return cur
-}
-
 // parOf maps a context's Parallelism knob to the effective
 // intra-operator parallelism for pricing: values below 1 (including the
 // "unset" zero) price serially.
@@ -792,62 +545,4 @@ func parOf(p int) float64 {
 		return 1
 	}
 	return float64(p)
-}
-
-// ChooseSort returns the cost-model-optimal sort for t input buffers
-// with m buffers of stage memory at write/read ratio λ, along with its
-// predicted I/O profile. The pricing lives in cost.BestSortPlan — the
-// same function the budget allocator water-fills over — so the
-// instantiated algorithm and the allocator's curves can never disagree.
-func ChooseSort(t, m, lambda float64) (sorts.Algorithm, cost.Profile) {
-	return ChooseSortP(t, m, lambda, 1)
-}
-
-// ChooseSortP is ChooseSort priced under par-way intra-operator
-// parallelism: phases that fan out (run formation, merge passes, the
-// splitter-partitioned final merge) are discounted par ways, so at high
-// par the write-serial sorts lose to ExMS/HybS exactly as the engine's
-// overlap clock says they should.
-func ChooseSortP(t, m, lambda, par float64) (sorts.Algorithm, cost.Profile) {
-	p := cost.BestSortPlanP(t, m, lambda, par)
-	switch p.Algo {
-	case cost.SortSelS:
-		return sorts.NewSelectionSort(), p.Profile
-	case cost.SortLaS:
-		return sorts.NewLazySort(), p.Profile
-	case cost.SortSegS:
-		return sorts.NewSegmentSort(p.Intensity), p.Profile
-	case cost.SortHybS:
-		return sorts.NewHybridSort(p.Intensity), p.Profile
-	default:
-		return sorts.NewExternalMergeSort(), p.Profile
-	}
-}
-
-// ChooseJoin returns the cost-model-optimal equi-join for t build-side
-// and v probe-side buffers with m buffers of stage memory at ratio λ,
-// along with its predicted I/O profile. Pricing delegates to
-// cost.BestJoinPlan, ChooseSort-style.
-func ChooseJoin(t, v, m, lambda float64) (joins.Algorithm, cost.Profile) {
-	return ChooseJoinP(t, v, m, lambda, 1)
-}
-
-// ChooseJoinP is ChooseJoin priced under par-way intra-operator
-// parallelism (see ChooseSortP).
-func ChooseJoinP(t, v, m, lambda, par float64) (joins.Algorithm, cost.Profile) {
-	p := cost.BestJoinPlanP(t, v, m, lambda, par)
-	switch p.Algo {
-	case cost.JoinGJ:
-		return joins.NewGrace(), p.Profile
-	case cost.JoinHJ:
-		return joins.NewHash(), p.Profile
-	case cost.JoinLaJ:
-		return joins.NewLazyHash(), p.Profile
-	case cost.JoinHybJ:
-		return joins.NewHybridGraceNL(p.X, p.Y), p.Profile
-	case cost.JoinSegJ:
-		return joins.NewSegmentedGrace(p.X), p.Profile
-	default:
-		return joins.NewNestedLoops(), p.Profile
-	}
 }

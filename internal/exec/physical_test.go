@@ -33,12 +33,18 @@ func sortCandidates(t, m, lambda float64) map[string]cost.Profile {
 		sorts.NewSelectionSort().Name():     cost.SelSProfile(t, m),
 		sorts.NewLazySort().Name():          cost.LaSProfile(t, m, lambda),
 	}
-	xSeg := cost.BestKnob(lambda, func(x float64) cost.Profile { return cost.SegSProfile(x, t, m) },
+	xSeg := cost.BestKnobP(lambda, 1, func(x float64) cost.Profile { return cost.SegSProfile(x, t, m) },
 		cost.SegmentSortOptimalX(t, m, lambda))
 	c[sorts.NewSegmentSort(xSeg).Name()] = cost.SegSProfile(xSeg, t, m)
-	xHyb := cost.BestKnob(lambda, func(x float64) cost.Profile { return cost.HybSProfile(x, t, m) })
+	xHyb := cost.BestKnobP(lambda, 1, func(x float64) cost.Profile { return cost.HybSProfile(x, t, m) })
 	c[sorts.NewHybridSort(xHyb).Name()] = cost.HybSProfile(xHyb, t, m)
 	return c
+}
+
+// freeStage is an unpinned blocking stage outside any plan, priced
+// serially at ratio λ: what the planner picks for given (t, v, m).
+func freeStage(op string, lambda float64) *stageAlloc {
+	return &stageAlloc{op: op, bp: &budgetPlan{lambda: lambda, par: 1, blockSize: 1}}
 }
 
 func TestChooseSortAgreesWithCheapestPrediction(t *testing.T) {
@@ -46,8 +52,9 @@ func TestChooseSortAgreesWithCheapestPrediction(t *testing.T) {
 	for _, lambda := range plannerGrid.lambdas {
 		for _, frac := range plannerGrid.fracs {
 			m := tBuf * frac
-			a, prof := ChooseSort(tBuf, m, lambda)
-			price := prof.Price(1, lambda)
+			st := freeStage("OrderBy", lambda)
+			pl := st.plan(tBuf, 0, m)
+			a, price := st.sortFor(pl), pl.sort.Profile.Price(1, lambda)
 
 			bestName, bestPrice := "", math.Inf(1)
 			for name, p := range sortCandidates(tBuf, m, lambda) {
@@ -87,7 +94,7 @@ func joinCandidates(t, v, m, lambda float64) map[string]cost.Profile {
 		try(sx, sy)
 	}
 	c[joins.NewHybridGraceNL(bx, by).Name()] = cost.HybJProfile(bx, by, t, v, m)
-	xSeg := cost.BestKnob(lambda, func(x float64) cost.Profile { return cost.SegJProfile(x, t, v, m) })
+	xSeg := cost.BestKnobP(lambda, 1, func(x float64) cost.Profile { return cost.SegJProfile(x, t, v, m) })
 	c[joins.NewSegmentedGrace(xSeg).Name()] = cost.SegJProfile(xSeg, t, v, m)
 	return c
 }
@@ -98,8 +105,9 @@ func TestChooseJoinAgreesWithCheapestPrediction(t *testing.T) {
 	for _, lambda := range plannerGrid.lambdas {
 		for _, frac := range plannerGrid.fracs {
 			m := tBuf * frac
-			a, prof := ChooseJoin(tBuf, vBuf, m, lambda)
-			price := prof.Price(1, lambda)
+			st := freeStage("Join", lambda)
+			pl := st.plan(tBuf, vBuf, m)
+			a, price := st.joinFor(pl), pl.join.Profile.Price(1, lambda)
 
 			bestName, bestPrice := "", math.Inf(1)
 			for name, p := range joinCandidates(tBuf, vBuf, m, lambda) {
@@ -125,7 +133,7 @@ func TestPlannerRespondsToLambda(t *testing.T) {
 	prevWrites := math.Inf(1)
 	first, last := 0.0, 0.0
 	for _, lambda := range []float64{1, 2, 5, 15, 40, 100} {
-		_, prof := ChooseSort(tBuf, m, lambda)
+		prof := freeStage("OrderBy", lambda).plan(tBuf, 0, m).sort.Profile
 		if prof.Writes > prevWrites {
 			t.Errorf("λ=%.0f: chosen writes %v above cheaper-λ choice %v", lambda, prof.Writes, prevWrites)
 		}
@@ -141,7 +149,7 @@ func TestPlannerRespondsToLambda(t *testing.T) {
 }
 
 // TestCompileConsultsCostModel checks the wiring: the Explain choices of
-// a compiled plan are exactly what ChooseSort/ChooseJoin return for the
+// a compiled plan are exactly what a free-standing stage plans for the
 // cardinalities and stage budget the compiler derives.
 func TestCompileConsultsCostModel(t *testing.T) {
 	r := newRig(t)
@@ -176,13 +184,15 @@ func TestCompileConsultsCostModel(t *testing.T) {
 	}
 	tJoin := math.Ceil(float64(testDim) * record.Size / bs)
 	vJoin := math.Ceil(float64(testFact) * record.Size / bs)
-	wantJoin, _ := ChooseJoin(tJoin, vJoin, mOf(ex.Choices[0].Share), lambda)
+	js := freeStage("Join", lambda)
+	wantJoin := js.joinFor(js.plan(tJoin, vJoin, mOf(ex.Choices[0].Share)))
 	if ex.Choices[0].Algorithm != wantJoin.Name() {
 		t.Errorf("join choice %s, want %s", ex.Choices[0].Algorithm, wantJoin.Name())
 	}
 	// Order-by input: the join output estimate (|V| rows of 160 B).
 	tSort := math.Ceil(float64(testFact) * 2 * record.Size / bs)
-	wantSort, _ := ChooseSort(tSort, mOf(ex.Choices[1].Share), lambda)
+	ss := freeStage("OrderBy", lambda)
+	wantSort := ss.sortFor(ss.plan(tSort, 0, mOf(ex.Choices[1].Share)))
 	if ex.Choices[1].Algorithm != wantSort.Name() {
 		t.Errorf("orderby choice %s, want %s", ex.Choices[1].Algorithm, wantSort.Name())
 	}

@@ -1,7 +1,6 @@
 package sorts
 
 import (
-	"fmt"
 	"io"
 
 	"wlpm/internal/algo"
@@ -452,30 +451,4 @@ func mergeIters(iters []storage.Iterator, emit func(rec []byte) error) error {
 		}
 	}
 	return nil
-}
-
-// verifySortedInvariant is a debugging helper used by tests.
-//
-//lint:allow wlvet/ctxpoll test-only invariant check over small fixtures, never run on a live query path
-func verifySortedInvariant(c storage.Collection) error {
-	it := c.Scan()
-	defer it.Close()
-	prev := make([]byte, 0, c.RecordSize())
-	first := true
-	idx := 0
-	for {
-		rec, err := it.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if !first && less(rec, prev) {
-			return fmt.Errorf("sorts: output %q out of order at record %d", c.Name(), idx)
-		}
-		prev = append(prev[:0], rec...)
-		first = false
-		idx++
-	}
 }

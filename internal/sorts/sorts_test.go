@@ -380,3 +380,27 @@ func TestQuickSortersAreCorrect(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// verifySortedInvariant checks that c is in ascending record order.
+func verifySortedInvariant(c storage.Collection) error {
+	it := c.Scan()
+	defer it.Close()
+	prev := make([]byte, 0, c.RecordSize())
+	first := true
+	idx := 0
+	for {
+		rec, err := it.Next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		if !first && less(rec, prev) {
+			return fmt.Errorf("sorts: output %q out of order at record %d", c.Name(), idx)
+		}
+		prev = append(prev[:0], rec...)
+		first = false
+		idx++
+	}
+}

@@ -240,41 +240,6 @@ func (q *Query) RunCtx(ctx context.Context, out Collection) (*QueryExplain, erro
 	return q.runInto(ctx, out, g.Bytes(), g, exec.CompileOptions{})
 }
 
-// Run compiles the plan (cost model fills the open algorithm choices)
-// and executes it as a pipeline, appending the result to out.
-//
-// Deprecated: the fixed caller budget bypasses the memory broker and the
-// call cannot be cancelled. Use Rows (streaming) or RunCtx
-// (materializing) on a session-bound query.
-func (q *Query) Run(out Collection, memoryBudget int64) error {
-	_, err := q.RunExplained(out, memoryBudget)
-	return err
-}
-
-// RunExplained is Run returning the compiled plan's explanation, whose
-// choices carry both the planner's estimates and the actual input rows
-// observed while the plan ran — the estimate-vs-actual view that makes
-// planner misestimates visible.
-//
-// Deprecated: see Run; use RunCtx, which returns the same explanation.
-func (q *Query) RunExplained(out Collection, memoryBudget int64) (*QueryExplain, error) {
-	//lint:allow wlvet/ctxparam deprecated pre-context compat shim; RunExplainedCtx is the real API
-	return q.runInto(context.Background(), out, memoryBudget, nil, exec.CompileOptions{})
-}
-
-// RunMaterialized executes the plan with a materialization barrier after
-// every operator — the naive composition the pipeline is measured
-// against. Results are identical to Run; only the device traffic
-// differs.
-//
-// Deprecated: the fixed caller budget bypasses the memory broker. Use
-// RunMaterializedCtx.
-func (q *Query) RunMaterialized(out Collection, memoryBudget int64) error {
-	//lint:allow wlvet/ctxparam deprecated pre-context compat shim; RunMaterializedCtx is the real API
-	_, err := q.runInto(context.Background(), out, memoryBudget, nil, exec.CompileOptions{MaterializeEveryStep: true})
-	return err
-}
-
 // RunMaterializedCtx is RunCtx with a materialization barrier after
 // every operator (the naive-composition baseline).
 func (q *Query) RunMaterializedCtx(ctx context.Context, out Collection) error {
@@ -289,18 +254,14 @@ func (q *Query) RunMaterializedCtx(ctx context.Context, out Collection) error {
 	return err
 }
 
-// Explain compiles the plan without running it and reports the physical
-// operator tree and the planner's algorithm choices at the given budget.
-func (q *Query) Explain(memoryBudget int64) (*QueryExplain, error) {
-	_, ex, _, err := q.compile(memoryBudget, exec.CompileOptions{})
-	return ex, err
-}
-
-// ExplainGranted is Explain at the session's per-query grant size — the
-// budget Rows and RunCtx will actually plan with.
+// ExplainGranted compiles the plan without running it and reports the
+// physical operator tree and the planner's algorithm choices at the
+// session's per-query grant size — the budget Rows and RunCtx will
+// actually plan with.
 func (q *Query) ExplainGranted() (*QueryExplain, error) {
 	if q.sess == nil {
 		return nil, ErrSessionClosed
 	}
-	return q.Explain(q.sess.Budget())
+	_, ex, _, err := q.compile(q.sess.Budget(), exec.CompileOptions{})
+	return ex, err
 }

@@ -2,6 +2,7 @@ package wlpm_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -72,7 +73,7 @@ func TestQueryFacadeStarJoin(t *testing.T) {
 
 	run := func(par int, materialized bool) ([]byte, uint64) {
 		sys, dim1, dim2, fact := starQuerySetup(t, nDim, nFact, par)
-		q := sys.Query(dim2).
+		q := sys.Session(wlpm.WithSessionBudget(budget)).Query(dim2).
 			Join(sys.Query(dim1).Join(sys.Query(fact))).
 			Project(0, 1, 12, 13, 23, 24, 5, 16, 27, 8).
 			GroupBy(3).
@@ -83,9 +84,9 @@ func TestQueryFacadeStarJoin(t *testing.T) {
 		}
 		sys.ResetStats()
 		if materialized {
-			err = q.RunMaterialized(out, budget)
+			err = q.RunMaterializedCtx(context.Background(), out)
 		} else {
-			err = q.Run(out, budget)
+			_, err = q.RunCtx(context.Background(), out)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -113,8 +114,8 @@ func TestQueryFacadeStarJoin(t *testing.T) {
 
 func TestQueryExplainSurfacesChoices(t *testing.T) {
 	sys, dim1, _, fact := starQuerySetup(t, 300, 3000, 1)
-	q := sys.Query(dim1).Join(sys.Query(fact)).OrderBy()
-	ex, err := q.Explain(int64(3000 * wlpm.RecordSize / 20))
+	sess := sys.Session(wlpm.WithSessionBudget(int64(3000 * wlpm.RecordSize / 20)))
+	ex, err := sess.Query(dim1).Join(sys.Query(fact)).OrderBy().ExplainGranted()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,8 @@ func TestParseQueryFacade(t *testing.T) {
 		}
 		return nil, fmt.Errorf("no table %q", name)
 	}
-	q, err := sys.ParseQuery("scan(dim) | join(scan(fact)) | project(a0,a1,a12,a13,a14,a5,a16,a7,a18,a9) | groupby(a3) | orderby", lookup)
+	sess := sys.Session(wlpm.WithSessionBudget(int64(2000 * wlpm.RecordSize / 20)))
+	q, err := sess.ParseQuery("scan(dim) | join(scan(fact)) | project(a0,a1,a12,a13,a14,a5,a16,a7,a18,a9) | groupby(a3) | orderby", lookup)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +156,7 @@ func TestParseQueryFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := q.Run(out, int64(2000*wlpm.RecordSize/20)); err != nil {
+	if _, err := q.RunCtx(context.Background(), out); err != nil {
 		t.Fatal(err)
 	}
 	if out.Len() != 200 {
@@ -169,8 +171,7 @@ func TestParseQueryFacade(t *testing.T) {
 // façade: auto-collected column statistics make GroupHint optional (the
 // planner picks the hash aggregation from the key column's distinct
 // count), a 10×-underestimated hint completes via the spill fallback
-// instead of erroring, and RunExplained reports estimated next to actual
-// rows.
+// instead of erroring, and RunCtx reports estimated next to actual rows.
 func TestQueryStatsAndSpillFacade(t *testing.T) {
 	const n, groups = 4000, 50
 	setup := func(opts ...wlpm.Option) (*wlpm.System, wlpm.Collection) {
@@ -200,7 +201,7 @@ func TestQueryStatsAndSpillFacade(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ex, err := q.RunExplained(out, 1<<20)
+		ex, err := q.RunCtx(context.Background(), out)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,11 +210,12 @@ func TestQueryStatsAndSpillFacade(t *testing.T) {
 
 	// Ground truth: pinned sort-based group-by, statistics disabled.
 	sysRef, inRef := setup(wlpm.WithAutoCollect(false))
-	want, _ := run(sysRef, sysRef.Query(inRef).GroupByWith(4, wlpm.ExternalMergeSort()))
+	mb := wlpm.WithSessionBudget(1 << 20)
+	want, _ := run(sysRef, sysRef.Session(mb).Query(inRef).GroupByWith(4, wlpm.ExternalMergeSort()))
 
 	// No hint: auto-collected statistics select the hash path.
 	sys, in := setup()
-	got, ex := run(sys, sys.Query(in).GroupBy(4))
+	got, ex := run(sys, sys.Session(mb).Query(in).GroupBy(4))
 	if len(ex.Choices) != 1 || ex.Choices[0].Algorithm != "HashAgg" {
 		t.Fatalf("hintless query chose %+v, want HashAgg from statistics", ex.Choices)
 	}
@@ -248,12 +250,12 @@ func TestQueryStatsAndSpillFacade(t *testing.T) {
 	if err := inSp.Close(); err != nil {
 		t.Fatal(err)
 	}
-	budget := int64(64 << 10)
+	sessSp := sysSp.Session(wlpm.WithSessionBudget(64 << 10))
 	outSp, err := sysSp.Create("spill")
 	if err != nil {
 		t.Fatal(err)
 	}
-	exSp, err := sysSp.Query(inSp).GroupHint(bigGroups/10).GroupBy(4).RunExplained(outSp, budget)
+	exSp, err := sessSp.Query(inSp).GroupHint(bigGroups/10).GroupBy(4).RunCtx(context.Background(), outSp)
 	if err != nil {
 		t.Fatalf("underestimated hint failed instead of spilling: %v", err)
 	}
@@ -264,7 +266,7 @@ func TestQueryStatsAndSpillFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sysSp.Query(inSp).GroupByWith(4, wlpm.ExternalMergeSort()).Run(refSp, budget); err != nil {
+	if _, err := sessSp.Query(inSp).GroupByWith(4, wlpm.ExternalMergeSort()).RunCtx(context.Background(), refSp); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(readAllBytes(t, outSp), readAllBytes(t, refSp)) {
@@ -295,10 +297,10 @@ func TestQueryFilterPushesNoWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.ResetStats()
-	q := sys.Query(in).
+	q := sys.Session(wlpm.WithSessionBudget(64<<10)).Query(in).
 		Filter(wlpm.Predicate{Attr: 0, Op: wlpm.CmpLt, Value: n / 2}).
 		Project(0, 3)
-	if err := q.Run(out, 64<<10); err != nil {
+	if _, err := q.RunCtx(context.Background(), out); err != nil {
 		t.Fatal(err)
 	}
 	st := sys.Stats()

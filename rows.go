@@ -70,7 +70,7 @@ func (q *Query) openRows(ctx context.Context, budget int64, grant *broker.Grant,
 	if err != nil {
 		return nil, err
 	}
-	if err := ec.Bind(ctx, root); err != nil {
+	if err := ec.Bind(ctx); err != nil {
 		return nil, err
 	}
 	if err := root.Open(ctx, ec); err != nil {

@@ -290,20 +290,10 @@ func (s *System) CreateSized(name string, recordSize int) (Collection, error) {
 	return s.fac.Create(name, recordSize)
 }
 
-// Sort runs a sort algorithm with the given DRAM budget in bytes.
-//
-// Deprecated: the fixed caller budget bypasses the memory broker, so
-// concurrent callers can oversubscribe the system budget. Use SortCtx
-// (cancellable, leak-swept) or a Session query with OrderBy.
-func (s *System) Sort(a SortAlgorithm, in, out Collection, memoryBudget int64) error {
-	//lint:allow wlvet/ctxparam deprecated pre-context compat shim; SortCtx is the real API
-	return s.SortCtx(context.Background(), a, in, out, memoryBudget)
-}
-
-// SortCtx runs a sort algorithm under ctx with the given DRAM budget.
-// Cancellation is polled between batches inside the algorithm; on any
-// error — including cancellation — the temporaries (runs, intermediate
-// inputs) the sort created are destroyed before returning.
+// SortCtx runs a sort algorithm under ctx with the given DRAM budget in
+// bytes. Cancellation is polled between batches inside the algorithm; on
+// any error — including cancellation — the temporaries (runs,
+// intermediate inputs) the sort created are destroyed before returning.
 func (s *System) SortCtx(ctx context.Context, a SortAlgorithm, in, out Collection, memoryBudget int64) error {
 	env := s.NewEnv(memoryBudget).WithContext(ctx)
 	if err := a.Sort(env, in, out); err != nil {
@@ -313,20 +303,11 @@ func (s *System) SortCtx(ctx context.Context, a SortAlgorithm, in, out Collectio
 	return nil
 }
 
-// Join runs a join algorithm with the given DRAM budget in bytes. The
-// output collection's record size must be the sum of the inputs'.
-//
-// Deprecated: the fixed caller budget bypasses the memory broker. Use
-// JoinCtx or a Session query with Join.
-func (s *System) Join(a JoinAlgorithm, left, right, out Collection, memoryBudget int64) error {
-	//lint:allow wlvet/ctxparam deprecated pre-context compat shim; JoinCtx is the real API
-	return s.JoinCtx(context.Background(), a, left, right, out, memoryBudget)
-}
-
-// JoinCtx runs a join algorithm under ctx with the given DRAM budget.
-// Cancellation is polled between batches (partitioning, builds, probes);
-// on any error the join's temporaries (partitions, intermediate inputs)
-// are destroyed before returning.
+// JoinCtx runs a join algorithm under ctx with the given DRAM budget in
+// bytes; the output collection's record size must be the sum of the
+// inputs'. Cancellation is polled between batches (partitioning, builds,
+// probes); on any error the join's temporaries (partitions, intermediate
+// inputs) are destroyed before returning.
 func (s *System) JoinCtx(ctx context.Context, a JoinAlgorithm, left, right, out Collection, memoryBudget int64) error {
 	env := s.NewEnv(memoryBudget).WithContext(ctx)
 	if err := a.Join(env, left, right, out); err != nil {
@@ -342,21 +323,13 @@ func (s *System) NewEnv(memoryBudget int64) *Env {
 	return algo.NewParallelEnv(s.fac, memoryBudget, s.par)
 }
 
-// GroupBy runs the write-limited sort-based aggregation (an extension in
-// the spirit of the paper's §6 outlook): in is grouped by key and
-// attribute attr is aggregated; out receives one benchmark-schema record
-// per group carrying count/sum/min/max in the GroupAttr* slots. The write
-// profile is inherited from the chosen sort algorithm.
-//
-// Deprecated: the fixed caller budget bypasses the memory broker. Use
-// GroupByCtx or a Session query with GroupBy.
-func (s *System) GroupBy(a SortAlgorithm, in Collection, attr int, out Collection, memoryBudget int64) error {
-	//lint:allow wlvet/ctxparam deprecated pre-context compat shim; GroupByCtx is the real API
-	return s.GroupByCtx(context.Background(), a, in, attr, out, memoryBudget)
-}
-
-// GroupByCtx runs the sort-based aggregation under ctx with the given
-// DRAM budget, polling cancellation and sweeping temporaries on error.
+// GroupByCtx runs the write-limited sort-based aggregation (an extension
+// in the spirit of the paper's §6 outlook) under ctx with the given DRAM
+// budget: in is grouped by key and attribute attr is aggregated; out
+// receives one benchmark-schema record per group carrying
+// count/sum/min/max in the GroupAttr* slots. The write profile is
+// inherited from the chosen sort algorithm. Cancellation is polled and
+// temporaries are swept on error, as in SortCtx.
 func (s *System) GroupByCtx(ctx context.Context, a SortAlgorithm, in Collection, attr int, out Collection, memoryBudget int64) error {
 	env := s.NewEnv(memoryBudget).WithContext(ctx)
 	if err := aggregate.GroupBy(env, a, in, attr, out); err != nil {

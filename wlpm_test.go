@@ -1,6 +1,7 @@
 package wlpm_test
 
 import (
+	"context"
 	"io"
 	"testing"
 	"time"
@@ -88,7 +89,7 @@ func TestEndToEndSortAllAlgorithms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sys.Sort(a, in, out, 10*wlpm.RecordSize*n/100); err != nil {
+		if err := sys.SortCtx(context.Background(), a, in, out, 10*wlpm.RecordSize*n/100); err != nil {
 			t.Fatalf("%s: %v", a.Name(), err)
 		}
 		if out.Len() != n {
@@ -140,7 +141,7 @@ func TestEndToEndJoinAllAlgorithms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sys.Join(a, dim, fact, out, 5*wlpm.RecordSize*nDim/100); err != nil {
+		if err := sys.JoinCtx(context.Background(), a, dim, fact, out, 5*wlpm.RecordSize*nDim/100); err != nil {
 			t.Fatalf("%s: %v", a.Name(), err)
 		}
 		if out.Len() != nFact {
@@ -260,7 +261,7 @@ func TestParallelismFacade(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sys.Sort(wlpm.SegmentSort(0.4), in, out, 40*1024); err != nil {
+		if err := sys.SortCtx(context.Background(), wlpm.SegmentSort(0.4), in, out, 40*1024); err != nil {
 			t.Fatalf("P=%d sort: %v", p, err)
 		}
 		if out.Len() != n {
@@ -302,7 +303,7 @@ func TestParallelismFacade(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sys.Join(wlpm.GraceJoin(), jl, jr, jout, 16*1024); err != nil {
+		if err := sys.JoinCtx(context.Background(), wlpm.GraceJoin(), jl, jr, jout, 16*1024); err != nil {
 			t.Fatalf("P=%d join: %v", p, err)
 		}
 		if jout.Len() != 5000 {
