@@ -260,6 +260,22 @@ func (e *Env) BudgetRecords(recSize int) int {
 	return n
 }
 
+// ChunkRecords is the kernels' scan granularity for records of size
+// recSize: one persistence-layer block's worth.
+func (e *Env) ChunkRecords(recSize int) int {
+	return storage.ChunkRecords(e.Factory.BlockSize(), recSize)
+}
+
+// Scan applies fn to every record of src, in order, reading it one block
+// chunk at a time (storage.ForEach): the kernels' one way to walk an
+// input. fn sees views valid only during the call and owns cancellation
+// (pass a poll-wrapped callback).
+func (e *Env) Scan(src storage.Collection, fn func(rec []byte) error) error {
+	it := src.Scan()
+	defer it.Close()
+	return storage.ForEach(it, e.ChunkRecords(src.RecordSize()), fn)
+}
+
 // BudgetHashRecords is the number of records of size recSize whose hash
 // table fits in the budget, accounting for the expansion factor f.
 func (e *Env) BudgetHashRecords(recSize int) int {

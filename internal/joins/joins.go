@@ -13,7 +13,6 @@ package joins
 
 import (
 	"fmt"
-	"io"
 
 	"wlpm/internal/algo"
 	"wlpm/internal/record"
@@ -152,24 +151,6 @@ func pollRecords(env *algo.Env, fn func(rec []byte) error) func(rec []byte) erro
 			return err
 		}
 		return fn(rec)
-	}
-}
-
-// scanInto iterates src and applies fn to each record.
-func scanInto(src storage.Collection, fn func(rec []byte) error) error {
-	it := src.Scan()
-	defer it.Close()
-	for {
-		rec, err := it.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := fn(rec); err != nil {
-			return err
-		}
 	}
 }
 

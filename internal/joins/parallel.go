@@ -136,7 +136,7 @@ func (o *orderedEmit) release() {
 // probe records, so a cancelled join stops mid-probe.
 func parallelProbe(env *algo.Env, srcs []storage.Collection, table *hashTable, filter func(rec []byte) bool, em *emitter) error {
 	probeOne := func(src storage.Collection, emit func(l, r []byte) error) error {
-		return scanInto(src, pollRecords(env, func(r []byte) error {
+		return env.Scan(src, pollRecords(env, func(r []byte) error {
 			if filter != nil && !filter(r) {
 				return nil
 			}
@@ -204,7 +204,7 @@ func buildTableParallel(env *algo.Env, subs []storage.Collection, filter func(re
 		w := env.Workers(n)
 		if w <= 1 {
 			t := newHashTable(recSize, n)
-			err := scanAllInto(subs, pollRecords(env, func(rec []byte) error {
+			err := scanAllInto(env, subs, pollRecords(env, func(rec []byte) error {
 				if filter == nil || filter(rec) {
 					t.insert(rec)
 				}
@@ -239,7 +239,7 @@ func buildTableParallel(env *algo.Env, subs []storage.Collection, filter func(re
 				if clo >= chi {
 					continue
 				}
-				if err := scanInto(storage.Slice(c, clo, chi), keep); err != nil {
+				if err := env.Scan(storage.Slice(c, clo, chi), keep); err != nil {
 					return err
 				}
 			}
@@ -267,9 +267,9 @@ func buildTableParallel(env *algo.Env, subs []storage.Collection, filter func(re
 }
 
 // scanAllInto streams every record of subs, in order, into fn.
-func scanAllInto(subs []storage.Collection, fn func(rec []byte) error) error {
+func scanAllInto(env *algo.Env, subs []storage.Collection, fn func(rec []byte) error) error {
 	for _, c := range subs {
-		if err := scanInto(c, fn); err != nil {
+		if err := env.Scan(c, fn); err != nil {
 			return err
 		}
 	}

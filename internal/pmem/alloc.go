@@ -1,7 +1,9 @@
 package pmem
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -23,6 +25,10 @@ type Allocator struct {
 	align int64           // allocation alignment (cacheline)
 	used  int64           // bytes currently allocated
 	peak  int64           // high-water mark
+
+	// FreeAll's scratch, kept across calls so that dropping collections
+	// allocates nothing in steady state.
+	batch, merged []span
 }
 
 type span struct{ off, size int64 }
@@ -106,28 +112,67 @@ func (a *Allocator) AllocAligned(size, align int64) (int64, error) {
 
 // Free releases a range previously returned by Alloc.
 func (a *Allocator) Free(off int64) error {
+	return a.FreeAll([]int64{off})
+}
+
+// FreeAll releases a batch of ranges previously returned by Alloc, in
+// one pass over the free list: the batch is sorted and spliced into the
+// window of free spans it touches, coalescing as it goes, so dropping a
+// k-block collection costs O(k log k + |free list|) however its blocks
+// interleave with other collections' — not one shifted insert per
+// block. The resulting free list (and so every later first-fit
+// placement) is exactly what k single frees would leave. An offset that
+// is not a live allocation, or is named twice, fails the whole batch:
+// nothing is freed on error.
+func (a *Allocator) FreeAll(offs []int64) error {
+	if len(offs) == 0 {
+		return nil
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	size, ok := a.live[off]
-	if !ok {
-		return fmt.Errorf("pmem: free of unallocated offset %d", off)
+	freed := a.batch[:0]
+	for _, off := range offs {
+		size, ok := a.live[off]
+		if !ok {
+			return fmt.Errorf("pmem: free of unallocated offset %d", off)
+		}
+		freed = append(freed, span{off, size})
 	}
-	delete(a.live, off)
-	a.used -= size
+	a.batch = freed
+	slices.SortFunc(freed, func(x, y span) int { return cmp.Compare(x.off, y.off) })
+	for i := 1; i < len(freed); i++ {
+		if freed[i].off == freed[i-1].off {
+			return fmt.Errorf("pmem: free of unallocated offset %d (named twice in one batch)", freed[i].off)
+		}
+	}
 
-	i := sort.Search(len(a.free), func(i int) bool { return a.free[i].off >= off })
-	a.free = append(a.free, span{})
-	copy(a.free[i+1:], a.free[i:])
-	a.free[i] = span{off, size}
-	// Coalesce with successor, then predecessor.
-	if i+1 < len(a.free) && a.free[i].off+a.free[i].size == a.free[i+1].off {
-		a.free[i].size += a.free[i+1].size
-		a.free = append(a.free[:i+1], a.free[i+2:]...)
+	// The free spans the batch can touch or interleave with: from the
+	// first one ending at or after the batch's start to the last one
+	// starting at or before its end.
+	last := freed[len(freed)-1]
+	lo := sort.Search(len(a.free), func(i int) bool { return a.free[i].off+a.free[i].size >= freed[0].off })
+	hi := sort.Search(len(a.free), func(i int) bool { return a.free[i].off > last.off+last.size })
+	window := a.free[lo:hi]
+	merged := a.merged[:0]
+	for i, j := 0, 0; i < len(window) || j < len(freed); {
+		var s span
+		if j == len(freed) || (i < len(window) && window[i].off < freed[j].off) {
+			s = window[i]
+			i++
+		} else {
+			s = freed[j]
+			j++
+			delete(a.live, s.off)
+			a.used -= s.size
+		}
+		if n := len(merged); n > 0 && merged[n-1].off+merged[n-1].size == s.off {
+			merged[n-1].size += s.size
+		} else {
+			merged = append(merged, s)
+		}
 	}
-	if i > 0 && a.free[i-1].off+a.free[i-1].size == a.free[i].off {
-		a.free[i-1].size += a.free[i].size
-		a.free = append(a.free[:i], a.free[i+1:]...)
-	}
+	a.merged = merged
+	a.free = slices.Replace(a.free, lo, hi, merged...)
 	return nil
 }
 

@@ -2,6 +2,9 @@ package pmem
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -149,5 +152,128 @@ func TestQuickAllocNoOverlap(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// freeOneByOne is the reference FreeAll is held to: one sorted,
+// shifting insert per offset, coalescing with both neighbours.
+func freeOneByOne(a *Allocator, offs []int64) {
+	for _, off := range offs {
+		size := a.live[off]
+		delete(a.live, off)
+		a.used -= size
+		i := sort.Search(len(a.free), func(i int) bool { return a.free[i].off >= off })
+		a.free = slices.Insert(a.free, i, span{off, size})
+		if i+1 < len(a.free) && a.free[i].off+a.free[i].size == a.free[i+1].off {
+			a.free[i].size += a.free[i+1].size
+			a.free = slices.Delete(a.free, i+1, i+2)
+		}
+		if i > 0 && a.free[i-1].off+a.free[i-1].size == a.free[i].off {
+			a.free[i-1].size += a.free[i].size
+			a.free = slices.Delete(a.free, i, i+1)
+		}
+	}
+}
+
+// Property: a batch free leaves exactly the free list — and so the same
+// later first-fit placements — as freeing the same offsets one by one,
+// for any fragmentation and any batch order.
+func TestFreeAllMatchesSingleFrees(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		batch, single := NewAllocator(MustOpen(Config{Capacity: 1 << 18})), NewAllocator(MustOpen(Config{Capacity: 1 << 18}))
+		var live []int64
+		for round := 0; round < 20; round++ {
+			for i, n := 0, rng.Intn(60); i < n; i++ {
+				size := int64(rng.Intn(3000) + 1)
+				off, err := batch.Alloc(size)
+				off2, err2 := single.Alloc(size)
+				if (err == nil) != (err2 == nil) || off != off2 {
+					return false
+				}
+				if err == nil {
+					live = append(live, off)
+				}
+			}
+			rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
+			k := rng.Intn(len(live) + 1)
+			if err := batch.FreeAll(live[:k]); err != nil {
+				return false
+			}
+			freeOneByOne(single, live[:k])
+			live = live[k:]
+			if !slices.Equal(batch.free, single.free) || batch.InUse() != single.InUse() || batch.Allocations() != single.Allocations() {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestFreeAllRejectsWholeBatch(t *testing.T) {
+	a := NewAllocator(testDevice(t, 1<<16))
+	var offs []int64
+	for i := 0; i < 8; i++ {
+		off, err := a.Alloc(1024)
+		if err != nil {
+			t.Fatal(err)
+		}
+		offs = append(offs, off)
+	}
+	inUse, free := a.InUse(), slices.Clone(a.free)
+	for name, bad := range map[string][]int64{
+		"unallocated": {offs[0], offs[3], 12345},
+		"twice":       {offs[1], offs[2], offs[1]},
+	} {
+		if err := a.FreeAll(bad); err == nil || !strings.Contains(err.Error(), "free of unallocated offset") {
+			t.Errorf("%s: FreeAll = %v, want the unallocated-offset error", name, err)
+		}
+		if a.InUse() != inUse || a.Allocations() != len(offs) || !slices.Equal(a.free, free) {
+			t.Errorf("%s: a failed batch freed something (in use %d → %d)", name, inUse, a.InUse())
+		}
+	}
+	if err := a.FreeAll(offs); err != nil {
+		t.Fatal(err)
+	}
+	if a.InUse() != 0 || len(a.free) != 1 {
+		t.Errorf("after freeing everything: %d bytes in use, %d free spans", a.InUse(), len(a.free))
+	}
+}
+
+// BenchmarkAllocatorFreeInterleaved drops one of two collections whose
+// 1 KiB blocks alternate on the device, beside the holes a third,
+// already dropped, left behind — the shape a join's partitions and
+// output leave. Every freed block lands in the middle of a long free
+// list, which made one shifted insert per block quadratic.
+func BenchmarkAllocatorFreeInterleaved(b *testing.B) {
+	const blocks, blockSize = 16 << 10, 1024
+	a := NewAllocator(MustOpen(Config{Capacity: 3 * blocks * blockSize}))
+	cols := [3][]int64{make([]int64, blocks), make([]int64, blocks), make([]int64, blocks)}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for j := 0; j < blocks; j++ {
+			for _, c := range cols {
+				var err error
+				if c[j], err = a.Alloc(blockSize); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		if err := a.FreeAll(cols[2]); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := a.FreeAll(cols[0]); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := a.FreeAll(cols[1]); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 	}
 }

@@ -2,7 +2,6 @@ package sorts
 
 import (
 	"fmt"
-	"io"
 
 	"wlpm/internal/algo"
 	"wlpm/internal/record"
@@ -54,169 +53,53 @@ func (s *HybridSort) Sort(env *algo.Env, in, out storage.Collection) error {
 		rrCap = 1
 	}
 
-	rs := xheap.New(func(a, b []byte) bool { return less(b, a) }, rsCap) // max-heap
-	cur := xheap.New(less, rrCap)                                        // min-heap, current run
-	next := record.NewVec(recSize, rrCap)
-
-	var runs []storage.Collection
+	rs := xheap.NewKeyed(recSize, rsCap, true) // max-heap: the global minima so far
+	rr := newRunFormer(env, "hybrun", recSize, rrCap)
 	sorted := false
 	defer func() {
 		// Error exit: sweep every run temp opened so far. Destroy is
 		// idempotent, so runs already emptied or reclaimed by the merge
 		// are safe to sweep again.
 		if !sorted {
-			destroyRuns(runs)
+			destroyRuns(rr.runs)
 		}
 	}()
-	var run storage.Collection
-	openRun := func() error {
-		r, err := env.CreateTemp("hybrun", recSize)
-		if err != nil {
-			return err
-		}
-		sr := sampleRun(r)
-		runs = append(runs, sr)
-		run = sr
-		return nil
-	}
 
-	// insertRr places rec into the replacement-selection region,
-	// spilling the region's minimum to the current run when full and
-	// rotating runs when the current heap is exhausted (Algorithm 1,
-	// lines 6–16).
-	insertRr := func(rec []byte) error {
-		for {
-			if cur.Len()+next.Len() < rrCap {
-				cp := make([]byte, recSize)
-				copy(cp, rec)
-				cur.Push(cp)
-				return nil
-			}
-			if cur.Len() > 0 {
-				break
-			}
-			// Current run's heap exhausted: close the run and promote the
-			// next-run records to a fresh current heap.
-			if run != nil {
-				if err := run.Close(); err != nil {
-					return err
-				}
-			}
-			items := make([][]byte, 0, next.Len())
-			for i := 0; i < next.Len(); i++ {
-				items = append(items, append(make([]byte, 0, recSize), next.At(i)...))
-			}
-			cur = xheap.Heapify(items, less)
-			next.Reset()
-			if err := openRun(); err != nil {
-				return err
-			}
+	err := env.Scan(in, pollEmit(env, func(rec []byte) error {
+		key := record.Key(rec)
+		if !rs.Full() {
+			rs.Push(key, 0, rec)
+			return nil
 		}
-		if run == nil {
-			if err := openRun(); err != nil {
-				return err
-			}
+		top := rs.Top()
+		if !xheap.Before(key, rec, 0, top.Key, rs.Record(top.Slot), 0) {
+			return rr.add(rec)
 		}
-		n := cur.Pop()
-		if err := run.Append(n); err != nil {
+		// rec joins the global minima; the displaced maximum moves to the
+		// replacement-selection region before its slot is overwritten.
+		if err := rr.add(rs.Record(top.Slot)); err != nil {
 			return err
 		}
-		if !less(rec, n) {
-			cp := n[:recSize] // reuse the spilled record's buffer
-			copy(cp, rec)
-			cur.Push(cp)
-		} else {
-			next.Append(rec)
-		}
+		rs.ReplaceTop(key, 0, rec)
 		return nil
-	}
-
-	it := in.Scan()
-	defer it.Close()
-	poll := env.Poll()
-	for {
-		if err := poll(); err != nil {
-			return err
-		}
-		rec, err := it.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		if rs.Len() < rsCap {
-			cp := make([]byte, recSize)
-			copy(cp, rec)
-			rs.Push(cp)
-			continue
-		}
-		if less(rec, rs.Peek()) {
-			// rec joins the global minima; the displaced maximum moves to
-			// the replacement-selection region.
-			displaced := rs.ReplaceRoot(append(make([]byte, 0, recSize), rec...))
-			if err := insertRr(displaced); err != nil {
-				return err
-			}
-		} else if err := insertRr(rec); err != nil {
-			return err
-		}
+	}))
+	if err != nil {
+		return err
 	}
 
 	// Rs holds the global minimum |Rs| records: sort and emit them first.
-	rsSorted := record.NewVec(recSize, rs.Len())
-	for _, r := range rs.Drain() { // ascending via inverted comparator? Drain pops max-first.
-		rsSorted.Append(r)
-	}
-	rsSorted.SortByKey()
-	for i := 0; i < rsSorted.Len(); i++ {
-		if err := out.Append(rsSorted.At(i)); err != nil {
+	rs.Sort()
+	for _, e := range rs.Items() {
+		if err := out.Append(rs.Record(e.Slot)); err != nil {
 			return err
 		}
 	}
 
-	// Flush the replacement-selection region: the current heap finishes
-	// the open run; the deferred records form one final run.
-	if cur.Len() > 0 {
-		if run == nil {
-			if err := openRun(); err != nil {
-				return err
-			}
-		}
-		for cur.Len() > 0 {
-			if err := run.Append(cur.Pop()); err != nil {
-				return err
-			}
-		}
+	// Flush the replacement-selection region into its last runs.
+	if err := rr.finish(); err != nil {
+		return err
 	}
-	if run != nil {
-		if err := run.Close(); err != nil {
-			return err
-		}
-	}
-	if next.Len() > 0 {
-		if err := openRun(); err != nil {
-			return err
-		}
-		next.SortByKey()
-		for i := 0; i < next.Len(); i++ {
-			if err := run.Append(next.At(i)); err != nil {
-				return err
-			}
-		}
-		if err := run.Close(); err != nil {
-			return err
-		}
-	}
-	live := runs[:0]
-	for _, r := range runs {
-		if r.Len() > 0 {
-			live = append(live, r)
-		} else if err := r.Destroy(); err != nil {
-			return err
-		}
-	}
-	if err := mergeRuns(env, live, out, recSize); err != nil {
+	if err := mergeRuns(env, rr.runs, out, recSize); err != nil {
 		return err
 	}
 	sorted = true

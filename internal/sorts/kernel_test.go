@@ -1,0 +1,342 @@
+package sorts
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"io"
+	"math"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+
+	"wlpm/internal/algo"
+	"wlpm/internal/record"
+	"wlpm/internal/storage"
+)
+
+// Kernel-level tests of the keyed-slab selection pass, run formation and
+// the k-way merge: order properties against a sort.Slice reference,
+// cancellation landing mid-chunk, and the allocation budgets that keep
+// the inner loops free of per-record allocation.
+
+// dupInput loads n records whose keys collide (n/4 distinct) and whose
+// payloads come from a two-value domain, so the input holds duplicate
+// keys and byte-identical records.
+func dupInput(t testing.TB, env *algo.Env, n int, seed int64) (storage.Collection, [][]byte) {
+	t.Helper()
+	in, err := env.Factory.Create(fmt.Sprintf("dup-%d-%d", n, seed), record.Size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := &testRNG{s: uint64(seed)*2654435761 + 1}
+	recs := make([][]byte, n)
+	for i := range recs {
+		rec := make([]byte, record.Size)
+		record.SetKey(rec, rng.next()%uint64(n/4+1))
+		record.SetAttr(rec, 5, rng.next()%2)
+		recs[i] = rec
+		if err := in.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := in.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return in, recs
+}
+
+// selectionOrder returns the input positions in the selection order:
+// key, then bytes, then position.
+func selectionOrder(recs [][]byte) []int {
+	order := make([]int, len(recs))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		ra, rb := recs[order[a]], recs[order[b]]
+		if ka, kb := record.Key(ra), record.Key(rb); ka != kb {
+			return ka < kb
+		}
+		if c := bytes.Compare(ra, rb); c != 0 {
+			return c < 0
+		}
+		return order[a] < order[b]
+	})
+	return order
+}
+
+func sortedCopies(recs [][]byte) []string {
+	out := make([]string, len(recs))
+	for i, r := range recs {
+		out[i] = string(r)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestSelectionPassOrder drives repeated passes of one selector against
+// the reference order: every pass returns exactly the next budget
+// records after the bound, hands every other unemitted record to
+// onSurvivor exactly once, and the passes partition the input.
+func TestSelectionPassOrder(t *testing.T) {
+	const n = 157 // not a multiple of the 12-record block chunk
+	for _, budget := range []int{1, 2, n - 1, n, n + 1} {
+		budget := budget
+		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
+			env := newEnv(t, "blocked", budget)
+			in, recs := dupInput(t, env, n, int64(budget))
+			order := selectionOrder(recs)
+			sel := newSelector(env, record.Size, budget)
+			done := 0 // records emitted by earlier passes = the bound's rank
+			for pass := 0; done < n; pass++ {
+				var survivors [][]byte
+				got, err := sel.pass(in, func(rec []byte) error {
+					survivors = append(survivors, append([]byte(nil), rec...))
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := order[done:min(done+budget, n)]
+				if got != len(want) {
+					t.Fatalf("pass %d (bounded=%v): selected %d records, want %d", pass, pass > 0, got, len(want))
+				}
+				for i, p := range want {
+					if !bytes.Equal(sel.rec(i), recs[p]) {
+						t.Fatalf("pass %d: batch[%d] = key %d, want input position %d (key %d)",
+							pass, i, record.Key(sel.rec(i)), p, record.Key(recs[p]))
+					}
+				}
+				var rest [][]byte
+				for _, p := range order[done+got:] {
+					rest = append(rest, recs[p])
+				}
+				if g, w := sortedCopies(survivors), sortedCopies(rest); fmt.Sprint(g) != fmt.Sprint(w) {
+					t.Fatalf("pass %d: onSurvivor saw %d records, want the %d unemitted ones exactly once", pass, len(g), len(w))
+				}
+				done += got
+			}
+			if got, err := sel.pass(in, nil); err != nil || got != 0 {
+				t.Fatalf("pass past the end selected %d records (err %v), want 0", got, err)
+			}
+			sel.restart()
+			if got, _ := sel.pass(in, nil); got != min(budget, n) {
+				t.Fatalf("pass after restart selected %d records, want %d", got, min(budget, n))
+			}
+		})
+	}
+}
+
+// canceledCtx is cancelled from the start: the amortized poll trips on
+// its first consultation, at record algo.PollInterval — which is not a
+// multiple of the block chunk, i.e. mid-chunk.
+func canceledCtx() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}
+
+func TestSelectionPassCancelMidChunk(t *testing.T) {
+	const n, budget = 1000, 10
+	env := newEnv(t, "blocked", budget)
+	in := loadInput(t, env, n, 3)
+	if chunk := env.ChunkRecords(record.Size); algo.PollInterval%chunk == 0 {
+		t.Fatalf("poll interval %d falls on a %d-record chunk boundary", algo.PollInterval, chunk)
+	}
+	env.WithContext(canceledCtx())
+	sel := newSelector(env, record.Size, budget)
+	survivors := 0
+	got, err := sel.pass(in, func([]byte) error { survivors++; return nil })
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("pass on a cancelled context: err = %v, want context.Canceled", err)
+	}
+	if got != 0 || sel.heap.Len() != 0 {
+		t.Errorf("cancelled pass left a batch of %d (heap %d)", got, sel.heap.Len())
+	}
+	// Every record before the tripping poll was either admitted or handed
+	// on; none after it.
+	if want := algo.PollInterval - 1 - budget; survivors != want {
+		t.Errorf("onSurvivor saw %d records, want exactly %d (scan must stop at the poll, mid-chunk)", survivors, want)
+	}
+}
+
+func TestSelectionStreamCancelMidPass(t *testing.T) {
+	const n, budget = 2000, 300
+	env := newEnv(t, "blocked", budget)
+	in := loadInput(t, env, n, 5)
+	// The first pass consults the context n/PollInterval times; cancel on
+	// the second consultation of the second pass.
+	ctx := &cancelAfterCtx{Context: context.Background()}
+	ctx.remaining.Store(int64(n/algo.PollInterval) + 1)
+	env.WithContext(ctx)
+	s := newSelectionStream(env, in, budget)
+	for i := 0; i < budget; i++ {
+		rec, err := s.Next()
+		if err != nil {
+			t.Fatalf("first batch, record %d: %v", i, err)
+		}
+		if record.Key(rec) != uint64(i) {
+			t.Fatalf("first batch, record %d has key %d", i, record.Key(rec))
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if rec, err := s.Next(); !errors.Is(err, context.Canceled) || rec != nil {
+			t.Fatalf("Next #%d after cancellation = (%v, %v), want (nil, context.Canceled)", i, rec, err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Next(); err != io.EOF {
+		t.Fatalf("Next after Close: %v, want io.EOF", err)
+	}
+}
+
+// hugeCollection reports more records than a 32-bit position can name.
+type hugeCollection struct{ storage.Collection }
+
+func (hugeCollection) Name() string    { return "huge" }
+func (hugeCollection) RecordSize() int { return record.Size }
+func (hugeCollection) Len() int {
+	n := uint64(math.MaxUint32) + 1
+	return int(n)
+}
+
+// TestSelectionRejectsOversizedInput: heap entries carry 32-bit input
+// positions, so a selection over more records must fail, not wrap.
+func TestSelectionRejectsOversizedInput(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("int cannot exceed the 32-bit position space")
+	}
+	for _, a := range []Algorithm{NewSelectionSort(), NewSegmentSort(0), NewLazySort()} {
+		env := newEnv(t, "blocked", 100)
+		out, err := env.CreateTemp("out", record.Size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Sort(env, hugeCollection{}, out); err == nil {
+			t.Errorf("%s over 2^32 records succeeded", a.Name())
+		} else if want := "32-bit position space"; !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %q does not mention the %s", a.Name(), err, want)
+		}
+		if err := env.SweepTemps(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// The allocation budgets (60k × 80 B, M = 5 %): what a kernel allocates
+// is per phase — iterators, the slab's doublings, run bookkeeping —
+// never per record.
+const (
+	kernelRecords = 60_000
+	kernelBudget  = kernelRecords / 20
+)
+
+func TestSelectionPassAllocs(t *testing.T) {
+	env := newEnv(t, "blocked", kernelBudget)
+	in := loadInput(t, env, kernelRecords, 9)
+	allocs := testing.AllocsPerRun(3, func() {
+		sel := newSelector(env, record.Size, kernelBudget)
+		for pass := 0; pass < 2; pass++ {
+			if got, err := sel.pass(in, nil); err != nil || got != kernelBudget {
+				t.Fatalf("pass = (%d, %v)", got, err)
+			}
+		}
+	})
+	if perRec := allocs / (2 * kernelRecords); perRec >= 0.01 {
+		t.Fatalf("%.0f allocations for two %d-record passes: %.4f per record scanned, want 0", allocs, kernelRecords, perRec)
+	}
+	t.Logf("%.0f allocations per two %d-record selection passes", allocs, kernelRecords)
+}
+
+// formedRuns forms the runs of a kernel-sized input once.
+func formedRuns(t testing.TB, env *algo.Env) []storage.Collection {
+	t.Helper()
+	in := loadInput(t, env, kernelRecords, 9)
+	runs, err := formRunsReplacementSelection(env, in, kernelBudget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return runs
+}
+
+func mergeDiscarding(t testing.TB, env *algo.Env, runs []storage.Collection) {
+	iters := make([]storage.Iterator, len(runs))
+	for i, r := range runs {
+		iters[i] = r.Scan()
+	}
+	merged, last := 0, uint64(0)
+	err := mergeIters(env, iters, record.Size, func(rec []byte) error {
+		k := record.Key(rec)
+		if k < last {
+			return fmt.Errorf("merge emitted key %d after %d", k, last)
+		}
+		last = k
+		merged++
+		return nil
+	})
+	if err != nil || merged != kernelRecords {
+		t.Fatalf("merge emitted %d of %d records: %v", merged, kernelRecords, err)
+	}
+}
+
+func TestMergeItersAllocs(t *testing.T) {
+	env := newEnv(t, "blocked", kernelBudget)
+	runs := formedRuns(t, env)
+	allocs := testing.AllocsPerRun(3, func() { mergeDiscarding(t, env, runs) })
+	if perRec := allocs / kernelRecords; perRec >= 0.01 {
+		t.Fatalf("%.0f allocations merging %d records from %d runs: %.4f per record, want 0", allocs, kernelRecords, len(runs), perRec)
+	}
+	t.Logf("%.0f allocations per %d-run, %d-record merge", allocs, len(runs), kernelRecords)
+}
+
+func BenchmarkSelectionPass(b *testing.B) {
+	env := newEnv(b, "blocked", kernelBudget)
+	in := loadInput(b, env, kernelRecords, 9)
+	sel := newSelector(env, record.Size, kernelBudget)
+	b.ReportAllocs()
+	b.SetBytes(kernelRecords * record.Size)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sel.restart()
+		if _, err := sel.pass(in, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkFormRuns(b *testing.B) {
+	env := newEnv(b, "blocked", kernelBudget)
+	in := loadInput(b, env, kernelRecords, 9)
+	b.ReportAllocs()
+	b.SetBytes(kernelRecords * record.Size)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runs, err := formRunsReplacementSelection(env, in, kernelBudget)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		for _, r := range runs {
+			if err := r.Destroy(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+	}
+}
+
+func BenchmarkMergeIters(b *testing.B) {
+	env := newEnv(b, "blocked", kernelBudget)
+	runs := formedRuns(b, env)
+	b.ReportAllocs()
+	b.SetBytes(kernelRecords * record.Size)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mergeDiscarding(b, env, runs)
+	}
+}

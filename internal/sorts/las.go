@@ -39,10 +39,11 @@ func (s *LazySort) Sort(env *algo.Env, in, out storage.Collection) error {
 	cur := in                      // current input (in, or the latest materialized Ti)
 	var curTemp storage.Collection // owned temp backing cur, nil when cur == in
 	var ti storage.Collection      // this iteration's materialization target
-	var bound *ranked
-	poll := env.Poll()
-	n := 1 // iteration number on the current input (Algorithm 2's n)
+	n := 1                         // iteration number on the current input (Algorithm 2's n)
 	emitted := 0
+
+	// One slab, and the bound the next pass resumes from, for every iteration.
+	sel := newSelector(env, recSize, budget)
 
 	sorted := false
 	defer func() {
@@ -72,19 +73,19 @@ func (s *LazySort) Sort(env *algo.Env, in, out storage.Collection) error {
 			ti = t
 			onSurvivor = func(rec []byte) error { return ti.Append(rec) }
 		}
-		batch, err := selectionPass(cur, budget, bound, onSurvivor, poll)
+		selected, err := sel.pass(cur, onSurvivor)
 		if err != nil {
 			return err
 		}
-		if len(batch) == 0 && ti == nil {
+		if selected == 0 && ti == nil {
 			break // defensive: no progress possible
 		}
-		for _, r := range batch {
-			if err := out.Append(r.rec); err != nil {
+		for i := 0; i < selected; i++ {
+			if err := out.Append(sel.rec(i)); err != nil {
 				return err
 			}
 		}
-		emitted += len(batch)
+		emitted += selected
 
 		if materialize {
 			if err := ti.Close(); err != nil {
@@ -96,13 +97,9 @@ func (s *LazySort) Sort(env *algo.Env, in, out storage.Collection) error {
 				}
 			}
 			cur, curTemp = ti, ti
-			bound = nil // Ti holds exactly the unemitted records
+			sel.restart() // Ti holds exactly the unemitted records
 			n = 1
 			continue
-		}
-		if len(batch) > 0 {
-			last := batch[len(batch)-1]
-			bound = &ranked{append([]byte(nil), last.rec...), last.pos}
 		}
 		n++
 	}

@@ -22,17 +22,13 @@ func formRuns(env *algo.Env, in storage.Collection, recSize int) ([]storage.Coll
 		w = capRunWorkers(env, in.Len(), recSize, w)
 	}
 	if w <= 1 {
-		it := in.Scan()
-		defer it.Close()
-		return formRunsReplacementSelection(env, it, recSize, env.BudgetRecords(recSize))
+		return formRunsReplacementSelection(env, in, env.BudgetRecords(recSize))
 	}
 	children := env.Split(w)
 	perWorker := make([][]storage.Collection, w)
 	err := env.RunWorkers(w, func(i int) error {
 		lo, hi := algo.SplitRange(in.Len(), w, i)
-		it := storage.Slice(in, lo, hi).Scan()
-		defer it.Close()
-		runs, err := formRunsReplacementSelection(children[i], it, recSize, children[i].BudgetRecords(recSize))
+		runs, err := formRunsReplacementSelection(children[i], storage.Slice(in, lo, hi), children[i].BudgetRecords(recSize))
 		if err != nil {
 			return err
 		}
@@ -104,136 +100,124 @@ func mergePassesFor(runs, fanIn int) int {
 	return passes
 }
 
-// formRunsReplacementSelection consumes it and writes sorted runs using
-// the classic two-heap replacement-selection scheme with budget records of
-// working memory. Runs average twice the memory size on random input,
-// which is the 2M assumption of the segment-sort cost model (Eq. 1).
-// Returned runs are closed. On error (including cancellation) every run
-// created so far is destroyed before returning.
-func formRunsReplacementSelection(env *algo.Env, it storage.Iterator, recSize, budget int) ([]storage.Collection, error) {
-	var runs []storage.Collection
-	done := false
-	defer func() {
-		if !done {
-			destroyRuns(runs)
-		}
-	}()
-	if budget < 1 {
-		budget = 1
-	}
-	poll := env.Poll()
-	cur := xheap.New(less, budget) // current run's heap
-	var next *record.Vec           // records destined for the next run
-	next = record.NewVec(recSize, budget)
+// runFormer is two-heap replacement selection over one keyed slab of
+// budget records (xheap.Keyed): the min-heap holds the current run, next
+// lists the slab residents that arrived too small for it and wait for
+// the following run. A record is copied once, into the slot of the
+// record it evicts; moving between heap and list moves only its entry.
+// Runs average twice the memory size on random input, which is the 2M
+// assumption of the segment-sort cost model (Eq. 1). Runs are opened
+// lazily, so none is ever empty; on an error path the owner destroys
+// runs.
+type runFormer struct {
+	env    *algo.Env
+	prefix string // temp name stem of the runs
+	heap   *xheap.Keyed
+	next   []xheap.Entry
+	run    storage.Collection // open run, nil between runs
+	runs   []storage.Collection
+}
 
-	newRun := func() (storage.Collection, error) {
-		r, err := env.CreateTemp("run", recSize)
-		if err != nil {
-			return nil, err
-		}
-		return sampleRun(r), nil
-	}
-	run, err := newRun()
-	if err != nil {
-		return nil, err
-	}
-	runs = append(runs, run)
+func newRunFormer(env *algo.Env, prefix string, recSize, budget int) *runFormer {
+	return &runFormer{env: env, prefix: prefix, heap: xheap.NewKeyed(recSize, budget, false)}
+}
 
-	closeRun := func() error {
-		if err := run.Close(); err != nil {
-			return err
-		}
-		// Rebuild the current heap from the deferred records and open a
-		// fresh run.
-		items := make([][]byte, 0, next.Len())
-		for i := 0; i < next.Len(); i++ {
-			cp := make([]byte, recSize)
-			copy(cp, next.At(i))
-			items = append(items, cp)
-		}
-		cur = xheap.Heapify(items, less)
-		next.Reset()
-		r, err := newRun()
-		if err != nil {
-			return err
-		}
-		runs = append(runs, r)
-		run = r
+// add places rec in working memory, spilling the current run's minimum
+// to make room once memory is full (Algorithm 1, lines 6–16).
+func (f *runFormer) add(rec []byte) error {
+	key := record.Key(rec)
+	if !f.heap.Full() {
+		f.heap.Push(key, 0, rec)
 		return nil
 	}
+	if f.heap.Len() == 0 {
+		// The current run is exhausted: everything in memory belongs to
+		// the next one.
+		if err := f.rotate(); err != nil {
+			return err
+		}
+	}
+	low := f.heap.Top()
+	lowRec := f.heap.Record(low.Slot)
+	if err := f.emit(lowRec); err != nil {
+		return err
+	}
+	if !xheap.Before(key, rec, 0, low.Key, lowRec, 0) {
+		f.heap.ReplaceTop(key, 0, rec)
+		return nil
+	}
+	// rec is too small for the current run: it takes the spilled
+	// record's slot and waits for the next one.
+	f.heap.Pop()
+	copy(lowRec, rec)
+	if f.next == nil {
+		f.next = make([]xheap.Entry, 0, f.heap.Limit()) // sized once: any slot can end up deferred
+	}
+	f.next = append(f.next, xheap.Entry{Key: key, Slot: low.Slot})
+	return nil
+}
 
-	for {
-		if err := poll(); err != nil {
-			return nil, err
-		}
-		rec, err := it.Next()
-		if err == io.EOF {
-			break
-		}
+// emit appends rec to the current run, opening one if needed.
+func (f *runFormer) emit(rec []byte) error {
+	if f.run == nil {
+		r, err := f.env.CreateTemp(f.prefix, len(rec))
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if cur.Len()+next.Len() < budget {
-			cp := make([]byte, recSize)
-			copy(cp, rec)
-			cur.Push(cp)
-			continue
+		f.run = sampleRun(r)
+		f.runs = append(f.runs, f.run)
+	}
+	return f.run.Append(rec)
+}
+
+// rotate closes the current run and promotes the deferred records to a
+// fresh current heap.
+func (f *runFormer) rotate() error {
+	if f.run != nil {
+		if err := f.run.Close(); err != nil {
+			return err
 		}
-		// Memory full: emit the current minimum and place the newcomer.
-		min := cur.Pop()
-		if err := run.Append(min); err != nil {
-			return nil, err
-		}
-		if !less(rec, min) {
-			cp := min[:recSize] // reuse the popped record's storage
-			copy(cp, rec)
-			cur.Push(cp)
-		} else {
-			next.Append(rec)
-		}
-		if cur.Len() == 0 {
-			if err := closeRun(); err != nil {
-				return nil, err
+		f.run = nil
+	}
+	f.heap.Heapify(f.next)
+	f.next = f.next[:0]
+	return nil
+}
+
+// finish drains working memory — the current heap completes the open
+// run, the deferred records form one last run — leaving every run in
+// runs closed.
+func (f *runFormer) finish() error {
+	for {
+		for f.heap.Len() > 0 {
+			if err := f.emit(f.heap.Record(f.heap.Pop().Slot)); err != nil {
+				return err
 			}
 		}
-	}
-	// Drain: current heap finishes the current run, the deferred records
-	// form one final run.
-	for cur.Len() > 0 {
-		if err := run.Append(cur.Pop()); err != nil {
-			return nil, err
+		if err := f.rotate(); err != nil {
+			return err
+		}
+		if f.heap.Len() == 0 {
+			return nil
 		}
 	}
-	if err := run.Close(); err != nil {
+}
+
+// formRunsReplacementSelection scans src and writes sorted runs with
+// budget records of working memory. Returned runs are closed and
+// non-empty. On error (including cancellation) every run created so far
+// is destroyed before returning.
+func formRunsReplacementSelection(env *algo.Env, src storage.Collection, budget int) ([]storage.Collection, error) {
+	f := newRunFormer(env, "run", src.RecordSize(), budget)
+	err := env.Scan(src, pollEmit(env, f.add))
+	if err == nil {
+		err = f.finish()
+	}
+	if err != nil {
+		destroyRuns(f.runs)
 		return nil, err
 	}
-	if next.Len() > 0 {
-		r, err := newRun()
-		if err != nil {
-			return nil, err
-		}
-		next.SortByKey()
-		for i := 0; i < next.Len(); i++ {
-			if err := r.Append(next.At(i)); err != nil {
-				return nil, err
-			}
-		}
-		if err := r.Close(); err != nil {
-			return nil, err
-		}
-		runs = append(runs, r)
-	}
-	// Drop trailing empty runs (possible on empty input).
-	out := runs[:0]
-	for _, r := range runs {
-		if r.Len() > 0 {
-			out = append(out, r)
-		} else if err := r.Destroy(); err != nil {
-			return nil, err
-		}
-	}
-	done = true
-	return out, nil
+	return f.runs, nil
 }
 
 // mergeRuns merges sorted runs into out with fan-in bounded by the memory
@@ -277,7 +261,7 @@ func mergeRunsWith(env *algo.Env, runs []storage.Collection, streams []storage.I
 			iters = append(iters, r.Scan())
 		}
 		iters = append(iters, streams...)
-		if err := mergeIters(iters, pollEmit(env, out.Append)); err != nil {
+		if err := mergeIters(env, iters, recSize, pollEmit(env, out.Append)); err != nil {
 			destroyRuns(runs)
 			return err
 		}
@@ -393,62 +377,49 @@ func mergeInto(env *algo.Env, runs []storage.Collection, out storage.Collection)
 	for i, r := range runs {
 		iters[i] = r.Scan()
 	}
-	return mergeIters(iters, pollEmit(env, out.Append))
+	return mergeIters(env, iters, out.RecordSize(), pollEmit(env, out.Append))
 }
 
-// mergeIters k-way merges sorted iterators into emit, closing them.
-func mergeIters(iters []storage.Iterator, emit func(rec []byte) error) error {
+// mergeIters k-way merges sorted iterators of recSize-byte records into
+// emit, closing them. Each source is read one block chunk at a time; the
+// merge's working memory is one keyed slab with a head slot per source
+// (the entry's tie-break names the source), so advancing a source
+// overwrites its head in place and the loop allocates nothing.
+func mergeIters(env *algo.Env, iters []storage.Iterator, recSize int, emit func(rec []byte) error) error {
 	for _, it := range iters {
 		defer it.Close()
 	}
-	if len(iters) == 0 {
-		return nil
-	}
+	chunk := env.ChunkRecords(recSize)
 	if len(iters) == 1 {
-		for {
-			rec, err := iters[0].Next()
-			if err == io.EOF {
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-			if err := emit(rec); err != nil {
-				return err
-			}
-		}
+		return storage.ForEach(iters[0], chunk, emit)
 	}
-	type head struct {
-		rec []byte
-		src int
-	}
-	h := xheap.New(func(a, b head) bool { return less(a.rec, b.rec) }, len(iters))
-	advance := func(src int) error {
-		rec, err := iters[src].Next()
+	srcs := make([]*storage.Cursor, len(iters))
+	heads := xheap.NewKeyed(recSize, len(iters), false)
+	for i, it := range iters {
+		srcs[i] = storage.NewCursor(it, chunk)
+		rec, err := srcs[i].Next()
 		if err == io.EOF {
-			return nil
+			continue
 		}
 		if err != nil {
 			return err
 		}
-		cp := make([]byte, len(rec))
-		copy(cp, rec)
-		h.Push(head{cp, src})
-		return nil
+		heads.Push(record.Key(rec), uint32(i), rec)
 	}
-	for i := range iters {
-		if err := advance(i); err != nil {
+	for heads.Len() > 0 {
+		top := heads.Top()
+		if err := emit(heads.Record(top.Slot)); err != nil {
 			return err
 		}
-	}
-	for h.Len() > 0 {
-		top := h.Pop()
-		if err := emit(top.rec); err != nil {
+		rec, err := srcs[top.Tie].Next()
+		if err == io.EOF {
+			heads.Pop()
+			continue
+		}
+		if err != nil {
 			return err
 		}
-		if err := advance(top.src); err != nil {
-			return err
-		}
+		heads.ReplaceTop(record.Key(rec), top.Tie, rec)
 	}
 	return nil
 }

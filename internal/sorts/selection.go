@@ -1,7 +1,9 @@
 package sorts
 
 import (
+	"fmt"
 	"io"
+	"math"
 
 	"wlpm/internal/algo"
 	"wlpm/internal/record"
@@ -9,88 +11,97 @@ import (
 	"wlpm/internal/xheap"
 )
 
-// ranked pairs a record with its position in the input so that duplicate
-// keys are totally ordered by (record, position): the multi-pass selection
-// scans rely on a strict progression through this order (§2.1.1's
-// "position must be greater than the position of the maximum element of
-// the previous run").
-type ranked struct {
-	rec []byte
-	pos int
+// selector is the working memory of a multi-pass selection: one keyed
+// slab heap (xheap.Keyed, a max-heap of the current minima) reused by
+// every pass, plus the lower bound the next pass resumes from. Records
+// are totally ordered by (key, bytes, input position) so that duplicate
+// keys — and byte-identical records — still progress strictly from pass
+// to pass (§2.1.1's "position must be greater than the position of the
+// maximum element of the previous run").
+type selector struct {
+	env  *algo.Env
+	heap *xheap.Keyed
+	poll func() error
+
+	// The last record of the previous batch; passes admit only records
+	// strictly after it.
+	bounded  bool
+	boundKey uint64
+	boundPos uint32
+	boundRec []byte
 }
 
-func rankedLess(a, b ranked) bool {
-	if ka, kb := record.Key(a.rec), record.Key(b.rec); ka != kb {
-		return ka < kb
-	}
-	if sa, sb := string(a.rec), string(b.rec); sa != sb {
-		return sa < sb
-	}
-	return a.pos < b.pos
+// newSelector returns a selector extracting up to budget records of
+// recSize bytes per pass, polling env's cancellation per scanned record.
+func newSelector(env *algo.Env, recSize, budget int) *selector {
+	return &selector{env: env, heap: xheap.NewKeyed(recSize, budget, true), poll: env.Poll()}
 }
 
-func rankedGreater(a, b ranked) bool { return rankedLess(b, a) }
-
-// selectionPass scans src once and collects into a bounded max-heap the
-// budget smallest elements strictly greater (in ranked order) than bound.
-// It returns them in ascending order. A nil bound means no lower bound.
-// onSurvivor, when non-nil, receives every element that is beyond the
-// selected set (still unsorted business for later passes); this is the
-// hook lazy sort uses to materialize its intermediate inputs. poll, when
-// non-nil, is consulted per record so a cancelled invocation stops
-// mid-pass.
-func selectionPass(src storage.Collection, budget int, bound *ranked, onSurvivor func(rec []byte) error, poll func() error) ([]ranked, error) {
-	h := xheap.New(rankedGreater, budget) // max-heap of the current minima
-	it := src.Scan()
-	defer it.Close()
-	pos := 0
-	for {
-		if poll != nil {
-			if err := poll(); err != nil {
-				return nil, err
-			}
+// pass scans src once and selects the (at most budget) smallest records
+// strictly after the bound, leaving them in ascending order for rec and
+// advancing the bound past them; it reports how many it selected.
+// onSurvivor, when non-nil, receives every other record beyond the bound
+// (still unsorted business for later passes) as a view valid only during
+// the call; this is the hook lazy sort uses to materialize its
+// intermediate inputs. On error the batch is empty.
+func (s *selector) pass(src storage.Collection, onSurvivor func(rec []byte) error) (int, error) {
+	// Positions are the 32-bit tie-break of the heap entries.
+	if uint64(src.Len()) > math.MaxUint32 {
+		return 0, fmt.Errorf("sorts: selection over %q: %d records exceed the 32-bit position space", src.Name(), src.Len())
+	}
+	h := s.heap
+	h.Reset()
+	next := uint32(0)
+	err := s.env.Scan(src, func(rec []byte) error {
+		if err := s.poll(); err != nil {
+			return err
 		}
-		rec, err := it.Next()
-		if err == io.EOF {
-			break
+		pos := next
+		next++
+		key := record.Key(rec)
+		if s.bounded && !xheap.Before(s.boundKey, s.boundRec, s.boundPos, key, rec, pos) {
+			return nil // emitted by an earlier pass
 		}
-		if err != nil {
-			return nil, err
+		if !h.Full() {
+			h.Push(key, pos, rec)
+			return nil
 		}
-		cand := ranked{rec, pos}
-		pos++
-		if bound != nil && !rankedLess(*bound, cand) {
-			// Already emitted in a previous pass.
-			continue
-		}
-		if h.Len() < budget {
-			cp := make([]byte, len(rec))
-			copy(cp, rec)
-			h.Push(ranked{cp, cand.pos})
-			continue
-		}
-		if rankedLess(cand, h.Peek()) {
-			// Displace the current maximum; the displaced element remains
-			// unsorted input for later passes.
-			displaced := h.ReplaceRoot(ranked{append(make([]byte, 0, len(rec)), rec...), cand.pos})
+		top := h.Top()
+		if !xheap.Before(key, rec, pos, top.Key, h.Record(top.Slot), top.Tie) {
 			if onSurvivor != nil {
-				if err := onSurvivor(displaced.rec); err != nil {
-					return nil, err
-				}
+				return onSurvivor(rec)
 			}
-		} else if onSurvivor != nil {
-			if err := onSurvivor(rec); err != nil {
-				return nil, err
+			return nil
+		}
+		// rec displaces the current maximum, which is handed on before
+		// its slot is overwritten in place.
+		if onSurvivor != nil {
+			if err := onSurvivor(h.Record(top.Slot)); err != nil {
+				return err
 			}
 		}
+		h.ReplaceTop(key, pos, rec)
+		return nil
+	})
+	if err != nil {
+		h.Reset()
+		return 0, err
 	}
-	// Drain the max-heap and reverse into ascending order.
-	desc := h.Drain()
-	for i, j := 0, len(desc)-1; i < j; i, j = i+1, j-1 {
-		desc[i], desc[j] = desc[j], desc[i]
+	h.Sort()
+	if n := h.Len(); n > 0 {
+		last := h.Items()[n-1]
+		s.bounded, s.boundKey, s.boundPos = true, last.Key, last.Tie
+		s.boundRec = append(s.boundRec[:0], h.Record(last.Slot)...)
 	}
-	return desc, nil
+	return h.Len(), nil
 }
+
+// rec returns record i of the last pass's batch, ascending. The view is
+// valid until the next pass.
+func (s *selector) rec(i int) []byte { return s.heap.Record(s.heap.Items()[i].Slot) }
+
+// restart drops the bound: the next pass selects from the whole input.
+func (s *selector) restart() { s.bounded = false }
 
 // selectionStream is a sorted, lazily produced view of a collection: each
 // refill runs one bounded selection pass, so records are *read* once per
@@ -99,54 +110,41 @@ func selectionPass(src storage.Collection, budget int, bound *ranked, onSurvivor
 // achieves one write per record (§2.1.1).
 type selectionStream struct {
 	src     storage.Collection
-	budget  int
-	poll    func() error
-	bound   *ranked
-	batch   []ranked
-	pos     int
+	sel     *selector
+	n, pos  int // batch size and read position within it
 	emitted int
-	done    bool
+	err     error // sticky: io.EOF once drained or closed, else the failed pass's error
 }
 
 // newSelectionStream builds a stream over src extracting budget records
 // per pass, polling the environment's cancellation during each pass.
 func newSelectionStream(env *algo.Env, src storage.Collection, budget int) *selectionStream {
-	if budget < 1 {
-		budget = 1
-	}
-	return &selectionStream{src: src, budget: budget, poll: env.Poll()}
+	return &selectionStream{src: src, sel: newSelector(env, src.RecordSize(), budget)}
 }
 
 // Next implements storage.Iterator.
 func (s *selectionStream) Next() ([]byte, error) {
-	for s.pos >= len(s.batch) {
-		if s.done || s.emitted >= s.src.Len() {
-			s.done = true
-			return nil, io.EOF
+	for s.pos >= s.n {
+		if s.err == nil && s.emitted >= s.src.Len() {
+			s.err = io.EOF
 		}
-		batch, err := selectionPass(s.src, s.budget, s.bound, nil, s.poll)
-		if err != nil {
-			return nil, err
+		if s.err != nil {
+			return nil, s.err
 		}
-		if len(batch) == 0 {
-			s.done = true
-			return nil, io.EOF
-		}
-		last := batch[len(batch)-1]
-		s.bound = &ranked{append([]byte(nil), last.rec...), last.pos}
-		s.batch = batch
 		s.pos = 0
-		s.emitted += len(batch)
+		if s.n, s.err = s.sel.pass(s.src, nil); s.err == nil && s.n == 0 {
+			s.err = io.EOF
+		}
+		s.emitted += s.n
 	}
-	rec := s.batch[s.pos].rec
+	rec := s.sel.rec(s.pos)
 	s.pos++
 	return rec, nil
 }
 
 // Close implements storage.Iterator.
 func (s *selectionStream) Close() error {
-	s.done = true
-	s.batch = nil
+	s.n, s.pos, s.err = 0, 0, io.EOF
 	return nil
 }
 
@@ -174,29 +172,23 @@ func (s *SelectionSort) Sort(env *algo.Env, in, out storage.Collection) error {
 }
 
 // selectionSortInto appends the fully sorted contents of in to dst using
-// repeated bounded selection passes. Shared by SelS and segment sort's
-// write-limited segment.
+// repeated bounded selection passes over one slab.
 func selectionSortInto(env *algo.Env, in storage.Collection, dst storage.Collection) error {
-	budget := env.BudgetRecords(in.RecordSize())
-	poll := env.Poll()
-	var bound *ranked
-	emitted := 0
-	for emitted < in.Len() {
-		batch, err := selectionPass(in, budget, bound, nil, poll)
+	sel := newSelector(env, in.RecordSize(), env.BudgetRecords(in.RecordSize()))
+	for emitted := 0; emitted < in.Len(); {
+		n, err := sel.pass(in, nil)
 		if err != nil {
 			return err
 		}
-		if len(batch) == 0 {
+		if n == 0 {
 			break
 		}
-		for _, r := range batch {
-			if err := dst.Append(r.rec); err != nil {
+		for i := 0; i < n; i++ {
+			if err := dst.Append(sel.rec(i)); err != nil {
 				return err
 			}
 		}
-		last := batch[len(batch)-1]
-		bound = &ranked{append([]byte(nil), last.rec...), last.pos}
-		emitted += len(batch)
+		emitted += n
 	}
 	return nil
 }

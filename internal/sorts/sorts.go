@@ -22,7 +22,6 @@ import (
 	"fmt"
 
 	"wlpm/internal/algo"
-	"wlpm/internal/record"
 	"wlpm/internal/storage"
 )
 
@@ -51,9 +50,6 @@ func checkArgs(env *algo.Env, in, out storage.Collection) error {
 	}
 	return nil
 }
-
-// less orders records by (key, full bytes); shared total order.
-func less(a, b []byte) bool { return record.Less(a, b) }
 
 // pollEmit wraps emit with the environment's amortized cancellation
 // check, so the long merge and emission loops stop mid-stream when the

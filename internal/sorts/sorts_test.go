@@ -396,7 +396,7 @@ func verifySortedInvariant(c storage.Collection) error {
 		if err != nil {
 			return err
 		}
-		if !first && less(rec, prev) {
+		if !first && record.Less(rec, prev) {
 			return fmt.Errorf("sorts: output %q out of order at record %d", c.Name(), idx)
 		}
 		prev = append(prev[:0], rec...)

@@ -222,6 +222,13 @@ func (it *baseIterator) NextChunk(max int) ([][]byte, error) {
 			return nil, err
 		}
 	}
+	if cap(it.views) < max {
+		// Sized once per scan — to the request or to the records left,
+		// whichever is smaller — rather than grown by append.
+		if want := min(int64(max), (it.total-it.abs)/int64(rs)); int64(cap(it.views)) < want {
+			it.views = make([][]byte, 0, want)
+		}
+	}
 	it.views = it.views[:0]
 	for len(it.views) < max && it.boff+rs <= len(it.block) && it.abs+int64(rs) <= it.total {
 		it.views = append(it.views, it.block[it.boff:it.boff+rs])

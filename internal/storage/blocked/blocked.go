@@ -153,21 +153,20 @@ func (s *store) ReleaseBlocks(seq, n int) error {
 	if seq+n != len(s.blocks) {
 		return fmt.Errorf("blocked: release of non-suffix blocks [%d,%d) (have %d)", seq, seq+n, len(s.blocks))
 	}
-	for i := seq; i < seq+n; i++ {
-		if err := s.f.alloc.Free(s.blocks[i]); err != nil {
-			return err
-		}
+	if err := s.f.alloc.FreeAll(s.blocks[seq:]); err != nil {
+		return err
 	}
 	s.blocks = s.blocks[:seq]
 	s.sizes = s.sizes[:seq]
 	return nil
 }
 
+// Truncate frees the whole chain in one batch: the blocks of collections
+// written side by side interleave on the device, and freeing them one at
+// a time shifts the allocator's free list once per block.
 func (s *store) Truncate() error {
-	for _, off := range s.blocks {
-		if err := s.f.alloc.Free(off); err != nil {
-			return err
-		}
+	if err := s.f.alloc.FreeAll(s.blocks); err != nil {
+		return err
 	}
 	s.blocks = s.blocks[:0]
 	s.sizes = s.sizes[:0]

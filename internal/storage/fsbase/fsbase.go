@@ -293,10 +293,12 @@ func (fs *FS) Remove(name string) error {
 
 func (fs *FS) freeExtents(idx int) error {
 	ino := &fs.inodes[idx]
-	for _, e := range ino.extents {
-		if err := fs.alloc.Free(e.off); err != nil {
-			return err
-		}
+	offs := make([]int64, len(ino.extents))
+	for i, e := range ino.extents {
+		offs[i] = e.off
+	}
+	if err := fs.alloc.FreeAll(offs); err != nil {
+		return err
 	}
 	ino.extents = nil
 	if ino.indirOff != 0 {

@@ -28,8 +28,14 @@ const DefaultBlockSize = 1024
 var ErrClosed = errors.New("storage: collection is closed")
 
 // Collection is an append-only sequence of fixed-size records in
-// persistent memory. Collections are not safe for concurrent use; the
-// algorithms of the paper are single-threaded (§4).
+// persistent memory. A collection has a single appender, and its methods
+// are not synchronised against that appender. Once it is closed, any
+// number of goroutines may scan it at once, each through its own
+// iterator — the engine's parallel phases hand every worker a Slice of
+// one shared input — and a backend with range-append support
+// (rangewrite.go) lets workers fill disjoint reserved block ranges of one
+// output concurrently. (The paper's algorithms are single-threaded, §4;
+// the parallelism is this engine's.)
 type Collection interface {
 	// Name identifies the collection within its factory.
 	Name() string
@@ -68,7 +74,9 @@ type Iterator interface {
 
 // ChunkIterator is the optional batched form of Iterator, implemented by
 // iterators that can hand out several whole records per call without
-// per-record copies. NextChunk returns between 1 and max records in
+// per-record copies (stored collections and Slice views of them; the
+// sort and join kernels read through it a block at a time, see
+// chunk.go). NextChunk returns between 1 and max records in
 // stream order, or io.EOF when exhausted; the views (and their backing
 // bytes) are only valid until the following NextChunk/Next call. A
 // chunked consumer performs exactly the same device reads as a

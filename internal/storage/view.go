@@ -62,8 +62,13 @@ func (v *view) ScanFrom(start int) Iterator {
 	return &viewIterator{it: v.c.ScanFrom(abs), remaining: v.end - abs}
 }
 
+// viewIterator bounds the underlying iterator to the view's record
+// count, in both its record and its chunk form: a sliced input is read
+// at the same granularity, and through the same block reads, as the
+// collection it slices.
 type viewIterator struct {
 	it        Iterator
+	ci        ChunkIterator // it's chunk form, resolved on first NextChunk
 	remaining int
 }
 
@@ -77,6 +82,26 @@ func (it *viewIterator) Next() ([]byte, error) {
 	}
 	it.remaining--
 	return rec, nil
+}
+
+// NextChunk implements ChunkIterator, clamping max to the records left in
+// the view so the underlying fetch never reaches a block past its end.
+func (it *viewIterator) NextChunk(max int) ([][]byte, error) {
+	if it.remaining <= 0 {
+		return nil, io.EOF
+	}
+	if max > it.remaining {
+		max = it.remaining
+	}
+	if it.ci == nil {
+		it.ci = chunked(it.it)
+	}
+	recs, err := it.ci.NextChunk(max)
+	if err != nil {
+		return nil, err
+	}
+	it.remaining -= len(recs)
+	return recs, nil
 }
 
 func (it *viewIterator) Close() error { return it.it.Close() }
