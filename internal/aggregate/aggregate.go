@@ -2,13 +2,14 @@
 // paper's §6 names aggregation as the natural next operation for
 // write-limited processing. The operator sorts its input with any of the
 // write-limited sort algorithms (inheriting their write profile) and
-// streams grouped aggregates out of the sorted order, so the only
-// materialized intermediate is whatever the chosen sort writes.
+// folds the ascending stream into groups where the sort emits it: the
+// sort's output is a sink, not a collection, so the only materialized
+// intermediate is the sort's runs and the only output written is one
+// record per group.
 package aggregate
 
 import (
 	"fmt"
-	"io"
 
 	"wlpm/internal/algo"
 	"wlpm/internal/record"
@@ -26,11 +27,91 @@ const (
 	AttrMax      = 4 // maximum of the aggregated attribute
 )
 
+// State is one group's running aggregates — the engine's only
+// aggregation state: the sort-based fold, the hash table, its spill runs
+// and their merge all add to, combine and render this type. The zero
+// value is the empty group.
+type State struct {
+	Count, Sum, Min, Max uint64
+}
+
+// Add accumulates one value of the aggregated attribute.
+func (s *State) Add(v uint64) {
+	if s.Count == 0 || v < s.Min {
+		s.Min = v
+	}
+	if s.Count == 0 || v > s.Max {
+		s.Max = v
+	}
+	s.Count++
+	s.Sum += v
+}
+
+// Merge combines a partial aggregate of the same group — a result record
+// written by Render — into s: counts and sums add, min and max fold.
+func (s *State) Merge(partial []byte) {
+	lo, hi := record.Attr(partial, AttrMin), record.Attr(partial, AttrMax)
+	if s.Count == 0 || lo < s.Min {
+		s.Min = lo
+	}
+	if s.Count == 0 || hi > s.Max {
+		s.Max = hi
+	}
+	s.Count += record.Attr(partial, AttrCount)
+	s.Sum += record.Attr(partial, AttrSum)
+}
+
+// Render writes the group's result record for key into buf
+// (record.Size bytes): the aggregates in their slots, every other
+// attribute zero.
+func (s *State) Render(buf []byte, key uint64) {
+	clear(buf)
+	record.SetAttr(buf, AttrGroupKey, key)
+	record.SetAttr(buf, AttrCount, s.Count)
+	record.SetAttr(buf, AttrSum, s.Sum)
+	record.SetAttr(buf, AttrMin, s.Min)
+	record.SetAttr(buf, AttrMax, s.Max)
+}
+
+// fold turns an ascending record stream into one result record per run
+// of equal keys, appended to out as each group closes.
+type fold struct {
+	out  storage.Collection
+	attr int
+	key  uint64
+	st   State
+	buf  []byte
+}
+
+func (f *fold) add(rec []byte) error {
+	k := record.Key(rec)
+	if f.st.Count > 0 && k != f.key {
+		if err := f.flush(); err != nil {
+			return err
+		}
+	}
+	f.key = k
+	f.st.Add(record.Attr(rec, f.attr))
+	return nil
+}
+
+// flush emits the open group, if any; a second flush is a no-op.
+func (f *fold) flush() error {
+	if f.st.Count == 0 {
+		return nil
+	}
+	f.st.Render(f.buf, f.key)
+	f.st = State{}
+	return f.out.Append(f.buf)
+}
+
 // GroupBy groups in by its key attribute and aggregates attribute attr,
 // appending one result record per group to out in ascending group-key
 // order. The write intensity of the operation is inherited from the sort
 // algorithm: a lazy or low-intensity sort yields a write-limited
-// aggregation.
+// aggregation. The sort never materializes its sorted output — it emits
+// into a fold sink — so at P > 1 its final merge runs serially, writing
+// |groups| rather than |in| records.
 func GroupBy(env *algo.Env, a sorts.Algorithm, in storage.Collection, attr int, out storage.Collection) error {
 	if err := env.Validate(); err != nil {
 		return err
@@ -41,69 +122,14 @@ func GroupBy(env *algo.Env, a sorts.Algorithm, in storage.Collection, attr int, 
 	if in.RecordSize() != record.Size || out.RecordSize() != record.Size {
 		return fmt.Errorf("aggregate: benchmark-schema records required (%d bytes)", record.Size)
 	}
-
-	sorted, err := env.CreateTemp("groupby", record.Size)
-	if err != nil {
+	f := &fold{out: out, attr: attr, buf: make([]byte, record.Size)}
+	sink := storage.NewSink("fold("+out.Name()+")", record.Size, f.add, f.flush)
+	if err := a.Sort(env, in, sink); err != nil {
 		return err
 	}
-	defer sorted.Destroy() //nolint:errcheck // destroy of a consumed temp
-	if err := a.Sort(env, in, sorted); err != nil {
-		return err
-	}
-
-	it := sorted.Scan()
-	defer it.Close()
-
-	var (
-		open            bool
-		key, count, sum uint64
-		minVal, maxVal  uint64
-		result          = make([]byte, record.Size)
-	)
-	flush := func() error {
-		if !open {
-			return nil
-		}
-		for i := range result {
-			result[i] = 0
-		}
-		record.SetAttr(result, AttrGroupKey, key)
-		record.SetAttr(result, AttrCount, count)
-		record.SetAttr(result, AttrSum, sum)
-		record.SetAttr(result, AttrMin, minVal)
-		record.SetAttr(result, AttrMax, maxVal)
-		return out.Append(result)
-	}
-	poll := env.Poll()
-	for {
-		if err := poll(); err != nil {
-			return err
-		}
-		rec, err := it.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		k := record.Key(rec)
-		v := record.Attr(rec, attr)
-		if !open || k != key {
-			if err := flush(); err != nil {
-				return err
-			}
-			open, key, count, sum, minVal, maxVal = true, k, 0, 0, v, v
-		}
-		count++
-		sum += v
-		if v < minVal {
-			minVal = v
-		}
-		if v > maxVal {
-			maxVal = v
-		}
-	}
-	if err := flush(); err != nil {
+	// Every shipped sort closes its output after the last record, which
+	// flushes the last group; a foreign Algorithm may not have.
+	if err := sink.Close(); err != nil {
 		return err
 	}
 	return out.Close()

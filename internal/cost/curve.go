@@ -63,20 +63,28 @@ type JoinPlan struct {
 // (SelS, LaS) lose ground to ExMS/HybS exactly as their engine
 // counterparts do; par = 1 is the paper's serial price.
 func BestSortPlanP(t, m, lambda, par float64) SortPlan {
+	return BestSortPlanEmit(t, m, lambda, par, Emit{})
+}
+
+// BestSortPlanEmit is BestSortPlanP for a sort whose output term is not
+// the profile's: every candidate is profiled emitting as e describes, so
+// the ranking, the knob search and the returned Profile and Cost all
+// describe the sort that will run.
+func BestSortPlanEmit(t, m, lambda, par float64, e Emit) SortPlan {
 	best := SortPlan{Cost: math.Inf(1)}
 	consider := func(algo string, knob float64, p Profile) {
 		if c := p.PriceP(1, lambda, par); c < best.Cost {
 			best = SortPlan{Algo: algo, Intensity: knob, Profile: p, Cost: c}
 		}
 	}
-	consider(SortExMS, 0, ExMSProfile(t, m))
-	consider(SortSelS, 0, SelSProfile(t, m))
-	consider(SortLaS, 0, LaSProfile(t, m, lambda))
-	xSeg := BestKnobP(lambda, par, func(x float64) Profile { return SegSProfile(x, t, m) },
+	consider(SortExMS, 0, e.ExMS(t, m))
+	consider(SortSelS, 0, e.SelS(t, m))
+	consider(SortLaS, 0, e.LaS(t, m, lambda))
+	xSeg := BestKnobP(lambda, par, func(x float64) Profile { return e.SegS(x, t, m) },
 		SegmentSortOptimalX(t, m, lambda))
-	consider(SortSegS, xSeg, SegSProfile(xSeg, t, m))
-	xHyb := BestKnobP(lambda, par, func(x float64) Profile { return HybSProfile(x, t, m) })
-	consider(SortHybS, xHyb, HybSProfile(xHyb, t, m))
+	consider(SortSegS, xSeg, e.SegS(xSeg, t, m))
+	xHyb := BestKnobP(lambda, par, func(x float64) Profile { return e.HybS(x, t, m) })
+	consider(SortHybS, xHyb, e.HybS(xHyb, t, m))
 	return best
 }
 
@@ -85,26 +93,29 @@ func BestSortPlanP(t, m, lambda, par float64) SortPlan {
 // λ under par-way intra-operator parallelism (see BestSortPlanP) and
 // returns the cheapest.
 func BestJoinPlanP(t, v, m, lambda, par float64) JoinPlan {
+	return BestJoinPlanEmit(t, v, m, lambda, par, Emit{})
+}
+
+// BestJoinPlanEmit is BestSortPlanEmit's join twin.
+func BestJoinPlanEmit(t, v, m, lambda, par float64, e Emit) JoinPlan {
 	best := JoinPlan{Cost: math.Inf(1)}
 	consider := func(algo string, x, y float64, p Profile) {
 		if c := p.PriceP(1, lambda, par); c < best.Cost {
 			best = JoinPlan{Algo: algo, X: x, Y: y, Profile: p, Cost: c}
 		}
 	}
-	consider(JoinNLJ, 0, 0, NLJProfile(t, v, m))
-	consider(JoinGJ, 0, 0, GJProfile(t, v))
-	consider(JoinHJ, 0, 0, HJProfile(t, v, m))
-	consider(JoinLaJ, 0, 0, LaJProfile(t, v, m, lambda))
+	consider(JoinNLJ, 0, 0, e.NLJ(t, v, m))
+	consider(JoinGJ, 0, 0, e.GJ(t, v))
+	consider(JoinHJ, 0, 0, e.HJ(t, v, m))
+	consider(JoinLaJ, 0, 0, e.LaJ(t, v, m, lambda))
 	sx, sy := HybridJoinSaddle(t, v, m, lambda)
-	bx, by, bp := 0.0, 0.0, HybJProfile(0, 0, t, v, m)
-	bc := bp.PriceP(1, lambda, par)
+	bx, by, bc := 0.0, 0.0, math.Inf(1)
 	tryXY := func(x, y float64) {
 		if x < 0 || x > 1 || y < 0 || y > 1 {
 			return
 		}
-		p := HybJProfile(x, y, t, v, m)
-		if c := p.PriceP(1, lambda, par); c < bc {
-			bx, by, bp, bc = x, y, p, c
+		if c := e.HybJ(x, y, t, v, m).PriceP(1, lambda, par); c < bc {
+			bx, by, bc = x, y, c
 		}
 	}
 	for xi := 0; xi <= 4; xi++ {
@@ -113,9 +124,9 @@ func BestJoinPlanP(t, v, m, lambda, par float64) JoinPlan {
 		}
 	}
 	tryXY(sx, sy)
-	consider(JoinHybJ, bx, by, bp)
-	xSeg := BestKnobP(lambda, par, func(x float64) Profile { return SegJProfile(x, t, v, m) })
-	consider(JoinSegJ, xSeg, 0, SegJProfile(xSeg, t, v, m))
+	consider(JoinHybJ, bx, by, e.HybJ(bx, by, t, v, m))
+	xSeg := BestKnobP(lambda, par, func(x float64) Profile { return e.SegJ(x, t, v, m) })
+	consider(JoinSegJ, xSeg, 0, e.SegJ(xSeg, t, v, m))
 	return best
 }
 

@@ -53,6 +53,48 @@ func (p Profile) PriceP(read, write, par float64) float64 {
 	return sr*read + sw*write + (p.Reads-sr)*read/par + (p.Writes-sw)*write/par
 }
 
+// Emit says what a stage really does with the result its algorithm
+// materializes, when that is not what the algorithm's profile assumes:
+// the engine's left‖right join rows instead of the paper's
+// single-record results, the |groups| records a folding sink lets
+// through, the width and selectivity of an emit-side chain. Every
+// profile constructor is a method of it (em.ExMS(t, m); ExMSProfile(t, m)
+// is Emit{}.ExMS(t, m)) that re-sizes or serializes its own output term
+// inside the profile, before PriceP scales it — instead of a caller
+// correcting a price after the fact. It is plain data and Profile stays
+// four words: the planner prices a hundred candidates per stage pricing
+// and thousands of pricings per allocation, all through direct calls on
+// register-sized values. The zero value emits as profiled.
+type Emit struct {
+	// Out > 0 is the size of the output term in buffers.
+	Out float64
+	// Serial: the consumer must see one ordered stream (a sink) rather
+	// than a collection that can be range-appended, so whatever part of
+	// the output fanned out costs full price, and so do the reads that
+	// fed it — every sort's parallel emission is a final merge that
+	// re-reads exactly as many run buffers as it writes.
+	Serial bool
+}
+
+// emitting applies em to a profile whose output term is out buffers of
+// Writes, serial of them already counted in SerialWrites. A re-sized
+// term keeps its serial share.
+func (p Profile) emitting(em Emit, out, serial float64) Profile {
+	if out <= 0 {
+		return p
+	}
+	if em.Serial {
+		p.SerialReads += out - serial
+		p.SerialWrites += out - serial
+		serial = out
+	}
+	if em.Out > 0 {
+		p.Writes += em.Out - out
+		p.SerialWrites += (em.Out - out) * serial / out
+	}
+	return p
+}
+
 // extraMergePasses is the number of merge passes beyond the final one for
 // the given run count and fan-in.
 func extraMergePasses(runs, fanIn float64) float64 {
@@ -70,7 +112,10 @@ func extraMergePasses(runs, fanIn float64) float64 {
 // runs), merge passes, materialized output. Every phase fans out to
 // workers (chunked run formation, concurrent merge groups, the
 // splitter-partitioned final merge), so nothing is serial.
-func ExMSProfile(t, m float64) Profile {
+func ExMSProfile(t, m float64) Profile { return Emit{}.ExMS(t, m) }
+
+// ExMS is ExMSProfile emitting as em describes.
+func (em Emit) ExMS(t, m float64) Profile {
 	if t <= 0 {
 		return Profile{}
 	}
@@ -78,12 +123,15 @@ func ExMSProfile(t, m float64) Profile {
 	return Profile{
 		Reads:  t + t + e*t, // input scan + run re-read (+ extra passes)
 		Writes: t + e*t + t, // runs (+ extra passes) + output
-	}
+	}.emitting(em, t, 0)
 }
 
 // SelSProfile: multi-pass selection sort straight into the output. Each
 // pass's emission order is the output order — fully serial.
-func SelSProfile(t, m float64) Profile {
+func SelSProfile(t, m float64) Profile { return Emit{}.SelS(t, m) }
+
+// SelS is SelSProfile emitting as em describes.
+func (em Emit) SelS(t, m float64) Profile {
 	if t <= 0 {
 		return Profile{}
 	}
@@ -91,12 +139,15 @@ func SelSProfile(t, m float64) Profile {
 	return Profile{
 		Reads: passes * t, Writes: t,
 		SerialReads: passes * t, SerialWrites: t,
-	}
+	}.emitting(em, t, t)
 }
 
 // SegSProfile: fraction x through run formation, the rest streamed into
 // the final merge by repeated selection passes over the suffix segment.
-func SegSProfile(x, t, m float64) Profile {
+func SegSProfile(x, t, m float64) Profile { return Emit{}.SegS(x, t, m) }
+
+// SegS is SegSProfile emitting as em describes.
+func (em Emit) SegS(x, t, m float64) Profile {
 	if t <= 0 {
 		return Profile{}
 	}
@@ -119,13 +170,16 @@ func SegSProfile(x, t, m float64) Profile {
 		p.SerialReads = x*t + passes*seg
 		p.SerialWrites = t
 	}
-	return p
+	return p.emitting(em, t, p.SerialWrites) // the output is serial exactly when a segment streams into it
 }
 
 // HybSProfile: a selection region of x·m buffers feeds the output
 // directly; everything else passes through replacement selection with
 // (1−x)·m memory.
-func HybSProfile(x, t, m float64) Profile {
+func HybSProfile(x, t, m float64) Profile { return Emit{}.HybS(x, t, m) }
+
+// HybS is HybSProfile emitting as em describes.
+func (em Emit) HybS(x, t, m float64) Profile {
 	if t <= 0 {
 		return Profile{}
 	}
@@ -148,14 +202,17 @@ func HybSProfile(x, t, m float64) Profile {
 		// splitter-partitioned final merge over the runs fan out.
 		SerialReads:  t,
 		SerialWrites: rest + direct,
-	}
+	}.emitting(em, t, direct)
 }
 
 // LaSProfile: lazy sort's dynamic behaviour in expectation — selection
 // scans of the shrinking input, with the remainder materialized every
 // n-th iteration (Eq. 5). Unlike the other sort profiles the estimate
 // depends on λ, because the materialization points do.
-func LaSProfile(t, m, lambda float64) Profile {
+func LaSProfile(t, m, lambda float64) Profile { return Emit{}.LaS(t, m, lambda) }
+
+// LaS is LaSProfile emitting as em describes.
+func (em Emit) LaS(t, m, lambda float64) Profile {
 	if t <= 0 || m <= 0 {
 		return Profile{}
 	}
@@ -178,7 +235,7 @@ func LaSProfile(t, m, lambda float64) Profile {
 	// Selection passes emit in output order and the materialization is
 	// fused with them — fully serial, like SelS.
 	p.SerialReads, p.SerialWrites = p.Reads, p.Writes
-	return p
+	return p.emitting(em, t, t)
 }
 
 // joinOutput is the materialized result size in buffers: the paper's
@@ -188,16 +245,22 @@ func joinOutput(v float64) float64 { return v }
 
 // GJProfile: partition both inputs, read the partitions back, write the
 // output. Partitioning, builds and probes all fan out — nothing serial.
-func GJProfile(t, v float64) Profile {
+func GJProfile(t, v float64) Profile { return Emit{}.GJ(t, v) }
+
+// GJ is GJProfile emitting as em describes.
+func (em Emit) GJ(t, v float64) Profile {
 	return Profile{
 		Reads:  2 * (t + v),
 		Writes: (t + v) + joinOutput(v),
-	}
+	}.emitting(em, joinOutput(v), 0)
 }
 
 // HJProfile: Table 1's standard hash join — iteration i re-reads the
 // surviving (k−i+1)/k of both inputs and rewrites (k−i)/k of them.
-func HJProfile(t, v, m float64) Profile {
+func HJProfile(t, v, m float64) Profile { return Emit{}.HJ(t, v, m) }
+
+// HJ is HJProfile emitting as em describes.
+func (em Emit) HJ(t, v, m float64) Profile {
 	k := math.Ceil(1.2 * t / m)
 	if k < 1 {
 		k = 1
@@ -212,22 +275,28 @@ func HJProfile(t, v, m float64) Profile {
 	// survivor order), so the whole algorithm stays serial.
 	p := Profile{Reads: reads, Writes: writes + joinOutput(v)}
 	p.SerialReads, p.SerialWrites = p.Reads, p.Writes
-	return p
+	return p.emitting(em, joinOutput(v), joinOutput(v))
 }
 
 // NLJProfile: block nested loops with in-memory tables of m/f buffers.
 // Block builds and probe scans fan out — nothing serial.
-func NLJProfile(t, v, m float64) Profile {
+func NLJProfile(t, v, m float64) Profile { return Emit{}.NLJ(t, v, m) }
+
+// NLJ is NLJProfile emitting as em describes.
+func (em Emit) NLJ(t, v, m float64) Profile {
 	blocks := math.Ceil(1.2 * t / m)
 	if blocks < 1 {
 		blocks = 1
 	}
-	return Profile{Reads: t + blocks*v, Writes: joinOutput(v)}
+	return Profile{Reads: t + blocks*v, Writes: joinOutput(v)}.emitting(em, joinOutput(v), 0)
 }
 
 // HybJProfile: Grace over (x·t, y·v) with the right suffix piggybacked
 // per partition and nested loops for the left suffix.
-func HybJProfile(x, y, t, v, m float64) Profile {
+func HybJProfile(x, y, t, v, m float64) Profile { return Emit{}.HybJ(x, y, t, v, m) }
+
+// HybJ is HybJProfile emitting as em describes.
+func (em Emit) HybJ(x, y, t, v, m float64) Profile {
 	k := math.Ceil(1.2 * x * t / m)
 	if k < 1 {
 		k = 1
@@ -239,14 +308,17 @@ func HybJProfile(x, y, t, v, m float64) Profile {
 	return Profile{
 		Reads:  x*t + y*v + x*t + y*v + k*(1-y)*v + (1-x)*t + nlBlocks*v,
 		Writes: x*t + y*v + joinOutput(v),
-	}
+	}.emitting(em, joinOutput(v), 0)
 }
 
 // LaJProfile: lazy hash join — Table 1's right half up to the
 // materialization iteration n (every pass re-reads the original inputs,
 // writes nothing), then the surviving fraction is materialized and the
 // remaining iterations proceed like standard hash join. λ places n.
-func LaJProfile(t, v, m, lambda float64) Profile {
+func LaJProfile(t, v, m, lambda float64) Profile { return Emit{}.LaJ(t, v, m, lambda) }
+
+// LaJ is LaJProfile emitting as em describes.
+func (em Emit) LaJ(t, v, m, lambda float64) Profile {
 	if t <= 0 || m <= 0 {
 		return Profile{}
 	}
@@ -270,13 +342,16 @@ func LaJProfile(t, v, m, lambda float64) Profile {
 	// Like HJ, every scan either probes or routes survivors in scan
 	// order — fully serial.
 	p.SerialReads, p.SerialWrites = p.Reads, p.Writes
-	return p
+	return p.emitting(em, joinOutput(v), joinOutput(v))
 }
 
 // SegJProfile: initial scan offloading x of the k partitions, their
 // re-read, and one filtered re-scan of both inputs per remaining
 // partition.
-func SegJProfile(intensity, t, v, m float64) Profile {
+func SegJProfile(intensity, t, v, m float64) Profile { return Emit{}.SegJ(intensity, t, v, m) }
+
+// SegJ is SegJProfile emitting as em describes.
+func (em Emit) SegJ(intensity, t, v, m float64) Profile {
 	k := math.Ceil(1.2 * t / m)
 	if k < 1 {
 		k = 1
@@ -285,5 +360,5 @@ func SegJProfile(intensity, t, v, m float64) Profile {
 	return Profile{
 		Reads:  (t + v) + xp*(t+v)/k + (k-xp)*(t+v),
 		Writes: xp*(t+v)/k + joinOutput(v),
-	}
+	}.emitting(em, joinOutput(v), 0)
 }

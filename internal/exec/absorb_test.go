@@ -1,0 +1,449 @@
+package exec
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"io"
+	"testing"
+
+	"wlpm/internal/aggregate"
+	"wlpm/internal/algo"
+	"wlpm/internal/joins"
+	"wlpm/internal/pmem"
+	"wlpm/internal/record"
+	"wlpm/internal/sorts"
+	"wlpm/internal/storage"
+	"wlpm/internal/storage/all"
+)
+
+// Emit-side chains and the fold sink are checked against references, not
+// against themselves: an absorbed chain against the materialize-every-
+// step run of the same plan, the fold across everything that must not
+// change it (P, batch size, backend), and both against destinations and
+// contexts that fail mid-emit.
+
+// absorbSources are the blocking producers a chain can be absorbed into,
+// each as a plan ending at the producer.
+var absorbSources = []struct {
+	name   string
+	budget int64
+	build  func(t *testing.T, r *rig) *Plan
+}{
+	{"join", bgBudget, func(t *testing.T, r *rig) *Plan {
+		dim1, _, fact := r.loadStar(t, bgDim, bgFact)
+		return Table(dim1).JoinWith(Table(fact), joins.NewGrace())
+	}},
+	{"groupby-sort", bgBudget, func(t *testing.T, r *rig) *Plan {
+		return Table(loadGrouped(t, r, "in", bgRows, 300)).GroupByWith(4, sorts.NewSegmentSort(0.5))
+	}},
+	{"hashagg-memory", 1 << 20, func(t *testing.T, r *rig) *Plan {
+		return Table(loadGrouped(t, r, "in", bgRows, 300)).GroupHint(300).GroupBy(4)
+	}},
+	{"hashagg-spill", 16 << 10, func(t *testing.T, r *rig) *Plan {
+		return Table(loadGrouped(t, r, "in", 4000, 1000)).GroupHint(100).GroupBy(4)
+	}},
+}
+
+// absorbPred keeps most but not all rows of every source: a0 is the
+// join key over [0, bgDim) or the group key over [0, groups).
+var absorbPred = Predicate{Attr: 0, Op: Ge, Value: 20}
+
+// absorbChains each drop a column or a row; the last filters a column
+// the projection beneath it moved, so the predicate must be mapped back.
+var absorbChains = []struct {
+	name  string
+	apply func(p *Plan) *Plan
+}{
+	{"project", func(p *Plan) *Plan { return p.Project(0, 3, 1) }},
+	{"filter", func(p *Plan) *Plan { return p.Filter(absorbPred) }},
+	{"filter-project", func(p *Plan) *Plan { return p.Filter(absorbPred).Project(1, 0) }},
+	{"project-filter-project", func(p *Plan) *Plan {
+		return p.Project(3, 1, 0).Filter(Predicate{Attr: 2, Op: Ge, Value: 20}).Project(2, 0)
+	}},
+}
+
+// drainCursor opens root and pulls it to the end the way the façade's
+// Rows cursor does.
+func drainCursor(t *testing.T, ec *Ctx, root Operator) []byte {
+	t.Helper()
+	ctx := context.Background()
+	if err := ec.Bind(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := root.Open(ctx, ec); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	cur := NewCursor(root)
+	for {
+		rec, err := cur.Next(ctx)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf.Write(rec)
+	}
+	if err := root.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// streamingOps counts the Filter and Project operators of a tree.
+func streamingOps(op Operator) int {
+	n := 0
+	switch op.(type) {
+	case *Filter, *Project:
+		n = 1
+	}
+	for _, c := range op.Children() {
+		n += streamingOps(c)
+	}
+	return n
+}
+
+// TestAbsorbedChainMatchesMaterializedReference: Project, Filter and
+// Filter→Project over a Join, a sort-based GroupBy and both HashAggregate
+// paths — pulled by a blocking parent, streamed to a cursor and emitted
+// at the plan root — produce the materialize-every-step run's bytes
+// with strictly fewer cacheline writes (every chain here drops a column
+// or a row), and compile to no Filter or Project operator at all.
+func TestAbsorbedChainMatchesMaterializedReference(t *testing.T) {
+	for _, src := range absorbSources {
+		for _, ch := range absorbChains {
+			for _, shape := range []string{"blocking-input", "cursor", "root"} {
+				t.Run(fmt.Sprintf("%s/%s/%s", src.name, ch.name, shape), func(t *testing.T) {
+					run := func(opts CompileOptions) ([]byte, uint64) {
+						r := newRig(t)
+						plan := ch.apply(src.build(t, r))
+						if shape == "blocking-input" {
+							plan = plan.OrderByWith(sorts.NewExternalMergeSort())
+						}
+						ec := r.ctx(src.budget, 1)
+						root, _, err := CompileWith(ec, plan, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if n := streamingOps(root); !opts.MaterializeEveryStep && n != 0 {
+							t.Fatalf("%d Filter/Project operators survive in %s", n, root.Name())
+						}
+						var got []byte
+						r.dev.ResetStats()
+						if shape == "cursor" && !opts.MaterializeEveryStep {
+							got = drainCursor(t, ec, root)
+						} else {
+							out := r.create(t, "out", root.RecordSize())
+							if err := Run(ec, root, out); err != nil {
+								t.Fatal(err)
+							}
+							got = readBytes(t, out)
+						}
+						writes := r.dev.Stats().Writes
+						if live := ec.LiveTemps(); live != 0 {
+							t.Fatalf("%d live temps after the run", live)
+						}
+						return got, writes
+					}
+					got, writes := run(CompileOptions{})
+					want, refWrites := run(CompileOptions{MaterializeEveryStep: true})
+					if len(want) == 0 {
+						t.Fatal("reference run produced no rows; the comparison proves nothing")
+					}
+					if !bytes.Equal(got, want) {
+						t.Fatalf("absorbed chain emitted %d bytes that differ from the materialized run's %d", len(got), len(want))
+					}
+					// An in-memory hash aggregation writes nothing of its own to
+					// narrow: feeding a blocking parent, both runs write the
+					// chain's output once and nothing else.
+					if src.name == "hashagg-memory" && shape == "blocking-input" {
+						if writes > refWrites {
+							t.Errorf("absorbed chain wrote %d cachelines, materialize-every-step %d: want no more", writes, refWrites)
+						}
+					} else if writes >= refWrites {
+						t.Errorf("absorbed chain wrote %d cachelines, materialize-every-step %d: want strictly fewer", writes, refWrites)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestAbsorbServesStoredInput pins which direction of fusion serves a
+// blocking consumer: a chain over a base table is a zero-write view, a
+// chain over a Join's or GroupBy's own output is a stored collection of
+// the chain's width and row count — never a view that re-applies the
+// chain on every re-scan of a wide temp.
+func TestAbsorbServesStoredInput(t *testing.T) {
+	chain := func(p *Plan) *Plan { return p.Filter(absorbPred).Project(1, 0) }
+	isView := func(c storage.Collection) bool {
+		switch c.(type) {
+		case *projectView, *filterView:
+			return true
+		}
+		return false
+	}
+	open := func(t *testing.T, r *rig, p *Plan) (storage.Collection, uint64, func()) {
+		ec := r.ctx(bgBudget, 1)
+		root, _, err := Compile(ec, p.OrderByWith(sorts.NewExternalMergeSort()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		if err := ec.Bind(ctx); err != nil {
+			t.Fatal(err)
+		}
+		r.dev.ResetStats()
+		c, cleanup, err := inputCollection(ctx, ec, root.Children()[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, r.dev.Stats().Writes, func() {
+			cleanup()    //nolint:errcheck
+			root.Close() //nolint:errcheck
+			if live := ec.LiveTemps(); live != 0 {
+				t.Errorf("%d live temps after close", live)
+			}
+		}
+	}
+
+	t.Run("scan", func(t *testing.T) {
+		r := newRig(t)
+		c, writes, done := open(t, r, chain(Table(loadRows(t, r))))
+		defer done()
+		if !isView(c) || writes != 0 {
+			t.Errorf("chain over a base table is served by %T after %d cacheline writes, want a view and none", c, writes)
+		}
+	})
+	for _, src := range absorbSources[:2] {
+		t.Run(src.name, func(t *testing.T) {
+			r := newRig(t)
+			c, _, done := open(t, r, chain(src.build(t, r)))
+			defer done()
+			if isView(c) {
+				t.Fatalf("chain over %s is served by the view %T", src.name, c)
+			}
+			if c.RecordSize() != 2*record.AttrSize {
+				t.Errorf("stored input is %d bytes wide, want the chain's 16", c.RecordSize())
+			}
+			it := c.Scan()
+			defer it.Close() //nolint:errcheck
+			if _, ok := it.(storage.ChunkIterator); !ok {
+				t.Errorf("stored input's iterator %T does not read by block chunk", it)
+			}
+			want := bgFact * (bgDim - int(absorbPred.Value)) / bgDim
+			if src.name != "join" {
+				want = 300 - int(absorbPred.Value)
+			}
+			if c.Len() != want {
+				t.Errorf("stored input holds %d rows, want the %d the filter keeps", c.Len(), want)
+			}
+		})
+	}
+}
+
+// foldGridPlans are sort-based group-bys whose final merge would fan out
+// at P > 1 if the fold sink let a range appender through: one straight
+// over a table, one over a Join with an absorbed projection (nested
+// loops: a partitioned join's per-worker sub-collections add tail blocks
+// of their own at P > 1, which is not the sink's doing).
+var foldGridPlans = []struct {
+	name  string
+	build func(t *testing.T, r *rig) *Plan
+}{
+	{"groupby", func(t *testing.T, r *rig) *Plan {
+		return Table(loadGrouped(t, r, "in", 6000, 500)).GroupByWith(4, sorts.NewExternalMergeSort())
+	}},
+	{"join-project-groupby", func(t *testing.T, r *rig) *Plan {
+		dim1, _, fact := r.loadStar(t, 300, 6000)
+		return Table(dim1).JoinWith(Table(fact), joins.NewNestedLoops()).
+			Project(0, 1, 12, 13, 14, 5, 16, 7, 18, 9).GroupByWith(3, sorts.NewHybridSort(0.5))
+	}},
+}
+
+// TestFoldSinkIdentityGrid: a folded group-by's output bytes and
+// cacheline writes are the same at every parallelism and batch size, on
+// every backend. A sink that unwrapped to its destination would hand
+// the parallel final merge a range appender at P > 1, and the raw sorted
+// records would land in the output around the fold.
+func TestFoldSinkIdentityGrid(t *testing.T) {
+	for _, backend := range storage.Backends {
+		for _, pc := range foldGridPlans {
+			t.Run(backend+"/"+pc.name, func(t *testing.T) {
+				run := func(par, batch int) ([]byte, uint64) {
+					dev := pmem.MustOpen(pmem.Config{Capacity: 256 << 20})
+					fac, err := all.New(backend, dev, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					r := &rig{dev: dev, fac: fac}
+					ec := r.ctx(6000*record.Size/20, par)
+					ec.BatchSize = batch
+					root, _, err := Compile(ec, pc.build(t, r))
+					if err != nil {
+						t.Fatal(err)
+					}
+					out := r.create(t, "out", root.RecordSize())
+					dev.ResetStats()
+					if err := Run(ec, root, out); err != nil {
+						t.Fatal(err)
+					}
+					return readBytes(t, out), dev.Stats().Writes
+				}
+				want, wantWrites := run(1, 1)
+				if len(want) == 0 {
+					t.Fatal("no groups")
+				}
+				for _, par := range []int{1, 2, 4} {
+					for _, batch := range []int{1, 7, 1024} {
+						got, writes := run(par, batch)
+						if !bytes.Equal(got, want) {
+							t.Fatalf("P=%d batch=%d: output differs from P=1 batch=1 (%d vs %d bytes)", par, batch, len(got), len(want))
+						}
+						if writes != wantWrites {
+							t.Errorf("P=%d batch=%d: %d cacheline writes, P=1 batch=1 wrote %d", par, batch, writes, wantWrites)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// failAfter is a plan output whose Append fails on the n-th record.
+type failAfter struct {
+	storage.Collection
+	n   int
+	err error
+}
+
+func (f *failAfter) Append(rec []byte) error {
+	if f.n--; f.n < 0 {
+		return f.err
+	}
+	return f.Collection.Append(rec)
+}
+
+// TestSinkDestinationFailure: when the collection behind a sink refuses
+// the n-th record — mid-merge for the fold, mid-probe for a narrowed
+// join, mid-spill-merge for a hash aggregation — the run surfaces that
+// one error and leaves no temporary behind.
+func TestSinkDestinationFailure(t *testing.T) {
+	boom := errors.New("device full")
+	for _, src := range absorbSources {
+		for _, par := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/p%d", src.name, par), func(t *testing.T) {
+				r := newRig(t)
+				ec := r.ctx(src.budget, par)
+				root, _, err := Compile(ec, src.build(t, r).Filter(absorbPred).Project(1, 0))
+				if err != nil {
+					t.Fatal(err)
+				}
+				out := r.create(t, "out", root.RecordSize())
+				err = Run(ec, root, &failAfter{Collection: out, n: 25, err: boom})
+				if !errors.Is(err, boom) {
+					t.Fatalf("err = %v, want the destination's error", err)
+				}
+				if out.Len() != 25 {
+					t.Errorf("%d records reached the output before the failure, want 25", out.Len())
+				}
+				if live := ec.LiveTemps(); live != 0 {
+					t.Errorf("failed run left %d live temps", live)
+				}
+			})
+		}
+	}
+}
+
+// aggRuns writes k key-sorted runs of n partial aggregates each, run i
+// holding the multiples of i%3+1 — overlapping, so the merge both
+// interleaves and combines — and reports the distinct keys across them.
+func aggRuns(t testing.TB, env *algo.Env, k, n int) ([]storage.Collection, int) {
+	t.Helper()
+	runs := make([]storage.Collection, k)
+	keys := make(map[int]bool)
+	buf := make([]byte, record.Size)
+	for i := range runs {
+		run, err := env.CreateTemp("aggrun", record.Size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < n; j++ {
+			st := aggregate.State{Count: 1, Sum: uint64(j), Min: uint64(j), Max: uint64(j)}
+			keys[j*(i%3+1)] = true
+			st.Render(buf, uint64(j*(i%3+1)))
+			if err := run.Append(buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := run.Close(); err != nil {
+			t.Fatal(err)
+		}
+		runs[i] = run
+	}
+	return runs, len(keys)
+}
+
+// TestMergeAggRunsAllocs: what the spill merge allocates is per merge
+// (one cursor and iterator per run, the head slab, one output record),
+// never per merged record — and it still combines equal keys.
+func TestMergeAggRunsAllocs(t *testing.T) {
+	const k, n = 8, 4000
+	r := newRig(t)
+	env := algo.NewEnv(r.fac, 64<<10)
+	runs, distinct := aggRuns(t, env, k, n)
+	var groups, rows uint64
+	emit := func(rec []byte) error {
+		groups++
+		rows += record.Attr(rec, aggregate.AttrCount)
+		return nil
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		groups, rows = 0, 0
+		if err := mergeAggRuns(env, runs, emit); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if rows != k*n || groups != uint64(distinct) {
+		t.Fatalf("merge emitted %d groups covering %d partials, want %d covering %d", groups, rows, distinct, k*n)
+	}
+	if perRec := allocs / (k * n); perRec >= 0.01 {
+		t.Fatalf("%.0f allocations merging %d partials from %d runs: %.4f per record, want 0", allocs, k*n, k, perRec)
+	}
+	t.Logf("%.0f allocations per %d-run, %d-record spill merge", allocs, k, k*n)
+}
+
+// BenchmarkJoinEmitProjected: 10 k ⋈ 100 k through nested loops with 10
+// of the 20 joined attributes kept by the projection above — absorbed,
+// so the join writes 80-byte rows and the 160-byte ones never exist.
+func BenchmarkJoinEmitProjected(b *testing.B) {
+	r := newRig(b)
+	dim, _, fact := r.loadStar(b, 10000, 100000)
+	plan := Table(dim).JoinWith(Table(fact), joins.NewNestedLoops()).Project(0, 1, 12, 13, 14, 5, 16, 7, 18, 9)
+	b.ReportAllocs()
+	r.dev.ResetStats()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ec := r.ctx(100000*record.Size/20, 1)
+		root, _, err := Compile(ec, plan)
+		if err != nil {
+			b.Fatal(err)
+		}
+		out := r.create(b, fmt.Sprintf("out%d", i), root.RecordSize())
+		if err := Run(ec, root, out); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if out.Len() != 100000 {
+			b.Fatalf("%d joined rows, want 100000", out.Len())
+		}
+		if err := out.Destroy(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(r.dev.Stats().Writes)/float64(b.N), "cl-writes/op")
+}

@@ -165,8 +165,7 @@ type stageAlloc struct {
 	sortA    sorts.Algorithm // pinned sort (order-by, group-by); nil = planner's choice
 	joinA    joins.Algorithm // pinned join; nil = planner's choice
 	groupEst int             // group-by: distinct-group estimate (0 = none)
-	groupBuf float64         // group-by: estimated result size (buffers)
-	outBuf   float64         // join: estimated output size (buffers)
+	outBuf   float64         // join, group-by: estimated result size through any absorbed chain (buffers)
 	t, v     float64         // current input-size estimates (buffers)
 	inEst    float64         // estimated build/input rows, divergence baseline
 	tFrom    int             // stage index feeding the t input (-1: base tables only)
@@ -193,18 +192,11 @@ type stagePlan struct {
 func (s *stageAlloc) plan(t, v, m float64) stagePlan {
 	lambda, par := s.bp.lambda, s.bp.par
 	if s.op == "Join" {
-		// The cost profiles charge the paper's microbenchmark output (|V|
-		// single-record results), but the engine materializes left‖right
-		// concatenations of the estimated output cardinality. Re-pricing
-		// that term is a constant shift across the algorithm candidates —
-		// the argmin is unchanged — yet it matters when comparing join
-		// orders, where v flips sides while the real output stays put.
-		adjust := lambda * (s.outBuf - v)
-		if prof, ok := pinnedJoinProfile(s.joinA, t, v, m, lambda); ok {
-			return stagePlan{cost: prof.PriceP(1, lambda, par) + adjust}
+		if prof, ok := pinnedJoinProfile(s.joinA, t, v, m, lambda, s.emit()); ok {
+			return stagePlan{cost: prof.PriceP(1, lambda, par)}
 		}
-		best := cost.BestJoinPlanP(t, v, m, lambda, par)
-		return stagePlan{cost: best.Cost + adjust, join: best}
+		best := cost.BestJoinPlanEmit(t, v, m, lambda, par, s.emit())
+		return stagePlan{cost: best.Cost, join: best}
 	}
 	// The hash-aggregation fit cliff: once the estimated groups' table
 	// fits the share (the paper's f expansion plus headroom for estimate
@@ -219,13 +211,36 @@ func (s *stageAlloc) plan(t, v, m float64) stagePlan {
 	// whose curve keeps the cliff.
 	if s.op == "GroupBy" && s.sortA == nil && !s.opened && s.groupEst > 0 &&
 		float64(s.groupEst) <= hashAggCap(m*float64(s.bp.blockSize)) {
-		return stagePlan{cost: cost.Profile{Reads: t, Writes: s.groupBuf}.Price(1, lambda), hash: true}
+		return stagePlan{cost: cost.Profile{Reads: t, Writes: s.outBuf}.Price(1, lambda), hash: true}
 	}
-	if prof, ok := pinnedSortProfile(s.sortA, t, m, lambda); ok {
+	if prof, ok := pinnedSortProfile(s.sortA, t, m, lambda, s.emit()); ok {
 		return stagePlan{cost: prof.PriceP(1, lambda, par)}
 	}
-	best := cost.BestSortPlanP(t, m, lambda, par)
+	best := cost.BestSortPlanEmit(t, m, lambda, par, s.emit())
 	return stagePlan{cost: best.Cost, sort: best}
+}
+
+// emit is what the stage really does with its output term; every
+// candidate is profiled with it (cost.Emit), so the term is re-sized
+// inside the profile, before PriceP scales it, never as a correction to
+// a price. A join's profile charges the paper's microbenchmark output
+// (|V| single-record results); the engine writes left‖right
+// concatenations of the estimated output cardinality, through any
+// absorbed chain — at P = 1 a constant shift across the algorithm
+// candidates, yet it matters when comparing join orders, where v flips
+// sides while the real output stays put. A sort-based group-by hands its
+// sort a fold sink: the output term shrinks from the t sorted buffers to
+// the groups that survive the absorbed chain, and the pass that emits
+// them is serial at any P (a sink takes one ordered stream, never range
+// appends). An order-by materializes what its profile says.
+func (s *stageAlloc) emit() cost.Emit {
+	switch s.op {
+	case "Join":
+		return cost.Emit{Out: s.outBuf}
+	case "GroupBy":
+		return cost.Emit{Out: s.outBuf, Serial: true}
+	}
+	return cost.Emit{}
 }
 
 // sortFor returns the sort pl runs: the pinned algorithm, else a fresh
@@ -464,11 +479,15 @@ func (c *compiler) demandWalk(p *Plan, collect bool) (planEstimate, int) {
 
 	case planFilter:
 		in, from := c.demandWalk(p.left, collect)
-		return c.filterEstimate(in, p.pred), from
+		out := c.filterEstimate(in, p.pred)
+		c.narrow(p, out, from, collect)
+		return out, from
 
 	case planProject:
 		in, from := c.demandWalk(p.left, collect)
-		return projectEstimate(in, p.attrs), from
+		out := projectEstimate(in, p.attrs)
+		c.narrow(p, out, from, collect)
+		return out, from
 
 	case planLimit:
 		in, from := c.demandWalk(p.left, collect)
@@ -492,7 +511,7 @@ func (c *compiler) demandWalk(p *Plan, collect bool) (planEstimate, int) {
 			return out, -1
 		}
 		return out, add(&stageAlloc{
-			op: "GroupBy", sortA: p.sortA, groupEst: est, groupBuf: c.buffers(groups, record.Size),
+			op: "GroupBy", sortA: p.sortA, groupEst: est, outBuf: c.buffers(groups, record.Size),
 			t: c.buffers(in.rows, planRecordSize(p.left)), inEst: float64(in.rows), tFrom: from, vFrom: -1,
 		})
 
@@ -511,6 +530,26 @@ func (c *compiler) demandWalk(p *Plan, collect bool) (planEstimate, int) {
 		})
 	}
 	return planEstimate{}, -1
+}
+
+// absorbs reports whether a Filter or Project over p compiles into the
+// blocking operator at the bottom of p's Filter/Project chain
+// (compiler.chainOf decides the same thing on the operator tree).
+func (c *compiler) absorbs(p *Plan) bool {
+	for p.kind == planFilter || p.kind == planProject {
+		p = p.left
+	}
+	return !c.opts.MaterializeEveryStep && (p.kind == planJoin || p.kind == planGroupBy)
+}
+
+// narrow prices an absorbed chain step where it runs: the stage beneath
+// p (a Filter or Project, estimated at out) writes what the chain lets
+// through, at the chain's width, so that — not the stage's raw result —
+// is its output term.
+func (c *compiler) narrow(p *Plan, out planEstimate, from int, collect bool) {
+	if collect && c.absorbs(p.left) {
+		c.stages[from].outBuf = c.buffers(out.rows, planRecordSize(p))
+	}
 }
 
 // PlanCosts prices the plan's predicted total cost at several candidate

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"wlpm/internal/algo"
+	"wlpm/internal/cost"
 	"wlpm/internal/joins"
 	"wlpm/internal/pmem"
 	"wlpm/internal/record"
@@ -240,8 +241,10 @@ func choiceCostSum(ex *Explain) float64 {
 // TestOnePricerGrid is the one-pricer property: the allocator's plan
 // prediction and the per-stage costs Explain displays come from the same
 // stageAlloc.plan, so Σ Choice.Cost must equal Explain.PlanCost for every
-// plan shape — planner-owned and pinned — × memory point × device
-// asymmetry × parallelism.
+// plan shape — planner-owned and pinned, with and without absorbed
+// chains — × memory point × device asymmetry × parallelism. Every stage
+// cost on the grid is positive: the fold's and the chains' output terms
+// are re-sized inside the profile, so no discount can outrun its stage.
 func TestOnePricerGrid(t *testing.T) {
 	forEachWriteLatency(t, func(lambdaWrite time.Duration, fac storage.Factory, dim1, dim2, fact storage.Collection) {
 		shapes := budgetPlanShapes(dim1, dim2, fact)
@@ -250,6 +253,10 @@ func TestOnePricerGrid(t *testing.T) {
 		}
 		shapes["pinned groupby"] = func() *Plan {
 			return Table(fact).GroupHint(testDim).GroupByWith(3, sorts.NewHybridSort(0.5)).OrderBy()
+		}
+		shapes["filtered groups"] = func() *Plan {
+			return Table(dim1).Join(Table(fact)).Filter(Predicate{Attr: 1, Op: Eq, Value: 3}).Project(0, 1, 12, 13, 14, 5, 16, 7, 18, 9).
+				GroupByWith(3, sorts.NewExternalMergeSort()).Filter(Predicate{Attr: 1, Op: Gt, Value: 1}).Project(0, 1).OrderBy()
 		}
 		for name, plan := range shapes {
 			for _, frac := range []float64{0.01, 0.05, 0.15} {
@@ -263,10 +270,63 @@ func TestOnePricerGrid(t *testing.T) {
 						t.Errorf("%s λw=%v mem=%.0f%% P=%d: Σ Choice.Cost %.9g, PlanCost %.9g",
 							name, lambdaWrite, frac*100, par, sum, ex.PlanCost)
 					}
+					for _, c := range ex.Choices {
+						if !(c.Cost > 0) {
+							t.Errorf("%s λw=%v mem=%.0f%% P=%d: %s → %s priced %v, want > 0",
+								name, lambdaWrite, frac*100, par, c.Operator, c.Algorithm, c.Cost)
+						}
+					}
 				}
 			}
 		}
 	})
+}
+
+// TestFoldPricedSerialAtP: a sort-based group-by hands its sort a sink,
+// so its final merge cannot fan out. At P = 4 the stage must cost
+// exactly the final pass's undiscounted share — the t run buffers it
+// re-reads and the g group buffers it writes, at three quarters of full
+// price — more than the same sort would if that pass were credited.
+func TestFoldPricedSerialAtP(t *testing.T) {
+	forEachWriteLatency(t, func(lambdaWrite time.Duration, fac storage.Factory, _, _, fact storage.Collection) {
+		plan := Table(fact).GroupHint(testDim).GroupByWith(3, sorts.NewExternalMergeSort())
+		_, ex, err := Compile(NewCtx(fac, testBudget, 4), plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := ex.Choices[0]
+		tb, g := c.Buffers, buffers(testDim, record.Size, fac.BlockSize())
+		m := allocBuffers(c.Share, fac.BlockSize())
+		credited := cost.Emit{Out: g}.ExMS(tb, m).PriceP(1, ex.Lambda, 4)
+		if want := credited + 0.75*(tb+ex.Lambda*g); math.Abs(c.Cost-want) > 1e-9*want {
+			t.Errorf("λw=%v: group-by over t=%.0f into g=%.0f buffers priced %.6g at P=4, want %.6g (%.6g with the final merge serial)",
+				lambdaWrite, tb, g, c.Cost, want, credited)
+		}
+	})
+}
+
+// TestHashAggCliffBelowSortPath: with the sort path now cheaper by the
+// sorted temp it no longer writes, the hash-aggregation fit cliff still
+// sits below it at equal inputs — one read of the input and the groups
+// against at least that plus the runs.
+func TestHashAggCliffBelowSortPath(t *testing.T) {
+	for _, lambda := range []float64{1.5, 15, 90} {
+		for _, par := range []float64{1, 4} {
+			bp := &budgetPlan{lambda: lambda, par: par, blockSize: 1024}
+			s := &stageAlloc{op: "GroupBy", bp: bp, groupEst: 200, outBuf: buffers(200, record.Size, 1024)}
+			const tb, m = 1563.0, 78.0
+			hash := s.plan(tb, 0, m)
+			s.opened = true // an opened stage re-plans among the sorts only
+			sorted := s.plan(tb, 0, m)
+			if !hash.hash || sorted.hash {
+				t.Fatalf("λ=%.1f P=%.0f: hash=%v before open, %v after; want the cliff then the sort path", lambda, par, hash.hash, sorted.hash)
+			}
+			if !(hash.cost < sorted.cost) {
+				t.Errorf("λ=%.1f P=%.0f: hash aggregation priced %.6g, sort path (%s) %.6g: the cliff is not below",
+					lambda, par, hash.cost, sorted.sort.Algo, sorted.cost)
+			}
+		}
+	}
 }
 
 // foreignSort and foreignJoin are caller implementations the planner's

@@ -125,6 +125,26 @@ var cancelPlans = []cancelPlanCase{
 			return Table(in).GroupHint(8).GroupBy(3)
 		},
 	},
+	{
+		// Sort-based group-by with an absorbed chain: cancellation lands in
+		// run formation or mid-merge, with the fold sink and the chain sink
+		// between the merge and the output.
+		name: "groupby-fold",
+		plan: func(t *testing.T, r *rig) *Plan {
+			return Table(loadGrouped(t, r, "in", 8000, 2000)).GroupByWith(4, sorts.NewSegmentSort(0.5)).
+				Filter(Predicate{Attr: 0, Op: Ge, Value: 100}).Project(0, 1, 2)
+		},
+	},
+	{
+		// Nested-loops join narrowed by an absorbed projection: all of its
+		// work is probing, so cancellation lands mid-probe with the chain
+		// sink as the join's output.
+		name: "join-narrowed",
+		plan: func(t *testing.T, r *rig) *Plan {
+			dim1, _, fact := r.loadStar(t, 800, 8000)
+			return Table(dim1).JoinWith(Table(fact), joins.NewNestedLoops()).Project(0, 1, 12, 13)
+		},
+	},
 }
 
 // runCancelPlan executes the case's plan once under ctx on a fresh rig.

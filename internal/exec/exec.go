@@ -10,7 +10,12 @@
 // Non-blocking operators (Filter, Project, Limit) stream records without
 // touching the device, so a pipelined plan writes strictly fewer
 // cachelines than the naive compose-by-materializing sequence of the
-// same operators. Blocking operators (OrderBy, GroupBy, Join) share the
+// same operators. A Filter/Project chain is fused into its neighbour in
+// one of two directions: over a base table it becomes a zero-write view
+// the consumer re-scans (fuse.go); over a Join, GroupBy or HashAggregate
+// it is absorbed by that operator and applied where it emits, so the
+// operator's temp is never wider than what its consumer reads
+// (chain.go). Blocking operators (OrderBy, GroupBy, Join) share the
 // plan's DRAM budget M through the marginal-benefit allocator (see
 // budget.go): each stage's share is sized by how much its cost curve
 // bends, with the even split as a guaranteed-no-worse fallback, and
@@ -265,12 +270,13 @@ func drain(ctx context.Context, op Operator, emit func(rec []byte) error) error 
 
 // inputCollection opens child and returns its whole output as a storage
 // collection: directly when the child's output already lives on storage
-// (Scan, blocking children), as a re-scannable zero-write view when the
-// child is a Filter/Project chain over such a source (see fuseView),
-// and otherwise by draining the stream into a temporary. The returned
-// cleanup destroys the temporary (it is a no-op for direct collections
-// and views) and must be called once the collection has been consumed;
-// the child itself is closed by the caller's Close.
+// (Scan, blocking children — a Join's or GroupBy's already through the
+// chain it absorbed), as a re-scannable zero-write view when the child
+// is a Filter/Project chain over a base table or an OrderBy (see
+// fuseView), and otherwise by draining the stream into a temporary. The
+// returned cleanup destroys the temporary (it is a no-op for direct
+// collections and views) and must be called once the collection has
+// been consumed; the child itself is closed by the caller's Close.
 func inputCollection(ctx context.Context, ec *Ctx, child Operator) (storage.Collection, func() error, error) {
 	if err := child.Open(ctx, ec); err != nil {
 		return nil, nil, err

@@ -10,14 +10,19 @@ import (
 	"wlpm/internal/storage"
 )
 
-// Fusion: a Filter/Project chain over an already-materialized input is
-// deterministic and therefore re-scannable, so a blocking consumer can
-// treat it as a read-only collection view instead of draining it into a
-// temporary. Every re-scan recomputes the transformation and re-reads
-// the base — trading cheap reads for expensive writes, which is the
-// paper's trade — and the view writes nothing at all. Limit is not
-// fused (its operator form already streams, and blocking consumers of a
-// limit are rare enough that the pipe temp is fine).
+// Fusion, consumer side: a Filter/Project chain over an input that
+// exists whatever the chain does — a base table, an OrderBy's sorted
+// output, a Materialize barrier — is deterministic and therefore
+// re-scannable, so a blocking consumer can treat it as a read-only
+// collection view instead of draining it into a temporary. Every re-scan
+// recomputes the transformation and re-reads the base — trading cheap
+// reads for expensive writes, which is the paper's trade — and the view
+// writes nothing at all. A chain over a Join, GroupBy or HashAggregate
+// never gets here: the compiler folds it into that operator, which
+// applies it once as it emits (chain.go) — there a write does happen,
+// and narrowing it beats re-reading it wide. Limit is not fused (its
+// operator form already streams, and blocking consumers of a limit are
+// rare enough that the pipe temp is fine).
 
 // fuseView converts a streaming chain over a materialized source into a
 // re-scannable view. The chain's operators must already be Open (their
@@ -93,9 +98,7 @@ func (it *projectIterator) Next() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i, a := range it.attrs {
-		copy(it.buf[i*record.AttrSize:(i+1)*record.AttrSize], rec[a*record.AttrSize:(a+1)*record.AttrSize])
-	}
+	projectInto(it.buf, rec, it.attrs)
 	return it.buf, nil
 }
 

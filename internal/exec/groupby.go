@@ -17,22 +17,26 @@ import (
 // GroupBy is the sort-based write-limited aggregation: it groups its
 // benchmark-schema input by key and aggregates one attribute
 // (count/sum/min/max in the aggregate package's result slots), emitting
-// one record per group in ascending key order. The write profile is the
-// chosen sort algorithm's — the planner places the same intensity knob
-// it places for order-by. Blocking.
+// one record per group in ascending key order — through the
+// Filter/Project chain above it, when the compiler absorbed one. The
+// write profile is the chosen sort algorithm's runs plus the groups (the
+// sorted input is folded as the sort emits it, never written) — the
+// planner places the same intensity knob it places for order-by.
+// Blocking.
 type GroupBy struct {
-	child   Operator
-	attr    int
-	algo    sorts.Algorithm
-	st      *stageAlloc // the planner's stage: share, Open-time re-planning
-	grouped storage.Collection
-	sc      *batchScanner
+	child     Operator
+	attr      int
+	algo      sorts.Algorithm
+	st        *stageAlloc // the planner's stage: share, Open-time re-planning
+	emitChain             // applied to each group as it closes
+	grouped   storage.Collection
+	sc        *batchScanner
 }
 
 func (g *GroupBy) Name() string {
-	return fmt.Sprintf("GroupBy[a%d, %s](%s)", g.attr, g.algo.Name(), g.child.Name())
+	return fmt.Sprintf("GroupBy[a%d, %s%s](%s)", g.attr, g.algo.Name(), &g.emitChain, g.child.Name())
 }
-func (g *GroupBy) RecordSize() int      { return record.Size }
+func (g *GroupBy) RecordSize() int      { return g.width(record.Size) }
 func (g *GroupBy) Children() []Operator { return []Operator{g.child} }
 func (g *GroupBy) consumesMemory() bool { return true }
 
@@ -49,7 +53,7 @@ func (g *GroupBy) groupInto(ctx context.Context, ec *Ctx, dst storage.Collection
 	// the stage's budget share is re-split from the actuals, then the
 	// sort choice is re-priced (and, when the planner owns it, re-made).
 	g.algo = g.st.openSort(in, g.algo)
-	if err := aggregate.GroupBy(ec.stageEnv(g.st), g.algo, in, g.attr, dst); err != nil {
+	if err := aggregate.GroupBy(ec.stageEnv(g.st), g.algo, in, g.attr, g.sink(dst, record.Size)); err != nil {
 		cleanup() //nolint:errcheck // best-effort cleanup after failure
 		return err
 	}
@@ -57,7 +61,7 @@ func (g *GroupBy) groupInto(ctx context.Context, ec *Ctx, dst storage.Collection
 }
 
 func (g *GroupBy) Open(ctx context.Context, ec *Ctx) error {
-	tmp, err := ec.tempEnv().CreateTemp("grouped", record.Size)
+	tmp, err := ec.tempEnv().CreateTemp("grouped", g.RecordSize())
 	if err != nil {
 		return err
 	}
@@ -66,7 +70,7 @@ func (g *GroupBy) Open(ctx context.Context, ec *Ctx) error {
 		return err
 	}
 	g.grouped = tmp
-	g.sc = newBatchScanner(tmp.Scan(), record.Size, ec.batchSize())
+	g.sc = newBatchScanner(tmp.Scan(), tmp.RecordSize(), ec.batchSize())
 	return nil
 }
 
@@ -118,16 +122,22 @@ func (g *GroupBy) source() (storage.Collection, bool) { return g.grouped, g.grou
 // merged (combining equal keys) at the end, so the operator keeps the
 // sort-based GroupBy's output byte for byte instead of aborting the
 // query. Output is always ascending key order with the same result
-// layout. Blocking; writes intermediates only when it spills.
+// layout, through the Filter/Project chain above the operator when the
+// compiler absorbed one. Blocking; writes intermediates only when it
+// spills.
 type HashAggregate struct {
-	child Operator
-	attr  int
-	st    *stageAlloc // the planner's stage: share, actuals + spill reporting
+	child     Operator
+	attr      int
+	st        *stageAlloc // the planner's stage: share, actuals + spill reporting
+	emitChain             // applied to each group as it is rendered or merged
 
-	groups map[uint64]*aggState
+	groups map[uint64]*aggregate.State
 	keys   []uint64
 	pos    int
-	out    *Batch // in-memory result batches, rendered from the table
+	raw    []byte                 // one rendered group, before the chain
+	put    func(rec []byte) error // the chain, into out
+	out    *Batch                 // in-memory result batches, rendered from the table
+	n      int                    // records of out the current Next has filled
 
 	env    *algo.Env            // stage share; owns the spill runs
 	spills []storage.Collection // sorted partial-aggregate runs
@@ -135,14 +145,10 @@ type HashAggregate struct {
 	sc     *batchScanner        // streams merged when the table spilled
 }
 
-type aggState struct {
-	count, sum, min, max uint64
-}
-
 func (h *HashAggregate) Name() string {
-	return fmt.Sprintf("HashAggregate[a%d](%s)", h.attr, h.child.Name())
+	return fmt.Sprintf("HashAggregate[a%d%s](%s)", h.attr, &h.emitChain, h.child.Name())
 }
-func (h *HashAggregate) RecordSize() int      { return record.Size }
+func (h *HashAggregate) RecordSize() int      { return h.width(record.Size) }
 func (h *HashAggregate) Children() []Operator { return []Operator{h.child} }
 func (h *HashAggregate) consumesMemory() bool { return true }
 
@@ -165,12 +171,11 @@ func (h *HashAggregate) aggregate(ctx context.Context, ec *Ctx) error {
 	h.st.freeze()
 	h.env = ec.stageEnv(h.st)
 	budget := h.env.BudgetHashRecords(record.Size)
-	h.groups = make(map[uint64]*aggState)
+	h.groups = make(map[uint64]*aggregate.State)
 	rows := 0
 	err := drain(ctx, h.child, func(rec []byte) error {
 		rows++
 		k := record.Key(rec)
-		v := record.Attr(rec, h.attr)
 		st, ok := h.groups[k]
 		if !ok {
 			if len(h.groups) >= budget {
@@ -178,17 +183,10 @@ func (h *HashAggregate) aggregate(ctx context.Context, ec *Ctx) error {
 					return err
 				}
 			}
-			st = &aggState{min: v, max: v}
+			st = new(aggregate.State)
 			h.groups[k] = st
 		}
-		st.count++
-		st.sum += v
-		if v < st.min {
-			st.min = v
-		}
-		if v > st.max {
-			st.max = v
-		}
+		st.Add(record.Attr(rec, h.attr))
 		return nil
 	})
 	h.st.choice.ActualRows = rows
@@ -207,14 +205,14 @@ func (h *HashAggregate) sortedKeys() []uint64 {
 
 // finishSpill closes the degraded path: the group count blew the budget
 // share, so the final partial table flushes as one more sorted run and
-// the runs merge (combining groups) into dst — the sort-based fallback
-// the estimate should have selected up front.
+// the runs merge (combining groups) through the absorbed chain into dst —
+// the sort-based fallback the estimate should have selected up front.
 func (h *HashAggregate) finishSpill(dst storage.Collection) error {
 	h.st.choice.Spilled = true
 	if err := h.spill(); err != nil {
 		return err
 	}
-	return h.mergeSpills(dst)
+	return h.mergeSpills(h.sink(dst, record.Size))
 }
 
 func (h *HashAggregate) Open(ctx context.Context, ec *Ctx) error {
@@ -224,10 +222,16 @@ func (h *HashAggregate) Open(ctx context.Context, ec *Ctx) error {
 	if len(h.spills) == 0 {
 		h.keys = h.sortedKeys()
 		h.pos = 0
-		h.out = newBatch(record.Size, ec.batchSize())
+		h.raw = make([]byte, record.Size)
+		h.out = newBatch(h.RecordSize(), ec.batchSize())
+		h.put = h.apply(func(rec []byte) error {
+			copy(h.out.views[h.n], rec)
+			h.n++
+			return nil
+		})
 		return nil
 	}
-	merged, err := ec.tempEnv().CreateTemp("hashagg.merged", record.Size)
+	merged, err := ec.tempEnv().CreateTemp("hashagg.merged", h.RecordSize())
 	if err != nil {
 		return err
 	}
@@ -236,7 +240,7 @@ func (h *HashAggregate) Open(ctx context.Context, ec *Ctx) error {
 		return err
 	}
 	h.merged = merged
-	h.sc = newBatchScanner(merged.Scan(), record.Size, ec.batchSize())
+	h.sc = newBatchScanner(merged.Scan(), merged.RecordSize(), ec.batchSize())
 	return nil
 }
 
@@ -248,10 +252,11 @@ func (h *HashAggregate) emitTo(ctx context.Context, ec *Ctx, out storage.Collect
 		return err
 	}
 	if len(h.spills) == 0 {
+		put := h.apply(out.Append)
 		buf := make([]byte, record.Size)
 		for _, k := range h.sortedKeys() {
-			fillAggRecord(buf, k, h.groups[k])
-			if err := out.Append(buf); err != nil {
+			h.groups[k].Render(buf, k)
+			if err := put(buf); err != nil {
 				return err
 			}
 		}
@@ -272,7 +277,7 @@ func (h *HashAggregate) spill() error {
 	}
 	buf := make([]byte, record.Size)
 	for _, k := range h.sortedKeys() {
-		fillAggRecord(buf, k, h.groups[k])
+		h.groups[k].Render(buf, k)
 		if err := run.Append(buf); err != nil {
 			run.Destroy() //nolint:errcheck // best-effort cleanup after failure
 			return err
@@ -283,7 +288,7 @@ func (h *HashAggregate) spill() error {
 		return err
 	}
 	h.spills = append(h.spills, run)
-	h.groups = make(map[uint64]*aggState)
+	h.groups = make(map[uint64]*aggregate.State)
 	return nil
 }
 
@@ -316,7 +321,7 @@ func (h *HashAggregate) mergeSpills(dst storage.Collection) error {
 		if err != nil {
 			return err
 		}
-		if err := mergeAggRuns(batch, h.pollEmit(out.Append)); err != nil {
+		if err := mergeAggRuns(h.env, batch, h.pollEmit(out.Append)); err != nil {
 			out.Destroy() //nolint:errcheck // best-effort cleanup after failure
 			return err
 		}
@@ -329,7 +334,7 @@ func (h *HashAggregate) mergeSpills(dst storage.Collection) error {
 		}
 		h.spills = append(append([]storage.Collection(nil), h.spills[fanIn:]...), out)
 	}
-	if err := mergeAggRuns(h.spills, h.pollEmit(dst.Append)); err != nil {
+	if err := mergeAggRuns(h.env, h.spills, h.pollEmit(dst.Append)); err != nil {
 		return err
 	}
 	for _, r := range h.spills {
@@ -340,79 +345,47 @@ func (h *HashAggregate) mergeSpills(dst storage.Collection) error {
 }
 
 // mergeAggRuns multiway-merges key-sorted runs of partial aggregate
-// records on a head heap (the same shape as the sorts' run merges),
-// combining the partials of equal keys (counts and sums add, min/max
-// fold), and feeds each merged group to emit in ascending key order.
-// Keys are distinct within a run, so equal keys always sit on different
-// heads.
-func mergeAggRuns(runs []storage.Collection, emit func(rec []byte) error) error {
-	type head struct {
-		it  storage.Iterator
-		rec []byte // copied current record
-		key uint64
-	}
-	iters := make([]storage.Iterator, 0, len(runs))
-	defer func() {
-		for _, it := range iters {
-			it.Close() //nolint:errcheck // read-only iterator teardown
-		}
-	}()
-	advance := func(h *head) (bool, error) {
-		rec, err := h.it.Next()
+// records (the same shape as the sorts' run merges: each run read one
+// block chunk at a time, one keyed head slot per run whose tie-break
+// names it, advanced in place, so the loop allocates nothing), combining
+// the partials of equal keys, and feeds each merged group to emit in
+// ascending key order. Keys are distinct within a run, so equal keys
+// always sit on different heads.
+func mergeAggRuns(env *algo.Env, runs []storage.Collection, emit func(rec []byte) error) error {
+	chunk := env.ChunkRecords(record.Size)
+	srcs := make([]*storage.Cursor, len(runs))
+	heads := xheap.NewKeyed(record.Size, len(runs), false)
+	for i, r := range runs {
+		it := r.Scan()
+		defer it.Close() //nolint:errcheck // read-only iterator teardown
+		srcs[i] = storage.NewCursor(it, chunk)
+		rec, err := srcs[i].Next()
 		if err == io.EOF {
-			return false, nil
+			continue
 		}
-		if err != nil {
-			return false, err
-		}
-		copy(h.rec, rec)
-		h.key = record.Key(h.rec)
-		return true, nil
-	}
-	heap := xheap.New(func(a, b *head) bool { return a.key < b.key }, len(runs))
-	for _, r := range runs {
-		h := &head{it: r.Scan(), rec: make([]byte, record.Size)}
-		iters = append(iters, h.it)
-		ok, err := advance(h)
 		if err != nil {
 			return err
 		}
-		if ok {
-			heap.Push(h)
-		}
+		heads.Push(record.Key(rec), uint32(i), rec)
 	}
 	buf := make([]byte, record.Size)
-	for heap.Len() > 0 {
-		h := heap.Pop()
-		key := h.key
-		st := aggState{
-			count: record.Attr(h.rec, aggregate.AttrCount),
-			sum:   record.Attr(h.rec, aggregate.AttrSum),
-			min:   record.Attr(h.rec, aggregate.AttrMin),
-			max:   record.Attr(h.rec, aggregate.AttrMax),
-		}
-		for {
-			ok, err := advance(h)
+	for heads.Len() > 0 {
+		key := heads.Top().Key
+		var st aggregate.State
+		for heads.Len() > 0 && heads.Top().Key == key {
+			top := heads.Top()
+			st.Merge(heads.Record(top.Slot))
+			rec, err := srcs[top.Tie].Next()
+			if err == io.EOF {
+				heads.Pop()
+				continue
+			}
 			if err != nil {
 				return err
 			}
-			if ok {
-				heap.Push(h)
-			}
-			if heap.Len() == 0 || heap.Peek().key != key {
-				break
-			}
-			h = heap.Pop()
-			st.count += record.Attr(h.rec, aggregate.AttrCount)
-			st.sum += record.Attr(h.rec, aggregate.AttrSum)
-			if v := record.Attr(h.rec, aggregate.AttrMin); v < st.min {
-				st.min = v
-			}
-			if v := record.Attr(h.rec, aggregate.AttrMax); v > st.max {
-				st.max = v
-			}
+			heads.ReplaceTop(record.Key(rec), top.Tie, rec)
 		}
-		fillAggRecord(buf, key, &st)
+		st.Render(buf, key)
 		if err := emit(buf); err != nil {
 			return err
 		}
@@ -420,34 +393,26 @@ func mergeAggRuns(runs []storage.Collection, emit func(rec []byte) error) error 
 	return nil
 }
 
-// fillAggRecord renders one group's aggregates in the result layout
-// shared with the sort-based GroupBy.
-func fillAggRecord(buf []byte, key uint64, st *aggState) {
-	for i := range buf {
-		buf[i] = 0
-	}
-	record.SetAttr(buf, aggregate.AttrGroupKey, key)
-	record.SetAttr(buf, aggregate.AttrCount, st.count)
-	record.SetAttr(buf, aggregate.AttrSum, st.sum)
-	record.SetAttr(buf, aggregate.AttrMin, st.min)
-	record.SetAttr(buf, aggregate.AttrMax, st.max)
-}
-
 func (h *HashAggregate) Next(context.Context) (*Batch, error) {
 	if h.sc != nil {
 		return h.sc.next()
 	}
-	if h.out == nil || h.pos >= len(h.keys) {
+	if h.out == nil {
 		return nil, io.EOF
 	}
-	n := 0
-	for n < len(h.out.views) && h.pos < len(h.keys) {
+	h.n = 0
+	for h.n < len(h.out.views) && h.pos < len(h.keys) {
 		k := h.keys[h.pos]
-		fillAggRecord(h.out.views[n], k, h.groups[k])
 		h.pos++
-		n++
+		h.groups[k].Render(h.raw, k)
+		if err := h.put(h.raw); err != nil {
+			return nil, err
+		}
 	}
-	h.out.Recs = h.out.views[:n]
+	if h.n == 0 {
+		return nil, io.EOF
+	}
+	h.out.Recs = h.out.views[:h.n]
 	return h.out, nil
 }
 

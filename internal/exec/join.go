@@ -11,21 +11,25 @@ import (
 
 // Join equi-joins its two inputs on their key attributes (attribute 0 of
 // each side) with one of the paper's join algorithms, emitting
-// left‖right concatenations. The left input is the build side — plans
-// put the smaller input left. Blocking: one stage share of the budget;
-// at the plan root it joins straight into the output collection.
+// left‖right concatenations — through the Filter/Project chain above it,
+// when the compiler absorbed one, so only the rows and columns the
+// consumer keeps are ever written. The left input is the build side —
+// plans put the smaller input left. Blocking: one stage share of the
+// budget; at the plan root it joins straight into the output collection.
 type Join struct {
 	left, right Operator
 	algo        joins.Algorithm
 	st          *stageAlloc // the planner's stage: share, Open-time re-planning
+	emitChain               // applied as the algorithm emits
 	joined      storage.Collection
 	sc          *batchScanner
 }
 
 func (j *Join) Name() string {
-	return fmt.Sprintf("Join[%s](%s, %s)", j.algo.Name(), j.left.Name(), j.right.Name())
+	return fmt.Sprintf("Join[%s%s](%s, %s)", j.algo.Name(), &j.emitChain, j.left.Name(), j.right.Name())
 }
-func (j *Join) RecordSize() int      { return j.left.RecordSize() + j.right.RecordSize() }
+func (j *Join) rawSize() int         { return j.left.RecordSize() + j.right.RecordSize() }
+func (j *Join) RecordSize() int      { return j.width(j.rawSize()) }
 func (j *Join) Children() []Operator { return []Operator{j.left, j.right} }
 func (j *Join) consumesMemory() bool { return true }
 
@@ -43,7 +47,7 @@ func (j *Join) joinInto(ctx context.Context, ec *Ctx, dst storage.Collection) er
 	// the stage's budget share is re-split from the actuals, then the
 	// choice is re-priced (and, when the planner owns it, re-made).
 	j.algo = j.st.openJoin(lcoll, rcoll, j.algo)
-	if err := j.algo.Join(ec.stageEnv(j.st), lcoll, rcoll, dst); err != nil {
+	if err := j.algo.Join(ec.stageEnv(j.st), lcoll, rcoll, j.sink(dst, j.rawSize())); err != nil {
 		lclean() //nolint:errcheck // best-effort cleanup after failure
 		rclean() //nolint:errcheck // best-effort cleanup after failure
 		return err

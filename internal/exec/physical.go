@@ -47,7 +47,8 @@ type Choice struct {
 
 // Explain describes the compiled physical plan. Choices are shared with
 // the operator tree, so after a Run they also carry the actuals observed
-// at Open time and the shares Open-time re-splitting settled on.
+// at Open time and the shares Open-time re-splitting settled on; Root is
+// the tree as compiled until Rerender refreshes it.
 type Explain struct {
 	Root        string  // the physical operator tree, root first
 	RecordSize  int     // byte width of the plan's output records
@@ -61,6 +62,18 @@ type Explain struct {
 	BatchSize   int  // records per operator pull (the vectorization window)
 	Reordered   bool // the planner rebuilt a join chain smallest-build-first
 	Choices     []*Choice
+
+	root Operator
+}
+
+// Rerender refreshes Root from the operator tree. Whoever drives the run
+// calls it once the blocking stages have opened: Open-time re-planning
+// swaps algorithms inside the operators, and the plan line must name
+// what ran, like the choice lines beneath it.
+func (e *Explain) Rerender() {
+	if e.root != nil { // a hand-built Explain has no tree to render
+		e.Root = e.root.Name()
+	}
 }
 
 // String renders the explanation for CLIs and examples.
@@ -172,6 +185,7 @@ func CompileWith(ctx *Ctx, p *Plan, opts CompileOptions) (Operator, *Explain, er
 		BatchSize:   ctx.batchSize(),
 		Reordered:   c.reordered,
 		Choices:     c.choices,
+		root:        root,
 	}
 	return root, ex, nil
 }
@@ -233,6 +247,20 @@ func (c *compiler) breaker(op Operator) Operator {
 	return NewMaterialize(op)
 }
 
+// chainOf returns the emit-side chain a Filter or Project over child is
+// absorbed into — child then is a blocking operator that applies the
+// step where it emits (see chain.go), and the step gets no operator of
+// its own — or nil when the step stays an operator: over a base table or
+// an OrderBy (views and range-parallel merges, respectively), and
+// everywhere in the materialize-everything reference mode. absorbs is
+// the demand walk's logical twin.
+func (c *compiler) chainOf(child Operator) *emitChain {
+	if a, ok := child.(absorber); ok && !c.opts.MaterializeEveryStep {
+		return a.absorbed()
+	}
+	return nil
+}
+
 // takeStage hands build the next blocking stage — the demand walk
 // visited the same nodes in the same post-order — priced at its
 // allocated share, and registers its Explain entry; build fills in the
@@ -266,6 +294,10 @@ func (c *compiler) build(p *Plan) (Operator, error) {
 		if err := p.pred.validate(child.RecordSize()); err != nil {
 			return nil, err
 		}
+		if ch := c.chainOf(child); ch != nil {
+			ch.filter(p.pred)
+			return child, nil
+		}
 		return c.breaker(NewFilter(child, p.pred)), nil
 
 	case planProject:
@@ -280,6 +312,10 @@ func (c *compiler) build(p *Plan) (Operator, error) {
 			if a < 0 || (a+1)*record.AttrSize > child.RecordSize() {
 				return nil, fmt.Errorf("exec: projected attribute a%d outside %d-byte record", a, child.RecordSize())
 			}
+		}
+		if ch := c.chainOf(child); ch != nil {
+			ch.project(p.attrs)
+			return child, nil
 		}
 		return c.breaker(NewProject(child, p.attrs...)), nil
 
@@ -491,48 +527,49 @@ func (c *compiler) joinEstimate(l, r planEstimate) planEstimate {
 // --- Pinned-choice pricing ---
 
 // pinnedSortProfile looks up a caller-pinned sort algorithm in the
-// implementation profiles the planner ranks. Unknown implementations —
-// and nil, the planner's own choice — report ok=false.
-func pinnedSortProfile(a sorts.Algorithm, t, m, lambda float64) (cost.Profile, bool) {
+// implementation profiles the planner ranks, emitting as e describes.
+// Unknown implementations — and nil, the planner's own choice — report
+// ok=false.
+func pinnedSortProfile(a sorts.Algorithm, t, m, lambda float64, e cost.Emit) (cost.Profile, bool) {
 	switch s := a.(type) {
 	case *sorts.ExternalMergeSort:
-		return cost.ExMSProfile(t, m), true
+		return e.ExMS(t, m), true
 	case *sorts.SelectionSort:
-		return cost.SelSProfile(t, m), true
+		return e.SelS(t, m), true
 	case *sorts.LazySort:
-		return cost.LaSProfile(t, m, lambda), true
+		return e.LaS(t, m, lambda), true
 	case *sorts.SegmentSort:
 		x := s.Intensity
 		if s.Auto {
 			x = cost.SegmentSortOptimalX(t, m, lambda)
 		}
-		return cost.SegSProfile(x, t, m), true
+		return e.SegS(x, t, m), true
 	case *sorts.HybridSort:
-		return cost.HybSProfile(s.Intensity, t, m), true
+		return e.HybS(s.Intensity, t, m), true
 	}
 	return cost.Profile{}, false
 }
 
 // pinnedJoinProfile is pinnedSortProfile's join twin.
-func pinnedJoinProfile(a joins.Algorithm, t, v, m, lambda float64) (cost.Profile, bool) {
+func pinnedJoinProfile(a joins.Algorithm, t, v, m, lambda float64, e cost.Emit) (cost.Profile, bool) {
 	switch j := a.(type) {
 	case *joins.NestedLoops:
-		return cost.NLJProfile(t, v, m), true
+		return e.NLJ(t, v, m), true
 	case *joins.Grace:
-		return cost.GJProfile(t, v), true
+		return e.GJ(t, v), true
 	case *joins.Hash:
-		return cost.HJProfile(t, v, m), true
+		return e.HJ(t, v, m), true
 	case *joins.LazyHash:
-		return cost.LaJProfile(t, v, m, lambda), true
+		return e.LaJ(t, v, m, lambda), true
 	case *joins.HybridGraceNL:
 		x, y := j.X, j.Y
 		if j.Auto {
 			// The saddle solver already clamps to [0, 1].
 			x, y = cost.HybridJoinSaddle(t, v, m, lambda)
 		}
-		return cost.HybJProfile(x, y, t, v, m), true
+		return e.HybJ(x, y, t, v, m), true
 	case *joins.SegmentedGrace:
-		return cost.SegJProfile(j.Intensity, t, v, m), true
+		return e.SegJ(j.Intensity, t, v, m), true
 	}
 	return cost.Profile{}, false
 }

@@ -15,9 +15,11 @@ import (
 // inputs become the build sides (t of the cost model), which is what the
 // paper's join costs are most sensitive to. Because concatenation is
 // associative, the output column layout depends only on the leaf order;
-// when that order changes, a zero-write compensating projection (fused
-// into the consumer like any Filter/Project chain) restores the written
-// layout, so downstream operators and the final schema are unaffected.
+// when that order changes, a compensating projection (absorbed by the
+// spine's top join like any Filter/Project chain over a join, so it adds
+// no write and composes with a user projection above it) restores the
+// written layout, so downstream operators and the final schema are
+// unaffected.
 // Row order of a bare join result may differ from the written-order
 // plan's — exactly as it already differs between physical join
 // algorithms — and is canonicalized by any OrderBy/GroupBy above.

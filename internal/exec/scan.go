@@ -286,10 +286,7 @@ func (p *Project) Next(ctx context.Context) (*Batch, error) {
 		n = len(p.out.views)
 	}
 	for i := 0; i < n; i++ {
-		rec, buf := cb.Recs[i], p.out.views[i]
-		for j, a := range p.attrs {
-			copy(buf[j*record.AttrSize:(j+1)*record.AttrSize], rec[a*record.AttrSize:(a+1)*record.AttrSize])
-		}
+		projectInto(p.out.views[i], cb.Recs[i], p.attrs)
 	}
 	p.out.Recs = p.out.views[:n]
 	return p.out, nil

@@ -1,6 +1,8 @@
-// Package xheap provides a generic binary heap used by the run-formation
-// phases of the sort and join algorithms (replacement selection, selection
-// regions, multiway merge).
+// Package xheap provides the engine's heaps. Every kernel — replacement
+// selection, selection regions, the sorts' and the spill aggregation's
+// multiway merges — runs on Keyed (keyed.go); the closure-compared
+// generic Heap below has no engine caller left and stays for the
+// benchmark ladder's xheap.replace_ns rung, which compiles against it.
 package xheap
 
 // Heap is a binary heap ordered by the provided less function: a min-heap

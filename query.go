@@ -217,10 +217,9 @@ func (q *Query) runInto(ctx context.Context, out Collection, memoryBudget int64,
 	if err != nil {
 		return nil, err
 	}
-	if err := exec.RunCtx(ctx, ec, root, out); err != nil {
-		return ex, err
-	}
-	return ex, nil
+	err = exec.RunCtx(ctx, ec, root, out)
+	ex.Rerender() // Open-time re-planning may have swapped algorithms
+	return ex, err
 }
 
 // RunCtx executes the plan under ctx with the session's broker-granted

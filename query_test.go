@@ -136,6 +136,72 @@ func TestQueryExplainSurfacesChoices(t *testing.T) {
 	}
 }
 
+// TestExplainPlanLineNamesWhatRan: Open-time re-planning swaps the
+// algorithm inside the operator, so the plan line an Explain prints
+// after the run — from the cursor and from RunCtx alike — must name the
+// algorithm its own choice line does, and it shows the projection on the
+// join that applies it: no 160-byte temp exists to be projected later.
+func TestExplainPlanLineNamesWhatRan(t *testing.T) {
+	const nDim, nFact = 1000, 10000
+	sys, dim, _, fact := starQuerySetup(t, nDim, nFact, 1)
+	for _, c := range []wlpm.Collection{dim, fact} {
+		if _, err := sys.Collect(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sess := sys.Session(wlpm.WithSessionBudget(int64(nFact * wlpm.RecordSize / 20)))
+	star := func() *wlpm.Query {
+		return sess.Query(dim).Join(sess.Query(fact)).
+			Project(0, 1, 12, 13, 14, 5, 16, 7, 18, 9).GroupBy(3).OrderBy()
+	}
+	compiled, err := star().ExplainGranted()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rows, err := star().Rows(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rows.Next() {
+	}
+	if err := rows.Close(); err != nil {
+		t.Fatal(err)
+	}
+	out, err := sys.Create("out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran, err := star().RunCtx(context.Background(), out)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for name, ex := range map[string]*wlpm.QueryExplain{"Rows.Explain": rows.Explain(), "RunCtx": ran} {
+		replans := 0
+		for _, c := range ex.Choices {
+			if c.Replanned {
+				replans++
+			}
+			if !strings.Contains(ex.Root, c.Operator+"[") || !strings.Contains(ex.Root, c.Algorithm) {
+				t.Errorf("%s: plan line %q does not name the %s choice's %s", name, ex.Root, c.Operator, c.Algorithm)
+			}
+		}
+		if replans == 0 {
+			t.Fatalf("%s: no stage re-planned at open; this input no longer exercises the re-render:\n%s", name, ex)
+		}
+		if ex.Root == compiled.Root {
+			t.Errorf("%s: plan line is still the compile-time rendering %q after %d re-plan(s)", name, ex.Root, replans)
+		}
+		if !strings.Contains(ex.Root, "Join[") || !strings.Contains(ex.Root, " → project[0 1 12 13 14 5 16 7 18 9]](Scan(") {
+			t.Errorf("%s: plan line %q does not show the projection on the join that applies it", name, ex.Root)
+		}
+		if strings.Contains(ex.Root, "Project[") {
+			t.Errorf("%s: plan line %q still has a Project operator above the join", name, ex.Root)
+		}
+	}
+}
+
 func TestParseQueryFacade(t *testing.T) {
 	sys, dim1, _, fact := starQuerySetup(t, 200, 2000, 1)
 	lookup := func(name string) (wlpm.Collection, error) {

@@ -78,6 +78,7 @@ func (q *Query) openRows(ctx context.Context, budget int64, grant *broker.Grant,
 		ec.SweepTemps() //nolint:errcheck // best-effort cleanup after failure
 		return nil, err
 	}
+	ex.Rerender() // every blocking stage has opened, and may have re-planned
 	r := &Rows{ctx: ctx, ec: ec, root: root, cur: exec.NewCursor(root), ex: ex, grant: grant}
 	if grant != nil {
 		// Release the memory grant the moment the context dies, whether or

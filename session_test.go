@@ -240,6 +240,56 @@ func TestCancelledQueryReleasesGrantAndLeaksNothing(t *testing.T) {
 	}
 }
 
+// refusingOutput is a query output whose Append fails on the n-th record.
+type refusingOutput struct {
+	Collection
+	n   int
+	err error
+}
+
+func (o *refusingOutput) Append(rec []byte) error {
+	if o.n--; o.n < 0 {
+		return o.err
+	}
+	return o.Collection.Append(rec)
+}
+
+// TestSinkFailureReleasesGrant: the pipeline's root group-by folds into
+// the caller's output through a sink; when that output refuses a record
+// mid-merge the run must surface that one error, hand the grant back and
+// leave no goroutine behind — the device-failure twin of the
+// cancellation test above.
+func TestSinkFailureReleasesGrant(t *testing.T) {
+	for _, par := range []int{1, 8} {
+		t.Run(fmt.Sprintf("p%d", par), func(t *testing.T) {
+			sys := newTestSystem(t, WithParallelism(par))
+			dim1, dim2, fact := loadStarTables(t, sys, 200, 2000, "")
+			sess := sys.Session()
+			inner := sess.Query(dim1).JoinWith(sess.Query(fact), GraceJoin())
+			q := sess.Query(dim2).JoinWith(inner, GraceJoin()).
+				Project(0, 1, 12, 13, 23, 24, 5, 16, 27, 8).
+				GroupByWith(3, ExternalMergeSort()).Filter(Predicate{Attr: 1, Op: CmpGe, Value: 1}).Project(0, 1, 2)
+			out, err := sys.CreateSized("out", 3*8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := runtime.NumGoroutine()
+			boom := errors.New("device full")
+			_, err = q.RunCtx(context.Background(), &refusingOutput{Collection: out, n: 50, err: boom})
+			if !errors.Is(err, boom) {
+				t.Fatalf("err = %v, want the output's error", err)
+			}
+			if out.Len() != 50 {
+				t.Errorf("%d groups reached the output before the failure, want 50", out.Len())
+			}
+			if inUse := sys.MemoryInUse(); inUse != 0 {
+				t.Errorf("%d B still granted after the failed run", inUse)
+			}
+			waitGoroutineBaseline(t, base)
+		})
+	}
+}
+
 func waitGoroutineBaseline(t *testing.T, base int) {
 	t.Helper()
 	deadline := time.Now().Add(3 * time.Second)
