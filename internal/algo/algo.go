@@ -160,6 +160,20 @@ func (e *Env) Poll() func() error {
 	}
 }
 
+// Polled wraps fn — an emit, add or probe callback of a record loop —
+// with Poll's amortized check, so scans, merges and probes stop
+// mid-stream when the invocation's context is cancelled. Like Poll's
+// closure, the result belongs to one worker.
+func (e *Env) Polled(fn func(rec []byte) error) func(rec []byte) error {
+	poll := e.Poll()
+	return func(rec []byte) error {
+		if err := poll(); err != nil {
+			return err
+		}
+		return fn(rec)
+	}
+}
+
 // Derive returns an environment with the given budget that shares e's
 // factory, parallelism, context and temp tracker — the per-stage
 // environment of a plan whose blocking stages split one budget.

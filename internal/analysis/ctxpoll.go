@@ -73,7 +73,7 @@ func runCtxPoll(pass *analysis.Pass) (any, error) {
 // callee that receives a context argument (the callee then owns
 // polling), or a call through a func-typed value — the engine
 // convention is that injected callbacks are poll-wrapped by the caller
-// (pollEmit, pollRecords), so the callback owns the probe.
+// (algo.Env.Polled), so the callback owns the probe.
 func isCancellationProbe(pass *analysis.Pass, call *ast.CallExpr) bool {
 	name := calleeName(call)
 	if strings.Contains(strings.ToLower(name), "poll") {

@@ -89,8 +89,8 @@ func consumeDone(ctx context.Context, it iter) error {
 }
 
 // consumeCallback calls an injected func-typed value: by engine
-// convention the caller poll-wraps callbacks (pollEmit, pollRecords),
-// so the callback owns the probe.
+// convention the caller poll-wraps callbacks (algo.Env.Polled), so the
+// callback owns the probe.
 func consumeCallback(it iter, emit func([]byte) error) error {
 	for {
 		rec, err := it.Next()

@@ -93,11 +93,11 @@ func drainCursor(t *testing.T, ec *Ctx, root Operator) []byte {
 	return buf.Bytes()
 }
 
-// streamingOps counts the Filter and Project operators of a tree.
+// streamingOps counts the Stream operators of a tree.
 func streamingOps(op Operator) int {
 	n := 0
 	switch op.(type) {
-	case *Filter, *Project:
+	case *Stream:
 		n = 1
 	}
 	for _, c := range op.Children() {
@@ -181,7 +181,7 @@ func TestAbsorbServesStoredInput(t *testing.T) {
 	chain := func(p *Plan) *Plan { return p.Filter(absorbPred).Project(1, 0) }
 	isView := func(c storage.Collection) bool {
 		switch c.(type) {
-		case *projectView, *filterView:
+		case *chainView:
 			return true
 		}
 		return false

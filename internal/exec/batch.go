@@ -21,7 +21,7 @@ const DefaultBatchSize = 1024
 // Ownership: the producing operator owns the batch. Recs and the bytes
 // they point into are only valid until the producer's next Next or Close
 // call; consumers copy what they retain. Streaming operators are allowed
-// to alias their child's batch (Filter and Limit return selection views
+// to alias their child's batch (Stream and Limit return selection views
 // into the child's records), so the window a consumer holds may reach
 // all the way down to a scan's block buffer — the rule is the same
 // either way: one live batch per operator, invalidated by the next pull.
@@ -54,10 +54,10 @@ func newBatch(recSize, n int) *Batch {
 // operator, so hinted producers stop fetching input past the n-th record
 // and the engine's simulated reads match the record-at-a-time engine,
 // which stops pulling lazily. Operators whose output maps 1:1 onto a
-// source (Scan, Project, the blocking operators' materialized results)
-// propagate the hint; Filter re-hints its child before every pull with
-// the records still needed, which bounds — but cannot byte-exactly
-// match — the lazy engine's read-ahead.
+// source (Scan, a projecting-only Stream, every stored result)
+// propagate the hint; a filtering Stream re-hints its child before
+// every pull with the records still needed, which bounds — but cannot
+// byte-exactly match — the lazy engine's read-ahead.
 type limitHinted interface {
 	limitHint(n int)
 }
@@ -70,30 +70,21 @@ func hintLimit(op Operator, n int) {
 }
 
 // batchScanner adapts a storage iterator to batch-valued pulls: the
-// shared Next implementation of every operator that streams a
-// materialized collection (Scan, Materialize, OrderBy, GroupBy, Join,
-// the spilled HashAggregate). When the iterator supports chunked reads
-// the batch aliases the iterator's block buffer — zero per-record
-// copies; otherwise records are copied into an owned batch.
+// Next of every operator that streams a stored collection (Scan, and
+// through stored every blocking operator's result). The batch aliases
+// the iterator's chunk — for stored collections its block buffer, zero
+// per-record copies; an iterator without a chunk form is read through
+// storage's one-record adapter.
 type batchScanner struct {
 	it        storage.Iterator
-	ch        storage.ChunkIterator // non-nil: zero-copy fast path
-	view      Batch                 // wraps chunked views
-	owned     *Batch                // lazily allocated copying fallback
-	recSize   int
+	ch        storage.ChunkIterator // it's chunk form
+	view      Batch
 	size      int // max records per batch
 	remaining int // records still wanted under a limit hint; -1 unbounded
 }
 
-func newBatchScanner(it storage.Iterator, recSize, batchSize int) *batchScanner {
-	if batchSize < 1 {
-		batchSize = 1
-	}
-	s := &batchScanner{it: it, recSize: recSize, size: batchSize, remaining: -1}
-	if ch, ok := it.(storage.ChunkIterator); ok {
-		s.ch = ch
-	}
-	return s
+func newBatchScanner(it storage.Iterator, batchSize int) *batchScanner {
+	return &batchScanner{it: it, ch: storage.Chunked(it), size: max(batchSize, 1), remaining: -1}
 }
 
 // limit caps the scanner at n more records from now; the cap replaces
@@ -108,44 +99,19 @@ func (s *batchScanner) next() (*Batch, error) {
 	if s.it == nil || s.remaining == 0 {
 		return nil, io.EOF
 	}
-	max := s.size
-	if s.remaining > 0 && s.remaining < max {
-		max = s.remaining
+	n := s.size
+	if s.remaining > 0 && s.remaining < n {
+		n = s.remaining
 	}
-	if s.ch != nil {
-		recs, err := s.ch.NextChunk(max)
-		if err != nil {
-			return nil, err
-		}
-		if s.remaining > 0 {
-			s.remaining -= len(recs)
-		}
-		s.view.Recs = recs
-		return &s.view, nil
-	}
-	if s.owned == nil {
-		s.owned = newBatch(s.recSize, s.size)
-	}
-	n := 0
-	for n < max {
-		rec, err := s.it.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		copy(s.owned.views[n], rec)
-		n++
-	}
-	if n == 0 {
-		return nil, io.EOF
+	recs, err := s.ch.NextChunk(n)
+	if err != nil {
+		return nil, err
 	}
 	if s.remaining > 0 {
-		s.remaining -= n
+		s.remaining -= len(recs)
 	}
-	s.owned.Recs = s.owned.views[:n]
-	return s.owned, nil
+	s.view.Recs = recs
+	return &s.view, nil
 }
 
 // Close closes the underlying iterator; further pulls return io.EOF.
@@ -156,6 +122,85 @@ func (s *batchScanner) Close() error {
 	it := s.it
 	s.it, s.ch = nil, nil
 	return it.Close()
+}
+
+// stored is a result held in a temporary collection: the temp → scan →
+// destroy half of every operator that stores what it produced (OrderBy,
+// GroupBy, Join, Materialize, the spilled HashAggregate, and the pipe
+// under a blocking consumer of a stream). Operators embed it: fill is
+// their Open, Next, limitHint and source are theirs as they stand, and
+// drop is their Close. The value owns the temp from the moment fill
+// creates it — nothing else destroys it.
+type stored struct {
+	tmp storage.Collection
+	sc  *batchScanner
+}
+
+// fill creates the temp, has emit write the result into it, flushes it
+// and opens the scan that Next serves. emit has a directEmitter's
+// signature, because it is the operator's emitTo: a blocking operator
+// fills its own temp exactly as it fills the plan output at the root.
+// Kernels that close their output themselves are fine — Close is
+// idempotent. On error the temp is already destroyed.
+func (s *stored) fill(ctx context.Context, ec *Ctx, prefix string, recSize int,
+	emit func(ctx context.Context, ec *Ctx, dst storage.Collection) error) error {
+	tmp, err := ec.tempEnv().CreateTemp(prefix, recSize)
+	if err != nil {
+		return err
+	}
+	if err = emit(ctx, ec, tmp); err == nil {
+		err = tmp.Close()
+	}
+	if err != nil {
+		tmp.Destroy() //nolint:errcheck // best-effort cleanup after failure
+		return err
+	}
+	s.tmp, s.sc = tmp, newBatchScanner(tmp.Scan(), ec.batchSize())
+	return nil
+}
+
+// fillFrom fills the value with child's whole stream; child is open.
+func (s *stored) fillFrom(ctx context.Context, ec *Ctx, prefix string, child Operator) error {
+	return s.fill(ctx, ec, prefix, child.RecordSize(), func(ctx context.Context, _ *Ctx, dst storage.Collection) error {
+		return drain(ctx, child, dst.Append)
+	})
+}
+
+func (s *stored) Next(context.Context) (*Batch, error) {
+	if s.sc == nil {
+		return nil, io.EOF
+	}
+	return s.sc.next()
+}
+
+// limitHint caps the reads of the stored result; producing it ran in
+// full at Open, exactly like the record engine.
+func (s *stored) limitHint(n int) {
+	if s.sc != nil {
+		s.sc.limit(n)
+	}
+}
+
+func (s *stored) source() (storage.Collection, bool) { return s.tmp, s.tmp != nil }
+
+// drop closes the scan, destroys the temp and closes the operators the
+// result was produced from, keeping the first error. Idempotent.
+func (s *stored) drop(children ...Operator) error {
+	var first error
+	if s.sc != nil {
+		first = s.sc.Close()
+		s.sc = nil
+	}
+	if s.tmp != nil {
+		if err := s.tmp.Destroy(); err != nil && first == nil {
+			first = err
+		}
+		s.tmp = nil
+	}
+	if err := closeAll(children...); err != nil && first == nil {
+		first = err
+	}
+	return first
 }
 
 // Cursor adapts the batch contract back to record-at-a-time pulls: the

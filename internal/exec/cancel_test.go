@@ -73,6 +73,7 @@ func waitGoroutines(t *testing.T, base int) {
 // cancelPlanCase builds one cancellable plan over fresh inputs.
 type cancelPlanCase struct {
 	name string
+	opts CompileOptions
 	plan func(t *testing.T, r *rig) *Plan
 }
 
@@ -145,6 +146,25 @@ var cancelPlans = []cancelPlanCase{
 			return Table(dim1).JoinWith(Table(fact), joins.NewNestedLoops()).Project(0, 1, 12, 13)
 		},
 	},
+	{
+		// Materialize barriers, one per streaming step: cancellation lands
+		// while one barrier drains its child into its temp with the barrier
+		// beneath already stored, or in the root's drain to the output.
+		name: "materialize",
+		opts: CompileOptions{MaterializeEveryStep: true},
+		plan: func(t *testing.T, r *rig) *Plan {
+			return Table(loadGrouped(t, r, "in", 8000, 2000)).Filter(Predicate{Attr: 4, Op: Ge, Value: 1}).Project(0, 4, 1)
+		},
+	},
+	{
+		// A streamed child under a blocking consumer: a Limit is no view, so
+		// the sort's input is a pipe temp. Cancellation lands while the pipe
+		// fills, or in the sort with the pipe stored beneath it.
+		name: "pipe",
+		plan: func(t *testing.T, r *rig) *Plan {
+			return Table(loadGrouped(t, r, "in", 8000, 2000)).Limit(7000).OrderByWith(sorts.NewExternalMergeSort())
+		},
+	},
 }
 
 // runCancelPlan executes the case's plan once under ctx on a fresh rig.
@@ -153,7 +173,7 @@ func runCancelPlan(t *testing.T, pc cancelPlanCase, par int, ctx context.Context
 	r := newRig(t)
 	p := pc.plan(t, r)
 	ec := r.ctx(8000*record.Size/50, par) // 2% of the biggest input
-	root, _, err := Compile(ec, p)
+	root, _, err := CompileWith(ec, p, pc.opts)
 	if err != nil {
 		t.Fatal(err)
 	}

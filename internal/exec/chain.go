@@ -8,38 +8,50 @@ import (
 	"wlpm/internal/storage"
 )
 
-// Emit-side chains: fusion's other direction. A Filter/Project chain
-// over a base table is a zero-write view (fuse.go) — there is no write
-// to narrow. A chain over a blocking operator with a serial emit path
-// (Join, GroupBy, HashAggregate) is instead absorbed by that operator at
-// compile time and applied where it emits, through a storage.Sink: the
-// operator's temp — or the plan output, at the root — is a stored
-// collection of the chain's width and row count, which consumers read by
-// block chunk and re-read without re-applying anything. OrderBy absorbs
-// nothing: its final merge is range-parallel at P > 1, and a sink would
-// serialize it. Neither does anything under MaterializeEveryStep, the
-// materialize-everything reference.
+// One chain, three placements. Consecutive Filter and Project steps of a
+// plan compile to one chain in normal form, and where that chain runs is
+// fixed by what it sits on — by the plan's shape, never by a setting:
+//
+//   - emit: over a blocking producer with a serial emit path (Join,
+//     GroupBy, HashAggregate) the producer absorbs the chain and applies
+//     it where it emits, through a storage.Sink, so its temp — or the
+//     plan output, at the root — is a stored collection of the chain's
+//     width and row count that consumers read by block chunk and re-read
+//     without re-applying anything. OrderBy absorbs nothing: its final
+//     merge is range-parallel at P > 1, and a sink would serialize it.
+//   - view: over a stored source (a base table, an OrderBy's sorted
+//     output) and under a blocking consumer, the chain is a zero-write
+//     collection view the consumer re-scans (fuse.go).
+//   - stream: anywhere else the Stream operator applies it batch by
+//     batch (scan.go).
+//
+// Two pieces implement all three: the per-record closure an emit sink
+// calls (apply) and the batch kernel (window) behind the view and the
+// stream. Under MaterializeEveryStep, the materialize-everything
+// reference, no step is absorbed: each gets a Stream and a barrier of its
+// own.
 
-// emitChain is the chain a blocking operator absorbed, in normal form
-// over the operator's raw record: every predicate (its attribute mapped
-// back through the projections beneath it), then one projection. The
-// zero value is the empty chain. Operators embed it.
-type emitChain struct {
+// chain is a Filter/Project sequence in normal form over its source
+// record: every predicate (its attribute mapped back through the
+// projections beneath it), then one projection. The zero value is the
+// empty chain. The operators that apply a chain embed it.
+type chain struct {
 	preds []Predicate
-	attrs []int // nil keeps the raw record
+	attrs []int // nil keeps the source record
 }
 
-// absorber is a blocking operator that applies a chain as it emits.
+// absorber is an operator that takes the Filter/Project steps above it
+// into its own chain.
 type absorber interface {
-	absorbed() *emitChain
+	absorbed() *chain
 }
 
-func (c *emitChain) absorbed() *emitChain { return c }
+func (c *chain) absorbed() *chain { return c }
 
-func (c *emitChain) empty() bool { return c.preds == nil && c.attrs == nil }
+func (c *chain) empty() bool { return c.preds == nil && c.attrs == nil }
 
 // filter appends a predicate over the chain's current output.
-func (c *emitChain) filter(p Predicate) {
+func (c *chain) filter(p Predicate) {
 	if c.attrs != nil {
 		p.Attr = c.attrs[p.Attr]
 	}
@@ -47,7 +59,7 @@ func (c *emitChain) filter(p Predicate) {
 }
 
 // project re-arranges the chain's current output to attrs.
-func (c *emitChain) project(attrs []int) {
+func (c *chain) project(attrs []int) {
 	mapped := append([]int(nil), attrs...)
 	if c.attrs != nil {
 		for i, a := range attrs {
@@ -58,16 +70,17 @@ func (c *emitChain) project(attrs []int) {
 }
 
 // width is the chain's output record size over raw-byte input records.
-func (c *emitChain) width(raw int) int {
+func (c *chain) width(raw int) int {
 	if c.attrs == nil {
 		return raw
 	}
 	return len(c.attrs) * record.AttrSize
 }
 
-// String renders the chain for the absorbing operator's Name ("" when
-// empty), so a plan line shows where the narrowing happens.
-func (c *emitChain) String() string {
+// String renders the chain ("" when empty) the same way in every
+// placement, after whatever applies it: `Join[NLJ → project[0 1 12]](…)`,
+// `Scan(t) → filter[a1 >= 5] → project[0 1]`.
+func (c *chain) String() string {
 	var b strings.Builder
 	for _, p := range c.preds {
 		fmt.Fprintf(&b, " → filter[%s]", p)
@@ -78,17 +91,22 @@ func (c *emitChain) String() string {
 	return b.String()
 }
 
+func (c *chain) matchers() []func(rec []byte) bool {
+	ms := make([]func(rec []byte) bool, len(c.preds))
+	for i, p := range c.preds {
+		ms[i] = p.matcher()
+	}
+	return ms
+}
+
 // apply returns the chain as a function over raw records: it calls emit
 // with the chain's output for a record, or not at all when a predicate
 // drops it. The empty chain is emit itself.
-func (c *emitChain) apply(emit func(rec []byte) error) func(rec []byte) error {
+func (c *chain) apply(emit func(rec []byte) error) func(rec []byte) error {
 	if c.empty() {
 		return emit
 	}
-	matchers := make([]func(rec []byte) bool, len(c.preds))
-	for i, p := range c.preds {
-		matchers[i] = p.matcher()
-	}
+	matchers := c.matchers()
 	attrs := c.attrs
 	var buf []byte
 	if attrs != nil {
@@ -112,11 +130,58 @@ func (c *emitChain) apply(emit func(rec []byte) error) func(rec []byte) error {
 // so that dst receives the chain's output: a write-only sink of the raw
 // width that closes dst when the algorithm closes it, or dst itself for
 // the empty chain.
-func (c *emitChain) sink(dst storage.Collection, raw int) storage.Collection {
+func (c *chain) sink(dst storage.Collection, raw int) storage.Collection {
 	if c.empty() {
 		return dst
 	}
 	return storage.NewSink("emit("+dst.Name()+")", raw, c.apply(dst.Append), dst.Close)
+}
+
+// window is the chain's batch kernel: one window of source records in,
+// the chain's output for that window out. A chain that does not project
+// returns a selection vector aliasing the input records (the input
+// itself when it does not filter either); a projecting chain copies
+// into a buffer the window owns, grown to whatever the input holds, so a
+// surviving record is never dropped. Either way the result is valid
+// until the next run, or the input's own expiry if that comes first.
+type window struct {
+	match []func(rec []byte) bool
+	attrs []int
+	width int
+	sel   [][]byte
+	out   *Batch // owned copies, projecting chains only
+}
+
+// newWindow compiles c over raw-byte records.
+func (c *chain) newWindow(raw int) *window {
+	return &window{match: c.matchers(), attrs: c.attrs, width: c.width(raw)}
+}
+
+func (w *window) run(recs [][]byte) [][]byte {
+	in := len(recs)
+	if len(w.match) > 0 {
+		w.sel = w.sel[:0]
+	next:
+		for _, rec := range recs {
+			for _, match := range w.match {
+				if !match(rec) {
+					continue next
+				}
+			}
+			w.sel = append(w.sel, rec)
+		}
+		recs = w.sel
+	}
+	if w.attrs == nil {
+		return recs
+	}
+	if w.out == nil || in > len(w.out.views) {
+		w.out = newBatch(w.width, in)
+	}
+	for i, rec := range recs {
+		projectInto(w.out.views[i], rec, w.attrs)
+	}
+	return w.out.views[:len(recs)]
 }
 
 // projectInto copies the chosen 8-byte attributes of rec into buf, in

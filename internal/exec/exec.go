@@ -1,28 +1,32 @@
 // Package exec is the pipelined query-execution engine layered over the
 // paper's operators: a Volcano-style batch-iterator tree of physical
-// operators (scan, filter, project, limit, order-by, group-by, join,
-// materialize) over storage collections, a small logical-plan builder,
-// and a physical planner that consults the internal/cost model — device
-// λ, per-stage memory budget, input cardinalities — to choose among the
-// write-limited sort and join variants (and place their write-intensity
-// knobs) instead of requiring the caller to name an algorithm.
+// operators (scan, stream, limit, order-by, group-by, join, materialize)
+// over storage collections, a small logical-plan builder, and a physical
+// planner that consults the internal/cost model — device λ, per-stage
+// memory budget, input cardinalities — to choose among the write-limited
+// sort and join variants (and place their write-intensity knobs) instead
+// of requiring the caller to name an algorithm.
 //
-// Non-blocking operators (Filter, Project, Limit) stream records without
-// touching the device, so a pipelined plan writes strictly fewer
+// Consecutive Filter and Project steps compile to one chain, and a chain
+// never touches the device, so a pipelined plan writes strictly fewer
 // cachelines than the naive compose-by-materializing sequence of the
-// same operators. A Filter/Project chain is fused into its neighbour in
-// one of two directions: over a base table it becomes a zero-write view
-// the consumer re-scans (fuse.go); over a Join, GroupBy or HashAggregate
-// it is absorbed by that operator and applied where it emits, so the
-// operator's temp is never wider than what its consumer reads
-// (chain.go). Blocking operators (OrderBy, GroupBy, Join) share the
-// plan's DRAM budget M through the marginal-benefit allocator (see
-// budget.go): each stage's share is sized by how much its cost curve
-// bends, with the even split as a guaranteed-no-worse fallback, and
-// shares are re-split at Open time when actual cardinalities diverge
-// from the estimates. Every stage inherits the plan's Parallelism, so
-// the partition-parallel execution of the underlying algorithms carries
-// over to whole pipelines.
+// same operators. Where a chain runs follows from what it sits on, never
+// from a setting (chain.go): over a Join, GroupBy or HashAggregate it is
+// absorbed by that operator and applied where it emits, so the
+// operator's temp is never wider than what its consumer reads; over a
+// stored source and under a blocking consumer it is a zero-write view
+// the consumer re-scans (fuse.go); anywhere else it streams (Stream,
+// scan.go). Every result that does live in a temporary — a blocking
+// operator's, a Materialize barrier's, the pipe under a blocking
+// consumer of a stream — is one embedded value, stored (batch.go), which
+// creates the temp, scans it and destroys it. Blocking operators
+// (OrderBy, GroupBy, Join) share the plan's DRAM budget M through the
+// marginal-benefit allocator (see budget.go): each stage's share is
+// sized by how much its cost curve bends, with the even split as a
+// guaranteed-no-worse fallback, and shares are re-split at Open time
+// when actual cardinalities diverge from the estimates. Every stage
+// inherits the plan's Parallelism, so the partition-parallel execution
+// of the underlying algorithms carries over to whole pipelines.
 package exec
 
 import (
@@ -272,33 +276,25 @@ func drain(ctx context.Context, op Operator, emit func(rec []byte) error) error 
 // collection: directly when the child's output already lives on storage
 // (Scan, blocking children — a Join's or GroupBy's already through the
 // chain it absorbed), as a re-scannable zero-write view when the child
-// is a Filter/Project chain over a base table or an OrderBy (see
-// fuseView), and otherwise by draining the stream into a temporary. The
-// returned cleanup destroys the temporary (it is a no-op for direct
-// collections and views) and must be called once the collection has
-// been consumed; the child itself is closed by the caller's Close.
+// is a Stream over such a source (see fuseView), and otherwise by
+// draining the stream into a pipe temporary. The returned cleanup
+// destroys the pipe (it is a no-op for direct collections and views) and
+// must be called once the collection has been consumed; the child itself
+// is closed by the caller's Close.
 func inputCollection(ctx context.Context, ec *Ctx, child Operator) (storage.Collection, func() error, error) {
 	if err := child.Open(ctx, ec); err != nil {
 		return nil, nil, err
 	}
-	if c, ok, err := fuseView(ctx, child); err != nil {
+	if c, ok, err := fuseView(ctx, ec, child); err != nil {
 		return nil, nil, err
 	} else if ok {
 		return c, func() error { return nil }, nil
 	}
-	tmp, err := ec.tempEnv().CreateTemp("pipe", child.RecordSize())
-	if err != nil {
+	var pipe stored
+	if err := pipe.fillFrom(ctx, ec, "pipe", child); err != nil {
 		return nil, nil, err
 	}
-	if err := drain(ctx, child, tmp.Append); err != nil {
-		tmp.Destroy() //nolint:errcheck // best-effort cleanup after failure
-		return nil, nil, err
-	}
-	if err := tmp.Close(); err != nil {
-		tmp.Destroy() //nolint:errcheck // best-effort cleanup after failure
-		return nil, nil, err
-	}
-	return tmp, tmp.Destroy, nil
+	return pipe.tmp, func() error { return pipe.drop() }, nil
 }
 
 // closeAll closes every operator, keeping the first error.

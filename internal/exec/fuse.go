@@ -3,190 +3,151 @@ package exec
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"wlpm/internal/algo"
-	"wlpm/internal/record"
 	"wlpm/internal/storage"
 )
 
-// Fusion, consumer side: a Filter/Project chain over an input that
-// exists whatever the chain does — a base table, an OrderBy's sorted
-// output, a Materialize barrier — is deterministic and therefore
-// re-scannable, so a blocking consumer can treat it as a read-only
-// collection view instead of draining it into a temporary. Every re-scan
-// recomputes the transformation and re-reads the base — trading cheap
-// reads for expensive writes, which is the paper's trade — and the view
-// writes nothing at all. A chain over a Join, GroupBy or HashAggregate
-// never gets here: the compiler folds it into that operator, which
-// applies it once as it emits (chain.go) — there a write does happen,
-// and narrowing it beats re-reading it wide. Limit is not fused (its
-// operator form already streams, and blocking consumers of a limit are
-// rare enough that the pipe temp is fine).
+// The view placement of a chain (chain.go): a Stream over a source that
+// is stored whatever the chain does — a base table, an OrderBy's sorted
+// output — is deterministic and therefore re-scannable, so a blocking
+// consumer can treat it as a read-only collection instead of draining it
+// into a temporary. Every re-scan re-reads the source and re-runs the
+// chain — trading cheap reads for expensive writes, which is the paper's
+// trade — and the view writes nothing at all. Limit is never part of a
+// view (it streams, and blocking consumers of a limit are rare enough
+// that the pipe temp is fine).
 
-// fuseView converts a streaming chain over a materialized source into a
-// re-scannable view. The chain's operators must already be Open (their
-// blocking leaves hold the materialized collections). Counting a
-// filter's length costs one read-only scan, done eagerly here so Len
-// stays error-free. ctx bounds that scan and every later re-scan: a
-// filter view over a huge base with a selective predicate can walk
-// arbitrarily many records per Next, so its loops poll like any kernel.
-func fuseView(ctx context.Context, op Operator) (storage.Collection, bool, error) {
-	switch o := op.(type) {
-	case *Filter:
-		base, ok, err := fuseView(ctx, o.child)
+// fuseView returns op's whole output as a collection when it exists
+// without a drain: a collection source's own, or a chainView when op is
+// a Stream over one. op must already be Open (blocking leaves hold
+// their results). ctx bounds the view's count scan and every later
+// re-scan.
+func fuseView(ctx context.Context, ec *Ctx, op Operator) (storage.Collection, bool, error) {
+	if s, ok := op.(*Stream); ok {
+		base, ok, err := fuseView(ctx, ec, s.child)
 		if !ok || err != nil {
 			return nil, ok, err
 		}
-		v := &filterView{ctx: ctx, base: base, pred: o.pred, match: o.pred.matcher()}
-		n, err := v.count()
+		v, err := newChainView(ctx, base, &s.chain, ec.Factory.BlockSize())
 		if err != nil {
 			return nil, false, err
 		}
-		v.n = n
 		return v, true, nil
-	case *Project:
-		base, ok, err := fuseView(ctx, o.child)
-		if !ok || err != nil {
-			return nil, ok, err
-		}
-		return &projectView{base: base, attrs: o.attrs}, true, nil
-	case collectionSource:
-		c, ok := o.source()
+	}
+	if src, ok := op.(collectionSource); ok {
+		c, ok := src.source()
 		return c, ok, nil
 	}
 	return nil, false, nil
 }
 
-// readOnly is the error fused views return from mutating methods.
-func readOnly(verb, name string) error {
-	return fmt.Errorf("exec: %s of read-only view %q", verb, name)
-}
-
-// projectView is the fused form of Project: records map 1:1, so length
-// and positional scans delegate straight to the base.
-type projectView struct {
+// chainView is a chain over a stored collection, as a read-only
+// collection. Scans pull the base one block's worth of records at a
+// time — whatever the consumer asks for, so a scan that stops early has
+// read exactly the base blocks a record-at-a-time scan to the same
+// record would have — and serve the batch kernel's window over each
+// pull. A projecting-only chain maps records 1:1: length and positional
+// scans delegate to the base. A filtering chain counts its length once,
+// at construction, with one read-only scan (so Len stays error-free),
+// and positional scans re-read the base from the start and discard the
+// skipped survivors (reads, never writes). A selective predicate can
+// walk arbitrarily many base records per call, so scans poll ctx like
+// any kernel loop.
+type chainView struct {
+	ctx   context.Context // run-scoped: the view lives only within one Run
+	chain *chain
 	base  storage.Collection
-	attrs []int
-}
-
-func (v *projectView) Append([]byte) error { return readOnly("append", v.Name()) }
-func (v *projectView) Truncate() error     { return readOnly("truncate", v.Name()) }
-func (v *projectView) Destroy() error      { return readOnly("destroy", v.Name()) }
-func (v *projectView) Close() error        { return nil }
-
-func (v *projectView) Name() string {
-	return fmt.Sprintf("project%v(%s)", v.attrs, v.base.Name())
-}
-func (v *projectView) RecordSize() int { return len(v.attrs) * record.AttrSize }
-func (v *projectView) Len() int        { return v.base.Len() }
-
-func (v *projectView) Scan() storage.Iterator { return v.ScanFrom(0) }
-
-func (v *projectView) ScanFrom(start int) storage.Iterator {
-	return &projectIterator{it: v.base.ScanFrom(start), attrs: v.attrs, buf: make([]byte, v.RecordSize())}
-}
-
-type projectIterator struct {
-	it    storage.Iterator
-	attrs []int
-	buf   []byte
-}
-
-func (it *projectIterator) Next() ([]byte, error) {
-	rec, err := it.it.Next()
-	if err != nil {
-		return nil, err
-	}
-	projectInto(it.buf, rec, it.attrs)
-	return it.buf, nil
-}
-
-func (it *projectIterator) Close() error { return it.it.Close() }
-
-// filterView is the fused form of Filter. Length is counted once at
-// construction; positional scans re-read the base from the start and
-// discard the skipped prefix (reads, never writes). The predicate's
-// comparison switch is specialized once (see Predicate.matcher), so the
-// per-record work of every scan is one load and one compare.
-type filterView struct {
-	ctx   context.Context // run-scoped: the view lives only within one Run (see fuseView)
-	base  storage.Collection
-	pred  Predicate
-	match func(rec []byte) bool
+	pull  int // base records per NextChunk: one block's worth
 	n     int
 }
 
-func (v *filterView) Append([]byte) error { return readOnly("append", v.Name()) }
-func (v *filterView) Truncate() error     { return readOnly("truncate", v.Name()) }
-func (v *filterView) Destroy() error      { return readOnly("destroy", v.Name()) }
-func (v *filterView) Close() error        { return nil }
-
-func (v *filterView) Name() string {
-	return fmt.Sprintf("filter[%s](%s)", v.pred, v.base.Name())
-}
-func (v *filterView) RecordSize() int { return v.base.RecordSize() }
-func (v *filterView) Len() int        { return v.n }
-
-func (v *filterView) count() (int, error) {
-	it := v.base.Scan()
-	defer it.Close()
-	n, budget := 0, algo.PollInterval
-	for {
-		if budget--; budget <= 0 {
-			budget = algo.PollInterval
-			if err := v.ctx.Err(); err != nil {
-				return 0, err
-			}
-		}
-		rec, err := it.Next()
-		if err == io.EOF {
-			return n, nil
-		}
-		if err != nil {
-			return 0, err
-		}
-		if v.match(rec) {
-			n++
-		}
+func newChainView(ctx context.Context, base storage.Collection, c *chain, blockSize int) (*chainView, error) {
+	v := &chainView{ctx: ctx, chain: c, base: base, pull: storage.ChunkRecords(blockSize, base.RecordSize())}
+	if len(c.preds) == 0 {
+		v.n = base.Len()
+		return v, nil
 	}
+	// Count the survivors; nothing needs projecting to be counted.
+	it := v.scan(&chain{preds: c.preds}, 0)
+	defer it.Close() //nolint:errcheck // read-only iterator teardown
+	if err := storage.ForEach(it, v.pull, func([]byte) error { v.n++; return nil }); err != nil {
+		return nil, err
+	}
+	return v, nil
 }
 
-func (v *filterView) Scan() storage.Iterator { return v.ScanFrom(0) }
-
-func (v *filterView) ScanFrom(start int) storage.Iterator {
-	return &filterIterator{ctx: v.ctx, it: v.base.Scan(), match: v.match, skip: start}
+func (v *chainView) readOnly(verb string) error {
+	return fmt.Errorf("exec: %s of read-only view %q", verb, v.Name())
 }
 
-type filterIterator struct {
-	ctx   context.Context
-	it    storage.Iterator
-	match func(rec []byte) bool
-	skip  int
+func (v *chainView) Append([]byte) error { return v.readOnly("append") }
+func (v *chainView) Truncate() error     { return v.readOnly("truncate") }
+func (v *chainView) Destroy() error      { return v.readOnly("destroy") }
+func (v *chainView) Close() error        { return nil }
+
+func (v *chainView) Name() string    { return v.base.Name() + v.chain.String() }
+func (v *chainView) RecordSize() int { return v.chain.width(v.base.RecordSize()) }
+func (v *chainView) Len() int        { return v.n }
+
+func (v *chainView) Scan() storage.Iterator { return v.ScanFrom(0) }
+
+func (v *chainView) ScanFrom(start int) storage.Iterator { return v.scan(v.chain, start) }
+
+// scan iterates c's output over the base from its start-th record on.
+func (v *chainView) scan(c *chain, start int) *chainIterator {
+	it := &chainIterator{v: v, budget: algo.PollInterval, win: c.newWindow(v.base.RecordSize())}
+	if len(c.preds) == 0 {
+		it.it = v.base.ScanFrom(start)
+	} else {
+		it.it, it.skip = v.base.Scan(), max(start, 0)
+		it.win.sel = make([][]byte, 0, v.pull)
+	}
+	it.ci = storage.Chunked(it.it)
+	return it
 }
 
-func (it *filterIterator) Next() ([]byte, error) {
-	budget := algo.PollInterval
-	for {
-		if budget--; budget <= 0 {
-			budget = algo.PollInterval
-			if err := it.ctx.Err(); err != nil {
+// chainIterator is a storage.ChunkIterator: NextChunk serves what is
+// left of the current window, refilled from one base pull at a time, and
+// Next is its one-record case.
+type chainIterator struct {
+	v      *chainView
+	it     storage.Iterator
+	ci     storage.ChunkIterator // it's chunk form
+	win    *window
+	skip   int      // survivors still to discard before the first served record
+	budget int      // base records until the next ctx poll
+	recs   [][]byte // unserved rest of the window
+}
+
+func (it *chainIterator) NextChunk(n int) ([][]byte, error) {
+	for len(it.recs) == 0 {
+		if it.budget -= it.v.pull; it.budget <= 0 {
+			it.budget = algo.PollInterval
+			if err := it.v.ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		rec, err := it.it.Next()
+		recs, err := it.ci.NextChunk(it.v.pull)
 		if err != nil {
 			return nil, err
 		}
-		if !it.match(rec) {
-			continue
-		}
-		if it.skip > 0 {
-			it.skip--
-			continue
-		}
-		return rec, nil
+		recs = it.win.run(recs)
+		k := min(it.skip, len(recs))
+		it.recs, it.skip = recs[k:], it.skip-k
 	}
+	n = min(max(n, 1), len(it.recs))
+	recs := it.recs[:n]
+	it.recs = it.recs[n:]
+	return recs, nil
 }
 
-func (it *filterIterator) Close() error { return it.it.Close() }
+func (it *chainIterator) Next() ([]byte, error) {
+	recs, err := it.NextChunk(1)
+	if err != nil {
+		return nil, err
+	}
+	return recs[0], nil
+}
+
+func (it *chainIterator) Close() error { return it.it.Close() }

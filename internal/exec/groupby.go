@@ -24,23 +24,24 @@ import (
 // planner places the same intensity knob it places for order-by.
 // Blocking.
 type GroupBy struct {
-	child     Operator
-	attr      int
-	algo      sorts.Algorithm
-	st        *stageAlloc // the planner's stage: share, Open-time re-planning
-	emitChain             // applied to each group as it closes
-	grouped   storage.Collection
-	sc        *batchScanner
+	child Operator
+	attr  int
+	algo  sorts.Algorithm
+	st    *stageAlloc // the planner's stage: share, Open-time re-planning
+	chain             // applied to each group as it closes
+	stored
 }
 
 func (g *GroupBy) Name() string {
-	return fmt.Sprintf("GroupBy[a%d, %s%s](%s)", g.attr, g.algo.Name(), &g.emitChain, g.child.Name())
+	return fmt.Sprintf("GroupBy[a%d, %s%s](%s)", g.attr, g.algo.Name(), &g.chain, g.child.Name())
 }
 func (g *GroupBy) RecordSize() int      { return g.width(record.Size) }
 func (g *GroupBy) Children() []Operator { return []Operator{g.child} }
 func (g *GroupBy) consumesMemory() bool { return true }
 
-func (g *GroupBy) groupInto(ctx context.Context, ec *Ctx, dst storage.Collection) error {
+// emitTo folds the sort of the child's materialized input into groups
+// and writes them to dst through the chain.
+func (g *GroupBy) emitTo(ctx context.Context, ec *Ctx, dst storage.Collection) error {
 	if g.child.RecordSize() != record.Size {
 		return fmt.Errorf("exec: group-by needs %d-byte benchmark records, child emits %d (project first)",
 			record.Size, g.child.RecordSize())
@@ -61,57 +62,10 @@ func (g *GroupBy) groupInto(ctx context.Context, ec *Ctx, dst storage.Collection
 }
 
 func (g *GroupBy) Open(ctx context.Context, ec *Ctx) error {
-	tmp, err := ec.tempEnv().CreateTemp("grouped", g.RecordSize())
-	if err != nil {
-		return err
-	}
-	if err := g.groupInto(ctx, ec, tmp); err != nil {
-		tmp.Destroy() //nolint:errcheck // best-effort cleanup after failure
-		return err
-	}
-	g.grouped = tmp
-	g.sc = newBatchScanner(tmp.Scan(), tmp.RecordSize(), ec.batchSize())
-	return nil
+	return g.fill(ctx, ec, "grouped", g.RecordSize(), g.emitTo)
 }
 
-func (g *GroupBy) emitTo(ctx context.Context, ec *Ctx, out storage.Collection) error {
-	return g.groupInto(ctx, ec, out)
-}
-
-func (g *GroupBy) Next(context.Context) (*Batch, error) {
-	if g.sc == nil {
-		return nil, io.EOF
-	}
-	return g.sc.next()
-}
-
-// limitHint caps the reads of the grouped result; the aggregation ran
-// in full at Open, exactly like the record engine.
-func (g *GroupBy) limitHint(n int) {
-	if g.sc != nil {
-		g.sc.limit(n)
-	}
-}
-
-func (g *GroupBy) Close() error {
-	var first error
-	if g.sc != nil {
-		first = g.sc.Close()
-		g.sc = nil
-	}
-	if g.grouped != nil {
-		if err := g.grouped.Destroy(); err != nil && first == nil {
-			first = err
-		}
-		g.grouped = nil
-	}
-	if err := g.child.Close(); err != nil && first == nil {
-		first = err
-	}
-	return first
-}
-
-func (g *GroupBy) source() (storage.Collection, bool) { return g.grouped, g.grouped != nil }
+func (g *GroupBy) Close() error { return g.drop(g.child) }
 
 // HashAggregate is the in-memory aggregation fast path: one DRAM hash
 // table over the group keys, no device writes beyond the result. The
@@ -126,10 +80,10 @@ func (g *GroupBy) source() (storage.Collection, bool) { return g.grouped, g.grou
 // compiler absorbed one. Blocking; writes intermediates only when it
 // spills.
 type HashAggregate struct {
-	child     Operator
-	attr      int
-	st        *stageAlloc // the planner's stage: share, actuals + spill reporting
-	emitChain             // applied to each group as it is rendered or merged
+	child Operator
+	attr  int
+	st    *stageAlloc // the planner's stage: share, actuals + spill reporting
+	chain             // applied to each group as it is rendered or merged
 
 	groups map[uint64]*aggregate.State
 	keys   []uint64
@@ -141,12 +95,11 @@ type HashAggregate struct {
 
 	env    *algo.Env            // stage share; owns the spill runs
 	spills []storage.Collection // sorted partial-aggregate runs
-	merged storage.Collection   // merged result when the table spilled
-	sc     *batchScanner        // streams merged when the table spilled
+	stored                      // the merged result when the table spilled
 }
 
 func (h *HashAggregate) Name() string {
-	return fmt.Sprintf("HashAggregate[a%d%s](%s)", h.attr, &h.emitChain, h.child.Name())
+	return fmt.Sprintf("HashAggregate[a%d%s](%s)", h.attr, &h.chain, h.child.Name())
 }
 func (h *HashAggregate) RecordSize() int      { return h.width(record.Size) }
 func (h *HashAggregate) Children() []Operator { return []Operator{h.child} }
@@ -207,7 +160,7 @@ func (h *HashAggregate) sortedKeys() []uint64 {
 // share, so the final partial table flushes as one more sorted run and
 // the runs merge (combining groups) through the absorbed chain into dst —
 // the sort-based fallback the estimate should have selected up front.
-func (h *HashAggregate) finishSpill(dst storage.Collection) error {
+func (h *HashAggregate) finishSpill(_ context.Context, _ *Ctx, dst storage.Collection) error {
 	h.st.choice.Spilled = true
 	if err := h.spill(); err != nil {
 		return err
@@ -231,17 +184,7 @@ func (h *HashAggregate) Open(ctx context.Context, ec *Ctx) error {
 		})
 		return nil
 	}
-	merged, err := ec.tempEnv().CreateTemp("hashagg.merged", h.RecordSize())
-	if err != nil {
-		return err
-	}
-	if err := h.finishSpill(merged); err != nil {
-		merged.Destroy() //nolint:errcheck // best-effort cleanup after failure
-		return err
-	}
-	h.merged = merged
-	h.sc = newBatchScanner(merged.Scan(), merged.RecordSize(), ec.batchSize())
-	return nil
+	return h.fill(ctx, ec, "hashagg.merged", h.RecordSize(), h.finishSpill)
 }
 
 // emitTo writes the aggregates straight into the plan output when the
@@ -262,7 +205,7 @@ func (h *HashAggregate) emitTo(ctx context.Context, ec *Ctx, out storage.Collect
 		}
 		return nil
 	}
-	return h.finishSpill(out)
+	return h.finishSpill(ctx, ec, out)
 }
 
 // spill writes the current partial table to a key-sorted run of
@@ -292,21 +235,8 @@ func (h *HashAggregate) spill() error {
 	return nil
 }
 
-// pollEmit wraps emit with the stage environment's amortized
-// cancellation check, so the spill-merge passes stop mid-stream when the
-// run's context is cancelled (the drain path polls through drain; this
-// is its merge-phase twin, matching the sorts' pollEmit).
-func (h *HashAggregate) pollEmit(emit func(rec []byte) error) func(rec []byte) error {
-	poll := h.env.Poll()
-	return func(rec []byte) error {
-		if err := poll(); err != nil {
-			return err
-		}
-		return emit(rec)
-	}
-}
-
-// mergeSpills combines the sorted runs into dst, merging equal keys.
+// mergeSpills combines the sorted runs into dst, merging equal keys; the
+// merge passes poll per record (the drain path polls through drain).
 // Fan-in is capped at the stage's buffer budget less one output buffer
 // (the same headroom the sorts' merges reserve); larger run counts go
 // through intermediate merge passes, external-mergesort style.
@@ -321,7 +251,7 @@ func (h *HashAggregate) mergeSpills(dst storage.Collection) error {
 		if err != nil {
 			return err
 		}
-		if err := mergeAggRuns(h.env, batch, h.pollEmit(out.Append)); err != nil {
+		if err := mergeAggRuns(h.env, batch, h.env.Polled(out.Append)); err != nil {
 			out.Destroy() //nolint:errcheck // best-effort cleanup after failure
 			return err
 		}
@@ -334,7 +264,7 @@ func (h *HashAggregate) mergeSpills(dst storage.Collection) error {
 		}
 		h.spills = append(append([]storage.Collection(nil), h.spills[fanIn:]...), out)
 	}
-	if err := mergeAggRuns(h.env, h.spills, h.pollEmit(dst.Append)); err != nil {
+	if err := mergeAggRuns(h.env, h.spills, h.env.Polled(dst.Append)); err != nil {
 		return err
 	}
 	for _, r := range h.spills {
@@ -393,9 +323,9 @@ func mergeAggRuns(env *algo.Env, runs []storage.Collection, emit func(rec []byte
 	return nil
 }
 
-func (h *HashAggregate) Next(context.Context) (*Batch, error) {
-	if h.sc != nil {
-		return h.sc.next()
+func (h *HashAggregate) Next(ctx context.Context) (*Batch, error) {
+	if h.tmp != nil { // spilled: the merged result is stored
+		return h.stored.Next(ctx)
 	}
 	if h.out == nil {
 		return nil, io.EOF
@@ -416,32 +346,12 @@ func (h *HashAggregate) Next(context.Context) (*Batch, error) {
 	return h.out, nil
 }
 
-// limitHint caps the reads of the merged spill result; the in-memory
-// path serves from DRAM and needs no cap.
-func (h *HashAggregate) limitHint(n int) {
-	if h.sc != nil {
-		h.sc.limit(n)
-	}
-}
-
-// source exposes the merged spill result to blocking parents so they
-// consume it directly instead of re-draining it into a pipe temporary
-// (one saved write+read of the whole aggregate output). The in-memory
-// path has no device-side materialization to share.
-func (h *HashAggregate) source() (storage.Collection, bool) { return h.merged, h.merged != nil }
-
+// Close also destroys the runs of a spill that did not finish. limitHint
+// and source are stored's and so speak for the spilled path alone: the
+// in-memory path has nothing on the device to cap, or to hand a blocking
+// parent in place of a pipe.
 func (h *HashAggregate) Close() error {
 	var first error
-	if h.sc != nil {
-		first = h.sc.Close()
-		h.sc = nil
-	}
-	if h.merged != nil {
-		if err := h.merged.Destroy(); err != nil && first == nil {
-			first = err
-		}
-		h.merged = nil
-	}
 	for _, r := range h.spills {
 		if err := r.Destroy(); err != nil && first == nil {
 			first = err
@@ -449,7 +359,7 @@ func (h *HashAggregate) Close() error {
 	}
 	h.spills = nil
 	h.groups, h.keys = nil, nil
-	if err := h.child.Close(); err != nil && first == nil {
+	if err := h.drop(h.child); err != nil && first == nil {
 		first = err
 	}
 	return first

@@ -3,7 +3,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"wlpm/internal/joins"
 	"wlpm/internal/storage"
@@ -20,20 +19,20 @@ type Join struct {
 	left, right Operator
 	algo        joins.Algorithm
 	st          *stageAlloc // the planner's stage: share, Open-time re-planning
-	emitChain               // applied as the algorithm emits
-	joined      storage.Collection
-	sc          *batchScanner
+	chain                   // applied as the algorithm emits
+	stored
 }
 
 func (j *Join) Name() string {
-	return fmt.Sprintf("Join[%s%s](%s, %s)", j.algo.Name(), &j.emitChain, j.left.Name(), j.right.Name())
+	return fmt.Sprintf("Join[%s%s](%s, %s)", j.algo.Name(), &j.chain, j.left.Name(), j.right.Name())
 }
 func (j *Join) rawSize() int         { return j.left.RecordSize() + j.right.RecordSize() }
 func (j *Join) RecordSize() int      { return j.width(j.rawSize()) }
 func (j *Join) Children() []Operator { return []Operator{j.left, j.right} }
 func (j *Join) consumesMemory() bool { return true }
 
-func (j *Join) joinInto(ctx context.Context, ec *Ctx, dst storage.Collection) error {
+// emitTo joins the materialized inputs into dst through the chain.
+func (j *Join) emitTo(ctx context.Context, ec *Ctx, dst storage.Collection) error {
 	lcoll, lclean, err := inputCollection(ctx, ec, j.left)
 	if err != nil {
 		return err
@@ -59,58 +58,7 @@ func (j *Join) joinInto(ctx context.Context, ec *Ctx, dst storage.Collection) er
 }
 
 func (j *Join) Open(ctx context.Context, ec *Ctx) error {
-	tmp, err := ec.tempEnv().CreateTemp("joined", j.RecordSize())
-	if err != nil {
-		return err
-	}
-	if err := j.joinInto(ctx, ec, tmp); err != nil {
-		tmp.Destroy() //nolint:errcheck // best-effort cleanup after failure
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		tmp.Destroy() //nolint:errcheck // best-effort cleanup after failure
-		return err
-	}
-	j.joined = tmp
-	j.sc = newBatchScanner(tmp.Scan(), tmp.RecordSize(), ec.batchSize())
-	return nil
+	return j.fill(ctx, ec, "joined", j.RecordSize(), j.emitTo)
 }
 
-func (j *Join) emitTo(ctx context.Context, ec *Ctx, out storage.Collection) error {
-	return j.joinInto(ctx, ec, out)
-}
-
-func (j *Join) Next(context.Context) (*Batch, error) {
-	if j.sc == nil {
-		return nil, io.EOF
-	}
-	return j.sc.next()
-}
-
-// limitHint caps the reads of the joined result; the join itself ran in
-// full at Open, exactly like the record engine.
-func (j *Join) limitHint(n int) {
-	if j.sc != nil {
-		j.sc.limit(n)
-	}
-}
-
-func (j *Join) Close() error {
-	var first error
-	if j.sc != nil {
-		first = j.sc.Close()
-		j.sc = nil
-	}
-	if j.joined != nil {
-		if err := j.joined.Destroy(); err != nil && first == nil {
-			first = err
-		}
-		j.joined = nil
-	}
-	if err := closeAll(j.left, j.right); err != nil && first == nil {
-		first = err
-	}
-	return first
-}
-
-func (j *Join) source() (storage.Collection, bool) { return j.joined, j.joined != nil }
+func (j *Join) Close() error { return j.drop(j.left, j.right) }

@@ -3,9 +3,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"io"
-
-	"wlpm/internal/storage"
 )
 
 // Materialize is an explicit pipeline breaker: it drains its child into
@@ -18,8 +15,7 @@ import (
 // share (it holds no working state beyond one record).
 type Materialize struct {
 	child Operator
-	tmp   storage.Collection
-	sc    *batchScanner
+	stored
 }
 
 // NewMaterialize returns a materialization barrier over child.
@@ -34,54 +30,7 @@ func (m *Materialize) Open(ctx context.Context, ec *Ctx) error {
 	if err := m.child.Open(ctx, ec); err != nil {
 		return err
 	}
-	tmp, err := ec.tempEnv().CreateTemp("mat", m.child.RecordSize())
-	if err != nil {
-		return err
-	}
-	if err := drain(ctx, m.child, tmp.Append); err != nil {
-		tmp.Destroy() //nolint:errcheck // best-effort cleanup after failure
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		tmp.Destroy() //nolint:errcheck // best-effort cleanup after failure
-		return err
-	}
-	m.tmp = tmp
-	m.sc = newBatchScanner(tmp.Scan(), tmp.RecordSize(), ec.batchSize())
-	return nil
+	return m.fillFrom(ctx, ec, "mat", m.child)
 }
 
-func (m *Materialize) Next(context.Context) (*Batch, error) {
-	if m.sc == nil {
-		return nil, io.EOF
-	}
-	return m.sc.next()
-}
-
-// limitHint caps the reads of the materialized temporary; the child is
-// drained in full at Open regardless, exactly like the record engine.
-func (m *Materialize) limitHint(n int) {
-	if m.sc != nil {
-		m.sc.limit(n)
-	}
-}
-
-func (m *Materialize) Close() error {
-	var first error
-	if m.sc != nil {
-		first = m.sc.Close()
-		m.sc = nil
-	}
-	if m.tmp != nil {
-		if err := m.tmp.Destroy(); err != nil && first == nil {
-			first = err
-		}
-		m.tmp = nil
-	}
-	if err := m.child.Close(); err != nil && first == nil {
-		first = err
-	}
-	return first
-}
-
-func (m *Materialize) source() (storage.Collection, bool) { return m.tmp, m.tmp != nil }
+func (m *Materialize) Close() error { return m.drop(m.child) }

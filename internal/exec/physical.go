@@ -247,18 +247,20 @@ func (c *compiler) breaker(op Operator) Operator {
 	return NewMaterialize(op)
 }
 
-// chainOf returns the emit-side chain a Filter or Project over child is
-// absorbed into — child then is a blocking operator that applies the
-// step where it emits (see chain.go), and the step gets no operator of
-// its own — or nil when the step stays an operator: over a base table or
-// an OrderBy (views and range-parallel merges, respectively), and
-// everywhere in the materialize-everything reference mode. absorbs is
-// the demand walk's logical twin.
-func (c *compiler) chainOf(child Operator) *emitChain {
+// chainOf returns the chain a Filter or Project over child adds its step
+// to, and the operator that stands for the step in the tree: child
+// itself when it absorbs the step — a blocking producer that applies it
+// where it emits, or the Stream of the steps beneath — and otherwise a
+// new Stream over child (see chain.go for the placements). The
+// materialize-everything reference mode absorbs nothing: every step gets
+// a Stream and a barrier of its own. absorbs is the demand walk's
+// logical twin for the blocking producers.
+func (c *compiler) chainOf(child Operator) (*chain, Operator) {
 	if a, ok := child.(absorber); ok && !c.opts.MaterializeEveryStep {
-		return a.absorbed()
+		return a.absorbed(), child
 	}
-	return nil
+	s := &Stream{child: child}
+	return &s.chain, c.breaker(s)
 }
 
 // takeStage hands build the next blocking stage — the demand walk
@@ -294,11 +296,9 @@ func (c *compiler) build(p *Plan) (Operator, error) {
 		if err := p.pred.validate(child.RecordSize()); err != nil {
 			return nil, err
 		}
-		if ch := c.chainOf(child); ch != nil {
-			ch.filter(p.pred)
-			return child, nil
-		}
-		return c.breaker(NewFilter(child, p.pred)), nil
+		ch, op := c.chainOf(child)
+		ch.filter(p.pred)
+		return op, nil
 
 	case planProject:
 		child, err := c.build(p.left)
@@ -313,11 +313,9 @@ func (c *compiler) build(p *Plan) (Operator, error) {
 				return nil, fmt.Errorf("exec: projected attribute a%d outside %d-byte record", a, child.RecordSize())
 			}
 		}
-		if ch := c.chainOf(child); ch != nil {
-			ch.project(p.attrs)
-			return child, nil
-		}
-		return c.breaker(NewProject(child, p.attrs...)), nil
+		ch, op := c.chainOf(child)
+		ch.project(p.attrs)
+		return op, nil
 
 	case planLimit:
 		child, err := c.build(p.left)

@@ -29,7 +29,7 @@ func (s *Scan) RecordSize() int      { return s.c.RecordSize() }
 func (s *Scan) Children() []Operator { return nil }
 
 func (s *Scan) Open(_ context.Context, ec *Ctx) error {
-	s.sc = newBatchScanner(s.c.Scan(), s.c.RecordSize(), ec.batchSize())
+	s.sc = newBatchScanner(s.c.Scan(), ec.batchSize())
 	return nil
 }
 
@@ -109,7 +109,7 @@ func (p Predicate) Eval(rec []byte) bool {
 
 // matcher specializes the predicate to a single-comparison closure: the
 // operator switch is resolved once, so per-record evaluation in batch
-// loops and fused views is one attribute load and one compare.
+// loops and view scans is one attribute load and one compare.
 func (p Predicate) matcher() func(rec []byte) bool {
 	a, v := p.Attr, p.Value
 	switch p.Op {
@@ -127,19 +127,6 @@ func (p Predicate) matcher() func(rec []byte) bool {
 		return func(rec []byte) bool { return record.Attr(rec, a) >= v }
 	}
 	return func([]byte) bool { return false }
-}
-
-// selectInto appends the records of recs that satisfy match to dst and
-// returns it: the selection-vector form of filtering. The comparison
-// branches once per batch (see Predicate.matcher); the per-record loop
-// is a tight load-compare-append with no early returns.
-func selectInto(dst [][]byte, recs [][]byte, match func(rec []byte) bool) [][]byte {
-	for _, rec := range recs {
-		if match(rec) {
-			dst = append(dst, rec)
-		}
-	}
-	return dst
 }
 
 // Selectivity is the planner's fraction-of-rows-surviving estimate. With
@@ -163,136 +150,76 @@ func (p Predicate) validate(recSize int) error {
 	return nil
 }
 
-// --- Filter ---
+// --- Stream ---
 
-// Filter streams the records of its child that satisfy a predicate,
-// using a selection vector: each output batch aliases the surviving
-// records of one child batch. Non-blocking: it touches no device lines
-// of its own.
-type Filter struct {
+// Stream applies a Filter/Project chain to its child's batches: the
+// chain's placement wherever no producer emits through it and no
+// blocking consumer re-scans it (chain.go). It absorbs the consecutive
+// steps above it the way the blocking producers do, so one operator and
+// one pass of the batch kernel serve the whole chain. A chain that does not project emits a
+// selection vector aliasing the surviving records of one child batch; a
+// projecting chain emits copies it owns. Non-blocking: it touches no
+// device lines of its own.
+type Stream struct {
 	child Operator
-	pred  Predicate
-	match func(rec []byte) bool
-	out   Batch
-	sel   [][]byte
-	need  int // records the parent still wants under a limit hint; -1 none
+	chain
+	win  *window
+	out  Batch
+	need int // records the parent still wants under a limit hint; -1 none
 }
 
-// NewFilter returns a filter over child.
-func NewFilter(child Operator, pred Predicate) *Filter {
-	return &Filter{child: child, pred: pred}
+func (s *Stream) Name() string         { return s.child.Name() + s.chain.String() }
+func (s *Stream) RecordSize() int      { return s.width(s.child.RecordSize()) }
+func (s *Stream) Children() []Operator { return []Operator{s.child} }
+
+func (s *Stream) Open(ctx context.Context, ec *Ctx) error {
+	s.win = s.newWindow(s.child.RecordSize())
+	s.need = -1
+	return s.child.Open(ctx, ec)
 }
 
-func (f *Filter) Name() string         { return fmt.Sprintf("Filter[%s](%s)", f.pred, f.child.Name()) }
-func (f *Filter) RecordSize() int      { return f.child.RecordSize() }
-func (f *Filter) Children() []Operator { return []Operator{f.child} }
-
-func (f *Filter) Open(ctx context.Context, ec *Ctx) error {
-	if err := f.pred.validate(f.child.RecordSize()); err != nil {
-		return err
+// limitHint bounds read-ahead under a Limit. A chain without predicates
+// maps 1:1 onto its child and forwards the hint. A filtering chain
+// re-hints its child before every pull with the records still needed,
+// narrowing the child's fetches as matches accumulate; selectivity is
+// unknown, so that bound is per-pull, not exact — the child may fetch up
+// to one hinted batch past the lazy record-at-a-time stopping point.
+func (s *Stream) limitHint(n int) {
+	if len(s.preds) == 0 {
+		hintLimit(s.child, n)
+		return
 	}
-	f.match = f.pred.matcher()
-	f.need = -1
-	return f.child.Open(ctx, ec)
+	s.need = n
 }
 
-// limitHint bounds read-ahead under a Limit: the filter re-hints its
-// child before every pull with the records still needed, narrowing the
-// child's fetches as matches accumulate. Selectivity is unknown, so the
-// bound is per-pull, not exact — the child may fetch up to one hinted
-// batch past the lazy record-at-a-time stopping point.
-func (f *Filter) limitHint(n int) { f.need = n }
-
-func (f *Filter) Next(ctx context.Context) (*Batch, error) {
+func (s *Stream) Next(ctx context.Context) (*Batch, error) {
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if f.need >= 0 {
-			if f.need == 0 {
+		if s.need >= 0 {
+			if s.need == 0 {
 				return nil, io.EOF
 			}
-			hintLimit(f.child, f.need)
+			hintLimit(s.child, s.need)
 		}
-		cb, err := f.child.Next(ctx)
+		cb, err := s.child.Next(ctx)
 		if err != nil {
 			return nil, err
 		}
-		//lint:allow wlvet/batchown PR 6 aliasing license: the selection vector is rebuilt from the child's fresh batch before every emit and never outlives it
-		f.sel = selectInto(f.sel[:0], cb.Recs, f.match)
-		if len(f.sel) == 0 {
+		//lint:allow wlvet/batchown PR 6 aliasing license: a non-projecting chain's selection vector is rebuilt from the child's fresh batch before every emit and never outlives it
+		s.out.Recs = s.win.run(cb.Recs)
+		if len(s.out.Recs) == 0 {
 			continue
 		}
-		if f.need > 0 {
-			f.need -= len(f.sel)
-			if f.need < 0 {
-				f.need = 0
-			}
+		if s.need > 0 {
+			s.need = max(0, s.need-len(s.out.Recs))
 		}
-		f.out.Recs = f.sel
-		return &f.out, nil
+		return &s.out, nil
 	}
 }
 
-func (f *Filter) Close() error { return f.child.Close() }
-
-// --- Project ---
-
-// Project re-arranges each record to the chosen 8-byte attributes, in
-// order (duplicates allowed). Non-blocking; the output record width is
-// 8·len(attrs). Output batches are owned (projection copies).
-type Project struct {
-	child Operator
-	attrs []int
-	out   *Batch
-}
-
-// NewProject returns a projection of child to attrs.
-func NewProject(child Operator, attrs ...int) *Project {
-	return &Project{child: child, attrs: append([]int(nil), attrs...)}
-}
-
-func (p *Project) Name() string {
-	return fmt.Sprintf("Project%v(%s)", p.attrs, p.child.Name())
-}
-func (p *Project) RecordSize() int      { return len(p.attrs) * record.AttrSize }
-func (p *Project) Children() []Operator { return []Operator{p.child} }
-
-func (p *Project) Open(ctx context.Context, ec *Ctx) error {
-	if len(p.attrs) == 0 {
-		return fmt.Errorf("exec: projection with no attributes")
-	}
-	in := p.child.RecordSize()
-	for _, a := range p.attrs {
-		if a < 0 || (a+1)*record.AttrSize > in {
-			return fmt.Errorf("exec: projected attribute a%d outside %d-byte record", a, in)
-		}
-	}
-	p.out = newBatch(p.RecordSize(), ec.batchSize())
-	return p.child.Open(ctx, ec)
-}
-
-// limitHint propagates 1:1 to the child.
-func (p *Project) limitHint(n int) { hintLimit(p.child, n) }
-
-func (p *Project) Next(ctx context.Context) (*Batch, error) {
-	cb, err := p.child.Next(ctx)
-	if err != nil {
-		return nil, err
-	}
-	n := len(cb.Recs)
-	if n > len(p.out.views) {
-		// Children never exceed the run's batch size; guard anyway.
-		n = len(p.out.views)
-	}
-	for i := 0; i < n; i++ {
-		projectInto(p.out.views[i], cb.Recs[i], p.attrs)
-	}
-	p.out.Recs = p.out.views[:n]
-	return p.out, nil
-}
-
-func (p *Project) Close() error { return p.child.Close() }
+func (s *Stream) Close() error { return s.child.Close() }
 
 // --- Limit ---
 

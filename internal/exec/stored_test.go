@@ -1,0 +1,110 @@
+package exec
+
+import (
+	"errors"
+	"fmt"
+	"runtime"
+	"strings"
+	"testing"
+
+	"wlpm/internal/joins"
+	"wlpm/internal/sorts"
+	"wlpm/internal/storage"
+)
+
+// Every operator result that lives in a temporary goes through one
+// value (stored: fill, scan, drop), so its six users are held to the
+// same contract by one test: whichever side of the temp fails — the
+// fill that writes it or the consumer that reads it — the run surfaces
+// that one error and leaves no temporary and no goroutine behind.
+
+// storedShapes put each user of the stored value under a Limit root, so
+// its result goes to a temp through fill instead of straight into the
+// plan output; temp is the name prefix of that temporary.
+var storedShapes = []struct {
+	name, temp string
+	budget     int64
+	opts       CompileOptions
+	build      func(t *testing.T, r *rig) *Plan
+}{
+	{"orderby", "sorted", bgBudget, CompileOptions{}, func(t *testing.T, r *rig) *Plan {
+		return Table(loadRows(t, r)).OrderByWith(sorts.NewExternalMergeSort())
+	}},
+	{"groupby", "grouped", bgBudget, CompileOptions{}, func(t *testing.T, r *rig) *Plan {
+		return Table(loadGrouped(t, r, "in", bgRows, 300)).GroupByWith(4, sorts.NewSegmentSort(0.5))
+	}},
+	{"join", "joined", bgBudget, CompileOptions{}, func(t *testing.T, r *rig) *Plan {
+		dim1, _, fact := r.loadStar(t, bgDim, bgFact)
+		return Table(dim1).JoinWith(Table(fact), joins.NewGrace())
+	}},
+	{"materialize", "mat", bgBudget, CompileOptions{MaterializeEveryStep: true}, func(t *testing.T, r *rig) *Plan {
+		return Table(loadRows(t, r)).Filter(batchPred)
+	}},
+	{"hashagg-spill", "hashagg.merged", 16 << 10, CompileOptions{}, func(t *testing.T, r *rig) *Plan {
+		// 50 hinted groups fit the share's hash table, 1000 real ones do not.
+		return Table(loadGrouped(t, r, "in", 4000, 1000)).GroupHint(50).GroupBy(4)
+	}},
+	{"pipe", "pipe", bgBudget, CompileOptions{}, func(t *testing.T, r *rig) *Plan {
+		return Table(loadRows(t, r)).Limit(bgRows - 100).OrderByWith(sorts.NewExternalMergeSort())
+	}},
+}
+
+// failingFactory fails the n-th Append to every collection it creates
+// under the temp prefix.
+type failingFactory struct {
+	storage.Factory
+	temp string
+	n    int
+	err  error
+	hit  int // collections created under the prefix
+}
+
+func (f *failingFactory) Create(name string, recSize int) (storage.Collection, error) {
+	c, err := f.Factory.Create(name, recSize)
+	if err != nil || !strings.Contains(name, "."+f.temp+".") {
+		return c, err
+	}
+	f.hit++
+	return &failAfter{Collection: c, n: f.n, err: f.err}, nil
+}
+
+func TestStoredFailureLeaksNothing(t *testing.T) {
+	boom := errors.New("device full")
+	for _, sh := range storedShapes {
+		for _, where := range []string{"fill", "consumer"} {
+			for _, par := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%s/%s/p%d", sh.name, where, par), func(t *testing.T) {
+					r := newRig(t)
+					plan := sh.build(t, r).Limit(50)
+					// A fill fails on the 25th record written to the temp; a
+					// consumer failure leaves the temp whole and refuses the
+					// 25th record of the plan output instead.
+					fac := &failingFactory{Factory: r.fac, temp: sh.temp, n: 1 << 30, err: boom}
+					if where == "fill" {
+						fac.n = 25
+					}
+					ec := NewCtx(fac, sh.budget, par)
+					root, _, err := CompileWith(ec, plan, sh.opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var out storage.Collection = r.create(t, "out", root.RecordSize())
+					if where == "consumer" {
+						out = &failAfter{Collection: out, n: 25, err: boom}
+					}
+					base := runtime.NumGoroutine()
+					if err := Run(ec, root, out); !errors.Is(err, boom) {
+						t.Fatalf("err = %v, want the injected failure", err)
+					}
+					if fac.hit == 0 {
+						t.Fatalf("no %q temporary was created: the shape no longer stores its result", sh.temp)
+					}
+					if live := ec.LiveTemps(); live != 0 {
+						t.Errorf("failed run left %d live temps", live)
+					}
+					waitGoroutines(t, base)
+				})
+			}
+		}
+	}
+}

@@ -70,7 +70,7 @@ func (j *Hash) Join(env *algo.Env, left, right, out storage.Collection) error {
 
 		// Build side: partition-p records enter the table, the rest are
 		// offloaded to the next intermediate input.
-		if err := env.Scan(curT, pollRecords(env, func(rec []byte) error {
+		if err := env.Scan(curT, env.Polled(func(rec []byte) error {
 			if partitionOf(rec, k) == p {
 				table.insert(rec)
 				return nil
@@ -83,7 +83,7 @@ func (j *Hash) Join(env *algo.Env, left, right, out storage.Collection) error {
 			return err
 		}
 		// Probe side.
-		if err := env.Scan(curV, pollRecords(env, func(r []byte) error {
+		if err := env.Scan(curV, env.Polled(func(r []byte) error {
 			if partitionOf(r, k) == p {
 				return table.probe(record.Key(r), func(l []byte) error {
 					return em.emit(l, r)

@@ -141,19 +141,6 @@ func (e *emitter) emitRaw(rec []byte) error {
 	return e.out.Append(rec)
 }
 
-// pollRecords wraps fn with the environment's amortized cancellation
-// check, so partitioning and probe scans stop mid-stream when the
-// invocation's context is cancelled.
-func pollRecords(env *algo.Env, fn func(rec []byte) error) func(rec []byte) error {
-	poll := env.Poll()
-	return func(rec []byte) error {
-		if err := poll(); err != nil {
-			return err
-		}
-		return fn(rec)
-	}
-}
-
 // buildCap is the number of build-side records whose hash table fits the
 // budget (the paper's M/f).
 func buildCap(env *algo.Env, recSize int) int {

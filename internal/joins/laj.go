@@ -74,7 +74,7 @@ func (j *LazyHash) Join(env *algo.Env, left, right, out storage.Collection) erro
 		}
 
 		table.reset()
-		if err := env.Scan(curT, pollRecords(env, func(rec []byte) error {
+		if err := env.Scan(curT, env.Polled(func(rec []byte) error {
 			part := partitionOf(rec, k)
 			if part == p {
 				table.insert(rec)
@@ -87,7 +87,7 @@ func (j *LazyHash) Join(env *algo.Env, left, right, out storage.Collection) erro
 		})); err != nil {
 			return err
 		}
-		if err := env.Scan(curV, pollRecords(env, func(r []byte) error {
+		if err := env.Scan(curV, env.Polled(func(r []byte) error {
 			part := partitionOf(r, k)
 			if part == p {
 				return table.probe(record.Key(r), func(l []byte) error {

@@ -136,7 +136,7 @@ func (o *orderedEmit) release() {
 // probe records, so a cancelled join stops mid-probe.
 func parallelProbe(env *algo.Env, srcs []storage.Collection, table *hashTable, filter func(rec []byte) bool, em *emitter) error {
 	probeOne := func(src storage.Collection, emit func(l, r []byte) error) error {
-		return env.Scan(src, pollRecords(env, func(r []byte) error {
+		return env.Scan(src, env.Polled(func(r []byte) error {
 			if filter != nil && !filter(r) {
 				return nil
 			}
@@ -204,7 +204,7 @@ func buildTableParallel(env *algo.Env, subs []storage.Collection, filter func(re
 		w := env.Workers(n)
 		if w <= 1 {
 			t := newHashTable(recSize, n)
-			err := scanAllInto(env, subs, pollRecords(env, func(rec []byte) error {
+			err := scanAllInto(env, subs, env.Polled(func(rec []byte) error {
 				if filter == nil || filter(rec) {
 					t.insert(rec)
 				}
@@ -220,7 +220,7 @@ func buildTableParallel(env *algo.Env, subs []storage.Collection, filter func(re
 		err := env.RunWorkers(w, func(i int) error {
 			lo, hi := algo.SplitRange(n, w, i)
 			part := record.NewVec(recSize, hi-lo)
-			keep := pollRecords(env, func(rec []byte) error {
+			keep := env.Polled(func(rec []byte) error {
 				if filter == nil || filter(rec) {
 					part.Append(rec)
 				}

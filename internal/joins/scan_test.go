@@ -57,7 +57,7 @@ func TestScanCancelMidChunk(t *testing.T) {
 	cancel()
 	env.WithContext(ctx)
 	seen := 0
-	err := env.Scan(right, pollRecords(env, func([]byte) error { seen++; return nil }))
+	err := env.Scan(right, env.Polled(func([]byte) error { seen++; return nil }))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("scan on a cancelled context: err = %v, want context.Canceled", err)
 	}
@@ -74,7 +74,7 @@ func TestScanAllocs(t *testing.T) {
 	_, right := loadJoinInputs(t, env, 50, n, 5)
 	seen := 0
 	allocs := testing.AllocsPerRun(5, func() {
-		if err := env.Scan(right, pollRecords(env, func([]byte) error { seen++; return nil })); err != nil {
+		if err := env.Scan(right, env.Polled(func([]byte) error { seen++; return nil })); err != nil {
 			t.Fatal(err)
 		}
 	})

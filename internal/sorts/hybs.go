@@ -65,7 +65,7 @@ func (s *HybridSort) Sort(env *algo.Env, in, out storage.Collection) error {
 		}
 	}()
 
-	err := env.Scan(in, pollEmit(env, func(rec []byte) error {
+	err := env.Scan(in, env.Polled(func(rec []byte) error {
 		key := record.Key(rec)
 		if !rs.Full() {
 			rs.Push(key, 0, rec)

@@ -209,7 +209,7 @@ func (f *runFormer) finish() error {
 // is destroyed before returning.
 func formRunsReplacementSelection(env *algo.Env, src storage.Collection, budget int) ([]storage.Collection, error) {
 	f := newRunFormer(env, "run", src.RecordSize(), budget)
-	err := env.Scan(src, pollEmit(env, f.add))
+	err := env.Scan(src, env.Polled(f.add))
 	if err == nil {
 		err = f.finish()
 	}
@@ -261,7 +261,7 @@ func mergeRunsWith(env *algo.Env, runs []storage.Collection, streams []storage.I
 			iters = append(iters, r.Scan())
 		}
 		iters = append(iters, streams...)
-		if err := mergeIters(env, iters, recSize, pollEmit(env, out.Append)); err != nil {
+		if err := mergeIters(env, iters, recSize, env.Polled(out.Append)); err != nil {
 			destroyRuns(runs)
 			return err
 		}
@@ -377,7 +377,7 @@ func mergeInto(env *algo.Env, runs []storage.Collection, out storage.Collection)
 	for i, r := range runs {
 		iters[i] = r.Scan()
 	}
-	return mergeIters(env, iters, out.RecordSize(), pollEmit(env, out.Append))
+	return mergeIters(env, iters, out.RecordSize(), env.Polled(out.Append))
 }
 
 // mergeIters k-way merges sorted iterators of recSize-byte records into

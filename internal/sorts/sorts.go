@@ -50,16 +50,3 @@ func checkArgs(env *algo.Env, in, out storage.Collection) error {
 	}
 	return nil
 }
-
-// pollEmit wraps emit with the environment's amortized cancellation
-// check, so the long merge and emission loops stop mid-stream when the
-// invocation's context is cancelled.
-func pollEmit(env *algo.Env, emit func(rec []byte) error) func(rec []byte) error {
-	poll := env.Poll()
-	return func(rec []byte) error {
-		if err := poll(); err != nil {
-			return err
-		}
-		return emit(rec)
-	}
-}

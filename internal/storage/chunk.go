@@ -12,10 +12,12 @@ func ChunkRecords(blockSize, recSize int) int {
 	return 1
 }
 
-// chunked returns it's ChunkIterator, or for an iterator without one
-// (selection streams, fused operator views) an adapter that serves
-// one-record chunks through Next.
-func chunked(it Iterator) ChunkIterator {
+// Chunked returns it's ChunkIterator, or for an iterator without one
+// (selection streams, foreign collections) an adapter that serves
+// one-record chunks through Next: the one record-at-a-time fallback
+// every chunk reader — ForEach, Cursor, Slice, the engine's batch
+// scans — shares.
+func Chunked(it Iterator) ChunkIterator {
 	if ci, ok := it.(ChunkIterator); ok {
 		return ci
 	}
@@ -43,7 +45,7 @@ func (s *singles) NextChunk(int) ([][]byte, error) {
 // not keep. Cancellation is fn's business — kernel callers pass a
 // poll-wrapped fn. ForEach does not close it.
 func ForEach(it Iterator, chunk int, fn func(rec []byte) error) error {
-	ci := chunked(it)
+	ci := Chunked(it)
 	for {
 		recs, err := ci.NextChunk(chunk)
 		if err == io.EOF {
@@ -72,7 +74,7 @@ type Cursor struct {
 
 // NewCursor reads it in chunks of at most chunk records.
 func NewCursor(it Iterator, chunk int) *Cursor {
-	return &Cursor{ci: chunked(it), chunk: chunk}
+	return &Cursor{ci: Chunked(it), chunk: chunk}
 }
 
 // Next returns the next record, or io.EOF when the iterator is exhausted.

@@ -94,7 +94,7 @@ func (it *viewIterator) NextChunk(max int) ([][]byte, error) {
 		max = it.remaining
 	}
 	if it.ci == nil {
-		it.ci = chunked(it.it)
+		it.ci = Chunked(it.it)
 	}
 	recs, err := it.ci.NextChunk(max)
 	if err != nil {
