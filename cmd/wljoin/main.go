@@ -5,6 +5,9 @@
 // Usage:
 //
 //	wljoin -algo SegJ -x 0.5 -left 20000 -right 200000 -mem 0.05
+//
+// -algo is a name of the internal/joins catalog (its knobs placed by -x
+// and -y) or a DSL spelling carrying its own ("HybJ:0.5:0.5").
 package main
 
 import (
@@ -14,10 +17,12 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"time"
 
 	"wlpm/internal/algo"
 	"wlpm/internal/cliutil"
+	"wlpm/internal/cost"
 	"wlpm/internal/joins"
 	"wlpm/internal/pmem"
 	"wlpm/internal/record"
@@ -28,7 +33,7 @@ const cmd = "wljoin"
 
 func main() {
 	var (
-		algoName = flag.String("algo", "SegJ", "NLJ|HJ|GJ|HybJ|SegJ|LaJ")
+		algoName = flag.String("algo", "SegJ", "a join of the catalog, by name or DSL spelling: "+strings.Join(joins.Spellings(), " "))
 		x        = flag.Float64("x", 0.5, "write intensity (SegJ; HybJ left fraction)")
 		y        = flag.Float64("y", 0.5, "HybJ right fraction")
 		auto     = flag.Bool("auto", false, "let the cost model place HybJ's intensities")
@@ -52,26 +57,9 @@ func main() {
 	cliutil.CheckFraction(cmd, "x", *x)
 	cliutil.CheckFraction(cmd, "y", *y)
 
-	var a joins.Algorithm
-	switch *algoName {
-	case "NLJ":
-		a = joins.NewNestedLoops()
-	case "HJ":
-		a = joins.NewHash()
-	case "GJ":
-		a = joins.NewGrace()
-	case "HybJ":
-		if *auto {
-			a = joins.NewAutoHybridGraceNL()
-		} else {
-			a = joins.NewHybridGraceNL(*x, *y)
-		}
-	case "SegJ":
-		a = joins.NewSegmentedGrace(*x)
-	case "LaJ":
-		a = joins.NewLazyHash()
-	default:
-		cliutil.UnknownAlgorithm(cmd, *algoName, []string{"NLJ", "HJ", "GJ", "HybJ", "SegJ", "LaJ"})
+	a := cliutil.Algorithm(cmd, *algoName, joins.Parse, joins.New, *x, *y)
+	if *auto && *algoName == cost.JoinHybJ {
+		a = joins.NewAutoHybridGraceNL()
 	}
 
 	payload := int64(*nLeft+*nRight) * record.Size

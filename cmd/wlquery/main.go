@@ -14,6 +14,10 @@
 //	orderby     orderby(ExMS)
 //	limit(N)
 //
+// An algorithm is pinned by its spelling in the internal/sorts or
+// internal/joins catalog: a name and its knobs, "ExMS", "SegS:0.4",
+// "HybJ:0.5:0.5" (sorts.Spellings and joins.Spellings list them).
+//
 // Tables are generated: -table name=rows creates unique permuted keys
 // 0..rows-1; -table name=rows:parent draws keys from parent's key
 // domain (the paper's join microbenchmark shape).

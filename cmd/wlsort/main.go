@@ -5,6 +5,9 @@
 // Usage:
 //
 //	wlsort -algo SegS -x 0.4 -n 200000 -mem 0.05 -backend pmfs
+//
+// -algo is a name of the internal/sorts catalog (its knob placed by -x)
+// or a DSL spelling carrying its own ("SegS:0.4").
 package main
 
 import (
@@ -14,10 +17,12 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"time"
 
 	"wlpm/internal/algo"
 	"wlpm/internal/cliutil"
+	"wlpm/internal/cost"
 	"wlpm/internal/pmem"
 	"wlpm/internal/record"
 	"wlpm/internal/sorts"
@@ -28,7 +33,7 @@ const cmd = "wlsort"
 
 func main() {
 	var (
-		algoName = flag.String("algo", "SegS", "ExMS|SelS|SegS|HybS|LaS")
+		algoName = flag.String("algo", "SegS", "a sort of the catalog, by name or DSL spelling: "+strings.Join(sorts.Spellings(), " "))
 		x        = flag.Float64("x", 0.5, "write intensity for SegS/HybS")
 		auto     = flag.Bool("auto", false, "let the cost model place SegS's intensity")
 		n        = flag.Int("n", 200_000, "input records (80 B each)")
@@ -49,24 +54,9 @@ func main() {
 	cliutil.CheckParallelism(cmd, *par)
 	cliutil.CheckFraction(cmd, "x", *x)
 
-	var a sorts.Algorithm
-	switch *algoName {
-	case "ExMS":
-		a = sorts.NewExternalMergeSort()
-	case "SelS":
-		a = sorts.NewSelectionSort()
-	case "SegS":
-		if *auto {
-			a = sorts.NewAutoSegmentSort()
-		} else {
-			a = sorts.NewSegmentSort(*x)
-		}
-	case "HybS":
-		a = sorts.NewHybridSort(*x)
-	case "LaS":
-		a = sorts.NewLazySort()
-	default:
-		cliutil.UnknownAlgorithm(cmd, *algoName, []string{"ExMS", "SelS", "SegS", "HybS", "LaS"})
+	a := cliutil.Algorithm(cmd, *algoName, sorts.Parse, sorts.New, *x)
+	if *auto && *algoName == cost.SortSegS {
+		a = sorts.NewAutoSegmentSort()
 	}
 
 	payload := int64(*n) * record.Size

@@ -4,14 +4,11 @@
 // wave-2 concurrency contracts (lock ordering, blocking under locks,
 // goroutine lifecycle, field synchronization).
 //
-// Standalone:
-//
 //	wlvet ./...            # exit 1 on any diagnostic
 //	wlvet -json ./...      # machine-readable findings + allow audit
 //
-// As a go vet tool (unitchecker protocol):
-//
-//	go vet -vettool=$(which wlvet) ./...
+// It has one driver, internal/analysis/driver — the one the analyzers'
+// golden tests (analyzertest) run on — and is not a go vet plugin.
 package main
 
 import (
@@ -19,10 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
-
-	"golang.org/x/tools/go/analysis/unitchecker"
 
 	wlvet "wlpm/internal/analysis"
 	"wlpm/internal/analysis/driver"
@@ -56,14 +50,6 @@ type jsonAllow struct {
 }
 
 func main() {
-	for _, a := range os.Args[1:] {
-		// go vet invokes the tool with -V=full (version probe) and
-		// -flags (flag discovery) before the per-package *.cfg calls.
-		if a == "-flags" || strings.HasPrefix(a, "-V") || strings.HasSuffix(a, ".cfg") {
-			unitchecker.Main(wlvet.All()...) // does not return
-		}
-	}
-
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON diagnostics on stdout")
 	flag.Parse()
 	patterns := flag.Args()

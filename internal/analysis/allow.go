@@ -126,9 +126,8 @@ func logSuppression(pass *analysis.Pass, pos token.Pos, analyzer, reason string)
 	})
 }
 
-// TakeAllowLog drains the accumulated suppression log. The standalone
-// driver calls it once after all packages are analyzed; under
-// `go vet -vettool` the log is simply never drained.
+// TakeAllowLog drains the accumulated suppression log; cmd/wlvet calls
+// it once after all packages are analyzed.
 func TakeAllowLog() []AllowEntry {
 	allowLog.Lock()
 	defer allowLog.Unlock()

@@ -2,9 +2,8 @@
 // analyzers that machine-check the unwritten contracts PRs 4–7
 // introduced — cancellation polling in record loops, temp hygiene on
 // error paths, broker-grant release discipline, batch ownership, and
-// context threading. The cmd/wlvet binary runs them standalone
-// (`wlvet ./...`) or as a `go vet -vettool` plugin; CI fails on any
-// diagnostic.
+// context threading. The cmd/wlvet binary runs them (`wlvet ./...`)
+// on internal/analysis/driver; CI fails on any diagnostic.
 //
 // Legitimate exceptions are annotated in source with
 //

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 
 	"wlpm/internal/cost"
 	"wlpm/internal/joins"
@@ -29,35 +30,12 @@ func Fig12(cfg Config) ([]*Report, error) {
 	readNs := (float64(cfg.ReadLatency) + float64(cfg.CPUPerLine)) * linesPerBuf
 	writeNs := (float64(cfg.WriteLatency) + float64(cfg.CPUPerLine)) * linesPerBuf
 
-	type sortCand struct {
-		algo         sorts.Algorithm
-		writeLimited bool
-		profile      func(t, m float64) cost.Profile
-	}
-	sortCands := []sortCand{
-		{sorts.NewExternalMergeSort(), false, cost.ExMSProfile},
-		{sorts.NewSegmentSort(0.2), true, func(t, m float64) cost.Profile { return cost.SegSProfile(0.2, t, m) }},
-		{sorts.NewSegmentSort(0.5), true, func(t, m float64) cost.Profile { return cost.SegSProfile(0.5, t, m) }},
-		{sorts.NewSegmentSort(0.8), true, func(t, m float64) cost.Profile { return cost.SegSProfile(0.8, t, m) }},
-		{sorts.NewHybridSort(0.2), true, func(t, m float64) cost.Profile { return cost.HybSProfile(0.2, t, m) }},
-		{sorts.NewHybridSort(0.8), true, func(t, m float64) cost.Profile { return cost.HybSProfile(0.8, t, m) }},
-	}
-	type joinCand struct {
-		algo         joins.Algorithm
-		writeLimited bool
-		profile      func(t, v, m float64) cost.Profile
-	}
-	joinCands := []joinCand{
-		{joins.NewGrace(), false, func(t, v, m float64) cost.Profile { return cost.GJProfile(t, v) }},
-		{joins.NewHash(), false, cost.HJProfile},
-		{joins.NewNestedLoops(), false, cost.NLJProfile},
-		{joins.NewHybridGraceNL(0.2, 0.8), true, func(t, v, m float64) cost.Profile { return cost.HybJProfile(0.2, 0.8, t, v, m) }},
-		{joins.NewHybridGraceNL(0.5, 0.5), true, func(t, v, m float64) cost.Profile { return cost.HybJProfile(0.5, 0.5, t, v, m) }},
-		{joins.NewHybridGraceNL(0.8, 0.2), true, func(t, v, m float64) cost.Profile { return cost.HybJProfile(0.8, 0.2, t, v, m) }},
-		{joins.NewSegmentedGrace(0.2), true, func(t, v, m float64) cost.Profile { return cost.SegJProfile(0.2, t, v, m) }},
-		{joins.NewSegmentedGrace(0.5), true, func(t, v, m float64) cost.Profile { return cost.SegJProfile(0.5, t, v, m) }},
-		{joins.NewSegmentedGrace(0.8), true, func(t, v, m float64) cost.Profile { return cost.SegJProfile(0.8, t, v, m) }},
-	}
+	// The candidates, by catalog spelling; each prices itself (Profiled),
+	// and none of these profiles depends on λ. The write-limited ones are
+	// those with an intensity knob.
+	sortCands := []string{"ExMS", "SegS:0.2", "SegS:0.5", "SegS:0.8", "HybS:0.2", "HybS:0.8"}
+	joinCands := []string{"GJ", "HJ", "NLJ", "HybJ:0.2:0.8", "HybJ:0.5:0.5", "HybJ:0.8:0.2", "SegJ:0.2", "SegJ:0.5", "SegJ:0.8"}
+	lambda := writeNs / readNs
 
 	rep := &Report{
 		ID:    "fig12",
@@ -73,16 +51,20 @@ func Fig12(cfg Config) ([]*Report, error) {
 		tSort := float64(n) * record.Size / bs
 		mSort := mem * tSort
 		var estS, trueS, estSW, trueSW []float64
-		for _, c := range sortCands {
-			cfg.logf("fig12: sort %s at mem %.1f%%", c.algo.Name(), mem*100)
-			m, err := measureSort(cfg, cfg.Backend, c.algo, n, mem)
+		for _, spelling := range sortCands {
+			a, err := sorts.Parse(spelling)
 			if err != nil {
 				return nil, err
 			}
-			est := c.profile(tSort, mSort).Price(readNs, writeNs)
+			cfg.logf("fig12: sort %s at mem %.1f%%", a.Name(), mem*100)
+			m, err := measureSort(cfg, cfg.Backend, a, n, mem)
+			if err != nil {
+				return nil, err
+			}
+			est := a.(sorts.Profiled).Profile(cost.Emit{}, tSort, mSort, lambda).Price(readNs, writeNs)
 			estS = append(estS, est)
 			trueS = append(trueS, float64(m.Response))
-			if c.writeLimited {
+			if strings.Contains(spelling, ":") {
 				estSW = append(estSW, est)
 				trueSW = append(trueSW, float64(m.Response))
 			}
@@ -92,16 +74,20 @@ func Fig12(cfg Config) ([]*Report, error) {
 		vJoin := float64(nRight) * record.Size / bs
 		mJoin := mem * tJoin
 		var estJ, trueJ, estJW, trueJW []float64
-		for _, c := range joinCands {
-			cfg.logf("fig12: join %s at mem %.1f%%", c.algo.Name(), mem*100)
-			m, err := measureJoin(cfg, cfg.Backend, c.algo, nLeft, nRight, mem)
+		for _, spelling := range joinCands {
+			a, err := joins.Parse(spelling)
 			if err != nil {
 				return nil, err
 			}
-			est := c.profile(tJoin, vJoin, mJoin).Price(readNs, writeNs)
+			cfg.logf("fig12: join %s at mem %.1f%%", a.Name(), mem*100)
+			m, err := measureJoin(cfg, cfg.Backend, a, nLeft, nRight, mem)
+			if err != nil {
+				return nil, err
+			}
+			est := a.(joins.Profiled).Profile(cost.Emit{}, tJoin, vJoin, mJoin, lambda).Price(readNs, writeNs)
 			estJ = append(estJ, est)
 			trueJ = append(trueJ, float64(m.Response))
-			if c.writeLimited {
+			if strings.Contains(spelling, ":") {
 				estJW = append(estJW, est)
 				trueJW = append(trueJW, float64(m.Response))
 			}

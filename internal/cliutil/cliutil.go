@@ -50,15 +50,23 @@ func CheckPositiveFloat(cmd, flagName string, v float64) {
 	}
 }
 
+// Algorithm resolves an -algo flag against a family's catalog (sorts or
+// joins, through its Parse and New): a DSL spelling carrying its own
+// knobs ("SegS:0.4"), or a bare name whose knobs the knob flags place.
+func Algorithm[A any](cmd, spec string, parse func(string) (A, error), build func(string, ...float64) (A, error), knobs ...float64) A {
+	a, err := build(spec, knobs...)
+	if strings.Contains(spec, ":") {
+		a, err = parse(spec)
+	}
+	if err != nil {
+		Usage(cmd, "%v", err)
+	}
+	return a
+}
+
 // CheckFraction rejects knob flags outside [0, 1].
 func CheckFraction(cmd, flagName string, v float64) {
 	if v < 0 || v > 1 {
 		Usage(cmd, "-%s must be a fraction in [0, 1], got %g", flagName, v)
 	}
-}
-
-// UnknownAlgorithm reports an unrecognized algorithm name with the valid
-// spellings and exits 2.
-func UnknownAlgorithm(cmd, name string, valid []string) {
-	Usage(cmd, "unknown algorithm %q (have %s)", name, strings.Join(valid, "|"))
 }

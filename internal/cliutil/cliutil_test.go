@@ -27,13 +27,20 @@ func TestUsageErrorsExit2(t *testing.T) {
 		"posint":      func() { CheckPositiveInt("cmd", "n", 0) },
 		"posfloat":    func() { CheckPositiveFloat("cmd", "mem", -0.5) },
 		"fraction":    func() { CheckFraction("cmd", "x", 1.5) },
-		"algo":        func() { UnknownAlgorithm("cmd", "ZZZ", []string{"A", "B"}) },
+		"algo":        func() { Algorithm("cmd", "ZZZ", failingParse, failingBuild, 0.5) },
+		"spelling":    func() { Algorithm("cmd", "A:0.5", failingParse, okBuild, 0.5) },
 	} {
 		if code := capture(t, fn); code != 2 {
 			t.Errorf("%s: exit code %d, want 2", name, code)
 		}
 	}
 }
+
+func failingParse(string) (string, error) { return "", errors.New("no such spelling") }
+
+func failingBuild(string, ...float64) (string, error) { return "", errors.New("no such name") }
+
+func okBuild(name string, knobs ...float64) (string, error) { return name, nil }
 
 func TestFatalExits1(t *testing.T) {
 	if code := capture(t, func() { Fatal("cmd", errors.New("boom")) }); code != 1 {
@@ -50,4 +57,8 @@ func TestValidValuesPass(t *testing.T) {
 	CheckPositiveFloat("cmd", "mem", 0.05)
 	CheckFraction("cmd", "x", 0)
 	CheckFraction("cmd", "x", 1)
+	// A bare name is built from the knob flags, never parsed as a spelling.
+	if a := Algorithm("cmd", "A", failingParse, okBuild, 0.5); a != "A" {
+		t.Errorf("Algorithm built %q, want A", a)
+	}
 }

@@ -292,11 +292,16 @@ func (em Emit) NLJ(t, v, m float64) Profile {
 }
 
 // HybJProfile: Grace over (x·t, y·v) with the right suffix piggybacked
-// per partition and nested loops for the left suffix.
+// per partition and nested loops for the left suffix. With no left
+// prefix the engine partitions nothing and piggybacks nothing — it runs
+// NLJ's exact I/O — so the profile is NLJ's.
 func HybJProfile(x, y, t, v, m float64) Profile { return Emit{}.HybJ(x, y, t, v, m) }
 
 // HybJ is HybJProfile emitting as em describes.
 func (em Emit) HybJ(x, y, t, v, m float64) Profile {
+	if x*t <= 0 {
+		return em.NLJ(t, v, m)
+	}
 	k := math.Ceil(1.2 * x * t / m)
 	if k < 1 {
 		k = 1

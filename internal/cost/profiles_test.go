@@ -103,6 +103,29 @@ func TestJoinProfilesStructure(t *testing.T) {
 	}
 }
 
+// TestDegenerateProfilesEqual: each baseline's profile is the profile of
+// the write-limited algorithm it is the degenerate setting of (§2.1.1,
+// §2.2.1, §2.2.2), whatever the stage does with its output — the engine
+// runs the same I/O at those points, so the planner must price the same.
+func TestDegenerateProfilesEqual(t *testing.T) {
+	for _, em := range []Emit{{}, {Out: 700}, {Serial: true}, {Out: 700, Serial: true}} {
+		for _, sz := range []struct{ t, v, m float64 }{{10000, 100000, 500}, {1563, 15625, 617}, {157, 1563, 2}} {
+			tt, v, m := sz.t, sz.v, sz.m
+			eq := func(what string, got, want Profile) {
+				if got != want {
+					t.Errorf("%+v t=%v v=%v m=%v: %s: %+v != %+v", em, tt, v, m, what, got, want)
+				}
+			}
+			eq("SegS(1) vs ExMS", em.SegS(1, tt, m), em.ExMS(tt, m))
+			eq("SegS(0) vs SelS", em.SegS(0, tt, m), em.SelS(tt, m))
+			eq("SegJ(1) vs GJ", em.SegJ(1, tt, v, m), em.GJ(tt, v))
+			for _, y := range []float64{0, 0.5, 1} {
+				eq("HybJ(0,y) vs NLJ", em.HybJ(0, y, tt, v, m), em.NLJ(tt, v, m))
+			}
+		}
+	}
+}
+
 func TestLazyProfilesStructure(t *testing.T) {
 	const tt, m, lambda = 100000.0, 5000.0, 15.0
 

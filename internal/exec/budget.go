@@ -186,14 +186,14 @@ type stagePlan struct {
 }
 
 // plan prices the stage for t (and, for joins, v) input buffers at a
-// share of m buffers. A pinned algorithm is priced by its own profile,
-// or at the cheapest plan when the profile table does not know the
-// implementation; an open choice is the cheapest shipped plan.
+// share of m buffers. A pinned algorithm is priced by its own profile
+// (sorts.Profiled, joins.Profiled), or at the cheapest plan when the
+// implementation has none; an open choice is the cheapest shipped plan.
 func (s *stageAlloc) plan(t, v, m float64) stagePlan {
 	lambda, par := s.bp.lambda, s.bp.par
 	if s.op == "Join" {
-		if prof, ok := pinnedJoinProfile(s.joinA, t, v, m, lambda, s.emit()); ok {
-			return stagePlan{cost: prof.PriceP(1, lambda, par)}
+		if j, ok := s.joinA.(joins.Profiled); ok {
+			return stagePlan{cost: j.Profile(s.emit(), t, v, m, lambda).PriceP(1, lambda, par)}
 		}
 		best := cost.BestJoinPlanEmit(t, v, m, lambda, par, s.emit())
 		return stagePlan{cost: best.Cost, join: best}
@@ -213,8 +213,8 @@ func (s *stageAlloc) plan(t, v, m float64) stagePlan {
 		float64(s.groupEst) <= hashAggCap(m*float64(s.bp.blockSize)) {
 		return stagePlan{cost: cost.Profile{Reads: t, Writes: s.outBuf}.Price(1, lambda), hash: true}
 	}
-	if prof, ok := pinnedSortProfile(s.sortA, t, m, lambda, s.emit()); ok {
-		return stagePlan{cost: prof.PriceP(1, lambda, par)}
+	if a, ok := s.sortA.(sorts.Profiled); ok {
+		return stagePlan{cost: a.Profile(s.emit(), t, m, lambda).PriceP(1, lambda, par)}
 	}
 	best := cost.BestSortPlanEmit(t, m, lambda, par, s.emit())
 	return stagePlan{cost: best.Cost, sort: best}
@@ -243,24 +243,19 @@ func (s *stageAlloc) emit() cost.Emit {
 	return cost.Emit{}
 }
 
-// sortFor returns the sort pl runs: the pinned algorithm, else a fresh
-// instance of the planner's pick with its intensity knob placed.
+// sortFor returns the sort pl runs: the pinned algorithm, else the
+// planner's pick built from the sorts catalog with its knob placed. The
+// catalogs are keyed by the planner's own identifiers (TestCatalog walks
+// them), so a miss is a programming error, not an input error.
 func (s *stageAlloc) sortFor(pl stagePlan) sorts.Algorithm {
 	if s.sortA != nil {
 		return s.sortA
 	}
-	switch pl.sort.Algo {
-	case cost.SortSelS:
-		return sorts.NewSelectionSort()
-	case cost.SortLaS:
-		return sorts.NewLazySort()
-	case cost.SortSegS:
-		return sorts.NewSegmentSort(pl.sort.Intensity)
-	case cost.SortHybS:
-		return sorts.NewHybridSort(pl.sort.Intensity)
-	default:
-		return sorts.NewExternalMergeSort()
+	a, err := sorts.New(pl.sort.Algo, pl.sort.Intensity)
+	if err != nil {
+		panic(err)
 	}
+	return a
 }
 
 // joinFor is sortFor's join twin.
@@ -268,20 +263,11 @@ func (s *stageAlloc) joinFor(pl stagePlan) joins.Algorithm {
 	if s.joinA != nil {
 		return s.joinA
 	}
-	switch pl.join.Algo {
-	case cost.JoinGJ:
-		return joins.NewGrace()
-	case cost.JoinHJ:
-		return joins.NewHash()
-	case cost.JoinLaJ:
-		return joins.NewLazyHash()
-	case cost.JoinHybJ:
-		return joins.NewHybridGraceNL(pl.join.X, pl.join.Y)
-	case cost.JoinSegJ:
-		return joins.NewSegmentedGrace(pl.join.X)
-	default:
-		return joins.NewNestedLoops()
+	a, err := joins.New(pl.join.Algo, pl.join.X, pl.join.Y)
+	if err != nil {
+		panic(err)
 	}
+	return a
 }
 
 // open is called by the stage's operator once its inputs are

@@ -12,8 +12,13 @@
 //	         | 'limit(' UINT ')'
 //	attr    := 'a' DIGIT+                 (a0 is the key)
 //	OP      := '==' | '!=' | '<' | '<=' | '>' | '>='
-//	sort_algo := 'ExMS' | 'SelS' | 'LaS' | 'SegS:' X | 'HybS:' X
-//	join_algo := 'NLJ' | 'HJ' | 'GJ' | 'LaJ' | 'SegJ:' X | 'HybJ:' X ':' Y
+//	sort_algo := NAME { ':' X }       (a spelling of the sorts catalog)
+//	join_algo := NAME { ':' X }       (a spelling of the joins catalog)
+//
+// The algorithm names and their knob counts are whatever the catalogs in
+// internal/sorts and internal/joins declare (sorts.Spellings,
+// joins.Spellings — "ExMS", "SegS:0.4", "HybJ:0.5:0.5"); a knob is a
+// fraction in [0, 1].
 //
 // Stages that omit the algorithm leave the choice to the physical
 // planner. The scan starting the plan is the join build side — put the
@@ -109,8 +114,8 @@ func applyStage(p *Plan, name, arg string, lookup TableLookup) (*Plan, error) {
 		}
 		var a joins.Algorithm
 		if algoName != "" {
-			if a, err = ParseJoinAlgorithm(algoName); err != nil {
-				return nil, err
+			if a, err = joins.Parse(algoName); err != nil {
+				return nil, fmt.Errorf("exec: %w", err)
 			}
 		}
 		return p.JoinWith(right, a), nil
@@ -122,8 +127,8 @@ func applyStage(p *Plan, name, arg string, lookup TableLookup) (*Plan, error) {
 		}
 		var a sorts.Algorithm
 		if algoName != "" {
-			if a, err = ParseSortAlgorithm(algoName); err != nil {
-				return nil, err
+			if a, err = sorts.Parse(algoName); err != nil {
+				return nil, fmt.Errorf("exec: %w", err)
 			}
 		}
 		parts := strings.Split(sub, ",")
@@ -151,9 +156,9 @@ func applyStage(p *Plan, name, arg string, lookup TableLookup) (*Plan, error) {
 		if strings.TrimSpace(arg) == "" {
 			return p.OrderBy(), nil
 		}
-		a, err := ParseSortAlgorithm(strings.TrimSpace(arg))
+		a, err := sorts.Parse(strings.TrimSpace(arg))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("exec: %w", err)
 		}
 		return p.OrderByWith(a), nil
 
@@ -165,79 +170,6 @@ func applyStage(p *Plan, name, arg string, lookup TableLookup) (*Plan, error) {
 		return p.Limit(n), nil
 	}
 	return nil, fmt.Errorf("exec: unknown stage %q", name)
-}
-
-// SortAlgorithms lists the DSL sort-algorithm spellings.
-var SortAlgorithms = []string{"ExMS", "SelS", "LaS", "SegS:<x>", "HybS:<x>"}
-
-// ParseSortAlgorithm parses a DSL sort-algorithm name.
-func ParseSortAlgorithm(s string) (sorts.Algorithm, error) {
-	name, knobs, err := parseKnobs(s, map[string]int{"ExMS": 0, "SelS": 0, "LaS": 0, "SegS": 1, "HybS": 1})
-	if err != nil {
-		return nil, fmt.Errorf("%w (sorts: %s)", err, strings.Join(SortAlgorithms, " "))
-	}
-	switch name {
-	case "ExMS":
-		return sorts.NewExternalMergeSort(), nil
-	case "SelS":
-		return sorts.NewSelectionSort(), nil
-	case "LaS":
-		return sorts.NewLazySort(), nil
-	case "SegS":
-		return sorts.NewSegmentSort(knobs[0]), nil
-	case "HybS":
-		return sorts.NewHybridSort(knobs[0]), nil
-	}
-	panic("unreachable")
-}
-
-// JoinAlgorithms lists the DSL join-algorithm spellings.
-var JoinAlgorithms = []string{"NLJ", "HJ", "GJ", "LaJ", "SegJ:<x>", "HybJ:<x>:<y>"}
-
-// ParseJoinAlgorithm parses a DSL join-algorithm name.
-func ParseJoinAlgorithm(s string) (joins.Algorithm, error) {
-	name, knobs, err := parseKnobs(s, map[string]int{"NLJ": 0, "HJ": 0, "GJ": 0, "LaJ": 0, "SegJ": 1, "HybJ": 2})
-	if err != nil {
-		return nil, fmt.Errorf("%w (joins: %s)", err, strings.Join(JoinAlgorithms, " "))
-	}
-	switch name {
-	case "NLJ":
-		return joins.NewNestedLoops(), nil
-	case "HJ":
-		return joins.NewHash(), nil
-	case "GJ":
-		return joins.NewGrace(), nil
-	case "LaJ":
-		return joins.NewLazyHash(), nil
-	case "SegJ":
-		return joins.NewSegmentedGrace(knobs[0]), nil
-	case "HybJ":
-		return joins.NewHybridGraceNL(knobs[0], knobs[1]), nil
-	}
-	panic("unreachable")
-}
-
-// parseKnobs splits "Name:k1:k2" and validates the knob count against
-// arity and each knob against [0, 1].
-func parseKnobs(s string, arity map[string]int) (string, []float64, error) {
-	parts := strings.Split(s, ":")
-	name := strings.TrimSpace(parts[0])
-	want, ok := arity[name]
-	if !ok {
-		return "", nil, fmt.Errorf("exec: unknown algorithm %q", name)
-	}
-	if len(parts)-1 != want {
-		return "", nil, fmt.Errorf("exec: algorithm %q takes %d knob(s), got %d", name, want, len(parts)-1)
-	}
-	knobs := make([]float64, 0, want)
-	for _, ks := range parts[1:] {
-		k, err := strconv.ParseFloat(strings.TrimSpace(ks), 64)
-		if err != nil || k < 0 || k > 1 {
-			return "", nil, fmt.Errorf("exec: bad knob %q (want a fraction in [0, 1])", ks)
-		}
-		knobs = append(knobs, k)
-	}
-	return name, knobs, nil
 }
 
 // parsePredicate parses "aN OP VALUE".

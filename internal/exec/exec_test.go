@@ -623,6 +623,23 @@ func TestDSLErrors(t *testing.T) {
 	}
 }
 
+// TestDSLAlgorithmErrorText: algorithm spellings are parsed by the sorts
+// and joins catalogs, and what a DSL user reads is unchanged by that.
+func TestDSLAlgorithmErrorText(t *testing.T) {
+	r := newRig(t)
+	in := r.create(t, "t", record.Size)
+	lookup := func(string) (storage.Collection, error) { return in, nil }
+	for src, want := range map[string]string{
+		"scan(t) | join(scan(t); ZJ)":   `exec: unknown algorithm "ZJ" (joins: NLJ HJ GJ LaJ SegJ:<x> HybJ:<x>:<y>)`,
+		"scan(t) | orderby(SegS)":       `exec: algorithm "SegS" takes 1 knob(s), got 0 (sorts: ExMS SelS LaS SegS:<x> HybS:<x>)`,
+		"scan(t) | groupby(a1; HybS:2)": `exec: bad knob "2" (want a fraction in [0, 1]) (sorts: ExMS SelS LaS SegS:<x> HybS:<x>)`,
+	} {
+		if _, err := ParsePlan(src, lookup); err == nil || err.Error() != want {
+			t.Errorf("ParsePlan(%q): %v, want %s", src, err, want)
+		}
+	}
+}
+
 func TestRunValidation(t *testing.T) {
 	r := newRig(t)
 	in := r.create(t, "in", record.Size)

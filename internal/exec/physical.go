@@ -5,10 +5,7 @@ import (
 	"math"
 	"strings"
 
-	"wlpm/internal/cost"
-	"wlpm/internal/joins"
 	"wlpm/internal/record"
-	"wlpm/internal/sorts"
 	"wlpm/internal/stats"
 )
 
@@ -520,56 +517,6 @@ func (c *compiler) joinEstimate(l, r planEstimate) planEstimate {
 		rows = 1
 	}
 	return planEstimate{rows: rows, tbl: stats.Concat(l.tbl, r.tbl, rows)}
-}
-
-// --- Pinned-choice pricing ---
-
-// pinnedSortProfile looks up a caller-pinned sort algorithm in the
-// implementation profiles the planner ranks, emitting as e describes.
-// Unknown implementations — and nil, the planner's own choice — report
-// ok=false.
-func pinnedSortProfile(a sorts.Algorithm, t, m, lambda float64, e cost.Emit) (cost.Profile, bool) {
-	switch s := a.(type) {
-	case *sorts.ExternalMergeSort:
-		return e.ExMS(t, m), true
-	case *sorts.SelectionSort:
-		return e.SelS(t, m), true
-	case *sorts.LazySort:
-		return e.LaS(t, m, lambda), true
-	case *sorts.SegmentSort:
-		x := s.Intensity
-		if s.Auto {
-			x = cost.SegmentSortOptimalX(t, m, lambda)
-		}
-		return e.SegS(x, t, m), true
-	case *sorts.HybridSort:
-		return e.HybS(s.Intensity, t, m), true
-	}
-	return cost.Profile{}, false
-}
-
-// pinnedJoinProfile is pinnedSortProfile's join twin.
-func pinnedJoinProfile(a joins.Algorithm, t, v, m, lambda float64, e cost.Emit) (cost.Profile, bool) {
-	switch j := a.(type) {
-	case *joins.NestedLoops:
-		return e.NLJ(t, v, m), true
-	case *joins.Grace:
-		return e.GJ(t, v), true
-	case *joins.Hash:
-		return e.HJ(t, v, m), true
-	case *joins.LazyHash:
-		return e.LaJ(t, v, m, lambda), true
-	case *joins.HybridGraceNL:
-		x, y := j.X, j.Y
-		if j.Auto {
-			// The saddle solver already clamps to [0, 1].
-			x, y = cost.HybridJoinSaddle(t, v, m, lambda)
-		}
-		return e.HybJ(x, y, t, v, m), true
-	case *joins.SegmentedGrace:
-		return e.SegJ(j.Intensity, t, v, m), true
-	}
-	return cost.Profile{}, false
 }
 
 // parOf maps a context's Parallelism knob to the effective

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"wlpm/internal/algo"
+	"wlpm/internal/cost"
 	"wlpm/internal/storage"
 )
 
@@ -22,7 +23,7 @@ type Grace struct{}
 func NewGrace() *Grace { return &Grace{} }
 
 // Name implements Algorithm.
-func (j *Grace) Name() string { return "GJ" }
+func (j *Grace) Name() string { return cost.JoinGJ }
 
 // Join implements Algorithm.
 func (j *Grace) Join(env *algo.Env, left, right, out storage.Collection) error {
@@ -30,32 +31,52 @@ func (j *Grace) Join(env *algo.Env, left, right, out storage.Collection) error {
 		return err
 	}
 	k := partitionCount(env, left.Len(), left.RecordSize())
-
-	var lp, rp [][]storage.Collection
-	joined := false
-	defer func() {
-		if joined {
-			return
-		}
-		// Error exit: sweep every partition sub-collection still live.
-		// Destroy is idempotent, so partitions already reclaimed by the
-		// per-partition destroyAll are safe to sweep again.
-		destroyParts(lp)
-		destroyParts(rp)
-	}()
-
-	lp, err := partitionInto(env, left, k, k, "gjl")
-	if err != nil {
-		return err
-	}
-	rp, err = partitionInto(env, right, k, k, "gjr")
-	if err != nil {
-		return err
-	}
 	em := newEmitter(out, left.RecordSize(), right.RecordSize())
-	for p := 0; p < k; p++ {
-		if err := joinPartition(env, lp[p], rp[p], em); err != nil {
+	if err := gracePhase(env, left, right, k, k, nil, em); err != nil {
+		return err
+	}
+	return out.Close()
+}
+
+// Profile implements Profiled.
+func (j *Grace) Profile(em cost.Emit, t, v, m, lambda float64) cost.Profile { return em.GJ(t, v) }
+
+// gracePhase is the one Grace join: hash left and right into the first x
+// of k partitions, then build a table over each left partition, probe it
+// with its right partition — and with suffix, when non-nil (HybJ's
+// unpartitioned rest of the right input) — and destroy the pair. GJ
+// materializes all k partitions, SegJ a fraction, HybJ all k of a prefix
+// of its inputs. The phase owns its partitions: a failure anywhere sweeps
+// every one still live (Destroy is idempotent, so reclaimed pairs are safe).
+func gracePhase(env *algo.Env, left, right storage.Collection, k, x int, suffix storage.Collection, em *emitter) (err error) {
+	var lp, rp [][]storage.Collection
+	defer func() {
+		if err != nil {
+			destroyParts(lp)
+			destroyParts(rp)
+		}
+	}()
+	if lp, err = partitionInto(env, left, k, x, "gjl"); err != nil {
+		return err
+	}
+	if rp, err = partitionInto(env, right, k, x, "gjr"); err != nil {
+		return err
+	}
+	for p := 0; p < x; p++ {
+		table, err := buildTableParallel(env, lp[p], nil)
+		if err != nil {
 			return err
+		}
+		// One probe worker per sub-collection: the partitioning phase's
+		// worker count, itself bounded by env.Parallelism, fixes the
+		// probe fan-out.
+		if err := parallelProbe(env, rp[p], table, nil, em); err != nil {
+			return err
+		}
+		if suffix != nil && suffix.Len() > 0 {
+			if err := probeRange(env, suffix, table, nil, em); err != nil {
+				return err
+			}
 		}
 		if err := destroyAll(lp[p]); err != nil {
 			return err
@@ -64,8 +85,7 @@ func (j *Grace) Join(env *algo.Env, left, right, out storage.Collection) error {
 			return err
 		}
 	}
-	joined = true
-	return out.Close()
+	return nil
 }
 
 // partitionInto hashes src into the first x of k partitions (x = k keeps
@@ -135,17 +155,4 @@ func partitionInto(env *algo.Env, src storage.Collection, k, x int, prefix strin
 		}
 	}
 	return parts, nil
-}
-
-// joinPartition builds a table over partition lp (worker-built
-// sub-tables merged back into the serial insertion order) and probes it
-// with partition rp, one probe worker per sub-collection (the
-// partitioning phase's worker count, itself bounded by env.Parallelism,
-// fixes the probe fan-out).
-func joinPartition(env *algo.Env, lp, rp []storage.Collection, em *emitter) error {
-	table, err := buildTableParallel(env, lp, nil)
-	if err != nil {
-		return err
-	}
-	return parallelProbe(env, rp, table, nil, em)
 }

@@ -19,6 +19,9 @@ import (
 //	T(1−x) ⋈ V  — block nested loops over the left suffix and all of V
 //
 // x and y are the algorithm's write intensities (Eq. 6; Fig. 2 heatmaps).
+// The first two are the shared Grace phase (gj.go) with a probe suffix,
+// the third is NLJ's loop (nlj.go); with no left prefix (x·|T| < 1
+// record) only the third runs and the join is NLJ's, I/O for I/O.
 //
 // Under env.Parallelism > 1 the partitioning scans, the hash-table
 // builds (worker sub-tables merged back into serial insertion order) and
@@ -47,6 +50,16 @@ func (j *HybridGraceNL) Name() string {
 	return fmt.Sprintf("HybJ(%.2f,%.2f)", j.X, j.Y)
 }
 
+// Profile implements Profiled; auto-placed knobs are priced where Join
+// will place them (the saddle solver already clamps to [0, 1]).
+func (j *HybridGraceNL) Profile(em cost.Emit, t, v, m, lambda float64) cost.Profile {
+	x, y := j.X, j.Y
+	if j.Auto {
+		x, y = cost.HybridJoinSaddle(t, v, m, lambda)
+	}
+	return em.HybJ(x, y, t, v, m)
+}
+
 // Join implements Algorithm.
 func (j *HybridGraceNL) Join(env *algo.Env, left, right, out storage.Collection) error {
 	if err := checkArgs(env, left, right, out); err != nil {
@@ -67,65 +80,18 @@ func (j *HybridGraceNL) Join(env *algo.Env, left, right, out storage.Collection)
 	splitV := int(y * float64(right.Len()))
 	em := newEmitter(out, left.RecordSize(), right.RecordSize())
 
-	// Phase 1: partition the Grace fractions (the scans fan out over
-	// input chunks under env.Parallelism).
-	k := partitionCount(env, splitT, left.RecordSize())
-	var lp, rp [][]storage.Collection
+	// Tx ⋈ Vy and Tx ⋈ V(1−y): the Grace phase over the prefixes, the
+	// right suffix piggybacked onto each resident partition table.
 	if splitT > 0 {
-		var err error
-		if lp, err = partitionInto(env, storage.Slice(left, 0, splitT), k, k, "hybl"); err != nil {
-			return err
-		}
-		if rp, err = partitionInto(env, storage.Slice(right, 0, splitV), k, k, "hybr"); err != nil {
-			return err
-		}
-	}
-
-	// Phase 2: per-partition Grace join, with the unpartitioned right
-	// suffix V(1−y) piggybacked onto each resident partition table. The
-	// builds and both probe streams fan out to workers.
-	vSuffix := storage.Slice(right, splitV, right.Len())
-	for p := 0; p < len(lp); p++ {
-		table, err := buildTableParallel(env, lp[p], nil)
-		if err != nil {
-			return err
-		}
-		if err := parallelProbe(env, rp[p], table, nil, em); err != nil {
-			return err
-		}
-		if vSuffix.Len() > 0 {
-			if err := probeRange(env, vSuffix, table, nil, em); err != nil {
-				return err
-			}
-		}
-		if err := destroyAll(lp[p]); err != nil {
-			return err
-		}
-		if err := destroyAll(rp[p]); err != nil {
+		k := partitionCount(env, splitT, left.RecordSize())
+		tx, vy := storage.Slice(left, 0, splitT), storage.Slice(right, 0, splitV)
+		if err := gracePhase(env, tx, vy, k, k, storage.Slice(right, splitV, right.Len()), em); err != nil {
 			return err
 		}
 	}
-
-	// Phase 3: block nested loops between the left suffix T(1−x) and the
-	// whole right input. Each memory-sized block's table build fans out to
-	// workers over contiguous chunks of the block.
-	if splitT < left.Len() {
-		capRecords := buildCap(env, left.RecordSize())
-		done := splitT
-		for done < left.Len() {
-			end := done + capRecords
-			if end > left.Len() {
-				end = left.Len()
-			}
-			table, err := buildTableParallel(env, []storage.Collection{storage.Slice(left, done, end)}, nil)
-			if err != nil {
-				return err
-			}
-			done = end
-			if err := probeRange(env, right, table, nil, em); err != nil {
-				return err
-			}
-		}
+	// T(1−x) ⋈ V: block nested loops from the left suffix on.
+	if err := blockNestedLoops(env, left, splitT, right, em); err != nil {
+		return err
 	}
 	return out.Close()
 }

@@ -1,20 +1,30 @@
-// Package joins implements the paper's equi-join algorithms (§2.2):
+// Package joins implements the paper's equi-join algorithms (§2.2) as one
+// family built from three mechanisms, the way the paper derives them —
+// each baseline runs as the degenerate setting of the write-limited
+// algorithm built from it:
 //
-//   - NLJ  — block nested loops: minimal writes, maximal reads
-//   - HJ   — standard iterative hash join (§2.2.3's baseline)
-//   - GJ   — Grace join: partition both inputs, then join partition-wise
-//   - HybJ — hybrid Grace-nested-loops join (§2.2.1, Eq. 6)
-//   - SegJ — segmented Grace join (§2.2.2, Eqs. 9–10)
-//   - LaJ  — lazy hash join (§2.2.3, Table 1, Eq. 11)
+//   - the block-nested-loops loop (nlj.go): NLJ — minimal writes, maximal
+//     reads — and the T(1−x) ⋈ V half of HybJ
+//   - the Grace phase (gj.go): partition x of k on both sides, join the
+//     pairs. GJ — Grace join — is all k partitions; SegJ — segmented
+//     Grace (§2.2.2, Eqs. 9–10) — a fraction of them, GJ at intensity 1;
+//     HybJ — hybrid Grace-nested-loops (§2.2.1, Eq. 6) — all k of an
+//     (x, y) prefix of its inputs, NLJ at x = 0
+//   - the iterative hash loop (laj.go): LaJ — lazy hash join (§2.2.3,
+//     Table 1, Eq. 11) — materializes its survivors when Eq. 11 says so;
+//     HJ — standard hash join, §2.2.3's baseline — on every iteration
 //
 // All algorithms join on key equality (attribute 0 of each record) and
-// emit left‖right concatenations into the output collection.
+// emit left‖right concatenations into the output collection. The catalog
+// below is each algorithm's single declaration: the planner, the plan DSL
+// and the CLIs name, build and price it from there.
 package joins
 
 import (
 	"fmt"
 
 	"wlpm/internal/algo"
+	"wlpm/internal/cost"
 	"wlpm/internal/record"
 	"wlpm/internal/storage"
 )
@@ -27,6 +37,34 @@ type Algorithm interface {
 	// record size must be the sum of the input record sizes.
 	Join(env *algo.Env, left, right, out storage.Collection) error
 }
+
+// Profiled is implemented by every shipped algorithm: its predicted I/O
+// for t build-side and v probe-side buffers with m of memory at ratio λ,
+// emitting as em describes. The planner prices a pinned algorithm by it;
+// an implementation without it is priced at the cheapest shipped plan.
+type Profiled interface {
+	Profile(em cost.Emit, t, v, m, lambda float64) cost.Profile
+}
+
+// catalog declares the shipped joins under cost.BestJoinPlanP's names.
+var catalog = algo.Catalog[Algorithm]{Family: "joins", Entries: []algo.Entry[Algorithm]{
+	{Name: cost.JoinNLJ, New: func([]float64) Algorithm { return NewNestedLoops() }},
+	{Name: cost.JoinHJ, New: func([]float64) Algorithm { return NewHash() }},
+	{Name: cost.JoinGJ, New: func([]float64) Algorithm { return NewGrace() }},
+	{Name: cost.JoinLaJ, New: func([]float64) Algorithm { return NewLazyHash() }},
+	{Name: cost.JoinSegJ, Knobs: 1, New: func(k []float64) Algorithm { return NewSegmentedGrace(k[0]) }},
+	{Name: cost.JoinHybJ, Knobs: 2, New: func(k []float64) Algorithm { return NewHybridGraceNL(k[0], k[1]) }},
+}}
+
+// New builds the join the planner calls name, its knobs (if it has any)
+// taken from the front of knobs: cost.JoinPlan's X, then Y.
+func New(name string, knobs ...float64) (Algorithm, error) { return catalog.New(name, knobs...) }
+
+// Parse builds a join from its DSL spelling: "GJ", "HybJ:0.5:0.5".
+func Parse(s string) (Algorithm, error) { return catalog.Parse(s) }
+
+// Spellings lists the DSL spellings Parse accepts.
+func Spellings() []string { return catalog.Spellings() }
 
 // checkArgs validates the common preconditions of all Join calls. The
 // output record size selects the result shape: left+right concatenation,
@@ -87,8 +125,6 @@ func (t *hashTable) insert(rec []byte) {
 	t.idx[k] = append(t.idx[k], int32(t.vec.Len()-1))
 }
 
-func (t *hashTable) len() int { return t.vec.Len() }
-
 func (t *hashTable) reset() {
 	t.vec.Reset()
 	clear(t.idx)
@@ -112,7 +148,6 @@ type emitter struct {
 	scratch []byte
 	lsize   int
 	project bool // emit only the right record
-	matches int
 }
 
 func newEmitter(out storage.Collection, lsize, rsize int) *emitter {
@@ -125,7 +160,6 @@ func newEmitter(out storage.Collection, lsize, rsize int) *emitter {
 }
 
 func (e *emitter) emit(left, right []byte) error {
-	e.matches++
 	if e.project {
 		return e.out.Append(right)
 	}
@@ -134,23 +168,10 @@ func (e *emitter) emit(left, right []byte) error {
 	return e.out.Append(e.scratch)
 }
 
-// emitRaw appends an already-materialized output record; the ordered
-// parallel emitter uses it to flush DRAM-staged matches.
-func (e *emitter) emitRaw(rec []byte) error {
-	e.matches++
-	return e.out.Append(rec)
-}
-
-// buildCap is the number of build-side records whose hash table fits the
-// budget (the paper's M/f).
-func buildCap(env *algo.Env, recSize int) int {
-	return env.BudgetHashRecords(recSize)
-}
-
 // partitionCount is k = ⌈f·|T|/M⌉: the fewest partitions whose hash
-// tables fit in memory.
+// tables fit in memory (M/f records each, env.BudgetHashRecords).
 func partitionCount(env *algo.Env, leftRecords, recSize int) int {
-	cap := buildCap(env, recSize)
+	cap := env.BudgetHashRecords(recSize)
 	k := (leftRecords + cap - 1) / cap
 	if k < 1 {
 		k = 1

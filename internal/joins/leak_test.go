@@ -59,13 +59,15 @@ func newLeakEnv(t testing.TB, budgetRecords, par int) *algo.Env {
 	return algo.NewParallelEnv(f, int64(budgetRecords*record.Size), par)
 }
 
-// TestJoinCancelSweepsTemps cancels HJ, LaJ and GJ at increasing depths
-// — partitioning, builds, probes, intermediate-input rotation — and
-// asserts the algorithm itself left no live temporaries.
+// TestJoinCancelSweepsTemps cancels every join that creates temporaries
+// — both users of the iterative hash loop, all three of the Grace phase —
+// at increasing depths (partitioning, builds, probes, intermediate-input
+// rotation) and asserts the algorithm itself left no live temporaries.
 func TestJoinCancelSweepsTemps(t *testing.T) {
 	const nLeft, nRight, budget = 600, 6000, 40
 	for _, par := range []int{1, 4} {
-		for _, a := range []Algorithm{NewHash(), NewLazyHash(), NewGrace()} {
+		for _, a := range []Algorithm{NewHash(), NewLazyHash(), NewGrace(),
+			NewSegmentedGrace(0.5), NewSegmentedGrace(1), NewHybridGraceNL(0.5, 0.5)} {
 			a, par := a, par
 			t.Run(fmt.Sprintf("%s/p%d", a.Name(), par), func(t *testing.T) {
 				calib := &countingCtx{Context: context.Background()}

@@ -2,6 +2,7 @@ package joins
 
 import (
 	"wlpm/internal/algo"
+	"wlpm/internal/cost"
 	"wlpm/internal/storage"
 )
 
@@ -20,7 +21,7 @@ type NestedLoops struct{}
 func NewNestedLoops() *NestedLoops { return &NestedLoops{} }
 
 // Name implements Algorithm.
-func (j *NestedLoops) Name() string { return "NLJ" }
+func (j *NestedLoops) Name() string { return cost.JoinNLJ }
 
 // Join implements Algorithm.
 func (j *NestedLoops) Join(env *algo.Env, left, right, out storage.Collection) error {
@@ -28,22 +29,31 @@ func (j *NestedLoops) Join(env *algo.Env, left, right, out storage.Collection) e
 		return err
 	}
 	em := newEmitter(out, left.RecordSize(), right.RecordSize())
-	capRecords := buildCap(env, left.RecordSize())
+	if err := blockNestedLoops(env, left, 0, right, em); err != nil {
+		return err
+	}
+	return out.Close()
+}
 
-	done := 0
-	for done < left.Len() {
-		end := done + capRecords
-		if end > left.Len() {
-			end = left.Len()
-		}
-		table, err := buildTableParallel(env, []storage.Collection{storage.Slice(left, done, end)}, nil)
+// Profile implements Profiled.
+func (j *NestedLoops) Profile(em cost.Emit, t, v, m, lambda float64) cost.Profile {
+	return em.NLJ(t, v, m)
+}
+
+// blockNestedLoops is the one block-nested-loops loop: it joins left's
+// records from position from on — NLJ's whole input, HybJ's T(1−x)
+// suffix — with all of right, one memory-sized block of left at a time.
+func blockNestedLoops(env *algo.Env, left storage.Collection, from int, right storage.Collection, em *emitter) error {
+	capRecords := env.BudgetHashRecords(left.RecordSize())
+	for lo := from; lo < left.Len(); lo += capRecords {
+		block := storage.Slice(left, lo, min(lo+capRecords, left.Len()))
+		table, err := buildTableParallel(env, []storage.Collection{block}, nil)
 		if err != nil {
 			return err
 		}
-		done = end
 		if err := probeRange(env, right, table, nil, em); err != nil {
 			return err
 		}
 	}
-	return out.Close()
+	return nil
 }

@@ -92,7 +92,7 @@ func (o *orderedEmit) takeTurn() error {
 	o.ts.Wait(o.i)
 	o.turnTaken = true
 	for j := 0; j < o.buf.Len(); j++ {
-		if err := o.em.emitRaw(o.buf.At(j)); err != nil {
+		if err := o.em.out.Append(o.buf.At(j)); err != nil {
 			return err
 		}
 	}

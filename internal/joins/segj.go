@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"wlpm/internal/algo"
+	"wlpm/internal/cost"
 	"wlpm/internal/storage"
 )
 
@@ -13,7 +14,8 @@ import (
 // materialized partitions are then joined Grace-style; every remaining
 // partition is processed by re-scanning both inputs and filtering — reads
 // traded for the writes that were never made (Eq. 9; Eq. 10 bounds when
-// this beats plain Grace join).
+// this beats plain Grace join). At intensity 1 every partition is
+// materialized and the join is GJ's, I/O for I/O.
 //
 // Under env.Parallelism > 1 the offload scans, the hash-table builds
 // (worker sub-tables merged back into serial insertion order), the
@@ -32,6 +34,11 @@ func NewSegmentedGrace(intensity float64) *SegmentedGrace {
 // Name implements Algorithm.
 func (j *SegmentedGrace) Name() string { return fmt.Sprintf("SegJ(%.2f)", j.Intensity) }
 
+// Profile implements Profiled.
+func (j *SegmentedGrace) Profile(em cost.Emit, t, v, m, lambda float64) cost.Profile {
+	return em.SegJ(j.Intensity, t, v, m)
+}
+
 // Join implements Algorithm.
 func (j *SegmentedGrace) Join(env *algo.Env, left, right, out storage.Collection) error {
 	if err := checkArgs(env, left, right, out); err != nil {
@@ -44,27 +51,10 @@ func (j *SegmentedGrace) Join(env *algo.Env, left, right, out storage.Collection
 	x := int(j.Intensity * float64(k))
 	em := newEmitter(out, left.RecordSize(), right.RecordSize())
 
-	// Initial scan of both inputs: offload partitions 0..x-1 only.
-	var lp, rp [][]storage.Collection
+	// Initial scan of both inputs offloading partitions 0..x-1 only,
+	// then their Grace-style join.
 	if x > 0 {
-		var err error
-		if lp, err = partitionInto(env, left, k, x, "segl"); err != nil {
-			return err
-		}
-		if rp, err = partitionInto(env, right, k, x, "segr"); err != nil {
-			return err
-		}
-	}
-
-	// Grace-style join of the materialized partitions.
-	for p := 0; p < x; p++ {
-		if err := joinPartition(env, lp[p], rp[p], em); err != nil {
-			return err
-		}
-		if err := destroyAll(lp[p]); err != nil {
-			return err
-		}
-		if err := destroyAll(rp[p]); err != nil {
+		if err := gracePhase(env, left, right, k, x, nil, em); err != nil {
 			return err
 		}
 	}
@@ -74,16 +64,12 @@ func (j *SegmentedGrace) Join(env *algo.Env, left, right, out storage.Collection
 	// chunks of their input; the build's worker sub-tables merge back into
 	// the serial insertion (= emission) order.
 	for p := x; p < k; p++ {
-		part := p
-		table, err := buildTableParallel(env, []storage.Collection{left}, func(rec []byte) bool {
-			return partitionOf(rec, k) == part
-		})
+		inPart := func(rec []byte) bool { return partitionOf(rec, k) == p }
+		table, err := buildTableParallel(env, []storage.Collection{left}, inPart)
 		if err != nil {
 			return err
 		}
-		if err := probeRange(env, right, table, func(r []byte) bool {
-			return partitionOf(r, k) == part
-		}, em); err != nil {
+		if err := probeRange(env, right, table, inPart, em); err != nil {
 			return err
 		}
 	}

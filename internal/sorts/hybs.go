@@ -4,9 +4,8 @@ import (
 	"fmt"
 
 	"wlpm/internal/algo"
-	"wlpm/internal/record"
+	"wlpm/internal/cost"
 	"wlpm/internal/storage"
-	"wlpm/internal/xheap"
 )
 
 // HybridSort is HybS (§2.1.2, Algorithm 1). The memory budget is split
@@ -14,7 +13,8 @@ import (
 // a replacement-selection region Rr. Rs accumulates the globally smallest
 // records — written exactly once, directly to the output — while Rr runs
 // ordinary two-heap replacement selection over everything Rs displaces.
-// The runs Rr produces are merged and appended after Rs's records.
+// The runs Rr produces are merged and appended after Rs's records. Rs is
+// one selection pass (selection.go) whose survivors feed Rr.
 //
 // The pass that fills Rs and Rr is order-dependent (Rs tracks the global
 // minima seen so far) and stays serial; under env.Parallelism > 1 the
@@ -33,6 +33,11 @@ func NewHybridSort(x float64) *HybridSort { return &HybridSort{Intensity: x} }
 
 // Name implements Algorithm.
 func (s *HybridSort) Name() string { return fmt.Sprintf("HybS(%.2f)", s.Intensity) }
+
+// Profile implements Profiled.
+func (s *HybridSort) Profile(em cost.Emit, t, m, lambda float64) cost.Profile {
+	return em.HybS(s.Intensity, t, m)
+}
 
 // Sort implements Algorithm.
 func (s *HybridSort) Sort(env *algo.Env, in, out storage.Collection) error {
@@ -53,7 +58,7 @@ func (s *HybridSort) Sort(env *algo.Env, in, out storage.Collection) error {
 		rrCap = 1
 	}
 
-	rs := xheap.NewKeyed(recSize, rsCap, true) // max-heap: the global minima so far
+	rs := newSelector(env, recSize, rsCap) // Rs: the global minima so far
 	rr := newRunFormer(env, "hybrun", recSize, rrCap)
 	sorted := false
 	defer func() {
@@ -65,32 +70,14 @@ func (s *HybridSort) Sort(env *algo.Env, in, out storage.Collection) error {
 		}
 	}()
 
-	err := env.Scan(in, env.Polled(func(rec []byte) error {
-		key := record.Key(rec)
-		if !rs.Full() {
-			rs.Push(key, 0, rec)
-			return nil
-		}
-		top := rs.Top()
-		if !xheap.Before(key, rec, 0, top.Key, rs.Record(top.Slot), 0) {
-			return rr.add(rec)
-		}
-		// rec joins the global minima; the displaced maximum moves to the
-		// replacement-selection region before its slot is overwritten.
-		if err := rr.add(rs.Record(top.Slot)); err != nil {
-			return err
-		}
-		rs.ReplaceTop(key, 0, rec)
-		return nil
-	}))
+	// One selection pass leaves the |Rs| smallest records in Rs, sorted
+	// and emitted first; what it turns away or displaces moves on to Rr.
+	n, err := rs.pass(in, rr.add)
 	if err != nil {
 		return err
 	}
-
-	// Rs holds the global minimum |Rs| records: sort and emit them first.
-	rs.Sort()
-	for _, e := range rs.Items() {
-		if err := out.Append(rs.Record(e.Slot)); err != nil {
+	for i := 0; i < n; i++ {
+		if err := out.Append(rs.rec(i)); err != nil {
 			return err
 		}
 	}
@@ -99,7 +86,7 @@ func (s *HybridSort) Sort(env *algo.Env, in, out storage.Collection) error {
 	if err := rr.finish(); err != nil {
 		return err
 	}
-	if err := mergeRuns(env, rr.runs, out, recSize); err != nil {
+	if err := mergeRuns(env, rr.runs, nil, out, recSize); err != nil {
 		return err
 	}
 	sorted = true

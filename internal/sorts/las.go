@@ -25,10 +25,23 @@ type LazySort struct{}
 func NewLazySort() *LazySort { return &LazySort{} }
 
 // Name implements Algorithm.
-func (s *LazySort) Name() string { return "LaS" }
+func (s *LazySort) Name() string { return cost.SortLaS }
 
 // Sort implements Algorithm.
 func (s *LazySort) Sort(env *algo.Env, in, out storage.Collection) error {
+	return lazySort(env, in, out, cost.LazySortMaterializeIteration)
+}
+
+// Profile implements Profiled.
+func (s *LazySort) Profile(em cost.Emit, t, m, lambda float64) cost.Profile {
+	return em.LaS(t, m, lambda)
+}
+
+// lazySort is the one repeated-minimum-extraction loop. materializeAt
+// says on which iteration over the current input (of remaining records,
+// extracting budget per pass, at write/read ratio λ) the survivors are
+// written out as the next input: LaS passes Eq. 5, SelS never does.
+func lazySort(env *algo.Env, in, out storage.Collection, materializeAt func(remaining, budget, lambda float64) int) (err error) {
 	if err := checkArgs(env, in, out); err != nil {
 		return err
 	}
@@ -45,23 +58,16 @@ func (s *LazySort) Sort(env *algo.Env, in, out storage.Collection) error {
 	// One slab, and the bound the next pass resumes from, for every iteration.
 	sel := newSelector(env, recSize, budget)
 
-	sorted := false
 	defer func() {
-		if sorted {
-			return
-		}
 		// Error exit: reclaim whichever temps are still live. Destroy is
 		// idempotent, so sweeping both is safe even when ti backs cur.
-		if ti != nil && ti != curTemp {
-			_ = ti.Destroy()
-		}
-		if curTemp != nil {
-			_ = curTemp.Destroy()
+		if err != nil {
+			destroyRuns([]storage.Collection{ti, curTemp})
 		}
 	}()
 
 	for emitted < in.Len() {
-		materialize := n >= cost.LazySortMaterializeIteration(float64(cur.Len()), float64(budget), lambda)
+		materialize := n >= materializeAt(float64(cur.Len()), float64(budget), lambda)
 
 		ti = nil
 		var onSurvivor func(rec []byte) error
@@ -108,6 +114,5 @@ func (s *LazySort) Sort(env *algo.Env, in, out storage.Collection) error {
 			return err
 		}
 	}
-	sorted = true
 	return out.Close()
 }

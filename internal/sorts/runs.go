@@ -223,22 +223,17 @@ func formRunsReplacementSelection(env *algo.Env, src storage.Collection, budget 
 // mergeRuns merges sorted runs into out with fan-in bounded by the memory
 // budget (one block buffer per open run plus one for the output).
 // Intermediate merge passes create and destroy temporary runs; input runs
-// are destroyed as they are consumed.
-func mergeRuns(env *algo.Env, runs []storage.Collection, out storage.Collection, recSize int) error {
-	return mergeRunsWith(env, runs, nil, out, recSize)
-}
-
-// mergeRunsWith additionally merges streaming sorted sources into the
-// final pass. Streams participate only in the last merge — they are the
-// write-avoidance mechanism of segment sort's selection segment, whose
-// records must be written exactly once, at their final location in out.
-// The final pass — the last generation of runs plus the streams into out
-// — is phase-bracketed as FinalMergePhase. With no streams it fans out
-// across workers through parallelFinalMerge (order-preserving key-domain
-// split, byte-identical output and cacheline writes); streaming sources
-// are single-cursor by construction, so any stream keeps the final pass
-// serial.
-func mergeRunsWith(env *algo.Env, runs []storage.Collection, streams []storage.Iterator, out storage.Collection, recSize int) error {
+// are destroyed as they are consumed. Streaming sorted sources, if any,
+// are merged in as well, but participate only in the last merge — they
+// are the write-avoidance mechanism of segment sort's selection segment,
+// whose records must be written exactly once, at their final location in
+// out. The final pass — the last generation of runs plus the streams into
+// out — is phase-bracketed as FinalMergePhase. With no streams it fans
+// out across workers through parallelFinalMerge (order-preserving
+// key-domain split, byte-identical output and cacheline writes);
+// streaming sources are single-cursor by construction, so any stream
+// keeps the final pass serial.
+func mergeRuns(env *algo.Env, runs []storage.Collection, streams []storage.Iterator, out storage.Collection, recSize int) error {
 	fanIn := env.BudgetBuffers() - 1 - len(streams)
 	if fanIn < 2 {
 		fanIn = 2

@@ -18,7 +18,8 @@ import (
 // would forfeit the segment's one-write-per-record property).
 //
 // x = 0 degenerates to selection sort (minimal writes), x = 1 to external
-// mergesort (minimal response time under symmetric I/O).
+// mergesort (minimal response time under symmetric I/O) — ExMS is this
+// driver at x = 1.
 type SegmentSort struct {
 	// Intensity is x ∈ [0, 1]. When Auto is set, x is chosen by the cost
 	// model's minimizer (Eq. 4) at Sort time.
@@ -39,6 +40,16 @@ func (s *SegmentSort) Name() string {
 		return "SegS(auto)"
 	}
 	return fmt.Sprintf("SegS(%.2f)", s.Intensity)
+}
+
+// Profile implements Profiled; an auto-placed knob is priced where Sort
+// will place it (Eq. 4).
+func (s *SegmentSort) Profile(em cost.Emit, t, m, lambda float64) cost.Profile {
+	x := s.Intensity
+	if s.Auto {
+		x = cost.SegmentSortOptimalX(t, m, lambda)
+	}
+	return em.SegS(x, t, m)
 }
 
 // Sort implements Algorithm.
@@ -81,8 +92,35 @@ func (s *SegmentSort) Sort(env *algo.Env, in, out storage.Collection) error {
 		streams = append(streams, newSelectionStream(env, seg, env.BudgetRecords(recSize)))
 	}
 
-	if err := mergeRunsWith(env, runs, streams, out, recSize); err != nil {
+	if err := mergeRuns(env, runs, streams, out, recSize); err != nil {
 		return err
 	}
 	return out.Close()
+}
+
+// ExternalMergeSort is ExMS: the paper's symmetric-I/O baseline, and
+// segment sort's x = 1 end (§2.1.1): SegS's driver, no loop of its own. Run
+// formation uses replacement selection (runs ≈ 2M); runs are merged in
+// passes bounded by the memory budget's fan-in. Under env.Parallelism > 1
+// run formation fans contiguous input chunks out to workers with per-worker
+// budgets summing to M, intermediate merge passes merge groups
+// concurrently, and the final merge into out splits the key domain across
+// workers on splitters sampled from the runs (order-preserving, with
+// output bytes and cacheline writes identical to the serial merge).
+type ExternalMergeSort struct{}
+
+// NewExternalMergeSort returns the ExMS operator.
+func NewExternalMergeSort() *ExternalMergeSort { return &ExternalMergeSort{} }
+
+// Name implements Algorithm.
+func (s *ExternalMergeSort) Name() string { return cost.SortExMS }
+
+// Sort implements Algorithm.
+func (s *ExternalMergeSort) Sort(env *algo.Env, in, out storage.Collection) error {
+	return NewSegmentSort(1).Sort(env, in, out)
+}
+
+// Profile implements Profiled.
+func (s *ExternalMergeSort) Profile(em cost.Emit, t, m, lambda float64) cost.Profile {
+	return em.ExMS(t, m)
 }

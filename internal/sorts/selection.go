@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"wlpm/internal/algo"
+	"wlpm/internal/cost"
 	"wlpm/internal/record"
 	"wlpm/internal/storage"
 	"wlpm/internal/xheap"
@@ -151,44 +152,24 @@ func (s *selectionStream) Close() error {
 // SelectionSort is SelS: the write-minimal multi-pass generalization of
 // selection sort (§2.1.1). Each pass scans the whole input and extracts
 // the next M smallest records, so the input is written exactly once (as
-// output) at the price of |T|/M read passes.
+// output) at the price of |T|/M read passes. It runs as lazy sort's loop
+// (§2.1.3) never materializing its survivors, and is priced as segment
+// sort's x = 0 end, whose I/O is the same (SelSProfile ≡ SegSProfile(0)).
 type SelectionSort struct{}
 
 // NewSelectionSort returns the SelS operator.
 func NewSelectionSort() *SelectionSort { return &SelectionSort{} }
 
 // Name implements Algorithm.
-func (s *SelectionSort) Name() string { return "SelS" }
+func (s *SelectionSort) Name() string { return cost.SortSelS }
 
 // Sort implements Algorithm.
 func (s *SelectionSort) Sort(env *algo.Env, in, out storage.Collection) error {
-	if err := checkArgs(env, in, out); err != nil {
-		return err
-	}
-	if err := selectionSortInto(env, in, out); err != nil {
-		return err
-	}
-	return out.Close()
+	never := func(remaining, budget, lambda float64) int { return math.MaxInt }
+	return lazySort(env, in, out, never)
 }
 
-// selectionSortInto appends the fully sorted contents of in to dst using
-// repeated bounded selection passes over one slab.
-func selectionSortInto(env *algo.Env, in storage.Collection, dst storage.Collection) error {
-	sel := newSelector(env, in.RecordSize(), env.BudgetRecords(in.RecordSize()))
-	for emitted := 0; emitted < in.Len(); {
-		n, err := sel.pass(in, nil)
-		if err != nil {
-			return err
-		}
-		if n == 0 {
-			break
-		}
-		for i := 0; i < n; i++ {
-			if err := dst.Append(sel.rec(i)); err != nil {
-				return err
-			}
-		}
-		emitted += n
-	}
-	return nil
+// Profile implements Profiled.
+func (s *SelectionSort) Profile(em cost.Emit, t, m, lambda float64) cost.Profile {
+	return em.SelS(t, m)
 }

@@ -1,27 +1,32 @@
-// Package sorts implements the paper's sorting algorithms (§2.1):
+// Package sorts implements the paper's sorting algorithms (§2.1) as one
+// family, the way the paper derives them — each baseline runs as the
+// degenerate setting of the write-limited algorithm built from it:
 //
-//   - ExMS — external mergesort with replacement-selection run formation,
-//     the symmetric-I/O baseline
-//   - SelS — multi-pass selection sort, the write-minimal building block
-//     (one write per input record, quadratic reads)
 //   - SegS — segment sort: an x-fraction of the input through external
 //     mergesort, the rest through selection sort (§2.1.1, Eqs. 1–4)
-//   - HybS — hybrid sort: memory split into a selection region and a
-//     replacement-selection region (§2.1.2, Algorithm 1)
+//   - ExMS — external mergesort with replacement-selection run formation,
+//     the symmetric-I/O baseline: SegS's driver at x = 1 (§2.1.1)
 //   - LaS — lazy sort: repeated minimum extraction with cost-driven
 //     intermediate-input materialization (§2.1.3, Algorithm 2, Eq. 5)
+//   - SelS — multi-pass selection sort, the write-minimal building block
+//     (one write per input record, quadratic reads): LaS's loop under a
+//     policy that never materializes, and SegS's x = 0 end (§2.1.1)
+//   - HybS — hybrid sort: memory split into a selection region and a
+//     replacement-selection region (§2.1.2, Algorithm 1)
 //   - Cycle — in-memory cycle sort, the write-optimality reference
 //
 // Every algorithm sorts a persistent collection of fixed-size records into
 // an output collection, using at most the environment's DRAM budget M for
 // working state and spilling runs through the environment's persistence
-// layer.
+// layer. The catalog below is each algorithm's single declaration: the
+// planner, the plan DSL and the CLIs name, build and price it from there.
 package sorts
 
 import (
 	"fmt"
 
 	"wlpm/internal/algo"
+	"wlpm/internal/cost"
 	"wlpm/internal/storage"
 )
 
@@ -33,6 +38,33 @@ type Algorithm interface {
 	// order. out must be empty and have the same record size as in.
 	Sort(env *algo.Env, in, out storage.Collection) error
 }
+
+// Profiled is implemented by every shipped algorithm: its predicted I/O
+// for t input buffers with m buffers of memory at write/read ratio λ,
+// emitting as em describes. The planner prices a pinned algorithm by it;
+// an implementation without it is priced at the cheapest shipped plan.
+type Profiled interface {
+	Profile(em cost.Emit, t, m, lambda float64) cost.Profile
+}
+
+// catalog declares the shipped sorts under cost.BestSortPlanP's names.
+var catalog = algo.Catalog[Algorithm]{Family: "sorts", Entries: []algo.Entry[Algorithm]{
+	{Name: cost.SortExMS, New: func([]float64) Algorithm { return NewExternalMergeSort() }},
+	{Name: cost.SortSelS, New: func([]float64) Algorithm { return NewSelectionSort() }},
+	{Name: cost.SortLaS, New: func([]float64) Algorithm { return NewLazySort() }},
+	{Name: cost.SortSegS, Knobs: 1, New: func(k []float64) Algorithm { return NewSegmentSort(k[0]) }},
+	{Name: cost.SortHybS, Knobs: 1, New: func(k []float64) Algorithm { return NewHybridSort(k[0]) }},
+}}
+
+// New builds the sort the planner calls name, its knob (if it has one)
+// taken from the front of knobs.
+func New(name string, knobs ...float64) (Algorithm, error) { return catalog.New(name, knobs...) }
+
+// Parse builds a sort from its DSL spelling: "ExMS", "SegS:0.4".
+func Parse(s string) (Algorithm, error) { return catalog.Parse(s) }
+
+// Spellings lists the DSL spellings Parse accepts.
+func Spellings() []string { return catalog.Spellings() }
 
 // checkArgs validates the common preconditions of all Sort calls.
 func checkArgs(env *algo.Env, in, out storage.Collection) error {
