@@ -105,32 +105,50 @@ func (f *fold) flush() error {
 	return f.out.Append(f.buf)
 }
 
+// Fold returns the fold as the sink it is: appended an ascending stream
+// of benchmark-schema records, it aggregates attribute attr over each
+// run of equal keys and appends one result record per group to out;
+// closing it emits the last group and closes out. It is what GroupBy
+// hands its sort as the output, and what a group-by whose input was
+// pushed into a sorts.Intake merges that intake into.
+func Fold(attr int, out storage.Collection) (*storage.Sink, error) {
+	if attr < 0 || attr >= record.NumAttrs {
+		return nil, fmt.Errorf("aggregate: attribute %d out of schema (0..%d)", attr, record.NumAttrs-1)
+	}
+	if out.RecordSize() != record.Size {
+		return nil, fmt.Errorf("aggregate: benchmark-schema records required (%d bytes)", record.Size)
+	}
+	f := &fold{out: out, attr: attr, buf: make([]byte, record.Size)}
+	return storage.NewSink("fold("+out.Name()+")", record.Size, f.add, func() error {
+		if err := f.flush(); err != nil {
+			return err
+		}
+		return out.Close()
+	}), nil
+}
+
 // GroupBy groups in by its key attribute and aggregates attribute attr,
 // appending one result record per group to out in ascending group-key
 // order. The write intensity of the operation is inherited from the sort
 // algorithm: a lazy or low-intensity sort yields a write-limited
 // aggregation. The sort never materializes its sorted output — it emits
-// into a fold sink — so at P > 1 its final merge runs serially, writing
+// into the Fold sink — so at P > 1 its final merge runs serially, writing
 // |groups| rather than |in| records.
 func GroupBy(env *algo.Env, a sorts.Algorithm, in storage.Collection, attr int, out storage.Collection) error {
 	if err := env.Validate(); err != nil {
 		return err
 	}
-	if attr < 0 || attr >= record.NumAttrs {
-		return fmt.Errorf("aggregate: attribute %d out of schema (0..%d)", attr, record.NumAttrs-1)
-	}
-	if in.RecordSize() != record.Size || out.RecordSize() != record.Size {
+	if in.RecordSize() != record.Size {
 		return fmt.Errorf("aggregate: benchmark-schema records required (%d bytes)", record.Size)
 	}
-	f := &fold{out: out, attr: attr, buf: make([]byte, record.Size)}
-	sink := storage.NewSink("fold("+out.Name()+")", record.Size, f.add, f.flush)
+	sink, err := Fold(attr, out)
+	if err != nil {
+		return err
+	}
 	if err := a.Sort(env, in, sink); err != nil {
 		return err
 	}
 	// Every shipped sort closes its output after the last record, which
 	// flushes the last group; a foreign Algorithm may not have.
-	if err := sink.Close(); err != nil {
-		return err
-	}
-	return out.Close()
+	return sink.Close()
 }

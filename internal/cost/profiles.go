@@ -74,11 +74,18 @@ type Emit struct {
 	// fed it — every sort's parallel emission is a final merge that
 	// re-reads exactly as many run buffers as it writes.
 	Serial bool
+	// Handed: the output is the consuming stage's to price — the paper's
+	// process-to-append (§3.1). The stage appends its result to the
+	// consumer's intake as it emits (sorts.Intake; the consumer is
+	// priced by FedExMS), or, where the consumer found storing cheaper,
+	// to a temp the consumer charges itself for. Either way the profile
+	// carries no output term, and Out is ignored.
+	Handed bool
 }
 
 // emitting applies em to a profile whose output term is out buffers of
 // Writes, serial of them already counted in SerialWrites. A re-sized
-// term keeps its serial share.
+// term keeps its serial share; a handed one is dropped.
 func (p Profile) emitting(em Emit, out, serial float64) Profile {
 	if out <= 0 {
 		return p
@@ -87,6 +94,11 @@ func (p Profile) emitting(em Emit, out, serial float64) Profile {
 		p.SerialReads += out - serial
 		p.SerialWrites += out - serial
 		serial = out
+	}
+	if em.Handed {
+		p.Writes -= out
+		p.SerialWrites -= serial
+		return p
 	}
 	if em.Out > 0 {
 		p.Writes += em.Out - out
@@ -124,6 +136,21 @@ func (em Emit) ExMS(t, m float64) Profile {
 		Reads:  t + t + e*t, // input scan + run re-read (+ extra passes)
 		Writes: t + e*t + t, // runs (+ extra passes) + output
 	}.emitting(em, t, 0)
+}
+
+// FedExMS is ExMS over an input that the stage producing it appends to
+// the sort's intake (sorts.Intake) instead of storing it: there is no
+// input scan, and run formation takes one ordered stream, so the run
+// writes are serial at any P. The merge passes and the final merge are
+// ExMS's, emitting as em describes.
+func (em Emit) FedExMS(t, m float64) Profile {
+	if t <= 0 {
+		return Profile{}
+	}
+	p := em.ExMS(t, m)
+	p.Reads -= t
+	p.SerialWrites += t
+	return p
 }
 
 // SelSProfile: multi-pass selection sort straight into the output. Each

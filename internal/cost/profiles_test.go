@@ -1,6 +1,7 @@
 package cost
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -108,7 +109,7 @@ func TestJoinProfilesStructure(t *testing.T) {
 // §2.2.1, §2.2.2), whatever the stage does with its output — the engine
 // runs the same I/O at those points, so the planner must price the same.
 func TestDegenerateProfilesEqual(t *testing.T) {
-	for _, em := range []Emit{{}, {Out: 700}, {Serial: true}, {Out: 700, Serial: true}} {
+	for _, em := range feedEmits {
 		for _, sz := range []struct{ t, v, m float64 }{{10000, 100000, 500}, {1563, 15625, 617}, {157, 1563, 2}} {
 			tt, v, m := sz.t, sz.v, sz.m
 			eq := func(what string, got, want Profile) {
@@ -190,5 +191,83 @@ func TestQuickProfilesSane(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// feedEmits are the output shapes a fed sort stage can have: an order-by
+// (as profiled), a group-by's fold (re-sized, serial), and either one
+// handing its own result on to the next fed stage.
+var feedEmits = []Emit{{}, {Out: 700}, {Serial: true}, {Out: 700, Serial: true}, {Handed: true}, {Out: 700, Serial: true, Handed: true}}
+
+// TestFedExMSIsExMSMinusTheInputRead: at every output shape a fed ExMS
+// is ExMS less the one read of its input, with the run writes serial —
+// so at P > 1 it costs exactly that read's parallel share less and the
+// run writes' lost overlap more.
+func TestFedExMSIsExMSMinusTheInputRead(t *testing.T) {
+	for _, em := range feedEmits {
+		for _, sz := range []struct{ t, m float64 }{{6905, 145}, {782, 34}, {782, 3}, {47, 2}} {
+			pull, fed := em.ExMS(sz.t, sz.m), em.FedExMS(sz.t, sz.m)
+			want := pull
+			want.Reads -= sz.t
+			want.SerialWrites += sz.t
+			if fed != want {
+				t.Errorf("%+v t=%v m=%v: FedExMS %+v, want ExMS %+v less t reads with t serial writes", em, sz.t, sz.m, fed, pull)
+			}
+			if fed.SerialWrites > fed.Writes || fed.SerialReads > fed.Reads || fed.Reads < 0 {
+				t.Errorf("%+v t=%v m=%v: FedExMS %+v is not a profile", em, sz.t, sz.m, fed)
+			}
+			const lambda, par = 15.0, 4.0
+			if got, want := fed.PriceP(1, lambda, par), pull.PriceP(1, lambda, par)-sz.t/par+lambda*sz.t*(1-1/par); math.Abs(got-want) > 1e-9*want {
+				t.Errorf("%+v t=%v m=%v: FedExMS priced %.9g at P=4, want %.9g", em, sz.t, sz.m, got, want)
+			}
+			if got, want := fed.Price(1, lambda), pull.Price(1, lambda)-sz.t; math.Abs(got-want) > 1e-9*want {
+				t.Errorf("%+v t=%v m=%v: FedExMS priced %.9g at P=1, want ExMS − t = %.9g", em, sz.t, sz.m, got, want)
+			}
+		}
+	}
+	if got := (Emit{}).FedExMS(0, 10); got != (Profile{}) {
+		t.Errorf("FedExMS of nothing = %+v, want zero", got)
+	}
+}
+
+// TestHandedOutputMovesToTheConsumer: a producer whose consumer prices its
+// result (Emit.Handed) carries no output writes in any profile, and what it
+// dropped is exactly the term it carried before — out buffers, serial
+// where the producer's emission was — so producer + that term (the
+// consumer's stored option adds it back as its temp) prices what the
+// two stages priced before the term moved, at any P.
+func TestHandedOutputMovesToTheConsumer(t *testing.T) {
+	const tt, v, m, lambda, out = 782.0, 7813.0, 200.0, 15.0, 6905.0
+	for _, serial := range []bool{false, true} {
+		before, handed := Emit{Out: out, Serial: serial}, Emit{Out: out, Serial: serial, Handed: true}
+		for name, f := range map[string]func(Emit) Profile{
+			"NLJ":  func(e Emit) Profile { return e.NLJ(tt, v, m) },
+			"GJ":   func(e Emit) Profile { return e.GJ(tt, v) },
+			"HJ":   func(e Emit) Profile { return e.HJ(tt, v, m) },
+			"LaJ":  func(e Emit) Profile { return e.LaJ(tt, v, m, lambda) },
+			"HybJ": func(e Emit) Profile { return e.HybJ(0.5, 0.5, tt, v, m) },
+			"SegJ": func(e Emit) Profile { return e.SegJ(0.5, tt, v, m) },
+			"ExMS": func(e Emit) Profile { return e.ExMS(v, m) },
+			"SelS": func(e Emit) Profile { return e.SelS(v, m) },
+			"SegS": func(e Emit) Profile { return e.SegS(0.4, v, m) },
+			"HybS": func(e Emit) Profile { return e.HybS(0.5, v, m) },
+			"LaS":  func(e Emit) Profile { return e.LaS(v, m, lambda) },
+			"fed":  func(e Emit) Profile { return e.FedExMS(v, m) },
+		} {
+			was, now := f(before), f(handed)
+			moved := Profile{Writes: was.Writes - now.Writes, SerialWrites: was.SerialWrites - now.SerialWrites}
+			if moved.Writes != out || now.Reads != was.Reads || now.SerialReads != was.SerialReads {
+				t.Errorf("%s serial=%v: handed output dropped %+v from %+v, want exactly the %v output writes", name, serial, moved, was, out)
+			}
+			if moved.SerialWrites < 0 || moved.SerialWrites > out {
+				t.Errorf("%s serial=%v: the dropped term %+v is not a share of the output", name, serial, moved)
+			}
+			for _, par := range []float64{1, 4} {
+				sum := now.PriceP(1, lambda, par) + moved.PriceP(1, lambda, par)
+				if want := was.PriceP(1, lambda, par); math.Abs(sum-want) > 1e-9*want {
+					t.Errorf("%s serial=%v P=%.0f: producer %.9g + moved term %.9g ≠ %.9g before the move", name, serial, par, now.PriceP(1, lambda, par), moved.PriceP(1, lambda, par), want)
+				}
+			}
+		}
 	}
 }

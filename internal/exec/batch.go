@@ -130,7 +130,10 @@ func (s *batchScanner) Close() error {
 // under a blocking consumer of a stream). Operators embed it: fill is
 // their Open, Next, limitHint and source are theirs as they stand, and
 // drop is their Close. The value owns the temp from the moment fill
-// creates it — nothing else destroys it.
+// creates it — nothing else destroys it. A Join, GroupBy or
+// HashAggregate whose consumer feeds (exec.go) is never filled: its
+// emitTo is called with the consumer's intake, the embedded value stays
+// empty, and drop only closes the children.
 type stored struct {
 	tmp storage.Collection
 	sc  *batchScanner

@@ -173,6 +173,14 @@ type stageAlloc struct {
 	share    int64           // allocated share in bytes
 	opened   bool            // the stage has started; its share is frozen
 	choice   *Choice         // Explain entry mirroring share, cost and actuals
+
+	// Process-to-append (§3.1), see feeding: a feedable stage may take
+	// its input pushed into a sorts.Intake instead of reading a temp, and
+	// then owns the price of that temp either way; the handed stage
+	// beneath it prices no output (cost.Emit.Handed).
+	feedable bool // order-by, group-by: planner-owned, over a result nothing else reads
+	handed   bool // join, group-by: the consumer is feedable
+	fed      bool // feedable and opened: the input was pushed, there is no temp
 }
 
 // stagePlan is one pricing of a stage: the predicted cost and what would
@@ -181,6 +189,7 @@ type stageAlloc struct {
 type stagePlan struct {
 	cost float64
 	hash bool          // group-by: the in-memory hash aggregation
+	fed  bool          // the input is pushed into the sort's intake (sort is ExMS)
 	sort cost.SortPlan // the planner's sort (zero when pinned, hashed or a join)
 	join cost.JoinPlan // the planner's join (zero when pinned or not a join)
 }
@@ -211,13 +220,59 @@ func (s *stageAlloc) plan(t, v, m float64) stagePlan {
 	// whose curve keeps the cliff.
 	if s.op == "GroupBy" && s.sortA == nil && !s.opened && s.groupEst > 0 &&
 		float64(s.groupEst) <= hashAggCap(m*float64(s.bp.blockSize)) {
-		return stagePlan{cost: cost.Profile{Reads: t, Writes: s.outBuf}.Price(1, lambda), hash: true}
+		p := cost.Profile{Reads: t, Writes: s.outBuf}
+		if s.feedable { // the producer emits into the table: nothing stored, nothing read back
+			p.Reads = 0
+		}
+		if s.handed {
+			p.Writes = 0
+		}
+		return stagePlan{cost: p.Price(1, lambda), hash: true, fed: s.feedable}
 	}
+	return s.sortPlan(t, m)
+}
+
+// sortPlan prices a sort stage (order-by, sort-based group-by). A pinned
+// sort runs its algorithm over a stored input. An open choice over a
+// stored input is the cheapest shipped sort. A feedable stage is the one
+// priced decision between the two homes of its input, taken inside the
+// allocator's curve: fed — the producer appends to ExMS's intake, so the
+// input is never written as a temp nor read back, run formation is
+// serial and every extra merge pass costs (1+λ)·t — or stored — the t
+// buffers of temp the producer no longer prices (cost.Emit.Handed;
+// written by one ordered stream, so serial too), then the cheapest sort
+// over them, which at shares too small for one merge pass is SelS, LaS
+// or a low-intensity SegS. A tie goes to fed: equal I/O, and no temp to
+// create and destroy. Once the stage has opened the input has its home
+// and only that side is re-priced.
+func (s *stageAlloc) sortPlan(t, m float64) stagePlan {
+	lambda, par := s.bp.lambda, s.bp.par
 	if a, ok := s.sortA.(sorts.Profiled); ok {
 		return stagePlan{cost: a.Profile(s.emit(), t, m, lambda).PriceP(1, lambda, par)}
 	}
+	if s.opened && s.fed {
+		return s.fedPlan(t, m)
+	}
 	best := cost.BestSortPlanEmit(t, m, lambda, par, s.emit())
-	return stagePlan{cost: best.Cost, sort: best}
+	stored := stagePlan{cost: best.Cost, sort: best}
+	if !s.feedable {
+		return stored
+	}
+	stored.cost += lambda * t
+	if s.opened {
+		return stored
+	}
+	if fed := s.fedPlan(t, m); fed.cost <= stored.cost {
+		return fed
+	}
+	return stored
+}
+
+// fedPlan is the fed home's price: ExMS through its intake.
+func (s *stageAlloc) fedPlan(t, m float64) stagePlan {
+	p := s.emit().FedExMS(t, m)
+	c := p.PriceP(1, s.bp.lambda, s.bp.par)
+	return stagePlan{cost: c, fed: true, sort: cost.SortPlan{Algo: cost.SortExMS, Profile: p, Cost: c}}
 }
 
 // emit is what the stage really does with its output term; every
@@ -232,13 +287,15 @@ func (s *stageAlloc) plan(t, v, m float64) stagePlan {
 // sort a fold sink: the output term shrinks from the t sorted buffers to
 // the groups that survive the absorbed chain, and the pass that emits
 // them is serial at any P (a sink takes one ordered stream, never range
-// appends). An order-by materializes what its profile says.
+// appends). An order-by materializes what its profile says. A handed
+// stage's output is its feedable consumer's to price, wherever the
+// consumer has it put.
 func (s *stageAlloc) emit() cost.Emit {
 	switch s.op {
 	case "Join":
-		return cost.Emit{Out: s.outBuf}
+		return cost.Emit{Out: s.outBuf, Handed: s.handed}
 	case "GroupBy":
-		return cost.Emit{Out: s.outBuf, Serial: true}
+		return cost.Emit{Out: s.outBuf, Serial: true, Handed: s.handed}
 	}
 	return cost.Emit{}
 }
@@ -317,6 +374,47 @@ func (s *stageAlloc) freeze() {
 	s.bp.commit(s.idx, 0, 0, 0)
 }
 
+// feed is called by a sort stage's operator, running cur, before its
+// producer opens. It reports whether the input is to be pushed into the
+// stage's intake — the stage is feedable and, at its current estimate
+// and share, fed prices no higher than stored (sortPlan) — and if so
+// returns ExMS, which is what an intake runs, and freezes the share, as
+// a hash aggregate's is: the intake is live while the producer runs, so
+// a later re-split must not move its memory. The operator reports the
+// actuals through fedRows when the intake ends.
+func (s *stageAlloc) feed(cur sorts.Algorithm) (sorts.Algorithm, bool) {
+	if !s.feedable {
+		return cur, false
+	}
+	s.bp.mu.Lock()
+	defer s.bp.mu.Unlock()
+	if !s.opened {
+		s.fed = s.sortPlan(s.t, allocBuffers(s.share, s.bp.blockSize)).fed
+		s.opened = s.fed
+	}
+	s.choice.Fed = s.fed
+	if !s.fed {
+		return cur, false
+	}
+	return replanned(s, cur, sorts.Algorithm(sorts.NewExternalMergeSort())), true
+}
+
+// fedMark is the plan line's note on a stage whose input was pushed.
+func (s *stageAlloc) fedMark() string {
+	if s.choice.Fed {
+		return " ⇐ feed"
+	}
+	return ""
+}
+
+// fedRows is open for a fed stage, called when its intake ends with the
+// rows it took: the actuals reach the Explain choice and the unopened
+// stages above re-split from them; the stage's own share stays frozen
+// and its cost is re-priced at what was pushed.
+func (s *stageAlloc) fedRows(rows, recSize int) {
+	s.open(rows, buffers(rows, recSize, s.bp.blockSize), 0)
+}
+
 // budgetPlan carries one compiled plan's pricing inputs and allocation
 // through its run.
 type budgetPlan struct {
@@ -357,16 +455,14 @@ func pricersOf(stages []*stageAlloc) []func(m float64) float64 {
 // (buffers) and build-side rows. It scales the estimates of the unopened
 // stages this one feeds by the observed divergence, re-splits the
 // remaining budget — total minus the frozen shares of already-opened
-// stages — across the unopened stages (idx included: it has not built
-// its environment yet), freezes idx, and returns its share's m in
-// buffers. actRows 0 freezes without re-splitting (no new information).
+// stages — across the unopened stages (idx included, unless it froze
+// before its producer ran: a fed stage has built its environment
+// already), freezes idx, and returns its share's m in buffers. actRows 0
+// freezes without re-splitting (no new information).
 func (bp *budgetPlan) commit(idx int, actT, actV float64, actRows int) float64 {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	s := bp.stages[idx]
-	if s.opened {
-		return allocBuffers(s.share, bp.blockSize)
-	}
 	if actRows <= 0 {
 		s.opened = true
 		return allocBuffers(s.share, bp.blockSize)
@@ -484,10 +580,10 @@ func (c *compiler) demandWalk(p *Plan, collect bool) (planEstimate, int) {
 		if !collect {
 			return in, -1
 		}
-		return in, add(&stageAlloc{
+		return in, add(c.feeding(p, &stageAlloc{
 			op: "OrderBy", sortA: p.sortA,
 			t: c.buffers(in.rows, planRecordSize(p.left)), inEst: float64(in.rows), tFrom: from, vFrom: -1,
-		})
+		}))
 
 	case planGroupBy:
 		in, from := c.demandWalk(p.left, collect)
@@ -496,10 +592,10 @@ func (c *compiler) demandWalk(p *Plan, collect bool) (planEstimate, int) {
 		if !collect {
 			return out, -1
 		}
-		return out, add(&stageAlloc{
+		return out, add(c.feeding(p, &stageAlloc{
 			op: "GroupBy", sortA: p.sortA, groupEst: est, outBuf: c.buffers(groups, record.Size),
 			t: c.buffers(in.rows, planRecordSize(p.left)), inEst: float64(in.rows), tFrom: from, vFrom: -1,
-		})
+		}))
 
 	case planJoin:
 		lest, lfrom := c.demandWalk(p.left, collect)
@@ -516,6 +612,35 @@ func (c *compiler) demandWalk(p *Plan, collect bool) (planEstimate, int) {
 		})
 	}
 	return planEstimate{}, -1
+}
+
+// feeding decides, from the plan's shape alone, whether the order-by or
+// group-by p — whose stage s is about to join the list — may have its
+// input pushed instead of stored (the fed home of a result, chain.go):
+// the planner owns its sort, and what it reads exists only for it to
+// read — a join's or group-by's result through whatever chain that
+// absorbed, or a stream that would be drained into a pipe. Base tables,
+// a sorted result and the zero-write views over either are on the device
+// whatever p does and stay inputs; a pinned sort asks for its
+// algorithm's I/O over a stored input; the materialize-everything
+// reference stores every step. The blocking producer, when there is one,
+// is marked handed: from here on the consumer prices the result's home.
+func (c *compiler) feeding(p *Plan, s *stageAlloc) *stageAlloc {
+	if p.sortA != nil || c.opts.MaterializeEveryStep {
+		return s
+	}
+	q := p.left
+	for q.kind == planFilter || q.kind == planProject {
+		q = q.left
+	}
+	switch q.kind {
+	case planJoin, planGroupBy:
+		c.stages[s.tFrom].handed = true
+		s.feedable = true
+	case planLimit:
+		s.feedable = true
+	}
+	return s
 }
 
 // absorbs reports whether a Filter or Project over p compiles into the

@@ -131,8 +131,11 @@ func TestOpenTimeResplit(t *testing.T) {
 	if err := in.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// filter (keeps all, estimated half) → group-by → order-by.
-	plan := Table(in).Filter(Predicate{Attr: 0, Op: Ge, Value: 0}).GroupBy(3).OrderBy()
+	// filter (keeps all, estimated half) → order-by → group-by: two
+	// stages over inputs that are on the device, so neither is fed — a
+	// fed stage freezes its share before its producer opens, and an
+	// order-by over the group-by would leave nothing to re-split.
+	plan := Table(in).Filter(Predicate{Attr: 0, Op: Ge, Value: 0}).OrderBy().GroupBy(3)
 	ctx := r.ctx(int64(4000*record.Size/10), 1)
 	root, ex, err := Compile(ctx, plan)
 	if err != nil {

@@ -74,6 +74,7 @@ func waitGoroutines(t *testing.T, base int) {
 type cancelPlanCase struct {
 	name string
 	opts CompileOptions
+	fed  int // stages a clean run must feed, so the cancel points land where the case says
 	plan func(t *testing.T, r *rig) *Plan
 }
 
@@ -165,6 +166,27 @@ var cancelPlans = []cancelPlanCase{
 			return Table(loadGrouped(t, r, "in", 8000, 2000)).Limit(7000).OrderByWith(sorts.NewExternalMergeSort())
 		},
 	},
+	{
+		// Two fed stages: the join emits into the group-by's intake and
+		// the group-by's final merge into the order-by's. Cancellation
+		// lands mid-emit (probe → run formation), in the group-by's merge
+		// with the order-by's intake half full, or in the order-by's merge.
+		name: "feed-join-groupby-orderby",
+		fed:  2,
+		plan: func(t *testing.T, r *rig) *Plan {
+			dim1, _, fact := r.loadStar(t, 800, 8000)
+			return Table(dim1).JoinWith(Table(fact), joins.NewNestedLoops()).Project(starCols...).GroupBy(3).OrderBy()
+		},
+	},
+	{
+		// A drained stream into an intake: no pipe to fill, cancellation
+		// lands in the drain or in the merge.
+		name: "feed-limit-orderby",
+		fed:  1,
+		plan: func(t *testing.T, r *rig) *Plan {
+			return Table(loadGrouped(t, r, "in", 8000, 2000)).Limit(7000).OrderBy()
+		},
+	},
 }
 
 // runCancelPlan executes the case's plan once under ctx on a fresh rig.
@@ -173,12 +195,16 @@ func runCancelPlan(t *testing.T, pc cancelPlanCase, par int, ctx context.Context
 	r := newRig(t)
 	p := pc.plan(t, r)
 	ec := r.ctx(8000*record.Size/50, par) // 2% of the biggest input
-	root, _, err := CompileWith(ec, p, pc.opts)
+	root, ex, err := CompileWith(ec, p, pc.opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := r.create(t, "out", root.RecordSize())
-	return ec, RunCtx(ctx, ec, root, out)
+	err = RunCtx(ctx, ec, root, out)
+	if err == nil && fedChoices(ex) != pc.fed {
+		t.Fatalf("%d fed stage(s), want %d:\n%s", fedChoices(ex), pc.fed, ex)
+	}
+	return ec, err
 }
 
 func TestCancelMidPhaseLeaksNothing(t *testing.T) {

@@ -25,6 +25,13 @@ import (
 //   - stream: anywhere else the Stream operator applies it batch by
 //     batch (scan.go).
 //
+// Next to the chain's three placements, the result a chain is applied
+// to has two homes, decided by price rather than shape (exec.go): stored
+// in the producer's temp, or fed — emitted, through the absorbed chain,
+// straight into the intake of the sort above. The emit placement serves
+// both: the sink's destination is the temp, the plan output or the
+// intake, and the chain cannot tell.
+//
 // Two pieces implement all three: the per-record closure an emit sink
 // calls (apply) and the batch kernel (window) behind the view and the
 // stream. Under MaterializeEveryStep, the materialize-everything

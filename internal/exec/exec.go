@@ -16,17 +16,31 @@
 // operator's temp is never wider than what its consumer reads; over a
 // stored source and under a blocking consumer it is a zero-write view
 // the consumer re-scans (fuse.go); anywhere else it streams (Stream,
-// scan.go). Every result that does live in a temporary — a blocking
-// operator's, a Materialize barrier's, the pipe under a blocking
-// consumer of a stream — is one embedded value, stored (batch.go), which
-// creates the temp, scans it and destroys it. Blocking operators
-// (OrderBy, GroupBy, Join) share the plan's DRAM budget M through the
-// marginal-benefit allocator (see budget.go): each stage's share is
-// sized by how much its cost curve bends, with the even split as a
-// guaranteed-no-worse fallback, and shares are re-split at Open time
-// when actual cardinalities diverge from the estimates. Every stage
-// inherits the plan's Parallelism, so the partition-parallel execution
-// of the underlying algorithms carries over to whole pipelines.
+// scan.go).
+//
+// A blocking operator's result has two homes, decided by price. Stored:
+// a temporary — the operator's own, a Materialize barrier's, the pipe
+// under a join that reads a stream — which is one embedded value (stored,
+// batch.go) that creates the temp, scans it and destroys it. Fed: when
+// the temp's only reader would be the run formation of a planner-owned
+// OrderBy or sort-based GroupBy above it — over a Join, a GroupBy or a
+// HashAggregate, or over a stream that would be drained into a pipe —
+// the consumer hands the producer its sort's intake as the output
+// (feedSort: the paper's process-to-append rule, §3.1) and the result is
+// never a temp at all. The consumer's stage prices both homes inside the
+// allocator's curve (stageAlloc.sortPlan) and takes the cheaper; Explain
+// says which ran. Base tables, sorted results and the views over them
+// are on the device already; pinned sorts, join inputs and the
+// materialize-every-step reference read stored inputs.
+//
+// Blocking operators (OrderBy, GroupBy, Join) share the plan's DRAM
+// budget M through the marginal-benefit allocator (see budget.go): each
+// stage's share is sized by how much its cost curve bends, with the even
+// split as a guaranteed-no-worse fallback, and shares are re-split at
+// Open time when actual cardinalities diverge from the estimates. Every
+// stage inherits the plan's Parallelism, so the partition-parallel
+// execution of the underlying algorithms carries over to whole
+// pipelines.
 package exec
 
 import (
@@ -35,6 +49,7 @@ import (
 	"io"
 
 	"wlpm/internal/algo"
+	"wlpm/internal/sorts"
 	"wlpm/internal/stats"
 	"wlpm/internal/storage"
 )
@@ -277,7 +292,11 @@ func drain(ctx context.Context, op Operator, emit func(rec []byte) error) error 
 // (Scan, blocking children — a Join's or GroupBy's already through the
 // chain it absorbed), as a re-scannable zero-write view when the child
 // is a Stream over such a source (see fuseView), and otherwise by
-// draining the stream into a pipe temporary. The returned cleanup
+// draining the stream into a pipe temporary. It is how a join reads its
+// inputs and how a sort reads one that is stored; a sort stage that
+// feeds (stageAlloc.feed) never calls it, so a pipe still exists only
+// under a join, a pinned sort, or a sort whose share prices the fed
+// merge passes above the pipe's write. The returned cleanup
 // destroys the pipe (it is a no-op for direct collections and views) and
 // must be called once the collection has been consumed; the child itself
 // is closed by the caller's Close.
@@ -295,6 +314,41 @@ func inputCollection(ctx context.Context, ec *Ctx, child Operator) (storage.Coll
 		return nil, nil, err
 	}
 	return pipe.tmp, func() error { return pipe.drop() }, nil
+}
+
+// pour opens child and pushes its whole output into dst, in stream
+// order, without storing it: a blocking producer emits into dst exactly
+// as it would fill its own temp or the plan output (emitTo), anything
+// else is drained. dst is the consumer's intake or hash table behind a
+// write-only collection; the child is closed by the caller's Close.
+func pour(ctx context.Context, ec *Ctx, child Operator, dst storage.Collection) error {
+	if e, ok := child.(directEmitter); ok {
+		return e.emitTo(ctx, ec, dst)
+	}
+	if err := child.Open(ctx, ec); err != nil {
+		return err
+	}
+	return drain(ctx, child, dst.Append)
+}
+
+// feedSort runs a fed sort stage (stageAlloc.feed said so): the child
+// emits into the intake of the stage's external mergesort, at the
+// stage's frozen share, and when the child is done the intake merges
+// into out — the plan output or the operator's temp, a group-by's fold,
+// the next fed stage's intake. The child's result is never a temp. The
+// intake owns its runs: a producer that fails or is cancelled mid-emit
+// has them swept here, a failed merge sweeps its own.
+func feedSort(ctx context.Context, ec *Ctx, st *stageAlloc, child Operator, out storage.Collection) error {
+	in, err := sorts.NewIntake(ec.stageEnv(st), child.RecordSize())
+	if err != nil {
+		return err
+	}
+	if err := pour(ctx, ec, child, in); err != nil {
+		in.Discard()
+		return err
+	}
+	st.fedRows(in.Len(), in.RecordSize())
+	return in.MergeInto(out)
 }
 
 // closeAll closes every operator, keeping the first error.

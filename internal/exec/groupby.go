@@ -33,18 +33,26 @@ type GroupBy struct {
 }
 
 func (g *GroupBy) Name() string {
-	return fmt.Sprintf("GroupBy[a%d, %s%s](%s)", g.attr, g.algo.Name(), &g.chain, g.child.Name())
+	return fmt.Sprintf("GroupBy[a%d, %s%s%s](%s)", g.attr, g.algo.Name(), g.st.fedMark(), &g.chain, g.child.Name())
 }
 func (g *GroupBy) RecordSize() int      { return g.width(record.Size) }
 func (g *GroupBy) Children() []Operator { return []Operator{g.child} }
 func (g *GroupBy) consumesMemory() bool { return true }
 
-// emitTo folds the sort of the child's materialized input into groups
-// and writes them to dst through the chain.
+// emitTo folds the sort of the child's input — pushed, or materialized —
+// into groups and writes them to dst through the chain.
 func (g *GroupBy) emitTo(ctx context.Context, ec *Ctx, dst storage.Collection) error {
 	if g.child.RecordSize() != record.Size {
 		return fmt.Errorf("exec: group-by needs %d-byte benchmark records, child emits %d (project first)",
 			record.Size, g.child.RecordSize())
+	}
+	if a, fed := g.st.feed(g.algo); fed {
+		g.algo = a
+		fold, err := aggregate.Fold(g.attr, g.sink(dst, record.Size))
+		if err != nil {
+			return err
+		}
+		return feedSort(ctx, ec, g.st, g.child, fold)
 	}
 	in, cleanup, err := inputCollection(ctx, ec, g.child)
 	if err != nil {
@@ -99,7 +107,7 @@ type HashAggregate struct {
 }
 
 func (h *HashAggregate) Name() string {
-	return fmt.Sprintf("HashAggregate[a%d%s](%s)", h.attr, &h.chain, h.child.Name())
+	return fmt.Sprintf("HashAggregate[a%d%s%s](%s)", h.attr, h.st.fedMark(), &h.chain, h.child.Name())
 }
 func (h *HashAggregate) RecordSize() int      { return h.width(record.Size) }
 func (h *HashAggregate) Children() []Operator { return []Operator{h.child} }
@@ -115,18 +123,23 @@ func (h *HashAggregate) aggregate(ctx context.Context, ec *Ctx) error {
 	if h.attr < 0 || h.attr >= record.NumAttrs {
 		return fmt.Errorf("exec: aggregate attribute a%d out of schema (0..%d)", h.attr, record.NumAttrs-1)
 	}
-	if err := h.child.Open(ctx, ec); err != nil {
-		return err
+	// A feedable stage has its producer emit into the table (pour), so
+	// the share freezes before the producer opens; otherwise the child
+	// opens first and may still re-split it. Either way the hash table
+	// learns its real input only while taking it, so the stage freezes at
+	// its share — later stages' re-splits must not move memory a running
+	// hash table is already counting on.
+	if !h.st.feedable {
+		if err := h.child.Open(ctx, ec); err != nil {
+			return err
+		}
 	}
-	// The hash table learns its real input only while draining it, so the
-	// stage freezes at its compiled share — later stages' re-splits must
-	// not move memory a running hash table is already counting on.
 	h.st.freeze()
 	h.env = ec.stageEnv(h.st)
 	budget := h.env.BudgetHashRecords(record.Size)
 	h.groups = make(map[uint64]*aggregate.State)
 	rows := 0
-	err := drain(ctx, h.child, func(rec []byte) error {
+	add := func(rec []byte) error {
 		rows++
 		k := record.Key(rec)
 		st, ok := h.groups[k]
@@ -141,7 +154,13 @@ func (h *HashAggregate) aggregate(ctx context.Context, ec *Ctx) error {
 		}
 		st.Add(record.Attr(rec, h.attr))
 		return nil
-	})
+	}
+	var err error
+	if h.st.feedable {
+		err = pour(ctx, ec, h.child, storage.NewSink("hashagg", record.Size, add, nil))
+	} else {
+		err = drain(ctx, h.child, add)
+	}
 	h.st.choice.ActualRows = rows
 	return err
 }

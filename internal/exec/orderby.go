@@ -10,9 +10,11 @@ import (
 
 // OrderBy sorts its input by the record total order (key attribute,
 // full-byte tiebreak) with one of the paper's sort algorithms. Blocking:
-// it claims one stage share of the plan budget, materializes its child
-// if the child is not already a collection, and — at the plan root —
-// sorts straight into the output collection.
+// it claims one stage share of the plan budget, reads its child's result
+// where that lives — or, when the result would be stored only for it to
+// read and the stage prices that dearer, has the child emit into its
+// sort's intake (feedSort) — and, at the plan root, sorts straight into
+// the output collection.
 type OrderBy struct {
 	child Operator
 	algo  sorts.Algorithm
@@ -21,14 +23,19 @@ type OrderBy struct {
 }
 
 func (o *OrderBy) Name() string {
-	return fmt.Sprintf("OrderBy[%s](%s)", o.algo.Name(), o.child.Name())
+	return fmt.Sprintf("OrderBy[%s%s](%s)", o.algo.Name(), o.st.fedMark(), o.child.Name())
 }
 func (o *OrderBy) RecordSize() int      { return o.child.RecordSize() }
 func (o *OrderBy) Children() []Operator { return []Operator{o.child} }
 func (o *OrderBy) consumesMemory() bool { return true }
 
-// emitTo runs the sort of the child's materialized input into dst.
+// emitTo runs the sort of the child's input — pushed, or materialized —
+// into dst.
 func (o *OrderBy) emitTo(ctx context.Context, ec *Ctx, dst storage.Collection) error {
+	if a, fed := o.st.feed(o.algo); fed {
+		o.algo = a
+		return feedSort(ctx, ec, o.st, o.child, dst)
+	}
 	in, cleanup, err := inputCollection(ctx, ec, o.child)
 	if err != nil {
 		return err

@@ -40,6 +40,7 @@ type Choice struct {
 	Resplit    bool    // an Open-time re-split changed this stage's share
 	Replanned  bool    // Open-time actuals changed the planner's algorithm
 	Spilled    bool    // hash aggregation degraded to its sort-merge fallback
+	Fed        bool    // the producer emitted into this stage (sort intake, hash table): no input temp
 }
 
 // Explain describes the compiled physical plan. Choices are shared with
@@ -107,6 +108,9 @@ func (e *Explain) String() string {
 		}
 		if c.Spilled {
 			notes += "; spilled to sort-merge"
+		}
+		if c.Fed {
+			notes += "; fed, no input temp"
 		}
 		if c.RightBuf > 0 {
 			fmt.Fprintf(&b, "choice  %-8s → %-14s (%s; t=%.0f v=%.0f buffers, %s, share %d B, est cost %.3g%s)\n",
@@ -271,7 +275,7 @@ func (c *compiler) takeStage() (*stageAlloc, stagePlan) {
 	s.choice = &Choice{
 		Operator: s.op, Pinned: s.sortA != nil || s.joinA != nil,
 		InputRows: int(s.inEst), ActualRows: -1, Buffers: s.t, RightBuf: s.v,
-		Cost: pl.cost, Share: s.share,
+		Cost: pl.cost, Share: s.share, Fed: pl.fed,
 	}
 	c.choices = append(c.choices, s.choice)
 	return s, pl

@@ -185,6 +185,7 @@ func TestCompileConsultsCostModel(t *testing.T) {
 	tJoin := math.Ceil(float64(testDim) * record.Size / bs)
 	vJoin := math.Ceil(float64(testFact) * record.Size / bs)
 	js := freeStage("Join", lambda)
+	js.handed = true // its consumer, a planner-owned order-by, prices the result's home
 	wantJoin := js.joinFor(js.plan(tJoin, vJoin, mOf(ex.Choices[0].Share)))
 	if ex.Choices[0].Algorithm != wantJoin.Name() {
 		t.Errorf("join choice %s, want %s", ex.Choices[0].Algorithm, wantJoin.Name())
@@ -192,9 +193,10 @@ func TestCompileConsultsCostModel(t *testing.T) {
 	// Order-by input: the join output estimate (|V| rows of 160 B).
 	tSort := math.Ceil(float64(testFact) * 2 * record.Size / bs)
 	ss := freeStage("OrderBy", lambda)
-	wantSort := ss.sortFor(ss.plan(tSort, 0, mOf(ex.Choices[1].Share)))
-	if ex.Choices[1].Algorithm != wantSort.Name() {
-		t.Errorf("orderby choice %s, want %s", ex.Choices[1].Algorithm, wantSort.Name())
+	ss.feedable = true
+	wantPlan := ss.plan(tSort, 0, mOf(ex.Choices[1].Share))
+	if wantSort := ss.sortFor(wantPlan); ex.Choices[1].Algorithm != wantSort.Name() || ex.Choices[1].Fed != wantPlan.fed {
+		t.Errorf("orderby choice %s (fed %v), want %s (fed %v)", ex.Choices[1].Algorithm, ex.Choices[1].Fed, wantSort.Name(), wantPlan.fed)
 	}
 }
 

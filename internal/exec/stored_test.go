@@ -16,7 +16,9 @@ import (
 // value (stored: fill, scan, drop), so its six users are held to the
 // same contract by one test: whichever side of the temp fails — the
 // fill that writes it or the consumer that reads it — the run surfaces
-// that one error and leaves no temporary and no goroutine behind.
+// that one error and leaves no temporary and no goroutine behind. A fed
+// result has no temp of its own; what can fail under it are the runs of
+// the intake it was pushed into, and the same contract holds for those.
 
 // storedShapes put each user of the stored value under a Limit root, so
 // its result goes to a temp through fill instead of straight into the
@@ -46,6 +48,18 @@ var storedShapes = []struct {
 	}},
 	{"pipe", "pipe", bgBudget, CompileOptions{}, func(t *testing.T, r *rig) *Plan {
 		return Table(loadRows(t, r)).Limit(bgRows - 100).OrderByWith(sorts.NewExternalMergeSort())
+	}},
+	// Fed shapes (TestFeedIdentityGrid proves they are): the producer's
+	// emit fails inside the consumer's run formation, mid-probe for the
+	// join and mid-drain for the limit; the first shape's group-by also
+	// fails while its own final merge is emitting into the order-by's
+	// intake.
+	{"fed-join-groupby-orderby", "run", 4 * bgBudget, CompileOptions{}, func(t *testing.T, r *rig) *Plan {
+		dim1, _, fact := r.loadStar(t, bgDim, bgFact)
+		return Table(dim1).JoinWith(Table(fact), joins.NewNestedLoops()).Project(starCols...).GroupBy(3).OrderBy()
+	}},
+	{"fed-limit-orderby", "run", 4 * bgBudget, CompileOptions{}, func(t *testing.T, r *rig) *Plan {
+		return Table(loadRows(t, r)).Limit(bgRows - 100).OrderBy()
 	}},
 }
 
@@ -84,7 +98,7 @@ func TestStoredFailureLeaksNothing(t *testing.T) {
 						fac.n = 25
 					}
 					ec := NewCtx(fac, sh.budget, par)
-					root, _, err := CompileWith(ec, plan, sh.opts)
+					root, ex, err := CompileWith(ec, plan, sh.opts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -98,6 +112,9 @@ func TestStoredFailureLeaksNothing(t *testing.T) {
 					}
 					if fac.hit == 0 {
 						t.Fatalf("no %q temporary was created: the shape no longer stores its result", sh.temp)
+					}
+					if strings.HasPrefix(sh.name, "fed-") && fedChoices(ex) == 0 {
+						t.Fatalf("no stage of %s ran fed; the failure landed in a stored sort:\n%s", root.Name(), ex)
 					}
 					if live := ec.LiveTemps(); live != 0 {
 						t.Errorf("failed run left %d live temps", live)

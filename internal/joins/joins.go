@@ -22,6 +22,7 @@ package joins
 
 import (
 	"fmt"
+	"math/bits"
 
 	"wlpm/internal/algo"
 	"wlpm/internal/cost"
@@ -101,43 +102,126 @@ func partitionOf(rec []byte, k int) int {
 	return int(hashKey(record.Key(rec)) % uint64(k))
 }
 
-// hashTable is the in-memory build side: records in a flat vector indexed
-// by key. It reflects the paper's f = 1.2 space expansion — the index
-// adds roughly 20% to the raw partition footprint.
+// hashTable is the in-memory build side: records in a flat vector, their
+// keys beside it, indexed by int32 arrays alone — an open-addressed slot
+// per distinct key (linear probing over a power-of-two table kept at
+// most half full) naming the first and last build record of that key,
+// and one link per record to the next record of the same key. A probe
+// is a slot search plus a list walk in insertion order, which is what
+// fixes the join's per-key match order; nothing is allocated per key,
+// and reset keeps every array. It reflects the paper's f = 1.2 space
+// expansion — the index adds roughly 20% to the raw partition footprint.
 type hashTable struct {
-	vec *record.Vec
-	idx map[uint64][]int32
+	vec   *record.Vec
+	keys  []uint64  // keys[i]: the key of vec record i
+	next  []int32   // next[i]: the following record with record i's key, -1 at the end
+	slots []keyList // len is a power of two
+	shift uint      // 64 − log₂ len(slots): slotOf keeps the hash's high bits
+	used  int       // occupied slots: distinct keys
 }
+
+// keyList is one slot: the records of one key, as 1-based positions in
+// the vector so that the zero value is the empty slot.
+type keyList struct{ first, last int32 }
+
+// minTableSlots keeps tiny tables from regrowing on their first inserts.
+const minTableSlots = 16
 
 func newHashTable(recSize, capHint int) *hashTable {
 	if capHint < 0 {
 		capHint = 0
 	}
-	return &hashTable{
-		vec: record.NewVec(recSize, capHint),
-		idx: make(map[uint64][]int32, capHint),
+	t := &hashTable{
+		vec:  record.NewVec(recSize, capHint),
+		keys: make([]uint64, 0, capHint),
+		next: make([]int32, 0, capHint),
 	}
+	width := uint(bits.Len(uint(max(2*capHint, minTableSlots) - 1)))
+	t.slots, t.shift = make([]keyList, 1<<width), 64-width
+	return t
+}
+
+// slotOf is where key's probe sequence starts. Its multiplier is not
+// hashKey's: the keys of one Grace partition agree on hashKey modulo the
+// partition count, and must still spread over the table.
+func (t *hashTable) slotOf(key uint64) int {
+	return int((key * 0xD6E8FEB86659FD93) >> t.shift)
 }
 
 func (t *hashTable) insert(rec []byte) {
 	t.vec.Append(rec)
-	k := record.Key(rec)
-	t.idx[k] = append(t.idx[k], int32(t.vec.Len()-1))
+	t.link(record.Key(rec))
+}
+
+// link indexes the vector's next unindexed record, whose key is key:
+// records are linked in vector order, so each key's list is in
+// insertion order.
+func (t *hashTable) link(key uint64) {
+	pos := int32(len(t.keys))
+	t.keys = append(t.keys, key)
+	t.next = append(t.next, -1)
+	mask := len(t.slots) - 1
+	for s := t.slotOf(key); ; s = (s + 1) & mask {
+		l := &t.slots[s]
+		if l.first == 0 {
+			*l = keyList{first: pos + 1, last: pos + 1}
+			if t.used++; 2*t.used > len(t.slots) {
+				t.grow()
+			}
+			return
+		}
+		if t.keys[l.first-1] == key {
+			t.next[l.last-1] = pos
+			l.last = pos + 1
+			return
+		}
+	}
+}
+
+// grow doubles the slot table. Slots hold distinct keys, so re-placing
+// one is a search for an empty slot.
+func (t *hashTable) grow() {
+	old := t.slots
+	t.slots, t.shift = make([]keyList, 2*len(old)), t.shift-1
+	mask := len(t.slots) - 1
+	for _, l := range old {
+		if l.first == 0 {
+			continue
+		}
+		s := t.slotOf(t.keys[l.first-1])
+		for t.slots[s].first != 0 {
+			s = (s + 1) & mask
+		}
+		t.slots[s] = l
+	}
 }
 
 func (t *hashTable) reset() {
 	t.vec.Reset()
-	clear(t.idx)
+	t.keys, t.next = t.keys[:0], t.next[:0]
+	clear(t.slots)
+	t.used = 0
 }
 
-// probe calls emit for every build record matching rec's key.
+// probe calls emit for every build record matching key, in insertion
+// order.
 func (t *hashTable) probe(key uint64, emit func(build []byte) error) error {
-	for _, i := range t.idx[key] {
-		if err := emit(t.vec.At(int(i))); err != nil {
-			return err
+	mask := len(t.slots) - 1
+	for s := t.slotOf(key); ; s = (s + 1) & mask {
+		l := t.slots[s]
+		if l.first == 0 {
+			return nil
 		}
+		if t.keys[l.first-1] != key {
+			continue
+		}
+		for i := l.first - 1; i >= 0; i = t.next[i] {
+			if err := emit(t.vec.At(int(i))); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	return nil
 }
 
 // emitter materializes matched pairs into the output collection, either

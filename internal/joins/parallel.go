@@ -189,13 +189,13 @@ const BuildPhase = "build"
 // device-read-bound half of the build, which is what overlapping
 // workers speed up. An order-restoring merge then concatenates the
 // vectors in worker order and indexes the merged vector in one DRAM
-// pass, so the vector and every per-key index list are exactly what the
-// serial scan would have produced and per-key match order (and with it
-// the join's output byte stream) is unchanged. Keeping the workers free
-// of index-map work means the parallel build does no more total CPU
-// than the serial one — the index is built exactly once either way. The
-// per-worker vectors are transient DRAM; the merged table is the same
-// size as the serial one.
+// pass (hashTable.link), so the vector and every per-key list are
+// exactly what the serial scan would have produced and per-key match
+// order (and with it the join's output byte stream) is unchanged.
+// Keeping the workers free of index work means the parallel build does
+// no more total CPU than the serial one — the index is built exactly
+// once either way. The per-worker vectors are transient DRAM; the merged
+// table is the same size as the serial one.
 func buildTableParallel(env *algo.Env, subs []storage.Collection, filter func(rec []byte) bool) (*hashTable, error) {
 	var table *hashTable
 	err := env.TimePhase(BuildPhase, func() error {
@@ -254,8 +254,7 @@ func buildTableParallel(env *algo.Env, subs []storage.Collection, filter func(re
 			merged.vec.AppendVec(part)
 		}
 		for pos := 0; pos < merged.vec.Len(); pos++ {
-			k := record.Key(merged.vec.At(pos))
-			merged.idx[k] = append(merged.idx[k], int32(pos))
+			merged.link(record.Key(merged.vec.At(pos)))
 		}
 		table = merged
 		return nil

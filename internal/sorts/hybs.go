@@ -59,7 +59,7 @@ func (s *HybridSort) Sort(env *algo.Env, in, out storage.Collection) error {
 	}
 
 	rs := newSelector(env, recSize, rsCap) // Rs: the global minima so far
-	rr := newRunFormer(env, "hybrun", recSize, rrCap)
+	rr := newRunFormer(env, "hybrun", recSize, rrCap, sampling(env, false))
 	sorted := false
 	defer func() {
 		// Error exit: sweep every run temp opened so far. Destroy is

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -257,7 +258,7 @@ func TestSelectionPassAllocs(t *testing.T) {
 func formedRuns(t testing.TB, env *algo.Env) []storage.Collection {
 	t.Helper()
 	in := loadInput(t, env, kernelRecords, 9)
-	runs, err := formRunsReplacementSelection(env, in, kernelBudget)
+	runs, err := formRunsReplacementSelection(env, in, kernelBudget, sampling(env, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +317,7 @@ func BenchmarkFormRuns(b *testing.B) {
 	b.SetBytes(kernelRecords * record.Size)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runs, err := formRunsReplacementSelection(env, in, kernelBudget)
+		runs, err := formRunsReplacementSelection(env, in, kernelBudget, sampling(env, false))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -339,4 +340,47 @@ func BenchmarkMergeIters(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		mergeDiscarding(b, env, runs)
 	}
+}
+
+// TestFormRunsAllocBudget: at P = 1 nothing reads a run's key sidecar
+// (parallelFinalMerge needs two workers), so run formation must not
+// build one — 8 bytes per spilled record, doubled on every growth, used
+// to be the largest allocation of a serial sort. What remains is per
+// phase: the slab's segments, the deferred-entry list, the runs'
+// bookkeeping. A parent environment at P ≥ 2 still samples, whatever the
+// parallelism of the child that forms the run.
+func TestFormRunsAllocBudget(t *testing.T) {
+	env := newEnv(t, "blocked", kernelBudget)
+	in := loadInput(t, env, kernelRecords, 9)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	runs, err := formRuns(env, in, record.Size, sampling(env, false))
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range runs {
+		if _, sampled := r.(*sampledRun); sampled {
+			t.Fatalf("run %q carries a key sidecar at P = 1", r.Name())
+		}
+	}
+	// The slab (M = 240 KB), its entries, the deferred list and the
+	// store's block bookkeeping come to ~0.6–0.9 MB; with the sidecars'
+	// doubling growth on top the same call allocated 2.5 MB.
+	if got, budget := m1.TotalAlloc-m0.TotalAlloc, uint64(5*kernelBudget*record.Size); got > budget {
+		t.Errorf("run formation over %d records allocated %d B at P = 1, budget %d B", kernelRecords, got, budget)
+	}
+	destroyRuns(runs)
+
+	par := algo.NewParallelEnv(env.Factory, env.MemoryBudget, 2)
+	runs, err = formRuns(par, in, record.Size, sampling(par, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range runs {
+		if _, sampled := r.(*sampledRun); !sampled {
+			t.Fatalf("run %q formed for a P = 2 final merge has no key sidecar", r.Name())
+		}
+	}
+	destroyRuns(runs)
 }

@@ -15,20 +15,23 @@ import (
 // record is still written exactly once during run formation — the serial
 // write count is preserved (runs are shorter by a factor of w, which only
 // matters if it pushes the run count past the merge fan-in). With
-// parallelism ≤ 1 this is exactly the serial algorithm.
-func formRuns(env *algo.Env, in storage.Collection, recSize int) ([]storage.Collection, error) {
+// parallelism ≤ 1 this is exactly the serial algorithm. sample says
+// whether the runs keep a key sidecar (sampling): the workers' child
+// environments run at Parallelism 1 but their runs feed this
+// environment's final merge, so the caller decides, not the worker.
+func formRuns(env *algo.Env, in storage.Collection, recSize int, sample bool) ([]storage.Collection, error) {
 	w := env.Workers(in.Len())
 	if w > 1 {
 		w = capRunWorkers(env, in.Len(), recSize, w)
 	}
 	if w <= 1 {
-		return formRunsReplacementSelection(env, in, env.BudgetRecords(recSize))
+		return formRunsReplacementSelection(env, in, env.BudgetRecords(recSize), sample)
 	}
 	children := env.Split(w)
 	perWorker := make([][]storage.Collection, w)
 	err := env.RunWorkers(w, func(i int) error {
 		lo, hi := algo.SplitRange(in.Len(), w, i)
-		runs, err := formRunsReplacementSelection(children[i], storage.Slice(in, lo, hi), children[i].BudgetRecords(recSize))
+		runs, err := formRunsReplacementSelection(children[i], storage.Slice(in, lo, hi), children[i].BudgetRecords(recSize), sample)
 		if err != nil {
 			return err
 		}
@@ -112,14 +115,15 @@ func mergePassesFor(runs, fanIn int) int {
 type runFormer struct {
 	env    *algo.Env
 	prefix string // temp name stem of the runs
+	sample bool   // runs keep a key sidecar for a parallel final merge (sampling)
 	heap   *xheap.Keyed
 	next   []xheap.Entry
 	run    storage.Collection // open run, nil between runs
 	runs   []storage.Collection
 }
 
-func newRunFormer(env *algo.Env, prefix string, recSize, budget int) *runFormer {
-	return &runFormer{env: env, prefix: prefix, heap: xheap.NewKeyed(recSize, budget, false)}
+func newRunFormer(env *algo.Env, prefix string, recSize, budget int, sample bool) *runFormer {
+	return &runFormer{env: env, prefix: prefix, sample: sample, heap: xheap.NewKeyed(recSize, budget, false)}
 }
 
 // add places rec in working memory, spilling the current run's minimum
@@ -164,8 +168,11 @@ func (f *runFormer) emit(rec []byte) error {
 		if err != nil {
 			return err
 		}
-		f.run = sampleRun(r)
-		f.runs = append(f.runs, f.run)
+		if f.sample {
+			r = sampleRun(r)
+		}
+		f.run = r
+		f.runs = append(f.runs, r)
 	}
 	return f.run.Append(rec)
 }
@@ -203,21 +210,100 @@ func (f *runFormer) finish() error {
 	}
 }
 
-// formRunsReplacementSelection scans src and writes sorted runs with
-// budget records of working memory. Returned runs are closed and
-// non-empty. On error (including cancellation) every run created so far
-// is destroyed before returning.
-func formRunsReplacementSelection(env *algo.Env, src storage.Collection, budget int) ([]storage.Collection, error) {
-	f := newRunFormer(env, "run", src.RecordSize(), budget)
-	err := env.Scan(src, env.Polled(f.add))
-	if err == nil {
-		err = f.finish()
-	}
-	if err != nil {
-		destroyRuns(f.runs)
+// Intake is external mergesort with its input pushed instead of pulled:
+// the paper's process-to-append rule (§3.1) as a kernel. Whoever
+// produces the records appends them — a scan of a stored collection
+// (ExMS and SegS's run segment, formRunsReplacementSelection), or an
+// operator that hands the intake to its producer as the producer's
+// output, so the producer's result is never stored just for run
+// formation to read it back. Append is the replacement-selection step
+// (runFormer.add) behind the environment's cancellation poll, MergeInto
+// is mergeRuns. It is a write-only collection (storage.Sink: Len counts
+// the records taken; neither range-appendable nor unwrappable), one
+// ordered stream, so run formation through it is serial at any P; the
+// merge passes and the final merge fan out as ExMS's do. The intake owns
+// its runs until MergeInto hands them to the merge; Discard sweeps them
+// on any path that never gets there.
+type Intake struct {
+	*storage.Sink
+	env *algo.Env
+	f   *runFormer
+}
+
+// NewIntake returns an intake of recSize-byte records forming runs with
+// env's whole budget.
+func NewIntake(env *algo.Env, recSize int) (*Intake, error) {
+	if err := env.Validate(); err != nil {
 		return nil, err
 	}
-	return f.runs, nil
+	return newIntake(env, recSize, env.BudgetRecords(recSize), sampling(env, false)), nil
+}
+
+func newIntake(env *algo.Env, recSize, budget int, sample bool) *Intake {
+	f := newRunFormer(env, "run", recSize, budget, sample)
+	return &Intake{Sink: storage.NewSink("intake", recSize, env.Polled(f.add), nil), env: env, f: f}
+}
+
+// finish drains working memory into the last runs and releases them to
+// the caller, closed and non-empty; on error every run is destroyed.
+func (in *Intake) finish() ([]storage.Collection, error) {
+	if err := in.f.finish(); err != nil {
+		in.Discard()
+		return nil, err
+	}
+	runs := in.f.runs
+	in.f.runs = nil
+	return runs, nil
+}
+
+// MergeInto ends the intake: it merges the runs formed from the
+// appended records into out, in ascending order, and closes out. out
+// must be empty and of the intake's record size — a collection, a sink
+// or the next stage's intake. On error (including cancellation) no run
+// survives.
+func (in *Intake) MergeInto(out storage.Collection) error {
+	if err := checkArgs(in.env, in, out); err != nil {
+		in.Discard()
+		return err
+	}
+	runs, err := in.finish()
+	if err != nil {
+		return err
+	}
+	if err := mergeRuns(in.env, runs, nil, out, in.RecordSize()); err != nil {
+		destroyRuns(runs) // Destroy is idempotent: whatever the failed merge left
+		return err
+	}
+	return out.Close()
+}
+
+// Discard destroys the runs formed so far: the error-path twin of
+// MergeInto, for a producer that failed or was cancelled mid-emit.
+// Idempotent, and a no-op once MergeInto has run.
+func (in *Intake) Discard() {
+	destroyRuns(in.f.runs)
+	in.f.runs = nil
+}
+
+// formRunsReplacementSelection is a scan of src into an intake of budget
+// records: the pull form of run formation. Returned runs are closed and
+// non-empty. On error (including cancellation) every run created so far
+// is destroyed before returning.
+func formRunsReplacementSelection(env *algo.Env, src storage.Collection, budget int, sample bool) ([]storage.Collection, error) {
+	in := newIntake(env, src.RecordSize(), budget, sample)
+	if err := env.Scan(src, in.Append); err != nil {
+		in.Discard()
+		return nil, err
+	}
+	return in.finish()
+}
+
+// sampling reports whether runs that will meet in env's final merge —
+// beside a streaming source, when streamed — keep a key sidecar
+// (sampleRun): only parallelFinalMerge reads it, and that needs P ≥ 2 and
+// no stream.
+func sampling(env *algo.Env, streamed bool) bool {
+	return env.Parallelism > 1 && !streamed
 }
 
 // mergeRuns merges sorted runs into out with fan-in bounded by the memory
@@ -318,6 +404,7 @@ func mergePass(env *algo.Env, runs []storage.Collection, recSize, reserved int) 
 	} else {
 		children = []*algo.Env{env}
 	}
+	sample := sampling(env, reserved > 0) // decided here: the children run at Parallelism 1
 	nextGen := make([]storage.Collection, nGroups)
 	workErr := env.RunWorkers(w, func(wi int) error {
 		child := children[wi]
@@ -336,7 +423,10 @@ func mergePass(env *algo.Env, runs []storage.Collection, recSize, reserved int) 
 			if err != nil {
 				return err
 			}
-			merged := sampleRun(mergedTemp)
+			merged := mergedTemp
+			if sample {
+				merged = sampleRun(mergedTemp)
+			}
 			if err := mergeInto(child, group, merged); err != nil {
 				merged.Destroy() //nolint:errcheck // best-effort cleanup after failure
 				return err

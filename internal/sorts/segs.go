@@ -73,7 +73,7 @@ func (s *SegmentSort) Sort(env *algo.Env, in, out storage.Collection) error {
 	// fanned out to env.Parallelism workers over contiguous chunks.
 	var runs []storage.Collection
 	if split > 0 {
-		r, err := formRuns(env, storage.Slice(in, 0, split), recSize)
+		r, err := formRuns(env, storage.Slice(in, 0, split), recSize, sampling(env, split < in.Len()))
 		if err != nil {
 			return err
 		}

@@ -25,7 +25,8 @@ type Sink struct {
 // every appended record, in append order; the view is only valid during
 // the call. flush runs on every Close — a producer closes its output
 // once it has emitted its last record, and a caller that cannot rely on
-// that (a foreign algorithm) closes again, so flush must be idempotent.
+// that (a foreign algorithm) closes again, so flush must be idempotent;
+// nil means there is nothing to flush.
 func NewSink(name string, recSize int, put func(rec []byte) error, flush func() error) *Sink {
 	return &Sink{name: name, recSize: recSize, put: put, flush: flush}
 }
@@ -44,7 +45,12 @@ func (s *Sink) Append(rec []byte) error {
 	return s.put(rec)
 }
 
-func (s *Sink) Close() error { return s.flush() }
+func (s *Sink) Close() error {
+	if s.flush == nil {
+		return nil
+	}
+	return s.flush()
+}
 
 func (s *Sink) writeOnly(verb string) error {
 	return fmt.Errorf("storage: %s of write-only sink %q", verb, s.name)
