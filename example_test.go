@@ -8,6 +8,74 @@ import (
 	"wlpm"
 )
 
+// Example shows the paper's §3.1 deferral rules at work in the query
+// engine, through the plans it reports. Each rule has one home in the
+// code:
+//
+//	deferral           a filter/project chain over a stored source and
+//	                   under a blocking consumer is a zero-write view that
+//	                   re-runs on every scan (internal/exec/chain.go)
+//	process-to-append  a result whose only reader is a planner-owned sort's
+//	                   run formation is appended into that sort's intake,
+//	                   never stored (sorts.Intake, compiler.feeding),
+//	                   when stageAlloc.sortPlan prices it no dearer than a
+//	                   temp (cost.Emit.FedExMS)
+//	read-over-write,   the lazy algorithms materialize their shrinking
+//	multi-process      input once re-reading it would cost more than
+//	                   writing it: Eq. 5 for LaS
+//	                   (cost.LazySortMaterializeIteration), Eq. 11 for LaJ
+//	                   (cost.LazyHashJoinMaterializeIteration)
+//	eager-partition    one scan writes all k Grace partitions
+//	                   (joins.partitionInto)
+//
+// The first plan is the benchmark's star query at a tenth of the fact
+// table's bytes: both sorts carry "⇐ feed", so the join's rows went
+// straight into the group-by's runs and the groups into the order-by's,
+// and neither result was ever a temp. The second sorts a filtered base
+// table: the filter renders inside the sort's input, a view that every
+// SelS pass re-reads, so the survivors are never written as a temp.
+func Example() {
+	sys, err := wlpm.New(wlpm.WithCapacity(64 << 20))
+	if err != nil {
+		log.Fatal(err)
+	}
+	dim, _ := sys.Create("dim")
+	fact, _ := sys.Create("fact")
+	if err := wlpm.GenerateJoinInputs(1000, 10000, 1, dim.Append, fact.Append); err != nil {
+		log.Fatal(err)
+	}
+	dim.Close()
+	fact.Close()
+	lookup := wlpm.CollectionLookup(map[string]wlpm.Collection{"dim": dim, "fact": fact})
+	sess := sys.Session(wlpm.WithSessionBudget(10000 * wlpm.RecordSize / 10))
+
+	for i, dsl := range []string{
+		"scan(dim) | join(scan(fact)) | project(a0,a1,a12,a13,a14,a5,a16,a7,a18,a9) | groupby(a3) | orderby",
+		"scan(dim) | filter(a1 < 500) | orderby",
+	} {
+		q, err := sess.ParseQuery(dsl, lookup)
+		if err != nil {
+			log.Fatal(err)
+		}
+		out, _ := sess.Create(fmt.Sprintf("out%d", i))
+		ex, err := q.RunCtx(context.Background(), out)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Println(ex.Root)
+		for _, c := range ex.Choices {
+			fmt.Printf("  %s fed=%v\n", c.Operator, c.Fed)
+		}
+	}
+	// Output:
+	// OrderBy[ExMS ⇐ feed](GroupBy[a3, ExMS ⇐ feed](Join[NLJ → project[0 1 12 13 14 5 16 7 18 9]](Scan(dim), Scan(fact))))
+	//   Join fed=false
+	//   GroupBy fed=true
+	//   OrderBy fed=true
+	// OrderBy[SelS](Scan(dim) → filter[a1 < 500])
+	//   OrderBy fed=false
+}
+
 // ExampleSystem_SortCtx sorts a small collection with a write-limited
 // algorithm and inspects the device counters.
 func ExampleSystem_SortCtx() {

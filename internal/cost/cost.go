@@ -7,6 +7,19 @@
 // normalized to 1, so every returned cost is in units of buffer reads;
 // lambda (=λ) is the write/read cost ratio, λ > 1. Ceilings and floors
 // are omitted exactly as in the paper's analysis.
+//
+// The paper's §3.1 runtime rules are not predicates here; each is decided
+// once, where the engine takes the decision:
+//
+//	deferral           exec's chain view: a zero-write collection re-run
+//	                   on every scan (internal/exec/chain.go)
+//	process-to-append  the fed intake (sorts.Intake), chosen by
+//	                   stageAlloc.sortPlan when Emit.FedExMS prices no
+//	                   dearer than a temp plus the best sort over it
+//	read-over-write,   the lazy algorithms' materialization points:
+//	multi-process      LazySortMaterializeIteration (Eq. 5) and
+//	                   LazyHashJoinMaterializeIteration (Eq. 11)
+//	eager-partition    the Grace partition phase (joins.partitionInto)
 package cost
 
 import "math"

@@ -91,9 +91,6 @@ type Device struct {
 	active     atomic.Int64 // workers inside an EnterWorker/LeaveWorker bracket
 	softNanos  atomic.Int64
 	spinDebt   atomic.Int64 // spin mode: sub-quantum delay owed but not yet slept
-
-	readLat  atomic.Int64 // current latencies, mutable for sweeps
-	writeLat atomic.Int64
 }
 
 // Open creates a device of cfg.Capacity bytes.
@@ -108,8 +105,6 @@ func Open(cfg Config) (*Device, error) {
 	if cfg.TrackWear {
 		d.wear = make([]uint32, (cfg.Capacity+int64(cfg.CachelineSize)-1)/int64(cfg.CachelineSize))
 	}
-	d.readLat.Store(int64(cfg.ReadLatency))
-	d.writeLat.Store(int64(cfg.WriteLatency))
 	return d, nil
 }
 
@@ -128,26 +123,20 @@ func (d *Device) Capacity() int64 { return d.cfg.Capacity }
 // CachelineSize reports the accounting granularity in bytes.
 func (d *Device) CachelineSize() int { return d.cfg.CachelineSize }
 
-// ReadLatency reports the currently charged per-cacheline read latency.
-func (d *Device) ReadLatency() time.Duration { return time.Duration(d.readLat.Load()) }
+// ReadLatency reports the charged per-cacheline read latency, fixed at
+// Open.
+func (d *Device) ReadLatency() time.Duration { return d.cfg.ReadLatency }
 
-// WriteLatency reports the currently charged per-cacheline write latency.
-func (d *Device) WriteLatency() time.Duration { return time.Duration(d.writeLat.Load()) }
+// WriteLatency reports the charged per-cacheline write latency, fixed at
+// Open.
+func (d *Device) WriteLatency() time.Duration { return d.cfg.WriteLatency }
 
-// SetLatencies changes the charged latencies; used by the write-latency
-// sensitivity sweep (paper Fig. 11).
-func (d *Device) SetLatencies(read, write time.Duration) {
-	d.readLat.Store(int64(read))
-	d.writeLat.Store(int64(write))
-}
-
-// Lambda reports the write/read cost ratio λ = w/r of the current latencies.
+// Lambda reports the write/read cost ratio λ = w/r of the latencies.
 func (d *Device) Lambda() float64 {
-	r := d.readLat.Load()
-	if r == 0 {
+	if d.cfg.ReadLatency == 0 {
 		return 1
 	}
-	return float64(d.writeLat.Load()) / float64(r)
+	return float64(d.cfg.WriteLatency) / float64(d.cfg.ReadLatency)
 }
 
 func (d *Device) checkRange(op string, off int64, n int) error {
@@ -179,7 +168,7 @@ func (d *Device) ReadAt(p []byte, off int64) error {
 	d.reads.Add(n)
 	d.readOps.Add(1)
 	d.bytesRead.Add(uint64(len(p)))
-	d.charge(n, time.Duration(d.readLat.Load()))
+	d.charge(n, d.cfg.ReadLatency)
 	return nil
 }
 
@@ -194,7 +183,7 @@ func (d *Device) WriteAt(p []byte, off int64) error {
 	d.writes.Add(n)
 	d.writeOps.Add(1)
 	d.bytesWrite.Add(uint64(len(p)))
-	d.charge(n, time.Duration(d.writeLat.Load()))
+	d.charge(n, d.cfg.WriteLatency)
 	if d.wear != nil && len(p) > 0 {
 		cls := int64(d.cfg.CachelineSize)
 		for line := off / cls; line <= (off+int64(len(p))-1)/cls; line++ {

@@ -170,21 +170,6 @@ func TestSimIOOverlap(t *testing.T) {
 	}
 }
 
-func TestSetLatencies(t *testing.T) {
-	d := testDevice(t, 4096)
-	d.SetLatencies(10*time.Nanosecond, 50*time.Nanosecond)
-	if got := d.Lambda(); got != 5 {
-		t.Errorf("Lambda after SetLatencies = %v, want 5", got)
-	}
-	d.ResetStats()
-	if err := d.WriteAt(make([]byte, 64), 0); err != nil {
-		t.Fatal(err)
-	}
-	if got := d.Stats().SimIOTime; got != 50*time.Nanosecond {
-		t.Errorf("SimIOTime = %v, want 50ns", got)
-	}
-}
-
 func TestWearTracking(t *testing.T) {
 	d := testDevice(t, 1024)
 	for i := 0; i < 5; i++ {

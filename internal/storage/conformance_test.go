@@ -324,23 +324,6 @@ func TestOddRecordSizes(t *testing.T) {
 	})
 }
 
-func TestCopyAll(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, f storage.Factory) {
-		src, _ := f.Create("src", record.Size)
-		for i := 0; i < 100; i++ {
-			if err := src.Append(record.New(uint64(i))); err != nil {
-				t.Fatal(err)
-			}
-		}
-		dst, _ := f.Create("dst", record.Size)
-		n, err := storage.CopyAll(dst, src)
-		if err != nil || n != 100 {
-			t.Fatalf("CopyAll = %d, %v", n, err)
-		}
-		checkSequential(t, dst, 100)
-	})
-}
-
 // Property: a random sequence of appends round-trips byte-exactly through
 // every backend.
 func TestQuickRoundTrip(t *testing.T) {

@@ -103,26 +103,6 @@ type Factory interface {
 // order of increasing abstraction overhead at the memory end.
 var Backends = []string{"blocked", "pmfs", "ramdisk", "dynarray"}
 
-// CopyAll appends every record of src to dst and reports the count.
-func CopyAll(dst Collection, src Collection) (int, error) {
-	it := src.Scan()
-	defer it.Close()
-	n := 0
-	for {
-		rec, err := it.Next()
-		if err == io.EOF {
-			return n, nil
-		}
-		if err != nil {
-			return n, err
-		}
-		if err := dst.Append(rec); err != nil {
-			return n, err
-		}
-		n++
-	}
-}
-
 // ReadAll materializes src into a DRAM slice of copied records; intended
 // for tests and small collections.
 func ReadAll(src Collection) ([][]byte, error) {

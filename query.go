@@ -5,7 +5,6 @@ import (
 
 	"wlpm/internal/broker"
 	"wlpm/internal/exec"
-	"wlpm/internal/storage"
 )
 
 // Query-engine façade: the fluent builder over internal/exec. A Query is
@@ -42,39 +41,19 @@ const (
 	CmpGe = exec.Ge
 )
 
-// Query is a logical query plan under construction. A query built from
-// a Session (or from System.Query, which binds the system's implicit
-// default session) executes through the memory broker: Rows and RunCtx
-// request the session's grant before planning.
+// Query is a logical query plan under construction, started from a
+// Session (Session.Query, Session.ParseQuery). It executes through the
+// memory broker: Rows and RunCtx request the session's grant before
+// planning.
 type Query struct {
-	sys  *System
 	sess *Session
 	plan *exec.Plan
-}
-
-// Query starts a plan with a scan of c, bound to the system's implicit
-// default session (per-query grant of a quarter of the system budget,
-// blocking admission). Use Session.Query to control budget and
-// admission policy.
-func (s *System) Query(c Collection) *Query {
-	return &Query{sys: s, sess: s.def, plan: exec.Table(c)}
-}
-
-// ParseQuery parses the plan DSL of cmd/wlquery (see that command's
-// documentation for the grammar), resolving table names via lookup. The
-// query is bound to the system's implicit default session.
-func (s *System) ParseQuery(src string, lookup func(name string) (Collection, error)) (*Query, error) {
-	p, err := exec.ParsePlan(src, func(name string) (storage.Collection, error) { return lookup(name) })
-	if err != nil {
-		return nil, err
-	}
-	return &Query{sys: s, sess: s.def, plan: p}, nil
 }
 
 // derive continues the fluent chain with a new plan node, preserving the
 // session binding.
 func (q *Query) derive(p *exec.Plan) *Query {
-	return &Query{sys: q.sys, sess: q.sess, plan: p}
+	return &Query{sess: q.sess, plan: p}
 }
 
 // Filter keeps records satisfying pred.
@@ -144,9 +123,10 @@ func (q *Query) Limit(n int) *Query {
 // engine splits across blocking stages, the system parallelism, the
 // statistics catalog — and compiles the plan with the physical planner.
 func (q *Query) compile(memoryBudget int64, opts exec.CompileOptions) (exec.Operator, *QueryExplain, *exec.Ctx, error) {
-	ec := exec.NewCtx(q.sys.fac, memoryBudget, q.sys.par)
-	ec.BatchSize = q.sys.batch
-	ec.Stats = q.sys.stats
+	sys := q.sess.sys
+	ec := exec.NewCtx(sys.fac, memoryBudget, sys.par)
+	ec.BatchSize = sys.batch
+	ec.Stats = sys.stats
 	root, ex, err := exec.CompileWith(ec, q.plan, opts)
 	if err != nil {
 		return nil, nil, nil, err
@@ -169,8 +149,8 @@ func (q *Query) bidCandidates(full int64, slack float64) []int64 {
 			budgets = append(budgets, b)
 		}
 	}
-	ec := exec.NewCtx(q.sys.fac, full, q.sys.par)
-	ec.Stats = q.sys.stats
+	ec := exec.NewCtx(q.sess.sys.fac, full, q.sess.sys.par)
+	ec.Stats = q.sess.sys.stats
 	costs, err := exec.PlanCosts(ec, q.plan, budgets)
 	if err != nil {
 		return []int64{full}
@@ -195,8 +175,8 @@ func (q *Query) repricer(full int64, slack float64) broker.Repricer {
 		if free <= 0 || free >= full {
 			return nil // the static candidates already cover this regime
 		}
-		ec := exec.NewCtx(q.sys.fac, full, q.sys.par)
-		ec.Stats = q.sys.stats
+		ec := exec.NewCtx(q.sess.sys.fac, full, q.sess.sys.par)
+		ec.Stats = q.sess.sys.stats
 		costs, err := exec.PlanCosts(ec, q.plan, []int64{full, free})
 		if err != nil {
 			return nil

@@ -73,8 +73,9 @@ func TestQueryFacadeStarJoin(t *testing.T) {
 
 	run := func(par int, materialized bool) ([]byte, uint64) {
 		sys, dim1, dim2, fact := starQuerySetup(t, nDim, nFact, par)
-		q := sys.Session(wlpm.WithSessionBudget(budget)).Query(dim2).
-			Join(sys.Query(dim1).Join(sys.Query(fact))).
+		sess := sys.Session(wlpm.WithSessionBudget(budget))
+		q := sess.Query(dim2).
+			Join(sess.Query(dim1).Join(sess.Query(fact))).
 			Project(0, 1, 12, 13, 23, 24, 5, 16, 27, 8).
 			GroupBy(3).
 			OrderBy()
@@ -115,7 +116,7 @@ func TestQueryFacadeStarJoin(t *testing.T) {
 func TestQueryExplainSurfacesChoices(t *testing.T) {
 	sys, dim1, _, fact := starQuerySetup(t, 300, 3000, 1)
 	sess := sys.Session(wlpm.WithSessionBudget(int64(3000 * wlpm.RecordSize / 20)))
-	ex, err := sess.Query(dim1).Join(sys.Query(fact)).OrderBy().ExplainGranted()
+	ex, err := sess.Query(dim1).Join(sess.Query(fact)).OrderBy().ExplainGranted()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +234,7 @@ func TestParseQueryFacade(t *testing.T) {
 	if out.Len() != 200 {
 		t.Fatalf("parsed query produced %d groups, want 200", out.Len())
 	}
-	if _, err := sys.ParseQuery("scan(nope) | orderby", lookup); err == nil {
+	if _, err := sess.ParseQuery("scan(nope) | orderby", lookup); err == nil {
 		t.Error("unknown table accepted")
 	}
 }

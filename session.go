@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 
 	"wlpm/internal/broker"
+	"wlpm/internal/exec"
+	"wlpm/internal/storage"
 )
 
 // Concurrency façade: Sessions are the unit of admission control. A
@@ -165,20 +167,18 @@ func (se *Session) CreateSized(name string, recordSize int) (Collection, error) 
 // Query starts a plan with a scan of c, bound to this session: its
 // Rows/RunCtx executions are admitted through the memory broker.
 func (se *Session) Query(c Collection) *Query {
-	q := se.sys.Query(c)
-	q.sess = se
-	return q
+	return &Query{sess: se, plan: exec.Table(c)}
 }
 
-// ParseQuery parses the plan DSL of cmd/wlquery, binding the resulting
-// query to this session.
+// ParseQuery parses the plan DSL of cmd/wlquery (see that command's
+// documentation for the grammar), resolving table names via lookup and
+// binding the resulting query to this session.
 func (se *Session) ParseQuery(src string, lookup func(name string) (Collection, error)) (*Query, error) {
-	q, err := se.sys.ParseQuery(src, lookup)
+	p, err := exec.ParsePlan(src, func(name string) (storage.Collection, error) { return lookup(name) })
 	if err != nil {
 		return nil, err
 	}
-	q.sess = se
-	return q, nil
+	return &Query{sess: se, plan: p}, nil
 }
 
 // Close marks the session closed; queries started afterwards fail with
@@ -193,7 +193,7 @@ func (se *Session) Close() error {
 // session's admission policy.
 func (se *Session) acquire(ctx context.Context) (*broker.Grant, error) {
 	if se == nil {
-		return nil, fmt.Errorf("wlpm: query has no session (construct it via System.Query or Session.Query)")
+		return nil, fmt.Errorf("wlpm: query has no session (construct it via Session.Query or Session.ParseQuery)")
 	}
 	if se.closed.Load() {
 		return nil, ErrSessionClosed

@@ -409,7 +409,7 @@ func TestScanValidation(t *testing.T) {
 	if err := in.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rows := mustRows(t, sys.Query(in))
+	rows := mustRows(t, sys.Session().Query(in))
 	if err := rows.Scan(new(uint64)); err == nil {
 		t.Fatal("Scan before Next succeeded")
 	}

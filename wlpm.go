@@ -19,8 +19,6 @@
 //     filesystem, a sector-based RAM disk, and doubling dynamic arrays
 //   - the sort and join operators with their baselines
 //   - the analytic cost model (Eqs. 1–11) and knob solvers
-//   - the deferred-materialization runtime API (split/partition/filter/
-//     merge over a control-flow graph)
 //   - the experiment harness regenerating every figure and table of the
 //     paper's evaluation
 //
@@ -65,7 +63,6 @@ import (
 	"wlpm/internal/algo"
 	"wlpm/internal/bench"
 	"wlpm/internal/broker"
-	"wlpm/internal/core"
 	"wlpm/internal/cost"
 	"wlpm/internal/joins"
 	"wlpm/internal/pmem"
@@ -102,11 +99,6 @@ type (
 	SortAlgorithm = sorts.Algorithm
 	// JoinAlgorithm is a persistent-memory equi-join operator.
 	JoinAlgorithm = joins.Algorithm
-	// OpCtx is the deferred-materialization runtime of §3.1.
-	OpCtx = core.OpCtx
-	// Readable is the consumer-facing face of a possibly-deferred
-	// collection.
-	Readable = core.Readable
 	// ExperimentConfig controls the paper-experiment harness.
 	ExperimentConfig = bench.Config
 	// Report is one regenerated table or figure.
@@ -204,8 +196,8 @@ func WithAutoCollect(enabled bool) Option {
 // bytes — the one pool of operator memory (heaps, hash tables, merge
 // buffers) the memory broker rations among concurrent sessions. The
 // default is a quarter of the device capacity. Session queries request
-// grants against this budget before planning; the deprecated
-// budget-taking façade methods (Sort, Run, …) bypass it.
+// grants against this budget before planning; the direct operator calls
+// SortCtx, JoinCtx and GroupByCtx take their own budget and bypass it.
 func WithMemoryBudget(bytes int64) Option {
 	return func(c *sysConfig) { c.memoryBudget = bytes }
 }
@@ -220,7 +212,6 @@ type System struct {
 	batch int
 	stats *stats.Cache
 	mem   *broker.Broker
-	def   *Session // implicit session backing System.Query(...).Rows
 }
 
 // New opens a fresh system.
@@ -258,9 +249,7 @@ func New(opts ...Option) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &System{dev: dev, fac: fac, par: cfg.parallelism, batch: cfg.batchSize, stats: stats.NewCache(!cfg.noAutoCollect), mem: mem}
-	s.def = s.Session()
-	return s, nil
+	return &System{dev: dev, fac: fac, par: cfg.parallelism, batch: cfg.batchSize, stats: stats.NewCache(!cfg.noAutoCollect), mem: mem}, nil
 }
 
 // Device exposes the underlying simulated device.
@@ -367,11 +356,6 @@ func (s *System) TableStats(name string) *TableStats { return s.stats.Lookup(nam
 // recreated table of the same length would otherwise keep serving the
 // old distribution to the planner.
 func (s *System) InvalidateStats(name string) { s.stats.Invalidate(name) }
-
-// NewOpCtx builds a deferred-materialization runtime context (§3.1).
-func (s *System) NewOpCtx(memoryBudget int64) *OpCtx {
-	return core.NewOpCtx(s.NewEnv(memoryBudget))
-}
 
 // Stats snapshots the device counters.
 func (s *System) Stats() Stats { return s.dev.Stats() }

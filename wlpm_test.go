@@ -57,6 +57,26 @@ func TestSystemOptions(t *testing.T) {
 	if !sys.Wear().Tracked {
 		t.Error("wear not tracked despite WithWearTracking")
 	}
+
+	// Latencies are fixed when the device opens: what the device charges
+	// is what was configured, a zero latency taking the default.
+	for _, tc := range []struct {
+		read, write         time.Duration
+		wantRead, wantWrite time.Duration
+		wantLambda          float64
+	}{
+		{0, 0, 10 * time.Nanosecond, 150 * time.Nanosecond, 15},
+		{20 * time.Nanosecond, 100 * time.Nanosecond, 20 * time.Nanosecond, 100 * time.Nanosecond, 5},
+		{0, 300 * time.Nanosecond, 10 * time.Nanosecond, 300 * time.Nanosecond, 30},
+		{50 * time.Nanosecond, 0, 50 * time.Nanosecond, 150 * time.Nanosecond, 3},
+	} {
+		dev := newSystem(t, wlpm.WithCapacity(1<<20), wlpm.WithLatencies(tc.read, tc.write)).Device()
+		if dev.ReadLatency() != tc.wantRead || dev.WriteLatency() != tc.wantWrite || dev.Lambda() != tc.wantLambda {
+			t.Errorf("WithLatencies(%v, %v): device charges %v / %v (λ = %v), want %v / %v (λ = %v)",
+				tc.read, tc.write, dev.ReadLatency(), dev.WriteLatency(), dev.Lambda(),
+				tc.wantRead, tc.wantWrite, tc.wantLambda)
+		}
+	}
 }
 
 func TestBadOptions(t *testing.T) {
@@ -147,47 +167,6 @@ func TestEndToEndJoinAllAlgorithms(t *testing.T) {
 		if out.Len() != nFact {
 			t.Fatalf("%s: %d matches, want %d", a.Name(), out.Len(), nFact)
 		}
-	}
-}
-
-func TestOpCtxThroughFacade(t *testing.T) {
-	sys := newSystem(t)
-	src, err := sys.Create("src")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wlpm.GenerateRecords(100, 1, src.Append); err != nil {
-		t.Fatal(err)
-	}
-	if err := src.Close(); err != nil {
-		t.Fatal(err)
-	}
-	ctx := sys.NewOpCtx(1 << 20)
-	if err := ctx.Source("src", src); err != nil {
-		t.Fatal(err)
-	}
-	if err := ctx.Filter("src", func(rec []byte) bool { return wlpm.Key(rec) < 10 }, 0.1, "f"); err != nil {
-		t.Fatal(err)
-	}
-	r, err := ctx.Open("f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	it := r.Scan()
-	count := 0
-	for {
-		_, err := it.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		count++
-	}
-	it.Close()
-	if count != 10 {
-		t.Fatalf("filtered view has %d records, want 10", count)
 	}
 }
 
