@@ -25,22 +25,18 @@ const cmd = "wlexp"
 
 func main() {
 	var (
-		runIDs   = flag.String("run", "all", "comma-separated experiment ids, or 'all'")
-		scale    = flag.Float64("scale", 0.02, "fraction of the paper's cardinalities (1.0 = 10M-row sort, 1M⋈10M join)")
-		backend  = flag.String("backend", "blocked", "persistence layer for single-backend experiments (blocked|pmfs|ramdisk|dynarray)")
-		block    = flag.Int("block", 1024, "persistence-layer block size in bytes")
-		rdLat    = flag.Duration("read-latency", 10*time.Nanosecond, "device read latency per cacheline")
-		wrLat    = flag.Duration("write-latency", 150*time.Nanosecond, "device write latency per cacheline")
-		memList  = flag.String("mem", "", "comma-separated memory fractions overriding each experiment's sweep (e.g. 0.05,0.10)")
-		par      = flag.Int("p", 0, "operator worker parallelism (0/1 = serial; the scaling experiment sweeps its own)")
-		batch    = flag.Int("batch", 0, "operator batch size for the engine experiments (0 = engine default 1024; 1 = record-at-a-time)")
-		batchOut = flag.String("batch-json", "BENCH_batch.json", "path where the batch experiment writes its JSON result (empty = don't write)")
-		serveOut = flag.String("serve-json", "BENCH_serve.json", "path where the serve experiment writes its JSON result (empty = don't write)")
-		scalOut  = flag.String("scaling-json", "BENCH_scaling.json", "path where the scaling experiment writes its JSON result (empty = don't write)")
-		sessions = flag.Int("sessions", 0, "K concurrent sessions for the concurrency experiment (0 = its default of 4)")
-		spin     = flag.Bool("spin", false, "inject device latencies as real delays (scaling forces this on)")
-		list     = flag.Bool("list", false, "list experiment ids and exit")
-		verbose  = flag.Bool("v", false, "progress output on stderr")
+		runIDs  = flag.String("run", "all", "comma-separated experiment ids, or 'all'")
+		scale   = flag.Float64("scale", 0.02, "fraction of the paper's cardinalities (1.0 = 10M-row sort, 1M⋈10M join)")
+		backend = flag.String("backend", "blocked", "persistence layer for single-backend experiments (blocked|pmfs|ramdisk|dynarray)")
+		block   = flag.Int("block", 1024, "persistence-layer block size in bytes")
+		rdLat   = flag.Duration("read-latency", 10*time.Nanosecond, "device read latency per cacheline")
+		wrLat   = flag.Duration("write-latency", 150*time.Nanosecond, "device write latency per cacheline")
+		memList = flag.String("mem", "", "comma-separated memory fractions overriding each experiment's sweep (e.g. 0.05,0.10)")
+		par     = flag.Int("p", 0, "operator worker parallelism (0/1 = serial; the scaling experiment sweeps its own)")
+		scalOut = flag.String("scaling-json", "BENCH_scaling.json", "path where the scaling experiment writes its JSON result (empty = don't write)")
+		spin    = flag.Bool("spin", false, "inject device latencies as real delays (scaling forces this on)")
+		list    = flag.Bool("list", false, "list experiment ids and exit")
+		verbose = flag.Bool("v", false, "progress output on stderr")
 	)
 	flag.Parse()
 
@@ -54,12 +50,6 @@ func main() {
 	cliutil.CheckPositiveFloat(cmd, "scale", *scale)
 	cliutil.CheckPositiveInt(cmd, "block", *block)
 	cliutil.CheckParallelism(cmd, *par)
-	if *sessions < 0 {
-		cliutil.Usage(cmd, "-sessions must be non-negative, got %d", *sessions)
-	}
-	if *batch < 0 {
-		cliutil.Usage(cmd, "-batch must be non-negative, got %d", *batch)
-	}
 
 	cfg := wlpm.ExperimentConfig{
 		Scale:        *scale,
@@ -68,11 +58,7 @@ func main() {
 		ReadLatency:  *rdLat,
 		WriteLatency: *wrLat,
 		Parallelism:  *par,
-		BatchSize:    *batch,
-		BatchJSON:    *batchOut,
-		ServeJSON:    *serveOut,
 		ScalingJSON:  *scalOut,
-		Sessions:     *sessions,
 		Spin:         *spin,
 		Verbose:      *verbose,
 		Log:          os.Stderr,

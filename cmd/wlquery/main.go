@@ -67,7 +67,6 @@ func main() {
 		par         = flag.Int("p", 1, "worker parallelism (1 = serial)")
 		batch       = flag.Int("batch", 0, "operator batch size (0 = engine default 1024; 1 = record-at-a-time)")
 		timeout     = flag.Duration("timeout", 0, "abort the query after this long (0 = no limit); Ctrl-C cancels either way")
-		bid         = flag.Float64("bid", 0, "grant bidding: accept a smaller memory grant when its predicted cost is within this factor of the full grant's (≥ 1; 0 = fixed grant)")
 		stat        = flag.Bool("stats", true, "collect column statistics (ANALYZE) before planning; -stats=false plans from textbook defaults")
 		explain     = flag.Bool("explain", false, "print the physical plan, algorithm choices and estimated vs actual rows")
 		materialize = flag.Bool("materialize", false, "materialize after every operator (the naive baseline)")
@@ -95,9 +94,6 @@ func main() {
 	}
 	if *timeout < 0 {
 		cliutil.Usage(cmd, "-timeout must be non-negative, got %v", *timeout)
-	}
-	if *bid != 0 && *bid < 1 {
-		cliutil.Usage(cmd, "-bid must be ≥ 1 (or 0 to disable), got %v", *bid)
 	}
 	if *batch < 0 {
 		cliutil.Usage(cmd, "-batch must be non-negative, got %d", *batch)
@@ -131,11 +127,7 @@ func main() {
 	if err != nil {
 		cliutil.Fatal(cmd, err)
 	}
-	sessOpts := []wlpm.SessionOption{wlpm.WithSessionBudget(budget)}
-	if *bid >= 1 {
-		sessOpts = append(sessOpts, wlpm.WithGrantBidding(*bid))
-	}
-	sess := sys.Session(sessOpts...)
+	sess := sys.Session(wlpm.WithSessionBudget(budget))
 
 	// Generate the tables in declaration order so parents exist first.
 	cols := map[string]wlpm.Collection{}

@@ -88,7 +88,6 @@ func main() {
 		wrLat   = flag.Duration("write-latency", 150*time.Nanosecond, "write latency per cacheline")
 		par     = flag.Int("p", 1, "worker parallelism (1 = serial)")
 		batch   = flag.Int("batch", 0, "operator batch size (0 = engine default)")
-		bid     = flag.Float64("bid", 0, "grant bidding for tenant sessions: accepted slowdown factor (≥ 1; 0 = fixed grants)")
 		stat    = flag.Bool("stats", true, "collect column statistics before serving")
 		seed    = flag.Uint64("seed", 42, "workload generator seed")
 		drain   = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain window before in-flight cursors are cancelled")
@@ -105,9 +104,6 @@ func main() {
 	cliutil.CheckPositiveInt(cmd, "block", *block)
 	cliutil.CheckPositiveInt(cmd, "admit", *admit)
 	cliutil.CheckParallelism(cmd, *par)
-	if *bid != 0 && *bid < 1 {
-		cliutil.Usage(cmd, "-bid must be ≥ 1 (or 0 to disable), got %v", *bid)
-	}
 
 	byName, maxRows := cliutil.ValidateTables(cmd, tables)
 	payload := cliutil.TablesPayload(tables)
@@ -155,7 +151,6 @@ func main() {
 		if tenants[i].Budget == 0 {
 			tenants[i].Budget = budget
 		}
-		tenants[i].BidSlack = *bid
 	}
 
 	cfg := server.Config{

@@ -9,10 +9,10 @@ import (
 )
 
 // GrantRelease enforces the PR 4/7 resource-release contracts: a
-// broker grant (Acquire/AcquireBest/AcquireBestFunc) must be Released
-// on every path out of the acquiring function, and a streaming cursor
-// (a Rows-method result with a Close method) must be Closed — directly,
-// via defer, or by handing the resource off (returning it, storing it
+// broker grant (Acquire) must be Released on every path out of the
+// acquiring function, and a streaming cursor (a Rows-method result
+// with a Close method) must be Closed — directly, via defer, or by
+// handing the resource off (returning it, storing it
 // into longer-lived state, or passing it — or its release method — to
 // another call, e.g. context.AfterFunc(ctx, g.Release)). Discarding
 // either result with `_` is always a leak. The `if err != nil` guard
@@ -35,7 +35,7 @@ type releaseProtocol struct {
 var grantProtocols = []releaseProtocol{
 	{
 		kind:        "broker grant",
-		methods:     map[string]bool{"Acquire": true, "AcquireBest": true, "AcquireBestFunc": true},
+		methods:     map[string]bool{"Acquire": true},
 		release:     "Release",
 		resultNamed: "Grant",
 	},

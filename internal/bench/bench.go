@@ -47,22 +47,6 @@ type Config struct {
 	// Parallelism is the operator worker count (0 and 1 both mean the
 	// paper's serial execution). The scaling experiment sweeps it.
 	Parallelism int
-	// Sessions is K, the number of concurrent sessions of the concurrency
-	// experiment (default 4).
-	Sessions int
-	// BatchSize is the operator batch size of the exec-engine experiments
-	// (pipeline, concurrency, budget, batch). 0 keeps the engine default
-	// (1024); 1 is record-at-a-time execution. Output bytes and simulated
-	// cacheline writes are identical at every setting.
-	BatchSize int
-	// BatchJSON, when non-empty, is the path where the batch experiment
-	// writes its machine-readable result (BENCH_batch.json). Other
-	// experiments ignore it.
-	BatchJSON string
-	// ServeJSON, when non-empty, is the path where the serve experiment
-	// writes its machine-readable result (BENCH_serve.json). Other
-	// experiments ignore it.
-	ServeJSON string
 	// ScalingJSON, when non-empty, is the path where the scaling
 	// experiment writes its machine-readable result (BENCH_scaling.json).
 	// Other experiments ignore it.
@@ -172,29 +156,19 @@ type Runner func(cfg Config) ([]*Report, error)
 
 // registry maps experiment ids to runners.
 var registry = map[string]Runner{
-	"fig2":        Fig2,
-	"fig5":        Fig5,
-	"fig6":        Fig6,
-	"fig7":        Fig7,
-	"fig8":        Fig8,
-	"fig9":        Fig9,
-	"fig10":       Fig10,
-	"fig11":       Fig11,
-	"fig12":       Fig12,
-	"table1":      Table1,
-	"table2":      Table2,
-	"scaling":     Scaling,
-	"pipeline":    Pipeline,
-	"concurrency": Concurrency,
-	"budget":      Budget,
-	"batch":       BatchExec,
+	"fig2":    Fig2,
+	"fig5":    Fig5,
+	"fig6":    Fig6,
+	"fig7":    Fig7,
+	"fig8":    Fig8,
+	"fig9":    Fig9,
+	"fig10":   Fig10,
+	"fig11":   Fig11,
+	"fig12":   Fig12,
+	"table1":  Table1,
+	"table2":  Table2,
+	"scaling": Scaling,
 }
-
-// Register adds an experiment living outside this package — the serve
-// experiment, whose runner needs the façade and client layers this
-// package sits below, registers itself through it from the façade's
-// init. Registering an existing id replaces it.
-func Register(id string, r Runner) { registry[id] = r }
 
 // Experiments lists the registered experiment ids in presentation order.
 func Experiments() []string {

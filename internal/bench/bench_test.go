@@ -2,8 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
 	"strings"
 	"testing"
 )
@@ -16,7 +14,7 @@ func tiny() Config {
 
 func TestExperimentsRegistry(t *testing.T) {
 	ids := Experiments()
-	want := []string{"batch", "budget", "concurrency", "fig2", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "pipeline", "scaling", "table1", "table2"}
+	want := []string{"fig2", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "scaling", "table1", "table2"}
 	if len(ids) != len(want) {
 		t.Fatalf("registry has %v, want %v", ids, want)
 	}
@@ -68,40 +66,6 @@ func TestAllExperimentsSmoke(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestBatchExperimentJSON runs the batch experiment at tiny scale and
-// checks the machine-readable output: the JSON file exists, covers every
-// mode in both variants, and records zero cacheline write drift between
-// record and batch execution.
-func TestBatchExperimentJSON(t *testing.T) {
-	cfg := tiny()
-	cfg.BatchJSON = t.TempDir() + "/BENCH_batch.json"
-	if _, err := Run("batch", cfg); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := os.ReadFile(cfg.BatchJSON)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc batchDoc
-	if err := json.Unmarshal(blob, &doc); err != nil {
-		t.Fatalf("BENCH_batch.json does not parse: %v", err)
-	}
-	if doc.BatchSize != 1024 {
-		t.Errorf("batch_size = %d, want engine default 1024", doc.BatchSize)
-	}
-	if len(doc.Summary) == 0 || len(doc.Rows) != 2*len(doc.Summary) {
-		t.Fatalf("doc has %d rows for %d modes", len(doc.Rows), len(doc.Summary))
-	}
-	for mode, s := range doc.Summary {
-		if s.WriteDrift != 0 {
-			t.Errorf("%s: write drift %+d cachelines, want 0", mode, s.WriteDrift)
-		}
-		if s.WallSpeedup <= 0 {
-			t.Errorf("%s: non-positive wall speedup %v", mode, s.WallSpeedup)
-		}
 	}
 }
 

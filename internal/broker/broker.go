@@ -12,21 +12,12 @@
 // ones) and is woken as releases free memory. Blocking requests honour
 // context cancellation; fail-fast requests return ErrAdmission
 // immediately when the memory is not free.
-//
-// AcquireBest adds grant bidding on top of the FIFO: a query names every
-// grant size it is willing to run at (descending), and the broker admits
-// the largest that currently fits — raising utilization without letting
-// any bidder overtake requests queued ahead of it. AcquireBestFunc makes
-// the bid live: queued bids are re-priced on every grant release (not
-// just at enqueue), so a shrunken queue admits right-sized waiters
-// sooner.
 package broker
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -68,20 +59,8 @@ type Broker struct {
 }
 
 type waiter struct {
-	cands   []int64       // acceptable grant sizes, descending
-	reprice Repricer      // optional: recomputes cands at each release
-	granted int64         // the candidate admit charged, set before ready closes
-	ready   chan struct{} // closed by admit with the grant charged
-}
-
-// fit returns the largest candidate not exceeding free, or 0.
-func (w *waiter) fit(free int64) int64 {
-	for _, c := range w.cands {
-		if c <= free {
-			return c
-		}
-	}
-	return 0
+	bytes int64
+	ready chan struct{} // closed by releaseLocked with the grant charged
 }
 
 // New returns a broker over a total budget in bytes.
@@ -126,92 +105,38 @@ func (b *Broker) Acquire(ctx context.Context, bytes int64, p Policy) (*Grant, er
 	if bytes <= 0 {
 		return nil, fmt.Errorf("broker: grant request must be positive, got %d", bytes)
 	}
-	return b.AcquireBest(ctx, []int64{bytes}, p)
-}
-
-// Repricer recomputes a queued bid's acceptable grant sizes against the
-// budget currently free. The broker consults it on every grant release
-// while the bid waits at the head of the queue — not just at enqueue —
-// so a bid priced when the queue (and the free budget) looked different
-// can right-size itself to the memory actually available and start
-// sooner. Returning nil (or no positive candidate) keeps the bid's
-// previous candidate list.
-//
-// The broker calls the repricer with its own lock held: it must be a
-// pure computation (walking a plan's cost curves is fine) and must not
-// call back into the broker.
-type Repricer func(free int64) []int64
-
-// AcquireBest is multi-candidate admission — the grant-bidding half of
-// cost-driven memory planning. The caller names every grant size it is
-// willing to run at (a session prices its plan at several budgets first
-// and keeps the ones whose predicted cost stays acceptable); the broker
-// admits the largest candidate that currently fits, so a query that runs
-// well at M/2 starts immediately instead of queueing behind its full-M
-// ask. FIFO fairness is preserved: when other requests are already
-// queued the bidder queues behind them, and a queued bidder is woken
-// with the largest of its candidates that fits at release time.
-//
-// Candidates are normalized to descending order; candidates above the
-// system budget are dropped (an error if none survive). All must be
-// positive.
-func (b *Broker) AcquireBest(ctx context.Context, candidates []int64, p Policy) (*Grant, error) {
-	return b.AcquireBestFunc(ctx, candidates, nil, p)
-}
-
-// AcquireBestFunc is AcquireBest with a live bid: reprice, when non-nil,
-// recomputes the queued bid's candidate sizes on every grant release
-// while the request waits (see Repricer). The initial candidates decide
-// immediate admission and the FailFast outcome; repricing only affects a
-// request that queued.
-func (b *Broker) AcquireBestFunc(ctx context.Context, candidates []int64, reprice Repricer, p Policy) (*Grant, error) {
-	if len(candidates) == 0 {
-		return nil, fmt.Errorf("broker: grant request needs at least one candidate size")
+	if bytes > b.total {
+		return nil, fmt.Errorf("broker: grant request %d B exceeds the system budget %d B", bytes, b.total)
 	}
-	cands := make([]int64, 0, len(candidates))
-	for _, c := range candidates {
-		if c <= 0 {
-			return nil, fmt.Errorf("broker: grant request must be positive, got %d", c)
-		}
-		if c <= b.total {
-			cands = append(cands, c)
-		}
-	}
-	if len(cands) == 0 {
-		return nil, fmt.Errorf("broker: grant request %d B exceeds the system budget %d B", candidates[0], b.total)
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i] > cands[j] })
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	b.mu.Lock()
-	// Admit immediately only when nothing is queued ahead (FIFO); take
-	// the largest candidate the free budget covers.
-	if len(b.waiters) == 0 {
-		if g := (&waiter{cands: cands}).fit(b.total - b.used); g > 0 {
-			b.chargeLocked(g)
-			b.mu.Unlock()
-			return &Grant{b: b, bytes: g}, nil
-		}
+	// Admit immediately only when nothing is queued ahead (FIFO).
+	if len(b.waiters) == 0 && bytes <= b.total-b.used {
+		b.chargeLocked(bytes)
+		b.mu.Unlock()
+		return &Grant{b: b, bytes: bytes}, nil
 	}
 	if p == FailFast {
 		used := b.used
 		b.mu.Unlock()
-		return nil, fmt.Errorf("%w (requested %d B, %d B of %d B in use)", ErrAdmission, cands[0], used, b.total)
+		return nil, fmt.Errorf("%w (requested %d B, %d B of %d B in use)", ErrAdmission, bytes, used, b.total)
 	}
-	w := &waiter{cands: cands, reprice: reprice, ready: make(chan struct{})}
+	w := &waiter{bytes: bytes, ready: make(chan struct{})}
 	b.waiters = append(b.waiters, w)
 	b.mu.Unlock()
 
 	select {
 	case <-w.ready:
-		return &Grant{b: b, bytes: w.granted}, nil
+		return &Grant{b: b, bytes: bytes}, nil
 	case <-ctx.Done():
 		b.mu.Lock()
-		// Lost race: admit may have fired between Done and the lock.
+		// Lost race: releaseLocked may have admitted w between Done and
+		// the lock.
 		select {
 		case <-w.ready:
-			b.releaseLocked(w.granted)
+			b.releaseLocked(bytes)
 			b.mu.Unlock()
 			return nil, ctx.Err()
 		default:
@@ -238,46 +163,18 @@ func (b *Broker) chargeLocked(bytes int64) {
 }
 
 // releaseLocked returns bytes to the budget and admits queued waiters,
-// in order, while any of their candidate sizes fit (largest first per
-// waiter). A waiter with a repricer first recomputes its candidates
-// against the free budget — the wake-and-reprice path — so a bid sized
-// when the queue looked different admits at today's right size instead
-// of waiting for yesterday's. The head waiter still gates the queue — a
-// small bidder never overtakes a large request queued ahead of it.
-// The Locked suffix is the caller-holds-b.mu contract, machine-checked
-// by wlvet/syncfield at every call site.
+// in order, while the head's request fits: a small request never
+// overtakes a large one queued ahead of it. It calls nothing outside this
+// package. The Locked suffix is the caller-holds-b.mu contract,
+// machine-checked by wlvet/syncfield at every call site.
 func (b *Broker) releaseLocked(bytes int64) {
 	b.used -= bytes
-	for len(b.waiters) > 0 {
+	for len(b.waiters) > 0 && b.waiters[0].bytes <= b.total-b.used {
 		w := b.waiters[0]
-		free := b.total - b.used
-		if w.reprice != nil {
-			if cands := normalizeCands(w.reprice(free), b.total); len(cands) > 0 {
-				w.cands = cands
-			}
-		}
-		g := w.fit(free)
-		if g == 0 {
-			break
-		}
-		w.granted = g
-		b.chargeLocked(g)
+		b.chargeLocked(w.bytes)
 		b.waiters = b.waiters[1:]
 		close(w.ready)
 	}
-}
-
-// normalizeCands drops non-positive and over-budget candidates and sorts
-// the survivors descending.
-func normalizeCands(cands []int64, total int64) []int64 {
-	out := cands[:0]
-	for _, c := range cands {
-		if c > 0 && c <= total {
-			out = append(out, c)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] > out[j] })
-	return out
 }
 
 // Grant is one admitted share of the broker's budget.

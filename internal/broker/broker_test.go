@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -212,339 +211,5 @@ func TestConcurrentChurn(t *testing.T) {
 	}
 	if hw := b.HighWater(); hw > 64 {
 		t.Fatalf("HighWater = %d exceeds total 64", hw)
-	}
-}
-
-// --- AcquireBest: grant bidding ---
-
-func TestAcquireBestTakesLargestFit(t *testing.T) {
-	b := mustNew(t, 100)
-	hold, err := b.Acquire(context.Background(), 60, Block)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 80 does not fit next to the 60-byte hold; 40 does. Candidate order
-	// in the call must not matter.
-	g, err := b.AcquireBest(context.Background(), []int64{40, 80}, FailFast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Bytes() != 40 {
-		t.Fatalf("granted %d B, want the largest fitting candidate 40", g.Bytes())
-	}
-	g.Release()
-	hold.Release()
-	// With the budget free the full candidate wins.
-	g, err = b.AcquireBest(context.Background(), []int64{80, 40}, FailFast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Bytes() != 80 {
-		t.Fatalf("granted %d B, want 80 with the budget free", g.Bytes())
-	}
-	g.Release()
-	if hw := b.HighWater(); hw > 100 {
-		t.Fatalf("HighWater = %d exceeds total", hw)
-	}
-}
-
-func TestAcquireBestValidation(t *testing.T) {
-	b := mustNew(t, 100)
-	if _, err := b.AcquireBest(context.Background(), nil, Block); err == nil {
-		t.Error("empty candidate list accepted")
-	}
-	if _, err := b.AcquireBest(context.Background(), []int64{50, 0}, Block); err == nil {
-		t.Error("zero candidate accepted")
-	}
-	if _, err := b.AcquireBest(context.Background(), []int64{500, 200}, Block); err == nil {
-		t.Error("candidates above the total accepted")
-	}
-	// Oversized candidates are dropped, feasible ones survive.
-	g, err := b.AcquireBest(context.Background(), []int64{500, 60}, FailFast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Bytes() != 60 {
-		t.Fatalf("granted %d B, want 60", g.Bytes())
-	}
-	g.Release()
-}
-
-// TestAcquireBestPreservesFIFO pins the fairness contract: a bidder with
-// a fitting small candidate must not overtake a larger request queued
-// ahead of it, and when the queue drains the head is served its full
-// demand before the bidder fits into what remains. Admission order is
-// asserted through broker state (queue length, granted sizes), not
-// through goroutine wake order — both waiters can legitimately be
-// admitted in the same release pass.
-func TestAcquireBestPreservesFIFO(t *testing.T) {
-	b := mustNew(t, 100)
-	hold, err := b.Acquire(context.Background(), 90, Block)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bigGranted := make(chan int64, 1)
-	bidGranted := make(chan int64, 1)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { // queued first: needs 80
-		defer wg.Done()
-		g, err := b.Acquire(context.Background(), 80, Block)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		bigGranted <- g.Bytes()
-		g.Release()
-	}()
-	time.Sleep(10 * time.Millisecond)
-	wg.Add(1)
-	go func() { // bidder behind it: its 10-byte candidate fits the free
-		// 10 B right now, but the queue is non-empty, so FIFO must keep
-		// it queued instead of admitting it ahead of the big request.
-		defer wg.Done()
-		g, err := b.AcquireBest(context.Background(), []int64{70, 10}, Block)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		bidGranted <- g.Bytes()
-		g.Release()
-	}()
-	time.Sleep(10 * time.Millisecond)
-	if got := b.Waiting(); got != 2 {
-		t.Fatalf("Waiting = %d, want 2 (the bidder queued FIFO instead of taking its fitting candidate)", got)
-	}
-	hold.Release()
-	wg.Wait()
-	// The head was served its full 80 B demand; the bidder fit the
-	// 20 B remainder with its small candidate, not the 70 B one.
-	if got := <-bigGranted; got != 80 {
-		t.Fatalf("head of queue granted %d B, want its full 80 B demand", got)
-	}
-	if got := <-bidGranted; got != 10 {
-		t.Fatalf("bidder granted %d B, want the 10 B candidate that fit behind the head", got)
-	}
-	if hw := b.HighWater(); hw > 100 {
-		t.Fatalf("HighWater = %d exceeds total", hw)
-	}
-}
-
-// TestAcquireBestWakesWithLargestFitting: a queued bidder is granted the
-// largest of its candidates that fits at release time, not the one that
-// happened to fit when it queued.
-func TestAcquireBestWakesWithLargestFitting(t *testing.T) {
-	b := mustNew(t, 100)
-	hold, err := b.Acquire(context.Background(), 95, Block)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make(chan int64, 1)
-	go func() {
-		// Neither candidate fits next to the 95-byte hold, so the bidder
-		// queues; the release frees everything and the larger candidate
-		// must win.
-		g, err := b.AcquireBest(context.Background(), []int64{80, 40}, Block)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		got <- g.Bytes()
-		g.Release()
-	}()
-	time.Sleep(10 * time.Millisecond)
-	hold.Release() // frees everything: the 80-byte candidate now fits
-	if bytes := <-got; bytes != 80 {
-		t.Fatalf("woken with %d B, want the largest candidate 80", bytes)
-	}
-}
-
-// TestAcquireBestChurnNoStarvation hammers mixed fixed and bidding
-// acquisitions (run with -race): everything completes, accounting holds.
-func TestAcquireBestChurnNoStarvation(t *testing.T) {
-	b := mustNew(t, 64)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				var g *Grant
-				var err error
-				if w%2 == 0 {
-					g, err = b.AcquireBest(context.Background(), []int64{48, 16, 4}, Block)
-				} else {
-					g, err = b.Acquire(context.Background(), int64(8+w), Block)
-				}
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				g.Release()
-			}
-		}(w)
-	}
-	wg.Wait()
-	if got := b.InUse(); got != 0 {
-		t.Fatalf("InUse = %d after churn, want 0", got)
-	}
-	if hw := b.HighWater(); hw > 64 {
-		t.Fatalf("HighWater = %d exceeds total 64", hw)
-	}
-	if wting := b.Waiting(); wting != 0 {
-		t.Fatalf("Waiting = %d after churn, want 0", wting)
-	}
-}
-
-// TestAcquireBestFuncRepricesOnRelease is the wake-and-reprice path: a
-// bid queued with candidates sized for yesterday's queue is re-priced at
-// every release, so it admits at the budget actually free instead of
-// waiting for its original ask.
-func TestAcquireBestFuncRepricesOnRelease(t *testing.T) {
-	b := mustNew(t, 100)
-	g1, err := b.Acquire(context.Background(), 40, Block)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, err := b.Acquire(context.Background(), 60, Block)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var calls atomic.Int64
-	admitted := make(chan *Grant)
-	go func() {
-		// Static candidates would wait for 80 B free; the repricer
-		// accepts whatever is free once at least 30 B opened up.
-		g, err := b.AcquireBestFunc(context.Background(), []int64{80},
-			func(free int64) []int64 {
-				calls.Add(1)
-				if free < 30 {
-					return nil
-				}
-				return []int64{free}
-			}, Block)
-		if err != nil {
-			t.Error(err)
-		}
-		admitted <- g
-	}()
-
-	// The bid must queue: 0 B free, and the repricer is not consulted at
-	// enqueue time.
-	for b.Waiting() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	if n := calls.Load(); n != 0 {
-		t.Fatalf("repricer called %d times before any release", n)
-	}
-
-	// First release frees 40 B — short of the static 80 B ask, but the
-	// repricer right-sizes the bid to the free budget.
-	g1.Release()
-	select {
-	case g := <-admitted:
-		if g.Bytes() != 40 {
-			t.Fatalf("admitted at %d B, want the repriced free budget 40", g.Bytes())
-		}
-		g.Release()
-	case <-time.After(2 * time.Second):
-		t.Fatal("repriced bid not admitted after release freed 40 B")
-	}
-	if n := calls.Load(); n == 0 {
-		t.Fatal("repricer never consulted on release")
-	}
-	g2.Release()
-	if got := b.InUse(); got != 0 {
-		t.Fatalf("InUse = %d, want 0", got)
-	}
-}
-
-// TestAcquireBestFuncRepriceKeepsCandsOnNil keeps the previous candidate
-// list when the repricer declines (returns nil): the bid still admits
-// once an original candidate fits.
-func TestAcquireBestFuncRepriceKeepsCandsOnNil(t *testing.T) {
-	b := mustNew(t, 100)
-	g1, err := b.Acquire(context.Background(), 70, Block)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, err := b.Acquire(context.Background(), 30, Block)
-	if err != nil {
-		t.Fatal(err)
-	}
-	admitted := make(chan *Grant)
-	go func() {
-		g, err := b.AcquireBestFunc(context.Background(), []int64{60, 30},
-			func(int64) []int64 { return nil }, Block)
-		if err != nil {
-			t.Error(err)
-		}
-		admitted <- g
-	}()
-	for b.Waiting() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	g2.Release() // 30 B free: the declined reprice leaves {60, 30}; 30 fits
-	select {
-	case g := <-admitted:
-		if g.Bytes() != 30 {
-			t.Fatalf("admitted at %d B, want the original candidate 30", g.Bytes())
-		}
-		g.Release()
-	case <-time.After(2 * time.Second):
-		t.Fatal("bid not admitted from its original candidates")
-	}
-	g1.Release()
-}
-
-// TestAcquireBestFuncRepricePreservesFIFO: a repricing bidder at the
-// head of the queue does not let later arrivals overtake it, and a
-// repricing bidder behind a fixed request cannot jump the queue.
-func TestAcquireBestFuncRepricePreservesFIFO(t *testing.T) {
-	b := mustNew(t, 100)
-	g1, err := b.Acquire(context.Background(), 100, Block)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// First in line: a fixed 90 B request.
-	first := make(chan *Grant)
-	go func() {
-		g, err := b.Acquire(context.Background(), 90, Block)
-		if err != nil {
-			t.Error(err)
-		}
-		first <- g
-	}()
-	for b.Waiting() != 1 {
-		time.Sleep(time.Millisecond)
-	}
-	// Second: a repricing bidder that would happily take anything free.
-	second := make(chan *Grant)
-	go func() {
-		g, err := b.AcquireBestFunc(context.Background(), []int64{90},
-			func(free int64) []int64 { return []int64{free} }, Block)
-		if err != nil {
-			t.Error(err)
-		}
-		second <- g
-	}()
-	for b.Waiting() != 2 {
-		time.Sleep(time.Millisecond)
-	}
-	g1.Release() // 100 B free: head takes 90, bidder reprices to the 10 left
-	g := <-first
-	select {
-	case g2 := <-second:
-		if g2.Bytes() != 10 {
-			t.Fatalf("queued bidder admitted at %d B, want the repriced remainder 10", g2.Bytes())
-		}
-		g2.Release()
-	case <-time.After(2 * time.Second):
-		t.Fatal("queued bidder not admitted behind the drained head")
-	}
-	g.Release()
-	if got := b.InUse(); got != 0 {
-		t.Fatalf("InUse = %d, want 0", got)
 	}
 }

@@ -137,7 +137,7 @@ func TestAbsorbedChainMatchesMaterializedReference(t *testing.T) {
 							got = drainCursor(t, ec, root)
 						} else {
 							out := r.create(t, "out", root.RecordSize())
-							if err := Run(ec, root, out); err != nil {
+							if err := RunCtx(context.Background(), ec, root, out); err != nil {
 								t.Fatal(err)
 							}
 							got = readBytes(t, out)
@@ -288,7 +288,7 @@ func TestFoldSinkIdentityGrid(t *testing.T) {
 					}
 					out := r.create(t, "out", root.RecordSize())
 					dev.ResetStats()
-					if err := Run(ec, root, out); err != nil {
+					if err := RunCtx(context.Background(), ec, root, out); err != nil {
 						t.Fatal(err)
 					}
 					return readBytes(t, out), dev.Stats().Writes
@@ -343,7 +343,7 @@ func TestSinkDestinationFailure(t *testing.T) {
 					t.Fatal(err)
 				}
 				out := r.create(t, "out", root.RecordSize())
-				err = Run(ec, root, &failAfter{Collection: out, n: 25, err: boom})
+				err = RunCtx(context.Background(), ec, root, &failAfter{Collection: out, n: 25, err: boom})
 				if !errors.Is(err, boom) {
 					t.Fatalf("err = %v, want the destination's error", err)
 				}
@@ -433,7 +433,7 @@ func BenchmarkJoinEmitProjected(b *testing.B) {
 			b.Fatal(err)
 		}
 		out := r.create(b, fmt.Sprintf("out%d", i), root.RecordSize())
-		if err := Run(ec, root, out); err != nil {
+		if err := RunCtx(context.Background(), ec, root, out); err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()

@@ -162,7 +162,7 @@ func runBatchCase(t *testing.T, pc batchCase, par, batchSize int) ([]byte, pmem.
 	}
 	out := r.create(t, "out", root.RecordSize())
 	r.dev.ResetStats()
-	if err := Run(ec, root, out); err != nil {
+	if err := RunCtx(context.Background(), ec, root, out); err != nil {
 		t.Fatal(err)
 	}
 	st := r.dev.Stats()

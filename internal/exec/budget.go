@@ -662,24 +662,3 @@ func (c *compiler) narrow(p *Plan, out planEstimate, from int, collect bool) {
 		c.stages[from].outBuf = c.buffers(out.rows, planRecordSize(p))
 	}
 }
-
-// PlanCosts prices the plan's predicted total cost at several candidate
-// budgets without building operators: one demand walk, one allocation
-// per budget. This is what grant bidding runs before asking the broker
-// for memory — a plan whose cost barely moves between M and M/2 can bid
-// for the smaller grant and start instead of queueing.
-func PlanCosts(ctx *Ctx, p *Plan, budgets []int64) ([]float64, error) {
-	c, _, err := newCompiler(ctx, p, CompileOptions{})
-	if err != nil {
-		return nil, err
-	}
-	pricers := pricersOf(c.stages)
-	costs := make([]float64, len(budgets))
-	for i, b := range budgets {
-		if len(pricers) == 0 || b <= 0 {
-			continue
-		}
-		costs[i] = Allocate(b, c.blockSize, pricers).Cost
-	}
-	return costs, nil
-}

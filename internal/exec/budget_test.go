@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -143,7 +144,7 @@ func TestOpenTimeResplit(t *testing.T) {
 	}
 	compiled := append([]int64(nil), ex.StageShares...)
 	out := r.create(t, "out", record.Size)
-	if err := Run(ctx, root, out); err != nil {
+	if err := RunCtx(context.Background(), ctx, root, out); err != nil {
 		t.Fatal(err)
 	}
 	if out.Len() != 4000 {
@@ -171,33 +172,6 @@ func TestOpenTimeResplit(t *testing.T) {
 	}
 	if sum > ctx.MemoryBudget {
 		t.Errorf("re-split shares sum %d oversubscribe budget %d", sum, ctx.MemoryBudget)
-	}
-}
-
-// TestPlanCostsMatchesCompile pins the bidding path's pricing to the
-// compiler's: PlanCosts at the compile budget must reproduce
-// Explain.PlanCost, and pricing at several budgets must not error.
-func TestPlanCostsMatchesCompile(t *testing.T) {
-	r := newRig(t)
-	dim1, _, fact := r.loadStar(t, testDim, testFact)
-	plan := func() *Plan { return Table(dim1).Join(Table(fact)).OrderBy() }
-	budget := testBudget
-	ctx := r.ctx(budget, 1)
-	_, ex, err := Compile(ctx, plan())
-	if err != nil {
-		t.Fatal(err)
-	}
-	costs, err := PlanCosts(r.ctx(budget, 1), plan(), []int64{budget, budget / 2, budget / 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := costs[0] - ex.PlanCost; diff > 1e-6*ex.PlanCost || diff < -1e-6*ex.PlanCost {
-		t.Errorf("PlanCosts(full) = %.6g, Explain.PlanCost = %.6g", costs[0], ex.PlanCost)
-	}
-	for i, c := range costs {
-		if c <= 0 {
-			t.Errorf("cost[%d] = %g, want positive", i, c)
-		}
 	}
 }
 
@@ -394,7 +368,7 @@ func TestForeignPinnedAlgorithmsArePriced(t *testing.T) {
 		t.Errorf("Σ Choice.Cost %.9g, PlanCost %.9g", sum, ex.PlanCost)
 	}
 	out := r.create(t, "out", record.Size)
-	if err := Run(ctx, root, out); err != nil {
+	if err := RunCtx(context.Background(), ctx, root, out); err != nil {
 		t.Fatal(err)
 	}
 	check("after the run")

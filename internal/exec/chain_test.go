@@ -148,7 +148,7 @@ func TestChainViewSortedMatchesReference(t *testing.T) {
 						}
 						out := r.create(t, fmt.Sprintf("out.%s.%s.%d.%v", vc.name, a.Name(), par, opts.MaterializeEveryStep), root.RecordSize())
 						defer out.Destroy() //nolint:errcheck
-						if err := Run(ec, root, out); err != nil {
+						if err := RunCtx(context.Background(), ec, root, out); err != nil {
 							t.Fatal(err)
 						}
 						if live := ec.LiveTemps(); live != 0 {

@@ -201,8 +201,8 @@ func (c *Ctx) LiveTemps() int {
 	return c.scratch.LiveTemps()
 }
 
-// SweepTemps destroys every temporary the last run left behind. Run and
-// the Rows cursor call it on error and cancellation paths; an aborted
+// SweepTemps destroys every temporary the last run left behind. RunCtx
+// and the Rows cursor call it on error and cancellation paths; an aborted
 // plan therefore leaks no spill, partition or pipe collections even when
 // the failure struck mid-phase inside an algorithm.
 func (c *Ctx) SweepTemps() error {
@@ -210,14 +210,6 @@ func (c *Ctx) SweepTemps() error {
 		return nil
 	}
 	return c.scratch.SweepTemps()
-}
-
-// Run executes the plan rooted at root, appending its stream to out (in
-// stream order) and closing both the tree and out. It is RunCtx without
-// cancellation.
-func Run(ec *Ctx, root Operator, out storage.Collection) error {
-	//lint:allow wlvet/ctxparam pre-context compat entry point; RunCtx is the real API
-	return RunCtx(context.Background(), ec, root, out)
 }
 
 // RunCtx executes the plan rooted at root under ctx, appending its

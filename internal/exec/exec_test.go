@@ -2,6 +2,7 @@ package exec
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -111,7 +112,7 @@ func TestStarPipelineMatchesHandWired(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := r.create(t, "result", record.Size)
-	if err := Run(ctx, root, got); err != nil {
+	if err := RunCtx(context.Background(), ctx, root, got); err != nil {
 		t.Fatal(err)
 	}
 
@@ -131,7 +132,7 @@ func TestStarPipelineMatchesHandWired(t *testing.T) {
 		t.Fatal(err)
 	}
 	got4 := r4.create(t, "result", record.Size)
-	if err := Run(ctx4, root4, got4); err != nil {
+	if err := RunCtx(context.Background(), ctx4, root4, got4); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(readBytes(t, got4), want) {
@@ -213,7 +214,7 @@ func TestPipelineWritesFewerCachelines(t *testing.T) {
 		}
 		out := r.create(t, "result", record.Size)
 		r.dev.ResetStats()
-		if err := Run(ctx, root, out); err != nil {
+		if err := RunCtx(context.Background(), ctx, root, out); err != nil {
 			t.Fatal(err)
 		}
 		return r.dev.Stats().Writes
@@ -248,7 +249,7 @@ func TestStreamingOperators(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := r.create(t, "out", 2*record.AttrSize)
-	if err := Run(ctx, root, out); err != nil {
+	if err := RunCtx(context.Background(), ctx, root, out); err != nil {
 		t.Fatal(err)
 	}
 	if out.Len() != 100 {
@@ -297,7 +298,7 @@ func TestHashAggregateMatchesSortGroupBy(t *testing.T) {
 		t.Fatalf("planner chose %+v, want HashAgg", ex.Choices)
 	}
 	hashOut := r.create(t, "hash", record.Size)
-	if err := Run(ctx, root, hashOut); err != nil {
+	if err := RunCtx(context.Background(), ctx, root, hashOut); err != nil {
 		t.Fatal(err)
 	}
 
@@ -308,7 +309,7 @@ func TestHashAggregateMatchesSortGroupBy(t *testing.T) {
 		t.Fatal(err)
 	}
 	sortOut := r.create(t, "sorted", record.Size)
-	if err := Run(ctx2, root2, sortOut); err != nil {
+	if err := RunCtx(context.Background(), ctx2, root2, sortOut); err != nil {
 		t.Fatal(err)
 	}
 
@@ -342,7 +343,7 @@ func TestFusedFilterWritesNothing(t *testing.T) {
 	}
 	out := r.create(t, "out", record.Size)
 	r.dev.ResetStats()
-	if err := Run(ctx, root, out); err != nil {
+	if err := RunCtx(context.Background(), ctx, root, out); err != nil {
 		t.Fatal(err)
 	}
 	fusedWrites := r.dev.Stats().Writes
@@ -367,7 +368,7 @@ func TestFusedFilterWritesNothing(t *testing.T) {
 	}
 	out2 := r2.create(t, "out", record.Size)
 	r2.dev.ResetStats()
-	if err := Run(ctx2, root2, out2); err != nil {
+	if err := RunCtx(context.Background(), ctx2, root2, out2); err != nil {
 		t.Fatal(err)
 	}
 	refWrites := r2.dev.Stats().Writes
@@ -456,7 +457,7 @@ func TestHashAggregateSpillFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	sortOut := rs.create(t, "sorted", record.Size)
-	if err := Run(ctxS, rootS, sortOut); err != nil {
+	if err := RunCtx(context.Background(), ctxS, rootS, sortOut); err != nil {
 		t.Fatal(err)
 	}
 	want := readBytes(t, sortOut)
@@ -472,7 +473,7 @@ func TestHashAggregateSpillFallback(t *testing.T) {
 		t.Fatalf("hinted plan chose %+v, want HashAgg", ex.Choices)
 	}
 	hashOut := rh.create(t, "hash", record.Size)
-	if err := Run(ctxH, rootH, hashOut); err != nil {
+	if err := RunCtx(context.Background(), ctxH, rootH, hashOut); err != nil {
 		t.Fatalf("underestimated hint no longer degrades, it fails: %v", err)
 	}
 	if !ex.Choices[0].Spilled {
@@ -500,7 +501,7 @@ func TestHashAggregateSpillFallback(t *testing.T) {
 		t.Fatalf("hintless, statless plan chose the hash path: %+v", exA.Choices)
 	}
 	outA := ra.create(t, "nohint", record.Size)
-	if err := Run(ctxA, rootA, outA); err != nil {
+	if err := RunCtx(context.Background(), ctxA, rootA, outA); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(readBytes(t, outA), want) {
@@ -529,7 +530,7 @@ func TestHashAggregateSpillMultiPassMerge(t *testing.T) {
 		t.Fatalf("plan chose %+v, want HashAgg", ex.Choices)
 	}
 	hashOut := rh.create(t, "hash", record.Size)
-	if err := Run(ctxH, rootH, hashOut); err != nil {
+	if err := RunCtx(context.Background(), ctxH, rootH, hashOut); err != nil {
 		t.Fatal(err)
 	}
 	if !ex.Choices[0].Spilled {
@@ -544,7 +545,7 @@ func TestHashAggregateSpillMultiPassMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	sortOut := rs.create(t, "sorted", record.Size)
-	if err := Run(ctxS, rootS, sortOut); err != nil {
+	if err := RunCtx(context.Background(), ctxS, rootS, sortOut); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(readBytes(t, hashOut), readBytes(t, sortOut)) {
@@ -579,7 +580,7 @@ func TestDSLPlanMatchesBuilder(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := r.create(t, "dsl.out", record.Size)
-	if err := Run(ctx, root, got); err != nil {
+	if err := RunCtx(context.Background(), ctx, root, got); err != nil {
 		t.Fatal(err)
 	}
 
@@ -591,7 +592,7 @@ func TestDSLPlanMatchesBuilder(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := r2.create(t, "builder.out", record.Size)
-	if err := Run(ctx2, root2, want); err != nil {
+	if err := RunCtx(context.Background(), ctx2, root2, want); err != nil {
 		t.Fatal(err)
 	}
 
@@ -650,18 +651,18 @@ func TestRunValidation(t *testing.T) {
 
 	// Wrong output width.
 	bad := r.create(t, "bad", 16)
-	if err := Run(r.ctx(4<<10, 1), NewScan(in), bad); err == nil {
+	if err := RunCtx(context.Background(), r.ctx(4<<10, 1), NewScan(in), bad); err == nil {
 		t.Error("record-size mismatch accepted")
 	}
 	// Non-empty output.
 	full := r.create(t, "full", record.Size)
 	full.Append(record.New(1)) //nolint:errcheck
-	if err := Run(r.ctx(4<<10, 1), NewScan(in), full); err == nil {
+	if err := RunCtx(context.Background(), r.ctx(4<<10, 1), NewScan(in), full); err == nil {
 		t.Error("non-empty output accepted")
 	}
 	// Bad budget.
 	out := r.create(t, "out", record.Size)
-	if err := Run(r.ctx(0, 1), NewScan(in), out); err == nil {
+	if err := RunCtx(context.Background(), r.ctx(0, 1), NewScan(in), out); err == nil {
 		t.Error("zero budget accepted")
 	}
 	// Bad predicate attribute fails at plan time.
@@ -685,7 +686,7 @@ func TestEmptyInputPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := r.create(t, "out", record.Size)
-	if err := Run(ctx, root, out); err != nil {
+	if err := RunCtx(context.Background(), ctx, root, out); err != nil {
 		t.Fatal(err)
 	}
 	if out.Len() != 0 {

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -148,7 +149,7 @@ func TestFeedIdentityGrid(t *testing.T) {
 					}
 					out := r.create(t, "out", root.RecordSize())
 					dev.ResetStats()
-					if err := Run(ec, root, out); err != nil {
+					if err := RunCtx(context.Background(), ec, root, out); err != nil {
 						t.Fatal(err)
 					}
 					writes := dev.Stats().Writes
@@ -249,7 +250,7 @@ func TestFeedIsPriced(t *testing.T) {
 						}
 						out := r.create(t, fmt.Sprintf("out.%d.%d.%d.%v", rows, share, par, force != nil), record.Size)
 						dev.ResetStats()
-						if err := Run(ec, root, out); err != nil {
+						if err := RunCtx(context.Background(), ec, root, out); err != nil {
 							t.Fatal(err)
 						}
 						s := dev.Stats()

@@ -15,10 +15,11 @@ type CompileOptions struct {
 	// non-scan operator: the naive compose-by-collections execution the
 	// pipelined plan is benchmarked against.
 	MaterializeEveryStep bool
-	// DisableJoinReorder keeps multi-join plans in their written order
+	// disableJoinReorder keeps multi-join plans in their written order
 	// instead of letting the planner rebuild them smallest-build-first
-	// from the cardinality estimates.
-	DisableJoinReorder bool
+	// from the cardinality estimates. Only this package's tests set it,
+	// to price the written order against the reordered one.
+	disableJoinReorder bool
 }
 
 var errNilPlan = fmt.Errorf("exec: nil plan")
@@ -216,7 +217,7 @@ func newCompiler(ctx *Ctx, p *Plan, opts CompileOptions) (*compiler, *Plan, erro
 		return nil, nil, p.err
 	}
 	c := &compiler{opts: opts, stats: ctx.Stats, blockSize: ctx.Factory.BlockSize()}
-	if !opts.DisableJoinReorder {
+	if !opts.disableJoinReorder {
 		p = c.reorderJoins(p)
 	}
 	c.demandWalk(p, true)

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -214,7 +215,7 @@ func TestAutoPlanByteIdenticalToFixedPlans(t *testing.T) {
 			t.Fatal(err)
 		}
 		out := r.create(t, "out", record.Size)
-		if err := Run(ctx, root, out); err != nil {
+		if err := RunCtx(context.Background(), ctx, root, out); err != nil {
 			t.Fatal(err)
 		}
 		return readBytes(t, out)

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
@@ -101,7 +102,7 @@ func TestRangeBoundsPropagateThroughFilters(t *testing.T) {
 			// Accuracy against the actual surviving rows, the satellite's
 			// acceptance check: estimate within 15% of what the filters keep.
 			out := r.create(t, "out", record.Size)
-			if err := Run(ctx, root, out); err != nil {
+			if err := RunCtx(context.Background(), ctx, root, out); err != nil {
 				t.Fatal(err)
 			}
 			act := float64(out.Len())
@@ -152,7 +153,7 @@ func TestStatsMakeGroupHintOptional(t *testing.T) {
 		t.Fatalf("hintless plan with statistics chose %+v, want HashAgg", ex.Choices)
 	}
 	out := r.create(t, "hash", record.Size)
-	if err := Run(ctx, root, out); err != nil {
+	if err := RunCtx(context.Background(), ctx, root, out); err != nil {
 		t.Fatal(err)
 	}
 	if ex.Choices[0].ActualRows != n {
@@ -165,7 +166,7 @@ func TestStatsMakeGroupHintOptional(t *testing.T) {
 		t.Fatal(err)
 	}
 	out2 := r.create(t, "sorted", record.Size)
-	if err := Run(ctx2, root2, out2); err != nil {
+	if err := RunCtx(context.Background(), ctx2, root2, out2); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(readBytes(t, out), readBytes(t, out2)) {
@@ -196,7 +197,7 @@ func TestJoinReorderSmallestBuildFirst(t *testing.T) {
 	}
 
 	ctxW := r.statsCtx(testBudget, 1)
-	_, exW, err := CompileWith(ctxW, plan, CompileOptions{DisableJoinReorder: true})
+	_, exW, err := CompileWith(ctxW, plan, CompileOptions{disableJoinReorder: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,16 +210,16 @@ func TestJoinReorderSmallestBuildFirst(t *testing.T) {
 	// Byte-identity through the canonicalizing order-by: the compensating
 	// projection must restore the written fact‖dim layout exactly.
 	outRe := r.create(t, "reordered", 2*record.Size)
-	if err := Run(ctx, rootRe, outRe); err != nil {
+	if err := RunCtx(context.Background(), ctx, rootRe, outRe); err != nil {
 		t.Fatal(err)
 	}
 	ctxW2 := r.statsCtx(testBudget, 1)
-	rootW, _, err := CompileWith(ctxW2, plan, CompileOptions{DisableJoinReorder: true})
+	rootW, _, err := CompileWith(ctxW2, plan, CompileOptions{disableJoinReorder: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	outW := r.create(t, "written", 2*record.Size)
-	if err := Run(ctxW2, rootW, outW); err != nil {
+	if err := RunCtx(context.Background(), ctxW2, rootW, outW); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(readBytes(t, outRe), readBytes(t, outW)) {
@@ -240,21 +241,21 @@ func TestJoinReorderStarChain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pinJoin == nil && !opts.DisableJoinReorder && !ex.Reordered {
+		if pinJoin == nil && !opts.disableJoinReorder && !ex.Reordered {
 			t.Fatal("three-table chain written fact-first was not reordered")
 		}
 		if pinJoin != nil && ex.Reordered {
 			t.Fatal("pinned join chain was reordered")
 		}
 		out := r.create(t, "out", record.Size)
-		if err := Run(ctx, root, out); err != nil {
+		if err := RunCtx(context.Background(), ctx, root, out); err != nil {
 			t.Fatal(err)
 		}
 		return readBytes(t, out)
 	}
 
 	reordered := build(newRig(t), CompileOptions{}, nil)
-	written := build(newRig(t), CompileOptions{DisableJoinReorder: true}, nil)
+	written := build(newRig(t), CompileOptions{disableJoinReorder: true}, nil)
 	pinned := build(newRig(t), CompileOptions{}, joins.NewGrace())
 	if len(reordered) == 0 {
 		t.Fatal("star chain produced no output")
@@ -286,7 +287,7 @@ func TestJoinReorderStarChain(t *testing.T) {
 		}
 		return sum
 	}
-	re, wr := joinCost(CompileOptions{}), joinCost(CompileOptions{DisableJoinReorder: true})
+	re, wr := joinCost(CompileOptions{}), joinCost(CompileOptions{disableJoinReorder: true})
 	if re > wr {
 		t.Errorf("reordered star joins priced %.4g, written order %.4g: reorder made it worse", re, wr)
 	}
@@ -339,7 +340,7 @@ func TestEstimateVsActualWithStats(t *testing.T) {
 			t.Fatal(err)
 		}
 		out := r.create(t, "out", record.Size)
-		if err := Run(ctx, root, out); err != nil {
+		if err := RunCtx(context.Background(), ctx, root, out); err != nil {
 			t.Fatal(err)
 		}
 		for _, c := range ex.Choices {
@@ -380,7 +381,7 @@ func TestRunClampsEstimatesAtOpen(t *testing.T) {
 		t.Fatalf("compile-time estimate %d, want textbook %d", est, n/2)
 	}
 	out := r.create(t, "out", record.Size)
-	if err := Run(ctx, root, out); err != nil {
+	if err := RunCtx(context.Background(), ctx, root, out); err != nil {
 		t.Fatal(err)
 	}
 	if out.Len() != 10 {

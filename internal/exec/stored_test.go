@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -107,7 +108,7 @@ func TestStoredFailureLeaksNothing(t *testing.T) {
 						out = &failAfter{Collection: out, n: 25, err: boom}
 					}
 					base := runtime.NumGoroutine()
-					if err := Run(ec, root, out); !errors.Is(err, boom) {
+					if err := RunCtx(context.Background(), ec, root, out); !errors.Is(err, boom) {
 						t.Fatalf("err = %v, want the injected failure", err)
 					}
 					if fac.hit == 0 {

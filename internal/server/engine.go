@@ -30,9 +30,8 @@ import (
 type Engine interface {
 	// OpenSession creates the execution session of one tenant: its
 	// queries request grants of the given budget (0 = engine default)
-	// under blocking admission, or fail-fast when failFast is set;
-	// bidSlack > 0 turns on grant bidding with that accepted slowdown.
-	OpenSession(tenant string, budget int64, failFast bool, bidSlack float64) (EngineSession, error)
+	// under blocking admission, or fail-fast when failFast is set.
+	OpenSession(tenant string, budget int64, failFast bool) (EngineSession, error)
 	// BrokerStats snapshots the memory broker's admission counters.
 	BrokerStats() BrokerStats
 	// DeviceStats snapshots the simulated device's counters.

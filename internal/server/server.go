@@ -41,9 +41,6 @@ type Tenant struct {
 	// FailFast makes the tenant's queries fail with 503 instead of
 	// queueing when their grant does not fit.
 	FailFast bool
-	// BidSlack > 0 turns on grant bidding with that accepted slowdown
-	// (see the façade's WithGrantBidding).
-	BidSlack float64
 }
 
 // Config configures New.
@@ -101,7 +98,7 @@ type tenantState struct {
 
 func (ts *tenantState) session(eng Engine) (EngineSession, error) {
 	ts.once.Do(func() {
-		ts.sess, ts.err = eng.OpenSession(ts.cfg.Name, ts.cfg.Budget, ts.cfg.FailFast, ts.cfg.BidSlack)
+		ts.sess, ts.err = eng.OpenSession(ts.cfg.Name, ts.cfg.Budget, ts.cfg.FailFast)
 	})
 	return ts.sess, ts.err
 }
@@ -148,9 +145,26 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/v1/query", s.handleQuery)
 	s.mux.HandleFunc("/v1/explain", s.handleExplain)
 	s.mux.HandleFunc("/v1/metrics", s.handleMetrics)
-	s.hs = &http.Server{Handler: s.mux}
+	// WriteTimeout stays unset: a response streams for as long as the
+	// client drains it, and a deadline on the whole response would cut
+	// off every long result.
+	s.hs = &http.Server{
+		Handler:           s.mux,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+	}
 	return s, nil
 }
+
+// readHeaderTimeout and readTimeout bound how long a client may take to
+// send its request line and headers, and the whole request, so a client
+// that trickles them cannot hold a connection and its goroutine forever.
+// Once the body has been read net/http clears the read deadline, so
+// neither bounds the streamed response.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+)
 
 // Handler is the service's HTTP handler (for tests and embedding).
 func (s *Server) Handler() http.Handler { return s.mux }

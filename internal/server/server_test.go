@@ -11,6 +11,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -29,7 +30,7 @@ type fakeEngine struct {
 	closed   atomic.Int64
 }
 
-func (e *fakeEngine) OpenSession(tenant string, budget int64, failFast bool, bidSlack float64) (EngineSession, error) {
+func (e *fakeEngine) OpenSession(tenant string, budget int64, failFast bool) (EngineSession, error) {
 	e.sessions.Add(1)
 	return &fakeSession{eng: e, tenant: tenant}, nil
 }
@@ -442,6 +443,85 @@ func TestServeShutdownBeforeServe(t *testing.T) {
 	if c, err := net.DialTimeout("tcp", l.Addr().String(), time.Second); err == nil {
 		c.Close()
 		t.Fatal("listener still accepts connections after Shutdown")
+	}
+}
+
+// TestServeSlowHeadersDisconnected: a client that trickles its request
+// line and headers, one byte per 50 ms, is disconnected once the header
+// read timeout passes, before any handler runs, and the server keeps no
+// goroutine for it afterwards.
+func TestServeSlowHeadersDisconnected(t *testing.T) {
+	eng := &fakeEngine{}
+	s, err := New(Config{Engine: eng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.hs.ReadHeaderTimeout != readHeaderTimeout || s.hs.ReadTimeout != readTimeout {
+		t.Fatalf("read timeouts %v/%v, want %v/%v", s.hs.ReadHeaderTimeout, s.hs.ReadTimeout, readHeaderTimeout, readTimeout)
+	}
+	s.hs.ReadHeaderTimeout = 200 * time.Millisecond
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(l) }()
+	defer func() {
+		if err := s.Shutdown(context.Background()); err != nil {
+			t.Error(err)
+		}
+		if err := <-served; err != nil {
+			t.Error(err)
+		}
+	}()
+	baseline := runtime.NumGoroutine()
+
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 200 bytes at 50 ms each take 10 s to send: far past the timeout.
+	request := "POST /v1/query HTTP/1.1\r\nHost: wlpm\r\nContent-Type: application/json\r\n" +
+		TenantHeader + ": " + strings.Repeat("x", 200) + "\r\n\r\n"
+	stop := make(chan struct{})
+	trickled := make(chan struct{})
+	go func() {
+		defer close(trickled)
+		for i := 0; i < len(request); i++ {
+			select {
+			case <-stop:
+				return
+			case <-time.After(50 * time.Millisecond):
+			}
+			if _, err := conn.Write([]byte{request[i]}); err != nil {
+				return
+			}
+		}
+	}()
+	// The server hangs up, at most after a 400: read to its close.
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(5 * time.Second))
+	reply, err := io.ReadAll(conn)
+	close(stop)
+	<-trickled
+	conn.Close()
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("connection still open %v into a trickled request", time.Since(start).Round(time.Millisecond))
+	}
+	if bytes.HasPrefix(reply, []byte("HTTP/1.1 200")) {
+		t.Fatalf("server answered a request whose headers never finished: %q", reply)
+	}
+	s.mu.Lock()
+	tenants := len(s.byName)
+	s.mu.Unlock()
+	if tenants != 0 || eng.sessions.Load() != 0 {
+		t.Fatalf("a handler ran: %d tenants provisioned, %d sessions opened", tenants, eng.sessions.Load())
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the disconnect, %d before the client came", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

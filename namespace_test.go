@@ -101,73 +101,3 @@ func TestSessionNamespaceShape(t *testing.T) {
 		t.Fatalf("Create on closed session: %v, want ErrSessionClosed", err)
 	}
 }
-
-// TestSessionBiddingRepricesWhileQueued exercises the façade half of the
-// wake-and-reprice path: a bidding session whose static candidates do
-// not fit the freed budget still admits, at the free size, because the
-// broker re-prices the queued bid on release.
-func TestSessionBiddingRepricesWhileQueued(t *testing.T) {
-	total := int64(8 << 20)
-	sys := newTestSystem(t, WithMemoryBudget(total))
-	in, err := sys.Create("bidin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := GenerateRecords(2000, 11, in.Append); err != nil {
-		t.Fatal(err)
-	}
-	if err := in.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Pin the whole budget, leaving a sliver free that is smaller than
-	// every static bid candidate (total, 1/2, 1/4, 1/8 of the session
-	// budget = total ... total/8).
-	hold := sys.Session(WithSessionBudget(total - total/16))
-	hrows, err := hold.Query(in).OrderBy().Rows(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hrows.Close()
-
-	bidder := sys.Session(WithSessionBudget(total), WithGrantBidding(1e9))
-	done := make(chan error, 1)
-	var rows *Rows
-	go func() {
-		var err error
-		rows, err = bidder.Query(in).OrderBy().Rows(context.Background())
-		done <- err
-	}()
-	// The bid queues: even total/8 = 1 MiB exceeds the free total/16.
-	for sys.mem.Waiting() == 0 {
-		select {
-		case err := <-done:
-			t.Fatalf("bid admitted before any release (err=%v)", err)
-		default:
-		}
-	}
-	// Release the holder: the whole budget frees, the queued bid is
-	// re-priced and admitted.
-	if err := hrows.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for rows.Next() {
-		n++
-	}
-	if err := rows.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if n != 2000 {
-		t.Fatalf("bidder streamed %d rows, want 2000", n)
-	}
-	if err := rows.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if use := sys.MemoryInUse(); use != 0 {
-		t.Fatalf("%d B still granted", use)
-	}
-}

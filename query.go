@@ -134,60 +134,6 @@ func (q *Query) compile(memoryBudget int64, opts exec.CompileOptions) (exec.Oper
 	return root, ex, ec, nil
 }
 
-// bidCandidates prices the plan at descending fractions of the session
-// budget (full, 1/2, 1/4, 1/8) with the planner's budget allocator and
-// returns the candidates whose predicted cost stays within slack × the
-// full-budget prediction, descending — the bid handed to
-// broker.AcquireBest. Pricing walks cardinality estimates only; no
-// operators are built. On any pricing failure the full budget alone is
-// returned and admission degrades to the fixed grant.
-func (q *Query) bidCandidates(full int64, slack float64) []int64 {
-	fracs := []int64{full, full / 2, full / 4, full / 8}
-	budgets := fracs[:1]
-	for _, b := range fracs[1:] {
-		if b > 0 {
-			budgets = append(budgets, b)
-		}
-	}
-	ec := exec.NewCtx(q.sess.sys.fac, full, q.sess.sys.par)
-	ec.Stats = q.sess.sys.stats
-	costs, err := exec.PlanCosts(ec, q.plan, budgets)
-	if err != nil {
-		return []int64{full}
-	}
-	cands := []int64{full}
-	for i := 1; i < len(budgets); i++ {
-		if costs[i] <= slack*costs[0] {
-			cands = append(cands, budgets[i])
-		}
-	}
-	return cands
-}
-
-// repricer returns the broker callback that re-prices this query's
-// queued bid at the budget actually free (see broker.Repricer): when the
-// plan's predicted cost at the free budget stays within slack × the
-// full-budget prediction, the free budget becomes the bid, so the query
-// admits at today's right size instead of waiting for a static
-// candidate to fit. Declining (nil) keeps the static candidate list.
-func (q *Query) repricer(full int64, slack float64) broker.Repricer {
-	return func(free int64) []int64 {
-		if free <= 0 || free >= full {
-			return nil // the static candidates already cover this regime
-		}
-		ec := exec.NewCtx(q.sess.sys.fac, full, q.sess.sys.par)
-		ec.Stats = q.sess.sys.stats
-		costs, err := exec.PlanCosts(ec, q.plan, []int64{full, free})
-		if err != nil {
-			return nil
-		}
-		if costs[1] <= slack*costs[0] {
-			return []int64{free}
-		}
-		return nil
-	}
-}
-
 // runInto compiles the plan at the given budget and executes it under
 // ctx, appending the result to out (blocking roots emit directly). The
 // grant, when non-nil, is released on return.
@@ -212,7 +158,7 @@ func (q *Query) RunCtx(ctx context.Context, out Collection) (*QueryExplain, erro
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	g, err := q.sess.acquireFor(ctx, q)
+	g, err := q.sess.acquire(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -225,7 +171,7 @@ func (q *Query) RunMaterializedCtx(ctx context.Context, out Collection) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	g, err := q.sess.acquireFor(ctx, q)
+	g, err := q.sess.acquire(ctx)
 	if err != nil {
 		return err
 	}

@@ -43,15 +43,13 @@ type Rows struct {
 // Rows compiles the plan — the cost model prices it at the session's
 // broker grant — executes its blocking stages, and returns a cursor over
 // the result stream. The grant is acquired under the session's admission
-// policy first (bidding sessions offer the broker every candidate budget
-// the plan prices well at, and plan at whatever was granted); a
-// cancelled ctx aborts both the wait for memory and the execution
-// itself.
+// policy first; a cancelled ctx aborts both the wait for memory and the
+// execution itself.
 func (q *Query) Rows(ctx context.Context) (*Rows, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	g, err := q.sess.acquireFor(ctx, q)
+	g, err := q.sess.acquire(ctx)
 	if err != nil {
 		return nil, err
 	}

@@ -26,16 +26,13 @@ type serveEngine struct {
 	lookup func(name string) (Collection, error)
 }
 
-func (e *serveEngine) OpenSession(tenant string, budget int64, failFast bool, bidSlack float64) (server.EngineSession, error) {
+func (e *serveEngine) OpenSession(tenant string, budget int64, failFast bool) (server.EngineSession, error) {
 	opts := []SessionOption{WithTenant(tenant)}
 	if budget > 0 {
 		opts = append(opts, WithSessionBudget(budget))
 	}
 	if failFast {
 		opts = append(opts, WithAdmission(AdmitFailFast))
-	}
-	if bidSlack > 0 {
-		opts = append(opts, WithGrantBidding(bidSlack))
 	}
 	return &serveSession{eng: e, sess: e.sys.Session(opts...)}, nil
 }

@@ -30,8 +30,8 @@ type recordingEngine struct {
 	streams []*Rows
 }
 
-func (e *recordingEngine) OpenSession(tenant string, budget int64, failFast bool, bidSlack float64) (server.EngineSession, error) {
-	s, err := e.Engine.OpenSession(tenant, budget, failFast, bidSlack)
+func (e *recordingEngine) OpenSession(tenant string, budget int64, failFast bool) (server.EngineSession, error) {
+	s, err := e.Engine.OpenSession(tenant, budget, failFast)
 	if err != nil {
 		return nil, err
 	}

@@ -65,28 +65,6 @@ func WithAdmission(p AdmissionPolicy) SessionOption {
 	return func(s *Session) { s.policy = p }
 }
 
-// WithGrantBidding makes the session bid for its queries' memory instead
-// of demanding one fixed grant: each query is priced by the planner's
-// budget allocator at descending fractions of the session budget (the
-// full budget, then 1/2, 1/4 and 1/8), every candidate whose predicted
-// cost stays within maxSlowdown × the full-budget prediction joins the
-// bid, and the broker admits the largest candidate that currently fits
-// (broker.AcquireBest; FIFO order preserved). A query whose cost curve
-// is flat below the session budget therefore starts at a smaller grant
-// instead of queueing — or, under AdmitFailFast, instead of failing.
-//
-// maxSlowdown ≥ 1: 1.0 bids only candidates predicted to cost no more
-// than the full grant; 1.25 accepts up to 25% predicted slowdown in
-// exchange for earlier admission. Values below 1 are clamped to 1.
-func WithGrantBidding(maxSlowdown float64) SessionOption {
-	return func(s *Session) {
-		if maxSlowdown < 1 {
-			maxSlowdown = 1
-		}
-		s.bidSlack = maxSlowdown
-	}
-}
-
 // WithTenant labels the session with a tenant name. The label prefixes
 // the session's collection namespace (so the collections of one tenant's
 // sessions are recognizable on the device) and identifies the session in
@@ -100,13 +78,12 @@ func WithTenant(name string) SessionOption {
 // one per logical client. A Session's methods are safe for concurrent
 // use, but each Query/Rows it produces remains single-owner.
 type Session struct {
-	sys      *System
-	id       int64
-	tenant   string
-	budget   int64
-	policy   AdmissionPolicy
-	bidSlack float64 // > 0: grant bidding on, with this accepted slowdown
-	closed   atomic.Bool
+	sys    *System
+	id     int64
+	tenant string
+	budget int64
+	policy AdmissionPolicy
+	closed atomic.Bool
 }
 
 // sessionSeq numbers sessions so their collection namespaces are
@@ -198,33 +175,7 @@ func (se *Session) acquire(ctx context.Context) (*broker.Grant, error) {
 	if se.closed.Load() {
 		return nil, ErrSessionClosed
 	}
-	g, err := se.sys.mem.Acquire(ctx, se.budget, se.policy)
-	if err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// acquireFor is acquire with grant bidding: when the session bids
-// (WithGrantBidding), the query's plan is priced at descending candidate
-// budgets and the broker admits the largest feasible candidate whose
-// predicted cost the session accepts. Sessions without bidding — and
-// bids whose pricing fails — fall back to the fixed grant.
-func (se *Session) acquireFor(ctx context.Context, q *Query) (*broker.Grant, error) {
-	if se == nil || se.bidSlack < 1 || q == nil {
-		return se.acquire(ctx)
-	}
-	if se.closed.Load() {
-		return nil, ErrSessionClosed
-	}
-	cands := q.bidCandidates(se.budget, se.bidSlack)
-	if len(cands) < 2 {
-		return se.acquire(ctx)
-	}
-	// The bid stays live while queued: the broker re-prices it against
-	// the free budget on every grant release (wake-and-reprice), so the
-	// query can start at whatever right-sized grant frees up first.
-	return se.sys.mem.AcquireBestFunc(ctx, cands, q.repricer(se.budget, se.bidSlack), se.policy)
+	return se.sys.mem.Acquire(ctx, se.budget, se.policy)
 }
 
 // CollectionLookup adapts a fixed name→collection map to the lookup

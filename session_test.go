@@ -528,81 +528,3 @@ func TestQueryDeadline(t *testing.T) {
 		t.Fatalf("%d B granted after deadline failure", sys.MemoryInUse())
 	}
 }
-
-// --- grant bidding ---
-
-// TestGrantBiddingRunsInsteadOfQueueing is the bidding acceptance
-// scenario: while a hog pins three quarters of the System budget, a
-// fail-fast session demanding its full grant is refused — but the same
-// session with bidding enabled prices the plan at smaller candidate
-// budgets, is admitted at one that fits the free quarter, and completes
-// with the correct result.
-func TestGrantBiddingRunsInsteadOfQueueing(t *testing.T) {
-	const total = int64(1 << 20)
-	sys := newTestSystem(t, WithMemoryBudget(total))
-	in, err := sys.Create("in")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := GenerateRecords(500, 42, in.Append); err != nil {
-		t.Fatal(err)
-	}
-	if err := in.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reference result with the budget free.
-	ref := collectRows(t, mustRows(t, sys.Session().Query(in).OrderBy()))
-
-	hog := sys.Session(WithSessionBudget(3 * total / 4))
-	hogRows := mustRows(t, hog.Query(in))
-	defer hogRows.Close()
-
-	// Fixed grant: the full session budget does not fit the free quarter.
-	fixed := sys.Session(WithSessionBudget(total/2), WithAdmission(AdmitFailFast))
-	if _, err := fixed.Query(in).OrderBy().Rows(context.Background()); !errors.Is(err, ErrAdmission) {
-		t.Fatalf("fixed grant err = %v, want ErrAdmission", err)
-	}
-
-	// Bidding: the plan prices nearly identically at total/4, so the
-	// session bids down and is admitted immediately.
-	bidding := sys.Session(WithSessionBudget(total/2), WithAdmission(AdmitFailFast), WithGrantBidding(3))
-	rows, err := bidding.Query(in).OrderBy().Rows(context.Background())
-	if err != nil {
-		t.Fatalf("bidding session refused: %v", err)
-	}
-	if granted := sys.MemoryInUse() - 3*total/4; granted <= 0 || granted > total/4 {
-		t.Errorf("bid granted %d B, want a candidate within the free %d B", granted, total/4)
-	}
-	if got := collectRows(t, rows); !bytes.Equal(got, ref) {
-		t.Error("bidding session's result differs from the reference")
-	}
-	if err := hogRows.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if use := sys.MemoryInUse(); use != 0 {
-		t.Fatalf("%d B still granted after all cursors closed", use)
-	}
-}
-
-// TestGrantBiddingKeepsFullGrantWhenFree: with the budget uncontended a
-// bidding session still plans at its full grant.
-func TestGrantBiddingKeepsFullGrantWhenFree(t *testing.T) {
-	sys := newTestSystem(t, WithMemoryBudget(1<<20))
-	in, err := sys.Create("in")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := GenerateRecords(200, 9, in.Append); err != nil {
-		t.Fatal(err)
-	}
-	if err := in.Close(); err != nil {
-		t.Fatal(err)
-	}
-	sess := sys.Session(WithSessionBudget(1<<19), WithGrantBidding(2))
-	rows := mustRows(t, sess.Query(in).OrderBy())
-	defer rows.Close()
-	if got := rows.Explain().TotalBudget; got != 1<<19 {
-		t.Errorf("uncontended bidding planned at %d B, want the full grant %d B", got, 1<<19)
-	}
-}

@@ -41,9 +41,8 @@
 // concurrent sessions share one System without oversubscribing its DRAM
 // budget. The planner splits each grant across the plan's blocking
 // stages by marginal benefit (the stage whose cost curve bends most gets
-// the memory), and sessions can bid for right-sized grants instead of
-// fixed ones (WithGrantBidding). See the README's "Memory planning" and
-// "Concurrent use" sections and examples/concurrent.
+// the memory). See the README's "Memory planning" and "Concurrent use"
+// sections and examples/concurrent.
 //
 //	sess := sys.Session(wlpm.WithSessionBudget(16 << 20))
 //	rows, err := sess.Query(dim).Join(sess.Query(fact)).GroupBy(3).Rows(ctx)
@@ -520,7 +519,7 @@ func ProfileSegmentedGraceJoin(intensity, t, v, m float64) IOProfile {
 // --- Experiments ---
 
 // Experiments lists the reproducible paper artifacts (fig2…fig12,
-// table1, table2).
+// table1, table2) and the scaling experiment.
 func Experiments() []string { return bench.Experiments() }
 
 // RunExperiment regenerates one paper figure or table.

@@ -3,6 +3,7 @@ package wlpm_test
 import (
 	"context"
 	"io"
+	"slices"
 	"testing"
 	"time"
 
@@ -196,16 +197,9 @@ func TestCostFacade(t *testing.T) {
 }
 
 func TestExperimentFacade(t *testing.T) {
-	ids := wlpm.Experiments()
-	if len(ids) != 17 {
-		t.Fatalf("got %d experiments, want 17", len(ids))
-	}
-	found := false
-	for _, id := range ids {
-		found = found || id == "serve"
-	}
-	if !found {
-		t.Fatal("serve experiment not registered through the façade")
+	want := []string{"fig2", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "scaling", "table1", "table2"}
+	if ids := wlpm.Experiments(); !slices.Equal(ids, want) {
+		t.Fatalf("experiments %v, want %v", ids, want)
 	}
 	reps, err := wlpm.RunExperiment("table2", wlpm.ExperimentConfig{Scale: 0.001})
 	if err != nil {
