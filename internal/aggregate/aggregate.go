@@ -28,9 +28,9 @@ const (
 )
 
 // State is one group's running aggregates — the engine's only
-// aggregation state: the sort-based fold, the hash table, its spill runs
-// and their merge all add to, combine and render this type. The zero
-// value is the empty group.
+// aggregation state: the sort-based fold and the hash table add to and
+// render this type, and the partials a folding intake combines are its
+// rendering (Singleton, Combine). The zero value is the empty group.
 type State struct {
 	Count, Sum, Min, Max uint64
 }
@@ -73,6 +73,29 @@ func (s *State) Render(buf []byte, key uint64) {
 	record.SetAttr(buf, AttrMax, s.Max)
 }
 
+// Singleton renders into buf the partial aggregate of one benchmark
+// record: its group's result record with attribute attr's value counted
+// once — what a folding intake takes in place of the raw row.
+func Singleton(buf, rec []byte, attr int) {
+	v := record.Attr(rec, attr)
+	(&State{Count: 1, Sum: v, Min: v, Max: v}).Render(buf, record.Key(rec))
+}
+
+// Combine merges the partial aggregate src into the partial dst of the
+// same group, in place: the byte-level State.Merge a folding intake
+// applies to equal keys.
+func Combine(dst, src []byte) {
+	s := State{
+		Count: record.Attr(dst, AttrCount), Sum: record.Attr(dst, AttrSum),
+		Min: record.Attr(dst, AttrMin), Max: record.Attr(dst, AttrMax),
+	}
+	s.Merge(src)
+	record.SetAttr(dst, AttrCount, s.Count)
+	record.SetAttr(dst, AttrSum, s.Sum)
+	record.SetAttr(dst, AttrMin, s.Min)
+	record.SetAttr(dst, AttrMax, s.Max)
+}
+
 // fold turns an ascending record stream into one result record per run
 // of equal keys, appended to out as each group closes.
 type fold struct {
@@ -109,8 +132,8 @@ func (f *fold) flush() error {
 // of benchmark-schema records, it aggregates attribute attr over each
 // run of equal keys and appends one result record per group to out;
 // closing it emits the last group and closes out. It is what GroupBy
-// hands its sort as the output, and what a group-by whose input was
-// pushed into a sorts.Intake merges that intake into.
+// hands its sort as the output; a group-by whose input is pushed needs
+// none, because its folding intake's merges emit the groups themselves.
 func Fold(attr int, out storage.Collection) (*storage.Sink, error) {
 	if attr < 0 || attr >= record.NumAttrs {
 		return nil, fmt.Errorf("aggregate: attribute %d out of schema (0..%d)", attr, record.NumAttrs-1)

@@ -6,7 +6,11 @@
 // buffers (the paper's cacheline-multiple I/O unit); the read cost r is
 // normalized to 1, so every returned cost is in units of buffer reads;
 // lambda (=λ) is the write/read cost ratio, λ > 1. Ceilings and floors
-// are omitted exactly as in the paper's analysis.
+// are omitted exactly as in the paper's analysis. The profiles, which
+// model the shipped kernels rather than the paper's expressions, count
+// merge passes the way the kernels make them: whole passes at the
+// kernels' fan-in, one buffer per open run and per streaming source plus
+// one for the output (extraMergePasses, mergeFanIn).
 //
 // The paper's §3.1 runtime rules are not predicates here; each is decided
 // once, where the engine takes the decision:
@@ -15,7 +19,10 @@
 //	                   on every scan (internal/exec/chain.go)
 //	process-to-append  the fed intake (sorts.Intake), chosen by
 //	                   stageAlloc.sortPlan when Emit.FedExMS prices no
-//	                   dearer than a temp plus the best sort over it
+//	                   dearer than a temp plus the best sort over it; a
+//	                   group-by's intake folds equal keys in memory
+//	                   before the first write, and Emit.Folded carries
+//	                   what its runs hold instead of the input
 //	read-over-write,   the lazy algorithms' materialization points:
 //	multi-process      LazySortMaterializeIteration (Eq. 5) and
 //	                   LazyHashJoinMaterializeIteration (Eq. 11)

@@ -81,6 +81,21 @@ type Emit struct {
 	// to a temp the consumer charges itself for. Either way the profile
 	// carries no output term, and Out is ignored.
 	Handed bool
+	// Folded > 0 is a folding intake's run-formation output in buffers
+	// (sorts.NewFoldingIntake): what is left of the t input buffers once
+	// records of equal key resident in memory have been combined. ExMS
+	// and FedExMS charge it, not t, for the run writes, their re-read and
+	// any extra merge passes. 0 = unfolded.
+	Folded float64
+}
+
+// runs is the run-formation output for t input buffers: t, or what a
+// folding intake leaves of it.
+func (em Emit) runs(t float64) float64 {
+	if em.Folded > 0 {
+		return em.Folded
+	}
+	return t
 }
 
 // emitting applies em to a profile whose output term is out buffers of
@@ -108,16 +123,24 @@ func (p Profile) emitting(em Emit, out, serial float64) Profile {
 }
 
 // extraMergePasses is the number of merge passes beyond the final one for
-// the given run count and fan-in.
+// the given run count and fan-in: sorts.mergeRuns' loop, which merges
+// groups of fanIn runs until at most fanIn are left.
 func extraMergePasses(runs, fanIn float64) float64 {
-	if runs <= 1 || fanIn <= 1 {
+	if math.IsInf(runs, 0) { // no memory: nothing to count passes of
 		return 0
 	}
-	p := math.Ceil(math.Log(runs)/math.Log(fanIn)) - 1
-	if p < 0 {
-		return 0
+	p := 0.0
+	for r := math.Ceil(runs); r > fanIn; r = math.Ceil(r / fanIn) {
+		p++
 	}
 	return p
+}
+
+// mergeFanIn is the kernels' merge fan-in at m buffers of memory: one
+// buffer per open run, one for the output and one per streaming source
+// beside the runs (sorts.mergeRuns), never below two runs.
+func mergeFanIn(m, streams float64) float64 {
+	return math.Max(2, m-1-streams)
 }
 
 // ExMSProfile: replacement-selection run formation (read input, write
@@ -131,11 +154,16 @@ func (em Emit) ExMS(t, m float64) Profile {
 	if t <= 0 {
 		return Profile{}
 	}
-	e := extraMergePasses(t/(2*m), m)
-	return Profile{
-		Reads:  t + t + e*t, // input scan + run re-read (+ extra passes)
-		Writes: t + e*t + t, // runs (+ extra passes) + output
+	r := em.runs(t)
+	e := extraMergePasses(r/(2*m), mergeFanIn(m, 0))
+	p := Profile{
+		Reads:  t + r + e*r, // input scan + run re-read (+ extra passes)
+		Writes: r + e*r + t, // runs (+ extra passes) + output
 	}.emitting(em, t, 0)
+	if em.Serial {
+		p.SerialReads -= t - r // the serial final merge re-reads the runs, folded or not
+	}
+	return p
 }
 
 // FedExMS is ExMS over an input that the stage producing it appends to
@@ -149,7 +177,7 @@ func (em Emit) FedExMS(t, m float64) Profile {
 	}
 	p := em.ExMS(t, m)
 	p.Reads -= t
-	p.SerialWrites += t
+	p.SerialWrites += em.runs(t)
 	return p
 }
 
@@ -183,7 +211,11 @@ func (em Emit) SegS(x, t, m float64) Profile {
 	if seg > 0 {
 		passes = math.Ceil(seg / m)
 	}
-	e := extraMergePasses(x*t/(2*m), m)
+	streams := 0.0 // the selection segment merges beside the runs
+	if seg > 0 {
+		streams = 1
+	}
+	e := extraMergePasses(x*t/(2*m), mergeFanIn(m, streams))
 	p := Profile{
 		Reads:  x*t + x*t + e*x*t + passes*seg, // segment A scan + run re-read + selection passes
 		Writes: x*t + e*x*t + t,                // runs + output
@@ -219,7 +251,7 @@ func (em Emit) HybS(x, t, m float64) Profile {
 	if rr < 1 {
 		rr = 1
 	}
-	e := extraMergePasses(rest/(2*rr), m)
+	e := extraMergePasses(rest/(2*rr), mergeFanIn(m, 0))
 	return Profile{
 		Reads:  t + rest + e*rest,
 		Writes: rest + e*rest + t,

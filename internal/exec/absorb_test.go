@@ -8,8 +8,6 @@ import (
 	"io"
 	"testing"
 
-	"wlpm/internal/aggregate"
-	"wlpm/internal/algo"
 	"wlpm/internal/joins"
 	"wlpm/internal/pmem"
 	"wlpm/internal/record"
@@ -249,18 +247,35 @@ func TestAbsorbServesStoredInput(t *testing.T) {
 // at P > 1 if the fold sink let a range appender through: one straight
 // over a table, one over a Join with an absorbed projection (nested
 // loops: a partitioned join's per-worker sub-collections add tail blocks
-// of their own at P > 1, which is not the sink's doing).
+// of their own at P > 1, which is not the sink's doing) — and the same
+// join feeding a planner-owned group-by, whose folding intake merges
+// into the chain sink, or, with no chain, into the range-appendable temp
+// a limit reads. Budgets leave the pinned sorts a split the
+// allocator makes the same at every P and no intermediate merge pass,
+// whose grouping follows P.
 var foldGridPlans = []struct {
-	name  string
-	build func(t *testing.T, r *rig) *Plan
+	name   string
+	budget int64
+	fed    int // stages the plan feeds
+	build  func(t *testing.T, r *rig) *Plan
 }{
-	{"groupby", func(t *testing.T, r *rig) *Plan {
+	{"groupby", 6000 * record.Size / 20, 0, func(t *testing.T, r *rig) *Plan {
 		return Table(loadGrouped(t, r, "in", 6000, 500)).GroupByWith(4, sorts.NewExternalMergeSort())
 	}},
-	{"join-project-groupby", func(t *testing.T, r *rig) *Plan {
+	{"join-project-groupby", 6000 * record.Size / 24, 0, func(t *testing.T, r *rig) *Plan {
 		dim1, _, fact := r.loadStar(t, 300, 6000)
 		return Table(dim1).JoinWith(Table(fact), joins.NewNestedLoops()).
 			Project(0, 1, 12, 13, 14, 5, 16, 7, 18, 9).GroupByWith(3, sorts.NewHybridSort(0.5))
+	}},
+	{"join-groupby-fed-project", 6000 * record.Size / 20, 1, func(t *testing.T, r *rig) *Plan {
+		dim1, _, fact := r.loadStar(t, 300, 6000)
+		return Table(dim1).JoinWith(Table(fact), joins.NewNestedLoops()).
+			Project(starCols...).GroupBy(3).Filter(absorbPred).Project(0, 2, 1)
+	}},
+	{"join-groupby-fed-temp", 6000 * record.Size / 20, 1, func(t *testing.T, r *rig) *Plan {
+		dim1, _, fact := r.loadStar(t, 300, 6000)
+		return Table(dim1).JoinWith(Table(fact), joins.NewNestedLoops()).
+			Project(starCols...).GroupBy(3).Limit(1000)
 	}},
 }
 
@@ -280,9 +295,9 @@ func TestFoldSinkIdentityGrid(t *testing.T) {
 						t.Fatal(err)
 					}
 					r := &rig{dev: dev, fac: fac}
-					ec := r.ctx(6000*record.Size/20, par)
+					ec := r.ctx(pc.budget, par)
 					ec.BatchSize = batch
-					root, _, err := Compile(ec, pc.build(t, r))
+					root, ex, err := Compile(ec, pc.build(t, r))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -290,6 +305,9 @@ func TestFoldSinkIdentityGrid(t *testing.T) {
 					dev.ResetStats()
 					if err := RunCtx(context.Background(), ec, root, out); err != nil {
 						t.Fatal(err)
+					}
+					if n := fedChoices(ex); n != pc.fed {
+						t.Fatalf("P=%d batch=%d: %d fed stage(s), want %d:\n%s", par, batch, n, pc.fed, ex)
 					}
 					return readBytes(t, out), dev.Stats().Writes
 				}
@@ -356,64 +374,6 @@ func TestSinkDestinationFailure(t *testing.T) {
 			})
 		}
 	}
-}
-
-// aggRuns writes k key-sorted runs of n partial aggregates each, run i
-// holding the multiples of i%3+1 — overlapping, so the merge both
-// interleaves and combines — and reports the distinct keys across them.
-func aggRuns(t testing.TB, env *algo.Env, k, n int) ([]storage.Collection, int) {
-	t.Helper()
-	runs := make([]storage.Collection, k)
-	keys := make(map[int]bool)
-	buf := make([]byte, record.Size)
-	for i := range runs {
-		run, err := env.CreateTemp("aggrun", record.Size)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := 0; j < n; j++ {
-			st := aggregate.State{Count: 1, Sum: uint64(j), Min: uint64(j), Max: uint64(j)}
-			keys[j*(i%3+1)] = true
-			st.Render(buf, uint64(j*(i%3+1)))
-			if err := run.Append(buf); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := run.Close(); err != nil {
-			t.Fatal(err)
-		}
-		runs[i] = run
-	}
-	return runs, len(keys)
-}
-
-// TestMergeAggRunsAllocs: what the spill merge allocates is per merge
-// (one cursor and iterator per run, the head slab, one output record),
-// never per merged record — and it still combines equal keys.
-func TestMergeAggRunsAllocs(t *testing.T) {
-	const k, n = 8, 4000
-	r := newRig(t)
-	env := algo.NewEnv(r.fac, 64<<10)
-	runs, distinct := aggRuns(t, env, k, n)
-	var groups, rows uint64
-	emit := func(rec []byte) error {
-		groups++
-		rows += record.Attr(rec, aggregate.AttrCount)
-		return nil
-	}
-	allocs := testing.AllocsPerRun(3, func() {
-		groups, rows = 0, 0
-		if err := mergeAggRuns(env, runs, emit); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if rows != k*n || groups != uint64(distinct) {
-		t.Fatalf("merge emitted %d groups covering %d partials, want %d covering %d", groups, rows, distinct, k*n)
-	}
-	if perRec := allocs / (k * n); perRec >= 0.01 {
-		t.Fatalf("%.0f allocations merging %d partials from %d runs: %.4f per record, want 0", allocs, k*n, k, perRec)
-	}
-	t.Logf("%.0f allocations per %d-run, %d-record spill merge", allocs, k, k*n)
 }
 
 // BenchmarkJoinEmitProjected: 10 k ⋈ 100 k through nested loops with 10

@@ -238,7 +238,8 @@ func (s *stageAlloc) plan(t, v, m float64) stagePlan {
 // priced decision between the two homes of its input, taken inside the
 // allocator's curve: fed — the producer appends to ExMS's intake, so the
 // input is never written as a temp nor read back, run formation is
-// serial and every extra merge pass costs (1+λ)·t — or stored — the t
+// serial and every extra merge pass costs (1+λ)·t, a group-by's only what
+// its fold leaves of t — or stored — the t
 // buffers of temp the producer no longer prices (cost.Emit.Handed;
 // written by one ordered stream, so serial too), then the cheapest sort
 // over them, which at shares too small for one merge pass is SelS, LaS
@@ -268,11 +269,42 @@ func (s *stageAlloc) sortPlan(t, m float64) stagePlan {
 	return stored
 }
 
-// fedPlan is the fed home's price: ExMS through its intake.
+// fedPlan is the fed home's price: ExMS through its intake — for a
+// group-by a folding one, whose runs hold what folded leaves of t.
 func (s *stageAlloc) fedPlan(t, m float64) stagePlan {
-	p := s.emit().FedExMS(t, m)
+	em := s.emit()
+	if s.op == "GroupBy" {
+		em.Folded = s.folded(t, m)
+	}
+	p := em.FedExMS(t, m)
 	c := p.PriceP(1, s.bp.lambda, s.bp.par)
 	return stagePlan{cost: c, fed: true, sort: cost.SortPlan{Algo: cost.SortExMS, Profile: p, Cost: c}}
+}
+
+// folded estimates, in buffers, the partials a fed group-by's folding
+// intake writes from t buffers of input rows at a share of m buffers:
+// one per arrival of a key not resident in its S heap slots. With G
+// estimated groups among N rows: if all groups fit (S ≥ G), G partials.
+// Otherwise, with keys arriving uniformly, the heap fills with S partials
+// over the first G·ln(G/(G−S)) rows; from then on S of the G groups are
+// resident, and each row misses with probability 1 − S/G. (Counting
+// every group's first row as a miss and only the later ones at 1 − S/G
+// overestimates by up to a quarter where N/G is small.) A producer that
+// emits its keys clustered folds better than this. Without a group
+// estimate nothing is priced (0: unfolded, today's price).
+func (s *stageAlloc) folded(t, m float64) float64 {
+	if s.groupEst <= 0 {
+		return 0
+	}
+	perBuf := float64(s.bp.blockSize) / record.Size // rows per buffer
+	n, slots := t*perBuf, math.Floor(m*perBuf)
+	g := math.Min(float64(s.groupEst), n)
+	partials := g
+	if slots < g {
+		fill := g * math.Log(g/(g-slots))
+		partials = slots + (n-fill)*(1-slots/g)
+	}
+	return partials / perBuf
 }
 
 // emit is what the stage really does with its output term; every
@@ -283,11 +315,13 @@ func (s *stageAlloc) fedPlan(t, m float64) stagePlan {
 // concatenations of the estimated output cardinality, through any
 // absorbed chain — at P = 1 a constant shift across the algorithm
 // candidates, yet it matters when comparing join orders, where v flips
-// sides while the real output stays put. A sort-based group-by hands its
-// sort a fold sink: the output term shrinks from the t sorted buffers to
-// the groups that survive the absorbed chain, and the pass that emits
-// them is serial at any P (a sink takes one ordered stream, never range
-// appends). An order-by materializes what its profile says. A handed
+// sides while the real output stays put. A sort-based group-by emits
+// only its groups — its sort hands them to a fold sink, or its folding
+// intake's final merge combines them (fedPlan adds what the fold leaves
+// of the runs): the output term shrinks from the t sorted buffers to the
+// groups that survive the absorbed chain, and the pass that emits them
+// is serial at any P (one ordered stream, never range appends). An
+// order-by materializes what its profile says. A handed
 // stage's output is its feedable consumer's to price, wherever the
 // consumer has it put.
 func (s *stageAlloc) emit() cost.Emit {

@@ -179,6 +179,18 @@ var cancelPlans = []cancelPlanCase{
 		},
 	},
 	{
+		// A drained stream into a group-by's folding intake, whose merges
+		// combine partials into the chain sink: about half the polls are the
+		// pour (drain → fold in memory → run), half the merges, so
+		// cancellation lands in both.
+		name: "feed-fold",
+		fed:  1,
+		plan: func(t *testing.T, r *rig) *Plan {
+			return Table(loadGrouped(t, r, "in", 8000, 4000)).Limit(7000).GroupBy(4).
+				Filter(Predicate{Attr: 0, Op: Ge, Value: 100}).Project(0, 1, 2)
+		},
+	},
+	{
 		// A drained stream into an intake: no pipe to fill, cancellation
 		// lands in the drain or in the merge.
 		name: "feed-limit-orderby",

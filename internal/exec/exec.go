@@ -27,11 +27,13 @@
 // HashAggregate, or over a stream that would be drained into a pipe —
 // the consumer hands the producer its sort's intake as the output
 // (feedSort: the paper's process-to-append rule, §3.1) and the result is
-// never a temp at all. The consumer's stage prices both homes inside the
-// allocator's curve (stageAlloc.sortPlan) and takes the cheaper; Explain
-// says which ran. Base tables, sorted results and the views over them
-// are on the device already; pinned sorts, join inputs and the
-// materialize-every-step reference read stored inputs.
+// never a temp at all. A group-by's intake folds: a row whose group is
+// resident in memory is combined there, so the runs hold partial
+// aggregates and the merges emit the groups. The consumer's stage prices
+// both homes inside the allocator's curve (stageAlloc.sortPlan) and takes
+// the cheaper; Explain says which ran. Base tables, sorted results and
+// the views over them are on the device already; pinned sorts, join
+// inputs and the materialize-every-step reference read stored inputs.
 //
 // Blocking operators (OrderBy, GroupBy, Join) share the plan's DRAM
 // budget M through the marginal-benefit allocator (see budget.go): each
@@ -324,18 +326,15 @@ func pour(ctx context.Context, ec *Ctx, child Operator, dst storage.Collection) 
 }
 
 // feedSort runs a fed sort stage (stageAlloc.feed said so): the child
-// emits into the intake of the stage's external mergesort, at the
-// stage's frozen share, and when the child is done the intake merges
-// into out — the plan output or the operator's temp, a group-by's fold,
-// the next fed stage's intake. The child's result is never a temp. The
-// intake owns its runs: a producer that fails or is cancelled mid-emit
-// has them swept here, a failed merge sweeps its own.
-func feedSort(ctx context.Context, ec *Ctx, st *stageAlloc, child Operator, out storage.Collection) error {
-	in, err := sorts.NewIntake(ec.stageEnv(st), child.RecordSize())
-	if err != nil {
-		return err
-	}
-	if err := pour(ctx, ec, child, in); err != nil {
+// emits into take — in itself, or what a group-by renders in front of
+// its folding intake — and when the child is done the intake, the
+// stage's external mergesort at its frozen share, merges into out: the
+// plan output or the operator's temp, the next fed stage's intake. The
+// child's result is never a temp. The intake owns its runs: a producer
+// that fails or is cancelled mid-emit has them swept here, a failed
+// merge sweeps its own.
+func feedSort(ctx context.Context, ec *Ctx, st *stageAlloc, child Operator, in *sorts.Intake, take, out storage.Collection) error {
+	if err := pour(ctx, ec, child, take); err != nil {
 		in.Discard()
 		return err
 	}

@@ -57,7 +57,8 @@ func groupWith(p *Plan, attr int, pin bool) *Plan {
 // chunked run formation leaves a partial tail block per worker) and
 // budgets leave every sort one merge pass
 // (how an intermediate pass groups its runs follows P, and the partial
-// tail blocks with it), so that the counters compare across the grid;
+// tail blocks with it) and the allocator splits them the same way at
+// every P, so that the counters compare across the grid;
 // pin fixes the consumers to ExMS over a stored input instead. fed is
 // how many stages the unpinned plan feeds.
 var feedShapes = []struct {
@@ -80,7 +81,7 @@ var feedShapes = []struct {
 		dim1, _, fact := r.loadStar(t, feedDim, feedFact)
 		return sortWith(Table(dim1).JoinWith(Table(fact), joins.NewNestedLoops()), pin)
 	}},
-	{"groupby-orderby", feedFact * record.Size / 4, 1, func(t *testing.T, r *rig, pin bool) *Plan {
+	{"groupby-orderby", feedFact * record.Size / 6, 1, func(t *testing.T, r *rig, pin bool) *Plan {
 		return sortWith(Table(loadGrouped(t, r, "in", feedFact, 500)).GroupByWith(4, sorts.NewHybridSort(0.5)), pin)
 	}},
 	{"join-groupby-orderby", feedFact * record.Size / 2, 2, func(t *testing.T, r *rig, pin bool) *Plan {
@@ -213,6 +214,7 @@ func TestFeedIsPriced(t *testing.T) {
 		algo string
 		cost float64
 	}
+	worst := 0.0 // the largest chosen/other cost ratio across the grid
 	for _, lambda := range []float64{2, 15, 50} {
 		dev := pmem.MustOpen(pmem.Config{Capacity: 256 << 20, ReadLatency: 10 * time.Nanosecond, WriteLatency: time.Duration(10*lambda) * time.Nanosecond})
 		fac, err := all.New("blocked", dev, 0)
@@ -272,11 +274,12 @@ func TestFeedIsPriced(t *testing.T) {
 					sawSelS = sawSelS || (!chosen.fed && chosen.algo == "SelS")
 					// Regret, not equality: where the two placements cross
 					// (two or three buffers of share) they measure within
-					// ~13 % of each other and the model's pass arithmetic —
-					// fan-in m where the kernels merge m − 1 runs — can fall
-					// either side; away from the crossing the wrong placement
-					// costs 30–100 %.
-					if chosen.cost > 1.15*other.cost {
+					// ~12 % of each other, and the model, whose merge passes
+					// count the kernels' fan-in, still falls either side at
+					// λ = 2; away from the crossing the wrong placement costs
+					// 30–100 %.
+					worst = math.Max(worst, chosen.cost/other.cost)
+					if chosen.cost > 1.121*other.cost {
 						t.Errorf("λ=%.0f rows=%d share=%d P=%d: chose fed=%v (%s) at measured cost %.0f, the other placement (%s) measures %.0f",
 							lambda, rows, share, par, chosen.fed, chosen.algo, chosen.cost, other.algo, other.cost)
 					}
@@ -288,6 +291,7 @@ func TestFeedIsPriced(t *testing.T) {
 				lambda, sawFed, sawStored, sawSelS)
 		}
 	}
+	t.Logf("worst regret: the chosen placement measures %.4f× the other", worst)
 }
 
 // TestStoredOptionKeepsThePlanPrice: marking a shape feedable moves the

@@ -11,18 +11,20 @@ import (
 	"wlpm/internal/record"
 	"wlpm/internal/sorts"
 	"wlpm/internal/storage"
-	"wlpm/internal/xheap"
 )
 
 // GroupBy is the sort-based write-limited aggregation: it groups its
 // benchmark-schema input by key and aggregates one attribute
 // (count/sum/min/max in the aggregate package's result slots), emitting
 // one record per group in ascending key order — through the
-// Filter/Project chain above it, when the compiler absorbed one. The
-// write profile is the chosen sort algorithm's runs plus the groups (the
-// sorted input is folded as the sort emits it, never written) — the
-// planner places the same intensity knob it places for order-by.
-// Blocking.
+// Filter/Project chain above it, when the compiler absorbed one. Over a
+// stored input the write profile is the chosen sort algorithm's runs
+// plus the groups (the sorted input is folded as the sort emits it,
+// never written) — the planner places the same intensity knob it places
+// for order-by. Fed, each input row enters a folding intake as its
+// one-record partial aggregate, so a group resident in memory is written
+// once however often it arrives, and the intake's merges emit the groups
+// themselves. Blocking.
 type GroupBy struct {
 	child Operator
 	attr  int
@@ -48,11 +50,16 @@ func (g *GroupBy) emitTo(ctx context.Context, ec *Ctx, dst storage.Collection) e
 	}
 	if a, fed := g.st.feed(g.algo); fed {
 		g.algo = a
-		fold, err := aggregate.Fold(g.attr, g.sink(dst, record.Size))
+		in, err := sorts.NewFoldingIntake(ec.stageEnv(g.st), record.Size, aggregate.Combine)
 		if err != nil {
 			return err
 		}
-		return feedSort(ctx, ec, g.st, g.child, fold)
+		buf := make([]byte, record.Size)
+		partials := storage.NewSink("partials", record.Size, func(rec []byte) error {
+			aggregate.Singleton(buf, rec, g.attr)
+			return in.Append(buf)
+		}, nil)
+		return feedSort(ctx, ec, g.st, g.child, in, partials, g.sink(dst, record.Size))
 	}
 	in, cleanup, err := inputCollection(ctx, ec, g.child)
 	if err != nil {
@@ -79,14 +86,16 @@ func (g *GroupBy) Close() error { return g.drop(g.child) }
 // table over the group keys, no device writes beyond the result. The
 // planner chooses it when the estimated group count (hint or column
 // statistics) fits the stage budget; at runtime the table is
-// budget-checked, and an underestimate degrades gracefully — the partial
-// table spills to a sorted run of per-group aggregates and the runs are
-// merged (combining equal keys) at the end, so the operator keeps the
-// sort-based GroupBy's output byte for byte instead of aborting the
-// query. Output is always ascending key order with the same result
-// layout, through the Filter/Project chain above the operator when the
-// compiler absorbed one. Blocking; writes intermediates only when it
-// spills.
+// budget-checked, and an underestimate degrades gracefully — on the
+// first group the table cannot take, its partial aggregates move into a
+// folding intake at the stage's share, and the rest of the input follows
+// them there, so the operator becomes the fed sort-based GroupBy and
+// keeps its output byte for byte instead of aborting the query. The
+// intake's slots (M/record) outnumber the table's (M/(f·record)), so
+// every partial fits and the switch writes nothing. Output is always
+// ascending key order with the same result layout, through the
+// Filter/Project chain above the operator when the compiler absorbed
+// one. Blocking; writes intermediates only when it overflows.
 type HashAggregate struct {
 	child Operator
 	attr  int
@@ -96,14 +105,13 @@ type HashAggregate struct {
 	groups map[uint64]*aggregate.State
 	keys   []uint64
 	pos    int
-	raw    []byte                 // one rendered group, before the chain
+	raw    []byte                 // one rendered group or partial, before the chain
 	put    func(rec []byte) error // the chain, into out
 	out    *Batch                 // in-memory result batches, rendered from the table
 	n      int                    // records of out the current Next has filled
 
-	env    *algo.Env            // stage share; owns the spill runs
-	spills []storage.Collection // sorted partial-aggregate runs
-	stored                      // the merged result when the table spilled
+	in     *sorts.Intake // the folding intake once the table overflowed; owns its runs
+	stored               // the merged result when the table overflowed
 }
 
 func (h *HashAggregate) Name() string {
@@ -113,8 +121,9 @@ func (h *HashAggregate) RecordSize() int      { return h.width(record.Size) }
 func (h *HashAggregate) Children() []Operator { return []Operator{h.child} }
 func (h *HashAggregate) consumesMemory() bool { return true }
 
-// aggregate drains the child into the partial table, spilling sorted
-// runs on budget overflow; shared by Open and emitTo.
+// aggregate drains the child into the partial table, or into the
+// folding intake from the first group the table has no room for; shared
+// by Open and emitTo.
 func (h *HashAggregate) aggregate(ctx context.Context, ec *Ctx) error {
 	if h.child.RecordSize() != record.Size {
 		return fmt.Errorf("exec: hash aggregate needs %d-byte benchmark records, child emits %d (project first)",
@@ -135,25 +144,30 @@ func (h *HashAggregate) aggregate(ctx context.Context, ec *Ctx) error {
 		}
 	}
 	h.st.freeze()
-	h.env = ec.stageEnv(h.st)
-	budget := h.env.BudgetHashRecords(record.Size)
+	env := ec.stageEnv(h.st)
+	budget := env.BudgetHashRecords(record.Size)
 	h.groups = make(map[uint64]*aggregate.State)
+	h.raw = make([]byte, record.Size)
 	rows := 0
 	add := func(rec []byte) error {
 		rows++
-		k := record.Key(rec)
-		st, ok := h.groups[k]
-		if !ok {
-			if len(h.groups) >= budget {
-				if err := h.spill(); err != nil {
-					return err
+		if h.in == nil {
+			k := record.Key(rec)
+			st, ok := h.groups[k]
+			if ok || len(h.groups) < budget {
+				if !ok {
+					st = new(aggregate.State)
+					h.groups[k] = st
 				}
+				st.Add(record.Attr(rec, h.attr))
+				return nil
 			}
-			st = new(aggregate.State)
-			h.groups[k] = st
+			if err := h.overflow(env); err != nil {
+				return err
+			}
 		}
-		st.Add(record.Attr(rec, h.attr))
-		return nil
+		aggregate.Singleton(h.raw, rec, h.attr)
+		return h.in.Append(h.raw)
 	}
 	var err error
 	if h.st.feedable {
@@ -163,6 +177,24 @@ func (h *HashAggregate) aggregate(ctx context.Context, ec *Ctx) error {
 	}
 	h.st.choice.ActualRows = rows
 	return err
+}
+
+// overflow moves the partial table, in key order, into a folding intake
+// at the stage's share and drops it.
+func (h *HashAggregate) overflow(env *algo.Env) error {
+	in, err := sorts.NewFoldingIntake(env, record.Size, aggregate.Combine)
+	if err != nil {
+		return err
+	}
+	h.in = in
+	for _, k := range h.sortedKeys() {
+		h.groups[k].Render(h.raw, k)
+		if err := in.Append(h.raw); err != nil {
+			return err
+		}
+	}
+	h.groups = nil
+	return nil
 }
 
 // sortedKeys returns the partial table's keys ascending.
@@ -176,25 +208,21 @@ func (h *HashAggregate) sortedKeys() []uint64 {
 }
 
 // finishSpill closes the degraded path: the group count blew the budget
-// share, so the final partial table flushes as one more sorted run and
-// the runs merge (combining groups) through the absorbed chain into dst —
-// the sort-based fallback the estimate should have selected up front.
+// share, so the folding intake merges its partials (combining groups)
+// through the absorbed chain into dst — the sort-based fallback the
+// estimate should have selected up front.
 func (h *HashAggregate) finishSpill(_ context.Context, _ *Ctx, dst storage.Collection) error {
 	h.st.choice.Spilled = true
-	if err := h.spill(); err != nil {
-		return err
-	}
-	return h.mergeSpills(h.sink(dst, record.Size))
+	return h.in.MergeInto(h.sink(dst, record.Size))
 }
 
 func (h *HashAggregate) Open(ctx context.Context, ec *Ctx) error {
 	if err := h.aggregate(ctx, ec); err != nil {
 		return err
 	}
-	if len(h.spills) == 0 {
+	if h.in == nil {
 		h.keys = h.sortedKeys()
 		h.pos = 0
-		h.raw = make([]byte, record.Size)
 		h.out = newBatch(h.RecordSize(), ec.batchSize())
 		h.put = h.apply(func(rec []byte) error {
 			copy(h.out.views[h.n], rec)
@@ -208,17 +236,16 @@ func (h *HashAggregate) Open(ctx context.Context, ec *Ctx) error {
 
 // emitTo writes the aggregates straight into the plan output when the
 // operator sits at the root, saving the temp-then-copy of the generic
-// drain — on the spill path the run merge lands directly in out.
+// drain — on the overflow path the intake merges directly into out.
 func (h *HashAggregate) emitTo(ctx context.Context, ec *Ctx, out storage.Collection) error {
 	if err := h.aggregate(ctx, ec); err != nil {
 		return err
 	}
-	if len(h.spills) == 0 {
+	if h.in == nil {
 		put := h.apply(out.Append)
-		buf := make([]byte, record.Size)
 		for _, k := range h.sortedKeys() {
-			h.groups[k].Render(buf, k)
-			if err := put(buf); err != nil {
+			h.groups[k].Render(h.raw, k)
+			if err := put(h.raw); err != nil {
 				return err
 			}
 		}
@@ -227,123 +254,8 @@ func (h *HashAggregate) emitTo(ctx context.Context, ec *Ctx, out storage.Collect
 	return h.finishSpill(ctx, ec, out)
 }
 
-// spill writes the current partial table to a key-sorted run of
-// aggregate records and resets the table.
-func (h *HashAggregate) spill() error {
-	if len(h.groups) == 0 {
-		return nil
-	}
-	run, err := h.env.CreateTemp("hashagg.run", record.Size)
-	if err != nil {
-		return err
-	}
-	buf := make([]byte, record.Size)
-	for _, k := range h.sortedKeys() {
-		h.groups[k].Render(buf, k)
-		if err := run.Append(buf); err != nil {
-			run.Destroy() //nolint:errcheck // best-effort cleanup after failure
-			return err
-		}
-	}
-	if err := run.Close(); err != nil {
-		run.Destroy() //nolint:errcheck // best-effort cleanup after failure
-		return err
-	}
-	h.spills = append(h.spills, run)
-	h.groups = make(map[uint64]*aggregate.State)
-	return nil
-}
-
-// mergeSpills combines the sorted runs into dst, merging equal keys; the
-// merge passes poll per record (the drain path polls through drain).
-// Fan-in is capped at the stage's buffer budget less one output buffer
-// (the same headroom the sorts' merges reserve); larger run counts go
-// through intermediate merge passes, external-mergesort style.
-func (h *HashAggregate) mergeSpills(dst storage.Collection) error {
-	fanIn := h.env.BudgetBuffers() - 1
-	if fanIn < 2 {
-		fanIn = 2
-	}
-	for len(h.spills) > fanIn {
-		batch := h.spills[:fanIn]
-		out, err := h.env.CreateTemp("hashagg.merge", record.Size)
-		if err != nil {
-			return err
-		}
-		if err := mergeAggRuns(h.env, batch, h.env.Polled(out.Append)); err != nil {
-			out.Destroy() //nolint:errcheck // best-effort cleanup after failure
-			return err
-		}
-		if err := out.Close(); err != nil {
-			out.Destroy() //nolint:errcheck // best-effort cleanup after failure
-			return err
-		}
-		for _, r := range batch {
-			r.Destroy() //nolint:errcheck // destroy of a consumed temp
-		}
-		h.spills = append(append([]storage.Collection(nil), h.spills[fanIn:]...), out)
-	}
-	if err := mergeAggRuns(h.env, h.spills, h.env.Polled(dst.Append)); err != nil {
-		return err
-	}
-	for _, r := range h.spills {
-		r.Destroy() //nolint:errcheck // destroy of a consumed temp
-	}
-	h.spills = nil
-	return dst.Close()
-}
-
-// mergeAggRuns multiway-merges key-sorted runs of partial aggregate
-// records (the same shape as the sorts' run merges: each run read one
-// block chunk at a time, one keyed head slot per run whose tie-break
-// names it, advanced in place, so the loop allocates nothing), combining
-// the partials of equal keys, and feeds each merged group to emit in
-// ascending key order. Keys are distinct within a run, so equal keys
-// always sit on different heads.
-func mergeAggRuns(env *algo.Env, runs []storage.Collection, emit func(rec []byte) error) error {
-	chunk := env.ChunkRecords(record.Size)
-	srcs := make([]*storage.Cursor, len(runs))
-	heads := xheap.NewKeyed(record.Size, len(runs), false)
-	for i, r := range runs {
-		it := r.Scan()
-		defer it.Close() //nolint:errcheck // read-only iterator teardown
-		srcs[i] = storage.NewCursor(it, chunk)
-		rec, err := srcs[i].Next()
-		if err == io.EOF {
-			continue
-		}
-		if err != nil {
-			return err
-		}
-		heads.Push(record.Key(rec), uint32(i), rec)
-	}
-	buf := make([]byte, record.Size)
-	for heads.Len() > 0 {
-		key := heads.Top().Key
-		var st aggregate.State
-		for heads.Len() > 0 && heads.Top().Key == key {
-			top := heads.Top()
-			st.Merge(heads.Record(top.Slot))
-			rec, err := srcs[top.Tie].Next()
-			if err == io.EOF {
-				heads.Pop()
-				continue
-			}
-			if err != nil {
-				return err
-			}
-			heads.ReplaceTop(record.Key(rec), top.Tie, rec)
-		}
-		st.Render(buf, key)
-		if err := emit(buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func (h *HashAggregate) Next(ctx context.Context) (*Batch, error) {
-	if h.tmp != nil { // spilled: the merged result is stored
+	if h.tmp != nil { // overflowed: the merged result is stored
 		return h.stored.Next(ctx)
 	}
 	if h.out == nil {
@@ -365,21 +277,14 @@ func (h *HashAggregate) Next(ctx context.Context) (*Batch, error) {
 	return h.out, nil
 }
 
-// Close also destroys the runs of a spill that did not finish. limitHint
-// and source are stored's and so speak for the spilled path alone: the
-// in-memory path has nothing on the device to cap, or to hand a blocking
-// parent in place of a pipe.
+// Close also destroys the runs of an overflow that did not finish.
+// limitHint and source are stored's and so speak for the overflowed path
+// alone: the in-memory path has nothing on the device to cap, or to hand
+// a blocking parent in place of a pipe.
 func (h *HashAggregate) Close() error {
-	var first error
-	for _, r := range h.spills {
-		if err := r.Destroy(); err != nil && first == nil {
-			first = err
-		}
+	if h.in != nil {
+		h.in.Discard()
 	}
-	h.spills = nil
 	h.groups, h.keys = nil, nil
-	if err := h.drop(h.child); err != nil && first == nil {
-		first = err
-	}
-	return first
+	return h.drop(h.child)
 }

@@ -34,7 +34,11 @@ func (o *OrderBy) consumesMemory() bool { return true }
 func (o *OrderBy) emitTo(ctx context.Context, ec *Ctx, dst storage.Collection) error {
 	if a, fed := o.st.feed(o.algo); fed {
 		o.algo = a
-		return feedSort(ctx, ec, o.st, o.child, dst)
+		in, err := sorts.NewIntake(ec.stageEnv(o.st), o.child.RecordSize())
+		if err != nil {
+			return err
+		}
+		return feedSort(ctx, ec, o.st, o.child, in, in, dst)
 	}
 	in, cleanup, err := inputCollection(ctx, ec, o.child)
 	if err != nil {

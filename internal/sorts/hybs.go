@@ -86,7 +86,7 @@ func (s *HybridSort) Sort(env *algo.Env, in, out storage.Collection) error {
 	if err := rr.finish(); err != nil {
 		return err
 	}
-	if err := mergeRuns(env, rr.runs, nil, out, recSize); err != nil {
+	if err := mergeRuns(env, rr.runs, nil, out, recSize, nil); err != nil {
 		return err
 	}
 	sorted = true

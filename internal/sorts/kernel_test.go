@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"wlpm/internal/algo"
+	"wlpm/internal/cost"
 	"wlpm/internal/record"
 	"wlpm/internal/storage"
 )
@@ -279,7 +280,7 @@ func mergeDiscarding(t testing.TB, env *algo.Env, runs []storage.Collection) {
 		last = k
 		merged++
 		return nil
-	})
+	}, nil)
 	if err != nil || merged != kernelRecords {
 		t.Fatalf("merge emitted %d of %d records: %v", merged, kernelRecords, err)
 	}
@@ -383,4 +384,111 @@ func TestFormRunsAllocBudget(t *testing.T) {
 		}
 	}
 	destroyRuns(runs)
+}
+
+// passCounter counts the intermediate merge passes a mergeRuns makes: the
+// records of key 0, which sit in the first run and so in the first group
+// of every pass, appended to a merge temp.
+type passCounter struct {
+	storage.Factory
+	passes *int
+}
+
+func (f passCounter) Create(name string, recSize int) (storage.Collection, error) {
+	c, err := f.Factory.Create(name, recSize)
+	if err != nil || !strings.Contains(name, ".merge.") {
+		return c, err
+	}
+	return &keyZeroCounter{Collection: c, n: f.passes}, nil
+}
+
+type keyZeroCounter struct {
+	storage.Collection
+	n *int
+}
+
+func (c *keyZeroCounter) Append(rec []byte) error {
+	if record.Key(rec) == 0 {
+		*c.n++
+	}
+	return c.Collection.Append(rec)
+}
+
+// TestCostModelCountsMergePasses: the sort profiles' extra merge passes
+// are mergeRuns' — fan-in m − 1 runs at m buffers, m − 2 beside segment
+// sort's selection stream, never below two — for run counts on either
+// side of one and two passes.
+func TestCostModelCountsMergePasses(t *testing.T) {
+	fac := newEnv(t, "blocked", 1).Factory
+	bs := fac.BlockSize()
+	for _, m := range []int{2, 3, 4, 9} {
+		for _, streamed := range []bool{false, true} {
+			fanIn := max(2, m-1)
+			if streamed {
+				fanIn = max(2, m-2)
+			}
+			for _, runs := range []int{fanIn - 1, fanIn, fanIn + 1, fanIn * fanIn, fanIn*fanIn + 1} {
+				if runs < 1 {
+					continue
+				}
+				measured := 0
+				env := algo.NewEnv(passCounter{Factory: fac, passes: &measured}, int64(m*bs))
+				// Run i holds keys i and runs + i, so every run reaches the
+				// final merge and key 0 opens the first.
+				rs := make([]storage.Collection, runs)
+				for i := range rs {
+					r, err := env.CreateTemp("run", record.Size)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, k := range []int{i, runs + i} {
+						if err := r.Append(record.New(uint64(k))); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := r.Close(); err != nil {
+						t.Fatal(err)
+					}
+					rs[i] = r
+				}
+				var streams []storage.Iterator
+				if streamed {
+					seg, err := env.CreateTemp("seg", record.Size)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := seg.Append(record.New(uint64(2 * runs))); err != nil {
+						t.Fatal(err)
+					}
+					if err := seg.Close(); err != nil {
+						t.Fatal(err)
+					}
+					streams = append(streams, seg.Scan())
+				}
+				out, err := env.CreateTemp("out", record.Size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := mergeRuns(env, rs, streams, out, record.Size, nil); err != nil {
+					t.Fatal(err)
+				}
+				if err := env.SweepTemps(); err != nil {
+					t.Fatal(err)
+				}
+				// The profile whose runs number exactly runs: t/(2m) for ExMS,
+				// x·t/(2m) of SegS's run segment beside its stream.
+				mm := float64(m)
+				tt := 2 * mm * float64(runs)
+				predicted := NewExternalMergeSort().Profile(cost.Emit{}, tt, mm, 15).Writes/tt - 2
+				if streamed {
+					const x = 0.5
+					tt /= x
+					predicted = (NewSegmentSort(x).Profile(cost.Emit{}, tt, mm, 15).Writes-tt)/(x*tt) - 1
+				}
+				if math.Abs(predicted-float64(measured)) > 1e-9 {
+					t.Errorf("m=%d streamed=%v %d runs: the profile predicts %.0f extra merge passes, mergeRuns made %d", m, streamed, runs, predicted, measured)
+				}
+			}
+		}
+	}
 }

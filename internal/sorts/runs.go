@@ -112,14 +112,24 @@ func mergePassesFor(runs, fanIn int) int {
 // assumption of the segment-sort cost model (Eq. 1). Runs are opened
 // lazily, so none is ever empty; on an error path the owner destroys
 // runs.
+//
+// A folding former (combine set) takes partial aggregates and writes one
+// per eviction: an arriving record whose key is resident — in the heap
+// or on the next-run list, found through index — is combined into that
+// slot in place, and only a miss takes the replacement-selection step.
+// Resident keys are therefore distinct, so the heap never compares two
+// records' bytes and an in-place combine cannot disturb its order; a
+// run's keys ascend strictly.
 type runFormer struct {
-	env    *algo.Env
-	prefix string // temp name stem of the runs
-	sample bool   // runs keep a key sidecar for a parallel final merge (sampling)
-	heap   *xheap.Keyed
-	next   []xheap.Entry
-	run    storage.Collection // open run, nil between runs
-	runs   []storage.Collection
+	env     *algo.Env
+	prefix  string // temp name stem of the runs
+	sample  bool   // runs keep a key sidecar for a parallel final merge (sampling)
+	heap    *xheap.Keyed
+	next    []xheap.Entry
+	run     storage.Collection // open run, nil between runs
+	runs    []storage.Collection
+	combine func(dst, src []byte) // folding: merges partial src into the resident partial dst
+	index   *xheap.Index          // folding: key → slot of every resident record
 }
 
 func newRunFormer(env *algo.Env, prefix string, recSize, budget int, sample bool) *runFormer {
@@ -130,25 +140,54 @@ func newRunFormer(env *algo.Env, prefix string, recSize, budget int, sample bool
 // to make room once memory is full (Algorithm 1, lines 6–16).
 func (f *runFormer) add(rec []byte) error {
 	key := record.Key(rec)
-	if !f.heap.Full() {
-		f.heap.Push(key, 0, rec)
+	if f.index != nil {
+		return f.fold(key, rec)
+	}
+	_, err := f.place(key, rec)
+	return err
+}
+
+// fold is add for a folding former: a resident key absorbs rec, a new
+// one takes the slot place frees and is indexed there.
+func (f *runFormer) fold(key uint64, rec []byte) error {
+	if slot, ok := f.index.Find(key); ok {
+		f.combine(f.heap.Record(slot), rec)
 		return nil
+	}
+	evicts := f.heap.Full()
+	slot, err := f.place(key, rec)
+	if err != nil {
+		return err
+	}
+	if evicts {
+		f.index.Remove(slot)
+	}
+	f.index.Insert(key, slot)
+	return nil
+}
+
+// place is the replacement-selection step: it copies rec into a fresh
+// slot while memory lasts, and otherwise into the slot of the current
+// run's minimum, which it spills first. It returns rec's slot.
+func (f *runFormer) place(key uint64, rec []byte) (uint32, error) {
+	if !f.heap.Full() {
+		return f.heap.Push(key, 0, rec), nil
 	}
 	if f.heap.Len() == 0 {
 		// The current run is exhausted: everything in memory belongs to
 		// the next one.
 		if err := f.rotate(); err != nil {
-			return err
+			return 0, err
 		}
 	}
 	low := f.heap.Top()
 	lowRec := f.heap.Record(low.Slot)
 	if err := f.emit(lowRec); err != nil {
-		return err
+		return 0, err
 	}
 	if !xheap.Before(key, rec, 0, low.Key, lowRec, 0) {
 		f.heap.ReplaceTop(key, 0, rec)
-		return nil
+		return low.Slot, nil
 	}
 	// rec is too small for the current run: it takes the spilled
 	// record's slot and waits for the next one.
@@ -158,7 +197,7 @@ func (f *runFormer) add(rec []byte) error {
 		f.next = make([]xheap.Entry, 0, f.heap.Limit()) // sized once: any slot can end up deferred
 	}
 	f.next = append(f.next, xheap.Entry{Key: key, Slot: low.Slot})
-	return nil
+	return low.Slot, nil
 }
 
 // emit appends rec to the current run, opening one if needed.
@@ -239,6 +278,26 @@ func NewIntake(env *algo.Env, recSize int) (*Intake, error) {
 	return newIntake(env, recSize, env.BudgetRecords(recSize), sampling(env, false)), nil
 }
 
+// NewFoldingIntake returns an intake of recSize-byte partial aggregates
+// — records whose key says which group they belong to — that writes one
+// partial per eviction from memory, never more than it takes. It forms
+// runs with env's whole budget, as NewIntake does, but folds: a record
+// whose key is resident in memory is combined into the resident one
+// (combine merges partial src into partial dst, in place), and every
+// merge, intermediate or final, combines the partials of equal keys, so
+// MergeInto emits one record per key in ascending key order. Its runs
+// keep no key sidecar, and its final merge is serial at any P: a
+// range-parallel merge reserves each range's output by the records it
+// reads, which a fold does not emit.
+func NewFoldingIntake(env *algo.Env, recSize int, combine func(dst, src []byte)) (*Intake, error) {
+	if err := env.Validate(); err != nil {
+		return nil, err
+	}
+	in := newIntake(env, recSize, env.BudgetRecords(recSize), false)
+	in.f.combine, in.f.index = combine, new(xheap.Index)
+	return in, nil
+}
+
 func newIntake(env *algo.Env, recSize, budget int, sample bool) *Intake {
 	f := newRunFormer(env, "run", recSize, budget, sample)
 	return &Intake{Sink: storage.NewSink("intake", recSize, env.Polled(f.add), nil), env: env, f: f}
@@ -257,10 +316,10 @@ func (in *Intake) finish() ([]storage.Collection, error) {
 }
 
 // MergeInto ends the intake: it merges the runs formed from the
-// appended records into out, in ascending order, and closes out. out
-// must be empty and of the intake's record size — a collection, a sink
-// or the next stage's intake. On error (including cancellation) no run
-// survives.
+// appended records into out, in ascending order (a folding intake's one
+// record per key), and closes out. out must be empty and of the intake's
+// record size — a collection, a sink or the next stage's intake. On error
+// (including cancellation) no run survives.
 func (in *Intake) MergeInto(out storage.Collection) error {
 	if err := checkArgs(in.env, in, out); err != nil {
 		in.Discard()
@@ -270,7 +329,7 @@ func (in *Intake) MergeInto(out storage.Collection) error {
 	if err != nil {
 		return err
 	}
-	if err := mergeRuns(in.env, runs, nil, out, in.RecordSize()); err != nil {
+	if err := mergeRuns(in.env, runs, nil, out, in.RecordSize(), in.f.combine); err != nil {
 		destroyRuns(runs) // Destroy is idempotent: whatever the failed merge left
 		return err
 	}
@@ -318,8 +377,10 @@ func sampling(env *algo.Env, streamed bool) bool {
 // out across workers through parallelFinalMerge (order-preserving
 // key-domain split, byte-identical output and cacheline writes);
 // streaming sources are single-cursor by construction, so any stream
-// keeps the final pass serial.
-func mergeRuns(env *algo.Env, runs []storage.Collection, streams []storage.Iterator, out storage.Collection, recSize int) error {
+// keeps the final pass serial. A non-nil combine folds: every pass
+// combines the records of equal keys into one (mergeIters), and the
+// final pass stays serial.
+func mergeRuns(env *algo.Env, runs []storage.Collection, streams []storage.Iterator, out storage.Collection, recSize int, combine func(dst, src []byte)) error {
 	fanIn := env.BudgetBuffers() - 1 - len(streams)
 	if fanIn < 2 {
 		fanIn = 2
@@ -327,12 +388,12 @@ func mergeRuns(env *algo.Env, runs []storage.Collection, streams []storage.Itera
 	for len(runs) > fanIn {
 		var err error
 		// A failed pass destroys both generations inside mergePass.
-		if runs, err = mergePass(env, runs, recSize, len(streams)); err != nil {
+		if runs, err = mergePass(env, runs, recSize, len(streams), combine); err != nil {
 			return err
 		}
 	}
 	return env.TimePhase(FinalMergePhase, func() error {
-		if len(streams) == 0 {
+		if len(streams) == 0 && combine == nil {
 			if handled, err := parallelFinalMerge(env, runs, out, recSize); handled {
 				return err
 			}
@@ -342,7 +403,7 @@ func mergeRuns(env *algo.Env, runs []storage.Collection, streams []storage.Itera
 			iters = append(iters, r.Scan())
 		}
 		iters = append(iters, streams...)
-		if err := mergeIters(env, iters, recSize, env.Polled(out.Append)); err != nil {
+		if err := mergeIters(env, iters, recSize, env.Polled(out.Append), combine); err != nil {
 			destroyRuns(runs)
 			return err
 		}
@@ -361,8 +422,8 @@ func mergeRuns(env *algo.Env, runs []storage.Collection, streams []storage.Itera
 // buffers stays within the memory budget (w groups of g runs plus one
 // output buffer each: w·(g+1) ≤ M/B − reserved, where reserved keeps the
 // buffers set aside for the final merge's streaming sources — at w = 1
-// this reproduces the serial grouping exactly).
-func mergePass(env *algo.Env, runs []storage.Collection, recSize, reserved int) ([]storage.Collection, error) {
+// this reproduces the serial grouping exactly). combine is mergeRuns'.
+func mergePass(env *algo.Env, runs []storage.Collection, recSize, reserved int, combine func(dst, src []byte)) ([]storage.Collection, error) {
 	w := env.Workers((len(runs) + 1) / 2)
 	// Run-count-aware cap, the merge-phase twin of capRunWorkers: w
 	// concurrent merge groups share the buffer budget, so the per-group
@@ -404,7 +465,7 @@ func mergePass(env *algo.Env, runs []storage.Collection, recSize, reserved int) 
 	} else {
 		children = []*algo.Env{env}
 	}
-	sample := sampling(env, reserved > 0) // decided here: the children run at Parallelism 1
+	sample := combine == nil && sampling(env, reserved > 0) // decided here: the children run at Parallelism 1
 	nextGen := make([]storage.Collection, nGroups)
 	workErr := env.RunWorkers(w, func(wi int) error {
 		child := children[wi]
@@ -427,7 +488,7 @@ func mergePass(env *algo.Env, runs []storage.Collection, recSize, reserved int) 
 			if sample {
 				merged = sampleRun(mergedTemp)
 			}
-			if err := mergeInto(child, group, merged); err != nil {
+			if err := mergeInto(child, group, merged, combine); err != nil {
 				merged.Destroy() //nolint:errcheck // best-effort cleanup after failure
 				return err
 			}
@@ -457,20 +518,30 @@ func mergePass(env *algo.Env, runs []storage.Collection, recSize, reserved int) 
 
 // mergeInto k-way merges the sorted runs into a collection, polling
 // env's cancellation between emissions.
-func mergeInto(env *algo.Env, runs []storage.Collection, out storage.Collection) error {
+func mergeInto(env *algo.Env, runs []storage.Collection, out storage.Collection, combine func(dst, src []byte)) error {
 	iters := make([]storage.Iterator, len(runs))
 	for i, r := range runs {
 		iters[i] = r.Scan()
 	}
-	return mergeIters(env, iters, out.RecordSize(), env.Polled(out.Append))
+	return mergeIters(env, iters, out.RecordSize(), env.Polled(out.Append), combine)
 }
 
 // mergeIters k-way merges sorted iterators of recSize-byte records into
 // emit, closing them. Each source is read one block chunk at a time; the
 // merge's working memory is one keyed slab with a head slot per source
 // (the entry's tie-break names the source), so advancing a source
-// overwrites its head in place and the loop allocates nothing.
-func mergeIters(env *algo.Env, iters []storage.Iterator, recSize int, emit func(rec []byte) error) error {
+// overwrites its head in place and the loop allocates nothing. With
+// combine set, the records of one key — adjacent in merge order — reach
+// emit as one, combined in a buffer the merge owns, and cancellation is
+// polled per merged record rather than per emitted one.
+func mergeIters(env *algo.Env, iters []storage.Iterator, recSize int, emit func(rec []byte) error, combine func(dst, src []byte)) error {
+	if combine != nil {
+		c := &combiner{acc: make([]byte, recSize), combine: combine, emit: emit}
+		if err := mergeIters(env, iters, recSize, env.Polled(c.add), nil); err != nil {
+			return err
+		}
+		return c.flush()
+	}
 	for _, it := range iters {
 		defer it.Close()
 	}
@@ -507,4 +578,37 @@ func mergeIters(env *algo.Env, iters []storage.Iterator, recSize int, emit func(
 		heads.ReplaceTop(record.Key(rec), top.Tie, rec)
 	}
 	return nil
+}
+
+// combiner folds each run of equal keys in an ascending record stream
+// into one record before handing it on.
+type combiner struct {
+	acc     []byte // the open key's combined record
+	key     uint64
+	held    bool // acc holds a record not yet emitted
+	combine func(dst, src []byte)
+	emit    func(rec []byte) error
+}
+
+func (c *combiner) add(rec []byte) error {
+	k := record.Key(rec)
+	if c.held && k == c.key {
+		c.combine(c.acc, rec)
+		return nil
+	}
+	if err := c.flush(); err != nil {
+		return err
+	}
+	copy(c.acc, rec)
+	c.key, c.held = k, true
+	return nil
+}
+
+// flush emits the open key's record, if any.
+func (c *combiner) flush() error {
+	if !c.held {
+		return nil
+	}
+	c.held = false
+	return c.emit(c.acc)
 }

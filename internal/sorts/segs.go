@@ -92,7 +92,7 @@ func (s *SegmentSort) Sort(env *algo.Env, in, out storage.Collection) error {
 		streams = append(streams, newSelectionStream(env, seg, env.BudgetRecords(recSize)))
 	}
 
-	if err := mergeRuns(env, runs, streams, out, recSize); err != nil {
+	if err := mergeRuns(env, runs, streams, out, recSize, nil); err != nil {
 		return err
 	}
 	return out.Close()

@@ -100,8 +100,9 @@ func (h *Keyed) Items() []Entry { return h.items }
 // Top returns the root without removing it. It panics on an empty heap.
 func (h *Keyed) Top() Entry { return h.items[0] }
 
-// Push carves a fresh slot, copies rec into it and adds its entry.
-func (h *Keyed) Push(key uint64, tie uint32, rec []byte) {
+// Push carves a fresh slot, copies rec into it, adds its entry and
+// returns the slot.
+func (h *Keyed) Push(key uint64, tie uint32, rec []byte) uint32 {
 	if h.Full() {
 		panic("xheap: Keyed.Push beyond the slot limit")
 	}
@@ -120,6 +121,7 @@ func (h *Keyed) Push(key uint64, tie uint32, rec []byte) {
 	}
 	h.items = append(h.items, Entry{key, tie, slot})
 	h.up(len(h.items) - 1)
+	return slot
 }
 
 // Pop removes and returns the root. Its slot stays carved and belongs to

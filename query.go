@@ -97,8 +97,8 @@ func (q *Query) GroupByWith(attr int, a SortAlgorithm) *Query {
 // count that fits the stage budget selects the in-memory hash
 // aggregation. With statistics available (see System.Collect and
 // auto-collection) the hint is optional, and an underestimated hint no
-// longer fails the query — the hash aggregation spills to sorted runs
-// and merges them, degrading to the sort-based plan's I/O profile.
+// longer fails the query — the hash aggregation moves its partial table
+// into a folding sort's intake and finishes as the sort-based plan does.
 func (q *Query) GroupHint(groups int) *Query {
 	return q.derive(q.plan.GroupHint(groups))
 }
