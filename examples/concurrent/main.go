@@ -143,8 +143,9 @@ func main() {
 	}
 
 	// 4. Cancellation mid-query: the context deadline fires inside the
-	// sort; the error surfaces, the grant returns to the broker and the
-	// query's spilled runs are destroyed.
+	// join, the group-by's fold or the sort; the error surfaces, the
+	// grant returns to the broker and the runs the fold or the sort
+	// evicted so far are destroyed.
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
 	defer cancel()
 	deadline := func() error {

@@ -1,10 +1,10 @@
 // Aggregation scenario on the query engine: a metering workload — many
 // readings per sensor — is filtered and rolled up to per-sensor
 // count/sum/min/max through one wlpm.Query plan. Aggregation is the
-// paper's named "next operation" for write-limited processing (§6): the
-// group-by inherits the write profile of whatever sort the planner
-// places under it, and a group-count hint lets the planner skip the sort
-// entirely when the groups fit the stage budget.
+// paper's named "next operation" for write-limited processing (§6): a
+// pinned group-by inherits the write profile of its sort, while the
+// planner's folds each sensor's readings in memory and, when the groups
+// fit the stage budget, writes nothing but the result.
 package main
 
 import (
@@ -83,7 +83,11 @@ func main() {
 		}
 		pick := "—"
 		if len(ex.Choices) > 0 {
-			pick = ex.Choices[len(ex.Choices)-1].Algorithm
+			c := ex.Choices[len(ex.Choices)-1]
+			pick = c.Algorithm
+			if c.Fed {
+				pick += " ⇐ feed (fold)"
+			}
 		}
 		out, err := sys.Create("rollup")
 		if err != nil {
@@ -100,6 +104,6 @@ func main() {
 			row.name, out.Len(), st.Writes, st.Reads,
 			(wall + st.SimTime()).Round(time.Millisecond), pick)
 	}
-	fmt.Println("\nthe hinted plan holds the groups in DRAM and writes only the result;")
-	fmt.Println("unhinted plans inherit the write profile of the planner's sort choice")
+	fmt.Println("\nthe planner's fold holds the 1000 groups in DRAM and writes only the result;")
+	fmt.Println("the pinned plans inherit the write profile of their sort")
 }

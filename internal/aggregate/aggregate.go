@@ -28,9 +28,9 @@ const (
 )
 
 // State is one group's running aggregates — the engine's only
-// aggregation state: the sort-based fold and the hash table add to and
-// render this type, and the partials a folding intake combines are its
-// rendering (Singleton, Combine). The zero value is the empty group.
+// aggregation state: the sort-based fold adds to and renders this type,
+// and the partials a folding intake combines are its rendering
+// (Singleton, Combine). The zero value is the empty group.
 type State struct {
 	Count, Sum, Min, Max uint64
 }
@@ -45,20 +45,6 @@ func (s *State) Add(v uint64) {
 	}
 	s.Count++
 	s.Sum += v
-}
-
-// Merge combines a partial aggregate of the same group — a result record
-// written by Render — into s: counts and sums add, min and max fold.
-func (s *State) Merge(partial []byte) {
-	lo, hi := record.Attr(partial, AttrMin), record.Attr(partial, AttrMax)
-	if s.Count == 0 || lo < s.Min {
-		s.Min = lo
-	}
-	if s.Count == 0 || hi > s.Max {
-		s.Max = hi
-	}
-	s.Count += record.Attr(partial, AttrCount)
-	s.Sum += record.Attr(partial, AttrSum)
 }
 
 // Render writes the group's result record for key into buf
@@ -82,18 +68,18 @@ func Singleton(buf, rec []byte, attr int) {
 }
 
 // Combine merges the partial aggregate src into the partial dst of the
-// same group, in place: the byte-level State.Merge a folding intake
-// applies to equal keys.
+// same group, in place — counts and sums add, min and max fold — as a
+// folding intake does to equal keys. A partial is never empty (Singleton
+// counts its row), so min and max fold without a count check.
 func Combine(dst, src []byte) {
-	s := State{
-		Count: record.Attr(dst, AttrCount), Sum: record.Attr(dst, AttrSum),
-		Min: record.Attr(dst, AttrMin), Max: record.Attr(dst, AttrMax),
+	record.SetAttr(dst, AttrCount, record.Attr(dst, AttrCount)+record.Attr(src, AttrCount))
+	record.SetAttr(dst, AttrSum, record.Attr(dst, AttrSum)+record.Attr(src, AttrSum))
+	if lo := record.Attr(src, AttrMin); lo < record.Attr(dst, AttrMin) {
+		record.SetAttr(dst, AttrMin, lo)
 	}
-	s.Merge(src)
-	record.SetAttr(dst, AttrCount, s.Count)
-	record.SetAttr(dst, AttrSum, s.Sum)
-	record.SetAttr(dst, AttrMin, s.Min)
-	record.SetAttr(dst, AttrMax, s.Max)
+	if hi := record.Attr(src, AttrMax); hi > record.Attr(dst, AttrMax) {
+		record.SetAttr(dst, AttrMax, hi)
+	}
 }
 
 // fold turns an ascending record stream into one result record per run

@@ -22,7 +22,8 @@
 //	                   dearer than a temp plus the best sort over it; a
 //	                   group-by's intake folds equal keys in memory
 //	                   before the first write, and Emit.Folded carries
-//	                   what its runs hold instead of the input
+//	                   what its runs hold instead of the input; an
+//	                   intake whose runs would fit memory writes none
 //	read-over-write,   the lazy algorithms' materialization points:
 //	multi-process      LazySortMaterializeIteration (Eq. 5) and
 //	                   LazyHashJoinMaterializeIteration (Eq. 11)

@@ -170,14 +170,22 @@ func (em Emit) ExMS(t, m float64) Profile {
 // the sort's intake (sorts.Intake) instead of storing it: there is no
 // input scan, and run formation takes one ordered stream, so the run
 // writes are serial at any P. The merge passes and the final merge are
-// ExMS's, emitting as em describes.
+// ExMS's, emitting as em describes. When the run-formation output fits
+// the m buffers of memory, the intake never evicts: no run is written or
+// re-read, and the heap drains into the output as one ordered stream, so
+// the profile is the output alone, written serially.
 func (em Emit) FedExMS(t, m float64) Profile {
 	if t <= 0 {
 		return Profile{}
 	}
 	p := em.ExMS(t, m)
+	r := em.runs(t)
+	if r <= m {
+		out := p.Writes - r
+		return Profile{Writes: out, SerialWrites: out}
+	}
 	p.Reads -= t
-	p.SerialWrites += em.runs(t)
+	p.SerialWrites += r
 	return p
 }
 

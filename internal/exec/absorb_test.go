@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"testing"
 
 	"wlpm/internal/joins"
@@ -23,24 +24,28 @@ import (
 // contexts that fail mid-emit.
 
 // absorbSources are the blocking producers a chain can be absorbed into,
-// each as a plan ending at the producer.
+// each as a plan ending at the producer. The two planner-owned group-bys
+// fold in memory: hashagg-memory's 300 groups fit its share, so its
+// intake writes no run; hashagg-spill's 300 outnumber the 204 slots of
+// 16 KiB, so it evicts runs and merges them.
 var absorbSources = []struct {
 	name   string
 	budget int64
+	fold   foldPath
 	build  func(t *testing.T, r *rig) *Plan
 }{
-	{"join", bgBudget, func(t *testing.T, r *rig) *Plan {
+	{"join", bgBudget, foldAny, func(t *testing.T, r *rig) *Plan {
 		dim1, _, fact := r.loadStar(t, bgDim, bgFact)
 		return Table(dim1).JoinWith(Table(fact), joins.NewGrace())
 	}},
-	{"groupby-sort", bgBudget, func(t *testing.T, r *rig) *Plan {
+	{"groupby-sort", bgBudget, foldAny, func(t *testing.T, r *rig) *Plan {
 		return Table(loadGrouped(t, r, "in", bgRows, 300)).GroupByWith(4, sorts.NewSegmentSort(0.5))
 	}},
-	{"hashagg-memory", 1 << 20, func(t *testing.T, r *rig) *Plan {
+	{"hashagg-memory", 1 << 20, foldResident, func(t *testing.T, r *rig) *Plan {
 		return Table(loadGrouped(t, r, "in", bgRows, 300)).GroupHint(300).GroupBy(4)
 	}},
-	{"hashagg-spill", 16 << 10, func(t *testing.T, r *rig) *Plan {
-		return Table(loadGrouped(t, r, "in", 4000, 1000)).GroupHint(100).GroupBy(4)
+	{"hashagg-spill", 16 << 10, foldEvict, func(t *testing.T, r *rig) *Plan {
+		return Table(loadScattered(t, r, "in", 4000, 300)).GroupHint(300).GroupBy(4)
 	}},
 }
 
@@ -105,11 +110,12 @@ func streamingOps(op Operator) int {
 }
 
 // TestAbsorbedChainMatchesMaterializedReference: Project, Filter and
-// Filter→Project over a Join, a sort-based GroupBy and both HashAggregate
-// paths — pulled by a blocking parent, streamed to a cursor and emitted
-// at the plan root — produce the materialize-every-step run's bytes
-// with strictly fewer cacheline writes (every chain here drops a column
-// or a row), and compile to no Filter or Project operator at all.
+// Filter→Project over a Join, a pinned sort-based GroupBy and both paths
+// of a planner-owned one (resident and evicting fold) — pulled by a
+// blocking parent, streamed to a cursor and emitted at the plan root —
+// produce the materialize-every-step run's bytes with strictly fewer
+// cacheline writes (every chain here drops a column or a row), and
+// compile to no Filter or Project operator at all.
 func TestAbsorbedChainMatchesMaterializedReference(t *testing.T) {
 	for _, src := range absorbSources {
 		for _, ch := range absorbChains {
@@ -121,7 +127,11 @@ func TestAbsorbedChainMatchesMaterializedReference(t *testing.T) {
 						if shape == "blocking-input" {
 							plan = plan.OrderByWith(sorts.NewExternalMergeSort())
 						}
-						ec := r.ctx(src.budget, 1)
+						counted := countTemps(r.fac)
+						ec := NewCtx(counted, src.budget, 1)
+						if !opts.MaterializeEveryStep && shape != "blocking-input" { // the pinned order-by forms runs of its own
+							defer checkFoldPath(t, src.fold, counted)
+						}
 						root, _, err := CompileWith(ec, plan, opts)
 						if err != nil {
 							t.Fatal(err)
@@ -154,9 +164,9 @@ func TestAbsorbedChainMatchesMaterializedReference(t *testing.T) {
 					if !bytes.Equal(got, want) {
 						t.Fatalf("absorbed chain emitted %d bytes that differ from the materialized run's %d", len(got), len(want))
 					}
-					// An in-memory hash aggregation writes nothing of its own to
-					// narrow: feeding a blocking parent, both runs write the
-					// chain's output once and nothing else.
+					// A resident fold writes nothing of its own to narrow:
+					// feeding a blocking parent, both runs write the chain's
+					// output once and nothing else.
 					if src.name == "hashagg-memory" && shape == "blocking-input" {
 						if writes > refWrites {
 							t.Errorf("absorbed chain wrote %d cachelines, materialize-every-step %d: want no more", writes, refWrites)
@@ -347,15 +357,20 @@ func (f *failAfter) Append(rec []byte) error {
 
 // TestSinkDestinationFailure: when the collection behind a sink refuses
 // the n-th record — mid-merge for the fold, mid-probe for a narrowed
-// join, mid-spill-merge for a hash aggregation — the run surfaces that
-// one error and leaves no temporary behind.
+// join, mid-drain of its heap for a resident fold, mid-merge of its runs
+// for an evicting one — the run surfaces that one error and leaves no
+// temporary behind; so does a cursor-pulled resident fold whose input
+// fails mid-pour or whose caller fails mid-Next, and no goroutine
+// survives it.
 func TestSinkDestinationFailure(t *testing.T) {
 	boom := errors.New("device full")
 	for _, src := range absorbSources {
 		for _, par := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/p%d", src.name, par), func(t *testing.T) {
 				r := newRig(t)
-				ec := r.ctx(src.budget, par)
+				counted := countTemps(r.fac)
+				defer checkFoldPath(t, src.fold, counted)
+				ec := NewCtx(counted, src.budget, par)
 				root, _, err := Compile(ec, src.build(t, r).Filter(absorbPred).Project(1, 0))
 				if err != nil {
 					t.Fatal(err)
@@ -374,6 +389,71 @@ func TestSinkDestinationFailure(t *testing.T) {
 			})
 		}
 	}
+	// A cursor-pulled group-by whose groups fit has no destination of its
+	// own: what fails under it is the table it pushes into the fold
+	// (mid-pour) or the caller taking its groups (mid-Next).
+	for _, where := range []string{"pour", "next"} {
+		for _, par := range []int{1, 4} {
+			t.Run(fmt.Sprintf("fold-resident/%s/p%d", where, par), func(t *testing.T) {
+				r := newRig(t)
+				var in storage.Collection = loadGrouped(t, r, "in", bgRows, 300)
+				if where == "pour" {
+					in = &failingScan{Collection: in, n: 25, err: boom}
+				}
+				counted := countTemps(r.fac)
+				ec := NewCtx(counted, 1<<20, par)
+				root, ex, err := Compile(ec, Table(in).GroupHint(300).GroupBy(4).Filter(absorbPred).Project(1, 0))
+				if err != nil {
+					t.Fatal(err)
+				}
+				taken := 0
+				base := runtime.NumGoroutine()
+				err = pullCursor(context.Background(), ec, root, func([]byte) error {
+					if taken++; taken == 25 {
+						return boom
+					}
+					return nil
+				})
+				if !errors.Is(err, boom) {
+					t.Fatalf("err = %v, want the injected failure", err)
+				}
+				if !ex.Choices[0].Fed || len(counted.n) != 0 {
+					t.Errorf("fed=%v, temps %v: want a fold that never left memory", ex.Choices[0].Fed, counted.n)
+				}
+				if where == "next" && taken != 25 {
+					t.Errorf("%d groups reached the caller before the failure, want 25", taken)
+				}
+				if live := ec.LiveTemps(); live != 0 {
+					t.Errorf("failed run left %d live temps", live)
+				}
+				waitGoroutines(t, base)
+			})
+		}
+	}
+}
+
+// failingScan is a base table whose scans fail on the n-th record.
+type failingScan struct {
+	storage.Collection
+	n   int
+	err error
+}
+
+func (c *failingScan) Scan() storage.Iterator {
+	return &failingIter{Iterator: c.Collection.Scan(), n: c.n, err: c.err}
+}
+
+type failingIter struct {
+	storage.Iterator
+	n   int
+	err error
+}
+
+func (it *failingIter) Next() ([]byte, error) {
+	if it.n--; it.n < 0 {
+		return nil, it.err
+	}
+	return it.Iterator.Next()
 }
 
 // BenchmarkJoinEmitProjected: 10 k ⋈ 100 k through nested loops with 10

@@ -36,6 +36,7 @@ type batchCase struct {
 	exactReads bool  // reads must match the record engine exactly
 	budget     int64 // plan memory budget
 	opts       CompileOptions
+	fold       foldPath // a planner-owned group-by's path
 	build      func(t *testing.T, r *rig) *Plan
 }
 
@@ -110,13 +111,15 @@ var batchCases = []batchCase{
 		},
 	},
 	{
-		name: "hashagg-memory", exactReads: true, budget: 1 << 20,
+		// The fold of 40 groups stays in memory; the fold of 1 000 (a
+		// hint of 100) evicts to runs.
+		name: "hashagg-memory", exactReads: true, budget: 1 << 20, fold: foldResident,
 		build: func(t *testing.T, r *rig) *Plan {
 			return Table(loadGrouped(t, r, "in", bgRows, 40)).GroupHint(40).GroupBy(4)
 		},
 	},
 	{
-		name: "hashagg-spill", exactReads: true, budget: 16 << 10,
+		name: "hashagg-spill", exactReads: true, budget: 16 << 10, fold: foldEvict,
 		build: func(t *testing.T, r *rig) *Plan {
 			return Table(loadGrouped(t, r, "in", 4000, 1000)).GroupHint(100).GroupBy(4)
 		},
@@ -151,7 +154,9 @@ func runBatchCase(t *testing.T, pc batchCase, par, batchSize int) ([]byte, pmem.
 	t.Helper()
 	r := newRig(t)
 	plan := pc.build(t, r)
-	ec := r.ctx(pc.budget, par)
+	counted := countTemps(r.fac)
+	defer checkFoldPath(t, pc.fold, counted)
+	ec := NewCtx(counted, pc.budget, par)
 	ec.BatchSize = batchSize
 	root, ex, err := CompileWith(ec, plan, pc.opts)
 	if err != nil {

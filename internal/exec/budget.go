@@ -4,7 +4,6 @@ import (
 	"math"
 	"sync"
 
-	"wlpm/internal/algo"
 	"wlpm/internal/cost"
 	"wlpm/internal/joins"
 	"wlpm/internal/record"
@@ -175,10 +174,11 @@ type stageAlloc struct {
 	choice   *Choice         // Explain entry mirroring share, cost and actuals
 
 	// Process-to-append (§3.1), see feeding: a feedable stage may take
-	// its input pushed into a sorts.Intake instead of reading a temp, and
-	// then owns the price of that temp either way; the handed stage
+	// its input pushed into a sorts.Intake instead of reading it where it
+	// lies, and owns the price of the temp that saves; the handed stage
 	// beneath it prices no output (cost.Emit.Handed).
-	feedable bool // order-by, group-by: planner-owned, over a result nothing else reads
+	feedable bool // planner-owned group-by, or order-by over a result nothing else reads
+	onDevice bool // feedable group-by whose input is on the device already: no temp to price
 	handed   bool // join, group-by: the consumer is feedable
 	fed      bool // feedable and opened: the input was pushed, there is no temp
 }
@@ -188,9 +188,8 @@ type stageAlloc struct {
 // sortFor and joinFor instantiate only the plan that is finally used.
 type stagePlan struct {
 	cost float64
-	hash bool          // group-by: the in-memory hash aggregation
 	fed  bool          // the input is pushed into the sort's intake (sort is ExMS)
-	sort cost.SortPlan // the planner's sort (zero when pinned, hashed or a join)
+	sort cost.SortPlan // the planner's sort (zero when pinned or a join)
 	join cost.JoinPlan // the planner's join (zero when pinned or not a join)
 }
 
@@ -199,53 +198,32 @@ type stagePlan struct {
 // (sorts.Profiled, joins.Profiled), or at the cheapest plan when the
 // implementation has none; an open choice is the cheapest shipped plan.
 func (s *stageAlloc) plan(t, v, m float64) stagePlan {
-	lambda, par := s.bp.lambda, s.bp.par
 	if s.op == "Join" {
+		lambda, par := s.bp.lambda, s.bp.par
 		if j, ok := s.joinA.(joins.Profiled); ok {
 			return stagePlan{cost: j.Profile(s.emit(), t, v, m, lambda).PriceP(1, lambda, par)}
 		}
 		best := cost.BestJoinPlanEmit(t, v, m, lambda, par, s.emit())
 		return stagePlan{cost: best.Cost, join: best}
 	}
-	// The hash-aggregation fit cliff: once the estimated groups' table
-	// fits the share (the paper's f expansion plus headroom for estimate
-	// error), the stage reads its input once and writes only the result;
-	// an underestimate degrades to the sort-merge spill rather than
-	// failing. Without an estimate every record is assumed its own group
-	// and the stage stays on the spill-safe sort path. Hash aggregation
-	// is not parallelized, so its price ignores par. The hash-or-sort
-	// decision is taken once, at compile: an opened stage runs the
-	// sort-based operator and re-plans among sorts only (HashAggregate
-	// never re-plans), while the allocator prices unopened stages only,
-	// whose curve keeps the cliff.
-	if s.op == "GroupBy" && s.sortA == nil && !s.opened && s.groupEst > 0 &&
-		float64(s.groupEst) <= hashAggCap(m*float64(s.bp.blockSize)) {
-		p := cost.Profile{Reads: t, Writes: s.outBuf}
-		if s.feedable { // the producer emits into the table: nothing stored, nothing read back
-			p.Reads = 0
-		}
-		if s.handed {
-			p.Writes = 0
-		}
-		return stagePlan{cost: p.Price(1, lambda), hash: true, fed: s.feedable}
-	}
 	return s.sortPlan(t, m)
 }
 
-// sortPlan prices a sort stage (order-by, sort-based group-by). A pinned
-// sort runs its algorithm over a stored input. An open choice over a
-// stored input is the cheapest shipped sort. A feedable stage is the one
-// priced decision between the two homes of its input, taken inside the
-// allocator's curve: fed — the producer appends to ExMS's intake, so the
-// input is never written as a temp nor read back, run formation is
-// serial and every extra merge pass costs (1+λ)·t, a group-by's only what
-// its fold leaves of t — or stored — the t
+// sortPlan prices a sort stage (order-by, group-by). A pinned sort runs
+// its algorithm over a stored input. An open choice over a stored input
+// is the cheapest shipped sort. A feedable stage is the one priced
+// decision between the two homes of its input, taken inside the
+// allocator's curve: fed — the input is appended to ExMS's intake, so it
+// is never written as a temp nor read back, run formation is serial and
+// every extra merge pass costs (1+λ)·t, a group-by's only what its fold
+// leaves of t (none when that fits the share) — or stored — the t
 // buffers of temp the producer no longer prices (cost.Emit.Handed;
-// written by one ordered stream, so serial too), then the cheapest sort
-// over them, which at shares too small for one merge pass is SelS, LaS
-// or a low-intensity SegS. A tie goes to fed: equal I/O, and no temp to
-// create and destroy. Once the stage has opened the input has its home
-// and only that side is re-priced.
+// written by one ordered stream, so serial too; none over an input on
+// the device), then the cheapest sort over them, which at shares too
+// small for one merge pass is SelS, LaS or a low-intensity SegS. A tie
+// goes to fed: equal I/O, and no temp to create and destroy. Once the
+// stage has opened the input has its home and only that side is
+// re-priced.
 func (s *stageAlloc) sortPlan(t, m float64) stagePlan {
 	lambda, par := s.bp.lambda, s.bp.par
 	if a, ok := s.sortA.(sorts.Profiled); ok {
@@ -259,7 +237,9 @@ func (s *stageAlloc) sortPlan(t, m float64) stagePlan {
 	if !s.feedable {
 		return stored
 	}
-	stored.cost += lambda * t
+	if !s.onDevice {
+		stored.cost += lambda * t
+	}
 	if s.opened {
 		return stored
 	}
@@ -270,13 +250,18 @@ func (s *stageAlloc) sortPlan(t, m float64) stagePlan {
 }
 
 // fedPlan is the fed home's price: ExMS through its intake — for a
-// group-by a folding one, whose runs hold what folded leaves of t.
+// group-by a folding one, whose runs hold what folded leaves of t — plus,
+// over a stored input, the serial scan that pushes it.
 func (s *stageAlloc) fedPlan(t, m float64) stagePlan {
 	em := s.emit()
 	if s.op == "GroupBy" {
 		em.Folded = s.folded(t, m)
 	}
 	p := em.FedExMS(t, m)
+	if s.onDevice {
+		p.Reads += t
+		p.SerialReads += t
+	}
 	c := p.PriceP(1, s.bp.lambda, s.bp.par)
 	return stagePlan{cost: c, fed: true, sort: cost.SortPlan{Algo: cost.SortExMS, Profile: p, Cost: c}}
 }
@@ -287,11 +272,11 @@ func (s *stageAlloc) fedPlan(t, m float64) stagePlan {
 // estimated groups among N rows: if all groups fit (S ≥ G), G partials.
 // Otherwise, with keys arriving uniformly, the heap fills with S partials
 // over the first G·ln(G/(G−S)) rows; from then on S of the G groups are
-// resident, and each row misses with probability 1 − S/G. (Counting
-// every group's first row as a miss and only the later ones at 1 − S/G
-// overestimates by up to a quarter where N/G is small.) A producer that
-// emits its keys clustered folds better than this. Without a group
-// estimate nothing is priced (0: unfolded, today's price).
+// resident, and each row misses with probability 1 − S/G — clamped to
+// [G, N], since every group leaves the heap at least once and no row
+// twice (near N/G = 1 the fill outlasts the input and the formula drops
+// below G). A producer that emits its keys clustered folds better than
+// this. Without a group estimate nothing is priced (0: unfolded).
 func (s *stageAlloc) folded(t, m float64) float64 {
 	if s.groupEst <= 0 {
 		return 0
@@ -302,7 +287,7 @@ func (s *stageAlloc) folded(t, m float64) float64 {
 	partials := g
 	if slots < g {
 		fill := g * math.Log(g/(g-slots))
-		partials = slots + (n-fill)*(1-slots/g)
+		partials = math.Min(math.Max(slots+(n-fill)*(1-slots/g), g), n)
 	}
 	return partials / perBuf
 }
@@ -402,20 +387,14 @@ func replanned[A interface{ Name() string }](s *stageAlloc, cur, a A) A {
 	return a
 }
 
-// freeze marks the stage opened at its current share without re-pricing
-// (HashAggregate learns its input size only while draining it).
-func (s *stageAlloc) freeze() {
-	s.bp.commit(s.idx, 0, 0, 0)
-}
-
 // feed is called by a sort stage's operator, running cur, before its
 // producer opens. It reports whether the input is to be pushed into the
 // stage's intake — the stage is feedable and, at its current estimate
 // and share, fed prices no higher than stored (sortPlan) — and if so
-// returns ExMS, which is what an intake runs, and freezes the share, as
-// a hash aggregate's is: the intake is live while the producer runs, so
-// a later re-split must not move its memory. The operator reports the
-// actuals through fedRows when the intake ends.
+// returns ExMS, which is what an intake runs, and freezes the share: the
+// intake is live while the producer runs, so a later re-split must not
+// move its memory. The operator reports the actuals through fedRows when
+// the intake ends.
 func (s *stageAlloc) feed(cur sorts.Algorithm) (sorts.Algorithm, bool) {
 	if !s.feedable {
 		return cur, false
@@ -562,13 +541,6 @@ func (bp *budgetPlan) commit(idx int, actT, actV float64, actRows int) float64 {
 
 // --- Compile-time demand collection ---
 
-// hashAggCap is the largest estimated group count whose hash table the
-// planner trusts to a stage share: the paper's f expansion plus 2×
-// headroom for estimate error.
-func hashAggCap(shareBytes float64) float64 {
-	return shareBytes / (2 * algo.HashTableExpansion * float64(record.Size))
-}
-
 // estimateNode derives the node's output estimate bottom-up without
 // collecting stages — what the join-order rewrite sorts the leaves by.
 func (c *compiler) estimateNode(p *Plan) planEstimate {
@@ -651,14 +623,15 @@ func (c *compiler) demandWalk(p *Plan, collect bool) (planEstimate, int) {
 // feeding decides, from the plan's shape alone, whether the order-by or
 // group-by p — whose stage s is about to join the list — may have its
 // input pushed instead of stored (the fed home of a result, chain.go):
-// the planner owns its sort, and what it reads exists only for it to
-// read — a join's or group-by's result through whatever chain that
+// the planner owns its sort, and either p is a group-by, whose folding
+// intake is its in-memory aggregation, or what it reads exists only for
+// it to read — a join's or group-by's result through whatever chain that
 // absorbed, or a stream that would be drained into a pipe. Base tables,
-// a sorted result and the zero-write views over either are on the device
-// whatever p does and stay inputs; a pinned sort asks for its
-// algorithm's I/O over a stored input; the materialize-everything
-// reference stores every step. The blocking producer, when there is one,
-// is marked handed: from here on the consumer prices the result's home.
+// a sorted result and the views over either are on the device whatever p
+// does (onDevice). A pinned sort asks for its algorithm's I/O over a
+// stored input; the materialize-everything reference stores every step.
+// The blocking producer, when there is one, is marked handed: from here
+// on the consumer prices the result's home.
 func (c *compiler) feeding(p *Plan, s *stageAlloc) *stageAlloc {
 	if p.sortA != nil || c.opts.MaterializeEveryStep {
 		return s
@@ -673,6 +646,9 @@ func (c *compiler) feeding(p *Plan, s *stageAlloc) *stageAlloc {
 		s.feedable = true
 	case planLimit:
 		s.feedable = true
+	default:
+		s.feedable = p.kind == planGroupBy
+		s.onDevice = s.feedable
 	}
 	return s
 }

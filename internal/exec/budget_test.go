@@ -223,8 +223,10 @@ func choiceCostSum(ex *Explain) float64 {
 // stageAlloc.plan, so Σ Choice.Cost must equal Explain.PlanCost for every
 // plan shape — planner-owned and pinned, with and without absorbed
 // chains — × memory point × device asymmetry × parallelism. Every stage
-// cost on the grid is positive: the fold's and the chains' output terms
-// are re-sized inside the profile, so no discount can outrun its stage.
+// cost on the grid is positive — the fold's and the chains' output terms
+// are re-sized inside the profile, so no discount can outrun its stage —
+// except a fed group-by whose groups fit its share and go on to a fed
+// consumer: it reads nothing, writes nothing, and is priced at zero.
 func TestOnePricerGrid(t *testing.T) {
 	forEachWriteLatency(t, func(lambdaWrite time.Duration, fac storage.Factory, dim1, dim2, fact storage.Collection) {
 		shapes := budgetPlanShapes(dim1, dim2, fact)
@@ -251,7 +253,7 @@ func TestOnePricerGrid(t *testing.T) {
 							name, lambdaWrite, frac*100, par, sum, ex.PlanCost)
 					}
 					for _, c := range ex.Choices {
-						if !(c.Cost > 0) {
+						if !(c.Cost > 0) && !(c.Cost == 0 && c.Fed && c.Operator == "GroupBy") {
 							t.Errorf("%s λw=%v mem=%.0f%% P=%d: %s → %s priced %v, want > 0",
 								name, lambdaWrite, frac*100, par, c.Operator, c.Algorithm, c.Cost)
 						}
@@ -285,25 +287,37 @@ func TestFoldPricedSerialAtP(t *testing.T) {
 	})
 }
 
-// TestHashAggCliffBelowSortPath: with the sort path now cheaper by the
-// sorted temp it no longer writes, the hash-aggregation fit cliff still
-// sits below it at equal inputs — one read of the input and the groups
-// against at least that plus the runs.
-func TestHashAggCliffBelowSortPath(t *testing.T) {
+// TestGroupByCurveReachesResultOnly: a planner-owned group-by's price is
+// a curve in its share, not a cliff. It never rises as the share grows,
+// and once the estimated groups fit the folding intake's heap the stage
+// runs fed and costs the result alone — written as one ordered stream,
+// no runs — plus, over a stored input, the scan that pushes it.
+func TestGroupByCurveReachesResultOnly(t *testing.T) {
+	const tb, groups, bs = 1563.0, 200, 1024
+	fits := float64(groups*record.Size) / bs // the share, in buffers, whose heap holds every group
 	for _, lambda := range []float64{1.5, 15, 90} {
 		for _, par := range []float64{1, 4} {
-			bp := &budgetPlan{lambda: lambda, par: par, blockSize: 1024}
-			s := &stageAlloc{op: "GroupBy", bp: bp, groupEst: 200, outBuf: buffers(200, record.Size, 1024)}
-			const tb, m = 1563.0, 78.0
-			hash := s.plan(tb, 0, m)
-			s.opened = true // an opened stage re-plans among the sorts only
-			sorted := s.plan(tb, 0, m)
-			if !hash.hash || sorted.hash {
-				t.Fatalf("λ=%.1f P=%.0f: hash=%v before open, %v after; want the cliff then the sort path", lambda, par, hash.hash, sorted.hash)
-			}
-			if !(hash.cost < sorted.cost) {
-				t.Errorf("λ=%.1f P=%.0f: hash aggregation priced %.6g, sort path (%s) %.6g: the cliff is not below",
-					lambda, par, hash.cost, sorted.sort.Algo, sorted.cost)
+			for _, onDevice := range []bool{false, true} {
+				out := buffers(groups, record.Size, bs)
+				s := &stageAlloc{op: "GroupBy", bp: &budgetPlan{lambda: lambda, par: par, blockSize: bs},
+					groupEst: groups, outBuf: out, feedable: true, onDevice: onDevice}
+				resultOnly := cost.Profile{Writes: out, SerialWrites: out}
+				if onDevice {
+					resultOnly.Reads, resultOnly.SerialReads = tb, tb
+				}
+				want := resultOnly.PriceP(1, lambda, par)
+				prev := math.Inf(1)
+				for m := 2.0; m <= 4*fits; m += 0.25 {
+					pl := s.plan(tb, 0, m)
+					if pl.cost > prev*(1+1e-12) {
+						t.Errorf("λ=%.1f P=%.0f onDevice=%v: priced %.6g at m=%.2f, %.6g a quarter buffer less", lambda, par, onDevice, pl.cost, m, prev)
+					}
+					prev = pl.cost
+					if m >= fits && (!pl.fed || math.Abs(pl.cost-want) > 1e-9*want) {
+						t.Errorf("λ=%.1f P=%.0f onDevice=%v m=%.2f: every group fits, yet fed=%v priced %.6g, want the result alone %.6g",
+							lambda, par, onDevice, m, pl.fed, pl.cost, want)
+					}
+				}
 			}
 		}
 	}
@@ -405,11 +419,16 @@ func (c *countedRun) Append(rec []byte) error {
 }
 
 // TestFoldedPriceMatchesIntake: a fed group-by is priced for the partials
-// its folding intake writes (stageAlloc.folded), and on keys arriving
-// uniformly the estimate is within 10 % of what a real intake's run
-// formation writes, whether every group fits its heap or few do. Keys
+// its folding intake writes (stageAlloc.folded). Where every group fits
+// the heap the intake writes none — the estimate is then at most its
+// slots, which cost.Emit.FedExMS prices as the output alone — and on keys
+// arriving uniformly the estimate is within 10 % of what a real intake's
+// run formation writes when few do. Where each group arrives only once or
+// a little more (N/G ∈ {1, 1.25}, "shuffled") the estimate stays within
+// [G, N]: every group leaves the heap at least once, no row twice. Keys
 // that arrive sorted, or clustered in blocks the way nested loops emit a
-// join, fold better than that; those are reported, not gated.
+// join, fold better than the uniform estimate; those are reported, not
+// gated.
 func TestFoldedPriceMatchesIntake(t *testing.T) {
 	const n = 20000
 	r := newRig(t)
@@ -419,8 +438,9 @@ func TestFoldedPriceMatchesIntake(t *testing.T) {
 		"sorted":    func(i, g int, _ *rand.Rand) uint64 { return uint64(i * g / n) },
 		"clustered": func(i, g int, rng *rand.Rand) uint64 { b := (g + 9) / 10; return uint64(i*10/n*b + rng.Intn(b)) },
 	}
-	for _, name := range []string{"uniform", "sorted", "clustered"} {
-		for _, g := range []int{500, 2000, 8000} {
+	groups := map[string][]int{"uniform": {500, 2000, 8000}, "sorted": {500, 2000, 8000}, "clustered": {500, 2000, 8000}, "shuffled": {n, n * 4 / 5}}
+	for _, name := range []string{"uniform", "sorted", "clustered", "shuffled"} {
+		for _, g := range groups[name] {
 			for _, slots := range []int{128, 1024, 4096} {
 				var partials int
 				env := algo.NewEnv(runWrites{Factory: r.fac, n: &partials}, int64(slots*record.Size))
@@ -429,9 +449,17 @@ func TestFoldedPriceMatchesIntake(t *testing.T) {
 					t.Fatal(err)
 				}
 				rng := rand.New(rand.NewSource(int64(g + slots)))
+				var keys []int // shuffled: every group N/G times, in random order
+				if name == "shuffled" {
+					keys = rng.Perm(n)
+				}
 				raw, partial := record.New(0), make([]byte, record.Size)
 				for i := 0; i < n; i++ {
-					record.SetAttr(raw, 0, arrivals[name](i, g, rng))
+					if name == "shuffled" {
+						record.SetAttr(raw, 0, uint64(keys[i]%g))
+					} else {
+						record.SetAttr(raw, 0, arrivals[name](i, g, rng))
+					}
 					aggregate.Singleton(partial, raw, 4)
 					if err := in.Append(partial); err != nil {
 						t.Fatal(err)
@@ -443,8 +471,19 @@ func TestFoldedPriceMatchesIntake(t *testing.T) {
 				st := &stageAlloc{op: "GroupBy", groupEst: g, bp: &budgetPlan{blockSize: bs}}
 				est := st.folded(buffers(n, record.Size, bs), float64(slots*record.Size)/float64(bs)) * float64(bs) / record.Size
 				ratio := est / float64(partials)
-				if name == "uniform" && math.Abs(ratio-1) > 0.10 {
-					t.Errorf("uniform G=%d S=%d: estimated %.0f partials, the intake wrote %d (%.3f×)", g, slots, est, partials, ratio)
+				switch {
+				case g <= slots:
+					if partials != 0 || est > float64(slots) {
+						t.Errorf("%s G=%d S=%d: every group fits, yet the intake wrote %d partials and %.0f were estimated", name, g, slots, partials, est)
+					}
+				case name == "shuffled":
+					if est < float64(g) || est > n {
+						t.Errorf("shuffled G=%d S=%d: estimated %.0f partials, outside [G, N] = [%d, %d] (the intake wrote %d)", g, slots, est, g, n, partials)
+					}
+				case name == "uniform":
+					if math.Abs(ratio-1) > 0.10 {
+						t.Errorf("uniform G=%d S=%d: estimated %.0f partials, the intake wrote %d (%.3f×)", g, slots, est, partials, ratio)
+					}
 				}
 				t.Logf("%-9s G=%-5d S=%-5d estimated %6.0f partials, measured %6d (%.3f×)", name, g, slots, est, partials, ratio)
 			}

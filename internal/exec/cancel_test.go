@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -72,10 +73,48 @@ func waitGoroutines(t *testing.T, base int) {
 
 // cancelPlanCase builds one cancellable plan over fresh inputs.
 type cancelPlanCase struct {
-	name string
-	opts CompileOptions
-	fed  int // stages a clean run must feed, so the cancel points land where the case says
-	plan func(t *testing.T, r *rig) *Plan
+	name   string
+	opts   CompileOptions
+	fed    int  // stages a clean run must feed, so the cancel points land where the case says
+	cursor bool // pulled through a cursor (pullCursor) instead of run into an output
+	plan   func(t *testing.T, r *rig) *Plan
+}
+
+// pullCursor drives root the way the façade's Rows does: Bind, Open, then
+// one record per pull behind a poll of ctx, each handed to take; on any
+// error it closes the tree and sweeps the run's temps, and returns that
+// one error.
+func pullCursor(ctx context.Context, ec *Ctx, root Operator, take func(rec []byte) error) error {
+	err := func() error {
+		if err := ec.Bind(ctx); err != nil {
+			return err
+		}
+		if err := root.Open(ctx, ec); err != nil {
+			return err
+		}
+		cur := NewCursor(root)
+		for {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			rec, err := cur.Next(ctx)
+			if err == io.EOF {
+				return nil
+			}
+			if err != nil {
+				return err
+			}
+			if err := take(rec); err != nil {
+				return err
+			}
+		}
+	}()
+	if err != nil {
+		root.Close()    //nolint:errcheck // best-effort cleanup after failure
+		ec.SweepTemps() //nolint:errcheck // best-effort cleanup after failure
+		return err
+	}
+	return root.Close()
 }
 
 var cancelPlans = []cancelPlanCase{
@@ -113,9 +152,11 @@ var cancelPlans = []cancelPlanCase{
 		},
 	},
 	{
-		// Underestimated hash aggregation: cancellation lands in the drain
-		// or in the spill-merge fallback.
+		// An underestimated fold: the hint says 8 groups fit, every row is
+		// its own. Cancellation lands in the pour, with runs evicted, or in
+		// their merge.
 		name: "groupby-spill",
+		fed:  1,
 		plan: func(t *testing.T, r *rig) *Plan {
 			in := r.create(t, "in", record.Size)
 			if err := record.Generate(8000, 42, in.Append); err != nil {
@@ -191,6 +232,18 @@ var cancelPlans = []cancelPlanCase{
 		},
 	},
 	{
+		// A cursor-pulled group-by whose 40 groups fit its share: the table
+		// is pushed into the fold at Open and the groups are served from its
+		// heap. Cancellation lands mid-pour or mid-Next; nothing is written.
+		name:   "fold-resident",
+		fed:    1,
+		cursor: true,
+		plan: func(t *testing.T, r *rig) *Plan {
+			return Table(loadGrouped(t, r, "in", 8000, 40)).GroupHint(40).GroupBy(4).
+				Filter(Predicate{Attr: 0, Op: Ge, Value: 4}).Project(0, 1, 2)
+		},
+	},
+	{
 		// A drained stream into an intake: no pipe to fill, cancellation
 		// lands in the drain or in the merge.
 		name: "feed-limit-orderby",
@@ -211,8 +264,11 @@ func runCancelPlan(t *testing.T, pc cancelPlanCase, par int, ctx context.Context
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := r.create(t, "out", root.RecordSize())
-	err = RunCtx(ctx, ec, root, out)
+	if pc.cursor {
+		err = pullCursor(ctx, ec, root, func([]byte) error { return nil })
+	} else {
+		err = RunCtx(ctx, ec, root, r.create(t, "out", root.RecordSize()))
+	}
 	if err == nil && fedChoices(ex) != pc.fed {
 		t.Fatalf("%d fed stage(s), want %d:\n%s", fedChoices(ex), pc.fed, ex)
 	}

@@ -13,12 +13,14 @@ import (
 // fixed by what it sits on — by the plan's shape, never by a setting:
 //
 //   - emit: over a blocking producer with a serial emit path (Join,
-//     GroupBy, HashAggregate) the producer absorbs the chain and applies
-//     it where it emits, through a storage.Sink, so its temp — or the
-//     plan output, at the root — is a stored collection of the chain's
-//     width and row count that consumers read by block chunk and re-read
-//     without re-applying anything. OrderBy absorbs nothing: its final
-//     merge is range-parallel at P > 1, and a sink would serialize it.
+//     GroupBy) the producer absorbs the chain and applies it where it
+//     emits, through a storage.Sink, so its temp — or the plan output, at
+//     the root — is a stored collection of the chain's width and row count
+//     that consumers read by block chunk and re-read without re-applying
+//     anything (a cursor pulling a group-by whose fold never left memory
+//     runs the batch kernel over the heap instead, stored.open). OrderBy
+//     absorbs nothing: its final merge is range-parallel at P > 1, and a
+//     sink would serialize it.
 //   - view: over a stored source (a base table, an OrderBy's sorted
 //     output) and under a blocking consumer, the chain is a zero-write
 //     collection view the consumer re-scans (fuse.go).

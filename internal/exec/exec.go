@@ -11,29 +11,29 @@
 // never touches the device, so a pipelined plan writes strictly fewer
 // cachelines than the naive compose-by-materializing sequence of the
 // same operators. Where a chain runs follows from what it sits on, never
-// from a setting (chain.go): over a Join, GroupBy or HashAggregate it is
-// absorbed by that operator and applied where it emits, so the
-// operator's temp is never wider than what its consumer reads; over a
-// stored source and under a blocking consumer it is a zero-write view
-// the consumer re-scans (fuse.go); anywhere else it streams (Stream,
-// scan.go).
+// from a setting (chain.go): over a Join or GroupBy it is absorbed by
+// that operator and applied where it emits, so the operator's temp is
+// never wider than what its consumer reads; over a stored source and
+// under a blocking consumer it is a zero-write view the consumer
+// re-scans (fuse.go); anywhere else it streams (Stream, scan.go).
 //
 // A blocking operator's result has two homes, decided by price. Stored:
 // a temporary — the operator's own, a Materialize barrier's, the pipe
 // under a join that reads a stream — which is one embedded value (stored,
 // batch.go) that creates the temp, scans it and destroys it. Fed: when
 // the temp's only reader would be the run formation of a planner-owned
-// OrderBy or sort-based GroupBy above it — over a Join, a GroupBy or a
-// HashAggregate, or over a stream that would be drained into a pipe —
-// the consumer hands the producer its sort's intake as the output
-// (feedSort: the paper's process-to-append rule, §3.1) and the result is
-// never a temp at all. A group-by's intake folds: a row whose group is
-// resident in memory is combined there, so the runs hold partial
-// aggregates and the merges emit the groups. The consumer's stage prices
-// both homes inside the allocator's curve (stageAlloc.sortPlan) and takes
-// the cheaper; Explain says which ran. Base tables, sorted results and
-// the views over them are on the device already; pinned sorts, join
-// inputs and the materialize-every-step reference read stored inputs.
+// OrderBy or GroupBy above it — over a Join or a GroupBy, or over a
+// stream that would be drained into a pipe — the consumer hands the
+// producer its sort's intake as the output (feedSort: the paper's
+// process-to-append rule, §3.1) and the result is never a temp at all.
+// A group-by's intake folds: a row whose group is resident in memory is
+// combined there, so the runs hold partial aggregates and the merges emit
+// the groups. It is the engine's in-memory aggregation, so a GroupBy may
+// push even a base table or a view into it. An intake that never evicted
+// writes no run. The consumer's stage prices both homes inside the
+// allocator's curve (stageAlloc.sortPlan) and takes the cheaper; Explain
+// says which ran. Pinned sorts, join inputs and the
+// materialize-every-step reference read stored inputs.
 //
 // Blocking operators (OrderBy, GroupBy, Join) share the plan's DRAM
 // budget M through the marginal-benefit allocator (see budget.go): each
@@ -313,8 +313,8 @@ func inputCollection(ctx context.Context, ec *Ctx, child Operator) (storage.Coll
 // pour opens child and pushes its whole output into dst, in stream
 // order, without storing it: a blocking producer emits into dst exactly
 // as it would fill its own temp or the plan output (emitTo), anything
-// else is drained. dst is the consumer's intake or hash table behind a
-// write-only collection; the child is closed by the caller's Close.
+// else is drained. dst is the consumer's intake, or a sink in front of
+// it; the child is closed by the caller's Close.
 func pour(ctx context.Context, ec *Ctx, child Operator, dst storage.Collection) error {
 	if e, ok := child.(directEmitter); ok {
 		return e.emitTo(ctx, ec, dst)
@@ -325,21 +325,20 @@ func pour(ctx context.Context, ec *Ctx, child Operator, dst storage.Collection) 
 	return drain(ctx, child, dst.Append)
 }
 
-// feedSort runs a fed sort stage (stageAlloc.feed said so): the child
-// emits into take — in itself, or what a group-by renders in front of
-// its folding intake — and when the child is done the intake, the
-// stage's external mergesort at its frozen share, merges into out: the
-// plan output or the operator's temp, the next fed stage's intake. The
-// child's result is never a temp. The intake owns its runs: a producer
-// that fails or is cancelled mid-emit has them swept here, a failed
-// merge sweeps its own.
-func feedSort(ctx context.Context, ec *Ctx, st *stageAlloc, child Operator, in *sorts.Intake, take, out storage.Collection) error {
+// feedSort runs the input side of a fed sort stage (stageAlloc.feed said
+// so): the child emits into take — in itself, or what a group-by renders
+// in front of its folding intake — and the stage learns the rows it took.
+// The child's result is never a temp. The operator then ends the intake
+// (MergeInto, or stored.open). The intake owns its runs: a producer that
+// fails or is cancelled mid-emit has them swept here, a failed merge
+// sweeps its own, the operator's Close one that never ended.
+func feedSort(ctx context.Context, ec *Ctx, st *stageAlloc, child Operator, in *sorts.Intake, take storage.Collection) error {
 	if err := pour(ctx, ec, child, take); err != nil {
 		in.Discard()
 		return err
 	}
 	st.fedRows(in.Len(), in.RecordSize())
-	return in.MergeInto(out)
+	return nil
 }
 
 // closeAll closes every operator, keeping the first error.

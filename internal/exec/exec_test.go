@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
+	"math/rand"
+	"strings"
+	"sync"
 	"testing"
 
 	"wlpm/internal/aggregate"
@@ -273,51 +277,198 @@ func TestStreamingOperators(t *testing.T) {
 	}
 }
 
-func TestHashAggregateMatchesSortGroupBy(t *testing.T) {
-	r := newRig(t)
-	in := r.create(t, "in", record.Size)
-	const n, groups = 3000, 40
-	for i := 0; i < n; i++ {
-		rec := record.New(uint64(i % groups))
-		record.SetAttr(rec, 4, uint64(i))
-		if err := in.Append(rec); err != nil {
+// tempCounts counts the temporaries a run creates under each name
+// prefix: "run" for an intake's or a sort's runs, "merge" for an
+// intermediate merge pass, and the three results a fed plan never
+// stores — a join's, a group-by's and a drained stream's (inputs).
+// Parallel workers create temps concurrently; read n once the run is over.
+type tempCounts struct {
+	storage.Factory
+	mu sync.Mutex
+	n  map[string]int
+}
+
+func countTemps(f storage.Factory) *tempCounts { return &tempCounts{Factory: f, n: map[string]int{}} }
+
+func (f *tempCounts) Create(name string, recSize int) (storage.Collection, error) {
+	f.mu.Lock()
+	for _, prefix := range []string{"run", "merge", "joined", "grouped", "pipe"} {
+		if strings.Contains(name, "."+prefix+".") {
+			f.n[prefix]++
+		}
+	}
+	f.mu.Unlock()
+	return f.Factory.Create(name, recSize)
+}
+
+func (f *tempCounts) inputs() int { return f.n["joined"] + f.n["grouped"] + f.n["pipe"] }
+
+// copyWrites is what writing recs (recSize bytes each, concatenated) to a
+// fresh collection costs the device: the writes of a result alone.
+func copyWrites(t *testing.T, r *rig, recs []byte, recSize int) uint64 {
+	t.Helper()
+	c := r.create(t, fmt.Sprintf("copy.%d", len(recs)), recSize)
+	r.dev.ResetStats()
+	for off := 0; off < len(recs); off += recSize {
+		if err := c.Append(recs[off : off+recSize]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := in.Close(); err != nil {
+	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return r.dev.Stats().Writes
+}
 
-	// Generous budget + hint: the planner must pick the hash path.
-	ctx := r.ctx(1<<20, 1)
-	root, ex, err := Compile(ctx, Table(in).GroupHint(groups).GroupBy(4))
+// groupByReference is the pinned-ExMS group-by of n rows over groups
+// keys at budget (loadGrouped), under whatever wrap puts above it: the
+// bytes every planner-owned group-by must reproduce.
+func groupByReference(t *testing.T, n, groups int, budget int64, wrap func(*Plan) *Plan) []byte {
+	t.Helper()
+	r := newRig(t)
+	ec := r.ctx(budget, 1)
+	root, _, err := Compile(ec, wrap(Table(loadGrouped(t, r, "in", n, groups)).GroupByWith(4, sorts.NewExternalMergeSort())))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ex.Choices) != 1 || ex.Choices[0].Algorithm != "HashAgg" {
-		t.Fatalf("planner chose %+v, want HashAgg", ex.Choices)
-	}
-	hashOut := r.create(t, "hash", record.Size)
-	if err := RunCtx(context.Background(), ctx, root, hashOut); err != nil {
+	out := r.create(t, "ref", root.RecordSize())
+	if err := RunCtx(context.Background(), ec, root, out); err != nil {
 		t.Fatal(err)
 	}
+	return readBytes(t, out)
+}
 
-	// Pinned sort-based group-by over the same input.
-	ctx2 := r.ctx(1<<20, 1)
-	root2, _, err := Compile(ctx2, Table(in).GroupByWith(4, sorts.NewExternalMergeSort()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sortOut := r.create(t, "sorted", record.Size)
-	if err := RunCtx(context.Background(), ctx2, root2, sortOut); err != nil {
-		t.Fatal(err)
-	}
+// gridCells are the parallelism × batch-size cells an in-memory group-by
+// must give the same bytes and writes at.
+var gridCells = [][2]int{{1, 1}, {1, 1024}, {4, 1}, {4, 1024}}
 
-	if !bytes.Equal(readBytes(t, hashOut), readBytes(t, sortOut)) {
-		t.Fatal("hash aggregate output differs from sort-based group-by")
+func noWrap(p *Plan) *Plan { return p }
+
+// TestFoldResidentMatchesSortGroupBy: a planner-owned group-by whose
+// groups fit its share folds them in memory, wherever it runs — at the
+// plan root, pulled by a cursor, under a Limit, feeding an order-by's
+// intake — and in every P × batch cell writes the plan's result alone:
+// no run, no temp of any kind, and nothing at all for the cursor. The
+// bytes are the pinned sort-based plan's.
+func TestFoldResidentMatchesSortGroupBy(t *testing.T) {
+	sortedBy := func(p *Plan) *Plan { return p.OrderByWith(sorts.NewExternalMergeSort()) }
+	for _, sh := range []struct {
+		name          string
+		groups        int
+		cursor        bool
+		wrap, refWrap func(p *Plan) *Plan
+	}{
+		{"root", 40, false, noWrap, noWrap},
+		{"cursor", 40, true, noWrap, noWrap},
+		{"limit", 40, false, func(p *Plan) *Plan { return p.Limit(10) }, func(p *Plan) *Plan { return p.Limit(10) }},
+		{"orderby", 300, false, func(p *Plan) *Plan { return p.OrderBy() }, sortedBy},
+	} {
+		t.Run(sh.name, func(t *testing.T) {
+			const n = 3000
+			want := groupByReference(t, n, sh.groups, 1<<20, sh.refWrap)
+			for _, cell := range gridCells {
+				r := newRig(t)
+				counted := countTemps(r.fac)
+				ec := NewCtx(counted, 1<<20, cell[0])
+				ec.BatchSize = cell[1]
+				root, ex, err := Compile(ec, sh.wrap(Table(loadGrouped(t, r, "in", n, sh.groups)).GroupHint(sh.groups).GroupBy(4)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ex.Choices[0].Fed {
+					t.Fatalf("P=%d batch=%d: planner chose %+v, want the fed group-by", cell[0], cell[1], ex.Choices[0])
+				}
+				var got []byte
+				r.dev.ResetStats()
+				if sh.cursor {
+					got = drainCursor(t, ec, root)
+				} else {
+					out := r.create(t, "out", root.RecordSize())
+					if err := RunCtx(context.Background(), ec, root, out); err != nil {
+						t.Fatal(err)
+					}
+					got = readBytes(t, out)
+				}
+				writes := r.dev.Stats().Writes
+				if !bytes.Equal(got, want) {
+					t.Fatalf("P=%d batch=%d: resident fold output differs from the pinned sort-based plan", cell[0], cell[1])
+				}
+				if len(counted.n) != 0 {
+					t.Errorf("P=%d batch=%d: a resident fold created temps %v", cell[0], cell[1], counted.n)
+				}
+				var alone uint64
+				if !sh.cursor {
+					alone = copyWrites(t, r, got, root.RecordSize())
+				}
+				if writes != alone {
+					t.Errorf("P=%d batch=%d: %d cacheline writes, the result alone is %d", cell[0], cell[1], writes, alone)
+				}
+			}
+		})
 	}
-	if hashOut.Len() != groups {
-		t.Fatalf("got %d groups, want %d", hashOut.Len(), groups)
+}
+
+// BenchmarkGroupByInMemory: a planner-owned group-by over a table whose
+// groups fit its share — the fold that stays in memory — at 40 and 2 000
+// groups, P = 1, emitted to the plan output (RunCtx) and pulled by a
+// cursor. cl_writes/op is the result alone for RunCtx and zero for the
+// cursor.
+func BenchmarkGroupByInMemory(b *testing.B) {
+	const rows = 20000
+	for _, groups := range []int{40, 2000} {
+		for _, drive := range []string{"run", "cursor"} {
+			b.Run(fmt.Sprintf("groups%d/%s", groups, drive), func(b *testing.B) {
+				r := newRig(b)
+				plan := Table(loadGrouped(b, r, "in", rows, groups)).GroupHint(groups).GroupBy(4)
+				ctx := context.Background()
+				b.ReportAllocs()
+				r.dev.ResetStats()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ec := r.ctx(1<<20, 1)
+					root, _, err := Compile(ec, plan)
+					if err != nil {
+						b.Fatal(err)
+					}
+					n := 0
+					if drive == "cursor" {
+						if err := ec.Bind(ctx); err != nil {
+							b.Fatal(err)
+						}
+						if err := root.Open(ctx, ec); err != nil {
+							b.Fatal(err)
+						}
+						cur := NewCursor(root)
+						for {
+							if _, err := cur.Next(ctx); err == io.EOF {
+								break
+							} else if err != nil {
+								b.Fatal(err)
+							}
+							n++
+						}
+						if err := root.Close(); err != nil {
+							b.Fatal(err)
+						}
+					} else {
+						out := r.create(b, fmt.Sprintf("out%d", i), record.Size)
+						if err := RunCtx(ctx, ec, root, out); err != nil {
+							b.Fatal(err)
+						}
+						b.StopTimer()
+						n = out.Len()
+						if err := out.Destroy(); err != nil {
+							b.Fatal(err)
+						}
+						b.StartTimer()
+					}
+					if n != groups {
+						b.Fatalf("%d groups, want %d", n, groups)
+					}
+				}
+				b.ReportMetric(float64(r.dev.Stats().Writes)/float64(b.N), "cl_writes/op")
+			})
+		}
 	}
 }
 
@@ -381,6 +532,9 @@ func TestFusedFilterWritesNothing(t *testing.T) {
 	}
 }
 
+// TestGroupHintSurvivesStreamingStages: a hint set below a filter still
+// reaches the group-by above it, where it sizes the fold; across a
+// projection that rewrites the key it must not.
 func TestGroupHintSurvivesStreamingStages(t *testing.T) {
 	r := newRig(t)
 	in := r.create(t, "in", record.Size)
@@ -391,27 +545,19 @@ func TestGroupHintSurvivesStreamingStages(t *testing.T) {
 		}
 	}
 	in.Close()
-	ctx := r.ctx(1<<20, 1)
-	// The hint is set below a filter; the nearest group-by above must
-	// still see it and take the hash path.
-	plan := Table(in).GroupHint(groups).
-		Filter(Predicate{Attr: 1, Op: Ge, Value: 0}).
-		GroupBy(4)
-	_, ex, err := Compile(ctx, plan)
-	if err != nil {
-		t.Fatal(err)
+	estimate := func(p *Plan) int {
+		t.Helper()
+		root, _, err := Compile(r.ctx(1<<20, 1), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return root.(*GroupBy).st.groupEst
 	}
-	if len(ex.Choices) != 1 || ex.Choices[0].Algorithm != "HashAgg" {
-		t.Fatalf("hint below a filter was dropped: planner chose %+v", ex.Choices)
+	if got := estimate(Table(in).GroupHint(groups).Filter(Predicate{Attr: 1, Op: Ge, Value: 0}).GroupBy(4)); got != groups {
+		t.Fatalf("hint below a filter was dropped: the group-by estimates %d groups, want %d", got, groups)
 	}
-	// Across a shape-changing stage (project) it must NOT survive.
-	ctx2 := r.ctx(1<<20, 1)
-	_, ex2, err := Compile(ctx2, Table(in).GroupHint(groups).Project(1, 0, 2, 3, 4, 5, 6, 7, 8, 9).GroupBy(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ex2.Choices[0].Algorithm == "HashAgg" {
-		t.Fatal("hint leaked through a projection that rewrites the key")
+	if got := estimate(Table(in).GroupHint(groups).Project(1, 0, 2, 3, 4, 5, 6, 7, 8, 9).GroupBy(4)); got != 0 {
+		t.Fatalf("hint leaked through a projection that rewrites the key: the group-by estimates %d groups", got)
 	}
 }
 
@@ -434,71 +580,104 @@ func loadGrouped(t testing.TB, r *rig, name string, n, groups int) storage.Colle
 	return in
 }
 
-// TestHashAggregateSpillFallback is the regression test of the budget
-// blow-up bug: a GroupHint underestimating the group count 10× used to
-// abort the running query with the budget-share error; now the hash table
-// spills its partial aggregates to sorted runs and merges them, so the
-// query completes with output byte-identical to the pinned sort-based
-// GroupBy plan. An absent hint (and no statistics) keeps choosing the
-// spill-safe sort path, which also completes.
-func TestHashAggregateSpillFallback(t *testing.T) {
+// loadScattered holds loadGrouped's rows in random order: each group's
+// rows arrive scattered, the uniform arrivals a fold is priced for, where
+// loadGrouped's cyclic order is the worst one for a heap smaller than the
+// group count (every row misses). Both group to the same bytes.
+func loadScattered(t testing.TB, r *rig, name string, n, groups int) storage.Collection {
+	t.Helper()
+	in := r.create(t, name, record.Size)
+	for _, i := range rand.New(rand.NewSource(int64(n + groups))).Perm(n) {
+		rec := record.New(uint64(i % groups))
+		record.SetAttr(rec, 4, uint64(i))
+		if err := in.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := in.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return in
+}
+
+// foldPath is the path a planner-owned group-by's folding intake must
+// take, told by the run temps it creates.
+type foldPath int
+
+const (
+	foldAny      foldPath = iota // not checked
+	foldResident                 // every group fits: no run temp at all
+	foldEvict                    // the groups outnumber the slots: at least one run
+)
+
+// checkFoldPath fails t unless the run temps counted took path.
+func checkFoldPath(t *testing.T, path foldPath, counted *tempCounts) {
+	t.Helper()
+	switch {
+	case path == foldResident && counted.n["run"] != 0:
+		t.Errorf("a fold whose groups fit wrote %d run(s)", counted.n["run"])
+	case path == foldEvict && counted.n["run"] == 0:
+		t.Error("a fold whose groups outnumber its slots wrote no run")
+	}
+}
+
+// TestFoldEvictFallback is the regression test of the budget blow-up
+// bug: a GroupHint underestimating the group count 10× prices a fold that
+// fits, and the running query must still complete — the folding intake
+// evicts partials to sorted runs and merges them — with output
+// byte-identical to the pinned sort-based GroupBy plan and the same
+// writes in every P × batch cell. An absent hint (and no statistics)
+// also completes.
+func TestFoldEvictFallback(t *testing.T) {
 	const (
 		n      = 20000
 		groups = 5000 // actual distinct groups
 		hint   = 500  // 10× underestimate
 		budget = int64(128 << 10)
 	)
+	want := groupByReference(t, n, groups, budget, noWrap)
 
-	// Ground truth: the pinned sort-based plan.
-	rs := newRig(t)
-	ctxS := rs.ctx(budget, 1)
-	rootS, _, err := Compile(ctxS, Table(loadGrouped(t, rs, "in", n, groups)).GroupByWith(4, sorts.NewExternalMergeSort()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sortOut := rs.create(t, "sorted", record.Size)
-	if err := RunCtx(context.Background(), ctxS, rootS, sortOut); err != nil {
-		t.Fatal(err)
-	}
-	want := readBytes(t, sortOut)
-
-	// The underestimated hint selects the hash path, which must spill.
-	rh := newRig(t)
-	ctxH := rh.ctx(budget, 1)
-	rootH, ex, err := Compile(ctxH, Table(loadGrouped(t, rh, "in", n, groups)).GroupHint(hint).GroupBy(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ex.Choices) != 1 || ex.Choices[0].Algorithm != "HashAgg" {
-		t.Fatalf("hinted plan chose %+v, want HashAgg", ex.Choices)
-	}
-	hashOut := rh.create(t, "hash", record.Size)
-	if err := RunCtx(context.Background(), ctxH, rootH, hashOut); err != nil {
-		t.Fatalf("underestimated hint no longer degrades, it fails: %v", err)
-	}
-	if !ex.Choices[0].Spilled {
-		t.Error("explain choice not marked as spilled")
-	}
-	if got := ex.Choices[0].ActualRows; got != n {
-		t.Errorf("explain actual rows = %d, want %d", got, n)
-	}
-	if hashOut.Len() != groups {
-		t.Fatalf("spill fallback produced %d groups, want %d", hashOut.Len(), groups)
-	}
-	if !bytes.Equal(readBytes(t, hashOut), want) {
-		t.Fatal("spill-fallback output differs from the pinned sort-based GroupBy plan")
+	var wantWrites uint64
+	for i, cell := range gridCells {
+		rh := newRig(t)
+		counted := countTemps(rh.fac)
+		ctxH := NewCtx(counted, budget, cell[0])
+		ctxH.BatchSize = cell[1]
+		rootH, ex, err := Compile(ctxH, Table(loadGrouped(t, rh, "in", n, groups)).GroupHint(hint).GroupBy(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ex.Choices) != 1 || !ex.Choices[0].Fed {
+			t.Fatalf("hinted plan chose %+v, want the fed group-by", ex.Choices)
+		}
+		out := rh.create(t, "fold", record.Size)
+		rh.dev.ResetStats()
+		if err := RunCtx(context.Background(), ctxH, rootH, out); err != nil {
+			t.Fatalf("underestimated hint no longer degrades, it fails: %v", err)
+		}
+		if writes := rh.dev.Stats().Writes; i == 0 {
+			wantWrites = writes
+		} else if writes != wantWrites {
+			t.Errorf("P=%d batch=%d: %d cacheline writes, P=1 batch=1 wrote %d", cell[0], cell[1], writes, wantWrites)
+		}
+		if counted.n["run"] == 0 {
+			t.Errorf("P=%d batch=%d: 5 000 groups in a 128 KiB share evicted no run", cell[0], cell[1])
+		}
+		if got := ex.Choices[0].ActualRows; got != n {
+			t.Errorf("explain actual rows = %d, want %d", got, n)
+		}
+		if !bytes.Equal(readBytes(t, out), want) {
+			t.Fatalf("P=%d batch=%d: evicting fold output differs from the pinned sort-based GroupBy plan", cell[0], cell[1])
+		}
 	}
 
 	// Absent hint, no statistics: the planner assumes every record is its
-	// own group, stays on the sort path, and completes.
+	// own group, and completes.
 	ra := newRig(t)
 	ctxA := ra.ctx(budget, 1)
-	rootA, exA, err := Compile(ctxA, Table(loadGrouped(t, ra, "in", n, groups)).GroupBy(4))
+	rootA, _, err := Compile(ctxA, Table(loadGrouped(t, ra, "in", n, groups)).GroupBy(4))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if exA.Choices[0].Algorithm == "HashAgg" {
-		t.Fatalf("hintless, statless plan chose the hash path: %+v", exA.Choices)
 	}
 	outA := ra.create(t, "nohint", record.Size)
 	if err := RunCtx(context.Background(), ctxA, rootA, outA); err != nil {
@@ -509,47 +688,37 @@ func TestHashAggregateSpillFallback(t *testing.T) {
 	}
 }
 
-// TestHashAggregateSpillMultiPassMerge shrinks the budget until the
-// spill produces far more runs than the merge fan-in (floored at 2),
-// exercising the intermediate merge passes — and stacks an OrderBy above
-// the spilled aggregate so a blocking parent consumes the merged result
-// through its collection source.
-func TestHashAggregateSpillMultiPassMerge(t *testing.T) {
+// TestFoldEvictMultiPassMerge shrinks the budget until the evicted runs
+// far outnumber the merge fan-in (floored at 2), exercising the folding
+// intermediate merge passes — and stacks an OrderBy above the group-by, so
+// its result reaches a blocking parent.
+func TestFoldEvictMultiPassMerge(t *testing.T) {
 	const (
 		n      = 2000
 		groups = 1000
 		budget = int64(4 << 10) // two stages: 2 KiB each, fan-in at the floor
 	)
 	rh := newRig(t)
-	ctxH := rh.ctx(budget, 1)
-	rootH, ex, err := Compile(ctxH, Table(loadGrouped(t, rh, "in", n, groups)).GroupHint(10).GroupBy(4).OrderBy())
+	counted := countTemps(rh.fac)
+	ctxH := NewCtx(counted, budget, 1)
+	rootH, ex, err := Compile(ctxH, Table(loadScattered(t, rh, "in", n, groups)).GroupHint(10).GroupBy(4).OrderBy())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex.Choices[0].Algorithm != "HashAgg" {
-		t.Fatalf("plan chose %+v, want HashAgg", ex.Choices)
-	}
-	hashOut := rh.create(t, "hash", record.Size)
-	if err := RunCtx(context.Background(), ctxH, rootH, hashOut); err != nil {
+	out := rh.create(t, "fold", record.Size)
+	if err := RunCtx(context.Background(), ctxH, rootH, out); err != nil {
 		t.Fatal(err)
 	}
-	if !ex.Choices[0].Spilled {
-		t.Error("explain choice not marked as spilled")
+	if !ex.Choices[0].Fed {
+		t.Fatalf("plan chose %+v, want the fed group-by", ex.Choices[0])
 	}
-
-	rs := newRig(t)
-	ctxS := rs.ctx(budget, 1)
-	rootS, _, err := Compile(ctxS, Table(loadGrouped(t, rs, "in", n, groups)).
-		GroupByWith(4, sorts.NewExternalMergeSort()).OrderByWith(sorts.NewExternalMergeSort()))
-	if err != nil {
-		t.Fatal(err)
+	if counted.n["merge"] == 0 {
+		t.Errorf("no intermediate merge pass ran (temps %v)", counted.n)
 	}
-	sortOut := rs.create(t, "sorted", record.Size)
-	if err := RunCtx(context.Background(), ctxS, rootS, sortOut); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(readBytes(t, hashOut), readBytes(t, sortOut)) {
-		t.Fatal("multi-pass spill merge output differs from the sort-based plan")
+	if !bytes.Equal(readBytes(t, out), groupByReference(t, n, groups, budget, func(p *Plan) *Plan {
+		return p.OrderByWith(sorts.NewExternalMergeSort())
+	})) {
+		t.Fatal("multi-pass fold merge output differs from the sort-based plan")
 	}
 }
 

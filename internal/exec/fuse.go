@@ -96,39 +96,48 @@ func (v *chainView) ScanFrom(start int) storage.Iterator { return v.scan(v.chain
 
 // scan iterates c's output over the base from its start-th record on.
 func (v *chainView) scan(c *chain, start int) *chainIterator {
-	it := &chainIterator{v: v, budget: algo.PollInterval, win: c.newWindow(v.base.RecordSize())}
 	if len(c.preds) == 0 {
-		it.it = v.base.ScanFrom(start)
-	} else {
-		it.it, it.skip = v.base.Scan(), max(start, 0)
-		it.win.sel = make([][]byte, 0, v.pull)
+		return newChainIterator(v.ctx, v.base.ScanFrom(start), c, v.base.RecordSize(), v.pull)
 	}
-	it.ci = storage.Chunked(it.it)
+	it := newChainIterator(v.ctx, v.base.Scan(), c, v.base.RecordSize(), v.pull)
+	it.skip = max(start, 0)
 	return it
 }
 
 // chainIterator is a storage.ChunkIterator: NextChunk serves what is
-// left of the current window, refilled from one base pull at a time, and
-// Next is its one-record case.
+// left of the current window, refilled from one pull of the source at a
+// time, and Next is its one-record case. Its source is a view's base, or
+// the heap of a resident group-by (stored.open).
 type chainIterator struct {
-	v      *chainView
+	ctx    context.Context
 	it     storage.Iterator
 	ci     storage.ChunkIterator // it's chunk form
 	win    *window
+	pull   int      // source records per refill
 	skip   int      // survivors still to discard before the first served record
-	budget int      // base records until the next ctx poll
+	budget int      // source records until the next ctx poll
 	recs   [][]byte // unserved rest of the window
+}
+
+// newChainIterator applies c to the raw-byte records of it, pull at a
+// time, polling ctx.
+func newChainIterator(ctx context.Context, it storage.Iterator, c *chain, raw, pull int) *chainIterator {
+	ci := &chainIterator{ctx: ctx, it: it, ci: storage.Chunked(it), win: c.newWindow(raw), pull: pull, budget: algo.PollInterval}
+	if len(c.preds) > 0 {
+		ci.win.sel = make([][]byte, 0, pull)
+	}
+	return ci
 }
 
 func (it *chainIterator) NextChunk(n int) ([][]byte, error) {
 	for len(it.recs) == 0 {
-		if it.budget -= it.v.pull; it.budget <= 0 {
+		if it.budget -= it.pull; it.budget <= 0 {
 			it.budget = algo.PollInterval
-			if err := it.v.ctx.Err(); err != nil {
+			if err := it.ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		recs, err := it.ci.NextChunk(it.v.pull)
+		recs, err := it.ci.NextChunk(it.pull)
 		if err != nil {
 			return nil, err
 		}

@@ -113,9 +113,9 @@ func (p *Plan) GroupByWith(attr int, a sorts.Algorithm) *Plan {
 // GroupHint tells the planner how many distinct groups the nearest
 // group-by above p should expect (it has no value statistics of its
 // own). The hint survives filters, limits and order-bys but not
-// shape-changing stages (project, join, group-by). Without a hint the
-// planner assumes every record is its own group, which always picks the
-// spill-safe sort-based operator.
+// shape-changing stages (project, join, group-by). Without a hint (or
+// statistics) the planner assumes every record is its own group and
+// credits the fold nothing.
 func (p *Plan) GroupHint(groups int) *Plan {
 	d := *p
 	d.hint = groups

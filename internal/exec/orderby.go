@@ -18,7 +18,8 @@ import (
 type OrderBy struct {
 	child Operator
 	algo  sorts.Algorithm
-	st    *stageAlloc // the planner's stage: share, Open-time re-planning
+	st    *stageAlloc   // the planner's stage: share, Open-time re-planning
+	in    *sorts.Intake // fed: the intake the child emitted into
 	stored
 }
 
@@ -29,16 +30,30 @@ func (o *OrderBy) RecordSize() int      { return o.child.RecordSize() }
 func (o *OrderBy) Children() []Operator { return []Operator{o.child} }
 func (o *OrderBy) consumesMemory() bool { return true }
 
-// emitTo runs the sort of the child's input — pushed, or materialized —
-// into dst.
+// intake runs the fed input side once, when the stage feeds
+// (stageAlloc.feed): the child emits into the sort's intake, which o.in
+// holds. Otherwise it does nothing and the input is sorted where it lies.
+func (o *OrderBy) intake(ctx context.Context, ec *Ctx) error {
+	a, fed := o.st.feed(o.algo)
+	if !fed || o.in != nil {
+		return nil
+	}
+	o.algo = a
+	in, err := sorts.NewIntake(ec.stageEnv(o.st), o.child.RecordSize())
+	if err != nil {
+		return err
+	}
+	o.in = in
+	return feedSort(ctx, ec, o.st, o.child, in, in)
+}
+
+// emitTo sorts the child's input — pushed, or materialized — into dst.
 func (o *OrderBy) emitTo(ctx context.Context, ec *Ctx, dst storage.Collection) error {
-	if a, fed := o.st.feed(o.algo); fed {
-		o.algo = a
-		in, err := sorts.NewIntake(ec.stageEnv(o.st), o.child.RecordSize())
-		if err != nil {
-			return err
-		}
-		return feedSort(ctx, ec, o.st, o.child, in, in, dst)
+	if err := o.intake(ctx, ec); err != nil {
+		return err
+	}
+	if o.in != nil {
+		return o.in.MergeInto(dst)
 	}
 	in, cleanup, err := inputCollection(ctx, ec, o.child)
 	if err != nil {
@@ -56,7 +71,16 @@ func (o *OrderBy) emitTo(ctx context.Context, ec *Ctx, dst storage.Collection) e
 }
 
 func (o *OrderBy) Open(ctx context.Context, ec *Ctx) error {
-	return o.fill(ctx, ec, "sorted", o.RecordSize(), o.emitTo)
+	if err := o.intake(ctx, ec); err != nil {
+		return err
+	}
+	return o.open(ctx, ec, "sorted", o.RecordSize(), o.in, nil, o.emitTo)
 }
 
-func (o *OrderBy) Close() error { return o.drop(o.child) }
+// Close also destroys the runs of an intake that was never merged.
+func (o *OrderBy) Close() error {
+	if o.in != nil {
+		o.in.Discard()
+	}
+	return o.drop(o.child)
+}

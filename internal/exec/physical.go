@@ -40,8 +40,7 @@ type Choice struct {
 	Share      int64   // the stage's memory share in bytes (live: re-splits update it)
 	Resplit    bool    // an Open-time re-split changed this stage's share
 	Replanned  bool    // Open-time actuals changed the planner's algorithm
-	Spilled    bool    // hash aggregation degraded to its sort-merge fallback
-	Fed        bool    // the producer emitted into this stage (sort intake, hash table): no input temp
+	Fed        bool    // the input was pushed into this stage's intake, not read where it lies: no input temp
 }
 
 // Explain describes the compiled physical plan. Choices are shared with
@@ -106,9 +105,6 @@ func (e *Explain) String() string {
 		}
 		if c.Replanned {
 			notes += "; replanned at open"
-		}
-		if c.Spilled {
-			notes += "; spilled to sort-merge"
 		}
 		if c.Fed {
 			notes += "; fed, no input temp"
@@ -351,10 +347,6 @@ func (c *compiler) build(p *Plan) (Operator, error) {
 			return nil, fmt.Errorf("exec: aggregate attribute a%d out of schema (0..%d)", p.attr, record.NumAttrs-1)
 		}
 		st, pl := c.takeStage()
-		if pl.hash {
-			st.choice.Algorithm = "HashAgg"
-			return c.breaker(&HashAggregate{child: child, attr: p.attr, st: st}), nil
-		}
 		a := st.sortFor(pl)
 		st.choice.Algorithm = a.Name()
 		return c.breaker(&GroupBy{child: child, attr: p.attr, algo: a, st: st}), nil

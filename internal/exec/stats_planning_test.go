@@ -138,26 +138,32 @@ func TestImpossibleRangeEstimatesToFloor(t *testing.T) {
 }
 
 // TestStatsMakeGroupHintOptional: the key column's distinct count from
-// the statistics selects the hash aggregation with no GroupHint at all,
-// and the result stays byte-identical to the sort-based plan.
+// the statistics sizes the group-by's fold with no GroupHint at all — the
+// planner sees every group fit, so the fold stays in memory and writes no
+// run — and the result stays byte-identical to the sort-based plan.
 func TestStatsMakeGroupHintOptional(t *testing.T) {
 	const n, groups = 3000, 40
 	r := newRig(t)
 	in := loadGrouped(t, r, "in", n, groups)
 	ctx := r.statsCtx(1<<20, 1)
+	counted := countTemps(ctx.Factory)
+	ctx.Factory = counted
 	root, ex, err := Compile(ctx, Table(in).GroupBy(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ex.Choices) != 1 || ex.Choices[0].Algorithm != "HashAgg" {
-		t.Fatalf("hintless plan with statistics chose %+v, want HashAgg", ex.Choices)
+	if est := root.(*GroupBy).st.groupEst; est != groups || len(ex.Choices) != 1 || !ex.Choices[0].Fed {
+		t.Fatalf("hintless plan with statistics estimates %d groups and chose %+v, want %d and the fed group-by", est, ex.Choices, groups)
 	}
-	out := r.create(t, "hash", record.Size)
+	out := r.create(t, "fold", record.Size)
 	if err := RunCtx(context.Background(), ctx, root, out); err != nil {
 		t.Fatal(err)
 	}
 	if ex.Choices[0].ActualRows != n {
 		t.Errorf("actual rows = %d, want %d", ex.Choices[0].ActualRows, n)
+	}
+	if len(counted.n) != 0 {
+		t.Errorf("a fold the statistics said fits created temps %v", counted.n)
 	}
 
 	ctx2 := r.ctx(1<<20, 1)
@@ -170,7 +176,7 @@ func TestStatsMakeGroupHintOptional(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(readBytes(t, out), readBytes(t, out2)) {
-		t.Fatal("hash aggregate output differs from sort-based group-by")
+		t.Fatal("statistics-sized fold output differs from sort-based group-by")
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 )
 
 // Every operator result that lives in a temporary goes through one
-// value (stored: fill, scan, drop), so its six users are held to the
+// value (stored: fill, scan, drop), so its five users are held to the
 // same contract by one test: whichever side of the temp fails — the
 // fill that writes it or the consumer that reads it — the run surfaces
 // that one error and leaves no temporary and no goroutine behind. A fed
@@ -28,26 +28,28 @@ var storedShapes = []struct {
 	name, temp string
 	budget     int64
 	opts       CompileOptions
+	fold       foldPath
 	build      func(t *testing.T, r *rig) *Plan
 }{
-	{"orderby", "sorted", bgBudget, CompileOptions{}, func(t *testing.T, r *rig) *Plan {
+	{"orderby", "sorted", bgBudget, CompileOptions{}, foldAny, func(t *testing.T, r *rig) *Plan {
 		return Table(loadRows(t, r)).OrderByWith(sorts.NewExternalMergeSort())
 	}},
-	{"groupby", "grouped", bgBudget, CompileOptions{}, func(t *testing.T, r *rig) *Plan {
+	{"groupby", "grouped", bgBudget, CompileOptions{}, foldAny, func(t *testing.T, r *rig) *Plan {
 		return Table(loadGrouped(t, r, "in", bgRows, 300)).GroupByWith(4, sorts.NewSegmentSort(0.5))
 	}},
-	{"join", "joined", bgBudget, CompileOptions{}, func(t *testing.T, r *rig) *Plan {
+	{"join", "joined", bgBudget, CompileOptions{}, foldAny, func(t *testing.T, r *rig) *Plan {
 		dim1, _, fact := r.loadStar(t, bgDim, bgFact)
 		return Table(dim1).JoinWith(Table(fact), joins.NewGrace())
 	}},
-	{"materialize", "mat", bgBudget, CompileOptions{MaterializeEveryStep: true}, func(t *testing.T, r *rig) *Plan {
+	{"materialize", "mat", bgBudget, CompileOptions{MaterializeEveryStep: true}, foldAny, func(t *testing.T, r *rig) *Plan {
 		return Table(loadRows(t, r)).Filter(batchPred)
 	}},
-	{"hashagg-spill", "hashagg.merged", 16 << 10, CompileOptions{}, func(t *testing.T, r *rig) *Plan {
-		// 50 hinted groups fit the share's hash table, 1000 real ones do not.
+	{"hashagg-spill", "grouped", 16 << 10, CompileOptions{}, foldEvict, func(t *testing.T, r *rig) *Plan {
+		// 50 hinted groups fit the fold's 204 slots, 1000 real ones do not:
+		// the intake evicts, and its merge fills the group-by's temp.
 		return Table(loadGrouped(t, r, "in", 4000, 1000)).GroupHint(50).GroupBy(4)
 	}},
-	{"pipe", "pipe", bgBudget, CompileOptions{}, func(t *testing.T, r *rig) *Plan {
+	{"pipe", "pipe", bgBudget, CompileOptions{}, foldAny, func(t *testing.T, r *rig) *Plan {
 		return Table(loadRows(t, r)).Limit(bgRows - 100).OrderByWith(sorts.NewExternalMergeSort())
 	}},
 	// Fed shapes (TestFeedIdentityGrid proves they are): the producer's
@@ -55,11 +57,11 @@ var storedShapes = []struct {
 	// join and mid-drain for the limit; the first shape's group-by also
 	// fails while its own final merge is emitting into the order-by's
 	// intake.
-	{"fed-join-groupby-orderby", "run", 4 * bgBudget, CompileOptions{}, func(t *testing.T, r *rig) *Plan {
+	{"fed-join-groupby-orderby", "run", 2 * bgBudget, CompileOptions{}, foldAny, func(t *testing.T, r *rig) *Plan {
 		dim1, _, fact := r.loadStar(t, bgDim, bgFact)
-		return Table(dim1).JoinWith(Table(fact), joins.NewNestedLoops()).Project(starCols...).GroupBy(3).OrderBy()
+		return Table(dim1).JoinWith(Table(fact), joins.NewNestedLoops()).Project(starCols...).GroupHint(bgDim).GroupBy(3).OrderBy()
 	}},
-	{"fed-limit-orderby", "run", 4 * bgBudget, CompileOptions{}, func(t *testing.T, r *rig) *Plan {
+	{"fed-limit-orderby", "run", 4 * bgBudget, CompileOptions{}, foldAny, func(t *testing.T, r *rig) *Plan {
 		return Table(loadRows(t, r)).Limit(bgRows - 100).OrderBy()
 	}},
 }
@@ -94,7 +96,8 @@ func TestStoredFailureLeaksNothing(t *testing.T) {
 					// A fill fails on the 25th record written to the temp; a
 					// consumer failure leaves the temp whole and refuses the
 					// 25th record of the plan output instead.
-					fac := &failingFactory{Factory: r.fac, temp: sh.temp, n: 1 << 30, err: boom}
+					counted := countTemps(r.fac)
+					fac := &failingFactory{Factory: counted, temp: sh.temp, n: 1 << 30, err: boom}
 					if where == "fill" {
 						fac.n = 25
 					}
@@ -120,6 +123,7 @@ func TestStoredFailureLeaksNothing(t *testing.T) {
 					if live := ec.LiveTemps(); live != 0 {
 						t.Errorf("failed run left %d live temps", live)
 					}
+					checkFoldPath(t, sh.fold, counted)
 					waitGoroutines(t, base)
 				})
 			}

@@ -260,9 +260,10 @@ func (f *runFormer) finish() error {
 // is mergeRuns. It is a write-only collection (storage.Sink: Len counts
 // the records taken; neither range-appendable nor unwrappable), one
 // ordered stream, so run formation through it is serial at any P; the
-// merge passes and the final merge fan out as ExMS's do. The intake owns
-// its runs until MergeInto hands them to the merge; Discard sweeps them
-// on any path that never gets there.
+// merge passes and the final merge fan out as ExMS's do; an input that
+// fits memory writes no run (Resident). The intake owns its runs until
+// MergeInto hands them to the merge; Discard sweeps them on any path that
+// never gets there.
 type Intake struct {
 	*storage.Sink
 	env *algo.Env
@@ -317,13 +318,20 @@ func (in *Intake) finish() ([]storage.Collection, error) {
 
 // MergeInto ends the intake: it merges the runs formed from the
 // appended records into out, in ascending order (a folding intake's one
-// record per key), and closes out. out must be empty and of the intake's
-// record size — a collection, a sink or the next stage's intake. On error
-// (including cancellation) no run survives.
+// record per key), and closes out — a resident intake's heap goes
+// straight to out. out must be empty and of the intake's record size — a
+// collection, a sink or the next stage's intake. On error (including
+// cancellation) no run survives.
 func (in *Intake) MergeInto(out storage.Collection) error {
 	if err := checkArgs(in.env, in, out); err != nil {
 		in.Discard()
 		return err
+	}
+	if it, ok := in.Resident(); ok {
+		if err := storage.ForEach(it, in.env.ChunkRecords(in.RecordSize()), in.env.Polled(out.Append)); err != nil {
+			return err
+		}
+		return out.Close()
 	}
 	runs, err := in.finish()
 	if err != nil {
@@ -335,6 +343,46 @@ func (in *Intake) MergeInto(out storage.Collection) error {
 	}
 	return out.Close()
 }
+
+// Resident ends an intake that never evicted a record — no run was
+// opened, so the heap holds everything it took and nothing waits for a
+// next run — returning those records in ascending order, popped in
+// chunks that alias the heap's slots, and true. An intake that evicted
+// returns false and is ended by MergeInto.
+func (in *Intake) Resident() (storage.Iterator, bool) {
+	if in.f.run != nil || len(in.f.runs) > 0 {
+		return nil, false
+	}
+	return &heapIter{h: in.f.heap}, true
+}
+
+// heapIter pops a resident heap in order; Next is NextChunk's one-record
+// case.
+type heapIter struct {
+	h    *xheap.Keyed
+	recs [][]byte
+}
+
+func (it *heapIter) NextChunk(n int) ([][]byte, error) {
+	if it.h.Len() == 0 {
+		return nil, io.EOF
+	}
+	it.recs = it.recs[:0]
+	for len(it.recs) < max(n, 1) && it.h.Len() > 0 {
+		it.recs = append(it.recs, it.h.Record(it.h.Pop().Slot))
+	}
+	return it.recs, nil
+}
+
+func (it *heapIter) Next() ([]byte, error) {
+	recs, err := it.NextChunk(1)
+	if err != nil {
+		return nil, err
+	}
+	return recs[0], nil
+}
+
+func (it *heapIter) Close() error { return nil }
 
 // Discard destroys the runs formed so far: the error-path twin of
 // MergeInto, for a producer that failed or was cancelled mid-emit.

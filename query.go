@@ -81,8 +81,8 @@ func (q *Query) JoinWith(right *Query, a JoinAlgorithm) *Query {
 }
 
 // GroupBy groups by the key attribute and aggregates attr into the
-// GroupAttr* result slots; the planner picks hash vs sort-based
-// execution (see GroupHint) and the sort algorithm.
+// GroupAttr* result slots; the planner picks between folding the input
+// in memory (see GroupHint) and a write-limited sort of it.
 func (q *Query) GroupBy(attr int) *Query {
 	return q.derive(q.plan.GroupBy(attr))
 }
@@ -93,12 +93,11 @@ func (q *Query) GroupByWith(attr int, a SortAlgorithm) *Query {
 }
 
 // GroupHint tells the planner how many distinct groups to expect from
-// the next GroupBy, overriding the collected column statistics; a group
-// count that fits the stage budget selects the in-memory hash
-// aggregation. With statistics available (see System.Collect and
-// auto-collection) the hint is optional, and an underestimated hint no
-// longer fails the query — the hash aggregation moves its partial table
-// into a folding sort's intake and finishes as the sort-based plan does.
+// the next GroupBy, overriding the collected column statistics: it
+// prices the in-memory fold. With statistics available (see
+// System.Collect and auto-collection) the hint is optional, and an
+// underestimated hint never fails the query — the fold evicts runs and
+// merges them.
 func (q *Query) GroupHint(groups int) *Query {
 	return q.derive(q.plan.GroupHint(groups))
 }

@@ -243,9 +243,11 @@ func TestParseQueryFacade(t *testing.T) {
 
 // TestQueryStatsAndSpillFacade exercises the statistics subsystem at the
 // façade: auto-collected column statistics make GroupHint optional (the
-// planner picks the hash aggregation from the key column's distinct
-// count), a 10×-underestimated hint completes via the spill fallback
-// instead of erroring, and RunCtx reports estimated next to actual rows.
+// key column's distinct count tells the planner every group fits, so the
+// fold stays in memory and the query writes its result alone), a
+// 10×-underestimated hint completes — the fold evicts runs and merges
+// them — instead of erroring, and RunCtx reports estimated next to actual
+// rows.
 func TestQueryStatsAndSpillFacade(t *testing.T) {
 	const n, groups = 4000, 50
 	setup := func(opts ...wlpm.Option) (*wlpm.System, wlpm.Collection) {
@@ -270,28 +272,51 @@ func TestQueryStatsAndSpillFacade(t *testing.T) {
 		return sys, in
 	}
 
-	run := func(sys *wlpm.System, q *wlpm.Query) ([]byte, *wlpm.QueryExplain) {
+	// run returns the query's bytes, its explanation and the cachelines
+	// it wrote; resultWrites is what writing those bytes alone costs.
+	run := func(sys *wlpm.System, q *wlpm.Query) ([]byte, *wlpm.QueryExplain, uint64) {
 		out, err := sys.Create(fmt.Sprintf("out%d", sys.Stats().Reads))
 		if err != nil {
 			t.Fatal(err)
 		}
+		sys.ResetStats()
 		ex, err := q.RunCtx(context.Background(), out)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return readAllBytes(t, out), ex
+		writes := sys.Stats().Writes
+		return readAllBytes(t, out), ex, writes
+	}
+	resultWrites := func(sys *wlpm.System, recs []byte) uint64 {
+		c, err := sys.Create(fmt.Sprintf("copy%d", sys.Stats().Reads))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.ResetStats()
+		for off := 0; off < len(recs); off += wlpm.RecordSize {
+			if err := c.Append(recs[off : off+wlpm.RecordSize]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return sys.Stats().Writes
 	}
 
 	// Ground truth: pinned sort-based group-by, statistics disabled.
 	sysRef, inRef := setup(wlpm.WithAutoCollect(false))
 	mb := wlpm.WithSessionBudget(1 << 20)
-	want, _ := run(sysRef, sysRef.Session(mb).Query(inRef).GroupByWith(4, wlpm.ExternalMergeSort()))
+	want, _, _ := run(sysRef, sysRef.Session(mb).Query(inRef).GroupByWith(4, wlpm.ExternalMergeSort()))
 
-	// No hint: auto-collected statistics select the hash path.
+	// No hint: auto-collected statistics size the fold, which fits.
 	sys, in := setup()
-	got, ex := run(sys, sys.Session(mb).Query(in).GroupBy(4))
-	if len(ex.Choices) != 1 || ex.Choices[0].Algorithm != "HashAgg" {
-		t.Fatalf("hintless query chose %+v, want HashAgg from statistics", ex.Choices)
+	got, ex, writes := run(sys, sys.Session(mb).Query(in).GroupBy(4))
+	if len(ex.Choices) != 1 || !ex.Choices[0].Fed {
+		t.Fatalf("hintless query chose %+v, want the fed group-by", ex.Choices)
+	}
+	if alone := resultWrites(sys, got); writes != alone {
+		t.Errorf("statistics-sized fold wrote %d cachelines, its result alone %d", writes, alone)
 	}
 	if ex.Choices[0].ActualRows != n {
 		t.Errorf("explain actual rows = %d, want %d", ex.Choices[0].ActualRows, n)
@@ -303,8 +328,9 @@ func TestQueryStatsAndSpillFacade(t *testing.T) {
 		t.Errorf("auto-collected statistics missing or wrong: %+v", ts)
 	}
 
-	// A 10×-underestimated hint on a high-cardinality input: hash path,
-	// must spill and still match the sort-based output byte for byte.
+	// A 10×-underestimated hint on a high-cardinality input: the fold is
+	// chosen for groups that fit, must evict, and still match the
+	// sort-based output byte for byte.
 	const bigGroups = 2000
 	sysSp, err := wlpm.New(wlpm.WithCapacity(256 << 20))
 	if err != nil {
@@ -329,12 +355,17 @@ func TestQueryStatsAndSpillFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sysSp.ResetStats()
 	exSp, err := sessSp.Query(inSp).GroupHint(bigGroups/10).GroupBy(4).RunCtx(context.Background(), outSp)
 	if err != nil {
-		t.Fatalf("underestimated hint failed instead of spilling: %v", err)
+		t.Fatalf("underestimated hint failed instead of evicting: %v", err)
 	}
-	if exSp.Choices[0].Algorithm != "HashAgg" || !exSp.Choices[0].Spilled {
-		t.Fatalf("expected a spilled HashAgg, got %+v", exSp.Choices[0])
+	spWrites := sysSp.Stats().Writes
+	if !exSp.Choices[0].Fed {
+		t.Fatalf("expected the fed group-by, got %+v", exSp.Choices[0])
+	}
+	if alone := resultWrites(sysSp, readAllBytes(t, outSp)); spWrites <= alone {
+		t.Fatalf("an underestimated fold wrote %d cachelines, its result alone %d: it evicted no run", spWrites, alone)
 	}
 	refSp, err := sysSp.Create("spill.ref")
 	if err != nil {
