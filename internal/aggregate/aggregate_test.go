@@ -1,15 +1,18 @@
-package aggregate
+package aggregate_test
 
 import (
+	"bytes"
 	"io"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"wlpm/internal/aggregate"
 	"wlpm/internal/algo"
 	"wlpm/internal/pmem"
 	"wlpm/internal/record"
 	"wlpm/internal/sorts"
+	"wlpm/internal/storage"
 	"wlpm/internal/storage/all"
 )
 
@@ -21,6 +24,88 @@ func newEnv(t testing.TB) *algo.Env {
 		t.Fatal(err)
 	}
 	return algo.NewEnv(f, 100*record.Size)
+}
+
+// groupBy is the group-by the engine runs over a stored input: a's sort
+// of in's partials, combining equal keys.
+func groupBy(env *algo.Env, a sorts.Algorithm, in storage.Collection, attr int, out storage.Collection) error {
+	partials, err := aggregate.Partials(in, attr)
+	if err != nil {
+		return err
+	}
+	return sorts.SortFolding(env, a, partials, out, aggregate.Combine)
+}
+
+// TestPartialsReadLikeTheirInput: a scan of the partials view, whole or
+// sliced, renders every row as its Singleton partial and costs exactly
+// the device reads of the same scan of the rows; the view refuses writes.
+func TestPartialsReadLikeTheirInput(t *testing.T) {
+	env := newEnv(t)
+	dev := env.Factory.Device()
+	recs, _ := foldInput(1000, 40, 5)
+	in := load(t, env, "in", recs)
+	p, err := aggregate.Partials(in, foldAttr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Len() != in.Len() || p.RecordSize() != record.Size {
+		t.Fatalf("view of %d × %d B over %d rows", p.Len(), p.RecordSize(), in.Len())
+	}
+	for _, lo := range []int{0, 37} {
+		scan := func(c storage.Collection) ([][]byte, uint64) {
+			before := dev.Stats()
+			var got [][]byte
+			if err := env.Scan(storage.Slice(c, lo, c.Len()), func(rec []byte) error {
+				got = append(got, bytes.Clone(rec))
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			return got, dev.Stats().Sub(before).Reads
+		}
+		rows, rowReads := scan(in)
+		parts, partReads := scan(p)
+		if partReads != rowReads {
+			t.Errorf("from %d: partials read %d cachelines, the rows %d", lo, partReads, rowReads)
+		}
+		want := make([]byte, record.Size)
+		for i, row := range rows {
+			aggregate.Singleton(want, row, foldAttr)
+			if !bytes.Equal(parts[i], want) {
+				t.Fatalf("from %d: partial %d is not its row's singleton", lo, i)
+			}
+		}
+	}
+	if p.Append(make([]byte, record.Size)) == nil || p.Truncate() == nil || p.Destroy() == nil {
+		t.Error("the partials view accepted a write")
+	}
+}
+
+// TestFeedRendersLikePartials: rows appended through Feed reach its
+// destination as exactly the partials the Partials view reads from them.
+func TestFeedRendersLikePartials(t *testing.T) {
+	env := newEnv(t)
+	recs, _ := foldInput(300, 40, 7)
+	dst, err := env.Factory.Create("fed", record.Size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed := aggregate.Feed(dst, foldAttr)
+	for _, rec := range recs {
+		if err := feed.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := dst.Close(); err != nil {
+		t.Fatal(err)
+	}
+	p, err := aggregate.Partials(load(t, env, "in", recs), foldAttr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(contents(t, dst), contents(t, p)) {
+		t.Error("fed partials differ from the partials view of the same rows")
+	}
 }
 
 type groupRef struct {
@@ -70,7 +155,7 @@ func TestGroupByMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := GroupBy(env, a, in, attr, out); err != nil {
+		if err := groupBy(env, a, in, attr, out); err != nil {
 			t.Fatalf("%s: %v", a.Name(), err)
 		}
 		if out.Len() != len(ref) {
@@ -86,7 +171,7 @@ func TestGroupByMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			k := record.Attr(rec, AttrGroupKey)
+			k := record.Attr(rec, aggregate.AttrGroupKey)
 			if int64(k) <= prev {
 				t.Fatalf("%s: groups out of order at key %d", a.Name(), k)
 			}
@@ -95,10 +180,10 @@ func TestGroupByMatchesReference(t *testing.T) {
 			if g == nil {
 				t.Fatalf("%s: unexpected group %d", a.Name(), k)
 			}
-			if record.Attr(rec, AttrCount) != g.count ||
-				record.Attr(rec, AttrSum) != g.sum ||
-				record.Attr(rec, AttrMin) != g.min ||
-				record.Attr(rec, AttrMax) != g.max {
+			if record.Attr(rec, aggregate.AttrCount) != g.count ||
+				record.Attr(rec, aggregate.AttrSum) != g.sum ||
+				record.Attr(rec, aggregate.AttrMin) != g.min ||
+				record.Attr(rec, aggregate.AttrMax) != g.max {
 				t.Fatalf("%s: group %d aggregates mismatch", a.Name(), k)
 			}
 		}
@@ -110,14 +195,14 @@ func TestGroupByValidation(t *testing.T) {
 	env := newEnv(t)
 	in, _ := env.Factory.Create("in", record.Size)
 	out, _ := env.Factory.Create("out", record.Size)
-	if err := GroupBy(env, sorts.NewExternalMergeSort(), in, -1, out); err == nil {
+	if err := groupBy(env, sorts.NewExternalMergeSort(), in, -1, out); err == nil {
 		t.Error("negative attribute accepted")
 	}
-	if err := GroupBy(env, sorts.NewExternalMergeSort(), in, record.NumAttrs, out); err == nil {
+	if err := groupBy(env, sorts.NewExternalMergeSort(), in, record.NumAttrs, out); err == nil {
 		t.Error("out-of-schema attribute accepted")
 	}
 	bad, _ := env.Factory.Create("bad", 16)
-	if err := GroupBy(env, sorts.NewExternalMergeSort(), bad, 1, out); err == nil {
+	if err := groupBy(env, sorts.NewExternalMergeSort(), bad, 1, out); err == nil {
 		t.Error("wrong input record size accepted")
 	}
 }
@@ -126,7 +211,7 @@ func TestGroupByEmptyInput(t *testing.T) {
 	env := newEnv(t)
 	in, _ := env.Factory.Create("in", record.Size)
 	out, _ := env.Factory.Create("out", record.Size)
-	if err := GroupBy(env, sorts.NewLazySort(), in, 1, out); err != nil {
+	if err := groupBy(env, sorts.NewLazySort(), in, 1, out); err != nil {
 		t.Fatal(err)
 	}
 	if out.Len() != 0 {
@@ -160,7 +245,7 @@ func TestQuickGroupByTotals(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if err := GroupBy(env, sorts.NewSegmentSort(0.5), in, 2, out); err != nil {
+		if err := groupBy(env, sorts.NewSegmentSort(0.5), in, 2, out); err != nil {
 			return false
 		}
 		total := uint64(0)
@@ -174,10 +259,10 @@ func TestQuickGroupByTotals(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			if !keys[record.Attr(rec, AttrGroupKey)] {
+			if !keys[record.Attr(rec, aggregate.AttrGroupKey)] {
 				return false
 			}
-			total += record.Attr(rec, AttrCount)
+			total += record.Attr(rec, aggregate.AttrCount)
 		}
 		return total == uint64(n) && out.Len() == len(keys)
 	}

@@ -56,8 +56,9 @@ func (p Profile) PriceP(read, write, par float64) float64 {
 // Emit says what a stage really does with the result its algorithm
 // materializes, when that is not what the algorithm's profile assumes:
 // the engine's left‖right join rows instead of the paper's
-// single-record results, the |groups| records a folding sink lets
-// through, the width and selectivity of an emit-side chain. Every
+// single-record results, the |groups| records a sort with a combine
+// emits (sorts.SortFolding), the width and selectivity of an emit-side
+// chain. Every
 // profile constructor is a method of it (em.ExMS(t, m); ExMSProfile(t, m)
 // is Emit{}.ExMS(t, m)) that re-sizes or serializes its own output term
 // inside the profile, before PriceP scales it — instead of a caller
@@ -82,10 +83,10 @@ type Emit struct {
 	// carries no output term, and Out is ignored.
 	Handed bool
 	// Folded > 0 is a folding intake's run-formation output in buffers
-	// (sorts.NewFoldingIntake): what is left of the t input buffers once
-	// records of equal key resident in memory have been combined. ExMS
-	// and FedExMS charge it, not t, for the run writes, their re-read and
-	// any extra merge passes. 0 = unfolded.
+	// (sorts.NewIntake with a combine): what is left of the t input
+	// buffers once records of equal key resident in memory have been
+	// combined. ExMS and FedExMS charge it, not t, for the run writes,
+	// their re-read and any extra merge passes. 0 = unfolded.
 	Folded float64
 }
 

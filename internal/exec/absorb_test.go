@@ -17,7 +17,7 @@ import (
 	"wlpm/internal/storage/all"
 )
 
-// Emit-side chains and the fold sink are checked against references, not
+// Emit-side chains and the fold are checked against references, not
 // against themselves: an absorbed chain against the materialize-every-
 // step run of the same plan, the fold across everything that must not
 // change it (P, batch size, backend), and both against destinations and
@@ -115,7 +115,12 @@ func streamingOps(op Operator) int {
 // blocking parent, streamed to a cursor and emitted at the plan root —
 // produce the materialize-every-step run's bytes with strictly fewer
 // cacheline writes (every chain here drops a column or a row), and
-// compile to no Filter or Project operator at all.
+// compile to no Filter or Project operator at all. The reference of an
+// evicting fold runs the sort the pipelined plan ran, ExMS, over its
+// stored input: left to choose, its planner takes a stored sort by a
+// price that does not yet see that sort fold, and that sort's folding
+// selection passes write less than any intake that evicts — a
+// difference of sorts, not of materializing.
 func TestAbsorbedChainMatchesMaterializedReference(t *testing.T) {
 	for _, src := range absorbSources {
 		for _, ch := range absorbChains {
@@ -123,7 +128,11 @@ func TestAbsorbedChainMatchesMaterializedReference(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%s/%s", src.name, ch.name, shape), func(t *testing.T) {
 					run := func(opts CompileOptions) ([]byte, uint64) {
 						r := newRig(t)
-						plan := ch.apply(src.build(t, r))
+						plan := src.build(t, r)
+						if opts.MaterializeEveryStep && src.fold == foldEvict {
+							plan = plan.left.GroupByWith(plan.attr, sorts.NewExternalMergeSort())
+						}
+						plan = ch.apply(plan)
 						if shape == "blocking-input" {
 							plan = plan.OrderByWith(sorts.NewExternalMergeSort())
 						}
@@ -254,15 +263,15 @@ func TestAbsorbServesStoredInput(t *testing.T) {
 }
 
 // foldGridPlans are sort-based group-bys whose final merge would fan out
-// at P > 1 if the fold sink let a range appender through: one straight
-// over a table, one over a Join with an absorbed projection (nested
-// loops: a partitioned join's per-worker sub-collections add tail blocks
-// of their own at P > 1, which is not the sink's doing) — and the same
-// join feeding a planner-owned group-by, whose folding intake merges
-// into the chain sink, or, with no chain, into the range-appendable temp
-// a limit reads. Budgets leave the pinned sorts a split the
-// allocator makes the same at every P and no intermediate merge pass,
-// whose grouping follows P.
+// at P > 1 if a fold let a range appender through: one straight over a
+// table, one over a Join with an absorbed projection (nested loops: a
+// partitioned join's per-worker sub-collections add tail blocks of their
+// own at P > 1, which is not the fold's doing) — and the same join
+// feeding a planner-owned group-by, whose folding intake merges into the
+// chain sink, or, with no chain, into the range-appendable temp a limit
+// reads. Budgets leave the pinned sorts a split the allocator makes the
+// same at every P and no intermediate merge pass, whose grouping follows
+// P — and, folding, so do its writes.
 var foldGridPlans = []struct {
 	name   string
 	budget int64
@@ -272,7 +281,7 @@ var foldGridPlans = []struct {
 	{"groupby", 6000 * record.Size / 20, 0, func(t *testing.T, r *rig) *Plan {
 		return Table(loadGrouped(t, r, "in", 6000, 500)).GroupByWith(4, sorts.NewExternalMergeSort())
 	}},
-	{"join-project-groupby", 6000 * record.Size / 24, 0, func(t *testing.T, r *rig) *Plan {
+	{"join-project-groupby", 6000 * record.Size / 20, 0, func(t *testing.T, r *rig) *Plan {
 		dim1, _, fact := r.loadStar(t, 300, 6000)
 		return Table(dim1).JoinWith(Table(fact), joins.NewNestedLoops()).
 			Project(0, 1, 12, 13, 14, 5, 16, 7, 18, 9).GroupByWith(3, sorts.NewHybridSort(0.5))

@@ -4,7 +4,6 @@ import (
 	"context"
 	"io"
 
-	"wlpm/internal/sorts"
 	"wlpm/internal/storage"
 )
 
@@ -126,35 +125,18 @@ func (s *batchScanner) Close() error {
 }
 
 // stored is a result held in a temporary collection: the temp → scan →
-// destroy half of every operator that stores what it produced (OrderBy,
-// GroupBy, Join, Materialize, and the pipe under a blocking consumer of a
-// stream). Operators embed it: fill (or open, for a sort stage) is their
-// Open, Next, limitHint and source are theirs as they stand, and drop is
-// their Close. The value owns the temp from the moment fill creates it —
-// nothing else destroys it. A Join or GroupBy whose consumer feeds
-// (exec.go) is never filled: its emitTo is called with the consumer's
-// intake, the embedded value stays empty, and drop only closes the
-// children. Nor is a sort stage whose intake never evicted (open).
+// destroy half of every operator that stores what it produced (Sort,
+// Join, Materialize, and the pipe under a blocking consumer of a stream).
+// Operators embed it: fill is their Open, Next, limitHint and source are
+// theirs as they stand, and drop is their Close. The value owns the temp
+// from the moment fill creates it — nothing else destroys it. A Join or
+// GroupBy whose consumer feeds (exec.go) is never filled: its emitTo is
+// called with the consumer's intake, the embedded value stays empty, and
+// drop only closes the children. Nor is a sort stage whose intake never
+// evicted: its scan serves the heap (Sort.Open).
 type stored struct {
 	tmp storage.Collection
 	sc  *batchScanner
-}
-
-// open is Open for a sort stage whose input side has run: Next serves an
-// intake that never evicted from its heap, through c (nil: no chain),
-// and anything else fills the temp with emit.
-func (s *stored) open(ctx context.Context, ec *Ctx, prefix string, recSize int, in *sorts.Intake, c *chain,
-	emit func(ctx context.Context, ec *Ctx, dst storage.Collection) error) error {
-	if in != nil {
-		if it, ok := in.Resident(); ok {
-			if c != nil && !c.empty() {
-				it = newChainIterator(ctx, it, c, in.RecordSize(), ec.batchSize())
-			}
-			s.sc = newBatchScanner(it, ec.batchSize())
-			return nil
-		}
-	}
-	return s.fill(ctx, ec, prefix, recSize, emit)
 }
 
 // fill creates the temp, has emit write the result into it, flushes it

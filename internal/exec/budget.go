@@ -300,12 +300,13 @@ func (s *stageAlloc) folded(t, m float64) float64 {
 // concatenations of the estimated output cardinality, through any
 // absorbed chain — at P = 1 a constant shift across the algorithm
 // candidates, yet it matters when comparing join orders, where v flips
-// sides while the real output stays put. A sort-based group-by emits
-// only its groups — its sort hands them to a fold sink, or its folding
-// intake's final merge combines them (fedPlan adds what the fold leaves
-// of the runs): the output term shrinks from the t sorted buffers to the
-// groups that survive the absorbed chain, and the pass that emits them
-// is serial at any P (one ordered stream, never range appends). An
+// sides while the real output stays put. A group-by emits only its
+// groups — its sort combines equal keys, stored or fed (fedPlan adds
+// what the fold leaves of the runs): the output term shrinks from the t
+// sorted buffers to the groups that survive the absorbed chain, and the
+// pass that emits them is serial at any P (one ordered stream, never
+// range appends). A stored sort's own passes are still priced over the
+// t input buffers, not over the partials it folds them to. An
 // order-by materializes what its profile says. A handed
 // stage's output is its feedable consumer's to price, wherever the
 // consumer has it put.

@@ -444,7 +444,7 @@ func TestFoldedPriceMatchesIntake(t *testing.T) {
 			for _, slots := range []int{128, 1024, 4096} {
 				var partials int
 				env := algo.NewEnv(runWrites{Factory: r.fac, n: &partials}, int64(slots*record.Size))
-				in, err := sorts.NewFoldingIntake(env, record.Size, aggregate.Combine)
+				in, err := sorts.NewIntake(env, record.Size, aggregate.Combine)
 				if err != nil {
 					t.Fatal(err)
 				}

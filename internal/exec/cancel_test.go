@@ -170,8 +170,8 @@ var cancelPlans = []cancelPlanCase{
 	},
 	{
 		// Sort-based group-by with an absorbed chain: cancellation lands in
-		// run formation or mid-merge, with the fold sink and the chain sink
-		// between the merge and the output.
+		// folding run formation, the selection stream or mid-merge, with
+		// the chain sink between the merge and the output.
 		name: "groupby-fold",
 		plan: func(t *testing.T, r *rig) *Plan {
 			return Table(loadGrouped(t, r, "in", 8000, 2000)).GroupByWith(4, sorts.NewSegmentSort(0.5)).

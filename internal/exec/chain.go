@@ -18,7 +18,7 @@ import (
 //     the root — is a stored collection of the chain's width and row count
 //     that consumers read by block chunk and re-read without re-applying
 //     anything (a cursor pulling a group-by whose fold never left memory
-//     runs the batch kernel over the heap instead, stored.open). OrderBy
+//     runs the batch kernel over the heap instead, Sort.Open). OrderBy
 //     absorbs nothing: its final merge is range-parallel at P > 1, and a
 //     sink would serialize it.
 //   - view: over a stored source (a base table, an OrderBy's sorted
@@ -50,7 +50,7 @@ type chain struct {
 }
 
 // absorber is an operator that takes the Filter/Project steps above it
-// into its own chain.
+// into the chain absorbed returns (nil: it takes none — an OrderBy).
 type absorber interface {
 	absorbed() *chain
 }

@@ -1,7 +1,9 @@
 // Package exec is the pipelined query-execution engine layered over the
 // paper's operators: a Volcano-style batch-iterator tree of physical
-// operators (scan, stream, limit, order-by, group-by, join, materialize)
-// over storage collections, a small logical-plan builder, and a physical
+// operators (scan, stream, limit, sort, join, materialize) over storage
+// collections — one sort stage (Sort) renders as an OrderBy or, with an
+// aggregated attribute and the combine its kernels fold with, a GroupBy —
+// a small logical-plan builder, and a physical
 // planner that consults the internal/cost model — device λ, per-stage
 // memory budget, input cardinalities — to choose among the write-limited
 // sort and join variants (and place their write-intensity knobs) instead
@@ -24,13 +26,14 @@
 // the temp's only reader would be the run formation of a planner-owned
 // OrderBy or GroupBy above it — over a Join or a GroupBy, or over a
 // stream that would be drained into a pipe — the consumer hands the
-// producer its sort's intake as the output (feedSort: the paper's
+// producer its sort's intake as the output (Sort.intake: the paper's
 // process-to-append rule, §3.1) and the result is never a temp at all.
-// A group-by's intake folds: a row whose group is resident in memory is
-// combined there, so the runs hold partial aggregates and the merges emit
-// the groups. It is the engine's in-memory aggregation, so a GroupBy may
-// push even a base table or a view into it. An intake that never evicted
-// writes no run. The consumer's stage prices both homes inside the
+// A group-by folds in either home, being a sort with a combine
+// (sorts.SortFolding): a row whose group is resident in memory is
+// combined there and every merge combines, so only the groups are
+// emitted. Feeding is the engine's in-memory aggregation, so a GroupBy
+// may push even a base table or a view into its intake. An intake that
+// never evicted writes no run. The consumer's stage prices both homes inside the
 // allocator's curve (stageAlloc.sortPlan) and takes the cheaper; Explain
 // says which ran. Pinned sorts, join inputs and the
 // materialize-every-step reference read stored inputs.
@@ -51,7 +54,6 @@ import (
 	"io"
 
 	"wlpm/internal/algo"
-	"wlpm/internal/sorts"
 	"wlpm/internal/stats"
 	"wlpm/internal/storage"
 )
@@ -323,22 +325,6 @@ func pour(ctx context.Context, ec *Ctx, child Operator, dst storage.Collection) 
 		return err
 	}
 	return drain(ctx, child, dst.Append)
-}
-
-// feedSort runs the input side of a fed sort stage (stageAlloc.feed said
-// so): the child emits into take — in itself, or what a group-by renders
-// in front of its folding intake — and the stage learns the rows it took.
-// The child's result is never a temp. The operator then ends the intake
-// (MergeInto, or stored.open). The intake owns its runs: a producer that
-// fails or is cancelled mid-emit has them swept here, a failed merge
-// sweeps its own, the operator's Close one that never ended.
-func feedSort(ctx context.Context, ec *Ctx, st *stageAlloc, child Operator, in *sorts.Intake, take storage.Collection) error {
-	if err := pour(ctx, ec, child, take); err != nil {
-		in.Discard()
-		return err
-	}
-	st.fedRows(in.Len(), in.RecordSize())
-	return nil
 }
 
 // closeAll closes every operator, keeping the first error.

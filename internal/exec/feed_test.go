@@ -227,7 +227,7 @@ func TestFeedIsPriced(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						st := root.(*OrderBy).st
+						st := root.(*Sort).st
 						if !st.feedable {
 							t.Fatal("an order-by over a limit is not feedable")
 						}

@@ -107,7 +107,7 @@ func (v *chainView) scan(c *chain, start int) *chainIterator {
 // chainIterator is a storage.ChunkIterator: NextChunk serves what is
 // left of the current window, refilled from one pull of the source at a
 // time, and Next is its one-record case. Its source is a view's base, or
-// the heap of a resident group-by (stored.open).
+// the heap of a resident group-by (Sort.Open).
 type chainIterator struct {
 	ctx    context.Context
 	it     storage.Iterator

@@ -255,7 +255,9 @@ func (c *compiler) breaker(op Operator) Operator {
 // logical twin for the blocking producers.
 func (c *compiler) chainOf(child Operator) (*chain, Operator) {
 	if a, ok := child.(absorber); ok && !c.opts.MaterializeEveryStep {
-		return a.absorbed(), child
+		if ch := a.absorbed(); ch != nil {
+			return ch, child
+		}
 	}
 	s := &Stream{child: child}
 	return &s.chain, c.breaker(s)
@@ -322,34 +324,28 @@ func (c *compiler) build(p *Plan) (Operator, error) {
 		}
 		return c.breaker(NewLimit(child, p.n)), nil
 
-	case planOrderBy:
+	case planOrderBy, planGroupBy:
 		child, err := c.build(p.left)
 		if err != nil {
 			return nil, err
 		}
-		st, pl := c.takeStage()
-		a := st.sortFor(pl)
-		st.choice.Algorithm = a.Name()
-		return c.breaker(&OrderBy{child: child, algo: a, st: st}), nil
-
-	case planGroupBy:
-		child, err := c.build(p.left)
-		if err != nil {
-			return nil, err
-		}
-		// Fail width mismatches at plan time so Explain never prices a
-		// group-by that cannot execute.
-		if child.RecordSize() != record.Size {
-			return nil, fmt.Errorf("exec: group-by needs %d-byte benchmark records, input emits %d (project first)",
-				record.Size, child.RecordSize())
-		}
-		if p.attr < 0 || p.attr >= record.NumAttrs {
-			return nil, fmt.Errorf("exec: aggregate attribute a%d out of schema (0..%d)", p.attr, record.NumAttrs-1)
+		attr := -1
+		if p.kind == planGroupBy {
+			// Fail width mismatches at plan time so Explain never prices a
+			// group-by that cannot execute.
+			if child.RecordSize() != record.Size {
+				return nil, fmt.Errorf("exec: group-by needs %d-byte benchmark records, input emits %d (project first)",
+					record.Size, child.RecordSize())
+			}
+			if p.attr < 0 || p.attr >= record.NumAttrs {
+				return nil, fmt.Errorf("exec: aggregate attribute a%d out of schema (0..%d)", p.attr, record.NumAttrs-1)
+			}
+			attr = p.attr
 		}
 		st, pl := c.takeStage()
 		a := st.sortFor(pl)
 		st.choice.Algorithm = a.Name()
-		return c.breaker(&GroupBy{child: child, attr: p.attr, algo: a, st: st}), nil
+		return c.breaker(&Sort{child: child, attr: attr, algo: a, st: st}), nil
 
 	case planJoin:
 		left, err := c.build(p.left)

@@ -152,7 +152,7 @@ func TestStatsMakeGroupHintOptional(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if est := root.(*GroupBy).st.groupEst; est != groups || len(ex.Choices) != 1 || !ex.Choices[0].Fed {
+	if est := root.(*Sort).st.groupEst; est != groups || len(ex.Choices) != 1 || !ex.Choices[0].Fed {
 		t.Fatalf("hintless plan with statistics estimates %d groups and chose %+v, want %d and the fed group-by", est, ex.Choices, groups)
 	}
 	out := r.create(t, "fold", record.Size)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"wlpm/internal/algo"
@@ -21,13 +22,16 @@ import (
 // much (byte for byte, counter for counter) when no key repeats, and no
 // run at all when every group fits its slots.
 
-// setPartial renders the test's partial aggregate — key, count, sum —
-// into buf.
+// setPartial renders the test's partial aggregate — key, sum, count —
+// into buf. The sum leads, so a combined partial's bytes order anywhere
+// among its rows': a kernel that compared a folded group's bytes where it
+// must compare its key (a selection bound) lets rows of an emitted group
+// back in.
 func setPartial(buf []byte, key, count, sum uint64) []byte {
 	clear(buf)
 	record.SetAttr(buf, 0, key)
-	record.SetAttr(buf, 1, count)
-	record.SetAttr(buf, 2, sum)
+	record.SetAttr(buf, 1, sum)
+	record.SetAttr(buf, 2, count)
 	return buf
 }
 
@@ -75,10 +79,11 @@ func arrivals(n int, key func(i int) uint64) []uint64 {
 // runWatch counts the records appended to run-formation temps and
 // counts, in every run and intermediate merge temp, the appends whose key
 // does not ascend strictly — a fold that left a key resident twice, or a
-// merge that did not combine.
+// merge that did not combine. The counters are shared by every temp, and
+// parallel merge workers append to theirs at once.
 type runWatch struct {
 	storage.Factory
-	formed, repeats *int
+	formed, repeats *atomic.Int64
 }
 
 func (f runWatch) Create(name string, recSize int) (storage.Collection, error) {
@@ -96,17 +101,17 @@ func (f runWatch) Create(name string, recSize int) (storage.Collection, error) {
 
 type watchedTemp struct {
 	storage.Collection
-	formed, repeats *int
+	formed, repeats *atomic.Int64
 	last            uint64
 	any             bool
 }
 
 func (c *watchedTemp) Append(rec []byte) error {
 	if c.formed != nil {
-		*c.formed++
+		c.formed.Add(1)
 	}
 	if k := record.Key(rec); c.any && k <= c.last {
-		*c.repeats++
+		c.repeats.Add(1)
 	} else {
 		c.last, c.any = k, true
 	}
@@ -119,7 +124,7 @@ func (c *watchedTemp) Append(rec []byte) error {
 type intakeRun struct {
 	out               []byte
 	stats             pmem.Stats
-	formation, repeat int
+	formation, repeat int64
 }
 
 // runIntake pushes one partial per key into a plain or folding intake of
@@ -129,7 +134,7 @@ type intakeRun struct {
 func runIntake(t *testing.T, keys []uint64, budget, par int, fold bool) intakeRun {
 	t.Helper()
 	base := newParEnv(t, budget, par)
-	formation, repeats := 0, 0
+	var formation, repeats atomic.Int64
 	env := algo.NewParallelEnv(runWatch{Factory: base.Factory, formed: &formation, repeats: &repeats}, base.MemoryBudget, par)
 	dev := base.Factory.Device()
 	dst, err := base.Factory.Create("out", record.Size)
@@ -139,9 +144,9 @@ func runIntake(t *testing.T, keys []uint64, budget, par int, fold bool) intakeRu
 	dev.ResetStats()
 	var in *Intake
 	if fold {
-		in, err = NewFoldingIntake(env, record.Size, addPartials)
+		in, err = NewIntake(env, record.Size, addPartials)
 	} else {
-		in, err = NewIntake(env, record.Size)
+		in, err = NewIntake(env, record.Size, nil)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +168,7 @@ func runIntake(t *testing.T, keys []uint64, budget, par int, fold bool) intakeRu
 	if err != nil {
 		t.Fatal(err)
 	}
-	return intakeRun{out: bytes.Join(out, nil), stats: st, formation: formation, repeat: repeats}
+	return intakeRun{out: bytes.Join(out, nil), stats: st, formation: formation.Load(), repeat: repeats.Load()}
 }
 
 // foldReference is the map's answer: one partial per key, ascending.
@@ -239,7 +244,7 @@ func foldKernelPartials(groups int, clustered bool) [][]byte {
 // foldAll pushes recs through a folding intake into a discarding sink and
 // returns the groups it emitted.
 func foldAll(t testing.TB, env *algo.Env, recs [][]byte) int {
-	in, err := NewFoldingIntake(env, record.Size, addPartials)
+	in, err := NewIntake(env, record.Size, addPartials)
 	if err != nil {
 		t.Fatal(err)
 	}

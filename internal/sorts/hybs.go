@@ -41,6 +41,13 @@ func (s *HybridSort) Profile(em cost.Emit, t, m, lambda float64) cost.Profile {
 
 // Sort implements Algorithm.
 func (s *HybridSort) Sort(env *algo.Env, in, out storage.Collection) error {
+	return s.sortWith(env, in, out, nil)
+}
+
+// sortWith is the HybS driver. Folding, Rs holds groups and Rr folds what
+// Rs hands on: Rs's largest key only falls, so the two are disjoint by key
+// and Rs's groups still come out first.
+func (s *HybridSort) sortWith(env *algo.Env, in, out storage.Collection, combine func(dst, src []byte)) error {
 	if err := checkArgs(env, in, out); err != nil {
 		return err
 	}
@@ -58,8 +65,8 @@ func (s *HybridSort) Sort(env *algo.Env, in, out storage.Collection) error {
 		rrCap = 1
 	}
 
-	rs := newSelector(env, recSize, rsCap) // Rs: the global minima so far
-	rr := newRunFormer(env, "hybrun", recSize, rrCap, sampling(env, false))
+	rs := newSelector(env, recSize, rsCap, combine) // Rs: the global minima so far
+	rr := newRunFormer(env, "hybrun", recSize, rrCap, sampling(env, combine != nil), combine)
 	sorted := false
 	defer func() {
 		// Error exit: sweep every run temp opened so far. Destroy is
@@ -86,7 +93,7 @@ func (s *HybridSort) Sort(env *algo.Env, in, out storage.Collection) error {
 	if err := rr.finish(); err != nil {
 		return err
 	}
-	if err := mergeRuns(env, rr.runs, nil, out, recSize, nil); err != nil {
+	if err := mergeRuns(env, rr.runs, nil, out, recSize, combine); err != nil {
 		return err
 	}
 	sorted = true

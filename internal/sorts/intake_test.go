@@ -73,7 +73,7 @@ func TestIntakeIsExMSMinusTheInputScan(t *testing.T) {
 
 				pushed := create("pushed")
 				dev.ResetStats()
-				in, err := NewIntake(env, record.Size)
+				in, err := NewIntake(env, record.Size, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -111,20 +111,6 @@ func TestIntakeIsExMSMinusTheInputScan(t *testing.T) {
 	}
 }
 
-// failingRuns fails the n-th Append to every run temp it creates.
-type failingRuns struct {
-	storage.Factory
-	n int
-}
-
-func (f *failingRuns) Create(name string, recSize int) (storage.Collection, error) {
-	c, err := f.Factory.Create(name, recSize)
-	if err != nil || !strings.Contains(name, ".run.") {
-		return c, err
-	}
-	return &failingAppend{Collection: c, remaining: f.n}, nil
-}
-
 // TestIntakeSweepsItsRuns: the intake owns its runs until the merge has
 // them. A run temp that fails under the producer's appends, an output
 // that fails under the merge, a context cancelled at any depth of either,
@@ -135,9 +121,9 @@ func TestIntakeSweepsItsRuns(t *testing.T) {
 		t.Run(fmt.Sprintf("run-append/p%d", par), func(t *testing.T) {
 			base := newParEnv(t, budget, par)
 			src := loadInput(t, base, n, 7)
-			env := algo.NewParallelEnv(&failingRuns{Factory: base.Factory, n: 24}, base.MemoryBudget, par)
+			env := algo.NewParallelEnv(failingTemps{Factory: base.Factory, prefix: "run", n: 24}, base.MemoryBudget, par)
 			out, _ := base.Factory.Create("out", record.Size)
-			in, err := NewIntake(env, record.Size)
+			in, err := NewIntake(env, record.Size, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -152,7 +138,7 @@ func TestIntakeSweepsItsRuns(t *testing.T) {
 			env := newParEnv(t, budget, par)
 			src := loadInput(t, env, n, 7)
 			out, _ := env.Factory.Create("out", record.Size)
-			in, err := NewIntake(env, record.Size)
+			in, err := NewIntake(env, record.Size, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,7 +156,7 @@ func TestIntakeSweepsItsRuns(t *testing.T) {
 				env := newParEnv(t, budget, par).WithContext(ctx)
 				src := loadInput(t, env, n, 7)
 				out, _ := env.Factory.Create("out", record.Size)
-				in, err := NewIntake(env, record.Size)
+				in, err := NewIntake(env, record.Size, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -195,7 +181,7 @@ func TestIntakeSweepsItsRuns(t *testing.T) {
 	}
 	t.Run("discard", func(t *testing.T) {
 		env := newEnv(t, "blocked", budget)
-		in, err := NewIntake(env, record.Size)
+		in, err := NewIntake(env, record.Size, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +203,7 @@ func TestIntakeSweepsItsRuns(t *testing.T) {
 // ExMS's preconditions, and a refusal still sweeps the runs.
 func TestIntakeRejectsMismatchedOutput(t *testing.T) {
 	env := newEnv(t, "blocked", 50)
-	in, err := NewIntake(env, record.Size)
+	in, err := NewIntake(env, record.Size, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,7 +91,7 @@ func TestSelectionPassOrder(t *testing.T) {
 			env := newEnv(t, "blocked", budget)
 			in, recs := dupInput(t, env, n, int64(budget))
 			order := selectionOrder(recs)
-			sel := newSelector(env, record.Size, budget)
+			sel := newSelector(env, record.Size, budget, nil)
 			done := 0 // records emitted by earlier passes = the bound's rank
 			for pass := 0; done < n; pass++ {
 				var survivors [][]byte
@@ -149,7 +149,7 @@ func TestSelectionPassCancelMidChunk(t *testing.T) {
 		t.Fatalf("poll interval %d falls on a %d-record chunk boundary", algo.PollInterval, chunk)
 	}
 	env.WithContext(canceledCtx())
-	sel := newSelector(env, record.Size, budget)
+	sel := newSelector(env, record.Size, budget, nil)
 	survivors := 0
 	got, err := sel.pass(in, func([]byte) error { survivors++; return nil })
 	if !errors.Is(err, context.Canceled) {
@@ -174,7 +174,7 @@ func TestSelectionStreamCancelMidPass(t *testing.T) {
 	ctx := &cancelAfterCtx{Context: context.Background()}
 	ctx.remaining.Store(int64(n/algo.PollInterval) + 1)
 	env.WithContext(ctx)
-	s := newSelectionStream(env, in, budget)
+	s := newSelectionStream(env, in, budget, nil)
 	for i := 0; i < budget; i++ {
 		rec, err := s.Next()
 		if err != nil {
@@ -242,7 +242,7 @@ func TestSelectionPassAllocs(t *testing.T) {
 	env := newEnv(t, "blocked", kernelBudget)
 	in := loadInput(t, env, kernelRecords, 9)
 	allocs := testing.AllocsPerRun(3, func() {
-		sel := newSelector(env, record.Size, kernelBudget)
+		sel := newSelector(env, record.Size, kernelBudget, nil)
 		for pass := 0; pass < 2; pass++ {
 			if got, err := sel.pass(in, nil); err != nil || got != kernelBudget {
 				t.Fatalf("pass = (%d, %v)", got, err)
@@ -259,7 +259,7 @@ func TestSelectionPassAllocs(t *testing.T) {
 func formedRuns(t testing.TB, env *algo.Env) []storage.Collection {
 	t.Helper()
 	in := loadInput(t, env, kernelRecords, 9)
-	runs, err := formRunsReplacementSelection(env, in, kernelBudget, sampling(env, false))
+	runs, err := formRunsReplacementSelection(env, in, kernelBudget, sampling(env, false), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestMergeItersAllocs(t *testing.T) {
 func BenchmarkSelectionPass(b *testing.B) {
 	env := newEnv(b, "blocked", kernelBudget)
 	in := loadInput(b, env, kernelRecords, 9)
-	sel := newSelector(env, record.Size, kernelBudget)
+	sel := newSelector(env, record.Size, kernelBudget, nil)
 	b.ReportAllocs()
 	b.SetBytes(kernelRecords * record.Size)
 	b.ResetTimer()
@@ -318,7 +318,7 @@ func BenchmarkFormRuns(b *testing.B) {
 	b.SetBytes(kernelRecords * record.Size)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runs, err := formRunsReplacementSelection(env, in, kernelBudget, sampling(env, false))
+		runs, err := formRunsReplacementSelection(env, in, kernelBudget, sampling(env, false), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -355,7 +355,7 @@ func TestFormRunsAllocBudget(t *testing.T) {
 	in := loadInput(t, env, kernelRecords, 9)
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	runs, err := formRuns(env, in, record.Size, sampling(env, false))
+	runs, err := formRuns(env, in, record.Size, sampling(env, false), nil)
 	runtime.ReadMemStats(&m1)
 	if err != nil {
 		t.Fatal(err)
@@ -374,7 +374,7 @@ func TestFormRunsAllocBudget(t *testing.T) {
 	destroyRuns(runs)
 
 	par := algo.NewParallelEnv(env.Factory, env.MemoryBudget, 2)
-	runs, err = formRuns(par, in, record.Size, sampling(par, false))
+	runs, err = formRuns(par, in, record.Size, sampling(par, false), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

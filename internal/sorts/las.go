@@ -29,7 +29,11 @@ func (s *LazySort) Name() string { return cost.SortLaS }
 
 // Sort implements Algorithm.
 func (s *LazySort) Sort(env *algo.Env, in, out storage.Collection) error {
-	return lazySort(env, in, out, cost.LazySortMaterializeIteration)
+	return s.sortWith(env, in, out, nil)
+}
+
+func (s *LazySort) sortWith(env *algo.Env, in, out storage.Collection, combine func(dst, src []byte)) error {
+	return lazySort(env, in, out, cost.LazySortMaterializeIteration, combine)
 }
 
 // Profile implements Profiled.
@@ -41,7 +45,8 @@ func (s *LazySort) Profile(em cost.Emit, t, m, lambda float64) cost.Profile {
 // says on which iteration over the current input (of remaining records,
 // extracting budget per pass, at write/read ratio λ) the survivors are
 // written out as the next input: LaS passes Eq. 5, SelS never does.
-func lazySort(env *algo.Env, in, out storage.Collection, materializeAt func(remaining, budget, lambda float64) int) (err error) {
+// Folding, every pass selects groups and Ti holds partials.
+func lazySort(env *algo.Env, in, out storage.Collection, materializeAt func(remaining, budget, lambda float64) int, combine func(dst, src []byte)) (err error) {
 	if err := checkArgs(env, in, out); err != nil {
 		return err
 	}
@@ -53,10 +58,9 @@ func lazySort(env *algo.Env, in, out storage.Collection, materializeAt func(rema
 	var curTemp storage.Collection // owned temp backing cur, nil when cur == in
 	var ti storage.Collection      // this iteration's materialization target
 	n := 1                         // iteration number on the current input (Algorithm 2's n)
-	emitted := 0
 
 	// One slab, and the bound the next pass resumes from, for every iteration.
-	sel := newSelector(env, recSize, budget)
+	sel := newSelector(env, recSize, budget, combine)
 
 	defer func() {
 		// Error exit: reclaim whichever temps are still live. Destroy is
@@ -66,7 +70,7 @@ func lazySort(env *algo.Env, in, out storage.Collection, materializeAt func(rema
 		}
 	}()
 
-	for emitted < in.Len() {
+	for more := in.Len() > 0; more; more = sel.more {
 		materialize := n >= materializeAt(float64(cur.Len()), float64(budget), lambda)
 
 		ti = nil
@@ -83,15 +87,11 @@ func lazySort(env *algo.Env, in, out storage.Collection, materializeAt func(rema
 		if err != nil {
 			return err
 		}
-		if selected == 0 && ti == nil {
-			break // defensive: no progress possible
-		}
 		for i := 0; i < selected; i++ {
 			if err := out.Append(sel.rec(i)); err != nil {
 				return err
 			}
 		}
-		emitted += selected
 
 		if materialize {
 			if err := ti.Close(); err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -168,6 +169,90 @@ func TestMergePassErrorSweepsMerged(t *testing.T) {
 				if live := env.LiveTemps(); live != 0 {
 					t.Fatalf("cancel at poll %d/%d leaked %d temp collections", polls, total, live)
 				}
+			}
+		})
+	}
+}
+
+// failingTemps fails the n-th Append to every temp whose name carries
+// prefix.
+type failingTemps struct {
+	storage.Factory
+	prefix string
+	n      int
+}
+
+func (f failingTemps) Create(name string, recSize int) (storage.Collection, error) {
+	c, err := f.Factory.Create(name, recSize)
+	if err != nil || !strings.Contains(name, "."+f.prefix+".") {
+		return c, err
+	}
+	return &failingAppend{Collection: c, remaining: f.n}, nil
+}
+
+// surfacedOnce holds err to be want, reported once: matched, and named
+// once in its text (not joined or wrapped around itself by a second
+// report).
+func surfacedOnce(t *testing.T, err, want error) {
+	t.Helper()
+	if !errors.Is(err, want) {
+		t.Fatalf("err = %v, want %v", err, want)
+	}
+	if n := strings.Count(err.Error(), want.Error()); n != 1 {
+		t.Fatalf("err %q reports %q %d times", err, want, n)
+	}
+}
+
+// TestSortFoldingFailureLeaksNothing: a folding sort that is cancelled at
+// any depth, or whose device fails under it — SelS's output, LaS's
+// intermediate input Ti while it is being written, SegS's and HybS's runs
+// — returns that one error and leaves no temp behind. The input's 990
+// groups among 1 000 partials outnumber the 50 slots twenty times over,
+// so LaS materializes Ti (at its eighteenth pass) before it is done.
+func TestSortFoldingFailureLeaksNothing(t *testing.T) {
+	const n, budget = 1000, 50
+	keys := arrivals(n, func(i int) uint64 { return uint64(i * 7919 % n % 990) })
+	for _, c := range []struct {
+		a    Algorithm
+		temp string // the temp that fails, "" for the output
+	}{
+		{NewSelectionSort(), ""},
+		{NewLazySort(), "lazyin"},
+		{NewSegmentSort(0.5), "run"},
+		{NewHybridSort(0.5), "hybrun"},
+		{NewExternalMergeSort(), "run"},
+	} {
+		t.Run(c.a.Name(), func(t *testing.T) {
+			fold := func(env *algo.Env, out storage.Collection) error {
+				return SortFolding(env, c.a, loadPartials(t, env, keys), out, addPartials)
+			}
+			calib := &countingCtx{Context: context.Background()}
+			env := newEnv(t, "blocked", budget).WithContext(calib)
+			out, _ := env.Factory.Create("out", record.Size)
+			if err := fold(env, out); err != nil {
+				t.Fatalf("calibration run: %v", err)
+			}
+			total := calib.calls.Load()
+			for _, frac := range []float64{0, 0.25, 0.5, 0.85} {
+				polls := int64(float64(total) * frac)
+				env := newEnv(t, "blocked", budget).WithContext(newCountdownCtx(polls))
+				out, _ := env.Factory.Create("out", record.Size)
+				surfacedOnce(t, fold(env, out), context.Canceled)
+				if live := env.LiveTemps(); live != 0 {
+					t.Fatalf("cancel at poll %d/%d leaked %d temps", polls, total, live)
+				}
+			}
+
+			base := newEnv(t, "blocked", budget)
+			env = algo.NewEnv(failingTemps{Factory: base.Factory, prefix: c.temp, n: 10}, base.MemoryBudget)
+			out, _ = base.Factory.Create("out", record.Size)
+			var dst storage.Collection = out
+			if c.temp == "" {
+				dst = &failingAppend{Collection: out, remaining: 10}
+			}
+			surfacedOnce(t, fold(env, dst), errAppendInjected)
+			if live := env.LiveTemps(); live != 0 {
+				t.Fatalf("a failed %s append leaked %d temps", c.temp, live)
 			}
 		})
 	}

@@ -18,20 +18,22 @@ import (
 // parallelism ≤ 1 this is exactly the serial algorithm. sample says
 // whether the runs keep a key sidecar (sampling): the workers' child
 // environments run at Parallelism 1 but their runs feed this
-// environment's final merge, so the caller decides, not the worker.
-func formRuns(env *algo.Env, in storage.Collection, recSize int, sample bool) ([]storage.Collection, error) {
+// environment's final merge, so the caller decides, not the worker. A
+// folding worker (combine set) folds its own chunk, so it still writes
+// no more records than the chunk holds.
+func formRuns(env *algo.Env, in storage.Collection, recSize int, sample bool, combine func(dst, src []byte)) ([]storage.Collection, error) {
 	w := env.Workers(in.Len())
 	if w > 1 {
 		w = capRunWorkers(env, in.Len(), recSize, w)
 	}
 	if w <= 1 {
-		return formRunsReplacementSelection(env, in, env.BudgetRecords(recSize), sample)
+		return formRunsReplacementSelection(env, in, env.BudgetRecords(recSize), sample, combine)
 	}
 	children := env.Split(w)
 	perWorker := make([][]storage.Collection, w)
 	err := env.RunWorkers(w, func(i int) error {
 		lo, hi := algo.SplitRange(in.Len(), w, i)
-		runs, err := formRunsReplacementSelection(children[i], storage.Slice(in, lo, hi), children[i].BudgetRecords(recSize), sample)
+		runs, err := formRunsReplacementSelection(children[i], storage.Slice(in, lo, hi), children[i].BudgetRecords(recSize), sample, combine)
 		if err != nil {
 			return err
 		}
@@ -132,8 +134,12 @@ type runFormer struct {
 	index   *xheap.Index          // folding: key → slot of every resident record
 }
 
-func newRunFormer(env *algo.Env, prefix string, recSize, budget int, sample bool) *runFormer {
-	return &runFormer{env: env, prefix: prefix, sample: sample, heap: xheap.NewKeyed(recSize, budget, false)}
+func newRunFormer(env *algo.Env, prefix string, recSize, budget int, sample bool, combine func(dst, src []byte)) *runFormer {
+	f := &runFormer{env: env, prefix: prefix, sample: sample, heap: xheap.NewKeyed(recSize, budget, false)}
+	if combine != nil {
+		f.combine, f.index = combine, new(xheap.Index)
+	}
+	return f
 }
 
 // add places rec in working memory, spilling the current run's minimum
@@ -271,36 +277,18 @@ type Intake struct {
 }
 
 // NewIntake returns an intake of recSize-byte records forming runs with
-// env's whole budget.
-func NewIntake(env *algo.Env, recSize int) (*Intake, error) {
+// env's whole budget. With combine set it is SortFolding's ExMS pushed:
+// it writes one partial per eviction, never more than it takes, and
+// MergeInto emits one record per key from a serial final merge.
+func NewIntake(env *algo.Env, recSize int, combine func(dst, src []byte)) (*Intake, error) {
 	if err := env.Validate(); err != nil {
 		return nil, err
 	}
-	return newIntake(env, recSize, env.BudgetRecords(recSize), sampling(env, false)), nil
+	return newIntake(env, recSize, env.BudgetRecords(recSize), sampling(env, combine != nil), combine), nil
 }
 
-// NewFoldingIntake returns an intake of recSize-byte partial aggregates
-// — records whose key says which group they belong to — that writes one
-// partial per eviction from memory, never more than it takes. It forms
-// runs with env's whole budget, as NewIntake does, but folds: a record
-// whose key is resident in memory is combined into the resident one
-// (combine merges partial src into partial dst, in place), and every
-// merge, intermediate or final, combines the partials of equal keys, so
-// MergeInto emits one record per key in ascending key order. Its runs
-// keep no key sidecar, and its final merge is serial at any P: a
-// range-parallel merge reserves each range's output by the records it
-// reads, which a fold does not emit.
-func NewFoldingIntake(env *algo.Env, recSize int, combine func(dst, src []byte)) (*Intake, error) {
-	if err := env.Validate(); err != nil {
-		return nil, err
-	}
-	in := newIntake(env, recSize, env.BudgetRecords(recSize), false)
-	in.f.combine, in.f.index = combine, new(xheap.Index)
-	return in, nil
-}
-
-func newIntake(env *algo.Env, recSize, budget int, sample bool) *Intake {
-	f := newRunFormer(env, "run", recSize, budget, sample)
+func newIntake(env *algo.Env, recSize, budget int, sample bool, combine func(dst, src []byte)) *Intake {
+	f := newRunFormer(env, "run", recSize, budget, sample, combine)
 	return &Intake{Sink: storage.NewSink("intake", recSize, env.Polled(f.add), nil), env: env, f: f}
 }
 
@@ -393,11 +381,11 @@ func (in *Intake) Discard() {
 }
 
 // formRunsReplacementSelection is a scan of src into an intake of budget
-// records: the pull form of run formation. Returned runs are closed and
-// non-empty. On error (including cancellation) every run created so far
-// is destroyed before returning.
-func formRunsReplacementSelection(env *algo.Env, src storage.Collection, budget int, sample bool) ([]storage.Collection, error) {
-	in := newIntake(env, src.RecordSize(), budget, sample)
+// records, folding when combine is set: the pull form of run formation.
+// Returned runs are closed and non-empty. On error (including
+// cancellation) every run created so far is destroyed before returning.
+func formRunsReplacementSelection(env *algo.Env, src storage.Collection, budget int, sample bool, combine func(dst, src []byte)) ([]storage.Collection, error) {
+	in := newIntake(env, src.RecordSize(), budget, sample, combine)
 	if err := env.Scan(src, in.Append); err != nil {
 		in.Discard()
 		return nil, err
@@ -405,12 +393,12 @@ func formRunsReplacementSelection(env *algo.Env, src storage.Collection, budget 
 	return in.finish()
 }
 
-// sampling reports whether runs that will meet in env's final merge —
-// beside a streaming source, when streamed — keep a key sidecar
-// (sampleRun): only parallelFinalMerge reads it, and that needs P ≥ 2 and
-// no stream.
-func sampling(env *algo.Env, streamed bool) bool {
-	return env.Parallelism > 1 && !streamed
+// sampling reports whether runs that will meet in env's final merge keep
+// a key sidecar (sampleRun): only parallelFinalMerge reads it, and that
+// needs P ≥ 2 and a final merge that is not serial anyway — serial says
+// a streaming source meets the runs there, or the merge folds.
+func sampling(env *algo.Env, serial bool) bool {
+	return env.Parallelism > 1 && !serial
 }
 
 // mergeRuns merges sorted runs into out with fan-in bounded by the memory
@@ -513,7 +501,7 @@ func mergePass(env *algo.Env, runs []storage.Collection, recSize, reserved int, 
 	} else {
 		children = []*algo.Env{env}
 	}
-	sample := combine == nil && sampling(env, reserved > 0) // decided here: the children run at Parallelism 1
+	sample := sampling(env, reserved > 0 || combine != nil) // decided here: the children run at Parallelism 1
 	nextGen := make([]storage.Collection, nGroups)
 	workErr := env.RunWorkers(w, func(wi int) error {
 		child := children[wi]

@@ -54,6 +54,11 @@ func (s *SegmentSort) Profile(em cost.Emit, t, m, lambda float64) cost.Profile {
 
 // Sort implements Algorithm.
 func (s *SegmentSort) Sort(env *algo.Env, in, out storage.Collection) error {
+	return s.sortWith(env, in, out, nil)
+}
+
+// sortWith is the SegS driver; a combine folds both segments and the merge.
+func (s *SegmentSort) sortWith(env *algo.Env, in, out storage.Collection, combine func(dst, src []byte)) error {
 	if err := checkArgs(env, in, out); err != nil {
 		return err
 	}
@@ -73,7 +78,7 @@ func (s *SegmentSort) Sort(env *algo.Env, in, out storage.Collection) error {
 	// fanned out to env.Parallelism workers over contiguous chunks.
 	var runs []storage.Collection
 	if split > 0 {
-		r, err := formRuns(env, storage.Slice(in, 0, split), recSize, sampling(env, split < in.Len()))
+		r, err := formRuns(env, storage.Slice(in, 0, split), recSize, sampling(env, split < in.Len() || combine != nil), combine)
 		if err != nil {
 			return err
 		}
@@ -89,10 +94,10 @@ func (s *SegmentSort) Sort(env *algo.Env, in, out storage.Collection) error {
 	var streams []storage.Iterator
 	if split < in.Len() {
 		seg := storage.Slice(in, split, in.Len())
-		streams = append(streams, newSelectionStream(env, seg, env.BudgetRecords(recSize)))
+		streams = append(streams, newSelectionStream(env, seg, env.BudgetRecords(recSize), combine))
 	}
 
-	if err := mergeRuns(env, runs, streams, out, recSize, nil); err != nil {
+	if err := mergeRuns(env, runs, streams, out, recSize, combine); err != nil {
 		return err
 	}
 	return out.Close()
@@ -117,7 +122,11 @@ func (s *ExternalMergeSort) Name() string { return cost.SortExMS }
 
 // Sort implements Algorithm.
 func (s *ExternalMergeSort) Sort(env *algo.Env, in, out storage.Collection) error {
-	return NewSegmentSort(1).Sort(env, in, out)
+	return s.sortWith(env, in, out, nil)
+}
+
+func (s *ExternalMergeSort) sortWith(env *algo.Env, in, out storage.Collection, combine func(dst, src []byte)) error {
+	return NewSegmentSort(1).sortWith(env, in, out, combine)
 }
 
 // Profile implements Profiled.

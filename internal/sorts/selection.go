@@ -19,10 +19,17 @@ import (
 // keys — and byte-identical records — still progress strictly from pass
 // to pass (§2.1.1's "position must be greater than the position of the
 // maximum element of the previous run").
+//
+// A folding selector (combine set) selects groups: its heap holds up to
+// budget distinct keys, each combining its rows in place (found through
+// index), so ⌈G/M⌉ passes emit G groups. Heap and bound compare keys
+// alone: a key at or below the bound was emitted whole by an earlier pass.
 type selector struct {
-	env  *algo.Env
-	heap *xheap.Keyed
-	poll func() error
+	env     *algo.Env
+	heap    *xheap.Keyed
+	poll    func() error
+	combine func(dst, src []byte) // folding: merges partial src into the resident partial dst
+	index   *xheap.Index          // folding: key → slot of every resident group
 
 	// The last record of the previous batch; passes admit only records
 	// strictly after it.
@@ -30,12 +37,18 @@ type selector struct {
 	boundKey uint64
 	boundPos uint32
 	boundRec []byte
+	more     bool // the last pass left a record for a later one
 }
 
-// newSelector returns a selector extracting up to budget records of
-// recSize bytes per pass, polling env's cancellation per scanned record.
-func newSelector(env *algo.Env, recSize, budget int) *selector {
-	return &selector{env: env, heap: xheap.NewKeyed(recSize, budget, true), poll: env.Poll()}
+// newSelector returns a selector extracting up to budget records (or
+// groups) of recSize bytes per pass, polling env's cancellation per
+// scanned record.
+func newSelector(env *algo.Env, recSize, budget int, combine func(dst, src []byte)) *selector {
+	s := &selector{env: env, heap: xheap.NewKeyed(recSize, budget, true), poll: env.Poll()}
+	if combine != nil {
+		s.combine, s.index = combine, new(xheap.Index)
+	}
+	return s
 }
 
 // pass scans src once and selects the (at most budget) smallest records
@@ -43,8 +56,9 @@ func newSelector(env *algo.Env, recSize, budget int) *selector {
 // advancing the bound past them; it reports how many it selected.
 // onSurvivor, when non-nil, receives every other record beyond the bound
 // (still unsorted business for later passes) as a view valid only during
-// the call; this is the hook lazy sort uses to materialize its
-// intermediate inputs. On error the batch is empty.
+// the call (a displaced group as its one partial); this is the hook lazy
+// sort uses to materialize its intermediate inputs. On error the batch is
+// empty.
 func (s *selector) pass(src storage.Collection, onSurvivor func(rec []byte) error) (int, error) {
 	// Positions are the 32-bit tie-break of the heap entries.
 	if uint64(src.Len()) > math.MaxUint32 {
@@ -52,6 +66,10 @@ func (s *selector) pass(src storage.Collection, onSurvivor func(rec []byte) erro
 	}
 	h := s.heap
 	h.Reset()
+	if s.index != nil {
+		s.index.Reset()
+	}
+	s.more = false
 	next := uint32(0)
 	err := s.env.Scan(src, func(rec []byte) error {
 		if err := s.poll(); err != nil {
@@ -60,6 +78,9 @@ func (s *selector) pass(src storage.Collection, onSurvivor func(rec []byte) erro
 		pos := next
 		next++
 		key := record.Key(rec)
+		if s.index != nil {
+			return s.fold(key, pos, rec, onSurvivor)
+		}
 		if s.bounded && !xheap.Before(s.boundKey, s.boundRec, s.boundPos, key, rec, pos) {
 			return nil // emitted by an earlier pass
 		}
@@ -69,17 +90,12 @@ func (s *selector) pass(src storage.Collection, onSurvivor func(rec []byte) erro
 		}
 		top := h.Top()
 		if !xheap.Before(key, rec, pos, top.Key, h.Record(top.Slot), top.Tie) {
-			if onSurvivor != nil {
-				return onSurvivor(rec)
-			}
-			return nil
+			return s.handOn(rec, onSurvivor)
 		}
 		// rec displaces the current maximum, which is handed on before
 		// its slot is overwritten in place.
-		if onSurvivor != nil {
-			if err := onSurvivor(h.Record(top.Slot)); err != nil {
-				return err
-			}
+		if err := s.handOn(h.Record(top.Slot), onSurvivor); err != nil {
+			return err
 		}
 		h.ReplaceTop(key, pos, rec)
 		return nil
@@ -97,6 +113,45 @@ func (s *selector) pass(src storage.Collection, onSurvivor func(rec []byte) erro
 	return h.Len(), nil
 }
 
+// fold is a folding pass's step: a resident group absorbs the row; a new
+// key takes a free slot, or the largest group's when that key is larger —
+// handed on whole, as the heap's largest key only falls and this pass
+// admits none of its later rows.
+func (s *selector) fold(key uint64, pos uint32, rec []byte, onSurvivor func(rec []byte) error) error {
+	if s.bounded && key <= s.boundKey {
+		return nil // emitted by an earlier pass
+	}
+	h := s.heap
+	if slot, ok := s.index.Find(key); ok {
+		s.combine(h.Record(slot), rec)
+		return nil
+	}
+	if !h.Full() {
+		s.index.Insert(key, h.Push(key, pos, rec))
+		return nil
+	}
+	top := h.Top()
+	if key > top.Key {
+		return s.handOn(rec, onSurvivor)
+	}
+	if err := s.handOn(h.Record(top.Slot), onSurvivor); err != nil {
+		return err
+	}
+	s.index.Remove(top.Slot)
+	h.ReplaceTop(key, pos, rec)
+	s.index.Insert(key, top.Slot)
+	return nil
+}
+
+// handOn passes a record left for a later pass to onSurvivor, if any.
+func (s *selector) handOn(rec []byte, onSurvivor func(rec []byte) error) error {
+	s.more = true
+	if onSurvivor == nil {
+		return nil
+	}
+	return onSurvivor(rec)
+}
+
 // rec returns record i of the last pass's batch, ascending. The view is
 // valid until the next pass.
 func (s *selector) rec(i int) []byte { return s.heap.Record(s.heap.Items()[i].Slot) }
@@ -110,33 +165,28 @@ func (s *selector) restart() { s.bounded = false }
 // at their final location. This is how segment sort's selection segment
 // achieves one write per record (§2.1.1).
 type selectionStream struct {
-	src     storage.Collection
-	sel     *selector
-	n, pos  int // batch size and read position within it
-	emitted int
-	err     error // sticky: io.EOF once drained or closed, else the failed pass's error
+	src    storage.Collection
+	sel    *selector
+	n, pos int   // batch size and read position within it
+	err    error // sticky: io.EOF once the last batch is out or closed, else the failed pass's error
 }
 
 // newSelectionStream builds a stream over src extracting budget records
-// per pass, polling the environment's cancellation during each pass.
-func newSelectionStream(env *algo.Env, src storage.Collection, budget int) *selectionStream {
-	return &selectionStream{src: src, sel: newSelector(env, src.RecordSize(), budget)}
+// (or groups) per pass, polling the environment's cancellation.
+func newSelectionStream(env *algo.Env, src storage.Collection, budget int, combine func(dst, src []byte)) *selectionStream {
+	return &selectionStream{src: src, sel: newSelector(env, src.RecordSize(), budget, combine)}
 }
 
 // Next implements storage.Iterator.
 func (s *selectionStream) Next() ([]byte, error) {
 	for s.pos >= s.n {
-		if s.err == nil && s.emitted >= s.src.Len() {
-			s.err = io.EOF
-		}
 		if s.err != nil {
 			return nil, s.err
 		}
 		s.pos = 0
-		if s.n, s.err = s.sel.pass(s.src, nil); s.err == nil && s.n == 0 {
-			s.err = io.EOF
+		if s.n, s.err = s.sel.pass(s.src, nil); s.err == nil && !s.sel.more {
+			s.err = io.EOF // after this batch, the last
 		}
-		s.emitted += s.n
 	}
 	rec := s.sel.rec(s.pos)
 	s.pos++
@@ -155,6 +205,7 @@ func (s *selectionStream) Close() error {
 // output) at the price of |T|/M read passes. It runs as lazy sort's loop
 // (§2.1.3) never materializing its survivors, and is priced as segment
 // sort's x = 0 end, whose I/O is the same (SelSProfile ≡ SegSProfile(0)).
+// Folding, it writes G groups in ⌈G/M⌉ passes, histogram-free.
 type SelectionSort struct{}
 
 // NewSelectionSort returns the SelS operator.
@@ -165,8 +216,12 @@ func (s *SelectionSort) Name() string { return cost.SortSelS }
 
 // Sort implements Algorithm.
 func (s *SelectionSort) Sort(env *algo.Env, in, out storage.Collection) error {
+	return s.sortWith(env, in, out, nil)
+}
+
+func (s *SelectionSort) sortWith(env *algo.Env, in, out storage.Collection, combine func(dst, src []byte)) error {
 	never := func(remaining, budget, lambda float64) int { return math.MaxInt }
-	return lazySort(env, in, out, never)
+	return lazySort(env, in, out, never, combine)
 }
 
 // Profile implements Profiled.

@@ -20,6 +20,11 @@
 // working state and spilling runs through the environment's persistence
 // layer. The catalog below is each algorithm's single declaration: the
 // planner, the plan DSL and the CLIs name, build and price it from there.
+//
+// Aggregation (the paper's §6 outlook) is a parameter of the same three
+// drivers — SegS's, the lazy loop's and HybS's: SortFolding sorts partial
+// aggregates with a combine that every kernel applies wherever it holds
+// equal keys, so a group-by writes no more than the same sort without one.
 package sorts
 
 import (
@@ -65,6 +70,34 @@ func Parse(s string) (Algorithm, error) { return catalog.Parse(s) }
 
 // Spellings lists the DSL spellings Parse accepts.
 func Spellings() []string { return catalog.Spellings() }
+
+// folding is every shipped sort's driver (combine nil: Sort).
+type folding interface {
+	sortWith(env *algo.Env, in, out storage.Collection, combine func(dst, src []byte)) error
+}
+
+// SortFolding sorts in — partial aggregates keyed by their group — into
+// out with a, combining the partials of equal keys (combine merges src
+// into dst in place): out receives one record per key, ascending. A
+// shipped sort combines inside its kernels — a parallel worker folds its
+// own share, and the final merge, which folds, is serial; any other
+// Algorithm sorts into a sink that combines.
+func SortFolding(env *algo.Env, a Algorithm, in, out storage.Collection, combine func(dst, src []byte)) error {
+	if f, ok := a.(folding); ok {
+		return f.sortWith(env, in, out, combine)
+	}
+	if err := checkArgs(env, in, out); err != nil {
+		return err
+	}
+	c := &combiner{acc: make([]byte, in.RecordSize()), combine: combine, emit: out.Append}
+	if err := a.Sort(env, in, storage.NewSink("fold("+out.Name()+")", in.RecordSize(), c.add, nil)); err != nil {
+		return err
+	}
+	if err := c.flush(); err != nil {
+		return err
+	}
+	return out.Close()
+}
 
 // checkArgs validates the common preconditions of all Sort calls.
 func checkArgs(env *algo.Env, in, out storage.Collection) error {

@@ -68,6 +68,12 @@ func (x *Index) place(slot uint32) {
 	x.table[i] = slot + 1
 }
 
+// Reset empties the index, keeping its table, as Keyed.Reset does.
+func (x *Index) Reset() {
+	clear(x.table)
+	x.used = 0
+}
+
 // Remove drops slot, which must be indexed, from the index.
 func (x *Index) Remove(slot uint32) {
 	mask := len(x.table) - 1

@@ -315,12 +315,17 @@ func (s *System) NewEnv(memoryBudget int64) *Env {
 // in the spirit of the paper's §6 outlook) under ctx with the given DRAM
 // budget: in is grouped by key and attribute attr is aggregated; out
 // receives one benchmark-schema record per group carrying
-// count/sum/min/max in the GroupAttr* slots. The write profile is
-// inherited from the chosen sort algorithm. Cancellation is polled and
+// count/sum/min/max in the GroupAttr* slots. It is the chosen sort with a
+// combine: the write profile is the sort's, over the groups its memory
+// cannot hold rather than the rows. Cancellation is polled and
 // temporaries are swept on error, as in SortCtx.
 func (s *System) GroupByCtx(ctx context.Context, a SortAlgorithm, in Collection, attr int, out Collection, memoryBudget int64) error {
+	partials, err := aggregate.Partials(in, attr)
+	if err != nil {
+		return err
+	}
 	env := s.NewEnv(memoryBudget).WithContext(ctx)
-	if err := aggregate.GroupBy(env, a, in, attr, out); err != nil {
+	if err := sorts.SortFolding(env, a, partials, out, aggregate.Combine); err != nil {
 		env.SweepTemps() //nolint:errcheck // best-effort cleanup after failure
 		return err
 	}
