@@ -29,11 +29,13 @@ import (
 //	                   (joins.partitionInto)
 //
 // The first plan is the benchmark's star query at a tenth of the fact
-// table's bytes: both sorts carry "⇐ feed", so the join's rows went
-// straight into the group-by's runs and the groups into the order-by's,
-// and neither result was ever a temp. The second sorts a filtered base
-// table: the filter renders inside the sort's input, a view that every
-// SelS pass re-reads, so the survivors are never written as a temp.
+// table's bytes: the group-by carries "⇐ feed", so the join's rows went
+// straight into its runs and were never a temp, and the order-by above it
+// compiled to no stage — a group-by emits its unique keys ascending, the
+// order-by's order already — which Explain.Elided notes. The second sorts
+// a filtered base table: the filter renders inside the sort's input, a
+// view that every SelS pass re-reads, so the survivors are never written
+// as a temp.
 func Example() {
 	sys, err := wlpm.New(wlpm.WithCapacity(64 << 20))
 	if err != nil {
@@ -66,12 +68,15 @@ func Example() {
 		for _, c := range ex.Choices {
 			fmt.Printf("  %s fed=%v\n", c.Operator, c.Fed)
 		}
+		for _, note := range ex.Elided {
+			fmt.Println("  elided", note)
+		}
 	}
 	// Output:
-	// OrderBy[ExMS ⇐ feed](GroupBy[a3, ExMS ⇐ feed](Join[NLJ → project[0 1 12 13 14 5 16 7 18 9]](Scan(dim), Scan(fact))))
+	// GroupBy[a3, ExMS ⇐ feed](Join[NLJ → project[0 1 12 13 14 5 16 7 18 9]](Scan(dim), Scan(fact)))
 	//   Join fed=false
 	//   GroupBy fed=true
-	//   OrderBy fed=true
+	//   elided OrderBy: no stage, its input is a group-by's result (unique keys, ascending: the record order already)
 	// OrderBy[SelS](Scan(dim) → filter[a1 < 500])
 	//   OrderBy fed=false
 }

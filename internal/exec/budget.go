@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 
+	"wlpm/internal/algo"
 	"wlpm/internal/cost"
 	"wlpm/internal/joins"
 	"wlpm/internal/record"
@@ -16,11 +17,13 @@ import (
 // The plan's DRAM budget M used to be split evenly across the blocking
 // stages. The allocator here splits it by marginal benefit instead: each
 // stage exposes the price of its cheapest implementation as a function
-// of its share (stageAlloc.plan), and a greedy water-filling pass hands
-// quanta of the budget to whichever stage's cost curve bends most. The
-// even split remains a guaranteed-no-worse fallback: the allocator
-// compares the two predictions and keeps the even shares whenever the
-// greedy result does not beat them.
+// of its share (stageAlloc.plan) — and a fold fed by nested loops also of
+// the join's share, whose block is the fold's cluster of keys (arrivalAt)
+// — and a greedy water-filling pass hands quanta of the budget to
+// whichever window lowers the whole plan's price most per byte. The even
+// split remains a guaranteed-no-worse fallback: the allocator compares
+// the two predictions and keeps the even shares whenever the greedy
+// result does not beat them.
 //
 // At run time the shares stay live: when a blocking stage opens and its
 // actual input cardinality diverges from the estimate, budgetPlan.commit
@@ -62,14 +65,31 @@ func allocBuffers(share int64, blockSize int) float64 {
 	return m
 }
 
-// Allocate splits total bytes across the stages' cost curves. Each
+// Allocate splits total bytes across independent stage cost curves. Each
 // pricer maps a stage share m (in buffers, ≥ 2) to the predicted price
 // of the stage's cheapest implementation. Every share is floored at two
 // buffers; when the total cannot cover the floors, or when the greedy
 // result does not beat the even split's prediction, the even split is
 // returned with Even set.
 func Allocate(total int64, blockSize int, pricers []func(m float64) float64) Allocation {
-	n := len(pricers)
+	costs := make([]float64, len(pricers))
+	return allocate(total, blockSize, len(pricers), func(ms []float64) []float64 {
+		for i, p := range pricers {
+			costs[i] = p(ms[i])
+		}
+		return costs
+	})
+}
+
+// allocate is Allocate over n shares priced together: price maps every
+// share (in buffers, ≥ 2) to the per-stage prices of the whole plan —
+// possibly more stages than shares, and a stage's price may depend on
+// another's share (a fold fed by nested loops, budgetPlan.price). A probe
+// window on one share is scored by what it changes anywhere: the sum of
+// the per-stage differences, so an independent curve's rate is exactly
+// its own difference. The slice price returns is read before the next
+// call only.
+func allocate(total int64, blockSize, n int, price func(ms []float64) []float64) Allocation {
 	if n == 0 {
 		return Allocation{}
 	}
@@ -77,10 +97,17 @@ func Allocate(total int64, blockSize int, pricers []func(m float64) float64) All
 		blockSize = 1
 	}
 	floor := stageFloor(blockSize)
+	ms := make([]float64, n)
+	priceAt := func(shares []int64) []float64 {
+		for i, s := range shares {
+			ms[i] = allocBuffers(s, blockSize)
+		}
+		return price(ms)
+	}
 	costAt := func(shares []int64) float64 {
 		sum := 0.0
-		for i, p := range pricers {
-			sum += p(allocBuffers(shares[i], blockSize))
+		for _, c := range priceAt(shares) {
+			sum += c
 		}
 		return sum
 	}
@@ -112,13 +139,18 @@ func Allocate(total int64, blockSize int, pricers []func(m float64) float64) All
 	// probes geometrically growing windows (quantum, 4×, 16×, …, rest)
 	// per stage and hands the window with the best cost-saved-per-byte
 	// rate to its stage.
+	var base []float64
 	for rounds := 0; rest >= quantum && quantum > 0 && rounds < 4*allocQuantaPerStage*n; rounds++ {
+		base = append(base[:0], priceAt(shares)...)
 		bestI, bestW, bestRate := -1, int64(0), 0.0
-		for i, p := range pricers {
-			base := p(allocBuffers(shares[i], blockSize))
+		for i := range shares {
 			probe := func(w int64) {
-				rate := (base - p(allocBuffers(shares[i]+w, blockSize))) / float64(w)
-				if rate > bestRate {
+				ms[i] = allocBuffers(shares[i]+w, blockSize)
+				saved := 0.0
+				for j, c := range price(ms) {
+					saved += base[j] - c
+				}
+				if rate := saved / float64(w); rate > bestRate {
 					bestI, bestW, bestRate = i, w, rate
 				}
 			}
@@ -126,6 +158,7 @@ func Allocate(total int64, blockSize int, pricers []func(m float64) float64) All
 				probe(w)
 			}
 			probe(rest)
+			ms[i] = allocBuffers(shares[i], blockSize)
 		}
 		if bestI < 0 {
 			break // flat curves: more memory buys nothing anywhere
@@ -164,6 +197,8 @@ type stageAlloc struct {
 	sortA    sorts.Algorithm // pinned sort (order-by, group-by); nil = planner's choice
 	joinA    joins.Algorithm // pinned join; nil = planner's choice
 	groupEst int             // group-by: distinct-group estimate (0 = none)
+	order    emitOrder       // group-by: the order its input's keys arrive in; join: its left input's (arrivalAt)
+	lrec     int             // join: the left input's record width, which sizes nested loops' blocks
 	outBuf   float64         // join, group-by: estimated result size through any absorbed chain (buffers)
 	t, v     float64         // current input-size estimates (buffers)
 	inEst    float64         // estimated build/input rows, divergence baseline
@@ -194,10 +229,17 @@ type stagePlan struct {
 }
 
 // plan prices the stage for t (and, for joins, v) input buffers at a
-// share of m buffers. A pinned algorithm is priced by its own profile
-// (sorts.Profiled, joins.Profiled), or at the cheapest plan when the
-// implementation has none; an open choice is the cheapest shipped plan.
+// share of m buffers, its input arriving as its producer emits it at the
+// producer's live share (liveArrival).
 func (s *stageAlloc) plan(t, v, m float64) stagePlan {
+	return s.planAt(t, v, m, s.liveArrival())
+}
+
+// planAt is plan with the input arriving as in says. A pinned algorithm
+// is priced by its own profile (sorts.Profiled, joins.Profiled), or at
+// the cheapest plan when the implementation has none; an open choice is
+// the cheapest shipped plan.
+func (s *stageAlloc) planAt(t, v, m float64, in arrival) stagePlan {
 	if s.op == "Join" {
 		lambda, par := s.bp.lambda, s.bp.par
 		if j, ok := s.joinA.(joins.Profiled); ok {
@@ -206,7 +248,7 @@ func (s *stageAlloc) plan(t, v, m float64) stagePlan {
 		best := cost.BestJoinPlanEmit(t, v, m, lambda, par, s.emit())
 		return stagePlan{cost: best.Cost, join: best}
 	}
-	return s.sortPlan(t, m)
+	return s.sortPlan(t, m, in)
 }
 
 // sortPlan prices a sort stage (order-by, group-by). A pinned sort runs
@@ -224,13 +266,13 @@ func (s *stageAlloc) plan(t, v, m float64) stagePlan {
 // goes to fed: equal I/O, and no temp to create and destroy. Once the
 // stage has opened the input has its home and only that side is
 // re-priced.
-func (s *stageAlloc) sortPlan(t, m float64) stagePlan {
+func (s *stageAlloc) sortPlan(t, m float64, in arrival) stagePlan {
 	lambda, par := s.bp.lambda, s.bp.par
 	if a, ok := s.sortA.(sorts.Profiled); ok {
 		return stagePlan{cost: a.Profile(s.emit(), t, m, lambda).PriceP(1, lambda, par)}
 	}
 	if s.opened && s.fed {
-		return s.fedPlan(t, m)
+		return s.fedPlan(t, m, in)
 	}
 	best := cost.BestSortPlanEmit(t, m, lambda, par, s.emit())
 	stored := stagePlan{cost: best.Cost, sort: best}
@@ -243,19 +285,19 @@ func (s *stageAlloc) sortPlan(t, m float64) stagePlan {
 	if s.opened {
 		return stored
 	}
-	if fed := s.fedPlan(t, m); fed.cost <= stored.cost {
+	if fed := s.fedPlan(t, m, in); fed.cost <= stored.cost {
 		return fed
 	}
 	return stored
 }
 
 // fedPlan is the fed home's price: ExMS through its intake — for a
-// group-by a folding one, whose runs hold what folded leaves of t — plus,
-// over a stored input, the serial scan that pushes it.
-func (s *stageAlloc) fedPlan(t, m float64) stagePlan {
+// group-by a folding one, whose runs hold what folded leaves of t as the
+// keys arrive — plus, over a stored input, the serial scan that pushes it.
+func (s *stageAlloc) fedPlan(t, m float64, in arrival) stagePlan {
 	em := s.emit()
 	if s.op == "GroupBy" {
-		em.Folded = s.folded(t, m)
+		em.Folded = s.folded(t, m, in)
 	}
 	p := em.FedExMS(t, m)
 	if s.onDevice {
@@ -266,30 +308,125 @@ func (s *stageAlloc) fedPlan(t, m float64) stagePlan {
 	return stagePlan{cost: c, fed: true, sort: cost.SortPlan{Algo: cost.SortExMS, Profile: p, Cost: c}}
 }
 
+// arrival is how a fold's input keys reach its intake: in clusters of
+// keys distinct keys, one after the other (0: one cluster of all of them,
+// in no known order). The key sets of successive clusters interleave
+// unless ascending: each cluster's keys then all follow the last's.
+type arrival struct {
+	keys      float64
+	ascending bool
+}
+
+// carryOver is the share of a cluster's keys that the previous cluster's
+// partials, still resident when it starts, cost an extra partial each: an
+// intake evicts the least key of its current run (replacement selection),
+// not the least recently folded, so while it sweeps those partials out
+// it sweeps out keys of the new cluster too, and each that arrives again
+// misses again. The share grows with how much of the heap the clusters
+// fill — carryOverPerSlot × min(g, S)/max(g, S), the coefficient measured
+// on nested-loops-shaped arrivals (TestFoldedPriceMatchesIntake) — times
+// the chance that an evicted key has another row to come, 1 − g/rows.
+// Ascending clusters carry nothing over: the previous cluster's keys are
+// all less than the new one's, so they are swept out first.
+const carryOverPerSlot = 0.7
+
 // folded estimates, in buffers, the partials a fed group-by's folding
 // intake writes from t buffers of input rows at a share of m buffers:
 // one per arrival of a key not resident in its S heap slots. With G
-// estimated groups among N rows: if all groups fit (S ≥ G), G partials.
-// Otherwise, with keys arriving uniformly, the heap fills with S partials
-// over the first G·ln(G/(G−S)) rows; from then on S of the G groups are
-// resident, and each row misses with probability 1 − S/G — clamped to
-// [G, N], since every group leaves the heap at least once and no row
-// twice (near N/G = 1 the fill outlasts the input and the formula drops
-// below G). A producer that emits its keys clustered folds better than
-// this. Without a group estimate nothing is priced (0: unfolded).
-func (s *stageAlloc) folded(t, m float64) float64 {
+// estimated groups among N rows, the keys arrive in G/g clusters of
+// g = min(in.keys, G) distinct keys and N·g/G rows each — one cluster of
+// all G when nothing is known of their order, G clusters of one when
+// they arrive sorted. If all G groups fit the heap (S ≥ G) the intake
+// writes none — G is returned, which cost.Emit.FedExMS prices as the
+// output alone. Otherwise each cluster is priced as if its keys arrived
+// uniformly: if they fit (S ≥ g), g partials; if not, the heap fills with
+// S partials over the cluster's first g·ln(g/(g−S)) rows, and from then
+// on S of the g keys are resident and each row misses with probability
+// 1 − S/g — clamped to [g, rows], since every key leaves the heap at
+// least once and no row twice (near rows/g = 1 the fill outlasts the
+// cluster and the formula drops below g). Every cluster after the first
+// adds its carryOver when the clusters interleave. A sorted input thus
+// writes its G groups once. Without a group estimate nothing is priced
+// (0: unfolded).
+func (s *stageAlloc) folded(t, m float64, in arrival) float64 {
 	if s.groupEst <= 0 {
 		return 0
 	}
 	perBuf := float64(s.bp.blockSize) / record.Size // rows per buffer
 	n, slots := t*perBuf, math.Floor(m*perBuf)
-	g := math.Min(float64(s.groupEst), n)
-	partials := g
-	if slots < g {
-		fill := g * math.Log(g/(g-slots))
-		partials = math.Min(math.Max(slots+(n-fill)*(1-slots/g), g), n)
+	groups := math.Min(float64(s.groupEst), n)
+	if groups <= slots {
+		return groups / perBuf
 	}
-	return partials / perBuf
+	// One cluster of g keys: its partials, and what it carries over when
+	// it follows another (every row of a key, R = N/G, is equally likely
+	// to be its last).
+	cluster := func(g float64) (partials, carry float64) {
+		rows := n * g / groups
+		partials = g
+		if slots < g {
+			fill := g * math.Log(g/(g-slots))
+			partials = math.Min(math.Max(slots+(rows-fill)*(1-slots/g), g), rows)
+		}
+		return partials, carryOverPerSlot * math.Min(g, slots) / math.Max(g, slots) * (1 - groups/n) * g
+	}
+	if in.keys <= 0 || in.keys >= groups {
+		p, _ := cluster(groups)
+		return p / perBuf
+	}
+	full := math.Floor(groups / in.keys)
+	p, carry := cluster(in.keys)
+	total, carried := full*p, (full-1)*carry
+	if rest := groups - full*in.keys; rest > 0 {
+		p, carry := cluster(rest)
+		total, carried = total+p, carried+carry
+	}
+	if !in.ascending {
+		total += carried
+	}
+	return total / perBuf
+}
+
+// arrivalAt is how the stage's input keys arrive at its fold, its
+// producer planned as prod at a share of mProd buffers: sorted — one key
+// per cluster, ascending — when the input is a sort's or a group-by's
+// result, and, over a join that runs nested loops, in clusters of the
+// left records of one block, since each probe pass emits only the keys
+// of its block (joins.blockNestedLoops), ascending when the left input
+// is sorted. Otherwise nothing is known. Only a group-by folds.
+func (s *stageAlloc) arrivalAt(prod stagePlan, mProd float64) arrival {
+	if s.op != "GroupBy" {
+		return arrival{}
+	}
+	switch s.order {
+	case sorted, grouped:
+		return arrival{keys: 1, ascending: true}
+	case clustered:
+		j := s.bp.stages[s.tFrom]
+		if j.nestedLoops(prod) {
+			block := math.Floor(mProd * float64(s.bp.blockSize) / (algo.HashTableExpansion * float64(j.lrec)))
+			return arrival{keys: math.Max(1, block), ascending: j.order >= sorted}
+		}
+	}
+	return arrival{}
+}
+
+// liveArrival is arrivalAt with the producer priced at its live share.
+func (s *stageAlloc) liveArrival() arrival {
+	if s.op != "GroupBy" || s.order != clustered {
+		return s.arrivalAt(stagePlan{}, 0)
+	}
+	j := s.bp.stages[s.tFrom]
+	m := allocBuffers(j.share, s.bp.blockSize)
+	return s.arrivalAt(j.plan(j.t, j.v, m), m)
+}
+
+// nestedLoops reports whether the join stage runs NLJ under plan pl.
+func (s *stageAlloc) nestedLoops(pl stagePlan) bool {
+	if s.joinA != nil {
+		return s.joinA.Name() == cost.JoinNLJ
+	}
+	return pl.join.Algo == cost.JoinNLJ
 }
 
 // emit is what the stage really does with its output term; every
@@ -403,7 +540,7 @@ func (s *stageAlloc) feed(cur sorts.Algorithm) (sorts.Algorithm, bool) {
 	s.bp.mu.Lock()
 	defer s.bp.mu.Unlock()
 	if !s.opened {
-		s.fed = s.sortPlan(s.t, allocBuffers(s.share, s.bp.blockSize)).fed
+		s.fed = s.plan(s.t, 0, allocBuffers(s.share, s.bp.blockSize)).fed
 		s.opened = s.fed
 	}
 	s.choice.Fed = s.fed
@@ -438,6 +575,8 @@ type budgetPlan struct {
 	blockSize int
 	total     int64
 	stages    []*stageAlloc // the compiler's stage list
+	plans     []stagePlan   // price's scratch, one per stage
+	costs     []float64     // price's result, one per stage
 }
 
 // buffers converts a (rows, recordSize) pair to buffer units (t or v of
@@ -455,14 +594,61 @@ func (c *compiler) buffers(rows, recSize int) float64 {
 	return buffers(rows, recSize, c.blockSize)
 }
 
-// pricersOf builds the allocator inputs for a subset of stages at their
-// current input-size estimates.
-func pricersOf(stages []*stageAlloc) []func(m float64) float64 {
-	ps := make([]func(m float64) float64, len(stages))
-	for i, s := range stages {
-		ps[i] = func(m float64) float64 { return s.plan(s.t, s.v, m).cost }
+// price prices every stage at its current input-size estimates and a
+// share of ms[i] buffers, and returns the stages' prices (scratch, valid
+// until the next call). The stages are in build's post-order, so a
+// producer is planned before the fold whose arrival its plan and share
+// decide (arrivalAt): a window on one share moves every price that depends
+// on it, which is what the allocator scores.
+func (bp *budgetPlan) price(ms []float64) []float64 {
+	if len(bp.costs) != len(bp.stages) {
+		bp.plans, bp.costs = make([]stagePlan, len(bp.stages)), make([]float64, len(bp.stages))
 	}
-	return ps
+	for i, s := range bp.stages {
+		var prod stagePlan
+		mProd := 0.0
+		if s.tFrom >= 0 {
+			prod, mProd = bp.plans[s.tFrom], ms[s.tFrom]
+		}
+		bp.plans[i] = s.planAt(s.t, s.v, ms[i], s.arrivalAt(prod, mProd))
+		bp.costs[i] = bp.plans[i].cost
+	}
+	return bp.costs
+}
+
+// allocate splits the whole budget across every stage.
+func (bp *budgetPlan) allocate() Allocation {
+	return allocate(bp.total, bp.blockSize, len(bp.stages), bp.price)
+}
+
+// cost is the plan's predicted price at the given shares (bytes).
+func (bp *budgetPlan) cost(shares []int64) float64 {
+	ms := make([]float64, len(shares))
+	for i, s := range shares {
+		ms[i] = allocBuffers(s, bp.blockSize)
+	}
+	sum := 0.0
+	for _, c := range bp.price(ms) {
+		sum += c
+	}
+	return sum
+}
+
+// clusterCap bounds a re-split share of the unopened stage d: a fold
+// already frozen over d's nested-loops clusters was priced against its
+// heap slots, so d may grow while its blocks still fit them and, where
+// they did not fit at d's current share, not at all.
+func (bp *budgetPlan) clusterCap(d *stageAlloc) int64 {
+	limit := int64(math.MaxInt64)
+	for _, f := range bp.stages {
+		if !f.opened || f.op != "GroupBy" || f.order != clustered || f.tFrom != d.idx || f.groupEst <= 0 {
+			continue
+		}
+		slots := f.share / record.Size
+		fit := int64(math.Ceil(float64(slots+1)*algo.HashTableExpansion*float64(d.lrec))) - 1
+		limit = min(limit, max(d.share, fit))
+	}
+	return limit
 }
 
 // commit is called when stage idx opens with its actual input sizes
@@ -516,10 +702,14 @@ func (bp *budgetPlan) commit(idx int, actT, actV float64, actRows int) float64 {
 			}
 		}
 	}
-	// Re-split the unopened stages over what the opened ones left.
+	// Re-split the unopened stages over what the opened ones left, the
+	// whole plan priced: an opened fold's price still moves with an
+	// unopened producer's share.
 	remaining := bp.total
 	var open []*stageAlloc
-	for _, d := range bp.stages {
+	ms := make([]float64, len(bp.stages))
+	for i, d := range bp.stages {
+		ms[i] = allocBuffers(d.share, bp.blockSize)
 		if d.opened {
 			remaining -= d.share
 		} else {
@@ -527,12 +717,18 @@ func (bp *budgetPlan) commit(idx int, actT, actV float64, actRows int) float64 {
 		}
 	}
 	if remaining > 0 && len(open) > 0 {
-		alloc := Allocate(remaining, bp.blockSize, pricersOf(open))
+		alloc := allocate(remaining, bp.blockSize, len(open), func(sub []float64) []float64 {
+			for i, d := range open {
+				ms[d.idx] = sub[i]
+			}
+			return bp.price(ms)
+		})
 		for i, d := range open {
-			if alloc.Shares[i] != d.share {
+			share := min(alloc.Shares[i], bp.clusterCap(d))
+			if share != d.share {
 				d.choice.Resplit = true
 			}
-			d.share = alloc.Shares[i]
+			d.share = share
 			d.choice.Share = d.share
 		}
 	}
@@ -569,25 +765,36 @@ func (c *compiler) demandWalk(p *Plan, collect bool) (planEstimate, int) {
 	case planFilter:
 		in, from := c.demandWalk(p.left, collect)
 		out := c.filterEstimate(in, p.pred)
+		out.order = in.order
 		c.narrow(p, out, from, collect)
 		return out, from
 
 	case planProject:
 		in, from := c.demandWalk(p.left, collect)
 		out := projectEstimate(in, p.attrs)
+		out.order = in.order.project(p.attrs)
 		c.narrow(p, out, from, collect)
 		return out, from
 
 	case planLimit:
 		in, from := c.demandWalk(p.left, collect)
-		return limitEstimate(in, p.n), from
+		out := limitEstimate(in, p.n)
+		out.order = in.order
+		return out, from
 
 	case planOrderBy:
 		in, from := c.demandWalk(p.left, collect)
 		if !collect {
 			return in, -1
 		}
-		return in, add(c.feeding(p, &stageAlloc{
+		if note, ok := c.elides(p, in.order); ok {
+			c.elided[p] = true
+			c.notes = append(c.notes, note)
+			return in, from
+		}
+		out := in
+		out.order = sorted
+		return out, add(c.feeding(p, &stageAlloc{
 			op: "OrderBy", sortA: p.sortA,
 			t: c.buffers(in.rows, planRecordSize(p.left)), inEst: float64(in.rows), tFrom: from, vFrom: -1,
 		}))
@@ -595,12 +802,12 @@ func (c *compiler) demandWalk(p *Plan, collect bool) (planEstimate, int) {
 	case planGroupBy:
 		in, from := c.demandWalk(p.left, collect)
 		est, groups := c.groupEstimate(p, in)
-		out := planEstimate{rows: groups}
+		out := planEstimate{rows: groups, order: grouped}
 		if !collect {
 			return out, -1
 		}
 		return out, add(c.feeding(p, &stageAlloc{
-			op: "GroupBy", sortA: p.sortA, groupEst: est, outBuf: c.buffers(groups, record.Size),
+			op: "GroupBy", sortA: p.sortA, groupEst: est, order: in.order, outBuf: c.buffers(groups, record.Size),
 			t: c.buffers(in.rows, planRecordSize(p.left)), inEst: float64(in.rows), tFrom: from, vFrom: -1,
 		}))
 
@@ -608,17 +815,78 @@ func (c *compiler) demandWalk(p *Plan, collect bool) (planEstimate, int) {
 		lest, lfrom := c.demandWalk(p.left, collect)
 		rest, rfrom := c.demandWalk(p.right, collect)
 		out := c.joinEstimate(lest, rest)
+		out.order = clustered
 		if !collect {
 			return out, -1
 		}
 		lrec, rrec := planRecordSize(p.left), planRecordSize(p.right)
 		return out, add(&stageAlloc{
-			op: "Join", joinA: p.joinA, outBuf: c.buffers(out.rows, lrec+rrec),
+			op: "Join", joinA: p.joinA, order: lest.order, lrec: lrec, outBuf: c.buffers(out.rows, lrec+rrec),
 			t: c.buffers(lest.rows, lrec), v: c.buffers(rest.rows, rrec),
 			inEst: float64(lest.rows), tFrom: lfrom, vFrom: rfrom,
 		})
 	}
 	return planEstimate{}, -1
+}
+
+// emitOrder is what the planner knows of the order a result's records
+// are emitted in: a property of the compiled plan, derived by demandWalk
+// from its shape and read twice — an order-by over a result already in
+// its order compiles to no stage (elides), and a fold prices the partials
+// it writes by how its input's keys arrive (arrivalAt, folded).
+type emitOrder uint8
+
+const (
+	// unordered: nothing is known.
+	unordered emitOrder = iota
+	// clustered: the join stage the result streams from emits its keys
+	// in clusters when it runs nested loops — each probe pass only the
+	// keys of one left block (joins.blockNestedLoops), so how many depends
+	// on the join's share. GJ's and HybJ's partitions are not modelled.
+	clustered
+	// sorted: the record total order (record.Less) — a sort's result.
+	sorted
+	// grouped: unique keys, ascending — a group-by's result. It is in the
+	// record total order too, and since no two records share a key it
+	// stays so through any projection that keeps a0 first.
+	grouped
+)
+
+// project is the order of a result projected to attrs: a new first
+// attribute is a new key, and equal keys of a sorted result are ordered
+// by bytes the projection may drop or move.
+func (o emitOrder) project(attrs []int) emitOrder {
+	if len(attrs) == 0 || attrs[0] != 0 || o == sorted {
+		return unordered
+	}
+	return o
+}
+
+// elides decides whether the order-by p, over a result emitted in order
+// in, compiles to no stage, and says why: the planner owns its sort and
+// the result is in the record total order already. A pinned sort runs
+// what it names, and the materialize-everything reference sorts.
+func (c *compiler) elides(p *Plan, in emitOrder) (string, bool) {
+	if p.sortA != nil || c.opts.MaterializeEveryStep {
+		return "", false
+	}
+	switch in {
+	case grouped:
+		return "OrderBy: no stage, its input is a group-by's result (unique keys, ascending: the record order already)", true
+	case sorted:
+		return "OrderBy: no stage, its input is a sort's result (the record order already)", true
+	}
+	return "", false
+}
+
+// chainBase is the node beneath p's Filter/Project chain, looking through
+// the order-bys that compile to no stage: the operator the chain is built
+// on.
+func (c *compiler) chainBase(p *Plan) *Plan {
+	for p.kind == planFilter || p.kind == planProject || c.elided[p] {
+		p = p.left
+	}
+	return p
 }
 
 // feeding decides, from the plan's shape alone, whether the order-by or
@@ -637,10 +905,7 @@ func (c *compiler) feeding(p *Plan, s *stageAlloc) *stageAlloc {
 	if p.sortA != nil || c.opts.MaterializeEveryStep {
 		return s
 	}
-	q := p.left
-	for q.kind == planFilter || q.kind == planProject {
-		q = q.left
-	}
+	q := c.chainBase(p.left)
 	switch q.kind {
 	case planJoin, planGroupBy:
 		c.stages[s.tFrom].handed = true
@@ -658,9 +923,7 @@ func (c *compiler) feeding(p *Plan, s *stageAlloc) *stageAlloc {
 // blocking operator at the bottom of p's Filter/Project chain
 // (compiler.chainOf decides the same thing on the operator tree).
 func (c *compiler) absorbs(p *Plan) bool {
-	for p.kind == planFilter || p.kind == planProject {
-		p = p.left
-	}
+	p = c.chainBase(p)
 	return !c.opts.MaterializeEveryStep && (p.kind == planJoin || p.kind == planGroupBy)
 }
 

@@ -178,6 +178,28 @@ func TestOpenTimeResplit(t *testing.T) {
 	}
 }
 
+// TestResplitKeepsClustersInFoldSlots: a fed fold freezes its share
+// before its nested-loops producer opens. The producer's Open-time
+// re-split may take what the opened stages left, but not past the frozen
+// fold's heap slots it was priced against: its blocks, the fold's key
+// clusters, would stop fitting them.
+func TestResplitKeepsClustersInFoldSlots(t *testing.T) {
+	bp := &budgetPlan{lambda: 15, par: 1, blockSize: 1024, total: 400000}
+	join := &stageAlloc{op: "Join", idx: 0, bp: bp, joinA: joins.NewNestedLoops(), lrec: record.Size,
+		t: 782, v: 7813, inEst: 10000, tFrom: -1, vFrom: -1, share: 150000, choice: &Choice{}}
+	fold := &stageAlloc{op: "GroupBy", idx: 1, bp: bp, groupEst: 10000, order: clustered, feedable: true,
+		t: 6905, inEst: 88378, tFrom: 0, vFrom: -1, share: 160000, opened: true, fed: true, choice: &Choice{}}
+	bp.stages = []*stageAlloc{join, fold}
+	bp.commit(join.idx, join.t, join.v, 10000)
+	slots := fold.share / record.Size
+	if keys := int64(float64(join.share) / (algo.HashTableExpansion * record.Size)); keys > slots {
+		t.Errorf("re-split the join to %d B: blocks of %d keys, past the frozen fold's %d slots", join.share, keys, slots)
+	}
+	if join.share <= 150000 {
+		t.Errorf("re-split the join to %d B: it kept none of the %d B the fold left", join.share, bp.total-fold.share)
+	}
+}
+
 // TestAllocateSyntheticCurves checks the allocator directly: a stage
 // with a steep curve takes budget from a flat one, floors hold, and the
 // even fallback engages when the total cannot cover the floors.
@@ -419,28 +441,79 @@ func (c *countedRun) Append(rec []byte) error {
 }
 
 // TestFoldedPriceMatchesIntake: a fed group-by is priced for the partials
-// its folding intake writes (stageAlloc.folded). Where every group fits
-// the heap the intake writes none — the estimate is then at most its
-// slots, which cost.Emit.FedExMS prices as the output alone — and on keys
-// arriving uniformly the estimate is within 10 % of what a real intake's
-// run formation writes when few do. Where each group arrives only once or
-// a little more (N/G ∈ {1, 1.25}, "shuffled") the estimate stays within
-// [G, N]: every group leaves the heap at least once, no row twice. Keys
-// that arrive sorted, or clustered in blocks the way nested loops emit a
-// join, fold better than the uniform estimate; those are reported, not
-// gated.
+// its folding intake writes (stageAlloc.folded), by the order its keys
+// arrive in (arrivalAt). Where every group fits the heap the intake writes
+// none — the estimate is then at most its slots, which
+// cost.Emit.FedExMS prices as the output alone — and where few do the
+// estimate is within 10 % of what a real intake's run formation writes,
+// on keys arriving uniformly, sorted, in ten clusters, and the way nested
+// loops emits a join: consecutive blocks of c keys, each key N/G times in
+// random order inside its block, with c just under and just over the
+// heap's S slots. Where each group arrives only once or a little more
+// (N/G ∈ {1, 1.25}, "shuffled") the estimate stays within [G, N]: every
+// group leaves the heap at least once, no row twice.
 func TestFoldedPriceMatchesIntake(t *testing.T) {
 	const n = 20000
 	r := newRig(t)
 	bs := r.fac.BlockSize()
-	arrivals := map[string]func(i, g int, rng *rand.Rand) uint64{
-		"uniform":   func(_, g int, rng *rand.Rand) uint64 { return uint64(rng.Intn(g)) },
-		"sorted":    func(i, g int, _ *rand.Rand) uint64 { return uint64(i * g / n) },
-		"clustered": func(i, g int, rng *rand.Rand) uint64 { b := (g + 9) / 10; return uint64(i*10/n*b + rng.Intn(b)) },
+	// Each arrival returns the n keys in arrival order and how the planner
+	// would see them arrive.
+	uniform := func(g, _ int, rng *rand.Rand) ([]int, arrival) {
+		keys := make([]int, n)
+		for i := range keys {
+			keys[i] = rng.Intn(g)
+		}
+		return keys, arrival{}
 	}
-	groups := map[string][]int{"uniform": {500, 2000, 8000}, "sorted": {500, 2000, 8000}, "clustered": {500, 2000, 8000}, "shuffled": {n, n * 4 / 5}}
-	for _, name := range []string{"uniform", "sorted", "clustered", "shuffled"} {
-		for _, g := range groups[name] {
+	// blocks: the groups, permuted, in consecutive blocks of c, each
+	// group N/G times in random order inside its block.
+	blocks := func(g, c int, rng *rand.Rand) ([]int, arrival) {
+		perm, keys := rng.Perm(g), make([]int, 0, n)
+		for lo := 0; lo < g; lo += c {
+			block, from := perm[lo:min(lo+c, g)], len(keys)
+			for i := range n * len(block) / g {
+				keys = append(keys, block[i%len(block)])
+			}
+			rng.Shuffle(len(keys)-from, func(i, j int) { keys[from+i], keys[from+j] = keys[from+j], keys[from+i] })
+		}
+		return keys, arrival{keys: float64(c)}
+	}
+	arrivals := map[string]func(g, slots int, rng *rand.Rand) ([]int, arrival){
+		"uniform": uniform,
+		"sorted": func(g, _ int, _ *rand.Rand) ([]int, arrival) {
+			keys := make([]int, n)
+			for i := range keys {
+				keys[i] = i * g / n
+			}
+			return keys, arrival{keys: 1, ascending: true}
+		},
+		// ten ascending key ranges, uniform inside each
+		"clustered": func(g, _ int, rng *rand.Rand) ([]int, arrival) {
+			b := (g + 9) / 10
+			keys := make([]int, n)
+			for i := range keys {
+				keys[i] = i*10/n*b + rng.Intn(b)
+			}
+			return keys, arrival{keys: float64(b), ascending: true}
+		},
+		"nlj-under": func(g, slots int, rng *rand.Rand) ([]int, arrival) { return blocks(g, slots-slots/8, rng) },
+		"nlj-over":  func(g, slots int, rng *rand.Rand) ([]int, arrival) { return blocks(g, slots+slots/8, rng) },
+		// shuffled: every group N/G times, in random order.
+		"shuffled": func(g, _ int, rng *rand.Rand) ([]int, arrival) {
+			keys := rng.Perm(n)
+			for i := range keys {
+				keys[i] %= g
+			}
+			return keys, arrival{}
+		},
+	}
+	groups := map[string][]int{"shuffled": {n, n * 4 / 5}}
+	for _, name := range []string{"uniform", "sorted", "clustered", "nlj-under", "nlj-over", "shuffled"} {
+		gs, ok := groups[name]
+		if !ok {
+			gs = []int{500, 2000, 8000}
+		}
+		for _, g := range gs {
 			for _, slots := range []int{128, 1024, 4096} {
 				var partials int
 				env := algo.NewEnv(runWrites{Factory: r.fac, n: &partials}, int64(slots*record.Size))
@@ -449,17 +522,10 @@ func TestFoldedPriceMatchesIntake(t *testing.T) {
 					t.Fatal(err)
 				}
 				rng := rand.New(rand.NewSource(int64(g + slots)))
-				var keys []int // shuffled: every group N/G times, in random order
-				if name == "shuffled" {
-					keys = rng.Perm(n)
-				}
+				keys, arrives := arrivals[name](g, slots, rng)
 				raw, partial := record.New(0), make([]byte, record.Size)
-				for i := 0; i < n; i++ {
-					if name == "shuffled" {
-						record.SetAttr(raw, 0, uint64(keys[i]%g))
-					} else {
-						record.SetAttr(raw, 0, arrivals[name](i, g, rng))
-					}
+				for _, k := range keys {
+					record.SetAttr(raw, 0, uint64(k))
 					aggregate.Singleton(partial, raw, 4)
 					if err := in.Append(partial); err != nil {
 						t.Fatal(err)
@@ -469,7 +535,7 @@ func TestFoldedPriceMatchesIntake(t *testing.T) {
 					t.Fatal(err)
 				}
 				st := &stageAlloc{op: "GroupBy", groupEst: g, bp: &budgetPlan{blockSize: bs}}
-				est := st.folded(buffers(n, record.Size, bs), float64(slots*record.Size)/float64(bs)) * float64(bs) / record.Size
+				est := st.folded(buffers(n, record.Size, bs), float64(slots*record.Size)/float64(bs), arrives) * float64(bs) / record.Size
 				ratio := est / float64(partials)
 				switch {
 				case g <= slots:
@@ -480,12 +546,10 @@ func TestFoldedPriceMatchesIntake(t *testing.T) {
 					if est < float64(g) || est > n {
 						t.Errorf("shuffled G=%d S=%d: estimated %.0f partials, outside [G, N] = [%d, %d] (the intake wrote %d)", g, slots, est, g, n, partials)
 					}
-				case name == "uniform":
-					if math.Abs(ratio-1) > 0.10 {
-						t.Errorf("uniform G=%d S=%d: estimated %.0f partials, the intake wrote %d (%.3f×)", g, slots, est, partials, ratio)
-					}
+				case math.Abs(ratio-1) > 0.10:
+					t.Errorf("%s G=%d S=%d: estimated %.0f partials, the intake wrote %d (%.3f×)", name, g, slots, est, partials, ratio)
 				}
-				t.Logf("%-9s G=%-5d S=%-5d estimated %6.0f partials, measured %6d (%.3f×)", name, g, slots, est, partials, ratio)
+				t.Logf("%-9s G=%-5d S=%-5d c=%-4.0f estimated %6.0f partials, measured %6d (%.3f×)", name, g, slots, arrives.keys, est, partials, ratio)
 			}
 		}
 	}

@@ -38,6 +38,11 @@
 // says which ran. Pinned sorts, join inputs and the
 // materialize-every-step reference read stored inputs.
 //
+// The compiler knows the order every result is emitted in (emitOrder):
+// a planner-owned OrderBy over a result already in the record order — a
+// sort's or a group-by's, through filters, limits and projections that
+// keep the key first — compiles to no stage, and Explain.Elided says so.
+//
 // Blocking operators (OrderBy, GroupBy, Join) share the plan's DRAM
 // budget M through the marginal-benefit allocator (see budget.go): each
 // stage's share is sized by how much its cost curve bends, with the even

@@ -81,18 +81,26 @@ var feedShapes = []struct {
 		dim1, _, fact := r.loadStar(t, feedDim, feedFact)
 		return sortWith(Table(dim1).JoinWith(Table(fact), joins.NewNestedLoops()), pin)
 	}},
-	{"groupby-orderby", feedFact * record.Size / 6, 1, func(t *testing.T, r *rig, pin bool) *Plan {
+	// A group-by's result is in the order-by's order already: unpinned,
+	// the order-by compiles to no stage (elides), so these shapes feed one
+	// stage fewer than they sort, and the next three none, one and one.
+	{"groupby-orderby", feedFact * record.Size / 6, 0, func(t *testing.T, r *rig, pin bool) *Plan {
 		return sortWith(Table(loadGrouped(t, r, "in", feedFact, 500)).GroupByWith(4, sorts.NewHybridSort(0.5)), pin)
 	}},
-	{"join-groupby-orderby", feedFact * record.Size / 2, 2, func(t *testing.T, r *rig, pin bool) *Plan {
+	{"join-groupby-orderby", feedFact * record.Size / 2, 1, func(t *testing.T, r *rig, pin bool) *Plan {
 		dim1, _, fact := r.loadStar(t, feedDim, feedFact)
 		return sortWith(groupWith(Table(dim1).JoinWith(Table(fact), joins.NewNestedLoops()).Project(starCols...), 3, pin), pin)
 	}},
 	// A group-by over a base table pushes the table into its fold, whose
-	// 300 groups fit memory and go on into the order-by's intake: two fed
-	// stages, and no run anywhere.
-	{"hashagg-orderby", 1 << 20, 2, func(t *testing.T, r *rig, pin bool) *Plan {
+	// 300 groups fit memory: no run anywhere.
+	{"hashagg-orderby", 1 << 20, 1, func(t *testing.T, r *rig, pin bool) *Plan {
 		return sortWith(Table(loadGrouped(t, r, "in", feedFact, 300)).GroupHint(300).GroupBy(4), pin)
+	}},
+	// Ordered by an aggregate the order-by keeps its stage, and the
+	// group-by's final merge goes into its intake: two fed stages.
+	{"join-groupby-byagg-orderby", feedFact * record.Size / 2, 2, func(t *testing.T, r *rig, pin bool) *Plan {
+		dim1, _, fact := r.loadStar(t, feedDim, feedFact)
+		return sortWith(groupWith(Table(dim1).JoinWith(Table(fact), joins.NewNestedLoops()).Project(starCols...), 3, pin).Project(1, 0, 2), pin)
 	}},
 	{"limit-orderby", feedFact * record.Size / 4, 1, func(t *testing.T, r *rig, pin bool) *Plan {
 		return sortWith(Table(loadGrouped(t, r, "in", feedFact, 500)).Limit(feedFact-100), pin)

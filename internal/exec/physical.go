@@ -20,6 +20,10 @@ type CompileOptions struct {
 	// from the cardinality estimates. Only this package's tests set it,
 	// to price the written order against the reordered one.
 	disableJoinReorder bool
+	// shares, when set, replaces the allocator's split with these
+	// per-stage shares (bytes, stage order). Only this package's tests
+	// set it, to measure the planner's split against forced ones.
+	shares []int64
 }
 
 var errNilPlan = fmt.Errorf("exec: nil plan")
@@ -60,6 +64,9 @@ type Explain struct {
 	BatchSize   int  // records per operator pull (the vectorization window)
 	Reordered   bool // the planner rebuilt a join chain smallest-build-first
 	Choices     []*Choice
+	// Elided notes each planner-owned order-by that compiled to no stage
+	// because its input is in the record order already, and why.
+	Elided []string `json:",omitempty"`
 
 	root Operator
 }
@@ -89,6 +96,9 @@ func (e *Explain) String() string {
 	}
 	if e.Reordered {
 		fmt.Fprintf(&b, "joins   reordered smallest-build-first from the cardinality estimates (compensating projection restores the written column order)\n")
+	}
+	for _, note := range e.Elided {
+		fmt.Fprintf(&b, "elided  %s\n", note)
 	}
 	for _, c := range e.Choices {
 		origin := "cost model"
@@ -158,7 +168,10 @@ func CompileWith(ctx *Ctx, p *Plan, opts CompileOptions) (Operator, *Explain, er
 	// budget by marginal benefit (the even split is the allocator's
 	// guaranteed no-worse fallback).
 	bp := c.bp
-	alloc := Allocate(bp.total, bp.blockSize, pricersOf(c.stages))
+	alloc := bp.allocate()
+	if opts.shares != nil {
+		alloc = Allocation{Shares: opts.shares, Cost: bp.cost(opts.shares), EvenCost: alloc.EvenCost}
+	}
 	for i, s := range c.stages {
 		s.share = alloc.Shares[i]
 	}
@@ -183,6 +196,7 @@ func CompileWith(ctx *Ctx, p *Plan, opts CompileOptions) (Operator, *Explain, er
 		BatchSize:   ctx.batchSize(),
 		Reordered:   c.reordered,
 		Choices:     c.choices,
+		Elided:      c.notes,
 		root:        root,
 	}
 	return root, ex, nil
@@ -197,6 +211,8 @@ type compiler struct {
 	next      int           // stages consumed by build so far
 	reordered bool
 	choices   []*Choice
+	elided    map[*Plan]bool // order-bys the demand walk compiled to no stage (elides)
+	notes     []string       // why, in walk order: Explain.Elided
 }
 
 // newCompiler validates the inputs, applies the join-order rewrite and
@@ -212,7 +228,7 @@ func newCompiler(ctx *Ctx, p *Plan, opts CompileOptions) (*compiler, *Plan, erro
 	if p.err != nil {
 		return nil, nil, p.err
 	}
-	c := &compiler{opts: opts, stats: ctx.Stats, blockSize: ctx.Factory.BlockSize()}
+	c := &compiler{opts: opts, stats: ctx.Stats, blockSize: ctx.Factory.BlockSize(), elided: map[*Plan]bool{}}
 	if !opts.disableJoinReorder {
 		p = c.reorderJoins(p)
 	}
@@ -325,6 +341,9 @@ func (c *compiler) build(p *Plan) (Operator, error) {
 		return c.breaker(NewLimit(child, p.n)), nil
 
 	case planOrderBy, planGroupBy:
+		if c.elided[p] {
+			return c.build(p.left)
+		}
 		child, err := c.build(p.left)
 		if err != nil {
 			return nil, err
@@ -370,8 +389,9 @@ func (c *compiler) build(p *Plan) (Operator, error) {
 // count plus, when statistics reached this node, the column statistics of
 // its output schema.
 type planEstimate struct {
-	rows int
-	tbl  *stats.Table
+	rows  int
+	tbl   *stats.Table
+	order emitOrder
 }
 
 // statsFor consults the context's statistics provider for a base table.

@@ -150,14 +150,15 @@ func TestExplainPlanLineNamesWhatRan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// A budget at which every stage sits just above the two-buffer floor:
-	// there the group-by's 27 heap slots fold next to nothing of its 1000
+	// A budget at which both stages sit just above the two-buffer floor
+	// (the order-by over the group-by compiles to no stage): there the
+	// group-by's few dozen heap slots fold next to nothing of its 1000
 	// groups, so its extra merge passes price above storing the join's
 	// result; it reads a temp, opens on the actual rows (the join's output
 	// is estimated ~8 % low) and re-plans. At the floor itself, or at a
 	// roomier budget, the join feeds it, and a fed stage is ExMS from start
 	// to end.
-	sess := sys.Session(wlpm.WithSessionBudget(int64(nFact * wlpm.RecordSize / 120)))
+	sess := sys.Session(wlpm.WithSessionBudget(int64(nFact * wlpm.RecordSize / 160)))
 	star := func() *wlpm.Query {
 		return sess.Query(dim).Join(sess.Query(fact)).
 			Project(0, 1, 12, 13, 14, 5, 16, 7, 18, 9).GroupBy(3).OrderBy()
