@@ -197,7 +197,7 @@ type stageAlloc struct {
 	sortA    sorts.Algorithm // pinned sort (order-by, group-by); nil = planner's choice
 	joinA    joins.Algorithm // pinned join; nil = planner's choice
 	groupEst int             // group-by: distinct-group estimate (0 = none)
-	order    emitOrder       // group-by: the order its input's keys arrive in; join: its left input's (arrivalAt)
+	order    emitOrder       // group-by: the order its input's keys arrive in (arrivalAt)
 	lrec     int             // join: the left input's record width, which sizes nested loops' blocks
 	outBuf   float64         // join, group-by: estimated result size through any absorbed chain (buffers)
 	t, v     float64         // current input-size estimates (buffers)
@@ -235,11 +235,12 @@ func (s *stageAlloc) plan(t, v, m float64) stagePlan {
 	return s.planAt(t, v, m, s.liveArrival())
 }
 
-// planAt is plan with the input arriving as in says. A pinned algorithm
-// is priced by its own profile (sorts.Profiled, joins.Profiled), or at
-// the cheapest plan when the implementation has none; an open choice is
-// the cheapest shipped plan.
-func (s *stageAlloc) planAt(t, v, m float64, in arrival) stagePlan {
+// planAt is plan with the input's keys arriving in clusters of cluster
+// distinct keys (arrivalAt). A pinned algorithm is priced by its own
+// profile (sorts.Profiled, joins.Profiled), or at the cheapest plan when
+// the implementation has none; an open choice is the cheapest shipped
+// plan.
+func (s *stageAlloc) planAt(t, v, m, cluster float64) stagePlan {
 	if s.op == "Join" {
 		lambda, par := s.bp.lambda, s.bp.par
 		if j, ok := s.joinA.(joins.Profiled); ok {
@@ -248,7 +249,7 @@ func (s *stageAlloc) planAt(t, v, m float64, in arrival) stagePlan {
 		best := cost.BestJoinPlanEmit(t, v, m, lambda, par, s.emit())
 		return stagePlan{cost: best.Cost, join: best}
 	}
-	return s.sortPlan(t, m, in)
+	return s.sortPlan(t, m, cluster)
 }
 
 // sortPlan prices a sort stage (order-by, group-by). A pinned sort runs
@@ -266,13 +267,13 @@ func (s *stageAlloc) planAt(t, v, m float64, in arrival) stagePlan {
 // goes to fed: equal I/O, and no temp to create and destroy. Once the
 // stage has opened the input has its home and only that side is
 // re-priced.
-func (s *stageAlloc) sortPlan(t, m float64, in arrival) stagePlan {
+func (s *stageAlloc) sortPlan(t, m, cluster float64) stagePlan {
 	lambda, par := s.bp.lambda, s.bp.par
 	if a, ok := s.sortA.(sorts.Profiled); ok {
 		return stagePlan{cost: a.Profile(s.emit(), t, m, lambda).PriceP(1, lambda, par)}
 	}
 	if s.opened && s.fed {
-		return s.fedPlan(t, m, in)
+		return s.fedPlan(t, m, cluster)
 	}
 	best := cost.BestSortPlanEmit(t, m, lambda, par, s.emit())
 	stored := stagePlan{cost: best.Cost, sort: best}
@@ -285,7 +286,7 @@ func (s *stageAlloc) sortPlan(t, m float64, in arrival) stagePlan {
 	if s.opened {
 		return stored
 	}
-	if fed := s.fedPlan(t, m, in); fed.cost <= stored.cost {
+	if fed := s.fedPlan(t, m, cluster); fed.cost <= stored.cost {
 		return fed
 	}
 	return stored
@@ -294,10 +295,10 @@ func (s *stageAlloc) sortPlan(t, m float64, in arrival) stagePlan {
 // fedPlan is the fed home's price: ExMS through its intake — for a
 // group-by a folding one, whose runs hold what folded leaves of t as the
 // keys arrive — plus, over a stored input, the serial scan that pushes it.
-func (s *stageAlloc) fedPlan(t, m float64, in arrival) stagePlan {
+func (s *stageAlloc) fedPlan(t, m, cluster float64) stagePlan {
 	em := s.emit()
 	if s.op == "GroupBy" {
-		em.Folded = s.folded(t, m, in)
+		em.Folded = s.folded(t, m, cluster)
 	}
 	p := em.FedExMS(t, m)
 	if s.onDevice {
@@ -308,47 +309,42 @@ func (s *stageAlloc) fedPlan(t, m float64, in arrival) stagePlan {
 	return stagePlan{cost: c, fed: true, sort: cost.SortPlan{Algo: cost.SortExMS, Profile: p, Cost: c}}
 }
 
-// arrival is how a fold's input keys reach its intake: in clusters of
-// keys distinct keys, one after the other (0: one cluster of all of them,
-// in no known order). The key sets of successive clusters interleave
-// unless ascending: each cluster's keys then all follow the last's.
-type arrival struct {
-	keys      float64
-	ascending bool
-}
-
-// carryOver is the share of a cluster's keys that the previous cluster's
-// partials, still resident when it starts, cost an extra partial each: an
-// intake evicts the least key of its current run (replacement selection),
-// not the least recently folded, so while it sweeps those partials out
-// it sweeps out keys of the new cluster too, and each that arrives again
-// misses again. The share grows with how much of the heap the clusters
-// fill — carryOverPerSlot × min(g, S)/max(g, S), the coefficient measured
-// on nested-loops-shaped arrivals (TestFoldedPriceMatchesIntake) — times
-// the chance that an evicted key has another row to come, 1 − g/rows.
-// Ascending clusters carry nothing over: the previous cluster's keys are
-// all less than the new one's, so they are swept out first.
-const carryOverPerSlot = 0.7
+// carryOverShare sizes a cluster's carry-over: the share of its keys
+// that the previous cluster's partials, still resident when it starts,
+// cost an extra partial each. An intake evicts the least key of its
+// current run (replacement selection), not the least recently folded, so
+// while it sweeps those partials out it sweeps out keys of the new
+// cluster too, and each that arrives again misses again. The share grows
+// with the square of how much of the heap a cluster fills —
+// carryOverShare × (min(g, S)/max(g, S))² — times the chance that an
+// evicted key has another row to come, 1 − g/rows. Form and coefficient
+// are measured (TestFoldedPriceMatchesIntake) on clusters of a tenth of
+// the groups and on nested-loops-shaped arrivals with each block's keys
+// in random order, and hold for blocks whose keys arrive round-robin — as
+// nested loops emits a fact table whose keys cycle — while a block fits
+// the heap. A cluster of one key carries nothing over: its rows arrive
+// together, and nothing misses to evict it before its last.
+const carryOverShare = 0.8
 
 // folded estimates, in buffers, the partials a fed group-by's folding
 // intake writes from t buffers of input rows at a share of m buffers:
 // one per arrival of a key not resident in its S heap slots. With G
 // estimated groups among N rows, the keys arrive in G/g clusters of
-// g = min(in.keys, G) distinct keys and N·g/G rows each — one cluster of
-// all G when nothing is known of their order, G clusters of one when
-// they arrive sorted. If all G groups fit the heap (S ≥ G) the intake
-// writes none — G is returned, which cost.Emit.FedExMS prices as the
-// output alone. Otherwise each cluster is priced as if its keys arrived
-// uniformly: if they fit (S ≥ g), g partials; if not, the heap fills with
-// S partials over the cluster's first g·ln(g/(g−S)) rows, and from then
-// on S of the g keys are resident and each row misses with probability
-// 1 − S/g — clamped to [g, rows], since every key leaves the heap at
-// least once and no row twice (near rows/g = 1 the fill outlasts the
-// cluster and the formula drops below g). Every cluster after the first
-// adds its carryOver when the clusters interleave. A sorted input thus
-// writes its G groups once. Without a group estimate nothing is priced
-// (0: unfolded).
-func (s *stageAlloc) folded(t, m float64, in arrival) float64 {
+// g = min(cluster, G) distinct keys and N·g/G rows each, the key sets of
+// successive clusters interleaving — one cluster of all G when nothing is
+// known of their order (cluster 0), G clusters of one when they arrive
+// sorted. If all G groups fit the heap (S ≥ G) the intake writes none —
+// G is returned, which cost.Emit.FedExMS prices as the output alone.
+// Otherwise each cluster is priced as if its keys arrived uniformly: if
+// they fit (S ≥ g), g partials; if not, the heap fills with S partials
+// over the cluster's first g·ln(g/(g−S)) rows, and from then on S of the
+// g keys are resident and each row misses with probability 1 − S/g —
+// clamped to [g, rows], since every key leaves the heap at least once and
+// no row twice (near rows/g = 1 the fill outlasts the cluster and the
+// formula drops below g). Every cluster after the first adds its
+// carry-over (carryOverShare). A sorted input thus writes its G groups
+// once. Without a group estimate nothing is priced (0: unfolded).
+func (s *stageAlloc) folded(t, m, cluster float64) float64 {
 	if s.groupEst <= 0 {
 		return 0
 	}
@@ -361,58 +357,57 @@ func (s *stageAlloc) folded(t, m float64, in arrival) float64 {
 	// One cluster of g keys: its partials, and what it carries over when
 	// it follows another (every row of a key, R = N/G, is equally likely
 	// to be its last).
-	cluster := func(g float64) (partials, carry float64) {
+	price := func(g float64) (partials, carry float64) {
 		rows := n * g / groups
 		partials = g
 		if slots < g {
 			fill := g * math.Log(g/(g-slots))
 			partials = math.Min(math.Max(slots+(rows-fill)*(1-slots/g), g), rows)
 		}
-		return partials, carryOverPerSlot * math.Min(g, slots) / math.Max(g, slots) * (1 - groups/n) * g
+		if g > 1 {
+			filled := math.Min(g, slots) / math.Max(g, slots)
+			carry = carryOverShare * filled * filled * (1 - groups/n) * g
+		}
+		return partials, carry
 	}
-	if in.keys <= 0 || in.keys >= groups {
-		p, _ := cluster(groups)
+	if cluster <= 0 || cluster >= groups {
+		p, _ := price(groups)
 		return p / perBuf
 	}
-	full := math.Floor(groups / in.keys)
-	p, carry := cluster(in.keys)
-	total, carried := full*p, (full-1)*carry
-	if rest := groups - full*in.keys; rest > 0 {
-		p, carry := cluster(rest)
-		total, carried = total+p, carried+carry
-	}
-	if !in.ascending {
-		total += carried
+	full := math.Floor(groups / cluster)
+	p, carry := price(cluster)
+	total := full*p + (full-1)*carry
+	if rest := groups - full*cluster; rest > 0 {
+		p, carry := price(rest)
+		total += p + carry
 	}
 	return total / perBuf
 }
 
-// arrivalAt is how the stage's input keys arrive at its fold, its
-// producer planned as prod at a share of mProd buffers: sorted — one key
-// per cluster, ascending — when the input is a sort's or a group-by's
-// result, and, over a join that runs nested loops, in clusters of the
-// left records of one block, since each probe pass emits only the keys
-// of its block (joins.blockNestedLoops), ascending when the left input
-// is sorted. Otherwise nothing is known. Only a group-by folds.
-func (s *stageAlloc) arrivalAt(prod stagePlan, mProd float64) arrival {
+// arrivalAt is how many distinct keys at a time the stage's input keys
+// arrive at its fold (folded's cluster), its producer planned as prod at
+// a share of mProd buffers: one — sorted — when the input is a sort's or
+// a group-by's result, and, over a join that runs nested loops, the left
+// records of one block, since each probe pass emits only the keys of its
+// block (joins.blockNestedLoops). Otherwise nothing is known (0). Only a
+// group-by folds.
+func (s *stageAlloc) arrivalAt(prod stagePlan, mProd float64) float64 {
 	if s.op != "GroupBy" {
-		return arrival{}
+		return 0
 	}
 	switch s.order {
 	case sorted, grouped:
-		return arrival{keys: 1, ascending: true}
+		return 1
 	case clustered:
-		j := s.bp.stages[s.tFrom]
-		if j.nestedLoops(prod) {
-			block := math.Floor(mProd * float64(s.bp.blockSize) / (algo.HashTableExpansion * float64(j.lrec)))
-			return arrival{keys: math.Max(1, block), ascending: j.order >= sorted}
+		if j := s.bp.stages[s.tFrom]; j.nestedLoops(prod) {
+			return math.Max(1, math.Floor(mProd*float64(s.bp.blockSize)/(algo.HashTableExpansion*float64(j.lrec))))
 		}
 	}
-	return arrival{}
+	return 0
 }
 
 // liveArrival is arrivalAt with the producer priced at its live share.
-func (s *stageAlloc) liveArrival() arrival {
+func (s *stageAlloc) liveArrival() float64 {
 	if s.op != "GroupBy" || s.order != clustered {
 		return s.arrivalAt(stagePlan{}, 0)
 	}
@@ -621,19 +616,6 @@ func (bp *budgetPlan) allocate() Allocation {
 	return allocate(bp.total, bp.blockSize, len(bp.stages), bp.price)
 }
 
-// cost is the plan's predicted price at the given shares (bytes).
-func (bp *budgetPlan) cost(shares []int64) float64 {
-	ms := make([]float64, len(shares))
-	for i, s := range shares {
-		ms[i] = allocBuffers(s, bp.blockSize)
-	}
-	sum := 0.0
-	for _, c := range bp.price(ms) {
-		sum += c
-	}
-	return sum
-}
-
 // clusterCap bounds a re-split share of the unopened stage d: a fold
 // already frozen over d's nested-loops clusters was priced against its
 // heap slots, so d may grow while its blocks still fit them and, where
@@ -821,7 +803,7 @@ func (c *compiler) demandWalk(p *Plan, collect bool) (planEstimate, int) {
 		}
 		lrec, rrec := planRecordSize(p.left), planRecordSize(p.right)
 		return out, add(&stageAlloc{
-			op: "Join", joinA: p.joinA, order: lest.order, lrec: lrec, outBuf: c.buffers(out.rows, lrec+rrec),
+			op: "Join", joinA: p.joinA, lrec: lrec, outBuf: c.buffers(out.rows, lrec+rrec),
 			t: c.buffers(lest.rows, lrec), v: c.buffers(rest.rows, rrec),
 			inEst: float64(lest.rows), tFrom: lfrom, vFrom: rfrom,
 		})

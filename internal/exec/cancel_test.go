@@ -208,11 +208,24 @@ var cancelPlans = []cancelPlanCase{
 		},
 	},
 	{
-		// The join emits into the group-by's intake; the order-by over the
-		// group-by compiles to no stage (its input is in its order
-		// already). Cancellation lands mid-emit (probe → run formation) or
-		// in the group-by's merge.
+		// Two fed stages: the join emits into the group-by's intake and
+		// the group-by's final merge into the order-by's, which orders by
+		// an aggregate (a group-by's result is in key order already).
+		// Cancellation lands mid-emit (probe → run formation), in the
+		// group-by's merge with the order-by's intake half full, or in the
+		// order-by's merge.
 		name: "feed-join-groupby-orderby",
+		fed:  2,
+		plan: func(t *testing.T, r *rig) *Plan {
+			dim1, _, fact := r.loadStar(t, 800, 8000)
+			return Table(dim1).JoinWith(Table(fact), joins.NewNestedLoops()).Project(starCols...).GroupBy(3).Project(byAgg...).OrderBy()
+		},
+	},
+	{
+		// The same join and group-by under an order-by by the group key,
+		// which compiles to no stage: cancellation lands mid-emit or in the
+		// group-by's merge into the plan output.
+		name: "feed-join-groupby-elided-orderby",
 		fed:  1,
 		plan: func(t *testing.T, r *rig) *Plan {
 			dim1, _, fact := r.loadStar(t, 800, 8000)

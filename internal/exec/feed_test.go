@@ -33,6 +33,11 @@ const (
 
 var starCols = []int{0, 1, 12, 13, 14, 5, 16, 7, 18, 9}
 
+// byAgg leads a group-by's result with its first aggregate at full width:
+// an order-by over it keeps its stage (the result is in key order, not in
+// this one) and is priced as it would be over the result itself.
+var byAgg = []int{1, 0, 2, 3, 4, 5, 6, 7, 8, 9}
+
 // sortWith is OrderBy, pinned to ExMS when pin is set.
 func sortWith(p *Plan, pin bool) *Plan {
 	if pin {
@@ -81,10 +86,15 @@ var feedShapes = []struct {
 		dim1, _, fact := r.loadStar(t, feedDim, feedFact)
 		return sortWith(Table(dim1).JoinWith(Table(fact), joins.NewNestedLoops()), pin)
 	}},
-	// A group-by's result is in the order-by's order already: unpinned,
-	// the order-by compiles to no stage (elides), so these shapes feed one
-	// stage fewer than they sort, and the next three none, one and one.
-	{"groupby-orderby", feedFact * record.Size / 6, 0, func(t *testing.T, r *rig, pin bool) *Plan {
+	// An order-by over a group-by's result, ordered by an aggregate, keeps
+	// its stage and takes the group-by's final merge into its intake.
+	{"groupby-orderby", feedFact * record.Size / 6, 1, func(t *testing.T, r *rig, pin bool) *Plan {
+		return sortWith(Table(loadGrouped(t, r, "in", feedFact, 500)).GroupByWith(4, sorts.NewHybridSort(0.5)).Project(byAgg...), pin)
+	}},
+	// Ordered by the group key it compiles to no stage (elides): the
+	// group-by's result is in that order already, so the shape feeds
+	// nothing, and the next two elided shapes one stage.
+	{"groupby-elided-orderby", feedFact * record.Size / 6, 0, func(t *testing.T, r *rig, pin bool) *Plan {
 		return sortWith(Table(loadGrouped(t, r, "in", feedFact, 500)).GroupByWith(4, sorts.NewHybridSort(0.5)), pin)
 	}},
 	{"join-groupby-orderby", feedFact * record.Size / 2, 1, func(t *testing.T, r *rig, pin bool) *Plan {
@@ -92,12 +102,17 @@ var feedShapes = []struct {
 		return sortWith(groupWith(Table(dim1).JoinWith(Table(fact), joins.NewNestedLoops()).Project(starCols...), 3, pin), pin)
 	}},
 	// A group-by over a base table pushes the table into its fold, whose
-	// 300 groups fit memory: no run anywhere.
-	{"hashagg-orderby", 1 << 20, 1, func(t *testing.T, r *rig, pin bool) *Plan {
+	// 300 groups fit memory: no run anywhere. Ordered by an aggregate they
+	// go on into the order-by's intake (two fed stages); by the key the
+	// order-by elides.
+	{"hashagg-orderby", 1 << 20, 2, func(t *testing.T, r *rig, pin bool) *Plan {
+		return sortWith(Table(loadGrouped(t, r, "in", feedFact, 300)).GroupHint(300).GroupBy(4).Project(byAgg...), pin)
+	}},
+	{"hashagg-elided-orderby", 1 << 20, 1, func(t *testing.T, r *rig, pin bool) *Plan {
 		return sortWith(Table(loadGrouped(t, r, "in", feedFact, 300)).GroupHint(300).GroupBy(4), pin)
 	}},
-	// Ordered by an aggregate the order-by keeps its stage, and the
-	// group-by's final merge goes into its intake: two fed stages.
+	// The join feeds the group-by, whose final merge goes into the
+	// order-by's intake: two fed stages.
 	{"join-groupby-byagg-orderby", feedFact * record.Size / 2, 2, func(t *testing.T, r *rig, pin bool) *Plan {
 		dim1, _, fact := r.loadStar(t, feedDim, feedFact)
 		return sortWith(groupWith(Table(dim1).JoinWith(Table(fact), joins.NewNestedLoops()).Project(starCols...), 3, pin).Project(1, 0, 2), pin)

@@ -170,7 +170,14 @@ func CompileWith(ctx *Ctx, p *Plan, opts CompileOptions) (Operator, *Explain, er
 	bp := c.bp
 	alloc := bp.allocate()
 	if opts.shares != nil {
-		alloc = Allocation{Shares: opts.shares, Cost: bp.cost(opts.shares), EvenCost: alloc.EvenCost}
+		alloc = Allocation{Shares: opts.shares, EvenCost: alloc.EvenCost}
+		ms := make([]float64, len(opts.shares))
+		for i, s := range opts.shares {
+			ms[i] = allocBuffers(s, bp.blockSize)
+		}
+		for _, price := range bp.price(ms) {
+			alloc.Cost += price
+		}
 	}
 	for i, s := range c.stages {
 		s.share = alloc.Shares[i]

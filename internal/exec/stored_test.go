@@ -56,8 +56,13 @@ var storedShapes = []struct {
 	// emit fails inside the consumer's run formation, mid-probe for the
 	// join and mid-drain for the limit; the first shape's group-by also
 	// fails while its own final merge is emitting into the order-by's
-	// intake.
+	// intake (ordered by an aggregate, the order-by keeps its stage); the
+	// second, ordered by the group key, has no order-by stage at all.
 	{"fed-join-groupby-orderby", "run", 2 * bgBudget, CompileOptions{}, foldAny, func(t *testing.T, r *rig) *Plan {
+		dim1, _, fact := r.loadStar(t, bgDim, bgFact)
+		return Table(dim1).JoinWith(Table(fact), joins.NewNestedLoops()).Project(starCols...).GroupHint(bgDim).GroupBy(3).Project(byAgg...).OrderBy()
+	}},
+	{"fed-join-groupby-elided-orderby", "run", 2 * bgBudget, CompileOptions{}, foldAny, func(t *testing.T, r *rig) *Plan {
 		dim1, _, fact := r.loadStar(t, bgDim, bgFact)
 		return Table(dim1).JoinWith(Table(fact), joins.NewNestedLoops()).Project(starCols...).GroupHint(bgDim).GroupBy(3).OrderBy()
 	}},
