@@ -417,7 +417,7 @@ func TestSinkDestinationFailure(t *testing.T) {
 				}
 				taken := 0
 				base := runtime.NumGoroutine()
-				err = pullCursor(context.Background(), ec, root, func([]byte) error {
+				err = pullCursor(context.Background(), ec, root, nil, func([]byte) error {
 					if taken++; taken == 25 {
 						return boom
 					}

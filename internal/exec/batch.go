@@ -132,8 +132,9 @@ func (s *batchScanner) Close() error {
 // from the moment fill creates it — nothing else destroys it. A Join or
 // GroupBy whose consumer feeds (exec.go) is never filled: its emitTo is
 // called with the consumer's intake, the embedded value stays empty, and
-// drop only closes the children. Nor is a sort stage whose intake never
-// evicted: its scan serves the heap (Sort.Open).
+// drop only closes the children. Nor is a fed sort stage: its scan
+// serves the intake's stream (Sort.Open), which drop closes, destroying
+// the runs the stream owns.
 type stored struct {
 	tmp storage.Collection
 	sc  *batchScanner

@@ -216,6 +216,7 @@ type stageAlloc struct {
 	onDevice bool // feedable group-by whose input is on the device already: no temp to price
 	handed   bool // join, group-by: the consumer is feedable
 	fed      bool // feedable and opened: the input was pushed, there is no temp
+	result   bool // the plan's result streams from this stage: fed, it ends in its reader
 }
 
 // stagePlan is one pricing of a stage: the predicted cost and what would
@@ -295,11 +296,15 @@ func (s *stageAlloc) sortPlan(t, m, cluster float64) stagePlan {
 // fedPlan is the fed home's price: ExMS through its intake — for a
 // group-by a folding one, whose runs hold what folded leaves of t as the
 // keys arrive — plus, over a stored input, the serial scan that pushes it.
+// The plan's result stage ends in its reader (Sort.Open pulls the final
+// merge), so its output is the reader's to price: a cursor writes
+// nothing, and RunCtx's caller owns the collection it appends to.
 func (s *stageAlloc) fedPlan(t, m, cluster float64) stagePlan {
 	em := s.emit()
 	if s.op == "GroupBy" {
 		em.Folded = s.folded(t, m, cluster)
 	}
+	em.Handed = em.Handed || s.result
 	p := em.FedExMS(t, m)
 	if s.onDevice {
 		p.Reads += t

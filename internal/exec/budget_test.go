@@ -136,10 +136,10 @@ func TestOpenTimeResplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	// filter (keeps all, estimated half) → order-by → group-by: two
-	// stages over inputs that are on the device, so neither is fed — a
-	// fed stage freezes its share before its producer opens, and an
-	// order-by over the group-by would leave nothing to re-split.
-	plan := Table(in).Filter(Predicate{Attr: 0, Op: Ge, Value: 0}).OrderBy().GroupBy(3)
+	// stages over inputs that are on the device, the group-by pinned so
+	// that neither is fed — a fed stage freezes its share before its
+	// producer opens, and would leave nothing to re-split.
+	plan := Table(in).Filter(Predicate{Attr: 0, Op: Ge, Value: 0}).OrderBy().GroupByWith(3, sorts.NewSegmentSort(0.5))
 	ctx := r.ctx(int64(4000*record.Size/10), 1)
 	root, ex, err := Compile(ctx, plan)
 	if err != nil {
@@ -521,7 +521,7 @@ func TestFoldedPriceMatchesIntake(t *testing.T) {
 			for _, slots := range []int{128, 1024, 4096} {
 				var partials int
 				env := algo.NewEnv(runWrites{Factory: r.fac, n: &partials}, int64(slots*record.Size))
-				in, err := sorts.NewIntake(env, record.Size, aggregate.Combine)
+				in, err := sorts.NewIntake(env, record.Size, aggregate.Combine, false)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -560,5 +560,62 @@ func TestFoldedPriceMatchesIntake(t *testing.T) {
 				t.Logf("%-12s G=%-5d S=%-5d c=%-4.0f estimated %6.0f partials, measured %6d (%.3f×)", name, g, slots, cluster, est, partials, ratio)
 			}
 		}
+	}
+}
+
+// TestResultStagePricesWhatItsReaderPays: the stage whose result is the
+// plan's — beneath nothing but filters, projections, limits and elided
+// order-bys — ends in its reader, so its fed home carries no output term
+// (cost.Emit.Handed). Only that stage is marked, and a cursor-pulled
+// group-by whose groups fit its share is predicted at what the device
+// measures: one scan of its input, and no write — within the one buffer
+// the planner rounds its input up to.
+func TestResultStagePricesWhatItsReaderPays(t *testing.T) {
+	r := newRig(t)
+	dim1, _, fact := r.loadStar(t, testDim, testFact)
+	in := loadGrouped(t, r, "in", 4000, 40)
+	star := func() *Plan {
+		return Table(dim1).JoinWith(Table(fact), joins.NewNestedLoops()).Project(starCols...).GroupBy(3)
+	}
+	for name, sh := range map[string]struct {
+		plan   *Plan
+		result string // the op of the one stage marked
+	}{
+		"groupby":               {Table(in).GroupBy(4), "GroupBy"},
+		"groupby-limit-project": {Table(in).GroupBy(4).Limit(10).Project(0, 1), "GroupBy"},
+		"star-elided-orderby":   {star().OrderBy(), "GroupBy"},
+		"star-byagg-orderby":    {star().Project(byAgg...).OrderBy(), "OrderBy"},
+		"join":                  {Table(dim1).JoinWith(Table(fact), joins.NewNestedLoops()), "Join"},
+	} {
+		c, _, err := newCompiler(r.ctx(1<<20, 1), sh.plan, CompileOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var marked []string
+		for _, st := range c.stages {
+			if st.result {
+				marked = append(marked, st.op)
+			}
+		}
+		if len(marked) != 1 || marked[0] != sh.result {
+			t.Errorf("%s: stages %v marked as the result, want the %s", name, marked, sh.result)
+		}
+	}
+
+	ec := r.ctx(1<<20, 1)
+	root, ex, err := Compile(ec, Table(in).GroupHint(40).GroupBy(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ex.Choices[0].Fed {
+		t.Fatalf("planner chose %+v, want the fed group-by", ex.Choices[0])
+	}
+	r.dev.ResetStats()
+	drainCursor(t, ec, root)
+	st := r.dev.Stats()
+	perBuf := float64(r.fac.BlockSize()) / pmem.DefaultCachelineSize
+	measured := (float64(st.Reads) + r.fac.Device().Lambda()*float64(st.Writes)) / perBuf
+	if st.Writes != 0 || math.Abs(ex.PlanCost-measured) > 1 {
+		t.Errorf("predicted %.6g buffer reads, the cursor measured %.6g (%d writes)", ex.PlanCost, measured, st.Writes)
 	}
 }

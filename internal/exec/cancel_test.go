@@ -80,17 +80,20 @@ type cancelPlanCase struct {
 	plan   func(t *testing.T, r *rig) *Plan
 }
 
-// pullCursor drives root the way the façade's Rows does: Bind, Open, then
-// one record per pull behind a poll of ctx, each handed to take; on any
-// error it closes the tree and sweeps the run's temps, and returns that
-// one error.
-func pullCursor(ctx context.Context, ec *Ctx, root Operator, take func(rec []byte) error) error {
+// pullCursor drives root the way the façade's Rows does: Bind, Open
+// (then opened, if set), then one record per pull behind a poll of ctx,
+// each handed to take; on any error it closes the tree and sweeps the
+// run's temps, and returns that one error.
+func pullCursor(ctx context.Context, ec *Ctx, root Operator, opened func(), take func(rec []byte) error) error {
 	err := func() error {
 		if err := ec.Bind(ctx); err != nil {
 			return err
 		}
 		if err := root.Open(ctx, ec); err != nil {
 			return err
+		}
+		if opened != nil {
+			opened()
 		}
 		cur := NewCursor(root)
 		for {
@@ -257,6 +260,20 @@ var cancelPlans = []cancelPlanCase{
 		},
 	},
 	{
+		// A cursor-pulled group-by whose 2 000 groups outnumber its slots:
+		// the fold evicts to runs at Open, merge passes bring them down to
+		// one fan-in, and the cursor pulls their final merge. Cancellation
+		// lands mid-pour, between merge passes or mid-pull, where the
+		// stream owns the last runs.
+		name:   "fold-evict",
+		fed:    1,
+		cursor: true,
+		plan: func(t *testing.T, r *rig) *Plan {
+			return Table(loadScattered(t, r, "in", 8000, 4000)).GroupHint(8).GroupBy(4).
+				Filter(Predicate{Attr: 0, Op: Ge, Value: 4}).Project(0, 1, 2)
+		},
+	},
+	{
 		// A drained stream into an intake: no pipe to fill, cancellation
 		// lands in the drain or in the merge.
 		name: "feed-limit-orderby",
@@ -267,8 +284,9 @@ var cancelPlans = []cancelPlanCase{
 	},
 }
 
-// runCancelPlan executes the case's plan once under ctx on a fresh rig.
-func runCancelPlan(t *testing.T, pc cancelPlanCase, par int, ctx context.Context) (*Ctx, error) {
+// runCancelPlan executes the case's plan once under ctx on a fresh rig;
+// a cursor-pulled case calls opened, if set, once its root has opened.
+func runCancelPlan(t *testing.T, pc cancelPlanCase, par int, ctx context.Context, opened func()) (*Ctx, error) {
 	t.Helper()
 	r := newRig(t)
 	p := pc.plan(t, r)
@@ -278,7 +296,7 @@ func runCancelPlan(t *testing.T, pc cancelPlanCase, par int, ctx context.Context
 		t.Fatal(err)
 	}
 	if pc.cursor {
-		err = pullCursor(ctx, ec, root, func([]byte) error { return nil })
+		err = pullCursor(ctx, ec, root, opened, func([]byte) error { return nil })
 	} else {
 		err = RunCtx(ctx, ec, root, r.create(t, "out", root.RecordSize()))
 	}
@@ -295,7 +313,8 @@ func TestCancelMidPhaseLeaksNothing(t *testing.T) {
 				// Calibrate: how many cancellation polls does a clean run of
 				// this plan make at this parallelism?
 				calib := &countingCtx{Context: context.Background()}
-				ec, err := runCancelPlan(t, pc, par, calib)
+				var opened int64
+				ec, err := runCancelPlan(t, pc, par, calib, func() { opened = calib.calls.Load() })
 				if err != nil {
 					t.Fatalf("calibration run: %v", err)
 				}
@@ -309,10 +328,19 @@ func TestCancelMidPhaseLeaksNothing(t *testing.T) {
 
 				base := runtime.NumGoroutine()
 				// Cancel at increasing depths: the first poll (formation or
-				// partitioning), mid-run, and late (merging/probing).
+				// partitioning), mid-run, and late (merging/probing). A
+				// cursor polls once per row it pulls, which dwarfs what Open
+				// polls, so its Open is steered into as well: the pour, the
+				// merge passes and the last poll before the stream opens.
+				var at []int64
 				for _, frac := range []float64{0, 0.25, 0.5, 0.85} {
-					n := int64(float64(total) * frac)
-					ec, err := runCancelPlan(t, pc, par, newCountdownCtx(n))
+					at = append(at, int64(float64(total)*frac))
+				}
+				if pc.cursor {
+					at = append(at, opened/4, opened/2, opened*3/4, opened-1)
+				}
+				for _, n := range at {
+					ec, err := runCancelPlan(t, pc, par, newCountdownCtx(n), nil)
 					if !errors.Is(err, context.Canceled) {
 						t.Fatalf("cancel at poll %d/%d: err = %v, want context.Canceled", n, total, err)
 					}
@@ -331,7 +359,7 @@ func TestCancelMidPhaseLeaksNothing(t *testing.T) {
 func TestCancelBeforeOpen(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ec, err := runCancelPlan(t, cancelPlans[0], 1, ctx)
+	ec, err := runCancelPlan(t, cancelPlans[0], 1, ctx, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -347,7 +375,7 @@ func TestDeadlineExceededSurfaces(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	time.Sleep(time.Millisecond)
-	_, err := runCancelPlan(t, cancelPlans[1], 1, ctx)
+	_, err := runCancelPlan(t, cancelPlans[1], 1, ctx, nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}

@@ -32,11 +32,15 @@
 // (sorts.SortFolding): a row whose group is resident in memory is
 // combined there and every merge combines, so only the groups are
 // emitted. Feeding is the engine's in-memory aggregation, so a GroupBy
-// may push even a base table or a view into its intake. An intake that
-// never evicted writes no run. The consumer's stage prices both homes inside the
-// allocator's curve (stageAlloc.sortPlan) and takes the cheaper; Explain
-// says which ran. Pinned sorts, join inputs and the
-// materialize-every-step reference read stored inputs.
+// may push even a base table or a view into its intake. A fed sort ends
+// in its reader: it never fills a result temp, but serves Next from its
+// intake's stream (sorts.Intake.Stream) — the heap of an intake that
+// never evicted, which writes nothing, or the pull merge of its last
+// runs — so the plan's result stage prices its output as its reader's.
+// The consumer's stage prices both homes inside the allocator's curve
+// (stageAlloc.sortPlan) and takes the cheaper; Explain says which ran.
+// Pinned sorts, join inputs and the materialize-every-step reference
+// read stored inputs.
 //
 // The compiler knows the order every result is emitted in (emitOrder):
 // a planner-owned OrderBy over a result already in the record order — a
@@ -290,10 +294,12 @@ func drain(ctx context.Context, op Operator, emit func(rec []byte) error) error 
 
 // inputCollection opens child and returns its whole output as a storage
 // collection: directly when the child's output already lives on storage
-// (Scan, blocking children — a Join's or GroupBy's already through the
-// chain it absorbed), as a re-scannable zero-write view when the child
-// is a Stream over such a source (see fuseView), and otherwise by
-// draining the stream into a pipe temporary. It is how a join reads its
+// (Scan, stored blocking children — a Join's or GroupBy's already through
+// the chain it absorbed), as a re-scannable zero-write view when the
+// child is a Stream over such a source (see fuseView), and otherwise by
+// draining the stream into a pipe temporary — a fed sort's too, which
+// ends in its reader and so writes into the pipe what its own temp would
+// have held. It is how a join reads its
 // inputs and how a sort reads one that is stored; a sort stage that
 // feeds (stageAlloc.feed) never calls it, so a pipe still exists only
 // under a join, a pinned sort, or a sort whose share prices the fed

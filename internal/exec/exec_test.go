@@ -389,32 +389,45 @@ func noWrap(p *Plan) *Plan { return p }
 // plan root, pulled by a cursor, under a Limit, feeding an order-by's
 // intake — and in every P × batch cell writes the plan's result alone:
 // no run, no temp of any kind, and nothing at all for the cursor. The
-// bytes are the pinned sort-based plan's.
+// bytes are the pinned sort-based plan's. A cursor over a fold that
+// evicts pulls the final merge of its runs (Intake.Stream): it writes
+// the runs alone — what the same plan run into an output writes, less
+// that output — and no result temp.
 func TestFoldResidentMatchesSortGroupBy(t *testing.T) {
 	sortedBy := func(p *Plan) *Plan { return p.OrderByWith(sorts.NewExternalMergeSort()) }
 	for _, sh := range []struct {
 		name          string
-		groups        int
+		groups, hint  int
+		budget        int64
 		cursor        bool
 		wrap, refWrap func(p *Plan) *Plan
 	}{
-		{"root", 40, false, noWrap, noWrap},
-		{"cursor", 40, true, noWrap, noWrap},
-		{"limit", 40, false, func(p *Plan) *Plan { return p.Limit(10) }, func(p *Plan) *Plan { return p.Limit(10) }},
-		{"orderby", 300, false, func(p *Plan) *Plan { return p.OrderBy() }, sortedBy},
+		{"root", 40, 40, 1 << 20, false, noWrap, noWrap},
+		{"cursor", 40, 40, 1 << 20, true, noWrap, noWrap},
+		{"limit", 40, 40, 1 << 20, false, func(p *Plan) *Plan { return p.Limit(10) }, func(p *Plan) *Plan { return p.Limit(10) }},
+		{"orderby", 300, 300, 1 << 20, false, func(p *Plan) *Plan { return p.OrderBy() }, sortedBy},
+		// 50 hinted groups fit the 204 slots of 16 KiB, so the group-by
+		// feeds at every P; the 1 000 real ones evict.
+		{"cursor-evict", 1000, 50, 16 << 10, true, noWrap, noWrap},
 	} {
 		t.Run(sh.name, func(t *testing.T) {
 			const n = 3000
-			want := groupByReference(t, n, sh.groups, 1<<20, sh.refWrap)
+			evicts := sh.budget < 1<<20
+			want := groupByReference(t, n, sh.groups, sh.budget, sh.refWrap)
 			for _, cell := range gridCells {
 				r := newRig(t)
-				counted := countTemps(r.fac)
-				ec := NewCtx(counted, 1<<20, cell[0])
-				ec.BatchSize = cell[1]
-				root, ex, err := Compile(ec, sh.wrap(Table(loadGrouped(t, r, "in", n, sh.groups)).GroupHint(sh.groups).GroupBy(4)))
-				if err != nil {
-					t.Fatal(err)
+				in := loadGrouped(t, r, "in", n, sh.groups)
+				compile := func(fac storage.Factory) (*Ctx, Operator, *Explain) {
+					ec := NewCtx(fac, sh.budget, cell[0])
+					ec.BatchSize = cell[1]
+					root, ex, err := Compile(ec, sh.wrap(Table(in).GroupHint(sh.hint).GroupBy(4)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					return ec, root, ex
 				}
+				counted := countTemps(r.fac)
+				ec, root, ex := compile(counted)
 				if !ex.Choices[0].Fed {
 					t.Fatalf("P=%d batch=%d: planner chose %+v, want the fed group-by", cell[0], cell[1], ex.Choices[0])
 				}
@@ -431,13 +444,24 @@ func TestFoldResidentMatchesSortGroupBy(t *testing.T) {
 				}
 				writes := r.dev.Stats().Writes
 				if !bytes.Equal(got, want) {
-					t.Fatalf("P=%d batch=%d: resident fold output differs from the pinned sort-based plan", cell[0], cell[1])
-				}
-				if len(counted.n) != 0 {
-					t.Errorf("P=%d batch=%d: a resident fold created temps %v", cell[0], cell[1], counted.n)
+					t.Fatalf("P=%d batch=%d: fold output differs from the pinned sort-based plan", cell[0], cell[1])
 				}
 				var alone uint64
-				if !sh.cursor {
+				switch {
+				case evicts:
+					if counted.n["run"] == 0 || counted.inputs() != 0 {
+						t.Errorf("P=%d batch=%d: an evicting fold under a cursor created temps %v, want runs and no result temp", cell[0], cell[1], counted.n)
+					}
+					ec, root, _ := compile(r.fac)
+					out := r.create(t, "out", root.RecordSize())
+					r.dev.ResetStats()
+					if err := RunCtx(context.Background(), ec, root, out); err != nil {
+						t.Fatal(err)
+					}
+					alone = r.dev.Stats().Writes - copyWrites(t, r, got, root.RecordSize())
+				case len(counted.n) != 0:
+					t.Errorf("P=%d batch=%d: a resident fold created temps %v", cell[0], cell[1], counted.n)
+				case !sh.cursor:
 					alone = copyWrites(t, r, got, root.RecordSize())
 				}
 				if writes != alone {

@@ -331,3 +331,93 @@ func TestStoredOptionKeepsThePlanPrice(t *testing.T) {
 		}
 	}
 }
+
+// TestFedCursorEndsInItsReader: a fed stage's result is its reader's
+// pull, never a temp. Under a cursor the star's group-by, fed by the join
+// and evicting, serves the final merge of its runs as the cursor pulls:
+// closed one row in, the cursor leaves no run behind; under a limit it
+// reads strictly fewer cachelines than a full drain, writes the same
+// runs, and returns the materialize-every-step reference's first rows.
+func TestFedCursorEndsInItsReader(t *testing.T) {
+	const limit = 10
+	for _, par := range []int{1, 4} {
+		t.Run(fmt.Sprintf("p%d", par), func(t *testing.T) {
+			r := newRig(t)
+			dim1, _, fact := r.loadStar(t, feedDim, feedFact)
+			star := Table(dim1).JoinWith(Table(fact), joins.NewNestedLoops()).Project(starCols...).GroupHint(feedDim / 10).GroupBy(3)
+			// open compiles p over a temp counter and opens it under a cursor.
+			open := func(p *Plan) (*Ctx, Operator, *tempCounts) {
+				counted := countTemps(r.fac)
+				ec := NewCtx(counted, feedFact*record.Size/8, par)
+				root, ex, err := Compile(ec, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fedChoices(ex) != 1 {
+					t.Fatalf("%d fed stage(s), want the group-by:\n%s", fedChoices(ex), ex)
+				}
+				return ec, root, counted
+			}
+			// pull drains p through a cursor, returning its bytes and device
+			// counters.
+			pull := func(p *Plan) ([]byte, pmem.Stats) {
+				ec, root, counted := open(p)
+				r.dev.ResetStats()
+				got := drainCursor(t, ec, root)
+				st := r.dev.Stats()
+				if counted.n["run"] == 0 || counted.inputs() != 0 {
+					t.Fatalf("temps %v: want the fold's runs and no result or input temp", counted.n)
+				}
+				if live := ec.LiveTemps(); live != 0 {
+					t.Fatalf("%d live temps after the cursor closed", live)
+				}
+				return got, st
+			}
+
+			ref, _, err := CompileWith(r.ctx(feedFact*record.Size/8, 1), star.Limit(limit), CompileOptions{MaterializeEveryStep: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := r.create(t, fmt.Sprintf("ref.%d", par), ref.RecordSize())
+			if err := RunCtx(context.Background(), r.ctx(feedFact*record.Size/8, 1), ref, out); err != nil {
+				t.Fatal(err)
+			}
+			want := readBytes(t, out)
+			if len(want) != limit*ref.RecordSize() {
+				t.Fatalf("reference returned %d bytes, want %d rows", len(want), limit)
+			}
+
+			all, full := pull(star)
+			got, limited := pull(star.Limit(limit))
+			if !bytes.Equal(got, want) || !bytes.HasPrefix(all, want) {
+				t.Fatalf("the cursor's first %d rows differ from the materialize-every-step reference", limit)
+			}
+			if limited.Reads >= full.Reads || limited.Writes != full.Writes {
+				t.Errorf("limit(%d) read %d and wrote %d cachelines, a full drain %d and %d: want fewer reads, the same writes",
+					limit, limited.Reads, limited.Writes, full.Reads, full.Writes)
+			}
+			t.Logf("limit(%d): %d reads, a full drain of %d rows %d; %d writes", limit, limited.Reads, len(all)/ref.RecordSize(), full.Reads, full.Writes)
+
+			ctx := context.Background()
+			ec, root, _ := open(star)
+			if err := ec.Bind(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if err := root.Open(ctx, ec); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := NewCursor(root).Next(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if ec.LiveTemps() == 0 {
+				t.Fatal("no run is live under the pull: nothing to sweep")
+			}
+			if err := root.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if live := ec.LiveTemps(); live != 0 {
+				t.Fatalf("closing the cursor one row in left %d live temps", live)
+			}
+		})
+	}
+}

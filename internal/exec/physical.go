@@ -239,7 +239,11 @@ func newCompiler(ctx *Ctx, p *Plan, opts CompileOptions) (*compiler, *Plan, erro
 	if !opts.disableJoinReorder {
 		p = c.reorderJoins(p)
 	}
-	c.demandWalk(p, true)
+	// The stage the root's walk returns is the plan's result: only
+	// filters, projections, limits and elided order-bys sit above it.
+	if _, root := c.demandWalk(p, true); root >= 0 {
+		c.stages[root].result = true
+	}
 	c.bp = &budgetPlan{
 		lambda:    ctx.Factory.Device().Lambda(),
 		par:       parOf(ctx.Parallelism),

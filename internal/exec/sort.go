@@ -52,10 +52,11 @@ func (s *Sort) absorbed() *chain {
 
 // intake runs the fed input side once, when the stage feeds: the child
 // emits into the sort's intake (a GroupBy's takes each row as its partial
-// and folds), never into a temp. The intake owns its runs: a failed
-// producer has them swept here, a failed merge sweeps its own, and Close
-// one that never ended.
-func (s *Sort) intake(ctx context.Context, ec *Ctx) error {
+// and folds), never into a temp. pulled says Open will end it in its
+// reader (Stream) rather than emitTo in a collection (MergeInto). The
+// intake owns its runs: a failed producer has them swept here, a failed
+// merge sweeps its own, and Close one that never ended.
+func (s *Sort) intake(ctx context.Context, ec *Ctx, pulled bool) error {
 	a, fed := s.st.feed(s.algo)
 	if !fed || s.in != nil {
 		return nil
@@ -65,7 +66,7 @@ func (s *Sort) intake(ctx context.Context, ec *Ctx) error {
 	if s.grouping() {
 		combine = aggregate.Combine
 	}
-	in, err := sorts.NewIntake(ec.stageEnv(s.st), s.child.RecordSize(), combine)
+	in, err := sorts.NewIntake(ec.stageEnv(s.st), s.child.RecordSize(), combine, pulled)
 	if err != nil {
 		return err
 	}
@@ -86,7 +87,7 @@ func (s *Sort) intake(ctx context.Context, ec *Ctx) error {
 // through the chain: merged from the intake, or sorted where it lies, a
 // GroupBy's as its partials with the combine.
 func (s *Sort) emitTo(ctx context.Context, ec *Ctx, dst storage.Collection) error {
-	if err := s.intake(ctx, ec); err != nil {
+	if err := s.intake(ctx, ec, false); err != nil {
 		return err
 	}
 	out := s.sink(dst, s.child.RecordSize())
@@ -114,21 +115,24 @@ func (s *Sort) emitTo(ctx context.Context, ec *Ctx, dst storage.Collection) erro
 	return cleanup()
 }
 
-// Open runs the stage. A fed intake that never evicted serves Next from
-// its heap, through the chain, and writes nothing; anything else fills
+// Open runs the stage. A fed stage ends in its reader: Next serves the
+// intake's stream — its heap, or the pull merge of its last runs —
+// through the chain, and no result temp is written. A stored input fills
 // the temp with emitTo.
 func (s *Sort) Open(ctx context.Context, ec *Ctx) error {
-	if err := s.intake(ctx, ec); err != nil {
+	if err := s.intake(ctx, ec, true); err != nil {
 		return err
 	}
 	if s.in != nil {
-		if it, ok := s.in.Resident(); ok {
-			if !s.chain.empty() {
-				it = newChainIterator(ctx, it, &s.chain, s.in.RecordSize(), ec.batchSize())
-			}
-			s.sc = newBatchScanner(it, ec.batchSize())
-			return nil
+		it, err := s.in.Stream()
+		if err != nil {
+			return err
 		}
+		if !s.chain.empty() {
+			it = newChainIterator(ctx, it, &s.chain, s.in.RecordSize(), ec.batchSize())
+		}
+		s.sc = newBatchScanner(it, ec.batchSize())
+		return nil
 	}
 	prefix := "sorted"
 	if s.grouping() {
@@ -137,7 +141,8 @@ func (s *Sort) Open(ctx context.Context, ec *Ctx) error {
 	return s.fill(ctx, ec, prefix, s.RecordSize(), s.emitTo)
 }
 
-// Close also destroys the runs of an intake that was never merged.
+// Close also destroys the runs of an intake that was never ended; drop
+// closes a stream, with the runs it owns.
 func (s *Sort) Close() error {
 	if s.in != nil {
 		s.in.Discard()

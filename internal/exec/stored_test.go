@@ -18,8 +18,9 @@ import (
 // same contract by one test: whichever side of the temp fails — the
 // fill that writes it or the consumer that reads it — the run surfaces
 // that one error and leaves no temporary and no goroutine behind. A fed
-// result has no temp of its own; what can fail under it are the runs of
-// the intake it was pushed into, and the same contract holds for those.
+// result has no temp of its own, and neither has a fed stage's, which its
+// reader pulls: what can fail under them are the runs of the intake, and
+// the same contract holds for those.
 
 // storedShapes put each user of the stored value under a Limit root, so
 // its result goes to a temp through fill instead of straight into the
@@ -44,9 +45,11 @@ var storedShapes = []struct {
 	{"materialize", "mat", bgBudget, CompileOptions{MaterializeEveryStep: true}, foldAny, func(t *testing.T, r *rig) *Plan {
 		return Table(loadRows(t, r)).Filter(batchPred)
 	}},
-	{"hashagg-spill", "grouped", 16 << 10, CompileOptions{}, foldEvict, func(t *testing.T, r *rig) *Plan {
+	{"hashagg-spill", "run", 16 << 10, CompileOptions{}, foldEvict, func(t *testing.T, r *rig) *Plan {
 		// 50 hinted groups fit the fold's 204 slots, 1000 real ones do not:
-		// the intake evicts, and its merge fills the group-by's temp.
+		// the intake evicts to runs, and the limit pulls their final merge,
+		// which no temp stands between — a fill fails in a run, a consumer
+		// mid-pull.
 		return Table(loadGrouped(t, r, "in", 4000, 1000)).GroupHint(50).GroupBy(4)
 	}},
 	{"pipe", "pipe", bgBudget, CompileOptions{}, foldAny, func(t *testing.T, r *rig) *Plan {

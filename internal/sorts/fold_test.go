@@ -144,9 +144,9 @@ func runIntake(t *testing.T, keys []uint64, budget, par int, fold bool) intakeRu
 	dev.ResetStats()
 	var in *Intake
 	if fold {
-		in, err = NewIntake(env, record.Size, addPartials)
+		in, err = NewIntake(env, record.Size, addPartials, false)
 	} else {
-		in, err = NewIntake(env, record.Size, nil)
+		in, err = NewIntake(env, record.Size, nil, false)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -244,7 +244,7 @@ func foldKernelPartials(groups int, clustered bool) [][]byte {
 // foldAll pushes recs through a folding intake into a discarding sink and
 // returns the groups it emitted.
 func foldAll(t testing.TB, env *algo.Env, recs [][]byte) int {
-	in, err := NewIntake(env, record.Size, addPartials)
+	in, err := NewIntake(env, record.Size, addPartials, false)
 	if err != nil {
 		t.Fatal(err)
 	}

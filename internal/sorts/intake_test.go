@@ -73,7 +73,7 @@ func TestIntakeIsExMSMinusTheInputScan(t *testing.T) {
 
 				pushed := create("pushed")
 				dev.ResetStats()
-				in, err := NewIntake(env, record.Size, nil)
+				in, err := NewIntake(env, record.Size, nil, false)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -123,7 +123,7 @@ func TestIntakeSweepsItsRuns(t *testing.T) {
 			src := loadInput(t, base, n, 7)
 			env := algo.NewParallelEnv(failingTemps{Factory: base.Factory, prefix: "run", n: 24}, base.MemoryBudget, par)
 			out, _ := base.Factory.Create("out", record.Size)
-			in, err := NewIntake(env, record.Size, nil)
+			in, err := NewIntake(env, record.Size, nil, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -138,7 +138,7 @@ func TestIntakeSweepsItsRuns(t *testing.T) {
 			env := newParEnv(t, budget, par)
 			src := loadInput(t, env, n, 7)
 			out, _ := env.Factory.Create("out", record.Size)
-			in, err := NewIntake(env, record.Size, nil)
+			in, err := NewIntake(env, record.Size, nil, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,7 +156,7 @@ func TestIntakeSweepsItsRuns(t *testing.T) {
 				env := newParEnv(t, budget, par).WithContext(ctx)
 				src := loadInput(t, env, n, 7)
 				out, _ := env.Factory.Create("out", record.Size)
-				in, err := NewIntake(env, record.Size, nil)
+				in, err := NewIntake(env, record.Size, nil, false)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -181,7 +181,7 @@ func TestIntakeSweepsItsRuns(t *testing.T) {
 	}
 	t.Run("discard", func(t *testing.T) {
 		env := newEnv(t, "blocked", budget)
-		in, err := NewIntake(env, record.Size, nil)
+		in, err := NewIntake(env, record.Size, nil, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +203,7 @@ func TestIntakeSweepsItsRuns(t *testing.T) {
 // ExMS's preconditions, and a refusal still sweeps the runs.
 func TestIntakeRejectsMismatchedOutput(t *testing.T) {
 	env := newEnv(t, "blocked", 50)
-	in, err := NewIntake(env, record.Size, nil)
+	in, err := NewIntake(env, record.Size, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}

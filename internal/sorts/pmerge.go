@@ -145,7 +145,7 @@ func parallelFinalMerge(env *algo.Env, runs []storage.Collection, out storage.Co
 				iters = append(iters, storage.Slice(run, lo, hi).Scan())
 			}
 		}
-		if err := mergeIters(env, iters, recSize, env.Polled(writer.Append), nil); err != nil {
+		if err := mergeIters(env, iters, recSize, writer.Append, nil); err != nil {
 			return err
 		}
 		return writer.Finish()

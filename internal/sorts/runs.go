@@ -238,7 +238,8 @@ func (f *runFormer) rotate() error {
 
 // finish drains working memory — the current heap completes the open
 // run, the deferred records form one last run — leaving every run in
-// runs closed.
+// runs closed, and releases the slab: the merge that reads the runs
+// allocates its own fan-in buffers, and the two never need to coexist.
 func (f *runFormer) finish() error {
 	for {
 		for f.heap.Len() > 0 {
@@ -250,6 +251,7 @@ func (f *runFormer) finish() error {
 			return err
 		}
 		if f.heap.Len() == 0 {
+			f.heap, f.next, f.index = nil, nil, nil
 			return nil
 		}
 	}
@@ -263,13 +265,13 @@ func (f *runFormer) finish() error {
 // output, so the producer's result is never stored just for run
 // formation to read it back. Append is the replacement-selection step
 // (runFormer.add) behind the environment's cancellation poll, MergeInto
-// is mergeRuns. It is a write-only collection (storage.Sink: Len counts
-// the records taken; neither range-appendable nor unwrappable), one
-// ordered stream, so run formation through it is serial at any P; the
-// merge passes and the final merge fan out as ExMS's do; an input that
-// fits memory writes no run (Resident). The intake owns its runs until
-// MergeInto hands them to the merge; Discard sweeps them on any path that
-// never gets there.
+// is mergeRuns, and Stream ends it in a reader instead. It is a
+// write-only collection (storage.Sink: Len counts the records taken;
+// neither range-appendable nor unwrappable), one ordered stream, so run
+// formation through it is serial at any P; the merge passes and the
+// final merge fan out as ExMS's do; an input that fits memory writes no
+// run. The intake owns its runs until MergeInto or Stream hands them on;
+// Discard sweeps them on any path that never gets there.
 type Intake struct {
 	*storage.Sink
 	env *algo.Env
@@ -279,12 +281,14 @@ type Intake struct {
 // NewIntake returns an intake of recSize-byte records forming runs with
 // env's whole budget. With combine set it is SortFolding's ExMS pushed:
 // it writes one partial per eviction, never more than it takes, and
-// MergeInto emits one record per key from a serial final merge.
-func NewIntake(env *algo.Env, recSize int, combine func(dst, src []byte)) (*Intake, error) {
+// MergeInto emits one record per key from a serial final merge. pulled
+// says the intake will be ended by Stream, whose final merge is a serial
+// pull: like a folding intake's, its runs keep no key sidecar.
+func NewIntake(env *algo.Env, recSize int, combine func(dst, src []byte), pulled bool) (*Intake, error) {
 	if err := env.Validate(); err != nil {
 		return nil, err
 	}
-	return newIntake(env, recSize, env.BudgetRecords(recSize), sampling(env, combine != nil), combine), nil
+	return newIntake(env, recSize, env.BudgetRecords(recSize), sampling(env, pulled || combine != nil), combine), nil
 }
 
 func newIntake(env *algo.Env, recSize, budget int, sample bool, combine func(dst, src []byte)) *Intake {
@@ -315,8 +319,8 @@ func (in *Intake) MergeInto(out storage.Collection) error {
 		in.Discard()
 		return err
 	}
-	if it, ok := in.Resident(); ok {
-		if err := storage.ForEach(it, in.env.ChunkRecords(in.RecordSize()), in.env.Polled(out.Append)); err != nil {
+	if in.resident() {
+		if err := in.popHeap().drain(out.Append); err != nil {
 			return err
 		}
 		return out.Close()
@@ -332,49 +336,54 @@ func (in *Intake) MergeInto(out storage.Collection) error {
 	return out.Close()
 }
 
-// Resident ends an intake that never evicted a record — no run was
-// opened, so the heap holds everything it took and nothing waits for a
-// next run — returning those records in ascending order, popped in
-// chunks that alias the heap's slots, and true. An intake that evicted
-// returns false and is ended by MergeInto.
-func (in *Intake) Resident() (storage.Iterator, bool) {
-	if in.f.run != nil || len(in.f.runs) > 0 {
-		return nil, false
+// Stream ends the intake in its reader: it returns the records taken in
+// ascending order (a folding intake's one record per key) as an iterator
+// the caller pulls and must Close, so the result is never written only to
+// be read back. A resident intake pops its heap, in chunks that alias the
+// heap's slots, and writes nothing. An evicting one drains working memory
+// into its last runs and merges them — intermediate passes as MergeInto's
+// — until the final merge's fan-in takes them all; that final merge is
+// the iterator, a pull merge that copies each chunk into a buffer it owns
+// and polls the environment's context. The iterator owns those runs and
+// Close destroys them; on error no run survives.
+func (in *Intake) Stream() (storage.Iterator, error) {
+	if in.resident() {
+		return in.popHeap(), nil
 	}
-	return &heapIter{h: in.f.heap}, true
-}
-
-// heapIter pops a resident heap in order; Next is NextChunk's one-record
-// case.
-type heapIter struct {
-	h    *xheap.Keyed
-	recs [][]byte
-}
-
-func (it *heapIter) NextChunk(n int) ([][]byte, error) {
-	if it.h.Len() == 0 {
-		return nil, io.EOF
-	}
-	it.recs = it.recs[:0]
-	for len(it.recs) < max(n, 1) && it.h.Len() > 0 {
-		it.recs = append(it.recs, it.h.Record(it.h.Pop().Slot))
-	}
-	return it.recs, nil
-}
-
-func (it *heapIter) Next() ([]byte, error) {
-	recs, err := it.NextChunk(1)
+	runs, err := in.finish()
 	if err != nil {
 		return nil, err
 	}
-	return recs[0], nil
+	recSize := in.RecordSize()
+	if runs, err = mergeDown(in.env, runs, recSize, 0, in.f.combine); err != nil {
+		return nil, err
+	}
+	m, err := newMerger(in.env, scans(runs), recSize, in.f.combine)
+	if err != nil {
+		destroyRuns(runs)
+		return nil, err
+	}
+	m.runs = runs
+	return m, nil
 }
 
-func (it *heapIter) Close() error { return nil }
+// resident reports whether the intake never evicted a record: no run was
+// opened, so the heap holds everything it took and nothing waits for a
+// next run.
+func (in *Intake) resident() bool { return in.f.run == nil && len(in.f.runs) == 0 }
+
+// popHeap is a resident intake's stream: a merger whose heads are the
+// heap's records, each its own exhausted source. Their keys are distinct
+// when the intake folds, so nothing is left to combine.
+func (in *Intake) popHeap() *merger {
+	m := &merger{heads: in.f.heap, poll: in.env.Poll(), alias: true}
+	m.cur = m.least()
+	return m
+}
 
 // Discard destroys the runs formed so far: the error-path twin of
 // MergeInto, for a producer that failed or was cancelled mid-emit.
-// Idempotent, and a no-op once MergeInto has run.
+// Idempotent, and a no-op once MergeInto or Stream has run.
 func (in *Intake) Discard() {
 	destroyRuns(in.f.runs)
 	in.f.runs = nil
@@ -396,7 +405,8 @@ func formRunsReplacementSelection(env *algo.Env, src storage.Collection, budget 
 // sampling reports whether runs that will meet in env's final merge keep
 // a key sidecar (sampleRun): only parallelFinalMerge reads it, and that
 // needs P ≥ 2 and a final merge that is not serial anyway — serial says
-// a streaming source meets the runs there, or the merge folds.
+// a streaming source meets the runs there, the merge folds, or a reader
+// pulls it (Intake.Stream). Merge passes keep what formation decided.
 func sampling(env *algo.Env, serial bool) bool {
 	return env.Parallelism > 1 && !serial
 }
@@ -417,16 +427,9 @@ func sampling(env *algo.Env, serial bool) bool {
 // combines the records of equal keys into one (mergeIters), and the
 // final pass stays serial.
 func mergeRuns(env *algo.Env, runs []storage.Collection, streams []storage.Iterator, out storage.Collection, recSize int, combine func(dst, src []byte)) error {
-	fanIn := env.BudgetBuffers() - 1 - len(streams)
-	if fanIn < 2 {
-		fanIn = 2
-	}
-	for len(runs) > fanIn {
-		var err error
-		// A failed pass destroys both generations inside mergePass.
-		if runs, err = mergePass(env, runs, recSize, len(streams), combine); err != nil {
-			return err
-		}
+	runs, err := mergeDown(env, runs, recSize, len(streams), combine)
+	if err != nil {
+		return err
 	}
 	return env.TimePhase(FinalMergePhase, func() error {
 		if len(streams) == 0 && combine == nil {
@@ -434,12 +437,8 @@ func mergeRuns(env *algo.Env, runs []storage.Collection, streams []storage.Itera
 				return err
 			}
 		}
-		iters := make([]storage.Iterator, 0, len(runs)+len(streams))
-		for _, r := range runs {
-			iters = append(iters, r.Scan())
-		}
-		iters = append(iters, streams...)
-		if err := mergeIters(env, iters, recSize, env.Polled(out.Append), combine); err != nil {
+		iters := append(scans(runs), streams...)
+		if err := mergeIters(env, iters, recSize, out.Append, combine); err != nil {
 			destroyRuns(runs)
 			return err
 		}
@@ -450,6 +449,30 @@ func mergeRuns(env *algo.Env, runs []storage.Collection, streams []storage.Itera
 		}
 		return nil
 	})
+}
+
+// mergeDown runs merge passes until the final merge's fan-in — one block
+// buffer per run and one for the output, beside streams streaming
+// sources, never below two runs — takes every run left. A failed pass
+// destroys both generations inside mergePass.
+func mergeDown(env *algo.Env, runs []storage.Collection, recSize, streams int, combine func(dst, src []byte)) ([]storage.Collection, error) {
+	fanIn := max(env.BudgetBuffers()-1-streams, 2)
+	for len(runs) > fanIn {
+		var err error
+		if runs, err = mergePass(env, runs, recSize, streams, combine); err != nil {
+			return nil, err
+		}
+	}
+	return runs, nil
+}
+
+// scans opens one scan per run.
+func scans(runs []storage.Collection) []storage.Iterator {
+	iters := make([]storage.Iterator, len(runs))
+	for i, r := range runs {
+		iters[i] = r.Scan()
+	}
+	return iters
 }
 
 // mergePass merges one generation of runs into the next, fanning
@@ -501,7 +524,7 @@ func mergePass(env *algo.Env, runs []storage.Collection, recSize, reserved int, 
 	} else {
 		children = []*algo.Env{env}
 	}
-	sample := sampling(env, reserved > 0 || combine != nil) // decided here: the children run at Parallelism 1
+	_, sample := runs[0].(*sampledRun) // as their formation decided (sampling): the children run at Parallelism 1
 	nextGen := make([]storage.Collection, nGroups)
 	workErr := env.RunWorkers(w, func(wi int) error {
 		child := children[wi]
@@ -552,68 +575,239 @@ func mergePass(env *algo.Env, runs []storage.Collection, recSize, reserved int, 
 	return nextGen, nil
 }
 
-// mergeInto k-way merges the sorted runs into a collection, polling
-// env's cancellation between emissions.
+// mergeInto k-way merges the sorted runs into a collection.
 func mergeInto(env *algo.Env, runs []storage.Collection, out storage.Collection, combine func(dst, src []byte)) error {
-	iters := make([]storage.Iterator, len(runs))
-	for i, r := range runs {
-		iters[i] = r.Scan()
-	}
-	return mergeIters(env, iters, out.RecordSize(), env.Polled(out.Append), combine)
+	return mergeIters(env, scans(runs), out.RecordSize(), out.Append, combine)
 }
 
 // mergeIters k-way merges sorted iterators of recSize-byte records into
-// emit, closing them. Each source is read one block chunk at a time; the
-// merge's working memory is one keyed slab with a head slot per source
-// (the entry's tie-break names the source), so advancing a source
-// overwrites its head in place and the loop allocates nothing. With
-// combine set, the records of one key — adjacent in merge order — reach
-// emit as one, combined in a buffer the merge owns, and cancellation is
-// polled per merged record rather than per emitted one.
+// emit, closing them: the push form of merger, a drain of it. Each
+// record reaches emit as a view of its head slot, never copied again.
 func mergeIters(env *algo.Env, iters []storage.Iterator, recSize int, emit func(rec []byte) error, combine func(dst, src []byte)) error {
-	if combine != nil {
-		c := &combiner{acc: make([]byte, recSize), combine: combine, emit: emit}
-		if err := mergeIters(env, iters, recSize, env.Polled(c.add), nil); err != nil {
-			return err
-		}
-		return c.flush()
+	m, err := newMerger(env, iters, recSize, combine)
+	if err != nil {
+		return err
 	}
-	for _, it := range iters {
-		defer it.Close()
+	defer m.Close() //nolint:errcheck // owns no runs: closing read-only scans
+	return m.drain(emit)
+}
+
+// merger is the kernels' one k-way merge, in pull form. Each source is
+// read one block chunk at a time; the merge's working memory is one keyed
+// slab with a head slot per source (the entry's tie-break names the
+// source), so advancing a source overwrites its head in place and a pull
+// allocates nothing. A source advances lazily, when the record after its
+// head is asked for: the record last handed out is still its head slot,
+// valid until the following call, and a folding merge looks at the next
+// head without consuming it. One source is served straight from its
+// cursor. A head whose tie-break names no source is its own, exhausted
+// source: a resident intake's heap pops as a merge (Intake.popHeap). With
+// combine set, the records of one key — adjacent in merge order — come
+// out as one, combined in a buffer the merger owns. Cancellation is
+// polled once per record consumed.
+type merger struct {
+	heads   *xheap.Keyed // nil: one source
+	cur     []byte       // the least record not consumed (a head slot, or the one source's), nil past the end
+	stale   bool         // cur was handed out: the next pull advances past it
+	srcs    []*storage.Cursor
+	poll    func() error
+	combine func(dst, src []byte)
+	iters   []storage.Iterator // closed by Close
+	acc     []byte             // folding: the open key's combined record
+	recSize int
+	alias   bool                 // handed-out records stay valid (no source overwrites a head): chunks are views
+	chunk   [][]byte             // NextChunk's result
+	buf     []byte               // NextChunk's copies, unless alias
+	runs    []storage.Collection // owned: destroyed by Close (Intake.Stream's last runs)
+}
+
+// newMerger opens a merge of iters, reading the first record of each;
+// on error they are closed.
+func newMerger(env *algo.Env, iters []storage.Iterator, recSize int, combine func(dst, src []byte)) (*merger, error) {
+	m := &merger{iters: iters, srcs: make([]*storage.Cursor, len(iters)), poll: env.Poll(), combine: combine, recSize: recSize}
+	if combine != nil {
+		m.acc = make([]byte, recSize)
 	}
 	chunk := env.ChunkRecords(recSize)
-	if len(iters) == 1 {
-		return storage.ForEach(iters[0], chunk, emit)
-	}
-	srcs := make([]*storage.Cursor, len(iters))
-	heads := xheap.NewKeyed(recSize, len(iters), false)
 	for i, it := range iters {
-		srcs[i] = storage.NewCursor(it, chunk)
-		rec, err := srcs[i].Next()
+		m.srcs[i] = storage.NewCursor(it, chunk)
+	}
+	if len(iters) == 1 {
+		m.stale = true // the first pull reads the first record
+		return m, nil
+	}
+	m.heads = xheap.NewKeyed(recSize, len(iters), false)
+	for i, src := range m.srcs {
+		rec, err := src.Next()
 		if err == io.EOF {
 			continue
 		}
 		if err != nil {
-			return err
+			m.Close() //nolint:errcheck // owns no runs yet: closing read-only scans
+			return nil, err
 		}
-		heads.Push(record.Key(rec), uint32(i), rec)
+		m.heads.Push(record.Key(rec), uint32(i), rec)
 	}
-	for heads.Len() > 0 {
-		top := heads.Top()
-		if err := emit(heads.Record(top.Slot)); err != nil {
-			return err
-		}
-		rec, err := srcs[top.Tie].Next()
-		if err == io.EOF {
-			heads.Pop()
-			continue
-		}
-		if err != nil {
-			return err
-		}
-		heads.ReplaceTop(record.Key(rec), top.Tie, rec)
+	m.cur = m.least()
+	return m, nil
+}
+
+// least is the heads' least record, nil once they are exhausted.
+func (m *merger) least() []byte {
+	if m.heads.Len() == 0 {
+		return nil
 	}
+	return m.heads.Record(m.heads.Top().Slot)
+}
+
+// advance consumes cur: its source's next record takes its place, and
+// cur becomes the least record left.
+func (m *merger) advance() error {
+	if err := m.poll(); err != nil {
+		return err
+	}
+	h := m.heads
+	if h == nil {
+		rec, err := m.srcs[0].Next()
+		if err != nil && err != io.EOF {
+			return err
+		}
+		m.cur, m.stale = rec, false
+		return nil
+	}
+	top := h.Top()
+	if int(top.Tie) < len(m.srcs) {
+		rec, err := m.srcs[top.Tie].Next()
+		if err == nil {
+			h.ReplaceTop(record.Key(rec), top.Tie, rec)
+			m.cur, m.stale = h.Record(h.Top().Slot), false
+			return nil
+		}
+		if err != io.EOF {
+			return err
+		}
+	}
+	h.Pop() // the source is exhausted
+	m.cur, m.stale = m.least(), false
 	return nil
+}
+
+// next consumes and returns the merge's next record — a folding merge's
+// one record for the next key — valid until the following call, or
+// io.EOF.
+func (m *merger) next() ([]byte, error) {
+	if m.stale {
+		if err := m.advance(); err != nil {
+			return nil, err
+		}
+	}
+	if m.cur == nil {
+		return nil, io.EOF
+	}
+	m.stale = true
+	if m.combine != nil {
+		return m.fold()
+	}
+	return m.cur, nil
+}
+
+// fold combines cur and the records of its key after it into acc,
+// leaving the next key's first record unconsumed.
+func (m *merger) fold() ([]byte, error) {
+	key := record.Key(m.cur)
+	copy(m.acc, m.cur)
+	for {
+		if err := m.advance(); err != nil {
+			return nil, err
+		}
+		if m.cur == nil || record.Key(m.cur) != key {
+			return m.acc, nil
+		}
+		m.combine(m.acc, m.cur)
+	}
+}
+
+// drain hands every remaining record to emit. Unfolded, the loop is
+// next's step written out — the merge passes' inner loop, where the call
+// costs a few percent.
+func (m *merger) drain(emit func(rec []byte) error) error {
+	for m.combine == nil {
+		if m.stale {
+			if err := m.advance(); err != nil {
+				return err
+			}
+		}
+		if m.cur == nil {
+			return nil
+		}
+		m.stale = true
+		if err := emit(m.cur); err != nil {
+			return err
+		}
+	}
+	for {
+		rec, err := m.next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		if err := emit(rec); err != nil {
+			return err
+		}
+	}
+}
+
+// Next is the one-record pull: a view, valid until the following call.
+func (m *merger) Next() ([]byte, error) { return m.next() }
+
+// NextChunk pulls up to n records, copied into a buffer the merger owns —
+// the next pull advances the sources whose heads they were — or, for a
+// resident heap, as views of its slots.
+func (m *merger) NextChunk(n int) ([][]byte, error) {
+	n = max(n, 1)
+	if !m.alias && len(m.buf) < n*m.recSize {
+		m.buf = make([]byte, n*m.recSize)
+	}
+	m.chunk = m.chunk[:0]
+	for len(m.chunk) < n {
+		rec, err := m.next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		if !m.alias {
+			off := len(m.chunk) * m.recSize
+			dst := m.buf[off : off+m.recSize : off+m.recSize]
+			copy(dst, rec)
+			rec = dst
+		}
+		m.chunk = append(m.chunk, rec)
+	}
+	if len(m.chunk) == 0 {
+		return nil, io.EOF
+	}
+	return m.chunk, nil
+}
+
+// Close closes the sources and destroys the runs the merger owns,
+// keeping the first error. Idempotent.
+func (m *merger) Close() error {
+	for _, it := range m.iters {
+		it.Close() //nolint:errcheck // read-only scan teardown
+	}
+	m.iters = nil
+	var first error
+	for _, r := range m.runs {
+		if err := r.Destroy(); err != nil && first == nil {
+			first = err
+		}
+	}
+	m.runs = nil
+	return first
 }
 
 // combiner folds each run of equal keys in an ascending record stream
