@@ -32,7 +32,10 @@ import (
 // table's bytes: the group-by carries "⇐ feed", so the join's rows went
 // straight into its runs and were never a temp, and the order-by above it
 // compiled to no stage — a group-by emits its unique keys ascending, the
-// order-by's order already — which Explain.Elided notes. The second sorts
+// order-by's order already — which Explain.Elided notes. The join's
+// build side is a view of the five dimension attributes the projection
+// above the join reads (deferral again), so nested loops holds twice the
+// keys per block. The second sorts
 // a filtered base table: the filter renders inside the sort's input, a
 // view that every SelS pass re-reads, so the survivors are never written
 // as a temp.
@@ -73,7 +76,7 @@ func Example() {
 		}
 	}
 	// Output:
-	// GroupBy[a3, ExMS ⇐ feed](Join[NLJ → project[0 1 12 13 14 5 16 7 18 9]](Scan(dim), Scan(fact)))
+	// GroupBy[a3, ExMS ⇐ feed](Join[NLJ → project[0 1 7 8 9 2 11 3 13 4]](Scan(dim) → project[0 1 5 7 9], Scan(fact)))
 	//   Join fed=false
 	//   GroupBy fed=true
 	//   elided OrderBy: no stage, its input is a group-by's result (unique keys, ascending: the record order already)

@@ -4,8 +4,12 @@
 // (sorts.SortFolding, or a fed sorts.Intake): each row enters as its
 // one-row partial aggregate — through the Partials view of a stored
 // input, or the Feed sink in front of an intake — and the sort's kernels
-// merge the partials of equal keys with
-// Combine wherever they hold records, so only the groups are written.
+// merge the partials of equal keys with Combine wherever they hold
+// records, so only the groups are written. A partial is the result
+// record's five aggregate slots and nothing else (PartialSize, half the
+// benchmark record): a sort holds, writes and merges only those, and a
+// group is widened to its result record once, where it leaves the sort
+// (Results on the emit side, ResultsOf on a reader's).
 package aggregate
 
 import (
@@ -25,12 +29,18 @@ const (
 	AttrMax      = 4 // maximum of the aggregated attribute
 )
 
-// Singleton renders into buf the partial aggregate of one benchmark
-// record: its group's result record with attribute attr's value counted
-// once, every other attribute zero.
+// PartialSize is the width of a partial aggregate: the result record's
+// slots AttrGroupKey through AttrMax. Its result record, the benchmark
+// record of the same five attributes with every other one zero, is
+// twice as wide, so a sort of partials holds twice the groups in the
+// same memory and writes half the bytes per partial it spills.
+const PartialSize = (AttrMax + 1) * record.AttrSize
+
+// Singleton renders into buf (PartialSize bytes) the partial aggregate
+// of one benchmark record: its group key with attribute attr's value
+// counted once.
 func Singleton(buf, rec []byte, attr int) {
 	v := record.Attr(rec, attr)
-	clear(buf)
 	record.SetAttr(buf, AttrGroupKey, record.Key(rec))
 	record.SetAttr(buf, AttrCount, 1)
 	record.SetAttr(buf, AttrSum, v)
@@ -55,8 +65,8 @@ func Combine(dst, src []byte) {
 
 // Partials returns in, a collection of benchmark-schema rows, as a
 // read-only collection of their Singleton partials aggregating attribute
-// attr. A scan renders each row once, where it is read, and issues
-// exactly in's block reads, whole or sliced.
+// attr, PartialSize bytes each. A scan renders each row once, where it
+// is read, and issues exactly in's block reads, whole or sliced.
 func Partials(in storage.Collection, attr int) (storage.Collection, error) {
 	if attr < 0 || attr >= record.NumAttrs {
 		return nil, fmt.Errorf("aggregate: attribute %d out of schema (0..%d)", attr, record.NumAttrs-1)
@@ -68,11 +78,12 @@ func Partials(in storage.Collection, attr int) (storage.Collection, error) {
 }
 
 // Feed is Partials' push side, for a caller that has validated attr and
-// the rows' width: a write-only collection (storage.Sink) that renders
-// each appended row as its Singleton partial, once, and appends that to
-// dst — a folding sorts.Intake.
+// the rows' width: a write-only collection (storage.Sink) of benchmark
+// rows that renders each appended row as its Singleton partial, once,
+// and appends that to dst — a folding sorts.Intake of PartialSize
+// records.
 func Feed(dst storage.Collection, attr int) storage.Collection {
-	buf := make([]byte, record.Size)
+	buf := make([]byte, PartialSize)
 	return storage.NewSink("partials", record.Size, func(rec []byte) error {
 		Singleton(buf, rec, attr)
 		return dst.Append(buf)
@@ -84,6 +95,8 @@ type partials struct {
 	storage.Collection
 	attr int
 }
+
+func (p partials) RecordSize() int { return PartialSize }
 
 func (p partials) readOnly(verb string) error {
 	return fmt.Errorf("aggregate: %s of the read-only partials of %q", verb, p.Name())
@@ -115,9 +128,7 @@ func (it *partialIter) NextChunk(n int) ([][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	for len(it.recs) < len(rows) {
-		it.recs = append(it.recs, make([]byte, record.Size))
-	}
+	it.recs = views(it.recs, len(rows), PartialSize)
 	for i, row := range rows {
 		Singleton(it.recs[i], row, it.attr)
 	}
@@ -130,4 +141,71 @@ func (it *partialIter) Next() ([]byte, error) {
 		return nil, err
 	}
 	return recs[0], nil
+}
+
+// Results is the emit side's widening: a write-only collection of
+// partials — what a folding sort merges into — that appends each
+// partial's result record to dst, a collection of benchmark records,
+// and closes dst when it is closed.
+func Results(dst storage.Collection) storage.Collection {
+	var res [record.Size]byte
+	return storage.NewSink("results("+dst.Name()+")", PartialSize, func(p []byte) error {
+		return dst.Append(widen(res[:], p))
+	}, dst.Close)
+}
+
+// ResultsOf is Results on a reader's side: it, an iterator over partials
+// (a folding intake's stream), as an iterator over their result records.
+// A chunk is widened into views of a buffer the iterator owns, grown to
+// the largest chunk asked for and valid until the next call.
+func ResultsOf(it storage.Iterator) storage.Iterator {
+	return &resultIter{Iterator: it, parts: storage.Chunked(it)}
+}
+
+type resultIter struct {
+	storage.Iterator
+	parts storage.ChunkIterator
+	recs  [][]byte
+}
+
+func (it *resultIter) NextChunk(n int) ([][]byte, error) {
+	parts, err := it.parts.NextChunk(n)
+	if err != nil {
+		return nil, err
+	}
+	it.recs = views(it.recs, len(parts), record.Size)
+	for i, p := range parts {
+		widen(it.recs[i], p)
+	}
+	return it.recs[:len(parts)], nil
+}
+
+func (it *resultIter) Next() ([]byte, error) {
+	recs, err := it.NextChunk(1)
+	if err != nil {
+		return nil, err
+	}
+	return recs[0], nil
+}
+
+// widen renders the partial p as its group's result record in buf
+// (record.Size bytes): its five slots, every other attribute zero.
+func widen(buf, p []byte) []byte {
+	copy(buf, p)
+	clear(buf[PartialSize:])
+	return buf
+}
+
+// views grows recs to at least n views of size bytes each, backed by one
+// new slab whenever it grows, and returns it.
+func views(recs [][]byte, n, size int) [][]byte {
+	if len(recs) >= n {
+		return recs
+	}
+	slab := make([]byte, n*size)
+	recs = make([][]byte, n)
+	for i := range recs {
+		recs[i] = slab[i*size : (i+1)*size : (i+1)*size]
+	}
+	return recs
 }

@@ -27,13 +27,14 @@ func newEnv(t testing.TB) *algo.Env {
 }
 
 // groupBy is the group-by the engine runs over a stored input: a's sort
-// of in's partials, combining equal keys.
+// of in's partials, combining equal keys, into out widened to result
+// records.
 func groupBy(env *algo.Env, a sorts.Algorithm, in storage.Collection, attr int, out storage.Collection) error {
 	partials, err := aggregate.Partials(in, attr)
 	if err != nil {
 		return err
 	}
-	return sorts.SortFolding(env, a, partials, out, aggregate.Combine)
+	return sorts.SortFolding(env, a, partials, aggregate.Results(out), aggregate.Combine)
 }
 
 // TestPartialsReadLikeTheirInput: a scan of the partials view, whole or
@@ -48,7 +49,7 @@ func TestPartialsReadLikeTheirInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Len() != in.Len() || p.RecordSize() != record.Size {
+	if p.Len() != in.Len() || p.RecordSize() != aggregate.PartialSize {
 		t.Fatalf("view of %d × %d B over %d rows", p.Len(), p.RecordSize(), in.Len())
 	}
 	for _, lo := range []int{0, 37} {
@@ -68,7 +69,7 @@ func TestPartialsReadLikeTheirInput(t *testing.T) {
 		if partReads != rowReads {
 			t.Errorf("from %d: partials read %d cachelines, the rows %d", lo, partReads, rowReads)
 		}
-		want := make([]byte, record.Size)
+		want := make([]byte, aggregate.PartialSize)
 		for i, row := range rows {
 			aggregate.Singleton(want, row, foldAttr)
 			if !bytes.Equal(parts[i], want) {
@@ -76,7 +77,7 @@ func TestPartialsReadLikeTheirInput(t *testing.T) {
 			}
 		}
 	}
-	if p.Append(make([]byte, record.Size)) == nil || p.Truncate() == nil || p.Destroy() == nil {
+	if p.Append(make([]byte, aggregate.PartialSize)) == nil || p.Truncate() == nil || p.Destroy() == nil {
 		t.Error("the partials view accepted a write")
 	}
 }
@@ -86,7 +87,7 @@ func TestPartialsReadLikeTheirInput(t *testing.T) {
 func TestFeedRendersLikePartials(t *testing.T) {
 	env := newEnv(t)
 	recs, _ := foldInput(300, 40, 7)
-	dst, err := env.Factory.Create("fed", record.Size)
+	dst, err := env.Factory.Create("fed", aggregate.PartialSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,5 +269,96 @@ func TestQuickGroupByTotals(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPartialWideningAllocs: a group leaves a fold as its result record —
+// its partial's five slots, every other attribute zero — through the sink
+// on the emit side (Results) and the iterator on a reader's (ResultsOf)
+// alike, and widening allocates nothing per group: the sink's one buffer
+// and the iterator's chunk buffer, grown to the largest chunk, are reused.
+func TestPartialWideningAllocs(t *testing.T) {
+	env := newEnv(t)
+	recs, _ := foldInput(500, 500, 9)
+	parts := make([][]byte, len(recs))
+	var want []byte
+	for i, rec := range recs {
+		parts[i] = make([]byte, aggregate.PartialSize)
+		aggregate.Singleton(parts[i], rec, foldAttr)
+		want = append(want, parts[i]...)
+		want = append(want, make([]byte, record.Size-aggregate.PartialSize)...)
+	}
+
+	dst, err := env.Factory.Create("results", record.Size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := aggregate.Results(dst)
+	if sink.RecordSize() != aggregate.PartialSize {
+		t.Fatalf("the widening sink takes %d-byte records, want %d", sink.RecordSize(), aggregate.PartialSize)
+	}
+	for _, p := range parts {
+		if err := sink.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if dst.Append(record.New(1)) == nil {
+		t.Error("closing the widening sink left its destination open")
+	}
+	if !bytes.Equal(contents(t, dst), want) {
+		t.Error("the sink's result records are not the partials widened")
+	}
+	discard := aggregate.Results(storage.NewSink("discard", record.Size, func([]byte) error { return nil }, nil))
+	if allocs := testing.AllocsPerRun(5, func() {
+		for _, p := range parts {
+			if err := discard.Append(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); allocs != 0 {
+		t.Errorf("the widening sink allocated %.0f times per %d partials", allocs, len(parts))
+	}
+
+	stored, err := env.Factory.Create("partials", aggregate.PartialSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range parts {
+		if err := stored.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := stored.Close(); err != nil {
+		t.Fatal(err)
+	}
+	it := aggregate.ResultsOf(stored.Scan())
+	defer it.Close()
+	chunks := storage.Chunked(it)
+	got := make([]byte, 0, len(want))
+	for _, n := range []int{1, 7, 64} {
+		recs, err := chunks.NextChunk(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range recs {
+			got = append(got, rec...)
+		}
+	}
+	if allocs := testing.AllocsPerRun(5, func() {
+		recs, err := chunks.NextChunk(64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range recs {
+			got = append(got, rec...)
+		}
+	}); allocs != 0 {
+		t.Errorf("the widening iterator allocated %.0f times per chunk", allocs)
+	}
+	if !bytes.Equal(got, want[:len(got)]) {
+		t.Error("the iterator's result records are not the partials widened")
 	}
 }

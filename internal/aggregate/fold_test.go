@@ -62,13 +62,14 @@ func foldInput(n, keys int, seed int64) (recs [][]byte, want []byte) {
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
 	for _, k := range order {
-		g, rec := groups[k], make([]byte, record.Size)
-		record.SetAttr(rec, aggregate.AttrGroupKey, k)
-		record.SetAttr(rec, aggregate.AttrCount, g.count)
-		record.SetAttr(rec, aggregate.AttrSum, g.sum)
-		record.SetAttr(rec, aggregate.AttrMin, g.min)
-		record.SetAttr(rec, aggregate.AttrMax, g.max)
-		want = append(want, rec...)
+		var rec [record.Size]byte // the group's result record: five slots, the rest zero
+		g := groups[k]
+		record.SetAttr(rec[:], aggregate.AttrGroupKey, k)
+		record.SetAttr(rec[:], aggregate.AttrCount, g.count)
+		record.SetAttr(rec[:], aggregate.AttrSum, g.sum)
+		record.SetAttr(rec[:], aggregate.AttrMin, g.min)
+		record.SetAttr(rec[:], aggregate.AttrMax, g.max)
+		want = append(want, rec[:]...)
 	}
 	return recs, want
 }

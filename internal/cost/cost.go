@@ -16,7 +16,9 @@
 // once, where the engine takes the decision:
 //
 //	deferral           exec's chain view: a zero-write collection re-run
-//	                   on every scan (internal/exec/chain.go)
+//	                   on every scan (internal/exec/chain.go); a join's
+//	                   projected build side is one, and Emit.Source
+//	                   charges each scan of it at the base's width
 //	process-to-append  the fed intake (sorts.Intake), chosen by
 //	                   stageAlloc.sortPlan when Emit.FedExMS prices no
 //	                   dearer than a temp plus the best sort over it; a

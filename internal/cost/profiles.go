@@ -88,6 +88,23 @@ type Emit struct {
 	// combined. ExMS and FedExMS charge it, not t, for the run writes,
 	// their re-read and any extra merge passes. 0 = unfolded.
 	Folded float64
+	// Source > 0 is what one scan of a join's build input reads where it
+	// lies, in buffers, when that differs from t, the size of the build
+	// records the join holds, partitions and writes: a projection over a
+	// base table is a view that reads every base record whole. Each join
+	// profile charges it for every scan of its left input (NLJ's one,
+	// LaJ's lazy passes, SegJ's re-scans) and t for what it wrote of it.
+	// It covers width only. 0 = t.
+	Source float64
+}
+
+// rescan is the extra read of scans scans of a join's left input where
+// it lies (Source) over the t buffers its profile charged for them.
+func (em Emit) rescan(scans, t float64) float64 {
+	if em.Source <= 0 {
+		return 0
+	}
+	return scans * (em.Source - t)
 }
 
 // runs is the run-formation output for t input buffers: t, or what a
@@ -318,7 +335,7 @@ func GJProfile(t, v float64) Profile { return Emit{}.GJ(t, v) }
 // GJ is GJProfile emitting as em describes.
 func (em Emit) GJ(t, v float64) Profile {
 	return Profile{
-		Reads:  2 * (t + v),
+		Reads:  2*(t+v) + em.rescan(1, t),
 		Writes: (t + v) + joinOutput(v),
 	}.emitting(em, joinOutput(v), 0)
 }
@@ -340,8 +357,9 @@ func (em Emit) HJ(t, v, m float64) Profile {
 		writes += (k - i) * per
 	}
 	// HJ's builds are fused with the survivor-offload scans (scan order is
-	// survivor order), so the whole algorithm stays serial.
-	p := Profile{Reads: reads, Writes: writes + joinOutput(v)}
+	// survivor order), so the whole algorithm stays serial. Only the first
+	// iteration scans the left input where it lies.
+	p := Profile{Reads: reads + em.rescan(1, t), Writes: writes + joinOutput(v)}
 	p.SerialReads, p.SerialWrites = p.Reads, p.Writes
 	return p.emitting(em, joinOutput(v), joinOutput(v))
 }
@@ -356,7 +374,7 @@ func (em Emit) NLJ(t, v, m float64) Profile {
 	if blocks < 1 {
 		blocks = 1
 	}
-	return Profile{Reads: t + blocks*v, Writes: joinOutput(v)}.emitting(em, joinOutput(v), 0)
+	return Profile{Reads: t + blocks*v + em.rescan(1, t), Writes: joinOutput(v)}.emitting(em, joinOutput(v), 0)
 }
 
 // HybJProfile: Grace over (x·t, y·v) with the right suffix piggybacked
@@ -379,7 +397,9 @@ func (em Emit) HybJ(x, y, t, v, m float64) Profile {
 		nlBlocks = 0
 	}
 	return Profile{
-		Reads:  x*t + y*v + x*t + y*v + k*(1-y)*v + (1-x)*t + nlBlocks*v,
+		// The prefix's partition scan and the suffix's nested loops read
+		// the left input where it lies once between them.
+		Reads:  x*t + y*v + x*t + y*v + k*(1-y)*v + (1-x)*t + nlBlocks*v + em.rescan(1, t),
 		Writes: x*t + y*v + joinOutput(v),
 	}.emitting(em, joinOutput(v), 0)
 }
@@ -412,6 +432,7 @@ func (em Emit) LaJ(t, v, m, lambda float64) Profile {
 		p.Writes += (k - i) * per
 	}
 	p.Writes += joinOutput(v)
+	p.Reads += em.rescan(math.Max(n, 1), t) // the lazy passes, or the first iteration, read the left input where it lies
 	// Like HJ, every scan either probes or routes survivors in scan
 	// order — fully serial.
 	p.SerialReads, p.SerialWrites = p.Reads, p.Writes
@@ -431,7 +452,9 @@ func (em Emit) SegJ(intensity, t, v, m float64) Profile {
 	}
 	xp := math.Floor(intensity * k)
 	return Profile{
-		Reads:  (t + v) + xp*(t+v)/k + (k-xp)*(t+v),
+		// The initial scan and every re-scan read the inputs where they
+		// lie; the offloaded partitions are re-read as written.
+		Reads:  (t + v) + xp*(t+v)/k + (k-xp)*(t+v) + em.rescan(1+k-xp, t),
 		Writes: xp*(t+v)/k + joinOutput(v),
 	}.emitting(em, joinOutput(v), 0)
 }

@@ -271,3 +271,34 @@ func TestHandedOutputMovesToTheConsumer(t *testing.T) {
 		}
 	}
 }
+
+// TestSourceChargesEveryLeftScan: Emit.Source re-prices what each scan
+// of a join's left input reads where it lies, and nothing else — the
+// partitions, tables and writes stay at t — once per scan the profile
+// makes of the source: NLJ, GJ, HJ and HybJ one, LaJ one per lazy pass,
+// SegJ its initial scan and one per re-scanned partition.
+func TestSourceChargesEveryLeftScan(t *testing.T) {
+	const tb, v, m, lambda = 391.0, 7813.0, 162.0, 15.0
+	src := Emit{Source: 2 * tb}
+	k := math.Ceil(1.2 * tb / m)
+	for _, c := range []struct {
+		name  string
+		scans float64
+		price func(em Emit) Profile
+	}{
+		{"NLJ", 1, func(em Emit) Profile { return em.NLJ(tb, v, m) }},
+		{"GJ", 1, func(em Emit) Profile { return em.GJ(tb, v) }},
+		{"HJ", 1, func(em Emit) Profile { return em.HJ(tb, v, m) }},
+		{"HybJ", 1, func(em Emit) Profile { return em.HybJ(0.5, 0.5, tb, v, m) }},
+		{"LaJ", math.Max(1, float64(LazyHashJoinMaterializeIteration(int(k), lambda))), func(em Emit) Profile { return em.LaJ(tb, v, m, lambda) }},
+		{"SegJ", 1 + k - math.Floor(0.5*k), func(em Emit) Profile { return em.SegJ(0.5, tb, v, m) }},
+	} {
+		held, read := c.price(Emit{}), c.price(src)
+		if read.Writes != held.Writes || read.SerialWrites != held.SerialWrites {
+			t.Errorf("%s: the source's width moved the writes: %+v vs %+v", c.name, read, held)
+		}
+		if got, want := read.Reads-held.Reads, c.scans*tb; math.Abs(got-want) > 1e-9 {
+			t.Errorf("%s: a source twice t reads %.1f more buffers, want %.0f scans × t = %.1f", c.name, got, c.scans, want)
+		}
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"testing"
 
+	"wlpm/internal/aggregate"
 	"wlpm/internal/joins"
 	"wlpm/internal/pmem"
 	"wlpm/internal/record"
@@ -26,8 +27,8 @@ import (
 // absorbSources are the blocking producers a chain can be absorbed into,
 // each as a plan ending at the producer. The two planner-owned group-bys
 // fold in memory: hashagg-memory's 300 groups fit its share, so its
-// intake writes no run; hashagg-spill's 300 outnumber the 204 slots of
-// 16 KiB, so it evicts runs and merges them.
+// intake writes no run; hashagg-spill's 300 outnumber the 204 partial
+// slots of 8 KiB, so it evicts runs and merges them.
 var absorbSources = []struct {
 	name   string
 	budget int64
@@ -44,7 +45,7 @@ var absorbSources = []struct {
 	{"hashagg-memory", 1 << 20, foldResident, func(t *testing.T, r *rig) *Plan {
 		return Table(loadGrouped(t, r, "in", bgRows, 300)).GroupHint(300).GroupBy(4)
 	}},
-	{"hashagg-spill", 16 << 10, foldEvict, func(t *testing.T, r *rig) *Plan {
+	{"hashagg-spill", 16 << 10 * aggregate.PartialSize / record.Size, foldEvict, func(t *testing.T, r *rig) *Plan {
 		return Table(loadScattered(t, r, "in", 4000, 300)).GroupHint(300).GroupBy(4)
 	}},
 }
@@ -96,14 +97,23 @@ func drainCursor(t *testing.T, ec *Ctx, root Operator) []byte {
 	return buf.Bytes()
 }
 
-// streamingOps counts the Stream operators of a tree.
+// streamingOps counts the Stream operators of a tree that stream: a
+// join's left input projected over a base table (build-side narrowing)
+// is a view the join scans, and does not count.
 func streamingOps(op Operator) int {
 	n := 0
 	switch op.(type) {
 	case *Stream:
 		n = 1
 	}
-	for _, c := range op.Children() {
+	for i, c := range op.Children() {
+		if s, ok := c.(*Stream); ok && i == 0 {
+			if _, join := op.(*Join); join {
+				if _, scan := s.child.(*Scan); scan {
+					continue
+				}
+			}
+		}
 		n += streamingOps(c)
 	}
 	return n
@@ -271,14 +281,20 @@ func TestAbsorbServesStoredInput(t *testing.T) {
 // chain sink, or, with no chain, into the range-appendable temp a limit
 // reads. Budgets leave the pinned sorts a split the allocator makes the
 // same at every P and no intermediate merge pass, whose grouping follows
-// P — and, folding, so do its writes.
+// P — and, folding, so do its writes. The straight group-by's 500
+// cyclic groups outnumber its 400 partial slots at every P, so every row
+// misses at every P. At 24 000 B its 600 slots hold every group at P = 1
+// but not a P-way worker's share (938 vs 4 381 cachelines on blocked);
+// at 12 000 B, the 300 slots 80-byte partials had there, its fan-in of
+// 11 buffers leaves an intermediate merge pass (5 007, 5 320, 6 259 at
+// P = 1, 2, 4).
 var foldGridPlans = []struct {
 	name   string
 	budget int64
 	fed    int // stages the plan feeds
 	build  func(t *testing.T, r *rig) *Plan
 }{
-	{"groupby", 6000 * record.Size / 20, 0, func(t *testing.T, r *rig) *Plan {
+	{"groupby", 400 * aggregate.PartialSize, 0, func(t *testing.T, r *rig) *Plan {
 		return Table(loadGrouped(t, r, "in", 6000, 500)).GroupByWith(4, sorts.NewExternalMergeSort())
 	}},
 	{"join-project-groupby", 6000 * record.Size / 20, 0, func(t *testing.T, r *rig) *Plan {

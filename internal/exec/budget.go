@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 
+	"wlpm/internal/aggregate"
 	"wlpm/internal/algo"
 	"wlpm/internal/cost"
 	"wlpm/internal/joins"
@@ -199,6 +200,7 @@ type stageAlloc struct {
 	groupEst int             // group-by: distinct-group estimate (0 = none)
 	order    emitOrder       // group-by: the order its input's keys arrive in (arrivalAt)
 	lrec     int             // join: the left input's record width, which sizes nested loops' blocks
+	lsrc     int             // join: the record width a scan of the left input reads where it lies (a view's base)
 	outBuf   float64         // join, group-by: estimated result size through any absorbed chain (buffers)
 	t, v     float64         // current input-size estimates (buffers)
 	inEst    float64         // estimated build/input rows, divergence baseline
@@ -244,10 +246,14 @@ func (s *stageAlloc) plan(t, v, m float64) stagePlan {
 func (s *stageAlloc) planAt(t, v, m, cluster float64) stagePlan {
 	if s.op == "Join" {
 		lambda, par := s.bp.lambda, s.bp.par
-		if j, ok := s.joinA.(joins.Profiled); ok {
-			return stagePlan{cost: j.Profile(s.emit(), t, v, m, lambda).PriceP(1, lambda, par)}
+		em := s.emit()
+		if s.lsrc != s.lrec {
+			em.Source = t * float64(s.lsrc) / float64(s.lrec)
 		}
-		best := cost.BestJoinPlanEmit(t, v, m, lambda, par, s.emit())
+		if j, ok := s.joinA.(joins.Profiled); ok {
+			return stagePlan{cost: j.Profile(em, t, v, m, lambda).PriceP(1, lambda, par)}
+		}
+		best := cost.BestJoinPlanEmit(t, v, m, lambda, par, em)
 		return stagePlan{cost: best.Cost, join: best}
 	}
 	return s.sortPlan(t, m, cluster)
@@ -333,7 +339,8 @@ const carryOverShare = 0.8
 
 // folded estimates, in buffers, the partials a fed group-by's folding
 // intake writes from t buffers of input rows at a share of m buffers:
-// one per arrival of a key not resident in its S heap slots. With G
+// one per arrival of a key not resident in its S heap slots. Slots and
+// partials are aggregate.PartialSize bytes, the rows record.Size. With G
 // estimated groups among N rows, the keys arrive in G/g clusters of
 // g = min(cluster, G) distinct keys and N·g/G rows each, the key sets of
 // successive clusters interleaving — one cluster of all G when nothing is
@@ -353,8 +360,9 @@ func (s *stageAlloc) folded(t, m, cluster float64) float64 {
 	if s.groupEst <= 0 {
 		return 0
 	}
-	perBuf := float64(s.bp.blockSize) / record.Size // rows per buffer
-	n, slots := t*perBuf, math.Floor(m*perBuf)
+	rowsPerBuf := float64(s.bp.blockSize) / record.Size       // input rows
+	perBuf := float64(s.bp.blockSize) / aggregate.PartialSize // partials: heap slots, run records
+	n, slots := t*rowsPerBuf, math.Floor(m*perBuf)
 	groups := math.Min(float64(s.groupEst), n)
 	if groups <= slots {
 		return groups / perBuf
@@ -631,7 +639,7 @@ func (bp *budgetPlan) clusterCap(d *stageAlloc) int64 {
 		if !f.opened || f.op != "GroupBy" || f.order != clustered || f.tFrom != d.idx || f.groupEst <= 0 {
 			continue
 		}
-		slots := f.share / record.Size
+		slots := f.share / aggregate.PartialSize
 		fit := int64(math.Ceil(float64(slots+1)*algo.HashTableExpansion*float64(d.lrec))) - 1
 		limit = min(limit, max(d.share, fit))
 	}
@@ -808,7 +816,7 @@ func (c *compiler) demandWalk(p *Plan, collect bool) (planEstimate, int) {
 		}
 		lrec, rrec := planRecordSize(p.left), planRecordSize(p.right)
 		return out, add(&stageAlloc{
-			op: "Join", joinA: p.joinA, lrec: lrec, outBuf: c.buffers(out.rows, lrec+rrec),
+			op: "Join", joinA: p.joinA, lrec: lrec, lsrc: c.sourceWidth(p.left), outBuf: c.buffers(out.rows, lrec+rrec),
 			t: c.buffers(lest.rows, lrec), v: c.buffers(rest.rows, rrec),
 			inEst: float64(lest.rows), tFrom: lfrom, vFrom: rfrom,
 		})
@@ -904,6 +912,19 @@ func (c *compiler) feeding(p *Plan, s *stageAlloc) *stageAlloc {
 		s.onDevice = s.feedable
 	}
 	return s
+}
+
+// sourceWidth is the record width a scan of p's result reads where it
+// lies: a chain over a base table is a view that reads the table's
+// records whole (fuse.go); anything else is read as p emits it — a
+// blocking producer's temp through the chain it absorbed, a pipe, or the
+// materialize-everything reference's barrier. A view over a stored sort
+// result is priced at the view's width.
+func (c *compiler) sourceWidth(p *Plan) int {
+	if q := c.chainBase(p); q.kind == planScan && !c.opts.MaterializeEveryStep {
+		return planRecordSize(q)
+	}
+	return planRecordSize(p)
 }
 
 // absorbs reports whether a Filter or Project over p compiles into the

@@ -191,7 +191,7 @@ func TestResplitKeepsClustersInFoldSlots(t *testing.T) {
 		t: 6905, inEst: 88378, tFrom: 0, vFrom: -1, share: 160000, opened: true, fed: true, choice: &Choice{}}
 	bp.stages = []*stageAlloc{join, fold}
 	bp.commit(join.idx, join.t, join.v, 10000)
-	slots := fold.share / record.Size
+	slots := fold.share / aggregate.PartialSize
 	if keys := int64(float64(join.share) / (algo.HashTableExpansion * record.Size)); keys > slots {
 		t.Errorf("re-split the join to %d B: blocks of %d keys, past the frozen fold's %d slots", join.share, keys, slots)
 	}
@@ -520,14 +520,14 @@ func TestFoldedPriceMatchesIntake(t *testing.T) {
 		for _, g := range gs {
 			for _, slots := range []int{128, 1024, 4096} {
 				var partials int
-				env := algo.NewEnv(runWrites{Factory: r.fac, n: &partials}, int64(slots*record.Size))
-				in, err := sorts.NewIntake(env, record.Size, aggregate.Combine, false)
+				env := algo.NewEnv(runWrites{Factory: r.fac, n: &partials}, int64(slots*aggregate.PartialSize))
+				in, err := sorts.NewIntake(env, aggregate.PartialSize, aggregate.Combine, false)
 				if err != nil {
 					t.Fatal(err)
 				}
 				rng := rand.New(rand.NewSource(int64(g + slots)))
 				keys, cluster := arrivals[name](g, slots, rng)
-				raw, partial := record.New(0), make([]byte, record.Size)
+				raw, partial := record.New(0), make([]byte, aggregate.PartialSize)
 				for _, k := range keys {
 					record.SetAttr(raw, 0, uint64(k))
 					aggregate.Singleton(partial, raw, 4)
@@ -535,11 +535,11 @@ func TestFoldedPriceMatchesIntake(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if err := in.MergeInto(storage.NewSink("discard", record.Size, func([]byte) error { return nil }, nil)); err != nil {
+				if err := in.MergeInto(storage.NewSink("discard", aggregate.PartialSize, func([]byte) error { return nil }, nil)); err != nil {
 					t.Fatal(err)
 				}
 				st := &stageAlloc{op: "GroupBy", groupEst: g, bp: &budgetPlan{blockSize: bs}}
-				est := st.folded(buffers(n, record.Size, bs), float64(slots*record.Size)/float64(bs), cluster) * float64(bs) / record.Size
+				est := st.folded(buffers(n, record.Size, bs), float64(slots*aggregate.PartialSize)/float64(bs), cluster) * float64(bs) / aggregate.PartialSize
 				ratio := est / float64(partials)
 				switch {
 				case g <= slots:

@@ -17,10 +17,10 @@ import (
 //     emits, through a storage.Sink, so its temp — or the plan output, at
 //     the root — is a stored collection of the chain's width and row count
 //     that consumers read by block chunk and re-read without re-applying
-//     anything (a cursor pulling a group-by whose fold never left memory
-//     runs the batch kernel over the heap instead, Sort.Open). OrderBy
-//     absorbs nothing: its final merge is range-parallel at P > 1, and a
-//     sink would serialize it.
+//     anything (a cursor pulling a fed group-by runs the batch kernel over
+//     its intake's stream instead, the partials widened to result records
+//     first, Sort.Open). OrderBy absorbs nothing: its final merge is
+//     range-parallel at P > 1, and a sink would serialize it.
 //   - view: over a stored source (a base table, an OrderBy's sorted
 //     output) and under a blocking consumer, the chain is a zero-write
 //     collection view the consumer re-scans (fuse.go).
@@ -33,6 +33,14 @@ import (
 // straight into the intake of the sort above. The emit placement serves
 // both: the sink's destination is the temp, the plan output or the
 // intake, and the chain cannot tell.
+//
+// The compiler writes one chain step of its own: under a sort or
+// group-by, a chain over a join has a projection of the join's left input
+// to the attributes it reads put beneath the join (build-side narrowing,
+// reorder.go). That step takes whichever placement its position gives
+// it — a view of a base table or filter view, an absorbed emit over a
+// join or group-by, a stream over anything else — so a narrower build
+// side never costs a write of its own.
 //
 // Two pieces implement all three: the per-record closure an emit sink
 // calls (apply) and the batch kernel (window) behind the view and the

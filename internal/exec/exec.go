@@ -17,7 +17,11 @@
 // that operator and applied where it emits, so the operator's temp is
 // never wider than what its consumer reads; over a stored source and
 // under a blocking consumer it is a zero-write view the consumer
-// re-scans (fuse.go); anywhere else it streams (Stream, scan.go).
+// re-scans (fuse.go); anywhere else it streams (Stream, scan.go). The
+// same holds for what a stage holds in memory: a join whose order no
+// one sees builds from only the left attributes the chain above it reads
+// (reorder.go), and a group-by folds 40-byte partials, widened to result
+// records only as its groups leave (aggregate.PartialSize).
 //
 // A blocking operator's result has two homes, decided by price. Stored:
 // a temporary — the operator's own, a Materialize barrier's, the pipe

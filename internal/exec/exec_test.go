@@ -484,49 +484,11 @@ func BenchmarkGroupByInMemory(b *testing.B) {
 			b.Run(fmt.Sprintf("groups%d/%s", groups, drive), func(b *testing.B) {
 				r := newRig(b)
 				plan := Table(loadGrouped(b, r, "in", rows, groups)).GroupHint(groups).GroupBy(4)
-				ctx := context.Background()
 				b.ReportAllocs()
 				r.dev.ResetStats()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					ec := r.ctx(1<<20, 1)
-					root, _, err := Compile(ec, plan)
-					if err != nil {
-						b.Fatal(err)
-					}
-					n := 0
-					if drive == "cursor" {
-						if err := ec.Bind(ctx); err != nil {
-							b.Fatal(err)
-						}
-						if err := root.Open(ctx, ec); err != nil {
-							b.Fatal(err)
-						}
-						cur := NewCursor(root)
-						for {
-							if _, err := cur.Next(ctx); err == io.EOF {
-								break
-							} else if err != nil {
-								b.Fatal(err)
-							}
-							n++
-						}
-						if err := root.Close(); err != nil {
-							b.Fatal(err)
-						}
-					} else {
-						out := r.create(b, fmt.Sprintf("out%d", i), record.Size)
-						if err := RunCtx(ctx, ec, root, out); err != nil {
-							b.Fatal(err)
-						}
-						b.StopTimer()
-						n = out.Len()
-						if err := out.Destroy(); err != nil {
-							b.Fatal(err)
-						}
-						b.StartTimer()
-					}
-					if n != groups {
+					if n := groupInMemory(b, r, plan, drive, i); n != groups {
 						b.Fatalf("%d groups, want %d", n, groups)
 					}
 				}
@@ -534,6 +496,81 @@ func BenchmarkGroupByInMemory(b *testing.B) {
 			})
 		}
 	}
+}
+
+// TestGroupByInMemoryAllocs is BenchmarkGroupByInMemory's allocation
+// budget: what the in-memory fold allocates is per query — plan, stage,
+// the heap's slab and index doublings, one widening buffer for the
+// groups it emits — never per row folded nor per group widened, so 20 000
+// rows in 40 or 2 000 groups stay within a budget a few allocations above
+// what the fold takes today.
+func TestGroupByInMemoryAllocs(t *testing.T) {
+	const rows = 20000
+	for _, c := range []struct {
+		groups int
+		drive  string
+		budget float64
+	}{{40, "run", 100}, {40, "cursor", 95}, {2000, "run", 140}, {2000, "cursor", 125}} {
+		r := newRig(t)
+		plan := Table(loadGrouped(t, r, "in", rows, c.groups)).GroupHint(c.groups).GroupBy(4)
+		i := 0
+		allocs := testing.AllocsPerRun(5, func() {
+			if n := groupInMemory(t, r, plan, c.drive, i); n != c.groups {
+				t.Fatalf("%d groups, want %d", n, c.groups)
+			}
+			i++
+		})
+		if allocs > c.budget {
+			t.Errorf("groups %d, %s: %.0f allocations per query, budget %.0f", c.groups, c.drive, allocs, c.budget)
+		}
+		t.Logf("groups %d, %s: %.0f allocations per query", c.groups, c.drive, allocs)
+	}
+}
+
+// groupInMemory compiles plan and runs it once, the i-th time, into a
+// fresh plan output or pulled by a cursor, and returns the groups it
+// emitted.
+func groupInMemory(tb testing.TB, r *rig, plan *Plan, drive string, i int) int {
+	ctx := context.Background()
+	ec := r.ctx(1<<20, 1)
+	root, _, err := Compile(ec, plan)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if drive == "cursor" {
+		if err := ec.Bind(ctx); err != nil {
+			tb.Fatal(err)
+		}
+		if err := root.Open(ctx, ec); err != nil {
+			tb.Fatal(err)
+		}
+		n, cur := 0, NewCursor(root)
+		for {
+			if _, err := cur.Next(ctx); err == io.EOF {
+				break
+			} else if err != nil {
+				tb.Fatal(err)
+			}
+			n++
+		}
+		if err := root.Close(); err != nil {
+			tb.Fatal(err)
+		}
+		return n
+	}
+	out := r.create(tb, fmt.Sprintf("out%d", i), record.Size)
+	if err := RunCtx(ctx, ec, root, out); err != nil {
+		tb.Fatal(err)
+	}
+	if b, ok := tb.(*testing.B); ok {
+		b.StopTimer()
+		defer b.StartTimer()
+	}
+	n := out.Len()
+	if err := out.Destroy(); err != nil {
+		tb.Fatal(err)
+	}
+	return n
 }
 
 // TestFusedFilterWritesNothing pins the fusion property: a filter

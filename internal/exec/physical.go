@@ -15,11 +15,13 @@ type CompileOptions struct {
 	// non-scan operator: the naive compose-by-collections execution the
 	// pipelined plan is benchmarked against.
 	MaterializeEveryStep bool
-	// disableJoinReorder keeps multi-join plans in their written order
-	// instead of letting the planner rebuild them smallest-build-first
-	// from the cardinality estimates. Only this package's tests set it,
-	// to price the written order against the reordered one.
-	disableJoinReorder bool
+	// asWritten compiles the plan's joins as written: in the written
+	// order, instead of letting the planner rebuild them
+	// smallest-build-first from the cardinality estimates, and with whole
+	// build records, instead of narrowing each build side to what the
+	// chain above its join reads. Only this package's tests set it, to
+	// price and run the written plan against the rewritten one.
+	asWritten bool
 	// shares, when set, replaces the allocator's split with these
 	// per-stage shares (bytes, stage order). Only this package's tests
 	// set it, to measure the planner's split against forced ones.
@@ -222,9 +224,10 @@ type compiler struct {
 	notes     []string       // why, in walk order: Explain.Elided
 }
 
-// newCompiler validates the inputs, applies the join-order rewrite and
-// runs the demand walk: the returned compiler holds one priceable, not
-// yet allocated stage per blocking operator of the returned plan.
+// newCompiler validates the inputs, applies the join-order and
+// build-narrowing rewrites and runs the demand walk: the returned
+// compiler holds one priceable, not yet allocated stage per blocking
+// operator of the returned plan.
 func newCompiler(ctx *Ctx, p *Plan, opts CompileOptions) (*compiler, *Plan, error) {
 	if err := ctx.validate(); err != nil {
 		return nil, nil, err
@@ -236,8 +239,11 @@ func newCompiler(ctx *Ctx, p *Plan, opts CompileOptions) (*compiler, *Plan, erro
 		return nil, nil, p.err
 	}
 	c := &compiler{opts: opts, stats: ctx.Stats, blockSize: ctx.Factory.BlockSize(), elided: map[*Plan]bool{}}
-	if !opts.disableJoinReorder {
+	if !opts.asWritten {
 		p = c.reorderJoins(p)
+		if !opts.MaterializeEveryStep {
+			p = c.narrowBuilds(p, false)
+		}
 	}
 	// The stage the root's walk returns is the plan's result: only
 	// filters, projections, limits and elided order-bys sit above it.

@@ -179,3 +179,163 @@ func planRecordSize(p *Plan) int {
 		return planRecordSize(p.left)
 	}
 }
+
+// Build-side narrowing: nested loops holds ⌈f·|T|/M⌉ blocks of the left
+// input (§2.2), and every other join partitions or writes it, so a left
+// record the plan keeps whole while the chain above the join reads a few
+// of its attributes wastes memory, passes and writes on the rest. The
+// rewrite below runs after the join-order rewrite, over every Filter/
+// Project chain that sits on a join whose row order nothing downstream
+// can see — a sort or group-by canonicalizes it, directly or through
+// further joins and chains: when the chain reads fewer than all of the
+// join's left attributes (a0, the join key, always counts), a projection
+// of exactly those, ascending, goes under the join's left input and the
+// chain's steps are remapped to the narrower layout. A narrower build
+// side changes how the join cuts its input into blocks and partitions,
+// and with that the order it emits its rows in; under a limit or at the
+// plan's root that order is the result, so there the join is left as
+// written and the output stays byte for byte the reference's. The
+// projection is an ordinary chain step, so it runs where any chain runs
+// (chain.go): a zero-write view over a stored source, absorbed into a
+// blocking producer's emit — its temp, or the fed sort's intake, is
+// narrower too — and a Stream elsewhere. A chain that projects nothing
+// keeps every attribute and leaves the join alone. The materialize-every-
+// step reference compiles the plan as written.
+
+// narrowBuilds applies build-side narrowing to every chain over a join
+// in p, the inner joins of a narrowed left input included. unseen says
+// the order p emits its rows in cannot show in the plan's result.
+func (c *compiler) narrowBuilds(p *Plan, unseen bool) *Plan {
+	if p == nil || p.err != nil {
+		return p
+	}
+	if p.kind != planFilter && p.kind != planProject {
+		return c.narrowChildren(p, unseen)
+	}
+	var steps []*Plan // the chain, top first
+	q := p
+	for q.kind == planFilter || q.kind == planProject {
+		steps = append(steps, q)
+		q = q.left
+	}
+	base, remap := q, []int(nil)
+	if q.kind == planJoin && unseen {
+		base, remap = narrowBuild(q, steps)
+	}
+	base = c.narrowChildren(base, unseen)
+	if base == q {
+		return p
+	}
+	for i := len(steps) - 1; i >= 0; i-- {
+		d := *steps[i]
+		d.left = base
+		// The steps up to the first projection read the join's layout;
+		// above it they read the projection's, which is unchanged.
+		if remap != nil {
+			if d.kind == planFilter {
+				d.pred.Attr = remap[d.pred.Attr]
+			} else {
+				d.attrs = make([]int, len(steps[i].attrs))
+				for k, a := range steps[i].attrs {
+					d.attrs[k] = remap[a]
+				}
+				remap = nil
+			}
+		}
+		base = &d
+	}
+	return base
+}
+
+// narrowChildren applies narrowBuilds beneath p, whose own row order is
+// unseen or not: a sort or group-by hides its input's order, a join
+// passes its own on to its inputs, and a limit shows it — which rows it
+// keeps depends on it.
+func (c *compiler) narrowChildren(p *Plan, unseen bool) *Plan {
+	if p.left == nil && p.right == nil {
+		return p
+	}
+	switch p.kind {
+	case planOrderBy, planGroupBy:
+		unseen = true
+	case planLimit:
+		unseen = false
+	}
+	d := *p
+	d.left = c.narrowBuilds(p.left, unseen)
+	d.right = c.narrowBuilds(p.right, unseen)
+	if d.left == p.left && d.right == p.right {
+		return p
+	}
+	return &d
+}
+
+// narrowBuild projects the join j's left input to the attributes its
+// chain — steps, top first — reads. It returns the narrowed join and the
+// remapping of the join's attributes to the narrowed layout, or j and nil
+// when every left attribute is read, the chain keeps them all, or an
+// attribute is out of range (build reports that).
+func narrowBuild(j *Plan, steps []*Plan) (*Plan, []int) {
+	lw, rw := planRecordSize(j.left), planRecordSize(j.right)
+	if lw%record.AttrSize != 0 || rw%record.AttrSize != 0 {
+		return j, nil
+	}
+	left, width := lw/record.AttrSize, (lw+rw)/record.AttrSize
+	read := make([]bool, width)
+	var out []int // the chain's current layout in join attributes; nil: the join's own
+	at := func(a int) int {
+		if out != nil {
+			if a < 0 || a >= len(out) {
+				return -1
+			}
+			return out[a]
+		}
+		if a < 0 || a >= width {
+			return -1
+		}
+		return a
+	}
+	for i := len(steps) - 1; i >= 0; i-- {
+		if st := steps[i]; st.kind == planFilter {
+			a := at(st.pred.Attr)
+			if a < 0 {
+				return j, nil
+			}
+			read[a] = true
+		} else {
+			next := make([]int, len(st.attrs))
+			for k, a := range st.attrs {
+				if next[k] = at(a); next[k] < 0 {
+					return j, nil
+				}
+			}
+			out = next
+		}
+	}
+	if out == nil {
+		return j, nil
+	}
+	for _, a := range out {
+		read[a] = true
+	}
+	read[0] = true
+	var keep []int
+	for a := 0; a < left; a++ {
+		if read[a] {
+			keep = append(keep, a)
+		}
+	}
+	if len(keep) == left {
+		return j, nil
+	}
+	remap := make([]int, width)
+	for i, a := range keep {
+		remap[a] = i
+	}
+	for a := left; a < width; a++ {
+		remap[a] = a - left + len(keep)
+	}
+	d := *j
+	d.left = &Plan{kind: planProject, left: j.left, attrs: keep}
+	return &d, remap
+}

@@ -13,8 +13,9 @@ import (
 // OrderBy sorts its input by the record total order (key attribute,
 // full-byte tiebreak) with one of the paper's sort algorithms. A GroupBy
 // is the same sort with a combine: each benchmark-schema row enters as
-// its one-row partial aggregate of attribute attr, and the kernels
-// combine equal keys, so it emits one record per group in key order —
+// its one-row partial aggregate of attribute attr (aggregate.PartialSize
+// bytes), and the kernels combine equal keys, so it emits one record per
+// group in key order, widened to its result record as it leaves —
 // through the chain above it, when the compiler absorbed one (an OrderBy
 // absorbs none: its final merge is range-parallel at P > 1). Blocking: it
 // claims one stage share and reads its child's result where that lives,
@@ -62,11 +63,12 @@ func (s *Sort) intake(ctx context.Context, ec *Ctx, pulled bool) error {
 		return nil
 	}
 	s.algo = a
+	recSize := s.child.RecordSize()
 	var combine func(dst, src []byte)
 	if s.grouping() {
-		combine = aggregate.Combine
+		recSize, combine = aggregate.PartialSize, aggregate.Combine
 	}
-	in, err := sorts.NewIntake(ec.stageEnv(s.st), s.child.RecordSize(), combine, pulled)
+	in, err := sorts.NewIntake(ec.stageEnv(s.st), recSize, combine, pulled)
 	if err != nil {
 		return err
 	}
@@ -79,8 +81,19 @@ func (s *Sort) intake(ctx context.Context, ec *Ctx, pulled bool) error {
 		in.Discard()
 		return err
 	}
-	s.st.fedRows(in.Len(), in.RecordSize())
+	s.st.fedRows(in.Len(), s.child.RecordSize())
 	return nil
+}
+
+// results is where the stage's sort emits into dst: through the chain,
+// and for a GroupBy first widened from the partials it merges to their
+// result records (aggregate.Results).
+func (s *Sort) results(dst storage.Collection) storage.Collection {
+	out := s.sink(dst, s.child.RecordSize())
+	if s.grouping() {
+		out = aggregate.Results(out)
+	}
+	return out
 }
 
 // emitTo sorts the child's input — pushed, or materialized — into dst
@@ -90,7 +103,7 @@ func (s *Sort) emitTo(ctx context.Context, ec *Ctx, dst storage.Collection) erro
 	if err := s.intake(ctx, ec, false); err != nil {
 		return err
 	}
-	out := s.sink(dst, s.child.RecordSize())
+	out := s.results(dst)
 	if s.in != nil {
 		return s.in.MergeInto(out)
 	}
@@ -128,8 +141,11 @@ func (s *Sort) Open(ctx context.Context, ec *Ctx) error {
 		if err != nil {
 			return err
 		}
+		if s.grouping() {
+			it = aggregate.ResultsOf(it)
+		}
 		if !s.chain.empty() {
-			it = newChainIterator(ctx, it, &s.chain, s.in.RecordSize(), ec.batchSize())
+			it = newChainIterator(ctx, it, &s.chain, s.child.RecordSize(), ec.batchSize())
 		}
 		s.sc = newBatchScanner(it, ec.batchSize())
 		return nil

@@ -203,7 +203,7 @@ func TestJoinReorderSmallestBuildFirst(t *testing.T) {
 	}
 
 	ctxW := r.statsCtx(testBudget, 1)
-	_, exW, err := CompileWith(ctxW, plan, CompileOptions{disableJoinReorder: true})
+	_, exW, err := CompileWith(ctxW, plan, CompileOptions{asWritten: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestJoinReorderSmallestBuildFirst(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctxW2 := r.statsCtx(testBudget, 1)
-	rootW, _, err := CompileWith(ctxW2, plan, CompileOptions{disableJoinReorder: true})
+	rootW, _, err := CompileWith(ctxW2, plan, CompileOptions{asWritten: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestJoinReorderStarChain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pinJoin == nil && !opts.disableJoinReorder && !ex.Reordered {
+		if pinJoin == nil && !opts.asWritten && !ex.Reordered {
 			t.Fatal("three-table chain written fact-first was not reordered")
 		}
 		if pinJoin != nil && ex.Reordered {
@@ -261,7 +261,7 @@ func TestJoinReorderStarChain(t *testing.T) {
 	}
 
 	reordered := build(newRig(t), CompileOptions{}, nil)
-	written := build(newRig(t), CompileOptions{disableJoinReorder: true}, nil)
+	written := build(newRig(t), CompileOptions{asWritten: true}, nil)
 	pinned := build(newRig(t), CompileOptions{}, joins.NewGrace())
 	if len(reordered) == 0 {
 		t.Fatal("star chain produced no output")
@@ -293,7 +293,7 @@ func TestJoinReorderStarChain(t *testing.T) {
 		}
 		return sum
 	}
-	re, wr := joinCost(CompileOptions{}), joinCost(CompileOptions{disableJoinReorder: true})
+	re, wr := joinCost(CompileOptions{}), joinCost(CompileOptions{asWritten: true})
 	if re > wr {
 		t.Errorf("reordered star joins priced %.4g, written order %.4g: reorder made it worse", re, wr)
 	}

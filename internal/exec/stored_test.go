@@ -8,7 +8,9 @@ import (
 	"strings"
 	"testing"
 
+	"wlpm/internal/aggregate"
 	"wlpm/internal/joins"
+	"wlpm/internal/record"
 	"wlpm/internal/sorts"
 	"wlpm/internal/storage"
 )
@@ -65,7 +67,7 @@ var storedShapes = []struct {
 		dim1, _, fact := r.loadStar(t, bgDim, bgFact)
 		return Table(dim1).JoinWith(Table(fact), joins.NewNestedLoops()).Project(starCols...).GroupHint(bgDim).GroupBy(3).Project(byAgg...).OrderBy()
 	}},
-	{"fed-join-groupby-elided-orderby", "run", 2 * bgBudget, CompileOptions{}, foldAny, func(t *testing.T, r *rig) *Plan {
+	{"fed-join-groupby-elided-orderby", "run", 2 * bgBudget * aggregate.PartialSize / record.Size, CompileOptions{}, foldAny, func(t *testing.T, r *rig) *Plan {
 		dim1, _, fact := r.loadStar(t, bgDim, bgFact)
 		return Table(dim1).JoinWith(Table(fact), joins.NewNestedLoops()).Project(starCols...).GroupHint(bgDim).GroupBy(3).OrderBy()
 	}},

@@ -142,6 +142,8 @@ func TestQueryExplainSurfacesChoices(t *testing.T) {
 // after the run — from the cursor and from RunCtx alike — must name the
 // algorithm its own choice line does, and it shows the projection on the
 // join that applies it: no 160-byte temp exists to be projected later.
+// The build side is projected to the five dimension attributes the
+// projection reads, under the filters on it.
 func TestExplainPlanLineNamesWhatRan(t *testing.T) {
 	const nDim, nFact = 1000, 10000
 	sys, dim, _, fact := starQuerySetup(t, nDim, nFact, 1)
@@ -150,17 +152,18 @@ func TestExplainPlanLineNamesWhatRan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// A budget at which both stages sit just above the two-buffer floor
-	// (the order-by over the group-by compiles to no stage): there the
-	// group-by's few dozen heap slots fold next to nothing of its 1000
-	// groups, so its extra merge passes price above storing the join's
-	// result; it reads a temp, opens on the actual rows (the join's output
-	// is estimated ~8 % low) and re-plans. At the floor itself, or at a
-	// roomier budget, the join feeds it, and a fed stage is ExMS from start
-	// to end.
-	sess := sys.Session(wlpm.WithSessionBudget(int64(nFact * wlpm.RecordSize / 160)))
+	// A budget at the two-buffer floor (the order-by over the group-by
+	// compiles to no stage), and two filters on the dimension that the
+	// statistics take as independent although a1 = a0 on its keys: the
+	// build side is estimated at 638 rows, the join opens on 800 and
+	// re-plans. The join feeds the group-by, which is ExMS from start to
+	// end.
+	sess := sys.Session(wlpm.WithSessionBudget(int64(nFact * wlpm.RecordSize / 200)))
 	star := func() *wlpm.Query {
-		return sess.Query(dim).Join(sess.Query(fact)).
+		return sess.Query(dim).
+			Filter(wlpm.Predicate{Attr: 1, Op: wlpm.CmpLt, Value: 800}).
+			Filter(wlpm.Predicate{Attr: 0, Op: wlpm.CmpLt, Value: 800}).
+			Join(sess.Query(fact)).
 			Project(0, 1, 12, 13, 14, 5, 16, 7, 18, 9).GroupBy(3).OrderBy()
 	}
 	compiled, err := star().ExplainGranted()
@@ -202,8 +205,11 @@ func TestExplainPlanLineNamesWhatRan(t *testing.T) {
 		if ex.Root == compiled.Root {
 			t.Errorf("%s: plan line is still the compile-time rendering %q after %d re-plan(s)", name, ex.Root, replans)
 		}
-		if !strings.Contains(ex.Root, "Join[") || !strings.Contains(ex.Root, " → project[0 1 12 13 14 5 16 7 18 9]](Scan(") {
+		if !strings.Contains(ex.Root, "Join[") || !strings.Contains(ex.Root, " → project[0 1 7 8 9 2 11 3 13 4]](Scan(") {
 			t.Errorf("%s: plan line %q does not show the projection on the join that applies it", name, ex.Root)
+		}
+		if !strings.Contains(ex.Root, "(Scan(dim1) → filter[a1 < 800] → filter[a0 < 800] → project[0 1 5 7 9], Scan(fact))") {
+			t.Errorf("%s: plan line %q does not project the build side to the attributes read", name, ex.Root)
 		}
 		if strings.Contains(ex.Root, "Project[") {
 			t.Errorf("%s: plan line %q still has a Project operator above the join", name, ex.Root)

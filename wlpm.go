@@ -56,6 +56,7 @@ package wlpm
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"wlpm/internal/aggregate"
@@ -317,15 +318,19 @@ func (s *System) NewEnv(memoryBudget int64) *Env {
 // receives one benchmark-schema record per group carrying
 // count/sum/min/max in the GroupAttr* slots. It is the chosen sort with a
 // combine: the write profile is the sort's, over the groups its memory
-// cannot hold rather than the rows. Cancellation is polled and
+// cannot hold rather than the rows, each held and spilled as its
+// 40-byte partial and widened to its result record as it reaches out. Cancellation is polled and
 // temporaries are swept on error, as in SortCtx.
 func (s *System) GroupByCtx(ctx context.Context, a SortAlgorithm, in Collection, attr int, out Collection, memoryBudget int64) error {
 	partials, err := aggregate.Partials(in, attr)
 	if err != nil {
 		return err
 	}
+	if out == nil || out.RecordSize() != record.Size || out.Len() != 0 {
+		return fmt.Errorf("wlpm: group-by output must be an empty collection of %d-byte records", record.Size)
+	}
 	env := s.NewEnv(memoryBudget).WithContext(ctx)
-	if err := sorts.SortFolding(env, a, partials, out, aggregate.Combine); err != nil {
+	if err := sorts.SortFolding(env, a, partials, aggregate.Results(out), aggregate.Combine); err != nil {
 		env.SweepTemps() //nolint:errcheck // best-effort cleanup after failure
 		return err
 	}
