@@ -108,6 +108,7 @@ func BenchmarkSortSegS50DynArray(b *testing.B) { benchSort(b, wlpm.SegmentSort(0
 
 func benchJoin(b *testing.B, a wlpm.JoinAlgorithm, backend string) {
 	b.Helper()
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		sys, err := wlpm.New(wlpm.WithCapacity(256<<20), wlpm.WithBackend(backend))

@@ -31,8 +31,8 @@ func (j *Grace) Join(env *algo.Env, left, right, out storage.Collection) error {
 		return err
 	}
 	k := partitionCount(env, left.Len(), left.RecordSize())
-	em := newEmitter(out, left.RecordSize(), right.RecordSize())
-	if err := gracePhase(env, left, right, k, k, nil, em); err != nil {
+	ws := newWorkingSet(env, left, right, out)
+	if err := gracePhase(env, ws, left, right, k, k, nil); err != nil {
 		return err
 	}
 	return out.Close()
@@ -42,13 +42,14 @@ func (j *Grace) Join(env *algo.Env, left, right, out storage.Collection) error {
 func (j *Grace) Profile(em cost.Emit, t, v, m, lambda float64) cost.Profile { return em.GJ(t, v) }
 
 // gracePhase is the one Grace join: hash left and right into the first x
-// of k partitions, then build a table over each left partition, probe it
-// with its right partition — and with suffix, when non-nil (HybJ's
-// unpartitioned rest of the right input) — and destroy the pair. GJ
-// materializes all k partitions, SegJ a fraction, HybJ all k of a prefix
-// of its inputs. The phase owns its partitions: a failure anywhere sweeps
-// every one still live (Destroy is idempotent, so reclaimed pairs are safe).
-func gracePhase(env *algo.Env, left, right storage.Collection, k, x int, suffix storage.Collection, em *emitter) (err error) {
+// of k partitions, then build the working set's table over each left
+// partition in turn, probe it with its right partition — and with
+// suffix, when non-nil (HybJ's unpartitioned rest of the right input) —
+// and destroy the pair. GJ materializes all k partitions, SegJ a
+// fraction, HybJ all k of a prefix of its inputs. The phase owns its
+// partitions: a failure anywhere sweeps every one still live (Destroy is
+// idempotent, so reclaimed pairs are safe).
+func gracePhase(env *algo.Env, ws *workingSet, left, right storage.Collection, k, x int, suffix storage.Collection) (err error) {
 	var lp, rp [][]storage.Collection
 	defer func() {
 		if err != nil {
@@ -63,18 +64,17 @@ func gracePhase(env *algo.Env, left, right storage.Collection, k, x int, suffix 
 		return err
 	}
 	for p := 0; p < x; p++ {
-		table, err := buildTableParallel(env, lp[p], nil)
-		if err != nil {
+		if err := buildTableParallel(env, ws, lp[p], nil); err != nil {
 			return err
 		}
 		// One probe worker per sub-collection: the partitioning phase's
 		// worker count, itself bounded by env.Parallelism, fixes the
 		// probe fan-out.
-		if err := parallelProbe(env, rp[p], table, nil, em); err != nil {
+		if err := parallelProbe(env, ws, rp[p], nil); err != nil {
 			return err
 		}
 		if suffix != nil && suffix.Len() > 0 {
-			if err := probeRange(env, suffix, table, nil, em); err != nil {
+			if err := probeRange(env, ws, suffix, nil); err != nil {
 				return err
 			}
 		}

@@ -78,19 +78,20 @@ func (j *HybridGraceNL) Join(env *algo.Env, left, right, out storage.Collection)
 	}
 	splitT := int(x * float64(left.Len()))
 	splitV := int(y * float64(right.Len()))
-	em := newEmitter(out, left.RecordSize(), right.RecordSize())
+	ws := newWorkingSet(env, left, right, out)
 
 	// Tx ⋈ Vy and Tx ⋈ V(1−y): the Grace phase over the prefixes, the
 	// right suffix piggybacked onto each resident partition table.
 	if splitT > 0 {
 		k := partitionCount(env, splitT, left.RecordSize())
 		tx, vy := storage.Slice(left, 0, splitT), storage.Slice(right, 0, splitV)
-		if err := gracePhase(env, tx, vy, k, k, storage.Slice(right, splitV, right.Len()), em); err != nil {
+		if err := gracePhase(env, ws, tx, vy, k, k, storage.Slice(right, splitV, right.Len())); err != nil {
 			return err
 		}
 	}
-	// T(1−x) ⋈ V: block nested loops from the left suffix on.
-	if err := blockNestedLoops(env, left, splitT, right, em); err != nil {
+	// T(1−x) ⋈ V: block nested loops from the left suffix on, through
+	// the table the Grace phase used.
+	if err := blockNestedLoops(env, ws, left, splitT, right); err != nil {
 		return err
 	}
 	return out.Close()

@@ -224,6 +224,44 @@ func (t *hashTable) probe(key uint64, emit func(build []byte) error) error {
 	}
 }
 
+// workingSet is one Join call's DRAM working memory: the paper's one
+// in-memory hash table of M/f records that a partitioned join walks its
+// partitions through, the parallel build's per-worker vectors, and the
+// emitter with its probe staging. A join allocates it once; every build
+// (each Grace partition, each SegJ re-scan, each NLJ block) resets and
+// refills the same table, so what a join allocates does not grow with
+// the number of its builds and probes. A skewed partition may still grow
+// the table, which keeps that capacity for the rest of the join.
+type workingSet struct {
+	table *hashTable
+	parts []*record.Vec // the parallel build's per-worker vectors
+	em    *emitter
+}
+
+// newWorkingSet sizes the table at the budget's M/f records, or at the
+// whole left input when that is smaller: no build of the join holds more
+// (env.BudgetHashRecords, partitionCount).
+func newWorkingSet(env *algo.Env, left, right, out storage.Collection) *workingSet {
+	recSize := left.RecordSize()
+	return &workingSet{
+		table: newHashTable(recSize, min(env.BudgetHashRecords(recSize), left.Len())),
+		em:    newEmitter(out, recSize, right.RecordSize()),
+	}
+}
+
+// buildParts returns w empty per-worker build vectors. The slots are
+// added here, before the workers start, never from inside one; each
+// vector keeps the capacity its largest build gave it.
+func (ws *workingSet) buildParts(w int) []*record.Vec {
+	for len(ws.parts) < w {
+		ws.parts = append(ws.parts, record.NewVec(ws.table.vec.RecordSize(), 0))
+	}
+	for _, part := range ws.parts[:w] {
+		part.Reset()
+	}
+	return ws.parts[:w]
+}
+
 // emitter materializes matched pairs into the output collection, either
 // as left‖right concatenations or as probe-side projections, depending on
 // the output's record size (see checkArgs).
@@ -231,7 +269,8 @@ type emitter struct {
 	out     storage.Collection
 	scratch []byte
 	lsize   int
-	project bool // emit only the right record
+	project bool          // emit only the right record
+	staged  []*record.Vec // one staging vector per probe worker (parallel.go)
 }
 
 func newEmitter(out storage.Collection, lsize, rsize int) *emitter {

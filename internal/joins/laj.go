@@ -77,8 +77,8 @@ func iterativeHash(env *algo.Env, left, right, out storage.Collection, materiali
 	}
 	k := partitionCount(env, left.Len(), left.RecordSize())
 	lambda := env.Lambda()
-	em := newEmitter(out, left.RecordSize(), right.RecordSize())
-	table := newHashTable(left.RecordSize(), env.BudgetHashRecords(left.RecordSize()))
+	ws := newWorkingSet(env, left, right, out)
+	table, em := ws.table, ws.em
 
 	cur := []storage.Collection{left, right} // the current inputs T and V
 	var tmp, next []storage.Collection       // the owned temps backing cur; the next materialized inputs

@@ -28,8 +28,7 @@ func (j *NestedLoops) Join(env *algo.Env, left, right, out storage.Collection) e
 	if err := checkArgs(env, left, right, out); err != nil {
 		return err
 	}
-	em := newEmitter(out, left.RecordSize(), right.RecordSize())
-	if err := blockNestedLoops(env, left, 0, right, em); err != nil {
+	if err := blockNestedLoops(env, newWorkingSet(env, left, right, out), left, 0, right); err != nil {
 		return err
 	}
 	return out.Close()
@@ -42,16 +41,16 @@ func (j *NestedLoops) Profile(em cost.Emit, t, v, m, lambda float64) cost.Profil
 
 // blockNestedLoops is the one block-nested-loops loop: it joins left's
 // records from position from on — NLJ's whole input, HybJ's T(1−x)
-// suffix — with all of right, one memory-sized block of left at a time.
-func blockNestedLoops(env *algo.Env, left storage.Collection, from int, right storage.Collection, em *emitter) error {
+// suffix — with all of right, one memory-sized block of left at a time,
+// each built into the working set's one table.
+func blockNestedLoops(env *algo.Env, ws *workingSet, left storage.Collection, from int, right storage.Collection) error {
 	capRecords := env.BudgetHashRecords(left.RecordSize())
 	for lo := from; lo < left.Len(); lo += capRecords {
 		block := storage.Slice(left, lo, min(lo+capRecords, left.Len()))
-		table, err := buildTableParallel(env, []storage.Collection{block}, nil)
-		if err != nil {
+		if err := buildTableParallel(env, ws, []storage.Collection{block}, nil); err != nil {
 			return err
 		}
-		if err := probeRange(env, right, table, nil, em); err != nil {
+		if err := probeRange(env, ws, right, nil); err != nil {
 			return err
 		}
 	}

@@ -15,17 +15,21 @@ import (
 //     the ordered list of the workers' sub-collections, whose
 //     concatenation in worker order reproduces the serial partition
 //     contents record-for-record.
-//   - building: each partition's hash table is built by workers over
-//     contiguous chunks of the build stream, each filling a private record
-//     vector; an order-restoring merge concatenates the vectors in worker
-//     order and indexes the result in one pass, reconstituting the exact
-//     serial insertion order (which determines per-key match order) before
-//     any probe runs.
+//   - building: the join's one hash table is refilled for each partition
+//     by workers over contiguous chunks of the build stream, each filling
+//     its own record vector; an order-restoring merge concatenates the
+//     vectors in worker order and indexes the result in one pass,
+//     reconstituting the exact serial insertion order (which determines
+//     per-key match order) before any probe runs.
 //   - probing: the table is probed by several workers over contiguous
 //     chunks of the probe stream. Matches are staged in small per-worker
 //     DRAM buffers and appended to the output through a turnstile in chunk
 //     order, so the output sequence equals the serial one for every
 //     parallelism level.
+//
+// The table, the per-worker build vectors and the staging buffers are
+// the join's working set (workingSet): allocated once per Join and
+// reset, not reallocated, for every partition, re-scan and block.
 //
 // The device I/O counts are preserved up to block-boundary effects: every
 // record is still partitioned once, read once per the algorithm's scan
@@ -39,6 +43,24 @@ import (
 // directly to the output.
 const orderedOutputCap = 64 << 10
 
+// stage returns the staging vectors of probe workers 0..n−1, emptied. The
+// emitter keeps one per worker slot for the whole join, each allocated
+// once at orderedOutputCap: a worker flushes before its vector would
+// grow. Slots are added here, before the workers start, never from
+// inside one.
+func (e *emitter) stage(n int) []*record.Vec {
+	for len(e.staged) < n {
+		e.staged = append(e.staged, record.NewVec(e.out.RecordSize(), e.stageRecords()))
+	}
+	for _, v := range e.staged[:n] {
+		v.Reset()
+	}
+	return e.staged[:n]
+}
+
+// stageRecords is a staging vector's capacity in records.
+func (e *emitter) stageRecords() int { return max(orderedOutputCap/e.out.RecordSize(), 1) }
+
 // orderedEmit is one probe worker's view of the shared emitter: matches
 // are buffered in DRAM until the worker's turn in the output order
 // arrives, then flushed and streamed directly.
@@ -47,26 +69,9 @@ type orderedEmit struct {
 	ts        *algo.Turnstile
 	i         int
 	buf       *record.Vec
-	scratch   []byte
 	bufCap    int
 	turnTaken bool
 	done      bool
-}
-
-func newOrderedEmit(em *emitter, ts *algo.Turnstile, i int) *orderedEmit {
-	recSize := em.out.RecordSize()
-	bufCap := orderedOutputCap / recSize
-	if bufCap < 1 {
-		bufCap = 1
-	}
-	return &orderedEmit{
-		em:      em,
-		ts:      ts,
-		i:       i,
-		buf:     record.NewVec(recSize, 0),
-		scratch: make([]byte, recSize),
-		bufCap:  bufCap,
-	}
 }
 
 func (o *orderedEmit) emit(left, right []byte) error {
@@ -76,9 +81,7 @@ func (o *orderedEmit) emit(left, right []byte) error {
 	if o.em.project {
 		o.buf.Append(right)
 	} else {
-		copy(o.scratch, left)
-		copy(o.scratch[o.em.lsize:], right)
-		o.buf.Append(o.scratch)
+		o.buf.AppendJoined(left, right)
 	}
 	if o.buf.Len() >= o.bufCap {
 		return o.takeTurn()
@@ -129,12 +132,14 @@ func (o *orderedEmit) release() {
 }
 
 // parallelProbe probes the record streams of srcs, in order, against
-// table, emitting matches through em exactly as the serial algorithm
-// would: stream-major, then probe-record-major, then build-insertion
-// order. Stream i is handled by worker i; records failing filter (when
-// non-nil) are skipped. Each worker polls env's cancellation between
-// probe records, so a cancelled join stops mid-probe.
-func parallelProbe(env *algo.Env, srcs []storage.Collection, table *hashTable, filter func(rec []byte) bool, em *emitter) error {
+// the working set's table, emitting matches through its emitter exactly
+// as the serial algorithm would: stream-major, then probe-record-major,
+// then build-insertion order. Stream i is handled by worker i; records
+// failing filter (when non-nil) are skipped. Each worker polls env's
+// cancellation between probe records, so a cancelled join stops
+// mid-probe.
+func parallelProbe(env *algo.Env, ws *workingSet, srcs []storage.Collection, filter func(rec []byte) bool) error {
+	table, em := ws.table, ws.em
 	probeOne := func(src storage.Collection, emit func(l, r []byte) error) error {
 		return env.Scan(src, env.Polled(func(r []byte) error {
 			if filter != nil && !filter(r) {
@@ -151,9 +156,10 @@ func parallelProbe(env *algo.Env, srcs []storage.Collection, table *hashTable, f
 	if len(srcs) == 1 {
 		return probeOne(srcs[0], em.emit)
 	}
+	bufs, bufCap := em.stage(len(srcs)), em.stageRecords()
 	ts := algo.NewTurnstile(len(srcs))
 	return env.RunWorkers(len(srcs), func(i int) error {
-		oe := newOrderedEmit(em, ts, i)
+		oe := &orderedEmit{em: em, ts: ts, i: i, buf: bufs[i], bufCap: bufCap}
 		defer oe.release()
 		if err := probeOne(srcs[i], oe.emit); err != nil {
 			return err
@@ -162,19 +168,20 @@ func parallelProbe(env *algo.Env, srcs []storage.Collection, table *hashTable, f
 	})
 }
 
-// probeRange probes src against table with env.Parallelism workers over
-// contiguous record ranges; emission order equals a serial scan of src.
-func probeRange(env *algo.Env, src storage.Collection, table *hashTable, filter func(rec []byte) bool, em *emitter) error {
+// probeRange probes src against the working set's table with
+// env.Parallelism workers over contiguous record ranges; emission order
+// equals a serial scan of src.
+func probeRange(env *algo.Env, ws *workingSet, src storage.Collection, filter func(rec []byte) bool) error {
 	w := env.Workers(src.Len())
 	if w <= 1 {
-		return parallelProbe(env, []storage.Collection{src}, table, filter, em)
+		return parallelProbe(env, ws, []storage.Collection{src}, filter)
 	}
 	srcs := make([]storage.Collection, w)
 	for i := range srcs {
 		lo, hi := algo.SplitRange(src.Len(), w, i)
 		srcs[i] = storage.Slice(src, lo, hi)
 	}
-	return parallelProbe(env, srcs, table, filter, em)
+	return parallelProbe(env, ws, srcs, filter)
 }
 
 // BuildPhase names the hash-table build passes of the partitioned joins
@@ -182,11 +189,11 @@ func probeRange(env *algo.Env, src storage.Collection, table *hashTable, filter 
 // device: its cacheline write count is zero at every parallelism level.
 const BuildPhase = "build"
 
-// buildTableParallel builds the in-memory hash table over the
-// concatenated record stream of subs, skipping records that fail filter
-// (when non-nil). Under env.Parallelism > 1 the stream is split into
-// contiguous chunks and each worker fills a private record vector — the
-// device-read-bound half of the build, which is what overlapping
+// buildTableParallel resets the working set's table and fills it with
+// the concatenated record stream of subs, skipping records that fail
+// filter (when non-nil). Under env.Parallelism > 1 the stream is split
+// into contiguous chunks and each worker fills its own record vector —
+// the device-read-bound half of the build, which is what overlapping
 // workers speed up. An order-restoring merge then concatenates the
 // vectors in worker order and indexes the merged vector in one DRAM
 // pass (hashTable.link), so the vector and every per-key list are
@@ -194,32 +201,28 @@ const BuildPhase = "build"
 // order (and with it the join's output byte stream) is unchanged.
 // Keeping the workers free of index work means the parallel build does
 // no more total CPU than the serial one — the index is built exactly
-// once either way. The per-worker vectors are transient DRAM; the merged
-// table is the same size as the serial one.
-func buildTableParallel(env *algo.Env, subs []storage.Collection, filter func(rec []byte) bool) (*hashTable, error) {
-	var table *hashTable
-	err := env.TimePhase(BuildPhase, func() error {
+// once either way. The per-worker vectors belong to the working set like
+// the table: reset per build, they grow to the most records a worker's
+// chunk has passed the filter with and keep that capacity for the
+// join's later builds.
+func buildTableParallel(env *algo.Env, ws *workingSet, subs []storage.Collection, filter func(rec []byte) bool) error {
+	return env.TimePhase(BuildPhase, func() error {
+		table := ws.table
+		table.reset()
 		n := lenAll(subs)
-		recSize := subs[0].RecordSize()
 		w := env.Workers(n)
 		if w <= 1 {
-			t := newHashTable(recSize, n)
-			err := scanAllInto(env, subs, env.Polled(func(rec []byte) error {
+			return scanAllInto(env, subs, env.Polled(func(rec []byte) error {
 				if filter == nil || filter(rec) {
-					t.insert(rec)
+					table.insert(rec)
 				}
 				return nil
 			}))
-			if err != nil {
-				return err
-			}
-			table = t
-			return nil
 		}
-		parts := make([]*record.Vec, w)
+		parts := ws.buildParts(w)
 		err := env.RunWorkers(w, func(i int) error {
 			lo, hi := algo.SplitRange(n, w, i)
-			part := record.NewVec(recSize, hi-lo)
+			part := parts[i]
 			keep := env.Polled(func(rec []byte) error {
 				if filter == nil || filter(rec) {
 					part.Append(rec)
@@ -243,26 +246,19 @@ func buildTableParallel(env *algo.Env, subs []storage.Collection, filter func(re
 					return err
 				}
 			}
-			parts[i] = part
 			return nil
 		})
 		if err != nil {
 			return err
 		}
-		merged := newHashTable(recSize, n)
 		for _, part := range parts {
-			merged.vec.AppendVec(part)
+			table.vec.AppendVec(part)
 		}
-		for pos := 0; pos < merged.vec.Len(); pos++ {
-			merged.link(record.Key(merged.vec.At(pos)))
+		for pos := 0; pos < table.vec.Len(); pos++ {
+			table.link(record.Key(table.vec.At(pos)))
 		}
-		table = merged
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return table, nil
 }
 
 // scanAllInto streams every record of subs, in order, into fn.

@@ -49,27 +49,27 @@ func (j *SegmentedGrace) Join(env *algo.Env, left, right, out storage.Collection
 	}
 	k := partitionCount(env, left.Len(), left.RecordSize())
 	x := int(j.Intensity * float64(k))
-	em := newEmitter(out, left.RecordSize(), right.RecordSize())
+	ws := newWorkingSet(env, left, right, out)
 
 	// Initial scan of both inputs offloading partitions 0..x-1 only,
 	// then their Grace-style join.
 	if x > 0 {
-		if err := gracePhase(env, left, right, k, x, nil, em); err != nil {
+		if err := gracePhase(env, ws, left, right, k, x, nil); err != nil {
 			return err
 		}
 	}
 
-	// Remaining partitions: one filtered re-scan of both inputs each. Both
-	// the build re-scan and the probe re-scan fan out over contiguous
-	// chunks of their input; the build's worker sub-tables merge back into
-	// the serial insertion (= emission) order.
+	// Remaining partitions: one filtered re-scan of both inputs each, into
+	// the same table the materialized partitions used. Both the build
+	// re-scan and the probe re-scan fan out over contiguous chunks of
+	// their input; the build's worker vectors merge back into the serial
+	// insertion (= emission) order.
 	for p := x; p < k; p++ {
 		inPart := func(rec []byte) bool { return partitionOf(rec, k) == p }
-		table, err := buildTableParallel(env, []storage.Collection{left}, inPart)
-		if err != nil {
+		if err := buildTableParallel(env, ws, []storage.Collection{left}, inPart); err != nil {
 			return err
 		}
-		if err := probeRange(env, right, table, inPart, em); err != nil {
+		if err := probeRange(env, ws, right, inPart); err != nil {
 			return err
 		}
 	}

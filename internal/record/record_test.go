@@ -189,23 +189,6 @@ func TestVecBasics(t *testing.T) {
 	if Key(v.At(2)) != 9 {
 		t.Errorf("At(2) key = %d, want 9", Key(v.At(2)))
 	}
-	v.Swap(0, 3)
-	if Key(v.At(0)) != 1 || Key(v.At(3)) != 5 {
-		t.Error("Swap did not exchange records")
-	}
-	v.SortByKey()
-	if !v.SortedByKey() {
-		t.Error("not sorted after SortByKey")
-	}
-	for i, want := range []uint64{1, 3, 5, 9} {
-		if Key(v.At(i)) != want {
-			t.Errorf("sorted[%d] = %d, want %d", i, Key(v.At(i)), want)
-		}
-	}
-	v.Truncate(2)
-	if v.Len() != 2 {
-		t.Errorf("Len after Truncate = %d", v.Len())
-	}
 	v.Reset()
 	if v.Len() != 0 {
 		t.Errorf("Len after Reset = %d", v.Len())
@@ -221,35 +204,20 @@ func TestVecSet(t *testing.T) {
 	}
 }
 
-// Property: sorting any batch of generated records yields ascending keys
-// and preserves the multiset of keys.
-func TestQuickVecSortPermutes(t *testing.T) {
-	f := func(keys []uint64) bool {
-		v := NewVec(Size, len(keys))
-		before := make(map[uint64]int)
-		for _, k := range keys {
-			v.Append(New(k))
-			before[k]++
-		}
-		v.SortByKey()
-		if !v.SortedByKey() {
-			return false
-		}
-		after := make(map[uint64]int)
-		for i := 0; i < v.Len(); i++ {
-			after[Key(v.At(i))]++
-		}
-		if len(before) != len(after) {
-			return false
-		}
-		for k, c := range before {
-			if after[k] != c {
-				return false
-			}
-		}
-		return true
+// TestVecAppendJoined: a two-part append stores a‖b as one record and,
+// once the vector has room, allocates nothing.
+func TestVecAppendJoined(t *testing.T) {
+	a, b := New(3), New(4)
+	v := NewVec(2*Size, 1)
+	v.AppendJoined(a, b)
+	if v.Len() != 1 || string(v.At(0)) != string(a)+string(b) {
+		t.Fatalf("AppendJoined stored %d records, first %x", v.Len(), v.At(0))
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
+	allocs := testing.AllocsPerRun(10, func() {
+		v.Reset()
+		v.AppendJoined(a, b)
+	})
+	if allocs != 0 {
+		t.Errorf("AppendJoined into a vector with room: %.0f allocations, want 0", allocs)
 	}
 }

@@ -1,7 +1,5 @@
 package record
 
-import "sort"
-
 // Vec is a DRAM-resident vector of fixed-size records backed by one flat
 // byte slice. Algorithms use it for their in-memory working sets (the
 // budget M): a flat backing array keeps the Go garbage collector out of the
@@ -39,6 +37,16 @@ func (v *Vec) Append(rec []byte) {
 	v.n++
 }
 
+// AppendJoined appends the record a‖b, copying both halves straight
+// into the vector: the concatenation needs no intermediate buffer.
+func (v *Vec) AppendJoined(a, b []byte) {
+	if len(a)+len(b) != v.size {
+		panic("record: Vec.AppendJoined size mismatch")
+	}
+	v.data = append(append(v.data, a...), b...)
+	v.n++
+}
+
 // AppendVec copies every record of src onto the end of v, preserving
 // src's record order.
 func (v *Vec) AppendVec(src *Vec) {
@@ -59,51 +67,8 @@ func (v *Vec) Set(i int, rec []byte) {
 	copy(v.data[i*v.size:(i+1)*v.size], rec)
 }
 
-// Swap exchanges records i and j.
-func (v *Vec) Swap(i, j int) {
-	if i == j {
-		return
-	}
-	tmp := make([]byte, v.size)
-	copy(tmp, v.At(i))
-	copy(v.data[i*v.size:], v.At(j))
-	copy(v.data[j*v.size:], tmp)
-}
-
 // Reset empties the vector, keeping capacity.
 func (v *Vec) Reset() {
 	v.data = v.data[:0]
 	v.n = 0
-}
-
-// Truncate keeps the first n records.
-func (v *Vec) Truncate(n int) {
-	if n < 0 || n > v.n {
-		panic("record: Vec.Truncate out of range")
-	}
-	v.data = v.data[:n*v.size]
-	v.n = n
-}
-
-type vecSorter struct {
-	v   *Vec
-	tmp []byte
-}
-
-func (s vecSorter) Len() int           { return s.v.n }
-func (s vecSorter) Less(i, j int) bool { return Less(s.v.At(i), s.v.At(j)) }
-func (s vecSorter) Swap(i, j int) {
-	copy(s.tmp, s.v.At(i))
-	copy(s.v.data[i*s.v.size:], s.v.At(j))
-	copy(s.v.data[j*s.v.size:], s.tmp)
-}
-
-// SortByKey sorts the records in place by ascending key.
-func (v *Vec) SortByKey() {
-	sort.Sort(vecSorter{v: v, tmp: make([]byte, v.size)})
-}
-
-// SortedByKey reports whether the records are in ascending key order.
-func (v *Vec) SortedByKey() bool {
-	return sort.IsSorted(vecSorter{v: v, tmp: make([]byte, v.size)})
 }

@@ -67,7 +67,7 @@ type store struct {
 	f      *Factory
 	name   string
 	blocks []int64 // device offset per block seq
-	sizes  []int   // bytes used per block (last may be partial)
+	last   int     // bytes used in the final block; every earlier one is full (WriteBlock's contract)
 }
 
 func (s *store) WriteBlock(seq int, data []byte) error {
@@ -82,7 +82,7 @@ func (s *store) WriteBlock(seq int, data []byte) error {
 		return err
 	}
 	s.blocks = append(s.blocks, off)
-	s.sizes = append(s.sizes, len(data))
+	s.last = len(data)
 	return nil
 }
 
@@ -94,7 +94,11 @@ func (s *store) ReadBlock(off int64, dst []byte) error {
 			return fmt.Errorf("blocked: read past end (offset %d)", off)
 		}
 		within := off - seq*bs
-		n := int64(s.sizes[seq]) - within
+		size := bs
+		if seq == int64(len(s.blocks))-1 {
+			size = int64(s.last)
+		}
+		n := size - within
 		if n <= 0 {
 			return fmt.Errorf("blocked: read past block %d contents", seq)
 		}
@@ -128,7 +132,7 @@ func (s *store) ReserveBlocks(seq, n int) error {
 			return err
 		}
 		s.blocks = append(s.blocks, off)
-		s.sizes = append(s.sizes, s.f.blockSize)
+		s.last = s.f.blockSize
 	}
 	return nil
 }
@@ -156,8 +160,9 @@ func (s *store) ReleaseBlocks(seq, n int) error {
 	if err := s.f.alloc.FreeAll(s.blocks[seq:]); err != nil {
 		return err
 	}
+	// The block before the reservation, if any, is full: reservations
+	// start at a block boundary, so last needs no restoring.
 	s.blocks = s.blocks[:seq]
-	s.sizes = s.sizes[:seq]
 	return nil
 }
 
@@ -169,7 +174,7 @@ func (s *store) Truncate() error {
 		return err
 	}
 	s.blocks = s.blocks[:0]
-	s.sizes = s.sizes[:0]
+	s.last = 0
 	return nil
 }
 
