@@ -22,6 +22,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -170,11 +171,18 @@ func printAlloc(spec string, m, lambda float64) {
 		fmt.Println()
 	}
 	fmt.Printf("\nper-stage cost curves (cheapest implementation as a function of the stage share):\n")
+	// Seven geometric points from the two-buffer floor to M.
+	hi := math.Max(m, 2)
+	ratio := math.Pow(hi/2, 1.0/6)
 	for i := range stages {
-		curve := cost.SampleCurve(pricers[i], 2, m, 7)
 		fmt.Printf("  stage %d:", i)
-		for j := range curve.M {
-			fmt.Printf("  m=%.0f→%.3g", curve.M[j], curve.C[j])
+		mm := 2.0
+		for j := 0; j < 7; j++ {
+			if j == 6 {
+				mm = hi
+			}
+			fmt.Printf("  m=%.0f→%.3g", mm, pricers[i](mm))
+			mm *= ratio
 		}
 		fmt.Println()
 	}

@@ -11,8 +11,7 @@ import "math"
 // flow to the stage whose cost curve bends most, not be split evenly.
 // BestSortPlanP and BestJoinPlanP answer it pointwise (the cheapest
 // shipped implementation with its intensity knobs placed, exactly the
-// candidate set the exec planner instantiates), and Curve exposes the
-// piecewise curve sampled over a memory range for display and analysis.
+// candidate set the exec planner instantiates).
 
 // Sort algorithm identifiers of BestSortPlanP results.
 const (
@@ -152,77 +151,4 @@ func BestKnobP(lambda, par float64, f func(x float64) Profile, seeds ...float64)
 		try(s)
 	}
 	return bestX
-}
-
-// Curve is the piecewise cost-vs-memory curve of one blocking stage: the
-// predicted price of the stage's cheapest implementation sampled on an
-// ascending memory grid, both in buffer units. It is the object a budget
-// allocator trades between stages — Marginal is the water-filling
-// signal.
-type Curve struct {
-	M []float64 // ascending memory points (buffers)
-	C []float64 // predicted cost at each point (buffer-read units)
-}
-
-// SampleCurve evaluates price on a geometric grid of points memory
-// values spanning [mMin, mMax] (both clamped to ≥ 2 buffers, the
-// engine's stage floor). At least two points are sampled.
-func SampleCurve(price func(m float64) float64, mMin, mMax float64, points int) Curve {
-	if mMin < 2 {
-		mMin = 2
-	}
-	if mMax < mMin {
-		mMax = mMin
-	}
-	if points < 2 {
-		points = 2
-	}
-	c := Curve{M: make([]float64, points), C: make([]float64, points)}
-	ratio := math.Pow(mMax/mMin, 1/float64(points-1))
-	m := mMin
-	for i := 0; i < points; i++ {
-		if i == points-1 {
-			m = mMax
-		}
-		c.M[i] = m
-		c.C[i] = price(m)
-		m *= ratio
-	}
-	return c
-}
-
-// Cost interpolates the curve linearly at m, clamping to the sampled
-// range's end values.
-func (c Curve) Cost(m float64) float64 {
-	if len(c.M) == 0 {
-		return 0
-	}
-	if m <= c.M[0] {
-		return c.C[0]
-	}
-	last := len(c.M) - 1
-	if m >= c.M[last] {
-		return c.C[last]
-	}
-	for i := 1; i <= last; i++ {
-		if m <= c.M[i] {
-			span := c.M[i] - c.M[i-1]
-			if span <= 0 {
-				return c.C[i]
-			}
-			f := (m - c.M[i-1]) / span
-			return c.C[i-1] + f*(c.C[i]-c.C[i-1])
-		}
-	}
-	return c.C[last]
-}
-
-// Marginal is the predicted cost saved per extra buffer when growing the
-// stage's share from m to m+dm — the quantity a greedy allocator
-// maximizes across stages. Positive when more memory helps.
-func (c Curve) Marginal(m, dm float64) float64 {
-	if dm <= 0 {
-		return 0
-	}
-	return (c.Cost(m) - c.Cost(m+dm)) / dm
 }

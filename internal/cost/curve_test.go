@@ -61,36 +61,3 @@ func TestBestJoinPlanIsArgmin(t *testing.T) {
 		}
 	}
 }
-
-// TestSampleCurveInterpolation: sampling a known function and reading it
-// back must clamp at the ends and interpolate monotonically in between.
-func TestSampleCurveInterpolation(t *testing.T) {
-	price := func(m float64) float64 { return 1000 / m }
-	c := SampleCurve(price, 2, 512, 16)
-	if len(c.M) != 16 || c.M[0] != 2 || c.M[15] != 512 {
-		t.Fatalf("grid endpoints wrong: %v", c.M)
-	}
-	if got := c.Cost(1); got != c.C[0] {
-		t.Errorf("below-range Cost = %g, want clamp to %g", got, c.C[0])
-	}
-	if got := c.Cost(1 << 20); got != c.C[15] {
-		t.Errorf("above-range Cost = %g, want clamp to %g", got, c.C[15])
-	}
-	prev := math.Inf(1)
-	for m := 2.0; m <= 512; m *= 1.3 {
-		got := c.Cost(m)
-		if got > prev+1e-9 {
-			t.Errorf("interpolated curve not non-increasing at m=%.1f: %g after %g", m, got, prev)
-		}
-		prev = got
-		if want := price(m); math.Abs(got-want)/want > 0.25 {
-			t.Errorf("Cost(%.1f) = %g, want within 25%% of %g", m, got, want)
-		}
-	}
-	if mb := c.Marginal(2, 100); mb <= 0 {
-		t.Errorf("Marginal on a falling curve = %g, want positive", mb)
-	}
-	if mb := c.Marginal(512, 100); mb != 0 {
-		t.Errorf("Marginal past the sampled range = %g, want 0 (clamped)", mb)
-	}
-}

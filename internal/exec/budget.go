@@ -454,7 +454,8 @@ func (s *stageAlloc) nestedLoops(pl stagePlan) bool {
 // t input buffers, not over the partials it folds them to. An
 // order-by materializes what its profile says. A handed
 // stage's output is its feedable consumer's to price, wherever the
-// consumer has it put.
+// consumer has it put. An order-by's final merge range-appends only on a
+// backend that reserves blocks; elsewhere it is one ordered stream.
 func (s *stageAlloc) emit() cost.Emit {
 	switch s.op {
 	case "Join":
@@ -462,7 +463,7 @@ func (s *stageAlloc) emit() cost.Emit {
 	case "GroupBy":
 		return cost.Emit{Out: s.outBuf, Serial: true, Handed: s.handed}
 	}
-	return cost.Emit{}
+	return cost.Emit{Serial: !s.bp.reserves}
 }
 
 // sortFor returns the sort pl runs: the pinned algorithm, else the
@@ -580,6 +581,7 @@ type budgetPlan struct {
 	mu        sync.Mutex
 	lambda    float64 // device write/read ratio
 	par       float64 // effective intra-operator parallelism (≥ 1) for P-aware pricing
+	reserves  bool    // the backend takes range appends (storage.Factory.ReservesBlocks)
 	blockSize int
 	total     int64
 	stages    []*stageAlloc // the compiler's stage list

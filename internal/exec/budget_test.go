@@ -619,3 +619,51 @@ func TestResultStagePricesWhatItsReaderPays(t *testing.T) {
 		t.Errorf("predicted %.6g buffer reads, the cursor measured %.6g (%d writes)", ex.PlanCost, measured, st.Writes)
 	}
 }
+
+// TestOrderByPricedSerialWithoutReservation: an order-by's parallel final
+// merge range-appends only on a backend that reserves blocks (blocked);
+// on the others it runs serial, and the stage is priced so — at P = 4 its
+// cost is the cheapest sort emitting one ordered stream. On blocked at any
+// P, and on every backend at P = 1, the price is the plain one.
+func TestOrderByPricedSerialWithoutReservation(t *testing.T) {
+	for _, backend := range storage.Backends {
+		dev := pmem.MustOpen(pmem.Config{Capacity: 64 << 20})
+		fac, err := all.New(backend, dev, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, err := fac.Create("in", record.Size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := record.Generate(4000, 17, in.Append); err != nil {
+			t.Fatal(err)
+		}
+		if err := in.Close(); err != nil {
+			t.Fatal(err)
+		}
+		bs := fac.BlockSize()
+		for _, par := range []int{1, 4} {
+			root, ex, err := Compile(NewCtx(fac, int64(16*bs), par), Table(in).OrderBy())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if root.(*Sort).st.feedable {
+				t.Fatal("an order-by over a base table is feedable; its price is not BestSortPlanEmit's")
+			}
+			ch := ex.Choices[0]
+			tt, m := buffers(in.Len(), record.Size, bs), allocBuffers(ch.Share, bs)
+			plain := cost.BestSortPlanEmit(tt, m, dev.Lambda(), float64(par), cost.Emit{}).Cost
+			want := plain
+			if backend != "blocked" && par > 1 {
+				want = cost.BestSortPlanEmit(tt, m, dev.Lambda(), float64(par), cost.Emit{Serial: true}).Cost
+				if want <= plain {
+					t.Fatalf("a serial final merge prices %g, a range-appended one %g: the test proves nothing", want, plain)
+				}
+			}
+			if ch.Cost != want {
+				t.Errorf("%s P=%d: order-by priced %g, want %g (plain %g)", backend, par, ch.Cost, want, plain)
+			}
+		}
+	}
+}

@@ -253,6 +253,7 @@ func newCompiler(ctx *Ctx, p *Plan, opts CompileOptions) (*compiler, *Plan, erro
 	c.bp = &budgetPlan{
 		lambda:    ctx.Factory.Device().Lambda(),
 		par:       parOf(ctx.Parallelism),
+		reserves:  ctx.Factory.ReservesBlocks(),
 		blockSize: c.blockSize,
 		total:     ctx.MemoryBudget,
 		stages:    c.stages,

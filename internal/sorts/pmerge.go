@@ -1,7 +1,6 @@
 package sorts
 
 import (
-	"errors"
 	"sort"
 
 	"wlpm/internal/algo"
@@ -41,9 +40,6 @@ func (r *sampledRun) Append(rec []byte) error {
 	r.keys = append(r.keys, record.Key(rec))
 	return r.Collection.Append(rec)
 }
-
-// Unwrap exposes the underlying collection for capability probes.
-func (r *sampledRun) Unwrap() storage.Collection { return r.Collection }
 
 // parallelFinalMerge merges runs into out with an order-preserving
 // key-domain split: pooled run samples yield up to P−1 splitter keys,
@@ -129,15 +125,10 @@ func parallelFinalMerge(env *algo.Env, runs []storage.Collection, out storage.Co
 
 	session, err := appender.AppendRanges(counts)
 	if err != nil {
-		if errors.Is(err, storage.ErrRangeAppendUnsupported) {
-			return false, nil
-		}
 		destroyRuns(runs)
 		return true, err
 	}
-	workErr := env.RunWorkers(nRanges, func(i int) error {
-		writer := session.Writer(i)
-		defer writer.Abort()
+	err = env.RunWorkers(nRanges, func(i int) error {
 		iters := make([]storage.Iterator, 0, len(runs))
 		for r, run := range runs {
 			lo, hi := cuts[i][r], cuts[i+1][r]
@@ -145,17 +136,13 @@ func parallelFinalMerge(env *algo.Env, runs []storage.Collection, out storage.Co
 				iters = append(iters, storage.Slice(run, lo, hi).Scan())
 			}
 		}
-		if err := mergeIters(env, iters, recSize, writer.Append, nil); err != nil {
-			return err
-		}
-		return writer.Finish()
+		return mergeIters(env, iters, recSize, session.Writer(i).Append, nil)
 	})
-	if workErr != nil {
-		session.Rollback() //nolint:errcheck // best-effort unwind after failure
-		destroyRuns(runs)
-		return true, workErr
+	if err == nil {
+		err = session.Commit()
 	}
-	if err := session.Commit(); err != nil {
+	if err != nil {
+		session.Rollback() //nolint:errcheck // best-effort unwind after failure
 		destroyRuns(runs)
 		return true, err
 	}

@@ -3,8 +3,12 @@ package sorts
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
+	"slices"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -214,5 +218,166 @@ func TestFinalMergeCancellation(t *testing.T) {
 	}
 	if after := runtime.NumGoroutine(); after > before {
 		t.Errorf("goroutines leaked: %d before, %d after", before, after)
+	}
+}
+
+// errInjected is flakyStore's device failure.
+var errInjected = errors.New("injected reserved-block write failure")
+
+// flakyStore is a DRAM BlockStoreAt whose WriteReserved fails on call
+// failAt (1-based; 0 never) and records the slot of every call.
+type flakyStore struct {
+	bs     int
+	mu     sync.Mutex
+	blocks [][]byte // per seq; nil while reserved and unwritten
+	calls  []int
+	failAt int
+}
+
+func (s *flakyStore) WriteBlock(seq int, data []byte) error {
+	if seq != len(s.blocks) {
+		return fmt.Errorf("out-of-order block write %d", seq)
+	}
+	s.blocks = append(s.blocks, bytes.Clone(data))
+	return nil
+}
+
+func (s *flakyStore) ReadBlock(off int64, dst []byte) error {
+	for len(dst) > 0 {
+		b := s.blocks[off/int64(s.bs)]
+		if b == nil {
+			return fmt.Errorf("read of unwritten block at %d", off)
+		}
+		n := copy(dst, b[off%int64(s.bs):])
+		dst, off = dst[n:], off+int64(n)
+	}
+	return nil
+}
+
+func (s *flakyStore) Truncate() error { s.blocks = nil; return nil }
+func (s *flakyStore) Destroy() error  { return s.Truncate() }
+
+func (s *flakyStore) ReserveBlocks(seq, n int) error {
+	if seq != len(s.blocks) {
+		return fmt.Errorf("out-of-order reservation %d", seq)
+	}
+	s.blocks = append(s.blocks, make([][]byte, n)...)
+	return nil
+}
+
+func (s *flakyStore) WriteReserved(seq int, data []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.calls = append(s.calls, seq)
+	if len(s.calls) == s.failAt {
+		return errInjected
+	}
+	s.blocks[seq] = bytes.Clone(data)
+	return nil
+}
+
+func (s *flakyStore) ReleaseBlocks(seq, n int) error {
+	if seq+n != len(s.blocks) {
+		return fmt.Errorf("release of non-suffix [%d,%d)", seq, seq+n)
+	}
+	s.blocks = s.blocks[:seq]
+	return nil
+}
+
+// TestFinalMergeWriteFailureRollsBack fails one reserved-block write of
+// a parallel final merge: once a block a worker writes inside its range,
+// once a block Commit stitches from the DRAM tail and the first range's
+// head. Either way the error surfaces once, the output collection shows
+// exactly what it held before the merge, every reserved slot is
+// released, the runs are gone and the output still appends.
+func TestFinalMergeWriteFailureRollsBack(t *testing.T) {
+	const pre, perRun, nRuns = 20, 3000, 3 // 20 records: one flushed block and a 576-byte tail
+	env := newEnv(t, "blocked", 2500)
+	env.Parallelism = 4
+	bs := env.Factory.BlockSize()
+	preRecs := make([][]byte, pre)
+	for i := range preRecs {
+		preRecs[i] = make([]byte, record.Size)
+		record.Fill(preRecs[i], uint64(i))
+	}
+	merge := func(failAt int) (*flakyStore, storage.Collection, error) {
+		runs := make([]storage.Collection, nRuns)
+		rec := make([]byte, record.Size)
+		for r := range runs {
+			c, err := env.CreateTemp("run", record.Size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs[r] = sampleRun(c)
+			for i := 0; i < perRun; i++ {
+				record.Fill(rec, uint64(i*nRuns+r))
+				if err := runs[r].Append(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := runs[r].Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		store := &flakyStore{bs: bs, failAt: failAt}
+		out := storage.NewBaseCollection("out", record.Size, bs, store)
+		for _, r := range preRecs {
+			if err := out.Append(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		handled, err := parallelFinalMerge(env, runs, out, record.Size)
+		if !handled {
+			t.Fatal("parallel final merge did not engage")
+		}
+		return store, out, err
+	}
+
+	ref, out, err := merge(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Len() != pre+nRuns*perRun {
+		t.Fatalf("merged %d records, want %d", out.Len(), pre+nRuns*perRun)
+	}
+	// Slot 1 holds the DRAM tail's bytes, so only Commit writes it, and
+	// Commit writes after every worker has returned.
+	stitched := slices.Index(ref.calls, 1) + 1
+	if stitched < 2 {
+		t.Fatalf("reserved writes %v: want worker writes before the stitched slot 1", ref.calls)
+	}
+
+	for _, tc := range []struct {
+		name   string
+		failAt int
+	}{{"worker block", 1}, {"stitched block", stitched}} {
+		t.Run(tc.name, func(t *testing.T) {
+			store, out, err := merge(tc.failAt)
+			if !errors.Is(err, errInjected) || strings.Count(err.Error(), errInjected.Error()) != 1 {
+				t.Fatalf("merge error %v, want the injected failure once", err)
+			}
+			if len(store.blocks) != 1 {
+				t.Errorf("store holds %d block slots after the failure, want the 1 flushed before it", len(store.blocks))
+			}
+			if live := env.LiveTemps(); live != 0 {
+				t.Errorf("%d runs left after the failed merge", live)
+			}
+			if err := out.Append(preRecs[0]); err != nil {
+				t.Fatal(err)
+			}
+			got, err := storage.ReadAll(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := append(slices.Clone(preRecs), preRecs[0])
+			if len(got) != len(want) {
+				t.Fatalf("output holds %d records after the failure and one append, want %d", len(got), len(want))
+			}
+			for i := range want {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Fatalf("record %d differs from the pre-merge contents", i)
+				}
+			}
+		})
 	}
 }

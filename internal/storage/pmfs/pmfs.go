@@ -59,6 +59,9 @@ func (f *Factory) Device() *pmem.Device { return f.fs.Device() }
 // BlockSize implements storage.Factory.
 func (f *Factory) BlockSize() int { return f.blockSize }
 
+// ReservesBlocks implements storage.Factory.
+func (f *Factory) ReservesBlocks() bool { return false }
+
 // Create implements storage.Factory.
 func (f *Factory) Create(name string, recordSize int) (storage.Collection, error) {
 	if err := storage.ValidateCreate(name, recordSize); err != nil {

@@ -1,7 +1,7 @@
 package storage
 
 // Parallel range appends. A collection whose backend can reserve its
-// block layout up front can accept one batch of appends through several
+// block layout up front accepts one batch of appends through several
 // concurrent, order-preserving writers — the mechanism behind the sorts'
 // parallel final merge pass. The byte stream produced is identical to
 // the same records appended serially: block slots (and their device
@@ -11,22 +11,14 @@ package storage
 // as a serial append run would leave it. Cacheline write counts are
 // therefore independent of how the batch is split across writers.
 //
-// Record ranges rarely align with block boundaries, so the writers form
-// a fragment chain: writer i hands its trailing partial-block bytes to
-// writer i+1, which prepends them to its own first bytes to complete
-// that boundary block. The hand-off channels are buffered, writers send
-// their (range-independent) trailing fragment before blocking on their
-// predecessor, and an aborting writer poisons its successor — so the
-// chain never deadlocks and unwinds cleanly on error.
+// Writers never wait on each other. Each writes the blocks wholly inside
+// its byte range straight to their slots and keeps only its head (the
+// bytes before its first block boundary) and its tail (the bytes after
+// its last). Commit, called once every writer is done, stitches the
+// blocks those pieces share — at most one per range boundary — in
+// writer order, starting from the collection's DRAM tail.
 
-import (
-	"errors"
-	"fmt"
-)
-
-// ErrRangeAppendUnsupported reports that a collection's backend cannot
-// reserve block slots up front; callers fall back to serial appends.
-var ErrRangeAppendUnsupported = errors.New("storage: range append unsupported by backend")
+import "fmt"
 
 // BlockStoreAt is the optional BlockStore capability behind parallel
 // range appends: full-block slots are reserved (allocated) in seq order
@@ -48,41 +40,27 @@ type BlockStoreAt interface {
 	ReleaseBlocks(seq, n int) error
 }
 
-// Unwrapper is implemented by collection decorators (temp trackers, run
-// samplers); capability probes unwrap through it.
+// Unwrapper is implemented by collection decorators (temp trackers);
+// AsRangeAppender unwraps through it.
 type Unwrapper interface{ Unwrap() Collection }
 
-// RangeAppender is the collection-level capability: one batch of
-// appends, split into contiguous per-writer record ranges.
-type RangeAppender interface {
-	// AppendRanges opens a range-append session for len(counts) writers,
-	// writer i appending exactly counts[i] records. It returns
-	// ErrRangeAppendUnsupported (wrapped) when the backend cannot
-	// reserve block slots.
-	AppendRanges(counts []int) (*RangeAppend, error)
-}
-
-// AsRangeAppender unwraps c through any decorator chain to a collection
-// that can open range-append sessions.
-func AsRangeAppender(c Collection) (RangeAppender, bool) {
-	for c != nil {
-		if ra, ok := c.(RangeAppender); ok {
-			return ra, true
-		}
-		u, ok := c.(Unwrapper)
-		if !ok {
+// AsRangeAppender is the one capability check for range appends: it
+// unwraps c through any decorator chain to its base collection and
+// reports ok only when that collection's store implements BlockStoreAt.
+func AsRangeAppender(c Collection) (*BaseCollection, bool) {
+	for {
+		switch v := c.(type) {
+		case *BaseCollection:
+			if _, ok := v.store.(BlockStoreAt); ok {
+				return v, true
+			}
+			return nil, false
+		case Unwrapper:
+			c = v.Unwrap()
+		default:
 			return nil, false
 		}
-		c = u.Unwrap()
 	}
-	return nil, false
-}
-
-// fragment is a partial-block hand-off between neighbouring writers.
-// ok=false poisons the chain: the sender failed and the bytes are gone.
-type fragment struct {
-	data []byte
-	ok   bool
 }
 
 // RangeAppend is one parallel append session on a BaseCollection. The
@@ -90,23 +68,25 @@ type fragment struct {
 // Rollback releases them; until then the collection's readable state is
 // untouched (readers never observe reserved slots). Writers may run on
 // distinct goroutines; Commit and Rollback are single-threaded calls
-// made after every writer has finished or aborted.
+// made after every writer has returned.
 type RangeAppend struct {
 	c        *BaseCollection
 	store    BlockStoreAt
+	base     int // the collection's record count when the session opened
 	total    int // records across all ranges
 	firstSeq int // first reserved block slot
 	nBlocks  int // reserved full-block slots
-	links    []chan fragment
 	writers  []*RangeWriter
 	done     bool
 }
 
-// AppendRanges implements RangeAppender on the shared base collection.
+// AppendRanges opens a range-append session for len(counts) writers,
+// writer i appending exactly counts[i] records. The store must implement
+// BlockStoreAt (AsRangeAppender).
 func (c *BaseCollection) AppendRanges(counts []int) (*RangeAppend, error) {
-	bsa, ok := c.store.(BlockStoreAt)
+	store, ok := c.store.(BlockStoreAt)
 	if !ok {
-		return nil, fmt.Errorf("storage: collection %q backend: %w", c.name, ErrRangeAppendUnsupported)
+		return nil, fmt.Errorf("storage: collection %q: backend cannot reserve blocks", c.name)
 	}
 	if c.destroyed {
 		return nil, fmt.Errorf("storage: range append to destroyed collection %q", c.name)
@@ -117,12 +97,6 @@ func (c *BaseCollection) AppendRanges(counts []int) (*RangeAppend, error) {
 	if len(counts) == 0 {
 		return nil, fmt.Errorf("storage: collection %q: range append needs at least one range", c.name)
 	}
-	bs := int64(c.blockSize)
-	if c.flushed%bs != 0 {
-		// A previously closed-and-reopened store could leave a partial
-		// flushed block; the base collection never does, but guard anyway.
-		return nil, fmt.Errorf("storage: collection %q: unaligned flushed prefix: %w", c.name, ErrRangeAppendUnsupported)
-	}
 	total := 0
 	for i, n := range counts {
 		if n < 0 {
@@ -130,49 +104,25 @@ func (c *BaseCollection) AppendRanges(counts []int) (*RangeAppend, error) {
 		}
 		total += n
 	}
-	streamLen := int64(len(c.tail)) + int64(total)*int64(c.recSize)
-	full := int(streamLen / bs)
-	firstSeq := int(c.flushed / bs)
-	if err := bsa.ReserveBlocks(firstSeq, full); err != nil {
-		return nil, err
-	}
+	// The stream starts at the last flushed block boundary (an open
+	// collection flushes whole blocks only), with the DRAM tail first.
+	bs := int64(c.blockSize)
+	pos := int64(len(c.tail))
 	ra := &RangeAppend{
 		c:        c,
-		store:    bsa,
+		store:    store,
+		base:     c.n,
 		total:    total,
-		firstSeq: firstSeq,
-		nBlocks:  full,
-		links:    make([]chan fragment, len(counts)+1),
+		firstSeq: int(c.flushed / bs),
+		nBlocks:  int((pos + int64(total)*int64(c.recSize)) / bs),
 		writers:  make([]*RangeWriter, len(counts)),
 	}
-	for i := range ra.links {
-		ra.links[i] = make(chan fragment, 1)
+	if err := store.ReserveBlocks(ra.firstSeq, ra.nBlocks); err != nil {
+		return nil, err
 	}
-	// Writer 0's incoming fragment is the current DRAM tail: the stream
-	// starts at the last flushed block boundary.
-	ra.links[0] <- fragment{data: append([]byte(nil), c.tail...), ok: true}
-	pos := int64(len(c.tail))
 	for i, n := range counts {
-		lo := pos
+		ra.writers[i] = &RangeWriter{ra: ra, pos: pos, boundary: (pos + bs - 1) / bs * bs, remaining: n}
 		pos += int64(n) * int64(c.recSize)
-		w := &RangeWriter{
-			ra:        ra,
-			recSize:   c.recSize,
-			blockSize: c.blockSize,
-			lo:        lo,
-			hi:        pos,
-			pos:       lo,
-			remaining: n,
-			fragLen:   int(lo % bs),
-			in:        ra.links[i],
-			out:       ra.links[i+1],
-		}
-		if w.fragLen > 0 {
-			w.firstEnd = (lo/bs + 1) * bs
-		} else {
-			w.firstEnd = lo // no fragment-dependent first block
-		}
-		ra.writers[i] = w
 	}
 	return ra, nil
 }
@@ -181,38 +131,50 @@ func (c *BaseCollection) AppendRanges(counts []int) (*RangeAppend, error) {
 // distinct writers may be driven from distinct goroutines.
 func (ra *RangeAppend) Writer(i int) *RangeWriter { return ra.writers[i] }
 
-// Commit installs the batch: the final trailing fragment becomes the
-// collection's DRAM tail, and the record count and flushed byte mark
-// advance exactly as the same appends made serially would have left
-// them. Every writer must have finished.
+// Commit installs the batch. It checks that every writer appended its
+// whole range, writes the shared blocks into their reserved slots, and
+// leaves the record count, the flushed byte mark and the DRAM tail
+// exactly as the same appends made serially would have. A failed Commit
+// changes nothing the collection shows; Rollback then releases the
+// slots.
 func (ra *RangeAppend) Commit() error {
-	if ra.done {
-		return fmt.Errorf("storage: collection %q: range append session already closed", ra.c.name)
-	}
-	for i, w := range ra.writers {
-		if !w.finished {
-			return fmt.Errorf("storage: collection %q: range %d not finished at commit", ra.c.name, i)
-		}
-	}
 	c := ra.c
-	bs := int64(c.blockSize)
-	if c.flushed != int64(ra.firstSeq)*bs {
+	if ra.done {
+		return fmt.Errorf("storage: collection %q: range append session already closed", c.name)
+	}
+	if c.n != ra.base {
 		return fmt.Errorf("storage: collection %q mutated during range append", c.name)
 	}
-	last := <-ra.links[len(ra.links)-1]
-	if !last.ok {
-		return fmt.Errorf("storage: collection %q: range append chain poisoned at commit", c.name)
+	for i, w := range ra.writers {
+		if w.remaining != 0 {
+			return fmt.Errorf("storage: collection %q: range %d is %d records short at commit", c.name, i, w.remaining)
+		}
+	}
+	// buf holds the stream bytes from the last block boundary: each
+	// writer's head completes the block its predecessor's tail (or the
+	// DRAM tail) started, unless the range ends short of the boundary.
+	bs := c.blockSize
+	buf := append(make([]byte, 0, bs), c.tail...)
+	for _, w := range ra.writers {
+		buf = append(buf, w.head...)
+		if len(buf) == bs {
+			if err := ra.store.WriteReserved(ra.firstSeq+int(w.boundary/int64(bs))-1, buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
+		}
+		buf = append(buf, w.block...)
 	}
 	ra.done = true
-	c.tail = append(c.tail[:0], last.data...)
-	c.flushed = int64(ra.firstSeq+ra.nBlocks) * bs
+	c.tail = append(c.tail[:0], buf...)
+	c.flushed = int64(ra.firstSeq+ra.nBlocks) * int64(bs)
 	c.n += ra.total
 	return nil
 }
 
 // Rollback abandons the session, releasing every reserved block slot;
 // the collection is exactly as it was before AppendRanges. Safe to call
-// after a failed Commit attempt; a no-op once the session is closed.
+// after a failed Commit; a no-op once the session is closed.
 func (ra *RangeAppend) Rollback() error {
 	if ra.done {
 		return nil
@@ -222,173 +184,47 @@ func (ra *RangeAppend) Rollback() error {
 }
 
 // RangeWriter appends one contiguous record range of a RangeAppend
-// session. It is owned by a single goroutine. Exactly the range's
-// record count must be appended, then Finish called; Abort (idempotent,
-// a no-op after Finish) releases the writer's chain obligations on
-// error paths so neighbouring writers never block on a failed one —
-// defer it alongside Finish.
+// session, exactly its declared record count. It is owned by a single
+// goroutine and never blocks on another writer.
 type RangeWriter struct {
 	ra        *RangeAppend
-	recSize   int
-	blockSize int
-	lo, hi    int64 // stream byte range [lo, hi) produced by this writer
-	pos       int64 // next stream byte offset to produce
+	pos       int64 // stream offset of the next byte
+	boundary  int64 // the range's first block boundary: bytes before it are the head
 	remaining int   // records still expected
-	fragLen   int   // predecessor bytes needed to complete the first block
-	firstEnd  int64 // stream offset one past the fragment-dependent first block
-
-	firstPart []byte // own bytes of the first block, staged until the fragment arrives
-	frag      []byte // received predecessor bytes for the first block
-	block     []byte // current block assembly buffer past firstEnd
-	in, out   chan fragment
-	gotFrag   bool
-	sentOut   bool
-	finished  bool
-	aborted   bool
+	head      []byte
+	block     []byte // the block being filled past boundary; at the end, the tail
 }
 
 // Append appends the next record of the writer's range.
 func (w *RangeWriter) Append(rec []byte) error {
-	if w.aborted || w.finished {
-		return fmt.Errorf("storage: append to closed range writer on %q", w.ra.c.name)
-	}
-	if len(rec) != w.recSize {
-		return fmt.Errorf("storage: range writer on %q: record size %d, want %d", w.ra.c.name, len(rec), w.recSize)
+	c := w.ra.c
+	if len(rec) != c.recSize {
+		return fmt.Errorf("storage: range writer on %q: record size %d, want %d", c.name, len(rec), c.recSize)
 	}
 	if w.remaining == 0 {
-		return fmt.Errorf("storage: range writer on %q: range overflow", w.ra.c.name)
+		return fmt.Errorf("storage: range writer on %q: range overflow", c.name)
 	}
 	w.remaining--
-	bs := int64(w.blockSize)
+	if n := min(w.boundary-w.pos, int64(len(rec))); n > 0 {
+		w.head = append(w.head, rec[:n]...)
+		w.pos += n
+		rec = rec[n:]
+	}
+	bs := c.blockSize
 	for len(rec) > 0 {
-		blockEnd := (w.pos/bs + 1) * bs
-		n := int(blockEnd - w.pos)
-		if n > len(rec) {
-			n = len(rec)
+		if w.block == nil {
+			w.block = make([]byte, 0, bs)
 		}
-		if w.pos < w.firstEnd {
-			w.firstPart = append(w.firstPart, rec[:n]...)
-		} else {
-			w.block = append(w.block, rec[:n]...)
-		}
+		n := min(bs-len(w.block), len(rec))
+		w.block = append(w.block, rec[:n]...)
 		w.pos += int64(n)
 		rec = rec[n:]
-		if w.pos == blockEnd {
-			if err := w.completeBlock(blockEnd - bs); err != nil {
+		if len(w.block) == bs {
+			if err := w.ra.store.WriteReserved(w.ra.firstSeq+int(w.pos/int64(bs))-1, w.block); err != nil {
 				return err
 			}
+			w.block = w.block[:0]
 		}
 	}
 	return nil
-}
-
-// completeBlock persists the just-filled block starting at stream offset
-// blockStart. The fragment-dependent first block is only written once
-// the predecessor's trailing bytes are in hand; later blocks are written
-// immediately — writers never block mid-range.
-func (w *RangeWriter) completeBlock(blockStart int64) error {
-	bs := int64(w.blockSize)
-	seq := w.ra.firstSeq + int(blockStart/bs)
-	if blockStart+bs == w.firstEnd && w.fragLen > 0 {
-		if !w.gotFrag {
-			select {
-			case f := <-w.in:
-				if !f.ok {
-					w.aborted = true
-					return fmt.Errorf("storage: range append on %q: predecessor failed", w.ra.c.name)
-				}
-				w.gotFrag = true
-				w.frag = f.data
-			default:
-				return nil // predecessor still running; written at Finish
-			}
-		}
-		return w.writeFirst(seq)
-	}
-	err := w.ra.store.WriteReserved(seq, w.block)
-	w.block = w.block[:0]
-	return err
-}
-
-// writeFirst assembles and persists the fragment-dependent first block.
-// Caller guarantees the fragment has been received into w.frag.
-func (w *RangeWriter) writeFirst(seq int) error {
-	buf := make([]byte, 0, w.blockSize)
-	buf = append(buf, w.frag...)
-	buf = append(buf, w.firstPart...)
-	w.frag, w.firstPart = nil, nil
-	return w.ra.store.WriteReserved(seq, buf)
-}
-
-// Finish completes the writer's range: the trailing partial-block bytes
-// are handed to the successor, and the first block — if still pending on
-// the predecessor — is written. Exactly the declared record count must
-// have been appended.
-func (w *RangeWriter) Finish() error {
-	if w.aborted {
-		return fmt.Errorf("storage: finish of aborted range writer on %q", w.ra.c.name)
-	}
-	if w.finished {
-		return nil
-	}
-	if w.remaining != 0 {
-		w.Abort()
-		return fmt.Errorf("storage: range writer on %q finished %d records short", w.ra.c.name, w.remaining)
-	}
-	// smallRange: the whole range sits inside the fragment-dependent
-	// first block, so the outgoing fragment depends on the incoming one.
-	smallRange := w.fragLen > 0 && w.pos < w.firstEnd
-	if !smallRange {
-		// The trailing fragment is independent of the predecessor: hand
-		// it over before blocking so the chain drains in any order.
-		out := append([]byte(nil), w.block...)
-		w.send(fragment{data: out, ok: true})
-	}
-	if w.fragLen > 0 && !w.gotFrag {
-		f := <-w.in
-		if !f.ok {
-			w.aborted = true
-			w.send(fragment{ok: false})
-			return fmt.Errorf("storage: range append on %q: predecessor failed", w.ra.c.name)
-		}
-		w.gotFrag = true
-		w.frag = f.data
-		if smallRange {
-			combined := make([]byte, 0, len(f.data)+len(w.firstPart))
-			combined = append(combined, f.data...)
-			combined = append(combined, w.firstPart...)
-			w.firstPart = nil
-			w.send(fragment{data: combined, ok: true})
-			w.finished = true
-			return nil
-		}
-		bs := int64(w.blockSize)
-		if err := w.writeFirst(w.ra.firstSeq + int((w.firstEnd-bs)/bs)); err != nil {
-			w.aborted = true
-			return err
-		}
-	}
-	w.finished = true
-	return nil
-}
-
-// Abort abandons the writer, poisoning its successor so neighbouring
-// writers blocked on the fragment chain unwind. Idempotent and a no-op
-// after Finish; safe to defer unconditionally.
-func (w *RangeWriter) Abort() {
-	if w.finished || w.aborted {
-		return
-	}
-	w.aborted = true
-	w.send(fragment{ok: false})
-}
-
-// send forwards to the successor exactly once per writer lifetime; the
-// channel is buffered so the send never blocks.
-func (w *RangeWriter) send(f fragment) {
-	if w.sentOut {
-		return
-	}
-	w.sentOut = true
-	w.out <- f
 }

@@ -53,7 +53,7 @@ func openSession(t *testing.T, pre int, counts []int) (storage.Factory, storage.
 }
 
 // runWriters drives each writer's range concurrently and returns the
-// first error (writers are expected to defer Abort themselves here).
+// first error.
 func runWriters(session *storage.RangeAppend, counts []int, recs [][]byte) error {
 	var wg sync.WaitGroup
 	errs := make([]error, len(counts))
@@ -65,14 +65,12 @@ func runWriters(session *storage.RangeAppend, counts []int, recs [][]byte) error
 		go func(i, lo, n int) {
 			defer wg.Done()
 			w := session.Writer(i)
-			defer w.Abort()
 			for _, r := range recs[lo : lo+n] {
 				if err := w.Append(r); err != nil {
 					errs[i] = err
 					return
 				}
 			}
-			errs[i] = w.Finish()
 		}(i, lo, n)
 	}
 	wg.Wait()
@@ -85,15 +83,27 @@ func runWriters(session *storage.RangeAppend, counts []int, recs [][]byte) error
 // folded into the first block — with *exactly* the same cacheline write
 // count on the device.
 func TestRangeAppendMatchesSerial(t *testing.T) {
-	// 7 pre-records = 560 bytes: a partial tail below one 1024-byte block.
-	const pre, n = 7, 500
-	for _, counts := range [][]int{
-		{500},
-		{180, 200, 120},
-		{0, 3, 0, 497, 0}, // empty and tiny ranges interleaved
-		{125, 125, 125, 125},
+	// 7 pre-records = 560 bytes: a partial tail below one 1024-byte block;
+	// 64 = 5120 bytes: five full blocks and no DRAM tail.
+	const n = 500
+	for _, tc := range []struct {
+		pre    int
+		counts []int
+		label  string
+	}{
+		{7, []int{500}, ""},
+		{7, []int{180, 200, 120}, ""},
+		{7, []int{0, 3, 0, 497, 0}, ""}, // empty and tiny ranges interleaved
+		{7, []int{125, 125, 125, 125}, ""},
+		{7, []int{180, 3, 317}, ""},       // a sub-block range between two writers
+		{7, []int{180, 5, 315}, ""},       // … that ends on a block boundary
+		{7, []int{2, 2, 2, 494}, ""},      // several ranges inside the tail's block
+		{64, []int{500}, "/aligned-tail"}, // block-aligned pre-existing records
+		{64, []int{125, 125, 125, 125}, "/aligned-tail"},
+		{64, []int{180, 3, 317}, "/aligned-tail"},
 	} {
-		t.Run(fmt.Sprintf("%v", counts), func(t *testing.T) {
+		pre, counts := tc.pre, tc.counts
+		t.Run(fmt.Sprintf("%v", counts)+tc.label, func(t *testing.T) {
 			recs := fillRecs(1000, n)
 
 			serialF := newFactory(t, "blocked")
@@ -146,10 +156,7 @@ func TestRangeAppendMatchesSerial(t *testing.T) {
 func TestRangeAppendRollback(t *testing.T) {
 	const pre = 40
 	_, c, session := openSession(t, pre, []int{30, 30})
-	w := session.Writer(0)
-	appendAll(t, &writerShim{w}, fillRecs(500, 10)) // partial write, then abandon
-	w.Abort()
-	session.Writer(1).Abort()
+	appendAll(t, session.Writer(0), fillRecs(500, 10)) // partial write, then abandon
 	if err := session.Rollback(); err != nil {
 		t.Fatal(err)
 	}
@@ -174,14 +181,8 @@ func TestRangeAppendRollback(t *testing.T) {
 	}
 }
 
-// writerShim adapts a RangeWriter to the Append-only surface appendAll
-// uses.
-type writerShim struct{ w *storage.RangeWriter }
-
-func (s *writerShim) Append(rec []byte) error { return s.w.Append(rec) }
-
-// TestRangeAppendUnsupportedBackends: every backend either hides the
-// capability or reports ErrRangeAppendUnsupported; only blocked serves
+// TestRangeAppendUnsupportedBackends: the capability check probes true
+// on blocked alone, the one backend that reserves blocks; blocked serves
 // sessions.
 func TestRangeAppendUnsupportedBackends(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, f storage.Factory) {
@@ -190,67 +191,39 @@ func TestRangeAppendUnsupportedBackends(t *testing.T) {
 			t.Fatal(err)
 		}
 		ra, ok := storage.AsRangeAppender(c)
+		if ok != (f.Name() == "blocked") {
+			t.Fatalf("backend %q: AsRangeAppender ok = %v, want true on blocked only", f.Name(), ok)
+		}
+		if ok != f.ReservesBlocks() {
+			t.Fatalf("backend %q: AsRangeAppender ok = %v, factory ReservesBlocks = %v", f.Name(), ok, f.ReservesBlocks())
+		}
 		if !ok {
-			if f.Name() == "blocked" {
-				t.Fatal("blocked backend lost the RangeAppender capability")
-			}
 			return
 		}
 		session, err := ra.AppendRanges([]int{1})
-		if f.Name() == "blocked" {
-			if err != nil {
-				t.Fatalf("blocked backend refused a session: %v", err)
-			}
-			session.Rollback() //nolint:errcheck
-			return
+		if err != nil {
+			t.Fatalf("blocked backend refused a session: %v", err)
 		}
-		if !errors.Is(err, storage.ErrRangeAppendUnsupported) {
-			t.Fatalf("backend %q: err = %v, want ErrRangeAppendUnsupported", f.Name(), err)
+		if err := session.Rollback(); err != nil {
+			t.Fatal(err)
 		}
 	})
 }
 
-// TestRangeWriterShortCount: finishing a writer before its declared
-// count fails and poisons the session.
+// TestRangeWriterShortCount: a writer that appended fewer records than
+// its range declares makes Commit fail, and the session still rolls
+// back cleanly.
 func TestRangeWriterShortCount(t *testing.T) {
 	_, c, session := openSession(t, 0, []int{20, 20})
-	w := session.Writer(0)
-	appendAll(t, &writerShim{w}, fillRecs(0, 5))
-	if err := w.Finish(); err == nil {
-		t.Fatal("short Finish succeeded")
-	}
+	appendAll(t, session.Writer(0), fillRecs(0, 20))
+	appendAll(t, session.Writer(1), fillRecs(20, 5))
 	if err := session.Commit(); err == nil {
-		t.Fatal("commit of unfinished session succeeded")
+		t.Fatal("commit of a short session succeeded")
 	}
 	if err := session.Rollback(); err != nil {
 		t.Fatal(err)
 	}
 	if c.Len() != 0 {
 		t.Fatalf("Len = %d after rollback", c.Len())
-	}
-}
-
-// TestRangeAppendAbortPoisons: an aborted writer's successor — whose
-// first block depends on the aborted range's trailing bytes — fails
-// rather than blocking or committing a hole.
-func TestRangeAppendAbortPoisons(t *testing.T) {
-	counts := []int{25, 25} // 25·80 = 2000 bytes: range 1 starts mid-block
-	_, _, session := openSession(t, 0, counts)
-	session.Writer(0).Abort()
-	w := session.Writer(1)
-	var failed error
-	for _, r := range fillRecs(100, 25) {
-		if failed = w.Append(r); failed != nil {
-			break
-		}
-	}
-	if failed == nil {
-		failed = w.Finish()
-	}
-	if failed == nil {
-		t.Fatal("successor of aborted writer finished cleanly")
-	}
-	if err := session.Rollback(); err != nil {
-		t.Fatal(err)
 	}
 }

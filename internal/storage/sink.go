@@ -9,10 +9,11 @@ import "fmt"
 // sort and join kernel only ever appends to its output, in order, and
 // closes it; a Sink turns those calls into put and flush.
 //
-// A Sink is deliberately neither a RangeAppender nor an Unwrapper: a
-// capability probe must not reach a collection behind it and write
-// around put. A parallel final merge handed a Sink therefore stays on
-// the serial merge, which is the only order put can consume.
+// A Sink is deliberately neither a BaseCollection nor an Unwrapper, so
+// AsRangeAppender, the one capability check, never reaches a collection
+// behind it to write around put. A parallel final merge handed a Sink
+// therefore stays on the serial merge, which is the only order put can
+// consume.
 type Sink struct {
 	name    string
 	recSize int

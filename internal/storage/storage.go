@@ -97,6 +97,11 @@ type Factory interface {
 	Create(name string, recordSize int) (Collection, error)
 	// BlockSize is the DRAM↔PM exchange unit used by this factory.
 	BlockSize() int
+	// ReservesBlocks reports whether the factory's collections take
+	// parallel range appends (their store is a BlockStoreAt). Where they
+	// do not, a parallel final merge runs serial, and the planner prices
+	// it so.
+	ReservesBlocks() bool
 }
 
 // Backends lists the canonical backend names in the paper's presentation

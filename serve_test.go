@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"sync"
@@ -93,9 +95,44 @@ func newServeStack(t *testing.T, nDim, nFact int, budget int64) (*System, map[st
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := httptest.NewServer(srv.Handler())
+	hs := httptest.NewUnstartedServer(srv.Handler())
+	hs.Listener = smallBufListener{hs.Listener}
+	hs.Start()
 	t.Cleanup(hs.Close)
 	return sys, catalog, eng, srv, hs
+}
+
+// smallSockBuf caps the kernel socket buffers of the serve tests'
+// connections. A loopback socket can otherwise buffer megabytes (Linux
+// grows a send buffer to tcp_wmem's maximum, commonly 4 MiB), enough to
+// hold a whole test stream, so a server could finish writing before a
+// client that walks away has closed.
+const smallSockBuf = 32 << 10
+
+// smallBufListener caps every accepted connection's send buffer.
+type smallBufListener struct{ net.Listener }
+
+func (l smallBufListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if tc, ok := c.(*net.TCPConn); ok {
+		tc.SetWriteBuffer(smallSockBuf) //nolint:errcheck // a best-effort cap
+	}
+	return c, err
+}
+
+// smallBufClient is an HTTP client whose connections cap their receive
+// buffer, smallBufListener's twin on the client side.
+func smallBufClient() *http.Client {
+	dial := (&net.Dialer{}).DialContext
+	return &http.Client{Transport: &http.Transport{
+		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			c, err := dial(ctx, network, addr)
+			if tc, ok := c.(*net.TCPConn); ok {
+				tc.SetReadBuffer(smallSockBuf) //nolint:errcheck // a best-effort cap
+			}
+			return c, err
+		},
+	}}
 }
 
 // TestServeEndToEndByteIdentical is the serving acceptance scenario:
@@ -202,14 +239,17 @@ func TestServeEndToEndByteIdentical(t *testing.T) {
 // service still healthy for the next query.
 func TestServeClientDisconnectNoLeaks(t *testing.T) {
 	// The wide plan streams every fact row (no group-by), megabytes of
-	// frames — enough to fill the transport buffers and leave the server
-	// mid-write when the client walks away.
+	// frames — far more than the capped socket buffers on both ends hold
+	// (smallSockBuf), so the server is mid-write when the client walks
+	// away.
 	const widePlan = "scan(dim1) | join(scan(fact); GJ) | orderby(ExMS)"
 	sys, _, eng, srv, hs := newServeStack(t, 200, 20000, 4<<20)
+	c := client.Dial(hs.URL).WithHTTPClient(smallBufClient())
+	dropper := c.Session("dropper")
 
 	baseline := runtime.NumGoroutine()
 
-	rows, err := client.Dial(hs.URL).Session("dropper").Query(widePlan).Rows(context.Background())
+	rows, err := dropper.Query(widePlan).Rows(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +267,7 @@ func TestServeClientDisconnectNoLeaks(t *testing.T) {
 	waitUnwound(t, sys, eng, baseline)
 
 	// The service takes the next query as if nothing happened.
-	rows2, err := client.Dial(hs.URL).Session("dropper").Query(widePlan).Rows(context.Background())
+	rows2, err := dropper.Query(widePlan).Rows(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +285,7 @@ func TestServeClientDisconnectNoLeaks(t *testing.T) {
 		t.Fatal("no rows after reconnect")
 	}
 
-	met, err := client.Dial(hs.URL).Metrics(context.Background())
+	met, err := c.Metrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -143,7 +143,6 @@ type sysConfig struct {
 	readLatency   time.Duration
 	writeLatency  time.Duration
 	trackWear     bool
-	spin          bool
 	parallelism   int
 	batchSize     int
 	noAutoCollect bool
@@ -168,10 +167,6 @@ func WithLatencies(read, write time.Duration) Option {
 
 // WithWearTracking enables the per-cacheline endurance counters.
 func WithWearTracking() Option { return func(c *sysConfig) { c.trackWear = true } }
-
-// WithSpin makes the device busy-wait for each charged latency, like the
-// paper's idle-loop instrumentation, instead of only accounting it.
-func WithSpin() Option { return func(c *sysConfig) { c.spin = true } }
 
 // WithParallelism sets P, the number of workers operators fan independent
 // partitions, runs and probe chunks out to (default 1, the paper's serial
@@ -229,7 +224,6 @@ func New(opts ...Option) (*System, error) {
 		ReadLatency:  cfg.readLatency,
 		WriteLatency: cfg.writeLatency,
 		TrackWear:    cfg.trackWear,
-		Spin:         cfg.spin,
 	})
 	if err != nil {
 		return nil, err
