@@ -8,7 +8,9 @@
 //	wlvet -json ./...      # machine-readable findings + allow audit
 //
 // It has one driver, internal/analysis/driver — the one the analyzers'
-// golden tests (analyzertest) run on — and is not a go vet plugin.
+// golden tests (analyzertest) run on — which analyzes the module's
+// packages in one sequential, in-process pass, dependencies first. It
+// is not a go vet plugin.
 package main
 
 import (
@@ -31,7 +33,6 @@ type jsonReport struct {
 	Allowed     []jsonAllow `json:"allowed"`
 	Packages    int         `json:"packages"`
 	ElapsedMS   int64       `json:"elapsed_ms"`
-	Workers     int         `json:"workers"`
 }
 
 type jsonDiag struct {
@@ -62,15 +63,25 @@ func main() {
 		fmt.Fprintln(os.Stderr, "wlvet:", err)
 		os.Exit(2)
 	}
-	allowed := wlvet.TakeAllowLog()
+	// Dependencies are analyzed only for their facts: audit the allows
+	// of the reported packages alone, as their diagnostics are.
+	reported := make(map[string]bool)
+	for _, path := range res.Reported {
+		reported[path] = true
+	}
+	var allowed []wlvet.AllowEntry
+	for _, a := range wlvet.TakeAllowLog() {
+		if reported[a.Pkg] {
+			allowed = append(allowed, a)
+		}
+	}
 
 	if *jsonOut {
 		rep := jsonReport{
 			Diagnostics: []jsonDiag{},
 			Allowed:     []jsonAllow{},
-			Packages:    res.Reported,
+			Packages:    len(res.Reported),
 			ElapsedMS:   res.Elapsed.Milliseconds(),
-			Workers:     res.Workers,
 		}
 		for _, d := range res.Diags {
 			rep.Diagnostics = append(rep.Diagnostics, jsonDiag{
@@ -96,8 +107,8 @@ func main() {
 		}
 	}
 
-	fmt.Fprintf(os.Stderr, "wlvet: %d package(s) analyzed (%d total incl. deps) in %v with %d worker(s)\n",
-		res.Reported, res.Packages, res.Elapsed.Round(time.Millisecond), res.Workers)
+	fmt.Fprintf(os.Stderr, "wlvet: %d package(s) analyzed (%d total incl. deps) in %v\n",
+		len(res.Reported), res.Packages, res.Elapsed.Round(time.Millisecond))
 	if n := len(res.Diags); n > 0 {
 		fmt.Fprintf(os.Stderr, "wlvet: %d invariant violation(s)\n", n)
 		os.Exit(1)

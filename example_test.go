@@ -184,7 +184,7 @@ func ExampleIOProfile() {
 	exms := wlpm.ProfileExternalMergeSort(t, m)
 	segs := wlpm.ProfileSegmentSort(0.2, t, m)
 	fmt.Printf("ExMS writes %.0f, SegS(0.2) writes %.0f\n", exms.Writes, segs.Writes)
-	fmt.Println("SegS cheaper on a λ=15 medium:", segs.Price(10, 150) < exms.Price(10, 150))
+	fmt.Println("SegS cheaper on a λ=15 medium:", segs.PriceP(10, 150, 1) < exms.PriceP(10, 150, 1))
 	// Output:
 	// ExMS writes 20000, SegS(0.2) writes 12000
 	// SegS cheaper on a λ=15 medium: true

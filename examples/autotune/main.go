@@ -46,7 +46,7 @@ func main() {
 	var est, measured []float64
 	bestEst, bestIdx := 0.0, -1
 	for i, c := range cands {
-		price := c.profile.Price(readNs, writeNs)
+		price := c.profile.PriceP(readNs, writeNs, 1)
 		simIO, writes := runSort(c.algo)
 		est = append(est, price)
 		measured = append(measured, float64(simIO))

@@ -106,6 +106,7 @@ func (s *suppressor) reportf(pass *analysis.Pass, pos token.Pos, format string, 
 // reason the site's //lint:allow comment gave. `wlvet -json` emits
 // these alongside live diagnostics so suppressions stay auditable.
 type AllowEntry struct {
+	Pkg      string // import path of the analyzed package
 	Pos      token.Position
 	Analyzer string
 	Reason   string
@@ -120,6 +121,7 @@ func logSuppression(pass *analysis.Pass, pos token.Pos, analyzer, reason string)
 	allowLog.Lock()
 	defer allowLog.Unlock()
 	allowLog.entries = append(allowLog.entries, AllowEntry{
+		Pkg:      pass.Pkg.Path(),
 		Pos:      pass.Fset.Position(pos),
 		Analyzer: analyzer,
 		Reason:   reason,

@@ -12,7 +12,7 @@
 // (repeatable on one line for multiple diagnostics). Run typechecks the
 // requested packages — resolving imports first against the testdata
 // tree, then against the standard library from source — applies the
-// analyzer through the same scheduler as cmd/wlvet, and reports any
+// analyzer through the same RunOnPackage as cmd/wlvet, and reports any
 // mismatch between produced diagnostics and want annotations.
 package analyzertest
 
@@ -157,8 +157,8 @@ func wantsOf(t *testing.T, fset *token.FileSet, files []*ast.File) []*want {
 // testdata dependency (report-off, depth-first), so analysis facts
 // flow across fixture package boundaries exactly as they do in the
 // real driver. done memoizes which paths already contributed facts to
-// the shared store.
-func analyzeWithDeps(t *testing.T, l *loader, store *driver.FactStore, a *analysis.Analyzer, path string, done map[string]bool) []driver.Diagnostic {
+// the shared map.
+func analyzeWithDeps(t *testing.T, l *loader, facts driver.Facts, a *analysis.Analyzer, path string, done map[string]bool) []driver.Diagnostic {
 	t.Helper()
 	p, err := l.load(path)
 	if err != nil {
@@ -175,7 +175,7 @@ func analyzeWithDeps(t *testing.T, l *loader, store *driver.FactStore, a *analys
 			return nil
 		}
 		done[path] = true
-		diags, err := driver.RunOnPackage(l.fset, p.files, p.pkg, p.info, []*analysis.Analyzer{a}, store)
+		diags, err := driver.RunOnPackage(l.fset, p.files, p.pkg, p.info, []*analysis.Analyzer{a}, facts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +190,7 @@ func analyzeWithDeps(t *testing.T, l *loader, store *driver.FactStore, a *analys
 func Diagnostics(t *testing.T, testdata string, a *analysis.Analyzer, path string) []string {
 	t.Helper()
 	l := newLoader(testdata)
-	diags := analyzeWithDeps(t, l, driver.NewFactStore([]*analysis.Analyzer{a}), a, path, make(map[string]bool))
+	diags := analyzeWithDeps(t, l, driver.Facts{}, a, path, make(map[string]bool))
 	msgs := make([]string, len(diags))
 	for i, d := range diags {
 		msgs[i] = d.Message
@@ -200,17 +200,17 @@ func Diagnostics(t *testing.T, testdata string, a *analysis.Analyzer, path strin
 
 // Run applies the analyzer to each testdata package and compares
 // diagnostics against the packages' want annotations. Packages share
-// one loader and one fact store, so a fixture package may import a
+// one loader and one Facts map, so a fixture package may import a
 // sibling and observe its exported facts.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, paths ...string) {
 	t.Helper()
 	l := newLoader(testdata)
-	store := driver.NewFactStore([]*analysis.Analyzer{a})
+	facts := driver.Facts{}
 	done := make(map[string]bool)
 	for _, path := range paths {
 		path := path
 		t.Run(strings.ReplaceAll(path, "/", "_"), func(t *testing.T) {
-			diags := analyzeWithDeps(t, l, store, a, path, done)
+			diags := analyzeWithDeps(t, l, facts, a, path, done)
 			p := l.loaded[path]
 			wants := wantsOf(t, l.fset, p.files)
 			sort.SliceStable(wants, func(i, j int) bool {

@@ -1,17 +1,16 @@
 // Package driver runs go/analysis analyzers over module packages
 // without golang.org/x/tools/go/packages (not vendored): it shells out
-// to `go list -deps -export -json` for the import graph and compiled
-// export data, typechecks every module package from source in
-// import-DAG order, and runs the analyzers with their Requires graph.
+// to `go list -deps -export -json` for the package list and compiled
+// export data, typechecks every module package from source, and runs
+// the analyzers with their Requires graph.
 //
-// Unlike the wave-1 driver, analysis facts propagate across the import
-// graph: after a package is analyzed, its exported facts are gob- and
-// objectpath-serialized exactly as the unitchecker protocol would ship
-// them between `go vet` actions, then decoded back against the live
-// type information for dependent packages to import. Packages whose
-// module dependencies are all analyzed run concurrently on a worker
-// pool; output order stays deterministic because diagnostics are
-// collected per package and emitted in import-path order at the end.
+// The run is one sequential pass in the order `go list -deps` prints
+// packages, which lists every package after its dependencies. So when a
+// package is analyzed, every module package it imports has already
+// exported its facts into the run's one Facts map, keyed by the very
+// objects the dependent's typechecker resolves (module imports are
+// served from the source-checked packages, not export data).
+// Diagnostics are emitted in import-path order, then position order.
 package driver
 
 import (
@@ -28,8 +27,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"strings"
-	"sync"
 	"time"
 
 	"golang.org/x/tools/go/analysis"
@@ -38,13 +35,11 @@ import (
 // listPackage is the subset of `go list -json` output the driver uses.
 type listPackage struct {
 	ImportPath string
-	Name       string
 	Dir        string
 	GoFiles    []string
-	Imports    []string
 	Export     string
 	DepOnly    bool
-	Standard   bool
+	Module     *struct{ Main bool }
 }
 
 // Diagnostic is one finding, resolved to a printable position and
@@ -61,9 +56,8 @@ type Diagnostic struct {
 type Result struct {
 	Diags    []Diagnostic
 	Packages int           // packages analyzed (matched + module deps)
-	Reported int           // packages whose diagnostics were reported
+	Reported []string      // import paths of the matched packages, sorted
 	Elapsed  time.Duration // wall clock of the analysis phase
-	Workers  int
 }
 
 // Run loads the packages matching patterns, analyzes every module
@@ -71,45 +65,18 @@ type Result struct {
 // and returns the diagnostics of the matched ones in import-path and
 // position order.
 func Run(analyzers []*analysis.Analyzer, patterns []string) (*Result, error) {
-	modPath, err := goModulePath()
-	if err != nil {
-		return nil, err
-	}
 	pkgs, err := goList(patterns)
 	if err != nil {
 		return nil, err
 	}
-
 	exports := make(map[string]string)
-	inModule := func(p *listPackage) bool {
-		return !p.Standard && (p.ImportPath == modPath || strings.HasPrefix(p.ImportPath, modPath+"/"))
-	}
-	// Every module package in the closure is analyzed so its facts
-	// exist; only non-DepOnly (pattern-matched) packages report.
-	var units []*unit
-	byPath := make(map[string]*unit)
 	for _, p := range pkgs {
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
-		if inModule(p) && len(p.GoFiles) > 0 {
-			u := &unit{pkg: p, report: !p.DepOnly}
-			units = append(units, u)
-			byPath[p.ImportPath] = u
-		}
-	}
-	for _, u := range units {
-		for _, imp := range u.pkg.Imports {
-			if dep, ok := byPath[imp]; ok {
-				u.deps = append(u.deps, dep)
-				dep.dependents = append(dep.dependents, u)
-			}
-		}
 	}
 
 	fset := token.NewFileSet()
-	var impMu sync.Mutex
-	checked := make(map[string]*types.Package)
 	gc := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		f, ok := exports[path]
 		if !ok {
@@ -119,131 +86,50 @@ func Run(analyzers []*analysis.Analyzer, patterns []string) (*Result, error) {
 	})
 	// Module packages resolve to their source-checked form so facts and
 	// type identities line up; everything else comes from export data.
-	// The gc importer and its shared caches are not otherwise
-	// synchronized, so one mutex serializes all import requests.
+	checked := make(map[string]*types.Package)
 	imp := importerFunc(func(path string) (*types.Package, error) {
-		impMu.Lock()
-		defer impMu.Unlock()
 		if pkg, ok := checked[path]; ok {
 			return pkg, nil
 		}
 		return gc.Import(path)
 	})
 
-	store := NewFactStore(analyzers)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(units) {
-		workers = len(units)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	// Import-DAG scheduling: a unit becomes ready when its last module
-	// dependency finishes. Workers pull from the ready queue; the first
-	// error wins and drains the run.
-	var (
-		mu     sync.Mutex
-		cond   = sync.NewCond(&mu)
-		ready  []*unit
-		done   int
-		runErr error
-	)
-	for _, u := range units {
-		u.waiting = len(u.deps)
-		if u.waiting == 0 {
-			ready = append(ready, u)
-		}
-	}
-
+	// Every module package in the closure is analyzed so its facts
+	// exist; only non-DepOnly (pattern-matched) packages report.
+	facts := Facts{}
+	reported := make(map[string][]Diagnostic)
+	res := &Result{}
 	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				for len(ready) == 0 && done < len(units) && runErr == nil {
-					cond.Wait()
-				}
-				if runErr != nil || done == len(units) {
-					mu.Unlock()
-					return
-				}
-				u := ready[0]
-				ready = ready[1:]
-				mu.Unlock()
-
-				diags, pkg, err := analyzePackage(fset, imp, u.pkg, analyzers, store, u.report)
-
-				mu.Lock()
-				if err != nil && runErr == nil {
-					runErr = err
-				}
-				if err == nil {
-					u.diags = diags
-					impMu.Lock()
-					checked[u.pkg.ImportPath] = pkg
-					impMu.Unlock()
-					for _, d := range u.dependents {
-						d.waiting--
-						if d.waiting == 0 {
-							ready = append(ready, d)
-						}
-					}
-				}
-				done++
-				cond.Broadcast()
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	if runErr != nil {
-		return nil, runErr
-	}
-
-	res := &Result{
-		Packages: len(units),
-		Elapsed:  time.Since(start),
-		Workers:  workers,
-	}
-	sort.Slice(units, func(i, j int) bool { return units[i].pkg.ImportPath < units[j].pkg.ImportPath })
-	for _, u := range units {
-		if !u.report {
+	for _, p := range pkgs {
+		if p.Module == nil || !p.Module.Main || len(p.GoFiles) == 0 {
 			continue
 		}
-		res.Reported++
-		res.Diags = append(res.Diags, u.diags...)
+		diags, pkg, err := analyzePackage(fset, imp, p, analyzers, facts)
+		if err != nil {
+			return nil, err
+		}
+		checked[p.ImportPath] = pkg
+		res.Packages++
+		if !p.DepOnly {
+			reported[p.ImportPath] = diags
+			res.Reported = append(res.Reported, p.ImportPath)
+		}
+	}
+	res.Elapsed = time.Since(start)
+
+	sort.Strings(res.Reported)
+	for _, path := range res.Reported {
+		res.Diags = append(res.Diags, reported[path]...)
 	}
 	return res, nil
-}
-
-// unit is one module package in the run's dependency graph.
-type unit struct {
-	pkg        *listPackage
-	report     bool
-	deps       []*unit
-	dependents []*unit
-	waiting    int
-	diags      []Diagnostic
 }
 
 type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
-func goModulePath() (string, error) {
-	out, err := exec.Command("go", "list", "-m").Output()
-	if err != nil {
-		return "", fmt.Errorf("go list -m: %v", err)
-	}
-	return strings.TrimSpace(string(out)), nil
-}
-
 func goList(patterns []string) ([]*listPackage, error) {
-	args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Name,Dir,GoFiles,Imports,Export,DepOnly,Standard", "--"}, patterns...)
+	args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Dir,GoFiles,Export,DepOnly,Module", "--"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Stderr = os.Stderr
 	out, err := cmd.StdoutPipe()
@@ -270,7 +156,7 @@ func goList(patterns []string) ([]*listPackage, error) {
 	return pkgs, nil
 }
 
-func analyzePackage(fset *token.FileSet, imp types.Importer, p *listPackage, analyzers []*analysis.Analyzer, store *FactStore, report bool) ([]Diagnostic, *types.Package, error) {
+func analyzePackage(fset *token.FileSet, imp types.Importer, p *listPackage, analyzers []*analysis.Analyzer, facts Facts) ([]Diagnostic, *types.Package, error) {
 	var files []*ast.File
 	for _, name := range p.GoFiles {
 		f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.ParseComments)
@@ -285,14 +171,8 @@ func analyzePackage(fset *token.FileSet, imp types.Importer, p *listPackage, ana
 	if err != nil {
 		return nil, nil, fmt.Errorf("typecheck %s: %v", p.ImportPath, err)
 	}
-	diags, err := RunOnPackage(fset, files, pkg, info, analyzers, store)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !report {
-		diags = nil
-	}
-	return diags, pkg, nil
+	diags, err := RunOnPackage(fset, files, pkg, info, analyzers, facts)
+	return diags, pkg, err
 }
 
 func newInfo() *types.Info {
@@ -310,18 +190,12 @@ func newInfo() *types.Info {
 // RunOnPackage applies the analyzers (and, transitively, their
 // Requires) to one typechecked package, returning the diagnostics in
 // position order. It is shared by the standalone driver and the
-// analyzertest golden harness. store may be nil for fact-free suites;
-// with a store, facts exported here become importable by packages
-// analyzed later (after a serialization round-trip — see FactStore).
-func RunOnPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*analysis.Analyzer, store *FactStore) ([]Diagnostic, error) {
+// analyzertest golden harness. Facts exported here go into facts, where
+// packages analyzed later with the same map import them.
+func RunOnPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*analysis.Analyzer, facts Facts) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	results := make(map[*analysis.Analyzer]any)
 	running := make(map[*analysis.Analyzer]bool)
-
-	var pf *pkgFacts
-	if store != nil {
-		pf = store.open(pkg)
-	}
 
 	var run func(a *analysis.Analyzer, report bool) error
 	run = func(a *analysis.Analyzer, report bool) error {
@@ -360,24 +234,7 @@ func RunOnPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, in
 			},
 			ReadFile: os.ReadFile,
 		}
-		if pf != nil {
-			pass.ImportObjectFact = pf.importObjectFact
-			pass.ImportPackageFact = pf.importPackageFact
-			pass.ExportObjectFact = pf.exportObjectFact
-			pass.ExportPackageFact = pf.exportPackageFact
-			pass.AllObjectFacts = pf.allObjectFacts
-			pass.AllPackageFacts = pf.allPackageFacts
-		} else {
-			if len(a.FactTypes) > 0 {
-				return fmt.Errorf("analyzer %s uses facts but RunOnPackage was given no fact store", a.Name)
-			}
-			pass.ImportObjectFact = func(types.Object, analysis.Fact) bool { return false }
-			pass.ImportPackageFact = func(*types.Package, analysis.Fact) bool { return false }
-			pass.ExportObjectFact = func(types.Object, analysis.Fact) {}
-			pass.ExportPackageFact = func(analysis.Fact) {}
-			pass.AllObjectFacts = func() []analysis.ObjectFact { return nil }
-			pass.AllPackageFacts = func() []analysis.PackageFact { return nil }
-		}
+		facts.bind(pass)
 		res, err := a.Run(pass)
 		if err != nil {
 			return fmt.Errorf("analyzer %s on %s: %v", a.Name, pkg.Path(), err)
@@ -388,11 +245,6 @@ func RunOnPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, in
 	for _, a := range analyzers {
 		if err := run(a, true); err != nil {
 			return diags, err
-		}
-	}
-	if pf != nil {
-		if err := pf.seal(); err != nil {
-			return diags, fmt.Errorf("encode facts for %s: %v", pkg.Path(), err)
 		}
 	}
 	sort.SliceStable(diags, func(i, j int) bool {

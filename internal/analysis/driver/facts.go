@@ -1,231 +1,75 @@
 package driver
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"go/types"
 	"reflect"
-	"sync"
 
 	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/types/objectpath"
 )
 
-// FactStore carries analysis facts between per-package analyses. It
-// reproduces the unitchecker contract in one process: facts a package
-// exports are gob-encoded with objectpath-addressed owners when the
-// package's analysis completes (seal), and only what survives that
-// round-trip is visible to importing packages — a fact on an object
-// unreachable from the package's declarations is dropped here exactly
-// as it would be between separate `go vet` processes. Decoding
-// resolves paths against the live source-checked packages, so object
-// identities line up without a separate import step.
-//
-// Keys follow go/analysis semantics: one fact per (owner, concrete
-// fact type); analyzers are separated by each declaring its own types.
-type FactStore struct {
-	mu       sync.RWMutex
-	objFacts map[objFactKey]analysis.Fact
-	pkgFacts map[pkgFactKey]analysis.Fact
-	blobs    map[string][]byte // pkgPath → sealed gob blob, for inspection/tests
-	packages map[string]*types.Package
-}
+// Facts holds the analysis facts of one run, as exported: one fact per
+// (owner, concrete fact type), following go/analysis semantics —
+// analyzers are separated by each declaring its own fact types. The
+// owner is an object or a package. Every package of a run is
+// typechecked in one process and imports its module dependencies in
+// their source-checked form, so the object a dependent looks a fact up
+// on is the object the fact was exported on.
+type Facts map[factKey]analysis.Fact
 
-type objFactKey struct {
-	obj types.Object
+type factKey struct {
+	obj types.Object   // nil for a package fact
+	pkg *types.Package // nil for an object fact
 	t   reflect.Type
 }
 
-type pkgFactKey struct {
-	pkg *types.Package
-	t   reflect.Type
-}
-
-// gobFact is the wire form of one fact.
-type gobFact struct {
-	PkgPath string // owning package
-	Object  string // objectpath within it; "" for a package fact
-	Fact    analysis.Fact
-}
-
-// NewFactStore registers the analyzers' fact types with gob (as
-// unitchecker does at startup) and returns an empty store.
-func NewFactStore(analyzers []*analysis.Analyzer) *FactStore {
-	seen := make(map[reflect.Type]bool)
-	var register func(a *analysis.Analyzer)
-	register = func(a *analysis.Analyzer) {
-		for _, f := range a.FactTypes {
-			t := reflect.TypeOf(f)
-			if !seen[t] {
-				seen[t] = true
-				gob.Register(f)
+// bind wires the pass's fact functions to the map.
+func (fs Facts) bind(pass *analysis.Pass) {
+	load := func(k factKey, ptr analysis.Fact) bool {
+		f, ok := fs[k]
+		if ok {
+			reflect.ValueOf(ptr).Elem().Set(reflect.ValueOf(f).Elem())
+		}
+		return ok
+	}
+	pass.ImportObjectFact = func(obj types.Object, ptr analysis.Fact) bool {
+		if obj == nil {
+			panic("nil object")
+		}
+		return load(factKey{obj: obj, t: reflect.TypeOf(ptr)}, ptr)
+	}
+	pass.ImportPackageFact = func(pkg *types.Package, ptr analysis.Fact) bool {
+		return load(factKey{pkg: pkg, t: reflect.TypeOf(ptr)}, ptr)
+	}
+	pass.ExportObjectFact = func(obj types.Object, fact analysis.Fact) {
+		if obj.Pkg() != pass.Pkg {
+			panic(fmt.Sprintf("exporting fact for object %v of foreign package %v", obj, obj.Pkg()))
+		}
+		fs[factKey{obj: obj, t: reflect.TypeOf(fact)}] = fact
+	}
+	pass.ExportPackageFact = func(fact analysis.Fact) {
+		fs[factKey{pkg: pass.Pkg, t: reflect.TypeOf(fact)}] = fact
+	}
+	own := make(map[reflect.Type]bool)
+	for _, f := range pass.Analyzer.FactTypes {
+		own[reflect.TypeOf(f)] = true
+	}
+	pass.AllObjectFacts = func() []analysis.ObjectFact {
+		var out []analysis.ObjectFact
+		for k, f := range fs {
+			if k.obj != nil && own[k.t] {
+				out = append(out, analysis.ObjectFact{Object: k.obj, Fact: f})
 			}
 		}
-		for _, dep := range a.Requires {
-			register(dep)
+		return out
+	}
+	pass.AllPackageFacts = func() []analysis.PackageFact {
+		var out []analysis.PackageFact
+		for k, f := range fs {
+			if k.pkg != nil && own[k.t] {
+				out = append(out, analysis.PackageFact{Package: k.pkg, Fact: f})
+			}
 		}
+		return out
 	}
-	for _, a := range analyzers {
-		register(a)
-	}
-	return &FactStore{
-		objFacts: make(map[objFactKey]analysis.Fact),
-		pkgFacts: make(map[pkgFactKey]analysis.Fact),
-		blobs:    make(map[string][]byte),
-		packages: make(map[string]*types.Package),
-	}
-}
-
-// Blob returns the sealed fact blob of a package (empty until its
-// analysis completes). Tests use it to assert that propagation really
-// crosses a serialization boundary.
-func (s *FactStore) Blob(pkgPath string) []byte {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.blobs[pkgPath]
-}
-
-// open begins fact accumulation for one package's analyses.
-func (s *FactStore) open(pkg *types.Package) *pkgFacts {
-	s.mu.Lock()
-	s.packages[pkg.Path()] = pkg
-	s.mu.Unlock()
-	return &pkgFacts{
-		store:    s,
-		pkg:      pkg,
-		objFresh: make(map[objFactKey]analysis.Fact),
-		pkgFresh: make(map[reflect.Type]analysis.Fact),
-	}
-}
-
-// pkgFacts is the fact view of one package under analysis: fresh facts
-// exported by its own passes layered over the store's sealed facts.
-// Analyzers within one package run sequentially, so fresh maps need no
-// locking; the store is shared across worker goroutines and does.
-type pkgFacts struct {
-	store    *FactStore
-	pkg      *types.Package
-	objFresh map[objFactKey]analysis.Fact
-	pkgFresh map[reflect.Type]analysis.Fact
-}
-
-func (p *pkgFacts) importObjectFact(obj types.Object, ptr analysis.Fact) bool {
-	if obj == nil {
-		panic("nil object")
-	}
-	k := objFactKey{obj, reflect.TypeOf(ptr)}
-	if f, ok := p.objFresh[k]; ok {
-		copyFact(ptr, f)
-		return true
-	}
-	p.store.mu.RLock()
-	f, ok := p.store.objFacts[k]
-	p.store.mu.RUnlock()
-	if ok {
-		copyFact(ptr, f)
-	}
-	return ok
-}
-
-func (p *pkgFacts) importPackageFact(pkg *types.Package, ptr analysis.Fact) bool {
-	if pkg == p.pkg {
-		if f, ok := p.pkgFresh[reflect.TypeOf(ptr)]; ok {
-			copyFact(ptr, f)
-			return true
-		}
-		return false
-	}
-	p.store.mu.RLock()
-	f, ok := p.store.pkgFacts[pkgFactKey{pkg, reflect.TypeOf(ptr)}]
-	p.store.mu.RUnlock()
-	if ok {
-		copyFact(ptr, f)
-	}
-	return ok
-}
-
-func (p *pkgFacts) exportObjectFact(obj types.Object, fact analysis.Fact) {
-	if obj.Pkg() != p.pkg {
-		panic(fmt.Sprintf("exporting fact for object %v of foreign package %v", obj, obj.Pkg()))
-	}
-	p.objFresh[objFactKey{obj, reflect.TypeOf(fact)}] = fact
-}
-
-func (p *pkgFacts) exportPackageFact(fact analysis.Fact) {
-	p.pkgFresh[reflect.TypeOf(fact)] = fact
-}
-
-func (p *pkgFacts) allObjectFacts() []analysis.ObjectFact {
-	var out []analysis.ObjectFact
-	for k, f := range p.objFresh {
-		out = append(out, analysis.ObjectFact{Object: k.obj, Fact: f})
-	}
-	return out
-}
-
-func (p *pkgFacts) allPackageFacts() []analysis.PackageFact {
-	var out []analysis.PackageFact
-	for _, f := range p.pkgFresh {
-		out = append(out, analysis.PackageFact{Package: p.pkg, Fact: f})
-	}
-	p.store.mu.RLock()
-	for k, f := range p.store.pkgFacts {
-		out = append(out, analysis.PackageFact{Package: k.pkg, Fact: f})
-	}
-	p.store.mu.RUnlock()
-	return out
-}
-
-// seal serializes the package's fresh facts and publishes the decoded
-// result to the store. Object facts whose owners have no objectpath
-// (local or unexported package-level objects) are dropped, matching
-// what export data would carry between compiler actions.
-func (p *pkgFacts) seal() error {
-	enc := new(objectpath.Encoder)
-	var wire []gobFact
-	for k, f := range p.objFresh {
-		path, err := enc.For(k.obj)
-		if err != nil {
-			continue // not addressable across packages
-		}
-		wire = append(wire, gobFact{PkgPath: p.pkg.Path(), Object: string(path), Fact: f})
-	}
-	for _, f := range p.pkgFresh {
-		wire = append(wire, gobFact{PkgPath: p.pkg.Path(), Fact: f})
-	}
-
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(wire); err != nil {
-		return err
-	}
-	var decoded []gobFact
-	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&decoded); err != nil {
-		return err
-	}
-
-	s := p.store
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.blobs[p.pkg.Path()] = buf.Bytes()
-	for _, gf := range decoded {
-		owner := s.packages[gf.PkgPath]
-		if owner == nil {
-			continue
-		}
-		if gf.Object == "" {
-			s.pkgFacts[pkgFactKey{owner, reflect.TypeOf(gf.Fact)}] = gf.Fact
-			continue
-		}
-		obj, err := objectpath.Object(owner, objectpath.Path(gf.Object))
-		if err != nil {
-			continue
-		}
-		s.objFacts[objFactKey{obj, reflect.TypeOf(gf.Fact)}] = gf.Fact
-	}
-	return nil
-}
-
-func copyFact(dst, src analysis.Fact) {
-	reflect.ValueOf(dst).Elem().Set(reflect.ValueOf(src).Elem())
 }

@@ -61,7 +61,7 @@ func Fig12(cfg Config) ([]*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			est := a.(sorts.Profiled).Profile(cost.Emit{}, tSort, mSort, lambda).Price(readNs, writeNs)
+			est := a.(sorts.Profiled).Profile(cost.Emit{}, tSort, mSort, lambda).PriceP(readNs, writeNs, 1)
 			estS = append(estS, est)
 			trueS = append(trueS, float64(m.Response))
 			if strings.Contains(spelling, ":") {
@@ -84,7 +84,7 @@ func Fig12(cfg Config) ([]*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			est := a.(joins.Profiled).Profile(cost.Emit{}, tJoin, vJoin, mJoin, lambda).Price(readNs, writeNs)
+			est := a.(joins.Profiled).Profile(cost.Emit{}, tJoin, vJoin, mJoin, lambda).PriceP(readNs, writeNs, 1)
 			estJ = append(estJ, est)
 			trueJ = append(trueJ, float64(m.Response))
 			if strings.Contains(spelling, ":") {

@@ -23,7 +23,7 @@ func TestBestSortPlanIsArgmin(t *testing.T) {
 			}
 			min := math.Inf(1)
 			for _, p := range candidates {
-				if c := p.Price(1, lambda); c < min {
+				if c := p.PriceP(1, lambda, 1); c < min {
 					min = c
 				}
 			}
@@ -31,7 +31,7 @@ func TestBestSortPlanIsArgmin(t *testing.T) {
 				t.Errorf("λ=%.1f m=%.0f: BestSortPlanP %s at %.6g, candidate minimum %.6g",
 					lambda, m, best.Algo, best.Cost, min)
 			}
-			if got := best.Profile.Price(1, lambda); math.Abs(got-best.Cost) > 1e-9*(1+best.Cost) {
+			if got := best.Profile.PriceP(1, lambda, 1); math.Abs(got-best.Cost) > 1e-9*(1+best.Cost) {
 				t.Errorf("plan cost %.6g disagrees with its own profile %.6g", best.Cost, got)
 			}
 		}
@@ -50,7 +50,7 @@ func TestBestJoinPlanIsArgmin(t *testing.T) {
 				NLJProfile(tb, vb, m), GJProfile(tb, vb), HJProfile(tb, vb, m),
 				LaJProfile(tb, vb, m, lambda),
 			} {
-				if c := p.Price(1, lambda); c < min {
+				if c := p.PriceP(1, lambda, 1); c < min {
 					min = c
 				}
 			}

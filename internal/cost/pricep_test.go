@@ -22,14 +22,11 @@ func shippedProfiles(tt, v, m, lambda float64) map[string]Profile {
 	}
 }
 
-// TestPricePSerialConsistency: par=1 is Price, and price never increases
-// with par (the serial floor is the limit).
+// TestPricePSerialConsistency: price never increases with par (the
+// serial floor is the limit).
 func TestPricePSerialConsistency(t *testing.T) {
 	const tt, v, m, lambda = 100000.0, 300000.0, 5000.0, 15.0
 	for name, p := range shippedProfiles(tt, v, m, lambda) {
-		if got, want := p.PriceP(1, lambda, 1), p.Price(1, lambda); got != want {
-			t.Errorf("%s: PriceP(par=1) = %v, Price = %v", name, got, want)
-		}
 		prev := p.PriceP(1, lambda, 1)
 		for _, par := range []float64{2, 4, 8, 16} {
 			cur := p.PriceP(1, lambda, par)
@@ -55,15 +52,15 @@ func TestPricePSerialInvariant(t *testing.T) {
 		"HJ":   HJProfile(tt, v, m),
 		"LaJ":  LaJProfile(tt, v, m, lambda),
 	} {
-		if got, want := p.PriceP(1, lambda, 8), p.Price(1, lambda); math.Abs(got-want) > 1e-9 {
-			t.Errorf("%s is serial but PriceP(8) = %v, Price = %v", name, got, want)
+		if got, want := p.PriceP(1, lambda, 8), p.PriceP(1, lambda, 1); math.Abs(got-want) > 1e-9 {
+			t.Errorf("%s is serial but PriceP(8) = %v, PriceP(1) = %v", name, got, want)
 		}
 	}
 	for name, p := range map[string]Profile{
 		"ExMS": ExMSProfile(tt, m),
 		"GJ":   GJProfile(tt, v),
 	} {
-		if got, want := p.PriceP(1, lambda, 8), p.Price(1, lambda)/8; math.Abs(got-want) > 1e-9 {
+		if got, want := p.PriceP(1, lambda, 8), p.PriceP(1, lambda, 1)/8; math.Abs(got-want) > 1e-9 {
 			t.Errorf("%s is fully parallel but PriceP(8) = %v, want %v", name, got, want)
 		}
 	}
@@ -153,7 +150,7 @@ func TestEmitResizesOutputTerm(t *testing.T) {
 	serial, _ := emittedProfiles(Emit{Serial: true}, tt, v, m, lambda)
 	for name, p := range plain {
 		s := serial[name]
-		if s.Reads != p.Reads || s.Writes != p.Writes || s.Price(1, lambda) != p.Price(1, lambda) {
+		if s.Reads != p.Reads || s.Writes != p.Writes || s.PriceP(1, lambda, 1) != p.PriceP(1, lambda, 1) {
 			t.Errorf("%s: a serial emission changed the totals: %+v from %+v", name, s, p)
 		}
 		if s.SerialReads < p.SerialReads || s.SerialWrites < p.SerialWrites || s.SerialWrites > s.Writes || s.SerialReads > s.Reads {
@@ -169,8 +166,8 @@ func TestEmitResizesOutputTerm(t *testing.T) {
 		for _, e := range []Emit{{Out: 1}, {Out: output[name] / 7}, {Out: 3 * output[name]}, {Out: output[name] / 7, Serial: true}} {
 			resized, _ := emittedProfiles(e, tt, v, m, lambda)
 			q := resized[name]
-			if want := p.Price(1, lambda) + lambda*(e.Out-output[name]); q.Reads != p.Reads || math.Abs(q.Price(1, lambda)-want) > 1e-6*want {
-				t.Errorf("%s: %+v prices %v at par=1, want %v", name, e, q.Price(1, lambda), want)
+			if want := p.PriceP(1, lambda, 1) + lambda*(e.Out-output[name]); q.Reads != p.Reads || math.Abs(q.PriceP(1, lambda, 1)-want) > 1e-6*want {
+				t.Errorf("%s: %+v prices %v at par=1, want %v", name, e, q.PriceP(1, lambda, 1), want)
 			}
 			if q.SerialWrites < 0 || q.SerialWrites > q.Writes+1e-9 || q.SerialReads > q.Reads+1e-9 {
 				t.Errorf("%s: %+v left serial %v/%v of %v/%v reads/writes", name, e, q.SerialReads, q.SerialWrites, q.Reads, q.Writes)

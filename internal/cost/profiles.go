@@ -29,16 +29,11 @@ type Profile struct {
 	SerialWrites float64
 }
 
-// Price converts the profile to a response estimate given per-buffer read
-// and write costs (in any consistent unit, e.g. nanoseconds including the
-// engine's CPU share).
-func (p Profile) Price(read, write float64) float64 {
-	return p.PriceP(read, write, 1)
-}
-
-// PriceP prices the profile under par-way intra-operator parallelism:
-// the serial portions cost full price, the parallelizable remainder
-// overlaps par ways. par ≤ 1 is the serial estimate.
+// PriceP converts the profile to a response estimate given per-buffer
+// read and write costs (in any consistent unit, e.g. nanoseconds
+// including the engine's CPU share) under par-way intra-operator
+// parallelism: the serial portions cost full price, the parallelizable
+// remainder overlaps par ways. par ≤ 1 is the serial estimate.
 func (p Profile) PriceP(read, write, par float64) float64 {
 	if par < 1 {
 		par = 1

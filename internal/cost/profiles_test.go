@@ -8,8 +8,8 @@ import (
 
 func TestProfilePrice(t *testing.T) {
 	p := Profile{Reads: 10, Writes: 2}
-	if got := p.Price(1, 15); got != 40 {
-		t.Errorf("Price = %v, want 40", got)
+	if got := p.PriceP(1, 15, 1); got != 40 {
+		t.Errorf("PriceP = %v, want 40", got)
 	}
 }
 
@@ -220,7 +220,7 @@ func TestFedExMSIsExMSMinusTheInputRead(t *testing.T) {
 			if got, want := fed.PriceP(1, lambda, par), pull.PriceP(1, lambda, par)-sz.t/par+lambda*sz.t*(1-1/par); math.Abs(got-want) > 1e-9*want {
 				t.Errorf("%+v t=%v m=%v: FedExMS priced %.9g at P=4, want %.9g", em, sz.t, sz.m, got, want)
 			}
-			if got, want := fed.Price(1, lambda), pull.Price(1, lambda)-sz.t; math.Abs(got-want) > 1e-9*want {
+			if got, want := fed.PriceP(1, lambda, 1), pull.PriceP(1, lambda, 1)-sz.t; math.Abs(got-want) > 1e-9*want {
 				t.Errorf("%+v t=%v m=%v: FedExMS priced %.9g at P=1, want ExMS − t = %.9g", em, sz.t, sz.m, got, want)
 			}
 		}

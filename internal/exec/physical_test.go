@@ -55,11 +55,11 @@ func TestChooseSortAgreesWithCheapestPrediction(t *testing.T) {
 			m := tBuf * frac
 			st := freeStage("OrderBy", lambda)
 			pl := st.plan(tBuf, 0, m)
-			a, price := st.sortFor(pl), pl.sort.Profile.Price(1, lambda)
+			a, price := st.sortFor(pl), pl.sort.Profile.PriceP(1, lambda, 1)
 
 			bestName, bestPrice := "", math.Inf(1)
 			for name, p := range sortCandidates(tBuf, m, lambda) {
-				if c := p.Price(1, lambda); c < bestPrice {
+				if c := p.PriceP(1, lambda, 1); c < bestPrice {
 					bestName, bestPrice = name, c
 				}
 			}
@@ -82,7 +82,7 @@ func joinCandidates(t, v, m, lambda float64) map[string]cost.Profile {
 	sx, sy := cost.HybridJoinSaddle(t, v, m, lambda)
 	bx, by, bc := 0.0, 0.0, math.Inf(1)
 	try := func(x, y float64) {
-		if p := cost.HybJProfile(x, y, t, v, m).Price(1, lambda); p < bc {
+		if p := cost.HybJProfile(x, y, t, v, m).PriceP(1, lambda, 1); p < bc {
 			bx, by, bc = x, y, p
 		}
 	}
@@ -108,11 +108,11 @@ func TestChooseJoinAgreesWithCheapestPrediction(t *testing.T) {
 			m := tBuf * frac
 			st := freeStage("Join", lambda)
 			pl := st.plan(tBuf, vBuf, m)
-			a, price := st.joinFor(pl), pl.join.Profile.Price(1, lambda)
+			a, price := st.joinFor(pl), pl.join.Profile.PriceP(1, lambda, 1)
 
 			bestName, bestPrice := "", math.Inf(1)
 			for name, p := range joinCandidates(tBuf, vBuf, m, lambda) {
-				if c := p.Price(1, lambda); c < bestPrice {
+				if c := p.PriceP(1, lambda, 1); c < bestPrice {
 					bestName, bestPrice = name, c
 				}
 			}

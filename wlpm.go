@@ -484,7 +484,7 @@ func HybridJoinCost(x, y, t, v, m, lambda float64) float64 {
 func GraceJoinCost(t, v, lambda float64) float64 { return cost.GraceJoinCost(t, v, lambda) }
 
 // IOProfile is an estimated read/write volume in buffer units, priced via
-// Price(read, write). Unlike the printed-equation surfaces above, the
+// PriceP(read, write, par). Unlike the printed-equation surfaces above, the
 // Profile* constructors model this library's shipped implementations and
 // are what an optimizer embedding wlpm should rank with (they are what
 // the Fig. 12 concordance study validates).
