@@ -132,6 +132,87 @@ func TestSelectionPassOrder(t *testing.T) {
 	}
 }
 
+// TestSelectionPassHandOnOrder pins the sequence a pass hands to
+// onSurvivor, record for record, to an O(n·M) reference selection: the
+// arriving record when it does not precede the batch's maximum, else that
+// maximum as it is displaced. LaS writes its next input in this order and
+// HybS forms its runs from it, so it must not depend on how the batch's
+// maximum is found.
+func TestSelectionPassHandOnOrder(t *testing.T) {
+	const n = 157
+	for _, budget := range []int{1, 2, 7, 40, n - 1, n + 1} {
+		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
+			env := newEnv(t, "blocked", budget)
+			in, recs := dupInput(t, env, n, int64(budget)+100)
+			before := func(a, b int) bool { // selection order of input positions
+				ra, rb := recs[a], recs[b]
+				if ka, kb := record.Key(ra), record.Key(rb); ka != kb {
+					return ka < kb
+				}
+				if c := bytes.Compare(ra, rb); c != 0 {
+					return c < 0
+				}
+				return a < b
+			}
+			sel := newSelector(env, record.Size, budget, nil)
+			bound := -1 // the last position emitted, in selection order
+			for pass := 0; ; pass++ {
+				var want [][]byte
+				var batch []int
+				for p := range recs {
+					if bound >= 0 && !before(bound, p) {
+						continue
+					}
+					if len(batch) < budget {
+						batch = append(batch, p)
+						continue
+					}
+					top := 0
+					for i := range batch {
+						if before(batch[top], batch[i]) {
+							top = i
+						}
+					}
+					if !before(p, batch[top]) {
+						want = append(want, recs[p])
+						continue
+					}
+					want = append(want, recs[batch[top]])
+					batch[top] = p
+				}
+				var got [][]byte
+				selected, err := sel.pass(in, func(rec []byte) error {
+					got = append(got, append([]byte(nil), rec...))
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if selected != len(batch) {
+					t.Fatalf("pass %d selected %d records, want %d", pass, selected, len(batch))
+				}
+				if len(got) != len(want) {
+					t.Fatalf("pass %d handed on %d records, want %d", pass, len(got), len(want))
+				}
+				for i := range got {
+					if !bytes.Equal(got[i], want[i]) {
+						t.Fatalf("pass %d: hand-on #%d is key %d, want key %d", pass, i, record.Key(got[i]), record.Key(want[i]))
+					}
+				}
+				if len(batch) == 0 {
+					return
+				}
+				bound = batch[0]
+				for _, p := range batch[1:] {
+					if before(bound, p) {
+						bound = p
+					}
+				}
+			}
+		})
+	}
+}
+
 // canceledCtx is cancelled from the start: the amortized poll trips on
 // its first consultation, at record algo.PollInterval — which is not a
 // multiple of the block chunk, i.e. mid-chunk.

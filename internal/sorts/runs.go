@@ -106,20 +106,21 @@ func mergePassesFor(runs, fanIn int) int {
 }
 
 // runFormer is two-heap replacement selection over one keyed slab of
-// budget records (xheap.Keyed): the min-heap holds the current run, next
+// budget records (xheap.Keyed): the min tree holds the current run, next
 // lists the slab residents that arrived too small for it and wait for
-// the following run. A record is copied once, into the slot of the
-// record it evicts; moving between heap and list moves only its entry.
+// the following run (their leaves are sentinels meanwhile). A record is
+// copied once, into the slot of the record it evicts; moving between
+// tree and list moves only its entry.
 // Runs average twice the memory size on random input, which is the 2M
 // assumption of the segment-sort cost model (Eq. 1). Runs are opened
 // lazily, so none is ever empty; on an error path the owner destroys
 // runs.
 //
 // A folding former (combine set) takes partial aggregates and writes one
-// per eviction: an arriving record whose key is resident — in the heap
+// per eviction: an arriving record whose key is resident — in the tree
 // or on the next-run list, found through index — is combined into that
 // slot in place, and only a miss takes the replacement-selection step.
-// Resident keys are therefore distinct, so the heap never compares two
+// Resident keys are therefore distinct, so the tree never compares two
 // records' bytes and an in-place combine cannot disturb its order; a
 // run's keys ascend strictly.
 type runFormer struct {
@@ -223,7 +224,7 @@ func (f *runFormer) emit(rec []byte) error {
 }
 
 // rotate closes the current run and promotes the deferred records to a
-// fresh current heap.
+// fresh current tree.
 func (f *runFormer) rotate() error {
 	if f.run != nil {
 		if err := f.run.Close(); err != nil {
@@ -236,7 +237,7 @@ func (f *runFormer) rotate() error {
 	return nil
 }
 
-// finish drains working memory — the current heap completes the open
+// finish drains working memory — the current tree completes the open
 // run, the deferred records form one last run — leaving every run in
 // runs closed, and releases the slab: the merge that reads the runs
 // allocates its own fan-in buffers, and the two never need to coexist.
@@ -595,8 +596,8 @@ func mergeIters(env *algo.Env, iters []storage.Iterator, recSize int, emit func(
 // merger is the kernels' one k-way merge, in pull form. Each source is
 // read one block chunk at a time; the merge's working memory is one keyed
 // slab with a head slot per source (the entry's tie-break names the
-// source), so advancing a source overwrites its head in place and a pull
-// allocates nothing. A source advances lazily, when the record after its
+// source), so advancing a source overwrites its head in place, replays
+// that source's leaf of the tree of losers, and a pull allocates nothing. A source advances lazily, when the record after its
 // head is asked for: the record last handed out is still its head slot,
 // valid until the following call, and a folding merge looks at the next
 // head without consuming it. One source is served straight from its

@@ -13,16 +13,16 @@ import (
 )
 
 // selector is the working memory of a multi-pass selection: one keyed
-// slab heap (xheap.Keyed, a max-heap of the current minima) reused by
-// every pass, plus the lower bound the next pass resumes from. Records
-// are totally ordered by (key, bytes, input position) so that duplicate
+// slab tree (xheap.Keyed, a max tree of losers over the current minima)
+// reused by every pass, plus the lower bound the next pass resumes from.
+// Records are totally ordered by (key, bytes, input position) so that duplicate
 // keys — and byte-identical records — still progress strictly from pass
 // to pass (§2.1.1's "position must be greater than the position of the
 // maximum element of the previous run").
 //
-// A folding selector (combine set) selects groups: its heap holds up to
+// A folding selector (combine set) selects groups: its tree holds up to
 // budget distinct keys, each combining its rows in place (found through
-// index), so ⌈G/M⌉ passes emit G groups. Heap and bound compare keys
+// index), so ⌈G/M⌉ passes emit G groups. Tree and bound compare keys
 // alone: a key at or below the bound was emitted whole by an earlier pass.
 type selector struct {
 	env     *algo.Env
@@ -60,7 +60,7 @@ func newSelector(env *algo.Env, recSize, budget int, combine func(dst, src []byt
 // sort uses to materialize its intermediate inputs. On error the batch is
 // empty.
 func (s *selector) pass(src storage.Collection, onSurvivor func(rec []byte) error) (int, error) {
-	// Positions are the 32-bit tie-break of the heap entries.
+	// Positions are the 32-bit tie-break of the tree's entries.
 	if uint64(src.Len()) > math.MaxUint32 {
 		return 0, fmt.Errorf("sorts: selection over %q: %d records exceed the 32-bit position space", src.Name(), src.Len())
 	}
@@ -70,37 +70,9 @@ func (s *selector) pass(src storage.Collection, onSurvivor func(rec []byte) erro
 		s.index.Reset()
 	}
 	s.more = false
-	next := uint32(0)
-	err := s.env.Scan(src, func(rec []byte) error {
-		if err := s.poll(); err != nil {
-			return err
-		}
-		pos := next
-		next++
-		key := record.Key(rec)
-		if s.index != nil {
-			return s.fold(key, pos, rec, onSurvivor)
-		}
-		if s.bounded && !xheap.Before(s.boundKey, s.boundRec, s.boundPos, key, rec, pos) {
-			return nil // emitted by an earlier pass
-		}
-		if !h.Full() {
-			h.Push(key, pos, rec)
-			return nil
-		}
-		top := h.Top()
-		if !xheap.Before(key, rec, pos, top.Key, h.Record(top.Slot), top.Tie) {
-			return s.handOn(rec, onSurvivor)
-		}
-		// rec displaces the current maximum, which is handed on before
-		// its slot is overwritten in place.
-		if err := s.handOn(h.Record(top.Slot), onSurvivor); err != nil {
-			return err
-		}
-		h.ReplaceTop(key, pos, rec)
-		return nil
-	})
-	if err != nil {
+	it := src.Scan()
+	defer it.Close()
+	if err := s.scan(storage.Chunked(it), s.env.ChunkRecords(src.RecordSize()), onSurvivor); err != nil {
 		h.Reset()
 		return 0, err
 	}
@@ -113,9 +85,66 @@ func (s *selector) pass(src storage.Collection, onSurvivor func(rec []byte) erro
 	return h.Len(), nil
 }
 
+// scan is pass's loop over one chunk at a time. Once the tree is full
+// its top is kept in a local, so rejecting a record costs one key
+// compare; record bytes are read only on a key tie.
+func (s *selector) scan(ci storage.ChunkIterator, chunk int, onSurvivor func(rec []byte) error) error {
+	h := s.heap
+	var (
+		next uint32      // the input position of the next record
+		top  xheap.Entry // h's top, once h is full
+	)
+	for {
+		recs, err := ci.NextChunk(chunk)
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		for _, rec := range recs {
+			if err := s.poll(); err != nil {
+				return err
+			}
+			pos := next
+			next++
+			key := record.Key(rec)
+			if s.index != nil {
+				if err := s.fold(key, pos, rec, onSurvivor); err != nil {
+					return err
+				}
+				continue
+			}
+			if s.bounded && key <= s.boundKey && !xheap.Before(s.boundKey, s.boundRec, s.boundPos, key, rec, pos) {
+				continue // emitted by an earlier pass
+			}
+			if !h.Full() {
+				h.Push(key, pos, rec)
+				if h.Full() {
+					top = h.Top()
+				}
+				continue
+			}
+			if key > top.Key || key == top.Key && !xheap.Before(key, rec, pos, top.Key, h.Record(top.Slot), top.Tie) {
+				if err := s.handOn(rec, onSurvivor); err != nil {
+					return err
+				}
+				continue
+			}
+			// rec displaces the current maximum, which is handed on before
+			// its slot is overwritten in place.
+			if err := s.handOn(h.Record(top.Slot), onSurvivor); err != nil {
+				return err
+			}
+			h.ReplaceTop(key, pos, rec)
+			top = h.Top()
+		}
+	}
+}
+
 // fold is a folding pass's step: a resident group absorbs the row; a new
 // key takes a free slot, or the largest group's when that key is larger —
-// handed on whole, as the heap's largest key only falls and this pass
+// handed on whole, as the tree's largest key only falls and this pass
 // admits none of its later rows.
 func (s *selector) fold(key uint64, pos uint32, rec []byte, onSurvivor func(rec []byte) error) error {
 	if s.bounded && key <= s.boundKey {

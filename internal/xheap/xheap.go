@@ -1,8 +1,9 @@
-// Package xheap provides the engine's heaps. Every kernel — replacement
-// selection, selection regions, the sorts' and the spill aggregation's
-// multiway merges — runs on Keyed (keyed.go); the closure-compared
-// generic Heap below has no engine caller left and stays for the
-// benchmark ladder's xheap.replace_ns rung, which compiles against it.
+// Package xheap provides the engine's selection trees. Every kernel —
+// selection passes, replacement selection, the sorts' multiway merges
+// and a resident intake's drain — runs on Keyed (keyed.go), a tree of
+// losers over a record slab; the closure-compared generic binary Heap
+// below has no engine caller left and stays for the benchmark ladder's
+// xheap.replace_ns rung, which compiles against it.
 package xheap
 
 // Heap is a binary heap ordered by the provided less function: a min-heap
