@@ -5,8 +5,8 @@
 // body is not line-only text), plan explanations on /v1/explain and
 // broker/device/tenant telemetry on /v1/metrics (both plain JSON). Each tenant runs in its own engine session — own
 // working-memory grant, admission policy and collection namespace — and
-// a weighted fairness gate schedules tenants' queries into the memory
-// broker, so one tenant's burst cannot starve the rest.
+// the memory broker admits tenants' queries weighted-fair by the
+// tenants' weights, so one tenant's burst cannot starve the rest.
 //
 // Tenancy: with no -tenant flags the server runs open — any client
 // names a tenant with the X-Wlpm-Tenant header and it is provisioned on

@@ -4,8 +4,8 @@
 // serving subsystem's contract end to end:
 //
 //   - each tenant runs in its own engine session (own grant, own
-//     admission, own collection namespace), scheduled into the memory
-//     broker by the weighted fairness gate;
+//     admission, own collection namespace), admitted by the memory
+//     broker weighted-fair across tenants;
 //   - results stream with backpressure and arrive byte-identical to
 //     in-process execution;
 //   - a client disconnect cancels the server-side cursor, releasing its

@@ -9,7 +9,7 @@ import (
 )
 
 // GrantRelease enforces the PR 4/7 resource-release contracts: a
-// broker grant (Acquire) must be Released on every path out of the
+// broker grant (Acquire, AcquireAs) must be Released on every path out of the
 // acquiring function, and a streaming cursor (a Rows-method result
 // with a Close method) must be Closed — directly, via defer, or by
 // handing the resource off (returning it, storing it
@@ -35,7 +35,7 @@ type releaseProtocol struct {
 var grantProtocols = []releaseProtocol{
 	{
 		kind:        "broker grant",
-		methods:     map[string]bool{"Acquire": true},
+		methods:     map[string]bool{"Acquire": true, "AcquireAs": true},
 		release:     "Release",
 		resultNamed: "Grant",
 	},

@@ -1,6 +1,10 @@
 package cost
 
-import "math"
+import (
+	"math"
+
+	"wlpm/internal/algo"
+)
 
 // Heatmap is a grid of HybJ cost values over the (x, y) unit square,
 // reproducing one panel of Fig. 2.
@@ -15,14 +19,15 @@ type Heatmap struct {
 // ratio and λ, normalizing |V| = 1 000 000 buffers, |T| = ratio⁻¹… — to
 // match the paper's panels T is the smaller input, so |T| = |V|/ratio
 // with ratio ≥ 1 interpreted as |V|/|T|. Memory is the paper's Fig. 2
-// assumption M = √(1.2·|T|) (the Grace-applicability boundary).
+// assumption M = √(f·|T|), f = algo.HashTableExpansion (the
+// Grace-applicability boundary).
 func HybridJoinHeatmap(ratioVoverT, lambda float64, n int) *Heatmap {
 	if n < 2 {
 		n = 2
 	}
 	v := 1_000_000.0
 	t := v / ratioVoverT
-	m := math.Sqrt(1.2 * t)
+	m := math.Sqrt(algo.HashTableExpansion * t)
 	h := &Heatmap{Ratio: ratioVoverT, Lambda: lambda, N: n, Cost: make([][]float64, n)}
 	for iy := 0; iy < n; iy++ {
 		h.Cost[iy] = make([]float64, n)

@@ -1,6 +1,10 @@
 package cost
 
-import "math"
+import (
+	"math"
+
+	"wlpm/internal/algo"
+)
 
 // Profile is an estimated I/O profile in buffer units: what an optimizer
 // predicts an algorithm will read and write. Pricing it with the medium's
@@ -341,7 +345,7 @@ func HJProfile(t, v, m float64) Profile { return Emit{}.HJ(t, v, m) }
 
 // HJ is HJProfile emitting as em describes.
 func (em Emit) HJ(t, v, m float64) Profile {
-	k := math.Ceil(1.2 * t / m)
+	k := math.Ceil(algo.HashTableExpansion * t / m)
 	if k < 1 {
 		k = 1
 	}
@@ -365,7 +369,7 @@ func NLJProfile(t, v, m float64) Profile { return Emit{}.NLJ(t, v, m) }
 
 // NLJ is NLJProfile emitting as em describes.
 func (em Emit) NLJ(t, v, m float64) Profile {
-	blocks := math.Ceil(1.2 * t / m)
+	blocks := math.Ceil(algo.HashTableExpansion * t / m)
 	if blocks < 1 {
 		blocks = 1
 	}
@@ -383,11 +387,11 @@ func (em Emit) HybJ(x, y, t, v, m float64) Profile {
 	if x*t <= 0 {
 		return em.NLJ(t, v, m)
 	}
-	k := math.Ceil(1.2 * x * t / m)
+	k := math.Ceil(algo.HashTableExpansion * x * t / m)
 	if k < 1 {
 		k = 1
 	}
-	nlBlocks := math.Ceil(1.2 * (1 - x) * t / m)
+	nlBlocks := math.Ceil(algo.HashTableExpansion * (1 - x) * t / m)
 	if (1-x)*t <= 0 {
 		nlBlocks = 0
 	}
@@ -410,7 +414,7 @@ func (em Emit) LaJ(t, v, m, lambda float64) Profile {
 	if t <= 0 || m <= 0 {
 		return Profile{}
 	}
-	k := math.Ceil(1.2 * t / m)
+	k := math.Ceil(algo.HashTableExpansion * t / m)
 	if k < 1 {
 		k = 1
 	}
@@ -441,7 +445,7 @@ func SegJProfile(intensity, t, v, m float64) Profile { return Emit{}.SegJ(intens
 
 // SegJ is SegJProfile emitting as em describes.
 func (em Emit) SegJ(intensity, t, v, m float64) Profile {
-	k := math.Ceil(1.2 * t / m)
+	k := math.Ceil(algo.HashTableExpansion * t / m)
 	if k < 1 {
 		k = 1
 	}

@@ -9,9 +9,9 @@
 // on GET /v1/metrics, both as plain JSON.
 //
 // Each authenticated tenant maps to one engine session with its own
-// working-memory budget and admission policy, and a queue-aware
-// admission gate (see FairGate) schedules broker entry with per-tenant
-// weighted fairness over the broker's FIFO, so one tenant's burst
+// working-memory budget, admission policy and weight. The server adds no
+// queue of its own: the memory broker's admission queue, weighted-fair
+// across tenants, decides whose query runs next, so one tenant's burst
 // cannot starve the others.
 //
 // The package talks to the engine through the Engine interface below —
@@ -22,16 +22,17 @@ package server
 import (
 	"context"
 
+	"wlpm/internal/broker"
 	"wlpm/internal/exec"
 	"wlpm/internal/pmem"
 )
 
 // Engine is the query engine the server fronts.
 type Engine interface {
-	// OpenSession creates the execution session of one tenant: its
-	// queries request grants of the given budget (0 = engine default)
-	// under blocking admission, or fail-fast when failFast is set.
-	OpenSession(tenant string, budget int64, failFast bool) (EngineSession, error)
+	// OpenSession creates the execution session of tenant t: its
+	// queries request grants of t.Budget (0 = engine default) under
+	// t's name and weight, blocking or fail-fast as t.FailFast says.
+	OpenSession(t Tenant) (EngineSession, error)
 	// BrokerStats snapshots the memory broker's admission counters.
 	BrokerStats() BrokerStats
 	// DeviceStats snapshots the simulated device's counters.
@@ -39,12 +40,15 @@ type Engine interface {
 }
 
 // BrokerStats is the broker's admission telemetry: the rationed total,
-// the outstanding grants, the high-water mark and the FIFO queue depth.
+// the outstanding grants, the high-water mark and the depth of the one
+// admission queue. Each tenant's part of that queue (Queues) is rendered
+// in its Metrics.Tenants entry instead.
 type BrokerStats struct {
-	Total     int64 `json:"total_bytes"`
-	InUse     int64 `json:"in_use_bytes"`
-	HighWater int64 `json:"high_water_bytes"`
-	Waiting   int   `json:"waiting"`
+	Total     int64                   `json:"total_bytes"`
+	InUse     int64                   `json:"in_use_bytes"`
+	HighWater int64                   `json:"high_water_bytes"`
+	Waiting   int                     `json:"waiting"`
+	Queues    map[string]broker.Queue `json:"-"`
 }
 
 // EngineSession is one tenant's handle on the engine. Implementations

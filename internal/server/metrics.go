@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"wlpm/internal/broker"
 	"wlpm/internal/pmem"
 )
 
@@ -19,11 +20,14 @@ type tenantCounters struct {
 	rows      atomic.Int64
 	bytes     atomic.Int64 // result payload bytes (records, pre-encoding)
 	active    atomic.Int64 // streaming right now
-	gateWait  atomic.Int64 // ns spent waiting at the fairness gate
-	admitWait atomic.Int64 // ns from gate exit to broker grant
+	admitWait atomic.Int64 // ns from the Rows call to the open cursor
 }
 
-// TenantMetrics is the wire form of one tenant's counters.
+// TenantMetrics is the wire form of one tenant's counters. Queued and
+// GateWaitMs are the tenant's part of the broker's admission queue: the
+// requests in it now and the total time they spent in it. AdmitWaitMs
+// runs from each query's Rows call to its open cursor, so it covers that
+// queue wait, the compile and every blocking stage.
 type TenantMetrics struct {
 	Queries     int64 `json:"queries"`
 	Completed   int64 `json:"completed"`
@@ -32,7 +36,7 @@ type TenantMetrics struct {
 	Rows        int64 `json:"rows"`
 	Bytes       int64 `json:"bytes"`
 	Active      int64 `json:"active"`
-	Queued      int   `json:"queued"` // waiting at the fairness gate now
+	Queued      int   `json:"queued"`
 	GateWaitMs  int64 `json:"gate_wait_ms"`
 	AdmitWaitMs int64 `json:"admit_wait_ms"`
 	Weight      int   `json:"weight"`
@@ -59,13 +63,13 @@ func (m *metricsRegistry) tenant(name string) *tenantCounters {
 	return tc
 }
 
-// snapshot renders every tenant's counters, merging in the gate's queue
-// depths and the configured weights. Both inputs are plain data
+// snapshot renders every tenant's counters, merging in the broker's
+// queues and the configured weights. Both inputs are plain data
 // computed before the call: running a caller-supplied callback under
 // m.mu would hide a lock edge (metricsRegistry.mu → whatever the
 // callback takes) behind an indirect call, where wlvet/lockorder
 // cannot prove it acyclic.
-func (m *metricsRegistry) snapshot(queued map[string]int, weights map[string]int) map[string]TenantMetrics {
+func (m *metricsRegistry) snapshot(queues map[string]broker.Queue, weights map[string]int) map[string]TenantMetrics {
 	m.mu.Lock()
 	names := make([]string, 0, len(m.tenants))
 	for name := range m.tenants {
@@ -83,8 +87,8 @@ func (m *metricsRegistry) snapshot(queued map[string]int, weights map[string]int
 			Rows:        tc.rows.Load(),
 			Bytes:       tc.bytes.Load(),
 			Active:      tc.active.Load(),
-			Queued:      queued[name],
-			GateWaitMs:  tc.gateWait.Load() / int64(time.Millisecond),
+			Queued:      queues[name].Waiting,
+			GateWaitMs:  int64(queues[name].Waited / time.Millisecond),
 			AdmitWaitMs: tc.admitWait.Load() / int64(time.Millisecond),
 			Weight:      weightOf(weights, name),
 		}
@@ -93,8 +97,8 @@ func (m *metricsRegistry) snapshot(queued map[string]int, weights map[string]int
 	return out
 }
 
-// weightOf reads a tenant's configured weight with the gate's floor of
-// one applied.
+// weightOf reads a tenant's configured weight with the broker's floor
+// of one applied.
 func weightOf(weights map[string]int, name string) int {
 	if w := weights[name]; w > 1 {
 		return w
@@ -131,10 +135,9 @@ func deviceMetrics(s pmem.Stats) DeviceMetrics {
 
 // Metrics is the GET /v1/metrics document.
 type Metrics struct {
-	UptimeMs  int64                    `json:"uptime_ms"`
-	InFlight  int64                    `json:"in_flight"`
-	GateDepth int                      `json:"gate_depth"`
-	Broker    BrokerStats              `json:"broker"`
-	Device    DeviceMetrics            `json:"device"`
-	Tenants   map[string]TenantMetrics `json:"tenants"`
+	UptimeMs int64                    `json:"uptime_ms"`
+	InFlight int64                    `json:"in_flight"`
+	Broker   BrokerStats              `json:"broker"`
+	Device   DeviceMetrics            `json:"device"`
+	Tenants  map[string]TenantMetrics `json:"tenants"`
 }

@@ -1,11 +1,16 @@
 package server
 
-import "testing"
+import (
+	"testing"
+	"time"
+
+	"wlpm/internal/broker"
+)
 
 // TestSnapshotMergesQueueAndWeights pins the snapshot contract after
-// the lock-discipline restructuring: queue depths and weights arrive as
-// plain maps computed before the call, never as callbacks that would
-// take other locks under metricsRegistry.mu.
+// the lock-discipline restructuring: the broker's queues and the weights
+// arrive as plain maps computed before the call, never as callbacks that
+// would take other locks under metricsRegistry.mu.
 func TestSnapshotMergesQueueAndWeights(t *testing.T) {
 	m := newMetricsRegistry()
 	m.tenant("alpha").queries.Add(3)
@@ -13,19 +18,19 @@ func TestSnapshotMergesQueueAndWeights(t *testing.T) {
 	m.tenant("beta").queries.Add(1)
 
 	out := m.snapshot(
-		map[string]int{"alpha": 2},
+		map[string]broker.Queue{"alpha": {Waiting: 2, Waited: 7 * time.Millisecond}},
 		map[string]int{"alpha": 5, "beta": 0},
 	)
 	if len(out) != 2 {
 		t.Fatalf("snapshot has %d tenants, want 2", len(out))
 	}
 	a := out["alpha"]
-	if a.Queries != 3 || a.Rows != 42 || a.Queued != 2 || a.Weight != 5 {
-		t.Errorf("alpha = %+v, want queries=3 rows=42 queued=2 weight=5", a)
+	if a.Queries != 3 || a.Rows != 42 || a.Queued != 2 || a.GateWaitMs != 7 || a.Weight != 5 {
+		t.Errorf("alpha = %+v, want queries=3 rows=42 queued=2 gate_wait_ms=7 weight=5", a)
 	}
 	b := out["beta"]
-	if b.Queries != 1 || b.Queued != 0 || b.Weight != 1 {
-		t.Errorf("beta = %+v, want queries=1 queued=0 weight=1 (floor)", b)
+	if b.Queries != 1 || b.Queued != 0 || b.GateWaitMs != 0 || b.Weight != 1 {
+		t.Errorf("beta = %+v, want queries=1 queued=0 gate_wait_ms=0 weight=1 (floor)", b)
 	}
 }
 

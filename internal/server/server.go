@@ -32,7 +32,7 @@ type Tenant struct {
 	// requests select it by the TenantHeader header, unauthenticated.
 	Token string
 	// Weight is the tenant's share of admissions under contention; the
-	// fairness gate admits tenants' queries proportionally to their
+	// memory broker admits tenants' queries proportionally to their
 	// weights. Values below 1 count as 1.
 	Weight int
 	// Budget is the per-query working-memory grant of the tenant's
@@ -64,7 +64,6 @@ type Config struct {
 type Server struct {
 	cfg   Config
 	eng   Engine
-	gate  *FairGate
 	met   *metricsRegistry
 	mux   *http.ServeMux
 	start time.Time
@@ -98,7 +97,7 @@ type tenantState struct {
 
 func (ts *tenantState) session(eng Engine) (EngineSession, error) {
 	ts.once.Do(func() {
-		ts.sess, ts.err = eng.OpenSession(ts.cfg.Name, ts.cfg.Budget, ts.cfg.FailFast)
+		ts.sess, ts.err = eng.OpenSession(ts.cfg)
 	})
 	return ts.sess, ts.err
 }
@@ -116,7 +115,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:        cfg,
 		eng:        cfg.Engine,
-		gate:       NewFairGate(),
 		met:        newMetricsRegistry(),
 		mux:        http.NewServeMux(),
 		start:      time.Now(),
@@ -377,15 +375,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer stop()
 
 	t0 := time.Now()
-	if err := s.gate.Enter(ctx, name, ts.cfg.Weight); err != nil {
-		tc.cancelled.Add(1)
-		writeError(w, http.StatusServiceUnavailable, "admission: %v", err)
-		return
-	}
-	tc.gateWait.Add(int64(time.Since(t0)))
-	t1 := time.Now()
 	rows, err := q.Rows(ctx)
-	s.gate.Exit()
 	if err != nil {
 		switch {
 		case errors.Is(err, broker.ErrAdmission):
@@ -399,7 +389,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	tc.admitWait.Add(int64(time.Since(t1)))
+	tc.admitWait.Add(int64(time.Since(t0)))
 	tc.active.Add(1)
 	defer tc.active.Add(-1)
 	defer rows.Close()
@@ -494,13 +484,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnauthorized, "unauthorized: %v", err)
 		return
 	}
+	bs := s.eng.BrokerStats()
 	writeJSON(w, http.StatusOK, Metrics{
-		UptimeMs:  int64(time.Since(s.start) / time.Millisecond),
-		InFlight:  s.inFlight.Load(),
-		GateDepth: s.gate.Depth(),
-		Broker:    s.eng.BrokerStats(),
-		Device:    deviceMetrics(s.eng.DeviceStats()),
-		Tenants:   s.met.snapshot(s.gate.QueueDepths(), s.tenantWeights()),
+		UptimeMs: int64(time.Since(s.start) / time.Millisecond),
+		InFlight: s.inFlight.Load(),
+		Broker:   bs,
+		Device:   deviceMetrics(s.eng.DeviceStats()),
+		Tenants:  s.met.snapshot(bs.Queues, s.tenantWeights()),
 	})
 }
 

@@ -28,11 +28,15 @@ type fakeEngine struct {
 	recSize  int
 	sessions atomic.Int64
 	closed   atomic.Int64
+	// inRows, when set, runs inside every Rows call with the tenant's
+	// name: where the real engine waits for its grant, compiles and runs
+	// the blocking stages.
+	inRows func(ctx context.Context, tenant string) error
 }
 
-func (e *fakeEngine) OpenSession(tenant string, budget int64, failFast bool) (EngineSession, error) {
+func (e *fakeEngine) OpenSession(t Tenant) (EngineSession, error) {
 	e.sessions.Add(1)
-	return &fakeSession{eng: e, tenant: tenant}, nil
+	return &fakeSession{eng: e, tenant: t.Name}, nil
 }
 
 func (e *fakeEngine) BrokerStats() BrokerStats {
@@ -51,7 +55,7 @@ func (s *fakeSession) Query(dsl string) (EngineQuery, error) {
 	if _, err := fmt.Sscanf(dsl, "rows(%d)", &n); err != nil {
 		return nil, fmt.Errorf("bad plan %q", dsl)
 	}
-	q := &fakeQuery{n: n, recSize: 16}
+	q := &fakeQuery{n: n, recSize: 16, sess: s}
 	if s.eng.recSize > 0 {
 		q.recSize = s.eng.recSize
 	}
@@ -79,13 +83,21 @@ func fakeRecords(n, recSize int) []byte {
 	return data
 }
 
-type fakeQuery struct{ n, recSize int }
+type fakeQuery struct {
+	n, recSize int
+	sess       *fakeSession
+}
 
 func (q *fakeQuery) Explain() (*exec.Explain, error) {
 	return &exec.Explain{Root: "fake", RecordSize: q.recSize}, nil
 }
 
 func (q *fakeQuery) Rows(ctx context.Context) (RowStream, error) {
+	if in := q.sess.eng.inRows; in != nil {
+		if err := in(ctx, q.sess.tenant); err != nil {
+			return nil, err
+		}
+	}
 	return &fakeStream{n: q.n, recSize: q.recSize, ctx: ctx}, nil
 }
 
@@ -382,8 +394,67 @@ func TestServeHandlerMetrics(t *testing.T) {
 	if bob.Queries != 1 || bob.Rows != 4 {
 		t.Fatalf("bob %+v", bob)
 	}
-	if m.InFlight != 0 || m.GateDepth != 0 {
-		t.Fatalf("in_flight=%d gate_depth=%d after drain", m.InFlight, m.GateDepth)
+	if m.InFlight != 0 {
+		t.Fatalf("in_flight=%d after drain", m.InFlight)
+	}
+}
+
+// TestServeTenantsOverlapInRows: two tenants' queries are inside Rows —
+// the engine's grant, compile and blocking stages — at the same time.
+// The server holds no critical section around Rows; whether two queries
+// run together is the memory broker's call alone.
+func TestServeTenantsOverlapInRows(t *testing.T) {
+	inside := make(chan string, 2)
+	both := make(chan struct{})
+	eng := &fakeEngine{inRows: func(ctx context.Context, tenant string) error {
+		inside <- tenant
+		select {
+		case <-both:
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}}
+	s, err := New(Config{Engine: eng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+
+	// The answers' headers come only once Rows returns, so the requests
+	// are sent off the test goroutine and their bodies drained on it.
+	resps := make(chan *http.Response, 2)
+	for _, tenant := range []string{"alice", "bob"} {
+		body, _ := json.Marshal(QueryRequest{Plan: "rows(3)"})
+		req, err := http.NewRequest(http.MethodPost, hs.URL+"/v1/query", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(TenantHeader, tenant)
+		go func() {
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Error(err)
+			}
+			resps <- resp
+		}()
+	}
+	seen := map[string]bool{}
+	for len(seen) < 2 {
+		select {
+		case tenant := <-inside:
+			seen[tenant] = true
+		case <-time.After(5 * time.Second):
+			close(both)
+			t.Fatalf("only %v inside Rows: the second tenant's query waits for the first's blocking stages", seen)
+		}
+	}
+	close(both)
+	for range 2 {
+		if resp := <-resps; resp != nil {
+			drainBody(t, resp)
+		}
 	}
 }
 

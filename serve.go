@@ -10,7 +10,8 @@ import (
 // subsystem's Engine interface (internal/server; fronted by
 // cmd/wlserved and spoken to by the client package). Each tenant the
 // server opens becomes one Session — with its own working-memory
-// budget, admission policy and collection namespace — so remote
+// budget, admission policy, admission weight and collection namespace,
+// admitted under the tenant's name — so remote
 // tenants get exactly the isolation in-process callers get, and remote
 // query results are byte-identical to in-process execution of the same
 // plan DSL.
@@ -26,15 +27,16 @@ type serveEngine struct {
 	lookup func(name string) (Collection, error)
 }
 
-func (e *serveEngine) OpenSession(tenant string, budget int64, failFast bool) (server.EngineSession, error) {
-	opts := []SessionOption{WithTenant(tenant)}
-	if budget > 0 {
-		opts = append(opts, WithSessionBudget(budget))
+func (e *serveEngine) OpenSession(t server.Tenant) (server.EngineSession, error) {
+	sess := e.sys.Session(WithTenant(t.Name))
+	sess.weight = t.Weight
+	if t.Budget > 0 {
+		sess.budget = t.Budget
 	}
-	if failFast {
-		opts = append(opts, WithAdmission(AdmitFailFast))
+	if t.FailFast {
+		sess.policy = AdmitFailFast
 	}
-	return &serveSession{eng: e, sess: e.sys.Session(opts...)}, nil
+	return &serveSession{eng: e, sess: sess}, nil
 }
 
 func (e *serveEngine) BrokerStats() server.BrokerStats {
@@ -44,6 +46,7 @@ func (e *serveEngine) BrokerStats() server.BrokerStats {
 		InUse:     m.InUse(),
 		HighWater: m.HighWater(),
 		Waiting:   m.Waiting(),
+		Queues:    m.Queues(),
 	}
 }
 

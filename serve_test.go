@@ -32,8 +32,8 @@ type recordingEngine struct {
 	streams []*Rows
 }
 
-func (e *recordingEngine) OpenSession(tenant string, budget int64, failFast bool) (server.EngineSession, error) {
-	s, err := e.Engine.OpenSession(tenant, budget, failFast)
+func (e *recordingEngine) OpenSession(t server.Tenant) (server.EngineSession, error) {
+	s, err := e.Engine.OpenSession(t)
 	if err != nil {
 		return nil, err
 	}
@@ -210,8 +210,8 @@ func TestServeEndToEndByteIdentical(t *testing.T) {
 	if met.Broker.HighWater <= 0 || met.Broker.HighWater > total {
 		t.Fatalf("metrics broker high water %d out of (0, %d]", met.Broker.HighWater, total)
 	}
-	if met.Broker.InUse != 0 || met.InFlight != 0 || met.GateDepth != 0 {
-		t.Fatalf("after drain: in_use=%d in_flight=%d gate_depth=%d", met.Broker.InUse, met.InFlight, met.GateDepth)
+	if met.Broker.InUse != 0 || met.InFlight != 0 || met.Broker.Waiting != 0 {
+		t.Fatalf("after drain: in_use=%d in_flight=%d broker.waiting=%d", met.Broker.InUse, met.InFlight, met.Broker.Waiting)
 	}
 	var queries, completed int64
 	for _, tm := range met.Tenants {

@@ -35,8 +35,8 @@ import (
 type AdmissionPolicy = broker.Policy
 
 const (
-	// AdmitBlock queues the query FIFO until memory frees (or its
-	// context is cancelled). The default.
+	// AdmitBlock queues the query until memory frees (or its context is
+	// cancelled). The default.
 	AdmitBlock = broker.Block
 	// AdmitFailFast fails the query immediately with ErrAdmission.
 	AdmitFailFast = broker.FailFast
@@ -67,8 +67,11 @@ func WithAdmission(p AdmissionPolicy) SessionOption {
 
 // WithTenant labels the session with a tenant name. The label prefixes
 // the session's collection namespace (so the collections of one tenant's
-// sessions are recognizable on the device) and identifies the session in
-// server-side metrics; it does not change admission behaviour.
+// sessions are recognizable on the device), identifies the session in
+// server-side metrics, and is the tenant the broker admits its queries
+// under: queries queue FIFO within a label and weighted-fair across
+// labels. In-process sessions admit at weight 1; unlabelled sessions
+// share the anonymous tenant.
 func WithTenant(name string) SessionOption {
 	return func(s *Session) { s.tenant = name }
 }
@@ -81,6 +84,7 @@ type Session struct {
 	sys    *System
 	id     int64
 	tenant string
+	weight int // admission weight; the server sets its tenant's, below 1 counts as 1
 	budget int64
 	policy AdmissionPolicy
 	closed atomic.Bool
@@ -167,7 +171,7 @@ func (se *Session) Close() error {
 }
 
 // acquire requests this session's grant from the broker under the
-// session's admission policy.
+// session's tenant, weight and admission policy.
 func (se *Session) acquire(ctx context.Context) (*broker.Grant, error) {
 	if se == nil {
 		return nil, fmt.Errorf("wlpm: query has no session (construct it via Session.Query or Session.ParseQuery)")
@@ -175,7 +179,7 @@ func (se *Session) acquire(ctx context.Context) (*broker.Grant, error) {
 	if se.closed.Load() {
 		return nil, ErrSessionClosed
 	}
-	return se.sys.mem.Acquire(ctx, se.budget, se.policy)
+	return se.sys.mem.AcquireAs(ctx, se.tenant, se.weight, se.budget, se.policy)
 }
 
 // CollectionLookup adapts a fixed name→collection map to the lookup

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -527,4 +528,102 @@ func TestQueryDeadline(t *testing.T) {
 	if sys.MemoryInUse() != 0 {
 		t.Fatalf("%d B granted after deadline failure", sys.MemoryInUse())
 	}
+}
+
+// TestSessionTenantBurstAdmitsOthersFairly runs the broker's weighted
+// schedule through real sessions on a one-grant System. Tenant a queues
+// a thousand queries behind a held grant, tenant b then queues three:
+// b's queries interleave with the burst instead of waiting it out, and
+// cancelling the rest of the burst leaves nothing queued, granted, live
+// or running.
+func TestSessionTenantBurstAdmitsOthersFairly(t *testing.T) {
+	const burst = 1000
+	sys := newTestSystem(t, WithMemoryBudget(1<<20))
+	tbl, err := sys.Create("burst")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := GenerateRecords(200, 3, tbl.Append); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	one := WithSessionBudget(sys.MemoryBudget())
+	sessA, sessB := sys.Session(one, WithTenant("a")), sys.Session(one, WithTenant("b"))
+
+	base := runtime.NumGoroutine()
+	hold, err := sys.mem.Acquire(context.Background(), sys.MemoryBudget(), AdmitBlock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var order []string
+	var live int
+	run := func(ctx context.Context, sess *Session, wg *sync.WaitGroup) {
+		defer wg.Done()
+		rows, err := sess.Query(tbl).OrderBy().Rows(ctx)
+		if err != nil {
+			if !errors.Is(err, context.Canceled) {
+				t.Error(err)
+			}
+			return
+		}
+		mu.Lock()
+		order = append(order, sess.Tenant())
+		mu.Unlock()
+		for rows.Next() {
+		}
+		if err := rows.Err(); err != nil && !errors.Is(err, context.Canceled) {
+			t.Error(err)
+		}
+		rows.Close()
+		mu.Lock()
+		live += rows.ec.LiveTemps()
+		mu.Unlock()
+	}
+	waitQueued := func(n int) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); sys.mem.Waiting() < n; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d queries queued, want %d", sys.mem.Waiting(), n)
+			}
+		}
+	}
+
+	ctxA, cancelA := context.WithCancel(context.Background())
+	defer cancelA()
+	var wgA, wgB sync.WaitGroup
+	for range burst {
+		wgA.Add(1)
+		go run(ctxA, sessA, &wgA)
+	}
+	waitQueued(burst)
+	for range 3 {
+		wgB.Add(1)
+		go run(context.Background(), sessB, &wgB)
+	}
+	waitQueued(burst + 3)
+
+	hold.Release()
+	wgB.Wait()
+	cancelA()
+	wgA.Wait()
+
+	mu.Lock()
+	first := order[:6]
+	mu.Unlock()
+	if bs := strings.Count(strings.Join(first, ""), "b"); bs != 3 {
+		t.Fatalf("first six admissions %v hold %d of b's 3 queries: the burst walled b off", first, bs)
+	}
+	if w := sys.mem.Waiting(); w != 0 {
+		t.Fatalf("%d queries still queued after cancelling the burst", w)
+	}
+	if use := sys.MemoryInUse(); use != 0 {
+		t.Fatalf("%d B still granted after cancelling the burst", use)
+	}
+	if live != 0 {
+		t.Fatalf("%d temporaries live after the cursors closed", live)
+	}
+	waitGoroutineBaseline(t, base)
 }
