@@ -8,6 +8,9 @@ import (
 )
 
 func TestNewCoversEveryBackend(t *testing.T) {
+	if len(backends) != len(storage.Backends) {
+		t.Errorf("%d backends built, storage.Backends lists %d", len(backends), len(storage.Backends))
+	}
 	for _, b := range storage.Backends {
 		dev := pmem.MustOpen(pmem.Config{Capacity: 16 << 20})
 		f, err := New(b, dev, 0)

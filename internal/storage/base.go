@@ -32,6 +32,7 @@ type BaseCollection struct {
 	recSize   int
 	blockSize int
 	store     BlockStore
+	reg       *factory // registry holding the name; nil for a bare collection
 
 	n         int   // records appended
 	flushed   int64 // bytes handed to the store
@@ -148,7 +149,8 @@ func (c *BaseCollection) Close() error {
 	return nil
 }
 
-// Destroy implements Collection.
+// Destroy implements Collection: it releases the store's device space,
+// then the collection's name in its factory.
 func (c *BaseCollection) Destroy() error {
 	if c.destroyed {
 		return nil
@@ -156,7 +158,11 @@ func (c *BaseCollection) Destroy() error {
 	c.destroyed = true
 	c.closed = true
 	c.tail = nil
-	return c.store.Destroy()
+	err := c.store.Destroy()
+	if c.reg != nil {
+		c.reg.release(c.name)
+	}
+	return err
 }
 
 // baseIterator streams the byte range [0, total) assembled into records.
@@ -266,20 +272,14 @@ func (it *baseIterator) fetchN(n int) error {
 	if it.abs < it.c.flushed {
 		// Fetch block-aligned chunks from the store.
 		start := it.abs / bs * bs
-		end := start + int64(n)*bs
-		if end > it.c.flushed {
-			end = it.c.flushed
-		}
+		end := min(start+int64(n)*bs, it.c.flushed)
 		if n := int(end - start); cap(it.block) < n {
 			it.block = make([]byte, n)
 		} else {
 			it.block = it.block[:n]
 		}
 		for off := start; off < end; off += bs {
-			stop := off + bs
-			if stop > end {
-				stop = end
-			}
+			stop := min(off+bs, end)
 			if err := it.c.store.ReadBlock(off, it.block[off-start:stop-start]); err != nil {
 				return err
 			}

@@ -7,59 +7,20 @@ package blocked
 
 import (
 	"fmt"
-	"sync"
 
 	"wlpm/internal/pmem"
 	"wlpm/internal/storage"
 )
 
-// Factory creates blocked-memory collections. Create and Destroy are safe
-// for concurrent use; individual collections remain single-owner.
-type Factory struct {
-	alloc     *pmem.Allocator
-	blockSize int
-
-	mu    sync.Mutex
-	names map[string]bool
-}
-
-// New returns a factory on dev with the given block size (0 for the
-// default).
-func New(dev *pmem.Device, blockSize int) *Factory {
-	if blockSize <= 0 {
-		blockSize = storage.DefaultBlockSize
-	}
-	return &Factory{
-		alloc:     pmem.NewAllocator(dev),
-		blockSize: blockSize,
-		names:     make(map[string]bool),
-	}
-}
-
-// Name implements storage.Factory.
-func (f *Factory) Name() string { return "blocked" }
-
-// Device implements storage.Factory.
-func (f *Factory) Device() *pmem.Device { return f.alloc.Device() }
-
-// BlockSize implements storage.Factory.
-func (f *Factory) BlockSize() int { return f.blockSize }
-
-// ReservesBlocks implements storage.Factory.
-func (f *Factory) ReservesBlocks() bool { return true }
-
-// Create implements storage.Factory.
-func (f *Factory) Create(name string, recordSize int) (storage.Collection, error) {
-	if err := storage.ValidateCreate(name, recordSize); err != nil {
-		return nil, err
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.names[name] {
-		return nil, fmt.Errorf("blocked: collection %q already exists", name)
-	}
-	f.names[name] = true
-	return storage.NewBaseCollection(name, recordSize, f.blockSize, &store{f: f, name: name}), nil
+// New returns a blocked-memory factory on dev with the given block size
+// (0 for the default). Its collections take parallel range appends.
+func New(dev *pmem.Device, blockSize int) storage.Factory {
+	alloc := pmem.NewAllocator(dev)
+	var f storage.Factory
+	f = storage.NewFactory("blocked", dev, blockSize, true, func(string) (storage.BlockStore, error) {
+		return &store{alloc: alloc, blockSize: f.BlockSize()}, nil
+	})
+	return f
 }
 
 // store keeps the chain of device blocks. The chain itself (block offsets
@@ -67,21 +28,21 @@ func (f *Factory) Create(name string, recordSize int) (storage.Collection, error
 // blocked memory is "an in-memory file representation without the overhead
 // of persistence", i.e. metadata maintenance is deliberately free.
 type store struct {
-	f      *Factory
-	name   string
-	blocks []int64 // device offset per block seq
-	last   int     // bytes used in the final block; every earlier one is full (WriteBlock's contract)
+	alloc     *pmem.Allocator
+	blockSize int
+	blocks    []int64 // device offset per block seq
+	last      int     // bytes used in the final block; every earlier one is full (WriteBlock's contract)
 }
 
 func (s *store) WriteBlock(seq int, data []byte) error {
 	if seq != len(s.blocks) {
 		return fmt.Errorf("blocked: out-of-order block write %d (have %d)", seq, len(s.blocks))
 	}
-	off, err := s.f.alloc.Alloc(int64(s.f.blockSize))
+	off, err := s.alloc.Alloc(int64(s.blockSize))
 	if err != nil {
 		return err
 	}
-	if err := s.f.alloc.Device().WriteAt(data, off); err != nil {
+	if err := s.alloc.Device().WriteAt(data, off); err != nil {
 		return err
 	}
 	s.blocks = append(s.blocks, off)
@@ -90,7 +51,7 @@ func (s *store) WriteBlock(seq int, data []byte) error {
 }
 
 func (s *store) ReadBlock(off int64, dst []byte) error {
-	bs := int64(s.f.blockSize)
+	bs := int64(s.blockSize)
 	for len(dst) > 0 {
 		seq := off / bs
 		if seq >= int64(len(s.blocks)) {
@@ -101,14 +62,11 @@ func (s *store) ReadBlock(off int64, dst []byte) error {
 		if seq == int64(len(s.blocks))-1 {
 			size = int64(s.last)
 		}
-		n := size - within
+		n := min(size-within, int64(len(dst)))
 		if n <= 0 {
 			return fmt.Errorf("blocked: read past block %d contents", seq)
 		}
-		if n > int64(len(dst)) {
-			n = int64(len(dst))
-		}
-		if err := s.f.alloc.Device().ReadAt(dst[:n], s.blocks[seq]+within); err != nil {
+		if err := s.alloc.Device().ReadAt(dst[:n], s.blocks[seq]+within); err != nil {
 			return err
 		}
 		dst = dst[n:]
@@ -126,7 +84,7 @@ func (s *store) ReserveBlocks(seq, n int) error {
 		return fmt.Errorf("blocked: out-of-order block reservation %d (have %d)", seq, len(s.blocks))
 	}
 	for i := 0; i < n; i++ {
-		off, err := s.f.alloc.Alloc(int64(s.f.blockSize))
+		off, err := s.alloc.Alloc(int64(s.blockSize))
 		if err != nil {
 			// Unwind the partial reservation so the store is unchanged.
 			if rerr := s.ReleaseBlocks(seq, i); rerr != nil {
@@ -135,7 +93,7 @@ func (s *store) ReserveBlocks(seq, n int) error {
 			return err
 		}
 		s.blocks = append(s.blocks, off)
-		s.last = s.f.blockSize
+		s.last = s.blockSize
 	}
 	return nil
 }
@@ -148,10 +106,10 @@ func (s *store) WriteReserved(seq int, data []byte) error {
 	if seq < 0 || seq >= len(s.blocks) {
 		return fmt.Errorf("blocked: write to unreserved block %d (have %d)", seq, len(s.blocks))
 	}
-	if len(data) != s.f.blockSize {
-		return fmt.Errorf("blocked: reserved block write of %d bytes, want %d", len(data), s.f.blockSize)
+	if len(data) != s.blockSize {
+		return fmt.Errorf("blocked: reserved block write of %d bytes, want %d", len(data), s.blockSize)
 	}
-	return s.f.alloc.Device().WriteAt(data, s.blocks[seq])
+	return s.alloc.Device().WriteAt(data, s.blocks[seq])
 }
 
 // ReleaseBlocks implements storage.BlockStoreAt, rolling back a
@@ -160,7 +118,7 @@ func (s *store) ReleaseBlocks(seq, n int) error {
 	if seq+n != len(s.blocks) {
 		return fmt.Errorf("blocked: release of non-suffix blocks [%d,%d) (have %d)", seq, seq+n, len(s.blocks))
 	}
-	if err := s.f.alloc.FreeAll(s.blocks[seq:]); err != nil {
+	if err := s.alloc.FreeAll(s.blocks[seq:]); err != nil {
 		return err
 	}
 	// The block before the reservation, if any, is full: reservations
@@ -173,7 +131,7 @@ func (s *store) ReleaseBlocks(seq, n int) error {
 // written side by side interleave on the device, and freeing them one at
 // a time shifts the allocator's free list once per block.
 func (s *store) Truncate() error {
-	if err := s.f.alloc.FreeAll(s.blocks); err != nil {
+	if err := s.alloc.FreeAll(s.blocks); err != nil {
 		return err
 	}
 	s.blocks = s.blocks[:0]
@@ -181,10 +139,5 @@ func (s *store) Truncate() error {
 	return nil
 }
 
-// Destroy frees the blocks and releases the collection's name for reuse.
-func (s *store) Destroy() error {
-	s.f.mu.Lock()
-	delete(s.f.names, s.name)
-	s.f.mu.Unlock()
-	return s.Truncate()
-}
+// Destroy frees the blocks.
+func (s *store) Destroy() error { return s.Truncate() }

@@ -41,8 +41,7 @@ func TestZeroOverheadWrites(t *testing.T) {
 
 func TestOutOfOrderBlockWriteRejected(t *testing.T) {
 	dev := pmem.MustOpen(pmem.Config{Capacity: 1 << 20})
-	f := New(dev, 1024)
-	s := &store{f: f}
+	s := &store{alloc: pmem.NewAllocator(dev), blockSize: 1024}
 	if err := s.WriteBlock(0, make([]byte, 1024)); err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +52,7 @@ func TestOutOfOrderBlockWriteRejected(t *testing.T) {
 
 func TestReadPastContents(t *testing.T) {
 	dev := pmem.MustOpen(pmem.Config{Capacity: 1 << 20})
-	f := New(dev, 1024)
-	s := &store{f: f}
+	s := &store{alloc: pmem.NewAllocator(dev), blockSize: 1024}
 	if err := s.WriteBlock(0, make([]byte, 100)); err != nil { // partial tail block
 		t.Fatal(err)
 	}

@@ -4,8 +4,12 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"wlpm/internal/pmem"
 	"wlpm/internal/record"
@@ -444,4 +448,160 @@ func TestBackendSoftOverhead(t *testing.T) {
 	if !(soft["pmfs"] > 0 && soft["ramdisk"] > soft["pmfs"]) {
 		t.Errorf("software overhead ordering violated: pmfs=%d ramdisk=%d", soft["pmfs"], soft["ramdisk"])
 	}
+}
+
+// TestPinnedBackendTraffic pins every backend's device traffic for one
+// fixed collection life cycle — create, 20 000 seeded appends, close, a
+// full scan, a scan from a third of the way in, truncate, 100 more
+// appends, destroy — counted from a fresh device, so the filesystems'
+// format writes are included. The constants were recorded before the
+// four backends shared one collection factory; a change to how any
+// backend reaches the device shows up here as an exact mismatch.
+func TestPinnedBackendTraffic(t *testing.T) {
+	type traffic struct {
+		reads, writes, readOps, writeOps uint64
+		soft                             time.Duration
+	}
+	want := map[string]traffic{
+		"blocked":  {41680, 25112, 2606, 1570, 0},
+		"pmfs":     {41680, 26704, 2606, 3155, 626850},
+		"ramdisk":  {41680, 25224, 2606, 1584, 2508000},
+		"dynarray": {74544, 57976, 4660, 3624, 0},
+	}
+	for _, b := range storage.Backends {
+		t.Run(b, func(t *testing.T) {
+			f := newFactory(t, b)
+			rng := rand.New(rand.NewSource(40))
+			c, err := f.Create("pin", record.Size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendN := func(n int) {
+				for i := 0; i < n; i++ {
+					if err := c.Append(record.New(rng.Uint64())); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			drain := func(it storage.Iterator) (n int) {
+				defer it.Close()
+				for {
+					if _, err := it.Next(); err == io.EOF {
+						return n
+					} else if err != nil {
+						t.Fatal(err)
+					}
+					n++
+				}
+			}
+			appendN(20000)
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if n := drain(c.Scan()); n != 20000 {
+				t.Fatalf("full scan saw %d records", n)
+			}
+			from := c.Len() / 3
+			if n := drain(c.ScanFrom(from)); n != 20000-from {
+				t.Fatalf("scan from %d saw %d records", from, n)
+			}
+			if err := c.Truncate(); err != nil {
+				t.Fatal(err)
+			}
+			appendN(100)
+			if err := c.Destroy(); err != nil {
+				t.Fatal(err)
+			}
+			st := f.Device().Stats()
+			got := traffic{st.Reads, st.Writes, st.ReadOps, st.WriteOps, st.SoftTime}
+			if w := want[b]; got != w {
+				t.Errorf("device traffic %+v, want %+v", got, w)
+			}
+		})
+	}
+}
+
+// TestConcurrentCreateDestroy holds every backend's collection registry
+// to its claim that Create and Destroy are safe for concurrent use — the
+// engine's parallel phases create and destroy temps from several workers
+// at once. Each worker cycles through names of its own while all of them
+// contend on one shared name, which at most one of them may hold at a
+// time; afterwards every name must be free again (run with -race).
+func TestConcurrentCreateDestroy(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, f storage.Factory) {
+		const workers, rounds, recs, ownNames = 8, 200, 20, 3
+		var holders atomic.Int32
+		var wg sync.WaitGroup
+		errs := make(chan error, workers)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				errs <- func() error {
+					for r := 0; r < rounds; r++ {
+						name := fmt.Sprintf("w%d.%d", w, r%ownNames)
+						c, err := f.Create(name, record.Size)
+						if err != nil {
+							return fmt.Errorf("create %s: %w", name, err)
+						}
+						for i := 0; i < recs; i++ {
+							if err := c.Append(record.New(uint64(w<<16 | i))); err != nil {
+								return fmt.Errorf("append %s: %w", name, err)
+							}
+						}
+						if err := c.Close(); err != nil {
+							return fmt.Errorf("close %s: %w", name, err)
+						}
+						if c.Len() != recs {
+							return fmt.Errorf("%s has %d records, want %d", name, c.Len(), recs)
+						}
+						if err := c.Destroy(); err != nil {
+							return fmt.Errorf("destroy %s: %w", name, err)
+						}
+
+						s, err := f.Create("shared", record.Size)
+						if err != nil {
+							if !strings.Contains(err.Error(), "already exists") {
+								return fmt.Errorf("create shared: %w", err)
+							}
+							continue
+						}
+						if n := holders.Add(1); n != 1 {
+							return fmt.Errorf("%d holders of the shared name at once", n)
+						}
+						if err := s.Append(record.New(uint64(w))); err != nil {
+							return fmt.Errorf("append shared: %w", err)
+						}
+						holders.Add(-1)
+						if err := s.Destroy(); err != nil {
+							return fmt.Errorf("destroy shared: %w", err)
+						}
+					}
+					return nil
+				}()
+			}(w)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		names := []string{"shared"}
+		for w := 0; w < workers; w++ {
+			for r := 0; r < ownNames; r++ {
+				names = append(names, fmt.Sprintf("w%d.%d", w, r))
+			}
+		}
+		for _, name := range names {
+			c, err := f.Create(name, record.Size)
+			if err != nil {
+				t.Fatalf("name %q not reusable: %v", name, err)
+			}
+			if err := c.Destroy(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
 }

@@ -5,6 +5,7 @@ import (
 
 	"wlpm/internal/pmem"
 	"wlpm/internal/record"
+	"wlpm/internal/storage"
 )
 
 // The defining behaviour of this layer: capacity doubling copies every
@@ -41,11 +42,8 @@ func TestDoublingWriteAmplification(t *testing.T) {
 // many appends is the final capacity only.
 func TestGrowthFreesOldRegions(t *testing.T) {
 	dev := pmem.MustOpen(pmem.Config{Capacity: 64 << 20})
-	f := New(dev, 1024)
-	c, err := f.Create("c", record.Size)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := &store{alloc: pmem.NewAllocator(dev), blockSize: 1024}
+	c := storage.NewBaseCollection("c", record.Size, 1024, s)
 	for i := 0; i < 12800; i++ {
 		if err := c.Append(record.New(uint64(i))); err != nil {
 			t.Fatal(err)
@@ -54,18 +52,17 @@ func TestGrowthFreesOldRegions(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := f.alloc.Allocations(); got != 1 {
+	if got := s.alloc.Allocations(); got != 1 {
 		t.Errorf("%d live allocations after growth, want 1 (old regions leaked)", got)
 	}
-	if f.alloc.Peak() <= f.alloc.InUse() {
+	if s.alloc.Peak() <= s.alloc.InUse() {
 		t.Error("peak should exceed steady state (old+new coexist during a copy)")
 	}
 }
 
 func TestOutOfOrderWriteRejected(t *testing.T) {
 	dev := pmem.MustOpen(pmem.Config{Capacity: 1 << 20})
-	f := New(dev, 1024)
-	s := &store{f: f}
+	s := &store{alloc: pmem.NewAllocator(dev), blockSize: 1024}
 	if err := s.WriteBlock(3, make([]byte, 1024)); err == nil {
 		t.Error("out-of-order block write accepted")
 	}

@@ -1,10 +1,11 @@
-// Package fsbase implements the miniature filesystem shared by the two
+// Package fsbase implements the miniature filesystem behind the two
 // filesystem-flavoured persistence layers of the paper (§3.2): the RAM
 // disk (block-granularity access, 512-byte sectors) and the PMFS-like
-// byte-addressable filesystem. A Profile selects the access granularity,
-// metadata write granularity and software-path call overhead; everything
-// else — superblock, inode table, extent allocation, file read/write — is
-// common.
+// byte-addressable filesystem. Each is a Profile value (RAMDisk, PMFS)
+// selecting the access granularity, metadata write granularity and
+// software-path call overhead; everything else — superblock, inode
+// table, extent allocation, file read/write — is common, and New turns a
+// formatted volume into a storage.Factory whose collections are files.
 //
 // On-device layout:
 //
@@ -129,12 +130,6 @@ func Format(dev *pmem.Device, prof Profile) (*FS, error) {
 	}
 	return fs, nil
 }
-
-// Profile reports the flavour configuration.
-func (fs *FS) Profile() Profile { return fs.prof }
-
-// Device exposes the underlying device.
-func (fs *FS) Device() *pmem.Device { return fs.dev }
 
 func (fs *FS) charge() { fs.dev.ChargeSoftware(fs.prof.CallOverhead) }
 
@@ -338,21 +333,14 @@ func (f *File) addExtent() error {
 	ino := &fs.inodes[f.idx]
 	size := fs.prof.MinExtent
 	if n := len(ino.extents); n > 0 {
-		size = ino.extents[n-1].size * 2
-		if size > fs.prof.MaxExtent {
-			size = fs.prof.MaxExtent
-		}
+		size = min(ino.extents[n-1].size*2, fs.prof.MaxExtent)
 	}
 	if len(ino.extents) >= DirectExtents+IndirectCap {
 		return fmt.Errorf("%s: file %q exceeds maximum extents", fs.prof.Name, f.name)
 	}
 	// Extents are aligned to the I/O granularity so sector rounding in
 	// writeChunk/readChunk never crosses an extent boundary.
-	align := int64(fs.prof.Granularity)
-	if align < 1 {
-		align = 1
-	}
-	off, err := fs.alloc.AllocAligned(size, align)
+	off, err := fs.alloc.AllocAligned(size, int64(fs.prof.Granularity))
 	if err != nil {
 		return err
 	}
@@ -401,10 +389,7 @@ func (f *File) Append(data []byte) error {
 		if err != nil {
 			return err
 		}
-		n := int64(len(data))
-		if n > contig {
-			n = contig
-		}
+		n := min(int64(len(data)), contig)
 		if err := f.writeChunk(devOff, data[:n], off); err != nil {
 			return err
 		}
@@ -454,10 +439,7 @@ func (f *File) ReadAt(dst []byte, off int64) error {
 		if err != nil {
 			return err
 		}
-		n := int64(len(dst))
-		if n > contig {
-			n = contig
-		}
+		n := min(int64(len(dst)), contig)
 		if err := f.readChunk(dst[:n], devOff); err != nil {
 			return err
 		}

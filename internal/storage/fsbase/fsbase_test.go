@@ -87,7 +87,7 @@ func TestAppendReadBack(t *testing.T) {
 			rng.Read(chunk)
 			want = append(want, chunk...)
 			if err := f.Append(chunk); err != nil {
-				t.Fatalf("%s: append %d: %v", fs.Profile().Name, n, err)
+				t.Fatalf("%s: append %d: %v", fs.prof.Name, n, err)
 			}
 		}
 		if f.Size() != int64(len(want)) {
@@ -98,7 +98,7 @@ func TestAppendReadBack(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("%s: read-back mismatch", fs.Profile().Name)
+			t.Fatalf("%s: read-back mismatch", fs.prof.Name)
 		}
 		// Random interior reads.
 		for i := 0; i < 50; i++ {
@@ -109,7 +109,7 @@ func TestAppendReadBack(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(buf, want[off:off+n]) {
-				t.Fatalf("%s: interior read [%d,+%d) mismatch", fs.Profile().Name, off, n)
+				t.Fatalf("%s: interior read [%d,+%d) mismatch", fs.prof.Name, off, n)
 			}
 		}
 	}
@@ -219,7 +219,7 @@ func TestInodeExhaustion(t *testing.T) {
 
 func TestSectorGranularityCharging(t *testing.T) {
 	fs := sectorFS(t)
-	dev := fs.Device()
+	dev := fs.dev
 	f, _ := fs.Create("f")
 	dev.ResetStats()
 	// A one-byte append must cost a whole 512-byte sector write (8 lines).
@@ -241,7 +241,7 @@ func TestSectorGranularityCharging(t *testing.T) {
 
 func TestByteGranularityCharging(t *testing.T) {
 	fs := byteFS(t)
-	dev := fs.Device()
+	dev := fs.dev
 	f, _ := fs.Create("f")
 	dev.ResetStats()
 	if err := f.Append([]byte{1}); err != nil {

@@ -10,11 +10,15 @@
 //   - dynarray — doubling dynamic array; write amplification on growth
 //   - ramdisk  — block-granularity filesystem (512-byte sectors)
 //   - pmfs     — byte-addressable filesystem in the spirit of Intel PMFS
+//
+// A backend is only its BlockStore — how a collection's blocks reach the
+// device. NewFactory wraps one into the Factory every backend shares:
+// the collection-name registry, argument checks, default block size and
+// the BaseCollection around each store.
 package storage
 
 import (
 	"errors"
-	"fmt"
 	"io"
 
 	"wlpm/internal/pmem"
@@ -126,15 +130,4 @@ func ReadAll(src Collection) ([][]byte, error) {
 		copy(cp, rec)
 		out = append(out, cp)
 	}
-}
-
-// ValidateCreate checks common Create argument errors for backends.
-func ValidateCreate(name string, recordSize int) error {
-	if name == "" {
-		return fmt.Errorf("storage: empty collection name")
-	}
-	if recordSize <= 0 {
-		return fmt.Errorf("storage: record size must be positive, got %d", recordSize)
-	}
-	return nil
 }

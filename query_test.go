@@ -426,3 +426,62 @@ func TestQueryFilterPushesNoWrites(t *testing.T) {
 		t.Errorf("streaming pipeline wrote %d cachelines, result needs ~%d", st.Writes, resultLines)
 	}
 }
+
+// TestQueryLimitMatchesParsedLimit holds the builder's Limit to the
+// DSL's limit step: Query(in).OrderBy().Limit(7) returns the same bytes
+// as "scan(in) | orderby | limit(7)", with the same device reads, under
+// a Limit[7] root.
+func TestQueryLimitMatchesParsedLimit(t *testing.T) {
+	sys, err := wlpm.New(wlpm.WithCapacity(128 << 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := sys.Create("in")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wlpm.GenerateRecords(5000, 3, in.Append); err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Collected up front, so neither run pays for the statistics.
+	if _, err := sys.Collect(in); err != nil {
+		t.Fatal(err)
+	}
+	sess := sys.Session(wlpm.WithSessionBudget(64 << 10))
+	parsed, err := sess.ParseQuery("scan(in) | orderby | limit(7)", func(name string) (wlpm.Collection, error) {
+		if name != "in" {
+			return nil, fmt.Errorf("no table %q", name)
+		}
+		return in, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(name string, q *wlpm.Query) ([]byte, uint64, string) {
+		out, err := sys.Create(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.ResetStats()
+		ex, err := q.RunCtx(context.Background(), out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reads := sys.Stats().Reads
+		return readAllBytes(t, out), reads, ex.Root
+	}
+	got, gotReads, root := run("built", sess.Query(in).OrderBy().Limit(7))
+	want, wantReads, _ := run("parsed", parsed)
+	if len(got) != 7*wlpm.RecordSize || !bytes.Equal(got, want) {
+		t.Fatalf("Limit(7) returned %d bytes, differing from the parsed limit(7)'s %d", len(got), len(want))
+	}
+	if gotReads != wantReads {
+		t.Errorf("Limit(7) read %d cachelines, the parsed limit(7) %d", gotReads, wantReads)
+	}
+	if !strings.HasPrefix(root, "Limit[7]") {
+		t.Errorf("plan root %q does not name Limit[7]", root)
+	}
+}
