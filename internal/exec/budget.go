@@ -2,7 +2,6 @@ package exec
 
 import (
 	"math"
-	"sync"
 
 	"wlpm/internal/aggregate"
 	"wlpm/internal/algo"
@@ -26,11 +25,10 @@ import (
 // the two predictions and keeps the even shares whenever the greedy
 // result does not beat them.
 //
-// At run time the shares stay live: when a blocking stage opens and its
-// actual input cardinality diverges from the estimate, budgetPlan.commit
-// scales the estimates of the stages it feeds and re-splits the
-// not-yet-opened stages' shares over the remaining budget — the memory
-// twin of the Open-time algorithm re-planning the operators already do.
+// The split is made once, at compile: a stage runs at the share Compile
+// allocated it for the whole run. What a stage observes when it opens —
+// its own actual input size — re-prices it at that share, and re-picks
+// its algorithm when the planner owns it (stageAlloc.open).
 
 // allocQuantaPerStage bounds the greedy pass: the remaining budget above
 // the floors is handed out in at most ~this many quanta per stage.
@@ -189,12 +187,12 @@ func allocate(total int64, blockSize, n int, price func(ms []float64) []float64)
 // estimates; the allocator water-fills over plan(t, v, ·); the compiler
 // instantiates what plan names at the allocated share and shows it in
 // the Explain choice; and the stage's operator calls open with its
-// actual input sizes, which re-splits the unopened shares and re-plans —
-// so the allocator's curves, Explain and the run can never disagree.
+// actual input sizes, which re-plans at the allocated share — so the
+// allocator's curves, Explain and the run can never disagree. Nothing
+// here is written after Compile but the stage's Explain choice.
 type stageAlloc struct {
 	op       string          // "OrderBy", "GroupBy" or "Join"
-	idx      int             // position in the plan's stage order (build's post-order)
-	bp       *budgetPlan     // the plan's pricing inputs and live shares
+	bp       *budgetPlan     // the plan's pricing inputs
 	sortA    sorts.Algorithm // pinned sort (order-by, group-by); nil = planner's choice
 	joinA    joins.Algorithm // pinned join; nil = planner's choice
 	groupEst int             // group-by: distinct-group estimate (0 = none)
@@ -202,12 +200,10 @@ type stageAlloc struct {
 	lrec     int             // join: the left input's record width, which sizes nested loops' blocks
 	lsrc     int             // join: the record width a scan of the left input reads where it lies (a view's base)
 	outBuf   float64         // join, group-by: estimated result size through any absorbed chain (buffers)
-	t, v     float64         // current input-size estimates (buffers)
-	inEst    float64         // estimated build/input rows, divergence baseline
+	t, v     float64         // compile-time input-size estimates (buffers)
+	inRows   int             // estimated build/input rows
 	tFrom    int             // stage index feeding the t input (-1: base tables only)
-	vFrom    int             // stage index feeding the v input (-1: none/base)
-	share    int64           // allocated share in bytes
-	opened   bool            // the stage has started; its share is frozen
+	share    int64           // allocated share in bytes, fixed for the run
 	choice   *Choice         // Explain entry mirroring share, cost and actuals
 
 	// Process-to-append (§3.1), see feeding: a feedable stage may take
@@ -217,6 +213,7 @@ type stageAlloc struct {
 	feedable bool // planner-owned group-by, or order-by over a result nothing else reads
 	onDevice bool // feedable group-by whose input is on the device already: no temp to price
 	handed   bool // join, group-by: the consumer is feedable
+	opened   bool // feedable and compiled: the input's home is decided (takeStage), fed or stored
 	fed      bool // feedable and opened: the input was pushed, there is no temp
 	result   bool // the plan's result streams from this stage: fed, it ends in its reader
 }
@@ -233,9 +230,9 @@ type stagePlan struct {
 
 // plan prices the stage for t (and, for joins, v) input buffers at a
 // share of m buffers, its input arriving as its producer emits it at the
-// producer's live share (liveArrival).
+// producer's allocated share (arrival).
 func (s *stageAlloc) plan(t, v, m float64) stagePlan {
-	return s.planAt(t, v, m, s.liveArrival())
+	return s.planAt(t, v, m, s.arrival())
 }
 
 // planAt is plan with the input's keys arriving in clusters of cluster
@@ -271,9 +268,8 @@ func (s *stageAlloc) planAt(t, v, m, cluster float64) stagePlan {
 // written by one ordered stream, so serial too; none over an input on
 // the device), then the cheapest sort over them, which at shares too
 // small for one merge pass is SelS, LaS or a low-intensity SegS. A tie
-// goes to fed: equal I/O, and no temp to create and destroy. Once the
-// stage has opened the input has its home and only that side is
-// re-priced.
+// goes to fed: equal I/O, and no temp to create and destroy. Once
+// Compile has given the input its home, only that side is re-priced.
 func (s *stageAlloc) sortPlan(t, m, cluster float64) stagePlan {
 	lambda, par := s.bp.lambda, s.bp.par
 	if a, ok := s.sortA.(sorts.Profiled); ok {
@@ -419,8 +415,8 @@ func (s *stageAlloc) arrivalAt(prod stagePlan, mProd float64) float64 {
 	return 0
 }
 
-// liveArrival is arrivalAt with the producer priced at its live share.
-func (s *stageAlloc) liveArrival() float64 {
+// arrival is arrivalAt with the producer planned at its allocated share.
+func (s *stageAlloc) arrival() float64 {
 	if s.op != "GroupBy" || s.order != clustered {
 		return s.arrivalAt(stagePlan{}, 0)
 	}
@@ -494,16 +490,14 @@ func (s *stageAlloc) joinFor(pl stagePlan) joins.Algorithm {
 }
 
 // open is called by the stage's operator once its inputs are
-// materialized: it records the actual rows on the Explain choice,
-// re-splits the unopened stages' shares from the actual sizes (commit)
-// and re-plans the stage at the share that left it — the misestimate
-// repair the fixed selectivities and hints cannot make at compile time.
-// Pinned choices are re-priced too, so cost and algorithm always
-// describe each other.
+// materialized: it records the actual rows on the Explain choice and
+// re-plans the stage at its actual sizes and allocated share — the
+// misestimate repair the fixed selectivities and hints cannot make at
+// compile time. Pinned choices are re-priced too, so cost and algorithm
+// always describe each other.
 func (s *stageAlloc) open(rows int, t, v float64) stagePlan {
-	s.choice.ActualRows = rows
-	pl := s.plan(t, v, s.bp.commit(s.idx, t, v, rows))
-	s.choice.Share, s.choice.Cost = s.share, pl.cost
+	pl := s.plan(t, v, allocBuffers(s.share, s.bp.blockSize))
+	s.choice.ActualRows, s.choice.Cost = rows, pl.cost
 	return pl
 }
 
@@ -536,22 +530,11 @@ func replanned[A interface{ Name() string }](s *stageAlloc, cur, a A) A {
 
 // feed is called by a sort stage's operator, running cur, before its
 // producer opens. It reports whether the input is to be pushed into the
-// stage's intake — the stage is feedable and, at its current estimate
-// and share, fed prices no higher than stored (sortPlan) — and if so
-// returns ExMS, which is what an intake runs, and freezes the share: the
-// intake is live while the producer runs, so a later re-split must not
-// move its memory. The operator reports the actuals through fedRows when
-// the intake ends.
+// stage's intake — the home Compile gave it: the stage is feedable and,
+// at its estimate and share, fed prices no higher than stored (sortPlan)
+// — and if so returns ExMS, which is what an intake runs. The operator
+// reports the actuals through fedRows when the intake ends.
 func (s *stageAlloc) feed(cur sorts.Algorithm) (sorts.Algorithm, bool) {
-	if !s.feedable {
-		return cur, false
-	}
-	s.bp.mu.Lock()
-	defer s.bp.mu.Unlock()
-	if !s.opened {
-		s.fed = s.plan(s.t, 0, allocBuffers(s.share, s.bp.blockSize)).fed
-		s.opened = s.fed
-	}
 	s.choice.Fed = s.fed
 	if !s.fed {
 		return cur, false
@@ -568,9 +551,8 @@ func (s *stageAlloc) fedMark() string {
 }
 
 // fedRows is open for a fed stage, called when its intake ends with the
-// rows it took: the actuals reach the Explain choice and the unopened
-// stages above re-split from them; the stage's own share stays frozen
-// and its cost is re-priced at what was pushed.
+// rows it took: the actuals reach the Explain choice and the cost is
+// re-priced at what was pushed.
 func (s *stageAlloc) fedRows(rows, recSize int) {
 	s.open(rows, buffers(rows, recSize, s.bp.blockSize), 0)
 }
@@ -578,7 +560,6 @@ func (s *stageAlloc) fedRows(rows, recSize int) {
 // budgetPlan carries one compiled plan's pricing inputs and allocation
 // through its run.
 type budgetPlan struct {
-	mu        sync.Mutex
 	lambda    float64 // device write/read ratio
 	par       float64 // effective intra-operator parallelism (≥ 1) for P-aware pricing
 	reserves  bool    // the backend takes range appends (storage.Factory.ReservesBlocks)
@@ -631,108 +612,6 @@ func (bp *budgetPlan) allocate() Allocation {
 	return allocate(bp.total, bp.blockSize, len(bp.stages), bp.price)
 }
 
-// clusterCap bounds a re-split share of the unopened stage d: a fold
-// already frozen over d's nested-loops clusters was priced against its
-// heap slots, so d may grow while its blocks still fit them and, where
-// they did not fit at d's current share, not at all.
-func (bp *budgetPlan) clusterCap(d *stageAlloc) int64 {
-	limit := int64(math.MaxInt64)
-	for _, f := range bp.stages {
-		if !f.opened || f.op != "GroupBy" || f.order != clustered || f.tFrom != d.idx || f.groupEst <= 0 {
-			continue
-		}
-		slots := f.share / aggregate.PartialSize
-		fit := int64(math.Ceil(float64(slots+1)*algo.HashTableExpansion*float64(d.lrec))) - 1
-		limit = min(limit, max(d.share, fit))
-	}
-	return limit
-}
-
-// commit is called when stage idx opens with its actual input sizes
-// (buffers) and build-side rows. It scales the estimates of the unopened
-// stages this one feeds by the observed divergence, re-splits the
-// remaining budget — total minus the frozen shares of already-opened
-// stages — across the unopened stages (idx included, unless it froze
-// before its producer ran: a fed stage has built its environment
-// already), freezes idx, and returns its share's m in buffers. actRows 0
-// freezes without re-splitting (no new information).
-func (bp *budgetPlan) commit(idx int, actT, actV float64, actRows int) float64 {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	s := bp.stages[idx]
-	if actRows <= 0 {
-		s.opened = true
-		return allocBuffers(s.share, bp.blockSize)
-	}
-	ratio := 1.0
-	if s.inEst > 0 {
-		ratio = float64(actRows) / s.inEst
-	}
-	if actT > 0 {
-		s.t = actT
-	}
-	if actV > 0 {
-		s.v = actV
-	}
-	s.inEst = float64(actRows)
-	// Misestimates propagate multiplicatively through the streaming
-	// operators between stages, so the observed input divergence scales
-	// every unopened stage downstream of this one (transitively).
-	scaled := map[int]bool{idx: true}
-	for changed := true; changed; {
-		changed = false
-		for j, d := range bp.stages {
-			if d.opened || scaled[j] {
-				continue
-			}
-			if scaled[d.tFrom] {
-				d.t = math.Max(1, d.t*ratio)
-				d.inEst *= ratio
-				scaled[j] = true
-				changed = true
-				continue
-			}
-			if scaled[d.vFrom] {
-				d.v = math.Max(1, d.v*ratio)
-				scaled[j] = true
-				changed = true
-			}
-		}
-	}
-	// Re-split the unopened stages over what the opened ones left, the
-	// whole plan priced: an opened fold's price still moves with an
-	// unopened producer's share.
-	remaining := bp.total
-	var open []*stageAlloc
-	ms := make([]float64, len(bp.stages))
-	for i, d := range bp.stages {
-		ms[i] = allocBuffers(d.share, bp.blockSize)
-		if d.opened {
-			remaining -= d.share
-		} else {
-			open = append(open, d)
-		}
-	}
-	if remaining > 0 && len(open) > 0 {
-		alloc := allocate(remaining, bp.blockSize, len(open), func(sub []float64) []float64 {
-			for i, d := range open {
-				ms[d.idx] = sub[i]
-			}
-			return bp.price(ms)
-		})
-		for i, d := range open {
-			share := min(alloc.Shares[i], bp.clusterCap(d))
-			if share != d.share {
-				d.choice.Resplit = true
-			}
-			d.share = share
-			d.choice.Share = d.share
-		}
-	}
-	s.opened = true
-	return allocBuffers(s.share, bp.blockSize)
-}
-
 // --- Compile-time demand collection ---
 
 // estimateNode derives the node's output estimate bottom-up without
@@ -747,13 +626,13 @@ func (c *compiler) estimateNode(p *Plan) planEstimate {
 // blocking stage its output streams from (-1 when it derives from base
 // tables only). With collect set it appends one stageAlloc per blocking
 // stage to the compiler's list: the stage's pricing inputs at the
-// compile-time cardinality estimates, plus the dataflow links divergence
-// propagation follows.
+// compile-time cardinality estimates, plus the index of the stage its
+// input streams from (tFrom), whose plan and share decide a fold's
+// arrival.
 func (c *compiler) demandWalk(p *Plan, collect bool) (planEstimate, int) {
 	add := func(s *stageAlloc) int {
-		s.idx = len(c.stages)
 		c.stages = append(c.stages, s)
-		return s.idx
+		return len(c.stages) - 1
 	}
 	switch p.kind {
 	case planScan:
@@ -793,7 +672,7 @@ func (c *compiler) demandWalk(p *Plan, collect bool) (planEstimate, int) {
 		out.order = sorted
 		return out, add(c.feeding(p, &stageAlloc{
 			op: "OrderBy", sortA: p.sortA,
-			t: c.buffers(in.rows, planRecordSize(p.left)), inEst: float64(in.rows), tFrom: from, vFrom: -1,
+			t: c.buffers(in.rows, planRecordSize(p.left)), inRows: in.rows, tFrom: from,
 		}))
 
 	case planGroupBy:
@@ -805,12 +684,12 @@ func (c *compiler) demandWalk(p *Plan, collect bool) (planEstimate, int) {
 		}
 		return out, add(c.feeding(p, &stageAlloc{
 			op: "GroupBy", sortA: p.sortA, groupEst: est, order: in.order, outBuf: c.buffers(groups, record.Size),
-			t: c.buffers(in.rows, planRecordSize(p.left)), inEst: float64(in.rows), tFrom: from, vFrom: -1,
+			t: c.buffers(in.rows, planRecordSize(p.left)), inRows: in.rows, tFrom: from,
 		}))
 
 	case planJoin:
 		lest, lfrom := c.demandWalk(p.left, collect)
-		rest, rfrom := c.demandWalk(p.right, collect)
+		rest, _ := c.demandWalk(p.right, collect)
 		out := c.joinEstimate(lest, rest)
 		out.order = clustered
 		if !collect {
@@ -820,7 +699,7 @@ func (c *compiler) demandWalk(p *Plan, collect bool) (planEstimate, int) {
 		return out, add(&stageAlloc{
 			op: "Join", joinA: p.joinA, lrec: lrec, lsrc: c.sourceWidth(p.left), outBuf: c.buffers(out.rows, lrec+rrec),
 			t: c.buffers(lest.rows, lrec), v: c.buffers(rest.rows, rrec),
-			inEst: float64(lest.rows), tFrom: lfrom, vFrom: rfrom,
+			inRows: lest.rows, tFrom: lfrom,
 		})
 	}
 	return planEstimate{}, -1

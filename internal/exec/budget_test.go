@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"math/rand"
@@ -121,15 +122,18 @@ func TestStageShareFloor(t *testing.T) {
 	}
 }
 
-// TestOpenTimeResplit drives actuals away from the estimates: without
-// statistics a ≥-filter is estimated at the textbook 0.5 though it keeps
-// every record, so the first blocking stage opens on 2× its estimated
-// input. The budget plan must propagate the divergence and re-split the
-// remaining stages' shares, and the result must stay correct.
-func TestOpenTimeResplit(t *testing.T) {
+// TestStageSharesFixedAtCompile drives actuals away from the estimates:
+// without statistics a ≥-filter is estimated at the textbook 0.5 though
+// it keeps every record, so the first blocking stage opens on 2× its
+// estimated input. Each stage still runs at the share Compile gave it —
+// every choice's share is its StageShares entry, under RunCtx and under a
+// drained cursor — the actuals are recorded, and the result is the
+// materialize-every-step reference's.
+func TestStageSharesFixedAtCompile(t *testing.T) {
+	const n = 4000
 	r := newRig(t)
 	in := r.create(t, "in", record.Size)
-	if err := record.Generate(4000, 11, in.Append); err != nil {
+	if err := record.Generate(n, 11, in.Append); err != nil {
 		t.Fatal(err)
 	}
 	if err := in.Close(); err != nil {
@@ -137,67 +141,66 @@ func TestOpenTimeResplit(t *testing.T) {
 	}
 	// filter (keeps all, estimated half) → order-by → group-by: two
 	// stages over inputs that are on the device, the group-by pinned so
-	// that neither is fed — a fed stage freezes its share before its
-	// producer opens, and would leave nothing to re-split.
-	plan := Table(in).Filter(Predicate{Attr: 0, Op: Ge, Value: 0}).OrderBy().GroupByWith(3, sorts.NewSegmentSort(0.5))
-	ctx := r.ctx(int64(4000*record.Size/10), 1)
-	root, ex, err := Compile(ctx, plan)
+	// that neither is fed.
+	plan := func() *Plan {
+		return Table(in).Filter(Predicate{Attr: 0, Op: Ge, Value: 0}).OrderBy().GroupByWith(3, sorts.NewSegmentSort(0.5))
+	}
+	budget := int64(n * record.Size / 10)
+	ref, _, err := CompileWith(r.ctx(budget, 1), plan(), CompileOptions{MaterializeEveryStep: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	compiled := append([]int64(nil), ex.StageShares...)
-	out := r.create(t, "out", record.Size)
+	refOut := r.create(t, "ref", ref.RecordSize())
+	if err := RunCtx(context.Background(), r.ctx(budget, 1), ref, refOut); err != nil {
+		t.Fatal(err)
+	}
+	want := readBytes(t, refOut)
+	if len(want) != n*ref.RecordSize() {
+		t.Fatalf("reference returned %d bytes, want %d groups (unique keys)", len(want), n)
+	}
+	check := func(how string, ex *Explain, got []byte) {
+		t.Helper()
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: result differs from the materialize-every-step reference (%d bytes, want %d)", how, len(got), len(want))
+		}
+		if len(ex.Choices) != 2 || len(ex.StageShares) != 2 {
+			t.Fatalf("%s: %d choices, %d shares, want the order-by and the group-by:\n%s", how, len(ex.Choices), len(ex.StageShares), ex)
+		}
+		if first := ex.Choices[0]; first.InputRows >= n {
+			t.Fatalf("%s: first stage estimated at %d rows, want a real misestimate of %d", how, first.InputRows, n)
+		}
+		var sum int64
+		for i, c := range ex.Choices {
+			if c.Share != ex.StageShares[i] {
+				t.Errorf("%s: %s runs at share %d B, compiled %d B", how, c.Operator, c.Share, ex.StageShares[i])
+			}
+			if c.ActualRows != n {
+				t.Errorf("%s: %s observed %d rows, want %d", how, c.Operator, c.ActualRows, n)
+			}
+			sum += c.Share
+		}
+		if sum > budget {
+			t.Errorf("%s: shares sum %d oversubscribe budget %d", how, sum, budget)
+		}
+	}
+
+	ctx := r.ctx(budget, 1)
+	root, ex, err := Compile(ctx, plan())
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := r.create(t, "out", root.RecordSize())
 	if err := RunCtx(context.Background(), ctx, root, out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Len() != 4000 {
-		t.Fatalf("%d result groups, want 4000 (unique keys)", out.Len())
-	}
-	first := ex.Choices[0]
-	if first.ActualRows != 4000 || first.InputRows >= 4000 {
-		t.Fatalf("first stage est %d act %d, want a real misestimate", first.InputRows, first.ActualRows)
-	}
-	resplit := false
-	for i, c := range ex.Choices {
-		if c.Resplit {
-			resplit = true
-		}
-		if c.Resplit && c.Share == compiled[i] {
-			t.Errorf("choice %d marked re-split but share unchanged (%d B)", i, c.Share)
-		}
-	}
-	if !resplit {
-		t.Errorf("2x input divergence re-split no stage; compiled %v, final %+v", compiled, ex.Choices)
-	}
-	var sum int64
-	for _, c := range ex.Choices {
-		sum += c.Share
-	}
-	if sum > ctx.MemoryBudget {
-		t.Errorf("re-split shares sum %d oversubscribe budget %d", sum, ctx.MemoryBudget)
-	}
-}
+	check("RunCtx", ex, readBytes(t, out))
 
-// TestResplitKeepsClustersInFoldSlots: a fed fold freezes its share
-// before its nested-loops producer opens. The producer's Open-time
-// re-split may take what the opened stages left, but not past the frozen
-// fold's heap slots it was priced against: its blocks, the fold's key
-// clusters, would stop fitting them.
-func TestResplitKeepsClustersInFoldSlots(t *testing.T) {
-	bp := &budgetPlan{lambda: 15, par: 1, blockSize: 1024, total: 400000}
-	join := &stageAlloc{op: "Join", idx: 0, bp: bp, joinA: joins.NewNestedLoops(), lrec: record.Size,
-		t: 782, v: 7813, inEst: 10000, tFrom: -1, vFrom: -1, share: 150000, choice: &Choice{}}
-	fold := &stageAlloc{op: "GroupBy", idx: 1, bp: bp, groupEst: 10000, order: clustered, feedable: true,
-		t: 6905, inEst: 88378, tFrom: 0, vFrom: -1, share: 160000, opened: true, fed: true, choice: &Choice{}}
-	bp.stages = []*stageAlloc{join, fold}
-	bp.commit(join.idx, join.t, join.v, 10000)
-	slots := fold.share / aggregate.PartialSize
-	if keys := int64(float64(join.share) / (algo.HashTableExpansion * record.Size)); keys > slots {
-		t.Errorf("re-split the join to %d B: blocks of %d keys, past the frozen fold's %d slots", join.share, keys, slots)
+	ctx = r.ctx(budget, 1)
+	root, ex, err = Compile(ctx, plan())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if join.share <= 150000 {
-		t.Errorf("re-split the join to %d B: it kept none of the %d B the fold left", join.share, bp.total-fold.share)
-	}
+	check("cursor", ex, drainCursor(t, ctx, root))
 }
 
 // TestAllocateSyntheticCurves checks the allocator directly: a stage

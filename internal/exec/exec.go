@@ -54,8 +54,8 @@
 // Blocking operators (OrderBy, GroupBy, Join) share the plan's DRAM
 // budget M through the marginal-benefit allocator (see budget.go): each
 // stage's share is sized by how much its cost curve bends, with the even
-// split as a guaranteed-no-worse fallback, and shares are re-split at
-// Open time when actual cardinalities diverge from the estimates. Every
+// split as a guaranteed-no-worse fallback. Shares are fixed at compile;
+// at Open a stage re-plans at its actual input size and its share. Every
 // stage inherits the plan's Parallelism, so the partition-parallel
 // execution of the underlying algorithms carries over to whole
 // pipelines.
@@ -193,9 +193,9 @@ func (c *Ctx) Bind(ctx context.Context) error {
 }
 
 // stageEnv builds the execution environment of one blocking stage at
-// its current share — the allocator sized it and Open-time re-splitting
-// may have moved it — carrying the plan parallelism, the run's
-// cancellation context and the shared temp tracker.
+// the share the allocator gave it at compile, carrying the plan
+// parallelism, the run's cancellation context and the shared temp
+// tracker.
 func (c *Ctx) stageEnv(s *stageAlloc) *algo.Env {
 	return c.tempEnv().Derive(s.share)
 }

@@ -43,8 +43,8 @@ func (j *Join) emitTo(ctx context.Context, ec *Ctx, dst storage.Collection) erro
 		return err
 	}
 	// Clamp the compile-time estimates against the materialized inputs:
-	// the stage's budget share is re-split from the actuals, then the
-	// choice is re-priced (and, when the planner owns it, re-made).
+	// the choice is re-priced at the stage's share (and, when the planner
+	// owns it, re-made).
 	j.algo = j.st.openJoin(lcoll, rcoll, j.algo)
 	if err := j.algo.Join(ec.stageEnv(j.st), lcoll, rcoll, j.sink(dst, j.rawSize())); err != nil {
 		lclean() //nolint:errcheck // best-effort cleanup after failure

@@ -32,8 +32,8 @@ var errNilPlan = fmt.Errorf("exec: nil plan")
 
 // Choice records one physical algorithm decision for Explain. The planner
 // fills the estimates at compile time; the blocking operator updates
-// ActualRows (and, for non-pinned choices, Algorithm/Replanned) when its
-// Open observes the materialized input.
+// ActualRows and Cost (and, for non-pinned choices, Algorithm/Replanned)
+// when its Open observes the materialized input.
 type Choice struct {
 	Operator   string  // "OrderBy", "GroupBy", "Join"
 	Algorithm  string  // chosen algorithm with knobs, e.g. "SegS(0.31)"
@@ -43,16 +43,15 @@ type Choice struct {
 	Buffers    float64 // estimated input size in buffers (t; joins also use v)
 	RightBuf   float64 // v for joins, 0 otherwise
 	Cost       float64 // predicted price in buffer-read units
-	Share      int64   // the stage's memory share in bytes (live: re-splits update it)
-	Resplit    bool    // an Open-time re-split changed this stage's share
+	Share      int64   // the stage's memory share in bytes: Explain.StageShares[i], for the whole run
 	Replanned  bool    // Open-time actuals changed the planner's algorithm
 	Fed        bool    // the input was pushed into this stage's intake, not read where it lies: no input temp
 }
 
 // Explain describes the compiled physical plan. Choices are shared with
 // the operator tree, so after a Run they also carry the actuals observed
-// at Open time and the shares Open-time re-splitting settled on; Root is
-// the tree as compiled until Rerender refreshes it.
+// at Open time and the re-plans made from them; Root is the tree as
+// compiled until Rerender refreshes it.
 type Explain struct {
 	Root        string  // the physical operator tree, root first
 	RecordSize  int     // byte width of the plan's output records
@@ -112,9 +111,6 @@ func (e *Explain) String() string {
 			rows += fmt.Sprintf(", act %d", c.ActualRows)
 		}
 		var notes string
-		if c.Resplit {
-			notes += "; share re-split at open"
-		}
 		if c.Replanned {
 			notes += "; replanned at open"
 		}
@@ -216,7 +212,7 @@ type compiler struct {
 	stats     stats.Provider
 	blockSize int
 	stages    []*stageAlloc // blocking stages, build's post-order
-	bp        *budgetPlan   // the stages' pricing inputs and run-time re-split state
+	bp        *budgetPlan   // the stages' pricing inputs
 	next      int           // stages consumed by build so far
 	reordered bool
 	choices   []*Choice
@@ -299,15 +295,17 @@ func (c *compiler) chainOf(child Operator) (*chain, Operator) {
 
 // takeStage hands build the next blocking stage — the demand walk
 // visited the same nodes in the same post-order — priced at its
-// allocated share, and registers its Explain entry; build fills in the
-// name of the algorithm it instantiates from the plan.
+// allocated share, which gives a feedable stage's input its home, and
+// registers its Explain entry; build fills in the name of the algorithm
+// it instantiates from the plan.
 func (c *compiler) takeStage() (*stageAlloc, stagePlan) {
 	s := c.stages[c.next]
 	c.next++
 	pl := s.plan(s.t, s.v, allocBuffers(s.share, c.blockSize))
+	s.fed, s.opened = pl.fed, s.feedable
 	s.choice = &Choice{
 		Operator: s.op, Pinned: s.sortA != nil || s.joinA != nil,
-		InputRows: int(s.inEst), ActualRows: -1, Buffers: s.t, RightBuf: s.v,
+		InputRows: s.inRows, ActualRows: -1, Buffers: s.t, RightBuf: s.v,
 		Cost: pl.cost, Share: s.share, Fed: pl.fed,
 	}
 	c.choices = append(c.choices, s.choice)

@@ -112,8 +112,8 @@ func (s *Sort) emitTo(ctx context.Context, ec *Ctx, dst storage.Collection) erro
 		return err
 	}
 	// Clamp the compile-time estimate against the materialized input:
-	// the stage's budget share is re-split from the actuals, then the
-	// choice is re-priced (and, when the planner owns it, re-made).
+	// the choice is re-priced at the stage's share (and, when the planner
+	// owns it, re-made).
 	s.algo = s.st.openSort(in, s.algo)
 	env := ec.stageEnv(s.st)
 	if !s.grouping() {

@@ -365,40 +365,50 @@ func TestEstimateVsActualWithStats(t *testing.T) {
 
 // TestRunClampsEstimatesAtOpen: when the compile-time estimate is badly
 // wrong (textbook selectivity, no statistics), the blocking operator
-// re-chooses its algorithm from the actual materialized cardinality at
-// Open — the Explain choice records the actual rows and the replan.
+// re-plans from the actual materialized cardinality at Open, at the share
+// Compile gave it: the Explain choice records the actual rows, the price
+// of the stage at them, and the algorithm that price picks.
 func TestRunClampsEstimatesAtOpen(t *testing.T) {
-	const n = 20000
+	const n, kept = 20000, 10
 	r := newRig(t)
 	in := r.create(t, "in", record.Size)
 	if err := record.Generate(n, 11, in.Append); err != nil {
 		t.Fatal(err)
 	}
 	in.Close()
-	// Textbook estimate for != is 0.9·n; the predicate actually keeps 10
-	// rows. A sort sized for 18000 rows is the wrong pick for 10.
-	plan := Table(in).Filter(Predicate{Attr: 0, Op: Lt, Value: 10}).OrderBy()
+	// Textbook estimate for < is 0.5·n; the predicate actually keeps 10
+	// rows. A sort sized for 10000 rows is the wrong pick for 10.
+	plan := Table(in).Filter(Predicate{Attr: 0, Op: Lt, Value: kept}).OrderBy()
 	ctx := r.ctx(int64(n*record.Size/100), 1)
 	root, ex, err := Compile(ctx, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if est := ex.Choices[0].InputRows; est != n/2 {
-		t.Fatalf("compile-time estimate %d, want textbook %d", est, n/2)
+	c := ex.Choices[0]
+	if c.InputRows != n/2 {
+		t.Fatalf("compile-time estimate %d, want textbook %d", c.InputRows, n/2)
 	}
+	compiled := c.Algorithm
 	out := r.create(t, "out", record.Size)
 	if err := RunCtx(context.Background(), ctx, root, out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Len() != 10 {
-		t.Fatalf("filter kept %d rows, want 10", out.Len())
+	if out.Len() != kept {
+		t.Fatalf("filter kept %d rows, want %d", out.Len(), kept)
 	}
-	if got := ex.Choices[0].ActualRows; got != 10 {
-		t.Errorf("choice actual rows = %d, want 10", got)
+	if c.ActualRows != kept {
+		t.Errorf("choice actual rows = %d, want %d", c.ActualRows, kept)
 	}
-	// At 10 rows every candidate sort collapses to "fits in memory", so
-	// the clamp must have re-priced; whether the algorithm flips depends
-	// on the candidates, but the actuals must be recorded either way.
-	t.Logf("clamp: est %d → act %d, algorithm %s (replanned=%v)",
-		ex.Choices[0].InputRows, ex.Choices[0].ActualRows, ex.Choices[0].Algorithm, ex.Choices[0].Replanned)
+	st := root.(*Sort).st
+	if c.Share != ex.StageShares[0] {
+		t.Errorf("stage ran at share %d B, compiled %d B", c.Share, ex.StageShares[0])
+	}
+	pl := st.plan(buffers(kept, record.Size, r.fac.BlockSize()), 0, allocBuffers(ex.StageShares[0], r.fac.BlockSize()))
+	if c.Cost != pl.cost {
+		t.Errorf("choice cost %.6g, want the stage priced at %d rows and its compiled share: %.6g", c.Cost, kept, pl.cost)
+	}
+	if want := st.sortFor(pl).Name(); c.Algorithm != want || c.Replanned != (want != compiled) {
+		t.Errorf("choice ran %s (replanned=%v), the price at %d rows picks %s over the compiled %s", c.Algorithm, c.Replanned, kept, want, compiled)
+	}
+	t.Logf("clamp: est %d → act %d, %s → %s, cost %.3g", c.InputRows, c.ActualRows, compiled, c.Algorithm, c.Cost)
 }
