@@ -13,10 +13,12 @@
 // Sizes t, v and memory m are in buffers (cachelines or small multiples),
 // the paper's cost unit; costs print in buffer-read units.
 //
-// -alloc runs the engine's marginal-benefit budget allocator over a
-// hand-written pipeline of blocking stages (comma-separated: sort:t or
-// join:t/v) with m buffers of total memory, printing each stage's cost
-// curve, the even-split and cost-driven shares, and both predictions.
+// -alloc runs the engine's budget allocator over a hand-written pipeline
+// of blocking stages (comma-separated: sort:t or join:t/v) with m buffers
+// of total memory: it bisects each stage's cost curve for the edges of its
+// steps and scores their combinations against the even split, which wins
+// ties. It prints each stage's cost curve, the even-split and cost-driven
+// shares, and both predictions.
 package main
 
 import (
@@ -126,9 +128,9 @@ func parseStages(spec string) ([]allocStage, error) {
 	return out, nil
 }
 
-// printAlloc runs the engine's marginal-benefit allocator over the
-// spec'd pipeline at m total buffers, comparing the even split against
-// the cost-driven shares. Shares are computed in buffer units
+// printAlloc runs the engine's step-edge allocator over the spec'd
+// pipeline at m total buffers, comparing the even split against the
+// cost-driven shares. Shares are computed in buffer units
 // (blockSize 1), exactly how the physical planner computes them in
 // bytes.
 func printAlloc(spec string, m, lambda float64) {
@@ -164,7 +166,7 @@ func printAlloc(spec string, m, lambda float64) {
 	fmt.Printf("\n  predicted plan cost: even split %.4g, cost-driven %.4g", a.EvenCost, a.Cost)
 	switch {
 	case a.Even:
-		fmt.Printf(" (even split kept: no stage curve bends enough)\n")
+		fmt.Printf(" (even split kept: no combination of step edges is priced below it)\n")
 	case a.EvenCost > 0:
 		fmt.Printf(" (%.1f%% saved)\n", 100*(a.EvenCost-a.Cost)/a.EvenCost)
 	default:

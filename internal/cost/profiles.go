@@ -24,9 +24,10 @@ type Profile struct {
 	// SerialReads and SerialWrites are the portions of Reads/Writes
 	// charged by phases whose execution order is the output order (HybS's
 	// fill pass, SegS's streaming final merge, HJ/LaJ's fused
-	// build-offload scans…) and therefore cannot fan out to workers. The
-	// remainder — partition scans, run formation, merge passes, table
-	// builds, probes and the splitter-partitioned final merge — overlaps
+	// build-offload scans…) or that run one at a time (a sort's extra
+	// merge passes), and therefore do not fan out to workers. The
+	// remainder — partition scans, run formation, table builds, probes
+	// and the splitter-partitioned final merge — overlaps
 	// across P workers, which is exactly how the engine's device overlap
 	// clock credits it. Zero means fully parallelizable.
 	SerialReads  float64
@@ -161,9 +162,10 @@ func mergeFanIn(m, streams float64) float64 {
 }
 
 // ExMSProfile: replacement-selection run formation (read input, write
-// runs), merge passes, materialized output. Every phase fans out to
-// workers (chunked run formation, concurrent merge groups, the
-// splitter-partitioned final merge), so nothing is serial.
+// runs), merge passes, materialized output. Run formation (in chunks) and
+// the splitter-partitioned final merge fan out to workers; the extra
+// merge passes merge their groups one at a time (sorts.mergePass), so
+// they are serial.
 func ExMSProfile(t, m float64) Profile { return Emit{}.ExMS(t, m) }
 
 // ExMS is ExMSProfile emitting as em describes.
@@ -174,8 +176,10 @@ func (em Emit) ExMS(t, m float64) Profile {
 	r := em.runs(t)
 	e := extraMergePasses(r/(2*m), mergeFanIn(m, 0))
 	p := Profile{
-		Reads:  t + r + e*r, // input scan + run re-read (+ extra passes)
-		Writes: r + e*r + t, // runs (+ extra passes) + output
+		Reads:        t + r + e*r, // input scan + run re-read (+ extra passes)
+		Writes:       r + e*r + t, // runs (+ extra passes) + output
+		SerialReads:  e * r,
+		SerialWrites: e * r,
 	}.emitting(em, t, 0)
 	if em.Serial {
 		p.SerialReads -= t - r // the serial final merge re-reads the runs, folded or not
@@ -242,19 +246,22 @@ func (em Emit) SegS(x, t, m float64) Profile {
 	}
 	e := extraMergePasses(x*t/(2*m), mergeFanIn(m, streams))
 	p := Profile{
-		Reads:  x*t + x*t + e*x*t + passes*seg, // segment A scan + run re-read + selection passes
-		Writes: x*t + e*x*t + t,                // runs + output
+		Reads:        x*t + x*t + e*x*t + passes*seg, // segment A scan + run re-read + selection passes
+		Writes:       x*t + e*x*t + t,                // runs + output
+		SerialReads:  e * x * t,                      // the extra merge passes, as ExMS's
+		SerialWrites: e * x * t,
 	}
 	// The selection segment streams into the final merge, keeping that
 	// whole pass — the run re-read, the selection passes and the output —
-	// serial at every P; only run formation and the extra merge passes
-	// fan out. At x = 1 there is no segment and the final merge
-	// parallelizes like ExMS's.
+	// serial at every P; only run formation fans out. At x = 1 there is
+	// no segment and the final merge parallelizes like ExMS's.
+	outSerial := 0.0
 	if seg > 0 {
-		p.SerialReads = x*t + passes*seg
-		p.SerialWrites = t
+		p.SerialReads += x*t + passes*seg
+		p.SerialWrites += t
+		outSerial = t
 	}
-	return p.emitting(em, t, p.SerialWrites) // the output is serial exactly when a segment streams into it
+	return p.emitting(em, t, outSerial)
 }
 
 // HybSProfile: a selection region of x·m buffers feeds the output
@@ -282,10 +289,11 @@ func (em Emit) HybS(x, t, m float64) Profile {
 		Writes: rest + e*rest + t,
 		// The fill pass is order-dependent (the selection region tracks
 		// the global minima seen so far): the input scan, the run spills
-		// and the direct Rs output stay serial. The merge passes and the
-		// splitter-partitioned final merge over the runs fan out.
-		SerialReads:  t,
-		SerialWrites: rest + direct,
+		// and the direct Rs output stay serial, and so do the extra merge
+		// passes (ExMS's). The splitter-partitioned final merge over the
+		// runs fans out.
+		SerialReads:  t + e*rest,
+		SerialWrites: rest + direct + e*rest,
 	}.emitting(em, t, direct)
 }
 

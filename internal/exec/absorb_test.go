@@ -280,34 +280,40 @@ func TestAbsorbServesStoredInput(t *testing.T) {
 // feeding a planner-owned group-by, whose folding intake merges into the
 // chain sink, or, with no chain, into the range-appendable temp a limit
 // reads. Budgets leave the pinned sorts a split the allocator makes the
-// same at every P and no intermediate merge pass, whose grouping follows
-// P — and, folding, so do its writes. The straight group-by's 500
-// cyclic groups outnumber its 400 partial slots at every P, so every row
-// misses at every P. At 24 000 B its 600 slots hold every group at P = 1
-// but not a P-way worker's share (938 vs 4 381 cachelines on blocked);
-// at 12 000 B, the 300 slots 80-byte partials had there, its fan-in of
-// 11 buffers leaves an intermediate merge pass (5 007, 5 320, 6 259 at
-// P = 1, 2, 4).
+// same at every P. The straight group-by's 500 cyclic groups outnumber
+// its 400 partial slots at every P, so every row misses at every P. At
+// 24 000 B its 600 slots hold every group at P = 1 but not a P-way
+// worker's share (938 vs 4 381 cachelines on blocked). The forced split
+// [14 746 + 9 254] leaves the pinned HybS(0.5) fold intermediate merge
+// passes, which group their runs at the serial fan-in at every P; when
+// the groups followed P, the cell wrote 9 822, 10 170 and 10 505
+// cachelines at P = 1, 2 and 4 on blocked.
 var foldGridPlans = []struct {
 	name   string
 	budget int64
-	fed    int // stages the plan feeds
+	fed    int     // stages the plan feeds
+	shares []int64 // a forced split (CompileOptions.shares); nil: the allocator's
 	build  func(t *testing.T, r *rig) *Plan
 }{
-	{"groupby", 400 * aggregate.PartialSize, 0, func(t *testing.T, r *rig) *Plan {
+	{"groupby", 400 * aggregate.PartialSize, 0, nil, func(t *testing.T, r *rig) *Plan {
 		return Table(loadGrouped(t, r, "in", 6000, 500)).GroupByWith(4, sorts.NewExternalMergeSort())
 	}},
-	{"join-project-groupby", 6000 * record.Size / 20, 0, func(t *testing.T, r *rig) *Plan {
+	{"join-project-groupby", 6000 * record.Size / 20, 0, nil, func(t *testing.T, r *rig) *Plan {
 		dim1, _, fact := r.loadStar(t, 300, 6000)
 		return Table(dim1).JoinWith(Table(fact), joins.NewNestedLoops()).
 			Project(0, 1, 12, 13, 14, 5, 16, 7, 18, 9).GroupByWith(3, sorts.NewHybridSort(0.5))
 	}},
-	{"join-groupby-fed-project", 6000 * record.Size / 20, 1, func(t *testing.T, r *rig) *Plan {
+	{"join-project-groupby-merge-passes", 6000 * record.Size / 20, 0, []int64{14746, 9254}, func(t *testing.T, r *rig) *Plan {
+		dim1, _, fact := r.loadStar(t, 300, 6000)
+		return Table(dim1).JoinWith(Table(fact), joins.NewNestedLoops()).
+			Project(0, 1, 12, 13, 14, 5, 16, 7, 18, 9).GroupByWith(3, sorts.NewHybridSort(0.5))
+	}},
+	{"join-groupby-fed-project", 6000 * record.Size / 20, 1, nil, func(t *testing.T, r *rig) *Plan {
 		dim1, _, fact := r.loadStar(t, 300, 6000)
 		return Table(dim1).JoinWith(Table(fact), joins.NewNestedLoops()).
 			Project(starCols...).GroupBy(3).Filter(absorbPred).Project(0, 2, 1)
 	}},
-	{"join-groupby-fed-temp", 6000 * record.Size / 20, 1, func(t *testing.T, r *rig) *Plan {
+	{"join-groupby-fed-temp", 6000 * record.Size / 20, 1, nil, func(t *testing.T, r *rig) *Plan {
 		dim1, _, fact := r.loadStar(t, 300, 6000)
 		return Table(dim1).JoinWith(Table(fact), joins.NewNestedLoops()).
 			Project(starCols...).GroupBy(3).Limit(1000)
@@ -332,7 +338,7 @@ func TestFoldSinkIdentityGrid(t *testing.T) {
 					r := &rig{dev: dev, fac: fac}
 					ec := r.ctx(pc.budget, par)
 					ec.BatchSize = batch
-					root, ex, err := Compile(ec, pc.build(t, r))
+					root, ex, err := CompileWith(ec, pc.build(t, r), CompileOptions{shares: pc.shares})
 					if err != nil {
 						t.Fatal(err)
 					}

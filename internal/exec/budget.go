@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math"
+	"slices"
 
 	"wlpm/internal/aggregate"
 	"wlpm/internal/algo"
@@ -14,25 +15,20 @@ import (
 
 // Budget allocation: memory planning as a first-class layer.
 //
-// The plan's DRAM budget M used to be split evenly across the blocking
-// stages. The allocator here splits it by marginal benefit instead: each
-// stage exposes the price of its cheapest implementation as a function
-// of its share (stageAlloc.plan) — and a fold fed by nested loops also of
-// the join's share, whose block is the fold's cluster of keys (arrivalAt)
-// — and a greedy water-filling pass hands quanta of the budget to
-// whichever window lowers the whole plan's price most per byte. The even
-// split remains a guaranteed-no-worse fallback: the allocator compares
-// the two predictions and keeps the even shares whenever the greedy
-// result does not beat them.
+// The plan's DRAM budget M is split across the blocking stages by the
+// stages' prices (stageAlloc.plan), which the cost model builds from
+// ceilings — pass counts, nested loops' blocks, a fold whose groups fit —
+// so each stage's price is a staircase in its share, and a share inside a
+// step buys nothing over the step's left edge. The allocator finds each
+// stage's edges and scores combinations of them by the whole plan's price
+// (budgetPlan.price), in which a fold fed by nested loops also reads the
+// join's share, whose block is the fold's cluster of keys (arrivalAt). The
+// even split is the first candidate and wins ties.
 //
 // The split is made once, at compile: a stage runs at the share Compile
 // allocated it for the whole run. What a stage observes when it opens —
 // its own actual input size — re-prices it at that share, and re-picks
 // its algorithm when the planner owns it (stageAlloc.open).
-
-// allocQuantaPerStage bounds the greedy pass: the remaining budget above
-// the floors is handed out in at most ~this many quanta per stage.
-const allocQuantaPerStage = 64
 
 // Allocation is the result of one budget split across blocking stages.
 type Allocation struct {
@@ -40,6 +36,8 @@ type Allocation struct {
 	Cost     float64 // predicted plan cost at Shares (buffer-read units)
 	EvenCost float64 // predicted plan cost at the even split
 	Even     bool    // the even split won — Shares hold it
+
+	combos int // splits scored beside the even one (the planner tests log it)
 }
 
 // stageFloor is the smallest useful stage share: two persistence-layer
@@ -67,9 +65,9 @@ func allocBuffers(share int64, blockSize int) float64 {
 // Allocate splits total bytes across independent stage cost curves. Each
 // pricer maps a stage share m (in buffers, ≥ 2) to the predicted price
 // of the stage's cheapest implementation. Every share is floored at two
-// buffers; when the total cannot cover the floors, or when the greedy
-// result does not beat the even split's prediction, the even split is
-// returned with Even set.
+// buffers; when the total cannot cover the floors, or when no other
+// split is priced below the even one, the even split is returned with
+// Even set.
 func Allocate(total int64, blockSize int, pricers []func(m float64) float64) Allocation {
 	costs := make([]float64, len(pricers))
 	return allocate(total, blockSize, len(pricers), func(ms []float64) []float64 {
@@ -83,11 +81,16 @@ func Allocate(total int64, blockSize int, pricers []func(m float64) float64) All
 // allocate is Allocate over n shares priced together: price maps every
 // share (in buffers, ≥ 2) to the per-stage prices of the whole plan —
 // possibly more stages than shares, and a stage's price may depend on
-// another's share (a fold fed by nested loops, budgetPlan.price). A probe
-// window on one share is scored by what it changes anywhere: the sum of
-// the per-stage differences, so an independent curve's rate is exactly
-// its own difference. The slice price returns is read before the next
-// call only.
+// another's share (a fold fed by nested loops, budgetPlan.price). The
+// slice price returns is read before the next call only.
+//
+// Each stage's candidates are the left edges of the steps of its own
+// price, the others held at the even split (stepEdges), and the floor.
+// Every stage in turn takes what every combination of the others'
+// candidates leaves it — the leftover of a combination goes to whichever
+// stage it helps most — and each such split is scored by the plan's
+// price. The even split is scored first, and a split replaces the best so
+// far only when it is priced below it.
 func allocate(total int64, blockSize, n int, price func(ms []float64) []float64) Allocation {
 	if n == 0 {
 		return Allocation{}
@@ -110,81 +113,86 @@ func allocate(total int64, blockSize, n int, price func(ms []float64) []float64)
 		}
 		return sum
 	}
-	evenShare := total / int64(n)
-	if evenShare < floor {
-		evenShare = floor
-	}
 	even := make([]int64, n)
 	for i := range even {
-		even[i] = evenShare
+		even[i] = max(total/int64(n), floor)
 	}
 	evenCost := costAt(even)
-	if total < int64(n)*floor {
-		return Allocation{Shares: even, Cost: evenCost, EvenCost: evenCost, Even: true}
+	best := Allocation{Shares: even, Cost: evenCost, EvenCost: evenCost, Even: true}
+	if n == 1 || total < int64(n)*floor {
+		return best // nothing to split, or nothing beyond the floors
 	}
 
-	shares := make([]int64, n)
-	for i := range shares {
-		shares[i] = floor
+	edges := make([][]int64, n)
+	for i := range edges {
+		split := slices.Clone(even)
+		edges[i] = stepEdges(total-int64(n-1)*floor, floor, int64(blockSize), func(s int64) float64 {
+			split[i] = s
+			return priceAt(split)[i]
+		})
 	}
-	rest := total - int64(n)*floor
-	quantum := int64(blockSize)
-	if q := rest / int64(allocQuantaPerStage*n); q > quantum {
-		quantum = (q / int64(blockSize)) * int64(blockSize)
-	}
-	// Water-filling with step-aware probing: the curves are staircases
-	// (pass counts are ceilings), so a fixed small quantum would see a
-	// zero gradient inside a flat step and give up too early. Each round
-	// probes geometrically growing windows (quantum, 4×, 16×, …, rest)
-	// per stage and hands the window with the best cost-saved-per-byte
-	// rate to its stage.
-	var base []float64
-	for rounds := 0; rest >= quantum && quantum > 0 && rounds < 4*allocQuantaPerStage*n; rounds++ {
-		base = append(base[:0], priceAt(shares)...)
-		bestI, bestW, bestRate := -1, int64(0), 0.0
-		for i := range shares {
-			probe := func(w int64) {
-				ms[i] = allocBuffers(shares[i]+w, blockSize)
-				saved := 0.0
-				for j, c := range price(ms) {
-					saved += base[j] - c
-				}
-				if rate := saved / float64(w); rate > bestRate {
-					bestI, bestW, bestRate = i, w, rate
-				}
+	// walk places stages i… but last at each of their candidates that
+	// leaves last its floor, and last on whatever they leave.
+	split := make([]int64, n)
+	var walk func(last, i int, left int64)
+	walk = func(last, i int, left int64) {
+		if i == last {
+			i++
+		}
+		if i == n {
+			split[last] = left
+			best.combos++
+			if c := costAt(split); c < best.Cost-1e-9*math.Abs(best.Cost) {
+				best = Allocation{Shares: slices.Clone(split), Cost: c, EvenCost: evenCost, combos: best.combos}
 			}
-			for w := quantum; w < rest; w *= 4 {
-				probe(w)
+			return
+		}
+		for _, e := range edges[i] {
+			if left-e >= floor {
+				split[i] = e
+				walk(last, i+1, left-e)
 			}
-			probe(rest)
-			ms[i] = allocBuffers(shares[i], blockSize)
 		}
-		if bestI < 0 {
-			break // flat curves: more memory buys nothing anywhere
+	}
+	for last := range n {
+		walk(last, 0, total)
+	}
+	return best
+}
+
+// stepEdges lists the candidate shares, in bytes, of a stage whose own
+// price at a share of s bytes is own(s), non-increasing in s: the left
+// edge of each step of the staircase, bisected from the largest share top
+// down, and the floor. The search stops where the price is flat down to
+// the floor, or at a step narrower than one block: from there down the
+// price is a curve, not a staircase (a fold's slots are 40 bytes), and
+// the stage takes what the other stages' edges leave over.
+func stepEdges(top, floor, block int64, own func(s int64) float64) []int64 {
+	var edges []int64
+	atFloor := own(floor)
+	for prev, p := top+1, own(top); p != atFloor; {
+		hi := prev - block
+		if hi <= floor || own(hi) != p {
+			break // a step narrower than one block
 		}
-		shares[bestI] += bestW
-		rest -= bestW
-	}
-	// Whatever the greedy pass left (flat tails, sub-quantum remainder)
-	// is spread evenly rather than parked: the model says it buys
-	// nothing, and idle budget would just shrink the stages for free.
-	if rest > 0 {
-		per := rest / int64(n)
-		for i := range shares {
-			shares[i] += per
+		lo, pLo := floor, atFloor // own(lo) != p == own(hi)
+		for hi-lo > 1 {
+			mid := lo + (hi-lo)/2
+			if c := own(mid); c == p {
+				hi = mid
+			} else {
+				lo, pLo = mid, c
+			}
 		}
-		shares[0] += rest - per*int64(n)
+		edges = append(edges, hi)
+		prev, p = hi, pLo
 	}
-	greedyCost := costAt(shares)
-	if !(greedyCost <= evenCost+1e-9*(1+math.Abs(evenCost))) {
-		return Allocation{Shares: even, Cost: evenCost, EvenCost: evenCost, Even: true}
-	}
-	return Allocation{Shares: shares, Cost: greedyCost, EvenCost: evenCost}
+	return append(edges, floor)
 }
 
 // stageAlloc is one blocking stage of a compiled plan, and the only place
 // the stage is priced. The demand walk fills it from the cardinality
-// estimates; the allocator water-fills over plan(t, v, ·); the compiler
+// estimates; the allocator searches the step edges of plan(t, v, ·); the compiler
 // instantiates what plan names at the allocated share and shows it in
 // the Explain choice; and the stage's operator calls open with its
 // actual input sizes, which re-plans at the allocated share — so the
@@ -219,7 +227,7 @@ type stageAlloc struct {
 }
 
 // stagePlan is one pricing of a stage: the predicted cost and what would
-// run. Plain values — plan sits inside the allocator's probe loop;
+// run. Plain values — plan sits inside the allocator's edge search;
 // sortFor and joinFor instantiate only the plan that is finally used.
 type stagePlan struct {
 	cost float64
@@ -589,7 +597,7 @@ func (c *compiler) buffers(rows, recSize int) float64 {
 // share of ms[i] buffers, and returns the stages' prices (scratch, valid
 // until the next call). The stages are in build's post-order, so a
 // producer is planned before the fold whose arrival its plan and share
-// decide (arrivalAt): a window on one share moves every price that depends
+// decide (arrivalAt): a change to one share moves every price that depends
 // on it, which is what the allocator scores.
 func (bp *budgetPlan) price(ms []float64) []float64 {
 	if len(bp.costs) != len(bp.stages) {

@@ -3,6 +3,7 @@ package exec
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -232,6 +233,59 @@ func TestAllocateSyntheticCurves(t *testing.T) {
 			t.Errorf("tiny stage %d share %d below the floor", i, s)
 		}
 	}
+}
+
+// TestAllocatorPriceEvaluations bounds planning time where the benchmark
+// spends it: query_star's shape, the skewed star at the benchmark's scale
+// (10 000 dimension and 100 000 fact rows), at 5, 10 and 15 % of the fact
+// table. A compile may price the whole plan at most 690 times — what the
+// water-filling allocator the step-edge search replaced spent on
+// query_star's 5 % — so a change that multiplies planning work fails
+// here. On the planner grid (every shape × memory point × device
+// asymmetry) it logs the most edge combinations one allocation scored.
+func TestAllocatorPriceEvaluations(t *testing.T) {
+	const maxEvals = 690
+	// evals allocates c's budget through a counting pricer.
+	evals := func(c *compiler) (int, Allocation) {
+		bp, n := c.bp, 0
+		a := allocate(bp.total, bp.blockSize, len(bp.stages), func(ms []float64) []float64 {
+			n++
+			return bp.price(ms)
+		})
+		return n, a
+	}
+	r := newRig(t)
+	const nDim, nFact = 10000, 100000
+	dim1, _, fact := r.loadStar(t, nDim, nFact)
+	skewed := Table(dim1).Join(Table(fact)).
+		Project(0, 1, 12, 13, 14, 5, 16, 7, 18, 9).GroupHint(nDim).GroupBy(3).OrderBy()
+	for _, frac := range []float64{0.05, 0.10, 0.15} {
+		c, _, err := newCompiler(r.ctx(int64(frac*nFact*record.Size), 1), skewed, CompileOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, a := evals(c)
+		t.Logf("mem=%.0f%%: %d price evaluations, %d edge combinations, shares %v", frac*100, n, a.combos, a.Shares)
+		if n > maxEvals {
+			t.Errorf("mem=%.0f%%: the allocator priced the plan %d times, want ≤ %d", frac*100, n, maxEvals)
+		}
+	}
+
+	most, where := 0, ""
+	forEachWriteLatency(t, func(lambdaWrite time.Duration, fac storage.Factory, dim1, dim2, fact storage.Collection) {
+		for name, plan := range budgetPlanShapes(dim1, dim2, fact) {
+			for _, frac := range []float64{0.01, 0.05, 0.15} {
+				c, _, err := newCompiler(NewCtx(fac, int64(frac*float64(testFact)*record.Size), 1), plan(), CompileOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, a := evals(c); a.combos > most {
+					most, where = a.combos, fmt.Sprintf("%s λw=%v mem=%.0f%%", name, lambdaWrite, frac*100)
+				}
+			}
+		}
+	})
+	t.Logf("planner grid: at most %d edge combinations in one allocation (%s)", most, where)
 }
 
 // choiceCostSum is Σ Choice.Cost — what Explain shows per stage.

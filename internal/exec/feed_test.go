@@ -338,8 +338,12 @@ func TestStoredOptionKeepsThePlanPrice(t *testing.T) {
 // closed one row in, the cursor leaves no run behind; under a limit it
 // reads strictly fewer cachelines than a full drain, writes the same
 // runs, and returns the materialize-every-step reference's first rows.
+// The split is forced: the allocator's own (the even one) holds all 200
+// groups in the group-by's share, and a fold that never evicts writes no
+// run to pull.
 func TestFedCursorEndsInItsReader(t *testing.T) {
 	const limit = 10
+	evicting := CompileOptions{shares: []int64{feedFact*record.Size/8 - 5272, 5272}}
 	for _, par := range []int{1, 4} {
 		t.Run(fmt.Sprintf("p%d", par), func(t *testing.T) {
 			r := newRig(t)
@@ -349,7 +353,7 @@ func TestFedCursorEndsInItsReader(t *testing.T) {
 			open := func(p *Plan) (*Ctx, Operator, *tempCounts) {
 				counted := countTemps(r.fac)
 				ec := NewCtx(counted, feedFact*record.Size/8, par)
-				root, ex, err := Compile(ec, p)
+				root, ex, err := CompileWith(ec, p, evicting)
 				if err != nil {
 					t.Fatal(err)
 				}

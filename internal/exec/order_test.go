@@ -111,7 +111,7 @@ func TestOrderByElision(t *testing.T) {
 // order-by compiles to no stage — the split the allocator compiles must
 // measure, by the device's own counters (reads + λ·writes), within 10 %
 // of the best of a fixed grid of forced join/group-by splits, at
-// query_star's 5 % of the fact table and at 10 %. The fold's
+// query_star's 5 % of the fact table, at 10 % and at 15 %. The fold's
 // price reads the join's share (its block is the fold's cluster), so a
 // split priced stage by stage would not see what moving memory between
 // the two does.
@@ -121,7 +121,7 @@ func TestPlannerSplitMatchesMeasurement(t *testing.T) {
 	skewed := budgetPlanShapes(dim1, dim2, fact)["skewed"]
 	lambda := r.fac.Device().Lambda()
 	floor := stageFloor(r.fac.BlockSize())
-	for _, frac := range []float64{0.05, 0.10} {
+	for _, frac := range []float64{0.05, 0.10, 0.15} {
 		total := int64(frac * float64(testFact) * record.Size)
 		measure := func(opts CompileOptions) (float64, *Explain) {
 			ec := r.ctx(total, 1)

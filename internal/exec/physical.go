@@ -58,7 +58,7 @@ type Explain struct {
 	Stages      int     // blocking stages sharing the budget
 	TotalBudget int64   // plan M in bytes
 	StageShares []int64 // compile-time per-stage shares in bytes, stage order
-	EvenSplit   bool    // the allocator fell back to the even split
+	EvenSplit   bool    // no other split priced below the even one: StageShares hold it
 	PlanCost    float64 // predicted plan cost at StageShares (buffer-read units)
 	EvenCost    float64 // predicted plan cost at the even split
 	Lambda      float64
@@ -163,8 +163,8 @@ func CompileWith(ctx *Ctx, p *Plan, opts CompileOptions) (Operator, *Explain, er
 	}
 	// Memory planning: price every blocking stage's cheapest
 	// implementation as a function of its share and split the plan
-	// budget by marginal benefit (the even split is the allocator's
-	// guaranteed no-worse fallback).
+	// budget at the step edges of those prices (the even split is the
+	// allocator's first candidate and wins ties).
 	bp := c.bp
 	alloc := bp.allocate()
 	if opts.shares != nil {

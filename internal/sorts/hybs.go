@@ -17,10 +17,11 @@ import (
 // one selection pass (selection.go) whose survivors feed Rr.
 //
 // The pass that fills Rs and Rr is order-dependent (Rs tracks the global
-// minima seen so far) and stays serial; under env.Parallelism > 1 the
-// merging of Rr's runs fans merge groups out to workers, and the final
-// merge appending after Rs's records splits the key domain across
-// workers with byte-identical output.
+// minima seen so far) and stays serial, and so do the intermediate passes
+// merging Rr's runs (their groups merge one at a time, as every sort's
+// do); under env.Parallelism > 1 the final merge appending after Rs's
+// records splits the key domain across workers with byte-identical
+// output.
 type HybridSort struct {
 	// Intensity is x ∈ (0, 1]: the fraction of M given to the selection
 	// region. Larger x means fewer writes (more records bypass run

@@ -72,9 +72,8 @@ func destroyRuns(runs []storage.Collection) {
 // merge passes — reads and writes of the whole input — that the serial
 // execution does not pay. At tiny memory budgets (the paper's 1% point)
 // that used to turn one merge pass into several. The worker count is
-// reduced until the parallel plan's expected pass count, simulated with
-// mergePass's own worker grouping (whose per-group fan-in also shrinks
-// with P), matches the serial plan's.
+// reduced until the parallel plan's expected pass count, at mergePass's
+// serial fan-in, matches the serial plan's.
 func capRunWorkers(env *algo.Env, records, recSize, w int) int {
 	budget := env.BudgetRecords(recSize)
 	serialRuns := (records + 2*budget - 1) / (2 * budget)
@@ -270,7 +269,7 @@ func (f *runFormer) finish() error {
 // write-only collection (storage.Sink: Len counts the records taken;
 // neither range-appendable nor unwrappable), one ordered stream, so run
 // formation through it is serial at any P; the merge passes and the
-// final merge fan out as ExMS's do; an input that fits memory writes no
+// final merge run as ExMS's do; an input that fits memory writes no
 // run. The intake owns its runs until MergeInto or Stream hands them on;
 // Discard sweeps them on any path that never gets there.
 type Intake struct {
@@ -476,104 +475,59 @@ func scans(runs []storage.Collection) []storage.Iterator {
 	return iters
 }
 
-// mergePass merges one generation of runs into the next, fanning
-// independent merge groups out to env.Parallelism workers. The per-group
-// fan-in shrinks with the worker count so the total number of open block
-// buffers stays within the memory budget (w groups of g runs plus one
-// output buffer each: w·(g+1) ≤ M/B − reserved, where reserved keeps the
-// buffers set aside for the final merge's streaming sources — at w = 1
-// this reproduces the serial grouping exactly). combine is mergeRuns'.
+// mergePass merges one generation of runs into the next: groups of the
+// serial fan-in — one block buffer per run and one for the output, beside
+// the reserved buffers of the final merge's streaming sources — merged one
+// at a time, so the groups, and a folding merge's writes, are the same at
+// every P. combine is mergeRuns'.
 func mergePass(env *algo.Env, runs []storage.Collection, recSize, reserved int, combine func(dst, src []byte)) ([]storage.Collection, error) {
-	w := env.Workers((len(runs) + 1) / 2)
-	// Run-count-aware cap, the merge-phase twin of capRunWorkers: w
-	// concurrent merge groups share the buffer budget, so the per-group
-	// fan-in shrinks with w and the pass leaves more runs behind. Never
-	// let that cost a later pass the serial grouping avoids.
-	fullFan := env.BudgetBuffers() - reserved - 1
-	if fullFan < 2 {
-		fullFan = 2
-	}
-	serialNext := (len(runs) + fullFan - 1) / fullFan
-	for w > 1 {
-		fan := (env.BudgetBuffers()-reserved)/w - 1
-		if fan < 2 {
-			fan = 2
+	fanIn := max(env.BudgetBuffers()-reserved-1, 2)
+	_, sample := runs[0].(*sampledRun) // as their formation decided (sampling)
+	var next []storage.Collection
+	for lo := 0; lo < len(runs); lo += fanIn {
+		group := runs[lo:min(lo+fanIn, len(runs))]
+		if len(group) == 1 {
+			next = append(next, group[0])
+			continue
 		}
-		next := (len(runs) + fan - 1) / fan
-		if mergePassesFor(next, fullFan) <= mergePassesFor(serialNext, fullFan) {
-			break
+		merged, err := mergeGroup(env, group, recSize, sample, combine)
+		if err != nil {
+			// Destroy both generations: the merged groups and the input
+			// runs (Destroy is idempotent for the runs already consumed).
+			destroyRuns(next)
+			destroyRuns(runs)
+			return nil, err
 		}
-		w--
+		next = append(next, merged)
 	}
-	var groupFan, nGroups int
-	for {
-		groupFan = (env.BudgetBuffers()-reserved)/w - 1
-		if groupFan < 2 {
-			groupFan = 2
+	return next, nil
+}
+
+// mergeGroup merges one group of runs into a new run and destroys them.
+func mergeGroup(env *algo.Env, group []storage.Collection, recSize int, sample bool, combine func(dst, src []byte)) (storage.Collection, error) {
+	temp, err := env.CreateTemp("merge", recSize)
+	if err != nil {
+		return nil, err
+	}
+	merged := temp
+	if sample {
+		merged = sampleRun(temp)
+	}
+	if err := mergeInto(env, group, merged, combine); err != nil {
+		merged.Destroy() //nolint:errcheck // best-effort cleanup after failure
+		return nil, err
+	}
+	if err := merged.Close(); err != nil {
+		merged.Destroy() //nolint:errcheck // best-effort cleanup after failure
+		return nil, err
+	}
+	for _, r := range group {
+		if err := r.Destroy(); err != nil {
+			merged.Destroy() //nolint:errcheck // best-effort cleanup after failure
+			return nil, err
 		}
-		nGroups = (len(runs) + groupFan - 1) / groupFan
-		if w <= nGroups {
-			break
-		}
-		// Fewer groups than workers: surviving workers may take the
-		// freed-up buffers as extra fan-in.
-		w = nGroups
 	}
-	var children []*algo.Env
-	if w > 1 {
-		children = env.Split(w)
-	} else {
-		children = []*algo.Env{env}
-	}
-	_, sample := runs[0].(*sampledRun) // as their formation decided (sampling): the children run at Parallelism 1
-	nextGen := make([]storage.Collection, nGroups)
-	workErr := env.RunWorkers(w, func(wi int) error {
-		child := children[wi]
-		for g := wi; g < nGroups; g += w {
-			lo := g * groupFan
-			hi := lo + groupFan
-			if hi > len(runs) {
-				hi = len(runs)
-			}
-			group := runs[lo:hi]
-			if len(group) == 1 {
-				nextGen[g] = group[0]
-				continue
-			}
-			mergedTemp, err := child.CreateTemp("merge", recSize)
-			if err != nil {
-				return err
-			}
-			merged := mergedTemp
-			if sample {
-				merged = sampleRun(mergedTemp)
-			}
-			if err := mergeInto(child, group, merged, combine); err != nil {
-				merged.Destroy() //nolint:errcheck // best-effort cleanup after failure
-				return err
-			}
-			if err := merged.Close(); err != nil {
-				merged.Destroy() //nolint:errcheck // best-effort cleanup after failure
-				return err
-			}
-			for _, r := range group {
-				if err := r.Destroy(); err != nil {
-					return err
-				}
-			}
-			nextGen[g] = merged
-		}
-		return nil
-	})
-	if workErr != nil {
-		// Destroy both generations: already-merged groups, the failed
-		// worker's leftovers and the untouched input runs (Destroy is
-		// idempotent for the runs that were consumed before the error).
-		destroyRuns(nextGen)
-		destroyRuns(runs)
-		return nil, workErr
-	}
-	return nextGen, nil
+	return merged, nil
 }
 
 // mergeInto k-way merges the sorted runs into a collection.

@@ -108,8 +108,9 @@ func (s *SegmentSort) sortWith(env *algo.Env, in, out storage.Collection, combin
 // formation uses replacement selection (runs ≈ 2M); runs are merged in
 // passes bounded by the memory budget's fan-in. Under env.Parallelism > 1
 // run formation fans contiguous input chunks out to workers with per-worker
-// budgets summing to M, intermediate merge passes merge groups
-// concurrently, and the final merge into out splits the key domain across
+// budgets summing to M, intermediate merge passes merge their groups one
+// at a time (the serial grouping, so a folding pass writes the same at
+// every P), and the final merge into out splits the key domain across
 // workers on splitters sampled from the runs (order-preserving, with
 // output bytes and cacheline writes identical to the serial merge).
 type ExternalMergeSort struct{}
