@@ -15,7 +15,10 @@ import (
 
 // Budget allocation: memory planning as a first-class layer.
 //
-// The plan's DRAM budget M is split across the blocking stages by the
+// Compile builds the operator tree in one walk (compiler.build), and each
+// Sort and Join it makes adds a stage priced from the cardinality
+// estimates (compiler.estimate) and the shape of the tree beneath it. The
+// plan's DRAM budget M is then split across the blocking stages by the
 // stages' prices (stageAlloc.plan), which the cost model builds from
 // ceilings — pass counts, nested loops' blocks, a fold whose groups fit —
 // so each stage's price is a staircase in its share, and a share inside a
@@ -28,7 +31,9 @@ import (
 // The split is made once, at compile: a stage runs at the share Compile
 // allocated it for the whole run. What a stage observes when it opens —
 // its own actual input size — re-prices it at that share, and re-picks
-// its algorithm when the planner owns it (stageAlloc.open).
+// its algorithm when the planner owns it (stageAlloc.open). Between the
+// two, bind prices each stage at its share, which decides a feedable
+// stage's input home, and puts the algorithm into its operator.
 
 // Allocation is the result of one budget split across blocking stages.
 type Allocation struct {
@@ -191,15 +196,16 @@ func stepEdges(top, floor, block int64, own func(s int64) float64) []int64 {
 }
 
 // stageAlloc is one blocking stage of a compiled plan, and the only place
-// the stage is priced. The demand walk fills it from the cardinality
-// estimates; the allocator searches the step edges of plan(t, v, ·); the compiler
-// instantiates what plan names at the allocated share and shows it in
-// the Explain choice; and the stage's operator calls open with its
-// actual input sizes, which re-plans at the allocated share — so the
-// allocator's curves, Explain and the run can never disagree. Nothing
+// the stage is priced. build fills it from the cardinality estimates as
+// it makes the stage's operator; the allocator searches the step edges of
+// plan(t, v, ·); bind puts what plan names at the allocated share into the
+// operator and shows it in the Explain choice; and the operator calls open
+// with its actual input sizes, which re-plans at the allocated share — so
+// the allocator's curves, Explain and the run can never disagree. Nothing
 // here is written after Compile but the stage's Explain choice.
 type stageAlloc struct {
 	op       string          // "OrderBy", "GroupBy" or "Join"
+	node     Operator        // the Sort or Join that runs the stage
 	bp       *budgetPlan     // the plan's pricing inputs
 	sortA    sorts.Algorithm // pinned sort (order-by, group-by); nil = planner's choice
 	joinA    joins.Algorithm // pinned join; nil = planner's choice
@@ -221,7 +227,7 @@ type stageAlloc struct {
 	feedable bool // planner-owned group-by, or order-by over a result nothing else reads
 	onDevice bool // feedable group-by whose input is on the device already: no temp to price
 	handed   bool // join, group-by: the consumer is feedable
-	opened   bool // feedable and compiled: the input's home is decided (takeStage), fed or stored
+	opened   bool // feedable and bound: the input's home is decided (bind), fed or stored
 	fed      bool // feedable and opened: the input was pushed, there is no temp
 	result   bool // the plan's result streams from this stage: fed, it ends in its reader
 }
@@ -497,6 +503,30 @@ func (s *stageAlloc) joinFor(pl stagePlan) joins.Algorithm {
 	return a
 }
 
+// bind gives the stage its share once the allocator has split the
+// budget: it prices the stage there, which decides a feedable stage's
+// input home, fed or stored, puts the algorithm that plan names into the
+// stage's operator and returns the stage's Explain choice.
+func (s *stageAlloc) bind(share int64) *Choice {
+	s.share = share
+	pl := s.plan(s.t, s.v, allocBuffers(share, s.bp.blockSize))
+	s.fed, s.opened = pl.fed, s.feedable
+	s.choice = &Choice{
+		Operator: s.op, Pinned: s.sortA != nil || s.joinA != nil,
+		InputRows: s.inRows, ActualRows: -1, Buffers: s.t, RightBuf: s.v,
+		Cost: pl.cost, Share: share, Fed: pl.fed,
+	}
+	switch op := s.node.(type) {
+	case *Sort:
+		op.algo = s.sortFor(pl)
+		s.choice.Algorithm = op.algo.Name()
+	case *Join:
+		op.algo = s.joinFor(pl)
+		s.choice.Algorithm = op.algo.Name()
+	}
+	return s.choice
+}
+
 // open is called by the stage's operator once its inputs are
 // materialized: it records the actual rows on the Explain choice and
 // re-plans the stage at its actual sizes and allocated share — the
@@ -620,101 +650,10 @@ func (bp *budgetPlan) allocate() Allocation {
 	return allocate(bp.total, bp.blockSize, len(bp.stages), bp.price)
 }
 
-// --- Compile-time demand collection ---
-
-// estimateNode derives the node's output estimate bottom-up without
-// collecting stages — what the join-order rewrite sorts the leaves by.
-func (c *compiler) estimateNode(p *Plan) planEstimate {
-	est, _ := c.demandWalk(p, false)
-	return est
-}
-
-// demandWalk walks the (already join-reordered) plan in build's
-// post-order and returns the node's output estimate and the index of the
-// blocking stage its output streams from (-1 when it derives from base
-// tables only). With collect set it appends one stageAlloc per blocking
-// stage to the compiler's list: the stage's pricing inputs at the
-// compile-time cardinality estimates, plus the index of the stage its
-// input streams from (tFrom), whose plan and share decide a fold's
-// arrival.
-func (c *compiler) demandWalk(p *Plan, collect bool) (planEstimate, int) {
-	add := func(s *stageAlloc) int {
-		c.stages = append(c.stages, s)
-		return len(c.stages) - 1
-	}
-	switch p.kind {
-	case planScan:
-		return planEstimate{rows: p.col.Len(), tbl: c.statsFor(p)}, -1
-
-	case planFilter:
-		in, from := c.demandWalk(p.left, collect)
-		out := c.filterEstimate(in, p.pred)
-		out.order = in.order
-		c.narrow(p, out, from, collect)
-		return out, from
-
-	case planProject:
-		in, from := c.demandWalk(p.left, collect)
-		out := projectEstimate(in, p.attrs)
-		out.order = in.order.project(p.attrs)
-		c.narrow(p, out, from, collect)
-		return out, from
-
-	case planLimit:
-		in, from := c.demandWalk(p.left, collect)
-		out := limitEstimate(in, p.n)
-		out.order = in.order
-		return out, from
-
-	case planOrderBy:
-		in, from := c.demandWalk(p.left, collect)
-		if !collect {
-			return in, -1
-		}
-		if note, ok := c.elides(p, in.order); ok {
-			c.elided[p] = true
-			c.notes = append(c.notes, note)
-			return in, from
-		}
-		out := in
-		out.order = sorted
-		return out, add(c.feeding(p, &stageAlloc{
-			op: "OrderBy", sortA: p.sortA,
-			t: c.buffers(in.rows, planRecordSize(p.left)), inRows: in.rows, tFrom: from,
-		}))
-
-	case planGroupBy:
-		in, from := c.demandWalk(p.left, collect)
-		est, groups := c.groupEstimate(p, in)
-		out := planEstimate{rows: groups, order: grouped}
-		if !collect {
-			return out, -1
-		}
-		return out, add(c.feeding(p, &stageAlloc{
-			op: "GroupBy", sortA: p.sortA, groupEst: est, order: in.order, outBuf: c.buffers(groups, record.Size),
-			t: c.buffers(in.rows, planRecordSize(p.left)), inRows: in.rows, tFrom: from,
-		}))
-
-	case planJoin:
-		lest, lfrom := c.demandWalk(p.left, collect)
-		rest, _ := c.demandWalk(p.right, collect)
-		out := c.joinEstimate(lest, rest)
-		out.order = clustered
-		if !collect {
-			return out, -1
-		}
-		lrec, rrec := planRecordSize(p.left), planRecordSize(p.right)
-		return out, add(&stageAlloc{
-			op: "Join", joinA: p.joinA, lrec: lrec, lsrc: c.sourceWidth(p.left), outBuf: c.buffers(out.rows, lrec+rrec),
-			t: c.buffers(lest.rows, lrec), v: c.buffers(rest.rows, rrec),
-			inRows: lest.rows, tFrom: lfrom,
-		})
-	}
-	return planEstimate{}, -1
-}
+// --- Emit order ---
 
 // emitOrder is what the planner knows of the order a result's records
-// are emitted in: a property of the compiled plan, derived by demandWalk
+// are emitted in: a property of the compiled plan, derived by estimate
 // from its shape and read twice — an order-by over a result already in
 // its order compiles to no stage (elides), and a fold prices the partials
 // it writes by how its input's keys arrive (arrivalAt, folded).
@@ -761,75 +700,4 @@ func (c *compiler) elides(p *Plan, in emitOrder) (string, bool) {
 		return "OrderBy: no stage, its input is a sort's result (the record order already)", true
 	}
 	return "", false
-}
-
-// chainBase is the node beneath p's Filter/Project chain, looking through
-// the order-bys that compile to no stage: the operator the chain is built
-// on.
-func (c *compiler) chainBase(p *Plan) *Plan {
-	for p.kind == planFilter || p.kind == planProject || c.elided[p] {
-		p = p.left
-	}
-	return p
-}
-
-// feeding decides, from the plan's shape alone, whether the order-by or
-// group-by p — whose stage s is about to join the list — may have its
-// input pushed instead of stored (the fed home of a result, chain.go):
-// the planner owns its sort, and either p is a group-by, whose folding
-// intake is its in-memory aggregation, or what it reads exists only for
-// it to read — a join's or group-by's result through whatever chain that
-// absorbed, or a stream that would be drained into a pipe. Base tables,
-// a sorted result and the views over either are on the device whatever p
-// does (onDevice). A pinned sort asks for its algorithm's I/O over a
-// stored input; the materialize-everything reference stores every step.
-// The blocking producer, when there is one, is marked handed: from here
-// on the consumer prices the result's home.
-func (c *compiler) feeding(p *Plan, s *stageAlloc) *stageAlloc {
-	if p.sortA != nil || c.opts.MaterializeEveryStep {
-		return s
-	}
-	q := c.chainBase(p.left)
-	switch q.kind {
-	case planJoin, planGroupBy:
-		c.stages[s.tFrom].handed = true
-		s.feedable = true
-	case planLimit:
-		s.feedable = true
-	default:
-		s.feedable = p.kind == planGroupBy
-		s.onDevice = s.feedable
-	}
-	return s
-}
-
-// sourceWidth is the record width a scan of p's result reads where it
-// lies: a chain over a base table is a view that reads the table's
-// records whole (fuse.go); anything else is read as p emits it — a
-// blocking producer's temp through the chain it absorbed, a pipe, or the
-// materialize-everything reference's barrier. A view over a stored sort
-// result is priced at the view's width.
-func (c *compiler) sourceWidth(p *Plan) int {
-	if q := c.chainBase(p); q.kind == planScan && !c.opts.MaterializeEveryStep {
-		return planRecordSize(q)
-	}
-	return planRecordSize(p)
-}
-
-// absorbs reports whether a Filter or Project over p compiles into the
-// blocking operator at the bottom of p's Filter/Project chain
-// (compiler.chainOf decides the same thing on the operator tree).
-func (c *compiler) absorbs(p *Plan) bool {
-	p = c.chainBase(p)
-	return !c.opts.MaterializeEveryStep && (p.kind == planJoin || p.kind == planGroupBy)
-}
-
-// narrow prices an absorbed chain step where it runs: the stage beneath
-// p (a Filter or Project, estimated at out) writes what the chain lets
-// through, at the chain's width, so that — not the stage's raw result —
-// is its output term.
-func (c *compiler) narrow(p *Plan, out planEstimate, from int, collect bool) {
-	if collect && c.absorbs(p.left) {
-		c.stages[from].outBuf = c.buffers(out.rows, planRecordSize(p))
-	}
 }

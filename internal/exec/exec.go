@@ -51,11 +51,15 @@
 // sort's or a group-by's, through filters, limits and projections that
 // keep the key first — compiles to no stage, and Explain.Elided says so.
 //
-// Blocking operators (OrderBy, GroupBy, Join) share the plan's DRAM
-// budget M through the marginal-benefit allocator (see budget.go): each
-// stage's share is sized by how much its cost curve bends, with the even
-// split as a guaranteed-no-worse fallback. Shares are fixed at compile;
-// at Open a stage re-plans at its actual input size and its share. Every
+// Compile is one walk of the plan: it builds the operator tree, and each
+// blocking operator (OrderBy, GroupBy, Join) it makes adds a stage priced
+// from the plan's cardinality estimates, each node estimated once, and
+// from the shape of the tree beneath it. The stages share the plan's DRAM
+// budget M through the allocator (see budget.go), which splits it at the
+// step edges of their prices, the even split its first candidate; each
+// stage then takes its algorithm at its share (stageAlloc.bind). Shares
+// are fixed at compile; at Open a stage re-plans at its actual input
+// size and its share. Every
 // stage inherits the plan's Parallelism, so the partition-parallel
 // execution of the underlying algorithms carries over to whole
 // pipelines.

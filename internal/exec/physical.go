@@ -157,7 +157,7 @@ func Compile(ctx *Ctx, p *Plan) (Operator, *Explain, error) {
 
 // CompileWith is Compile with options.
 func CompileWith(ctx *Ctx, p *Plan, opts CompileOptions) (Operator, *Explain, error) {
-	c, p, err := newCompiler(ctx, p, opts)
+	c, _, err := newCompiler(ctx, p, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -177,20 +177,17 @@ func CompileWith(ctx *Ctx, p *Plan, opts CompileOptions) (Operator, *Explain, er
 			alloc.Cost += price
 		}
 	}
+	var choices []*Choice
 	for i, s := range c.stages {
-		s.share = alloc.Shares[i]
-	}
-	root, err := c.build(p)
-	if err != nil {
-		return nil, nil, err
+		choices = append(choices, s.bind(alloc.Shares[i]))
 	}
 	stages := len(c.stages)
 	if stages < 1 {
 		stages = 1
 	}
 	ex := &Explain{
-		Root:        root.Name(),
-		RecordSize:  root.RecordSize(),
+		Root:        c.root.Name(),
+		RecordSize:  c.root.RecordSize(),
 		Stages:      stages,
 		TotalBudget: bp.total,
 		StageShares: alloc.Shares,
@@ -200,30 +197,29 @@ func CompileWith(ctx *Ctx, p *Plan, opts CompileOptions) (Operator, *Explain, er
 		Lambda:      bp.lambda,
 		BatchSize:   ctx.batchSize(),
 		Reordered:   c.reordered,
-		Choices:     c.choices,
+		Choices:     choices,
 		Elided:      c.notes,
-		root:        root,
+		root:        c.root,
 	}
-	return root, ex, nil
+	return c.root, ex, nil
 }
 
 type compiler struct {
 	opts      CompileOptions
 	stats     stats.Provider
 	blockSize int
-	stages    []*stageAlloc // blocking stages, build's post-order
-	bp        *budgetPlan   // the stages' pricing inputs
-	next      int           // stages consumed by build so far
+	est       map[*Plan]planEstimate // estimate's memo, one entry per node
+	root      Operator               // the built tree
+	stages    []*stageAlloc          // blocking stages, build's post-order
+	bp        *budgetPlan            // the stages' pricing inputs
 	reordered bool
-	choices   []*Choice
-	elided    map[*Plan]bool // order-bys the demand walk compiled to no stage (elides)
-	notes     []string       // why, in walk order: Explain.Elided
+	notes     []string // why each elided order-by compiled to no stage, in build order: Explain.Elided
 }
 
 // newCompiler validates the inputs, applies the join-order and
-// build-narrowing rewrites and runs the demand walk: the returned
-// compiler holds one priceable, not yet allocated stage per blocking
-// operator of the returned plan.
+// build-narrowing rewrites and builds the returned plan's operator tree:
+// the returned compiler holds one priceable, not yet allocated stage per
+// blocking operator of that tree.
 func newCompiler(ctx *Ctx, p *Plan, opts CompileOptions) (*compiler, *Plan, error) {
 	if err := ctx.validate(); err != nil {
 		return nil, nil, err
@@ -234,18 +230,23 @@ func newCompiler(ctx *Ctx, p *Plan, opts CompileOptions) (*compiler, *Plan, erro
 	if p.err != nil {
 		return nil, nil, p.err
 	}
-	c := &compiler{opts: opts, stats: ctx.Stats, blockSize: ctx.Factory.BlockSize(), elided: map[*Plan]bool{}}
+	c := &compiler{opts: opts, stats: ctx.Stats, blockSize: ctx.Factory.BlockSize(), est: map[*Plan]planEstimate{}}
 	if !opts.asWritten {
 		p = c.reorderJoins(p)
 		if !opts.MaterializeEveryStep {
 			p = c.narrowBuilds(p, false)
 		}
 	}
-	// The stage the root's walk returns is the plan's result: only
-	// filters, projections, limits and elided order-bys sit above it.
-	if _, root := c.demandWalk(p, true); root >= 0 {
-		c.stages[root].result = true
+	root, from, err := c.build(p)
+	if err != nil {
+		return nil, nil, err
 	}
+	// The stage the root streams from is the plan's result: only
+	// filters, projections, limits and elided order-bys sit above it.
+	if from >= 0 {
+		c.stages[from].result = true
+	}
+	c.root = root
 	c.bp = &budgetPlan{
 		lambda:    ctx.Factory.Device().Lambda(),
 		par:       parOf(ctx.Parallelism),
@@ -281,8 +282,7 @@ func (c *compiler) breaker(op Operator) Operator {
 // where it emits, or the Stream of the steps beneath — and otherwise a
 // new Stream over child (see chain.go for the placements). The
 // materialize-everything reference mode absorbs nothing: every step gets
-// a Stream and a barrier of its own. absorbs is the demand walk's
-// logical twin for the blocking producers.
+// a Stream and a barrier of its own.
 func (c *compiler) chainOf(child Operator) (*chain, Operator) {
 	if a, ok := child.(absorber); ok && !c.opts.MaterializeEveryStep {
 		if ch := a.absorbed(); ch != nil {
@@ -293,110 +293,181 @@ func (c *compiler) chainOf(child Operator) (*chain, Operator) {
 	return &s.chain, c.breaker(s)
 }
 
-// takeStage hands build the next blocking stage — the demand walk
-// visited the same nodes in the same post-order — priced at its
-// allocated share, which gives a feedable stage's input its home, and
-// registers its Explain entry; build fills in the name of the algorithm
-// it instantiates from the plan.
-func (c *compiler) takeStage() (*stageAlloc, stagePlan) {
-	s := c.stages[c.next]
-	c.next++
-	pl := s.plan(s.t, s.v, allocBuffers(s.share, c.blockSize))
-	s.fed, s.opened = pl.fed, s.feedable
-	s.choice = &Choice{
-		Operator: s.op, Pinned: s.sortA != nil || s.joinA != nil,
-		InputRows: s.inRows, ActualRows: -1, Buffers: s.t, RightBuf: s.v,
-		Cost: pl.cost, Share: s.share, Fed: pl.fed,
-	}
-	c.choices = append(c.choices, s.choice)
-	return s, pl
+// addStage appends the blocking stage s, run by op, and returns its index.
+func (c *compiler) addStage(s *stageAlloc, op Operator) int {
+	s.node = op
+	c.stages = append(c.stages, s)
+	return len(c.stages) - 1
 }
 
 // build validates the node against its compiled children and
-// instantiates its operator; cardinalities, shares and prices come from
-// the stages the demand walk collected.
-func (c *compiler) build(p *Plan) (Operator, error) {
+// instantiates its operator. It returns the operator and the index of
+// the blocking stage its output streams from (-1 when it derives from
+// base tables only). Each Sort and Join it makes adds its stage, in
+// post-order, priced from the estimates and the shape of the tree beneath
+// it (feeding, sourceWidth, narrow) and given its share and algorithm
+// only once the allocator has split the budget (stageAlloc.bind).
+func (c *compiler) build(p *Plan) (Operator, int, error) {
 	switch p.kind {
 	case planScan:
-		return NewScan(p.col), nil
+		return NewScan(p.col), -1, nil
 
 	case planFilter:
-		child, err := c.build(p.left)
+		child, from, err := c.build(p.left)
 		if err != nil {
-			return nil, err
+			return nil, -1, err
 		}
 		if err := p.pred.validate(child.RecordSize()); err != nil {
-			return nil, err
+			return nil, -1, err
 		}
 		ch, op := c.chainOf(child)
 		ch.filter(p.pred)
-		return op, nil
+		c.narrow(p, op, from)
+		return op, from, nil
 
 	case planProject:
-		child, err := c.build(p.left)
+		child, from, err := c.build(p.left)
 		if err != nil {
-			return nil, err
+			return nil, -1, err
 		}
 		if len(p.attrs) == 0 {
-			return nil, fmt.Errorf("exec: projection with no attributes")
+			return nil, -1, fmt.Errorf("exec: projection with no attributes")
 		}
 		for _, a := range p.attrs {
 			if a < 0 || (a+1)*record.AttrSize > child.RecordSize() {
-				return nil, fmt.Errorf("exec: projected attribute a%d outside %d-byte record", a, child.RecordSize())
+				return nil, -1, fmt.Errorf("exec: projected attribute a%d outside %d-byte record", a, child.RecordSize())
 			}
 		}
 		ch, op := c.chainOf(child)
 		ch.project(p.attrs)
-		return op, nil
+		c.narrow(p, op, from)
+		return op, from, nil
 
 	case planLimit:
-		child, err := c.build(p.left)
+		child, from, err := c.build(p.left)
 		if err != nil {
-			return nil, err
+			return nil, -1, err
 		}
-		return c.breaker(NewLimit(child, p.n)), nil
+		return c.breaker(NewLimit(child, p.n)), from, nil
 
 	case planOrderBy, planGroupBy:
-		if c.elided[p] {
-			return c.build(p.left)
-		}
-		child, err := c.build(p.left)
+		child, from, err := c.build(p.left)
 		if err != nil {
-			return nil, err
+			return nil, -1, err
+		}
+		in := c.estimate(p.left)
+		s := &stageAlloc{
+			op: "OrderBy", sortA: p.sortA,
+			t: c.buffers(in.rows, child.RecordSize()), inRows: in.rows, tFrom: from,
 		}
 		attr := -1
-		if p.kind == planGroupBy {
+		if p.kind == planOrderBy {
+			if note, ok := c.elides(p, in.order); ok {
+				c.notes = append(c.notes, note)
+				return child, from, nil
+			}
+		} else {
 			// Fail width mismatches at plan time so Explain never prices a
 			// group-by that cannot execute.
 			if child.RecordSize() != record.Size {
-				return nil, fmt.Errorf("exec: group-by needs %d-byte benchmark records, input emits %d (project first)",
+				return nil, -1, fmt.Errorf("exec: group-by needs %d-byte benchmark records, input emits %d (project first)",
 					record.Size, child.RecordSize())
 			}
 			if p.attr < 0 || p.attr >= record.NumAttrs {
-				return nil, fmt.Errorf("exec: aggregate attribute a%d out of schema (0..%d)", p.attr, record.NumAttrs-1)
+				return nil, -1, fmt.Errorf("exec: aggregate attribute a%d out of schema (0..%d)", p.attr, record.NumAttrs-1)
 			}
 			attr = p.attr
+			est, groups := c.groupEstimate(p, in)
+			s.op, s.groupEst, s.order, s.outBuf = "GroupBy", est, in.order, c.buffers(groups, record.Size)
 		}
-		st, pl := c.takeStage()
-		a := st.sortFor(pl)
-		st.choice.Algorithm = a.Name()
-		return c.breaker(&Sort{child: child, attr: attr, algo: a, st: st}), nil
+		c.feeding(s, child)
+		op := &Sort{child: child, attr: attr, st: s}
+		return c.breaker(op), c.addStage(s, op), nil
 
 	case planJoin:
-		left, err := c.build(p.left)
+		left, from, err := c.build(p.left)
 		if err != nil {
-			return nil, err
+			return nil, -1, err
 		}
-		right, err := c.build(p.right)
+		right, _, err := c.build(p.right)
 		if err != nil {
-			return nil, err
+			return nil, -1, err
 		}
-		st, pl := c.takeStage()
-		a := st.joinFor(pl)
-		st.choice.Algorithm = a.Name()
-		return c.breaker(&Join{left: left, right: right, algo: a, st: st}), nil
+		lest, rest := c.estimate(p.left), c.estimate(p.right)
+		lrec, rrec := left.RecordSize(), right.RecordSize()
+		s := &stageAlloc{
+			op: "Join", joinA: p.joinA, lrec: lrec, lsrc: sourceWidth(left), outBuf: c.buffers(c.estimate(p).rows, lrec+rrec),
+			t: c.buffers(lest.rows, lrec), v: c.buffers(rest.rows, rrec),
+			inRows: lest.rows, tFrom: from,
+		}
+		op := &Join{left: left, right: right, st: s}
+		return c.breaker(op), c.addStage(s, op), nil
 	}
-	return nil, fmt.Errorf("exec: unknown plan node %d", p.kind)
+	return nil, -1, fmt.Errorf("exec: unknown plan node %d", p.kind)
+}
+
+// feeding decides, from the tree beneath it, whether the order-by or
+// group-by stage s over child may have its input pushed instead of
+// stored (the fed home of a result, chain.go): the planner owns its
+// sort, and either s is a group-by, whose folding intake is its
+// in-memory aggregation, or what it reads exists only for it to read — a
+// join's or group-by's result through whatever chain that absorbed, or a
+// stream over a limit that would be drained into a pipe. Base tables, a
+// sorted result and the views over either are on the device whatever s
+// does (onDevice). A pinned sort asks for its algorithm's I/O over a
+// stored input; the materialize-everything reference stores every step.
+// The blocking producer, when there is one, is marked handed: from here
+// on the consumer prices the result's home.
+func (c *compiler) feeding(s *stageAlloc, child Operator) {
+	if s.sortA != nil || c.opts.MaterializeEveryStep {
+		return
+	}
+	if st, ok := child.(*Stream); ok {
+		child = st.child
+	}
+	handed := false
+	switch op := child.(type) {
+	case *Join:
+		handed = true
+	case *Sort:
+		handed = op.grouping()
+	case *Limit:
+		s.feedable = true
+		return
+	}
+	if handed {
+		c.stages[s.tFrom].handed = true
+		s.feedable = true
+		return
+	}
+	s.feedable = s.op == "GroupBy"
+	s.onDevice = s.feedable
+}
+
+// sourceWidth is the record width a scan of op's result reads where it
+// lies: a Stream over a base table is a view that reads the table's
+// records whole (fuse.go); anything else is read as op emits it — a
+// blocking producer's temp through the chain it absorbed, a pipe, or the
+// materialize-everything reference's barrier. A view over a stored sort
+// result is priced at the view's width.
+func sourceWidth(op Operator) int {
+	if s, ok := op.(*Stream); ok {
+		if scan, ok := s.child.(*Scan); ok {
+			return scan.RecordSize()
+		}
+	}
+	return op.RecordSize()
+}
+
+// narrow prices an absorbed chain step where it runs: when chainOf gave
+// the Filter or Project p to op, the operator of the stage from — a Join
+// or GroupBy applying it as it emits — that stage writes what the chain
+// lets through, at the chain's width, so that, not the stage's raw
+// result, is its output term.
+func (c *compiler) narrow(p *Plan, op Operator, from int) {
+	if from >= 0 && c.stages[from].node == op {
+		c.stages[from].outBuf = c.buffers(c.estimate(p).rows, op.RecordSize())
+	}
 }
 
 // --- Cardinality estimates ---
@@ -408,6 +479,45 @@ type planEstimate struct {
 	rows  int
 	tbl   *stats.Table
 	order emitOrder
+}
+
+// estimate derives the node's output estimate bottom-up, once per node:
+// the join-order rewrite sorts a chain's leaves by it, and build prices
+// every stage with it.
+func (c *compiler) estimate(p *Plan) planEstimate {
+	if e, ok := c.est[p]; ok {
+		return e
+	}
+	var out planEstimate
+	switch p.kind {
+	case planScan:
+		out = planEstimate{rows: p.col.Len(), tbl: c.statsFor(p)}
+	case planFilter:
+		in := c.estimate(p.left)
+		out = c.filterEstimate(in, p.pred)
+		out.order = in.order
+	case planProject:
+		in := c.estimate(p.left)
+		out = projectEstimate(in, p.attrs)
+		out.order = in.order.project(p.attrs)
+	case planLimit:
+		in := c.estimate(p.left)
+		out = limitEstimate(in, p.n)
+		out.order = in.order
+	case planOrderBy:
+		out = c.estimate(p.left)
+		if _, ok := c.elides(p, out.order); !ok {
+			out.order = sorted
+		}
+	case planGroupBy:
+		_, groups := c.groupEstimate(p, c.estimate(p.left))
+		out = planEstimate{rows: groups, order: grouped}
+	case planJoin:
+		out = c.joinEstimate(c.estimate(p.left), c.estimate(p.right))
+		out.order = clustered
+	}
+	c.est[p] = out
+	return out
 }
 
 // statsFor consults the context's statistics provider for a base table.

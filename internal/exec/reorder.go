@@ -89,7 +89,7 @@ func (c *compiler) rebuildChain(orig *Plan, leaves []*Plan, identity bool) *Plan
 	}
 	rows := make([]int, len(leaves))
 	for i, l := range leaves {
-		rows[i] = c.estimateNode(l).rows
+		rows[i] = c.estimate(l).rows
 	}
 	sort.SliceStable(order, func(a, b int) bool { return rows[order[a]] < rows[order[b]] })
 	permuted := false

@@ -13,7 +13,6 @@
 //     policy that never materializes, and SegS's x = 0 end (§2.1.1)
 //   - HybS — hybrid sort: memory split into a selection region and a
 //     replacement-selection region (§2.1.2, Algorithm 1)
-//   - Cycle — in-memory cycle sort, the write-optimality reference
 //
 // Every algorithm sorts a persistent collection of fixed-size records into
 // an output collection, using at most the environment's DRAM budget M for

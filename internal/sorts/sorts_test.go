@@ -287,47 +287,6 @@ func TestSelectionSortMinimalWrites(t *testing.T) {
 	}
 }
 
-func TestCycleSortVec(t *testing.T) {
-	v := record.NewVec(record.Size, 10)
-	keys := []uint64{5, 2, 9, 1, 7, 3, 8, 0, 6, 4}
-	for _, k := range keys {
-		v.Append(record.New(k))
-	}
-	writes := CycleSortVec(v)
-	if !sortedVec(v) {
-		t.Fatal("CycleSortVec did not sort")
-	}
-	if writes > len(keys) {
-		t.Errorf("cycle sort wrote %d times for %d records", writes, len(keys))
-	}
-}
-
-// sortedVec reports whether v's records ascend in record.Less order.
-func sortedVec(v *record.Vec) bool {
-	for i := 1; i < v.Len(); i++ {
-		if record.Less(v.At(i), v.At(i-1)) {
-			return false
-		}
-	}
-	return true
-}
-
-func TestCycleSortDuplicatesAndSorted(t *testing.T) {
-	v := record.NewVec(record.Size, 8)
-	for _, k := range []uint64{3, 1, 3, 2, 1, 3} {
-		v.Append(record.New(k))
-	}
-	CycleSortVec(v)
-	if !sortedVec(v) {
-		t.Fatal("cycle sort failed on duplicates")
-	}
-	// Already-sorted input: zero writes.
-	w := CycleSortVec(v)
-	if w != 0 {
-		t.Errorf("cycle sort on sorted input wrote %d times", w)
-	}
-}
-
 // Property: every algorithm sorts arbitrary key multisets at arbitrary
 // small budgets.
 func TestQuickSortersAreCorrect(t *testing.T) {
