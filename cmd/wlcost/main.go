@@ -1,17 +1,20 @@
 // Command wlcost explores the analytic cost model without running any
-// simulation: per-algorithm cost estimates, optimal knob placement, the
+// simulation: each catalog algorithm's price, optimal knob placement, the
 // Fig. 2 heatmaps and the Table 1 ledger.
 //
 // Usage:
 //
-//	wlcost -t 781250 -m 39062 -lambda 15            # sort estimates
-//	wlcost -join -t 78125 -v 781250 -m 3906         # join estimates
+//	wlcost -t 781250 -m 39062 -lambda 15            # sort prices
+//	wlcost -join -t 78125 -v 781250 -m 3906         # join prices
 //	wlcost -heatmap -ratio 10 -lambda 5             # one Fig. 2 panel
 //	wlcost -ledger -k 8 -lambda 15                  # Table 1
 //	wlcost -alloc -stages sort:4000,join:400/4000,sort:40 -m 600
 //
 // Sizes t, v and memory m are in buffers (cachelines or small multiples),
-// the paper's cost unit; costs print in buffer-read units.
+// the paper's cost unit; costs print in buffer-read units. A sort or join
+// row is its algorithm's Profile priced serially at λ — what the planner
+// and Explain price that algorithm at when a plan pins it, and what Fig. 12
+// ranks.
 //
 // -alloc runs the engine's budget allocator over a hand-written pipeline
 // of blocking stages (comma-separated: sort:t or join:t/v) with m buffers
@@ -32,6 +35,8 @@ import (
 	"wlpm/internal/cliutil"
 	"wlpm/internal/cost"
 	"wlpm/internal/exec"
+	"wlpm/internal/joins"
+	"wlpm/internal/sorts"
 )
 
 const cmd = "wlcost"
@@ -44,12 +49,12 @@ func main() {
 		v       = flag.Float64("v", 7812500, "|V| in buffers (join right input)")
 		m       = flag.Float64("m", 39062, "memory M in buffers")
 		lambda  = flag.Float64("lambda", 15, "write/read cost ratio λ")
-		join    = flag.Bool("join", false, "print join estimates instead of sort estimates")
+		join    = flag.Bool("join", false, "print join prices instead of sort prices")
 		heatmap = flag.Bool("heatmap", false, "print a Fig. 2 heatmap panel")
 		ratio   = flag.Float64("ratio", 1, "|V|/|T| ratio for -heatmap")
 		ledger  = flag.Bool("ledger", false, "print the Table 1 lazy-join ledger")
 		k       = flag.Int("k", 8, "iterations for -ledger")
-		grants  = flag.Int("sessions", 1, "price estimates at the broker grant m/K of K concurrent sessions instead of all of m")
+		grants  = flag.Int("sessions", 1, "price at the broker grant m/K of K concurrent sessions instead of all of m")
 		alloc   = flag.Bool("alloc", false, "run the budget allocator over -stages with m buffers of total memory")
 		stages  = flag.String("stages", "sort:4000,join:400/4000,sort:40", "blocking stages for -alloc: sort:t or join:t/v, comma-separated")
 	)
@@ -64,7 +69,7 @@ func main() {
 	cliutil.CheckPositiveInt(cmd, "sessions", *grants)
 	if *grants > 1 {
 		// The memory broker hands each of K concurrent sessions a 1/K
-		// grant of the system budget; estimates below describe one such
+		// grant of the system budget; prices below describe one such
 		// query, which is how the engine's planner actually prices plans
 		// under concurrency.
 		*m = *m / float64(*grants)
@@ -190,20 +195,36 @@ func printAlloc(spec string, m, lambda float64) {
 	}
 }
 
-func printSort(t, m, lambda float64) {
-	fmt.Printf("sort cost estimates (|T|=%.0f, M=%.0f buffers, λ=%.1f; buffer-read units)\n\n", t, m, lambda)
-	fmt.Printf("  %-12s %14.4g\n", "ExMS", cost.ExternalMergeSortCost(t, m, lambda))
-	fmt.Printf("  %-12s %14.4g\n", "SelS", cost.SelectionSortCost(t, m, lambda))
-	for _, x := range []float64{0.2, 0.5, 0.8} {
-		fmt.Printf("  %-12s %14.4g\n", fmt.Sprintf("SegS(%.1f)", x), cost.SegmentSortCost(x, t, m, lambda))
-		fmt.Printf("  %-12s %14.4g\n", fmt.Sprintf("HybS(%.1f)", x), cost.HybridSortCost(x, t, m, lambda))
+// knobSettings are the settings a row takes per knob count: Fig. 9's
+// intensities for one knob, Fig. 2's anti-diagonal for two.
+var knobSettings = [][]string{{""}, {":0.2", ":0.5", ":0.8"}, {":0.2:0.8", ":0.5:0.5", ":0.8:0.2"}}
+
+// rows expands a family's DSL spellings ("SegS:<x>") into the catalog
+// spellings wlcost prices, every member at its knobSettings.
+func rows(spellings []string) []string {
+	var out []string
+	for _, sp := range spellings {
+		name, _, _ := strings.Cut(sp, ":")
+		for _, k := range knobSettings[strings.Count(sp, ":")] {
+			out = append(out, name+k)
+		}
 	}
-	fmt.Printf("  %-12s %14.4g\n", "LaS", cost.LazySortCost(t, m, lambda))
+	return out
+}
+
+func printSort(t, m, lambda float64) {
+	fmt.Printf("sort prices (|T|=%.0f, M=%.0f buffers, λ=%.1f; buffer-read units)\n\n", t, m, lambda)
+	for _, sp := range rows(sorts.Spellings()) {
+		a, err := sorts.Parse(sp)
+		if err != nil {
+			cliutil.Fatal(cmd, err)
+		}
+		fmt.Printf("  %-12s %14.4g\n", sp, a.Profile(cost.Emit{}, t, m, lambda).PriceP(1, lambda, 1))
+	}
 	fmt.Println()
 	if cost.SegmentSortApplicable(t, m, lambda) {
-		x := cost.SegmentSortOptimalX(t, m, lambda)
-		fmt.Printf("SegS optimal write intensity (Eq. 4): x = %.4f → cost %.4g\n",
-			x, cost.SegmentSortCost(x, t, m, lambda))
+		fmt.Printf("SegS optimal write intensity (Eq. 4): x = %.4f → price %.4g\n", cost.SegmentSortOptimalX(t, m, lambda),
+			sorts.NewAutoSegmentSort().Profile(cost.Emit{}, t, m, lambda).PriceP(1, lambda, 1))
 	} else {
 		fmt.Printf("SegS cost model inapplicable: λ ≥ 2(|T|/M)·lnM; write-minimal x = 0 recommended\n")
 	}
@@ -212,20 +233,16 @@ func printSort(t, m, lambda float64) {
 }
 
 func printJoin(t, v, m, lambda float64) {
-	fmt.Printf("join cost estimates (|T|=%.0f, |V|=%.0f, M=%.0f buffers, λ=%.1f)\n\n", t, v, m, lambda)
-	fmt.Printf("  %-16s %14.4g\n", "GJ", cost.GraceJoinCost(t, v, lambda))
-	fmt.Printf("  %-16s %14.4g\n", "HJ", cost.HashJoinCost(t, v, m, lambda))
-	fmt.Printf("  %-16s %14.4g\n", "NLJ", cost.NestedLoopsJoinCost(t, v, m))
-	for _, xy := range [][2]float64{{0.2, 0.8}, {0.5, 0.5}, {0.8, 0.2}} {
-		fmt.Printf("  %-16s %14.4g\n", fmt.Sprintf("HybJ(%.1f,%.1f)", xy[0], xy[1]),
-			cost.HybridJoinCost(xy[0], xy[1], t, v, m, lambda))
-	}
-	kParts := int(1.2*t/m + 1)
-	for _, x := range []float64{0.2, 0.5, 0.8} {
-		fmt.Printf("  %-16s %14.4g\n", fmt.Sprintf("SegJ(%.1f)", x),
-			cost.SegmentedGraceCost(x*float64(kParts), kParts, t, v, lambda))
+	fmt.Printf("join prices (|T|=%.0f, |V|=%.0f, M=%.0f buffers, λ=%.1f; buffer-read units)\n\n", t, v, m, lambda)
+	for _, sp := range rows(joins.Spellings()) {
+		a, err := joins.Parse(sp)
+		if err != nil {
+			cliutil.Fatal(cmd, err)
+		}
+		fmt.Printf("  %-16s %14.4g\n", sp, a.Profile(cost.Emit{}, t, v, m, lambda).PriceP(1, lambda, 1))
 	}
 	fmt.Println()
+	kParts := int(1.2*t/m + 1)
 	xh, yh := cost.HybridJoinSaddle(t, v, m, lambda)
 	fmt.Printf("HybJ saddle point (Eqs. 7–8): x = %.4f, y = %.4f\n", xh, yh)
 	fmt.Printf("SegJ beats GJ below x = %.4f of k = %d partitions (Eq. 10)\n",

@@ -180,9 +180,9 @@ func ExampleSystem_GroupByCtx() {
 
 // ExampleIOProfile ranks two sort candidates without touching the device.
 func ExampleIOProfile() {
-	const t, m = 10000, 500 // buffers
-	exms := wlpm.ProfileExternalMergeSort(t, m)
-	segs := wlpm.ProfileSegmentSort(0.2, t, m)
+	const t, m, lambda = 10000, 500, 15 // buffers, and writes at 15 reads
+	exms := wlpm.SortProfile(wlpm.ExternalMergeSort(), t, m, lambda)
+	segs := wlpm.SortProfile(wlpm.SegmentSort(0.2), t, m, lambda)
 	fmt.Printf("ExMS writes %.0f, SegS(0.2) writes %.0f\n", exms.Writes, segs.Writes)
 	fmt.Println("SegS cheaper on a λ=15 medium:", segs.PriceP(10, 150, 1) < exms.PriceP(10, 150, 1))
 	// Output:

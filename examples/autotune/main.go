@@ -31,34 +31,28 @@ func main() {
 	xOpt := wlpm.OptimalSegmentSortIntensity(t, m, lambda)
 	fmt.Printf("cost model: SegS response-optimal intensity for |T|=%.0f, M=%.0f buffers → x = %.3f\n\n", t, m, xOpt)
 
-	cands := []struct {
-		algo    wlpm.SortAlgorithm
-		profile wlpm.IOProfile
-	}{
-		{wlpm.ExternalMergeSort(), wlpm.ProfileExternalMergeSort(t, m)},
-		{wlpm.SegmentSort(0.2), wlpm.ProfileSegmentSort(0.2, t, m)},
-		{wlpm.SegmentSort(0.5), wlpm.ProfileSegmentSort(0.5, t, m)},
-		{wlpm.SegmentSort(0.8), wlpm.ProfileSegmentSort(0.8, t, m)},
-		{wlpm.HybridSort(0.5), wlpm.ProfileHybridSort(0.5, t, m)},
+	cands := []wlpm.SortAlgorithm{
+		wlpm.ExternalMergeSort(), wlpm.SegmentSort(0.2), wlpm.SegmentSort(0.5), wlpm.SegmentSort(0.8), wlpm.HybridSort(0.5),
 	}
 
 	fmt.Printf("%-14s %14s %16s %14s %14s\n", "candidate", "est. cost", "est. writes", "sim I/O", "writes")
 	var est, measured []float64
 	bestEst, bestIdx := 0.0, -1
-	for i, c := range cands {
-		price := c.profile.PriceP(readNs, writeNs, 1)
-		simIO, writes := runSort(c.algo)
+	for i, a := range cands {
+		profile := wlpm.SortProfile(a, t, m, lambda)
+		price := profile.PriceP(readNs, writeNs, 1)
+		simIO, writes := runSort(a)
 		est = append(est, price)
 		measured = append(measured, float64(simIO))
 		if bestIdx < 0 || price < bestEst {
 			bestEst, bestIdx = price, i
 		}
 		fmt.Printf("%-14s %14.4g %16.0f %14v %14d\n",
-			c.algo.Name(), price, c.profile.Writes, simIO.Round(time.Microsecond), writes)
+			a.Name(), price, profile.Writes, simIO.Round(time.Microsecond), writes)
 	}
 	tau := wlpm.KendallTau(est, measured)
 	fmt.Printf("\noptimizer's pick: %s — rank concordance with measurements (Kendall's τ): %.3f\n",
-		cands[bestIdx].algo.Name(), tau)
+		cands[bestIdx].Name(), tau)
 	if tau < 0.5 {
 		log.Fatalf("cost model ranking diverged from measurements (τ = %.3f)", tau)
 	}

@@ -30,7 +30,7 @@ func Fig12(cfg Config) ([]*Report, error) {
 	readNs := (float64(cfg.ReadLatency) + float64(cfg.CPUPerLine)) * linesPerBuf
 	writeNs := (float64(cfg.WriteLatency) + float64(cfg.CPUPerLine)) * linesPerBuf
 
-	// The candidates, by catalog spelling; each prices itself (Profiled),
+	// The candidates, by catalog spelling; each prices itself (Profile),
 	// and none of these profiles depends on λ. The write-limited ones are
 	// those with an intensity knob.
 	sortCands := []string{"ExMS", "SegS:0.2", "SegS:0.5", "SegS:0.8", "HybS:0.2", "HybS:0.8"}
@@ -61,7 +61,7 @@ func Fig12(cfg Config) ([]*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			est := a.(sorts.Profiled).Profile(cost.Emit{}, tSort, mSort, lambda).PriceP(readNs, writeNs, 1)
+			est := a.Profile(cost.Emit{}, tSort, mSort, lambda).PriceP(readNs, writeNs, 1)
 			estS = append(estS, est)
 			trueS = append(trueS, float64(m.Response))
 			if strings.Contains(spelling, ":") {
@@ -84,7 +84,7 @@ func Fig12(cfg Config) ([]*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			est := a.(joins.Profiled).Profile(cost.Emit{}, tJoin, vJoin, mJoin, lambda).PriceP(readNs, writeNs, 1)
+			est := a.Profile(cost.Emit{}, tJoin, vJoin, mJoin, lambda).PriceP(readNs, writeNs, 1)
 			estJ = append(estJ, est)
 			trueJ = append(trueJ, float64(m.Response))
 			if strings.Contains(spelling, ":") {

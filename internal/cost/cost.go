@@ -108,41 +108,6 @@ func SegmentSortApplicable(t, m, lambda float64) bool {
 	return lambda < 2*(t/m)*math.Log(m)
 }
 
-// HybridSortCost models HybS (§2.1.2, Algorithm 1). The paper does not
-// print a closed form; this model follows the algorithm's structure the
-// same way Eq. 1 follows segment sort's: the selection region (x·M) holds
-// records written exactly once, directly to the output; the remaining
-// input passes through replacement selection with (1−x)·M memory
-// (one run write and read each), and the resulting runs of ≈ 2(1−x)M
-// buffers are merged with fan-in M. Unlike the paper's continuous
-// log_M(runs) (adequate for ExMS's many runs), the pass count here is
-// discrete: at realistic budgets all runs merge in a single final pass,
-// which is what makes higher intensity cheaper — the measured behaviour
-// of Fig. 9.
-func HybridSortCost(x, t, m, lambda float64) float64 {
-	if t <= 0 {
-		return 0
-	}
-	rr := (1 - x) * m
-	if rr < 1 {
-		rr = 1
-	}
-	direct := x * m // buffers emitted straight from the selection region
-	if direct > t {
-		direct = t
-	}
-	rest := t - direct
-	runs := rest / (2 * rr)
-	extra := 0.0 // merge passes beyond the final one
-	if runs > 1 && m > 1 {
-		if p := math.Ceil(math.Log(runs)/math.Log(m)) - 1; p > 0 {
-			extra = p
-		}
-	}
-	// reads: input scan + run re-reads; writes: runs + output.
-	return t*(1+lambda) + rest*(1+lambda)*(1+extra)
-}
-
 // LazySortMaterializeIteration is Eq. 5: the iteration n at which lazy
 // sort should materialize its intermediate input,
 // n = ⌊|T|λ / (M(λ+1))⌋, never below 1.
@@ -157,69 +122,12 @@ func LazySortMaterializeIteration(t, m, lambda float64) int {
 	return n
 }
 
-// LazySortCost models LaS for completeness (the paper excludes the lazy
-// algorithms from its optimizer validation because their decisions are
-// dynamic): with materialization every n-th iteration the expected cost
-// interleaves selection scans with periodic rewrites of the shrinking
-// input.
-func LazySortCost(t, m, lambda float64) float64 {
-	if t <= 0 {
-		return 0
-	}
-	total := 0.0
-	remaining := t
-	for remaining > 0 {
-		n := float64(LazySortMaterializeIteration(remaining, m, lambda))
-		// n scans of the current input, emitting n·m buffers.
-		emitted := n * m
-		if emitted > remaining {
-			emitted = remaining
-		}
-		total += n * remaining // reads: n passes (upper bound; passes shrink with bound filtering)
-		total += emitted * lambda
-		remaining -= emitted
-		if remaining > 0 {
-			total += remaining * lambda // materialize Ti
-		}
-	}
-	return total
-}
-
 // --- Joins (§2.2) ---
 
 // GraceJoinCost is r(|T|+|V|)(2+λ): read, partition-write, re-read both
 // inputs (§2.2.2).
 func GraceJoinCost(t, v, lambda float64) float64 {
 	return (t + v) * (2 + lambda)
-}
-
-// HashJoinCost is the standard iterative hash join of §2.2.3 and
-// Table 1's left half: k = |T|/M iterations; iteration i reads the
-// surviving (k−i+1)/k of both inputs and writes back (k−i)/k of them.
-func HashJoinCost(t, v, m, lambda float64) float64 {
-	if t <= 0 {
-		return 0
-	}
-	k := math.Ceil(t / m)
-	if k < 1 {
-		k = 1
-	}
-	per := (t + v) / k
-	reads, writes := 0.0, 0.0
-	for i := 1.0; i <= k; i++ {
-		reads += (k - i + 1) * per
-		writes += (k - i) * per
-	}
-	return reads + lambda*writes
-}
-
-// NestedLoopsJoinCost is block nested loops: read T once plus one pass
-// over V per memory-sized block of T; no writes beyond the output.
-func NestedLoopsJoinCost(t, v, m float64) float64 {
-	if t <= 0 {
-		return 0
-	}
-	return t + math.Ceil(t/m)*v
 }
 
 // HybridJoinCost is Eq. 6, the cost of hybrid Grace-nested-loops with

@@ -98,27 +98,6 @@ func TestHybridJoinSaddleIsCritical(t *testing.T) {
 	}
 }
 
-func TestHashJoinCostStructure(t *testing.T) {
-	const tt, v, lambda = 1e4, 1e5, 5.0
-	// One iteration: read both inputs once, write nothing.
-	if got, want := HashJoinCost(tt, v, tt, lambda), tt+v; math.Abs(got-want) > 1 {
-		t.Errorf("HJ k=1 cost = %v, want %v", got, want)
-	}
-	// More iterations cost strictly more.
-	if HashJoinCost(tt, v, tt/10, lambda) <= HashJoinCost(tt, v, tt/2, lambda) {
-		t.Error("HJ cost not increasing as memory shrinks")
-	}
-}
-
-func TestNestedLoopsCost(t *testing.T) {
-	if got := NestedLoopsJoinCost(100, 1000, 50); got != 100+2*1000 {
-		t.Errorf("NLJ cost = %v, want 2100", got)
-	}
-	if got := NestedLoopsJoinCost(100, 1000, 200); got != 100+1000 {
-		t.Errorf("NLJ cost (T fits) = %v, want 1100", got)
-	}
-}
-
 func TestLazyHashJoinThreshold(t *testing.T) {
 	// λ-consistent form: n = ⌊kλ/(λ+1)⌋ (see the doc comment for why the
 	// printed Eq. 11 drops the λ).
@@ -226,27 +205,5 @@ func TestHeatmapFig2(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestHybridSortCostShape(t *testing.T) {
-	const tt, m, lambda = 100000, 5000, 15
-	// Higher write intensity (bigger selection region) must not increase
-	// the modelled write component: cost at x=0.9 below cost at x=0.1 in
-	// this regime (matches Fig. 9's HybS trend).
-	if HybridSortCost(0.9, tt, m, lambda) >= HybridSortCost(0.1, tt, m, lambda) {
-		t.Error("HybS model: intensity 0.9 not cheaper than 0.1")
-	}
-}
-
-func TestLazySortCostPositiveAndBounded(t *testing.T) {
-	const tt, m, lambda = 100000.0, 5000.0, 15.0
-	c := LazySortCost(tt, m, lambda)
-	if c <= 0 {
-		t.Fatalf("LaS cost = %v", c)
-	}
-	// Lower bound: one full read and the minimal writes.
-	if c < tt*(1+lambda) {
-		t.Errorf("LaS cost %v below the floor %v", c, tt*(1+lambda))
 	}
 }

@@ -7,8 +7,9 @@ import "math"
 // The Profile constructors price one algorithm at one memory point; the
 // planner's real question is the inverse — "what is the cheapest way to
 // run this blocking stage as a function of its memory share m?". That
-// function is what a budget allocator water-fills over: memory should
-// flow to the stage whose cost curve bends most, not be split evenly.
+// function is what the budget allocator splits memory by: it searches
+// the step edges of each stage's curve for the split whose stages cost
+// least together, so memory goes where a curve steps down, not evenly.
 // BestSortPlanP and BestJoinPlanP answer it pointwise (the cheapest
 // shipped implementation with its intensity knobs placed, exactly the
 // candidate set the exec planner instantiates).

@@ -251,9 +251,7 @@ func (s *stageAlloc) plan(t, v, m float64) stagePlan {
 
 // planAt is plan with the input's keys arriving in clusters of cluster
 // distinct keys (arrivalAt). A pinned algorithm is priced by its own
-// profile (sorts.Profiled, joins.Profiled), or at the cheapest plan when
-// the implementation has none; an open choice is the cheapest shipped
-// plan.
+// profile; an open choice is the cheapest shipped plan.
 func (s *stageAlloc) planAt(t, v, m, cluster float64) stagePlan {
 	if s.op == "Join" {
 		lambda, par := s.bp.lambda, s.bp.par
@@ -261,8 +259,8 @@ func (s *stageAlloc) planAt(t, v, m, cluster float64) stagePlan {
 		if s.lsrc != s.lrec {
 			em.Source = t * float64(s.lsrc) / float64(s.lrec)
 		}
-		if j, ok := s.joinA.(joins.Profiled); ok {
-			return stagePlan{cost: j.Profile(em, t, v, m, lambda).PriceP(1, lambda, par)}
+		if s.joinA != nil {
+			return stagePlan{cost: s.joinA.Profile(em, t, v, m, lambda).PriceP(1, lambda, par)}
 		}
 		best := cost.BestJoinPlanEmit(t, v, m, lambda, par, em)
 		return stagePlan{cost: best.Cost, join: best}
@@ -286,8 +284,8 @@ func (s *stageAlloc) planAt(t, v, m, cluster float64) stagePlan {
 // Compile has given the input its home, only that side is re-priced.
 func (s *stageAlloc) sortPlan(t, m, cluster float64) stagePlan {
 	lambda, par := s.bp.lambda, s.bp.par
-	if a, ok := s.sortA.(sorts.Profiled); ok {
-		return stagePlan{cost: a.Profile(s.emit(), t, m, lambda).PriceP(1, lambda, par)}
+	if s.sortA != nil {
+		return stagePlan{cost: s.sortA.Profile(s.emit(), t, m, lambda).PriceP(1, lambda, par)}
 	}
 	if s.opened && s.fed {
 		return s.fedPlan(t, m, cluster)

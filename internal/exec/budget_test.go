@@ -260,7 +260,7 @@ func TestAllocatorPriceEvaluations(t *testing.T) {
 	skewed := Table(dim1).Join(Table(fact)).
 		Project(0, 1, 12, 13, 14, 5, 16, 7, 18, 9).GroupHint(nDim).GroupBy(3).OrderBy()
 	for _, frac := range []float64{0.05, 0.10, 0.15} {
-		c, _, err := newCompiler(r.ctx(int64(frac*nFact*record.Size), 1), skewed, CompileOptions{})
+		c, err := newCompiler(r.ctx(int64(frac*nFact*record.Size), 1), skewed, CompileOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,7 +275,7 @@ func TestAllocatorPriceEvaluations(t *testing.T) {
 	forEachWriteLatency(t, func(lambdaWrite time.Duration, fac storage.Factory, dim1, dim2, fact storage.Collection) {
 		for name, plan := range budgetPlanShapes(dim1, dim2, fact) {
 			for _, frac := range []float64{0.01, 0.05, 0.15} {
-				c, _, err := newCompiler(NewCtx(fac, int64(frac*float64(testFact)*record.Size), 1), plan(), CompileOptions{})
+				c, err := newCompiler(NewCtx(fac, int64(frac*float64(testFact)*record.Size), 1), plan(), CompileOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -402,74 +402,68 @@ func TestGroupByCurveReachesResultOnly(t *testing.T) {
 	}
 }
 
-// foreignSort and foreignJoin are caller implementations the planner's
-// profile table does not know: they run a shipped algorithm under a name
-// of their own and count their invocations.
-type foreignSort struct {
-	sorts.Algorithm
-	calls int
-}
-
-func (f *foreignSort) Name() string { return "Foreign" }
-func (f *foreignSort) Sort(env *algo.Env, in, out storage.Collection) error {
-	f.calls++
-	return f.Algorithm.Sort(env, in, out)
-}
-
-type foreignJoin struct {
-	joins.Algorithm
-	calls int
-}
-
-func (f *foreignJoin) Name() string { return "Foreign" }
-func (f *foreignJoin) Join(env *algo.Env, left, right, out storage.Collection) error {
-	f.calls++
-	return f.Algorithm.Join(env, left, right, out)
-}
-
-// TestForeignPinnedAlgorithmsArePriced is the regression for the priced-
-// at-zero bug: a pinned algorithm outside the profile table was shown at
-// Choice.Cost 0 (and never re-priced at Open) while PlanCost and the
-// allocator priced its stage at the cheapest plan. Both now come from
-// stageAlloc.plan — and the pinned algorithm is still the one that runs.
-func TestForeignPinnedAlgorithmsArePriced(t *testing.T) {
+// TestPinnedAlgorithmRuns: a plan that pins a catalog algorithm runs that
+// algorithm. Over base tables, an order-by, a group-by and a join read and
+// write exactly what the algorithm does when run directly at the share
+// the plan gave the stage, and the stage's choice names it, pinned and
+// priced, before the run and after it.
+func TestPinnedAlgorithmRuns(t *testing.T) {
 	r := newRig(t)
 	dim1, _, fact := r.loadStar(t, testDim, testFact)
-	fs := &foreignSort{Algorithm: sorts.NewExternalMergeSort()}
-	fg := &foreignSort{Algorithm: sorts.NewExternalMergeSort()}
-	fj := &foreignJoin{Algorithm: joins.NewGrace()}
-	plan := Table(dim1).JoinWith(Table(fact), fj).
-		Project(0, 1, 12, 13, 14, 5, 16, 7, 18, 9).GroupByWith(3, fg).OrderByWith(fs)
 	ctx := r.ctx(testBudget, 1)
-	root, ex, err := Compile(ctx, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check := func(when string) {
+	check := func(plan *Plan, name string, direct func(env *algo.Env, out storage.Collection) error) {
 		t.Helper()
-		if len(ex.Choices) != 3 {
-			t.Fatalf("%s: %d choices, want 3 (join, groupby, orderby)", when, len(ex.Choices))
+		root, ex, err := Compile(ctx, plan)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, c := range ex.Choices {
-			if !c.Pinned || c.Algorithm != "Foreign" || c.Replanned {
-				t.Errorf("%s: %s choice %+v, want the pinned Foreign algorithm", when, c.Operator, *c)
-			}
-			if !(c.Cost > 0) {
-				t.Errorf("%s: %s pinned to a foreign algorithm is priced %v, want > 0", when, c.Operator, c.Cost)
+		c := ex.Choices[0]
+		if len(ex.Choices) != 1 || !c.Pinned || c.Algorithm != name || !(c.Cost > 0) {
+			t.Fatalf("%s: choices %+v, want the one pinned and priced", name, *c)
+		}
+		out := r.create(t, "out", root.RecordSize())
+		r.dev.ResetStats()
+		if err := RunCtx(context.Background(), ctx, root, out); err != nil {
+			t.Fatal(err)
+		}
+		ran := r.dev.Stats()
+		if c.Algorithm != name || c.Replanned {
+			t.Errorf("%s: after the run the choice names %s (replanned=%v)", name, c.Algorithm, c.Replanned)
+		}
+		alone := r.create(t, "alone", root.RecordSize())
+		r.dev.ResetStats()
+		if err := direct(algo.NewParallelEnv(r.fac, c.Share, 1), alone); err != nil {
+			t.Fatal(err)
+		}
+		if want := r.dev.Stats(); ran.Reads != want.Reads || ran.Writes != want.Writes {
+			t.Errorf("%s: the plan read %d and wrote %d cachelines, the algorithm alone %d and %d", name, ran.Reads, ran.Writes, want.Reads, want.Writes)
+		}
+		for _, c := range []storage.Collection{out, alone} {
+			if err := c.Destroy(); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
-	check("compiled")
-	if sum := choiceCostSum(ex); math.Abs(sum-ex.PlanCost) > 1e-6*ex.PlanCost {
-		t.Errorf("Σ Choice.Cost %.9g, PlanCost %.9g", sum, ex.PlanCost)
+	for _, sp := range []string{"ExMS", "SelS", "LaS", "SegS:0.3", "HybS:0.5"} {
+		a, err := sorts.Parse(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(Table(fact).OrderByWith(a), a.Name(), func(env *algo.Env, out storage.Collection) error { return a.Sort(env, fact, out) })
+		check(Table(fact).GroupByWith(3, a), a.Name(), func(env *algo.Env, out storage.Collection) error {
+			partials, err := aggregate.Partials(fact, 3)
+			if err != nil {
+				return err
+			}
+			return sorts.SortFolding(env, a, partials, aggregate.Results(out), aggregate.Combine)
+		})
 	}
-	out := r.create(t, "out", record.Size)
-	if err := RunCtx(context.Background(), ctx, root, out); err != nil {
-		t.Fatal(err)
-	}
-	check("after the run")
-	if fj.calls != 1 || fg.calls != 1 || fs.calls != 1 {
-		t.Errorf("foreign algorithms ran join=%d groupby=%d orderby=%d times, want 1 each", fj.calls, fg.calls, fs.calls)
+	for _, sp := range []string{"NLJ", "HJ", "GJ", "LaJ", "SegJ:0.5", "HybJ:0.5:0.5"} {
+		a, err := joins.Parse(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(Table(dim1).JoinWith(Table(fact), a), a.Name(), func(env *algo.Env, out storage.Collection) error { return a.Join(env, dim1, fact, out) })
 	}
 }
 
@@ -644,7 +638,7 @@ func TestResultStagePricesWhatItsReaderPays(t *testing.T) {
 		"star-byagg-orderby":    {star().Project(byAgg...).OrderBy(), "OrderBy"},
 		"join":                  {Table(dim1).JoinWith(Table(fact), joins.NewNestedLoops()), "Join"},
 	} {
-		c, _, err := newCompiler(r.ctx(1<<20, 1), sh.plan, CompileOptions{})
+		c, err := newCompiler(r.ctx(1<<20, 1), sh.plan, CompileOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

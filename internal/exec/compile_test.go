@@ -118,7 +118,7 @@ func TestCompileStageShapes(t *testing.T) {
 			stages: []stage{{op: "OrderBy"}},
 		},
 	} {
-		c, _, err := newCompiler(r.ctx(testBudget, 1), sh.plan, CompileOptions{MaterializeEveryStep: sh.mat})
+		c, err := newCompiler(r.ctx(testBudget, 1), sh.plan, CompileOptions{MaterializeEveryStep: sh.mat})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -157,7 +157,7 @@ func Compile(ctx *Ctx, p *Plan) (Operator, *Explain, error) {
 
 // CompileWith is Compile with options.
 func CompileWith(ctx *Ctx, p *Plan, opts CompileOptions) (Operator, *Explain, error) {
-	c, _, err := newCompiler(ctx, p, opts)
+	c, err := newCompiler(ctx, p, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -217,18 +217,18 @@ type compiler struct {
 }
 
 // newCompiler validates the inputs, applies the join-order and
-// build-narrowing rewrites and builds the returned plan's operator tree:
+// build-narrowing rewrites and builds the rewritten plan's operator tree:
 // the returned compiler holds one priceable, not yet allocated stage per
 // blocking operator of that tree.
-func newCompiler(ctx *Ctx, p *Plan, opts CompileOptions) (*compiler, *Plan, error) {
+func newCompiler(ctx *Ctx, p *Plan, opts CompileOptions) (*compiler, error) {
 	if err := ctx.validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if p == nil {
-		return nil, nil, errNilPlan
+		return nil, errNilPlan
 	}
 	if p.err != nil {
-		return nil, nil, p.err
+		return nil, p.err
 	}
 	c := &compiler{opts: opts, stats: ctx.Stats, blockSize: ctx.Factory.BlockSize(), est: map[*Plan]planEstimate{}}
 	if !opts.asWritten {
@@ -239,7 +239,7 @@ func newCompiler(ctx *Ctx, p *Plan, opts CompileOptions) (*compiler, *Plan, erro
 	}
 	root, from, err := c.build(p)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// The stage the root streams from is the plan's result: only
 	// filters, projections, limits and elided order-bys sit above it.
@@ -258,7 +258,7 @@ func newCompiler(ctx *Ctx, p *Plan, opts CompileOptions) (*compiler, *Plan, erro
 	for _, s := range c.stages {
 		s.bp = c.bp
 	}
-	return c, p, nil
+	return c, nil
 }
 
 // breaker wraps op in a Materialize barrier in MaterializeEveryStep

@@ -38,7 +38,7 @@ func (j *Grace) Join(env *algo.Env, left, right, out storage.Collection) error {
 	return out.Close()
 }
 
-// Profile implements Profiled.
+// Profile implements Algorithm.
 func (j *Grace) Profile(em cost.Emit, t, v, m, lambda float64) cost.Profile { return em.GJ(t, v) }
 
 // gracePhase is the one Grace join: hash left and right into the first x

@@ -50,7 +50,7 @@ func (j *HybridGraceNL) Name() string {
 	return fmt.Sprintf("HybJ(%.2f,%.2f)", j.X, j.Y)
 }
 
-// Profile implements Profiled; auto-placed knobs are priced where Join
+// Profile implements Algorithm; auto-placed knobs are priced where Join
 // will place them (the saddle solver already clamps to [0, 1]).
 func (j *HybridGraceNL) Profile(em cost.Emit, t, v, m, lambda float64) cost.Profile {
 	x, y := j.X, j.Y

@@ -30,20 +30,19 @@ import (
 	"wlpm/internal/storage"
 )
 
-// Algorithm is a persistent-memory equi-join operator.
+// Algorithm is a persistent-memory equi-join operator: one of the
+// catalog's joins, or a caller's type that embeds one. The family is
+// closed — every member prices itself, so every price the system prints
+// is a member's Profile.
 type Algorithm interface {
 	// Name is the experiment identifier ("GJ", "HybJ(0.5,0.5)"…).
 	Name() string
 	// Join appends every matching left‖right pair to out. The output
 	// record size must be the sum of the input record sizes.
 	Join(env *algo.Env, left, right, out storage.Collection) error
-}
-
-// Profiled is implemented by every shipped algorithm: its predicted I/O
-// for t build-side and v probe-side buffers with m of memory at ratio λ,
-// emitting as em describes. The planner prices a pinned algorithm by it;
-// an implementation without it is priced at the cheapest shipped plan.
-type Profiled interface {
+	// Profile is the predicted I/O for t build-side and v probe-side
+	// buffers with m of memory at ratio λ, emitting as em describes: what
+	// the planner, Explain and Fig. 12 price the algorithm at.
 	Profile(em cost.Emit, t, v, m, lambda float64) cost.Profile
 }
 

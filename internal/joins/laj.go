@@ -35,7 +35,7 @@ func (j *LazyHash) Join(env *algo.Env, left, right, out storage.Collection) erro
 	return iterativeHash(env, left, right, out, cost.LazyHashJoinMaterializeIteration)
 }
 
-// Profile implements Profiled.
+// Profile implements Algorithm.
 func (j *LazyHash) Profile(em cost.Emit, t, v, m, lambda float64) cost.Profile {
 	return em.LaJ(t, v, m, lambda)
 }
@@ -62,7 +62,7 @@ func (j *Hash) Join(env *algo.Env, left, right, out storage.Collection) error {
 	return iterativeHash(env, left, right, out, everyIteration)
 }
 
-// Profile implements Profiled.
+// Profile implements Algorithm.
 func (j *Hash) Profile(em cost.Emit, t, v, m, lambda float64) cost.Profile { return em.HJ(t, v, m) }
 
 // iterativeHash is the one iterative hash join loop: iteration p builds

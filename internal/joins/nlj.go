@@ -34,7 +34,7 @@ func (j *NestedLoops) Join(env *algo.Env, left, right, out storage.Collection) e
 	return out.Close()
 }
 
-// Profile implements Profiled.
+// Profile implements Algorithm.
 func (j *NestedLoops) Profile(em cost.Emit, t, v, m, lambda float64) cost.Profile {
 	return em.NLJ(t, v, m)
 }

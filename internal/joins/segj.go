@@ -34,7 +34,7 @@ func NewSegmentedGrace(intensity float64) *SegmentedGrace {
 // Name implements Algorithm.
 func (j *SegmentedGrace) Name() string { return fmt.Sprintf("SegJ(%.2f)", j.Intensity) }
 
-// Profile implements Profiled.
+// Profile implements Algorithm.
 func (j *SegmentedGrace) Profile(em cost.Emit, t, v, m, lambda float64) cost.Profile {
 	return em.SegJ(j.Intensity, t, v, m)
 }

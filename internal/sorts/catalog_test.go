@@ -43,11 +43,7 @@ func TestCatalog(t *testing.T) {
 			if a.Name() != c.name {
 				t.Errorf("%s: built %s", c.spelling, a.Name())
 			}
-			p, ok := a.(Profiled)
-			if !ok {
-				t.Fatalf("%s does not price itself", a.Name())
-			}
-			if got := p.Profile(em, tt, m, lambda); got != c.profile {
+			if got := a.Profile(em, tt, m, lambda); got != c.profile {
 				t.Errorf("%s: Profile %+v, cost package says %+v", a.Name(), got, c.profile)
 			}
 		}

@@ -39,12 +39,13 @@ var combineArrivals = []struct {
 	{"all-distinct", func(n int) []uint64 { return arrivals(n, func(i int) uint64 { return uint64(i * 7919 % n) }) }},
 }
 
-// foreignSort hides a shipped sort's combining driver: SortFolding must
-// fold what it emits instead.
+// foreignSort is a sort built the one way a caller outside this package
+// can build one, by embedding a catalog sort: SortFolding folds through
+// the driver it embeds.
 type foreignSort struct{ Algorithm }
 
 // combineSorts are the three drivers — SegS's (ExMS is SegS(1)), the
-// lazy loop (SelS, LaS) and HybS's — and one foreign algorithm.
+// lazy loop (SelS, LaS) and HybS's — and one caller's wrapper.
 func combineSorts() []Algorithm {
 	return []Algorithm{
 		NewExternalMergeSort(), NewSelectionSort(), NewLazySort(), NewSegmentSort(0.2), NewHybridSort(0.5),

@@ -35,7 +35,7 @@ func NewHybridSort(x float64) *HybridSort { return &HybridSort{Intensity: x} }
 // Name implements Algorithm.
 func (s *HybridSort) Name() string { return fmt.Sprintf("HybS(%.2f)", s.Intensity) }
 
-// Profile implements Profiled.
+// Profile implements Algorithm.
 func (s *HybridSort) Profile(em cost.Emit, t, m, lambda float64) cost.Profile {
 	return em.HybS(s.Intensity, t, m)
 }

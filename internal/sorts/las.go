@@ -36,7 +36,7 @@ func (s *LazySort) sortWith(env *algo.Env, in, out storage.Collection, combine f
 	return lazySort(env, in, out, cost.LazySortMaterializeIteration, combine)
 }
 
-// Profile implements Profiled.
+// Profile implements Algorithm.
 func (s *LazySort) Profile(em cost.Emit, t, m, lambda float64) cost.Profile {
 	return em.LaS(t, m, lambda)
 }

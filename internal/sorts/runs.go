@@ -764,36 +764,3 @@ func (m *merger) Close() error {
 	m.runs = nil
 	return first
 }
-
-// combiner folds each run of equal keys in an ascending record stream
-// into one record before handing it on.
-type combiner struct {
-	acc     []byte // the open key's combined record
-	key     uint64
-	held    bool // acc holds a record not yet emitted
-	combine func(dst, src []byte)
-	emit    func(rec []byte) error
-}
-
-func (c *combiner) add(rec []byte) error {
-	k := record.Key(rec)
-	if c.held && k == c.key {
-		c.combine(c.acc, rec)
-		return nil
-	}
-	if err := c.flush(); err != nil {
-		return err
-	}
-	copy(c.acc, rec)
-	c.key, c.held = k, true
-	return nil
-}
-
-// flush emits the open key's record, if any.
-func (c *combiner) flush() error {
-	if !c.held {
-		return nil
-	}
-	c.held = false
-	return c.emit(c.acc)
-}

@@ -42,7 +42,7 @@ func (s *SegmentSort) Name() string {
 	return fmt.Sprintf("SegS(%.2f)", s.Intensity)
 }
 
-// Profile implements Profiled; an auto-placed knob is priced where Sort
+// Profile implements Algorithm; an auto-placed knob is priced where Sort
 // will place it (Eq. 4).
 func (s *SegmentSort) Profile(em cost.Emit, t, m, lambda float64) cost.Profile {
 	x := s.Intensity
@@ -130,7 +130,7 @@ func (s *ExternalMergeSort) sortWith(env *algo.Env, in, out storage.Collection, 
 	return NewSegmentSort(1).sortWith(env, in, out, combine)
 }
 
-// Profile implements Profiled.
+// Profile implements Algorithm.
 func (s *ExternalMergeSort) Profile(em cost.Emit, t, m, lambda float64) cost.Profile {
 	return em.ExMS(t, m)
 }

@@ -253,7 +253,7 @@ func (s *SelectionSort) sortWith(env *algo.Env, in, out storage.Collection, comb
 	return lazySort(env, in, out, never, combine)
 }
 
-// Profile implements Profiled.
+// Profile implements Algorithm.
 func (s *SelectionSort) Profile(em cost.Emit, t, m, lambda float64) cost.Profile {
 	return em.SelS(t, m)
 }

@@ -34,21 +34,23 @@ import (
 	"wlpm/internal/storage"
 )
 
-// Algorithm is a persistent-memory sort operator.
+// Algorithm is a persistent-memory sort operator: one of the catalog's
+// sorts, or a caller's type that embeds one. The family is closed — every
+// member prices itself and runs its own driver, so every price the system
+// prints is a member's Profile.
 type Algorithm interface {
 	// Name is the short identifier used in experiments ("ExMS", "SegS(0.2)"…).
 	Name() string
 	// Sort reads in and appends its records to out in ascending key
 	// order. out must be empty and have the same record size as in.
 	Sort(env *algo.Env, in, out storage.Collection) error
-}
-
-// Profiled is implemented by every shipped algorithm: its predicted I/O
-// for t input buffers with m buffers of memory at write/read ratio λ,
-// emitting as em describes. The planner prices a pinned algorithm by it;
-// an implementation without it is priced at the cheapest shipped plan.
-type Profiled interface {
+	// Profile is the predicted I/O for t input buffers with m buffers of
+	// memory at write/read ratio λ, emitting as em describes: what the
+	// planner, Explain and Fig. 12 price the algorithm at.
 	Profile(em cost.Emit, t, m, lambda float64) cost.Profile
+	// sortWith is the algorithm's driver: Sort when combine is nil, and
+	// SortFolding's kernels otherwise.
+	sortWith(env *algo.Env, in, out storage.Collection, combine func(dst, src []byte)) error
 }
 
 // catalog declares the shipped sorts under cost.BestSortPlanP's names.
@@ -70,32 +72,13 @@ func Parse(s string) (Algorithm, error) { return catalog.Parse(s) }
 // Spellings lists the DSL spellings Parse accepts.
 func Spellings() []string { return catalog.Spellings() }
 
-// folding is every shipped sort's driver (combine nil: Sort).
-type folding interface {
-	sortWith(env *algo.Env, in, out storage.Collection, combine func(dst, src []byte)) error
-}
-
 // SortFolding sorts in — partial aggregates keyed by their group — into
 // out with a, combining the partials of equal keys (combine merges src
-// into dst in place): out receives one record per key, ascending. A
-// shipped sort combines inside its kernels — a parallel worker folds its
-// own share, and the final merge, which folds, is serial; any other
-// Algorithm sorts into a sink that combines.
+// into dst in place): out receives one record per key, ascending. Every
+// sort combines inside its kernels — a parallel worker folds its own
+// share, and the final merge, which folds, is serial.
 func SortFolding(env *algo.Env, a Algorithm, in, out storage.Collection, combine func(dst, src []byte)) error {
-	if f, ok := a.(folding); ok {
-		return f.sortWith(env, in, out, combine)
-	}
-	if err := checkArgs(env, in, out); err != nil {
-		return err
-	}
-	c := &combiner{acc: make([]byte, in.RecordSize()), combine: combine, emit: out.Append}
-	if err := a.Sort(env, in, storage.NewSink("fold("+out.Name()+")", in.RecordSize(), c.add, nil)); err != nil {
-		return err
-	}
-	if err := c.flush(); err != nil {
-		return err
-	}
-	return out.Close()
+	return a.sortWith(env, in, out, combine)
 }
 
 // checkArgs validates the common preconditions of all Sort calls.

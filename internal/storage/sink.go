@@ -25,9 +25,10 @@ type Sink struct {
 // NewSink returns a sink accepting recSize-byte records. put receives
 // every appended record, in append order; the view is only valid during
 // the call. flush runs on every Close — a producer closes its output
-// once it has emitted its last record, and a caller that cannot rely on
-// that (a foreign algorithm) closes again, so flush must be idempotent;
-// nil means there is nothing to flush.
+// once it has emitted its last record, and the output's owner may close
+// it again (exec's RunCtx closes the collection it was given after the
+// result stage has), so flush must be idempotent; nil means there is
+// nothing to flush.
 func NewSink(name string, recSize int, put func(rec []byte) error, flush func() error) *Sink {
 	return &Sink{name: name, recSize: recSize, put: put, flush: flush}
 }

@@ -484,40 +484,24 @@ func HybridJoinCost(x, y, t, v, m, lambda float64) float64 {
 func GraceJoinCost(t, v, lambda float64) float64 { return cost.GraceJoinCost(t, v, lambda) }
 
 // IOProfile is an estimated read/write volume in buffer units, priced via
-// PriceP(read, write, par). Unlike the printed-equation surfaces above, the
-// Profile* constructors model this library's shipped implementations and
-// are what an optimizer embedding wlpm should rank with (they are what
-// the Fig. 12 concordance study validates).
+// PriceP(read, write, par). Unlike the printed-equation surfaces above,
+// a profile models this library's shipped implementation of an algorithm:
+// SortProfile and JoinProfile return what the engine's planner prices a
+// plan that pins the algorithm at, and what the Fig. 12 concordance
+// study validates — the numbers an optimizer embedding wlpm should rank
+// with.
 type IOProfile = cost.Profile
 
-// ProfileExternalMergeSort estimates ExMS over t input buffers with m
-// buffers of memory.
-func ProfileExternalMergeSort(t, m float64) IOProfile { return cost.ExMSProfile(t, m) }
+// SortProfile estimates sort a over t input buffers with m buffers of
+// memory at write/read ratio λ.
+func SortProfile(a SortAlgorithm, t, m, lambda float64) IOProfile {
+	return a.Profile(cost.Emit{}, t, m, lambda)
+}
 
-// ProfileSelectionSort estimates SelS.
-func ProfileSelectionSort(t, m float64) IOProfile { return cost.SelSProfile(t, m) }
-
-// ProfileSegmentSort estimates SegS at write intensity x.
-func ProfileSegmentSort(x, t, m float64) IOProfile { return cost.SegSProfile(x, t, m) }
-
-// ProfileHybridSort estimates HybS at selection fraction x.
-func ProfileHybridSort(x, t, m float64) IOProfile { return cost.HybSProfile(x, t, m) }
-
-// ProfileGraceJoin estimates GJ for inputs of t and v buffers.
-func ProfileGraceJoin(t, v float64) IOProfile { return cost.GJProfile(t, v) }
-
-// ProfileHashJoin estimates HJ.
-func ProfileHashJoin(t, v, m float64) IOProfile { return cost.HJProfile(t, v, m) }
-
-// ProfileNestedLoopsJoin estimates NLJ.
-func ProfileNestedLoopsJoin(t, v, m float64) IOProfile { return cost.NLJProfile(t, v, m) }
-
-// ProfileHybridJoin estimates HybJ at intensities (x, y).
-func ProfileHybridJoin(x, y, t, v, m float64) IOProfile { return cost.HybJProfile(x, y, t, v, m) }
-
-// ProfileSegmentedGraceJoin estimates SegJ at the given intensity.
-func ProfileSegmentedGraceJoin(intensity, t, v, m float64) IOProfile {
-	return cost.SegJProfile(intensity, t, v, m)
+// JoinProfile estimates join a for t build-side (left) and v probe-side
+// buffers with m buffers of memory at write/read ratio λ.
+func JoinProfile(a JoinAlgorithm, t, v, m, lambda float64) IOProfile {
+	return a.Profile(cost.Emit{}, t, v, m, lambda)
 }
 
 // --- Experiments ---
