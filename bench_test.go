@@ -144,13 +144,12 @@ func benchJoin(b *testing.B, a wlpm.JoinAlgorithm, backend string) {
 	b.SetBytes(int64((microDim + microFact) * wlpm.RecordSize))
 }
 
-func BenchmarkJoinNLJ(b *testing.B)      { benchJoin(b, wlpm.NestedLoopsJoin(), "blocked") }
-func BenchmarkJoinHJ(b *testing.B)       { benchJoin(b, wlpm.HashJoin(), "blocked") }
-func BenchmarkJoinGJ(b *testing.B)       { benchJoin(b, wlpm.GraceJoin(), "blocked") }
-func BenchmarkJoinLaJ(b *testing.B)      { benchJoin(b, wlpm.LazyHashJoin(), "blocked") }
-func BenchmarkJoinSegJ50(b *testing.B)   { benchJoin(b, wlpm.SegmentedGraceJoin(0.5), "blocked") }
-func BenchmarkJoinHybJ55(b *testing.B)   { benchJoin(b, wlpm.HybridJoin(0.5, 0.5), "blocked") }
-func BenchmarkJoinHybJAuto(b *testing.B) { benchJoin(b, wlpm.AutoHybridJoin(), "blocked") }
+func BenchmarkJoinNLJ(b *testing.B)    { benchJoin(b, wlpm.NestedLoopsJoin(), "blocked") }
+func BenchmarkJoinHJ(b *testing.B)     { benchJoin(b, wlpm.HashJoin(), "blocked") }
+func BenchmarkJoinGJ(b *testing.B)     { benchJoin(b, wlpm.GraceJoin(), "blocked") }
+func BenchmarkJoinLaJ(b *testing.B)    { benchJoin(b, wlpm.LazyHashJoin(), "blocked") }
+func BenchmarkJoinSegJ50(b *testing.B) { benchJoin(b, wlpm.SegmentedGraceJoin(0.5), "blocked") }
+func BenchmarkJoinHybJ55(b *testing.B) { benchJoin(b, wlpm.HybridJoin(0.5, 0.5), "blocked") }
 
 // --- Ablations (DESIGN.md §7) ---
 

@@ -222,12 +222,13 @@ func printSort(t, m, lambda float64) {
 		fmt.Printf("  %-12s %14.4g\n", sp, a.Profile(cost.Emit{}, t, m, lambda).PriceP(1, lambda, 1))
 	}
 	fmt.Println()
-	if cost.SegmentSortApplicable(t, m, lambda) {
-		fmt.Printf("SegS optimal write intensity (Eq. 4): x = %.4f → price %.4g\n", cost.SegmentSortOptimalX(t, m, lambda),
-			sorts.NewAutoSegmentSort().Profile(cost.Emit{}, t, m, lambda).PriceP(1, lambda, 1))
-	} else {
-		fmt.Printf("SegS cost model inapplicable: λ ≥ 2(|T|/M)·lnM; write-minimal x = 0 recommended\n")
+	x4 := cost.SegmentSortOptimalX(t, m, lambda)
+	fmt.Printf("SegS write intensity by Eq. 4: x = %.4f → price %.4g", x4, cost.SegSProfile(x4, t, m).PriceP(1, lambda, 1))
+	if !cost.SegmentSortApplicable(t, m, lambda) {
+		fmt.Printf(" (model inapplicable: λ ≥ 2(|T|/M)·lnM)")
 	}
+	fmt.Printf("\nSegS(auto) places it at:       x = %.4f → price %.4g\n", cost.SegSKnob(t, m, lambda, 1, cost.Emit{}),
+		sorts.NewAutoSegmentSort().Profile(cost.Emit{}, t, m, lambda).PriceP(1, lambda, 1))
 	fmt.Printf("LaS materialization iteration (Eq. 5): n = %d\n",
 		cost.LazySortMaterializeIteration(t, m, lambda))
 }
@@ -244,7 +245,9 @@ func printJoin(t, v, m, lambda float64) {
 	fmt.Println()
 	kParts := int(1.2*t/m + 1)
 	xh, yh := cost.HybridJoinSaddle(t, v, m, lambda)
-	fmt.Printf("HybJ saddle point (Eqs. 7–8): x = %.4f, y = %.4f\n", xh, yh)
+	price := func(a joins.Algorithm) float64 { return a.Profile(cost.Emit{}, t, v, m, lambda).PriceP(1, lambda, 1) }
+	fmt.Printf("HybJ saddle point (Eqs. 7–8): x = %.4f, y = %.4f → price %.4g; min(NLJ, GJ) = %.4g\n", xh, yh,
+		price(joins.NewHybridGraceNL(xh, yh)), math.Min(price(joins.NewNestedLoops()), price(joins.NewGrace())))
 	fmt.Printf("SegJ beats GJ below x = %.4f of k = %d partitions (Eq. 10)\n",
 		cost.SegmentedGraceBeatsGraceBound(kParts, lambda), kParts)
 	fmt.Printf("LaJ materialization iteration (λ-consistent Eq. 11): n = %d of k = %d\n",

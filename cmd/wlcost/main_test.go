@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -78,9 +79,23 @@ func checkCatalogRows(t *testing.T, rows [][2]string, spellings []string, price 
 	}
 }
 
+// lineOf is the line of out that starts with prefix, less the prefix.
+func lineOf(t *testing.T, out, prefix string) string {
+	t.Helper()
+	for _, l := range strings.Split(out, "\n") {
+		if rest, ok := strings.CutPrefix(l, prefix); ok {
+			return rest
+		}
+	}
+	t.Errorf("no line %q in\n%s", prefix, out)
+	return ""
+}
+
 // TestCatalogPricesPrinted: each sort and join row wlcost prints is that
 // catalog algorithm's Profile priced as the planner prices it pinned, at
 // the same t, m and λ, and the tables name every member of both families.
+// Below them, Eq. 4's x and the x SegS(auto) places print with their
+// SegS prices, and the HybJ saddle with its price beside min(NLJ, GJ).
 func TestCatalogPricesPrinted(t *testing.T) {
 	for _, at := range []struct{ t, v, m, lambda float64 }{
 		{781250, 7812500, 39062, 15},
@@ -103,5 +118,20 @@ func TestCatalogPricesPrinted(t *testing.T) {
 			}
 			return a.Profile(cost.Emit{}, at.t, at.v, at.m, at.lambda).PriceP(1, at.lambda, 1), nil
 		})
+
+		segs := func(x float64) float64 { return cost.SegSProfile(x, at.t, at.m).PriceP(1, at.lambda, 1) }
+		x4, xa := cost.SegmentSortOptimalX(at.t, at.m, at.lambda), cost.SegSKnob(at.t, at.m, at.lambda, 1, cost.Emit{})
+		if got, want := lineOf(t, sortOut, "SegS write intensity by Eq. 4:"), fmt.Sprintf(" x = %.4f → price %.4g", x4, segs(x4)); !strings.HasPrefix(got, want) {
+			t.Errorf("Eq. 4 line %q, want %q", got, want)
+		}
+		if got, want := strings.TrimSpace(lineOf(t, sortOut, "SegS(auto) places it at:")), fmt.Sprintf("x = %.4f → price %.4g", xa, segs(xa)); got != want {
+			t.Errorf("SegS(auto) line %q, want %q", got, want)
+		}
+		xh, yh := cost.HybridJoinSaddle(at.t, at.v, at.m, at.lambda)
+		hyb := cost.HybJProfile(xh, yh, at.t, at.v, at.m).PriceP(1, at.lambda, 1)
+		floor := math.Min(cost.NLJProfile(at.t, at.v, at.m).PriceP(1, at.lambda, 1), cost.GJProfile(at.t, at.v).PriceP(1, at.lambda, 1))
+		if got, want := lineOf(t, joinOut, "HybJ saddle point (Eqs. 7–8):"), fmt.Sprintf(" x = %.4f, y = %.4f → price %.4g; min(NLJ, GJ) = %.4g", xh, yh, hyb, floor); got != want {
+			t.Errorf("saddle line %q, want %q", got, want)
+		}
 	}
 }

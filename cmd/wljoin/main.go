@@ -22,7 +22,6 @@ import (
 
 	"wlpm/internal/algo"
 	"wlpm/internal/cliutil"
-	"wlpm/internal/cost"
 	"wlpm/internal/joins"
 	"wlpm/internal/pmem"
 	"wlpm/internal/record"
@@ -36,7 +35,6 @@ func main() {
 		algoName = flag.String("algo", "SegJ", "a join of the catalog, by name or DSL spelling: "+strings.Join(joins.Spellings(), " "))
 		x        = flag.Float64("x", 0.5, "write intensity (SegJ; HybJ left fraction)")
 		y        = flag.Float64("y", 0.5, "HybJ right fraction")
-		auto     = flag.Bool("auto", false, "let the cost model place HybJ's intensities")
 		nLeft    = flag.Int("left", 20_000, "left (smaller) input records")
 		nRight   = flag.Int("right", 200_000, "right input records")
 		mem      = flag.Float64("mem", 0.05, "memory budget as a fraction of the left input size")
@@ -58,9 +56,6 @@ func main() {
 	cliutil.CheckFraction(cmd, "y", *y)
 
 	a := cliutil.Algorithm(cmd, *algoName, joins.Parse, joins.New, *x, *y)
-	if *auto && *algoName == cost.JoinHybJ {
-		a = joins.NewAutoHybridGraceNL()
-	}
 
 	payload := int64(*nLeft+*nRight) * record.Size
 	dev, err := pmem.Open(pmem.Config{

@@ -8,6 +8,8 @@
 //
 // -algo is a name of the internal/sorts catalog (its knob placed by -x)
 // or a DSL spelling carrying its own ("SegS:0.4").
+// -auto runs SegS(auto), SegS with its knob placed where the planner
+// places SegS's (cost.SegSKnob); it takes -algo SegS and nothing else.
 package main
 
 import (
@@ -35,7 +37,7 @@ func main() {
 	var (
 		algoName = flag.String("algo", "SegS", "a sort of the catalog, by name or DSL spelling: "+strings.Join(sorts.Spellings(), " "))
 		x        = flag.Float64("x", 0.5, "write intensity for SegS/HybS")
-		auto     = flag.Bool("auto", false, "let the cost model place SegS's intensity")
+		auto     = flag.Bool("auto", false, "let the cost model place SegS's intensity (-algo SegS only)")
 		n        = flag.Int("n", 200_000, "input records (80 B each)")
 		mem      = flag.Float64("mem", 0.05, "memory budget as a fraction of the input size")
 		backend  = flag.String("backend", "blocked", "blocked|pmfs|ramdisk|dynarray")
@@ -55,7 +57,10 @@ func main() {
 	cliutil.CheckFraction(cmd, "x", *x)
 
 	a := cliutil.Algorithm(cmd, *algoName, sorts.Parse, sorts.New, *x)
-	if *auto && *algoName == cost.SortSegS {
+	if *auto {
+		if *algoName != cost.SortSegS {
+			cliutil.Usage(cmd, "-auto places SegS's knob; -algo is %q", *algoName)
+		}
 		a = sorts.NewAutoSegmentSort()
 	}
 

@@ -28,11 +28,12 @@ func main() {
 	// Sizes in buffers, like the paper's cost expressions.
 	t := float64(rows) * wlpm.RecordSize / blockSize
 	m := memFrac * t
-	xOpt := wlpm.OptimalSegmentSortIntensity(t, m, lambda)
-	fmt.Printf("cost model: SegS response-optimal intensity for |T|=%.0f, M=%.0f buffers → x = %.3f\n\n", t, m, xOpt)
+	xEq4 := wlpm.OptimalSegmentSortIntensity(t, m, lambda)
+	fmt.Printf("paper's Eq. 4: SegS intensity for |T|=%.0f, M=%.0f buffers → x = %.3f (SegS(auto) places x by the shipped kernel's profile instead)\n\n", t, m, xEq4)
 
 	cands := []wlpm.SortAlgorithm{
-		wlpm.ExternalMergeSort(), wlpm.SegmentSort(0.2), wlpm.SegmentSort(0.5), wlpm.SegmentSort(0.8), wlpm.HybridSort(0.5),
+		wlpm.ExternalMergeSort(), wlpm.SegmentSort(0.2), wlpm.SegmentSort(0.5), wlpm.SegmentSort(0.8),
+		wlpm.AutoSegmentSort(), wlpm.HybridSort(0.5),
 	}
 
 	fmt.Printf("%-14s %14s %16s %14s %14s\n", "candidate", "est. cost", "est. writes", "sim I/O", "writes")

@@ -63,11 +63,12 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	// The cost model picks the response-time-minimal intensity for this
-	// input/memory/λ combination (Eq. 4).
+	// The cost model places the intensity for this input/memory/λ
+	// combination where its SegS profile prices cheapest (the planner's
+	// search, seeded with Eq. 4).
 	if err := run(wlpm.AutoSegmentSort()); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\nlower intensity → fewer writes and less wear, paid for with extra read passes;")
-	fmt.Println("the auto setting is the cost model's response-time optimum")
+	fmt.Println("the auto setting is where the cost model prices SegS cheapest")
 }

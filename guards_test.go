@@ -77,6 +77,8 @@ var guards = []guard{
 	{name: "one price per algorithm (no optional profile interface, fold beside the drivers, closed form beside the profiles or per-algorithm façade pricer)",
 		pattern: `Profiled|type folding|type combiner|HybridSortCost|LazySortCost|HashJoinCost|NestedLoopsJoinCost|func Profile(ExternalMergeSort|SegmentSort|HybridJoin)`,
 		scope:   []string{"*.go", ":!vendor"}},
+	{name: "one knob placement (no kernel solves Eq. 4 or Eqs. 7–8 beside the cost package's search, no auto-placed HybJ)",
+		pattern: `SegmentSortOptimalX|HybridJoinSaddle|AutoHybrid`, scope: []string{"internal/sorts", "internal/joins", ":!*_test.go"}},
 }
 
 // guardsFile is this file, which spells every pattern and is in no

@@ -26,7 +26,7 @@ type Catalog[A any] struct {
 
 // New builds the named algorithm with its knobs placed from the leading
 // values of knobs. Callers carry a fixed-width knob vector whatever the
-// algorithm (cost.JoinPlan's X and Y, a CLI's -x and -y), so surplus
+// algorithm (cost.SortPlan's Intensity, a CLI's -x and -y), so surplus
 // values are ignored; missing ones are an error.
 func (c Catalog[A]) New(name string, knobs ...float64) (a A, err error) {
 	e, err := c.entry(name, len(knobs), true)
@@ -46,7 +46,7 @@ func (c Catalog[A]) Parse(s string) (a A, err error) {
 	}
 	knobs := make([]float64, e.Knobs)
 	for i, ks := range parts[1:] {
-		if knobs[i], err = strconv.ParseFloat(strings.TrimSpace(ks), 64); err != nil || knobs[i] < 0 || knobs[i] > 1 {
+		if knobs[i], err = strconv.ParseFloat(strings.TrimSpace(ks), 64); err != nil || !(knobs[i] >= 0 && knobs[i] <= 1) {
 			return a, c.errorf("bad knob %q (want a fraction in [0, 1])", ks)
 		}
 	}

@@ -66,7 +66,7 @@ func Algorithm[A any](cmd, spec string, parse func(string) (A, error), build fun
 
 // CheckFraction rejects knob flags outside [0, 1].
 func CheckFraction(cmd, flagName string, v float64) {
-	if v < 0 || v > 1 {
+	if !(v >= 0 && v <= 1) {
 		Usage(cmd, "-%s must be a fraction in [0, 1], got %g", flagName, v)
 	}
 }

@@ -2,6 +2,7 @@ package cliutil
 
 import (
 	"errors"
+	"math"
 	"os"
 	"testing"
 )
@@ -27,6 +28,7 @@ func TestUsageErrorsExit2(t *testing.T) {
 		"posint":      func() { CheckPositiveInt("cmd", "n", 0) },
 		"posfloat":    func() { CheckPositiveFloat("cmd", "mem", -0.5) },
 		"fraction":    func() { CheckFraction("cmd", "x", 1.5) },
+		"NaN":         func() { CheckFraction("cmd", "x", math.NaN()) },
 		"algo":        func() { Algorithm("cmd", "ZZZ", failingParse, failingBuild, 0.5) },
 		"spelling":    func() { Algorithm("cmd", "A:0.5", failingParse, okBuild, 0.5) },
 	} {

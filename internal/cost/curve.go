@@ -10,9 +10,12 @@ import "math"
 // function is what the budget allocator splits memory by: it searches
 // the step edges of each stage's curve for the split whose stages cost
 // least together, so memory goes where a curve steps down, not evenly.
-// BestSortPlanP and BestJoinPlanP answer it pointwise (the cheapest
-// shipped implementation with its intensity knobs placed, exactly the
-// candidate set the exec planner instantiates).
+// BestSortPlanP and BestJoinPlanP answer it pointwise, over exactly the
+// candidate set the exec planner instantiates: every sort, SegS's and
+// HybS's intensity knob placed by BestKnobP's grid search, and the four
+// knobless joins (HybJ and SegJ are never cheaper than the best of them;
+// see BestJoinPlanEmit). SegSKnob is the one placement of SegS's knob,
+// for the planner and SegS(auto) alike.
 
 // Sort algorithm identifiers of BestSortPlanP results.
 const (
@@ -44,11 +47,10 @@ type SortPlan struct {
 	Cost      float64
 }
 
-// JoinPlan is SortPlan's join twin; X and Y are the HybJ fractions (X
-// doubles as the SegJ intensity).
+// JoinPlan is SortPlan's join twin. The planner's joins take no knob
+// (see BestJoinPlanEmit).
 type JoinPlan struct {
 	Algo    string
-	X, Y    float64
 	Profile Profile
 	Cost    float64
 }
@@ -80,15 +82,23 @@ func BestSortPlanEmit(t, m, lambda, par float64, e Emit) SortPlan {
 	consider(SortExMS, 0, e.ExMS(t, m))
 	consider(SortSelS, 0, e.SelS(t, m))
 	consider(SortLaS, 0, e.LaS(t, m, lambda))
-	xSeg := BestKnobP(lambda, par, func(x float64) Profile { return e.SegS(x, t, m) },
-		SegmentSortOptimalX(t, m, lambda))
+	xSeg := SegSKnob(t, m, lambda, par, e)
 	consider(SortSegS, xSeg, e.SegS(xSeg, t, m))
 	xHyb := BestKnobP(lambda, par, func(x float64) Profile { return e.HybS(x, t, m) })
 	consider(SortHybS, xHyb, e.HybS(xHyb, t, m))
 	return best
 }
 
-// BestJoinPlanP prices every shipped equi-join implementation for t
+// SegSKnob places SegS's write intensity for t input buffers with m of
+// memory at ratio λ under par-way parallelism, emitting as e describes:
+// BestKnobP's grid seeded with Eq. 4's x. The planner's SegS and
+// SegS(auto) both place it here.
+func SegSKnob(t, m, lambda, par float64, e Emit) float64 {
+	return BestKnobP(lambda, par, func(x float64) Profile { return e.SegS(x, t, m) },
+		SegmentSortOptimalX(t, m, lambda))
+}
+
+// BestJoinPlanP prices every knobless equi-join implementation for t
 // build-side and v probe-side buffers with m buffers of memory at ratio
 // λ under par-way intra-operator parallelism (see BestSortPlanP) and
 // returns the cheapest.
@@ -96,37 +106,25 @@ func BestJoinPlanP(t, v, m, lambda, par float64) JoinPlan {
 	return BestJoinPlanEmit(t, v, m, lambda, par, Emit{})
 }
 
-// BestJoinPlanEmit is BestSortPlanEmit's join twin.
+// BestJoinPlanEmit is BestSortPlanEmit's join twin. Its candidates are
+// NLJ, GJ, HJ and LaJ. The knobbed joins are linear in a knob, so each is
+// cheapest at an end, and no end is cheaper than both NLJ and GJ. HybJ is
+// linear in y: its y = 0 edge is NLJ plus the prefix's partition I/O and
+// split block builds (⌈xa⌉ + ⌈(1−x)a⌉ ≥ ⌈a⌉), and its y = 1 edge undercuts
+// GJ only where NLJ is cheaper still. SegJ is linear in its offloaded
+// partitions: at none it is NLJ plus re-scans, at all of them it is GJ.
+// Both stay in the catalog to be pinned.
 func BestJoinPlanEmit(t, v, m, lambda, par float64, e Emit) JoinPlan {
 	best := JoinPlan{Cost: math.Inf(1)}
-	consider := func(algo string, x, y float64, p Profile) {
+	consider := func(algo string, p Profile) {
 		if c := p.PriceP(1, lambda, par); c < best.Cost {
-			best = JoinPlan{Algo: algo, X: x, Y: y, Profile: p, Cost: c}
+			best = JoinPlan{Algo: algo, Profile: p, Cost: c}
 		}
 	}
-	consider(JoinNLJ, 0, 0, e.NLJ(t, v, m))
-	consider(JoinGJ, 0, 0, e.GJ(t, v))
-	consider(JoinHJ, 0, 0, e.HJ(t, v, m))
-	consider(JoinLaJ, 0, 0, e.LaJ(t, v, m, lambda))
-	sx, sy := HybridJoinSaddle(t, v, m, lambda)
-	bx, by, bc := 0.0, 0.0, math.Inf(1)
-	tryXY := func(x, y float64) {
-		if x < 0 || x > 1 || y < 0 || y > 1 {
-			return
-		}
-		if c := e.HybJ(x, y, t, v, m).PriceP(1, lambda, par); c < bc {
-			bx, by, bc = x, y, c
-		}
-	}
-	for xi := 0; xi <= 4; xi++ {
-		for yi := 0; yi <= 4; yi++ {
-			tryXY(float64(xi)*0.25, float64(yi)*0.25)
-		}
-	}
-	tryXY(sx, sy)
-	consider(JoinHybJ, bx, by, e.HybJ(bx, by, t, v, m))
-	xSeg := BestKnobP(lambda, par, func(x float64) Profile { return e.SegJ(x, t, v, m) })
-	consider(JoinSegJ, xSeg, 0, e.SegJ(xSeg, t, v, m))
+	consider(JoinNLJ, e.NLJ(t, v, m))
+	consider(JoinGJ, e.GJ(t, v))
+	consider(JoinHJ, e.HJ(t, v, m))
+	consider(JoinLaJ, e.LaJ(t, v, m, lambda))
 	return best
 }
 

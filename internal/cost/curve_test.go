@@ -3,6 +3,8 @@ package cost
 import (
 	"math"
 	"testing"
+
+	"wlpm/internal/algo"
 )
 
 // TestBestSortPlanIsArgmin: the returned plan must price at the minimum
@@ -38,25 +40,58 @@ func TestBestSortPlanIsArgmin(t *testing.T) {
 	}
 }
 
-// TestBestJoinPlanIsArgmin is the join twin.
+// TestBestJoinPlanIsArgmin is the join twin, against every join of the
+// catalog: the four knobless ones BestJoinPlanEmit prices, and HybJ on a
+// fine (x, y) grid plus its saddle and SegJ at every partition count it
+// can offload, which it leaves out. Each (t, v, m, λ) point is priced
+// emitting as profiled, handed on, re-sized and over a wider source, at
+// P = 1 and 4.
 func TestBestJoinPlanIsArgmin(t *testing.T) {
+	var knobs []float64 // 0, 0.02, …, 1
+	for i := 0; i <= 50; i++ {
+		knobs = append(knobs, float64(i)/50)
+	}
 	for _, lambda := range []float64{1.5, 15, 40} {
-		tb, vb := 1000.0, 10000.0
-		for _, frac := range []float64{0.01, 0.05, 0.15} {
-			m := tb * frac
-			best := BestJoinPlanP(tb, vb, m, lambda, 1)
-			min := math.Inf(1)
-			for _, p := range []Profile{
-				NLJProfile(tb, vb, m), GJProfile(tb, vb), HJProfile(tb, vb, m),
-				LaJProfile(tb, vb, m, lambda),
-			} {
-				if c := p.PriceP(1, lambda, 1); c < min {
-					min = c
+		for _, tv := range [][2]float64{{1000, 1000}, {1000, 10000}} {
+			tb, vb := tv[0], tv[1]
+			for _, frac := range []float64{0.002, 0.01, 0.05, 0.15, 0.5} {
+				m := tb * frac
+				for _, em := range []Emit{{}, {Handed: true}, {Out: 2 * vb}, {Source: 3 * tb}} {
+					for _, par := range []float64{1, 4} {
+						best := BestJoinPlanEmit(tb, vb, m, lambda, par, em)
+						min, minName := math.Inf(1), ""
+						try := func(name string, p Profile) {
+							if c := p.PriceP(1, lambda, par); c < min {
+								min, minName = c, name
+							}
+						}
+						try("NLJ", em.NLJ(tb, vb, m))
+						try("GJ", em.GJ(tb, vb))
+						try("HJ", em.HJ(tb, vb, m))
+						try("LaJ", em.LaJ(tb, vb, m, lambda))
+						sx, sy := HybridJoinSaddle(tb, vb, m, lambda)
+						try("HybJ saddle", em.HybJ(sx, sy, tb, vb, m))
+						for _, x := range knobs {
+							for _, y := range knobs {
+								try("HybJ", em.HybJ(x, y, tb, vb, m))
+							}
+						}
+						k := math.Ceil(algo.HashTableExpansion * tb / m)
+						for i := 0.0; i <= k; i++ {
+							try("SegJ", em.SegJ(i/k, tb, vb, m))
+						}
+						for _, x := range knobs {
+							try("SegJ", em.SegJ(x, tb, vb, m))
+						}
+						if best.Cost > min*(1+1e-12) {
+							t.Errorf("λ=%.1f t=%.0f v=%.0f m=%.0f %+v P=%.0f: BestJoinPlanEmit %s at %.6g above %s at %.6g",
+								lambda, tb, vb, m, em, par, best.Algo, best.Cost, minName, min)
+						}
+						if got := best.Profile.PriceP(1, lambda, par); got != best.Cost {
+							t.Errorf("plan cost %.6g disagrees with its own profile %.6g", best.Cost, got)
+						}
+					}
 				}
-			}
-			if best.Cost > min*(1+1e-12) {
-				t.Errorf("λ=%.1f m=%.0f: BestJoinPlanP %s at %.6g above a fixed candidate at %.6g",
-					lambda, m, best.Algo, best.Cost, min)
 			}
 		}
 	}

@@ -489,12 +489,14 @@ func (s *stageAlloc) sortFor(pl stagePlan) sorts.Algorithm {
 	return a
 }
 
-// joinFor is sortFor's join twin.
+// joinFor is sortFor's join twin. The planner's joins are knobless: HybJ
+// and SegJ are linear in their knobs between prices no lower than NLJ's
+// or GJ's (cost.BestJoinPlanEmit), so they run only pinned.
 func (s *stageAlloc) joinFor(pl stagePlan) joins.Algorithm {
 	if s.joinA != nil {
 		return s.joinA
 	}
-	a, err := joins.New(pl.join.Algo, pl.join.X, pl.join.Y)
+	a, err := joins.New(pl.join.Algo)
 	if err != nil {
 		panic(err)
 	}

@@ -877,16 +877,18 @@ func TestDSLErrors(t *testing.T) {
 	lookup := func(string) (storage.Collection, error) { return in, nil }
 	for _, src := range []string{
 		"",
-		"filter(a0 == 1)",                  // must start with scan
-		"scan(t) | scan(t)",                // scan mid-plan
-		"scan(t) | frobnicate(a1)",         // unknown stage
-		"scan(t) | filter(a0 ~ 3)",         // bad operator
-		"scan(t) | join(scan(t); ZJ)",      // unknown join algorithm
-		"scan(t) | orderby(SegS)",          // missing knob
-		"scan(t) | orderby(SegS:2)",        // knob out of range
-		"scan(t) | join(scan(t)",           // unbalanced parens
-		"scan(t) | groupby(a1, groups=-3)", // bad group hint
-		"scan(t) | limit(x)",               // bad limit
+		"filter(a0 == 1)",                       // must start with scan
+		"scan(t) | scan(t)",                     // scan mid-plan
+		"scan(t) | frobnicate(a1)",              // unknown stage
+		"scan(t) | filter(a0 ~ 3)",              // bad operator
+		"scan(t) | join(scan(t); ZJ)",           // unknown join algorithm
+		"scan(t) | orderby(SegS)",               // missing knob
+		"scan(t) | orderby(SegS:2)",             // knob out of range
+		"scan(t) | orderby(SegS:NaN)",           // NaN knob
+		"scan(t) | join(scan(t); HybJ:NaN:0.5)", // NaN knob of a join
+		"scan(t) | join(scan(t)",                // unbalanced parens
+		"scan(t) | groupby(a1, groups=-3)",      // bad group hint
+		"scan(t) | limit(x)",                    // bad limit
 	} {
 		if _, err := ParsePlan(src, lookup); err == nil {
 			t.Errorf("ParsePlan(%q) accepted", src)

@@ -49,18 +49,15 @@ func TestCatalog(t *testing.T) {
 			}
 		}
 	}
-	sx, sy := cost.HybridJoinSaddle(tt, v, m, lambda)
-	if got, want := NewAutoHybridGraceNL().Profile(em, tt, v, m, lambda), em.HybJ(sx, sy, tt, v, m); got != want {
-		t.Errorf("HybJ(auto): Profile %+v, want the saddle placement's %+v", got, want)
-	}
-
 	const have = " (joins: NLJ HJ GJ LaJ SegJ:<x> HybJ:<x>:<y>)"
 	for spelling, want := range map[string]string{
-		"ZJ":         `unknown algorithm "ZJ"` + have,
-		"HybJ:0.5":   `algorithm "HybJ" takes 2 knob(s), got 1` + have,
-		"GJ:0.5":     `algorithm "GJ" takes 0 knob(s), got 1` + have,
-		"SegJ:-0.1":  `bad knob "-0.1" (want a fraction in [0, 1])` + have,
-		"HybJ:0.5:y": `bad knob "y" (want a fraction in [0, 1])` + have,
+		"ZJ":           `unknown algorithm "ZJ"` + have,
+		"HybJ:0.5":     `algorithm "HybJ" takes 2 knob(s), got 1` + have,
+		"GJ:0.5":       `algorithm "GJ" takes 0 knob(s), got 1` + have,
+		"SegJ:-0.1":    `bad knob "-0.1" (want a fraction in [0, 1])` + have,
+		"HybJ:0.5:y":   `bad knob "y" (want a fraction in [0, 1])` + have,
+		"HybJ:NaN:0.5": `bad knob "NaN" (want a fraction in [0, 1])` + have,
+		"SegJ:+NaN":    `bad knob "+NaN" (want a fraction in [0, 1])` + have,
 	} {
 		if _, err := Parse(spelling); err == nil || err.Error() != want {
 			t.Errorf("Parse(%q): %v, want %s", spelling, err, want)

@@ -22,6 +22,9 @@ import (
 // The first two are the shared Grace phase (gj.go) with a probe suffix,
 // the third is NLJ's loop (nlj.go); with no left prefix (x·|T| < 1
 // record) only the third runs and the join is NLJ's, I/O for I/O.
+// Eq. 6's stationary point (Eqs. 7–8) is a saddle, and no (x, y) prices
+// HybJ below both NLJ and GJ, so the planner never picks it: it runs
+// pinned, its knobs placed by the caller.
 //
 // Under env.Parallelism > 1 the partitioning scans, the hash-table
 // builds (worker sub-tables merged back into serial insertion order) and
@@ -30,34 +33,17 @@ import (
 type HybridGraceNL struct {
 	// X and Y are the Grace fractions of the left and right inputs.
 	X, Y float64
-	// Auto places (X, Y) at the cost model's recommendation: the Eq. 7–8
-	// saddle values clamped to the heuristic x+y = 1, x ≥ y region the
-	// paper suggests when inputs diverge in size.
-	Auto bool
 }
 
 // NewHybridGraceNL returns HybJ with fixed write intensities.
 func NewHybridGraceNL(x, y float64) *HybridGraceNL { return &HybridGraceNL{X: x, Y: y} }
 
-// NewAutoHybridGraceNL returns HybJ that places its knobs via the cost model.
-func NewAutoHybridGraceNL() *HybridGraceNL { return &HybridGraceNL{Auto: true} }
-
 // Name implements Algorithm.
-func (j *HybridGraceNL) Name() string {
-	if j.Auto {
-		return "HybJ(auto)"
-	}
-	return fmt.Sprintf("HybJ(%.2f,%.2f)", j.X, j.Y)
-}
+func (j *HybridGraceNL) Name() string { return fmt.Sprintf("HybJ(%.2f,%.2f)", j.X, j.Y) }
 
-// Profile implements Algorithm; auto-placed knobs are priced where Join
-// will place them (the saddle solver already clamps to [0, 1]).
+// Profile implements Algorithm.
 func (j *HybridGraceNL) Profile(em cost.Emit, t, v, m, lambda float64) cost.Profile {
-	x, y := j.X, j.Y
-	if j.Auto {
-		x, y = cost.HybridJoinSaddle(t, v, m, lambda)
-	}
-	return em.HybJ(x, y, t, v, m)
+	return em.HybJ(j.X, j.Y, t, v, m)
 }
 
 // Join implements Algorithm.
@@ -65,19 +51,11 @@ func (j *HybridGraceNL) Join(env *algo.Env, left, right, out storage.Collection)
 	if err := checkArgs(env, left, right, out); err != nil {
 		return err
 	}
-	x, y := j.X, j.Y
-	if j.Auto {
-		bs := float64(env.Factory.BlockSize())
-		t := float64(left.Len()*left.RecordSize()) / bs
-		v := float64(right.Len()*right.RecordSize()) / bs
-		m := float64(env.MemoryBudget) / bs
-		x, y = cost.HybridJoinSaddle(t, v, m, env.Lambda())
+	if !(j.X >= 0 && j.X <= 1 && j.Y >= 0 && j.Y <= 1) {
+		return fmt.Errorf("joins: HybJ intensities (%v, %v) out of [0,1]", j.X, j.Y)
 	}
-	if x < 0 || x > 1 || y < 0 || y > 1 {
-		return fmt.Errorf("joins: HybJ intensities (%v, %v) out of [0,1]", x, y)
-	}
-	splitT := int(x * float64(left.Len()))
-	splitV := int(y * float64(right.Len()))
+	splitT := int(j.X * float64(left.Len()))
+	splitV := int(j.Y * float64(right.Len()))
 	ws := newWorkingSet(env, left, right, out)
 
 	// Tx ⋈ Vy and Tx ⋈ V(1−y): the Grace phase over the prefixes, the

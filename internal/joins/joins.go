@@ -56,8 +56,8 @@ var catalog = algo.Catalog[Algorithm]{Family: "joins", Entries: []algo.Entry[Alg
 	{Name: cost.JoinHybJ, Knobs: 2, New: func(k []float64) Algorithm { return NewHybridGraceNL(k[0], k[1]) }},
 }}
 
-// New builds the join the planner calls name, its knobs (if it has any)
-// taken from the front of knobs: cost.JoinPlan's X, then Y.
+// New builds the join named name, its knobs (if it has any) taken from
+// the front of knobs: x, then y.
 func New(name string, knobs ...float64) (Algorithm, error) { return catalog.New(name, knobs...) }
 
 // Parse builds a join from its DSL spelling: "GJ", "HybJ:0.5:0.5".

@@ -3,6 +3,7 @@ package joins
 import (
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -58,7 +59,7 @@ func allAlgorithms() []Algorithm {
 		NewHybridGraceNL(0.8, 0.2),
 		NewHybridGraceNL(0, 0),
 		NewHybridGraceNL(1, 1),
-		NewAutoHybridGraceNL(),
+		NewHybridGraceNL(1, 0),
 		NewSegmentedGrace(0),
 		NewSegmentedGrace(0.5),
 		NewSegmentedGrace(1),
@@ -234,11 +235,20 @@ func TestJoinArgumentValidation(t *testing.T) {
 	if err := NewGrace().Join(env, left, right, badOut); err == nil {
 		t.Error("wrong output record size accepted")
 	}
-	if err := NewHybridGraceNL(2, 0).Join(env, left, right, badOut); err == nil {
-		t.Error("HybJ intensity 2 accepted")
+	// The knobs are checked on an output the join could fill, so no other
+	// argument is what refuses them; NaN passes a bare x < 0 || x > 1.
+	out, _ := env.Factory.Create("out", 2*record.Size)
+	nan := math.NaN()
+	for _, a := range []Algorithm{
+		NewHybridGraceNL(2, 0), NewHybridGraceNL(nan, 0.5), NewHybridGraceNL(0.5, nan),
+		NewSegmentedGrace(-1), NewSegmentedGrace(nan),
+	} {
+		if err := a.Join(env, left, right, out); err == nil {
+			t.Errorf("%s accepted", a.Name())
+		}
 	}
-	if err := NewSegmentedGrace(-1).Join(env, left, right, badOut); err == nil {
-		t.Error("SegJ intensity -1 accepted")
+	if out.Len() != 0 {
+		t.Errorf("a refused join wrote %d records", out.Len())
 	}
 }
 

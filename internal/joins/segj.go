@@ -44,7 +44,7 @@ func (j *SegmentedGrace) Join(env *algo.Env, left, right, out storage.Collection
 	if err := checkArgs(env, left, right, out); err != nil {
 		return err
 	}
-	if j.Intensity < 0 || j.Intensity > 1 {
+	if !(j.Intensity >= 0 && j.Intensity <= 1) {
 		return fmt.Errorf("joins: SegJ intensity %v out of [0,1]", j.Intensity)
 	}
 	k := partitionCount(env, left.Len(), left.RecordSize())

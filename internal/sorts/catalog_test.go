@@ -1,6 +1,7 @@
 package sorts
 
 import (
+	"math"
 	"testing"
 
 	"wlpm/internal/cost"
@@ -48,9 +49,9 @@ func TestCatalog(t *testing.T) {
 			}
 		}
 	}
-	auto := em.SegS(cost.SegmentSortOptimalX(tt, m, lambda), tt, m)
+	auto := em.SegS(cost.SegSKnob(tt, m, lambda, 1, cost.Emit{}), tt, m)
 	if got := NewAutoSegmentSort().Profile(em, tt, m, lambda); got != auto {
-		t.Errorf("SegS(auto): Profile %+v, want the Eq. 4 placement's %+v", got, auto)
+		t.Errorf("SegS(auto): Profile %+v, want the planner's serial placement's %+v", got, auto)
 	}
 
 	const have = " (sorts: ExMS SelS LaS SegS:<x> HybS:<x>)"
@@ -61,6 +62,8 @@ func TestCatalog(t *testing.T) {
 		"ExMS:0.5": `algorithm "ExMS" takes 0 knob(s), got 1` + have,
 		"SegS:2":   `bad knob "2" (want a fraction in [0, 1])` + have,
 		"HybS:x":   `bad knob "x" (want a fraction in [0, 1])` + have,
+		"SegS:NaN": `bad knob "NaN" (want a fraction in [0, 1])` + have,
+		"HybS:nan": `bad knob "nan" (want a fraction in [0, 1])` + have,
 	} {
 		if _, err := Parse(spelling); err == nil || err.Error() != want {
 			t.Errorf("Parse(%q): %v, want %s", spelling, err, want)
@@ -68,5 +71,43 @@ func TestCatalog(t *testing.T) {
 	}
 	if _, err := New(cost.SortSegS); err == nil {
 		t.Error("New(SegS) without its knob accepted")
+	}
+}
+
+// TestAutoSegmentSortPricesThePlannersSegS: over a (t, m, λ) grid,
+// SegS(auto) prices at the serial SegS price of the planner's search —
+// the 0.05 grid seeded with Eq. 4, spelled out here — never above Eq. 4's
+// own placement, and exactly at BestSortPlanP's cost wherever that picks
+// SegS.
+func TestAutoSegmentSortPricesThePlannersSegS(t *testing.T) {
+	picked := 0
+	for _, tt := range []float64{400, 4000, 40000} {
+		for _, frac := range []float64{0.01, 0.05, 0.15} {
+			for _, lambda := range []float64{1.5, 5, 15, 40} {
+				m := tt * frac
+				got := NewAutoSegmentSort().Profile(cost.Emit{}, tt, m, lambda).PriceP(1, lambda, 1)
+				price := func(x float64) float64 { return cost.SegSProfile(x, tt, m).PriceP(1, lambda, 1) }
+				eq4 := cost.SegmentSortOptimalX(tt, m, lambda)
+				want := price(eq4)
+				if got > want {
+					t.Errorf("t=%.0f m=%.0f λ=%.1f: SegS(auto) priced %.6g above Eq. 4's x = %.3f at %.6g", tt, m, lambda, got, eq4, want)
+				}
+				for i := 0; i <= 20; i++ {
+					want = math.Min(want, price(float64(i)*0.05))
+				}
+				if got != want {
+					t.Errorf("t=%.0f m=%.0f λ=%.1f: SegS(auto) priced %.6g, the planner's SegS %.6g", tt, m, lambda, got, want)
+				}
+				if best := cost.BestSortPlanP(tt, m, lambda, 1); best.Algo == cost.SortSegS {
+					picked++
+					if best.Cost != got {
+						t.Errorf("t=%.0f m=%.0f λ=%.1f: BestSortPlanP's SegS costs %.6g, SegS(auto) %.6g", tt, m, lambda, best.Cost, got)
+					}
+				}
+			}
+		}
+	}
+	if picked == 0 {
+		t.Error("the planner picks SegS nowhere on the grid: the last check never ran")
 	}
 }

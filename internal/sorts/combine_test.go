@@ -45,11 +45,12 @@ var combineArrivals = []struct {
 type foreignSort struct{ Algorithm }
 
 // combineSorts are the three drivers — SegS's (ExMS is SegS(1)), the
-// lazy loop (SelS, LaS) and HybS's — and one caller's wrapper.
+// lazy loop (SelS, LaS) and HybS's — and one caller's wrapper, of SegS(auto),
+// whose knob SegS's driver places at Sort time.
 func combineSorts() []Algorithm {
 	return []Algorithm{
 		NewExternalMergeSort(), NewSelectionSort(), NewLazySort(), NewSegmentSort(0.2), NewHybridSort(0.5),
-		foreignSort{NewExternalMergeSort()},
+		foreignSort{NewAutoSegmentSort()},
 	}
 }
 

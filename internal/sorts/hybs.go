@@ -52,7 +52,7 @@ func (s *HybridSort) sortWith(env *algo.Env, in, out storage.Collection, combine
 	if err := checkArgs(env, in, out); err != nil {
 		return err
 	}
-	if s.Intensity < 0 || s.Intensity > 1 {
+	if !(s.Intensity >= 0 && s.Intensity <= 1) {
 		return fmt.Errorf("sorts: HybS intensity %v out of [0,1]", s.Intensity)
 	}
 	recSize := in.RecordSize()

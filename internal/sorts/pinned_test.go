@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"testing"
 
+	"wlpm/internal/cost"
 	"wlpm/internal/record"
 	"wlpm/internal/storage"
 )
@@ -71,13 +72,32 @@ func TestFamilyDegenerateSettings(t *testing.T) {
 	}
 }
 
+// TestFamilyAutoSegmentSortRunsItsPrice: SegS(auto) runs the SegS its
+// profile prices — the knob the planner places for the run's |T|, M and
+// λ — output byte for byte and device call for call.
+func TestFamilyAutoSegmentSortRunsItsPrice(t *testing.T) {
+	for _, backend := range []string{"blocked", "pmfs"} {
+		env := newEnv(t, backend, pinnedBudget)
+		bs := float64(env.Factory.BlockSize())
+		x := cost.SegSKnob(pinnedN*record.Size/bs, pinnedBudget*record.Size/bs, env.Lambda(), 1, cost.Emit{})
+		for _, par := range []int{1, 4} {
+			got, want := pinnedSort(t, NewAutoSegmentSort(), backend, par), pinnedSort(t, NewSegmentSort(x), backend, par)
+			if got != want {
+				t.Errorf("SegS(auto) on %s at P=%d: %+v, SegS(%v): %+v", backend, par, got, x, want)
+			}
+		}
+	}
+}
+
+// pinnedN and pinnedBudget are pinnedSort's input and memory in records.
+const pinnedN, pinnedBudget = 6000, 150
+
 // pinnedSort sorts the pinned input with a on a fresh device.
 func pinnedSort(t *testing.T, a Algorithm, backend string, par int) pinnedRun {
 	t.Helper()
-	const n, budget = 6000, 150
-	env := newEnv(t, backend, budget)
+	env := newEnv(t, backend, pinnedBudget)
 	env.Parallelism = par
-	in := loadInput(t, env, n, 7)
+	in := loadInput(t, env, pinnedN, 7)
 	out, err := env.Factory.Create("out", record.Size)
 	if err != nil {
 		t.Fatal(err)

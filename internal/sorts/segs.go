@@ -21,10 +21,10 @@ import (
 // mergesort (minimal response time under symmetric I/O) — ExMS is this
 // driver at x = 1.
 type SegmentSort struct {
-	// Intensity is x ∈ [0, 1]. When Auto is set, x is chosen by the cost
-	// model's minimizer (Eq. 4) at Sort time.
+	// Intensity is x ∈ [0, 1], unless Auto is set.
 	Intensity float64
-	// Auto selects x from the cost model (Eq. 4) using |T|, M and λ.
+	// Auto places x at Sort time where the planner places SegS's knob
+	// (cost.SegSKnob, serially and emitting as profiled) for |T|, M and λ.
 	Auto bool
 }
 
@@ -43,11 +43,11 @@ func (s *SegmentSort) Name() string {
 }
 
 // Profile implements Algorithm; an auto-placed knob is priced where Sort
-// will place it (Eq. 4).
+// will place it.
 func (s *SegmentSort) Profile(em cost.Emit, t, m, lambda float64) cost.Profile {
 	x := s.Intensity
 	if s.Auto {
-		x = cost.SegmentSortOptimalX(t, m, lambda)
+		x = cost.SegSKnob(t, m, lambda, 1, cost.Emit{})
 	}
 	return em.SegS(x, t, m)
 }
@@ -66,9 +66,9 @@ func (s *SegmentSort) sortWith(env *algo.Env, in, out storage.Collection, combin
 	if s.Auto {
 		bufs := float64(env.MemoryBudget) / float64(env.Factory.BlockSize())
 		t := float64(in.Len()*in.RecordSize()) / float64(env.Factory.BlockSize())
-		x = cost.SegmentSortOptimalX(t, bufs, env.Lambda())
+		x = cost.SegSKnob(t, bufs, env.Lambda(), 1, cost.Emit{})
 	}
-	if x < 0 || x > 1 {
+	if !(x >= 0 && x <= 1) {
 		return fmt.Errorf("sorts: SegS intensity %v out of [0,1]", x)
 	}
 	recSize := in.RecordSize()

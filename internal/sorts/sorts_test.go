@@ -3,6 +3,7 @@ package sorts
 import (
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -234,6 +235,13 @@ func TestSortArgumentValidation(t *testing.T) {
 	}
 	if err := NewHybridSort(-0.1).Sort(env, in, out2); err == nil {
 		t.Error("HybS intensity -0.1 accepted")
+	}
+	// NaN passes a bare x < 0 || x > 1.
+	if err := NewSegmentSort(math.NaN()).Sort(env, in, out2); err == nil {
+		t.Error("SegS intensity NaN accepted")
+	}
+	if err := NewHybridSort(math.NaN()).Sort(env, in, out2); err == nil {
+		t.Error("HybS intensity NaN accepted")
 	}
 }
 

@@ -386,8 +386,9 @@ func SelectionSort() SortAlgorithm { return sorts.NewSelectionSort() }
 // SegmentSort is SegS with write intensity x ∈ [0, 1] (§2.1.1).
 func SegmentSort(x float64) SortAlgorithm { return sorts.NewSegmentSort(x) }
 
-// AutoSegmentSort is SegS with its intensity placed by the cost model
-// (Eq. 4).
+// AutoSegmentSort is SegS with its intensity placed at Sort time where
+// the planner places SegS's: the cost model's grid search seeded with
+// Eq. 4, priced serially.
 func AutoSegmentSort() SortAlgorithm { return sorts.NewAutoSegmentSort() }
 
 // HybridSort is HybS with selection-region fraction x ∈ [0, 1] (§2.1.2).
@@ -409,10 +410,6 @@ func GraceJoin() JoinAlgorithm { return joins.NewGrace() }
 
 // HybridJoin is HybJ with Grace fractions x (left) and y (right) (§2.2.1).
 func HybridJoin(x, y float64) JoinAlgorithm { return joins.NewHybridGraceNL(x, y) }
-
-// AutoHybridJoin is HybJ with its knobs placed by the cost model
-// (Eqs. 7–8).
-func AutoHybridJoin() JoinAlgorithm { return joins.NewAutoHybridGraceNL() }
 
 // SegmentedGraceJoin is SegJ materializing the given fraction of
 // partitions (§2.2.2).
@@ -453,13 +450,16 @@ func Lambda(read, write time.Duration) float64 {
 	return float64(write) / float64(read)
 }
 
-// OptimalSegmentSortIntensity solves Eq. 4 for the response-time-minimal
-// write intensity; sizes in buffers.
+// OptimalSegmentSortIntensity is Eq. 4's write intensity, the minimizer of
+// the paper's SegS cost (Eq. 2); sizes in buffers. The shipped kernel's
+// profile can price another x lower: AutoSegmentSort places its knob by
+// that profile.
 func OptimalSegmentSortIntensity(t, m, lambda float64) float64 {
 	return cost.SegmentSortOptimalX(t, m, lambda)
 }
 
-// HybridJoinSaddle returns the Eq. 7–8 saddle point of the HybJ cost.
+// HybridJoinSaddle returns the Eq. 7–8 stationary point of the HybJ cost
+// (Eq. 6), a saddle: no (x, y) prices HybJ below both NLJ and GJ.
 func HybridJoinSaddle(t, v, m, lambda float64) (x, y float64) {
 	return cost.HybridJoinSaddle(t, v, m, lambda)
 }

@@ -137,7 +137,7 @@ func TestEndToEndJoinAllAlgorithms(t *testing.T) {
 	const nDim, nFact = 500, 5000
 	for _, a := range []wlpm.JoinAlgorithm{
 		wlpm.NestedLoopsJoin(), wlpm.HashJoin(), wlpm.GraceJoin(),
-		wlpm.HybridJoin(0.5, 0.5), wlpm.AutoHybridJoin(),
+		wlpm.HybridJoin(0.5, 0.5), wlpm.HybridJoin(1, 0),
 		wlpm.SegmentedGraceJoin(0.5), wlpm.LazyHashJoin(),
 	} {
 		sys := newSystem(t)
