@@ -243,7 +243,7 @@ func printJoin(t, v, m, lambda float64) {
 		fmt.Printf("  %-16s %14.4g\n", sp, a.Profile(cost.Emit{}, t, v, m, lambda).PriceP(1, lambda, 1))
 	}
 	fmt.Println()
-	kParts := int(1.2*t/m + 1)
+	kParts := int(cost.HashPartitions(t, m))
 	xh, yh := cost.HybridJoinSaddle(t, v, m, lambda)
 	price := func(a joins.Algorithm) float64 { return a.Profile(cost.Emit{}, t, v, m, lambda).PriceP(1, lambda, 1) }
 	fmt.Printf("HybJ saddle point (Eqs. 7–8): x = %.4f, y = %.4f → price %.4g; min(NLJ, GJ) = %.4g\n", xh, yh,

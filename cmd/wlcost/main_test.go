@@ -135,3 +135,17 @@ func TestCatalogPricesPrinted(t *testing.T) {
 		}
 	}
 }
+
+// TestJoinPartitionCount: the partition count printed under the join
+// rows is the k the LaJ profile and the kernels use, ⌈f·t/m⌉ — where
+// f·t/m is whole too (1.2 · 1000 / 50 = 24), and with it the LaJ
+// materialization iteration of that k.
+func TestJoinPartitionCount(t *testing.T) {
+	out := printed(t, func() { printJoin(1000, 10000, 50, 15) })
+	if got, want := lineOf(t, out, "SegJ beats GJ below"), "of k = 24 partitions (Eq. 10)"; !strings.HasSuffix(got, want) {
+		t.Errorf("SegJ line %q, want it to end %q", got, want)
+	}
+	if got, want := lineOf(t, out, "LaJ materialization iteration (λ-consistent Eq. 11):"), " n = 22 of k = 24"; got != want {
+		t.Errorf("LaJ line %q, want %q", got, want)
+	}
+}

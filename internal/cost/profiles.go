@@ -347,16 +347,21 @@ func (em Emit) GJ(t, v float64) Profile {
 	}.emitting(em, joinOutput(v), 0)
 }
 
+// HashPartitions is k = ⌈f·t/m⌉, at least 1 (f = algo.HashTableExpansion):
+// the fewest partitions of a t-buffer build side whose hash tables fit in
+// m buffers — the partition count of HJ, LaJ and SegJ and the block count
+// of NLJ.
+func HashPartitions(t, m float64) float64 {
+	return math.Max(1, math.Ceil(algo.HashTableExpansion*t/m))
+}
+
 // HJProfile: Table 1's standard hash join — iteration i re-reads the
 // surviving (k−i+1)/k of both inputs and rewrites (k−i)/k of them.
 func HJProfile(t, v, m float64) Profile { return Emit{}.HJ(t, v, m) }
 
 // HJ is HJProfile emitting as em describes.
 func (em Emit) HJ(t, v, m float64) Profile {
-	k := math.Ceil(algo.HashTableExpansion * t / m)
-	if k < 1 {
-		k = 1
-	}
+	k := HashPartitions(t, m)
 	per := (t + v) / k
 	reads, writes := 0.0, 0.0
 	for i := 1.0; i <= k; i++ {
@@ -377,10 +382,7 @@ func NLJProfile(t, v, m float64) Profile { return Emit{}.NLJ(t, v, m) }
 
 // NLJ is NLJProfile emitting as em describes.
 func (em Emit) NLJ(t, v, m float64) Profile {
-	blocks := math.Ceil(algo.HashTableExpansion * t / m)
-	if blocks < 1 {
-		blocks = 1
-	}
+	blocks := HashPartitions(t, m)
 	return Profile{Reads: t + blocks*v + em.rescan(1, t), Writes: joinOutput(v)}.emitting(em, joinOutput(v), 0)
 }
 
@@ -422,10 +424,7 @@ func (em Emit) LaJ(t, v, m, lambda float64) Profile {
 	if t <= 0 || m <= 0 {
 		return Profile{}
 	}
-	k := math.Ceil(algo.HashTableExpansion * t / m)
-	if k < 1 {
-		k = 1
-	}
+	k := HashPartitions(t, m)
 	per := (t + v) / k
 	n := float64(LazyHashJoinMaterializeIteration(int(k), lambda))
 	if n > k {
@@ -453,10 +452,7 @@ func SegJProfile(intensity, t, v, m float64) Profile { return Emit{}.SegJ(intens
 
 // SegJ is SegJProfile emitting as em describes.
 func (em Emit) SegJ(intensity, t, v, m float64) Profile {
-	k := math.Ceil(algo.HashTableExpansion * t / m)
-	if k < 1 {
-		k = 1
-	}
+	k := HashPartitions(t, m)
 	xp := math.Floor(intensity * k)
 	return Profile{
 		// The initial scan and every re-scan read the inputs where they

@@ -23,8 +23,10 @@ const DefaultBatchSize = 1024
 // call; consumers copy what they retain. Streaming operators are allowed
 // to alias their child's batch (Stream and Limit return selection views
 // into the child's records), so the window a consumer holds may reach
-// all the way down to a scan's block buffer — the rule is the same
-// either way: one live batch per operator, invalidated by the next pull.
+// all the way down to a scan's block — on blocked memory the device
+// bytes themselves, so nothing writes through a batch — and the rule is
+// the same either way: one live batch per operator, invalidated by the
+// next pull.
 type Batch struct {
 	// Recs holds the record views of the batch, in stream order.
 	Recs [][]byte
@@ -72,8 +74,8 @@ func hintLimit(op Operator, n int) {
 // batchScanner adapts a storage iterator to batch-valued pulls: the
 // Next of every operator that streams a stored collection (Scan, and
 // through stored every blocking operator's result). The batch aliases
-// the iterator's chunk — for stored collections its block buffer, zero
-// per-record copies; an iterator without a chunk form is read through
+// the iterator's chunk — for stored collections its blocks, in place
+// on blocked memory, zero per-record copies; an iterator without a chunk form is read through
 // storage's one-record adapter.
 type batchScanner struct {
 	it        storage.Iterator

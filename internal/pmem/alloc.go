@@ -3,6 +3,7 @@ package pmem
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -16,15 +17,26 @@ import (
 // but the paper treats allocation persistence as orthogonal to query
 // processing and so do we. What matters for the experiments is *where* data
 // lands and how many cachelines each algorithm touches.
+//
+// The live allocations are two bitmaps over the managed range's
+// cachelines: one marks each allocation's first line, the other its
+// last. An allocation's size is the distance from its start bit to the
+// next end bit, since allocations never overlap. The two cost a bit per
+// line each: capacity/256 bytes.
 type Allocator struct {
 	dev *Device
 
-	mu    sync.Mutex
-	free  []span          // sorted by offset, pairwise non-adjacent
-	live  map[int64]int64 // offset → size
-	align int64           // allocation alignment (cacheline)
-	used  int64           // bytes currently allocated
-	peak  int64           // high-water mark
+	mu     sync.Mutex
+	free   []span   // sorted by offset, pairwise non-adjacent
+	base   int64    // offset of line 0 of the bitmaps: the range's aligned start
+	lines  int64    // lines in the range
+	starts []uint64 // bit u: an allocation starts at line u
+	ends   []uint64 // bit u: an allocation ends at line u (inclusive)
+	live   int      // allocations
+	align  int64    // allocation alignment (cacheline)
+	shift  uint     // log2(align)
+	used   int64    // bytes currently allocated
+	peak   int64    // high-water mark
 
 	// FreeAll's scratch, kept across calls so that dropping collections
 	// allocates nothing in steady state.
@@ -46,12 +58,59 @@ func NewAllocatorRange(dev *Device, start, end int64) *Allocator {
 	}
 	align := int64(dev.CachelineSize())
 	start = (start + align - 1) / align * align
+	lines := max(end-start, 0) / align
+	words := (lines + 63) / 64
 	return &Allocator{
-		dev:   dev,
-		free:  []span{{start, end - start}},
-		live:  make(map[int64]int64),
-		align: align,
+		dev:    dev,
+		free:   []span{{start, end - start}},
+		base:   start,
+		lines:  lines,
+		starts: make([]uint64, words),
+		ends:   make([]uint64, words),
+		align:  align,
+		shift:  uint(bits.TrailingZeros64(uint64(align))),
 	}
+}
+
+// markLocked records the allocation of need bytes at off.
+func (a *Allocator) markLocked(off, need int64) {
+	first := (off - a.base) >> a.shift
+	last := first + need>>a.shift - 1
+	a.starts[first>>6] |= 1 << (first & 63)
+	a.ends[last>>6] |= 1 << (last & 63)
+	a.live++
+}
+
+// sizeAtLocked reports the size of the allocation that starts at off,
+// or false when none does (off is free, inside an allocation, or off the
+// range).
+func (a *Allocator) sizeAtLocked(off int64) (int64, bool) {
+	rel := off - a.base
+	if rel < 0 || rel&(a.align-1) != 0 || rel>>a.shift >= a.lines {
+		return 0, false
+	}
+	first := rel >> a.shift
+	if a.starts[first>>6]&(1<<(first&63)) == 0 {
+		return 0, false
+	}
+	// The allocation's end bit is the first one at or after its start.
+	w := first >> 6
+	word := a.ends[w] &^ (1<<(first&63) - 1)
+	for word == 0 {
+		w++
+		word = a.ends[w]
+	}
+	last := w<<6 + int64(bits.TrailingZeros64(word))
+	return (last - first + 1) << a.shift, true
+}
+
+// unmarkLocked forgets the allocation of size bytes at off.
+func (a *Allocator) unmarkLocked(off, size int64) {
+	first := (off - a.base) >> a.shift
+	last := first + size>>a.shift - 1
+	a.starts[first>>6] &^= 1 << (first & 63)
+	a.ends[last>>6] &^= 1 << (last & 63)
+	a.live--
 }
 
 // Device returns the device this allocator manages.
@@ -100,7 +159,7 @@ func (a *Allocator) AllocAligned(size, align int64) (int64, error) {
 			copy(a.free[i+2:], a.free[i+1:])
 			a.free[i+1] = span{off + need, tail}
 		}
-		a.live[off] = need
+		a.markLocked(off, need)
 		a.used += need
 		if a.used > a.peak {
 			a.peak = a.used
@@ -132,7 +191,7 @@ func (a *Allocator) FreeAll(offs []int64) error {
 	defer a.mu.Unlock()
 	freed := a.batch[:0]
 	for _, off := range offs {
-		size, ok := a.live[off]
+		size, ok := a.sizeAtLocked(off)
 		if !ok {
 			return fmt.Errorf("pmem: free of unallocated offset %d", off)
 		}
@@ -162,7 +221,7 @@ func (a *Allocator) FreeAll(offs []int64) error {
 		} else {
 			s = freed[j]
 			j++
-			delete(a.live, s.off)
+			a.unmarkLocked(s.off, s.size)
 			a.used -= s.size
 		}
 		if n := len(merged); n > 0 && merged[n-1].off+merged[n-1].size == s.off {
@@ -194,5 +253,5 @@ func (a *Allocator) Peak() int64 {
 func (a *Allocator) Allocations() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return len(a.live)
+	return a.live
 }

@@ -159,8 +159,8 @@ func TestQuickAllocNoOverlap(t *testing.T) {
 // shifting insert per offset, coalescing with both neighbours.
 func freeOneByOne(a *Allocator, offs []int64) {
 	for _, off := range offs {
-		size := a.live[off]
-		delete(a.live, off)
+		size, _ := a.sizeAtLocked(off)
+		a.unmarkLocked(off, size)
 		a.used -= size
 		i := sort.Search(len(a.free), func(i int) bool { return a.free[i].off >= off })
 		a.free = slices.Insert(a.free, i, span{off, size})
@@ -275,5 +275,117 @@ func BenchmarkAllocatorFreeInterleaved(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
+	}
+}
+
+// allocModel is the allocator's reference: its live allocations in a map
+// and nothing else. A placement is the first gap between them, in
+// address order, that holds the rounded size at the alignment — first
+// fit over a free list that coalesces every adjacent pair.
+type allocModel struct {
+	base, end, line int64
+	live            map[int64]int64 // offset → size
+}
+
+func (m *allocModel) alloc(size, align int64) (int64, bool) {
+	align = max(align, m.line)
+	need := (size + m.line - 1) / m.line * m.line
+	offs := make([]int64, 0, len(m.live))
+	for off := range m.live {
+		offs = append(offs, off)
+	}
+	slices.Sort(offs)
+	lo := m.base
+	for i := 0; i <= len(offs); i++ {
+		hi := m.end
+		if i < len(offs) {
+			hi = offs[i]
+		}
+		if off := (lo + align - 1) / align * align; off+need <= hi {
+			m.live[off] = need
+			return off, true
+		}
+		if i < len(offs) {
+			lo = offs[i] + m.live[offs[i]]
+		}
+	}
+	return 0, false
+}
+
+func (m *allocModel) inUse() (n int64) {
+	for _, size := range m.live {
+		n += size
+	}
+	return n
+}
+
+// TestAllocatorMatchesMapModel holds the allocator to allocModel over
+// seeded random sequences of Alloc, AllocAligned and FreeAll: the same
+// placements and exhaustions, Allocations and InUse after every step,
+// and a failed batch — an unallocated offset, an interior one, a double
+// free, an offset named twice — rejected whole, with the unallocated-
+// offset error, changing nothing.
+func TestAllocatorMatchesMapModel(t *testing.T) {
+	const capacity = 1 << 16
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		a := NewAllocator(MustOpen(Config{Capacity: capacity}))
+		m := &allocModel{end: capacity, line: DefaultCachelineSize, live: map[int64]int64{}}
+		liveOffs := func() []int64 {
+			offs := make([]int64, 0, len(m.live))
+			for off := range m.live {
+				offs = append(offs, off)
+			}
+			slices.Sort(offs)
+			rng.Shuffle(len(offs), func(i, j int) { offs[i], offs[j] = offs[j], offs[i] })
+			return offs
+		}
+		rejects := func(step int, kind string, batch []int64, want string) {
+			t.Helper()
+			if err := a.FreeAll(batch); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("seed %d step %d: %s batch %v: FreeAll = %v, want %q", seed, step, kind, batch, err, want)
+			}
+		}
+		for step := 0; step < 400; step++ {
+			offs := liveOffs()
+			switch op := rng.Intn(8); {
+			case op < 4 || len(offs) == 0:
+				size, align := int64(rng.Intn(3000)+1), []int64{1, 64, 256, 1024}[rng.Intn(4)]
+				got, err := a.AllocAligned(size, align)
+				want, ok := m.alloc(size, align)
+				if (err == nil) != ok || got != want {
+					t.Fatalf("seed %d step %d: AllocAligned(%d, %d) = (%d, %v), model (%d, %v)", seed, step, size, align, got, err, want, ok)
+				}
+			case op < 6:
+				batch := offs[:rng.Intn(len(offs))+1]
+				if err := a.FreeAll(batch); err != nil {
+					t.Fatalf("seed %d step %d: FreeAll: %v", seed, step, err)
+				}
+				for _, off := range batch {
+					delete(m.live, off)
+				}
+			default:
+				good := offs[:rng.Intn(len(offs))]
+				inside := offs[0] + int64(rng.Intn(int(m.live[offs[0]]-1))+1)
+				switch rng.Intn(4) {
+				case 0:
+					// The first byte past the end of the device.
+					rejects(step, "unallocated", append(slices.Clone(good), capacity), "free of unallocated offset")
+				case 1:
+					rejects(step, "interior", append(slices.Clone(good), inside), "free of unallocated offset")
+				case 2:
+					if err := a.Free(offs[0]); err != nil {
+						t.Fatal(err)
+					}
+					delete(m.live, offs[0])
+					rejects(step, "double free", append(slices.Clone(offs[1:]), offs[0]), "free of unallocated offset")
+				default:
+					rejects(step, "named twice", append(slices.Clone(offs), offs[0]), "named twice in one batch")
+				}
+			}
+			if a.Allocations() != len(m.live) || a.InUse() != m.inUse() {
+				t.Fatalf("seed %d step %d: %d allocations, %d bytes in use; model %d, %d", seed, step, a.Allocations(), a.InUse(), len(m.live), m.inUse())
+			}
+		}
 	}
 }

@@ -8,14 +8,22 @@
 // granularity regardless of the caller's access size, so a 512-byte sector
 // write costs eight cacheline writes while an 8-byte inode update costs one.
 //
-// By default latencies are only *accounted* (added to a simulated clock,
-// see Stats.SimIOTime) so tests and benchmarks run at full speed. Setting
-// Config.Spin injects real busy-wait delays, reproducing the paper's
-// idle-loop instrumentation.
+// The memory is read by load, as the paper's premise has it: View charges
+// a read and hands out the device bytes themselves, and ReadAt is View
+// plus a copy. A view is read-only by contract — its capacity is its
+// length, so an append cannot reach past it, but nothing else stops a
+// write through it, and no write through one is ever counted.
+//
+// By default latencies are only *accounted*: the simulated clock
+// (Stats.SimIOTime) is derived from the cacheline counts and the two
+// latencies fixed at Open, so a charge costs the host only the counter
+// updates that Stats reports. Setting Config.Spin injects real busy-wait
+// delays, reproducing the paper's idle-loop instrumentation.
 package pmem
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 	"time"
 )
@@ -76,21 +84,27 @@ func (c *Config) setDefaults() error {
 // synchronized — callers that share address ranges across goroutines must
 // coordinate, exactly as with real memory.
 type Device struct {
-	cfg  Config
-	mem  []byte
-	wear []uint32
+	cfg       Config
+	lineShift uint // log2(cfg.CachelineSize)
+	mem       []byte
+	wear      []uint32
 
-	reads      atomic.Uint64 // cachelines read
-	writes     atomic.Uint64 // cachelines written
-	readOps    atomic.Uint64
-	writeOps   atomic.Uint64
-	bytesRead  atomic.Uint64
-	bytesWrite atomic.Uint64
-	simIONanos atomic.Int64
-	ovlNanos   atomic.Int64 // overlap clock: latency ÷ concurrently active workers
-	active     atomic.Int64 // workers inside an EnterWorker/LeaveWorker bracket
-	softNanos  atomic.Int64
-	spinDebt   atomic.Int64 // spin mode: sub-quantum delay owed but not yet slept
+	reads       atomic.Uint64 // cachelines read
+	writes      atomic.Uint64 // cachelines written
+	readOps     atomic.Uint64
+	writeOps    atomic.Uint64
+	bytesRead   atomic.Uint64
+	bytesWrite  atomic.Uint64
+	ovlDiscount atomic.Int64 // overlap discount: Σ latency·(1 − 1/k) over charges made by k > 1 workers
+	softNanos   atomic.Int64
+	spinDebt    atomic.Int64 // spin mode: sub-quantum delay owed but not yet slept
+
+	// active is read by every charge and written only at worker
+	// brackets: its own cacheline keeps the counters' writes from
+	// invalidating it.
+	_      [64]byte
+	active atomic.Int64 // workers inside an EnterWorker/LeaveWorker bracket
+	_      [56]byte
 }
 
 // Open creates a device of cfg.Capacity bytes.
@@ -99,8 +113,9 @@ func Open(cfg Config) (*Device, error) {
 		return nil, err
 	}
 	d := &Device{
-		cfg: cfg,
-		mem: make([]byte, cfg.Capacity),
+		cfg:       cfg,
+		lineShift: uint(bits.TrailingZeros(uint(cfg.CachelineSize))),
+		mem:       make([]byte, cfg.Capacity),
 	}
 	if cfg.TrackWear {
 		d.wear = make([]uint32, (cfg.Capacity+int64(cfg.CachelineSize)-1)/int64(cfg.CachelineSize))
@@ -151,24 +166,37 @@ func (d *Device) lines(off int64, n int) uint64 {
 	if n == 0 {
 		return 0
 	}
-	cls := int64(d.cfg.CachelineSize)
-	first := off / cls
-	last := (off + int64(n) - 1) / cls
+	first := off >> d.lineShift
+	last := (off + int64(n) - 1) >> d.lineShift
 	return uint64(last - first + 1)
+}
+
+// View returns the n device bytes at offset off in place, charging one
+// read per touched cacheline — exactly what ReadAt charges for the same
+// range. The slice's capacity is its length. It must not be written
+// through: no write through it would be counted. Its bytes change only
+// when the range is written again.
+func (d *Device) View(off int64, n int) ([]byte, error) {
+	if err := d.checkRange("read", off, n); err != nil {
+		return nil, err
+	}
+	lines := d.lines(off, n)
+	d.reads.Add(lines)
+	d.readOps.Add(1)
+	d.bytesRead.Add(uint64(n))
+	d.charge(lines, d.cfg.ReadLatency)
+	end := off + int64(n)
+	return d.mem[off:end:end], nil
 }
 
 // ReadAt copies len(p) bytes at offset off into p, charging one read per
 // touched cacheline.
 func (d *Device) ReadAt(p []byte, off int64) error {
-	if err := d.checkRange("read", off, len(p)); err != nil {
+	v, err := d.View(off, len(p))
+	if err != nil {
 		return err
 	}
-	copy(p, d.mem[off:off+int64(len(p))])
-	n := d.lines(off, len(p))
-	d.reads.Add(n)
-	d.readOps.Add(1)
-	d.bytesRead.Add(uint64(len(p)))
-	d.charge(n, d.cfg.ReadLatency)
+	copy(p, v)
 	return nil
 }
 
@@ -202,19 +230,24 @@ func (d *Device) WriteAt(p []byte, off int64) error {
 // serialize the very overlap spin mode exists to demonstrate.
 const spinSleepThreshold = 100 * time.Microsecond
 
-// charge adds n accesses of latency lat to the simulated clock and
-// optionally delays for the same duration. Long delays sleep directly;
-// short ones add to the device's delay debt, and the charge that tips
-// the debt over a quantum sleeps it off on behalf of everyone. Batching
-// the sleeps keeps per-charge overhead near zero while the total slept
-// time still equals the total charged latency.
+// charge accounts n accesses of latency lat, whose lines the caller has
+// already counted (the simulated clock is derived from the counts), and
+// optionally delays for the same duration. Only a charge made while
+// k > 1 workers are active touches the overlap clock: it discounts the
+// (k−1)/k of the latency that overlaps the other workers' accesses.
+// Long delays sleep directly; short ones add to the device's delay
+// debt, and the charge that tips the debt over a quantum sleeps it off
+// on behalf of everyone. Batching the sleeps keeps per-charge overhead
+// near zero while the total slept time still equals the total charged
+// latency.
 func (d *Device) charge(n uint64, lat time.Duration) {
+	w := d.active.Load()
+	if w <= 1 && !d.cfg.Spin {
+		return
+	}
 	total := time.Duration(n) * lat
-	d.simIONanos.Add(int64(total))
-	if w := d.active.Load(); w > 1 {
-		d.ovlNanos.Add(int64(total) / w)
-	} else {
-		d.ovlNanos.Add(int64(total))
+	if w > 1 {
+		d.ovlDiscount.Add(int64(total) - int64(total)/w)
 	}
 	if !d.cfg.Spin || total <= 0 {
 		return
@@ -318,17 +351,22 @@ func (s Stats) String() string {
 	return fmt.Sprintf("reads=%d writes=%d simIO=%v", s.Reads, s.Writes, s.SimIOTime)
 }
 
-// Stats returns a snapshot of the counters.
+// Stats returns a snapshot of the counters. The simulated clock is
+// derived from the cacheline counts; the overlap discount is loaded
+// first, so every charge it covers is counted in them.
 func (d *Device) Stats() Stats {
+	discount := time.Duration(d.ovlDiscount.Load())
+	reads, writes := d.reads.Load(), d.writes.Load()
+	io := time.Duration(reads)*d.cfg.ReadLatency + time.Duration(writes)*d.cfg.WriteLatency
 	return Stats{
-		Reads:        d.reads.Load(),
-		Writes:       d.writes.Load(),
+		Reads:        reads,
+		Writes:       writes,
 		ReadOps:      d.readOps.Load(),
 		WriteOps:     d.writeOps.Load(),
 		BytesRead:    d.bytesRead.Load(),
 		BytesWritten: d.bytesWrite.Load(),
-		SimIOTime:    time.Duration(d.simIONanos.Load()),
-		SimIOOverlap: time.Duration(d.ovlNanos.Load()),
+		SimIOTime:    io,
+		SimIOOverlap: io - discount,
 		SoftTime:     time.Duration(d.softNanos.Load()),
 	}
 }
@@ -368,8 +406,7 @@ func (d *Device) ResetStats() {
 	d.writeOps.Store(0)
 	d.bytesRead.Store(0)
 	d.bytesWrite.Store(0)
-	d.simIONanos.Store(0)
-	d.ovlNanos.Store(0)
+	d.ovlDiscount.Store(0)
 	d.softNanos.Store(0)
 	for i := range d.wear {
 		atomic.StoreUint32(&d.wear[i], 0)

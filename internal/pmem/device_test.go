@@ -343,3 +343,90 @@ func TestSpinChargeConcurrent(t *testing.T) {
 		t.Errorf("writes = %d, want %d", st.Writes, 8*50*8)
 	}
 }
+
+// TestViewChargesLikeReadAt: a view is the device bytes of its range,
+// capped at its length, and charges exactly what ReadAt of the same
+// range charges — lines, operations, bytes and both clocks, serially
+// and under an overlap bracket.
+func TestViewChargesLikeReadAt(t *testing.T) {
+	d := MustOpen(Config{Capacity: 4096})
+	img := make([]byte, 4096)
+	for i := range img {
+		img[i] = byte(i * 7)
+	}
+	if err := d.WriteAt(img, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{0, 3} {
+		for _, r := range []struct {
+			off int64
+			n   int
+		}{{0, 0}, {0, 1}, {63, 2}, {10, 80}, {32, 1024}, {4000, 96}} {
+			for i := 0; i < workers; i++ {
+				d.EnterWorker()
+			}
+			d.ResetStats()
+			buf := make([]byte, r.n)
+			if err := d.ReadAt(buf, r.off); err != nil {
+				t.Fatal(err)
+			}
+			byCopy := d.Stats()
+			d.ResetStats()
+			v, err := d.View(r.off, r.n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			byView := d.Stats()
+			for i := 0; i < workers; i++ {
+				d.LeaveWorker()
+			}
+			if byView != byCopy {
+				t.Errorf("%d workers, [%d,+%d): View charged %+v, ReadAt %+v", workers, r.off, r.n, byView, byCopy)
+			}
+			if len(v) != r.n || cap(v) != len(v) {
+				t.Errorf("[%d,+%d): view len %d cap %d, want both %d", r.off, r.n, len(v), cap(v), r.n)
+			}
+			if !bytes.Equal(v, img[r.off:r.off+int64(r.n)]) || !bytes.Equal(buf, v) {
+				t.Errorf("[%d,+%d): view is not the device bytes", r.off, r.n)
+			}
+		}
+	}
+	d.ResetStats()
+	if _, err := d.View(4000, 97); err == nil {
+		t.Error("view past the end accepted")
+	}
+	if _, err := d.View(-1, 1); err == nil {
+		t.Error("view before the start accepted")
+	}
+	if st := d.Stats(); st.Reads != 0 || st.ReadOps != 0 {
+		t.Errorf("rejected views charged %d lines in %d ops", st.Reads, st.ReadOps)
+	}
+}
+
+// TestDeviceViewAllocs: a view allocates nothing.
+func TestDeviceViewAllocs(t *testing.T) {
+	d := MustOpen(Config{Capacity: 1 << 20})
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := d.View(4096, 1024); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("View allocated %.0f times per call", allocs)
+	}
+}
+
+// BenchmarkDeviceView is the device's read path alone: one 1 KiB block
+// in place, charged, at consecutive offsets.
+func BenchmarkDeviceView(b *testing.B) {
+	const block = 1024
+	d := MustOpen(Config{Capacity: 1 << 24})
+	blocks := int(d.Capacity() / block)
+	b.ReportAllocs()
+	b.SetBytes(block)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.View(int64(i%blocks)*block, block); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -242,16 +242,13 @@ func (s *flakyStore) WriteBlock(seq int, data []byte) error {
 	return nil
 }
 
-func (s *flakyStore) ReadBlock(off int64, dst []byte) error {
-	for len(dst) > 0 {
-		b := s.blocks[off/int64(s.bs)]
-		if b == nil {
-			return fmt.Errorf("read of unwritten block at %d", off)
-		}
-		n := copy(dst, b[off%int64(s.bs):])
-		dst, off = dst[n:], off+int64(n)
+func (s *flakyStore) ReadBlock(off int64, buf []byte) ([]byte, error) {
+	b := s.blocks[off/int64(s.bs)]
+	if b == nil {
+		return nil, fmt.Errorf("read of unwritten block at %d", off)
 	}
-	return nil
+	copy(buf, b[off%int64(s.bs):])
+	return buf, nil
 }
 
 func (s *flakyStore) Truncate() error { s.blocks = nil; return nil }

@@ -14,9 +14,14 @@ type BlockStore interface {
 	// WriteBlock persists block seq (seq·BlockSize byte offset). All
 	// blocks except the last have exactly the factory block size.
 	WriteBlock(seq int, data []byte) error
-	// ReadBlock fills dst with the contents of the byte range
-	// [off, off+len(dst)); the range is guaranteed to have been written.
-	ReadBlock(off int64, dst []byte) error
+	// ReadBlock returns the bytes of the range [off, off+len(buf)),
+	// which lies inside one block and is guaranteed to have been
+	// written. A store whose blocks never move once written serves them
+	// in place: the result is device bytes (pmem.Device.View), charged
+	// as a read and never to be written through. A store whose bytes can
+	// move, or whose reads model a copying call, fills buf and returns
+	// it.
+	ReadBlock(off int64, buf []byte) ([]byte, error)
 	// Truncate discards all persisted bytes.
 	Truncate() error
 	// Destroy releases all device resources.
@@ -95,13 +100,15 @@ func (c *BaseCollection) ScanFrom(start int) Iterator {
 	if start > c.n {
 		start = c.n
 	}
-	return &baseIterator{
+	abs := int64(start) * int64(c.recSize)
+	it := &baseIterator{
 		c:     c,
-		abs:   int64(start) * int64(c.recSize),
+		abs:   abs,
+		end:   abs,
 		total: int64(c.n) * int64(c.recSize),
-		rec:   make([]byte, c.recSize),
-		block: make([]byte, 0, c.blockSize),
 	}
+	it.pieces = it.one[:0]
+	return it
 }
 
 // Truncate implements Collection.
@@ -166,50 +173,52 @@ func (c *BaseCollection) Destroy() error {
 }
 
 // baseIterator streams the byte range [0, total) assembled into records.
-// Bytes at positions below c.flushed come from the store; the rest from
-// the DRAM tail. abs is the absolute offset of the next unconsumed byte;
-// the chunk buffer holds fetched-but-unconsumed bytes ending at abs+len.
+// Bytes below c.flushed come from the store, one ReadBlock per block,
+// and are served where the store returns them: device bytes for a store
+// that reads in place, the copy buffer for one that copies. The rest
+// come from a copy of the DRAM tail. abs is the absolute offset of the
+// next unconsumed byte and end that of the first byte not yet fetched;
+// the fetched bytes between them are pieces[pi][boff:] and the pieces
+// after it.
 type baseIterator struct {
-	c     *BaseCollection
-	abs   int64 // absolute offset of the next byte to consume
-	total int64
-	rec   []byte
-	block []byte   // current fetched chunk
-	boff  int      // consume offset within block
-	views [][]byte // NextChunk result backing, reused per call
-	done  bool
+	c       *BaseCollection
+	abs     int64
+	end     int64
+	total   int64
+	pieces  [][]byte  // the current fetch in stream order; copied blocks side by side are one piece
+	one     [1][]byte // pieces' backing for one-block fetches
+	buf     []byte    // a copying store's blocks; for one that reads in place, the reads' lengths and the stitch slots
+	rec     []byte    // a stitch slot when buf cannot hold one
+	views   [][]byte  // NextChunk result backing, reused per call
+	pi      int       // piece holding abs
+	boff    int       // abs's offset within pieces[pi]
+	slots   int       // stitch slots of buf handed out in the current call
+	recUsed bool      // rec's slot is handed out in the current call
+	copies  bool      // the store copies into buf (learnt from its first read)
+	inPlace bool      // the current fetch is device bytes: buf holds none of it
+	done    bool
 }
 
+// Next is NextChunk(1): the same block reads, one record.
 func (it *baseIterator) Next() ([]byte, error) {
-	if it.done || it.abs >= it.total {
-		it.done = true
-		return nil, io.EOF
+	recs, err := it.NextChunk(1)
+	if err != nil {
+		return nil, err
 	}
-	if it.c.destroyed {
-		return nil, fmt.Errorf("storage: scan of destroyed collection %q", it.c.name)
-	}
-	filled := 0
-	for filled < it.c.recSize {
-		if it.boff >= len(it.block) {
-			if err := it.fetch(); err != nil {
-				return nil, err
-			}
-		}
-		n := copy(it.rec[filled:], it.block[it.boff:])
-		filled += n
-		it.boff += n
-		it.abs += int64(n)
-	}
-	return it.rec, nil
+	return recs[0], nil
 }
 
-// NextChunk implements ChunkIterator: it serves every complete record
-// already buffered, refilling the buffer with a multi-block fetch when
-// empty. The fetch issues the same per-block store reads the
+// NextChunk implements ChunkIterator. It serves every record it can from
+// the fetched blocks, up to max, refilling with a multi-block fetch when
+// they are used up. The fetch issues the same per-block store reads the
 // record-at-a-time path would — one ReadBlock per aligned block, each
 // block read exactly once — so device counters are independent of the
-// consumer's batching. A record straddling the buffered range falls back
-// to the copying Next path (one record for that call).
+// consumer's batching. A record inside one fetched piece is served where
+// it lies; one that straddles two pieces is stitched into a slot the
+// iterator owns. A record that straddles the end of the fetch is
+// stitched only by a call that has served nothing else — reading one
+// more block for it, as a record-at-a-time reader would — and that call
+// then goes on serving from the block it read.
 func (it *baseIterator) NextChunk(max int) ([][]byte, error) {
 	if max < 1 {
 		max = 1
@@ -222,7 +231,7 @@ func (it *baseIterator) NextChunk(max int) ([][]byte, error) {
 		return nil, fmt.Errorf("storage: scan of destroyed collection %q", it.c.name)
 	}
 	rs := it.c.recSize
-	if it.boff >= len(it.block) {
+	if it.abs >= it.end {
 		blocks := (max*rs + it.c.blockSize - 1) / it.c.blockSize
 		if err := it.fetchN(blocks); err != nil {
 			return nil, err
@@ -236,27 +245,78 @@ func (it *baseIterator) NextChunk(max int) ([][]byte, error) {
 		}
 	}
 	it.views = it.views[:0]
-	for len(it.views) < max && it.boff+rs <= len(it.block) && it.abs+int64(rs) <= it.total {
-		it.views = append(it.views, it.block[it.boff:it.boff+rs])
-		it.boff += rs
-		it.abs += int64(rs)
+	it.slots, it.recUsed = 0, false
+	for len(it.views) < max && it.abs+int64(rs) <= it.total && it.abs < it.end {
+		// The whole records left in the current piece, as views.
+		p := it.pieces[it.pi][it.boff:]
+		if left := it.total - it.abs; int64(len(p)) > left {
+			p = p[:left]
+		}
+		views, lo := it.views, 0
+		for ; lo+rs <= len(p) && len(views) < max; lo += rs {
+			views = append(views, p[lo:lo+rs:lo+rs])
+		}
+		if it.views = views; lo > 0 {
+			it.consume(lo)
+			continue
+		}
+		if it.end-it.abs < int64(rs) && len(it.views) > 0 {
+			break // the rest of the record is not fetched yet
+		}
+		rec, err := it.stitch()
+		if err != nil {
+			return nil, err
+		}
+		it.views = append(it.views, rec)
 	}
-	if len(it.views) > 0 {
-		return it.views, nil
-	}
-	// Buffered bytes end mid-record: assemble one record through the
-	// copying path (the previous call's views have been consumed, so the
-	// refill inside Next may reuse the buffer).
-	rec, err := it.Next()
-	if err != nil {
-		return nil, err
-	}
-	it.views = append(it.views, rec)
 	return it.views, nil
 }
 
-// fetch loads the next chunk starting at it.abs.
-func (it *baseIterator) fetch() error { return it.fetchN(1) }
+// consume advances past n fetched bytes of the current piece.
+func (it *baseIterator) consume(n int) {
+	it.abs += int64(n)
+	if it.boff += n; it.boff == len(it.pieces[it.pi]) {
+		it.pi++
+		it.boff = 0
+	}
+}
+
+// stitch copies the next record into a slot, fetching one block at a
+// time while the fetched bytes end inside it.
+func (it *baseIterator) stitch() ([]byte, error) {
+	slot := it.slot()
+	for filled := 0; filled < len(slot); {
+		if it.abs >= it.end {
+			if err := it.fetchN(1); err != nil {
+				return nil, err
+			}
+		}
+		n := copy(slot[filled:], it.pieces[it.pi][it.boff:])
+		filled += n
+		it.consume(n)
+	}
+	return slot, nil
+}
+
+// slot returns a stitch slot for the current call: from buf while the
+// fetch is in place (the store never writes it, and a later fetch in
+// the same call is in place too, or the tail, which is copied past the
+// first slot), else rec, else a new one.
+func (it *baseIterator) slot() []byte {
+	rs := it.c.recSize
+	if lo, hi := it.slots*rs, (it.slots+1)*rs; it.inPlace && hi <= cap(it.buf) {
+		it.slots++
+		return it.buf[lo:hi:hi]
+	}
+	if it.recUsed {
+		return make([]byte, rs)
+	}
+	it.recUsed = true
+	if len(it.rec) < rs {
+		it.rec = make([]byte, rs)
+	}
+	return it.rec[:rs:rs]
+}
 
 // fetchN loads up to n store blocks starting at it.abs, one ReadBlock
 // per aligned block (identical offsets and lengths to n single-block
@@ -265,29 +325,59 @@ func (it *baseIterator) fetchN(n int) error {
 	if it.abs >= it.total {
 		return fmt.Errorf("storage: collection %q: stream ended mid-record", it.c.name)
 	}
-	if n < 1 {
-		n = 1
-	}
+	n = max(n, 1)
+	it.pi, it.boff = 0, 0
 	bs := int64(it.c.blockSize)
 	if it.abs < it.c.flushed {
 		// Fetch block-aligned chunks from the store.
 		start := it.abs / bs * bs
 		end := min(start+int64(n)*bs, it.c.flushed)
-		if n := int(end - start); cap(it.block) < n {
-			it.block = make([]byte, n)
+		blocks := int((end - start + bs - 1) / bs)
+		if cap(it.pieces) < blocks {
+			it.pieces = make([][]byte, 0, blocks)
 		} else {
-			it.block = it.block[:n]
+			it.pieces = it.pieces[:0]
+		}
+		// A copying store fills buf block after block. One that reads in
+		// place only takes each read's length from buf's head, and leaves
+		// it to the stitch slots, one per block boundary.
+		need := int(end - start)
+		if !it.copies {
+			need = max(min(it.c.blockSize, need), blocks*it.c.recSize)
+		}
+		if cap(it.buf) < need {
+			it.buf = make([]byte, need)
 		}
 		for off := start; off < end; off += bs {
-			stop := min(off+bs, end)
-			if err := it.c.store.ReadBlock(off, it.block[off-start:stop-start]); err != nil {
+			size := int(min(off+bs, end) - off)
+			dst := it.buf[:size]
+			if it.copies {
+				dst = it.buf[off-start : int(off-start)+size]
+			}
+			got, err := it.c.store.ReadBlock(off, dst)
+			if err != nil {
 				return err
 			}
+			if !it.copies && &got[0] == &dst[0] {
+				// The store copies. A store reads in place or copies,
+				// always, so this is its first read: the fetch's blocks
+				// go side by side in a buffer as long as the fetch.
+				it.copies = true
+				it.buf = make([]byte, end-start)
+				dst = it.buf[off-start : int(off-start)+size]
+				copy(dst, got)
+				got = dst
+			}
+			it.addPiece(got)
 		}
+		it.inPlace = !it.copies
 		it.boff = int(it.abs - start)
+		it.end = end
 		return nil
 	}
 	// Serve from the DRAM tail: tail offset 0 is byte offset c.flushed.
+	// Its copy goes into buf after one record's room: a record being
+	// stitched into the tail may hold buf's first slot.
 	toff := it.abs - it.c.flushed
 	if toff >= int64(len(it.c.tail)) {
 		return fmt.Errorf("storage: collection %q: iterator position %d beyond data", it.c.name, it.abs)
@@ -296,14 +386,37 @@ func (it *baseIterator) fetchN(n int) error {
 	if need := it.total - it.abs; int64(len(avail)) > need {
 		avail = avail[:need]
 	}
-	it.block = append(it.block[:0], avail...)
-	it.boff = 0
+	rs := it.c.recSize
+	if cap(it.buf) < rs+len(avail) {
+		it.buf = make([]byte, rs+len(avail))
+	}
+	tail := it.buf[rs : rs+copy(it.buf[rs:cap(it.buf)], avail)]
+	it.pieces = append(it.pieces[:0], tail)
+	it.inPlace = false
+	it.end = it.abs + int64(len(avail))
 	return nil
+}
+
+// addPiece appends a block read to the current fetch, extending the last
+// piece instead when the block lies right after it in memory (the blocks
+// a copying store put side by side in the copy buffer).
+func (it *baseIterator) addPiece(b []byte) {
+	if k := len(it.pieces); k > 0 && len(b) > 0 {
+		last := it.pieces[k-1]
+		if n := len(last); cap(last)-n >= len(b) && &last[:n+1][n] == &b[0] {
+			it.pieces[k-1] = last[:n+len(b)]
+			return
+		}
+	}
+	it.pieces = append(it.pieces, b)
 }
 
 func (it *baseIterator) Close() error {
 	it.done = true
-	it.block = nil
+	it.pieces = nil
+	it.one = [1][]byte{}
+	it.buf = nil
+	it.rec = nil
 	it.views = nil
 	return nil
 }

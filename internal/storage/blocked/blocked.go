@@ -50,29 +50,24 @@ func (s *store) WriteBlock(seq int, data []byte) error {
 	return nil
 }
 
-func (s *store) ReadBlock(off int64, dst []byte) error {
+// ReadBlock serves the range in place: a written block never moves and
+// is never rewritten until the collection is truncated or destroyed, so
+// the device bytes are the block. buf only gives the range's length.
+func (s *store) ReadBlock(off int64, buf []byte) ([]byte, error) {
 	bs := int64(s.blockSize)
-	for len(dst) > 0 {
-		seq := off / bs
-		if seq >= int64(len(s.blocks)) {
-			return fmt.Errorf("blocked: read past end (offset %d)", off)
-		}
-		within := off - seq*bs
-		size := bs
-		if seq == int64(len(s.blocks))-1 {
-			size = int64(s.last)
-		}
-		n := min(size-within, int64(len(dst)))
-		if n <= 0 {
-			return fmt.Errorf("blocked: read past block %d contents", seq)
-		}
-		if err := s.alloc.Device().ReadAt(dst[:n], s.blocks[seq]+within); err != nil {
-			return err
-		}
-		dst = dst[n:]
-		off += n
+	seq := off / bs
+	if off < 0 || seq >= int64(len(s.blocks)) {
+		return nil, fmt.Errorf("blocked: read past end (offset %d)", off)
 	}
-	return nil
+	within := off - seq*bs
+	size := bs
+	if seq == int64(len(s.blocks))-1 {
+		size = int64(s.last)
+	}
+	if within+int64(len(buf)) > size {
+		return nil, fmt.Errorf("blocked: read [%d,+%d) past block %d contents", off, len(buf), seq)
+	}
+	return s.alloc.Device().View(s.blocks[seq]+within, len(buf))
 }
 
 // ReserveBlocks implements storage.BlockStoreAt: it allocates n

@@ -56,13 +56,13 @@ func TestReadPastContents(t *testing.T) {
 	if err := s.WriteBlock(0, make([]byte, 100)); err != nil { // partial tail block
 		t.Fatal(err)
 	}
-	if err := s.ReadBlock(0, make([]byte, 100)); err != nil {
+	if _, err := s.ReadBlock(0, make([]byte, 100)); err != nil {
 		t.Fatalf("in-bounds read failed: %v", err)
 	}
-	if err := s.ReadBlock(0, make([]byte, 200)); err == nil {
+	if _, err := s.ReadBlock(0, make([]byte, 200)); err == nil {
 		t.Error("read past block contents accepted")
 	}
-	if err := s.ReadBlock(4096, make([]byte, 10)); err == nil {
+	if _, err := s.ReadBlock(4096, make([]byte, 10)); err == nil {
 		t.Error("read past end accepted")
 	}
 }

@@ -40,8 +40,9 @@ func (s *singles) NextChunk(int) ([][]byte, error) {
 
 // ForEach applies fn to every remaining record of it, in stream order,
 // reading at most chunk records per NextChunk call. It is the kernels'
-// one scan loop: records reach fn as views into the iterator's block
-// buffer (valid only during the call), so a scan copies nothing it does
+// one scan loop: records reach fn as views of the blocks read (valid
+// only during the call, and device bytes where the store reads in
+// place, so never written through), and a scan copies nothing it does
 // not keep. Cancellation is fn's business — kernel callers pass a
 // poll-wrapped fn. ForEach does not close it.
 func ForEach(it Iterator, chunk int, fn func(rec []byte) error) error {

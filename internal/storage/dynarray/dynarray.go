@@ -88,11 +88,16 @@ func (s *store) ensure(need int64) error {
 	return nil
 }
 
-func (s *store) ReadBlock(off int64, dst []byte) error {
-	if off+int64(len(dst)) > s.size {
-		return fmt.Errorf("dynarray: read [%d,+%d) past size %d", off, len(dst), s.size)
+// ReadBlock copies into buf: the region moves when it doubles, so its
+// device bytes cannot be handed out.
+func (s *store) ReadBlock(off int64, buf []byte) ([]byte, error) {
+	if off+int64(len(buf)) > s.size {
+		return nil, fmt.Errorf("dynarray: read [%d,+%d) past size %d", off, len(buf), s.size)
 	}
-	return s.alloc.Device().ReadAt(dst, s.off+off)
+	if err := s.alloc.Device().ReadAt(buf, s.off+off); err != nil {
+		return nil, err
+	}
+	return buf, nil
 }
 
 func (s *store) Truncate() error {

@@ -65,7 +65,13 @@ type store struct{ file *File }
 
 func (s *store) WriteBlock(_ int, data []byte) error { return s.file.Append(data) }
 
-func (s *store) ReadBlock(off int64, dst []byte) error { return s.file.ReadAt(dst, off) }
+// ReadBlock copies into buf: a filesystem read is a copying call.
+func (s *store) ReadBlock(off int64, buf []byte) ([]byte, error) {
+	if err := s.file.ReadAt(buf, off); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
 
 func (s *store) Truncate() error { return s.file.Truncate() }
 

@@ -68,7 +68,8 @@ type Collection interface {
 }
 
 // Iterator streams records. The slice returned by Next is only valid until
-// the following call; callers must copy to retain.
+// the following call, and may be device bytes (see ChunkIterator):
+// callers must copy to retain, and never write through it.
 type Iterator interface {
 	// Next returns the next record, or io.EOF when exhausted.
 	Next() ([]byte, error)
@@ -81,12 +82,13 @@ type Iterator interface {
 // per-record copies (stored collections and Slice views of them; the
 // sort and join kernels read through it a block at a time, see
 // chunk.go). NextChunk returns between 1 and max records in
-// stream order, or io.EOF when exhausted; the views (and their backing
-// bytes) are only valid until the following NextChunk/Next call. A
-// chunked consumer performs exactly the same device reads as a
-// record-at-a-time consumer of the same prefix: blocks are fetched once
-// each, in order, at the same offsets and lengths — batching is a DRAM
-// interpretation change, never an I/O change.
+// stream order, or io.EOF when exhausted. A chunk may be device bytes —
+// a store that reads in place hands out its blocks themselves — so it
+// is never written through, and it is valid until the following
+// NextChunk, Next or Close. A chunked consumer performs exactly the same
+// device reads as a record-at-a-time consumer of the same prefix: blocks
+// are fetched once each, in order, at the same offsets and lengths —
+// batching is a DRAM interpretation change, never an I/O change.
 type ChunkIterator interface {
 	NextChunk(max int) ([][]byte, error)
 }
