@@ -223,7 +223,7 @@ func printSort(t, m, lambda float64) {
 	}
 	fmt.Println()
 	x4 := cost.SegmentSortOptimalX(t, m, lambda)
-	fmt.Printf("SegS write intensity by Eq. 4: x = %.4f → price %.4g", x4, cost.SegSProfile(x4, t, m).PriceP(1, lambda, 1))
+	fmt.Printf("SegS write intensity by Eq. 4: x = %.4f → price %.4g", x4, cost.Emit{}.SegS(x4, t, m).PriceP(1, lambda, 1))
 	if !cost.SegmentSortApplicable(t, m, lambda) {
 		fmt.Printf(" (model inapplicable: λ ≥ 2(|T|/M)·lnM)")
 	}

@@ -119,7 +119,7 @@ func TestCatalogPricesPrinted(t *testing.T) {
 			return a.Profile(cost.Emit{}, at.t, at.v, at.m, at.lambda).PriceP(1, at.lambda, 1), nil
 		})
 
-		segs := func(x float64) float64 { return cost.SegSProfile(x, at.t, at.m).PriceP(1, at.lambda, 1) }
+		segs := func(x float64) float64 { return cost.Emit{}.SegS(x, at.t, at.m).PriceP(1, at.lambda, 1) }
 		x4, xa := cost.SegmentSortOptimalX(at.t, at.m, at.lambda), cost.SegSKnob(at.t, at.m, at.lambda, 1, cost.Emit{})
 		if got, want := lineOf(t, sortOut, "SegS write intensity by Eq. 4:"), fmt.Sprintf(" x = %.4f → price %.4g", x4, segs(x4)); !strings.HasPrefix(got, want) {
 			t.Errorf("Eq. 4 line %q, want %q", got, want)
@@ -128,8 +128,8 @@ func TestCatalogPricesPrinted(t *testing.T) {
 			t.Errorf("SegS(auto) line %q, want %q", got, want)
 		}
 		xh, yh := cost.HybridJoinSaddle(at.t, at.v, at.m, at.lambda)
-		hyb := cost.HybJProfile(xh, yh, at.t, at.v, at.m).PriceP(1, at.lambda, 1)
-		floor := math.Min(cost.NLJProfile(at.t, at.v, at.m).PriceP(1, at.lambda, 1), cost.GJProfile(at.t, at.v).PriceP(1, at.lambda, 1))
+		hyb := cost.Emit{}.HybJ(xh, yh, at.t, at.v, at.m).PriceP(1, at.lambda, 1)
+		floor := math.Min(cost.Emit{}.NLJ(at.t, at.v, at.m).PriceP(1, at.lambda, 1), cost.Emit{}.GJ(at.t, at.v).PriceP(1, at.lambda, 1))
 		if got, want := lineOf(t, joinOut, "HybJ saddle point (Eqs. 7–8):"), fmt.Sprintf(" x = %.4f, y = %.4f → price %.4g; min(NLJ, GJ) = %.4g", xh, yh, hyb, floor); got != want {
 			t.Errorf("saddle line %q, want %q", got, want)
 		}

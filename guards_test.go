@@ -79,6 +79,11 @@ var guards = []guard{
 		scope:   []string{"*.go", ":!vendor"}},
 	{name: "one knob placement (no kernel solves Eq. 4 or Eqs. 7–8 beside the cost package's search, no auto-placed HybJ)",
 		pattern: `SegmentSortOptimalX|HybridJoinSaddle|AutoHybrid`, scope: []string{"internal/sorts", "internal/joins", ":!*_test.go"}},
+	{name: "one test kit, for tests only (no program file imports internal/testkit)",
+		pattern: `"wlpm/internal/testkit"`, scope: []string{"*.go", ":!*_test.go", ":!vendor"}},
+	{name: "one test kit (no test regrows a counting or cancelling context, a failing collection or factory, a temp counter or an RNG beside internal/testkit's)",
+		pattern: `type (countingCtx|countdownCtx|cancelAfterCtx|pollCountCtx|failAfter|failAfterN|failingAppend|failingFactory|failingTemps|failingReads|failingScan|refusingOutput|tempCounts|testRNG|buildRNG)\b`,
+		scope:   []string{"*_test.go", ":!vendor"}},
 }
 
 // guardsFile is this file, which spells every pattern and is in no

@@ -22,7 +22,7 @@ func TestQueryPipelineAcrossBackends(t *testing.T) {
 		backend := backend
 		t.Run(backend, func(t *testing.T) {
 			pipeline := func(sortAlg wlpm.SortAlgorithm, joinAlg wlpm.JoinAlgorithm) (uint64, int) {
-				sys, err := wlpm.New(wlpm.WithCapacity(512<<20), wlpm.WithBackend(backend))
+				sys, err := wlpm.New(wlpm.WithCapacity(32<<20), wlpm.WithBackend(backend))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -9,22 +9,15 @@ import (
 
 	"wlpm/internal/aggregate"
 	"wlpm/internal/algo"
-	"wlpm/internal/pmem"
 	"wlpm/internal/record"
 	"wlpm/internal/sorts"
 	"wlpm/internal/storage"
-	"wlpm/internal/storage/all"
+	"wlpm/internal/testkit"
 )
 
-func newEnv(t testing.TB) *algo.Env {
-	t.Helper()
-	dev := pmem.MustOpen(pmem.Config{Capacity: 64 << 20})
-	f, err := all.New("blocked", dev, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return algo.NewEnv(f, 100*record.Size)
-}
+// newEnv is a 100-record budget on a device that holds a test's input
+// (at most a few thousand records) with its runs and result beside it.
+func newEnv(t testing.TB) *algo.Env { return testkit.Env(t, "blocked", 4<<20, 100) }
 
 // groupBy is the group-by the engine runs over a stored input: a's sort
 // of in's partials, combining equal keys, into out widened to result

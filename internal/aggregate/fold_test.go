@@ -14,6 +14,7 @@ import (
 	"wlpm/internal/record"
 	"wlpm/internal/sorts"
 	"wlpm/internal/storage"
+	"wlpm/internal/testkit"
 )
 
 // foldSorts is every shipped sort, SegS across its whole intensity range
@@ -170,20 +171,6 @@ func TestFoldMatchesMapReference(t *testing.T) {
 	}
 }
 
-// failAfter is a destination whose Append fails on the n-th record.
-type failAfter struct {
-	storage.Collection
-	n   int
-	err error
-}
-
-func (f *failAfter) Append(rec []byte) error {
-	if f.n--; f.n < 0 {
-		return f.err
-	}
-	return f.Collection.Append(rec)
-}
-
 // TestFoldSinkDestinationFailure: when the real output refuses a group
 // mid-emit, the folding sort stops, that one error comes back unwrapped
 // enough to match, and the sort's runs are gone.
@@ -198,7 +185,7 @@ func TestFoldSinkDestinationFailure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = groupBy(env, a, src, foldAttr, &failAfter{Collection: out, n: 7, err: boom})
+		err = groupBy(env, a, src, foldAttr, &testkit.FailAfter{Collection: out, N: 7, Err: boom})
 		if !errors.Is(err, boom) {
 			t.Errorf("%s: err = %v, want the destination's error", a.Name(), err)
 		}
@@ -217,7 +204,7 @@ func TestFoldSinkDestinationFailure(t *testing.T) {
 // groups; the 100 k sorted records never reach the device.
 func BenchmarkGroupByFold(b *testing.B) {
 	const n, groups = 100000, 10000
-	env := newEnv(b)
+	env := testkit.Env(b, "blocked", 32<<20, 100) // the input is 8 MB
 	env.MemoryBudget = 90 << 10
 	dev := env.Factory.Device()
 	rng := rand.New(rand.NewSource(1))

@@ -134,7 +134,7 @@ func Scaling(cfg Config) ([]*Report, error) {
 		{
 			name:    "sort-ExMS",
 			phase:   sorts.FinalMergePhase,
-			profile: cost.ExMSProfile(tSort, scalingMemFrac*tSort),
+			profile: cost.Emit{}.ExMS(tSort, scalingMemFrac*tSort),
 			run: func(c Config) (Metrics, algo.PhaseStat, uint64, error) {
 				return runScalingSort(c, n)
 			},
@@ -142,7 +142,7 @@ func Scaling(cfg Config) ([]*Report, error) {
 		{
 			name:    "join-GJ",
 			phase:   joins.BuildPhase,
-			profile: cost.GJProfile(tJoin, vJoin),
+			profile: cost.Emit{}.GJ(tJoin, vJoin),
 			run: func(c Config) (Metrics, algo.PhaseStat, uint64, error) {
 				return runScalingJoin(c, nLeft, nRight)
 			},

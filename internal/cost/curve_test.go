@@ -16,12 +16,12 @@ func TestBestSortPlanIsArgmin(t *testing.T) {
 			m := tb * frac
 			best := BestSortPlanP(tb, m, lambda, 1)
 			candidates := []Profile{
-				ExMSProfile(tb, m),
-				SelSProfile(tb, m),
-				LaSProfile(tb, m, lambda),
-				SegSProfile(BestKnobP(lambda, 1, func(x float64) Profile { return SegSProfile(x, tb, m) },
+				Emit{}.ExMS(tb, m),
+				Emit{}.SelS(tb, m),
+				Emit{}.LaS(tb, m, lambda),
+				Emit{}.SegS(BestKnobP(lambda, 1, func(x float64) Profile { return Emit{}.SegS(x, tb, m) },
 					SegmentSortOptimalX(tb, m, lambda)), tb, m),
-				HybSProfile(BestKnobP(lambda, 1, func(x float64) Profile { return HybSProfile(x, tb, m) }), tb, m),
+				Emit{}.HybS(BestKnobP(lambda, 1, func(x float64) Profile { return Emit{}.HybS(x, tb, m) }), tb, m),
 			}
 			min := math.Inf(1)
 			for _, p := range candidates {

@@ -8,17 +8,17 @@ import (
 // shippedProfiles is one profile per shipped algorithm at the given point.
 func shippedProfiles(tt, v, m, lambda float64) map[string]Profile {
 	return map[string]Profile{
-		"ExMS":      ExMSProfile(tt, m),
-		"SelS":      SelSProfile(tt, m),
-		"SegS(0.6)": SegSProfile(0.6, tt, m),
-		"HybS(0.4)": HybSProfile(0.4, tt, m),
-		"LaS":       LaSProfile(tt, m, lambda),
-		"GJ":        GJProfile(tt, v),
-		"NLJ":       NLJProfile(tt, v, m),
-		"HJ":        HJProfile(tt, v, m),
-		"LaJ":       LaJProfile(tt, v, m, lambda),
-		"HybJ":      HybJProfile(0.5, 0.5, tt, v, m),
-		"SegJ(0.5)": SegJProfile(0.5, tt, v, m),
+		"ExMS":      Emit{}.ExMS(tt, m),
+		"SelS":      Emit{}.SelS(tt, m),
+		"SegS(0.6)": Emit{}.SegS(0.6, tt, m),
+		"HybS(0.4)": Emit{}.HybS(0.4, tt, m),
+		"LaS":       Emit{}.LaS(tt, m, lambda),
+		"GJ":        Emit{}.GJ(tt, v),
+		"NLJ":       Emit{}.NLJ(tt, v, m),
+		"HJ":        Emit{}.HJ(tt, v, m),
+		"LaJ":       Emit{}.LaJ(tt, v, m, lambda),
+		"HybJ":      Emit{}.HybJ(0.5, 0.5, tt, v, m),
+		"SegJ(0.5)": Emit{}.SegJ(0.5, tt, v, m),
 	}
 }
 
@@ -47,18 +47,18 @@ func TestPricePSerialConsistency(t *testing.T) {
 func TestPricePSerialInvariant(t *testing.T) {
 	const tt, v, m, lambda = 100000.0, 300000.0, 5000.0, 15.0
 	for name, p := range map[string]Profile{
-		"SelS": SelSProfile(tt, m),
-		"LaS":  LaSProfile(tt, m, lambda),
-		"HJ":   HJProfile(tt, v, m),
-		"LaJ":  LaJProfile(tt, v, m, lambda),
+		"SelS": Emit{}.SelS(tt, m),
+		"LaS":  Emit{}.LaS(tt, m, lambda),
+		"HJ":   Emit{}.HJ(tt, v, m),
+		"LaJ":  Emit{}.LaJ(tt, v, m, lambda),
 	} {
 		if got, want := p.PriceP(1, lambda, 8), p.PriceP(1, lambda, 1); math.Abs(got-want) > 1e-9 {
 			t.Errorf("%s is serial but PriceP(8) = %v, PriceP(1) = %v", name, got, want)
 		}
 	}
 	for name, p := range map[string]Profile{
-		"ExMS": ExMSProfile(tt, m),
-		"GJ":   GJProfile(tt, v),
+		"ExMS": Emit{}.ExMS(tt, m),
+		"GJ":   Emit{}.GJ(tt, v),
 	} {
 		if got, want := p.PriceP(1, lambda, 8), p.PriceP(1, lambda, 1)/8; math.Abs(got-want) > 1e-9 {
 			t.Errorf("%s is fully parallel but PriceP(8) = %v, want %v", name, got, want)

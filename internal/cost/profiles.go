@@ -59,9 +59,9 @@ func (p Profile) PriceP(read, write, par float64) float64 {
 // single-record results, the |groups| records a sort with a combine
 // emits (sorts.SortFolding), the width and selectivity of an emit-side
 // chain. Every
-// profile constructor is a method of it (em.ExMS(t, m); ExMSProfile(t, m)
-// is Emit{}.ExMS(t, m)) that re-sizes or serializes its own output term
-// inside the profile, before PriceP scales it — instead of a caller
+// profile constructor is a method of it (em.ExMS(t, m); the paper's own
+// ExMS profile is Emit{}.ExMS(t, m)) that re-sizes or serializes its own
+// output term inside the profile, before PriceP scales it — instead of a caller
 // correcting a price after the fact. It is plain data and Profile stays
 // four words: the planner prices a hundred candidates per stage pricing
 // and thousands of pricings per allocation, all through direct calls on
@@ -161,14 +161,12 @@ func mergeFanIn(m, streams float64) float64 {
 	return math.Max(2, m-1-streams)
 }
 
-// ExMSProfile: replacement-selection run formation (read input, write
+// ExMS: replacement-selection run formation (read input, write
 // runs), merge passes, materialized output. Run formation (in chunks) and
 // the splitter-partitioned final merge fan out to workers; the extra
 // merge passes merge their groups one at a time (sorts.mergePass), so
 // they are serial.
-func ExMSProfile(t, m float64) Profile { return Emit{}.ExMS(t, m) }
-
-// ExMS is ExMSProfile emitting as em describes.
+// The output term is what em says is emitted.
 func (em Emit) ExMS(t, m float64) Profile {
 	if t <= 0 {
 		return Profile{}
@@ -210,11 +208,9 @@ func (em Emit) FedExMS(t, m float64) Profile {
 	return p
 }
 
-// SelSProfile: multi-pass selection sort straight into the output. Each
+// SelS: multi-pass selection sort straight into the output. Each
 // pass's emission order is the output order — fully serial.
-func SelSProfile(t, m float64) Profile { return Emit{}.SelS(t, m) }
-
-// SelS is SelSProfile emitting as em describes.
+// The output term is what em says is emitted.
 func (em Emit) SelS(t, m float64) Profile {
 	if t <= 0 {
 		return Profile{}
@@ -226,11 +222,9 @@ func (em Emit) SelS(t, m float64) Profile {
 	}.emitting(em, t, t)
 }
 
-// SegSProfile: fraction x through run formation, the rest streamed into
+// SegS: fraction x through run formation, the rest streamed into
 // the final merge by repeated selection passes over the suffix segment.
-func SegSProfile(x, t, m float64) Profile { return Emit{}.SegS(x, t, m) }
-
-// SegS is SegSProfile emitting as em describes.
+// The output term is what em says is emitted.
 func (em Emit) SegS(x, t, m float64) Profile {
 	if t <= 0 {
 		return Profile{}
@@ -264,12 +258,10 @@ func (em Emit) SegS(x, t, m float64) Profile {
 	return p.emitting(em, t, outSerial)
 }
 
-// HybSProfile: a selection region of x·m buffers feeds the output
+// HybS: a selection region of x·m buffers feeds the output
 // directly; everything else passes through replacement selection with
 // (1−x)·m memory.
-func HybSProfile(x, t, m float64) Profile { return Emit{}.HybS(x, t, m) }
-
-// HybS is HybSProfile emitting as em describes.
+// The output term is what em says is emitted.
 func (em Emit) HybS(x, t, m float64) Profile {
 	if t <= 0 {
 		return Profile{}
@@ -297,13 +289,11 @@ func (em Emit) HybS(x, t, m float64) Profile {
 	}.emitting(em, t, direct)
 }
 
-// LaSProfile: lazy sort's dynamic behaviour in expectation — selection
+// LaS: lazy sort's dynamic behaviour in expectation — selection
 // scans of the shrinking input, with the remainder materialized every
 // n-th iteration (Eq. 5). Unlike the other sort profiles the estimate
 // depends on λ, because the materialization points do.
-func LaSProfile(t, m, lambda float64) Profile { return Emit{}.LaS(t, m, lambda) }
-
-// LaS is LaSProfile emitting as em describes.
+// The output term is what em says is emitted.
 func (em Emit) LaS(t, m, lambda float64) Profile {
 	if t <= 0 || m <= 0 {
 		return Profile{}
@@ -335,11 +325,9 @@ func (em Emit) LaS(t, m, lambda float64) Profile {
 // produces |V| matches.
 func joinOutput(v float64) float64 { return v }
 
-// GJProfile: partition both inputs, read the partitions back, write the
+// GJ: partition both inputs, read the partitions back, write the
 // output. Partitioning, builds and probes all fan out — nothing serial.
-func GJProfile(t, v float64) Profile { return Emit{}.GJ(t, v) }
-
-// GJ is GJProfile emitting as em describes.
+// The output term is what em says is emitted.
 func (em Emit) GJ(t, v float64) Profile {
 	return Profile{
 		Reads:  2*(t+v) + em.rescan(1, t),
@@ -355,11 +343,9 @@ func HashPartitions(t, m float64) float64 {
 	return math.Max(1, math.Ceil(algo.HashTableExpansion*t/m))
 }
 
-// HJProfile: Table 1's standard hash join — iteration i re-reads the
+// HJ: Table 1's standard hash join — iteration i re-reads the
 // surviving (k−i+1)/k of both inputs and rewrites (k−i)/k of them.
-func HJProfile(t, v, m float64) Profile { return Emit{}.HJ(t, v, m) }
-
-// HJ is HJProfile emitting as em describes.
+// The output term is what em says is emitted.
 func (em Emit) HJ(t, v, m float64) Profile {
 	k := HashPartitions(t, m)
 	per := (t + v) / k
@@ -376,23 +362,19 @@ func (em Emit) HJ(t, v, m float64) Profile {
 	return p.emitting(em, joinOutput(v), joinOutput(v))
 }
 
-// NLJProfile: block nested loops with in-memory tables of m/f buffers.
+// NLJ: block nested loops with in-memory tables of m/f buffers.
 // Block builds and probe scans fan out — nothing serial.
-func NLJProfile(t, v, m float64) Profile { return Emit{}.NLJ(t, v, m) }
-
-// NLJ is NLJProfile emitting as em describes.
+// The output term is what em says is emitted.
 func (em Emit) NLJ(t, v, m float64) Profile {
 	blocks := HashPartitions(t, m)
 	return Profile{Reads: t + blocks*v + em.rescan(1, t), Writes: joinOutput(v)}.emitting(em, joinOutput(v), 0)
 }
 
-// HybJProfile: Grace over (x·t, y·v) with the right suffix piggybacked
+// HybJ: Grace over (x·t, y·v) with the right suffix piggybacked
 // per partition and nested loops for the left suffix. With no left
 // prefix the engine partitions nothing and piggybacks nothing — it runs
 // NLJ's exact I/O — so the profile is NLJ's.
-func HybJProfile(x, y, t, v, m float64) Profile { return Emit{}.HybJ(x, y, t, v, m) }
-
-// HybJ is HybJProfile emitting as em describes.
+// The output term is what em says is emitted.
 func (em Emit) HybJ(x, y, t, v, m float64) Profile {
 	if x*t <= 0 {
 		return em.NLJ(t, v, m)
@@ -413,13 +395,11 @@ func (em Emit) HybJ(x, y, t, v, m float64) Profile {
 	}.emitting(em, joinOutput(v), 0)
 }
 
-// LaJProfile: lazy hash join — Table 1's right half up to the
+// LaJ: lazy hash join — Table 1's right half up to the
 // materialization iteration n (every pass re-reads the original inputs,
 // writes nothing), then the surviving fraction is materialized and the
 // remaining iterations proceed like standard hash join. λ places n.
-func LaJProfile(t, v, m, lambda float64) Profile { return Emit{}.LaJ(t, v, m, lambda) }
-
-// LaJ is LaJProfile emitting as em describes.
+// The output term is what em says is emitted.
 func (em Emit) LaJ(t, v, m, lambda float64) Profile {
 	if t <= 0 || m <= 0 {
 		return Profile{}
@@ -445,12 +425,10 @@ func (em Emit) LaJ(t, v, m, lambda float64) Profile {
 	return p.emitting(em, joinOutput(v), joinOutput(v))
 }
 
-// SegJProfile: initial scan offloading x of the k partitions, their
+// SegJ: initial scan offloading x of the k partitions, their
 // re-read, and one filtered re-scan of both inputs per remaining
 // partition.
-func SegJProfile(intensity, t, v, m float64) Profile { return Emit{}.SegJ(intensity, t, v, m) }
-
-// SegJ is SegJProfile emitting as em describes.
+// The output term is what em says is emitted.
 func (em Emit) SegJ(intensity, t, v, m float64) Profile {
 	k := HashPartitions(t, m)
 	xp := math.Floor(intensity * k)

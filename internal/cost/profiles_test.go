@@ -16,14 +16,14 @@ func TestProfilePrice(t *testing.T) {
 func TestSortProfilesStructure(t *testing.T) {
 	const tt, m = 100000.0, 5000.0
 
-	exms := ExMSProfile(tt, m)
+	exms := Emit{}.ExMS(tt, m)
 	// Run formation + output: two full writes; input + run re-read: two
 	// full reads (single merge pass at this fan-in).
 	if exms.Writes != 2*tt || exms.Reads != 2*tt {
 		t.Errorf("ExMS profile %+v, want reads=writes=2|T|", exms)
 	}
 
-	sels := SelSProfile(tt, m)
+	sels := Emit{}.SelS(tt, m)
 	if sels.Writes != tt {
 		t.Errorf("SelS writes %v, want |T| (write-minimal)", sels.Writes)
 	}
@@ -32,15 +32,15 @@ func TestSortProfilesStructure(t *testing.T) {
 	}
 
 	// SegS endpoints collapse to the neighbours.
-	if got := SegSProfile(1, tt, m); got != exms {
+	if got := (Emit{}).SegS(1, tt, m); got != exms {
 		t.Errorf("SegS(1) = %+v, want ExMS %+v", got, exms)
 	}
-	if got := SegSProfile(0, tt, m); got != sels {
+	if got := (Emit{}).SegS(0, tt, m); got != sels {
 		t.Errorf("SegS(0) = %+v, want SelS %+v", got, sels)
 	}
 
 	// Writes grow with intensity; reads shrink.
-	lo, hi := SegSProfile(0.2, tt, m), SegSProfile(0.8, tt, m)
+	lo, hi := Emit{}.SegS(0.2, tt, m), Emit{}.SegS(0.8, tt, m)
 	if !(lo.Writes < hi.Writes && lo.Reads > hi.Reads) {
 		t.Errorf("SegS intensity trade broken: low %+v high %+v", lo, hi)
 	}
@@ -48,14 +48,14 @@ func TestSortProfilesStructure(t *testing.T) {
 
 func TestHybSProfileBounds(t *testing.T) {
 	const tt, m = 100000.0, 5000.0
-	p := HybSProfile(0.5, tt, m)
+	p := Emit{}.HybS(0.5, tt, m)
 	// Never fewer writes than the output, never more than ExMS-like 2|T|
 	// (plus merge passes).
 	if p.Writes < tt || p.Writes > 2.5*tt {
 		t.Errorf("HybS writes %v out of [|T|, 2.5|T|]", p.Writes)
 	}
 	// Higher intensity diverts more records straight to the output.
-	if HybSProfile(0.9, tt, m).Writes >= HybSProfile(0.1, tt, m).Writes {
+	if (Emit{}).HybS(0.9, tt, m).Writes >= (Emit{}).HybS(0.1, tt, m).Writes {
 		t.Error("HybS writes not decreasing in intensity")
 	}
 }
@@ -63,12 +63,12 @@ func TestHybSProfileBounds(t *testing.T) {
 func TestJoinProfilesStructure(t *testing.T) {
 	const tt, v, m = 10000.0, 100000.0, 500.0
 
-	gj := GJProfile(tt, v)
+	gj := Emit{}.GJ(tt, v)
 	if gj.Writes != (tt+v)+v || gj.Reads != 2*(tt+v) {
 		t.Errorf("GJ profile %+v", gj)
 	}
 
-	nlj := NLJProfile(tt, v, m)
+	nlj := Emit{}.NLJ(tt, v, m)
 	if nlj.Writes != v {
 		t.Errorf("NLJ writes %v, want output only", nlj.Writes)
 	}
@@ -76,29 +76,29 @@ func TestJoinProfilesStructure(t *testing.T) {
 		t.Errorf("NLJ reads %v suspiciously low", nlj.Reads)
 	}
 
-	hj := HJProfile(tt, v, m)
+	hj := Emit{}.HJ(tt, v, m)
 	if hj.Writes <= gj.Writes {
 		t.Errorf("HJ writes %v not above GJ %v", hj.Writes, gj.Writes)
 	}
 
 	// SegJ at full intensity materializes every partition ≈ Grace.
-	segFull := SegJProfile(1, tt, v, m)
+	segFull := Emit{}.SegJ(1, tt, v, m)
 	if segFull.Writes != gj.Writes {
 		t.Errorf("SegJ(1) writes %v, want GJ %v", segFull.Writes, gj.Writes)
 	}
 	// Lower intensity: fewer writes, more reads.
-	seg2, seg8 := SegJProfile(0.2, tt, v, m), SegJProfile(0.8, tt, v, m)
+	seg2, seg8 := Emit{}.SegJ(0.2, tt, v, m), Emit{}.SegJ(0.8, tt, v, m)
 	if !(seg2.Writes < seg8.Writes && seg2.Reads > seg8.Reads) {
 		t.Errorf("SegJ trade broken: %+v vs %+v", seg2, seg8)
 	}
 
 	// HybJ at (1,1) degenerates to Grace's write profile.
-	hybFull := HybJProfile(1, 1, tt, v, m)
+	hybFull := Emit{}.HybJ(1, 1, tt, v, m)
 	if hybFull.Writes != gj.Writes {
 		t.Errorf("HybJ(1,1) writes %v, want GJ %v", hybFull.Writes, gj.Writes)
 	}
 	// HybJ at (0,0) is nested loops.
-	hyb0 := HybJProfile(0, 0, tt, v, m)
+	hyb0 := Emit{}.HybJ(0, 0, tt, v, m)
 	if hyb0.Writes != nlj.Writes {
 		t.Errorf("HybJ(0,0) writes %v, want NLJ %v", hyb0.Writes, nlj.Writes)
 	}
@@ -130,9 +130,9 @@ func TestDegenerateProfilesEqual(t *testing.T) {
 func TestLazyProfilesStructure(t *testing.T) {
 	const tt, m, lambda = 100000.0, 5000.0, 15.0
 
-	las := LaSProfile(tt, m, lambda)
-	sels := SelSProfile(tt, m)
-	exms := ExMSProfile(tt, m)
+	las := Emit{}.LaS(tt, m, lambda)
+	sels := Emit{}.SelS(tt, m)
+	exms := Emit{}.ExMS(tt, m)
 	// Lazy sort sits between the write-minimal and symmetric extremes:
 	// fewer writes than ExMS (it defers materialization), more reads than
 	// ExMS, and at least the output's |T| writes.
@@ -144,8 +144,8 @@ func TestLazyProfilesStructure(t *testing.T) {
 	}
 
 	const v = 10 * tt
-	laj := LaJProfile(tt, v, m, lambda)
-	hj := HJProfile(tt, v, m)
+	laj := Emit{}.LaJ(tt, v, m, lambda)
+	hj := Emit{}.HJ(tt, v, m)
 	// Lazy hash join trades rewrites for re-reads against standard HJ.
 	if laj.Writes >= hj.Writes {
 		t.Errorf("LaJ writes %v not below HJ %v", laj.Writes, hj.Writes)
@@ -154,15 +154,15 @@ func TestLazyProfilesStructure(t *testing.T) {
 		t.Errorf("LaJ reads %v not above HJ %v", laj.Reads, hj.Reads)
 	}
 	// A higher λ defers materialization further: fewer writes still.
-	lajHot := LaJProfile(tt, v, m, 2)
+	lajHot := Emit{}.LaJ(tt, v, m, 2)
 	if laj.Writes > lajHot.Writes {
 		t.Errorf("LaJ writes at λ=15 (%v) above λ=2 (%v)", laj.Writes, lajHot.Writes)
 	}
 
 	// Degenerate sizes return empty profiles instead of looping.
 	for _, p := range []Profile{
-		LaSProfile(0, m, lambda), LaSProfile(tt, 0, lambda),
-		LaJProfile(0, v, m, lambda), LaJProfile(tt, v, 0, lambda),
+		Emit{}.LaS(0, m, lambda), Emit{}.LaS(tt, 0, lambda),
+		Emit{}.LaJ(0, v, m, lambda), Emit{}.LaJ(tt, v, 0, lambda),
 	} {
 		if p != (Profile{}) {
 			t.Errorf("degenerate lazy profile %+v, want zero", p)
@@ -177,11 +177,11 @@ func TestQuickProfilesSane(t *testing.T) {
 		m := float64(mRaw%1000) + 10
 		x := float64(x8%101) / 100
 		for _, p := range []Profile{
-			ExMSProfile(tt, m), SelSProfile(tt, m), SegSProfile(x, tt, m),
-			HybSProfile(x, tt, m), GJProfile(tt, 10*tt), HJProfile(tt, 10*tt, m),
-			NLJProfile(tt, 10*tt, m), HybJProfile(x, 1-x, tt, 10*tt, m),
-			SegJProfile(x, tt, 10*tt, m),
-			LaSProfile(tt, m, 1+14*x), LaJProfile(tt, 10*tt, m, 1+14*x),
+			Emit{}.ExMS(tt, m), Emit{}.SelS(tt, m), Emit{}.SegS(x, tt, m),
+			Emit{}.HybS(x, tt, m), Emit{}.GJ(tt, 10*tt), Emit{}.HJ(tt, 10*tt, m),
+			Emit{}.NLJ(tt, 10*tt, m), Emit{}.HybJ(x, 1-x, tt, 10*tt, m),
+			Emit{}.SegJ(x, tt, 10*tt, m),
+			Emit{}.LaS(tt, m, 1+14*x), Emit{}.LaJ(tt, 10*tt, m, 1+14*x),
 		} {
 			if p.Reads < 0 || p.Writes < 0 {
 				return false

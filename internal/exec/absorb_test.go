@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"runtime"
 	"testing"
 
@@ -15,7 +14,7 @@ import (
 	"wlpm/internal/record"
 	"wlpm/internal/sorts"
 	"wlpm/internal/storage"
-	"wlpm/internal/storage/all"
+	"wlpm/internal/testkit"
 )
 
 // Emit-side chains and the fold are checked against references, not
@@ -72,26 +71,8 @@ var absorbChains = []struct {
 // Rows cursor does.
 func drainCursor(t *testing.T, ec *Ctx, root Operator) []byte {
 	t.Helper()
-	ctx := context.Background()
-	if err := ec.Bind(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := root.Open(ctx, ec); err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
-	cur := NewCursor(root)
-	for {
-		rec, err := cur.Next(ctx)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf.Write(rec)
-	}
-	if err := root.Close(); err != nil {
+	if err := pullCursor(context.Background(), ec, root, nil, func(rec []byte) error { buf.Write(rec); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -146,34 +127,14 @@ func TestAbsorbedChainMatchesMaterializedReference(t *testing.T) {
 						if shape == "blocking-input" {
 							plan = plan.OrderByWith(sorts.NewExternalMergeSort())
 						}
-						counted := countTemps(r.fac)
-						ec := NewCtx(counted, src.budget, 1)
+						res := r.runPlan(t, plan, runSpec{budget: src.budget, par: 1, opts: opts, cursor: shape == "cursor" && !opts.MaterializeEveryStep})
 						if !opts.MaterializeEveryStep && shape != "blocking-input" { // the pinned order-by forms runs of its own
-							defer checkFoldPath(t, src.fold, counted)
+							checkFoldPath(t, src.fold, res.temps)
 						}
-						root, _, err := CompileWith(ec, plan, opts)
-						if err != nil {
-							t.Fatal(err)
+						if n := streamingOps(res.root); !opts.MaterializeEveryStep && n != 0 {
+							t.Fatalf("%d Filter/Project operators survive in %s", n, res.root.Name())
 						}
-						if n := streamingOps(root); !opts.MaterializeEveryStep && n != 0 {
-							t.Fatalf("%d Filter/Project operators survive in %s", n, root.Name())
-						}
-						var got []byte
-						r.dev.ResetStats()
-						if shape == "cursor" && !opts.MaterializeEveryStep {
-							got = drainCursor(t, ec, root)
-						} else {
-							out := r.create(t, "out", root.RecordSize())
-							if err := RunCtx(context.Background(), ec, root, out); err != nil {
-								t.Fatal(err)
-							}
-							got = readBytes(t, out)
-						}
-						writes := r.dev.Stats().Writes
-						if live := ec.LiveTemps(); live != 0 {
-							t.Fatalf("%d live temps after the run", live)
-						}
-						return got, writes
+						return res.out, res.stats.Writes
 					}
 					got, writes := run(CompileOptions{})
 					want, refWrites := run(CompileOptions{MaterializeEveryStep: true})
@@ -330,27 +291,12 @@ func TestFoldSinkIdentityGrid(t *testing.T) {
 		for _, pc := range foldGridPlans {
 			t.Run(backend+"/"+pc.name, func(t *testing.T) {
 				run := func(par, batch int) ([]byte, uint64) {
-					dev := pmem.MustOpen(pmem.Config{Capacity: 256 << 20})
-					fac, err := all.New(backend, dev, 0)
-					if err != nil {
-						t.Fatal(err)
+					r := rigOn(t, backend, pmem.Config{Capacity: rigDevice})
+					res := r.runPlan(t, pc.build(t, r), runSpec{budget: pc.budget, par: par, batch: batch, opts: CompileOptions{shares: pc.shares}})
+					if n := fedChoices(res.ex); n != pc.fed {
+						t.Fatalf("P=%d batch=%d: %d fed stage(s), want %d:\n%s", par, batch, n, pc.fed, res.ex)
 					}
-					r := &rig{dev: dev, fac: fac}
-					ec := r.ctx(pc.budget, par)
-					ec.BatchSize = batch
-					root, ex, err := CompileWith(ec, pc.build(t, r), CompileOptions{shares: pc.shares})
-					if err != nil {
-						t.Fatal(err)
-					}
-					out := r.create(t, "out", root.RecordSize())
-					dev.ResetStats()
-					if err := RunCtx(context.Background(), ec, root, out); err != nil {
-						t.Fatal(err)
-					}
-					if n := fedChoices(ex); n != pc.fed {
-						t.Fatalf("P=%d batch=%d: %d fed stage(s), want %d:\n%s", par, batch, n, pc.fed, ex)
-					}
-					return readBytes(t, out), dev.Stats().Writes
+					return res.out, res.stats.Writes
 				}
 				want, wantWrites := run(1, 1)
 				if len(want) == 0 {
@@ -372,20 +318,6 @@ func TestFoldSinkIdentityGrid(t *testing.T) {
 	}
 }
 
-// failAfter is a plan output whose Append fails on the n-th record.
-type failAfter struct {
-	storage.Collection
-	n   int
-	err error
-}
-
-func (f *failAfter) Append(rec []byte) error {
-	if f.n--; f.n < 0 {
-		return f.err
-	}
-	return f.Collection.Append(rec)
-}
-
 // TestSinkDestinationFailure: when the collection behind a sink refuses
 // the n-th record — mid-merge for the fold, mid-probe for a narrowed
 // join, mid-drain of its heap for a resident fold, mid-merge of its runs
@@ -399,23 +331,13 @@ func TestSinkDestinationFailure(t *testing.T) {
 		for _, par := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/p%d", src.name, par), func(t *testing.T) {
 				r := newRig(t)
-				counted := countTemps(r.fac)
-				defer checkFoldPath(t, src.fold, counted)
-				ec := NewCtx(counted, src.budget, par)
-				root, _, err := Compile(ec, src.build(t, r).Filter(absorbPred).Project(1, 0))
-				if err != nil {
-					t.Fatal(err)
-				}
-				out := r.create(t, "out", root.RecordSize())
-				err = RunCtx(context.Background(), ec, root, &failAfter{Collection: out, n: 25, err: boom})
-				if !errors.Is(err, boom) {
-					t.Fatalf("err = %v, want the destination's error", err)
-				}
-				if out.Len() != 25 {
-					t.Errorf("%d records reached the output before the failure, want 25", out.Len())
-				}
-				if live := ec.LiveTemps(); live != 0 {
-					t.Errorf("failed run left %d live temps", live)
+				res := r.runPlan(t, src.build(t, r).Filter(absorbPred).Project(1, 0), runSpec{budget: src.budget, par: par, err: boom,
+					out: func(c storage.Collection) storage.Collection {
+						return &testkit.FailAfter{Collection: c, N: 25, Err: boom}
+					}})
+				checkFoldPath(t, src.fold, res.temps)
+				if n := len(res.out) / res.root.RecordSize(); n != 25 {
+					t.Errorf("%d records reached the output before the failure, want 25", n)
 				}
 			})
 		}
@@ -429,69 +351,36 @@ func TestSinkDestinationFailure(t *testing.T) {
 				r := newRig(t)
 				var in storage.Collection = loadGrouped(t, r, "in", bgRows, 300)
 				if where == "pour" {
-					in = &failingScan{Collection: in, n: 25, err: boom}
-				}
-				counted := countTemps(r.fac)
-				ec := NewCtx(counted, 1<<20, par)
-				root, ex, err := Compile(ec, Table(in).GroupHint(300).GroupBy(4).Filter(absorbPred).Project(1, 0))
-				if err != nil {
-					t.Fatal(err)
+					in = &testkit.FailScan{Collection: in, N: 25, Err: boom}
 				}
 				taken := 0
 				base := runtime.NumGoroutine()
-				err = pullCursor(context.Background(), ec, root, nil, func([]byte) error {
-					if taken++; taken == 25 {
-						return boom
-					}
-					return nil
-				})
-				if !errors.Is(err, boom) {
-					t.Fatalf("err = %v, want the injected failure", err)
-				}
-				if !ex.Choices[0].Fed || len(counted.n) != 0 {
-					t.Errorf("fed=%v, temps %v: want a fold that never left memory", ex.Choices[0].Fed, counted.n)
+				res := r.runPlan(t, Table(in).GroupHint(300).GroupBy(4).Filter(absorbPred).Project(1, 0), runSpec{budget: 1 << 20, par: par, err: boom, cursor: true,
+					take: func([]byte) error {
+						if taken++; taken == 25 {
+							return boom
+						}
+						return nil
+					}})
+				if !res.ex.Choices[0].Fed || res.temps.N(spillTemps...) != 0 {
+					t.Errorf("fed=%v, temps %v: want a fold that never left memory", res.ex.Choices[0].Fed, res.temps)
 				}
 				if where == "next" && taken != 25 {
 					t.Errorf("%d groups reached the caller before the failure, want 25", taken)
 				}
-				if live := ec.LiveTemps(); live != 0 {
-					t.Errorf("failed run left %d live temps", live)
-				}
-				waitGoroutines(t, base)
+				testkit.WaitGoroutines(t, base)
 			})
 		}
 	}
-}
-
-// failingScan is a base table whose scans fail on the n-th record.
-type failingScan struct {
-	storage.Collection
-	n   int
-	err error
-}
-
-func (c *failingScan) Scan() storage.Iterator {
-	return &failingIter{Iterator: c.Collection.Scan(), n: c.n, err: c.err}
-}
-
-type failingIter struct {
-	storage.Iterator
-	n   int
-	err error
-}
-
-func (it *failingIter) Next() ([]byte, error) {
-	if it.n--; it.n < 0 {
-		return nil, it.err
-	}
-	return it.Iterator.Next()
 }
 
 // BenchmarkJoinEmitProjected: 10 k ⋈ 100 k through nested loops with 10
 // of the 20 joined attributes kept by the projection above — absorbed,
 // so the join writes 80-byte rows and the 160-byte ones never exist.
 func BenchmarkJoinEmitProjected(b *testing.B) {
-	r := newRig(b)
+	// The star's 120 000 rows (9.6 MB) and one iteration's 100 000
+	// 80-byte results.
+	r := rigOn(b, "blocked", pmem.Config{Capacity: 32 << 20})
 	dim, _, fact := r.loadStar(b, 10000, 100000)
 	plan := Table(dim).JoinWith(Table(fact), joins.NewNestedLoops()).Project(0, 1, 12, 13, 14, 5, 16, 7, 18, 9)
 	b.ReportAllocs()

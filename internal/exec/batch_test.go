@@ -2,7 +2,6 @@ package exec
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"runtime"
 	"testing"
@@ -14,6 +13,7 @@ import (
 	"wlpm/internal/record"
 	"wlpm/internal/sorts"
 	"wlpm/internal/storage"
+	"wlpm/internal/testkit"
 )
 
 // The batch engine's hard invariant: batching is an interpretation-layer
@@ -153,28 +153,12 @@ var batchCases = []batchCase{
 func runBatchCase(t *testing.T, pc batchCase, par, batchSize int) ([]byte, pmem.Stats) {
 	t.Helper()
 	r := newRig(t)
-	plan := pc.build(t, r)
-	counted := countTemps(r.fac)
-	defer checkFoldPath(t, pc.fold, counted)
-	ec := NewCtx(counted, pc.budget, par)
-	ec.BatchSize = batchSize
-	root, ex, err := CompileWith(ec, plan, pc.opts)
-	if err != nil {
-		t.Fatal(err)
+	res := r.runPlan(t, pc.build(t, r), runSpec{budget: pc.budget, par: par, batch: batchSize, opts: pc.opts})
+	if res.ex.BatchSize != batchSize {
+		t.Fatalf("Explain.BatchSize = %d, want %d", res.ex.BatchSize, batchSize)
 	}
-	if ex.BatchSize != batchSize {
-		t.Fatalf("Explain.BatchSize = %d, want %d", ex.BatchSize, batchSize)
-	}
-	out := r.create(t, "out", root.RecordSize())
-	r.dev.ResetStats()
-	if err := RunCtx(context.Background(), ec, root, out); err != nil {
-		t.Fatal(err)
-	}
-	st := r.dev.Stats()
-	if live := ec.LiveTemps(); live != 0 {
-		t.Fatalf("run left %d live temps", live)
-	}
-	return readBytes(t, out), st
+	checkFoldPath(t, pc.fold, res.temps)
+	return res.out, res.stats
 }
 
 // TestBatchRecordIdentityGrid runs every plan shape of the grid at P ∈
@@ -272,22 +256,6 @@ var batchCancelCases = []struct {
 	{name: "spill-batch7", batchSize: 7, plan: cancelPlans[2]},
 }
 
-// runBatchCancel executes the case's plan once under ctx at the given
-// batch size on a fresh rig.
-func runBatchCancel(t *testing.T, pc cancelPlanCase, par, batchSize int, ctx context.Context) (*Ctx, error) {
-	t.Helper()
-	r := newRig(t)
-	p := pc.plan(t, r)
-	ec := r.ctx(8000*record.Size/50, par)
-	ec.BatchSize = batchSize
-	root, _, err := Compile(ec, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := r.create(t, "out", root.RecordSize())
-	return ec, RunCtx(ctx, ec, root, out)
-}
-
 // TestBatchCancelMidBatchLeaksNothing steers cancellation into the middle
 // of batch production and consumption: each cancelled run must surface
 // context.Canceled, leave zero live temporaries and leak no goroutines —
@@ -296,29 +264,24 @@ func TestBatchCancelMidBatchLeaksNothing(t *testing.T) {
 	for _, par := range []int{1, 8} {
 		for _, cc := range batchCancelCases {
 			t.Run(fmt.Sprintf("%s/p%d", cc.name, par), func(t *testing.T) {
-				calib := &countingCtx{Context: context.Background()}
-				ec, err := runBatchCancel(t, cc.plan, par, cc.batchSize, calib)
-				if err != nil {
-					t.Fatalf("calibration run: %v", err)
+				// Each run goes to a fresh rig at the case's batch size.
+				run := func(s runSpec) {
+					r := rigOn(t, "blocked", pmem.Config{Capacity: largeRigDevice})
+					s.budget, s.par, s.batch = 8000*record.Size/50, par, cc.batchSize
+					r.runPlan(t, cc.plan.plan(t, r), s)
 				}
-				if n := ec.LiveTemps(); n != 0 {
-					t.Fatalf("clean run left %d live temps", n)
-				}
-				total := calib.calls.Load()
+				calib := testkit.NewCounting(context.Background())
+				run(runSpec{ctx: calib})
+				total := calib.Polls()
 				if total < 4 {
 					t.Fatalf("plan polls cancellation only %d times; inputs too small to steer", total)
 				}
 				base := runtime.NumGoroutine()
 				for _, frac := range []float64{0, 0.25, 0.5, 0.85} {
 					n := int64(float64(total) * frac)
-					ec, err := runBatchCancel(t, cc.plan, par, cc.batchSize, newCountdownCtx(n))
-					if !errors.Is(err, context.Canceled) {
-						t.Fatalf("cancel at poll %d/%d: err = %v, want context.Canceled", n, total, err)
-					}
-					if live := ec.LiveTemps(); live != 0 {
-						t.Fatalf("cancel at poll %d/%d leaked %d temp collections", n, total, live)
-					}
-					waitGoroutines(t, base)
+					t.Logf("cancel at poll %d/%d", n, total)
+					run(runSpec{ctx: testkit.CancelAfter(context.Background(), n), err: context.Canceled})
+					testkit.WaitGoroutines(t, base)
 				}
 			})
 		}

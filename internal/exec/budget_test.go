@@ -18,7 +18,7 @@ import (
 	"wlpm/internal/record"
 	"wlpm/internal/sorts"
 	"wlpm/internal/storage"
-	"wlpm/internal/storage/all"
+	"wlpm/internal/testkit"
 )
 
 // budgetPlanShapes is the plan-shape grid of the allocator tests: every
@@ -47,13 +47,9 @@ func budgetPlanShapes(dim1, dim2, fact storage.Collection) map[string]func() *Pl
 // against 10 ns reads.
 func forEachWriteLatency(t *testing.T, f func(lambdaWrite time.Duration, fac storage.Factory, dim1, dim2, fact storage.Collection)) {
 	for _, lambdaWrite := range []time.Duration{15 * time.Nanosecond, 150 * time.Nanosecond, 900 * time.Nanosecond} {
-		dev := pmem.MustOpen(pmem.Config{Capacity: 256 << 20, ReadLatency: 10 * time.Nanosecond, WriteLatency: lambdaWrite})
-		fac, err := all.New("blocked", dev, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dim1, dim2, fact := (&rig{dev: dev, fac: fac}).loadStar(t, testDim, testFact)
-		f(lambdaWrite, fac, dim1, dim2, fact)
+		r := rigOn(t, "blocked", pmem.Config{Capacity: rigDevice, ReadLatency: 10 * time.Nanosecond, WriteLatency: lambdaWrite})
+		dim1, dim2, fact := r.loadStar(t, testDim, testFact)
+		f(lambdaWrite, r.fac, dim1, dim2, fact)
 	}
 }
 
@@ -254,8 +250,8 @@ func TestAllocatorPriceEvaluations(t *testing.T) {
 		})
 		return n, a
 	}
-	r := newRig(t)
 	const nDim, nFact = 10000, 100000
+	r := rigOn(t, "blocked", pmem.Config{Capacity: 16 << 20}) // the star's 120 000 rows are 9.6 MB
 	dim1, _, fact := r.loadStar(t, nDim, nFact)
 	skewed := Table(dim1).Join(Table(fact)).
 		Project(0, 1, 12, 13, 14, 5, 16, 7, 18, 9).GroupHint(nDim).GroupBy(3).OrderBy()
@@ -678,11 +674,8 @@ func TestResultStagePricesWhatItsReaderPays(t *testing.T) {
 // P, and on every backend at P = 1, the price is the plain one.
 func TestOrderByPricedSerialWithoutReservation(t *testing.T) {
 	for _, backend := range storage.Backends {
-		dev := pmem.MustOpen(pmem.Config{Capacity: 64 << 20})
-		fac, err := all.New(backend, dev, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fac := testkit.Factory(t, backend, pmem.Config{Capacity: rigDevice})
+		dev := fac.Device()
 		in, err := fac.Create("in", record.Size)
 		if err != nil {
 			t.Fatal(err)

@@ -2,74 +2,28 @@ package exec
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"wlpm/internal/joins"
+	"wlpm/internal/pmem"
 	"wlpm/internal/record"
 	"wlpm/internal/sorts"
 	"wlpm/internal/storage"
+	"wlpm/internal/testkit"
 )
 
 // The cancellation tests steer the cancel point deterministically: the
 // engine and the algorithms only observe cancellation through ctx.Err()
 // polls, so a context whose Err flips to Canceled after a fixed number
-// of calls cancels the run at a reproducible depth — early polls land in
-// run formation/partitioning, later ones in merging and probing. Each
-// cancelled run must (a) surface context.Canceled, (b) leave zero live
-// temporaries after RunCtx's sweep, and (c) leak no goroutines.
-
-// countingCtx counts Err calls without ever cancelling (calibration).
-type countingCtx struct {
-	context.Context
-	calls atomic.Int64
-}
-
-func (c *countingCtx) Err() error {
-	c.calls.Add(1)
-	return c.Context.Err()
-}
-
-// countdownCtx reports Canceled from the n-th Err call onwards.
-type countdownCtx struct {
-	context.Context
-	remaining atomic.Int64
-}
-
-func newCountdownCtx(n int64) *countdownCtx {
-	c := &countdownCtx{Context: context.Background()}
-	c.remaining.Store(n)
-	return c
-}
-
-func (c *countdownCtx) Err() error {
-	if c.remaining.Add(-1) < 0 {
-		return context.Canceled
-	}
-	return c.Context.Err()
-}
-
-// waitGoroutines waits for the goroutine count to drop back to base.
-func waitGoroutines(t *testing.T, base int) {
-	t.Helper()
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		runtime.GC()
-		n := runtime.NumGoroutine()
-		if n <= base {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutine leak: %d live, baseline %d", n, base)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
+// of calls (testkit.CancelAfter) cancels the run at a reproducible depth
+// — early polls land in run formation/partitioning, later ones in
+// merging and probing. Each cancelled run must (a) surface
+// context.Canceled, (b) leave zero live temporaries after RunCtx's sweep,
+// and (c) leak no goroutines.
 
 // cancelPlanCase builds one cancellable plan over fresh inputs.
 type cancelPlanCase struct {
@@ -284,26 +238,18 @@ var cancelPlans = []cancelPlanCase{
 	},
 }
 
-// runCancelPlan executes the case's plan once under ctx on a fresh rig;
-// a cursor-pulled case calls opened, if set, once its root has opened.
-func runCancelPlan(t *testing.T, pc cancelPlanCase, par int, ctx context.Context, opened func()) (*Ctx, error) {
+// runCancelPlan runs the case's plan once on a fresh rig as s says (its
+// context, the error it must end in, a cursor's opened): at 2 % of the
+// biggest input, under a cursor if the case says so. A run that
+// succeeds must feed the stages the case says it does.
+func runCancelPlan(t *testing.T, pc cancelPlanCase, par int, s runSpec) {
 	t.Helper()
-	r := newRig(t)
-	p := pc.plan(t, r)
-	ec := r.ctx(8000*record.Size/50, par) // 2% of the biggest input
-	root, ex, err := CompileWith(ec, p, pc.opts)
-	if err != nil {
-		t.Fatal(err)
+	r := rigOn(t, "blocked", pmem.Config{Capacity: largeRigDevice})
+	s.budget, s.par, s.opts, s.cursor = 8000*record.Size/50, par, pc.opts, pc.cursor
+	res := r.runPlan(t, pc.plan(t, r), s)
+	if s.err == nil && fedChoices(res.ex) != pc.fed {
+		t.Fatalf("%d fed stage(s), want %d:\n%s", fedChoices(res.ex), pc.fed, res.ex)
 	}
-	if pc.cursor {
-		err = pullCursor(ctx, ec, root, opened, func([]byte) error { return nil })
-	} else {
-		err = RunCtx(ctx, ec, root, r.create(t, "out", root.RecordSize()))
-	}
-	if err == nil && fedChoices(ex) != pc.fed {
-		t.Fatalf("%d fed stage(s), want %d:\n%s", fedChoices(ex), pc.fed, ex)
-	}
-	return ec, err
 }
 
 func TestCancelMidPhaseLeaksNothing(t *testing.T) {
@@ -312,16 +258,10 @@ func TestCancelMidPhaseLeaksNothing(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/p%d", pc.name, par), func(t *testing.T) {
 				// Calibrate: how many cancellation polls does a clean run of
 				// this plan make at this parallelism?
-				calib := &countingCtx{Context: context.Background()}
+				calib := testkit.NewCounting(context.Background())
 				var opened int64
-				ec, err := runCancelPlan(t, pc, par, calib, func() { opened = calib.calls.Load() })
-				if err != nil {
-					t.Fatalf("calibration run: %v", err)
-				}
-				if n := ec.LiveTemps(); n != 0 {
-					t.Fatalf("clean run left %d live temps", n)
-				}
-				total := calib.calls.Load()
+				runCancelPlan(t, pc, par, runSpec{ctx: calib, opened: func() { opened = calib.Polls() }})
+				total := calib.Polls()
 				if total < 4 {
 					t.Fatalf("plan polls cancellation only %d times; inputs too small to steer", total)
 				}
@@ -340,14 +280,9 @@ func TestCancelMidPhaseLeaksNothing(t *testing.T) {
 					at = append(at, opened/4, opened/2, opened*3/4, opened-1)
 				}
 				for _, n := range at {
-					ec, err := runCancelPlan(t, pc, par, newCountdownCtx(n), nil)
-					if !errors.Is(err, context.Canceled) {
-						t.Fatalf("cancel at poll %d/%d: err = %v, want context.Canceled", n, total, err)
-					}
-					if live := ec.LiveTemps(); live != 0 {
-						t.Fatalf("cancel at poll %d/%d leaked %d temp collections", n, total, live)
-					}
-					waitGoroutines(t, base)
+					t.Logf("cancel at poll %d/%d", n, total)
+					runCancelPlan(t, pc, par, runSpec{ctx: testkit.CancelAfter(context.Background(), n), err: context.Canceled})
+					testkit.WaitGoroutines(t, base)
 				}
 			})
 		}
@@ -359,13 +294,7 @@ func TestCancelMidPhaseLeaksNothing(t *testing.T) {
 func TestCancelBeforeOpen(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ec, err := runCancelPlan(t, cancelPlans[0], 1, ctx, nil)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if live := ec.LiveTemps(); live != 0 {
-		t.Fatalf("pre-cancelled run leaked %d temps", live)
-	}
+	runCancelPlan(t, cancelPlans[0], 1, runSpec{ctx: ctx, err: context.Canceled})
 }
 
 // TestDeadlineExceededSurfaces: deadline expiry is reported as
@@ -375,8 +304,5 @@ func TestDeadlineExceededSurfaces(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	time.Sleep(time.Millisecond)
-	_, err := runCancelPlan(t, cancelPlans[1], 1, ctx, nil)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-	}
+	runCancelPlan(t, cancelPlans[1], 1, runSpec{ctx: ctx, err: context.DeadlineExceeded})
 }

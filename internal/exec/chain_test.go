@@ -138,23 +138,11 @@ func TestChainViewSortedMatchesReference(t *testing.T) {
 			for _, par := range []int{1, 4} {
 				t.Run(fmt.Sprintf("%s/%s/p%d", vc.name, a.Name(), par), func(t *testing.T) {
 					run := func(opts CompileOptions) []byte {
-						ec := r.ctx(n*record.Size/20, par)
-						root, _, err := CompileWith(ec, vc.apply(Table(in)).OrderByWith(a), opts)
-						if err != nil {
-							t.Fatal(err)
+						res := r.runPlan(t, vc.apply(Table(in)).OrderByWith(a), runSpec{budget: n * record.Size / 20, par: par, opts: opts})
+						if s, ok := res.root.Children()[0].(*Stream); !opts.MaterializeEveryStep && (!ok || streamingOps(s) != 1) {
+							t.Fatalf("chain compiled to %s, want one Stream under the sort", res.root.Name())
 						}
-						if s, ok := root.Children()[0].(*Stream); !opts.MaterializeEveryStep && (!ok || streamingOps(s) != 1) {
-							t.Fatalf("chain compiled to %s, want one Stream under the sort", root.Name())
-						}
-						out := r.create(t, fmt.Sprintf("out.%s.%s.%d.%v", vc.name, a.Name(), par, opts.MaterializeEveryStep), root.RecordSize())
-						defer out.Destroy() //nolint:errcheck
-						if err := RunCtx(context.Background(), ec, root, out); err != nil {
-							t.Fatal(err)
-						}
-						if live := ec.LiveTemps(); live != 0 {
-							t.Fatalf("%d live temps after the run", live)
-						}
-						return readBytes(t, out)
+						return res.out
 					}
 					if got := run(CompileOptions{}); !bytes.Equal(got, want) {
 						t.Errorf("sorted view: %d bytes that differ from the reference's %d", len(got), len(want))

@@ -3,12 +3,11 @@ package exec
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"slices"
-	"strings"
-	"sync"
 	"testing"
 
 	"wlpm/internal/aggregate"
@@ -18,23 +17,37 @@ import (
 	"wlpm/internal/record"
 	"wlpm/internal/sorts"
 	"wlpm/internal/storage"
-	"wlpm/internal/storage/all"
+	"wlpm/internal/testkit"
 )
 
 // rig is one isolated engine test environment.
 type rig struct {
-	dev *pmem.Device
-	fac storage.Factory
+	dev  *pmem.Device
+	fac  storage.Factory
+	outs int // outputs runPlan has created
 }
 
-func newRig(t testing.TB) *rig {
+// rigDevice is the capacity of a rig's device, which holds what most
+// tests here load (a few thousand rows, under 700 KB) with a plan's
+// temps and output beside it. A test whose data outgrows it opens its
+// rig at largeRigDevice or at what its data needs (rigOn).
+const rigDevice = 2 << 20
+
+// largeRigDevice holds the cancellation grids' plans over 8 000 rows (a
+// Grace join's partitions beside 1.28 MB of 160-byte output at P = 8; a
+// limit's 560 KB pipe with the sort's runs and merges behind it), the
+// feed grid's stored joins on the backends that allocate by extent or by
+// doubling, and the 20 000-row group-bys of the fold tests.
+const largeRigDevice = 4 << 20
+
+// newRig is a rig on the blocked backend.
+func newRig(t testing.TB) *rig { return rigOn(t, "blocked", pmem.Config{Capacity: rigDevice}) }
+
+// rigOn is a rig on the named backend over a device opened by cfg.
+func rigOn(t testing.TB, backend string, cfg pmem.Config) *rig {
 	t.Helper()
-	dev := pmem.MustOpen(pmem.Config{Capacity: 256 << 20})
-	fac, err := all.New("blocked", dev, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &rig{dev: dev, fac: fac}
+	fac := testkit.Factory(t, backend, cfg)
+	return &rig{dev: fac.Device(), fac: fac}
 }
 
 func (r *rig) ctx(budget int64, par int) *Ctx { return NewCtx(r.fac, budget, par) }
@@ -108,39 +121,22 @@ func TestStarPipelineMatchesHandWired(t *testing.T) {
 
 	// Engine run, fixed algorithms so the hand-wired sequence below is
 	// bit-for-bit comparable.
-	r := newRig(t)
-	dim1, dim2, fact := r.loadStar(t, testDim, testFact)
-	ctx := r.ctx(testBudget, 1)
-	plan := starPlan(dim1, dim2, fact, fixedSort, fixedJoin)
-	root, _, err := Compile(ctx, plan)
-	if err != nil {
-		t.Fatal(err)
+	run := func(par int) []byte {
+		r := newRig(t)
+		dim1, dim2, fact := r.loadStar(t, testDim, testFact)
+		return r.runPlan(t, starPlan(dim1, dim2, fact, fixedSort, fixedJoin), runSpec{budget: testBudget, par: par}).out
 	}
-	got := r.create(t, "result", record.Size)
-	if err := RunCtx(context.Background(), ctx, root, got); err != nil {
-		t.Fatal(err)
-	}
+	got := run(1)
 
 	// Hand-wired sequence: the same star join written the pre-engine
 	// way — explicit temporaries between every algorithm invocation.
 	want := handWiredStar(t, fixedSort, fixedJoin)
-	if !bytes.Equal(readBytes(t, got), want) {
-		t.Fatalf("engine output differs from hand-wired sequence (%d records)", got.Len())
+	if !bytes.Equal(got, want) {
+		t.Fatalf("engine output differs from hand-wired sequence (%d records)", len(got)/record.Size)
 	}
 
 	// The same plan at P=4 must stay byte-identical.
-	r4 := newRig(t)
-	d1, d2, f := r4.loadStar(t, testDim, testFact)
-	ctx4 := r4.ctx(testBudget, 4)
-	root4, _, err := Compile(ctx4, starPlan(d1, d2, f, fixedSort, fixedJoin))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got4 := r4.create(t, "result", record.Size)
-	if err := RunCtx(context.Background(), ctx4, root4, got4); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(readBytes(t, got4), want) {
+	if !bytes.Equal(run(4), want) {
 		t.Fatal("P=4 output differs from P=1")
 	}
 }
@@ -250,18 +246,8 @@ func TestPipelineWritesFewerCachelines(t *testing.T) {
 	run := func(materialize bool) uint64 {
 		r := newRig(t)
 		dim1, dim2, fact := r.loadStar(t, testDim, testFact)
-		ctx := r.ctx(testBudget, 1)
 		plan := starPlan(dim1, dim2, fact, sorts.NewExternalMergeSort(), joins.NewGrace())
-		root, _, err := CompileWith(ctx, plan, CompileOptions{MaterializeEveryStep: materialize})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := r.create(t, "result", record.Size)
-		r.dev.ResetStats()
-		if err := RunCtx(context.Background(), ctx, root, out); err != nil {
-			t.Fatal(err)
-		}
-		return r.dev.Stats().Writes
+		return r.runPlan(t, plan, runSpec{budget: testBudget, par: 1, opts: CompileOptions{MaterializeEveryStep: materialize}}).stats.Writes
 	}
 	pipelined, materialized := run(false), run(true)
 	if pipelined >= materialized {
@@ -283,30 +269,19 @@ func TestStreamingOperators(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ctx := r.ctx(8<<10, 1)
 	plan := Table(in).
 		Filter(Predicate{Attr: 0, Op: Ge, Value: 500}).
 		Project(0, 2).
 		Limit(100)
-	root, _, err := Compile(ctx, plan)
-	if err != nil {
-		t.Fatal(err)
+	res := r.runPlan(t, plan, runSpec{budget: 8 << 10, par: 1})
+	if w := res.root.RecordSize(); w != 2*record.AttrSize {
+		t.Fatalf("projected record is %d bytes", w)
 	}
-	out := r.create(t, "out", 2*record.AttrSize)
-	if err := RunCtx(context.Background(), ctx, root, out); err != nil {
-		t.Fatal(err)
+	if n := len(res.out) / (2 * record.AttrSize); n != 100 {
+		t.Fatalf("limit produced %d records, want 100", n)
 	}
-	if out.Len() != 100 {
-		t.Fatalf("limit produced %d records, want 100", out.Len())
-	}
-	recs, err := storage.ReadAll(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range recs {
-		if len(rec) != 2*record.AttrSize {
-			t.Fatalf("projected record is %d bytes", len(rec))
-		}
+	for off := 0; off < len(res.out); off += 2 * record.AttrSize {
+		rec := res.out[off : off+2*record.AttrSize]
 		k := record.Attr(rec, 0)
 		if k < 500 {
 			t.Fatalf("filter leaked key %d", k)
@@ -317,31 +292,102 @@ func TestStreamingOperators(t *testing.T) {
 	}
 }
 
-// tempCounts counts the temporaries a run creates under each name
-// prefix: "run" for an intake's or a sort's runs, "merge" for an
-// intermediate merge pass, and the three results a fed plan never
-// stores — a join's, a group-by's and a drained stream's (inputs).
-// Parallel workers create temps concurrently; read n once the run is over.
-type tempCounts struct {
-	storage.Factory
-	mu sync.Mutex
-	n  map[string]int
+// inputTemps name the results a fed plan never stores: a join's, a
+// group-by's and a drained stream's.
+var inputTemps = []string{"joined", "grouped", "pipe"}
+
+// spillTemps name every temp a fold that stays in memory never makes:
+// an intake's or a sort's runs, an intermediate merge pass's output, and
+// the inputs above.
+var spillTemps = append([]string{"run", "merge"}, inputTemps...)
+
+// runSpec says how runPlan compiles and runs a plan. Its zero value is a
+// serial run at the default batch size under context.Background into a
+// fresh output, which must succeed.
+type runSpec struct {
+	budget int64
+	par    int
+	batch  int // Ctx.BatchSize; 0 keeps the default
+	opts   CompileOptions
+	ctx    context.Context // nil: context.Background
+	// fac wraps the temp-counting factory the run's temps come from; out
+	// wraps the collection the run writes its output to.
+	fac func(storage.Factory) storage.Factory
+	out func(storage.Collection) storage.Collection
+	// cursor pulls the root the way the façade's Rows does (pullCursor)
+	// instead of running it into an output: take, if set, takes each row
+	// in the output's place, and opened is called once the root is open.
+	cursor bool
+	take   func(rec []byte) error
+	opened func()
+	err    error // what the run must fail with (errors.Is); nil: nothing
 }
 
-func countTemps(f storage.Factory) *tempCounts { return &tempCounts{Factory: f, n: map[string]int{}} }
+// planRun is what one run of a plan leaves to check.
+type planRun struct {
+	out   []byte         // the rows emitted, concatenated
+	stats pmem.Stats     // the device's counters over the run alone
+	ex    *Explain       // re-rendered after the run
+	temps *testkit.Temps // the temps the run created, by prefix
+	root  Operator
+}
 
-func (f *tempCounts) Create(name string, recSize int) (storage.Collection, error) {
-	f.mu.Lock()
-	for _, prefix := range []string{"run", "merge", "joined", "grouped", "pipe"} {
-		if strings.Contains(name, "."+prefix+".") {
-			f.n[prefix]++
+// runPlan compiles plan over r's device as s says, runs it and reads
+// what it emitted, dropping the output collection after, so one rig can
+// run many plans. It fails t unless the run ends in s.err and leaves no
+// temp live.
+func (r *rig) runPlan(t testing.TB, plan *Plan, s runSpec) planRun {
+	t.Helper()
+	counted := testkit.CountTemps(r.fac)
+	var fac storage.Factory = counted
+	if s.fac != nil {
+		fac = s.fac(counted)
+	}
+	ec := NewCtx(fac, s.budget, s.par)
+	ec.BatchSize = s.batch
+	root, ex, err := CompileWith(ec, plan, s.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := s.ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	var out bytes.Buffer
+	var dst storage.Collection
+	if s.cursor {
+		take := s.take
+		if take == nil {
+			take = func(rec []byte) error { out.Write(rec); return nil }
+		}
+		r.dev.ResetStats()
+		err = pullCursor(ctx, ec, root, s.opened, take)
+	} else {
+		r.outs++
+		dst = r.create(t, fmt.Sprintf("out.%d", r.outs), root.RecordSize())
+		var wrapped storage.Collection = dst
+		if s.out != nil {
+			wrapped = s.out(dst)
+		}
+		r.dev.ResetStats()
+		err = RunCtx(ctx, ec, root, wrapped)
+	}
+	st := r.dev.Stats()
+	if !errors.Is(err, s.err) {
+		t.Fatalf("run ended in %v, want %v", err, s.err)
+	}
+	if live := ec.LiveTemps(); live != 0 {
+		t.Fatalf("the run left %d live temps", live)
+	}
+	ex.Rerender()
+	if dst != nil {
+		out.Write(readBytes(t, dst))
+		if err := dst.Destroy(); err != nil {
+			t.Fatal(err)
 		}
 	}
-	f.mu.Unlock()
-	return f.Factory.Create(name, recSize)
+	return planRun{out: out.Bytes(), stats: st, ex: ex, temps: counted, root: root}
 }
-
-func (f *tempCounts) inputs() int { return f.n["joined"] + f.n["grouped"] + f.n["pipe"] }
 
 // copyWrites is what writing recs (recSize bytes each, concatenated) to a
 // fresh collection costs the device: the writes of a result alone.
@@ -365,17 +411,9 @@ func copyWrites(t *testing.T, r *rig, recs []byte, recSize int) uint64 {
 // bytes every planner-owned group-by must reproduce.
 func groupByReference(t *testing.T, n, groups int, budget int64, wrap func(*Plan) *Plan) []byte {
 	t.Helper()
-	r := newRig(t)
-	ec := r.ctx(budget, 1)
-	root, _, err := Compile(ec, wrap(Table(loadGrouped(t, r, "in", n, groups)).GroupByWith(4, sorts.NewExternalMergeSort())))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := r.create(t, "ref", root.RecordSize())
-	if err := RunCtx(context.Background(), ec, root, out); err != nil {
-		t.Fatal(err)
-	}
-	return readBytes(t, out)
+	r := rigOn(t, "blocked", pmem.Config{Capacity: largeRigDevice}) // up to 20 000 rows and their runs
+	plan := wrap(Table(loadGrouped(t, r, "in", n, groups)).GroupByWith(4, sorts.NewExternalMergeSort()))
+	return r.runPlan(t, plan, runSpec{budget: budget, par: 1}).out
 }
 
 // gridCells are the parallelism × batch-size cells an in-memory group-by
@@ -417,52 +455,29 @@ func TestFoldResidentMatchesSortGroupBy(t *testing.T) {
 			for _, cell := range gridCells {
 				r := newRig(t)
 				in := loadGrouped(t, r, "in", n, sh.groups)
-				compile := func(fac storage.Factory) (*Ctx, Operator, *Explain) {
-					ec := NewCtx(fac, sh.budget, cell[0])
-					ec.BatchSize = cell[1]
-					root, ex, err := Compile(ec, sh.wrap(Table(in).GroupHint(sh.hint).GroupBy(4)))
-					if err != nil {
-						t.Fatal(err)
-					}
-					return ec, root, ex
+				plan := func() *Plan { return sh.wrap(Table(in).GroupHint(sh.hint).GroupBy(4)) }
+				spec := runSpec{budget: sh.budget, par: cell[0], batch: cell[1]}
+				pulled := spec
+				pulled.cursor = sh.cursor
+				res := r.runPlan(t, plan(), pulled)
+				if ch := res.ex.Choices[0]; !ch.Fed {
+					t.Fatalf("P=%d batch=%d: planner chose %+v, want the fed group-by", cell[0], cell[1], ch)
 				}
-				counted := countTemps(r.fac)
-				ec, root, ex := compile(counted)
-				if !ex.Choices[0].Fed {
-					t.Fatalf("P=%d batch=%d: planner chose %+v, want the fed group-by", cell[0], cell[1], ex.Choices[0])
-				}
-				var got []byte
-				r.dev.ResetStats()
-				if sh.cursor {
-					got = drainCursor(t, ec, root)
-				} else {
-					out := r.create(t, "out", root.RecordSize())
-					if err := RunCtx(context.Background(), ec, root, out); err != nil {
-						t.Fatal(err)
-					}
-					got = readBytes(t, out)
-				}
-				writes := r.dev.Stats().Writes
+				got, writes, counted, width := res.out, res.stats.Writes, res.temps, res.root.RecordSize()
 				if !bytes.Equal(got, want) {
 					t.Fatalf("P=%d batch=%d: fold output differs from the pinned sort-based plan", cell[0], cell[1])
 				}
 				var alone uint64
 				switch {
 				case evicts:
-					if counted.n["run"] == 0 || counted.inputs() != 0 {
-						t.Errorf("P=%d batch=%d: an evicting fold under a cursor created temps %v, want runs and no result temp", cell[0], cell[1], counted.n)
+					if counted.N("run") == 0 || counted.N(inputTemps...) != 0 {
+						t.Errorf("P=%d batch=%d: an evicting fold under a cursor created temps %v, want runs and no result temp", cell[0], cell[1], counted)
 					}
-					ec, root, _ := compile(r.fac)
-					out := r.create(t, "out", root.RecordSize())
-					r.dev.ResetStats()
-					if err := RunCtx(context.Background(), ec, root, out); err != nil {
-						t.Fatal(err)
-					}
-					alone = r.dev.Stats().Writes - copyWrites(t, r, got, root.RecordSize())
-				case len(counted.n) != 0:
-					t.Errorf("P=%d batch=%d: a resident fold created temps %v", cell[0], cell[1], counted.n)
+					alone = r.runPlan(t, plan(), spec).stats.Writes - copyWrites(t, r, got, width)
+				case counted.N(spillTemps...) != 0:
+					t.Errorf("P=%d batch=%d: a resident fold created temps %v", cell[0], cell[1], counted)
 				case !sh.cursor:
-					alone = copyWrites(t, r, got, root.RecordSize())
+					alone = copyWrites(t, r, got, width)
 				}
 				if writes != alone {
 					t.Errorf("P=%d batch=%d: %d cacheline writes, the result alone is %d", cell[0], cell[1], writes, alone)
@@ -588,17 +603,7 @@ func TestFusedFilterWritesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	in.Close()
-	ctx := r.ctx(16<<10, 1)
-	root, _, err := Compile(ctx, Table(in).Filter(pred).OrderByWith(sorts.NewExternalMergeSort()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := r.create(t, "out", record.Size)
-	r.dev.ResetStats()
-	if err := RunCtx(context.Background(), ctx, root, out); err != nil {
-		t.Fatal(err)
-	}
-	fusedWrites := r.dev.Stats().Writes
+	fused := r.runPlan(t, Table(in).Filter(pred).OrderByWith(sorts.NewExternalMergeSort()), runSpec{budget: 16 << 10, par: 1})
 
 	// Reference: the same sort over an already-filtered base collection
 	// (its writes are the sort's own floor — the filter must add none).
@@ -613,23 +618,13 @@ func TestFusedFilterWritesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	pre.Close()
-	ctx2 := r2.ctx(16<<10, 1)
-	root2, _, err := Compile(ctx2, Table(pre).OrderByWith(sorts.NewExternalMergeSort()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out2 := r2.create(t, "out", record.Size)
-	r2.dev.ResetStats()
-	if err := RunCtx(context.Background(), ctx2, root2, out2); err != nil {
-		t.Fatal(err)
-	}
-	refWrites := r2.dev.Stats().Writes
+	ref := r2.runPlan(t, Table(pre).OrderByWith(sorts.NewExternalMergeSort()), runSpec{budget: 16 << 10, par: 1})
 
-	if !bytes.Equal(readBytes(t, out), readBytes(t, out2)) {
+	if !bytes.Equal(fused.out, ref.out) {
 		t.Fatal("fused filter changed the sorted result")
 	}
-	if fusedWrites != refWrites {
-		t.Errorf("fused filter pipeline wrote %d cachelines, sort floor is %d", fusedWrites, refWrites)
+	if fused.stats.Writes != ref.stats.Writes {
+		t.Errorf("fused filter pipeline wrote %d cachelines, sort floor is %d", fused.stats.Writes, ref.stats.Writes)
 	}
 }
 
@@ -712,12 +707,12 @@ const (
 )
 
 // checkFoldPath fails t unless the run temps counted took path.
-func checkFoldPath(t *testing.T, path foldPath, counted *tempCounts) {
+func checkFoldPath(t *testing.T, path foldPath, counted *testkit.Temps) {
 	t.Helper()
 	switch {
-	case path == foldResident && counted.n["run"] != 0:
-		t.Errorf("a fold whose groups fit wrote %d run(s)", counted.n["run"])
-	case path == foldEvict && counted.n["run"] == 0:
+	case path == foldResident && counted.N("run") != 0:
+		t.Errorf("a fold whose groups fit wrote %d run(s)", counted.N("run"))
+	case path == foldEvict && counted.N("run") == 0:
 		t.Error("a fold whose groups outnumber its slots wrote no run")
 	}
 }
@@ -738,53 +733,35 @@ func TestFoldEvictFallback(t *testing.T) {
 	)
 	want := groupByReference(t, n, groups, budget, noWrap)
 
+	// An underestimated hint must degrade (evict), not fail: runPlan fails
+	// the test on any error.
 	var wantWrites uint64
 	for i, cell := range gridCells {
-		rh := newRig(t)
-		counted := countTemps(rh.fac)
-		ctxH := NewCtx(counted, budget, cell[0])
-		ctxH.BatchSize = cell[1]
-		rootH, ex, err := Compile(ctxH, Table(loadGrouped(t, rh, "in", n, groups)).GroupHint(hint).GroupBy(4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ex.Choices) != 1 || !ex.Choices[0].Fed {
+		rh := rigOn(t, "blocked", pmem.Config{Capacity: largeRigDevice})
+		res := rh.runPlan(t, Table(loadGrouped(t, rh, "in", n, groups)).GroupHint(hint).GroupBy(4), runSpec{budget: budget, par: cell[0], batch: cell[1]})
+		if ex := res.ex; len(ex.Choices) != 1 || !ex.Choices[0].Fed {
 			t.Fatalf("hinted plan chose %+v, want the fed group-by", ex.Choices)
 		}
-		out := rh.create(t, "fold", record.Size)
-		rh.dev.ResetStats()
-		if err := RunCtx(context.Background(), ctxH, rootH, out); err != nil {
-			t.Fatalf("underestimated hint no longer degrades, it fails: %v", err)
-		}
-		if writes := rh.dev.Stats().Writes; i == 0 {
+		if writes := res.stats.Writes; i == 0 {
 			wantWrites = writes
 		} else if writes != wantWrites {
 			t.Errorf("P=%d batch=%d: %d cacheline writes, P=1 batch=1 wrote %d", cell[0], cell[1], writes, wantWrites)
 		}
-		if counted.n["run"] == 0 {
+		if res.temps.N("run") == 0 {
 			t.Errorf("P=%d batch=%d: 5 000 groups in a 128 KiB share evicted no run", cell[0], cell[1])
 		}
-		if got := ex.Choices[0].ActualRows; got != n {
+		if got := res.ex.Choices[0].ActualRows; got != n {
 			t.Errorf("explain actual rows = %d, want %d", got, n)
 		}
-		if !bytes.Equal(readBytes(t, out), want) {
+		if !bytes.Equal(res.out, want) {
 			t.Fatalf("P=%d batch=%d: evicting fold output differs from the pinned sort-based GroupBy plan", cell[0], cell[1])
 		}
 	}
 
 	// Absent hint, no statistics: the planner assumes every record is its
 	// own group, and completes.
-	ra := newRig(t)
-	ctxA := ra.ctx(budget, 1)
-	rootA, _, err := Compile(ctxA, Table(loadGrouped(t, ra, "in", n, groups)).GroupBy(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	outA := ra.create(t, "nohint", record.Size)
-	if err := RunCtx(context.Background(), ctxA, rootA, outA); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(readBytes(t, outA), want) {
+	ra := rigOn(t, "blocked", pmem.Config{Capacity: largeRigDevice})
+	if got := ra.runPlan(t, Table(loadGrouped(t, ra, "in", n, groups)).GroupBy(4), runSpec{budget: budget, par: 1}).out; !bytes.Equal(got, want) {
 		t.Fatal("hintless output differs from the pinned sort-based GroupBy plan")
 	}
 }
@@ -800,7 +777,7 @@ func TestFoldEvictMultiPassMerge(t *testing.T) {
 		budget = int64(4 << 10) // two stages: 2 KiB each, fan-in at the floor
 	)
 	rh := newRig(t)
-	counted := countTemps(rh.fac)
+	counted := testkit.CountTemps(rh.fac)
 	ctxH := NewCtx(counted, budget, 1)
 	rootH, ex, err := Compile(ctxH, Table(loadScattered(t, rh, "in", n, groups)).GroupHint(10).GroupBy(4).OrderBy())
 	if err != nil {
@@ -813,8 +790,8 @@ func TestFoldEvictMultiPassMerge(t *testing.T) {
 	if !ex.Choices[0].Fed {
 		t.Fatalf("plan chose %+v, want the fed group-by", ex.Choices[0])
 	}
-	if counted.n["merge"] == 0 {
-		t.Errorf("no intermediate merge pass ran (temps %v)", counted.n)
+	if counted.N("merge") == 0 {
+		t.Errorf("no intermediate merge pass ran (temps %v)", counted)
 	}
 	if !bytes.Equal(readBytes(t, out), groupByReference(t, n, groups, budget, func(p *Plan) *Plan {
 		return p.OrderByWith(sorts.NewExternalMergeSort())
@@ -844,29 +821,13 @@ func TestDSLPlanMatchesBuilder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := r.ctx(testBudget, 1)
-	root, _, err := Compile(ctx, parsed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := r.create(t, "dsl.out", record.Size)
-	if err := RunCtx(context.Background(), ctx, root, got); err != nil {
-		t.Fatal(err)
-	}
+	got := r.runPlan(t, parsed, runSpec{budget: testBudget, par: 1}).out
 
 	r2 := newRig(t)
 	d1, d2, f := r2.loadStar(t, testDim, testFact)
-	ctx2 := r2.ctx(testBudget, 1)
-	root2, _, err := Compile(ctx2, starPlan(d1, d2, f, sorts.NewExternalMergeSort(), joins.NewGrace()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := r2.create(t, "builder.out", record.Size)
-	if err := RunCtx(context.Background(), ctx2, root2, want); err != nil {
-		t.Fatal(err)
-	}
+	want := r2.runPlan(t, starPlan(d1, d2, f, sorts.NewExternalMergeSort(), joins.NewGrace()), runSpec{budget: testBudget, par: 1}).out
 
-	if !bytes.Equal(readBytes(t, got), readBytes(t, want)) {
+	if !bytes.Equal(got, want) {
 		t.Fatal("DSL plan output differs from builder plan output")
 	}
 }
@@ -952,16 +913,7 @@ func TestEmptyInputPipeline(t *testing.T) {
 	r := newRig(t)
 	empty := r.create(t, "empty", record.Size)
 	empty.Close()
-	ctx := r.ctx(8<<10, 1)
-	root, _, err := Compile(ctx, Table(empty).Filter(Predicate{Attr: 1, Op: Gt, Value: 3}).OrderBy())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := r.create(t, "out", record.Size)
-	if err := RunCtx(context.Background(), ctx, root, out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Len() != 0 {
-		t.Fatalf("empty pipeline produced %d records", out.Len())
+	if got := r.runPlan(t, Table(empty).Filter(Predicate{Attr: 1, Op: Gt, Value: 3}).OrderBy(), runSpec{budget: 8 << 10, par: 1}).out; len(got) != 0 {
+		t.Fatalf("empty pipeline produced %d bytes", len(got))
 	}
 }

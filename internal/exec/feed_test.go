@@ -14,7 +14,7 @@ import (
 	"wlpm/internal/record"
 	"wlpm/internal/sorts"
 	"wlpm/internal/storage"
-	"wlpm/internal/storage/all"
+	"wlpm/internal/testkit"
 )
 
 // The fed home of a result (exec.go) is held to three contracts, each
@@ -142,50 +142,31 @@ func TestFeedIdentityGrid(t *testing.T) {
 	for _, backend := range storage.Backends {
 		for _, sh := range feedShapes {
 			t.Run(backend+"/"+sh.name, func(t *testing.T) {
-				run := func(par, batch int, pin bool, opts CompileOptions) ([]byte, uint64, *tempCounts, *Explain) {
-					dev := pmem.MustOpen(pmem.Config{Capacity: 256 << 20})
-					fac, err := all.New(backend, dev, 0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					r := &rig{dev: dev, fac: fac}
-					plan := sh.build(t, r, pin)
-					counted := countTemps(fac)
-					ec := NewCtx(counted, sh.budget, par)
-					ec.BatchSize = batch
-					root, ex, err := CompileWith(ec, plan, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					out := r.create(t, "out", root.RecordSize())
-					dev.ResetStats()
-					if err := RunCtx(context.Background(), ec, root, out); err != nil {
-						t.Fatal(err)
-					}
-					writes := dev.Stats().Writes
-					if live := ec.LiveTemps(); live != 0 {
-						t.Fatalf("P=%d batch=%d: %d live temps after the run", par, batch, live)
-					}
-					ex.Rerender()
-					return readBytes(t, out), writes, counted, ex
+				// Each run goes to a fresh device on the backend.
+				run := func(pin bool, s runSpec) planRun {
+					r := rigOn(t, backend, pmem.Config{Capacity: largeRigDevice})
+					s.budget = sh.budget
+					return r.runPlan(t, sh.build(t, r, pin), s)
 				}
-				want, _, _, _ := run(1, 0, false, CompileOptions{MaterializeEveryStep: true})
+				want := run(false, runSpec{par: 1, opts: CompileOptions{MaterializeEveryStep: true}}).out
 				if len(want) == 0 {
 					t.Fatal("reference run produced no rows; the comparison proves nothing")
 				}
-				_, pinnedWrites, pinned, _ := run(1, 0, true, CompileOptions{})
-				if pinned.inputs() == 0 {
+				pinned := run(true, runSpec{par: 1})
+				if pinned.temps.N(inputTemps...) == 0 {
 					t.Fatal("the pinned plan stored no input either: the shape is not one a feed saves anything on")
 				}
+				pinnedWrites := pinned.stats.Writes
 				var wantWrites uint64
 				for _, par := range []int{1, 2, 4} {
 					for _, batch := range []int{1, 7, 1024} {
-						got, writes, fac, ex := run(par, batch, false, CompileOptions{})
+						res := run(false, runSpec{par: par, batch: batch})
+						got, writes, ex := res.out, res.stats.Writes, res.ex
 						if n := fedChoices(ex); n != sh.fed || strings.Count(ex.Root, "⇐ feed") != sh.fed {
 							t.Fatalf("P=%d batch=%d: %d fed stage(s), want %d:\n%s", par, batch, n, sh.fed, ex)
 						}
-						if fac.inputs() != 0 {
-							t.Errorf("P=%d batch=%d: %d joined/grouped/pipe temp(s) created under a fed consumer", par, batch, fac.inputs())
+						if n := res.temps.N(inputTemps...); n != 0 {
+							t.Errorf("P=%d batch=%d: %d joined/grouped/pipe temp(s) created under a fed consumer", par, batch, n)
 						}
 						if !bytes.Equal(got, want) {
 							t.Fatalf("P=%d batch=%d: output differs from the materialize-every-step reference (%d vs %d bytes)", par, batch, len(got), len(want))
@@ -225,12 +206,8 @@ func TestFeedIsPriced(t *testing.T) {
 	}
 	worst := 0.0 // the largest chosen/other cost ratio across the grid
 	for _, lambda := range []float64{2, 15, 50} {
-		dev := pmem.MustOpen(pmem.Config{Capacity: 256 << 20, ReadLatency: 10 * time.Nanosecond, WriteLatency: time.Duration(10*lambda) * time.Nanosecond})
-		fac, err := all.New("blocked", dev, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := &rig{dev: dev, fac: fac}
+		r := rigOn(t, "blocked", pmem.Config{Capacity: rigDevice, ReadLatency: 10 * time.Nanosecond, WriteLatency: time.Duration(10*lambda) * time.Nanosecond})
+		dev, fac := r.dev, r.fac
 		in := r.create(t, "in", record.Size)
 		if err := record.Generate(4000, 17, in.Append); err != nil {
 			t.Fatal(err)
@@ -244,7 +221,7 @@ func TestFeedIsPriced(t *testing.T) {
 			for _, share := range []int64{2 * bs, 3 * bs, 16 * bs, int64(rows) * record.Size / 4} {
 				for _, par := range []int{1, 4} {
 					run := func(force *bool) outcome {
-						counted := countTemps(fac)
+						counted := testkit.CountTemps(fac)
 						ec := NewCtx(counted, share, par)
 						root, ex, err := Compile(ec, Table(in).Limit(rows).OrderBy())
 						if err != nil {
@@ -271,7 +248,7 @@ func TestFeedIsPriced(t *testing.T) {
 						if err := out.Destroy(); err != nil {
 							t.Fatal(err)
 						}
-						return outcome{fed: counted.inputs() == 0, algo: ex.Choices[0].Algorithm, cost: float64(s.Reads) + lambda*float64(s.Writes)}
+						return outcome{fed: counted.N(inputTemps...) == 0, algo: ex.Choices[0].Algorithm, cost: float64(s.Reads) + lambda*float64(s.Writes)}
 					}
 					chosen := run(nil)
 					flip := !chosen.fed
@@ -350,8 +327,8 @@ func TestFedCursorEndsInItsReader(t *testing.T) {
 			dim1, _, fact := r.loadStar(t, feedDim, feedFact)
 			star := Table(dim1).JoinWith(Table(fact), joins.NewNestedLoops()).Project(starCols...).GroupHint(feedDim / 10).GroupBy(3)
 			// open compiles p over a temp counter and opens it under a cursor.
-			open := func(p *Plan) (*Ctx, Operator, *tempCounts) {
-				counted := countTemps(r.fac)
+			open := func(p *Plan) (*Ctx, Operator, *testkit.Temps) {
+				counted := testkit.CountTemps(r.fac)
 				ec := NewCtx(counted, feedFact*record.Size/8, par)
 				root, ex, err := CompileWith(ec, p, evicting)
 				if err != nil {
@@ -369,8 +346,8 @@ func TestFedCursorEndsInItsReader(t *testing.T) {
 				r.dev.ResetStats()
 				got := drainCursor(t, ec, root)
 				st := r.dev.Stats()
-				if counted.n["run"] == 0 || counted.inputs() != 0 {
-					t.Fatalf("temps %v: want the fold's runs and no result or input temp", counted.n)
+				if counted.N("run") == 0 || counted.N(inputTemps...) != 0 {
+					t.Fatalf("temps %v: want the fold's runs and no result or input temp", counted)
 				}
 				if live := ec.LiveTemps(); live != 0 {
 					t.Fatalf("%d live temps after the cursor closed", live)

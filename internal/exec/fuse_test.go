@@ -212,7 +212,7 @@ func TestFuseViewDeviceIdentity(t *testing.T) {
 		for _, bs := range []int{512, 1024} {
 			for _, pc := range plans {
 				t.Run(fmt.Sprintf("%s/b%d/%s", backend, bs, pc.name), func(t *testing.T) {
-					dev := pmem.MustOpen(pmem.Config{Capacity: 64 << 20})
+					dev := pmem.MustOpen(pmem.Config{Capacity: rigDevice})
 					fac, err := all.New(backend, dev, bs)
 					if err != nil {
 						t.Fatal(err)

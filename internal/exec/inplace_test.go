@@ -2,7 +2,6 @@ package exec
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"testing"
 
@@ -47,55 +46,30 @@ func TestPlansReadInPlace(t *testing.T) {
 	for _, pl := range plans {
 		ref := newRig(t)
 		refPlan, _ := pl.build(ref)
-		root, _, err := CompileWith(ref.ctx(pl.budget, 1), refPlan, CompileOptions{MaterializeEveryStep: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := ref.create(t, "ref", root.RecordSize())
-		if err := RunCtx(context.Background(), ref.ctx(pl.budget, 1), root, out); err != nil {
-			t.Fatal(err)
-		}
-		want := readBytes(t, out)
+		want := ref.runPlan(t, refPlan, runSpec{budget: pl.budget, par: 1, opts: CompileOptions{MaterializeEveryStep: true}}).out
 		if len(want) == 0 {
 			t.Fatalf("%s: the reference returned no rows", pl.name)
 		}
 		for _, par := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/p%d", pl.name, par), func(t *testing.T) {
-				dev := pmem.MustOpen(pmem.Config{Capacity: 256 << 20})
+				dev := pmem.MustOpen(pmem.Config{Capacity: rigDevice})
 				r := &rig{dev: dev, fac: storage.PoisonOnDestroy(blocked.New(dev, 0))}
 				plan, inputs := pl.build(r)
 				var before [][]byte
 				for _, in := range inputs {
 					before = append(before, readBytes(t, in))
 				}
-				ec := r.ctx(pl.budget, par)
-				root, ex, err := CompileWith(ec, plan, pl.opts)
-				if err != nil {
-					t.Fatal(err)
+				res := r.runPlan(t, plan, runSpec{budget: pl.budget, par: par, opts: pl.opts, cursor: pl.cursor})
+				if fedChoices(res.ex) == 0 {
+					t.Fatalf("no stage ran fed:\n%s", res.ex)
 				}
-				if fedChoices(ex) == 0 {
-					t.Fatalf("no stage ran fed:\n%s", ex)
-				}
-				var got []byte
-				if pl.cursor {
-					got = drainCursor(t, ec, root)
-				} else {
-					out := r.create(t, "out", root.RecordSize())
-					if err := RunCtx(context.Background(), ec, root, out); err != nil {
-						t.Fatal(err)
-					}
-					got = readBytes(t, out)
-				}
-				if !bytes.Equal(got, want) {
-					t.Errorf("output differs from the materialize-every-step reference (%d vs %d bytes)", len(got), len(want))
+				if !bytes.Equal(res.out, want) {
+					t.Errorf("output differs from the materialize-every-step reference (%d vs %d bytes)", len(res.out), len(want))
 				}
 				for i, in := range inputs {
 					if !bytes.Equal(readBytes(t, in), before[i]) {
 						t.Errorf("the plan wrote through a view of %s", in.Name())
 					}
-				}
-				if live := ec.LiveTemps(); live != 0 {
-					t.Errorf("%d live temps after the run", live)
 				}
 			})
 		}

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"testing"
 
@@ -11,6 +10,7 @@ import (
 	"wlpm/internal/record"
 	"wlpm/internal/sorts"
 	"wlpm/internal/storage"
+	"wlpm/internal/testkit"
 )
 
 // Build-side narrowing (reorder.go) and the 40-byte partial are each held
@@ -104,25 +104,11 @@ func TestBuildNarrowingMatchesReference(t *testing.T) {
 						dim1, dim2, fact := r.loadStar(t, bgDim, bgFact)
 						l := left.build(t, r, dim1, dim2)
 						plan := ch.apply(l.JoinWith(Table(fact), a), planRecordSize(l)/record.AttrSize).OrderByWith(sort)
-						ec := r.ctx(narrowBudget, par)
-						ec.BatchSize = batch
-						root, ex, err := CompileWith(ec, plan, opts)
-						if err != nil {
-							t.Fatal(err)
+						res := r.runPlan(t, plan, runSpec{budget: narrowBudget, par: par, batch: batch, opts: opts})
+						if j := findJoin(res.root); !opts.asWritten && !opts.MaterializeEveryStep && j.left.RecordSize() >= planRecordSize(l) {
+							t.Fatalf("P=%d batch=%d: the build side of %s is %d bytes wide, as written", par, batch, res.root.Name(), j.left.RecordSize())
 						}
-						if j := findJoin(root); !opts.asWritten && !opts.MaterializeEveryStep && j.left.RecordSize() >= planRecordSize(l) {
-							t.Fatalf("P=%d batch=%d: the build side of %s is %d bytes wide, as written", par, batch, root.Name(), j.left.RecordSize())
-						}
-						out := r.create(t, "out", root.RecordSize())
-						r.dev.ResetStats()
-						if err := RunCtx(context.Background(), ec, root, out); err != nil {
-							t.Fatal(err)
-						}
-						writes := r.dev.Stats().Writes
-						if live := ec.LiveTemps(); live != 0 {
-							t.Fatalf("%d live temps after the run", live)
-						}
-						return readBytes(t, out), writes, ex.StageShares
+						return res.out, res.stats.Writes, res.ex.StageShares
 					}
 					want, _, _ := run(CompileOptions{MaterializeEveryStep: true}, nil, 1, 0)
 					if len(want) == 0 {
@@ -185,7 +171,7 @@ func TestFedFoldHoldsPartials(t *testing.T) {
 	}{{slots, foldResident}, {slots + 1, foldEvict}} {
 		t.Run(fmt.Sprintf("groups%d", c.groups), func(t *testing.T) {
 			r := newRig(t)
-			counted := countTemps(r.fac)
+			counted := testkit.CountTemps(r.fac)
 			ec := NewCtx(counted, budget, 1)
 			root, ex, err := Compile(ec, Table(loadGrouped(t, r, "in", 4*c.groups, c.groups)).GroupHint(c.groups).GroupBy(4))
 			if err != nil {

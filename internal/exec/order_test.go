@@ -2,8 +2,6 @@ package exec
 
 import (
 	"bytes"
-	"context"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -25,28 +23,17 @@ func TestOrderByElision(t *testing.T) {
 	dim1, _, fact := r.loadStar(t, testDim, testFact)
 	grouped := func() *Plan { return Table(dim1).Join(Table(fact)).Project(starCols...).GroupBy(3) }
 	pinned := sorts.NewExternalMergeSort()
-	compile := func(p *Plan, par, batch int, opts CompileOptions) (Operator, *Explain, *Ctx) {
+	explain := func(p *Plan, opts CompileOptions) *Explain {
 		t.Helper()
-		ec := r.ctx(testBudget, par)
-		ec.BatchSize = batch
-		root, ex, err := CompileWith(ec, p, opts)
+		_, ex, err := CompileWith(r.ctx(testBudget, 1), p, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return root, ex, ec
+		return ex
 	}
-	run := func(p *Plan, par, batch int, opts CompileOptions) []byte {
+	run := func(p *Plan, par, batch int, opts CompileOptions, cursor bool) []byte {
 		t.Helper()
-		root, _, ec := compile(p, par, batch, opts)
-		out := r.create(t, fmt.Sprintf("out.%d", r.dev.Stats().Writes), root.RecordSize())
-		if err := RunCtx(context.Background(), ec, root, out); err != nil {
-			t.Fatal(err)
-		}
-		got := readBytes(t, out)
-		if err := out.Destroy(); err != nil {
-			t.Fatal(err)
-		}
-		return got
+		return r.runPlan(t, p, runSpec{budget: testBudget, par: par, batch: batch, opts: opts, cursor: cursor}).out
 	}
 
 	elided := map[string]func(p *Plan) *Plan{
@@ -58,8 +45,8 @@ func TestOrderByElision(t *testing.T) {
 	for name, shape := range elided {
 		t.Run("elided/"+name, func(t *testing.T) {
 			plan := func() *Plan { return shape(grouped()).OrderBy() }
-			_, ex, _ := compile(plan(), 1, 0, CompileOptions{})
-			_, kept, _ := compile(shape(grouped()).OrderByWith(pinned), 1, 0, CompileOptions{})
+			ex := explain(plan(), CompileOptions{})
+			kept := explain(shape(grouped()).OrderByWith(pinned), CompileOptions{})
 			if ex.Stages != kept.Stages-1 || len(ex.Choices) != len(kept.Choices)-1 {
 				t.Errorf("%d stages, %d choices; pinned, %d and %d: want one fewer of each", ex.Stages, len(ex.Choices), kept.Stages, len(kept.Choices))
 			}
@@ -69,17 +56,16 @@ func TestOrderByElision(t *testing.T) {
 			if !strings.Contains(ex.String(), "elided  OrderBy") {
 				t.Errorf("Explain does not print the elision:\n%s", ex)
 			}
-			want := run(plan(), 1, 0, CompileOptions{MaterializeEveryStep: true})
+			want := run(plan(), 1, 0, CompileOptions{MaterializeEveryStep: true}, false)
 			if len(want) == 0 {
 				t.Fatal("the reference produced no rows; the comparison proves nothing")
 			}
 			for _, par := range []int{1, 4} {
 				for _, batch := range []int{1, 1024} {
-					if got := run(plan(), par, batch, CompileOptions{}); !bytes.Equal(got, want) {
+					if got := run(plan(), par, batch, CompileOptions{}, false); !bytes.Equal(got, want) {
 						t.Errorf("RunCtx P=%d batch=%d: %d bytes differ from the reference's %d", par, batch, len(got), len(want))
 					}
-					root, _, ec := compile(plan(), par, batch, CompileOptions{})
-					if got := drainCursor(t, ec, root); !bytes.Equal(got, want) {
+					if got := run(plan(), par, batch, CompileOptions{}, true); !bytes.Equal(got, want) {
 						t.Errorf("cursor P=%d batch=%d: %d bytes differ from the reference's %d", par, batch, len(got), len(want))
 					}
 				}
@@ -98,7 +84,7 @@ func TestOrderByElision(t *testing.T) {
 	}
 	for name, k := range kept {
 		t.Run("kept/"+name, func(t *testing.T) {
-			_, ex, _ := compile(k.plan(), 1, 0, k.opts)
+			ex := explain(k.plan(), k.opts)
 			if len(ex.Elided) != 0 || !strings.Contains(ex.Root, "OrderBy[") || ex.Choices[len(ex.Choices)-1].Operator != "OrderBy" {
 				t.Errorf("the order-by lost its stage:\n%s", ex)
 			}
@@ -124,24 +110,11 @@ func TestPlannerSplitMatchesMeasurement(t *testing.T) {
 	for _, frac := range []float64{0.05, 0.10, 0.15} {
 		total := int64(frac * float64(testFact) * record.Size)
 		measure := func(opts CompileOptions) (float64, *Explain) {
-			ec := r.ctx(total, 1)
-			root, ex, err := CompileWith(ec, skewed(), opts)
-			if err != nil {
-				t.Fatal(err)
+			res := r.runPlan(t, skewed(), runSpec{budget: total, par: 1, opts: opts})
+			if len(res.ex.StageShares) != 2 {
+				t.Fatalf("%d stages, want the join and the group-by:\n%s", len(res.ex.StageShares), res.ex)
 			}
-			if len(ex.StageShares) != 2 {
-				t.Fatalf("%d stages, want the join and the group-by:\n%s", len(ex.StageShares), ex)
-			}
-			out := r.create(t, "out", root.RecordSize())
-			r.dev.ResetStats()
-			if err := RunCtx(context.Background(), ec, root, out); err != nil {
-				t.Fatal(err)
-			}
-			s := r.dev.Stats()
-			if err := out.Destroy(); err != nil {
-				t.Fatal(err)
-			}
-			return float64(s.Reads) + lambda*float64(s.Writes), ex
+			return float64(res.stats.Reads) + lambda*float64(res.stats.Writes), res.ex
 		}
 		chosen, ex := measure(CompileOptions{})
 		best, bestJoin := chosen, ex.StageShares[0]

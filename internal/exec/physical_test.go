@@ -12,7 +12,7 @@ import (
 	"wlpm/internal/pmem"
 	"wlpm/internal/record"
 	"wlpm/internal/sorts"
-	"wlpm/internal/storage/all"
+	"wlpm/internal/testkit"
 )
 
 // plannerGrid is the (λ, memory-fraction) sweep of the planner tests:
@@ -30,15 +30,15 @@ var plannerGrid = struct {
 // test's independent argmin.
 func sortCandidates(t, m, lambda float64) map[string]cost.Profile {
 	c := map[string]cost.Profile{
-		sorts.NewExternalMergeSort().Name(): cost.ExMSProfile(t, m),
-		sorts.NewSelectionSort().Name():     cost.SelSProfile(t, m),
-		sorts.NewLazySort().Name():          cost.LaSProfile(t, m, lambda),
+		sorts.NewExternalMergeSort().Name(): cost.Emit{}.ExMS(t, m),
+		sorts.NewSelectionSort().Name():     cost.Emit{}.SelS(t, m),
+		sorts.NewLazySort().Name():          cost.Emit{}.LaS(t, m, lambda),
 	}
-	xSeg := cost.BestKnobP(lambda, 1, func(x float64) cost.Profile { return cost.SegSProfile(x, t, m) },
+	xSeg := cost.BestKnobP(lambda, 1, func(x float64) cost.Profile { return cost.Emit{}.SegS(x, t, m) },
 		cost.SegmentSortOptimalX(t, m, lambda))
-	c[sorts.NewSegmentSort(xSeg).Name()] = cost.SegSProfile(xSeg, t, m)
-	xHyb := cost.BestKnobP(lambda, 1, func(x float64) cost.Profile { return cost.HybSProfile(x, t, m) })
-	c[sorts.NewHybridSort(xHyb).Name()] = cost.HybSProfile(xHyb, t, m)
+	c[sorts.NewSegmentSort(xSeg).Name()] = cost.Emit{}.SegS(xSeg, t, m)
+	xHyb := cost.BestKnobP(lambda, 1, func(x float64) cost.Profile { return cost.Emit{}.HybS(x, t, m) })
+	c[sorts.NewHybridSort(xHyb).Name()] = cost.Emit{}.HybS(xHyb, t, m)
 	return c
 }
 
@@ -74,15 +74,15 @@ func TestChooseSortAgreesWithCheapestPrediction(t *testing.T) {
 
 func joinCandidates(t, v, m, lambda float64) map[string]cost.Profile {
 	c := map[string]cost.Profile{
-		joins.NewNestedLoops().Name(): cost.NLJProfile(t, v, m),
-		joins.NewGrace().Name():       cost.GJProfile(t, v),
-		joins.NewHash().Name():        cost.HJProfile(t, v, m),
-		joins.NewLazyHash().Name():    cost.LaJProfile(t, v, m, lambda),
+		joins.NewNestedLoops().Name(): cost.Emit{}.NLJ(t, v, m),
+		joins.NewGrace().Name():       cost.Emit{}.GJ(t, v),
+		joins.NewHash().Name():        cost.Emit{}.HJ(t, v, m),
+		joins.NewLazyHash().Name():    cost.Emit{}.LaJ(t, v, m, lambda),
 	}
 	sx, sy := cost.HybridJoinSaddle(t, v, m, lambda)
 	bx, by, bc := 0.0, 0.0, math.Inf(1)
 	try := func(x, y float64) {
-		if p := cost.HybJProfile(x, y, t, v, m).PriceP(1, lambda, 1); p < bc {
+		if p := (cost.Emit{}).HybJ(x, y, t, v, m).PriceP(1, lambda, 1); p < bc {
 			bx, by, bc = x, y, p
 		}
 	}
@@ -94,9 +94,9 @@ func joinCandidates(t, v, m, lambda float64) map[string]cost.Profile {
 	if sx >= 0 && sx <= 1 && sy >= 0 && sy <= 1 {
 		try(sx, sy)
 	}
-	c[joins.NewHybridGraceNL(bx, by).Name()] = cost.HybJProfile(bx, by, t, v, m)
-	xSeg := cost.BestKnobP(lambda, 1, func(x float64) cost.Profile { return cost.SegJProfile(x, t, v, m) })
-	c[joins.NewSegmentedGrace(xSeg).Name()] = cost.SegJProfile(xSeg, t, v, m)
+	c[joins.NewHybridGraceNL(bx, by).Name()] = cost.Emit{}.HybJ(bx, by, t, v, m)
+	xSeg := cost.BestKnobP(lambda, 1, func(x float64) cost.Profile { return cost.Emit{}.SegJ(x, t, v, m) })
+	c[joins.NewSegmentedGrace(xSeg).Name()] = cost.Emit{}.SegJ(xSeg, t, v, m)
 	return c
 }
 
@@ -255,11 +255,7 @@ func TestAutoPlanByteIdenticalToFixedPlans(t *testing.T) {
 // a large sort while the default λ=15 device does not at tight memory.
 func TestPlannerLambdaFromDevice(t *testing.T) {
 	build := func(read, write time.Duration) string {
-		dev := pmem.MustOpen(pmem.Config{Capacity: 64 << 20, ReadLatency: read, WriteLatency: write})
-		fac, err := all.New("blocked", dev, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fac := testkit.Factory(t, "blocked", pmem.Config{Capacity: rigDevice, ReadLatency: read, WriteLatency: write})
 		in, err := fac.Create("in", record.Size)
 		if err != nil {
 			t.Fatal(err)

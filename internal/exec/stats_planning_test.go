@@ -10,6 +10,7 @@ import (
 	"wlpm/internal/record"
 	"wlpm/internal/sorts"
 	"wlpm/internal/stats"
+	"wlpm/internal/testkit"
 )
 
 // statsCtx is a rig context wired to an auto-collecting statistics
@@ -146,7 +147,7 @@ func TestStatsMakeGroupHintOptional(t *testing.T) {
 	r := newRig(t)
 	in := loadGrouped(t, r, "in", n, groups)
 	ctx := r.statsCtx(1<<20, 1)
-	counted := countTemps(ctx.Factory)
+	counted := testkit.CountTemps(ctx.Factory)
 	ctx.Factory = counted
 	root, ex, err := Compile(ctx, Table(in).GroupBy(4))
 	if err != nil {
@@ -162,8 +163,8 @@ func TestStatsMakeGroupHintOptional(t *testing.T) {
 	if ex.Choices[0].ActualRows != n {
 		t.Errorf("actual rows = %d, want %d", ex.Choices[0].ActualRows, n)
 	}
-	if len(counted.n) != 0 {
-		t.Errorf("a fold the statistics said fits created temps %v", counted.n)
+	if counted.N(spillTemps...) != 0 {
+		t.Errorf("a fold the statistics said fits created temps %v", counted)
 	}
 
 	ctx2 := r.ctx(1<<20, 1)

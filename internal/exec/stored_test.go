@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -13,6 +12,7 @@ import (
 	"wlpm/internal/record"
 	"wlpm/internal/sorts"
 	"wlpm/internal/storage"
+	"wlpm/internal/testkit"
 )
 
 // Every operator result that lives in a temporary goes through one
@@ -76,25 +76,6 @@ var storedShapes = []struct {
 	}},
 }
 
-// failingFactory fails the n-th Append to every collection it creates
-// under the temp prefix.
-type failingFactory struct {
-	storage.Factory
-	temp string
-	n    int
-	err  error
-	hit  int // collections created under the prefix
-}
-
-func (f *failingFactory) Create(name string, recSize int) (storage.Collection, error) {
-	c, err := f.Factory.Create(name, recSize)
-	if err != nil || !strings.Contains(name, "."+f.temp+".") {
-		return c, err
-	}
-	f.hit++
-	return &failAfter{Collection: c, n: f.n, err: f.err}, nil
-}
-
 func TestStoredFailureLeaksNothing(t *testing.T) {
 	boom := errors.New("device full")
 	for _, sh := range storedShapes {
@@ -102,39 +83,29 @@ func TestStoredFailureLeaksNothing(t *testing.T) {
 			for _, par := range []int{1, 4} {
 				t.Run(fmt.Sprintf("%s/%s/p%d", sh.name, where, par), func(t *testing.T) {
 					r := newRig(t)
-					plan := sh.build(t, r).Limit(50)
 					// A fill fails on the 25th record written to the temp; a
 					// consumer failure leaves the temp whole and refuses the
 					// 25th record of the plan output instead.
-					counted := countTemps(r.fac)
-					fac := &failingFactory{Factory: counted, temp: sh.temp, n: 1 << 30, err: boom}
+					fac := &testkit.FailingTemps{Prefix: sh.temp, N: 1 << 30, Err: boom}
+					s := runSpec{budget: sh.budget, par: par, opts: sh.opts, err: boom,
+						fac: func(f storage.Factory) storage.Factory { fac.Factory = f; return fac }}
 					if where == "fill" {
-						fac.n = 25
-					}
-					ec := NewCtx(fac, sh.budget, par)
-					root, ex, err := CompileWith(ec, plan, sh.opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					var out storage.Collection = r.create(t, "out", root.RecordSize())
-					if where == "consumer" {
-						out = &failAfter{Collection: out, n: 25, err: boom}
+						fac.N = 25
+					} else {
+						s.out = func(c storage.Collection) storage.Collection {
+							return &testkit.FailAfter{Collection: c, N: 25, Err: boom}
+						}
 					}
 					base := runtime.NumGoroutine()
-					if err := RunCtx(context.Background(), ec, root, out); !errors.Is(err, boom) {
-						t.Fatalf("err = %v, want the injected failure", err)
-					}
-					if fac.hit == 0 {
+					res := r.runPlan(t, sh.build(t, r).Limit(50), s)
+					if fac.Hits() == 0 {
 						t.Fatalf("no %q temporary was created: the shape no longer stores its result", sh.temp)
 					}
-					if strings.HasPrefix(sh.name, "fed-") && fedChoices(ex) == 0 {
-						t.Fatalf("no stage of %s ran fed; the failure landed in a stored sort:\n%s", root.Name(), ex)
+					if strings.HasPrefix(sh.name, "fed-") && fedChoices(res.ex) == 0 {
+						t.Fatalf("no stage of %s ran fed; the failure landed in a stored sort:\n%s", res.root.Name(), res.ex)
 					}
-					if live := ec.LiveTemps(); live != 0 {
-						t.Errorf("failed run left %d live temps", live)
-					}
-					checkFoldPath(t, sh.fold, counted)
-					waitGoroutines(t, base)
+					checkFoldPath(t, sh.fold, res.temps)
+					testkit.WaitGoroutines(t, base)
 				})
 			}
 		}

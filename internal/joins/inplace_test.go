@@ -23,7 +23,7 @@ func TestJoinsReadInPlace(t *testing.T) {
 	for _, p := range []int{1, 4} {
 		for _, a := range allAlgorithms() {
 			t.Run(fmt.Sprintf("P=%d/%s", p, a.Name()), func(t *testing.T) {
-				f := storage.PoisonOnDestroy(blocked.New(pmem.MustOpen(pmem.Config{Capacity: 64 << 20}), 0))
+				f := storage.PoisonOnDestroy(blocked.New(pmem.MustOpen(pmem.Config{Capacity: joinDevice}), 0))
 				env := algo.NewEnv(f, budget*record.Size)
 				env.Parallelism = p
 				left, right := loadJoinInputs(t, env, nLeft, nRight, 3)

@@ -9,21 +9,22 @@ import (
 	"testing/quick"
 
 	"wlpm/internal/algo"
-	"wlpm/internal/pmem"
 	"wlpm/internal/record"
 	"wlpm/internal/storage"
-	"wlpm/internal/storage/all"
+	"wlpm/internal/testkit"
 )
 
-func newEnv(t testing.TB, backend string, budgetRecords int) *algo.Env {
-	t.Helper()
-	dev := pmem.MustOpen(pmem.Config{Capacity: 256 << 20})
-	f, err := all.New(backend, dev, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return algo.NewEnv(f, int64(budgetRecords*record.Size))
-}
+// joinDevice is the capacity of a join test's device: most joins here
+// are at most 1 000 ⋈ 10 000 records, whose inputs, partitions and
+// 160-byte output stay under 3 MB.
+const joinDevice = 4 << 20
+
+// largeJoinDevice is the capacity for the joins that outgrow it: the P
+// grids' 4 000 ⋈ 20 000, the pinned counters' 2 000 ⋈ 10 000 on pmfs,
+// three joins sharing one device, BenchmarkJoinCycle's 2 000 ⋈ 20 000
+// outputs, and the property test's worst case,
+// 300 ⋈ 600 rows on one key (28.8 MB of output).
+const largeJoinDevice = 32 << 20
 
 // loadJoinInputs creates the paper's join microbenchmark at the given
 // scale: left with unique keys, right with fanOut matches per left key.
@@ -137,7 +138,7 @@ func TestAllAlgorithmsJoinMicrobenchmark(t *testing.T) {
 	for _, a := range allAlgorithms() {
 		a := a
 		t.Run(a.Name(), func(t *testing.T) {
-			env := newEnv(t, "blocked", 60) // M well below |T|
+			env := testkit.Env(t, "blocked", joinDevice, 60) // M well below |T|
 			left, right := loadJoinInputs(t, env, nLeft, nRight, 21)
 			want := referenceJoin(t, left, right)
 			out := runJoin(t, env, a, left, right)
@@ -155,7 +156,7 @@ func TestJoinAcrossBackends(t *testing.T) {
 		backend := backend
 		t.Run(backend, func(t *testing.T) {
 			for _, a := range []Algorithm{NewGrace(), NewHybridGraceNL(0.5, 0.5), NewSegmentedGrace(0.5), NewLazyHash()} {
-				env := newEnv(t, backend, 50)
+				env := testkit.Env(t, backend, joinDevice, 50)
 				left, right := loadJoinInputs(t, env, nLeft, nRight, 5)
 				want := referenceJoin(t, left, right)
 				out := runJoin(t, env, a, left, right)
@@ -167,7 +168,7 @@ func TestJoinAcrossBackends(t *testing.T) {
 
 func TestJoinEmptyInputs(t *testing.T) {
 	for _, a := range allAlgorithms() {
-		env := newEnv(t, "blocked", 50)
+		env := testkit.Env(t, "blocked", joinDevice, 50)
 		left, right := loadJoinInputs(t, env, 1, 0, 3)
 		out := runJoin(t, env, a, left, right)
 		if out.Len() != 0 {
@@ -178,7 +179,7 @@ func TestJoinEmptyInputs(t *testing.T) {
 
 func TestJoinNoMatches(t *testing.T) {
 	for _, a := range allAlgorithms() {
-		env := newEnv(t, "blocked", 50)
+		env := testkit.Env(t, "blocked", joinDevice, 50)
 		left, err := env.Factory.Create("L", record.Size)
 		if err != nil {
 			t.Fatal(err)
@@ -207,7 +208,7 @@ func TestJoinSkewedDuplicates(t *testing.T) {
 	for _, a := range allAlgorithms() {
 		a := a
 		t.Run(a.Name(), func(t *testing.T) {
-			env := newEnv(t, "blocked", 30)
+			env := testkit.Env(t, "blocked", joinDevice, 30)
 			left, _ := env.Factory.Create("L", record.Size)
 			right, _ := env.Factory.Create("R", record.Size)
 			rng := rand.New(rand.NewSource(9))
@@ -229,7 +230,7 @@ func TestJoinSkewedDuplicates(t *testing.T) {
 }
 
 func TestJoinArgumentValidation(t *testing.T) {
-	env := newEnv(t, "blocked", 50)
+	env := testkit.Env(t, "blocked", joinDevice, 50)
 	left, right := loadJoinInputs(t, env, 10, 20, 1)
 	badOut, _ := env.Factory.Create("bad", record.Size+1) // neither concat nor projection
 	if err := NewGrace().Join(env, left, right, badOut); err == nil {
@@ -257,7 +258,7 @@ func TestJoinArgumentValidation(t *testing.T) {
 func TestJoinProjectedOutput(t *testing.T) {
 	const nLeft, nRight = 100, 1000
 	for _, a := range allAlgorithms() {
-		env := newEnv(t, "blocked", 30)
+		env := testkit.Env(t, "blocked", joinDevice, 30)
 		left, right := loadJoinInputs(t, env, nLeft, nRight, 13)
 		out, err := env.CreateTemp("proj", record.Size)
 		if err != nil {
@@ -293,7 +294,7 @@ func TestJoinWriteProfileOrdering(t *testing.T) {
 	writes := map[string]uint64{}
 	reads := map[string]uint64{}
 	for _, a := range []Algorithm{NewNestedLoops(), NewHash(), NewGrace(), NewSegmentedGrace(0.5), NewLazyHash()} {
-		env := newEnv(t, "blocked", 100)
+		env := testkit.Env(t, "blocked", joinDevice, 100)
 		left, right := loadJoinInputs(t, env, nLeft, nRight, 31)
 		dev := env.Factory.Device()
 		dev.ResetStats()
@@ -325,7 +326,7 @@ func TestJoinWriteProfileOrdering(t *testing.T) {
 func TestHybridIntensityWriteKnob(t *testing.T) {
 	const nLeft, nRight = 600, 3000
 	w := func(x, y float64) uint64 {
-		env := newEnv(t, "blocked", 60)
+		env := testkit.Env(t, "blocked", joinDevice, 60)
 		left, right := loadJoinInputs(t, env, nLeft, nRight, 17)
 		env.Factory.Device().ResetStats()
 		runJoin(t, env, NewHybridGraceNL(x, y), left, right)
@@ -347,7 +348,7 @@ func TestQuickJoinersAreCorrect(t *testing.T) {
 		nR := rng.Intn(600) + 1
 		budget := int(budgetRaw)%80 + 8
 		a := algos[rng.Intn(len(algos))]
-		env := newEnv(t, "blocked", budget)
+		env := testkit.Env(t, "blocked", largeJoinDevice, budget)
 		left, _ := env.Factory.Create("L", record.Size)
 		right, _ := env.Factory.Create("R", record.Size)
 		domain := rng.Intn(100) + 1

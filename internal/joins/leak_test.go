@@ -4,13 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"testing"
 
 	"wlpm/internal/algo"
 	"wlpm/internal/pmem"
 	"wlpm/internal/record"
-	"wlpm/internal/storage/all"
+	"wlpm/internal/testkit"
 )
 
 // Algorithm-level leak discipline (the wlvet/tempsweep contract): a join
@@ -19,44 +18,9 @@ import (
 // directly, without JoinCtx's outer SweepTemps, so the algorithms' own
 // error-path sweeps are what is under test.
 
-// countingCtx counts Err calls without ever cancelling (calibration).
-type countingCtx struct {
-	context.Context
-	calls atomic.Int64
-}
-
-func (c *countingCtx) Err() error {
-	c.calls.Add(1)
-	return c.Context.Err()
-}
-
-// countdownCtx reports Canceled from the n-th Err call onwards.
-type countdownCtx struct {
-	context.Context
-	remaining atomic.Int64
-}
-
-func newCountdownCtx(n int64) *countdownCtx {
-	c := &countdownCtx{Context: context.Background()}
-	c.remaining.Store(n)
-	return c
-}
-
-func (c *countdownCtx) Err() error {
-	if c.remaining.Add(-1) < 0 {
-		return context.Canceled
-	}
-	return c.Context.Err()
-}
-
 func newLeakEnv(t testing.TB, budgetRecords, par int) *algo.Env {
 	t.Helper()
-	dev := pmem.MustOpen(pmem.Config{Capacity: 256 << 20})
-	f, err := all.New("blocked", dev, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return algo.NewParallelEnv(f, int64(budgetRecords*record.Size), par)
+	return algo.NewParallelEnv(testkit.Factory(t, "blocked", pmem.Config{Capacity: joinDevice}), int64(budgetRecords*record.Size), par)
 }
 
 // TestJoinCancelSweepsTemps cancels every join that creates temporaries
@@ -70,7 +34,7 @@ func TestJoinCancelSweepsTemps(t *testing.T) {
 			NewSegmentedGrace(0.5), NewSegmentedGrace(1), NewHybridGraceNL(0.5, 0.5)} {
 			a, par := a, par
 			t.Run(fmt.Sprintf("%s/p%d", a.Name(), par), func(t *testing.T) {
-				calib := &countingCtx{Context: context.Background()}
+				calib := testkit.NewCounting(context.Background())
 				env := newLeakEnv(t, budget, par).WithContext(calib)
 				left, right := loadJoinInputs(t, env, nLeft, nRight, 9)
 				out, err := env.Factory.Create("out", 2*record.Size)
@@ -83,14 +47,14 @@ func TestJoinCancelSweepsTemps(t *testing.T) {
 				if live := env.LiveTemps(); live != 0 {
 					t.Fatalf("clean run left %d live temps", live)
 				}
-				total := calib.calls.Load()
+				total := calib.Polls()
 				if total < 4 {
 					t.Fatalf("algorithm polls cancellation only %d times; input too small to steer", total)
 				}
 
 				for _, frac := range []float64{0, 0.25, 0.5, 0.85} {
 					polls := int64(float64(total) * frac)
-					env := newLeakEnv(t, budget, par).WithContext(newCountdownCtx(polls))
+					env := newLeakEnv(t, budget, par).WithContext(testkit.CancelAfter(context.Background(), polls))
 					left, right := loadJoinInputs(t, env, nLeft, nRight, 9)
 					out, err := env.Factory.Create("out", 2*record.Size)
 					if err != nil {

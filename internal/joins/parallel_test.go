@@ -10,7 +10,7 @@ import (
 	"wlpm/internal/pmem"
 	"wlpm/internal/record"
 	"wlpm/internal/storage"
-	"wlpm/internal/storage/all"
+	"wlpm/internal/testkit"
 )
 
 // parallelJoinAlgorithms are the partitioned joins whose execution plan
@@ -29,7 +29,7 @@ func parallelJoinAlgorithms() []Algorithm {
 // the output records plus the device I/O stats of the join alone.
 func joinWith(t *testing.T, a Algorithm, nLeft, nRight, budgetRecords, parallelism int) ([][]byte, pmem.Stats) {
 	t.Helper()
-	env := newEnv(t, "blocked", budgetRecords)
+	env := testkit.Env(t, "blocked", largeJoinDevice, budgetRecords)
 	env.Parallelism = parallelism
 	left, right := loadJoinInputs(t, env, nLeft, nRight, 11)
 	out, err := env.Factory.Create("out", 2*record.Size)
@@ -106,12 +106,8 @@ func assertWithinTol(t *testing.T, what string, serial, parallel uint64, tol flo
 // TestConcurrentJoinsSharedDevice runs several parallel joins at once on
 // one device and factory (run with -race).
 func TestConcurrentJoinsSharedDevice(t *testing.T) {
-	dev := pmem.MustOpen(pmem.Config{Capacity: 256 << 20})
-	fac, err := all.New("blocked", dev, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const nLeft, nRight, budget = 2_000, 8_000, 300
+	fac := testkit.Factory(t, "blocked", pmem.Config{Capacity: largeJoinDevice})
 
 	var wg sync.WaitGroup
 	errCh := make(chan error, 3)

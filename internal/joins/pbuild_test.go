@@ -9,40 +9,31 @@ import (
 	"wlpm/internal/pmem"
 	"wlpm/internal/record"
 	"wlpm/internal/storage"
-	"wlpm/internal/storage/all"
+	"wlpm/internal/testkit"
 )
 
 // joinKeyDistributions shape the grid's build-side keys: unique keys,
 // a quadratically clustered domain, and a duplicate-heavy domain.
 // Probe keys are drawn from the same domain so matches occur at every
-// multiplicity.
+// multiplicity. device is the capacity a 3 000 ⋈ 9 000 cell of the
+// distribution needs: its matches are 3 000, 30 623 and 538 911 rows,
+// 0.5, 4.9 and 86 MB of 160-byte output.
 var joinKeyDistributions = []struct {
-	name string
-	key  func(i, n int, rng *buildRNG) uint64
+	name   string
+	device int64
+	key    func(i, n int, rng *testkit.RNG) uint64
 }{
-	{"uniform", func(i, n int, rng *buildRNG) uint64 { return uint64(i) }},
-	{"skewed", func(i, n int, rng *buildRNG) uint64 {
-		v := rng.next() % uint64(n)
-		return v * v / uint64(n)
-	}},
-	{"dups", func(i, n int, rng *buildRNG) uint64 { return rng.next() % 50 }},
-}
-
-type buildRNG struct{ s uint64 }
-
-func (r *buildRNG) next() uint64 {
-	r.s ^= r.s << 13
-	r.s ^= r.s >> 7
-	r.s ^= r.s << 17
-	return r.s
+	{"uniform", 4 << 20, func(i, n int, rng *testkit.RNG) uint64 { return uint64(i) }},
+	{"skewed", 16 << 20, func(i, n int, rng *testkit.RNG) uint64 { return rng.Skewed(n) }},
+	{"dups", 96 << 20, func(i, n int, rng *testkit.RNG) uint64 { return rng.Dups() }},
 }
 
 // loadDistJoinInputs builds left under the named key distribution and
 // right with keys drawn from the same generator (same domain, different
 // sequence).
-func loadDistJoinInputs(t *testing.T, env *algo.Env, nLeft, nRight int, dist func(i, n int, rng *buildRNG) uint64) (left, right storage.Collection) {
+func loadDistJoinInputs(t *testing.T, env *algo.Env, nLeft, nRight int, dist func(i, n int, rng *testkit.RNG) uint64) (left, right storage.Collection) {
 	t.Helper()
-	mk := func(name string, n int, rng *buildRNG) storage.Collection {
+	mk := func(name string, n int, rng *testkit.RNG) storage.Collection {
 		c, err := env.Factory.Create(name, record.Size)
 		if err != nil {
 			t.Fatal(err)
@@ -59,36 +50,19 @@ func loadDistJoinInputs(t *testing.T, env *algo.Env, nLeft, nRight int, dist fun
 		}
 		return c
 	}
-	left = mk("gl", nLeft, &buildRNG{s: 0x6a09e667f3bcc909})
-	right = mk("gr", nRight, &buildRNG{s: 0xbb67ae8584caa73b})
+	left = mk("gl", nLeft, testkit.NewRNG(0x6a09e667f3bcc909))
+	right = mk("gr", nRight, testkit.NewRNG(0xbb67ae8584caa73b))
 	return left, right
 }
 
-// newSpinJoinEnv builds an environment whose device actually delays for
-// the simulated latencies (yielding between spin checks), so concurrent
-// workers interleave even on a single-CPU machine.
-func newSpinJoinEnv(t testing.TB, budgetRecords int) *algo.Env {
+// joinGrid runs a at parallelism P under a key distribution, on a device
+// of the given capacity, and returns the output records, device stats,
+// and build-phase accounting. spin selects a device that actually delays
+// for the simulated latencies (yielding between spin checks), so
+// concurrent workers interleave even on a single-CPU machine.
+func joinGrid(t *testing.T, a Algorithm, dist func(i, n int, rng *testkit.RNG) uint64, capacity int64, nLeft, nRight, budgetRecords, parallelism int, spin bool) ([][]byte, pmem.Stats, algo.PhaseStat) {
 	t.Helper()
-	dev := pmem.MustOpen(pmem.Config{Capacity: 256 << 20, Spin: true})
-	f, err := all.New("blocked", dev, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return algo.NewEnv(f, int64(budgetRecords*record.Size))
-}
-
-// joinGrid runs a at parallelism P under a key distribution and returns
-// the output records, device stats, and build-phase accounting. spin
-// selects a device that physically delays (see newSpinJoinEnv).
-func joinGrid(t *testing.T, a Algorithm, dist func(i, n int, rng *buildRNG) uint64, nLeft, nRight, budgetRecords, parallelism int, spin bool) ([][]byte, pmem.Stats, algo.PhaseStat) {
-	t.Helper()
-	var env *algo.Env
-	if spin {
-		env = newSpinJoinEnv(t, budgetRecords)
-	} else {
-		env = newEnv(t, "blocked", budgetRecords)
-	}
-	env.Parallelism = parallelism
+	env := algo.NewParallelEnv(testkit.Factory(t, "blocked", pmem.Config{Capacity: capacity, Spin: spin}), int64(budgetRecords*record.Size), parallelism)
 	rec := algo.NewPhaseRecorder()
 	env.WithPhases(rec)
 	left, right := loadDistJoinInputs(t, env, nLeft, nRight, dist)
@@ -123,14 +97,14 @@ func TestParallelBuildIdentityGrid(t *testing.T) {
 	}
 	for _, a := range algos {
 		for _, dist := range joinKeyDistributions {
-			serial, serialStats, serialPhase := joinGrid(t, a, dist.key, nLeft, nRight, budget, 1, false)
+			serial, serialStats, serialPhase := joinGrid(t, a, dist.key, dist.device, nLeft, nRight, budget, 1, false)
 			if serialPhase.Stats.Writes != 0 {
 				t.Fatalf("%s/%s: serial build phase wrote %d cachelines, want 0",
 					a.Name(), dist.name, serialPhase.Stats.Writes)
 			}
 			for _, p := range []int{2, 4, 8} {
 				t.Run(fmt.Sprintf("%s/%s/P=%d", a.Name(), dist.name, p), func(t *testing.T) {
-					parallel, parStats, parPhase := joinGrid(t, a, dist.key, nLeft, nRight, budget, p, false)
+					parallel, parStats, parPhase := joinGrid(t, a, dist.key, dist.device, nLeft, nRight, budget, p, false)
 					if len(serial) != len(parallel) {
 						t.Fatalf("P=%d emitted %d records, serial %d", p, len(parallel), len(serial))
 					}
@@ -156,7 +130,7 @@ func TestParallelBuildIdentityGrid(t *testing.T) {
 // P=8 its overlap clock must run strictly below its serial clock.
 func TestParallelBuildEngages(t *testing.T) {
 	const nLeft, nRight, budget = 3_000, 9_000, 700
-	_, _, phase := joinGrid(t, NewGrace(), joinKeyDistributions[0].key, nLeft, nRight, budget, 8, true)
+	_, _, phase := joinGrid(t, NewGrace(), joinKeyDistributions[0].key, joinKeyDistributions[0].device, nLeft, nRight, budget, 8, true)
 	if phase.Stats.Reads == 0 {
 		t.Fatal("build phase recorded no reads; phase bracketing broken")
 	}

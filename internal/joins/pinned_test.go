@@ -7,6 +7,7 @@ import (
 
 	"wlpm/internal/record"
 	"wlpm/internal/storage"
+	"wlpm/internal/testkit"
 )
 
 // pinnedRun is what one baseline run left behind: the FNV-64a hash of
@@ -74,7 +75,7 @@ func TestFamilyDegenerateSettings(t *testing.T) {
 func pinnedJoin(t *testing.T, a Algorithm, backend string, par int) pinnedRun {
 	t.Helper()
 	const nLeft, nRight, budget = 2000, 10000, 150
-	env := newEnv(t, backend, budget)
+	env := testkit.Env(t, backend, largeJoinDevice, budget)
 	env.Parallelism = par
 	left, right := loadJoinInputs(t, env, nLeft, nRight, 11)
 	out, err := env.Factory.Create("out", 2*record.Size)

@@ -8,6 +8,7 @@ import (
 	"wlpm/internal/algo"
 	"wlpm/internal/record"
 	"wlpm/internal/storage"
+	"wlpm/internal/testkit"
 )
 
 // The joins walk every input through Env.Scan with a poll-wrapped
@@ -15,7 +16,7 @@ import (
 // reads as a Next scan.
 
 func TestScanMatchesNextScan(t *testing.T) {
-	env := newEnv(t, "blocked", 100)
+	env := testkit.Env(t, "blocked", joinDevice, 100)
 	_, right := loadJoinInputs(t, env, 50, 1000, 3)
 	dev := env.Factory.Device()
 	for _, src := range []storage.Collection{right, storage.Slice(right, 7, 701), storage.Slice(right, 990, 1000)} {
@@ -48,7 +49,7 @@ func TestScanMatchesNextScan(t *testing.T) {
 // which is not on a block-chunk boundary; the scan returns the error and
 // hands on nothing after it.
 func TestScanCancelMidChunk(t *testing.T) {
-	env := newEnv(t, "blocked", 100)
+	env := testkit.Env(t, "blocked", joinDevice, 100)
 	_, right := loadJoinInputs(t, env, 50, 1000, 4)
 	if chunk := env.ChunkRecords(record.Size); algo.PollInterval%chunk == 0 {
 		t.Fatalf("poll interval %d falls on a %d-record chunk boundary", algo.PollInterval, chunk)
@@ -70,7 +71,7 @@ func TestScanCancelMidChunk(t *testing.T) {
 // block buffer), nothing per record.
 func TestScanAllocs(t *testing.T) {
 	const n = 20_000
-	env := newEnv(t, "blocked", 100)
+	env := testkit.Env(t, "blocked", joinDevice, 100)
 	_, right := loadJoinInputs(t, env, 50, n, 5)
 	seen := 0
 	allocs := testing.AllocsPerRun(5, func() {

@@ -8,6 +8,7 @@ import (
 
 	"wlpm/internal/record"
 	"wlpm/internal/storage"
+	"wlpm/internal/testkit"
 )
 
 // TestJoinWorkingSetAllocs: what one Join allocates does not grow with
@@ -72,7 +73,7 @@ func workingSetRun(t *testing.T, a Algorithm, budget, par int) workingSetAllocs 
 	var r workingSetAllocs
 	var runs []uint64
 	for range 3 {
-		env := newEnv(t, "blocked", budget)
+		env := testkit.Env(t, "blocked", joinDevice, budget)
 		env.Parallelism = par
 		left, right := loadJoinInputs(t, env, nLeft, nRight, 11)
 		out, err := env.Factory.Create("out", 2*record.Size)
@@ -101,7 +102,7 @@ func workingSetRun(t *testing.T, a Algorithm, budget, par int) workingSetAllocs 
 // M = 5 % of the left input), reporting what a cycle allocates.
 func BenchmarkJoinCycle(b *testing.B) {
 	const nLeft, nRight = 2000, 20000
-	env := newEnv(b, "blocked", nLeft/20)
+	env := testkit.Env(b, "blocked", largeJoinDevice, nLeft/20)
 	env.Parallelism = 2
 	left, right := loadJoinInputs(b, env, nLeft, nRight, 42)
 	cycle := []Algorithm{NewGrace(), NewSegmentedGrace(0.5), NewLazyHash()}

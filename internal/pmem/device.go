@@ -39,7 +39,9 @@ const (
 
 // Config parametrizes a simulated device.
 type Config struct {
-	// Capacity is the device size in bytes. Required.
+	// Capacity is the device size in bytes. Required. Open allocates and
+	// zeroes all of it up front, so host time and memory grow with the
+	// capacity, not with what is stored: size it to the data.
 	Capacity int64
 	// CachelineSize is the accounting granularity in bytes.
 	// Defaults to DefaultCachelineSize. Must be a power of two.
@@ -107,7 +109,10 @@ type Device struct {
 	_      [56]byte
 }
 
-// Open creates a device of cfg.Capacity bytes.
+// Open creates a device of cfg.Capacity bytes, all of them allocated and
+// zeroed before it returns (and a wear counter per cacheline with
+// TrackWear): opening a 256 MiB device costs the host 256 MiB and its
+// zeroing however little is written to it.
 func Open(cfg Config) (*Device, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err

@@ -19,6 +19,7 @@ import (
 
 	"wlpm/internal/exec"
 	"wlpm/internal/pmem"
+	"wlpm/internal/testkit"
 )
 
 // fakeEngine serves plans of the form "rows(N)": N records of recSize
@@ -588,12 +589,7 @@ func TestServeSlowHeadersDisconnected(t *testing.T) {
 	if tenants != 0 || eng.sessions.Load() != 0 {
 		t.Fatalf("a handler ran: %d tenants provisioned, %d sessions opened", tenants, eng.sessions.Load())
 	}
-	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after the disconnect, %d before the client came", runtime.NumGoroutine(), baseline)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	testkit.WaitGoroutines(t, baseline)
 }
 
 func drainBody(t *testing.T, resp *http.Response) {

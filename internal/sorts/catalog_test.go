@@ -86,7 +86,7 @@ func TestAutoSegmentSortPricesThePlannersSegS(t *testing.T) {
 			for _, lambda := range []float64{1.5, 5, 15, 40} {
 				m := tt * frac
 				got := NewAutoSegmentSort().Profile(cost.Emit{}, tt, m, lambda).PriceP(1, lambda, 1)
-				price := func(x float64) float64 { return cost.SegSProfile(x, tt, m).PriceP(1, lambda, 1) }
+				price := func(x float64) float64 { return cost.Emit{}.SegS(x, tt, m).PriceP(1, lambda, 1) }
 				eq4 := cost.SegmentSortOptimalX(tt, m, lambda)
 				want := price(eq4)
 				if got > want {

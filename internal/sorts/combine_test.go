@@ -11,7 +11,7 @@ import (
 	"wlpm/internal/pmem"
 	"wlpm/internal/record"
 	"wlpm/internal/storage"
-	"wlpm/internal/storage/all"
+	"wlpm/internal/testkit"
 )
 
 // SortFolding is held to the map in every kernel: whatever the sort, the
@@ -32,8 +32,8 @@ var combineArrivals = []struct {
 	{"reverse", func(n int) []uint64 { return arrivals(n, func(i int) uint64 { return uint64((n - 1 - i) * 100 / n) }) }},
 	{"cyclic", func(n int) []uint64 { return arrivals(n, func(i int) uint64 { return uint64(i % 100) }) }},
 	{"scattered", func(n int) []uint64 {
-		rng := &testRNG{s: 0x9e3779b97f4a7c15}
-		return arrivals(n, func(int) uint64 { return rng.next() % 150 })
+		rng := testkit.NewRNG(0x9e3779b97f4a7c15)
+		return arrivals(n, func(int) uint64 { return rng.Next() % 150 })
 	}},
 	{"one-key", func(n int) []uint64 { return arrivals(n, func(int) uint64 { return 7 }) }},
 	{"all-distinct", func(n int) []uint64 { return arrivals(n, func(i int) uint64 { return uint64(i * 7919 % n) }) }},
@@ -75,11 +75,7 @@ type sortRun struct {
 // device sized for the grid's thousand records, not the kernels' 60 000.
 func smallEnv(t testing.TB, budget, par int) *algo.Env {
 	t.Helper()
-	f, err := all.New("blocked", pmem.MustOpen(pmem.Config{Capacity: 16 << 20}), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return algo.NewParallelEnv(f, int64(budget*record.Size), par)
+	return algo.NewParallelEnv(testkit.Factory(t, "blocked", pmem.Config{Capacity: 1 << 20}), int64(budget*record.Size), par)
 }
 
 // sortPartials sorts one partial per key with a, folding or plainly, in a
@@ -201,7 +197,7 @@ func TestSortFoldingAllocs(t *testing.T) {
 	keys := foldKernelKeys()
 	for _, a := range []Algorithm{NewExternalMergeSort(), NewSelectionSort(), NewLazySort(), NewSegmentSort(0.2), NewHybridSort(0.5)} {
 		t.Run(a.Name(), func(t *testing.T) {
-			env := newEnv(t, "blocked", kernelBudget)
+			env := testkit.Env(t, "blocked", kernelDevice, kernelBudget)
 			in := loadPartials(t, env, keys)
 			i := 0
 			allocs := testing.AllocsPerRun(3, func() {
@@ -219,8 +215,8 @@ func TestSortFoldingAllocs(t *testing.T) {
 // foldKernelKeys are kernelRecords arrivals over 2·kernelBudget groups:
 // half of them find their group resident under uniform arrivals.
 func foldKernelKeys() []uint64 {
-	rng := &testRNG{s: 0x9e3779b97f4a7c15}
-	return arrivals(kernelRecords, func(int) uint64 { return rng.next() % (2 * kernelBudget) })
+	rng := testkit.NewRNG(0x9e3779b97f4a7c15)
+	return arrivals(kernelRecords, func(int) uint64 { return rng.Next() % (2 * kernelBudget) })
 }
 
 // foldInto folds in with a into a fresh collection named name and
@@ -244,7 +240,7 @@ func BenchmarkSortFolding(b *testing.B) {
 	keys := foldKernelKeys()
 	for _, a := range []Algorithm{NewExternalMergeSort(), NewSelectionSort(), NewLazySort(), NewSegmentSort(0.2), NewHybridSort(0.5)} {
 		b.Run(a.Name(), func(b *testing.B) {
-			env := newEnv(b, "blocked", kernelBudget)
+			env := testkit.Env(b, "blocked", kernelDevice, kernelBudget)
 			in := loadPartials(b, env, keys)
 			dev := env.Factory.Device()
 			b.ReportAllocs()

@@ -8,6 +8,7 @@ import (
 	"wlpm/internal/pmem"
 	"wlpm/internal/record"
 	"wlpm/internal/storage/all"
+	"wlpm/internal/testkit"
 )
 
 // Failure injection: a device too small for the algorithm's temporaries
@@ -57,11 +58,7 @@ func TestSortDeviceExhaustion(t *testing.T) {
 
 // The filesystem backends surface inode exhaustion the same way.
 func TestSortInodeExhaustion(t *testing.T) {
-	dev := pmem.MustOpen(pmem.Config{Capacity: 512 << 20})
-	f, err := all.New("pmfs", dev, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := testkit.Factory(t, "pmfs", pmem.Config{Capacity: kernelDevice})
 	in, err := f.Create("in", record.Size)
 	if err != nil {
 		t.Fatal(err)

@@ -13,6 +13,7 @@ import (
 	"wlpm/internal/pmem"
 	"wlpm/internal/record"
 	"wlpm/internal/storage"
+	"wlpm/internal/testkit"
 )
 
 // The folding intake is held to a map: whatever the arrival order, the
@@ -51,14 +52,14 @@ var foldArrivals = []struct {
 	keys func(n int) []uint64
 }{
 	{"uniform", func(n int) []uint64 {
-		rng := &testRNG{s: 0x9e3779b97f4a7c15}
-		return arrivals(n, func(int) uint64 { return rng.next() % 500 })
+		rng := testkit.NewRNG(0x9e3779b97f4a7c15)
+		return arrivals(n, func(int) uint64 { return rng.Next() % 500 })
 	}},
 	{"sorted", func(n int) []uint64 { return arrivals(n, func(i int) uint64 { return uint64(i * 500 / n) }) }},
 	{"reverse", func(n int) []uint64 { return arrivals(n, func(i int) uint64 { return uint64((n - 1 - i) * 500 / n) }) }},
 	{"clustered", func(n int) []uint64 {
-		rng := &testRNG{s: 0x2545f4914f6cdd1d}
-		return arrivals(n, func(i int) uint64 { return uint64(i*10/n)*50 + rng.next()%50 })
+		rng := testkit.NewRNG(0x2545f4914f6cdd1d)
+		return arrivals(n, func(i int) uint64 { return uint64(i*10/n)*50 + rng.Next()%50 })
 	}},
 	{"zipf", func(n int) []uint64 {
 		z := rand.NewZipf(rand.New(rand.NewSource(3)), 1.2, 1, 999)
@@ -228,13 +229,13 @@ func TestFoldingIntakeMatchesMapReference(t *testing.T) {
 // kernelRecords partials over groups keys, uniform or in clustered blocks
 // of the kernel budget's size.
 func foldKernelPartials(groups int, clustered bool) [][]byte {
-	rng := &testRNG{s: 0x9e3779b97f4a7c15}
+	rng := testkit.NewRNG(0x9e3779b97f4a7c15)
 	recs := make([][]byte, kernelRecords)
 	blocks := groups / kernelBudget
 	for i := range recs {
-		k := rng.next() % uint64(groups)
+		k := rng.Next() % uint64(groups)
 		if clustered {
-			k = uint64(i*blocks/kernelRecords)*kernelBudget + rng.next()%kernelBudget
+			k = uint64(i*blocks/kernelRecords)*kernelBudget + rng.Next()%kernelBudget
 		}
 		recs[i] = setPartial(make([]byte, record.Size), k, 1, uint64(i))
 	}
@@ -264,7 +265,7 @@ func foldAll(t testing.TB, env *algo.Env, recs [][]byte) int {
 // — the slab's and the key index's doublings, run and merge bookkeeping —
 // never per record taken, folded or merged.
 func TestFoldingIntakeAllocs(t *testing.T) {
-	env := newEnv(t, "blocked", kernelBudget)
+	env := testkit.Env(t, "blocked", kernelDevice, kernelBudget)
 	recs := foldKernelPartials(2*kernelBudget, false)
 	keys := map[uint64]bool{}
 	for _, rec := range recs {
@@ -293,7 +294,7 @@ func BenchmarkFoldingIntake(b *testing.B) {
 			name = "clustered"
 		}
 		b.Run(name, func(b *testing.B) {
-			env := newEnv(b, "blocked", kernelBudget)
+			env := testkit.Env(b, "blocked", kernelDevice, kernelBudget)
 			recs := foldKernelPartials(2*kernelBudget, clustered)
 			dev := env.Factory.Device()
 			b.ReportAllocs()

@@ -22,7 +22,7 @@ func TestSortsReadInPlace(t *testing.T) {
 	for _, p := range []int{1, 4} {
 		for _, a := range allAlgorithms() {
 			t.Run(fmt.Sprintf("P=%d/%s", p, a.Name()), func(t *testing.T) {
-				f := storage.PoisonOnDestroy(blocked.New(pmem.MustOpen(pmem.Config{Capacity: 64 << 20}), 0))
+				f := storage.PoisonOnDestroy(blocked.New(pmem.MustOpen(pmem.Config{Capacity: sortDevice}), 0))
 				env := algo.NewEnv(f, 200*record.Size) // M ≈ 6.7 % of the input
 				env.Parallelism = p
 				in := loadInput(t, env, n, 42)

@@ -12,7 +12,7 @@ import (
 	"wlpm/internal/pmem"
 	"wlpm/internal/record"
 	"wlpm/internal/storage"
-	"wlpm/internal/storage/all"
+	"wlpm/internal/testkit"
 )
 
 // pushAll appends every record of src to the intake, the way a producer
@@ -41,11 +41,8 @@ func TestIntakeIsExMSMinusTheInputScan(t *testing.T) {
 	for _, backend := range storage.Backends {
 		for _, par := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("%s/p%d", backend, par), func(t *testing.T) {
-				dev := pmem.MustOpen(pmem.Config{Capacity: 256 << 20})
-				f, err := all.New(backend, dev, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
+				f := testkit.Factory(t, backend, pmem.Config{Capacity: sortDevice})
+				dev := f.Device()
 				env := algo.NewParallelEnv(f, budget*record.Size, par)
 				src := loadInput(t, env, n, 5)
 				dev.ResetStats()
@@ -121,13 +118,13 @@ func TestIntakeSweepsItsRuns(t *testing.T) {
 		t.Run(fmt.Sprintf("run-append/p%d", par), func(t *testing.T) {
 			base := newParEnv(t, budget, par)
 			src := loadInput(t, base, n, 7)
-			env := algo.NewParallelEnv(failingTemps{Factory: base.Factory, prefix: "run", n: 24}, base.MemoryBudget, par)
+			env := algo.NewParallelEnv(&testkit.FailingTemps{Factory: base.Factory, Prefix: "run", N: 24}, base.MemoryBudget, par)
 			out, _ := base.Factory.Create("out", record.Size)
 			in, err := NewIntake(env, record.Size, nil, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := pushAll(in, src, out); !errors.Is(err, errAppendInjected) {
+			if err := pushAll(in, src, out); !errors.Is(err, testkit.ErrInjected) {
 				t.Fatalf("err = %v, want the injected run failure", err)
 			}
 			if live := env.LiveTemps(); live != 0 {
@@ -144,7 +141,7 @@ func TestIntakeSweepsItsRuns(t *testing.T) {
 			}
 			// A wrapped output is no range appender: the final merge is the
 			// serial one, the path a sink or the next intake takes.
-			if err := pushAll(in, src, &failingAppend{Collection: out, remaining: 24}); !errors.Is(err, errAppendInjected) {
+			if err := pushAll(in, src, &testkit.FailAfter{Collection: out, N: 24}); !errors.Is(err, testkit.ErrInjected) {
 				t.Fatalf("err = %v, want the injected output failure", err)
 			}
 			if live := env.LiveTemps(); live != 0 {
@@ -162,14 +159,14 @@ func TestIntakeSweepsItsRuns(t *testing.T) {
 				}
 				return env, pushAll(in, src, out)
 			}
-			calib := &countingCtx{Context: context.Background()}
+			calib := testkit.NewCounting(context.Background())
 			if _, err := run(calib); err != nil {
 				t.Fatalf("calibration run: %v", err)
 			}
-			total := calib.calls.Load()
+			total := calib.Polls()
 			for _, frac := range []float64{0, 0.25, 0.5, 0.85} { // mid-append, then mid-merge
 				polls := int64(float64(total) * frac)
-				env, err := run(newCountdownCtx(polls))
+				env, err := run(testkit.CancelAfter(context.Background(), polls))
 				if !errors.Is(err, context.Canceled) {
 					t.Fatalf("cancel at poll %d/%d: err = %v, want context.Canceled", polls, total, err)
 				}
@@ -180,7 +177,7 @@ func TestIntakeSweepsItsRuns(t *testing.T) {
 		})
 	}
 	t.Run("discard", func(t *testing.T) {
-		env := newEnv(t, "blocked", budget)
+		env := testkit.Env(t, "blocked", sortDevice, budget)
 		in, err := NewIntake(env, record.Size, nil, false)
 		if err != nil {
 			t.Fatal(err)
@@ -202,7 +199,7 @@ func TestIntakeSweepsItsRuns(t *testing.T) {
 // TestIntakeRejectsMismatchedOutput: MergeInto holds its output to
 // ExMS's preconditions, and a refusal still sweeps the runs.
 func TestIntakeRejectsMismatchedOutput(t *testing.T) {
-	env := newEnv(t, "blocked", 50)
+	env := testkit.Env(t, "blocked", sortDevice, 50)
 	in, err := NewIntake(env, record.Size, nil, false)
 	if err != nil {
 		t.Fatal(err)

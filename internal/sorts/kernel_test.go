@@ -17,6 +17,7 @@ import (
 	"wlpm/internal/cost"
 	"wlpm/internal/record"
 	"wlpm/internal/storage"
+	"wlpm/internal/testkit"
 )
 
 // Kernel-level tests of the keyed-slab selection pass, run formation and
@@ -33,12 +34,12 @@ func dupInput(t testing.TB, env *algo.Env, n int, seed int64) (storage.Collectio
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := &testRNG{s: uint64(seed)*2654435761 + 1}
+	rng := testkit.NewRNG(uint64(seed)*2654435761 + 1)
 	recs := make([][]byte, n)
 	for i := range recs {
 		rec := make([]byte, record.Size)
-		record.SetKey(rec, rng.next()%uint64(n/4+1))
-		record.SetAttr(rec, 5, rng.next()%2)
+		record.SetKey(rec, rng.Next()%uint64(n/4+1))
+		record.SetAttr(rec, 5, rng.Next()%2)
 		recs[i] = rec
 		if err := in.Append(rec); err != nil {
 			t.Fatal(err)
@@ -88,7 +89,7 @@ func TestSelectionPassOrder(t *testing.T) {
 	for _, budget := range []int{1, 2, n - 1, n, n + 1} {
 		budget := budget
 		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
-			env := newEnv(t, "blocked", budget)
+			env := testkit.Env(t, "blocked", sortDevice, budget)
 			in, recs := dupInput(t, env, n, int64(budget))
 			order := selectionOrder(recs)
 			sel := newSelector(env, record.Size, budget, nil)
@@ -142,7 +143,7 @@ func TestSelectionPassHandOnOrder(t *testing.T) {
 	const n = 157
 	for _, budget := range []int{1, 2, 7, 40, n - 1, n + 1} {
 		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
-			env := newEnv(t, "blocked", budget)
+			env := testkit.Env(t, "blocked", sortDevice, budget)
 			in, recs := dupInput(t, env, n, int64(budget)+100)
 			before := func(a, b int) bool { // selection order of input positions
 				ra, rb := recs[a], recs[b]
@@ -224,7 +225,7 @@ func canceledCtx() context.Context {
 
 func TestSelectionPassCancelMidChunk(t *testing.T) {
 	const n, budget = 1000, 10
-	env := newEnv(t, "blocked", budget)
+	env := testkit.Env(t, "blocked", sortDevice, budget)
 	in := loadInput(t, env, n, 3)
 	if chunk := env.ChunkRecords(record.Size); algo.PollInterval%chunk == 0 {
 		t.Fatalf("poll interval %d falls on a %d-record chunk boundary", algo.PollInterval, chunk)
@@ -248,13 +249,11 @@ func TestSelectionPassCancelMidChunk(t *testing.T) {
 
 func TestSelectionStreamCancelMidPass(t *testing.T) {
 	const n, budget = 2000, 300
-	env := newEnv(t, "blocked", budget)
+	env := testkit.Env(t, "blocked", sortDevice, budget)
 	in := loadInput(t, env, n, 5)
 	// The first pass consults the context n/PollInterval times; cancel on
 	// the second consultation of the second pass.
-	ctx := &cancelAfterCtx{Context: context.Background()}
-	ctx.remaining.Store(int64(n/algo.PollInterval) + 1)
-	env.WithContext(ctx)
+	env.WithContext(testkit.CancelAfter(context.Background(), int64(n/algo.PollInterval)+1))
 	s := newSelectionStream(env, in, budget, nil)
 	for i := 0; i < budget; i++ {
 		rec, err := s.Next()
@@ -295,7 +294,7 @@ func TestSelectionRejectsOversizedInput(t *testing.T) {
 		t.Skip("int cannot exceed the 32-bit position space")
 	}
 	for _, a := range []Algorithm{NewSelectionSort(), NewSegmentSort(0), NewLazySort()} {
-		env := newEnv(t, "blocked", 100)
+		env := testkit.Env(t, "blocked", sortDevice, 100)
 		out, err := env.CreateTemp("out", record.Size)
 		if err != nil {
 			t.Fatal(err)
@@ -320,7 +319,7 @@ const (
 )
 
 func TestSelectionPassAllocs(t *testing.T) {
-	env := newEnv(t, "blocked", kernelBudget)
+	env := testkit.Env(t, "blocked", kernelDevice, kernelBudget)
 	in := loadInput(t, env, kernelRecords, 9)
 	allocs := testing.AllocsPerRun(3, func() {
 		sel := newSelector(env, record.Size, kernelBudget, nil)
@@ -368,7 +367,7 @@ func mergeDiscarding(t testing.TB, env *algo.Env, runs []storage.Collection) {
 }
 
 func TestMergeItersAllocs(t *testing.T) {
-	env := newEnv(t, "blocked", kernelBudget)
+	env := testkit.Env(t, "blocked", kernelDevice, kernelBudget)
 	runs := formedRuns(t, env)
 	allocs := testing.AllocsPerRun(3, func() { mergeDiscarding(t, env, runs) })
 	if perRec := allocs / kernelRecords; perRec >= 0.01 {
@@ -378,7 +377,7 @@ func TestMergeItersAllocs(t *testing.T) {
 }
 
 func BenchmarkSelectionPass(b *testing.B) {
-	env := newEnv(b, "blocked", kernelBudget)
+	env := testkit.Env(b, "blocked", kernelDevice, kernelBudget)
 	in := loadInput(b, env, kernelRecords, 9)
 	sel := newSelector(env, record.Size, kernelBudget, nil)
 	b.ReportAllocs()
@@ -393,7 +392,7 @@ func BenchmarkSelectionPass(b *testing.B) {
 }
 
 func BenchmarkFormRuns(b *testing.B) {
-	env := newEnv(b, "blocked", kernelBudget)
+	env := testkit.Env(b, "blocked", kernelDevice, kernelBudget)
 	in := loadInput(b, env, kernelRecords, 9)
 	b.ReportAllocs()
 	b.SetBytes(kernelRecords * record.Size)
@@ -414,7 +413,7 @@ func BenchmarkFormRuns(b *testing.B) {
 }
 
 func BenchmarkMergeIters(b *testing.B) {
-	env := newEnv(b, "blocked", kernelBudget)
+	env := testkit.Env(b, "blocked", kernelDevice, kernelBudget)
 	runs := formedRuns(b, env)
 	b.ReportAllocs()
 	b.SetBytes(kernelRecords * record.Size)
@@ -432,7 +431,7 @@ func BenchmarkMergeIters(b *testing.B) {
 // bookkeeping. A parent environment at P ≥ 2 still samples, whatever the
 // parallelism of the child that forms the run.
 func TestFormRunsAllocBudget(t *testing.T) {
-	env := newEnv(t, "blocked", kernelBudget)
+	env := testkit.Env(t, "blocked", kernelDevice, kernelBudget)
 	in := loadInput(t, env, kernelRecords, 9)
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
@@ -500,7 +499,7 @@ func (c *keyZeroCounter) Append(rec []byte) error {
 // sort's selection stream, never below two — for run counts on either
 // side of one and two passes.
 func TestCostModelCountsMergePasses(t *testing.T) {
-	fac := newEnv(t, "blocked", 1).Factory
+	fac := testkit.Env(t, "blocked", sortDevice, 1).Factory
 	bs := fac.BlockSize()
 	for _, m := range []int{2, 3, 4, 9} {
 		for _, streamed := range []bool{false, true} {

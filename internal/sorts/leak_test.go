@@ -5,12 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"wlpm/internal/algo"
 	"wlpm/internal/record"
 	"wlpm/internal/storage"
+	"wlpm/internal/testkit"
 )
 
 // Algorithm-level leak discipline (the wlvet/tempsweep contract): a sort
@@ -18,36 +18,6 @@ import (
 // temporary it created before returning. These tests call Sort directly,
 // without SortCtx's outer SweepTemps, so the algorithms' own error-path
 // sweeps are what is under test.
-
-// countingCtx counts Err calls without ever cancelling (calibration).
-type countingCtx struct {
-	context.Context
-	calls atomic.Int64
-}
-
-func (c *countingCtx) Err() error {
-	c.calls.Add(1)
-	return c.Context.Err()
-}
-
-// countdownCtx reports Canceled from the n-th Err call onwards.
-type countdownCtx struct {
-	context.Context
-	remaining atomic.Int64
-}
-
-func newCountdownCtx(n int64) *countdownCtx {
-	c := &countdownCtx{Context: context.Background()}
-	c.remaining.Store(n)
-	return c
-}
-
-func (c *countdownCtx) Err() error {
-	if c.remaining.Add(-1) < 0 {
-		return context.Canceled
-	}
-	return c.Context.Err()
-}
 
 // TestSortCancelSweepsTemps cancels each cancellation-polling algorithm
 // at increasing depths — run formation, mid-run, merging — and asserts
@@ -57,8 +27,8 @@ func TestSortCancelSweepsTemps(t *testing.T) {
 		a := a
 		t.Run(a.Name(), func(t *testing.T) {
 			const n, budget = 6000, 50
-			calib := &countingCtx{Context: context.Background()}
-			env := newEnv(t, "blocked", budget).WithContext(calib)
+			calib := testkit.NewCounting(context.Background())
+			env := testkit.Env(t, "blocked", sortDevice, budget).WithContext(calib)
 			in := loadInput(t, env, n, 7)
 			out, err := env.Factory.Create("out", record.Size)
 			if err != nil {
@@ -70,14 +40,14 @@ func TestSortCancelSweepsTemps(t *testing.T) {
 			if live := env.LiveTemps(); live != 0 {
 				t.Fatalf("clean run left %d live temps", live)
 			}
-			total := calib.calls.Load()
+			total := calib.Polls()
 			if total < 4 {
 				t.Fatalf("algorithm polls cancellation only %d times; input too small to steer", total)
 			}
 
 			for _, frac := range []float64{0, 0.25, 0.5, 0.85} {
 				polls := int64(float64(total) * frac)
-				env := newEnv(t, "blocked", budget).WithContext(newCountdownCtx(polls))
+				env := testkit.Env(t, "blocked", sortDevice, budget).WithContext(testkit.CancelAfter(context.Background(), polls))
 				in := loadInput(t, env, n, 7)
 				out, err := env.Factory.Create("out", record.Size)
 				if err != nil {
@@ -95,36 +65,19 @@ func TestSortCancelSweepsTemps(t *testing.T) {
 	}
 }
 
-// failingAppend wraps a collection whose Append starts failing after a
-// fixed number of records — an output-device error injected mid-sort.
-type failingAppend struct {
-	storage.Collection
-	remaining int
-}
-
-var errAppendInjected = errors.New("injected append failure")
-
-func (f *failingAppend) Append(rec []byte) error {
-	if f.remaining <= 0 {
-		return errAppendInjected
-	}
-	f.remaining--
-	return f.Collection.Append(rec)
-}
-
 // TestLazySortOutputErrorSweepsTemp forces LaS into its materializing
 // iteration (n=1 with T=100, M=60: Eq. 5 materializes immediately) and
 // fails the output append while the fresh intermediate input Ti is
 // live. The error must surface with zero temps left behind.
 func TestLazySortOutputErrorSweepsTemp(t *testing.T) {
-	env := newEnv(t, "blocked", 60)
+	env := testkit.Env(t, "blocked", sortDevice, 60)
 	in := loadInput(t, env, 100, 11)
 	out, err := env.Factory.Create("out", record.Size)
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = NewLazySort().Sort(env, in, &failingAppend{Collection: out, remaining: 10})
-	if !errors.Is(err, errAppendInjected) {
+	err = NewLazySort().Sort(env, in, &testkit.FailAfter{Collection: out, N: 10})
+	if !errors.Is(err, testkit.ErrInjected) {
 		t.Fatalf("err = %v, want injected append failure", err)
 	}
 	if live := env.LiveTemps(); live != 0 {
@@ -141,7 +94,7 @@ func TestMergePassErrorSweepsMerged(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		par := par
 		t.Run(fmt.Sprintf("p%d", par), func(t *testing.T) {
-			calib := &countingCtx{Context: context.Background()}
+			calib := testkit.NewCounting(context.Background())
 			env := newParEnv(t, budget, par).WithContext(calib)
 			in := loadInput(t, env, n, 3)
 			out, err := env.Factory.Create("out", record.Size)
@@ -151,12 +104,12 @@ func TestMergePassErrorSweepsMerged(t *testing.T) {
 			if err := NewExternalMergeSort().Sort(env, in, out); err != nil {
 				t.Fatal(err)
 			}
-			total := calib.calls.Load()
+			total := calib.Polls()
 			// Late polls land inside mergeInto, after the pass created its
 			// merge output temps.
 			for _, frac := range []float64{0.5, 0.7, 0.9, 0.97} {
 				polls := int64(float64(total) * frac)
-				env := newParEnv(t, budget, par).WithContext(newCountdownCtx(polls))
+				env := newParEnv(t, budget, par).WithContext(testkit.CancelAfter(context.Background(), polls))
 				in := loadInput(t, env, n, 3)
 				out, err := env.Factory.Create("out", record.Size)
 				if err != nil {
@@ -172,22 +125,6 @@ func TestMergePassErrorSweepsMerged(t *testing.T) {
 			}
 		})
 	}
-}
-
-// failingTemps fails the n-th Append to every temp whose name carries
-// prefix.
-type failingTemps struct {
-	storage.Factory
-	prefix string
-	n      int
-}
-
-func (f failingTemps) Create(name string, recSize int) (storage.Collection, error) {
-	c, err := f.Factory.Create(name, recSize)
-	if err != nil || !strings.Contains(name, "."+f.prefix+".") {
-		return c, err
-	}
-	return &failingAppend{Collection: c, remaining: f.n}, nil
 }
 
 // surfacedOnce holds err to be want, reported once: matched, and named
@@ -226,16 +163,16 @@ func TestSortFoldingFailureLeaksNothing(t *testing.T) {
 			fold := func(env *algo.Env, out storage.Collection) error {
 				return SortFolding(env, c.a, loadPartials(t, env, keys), out, addPartials)
 			}
-			calib := &countingCtx{Context: context.Background()}
-			env := newEnv(t, "blocked", budget).WithContext(calib)
+			calib := testkit.NewCounting(context.Background())
+			env := testkit.Env(t, "blocked", sortDevice, budget).WithContext(calib)
 			out, _ := env.Factory.Create("out", record.Size)
 			if err := fold(env, out); err != nil {
 				t.Fatalf("calibration run: %v", err)
 			}
-			total := calib.calls.Load()
+			total := calib.Polls()
 			for _, frac := range []float64{0, 0.25, 0.5, 0.85} {
 				polls := int64(float64(total) * frac)
-				env := newEnv(t, "blocked", budget).WithContext(newCountdownCtx(polls))
+				env := testkit.Env(t, "blocked", sortDevice, budget).WithContext(testkit.CancelAfter(context.Background(), polls))
 				out, _ := env.Factory.Create("out", record.Size)
 				surfacedOnce(t, fold(env, out), context.Canceled)
 				if live := env.LiveTemps(); live != 0 {
@@ -243,14 +180,14 @@ func TestSortFoldingFailureLeaksNothing(t *testing.T) {
 				}
 			}
 
-			base := newEnv(t, "blocked", budget)
-			env = algo.NewEnv(failingTemps{Factory: base.Factory, prefix: c.temp, n: 10}, base.MemoryBudget)
+			base := testkit.Env(t, "blocked", sortDevice, budget)
+			env = algo.NewEnv(&testkit.FailingTemps{Factory: base.Factory, Prefix: c.temp, N: 10}, base.MemoryBudget)
 			out, _ = base.Factory.Create("out", record.Size)
 			var dst storage.Collection = out
 			if c.temp == "" {
-				dst = &failingAppend{Collection: out, remaining: 10}
+				dst = &testkit.FailAfter{Collection: out, N: 10}
 			}
-			surfacedOnce(t, fold(env, dst), errAppendInjected)
+			surfacedOnce(t, fold(env, dst), testkit.ErrInjected)
 			if live := env.LiveTemps(); live != 0 {
 				t.Fatalf("a failed %s append leaked %d temps", c.temp, live)
 			}
@@ -261,6 +198,6 @@ func TestSortFoldingFailureLeaksNothing(t *testing.T) {
 // newParEnv is newEnv with worker parallelism.
 func newParEnv(t testing.TB, budgetRecords, par int) *algo.Env {
 	t.Helper()
-	env := newEnv(t, "blocked", budgetRecords)
+	env := testkit.Env(t, "blocked", sortDevice, budgetRecords)
 	return algo.NewParallelEnv(env.Factory, env.MemoryBudget, par)
 }

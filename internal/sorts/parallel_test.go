@@ -10,7 +10,7 @@ import (
 	"wlpm/internal/pmem"
 	"wlpm/internal/record"
 	"wlpm/internal/storage"
-	"wlpm/internal/storage/all"
+	"wlpm/internal/testkit"
 )
 
 // parallelSortAlgorithms are the operators whose execution plan changes
@@ -28,7 +28,7 @@ func parallelSortAlgorithms() []Algorithm {
 // the output records plus the device I/O stats of the sort alone.
 func sortWith(t *testing.T, a Algorithm, n, budgetRecords, parallelism int) ([][]byte, pmem.Stats) {
 	t.Helper()
-	env := newEnv(t, "blocked", budgetRecords)
+	env := testkit.Env(t, "blocked", kernelDevice, budgetRecords)
 	env.Parallelism = parallelism
 	in := loadInput(t, env, n, 7)
 	out, err := env.Factory.Create("out", record.Size)
@@ -127,13 +127,13 @@ func TestParallelRunFormationCappedByFanIn(t *testing.T) {
 // TestCapRunWorkersNeverBlocksAmplePlans: with room in the merge fan-in
 // the cap must leave the requested parallelism alone.
 func TestCapRunWorkersNeverBlocksAmplePlans(t *testing.T) {
-	env := newEnv(t, "blocked", 4000) // 4000 records ≈ 312 buffers of fan-in
+	env := testkit.Env(t, "blocked", sortDevice, 4000) // 4000 records ≈ 312 buffers of fan-in
 	env.Parallelism = 8
 	if got := capRunWorkers(env, 20_000, record.Size, 8); got != 8 {
 		t.Errorf("ample fan-in capped workers to %d, want 8", got)
 	}
 	// And at an absurdly tiny budget it degrades gracefully to ≥ 1.
-	tiny := newEnv(t, "blocked", 4)
+	tiny := testkit.Env(t, "blocked", sortDevice, 4)
 	tiny.Parallelism = 8
 	if got := capRunWorkers(tiny, 20_000, record.Size, 8); got < 1 {
 		t.Errorf("cap returned %d workers", got)
@@ -144,12 +144,8 @@ func TestCapRunWorkersNeverBlocksAmplePlans(t *testing.T) {
 // and factory — the situation the storage-catalog and allocator locking
 // must survive (run with -race).
 func TestConcurrentSortsSharedDevice(t *testing.T) {
-	dev := pmem.MustOpen(pmem.Config{Capacity: 256 << 20})
-	fac, err := all.New("blocked", dev, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const n, budget = 8_000, 300
+	fac := testkit.Factory(t, "blocked", pmem.Config{Capacity: kernelDevice})
 
 	var wg sync.WaitGroup
 	errCh := make(chan error, 4)

@@ -8,6 +8,7 @@ import (
 	"wlpm/internal/cost"
 	"wlpm/internal/record"
 	"wlpm/internal/storage"
+	"wlpm/internal/testkit"
 )
 
 // pinnedRun is what one baseline run left behind: the FNV-64a hash of
@@ -77,7 +78,7 @@ func TestFamilyDegenerateSettings(t *testing.T) {
 // λ — output byte for byte and device call for call.
 func TestFamilyAutoSegmentSortRunsItsPrice(t *testing.T) {
 	for _, backend := range []string{"blocked", "pmfs"} {
-		env := newEnv(t, backend, pinnedBudget)
+		env := testkit.Env(t, backend, sortDevice, pinnedBudget)
 		bs := float64(env.Factory.BlockSize())
 		x := cost.SegSKnob(pinnedN*record.Size/bs, pinnedBudget*record.Size/bs, env.Lambda(), 1, cost.Emit{})
 		for _, par := range []int{1, 4} {
@@ -95,7 +96,7 @@ const pinnedN, pinnedBudget = 6000, 150
 // pinnedSort sorts the pinned input with a on a fresh device.
 func pinnedSort(t *testing.T, a Algorithm, backend string, par int) pinnedRun {
 	t.Helper()
-	env := newEnv(t, backend, pinnedBudget)
+	env := testkit.Env(t, backend, sortDevice, pinnedBudget)
 	env.Parallelism = par
 	in := loadInput(t, env, pinnedN, 7)
 	out, err := env.Factory.Create("out", record.Size)

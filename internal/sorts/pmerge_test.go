@@ -9,15 +9,13 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"wlpm/internal/algo"
 	"wlpm/internal/pmem"
 	"wlpm/internal/record"
 	"wlpm/internal/storage"
-	"wlpm/internal/storage/all"
+	"wlpm/internal/testkit"
 )
 
 // keyDistributions generate the grid's input key patterns: uniform
@@ -25,35 +23,21 @@ import (
 // duplicate-heavy domain where every key repeats ~400 times.
 var keyDistributions = []struct {
 	name string
-	key  func(i, n int, rng *testRNG) uint64
+	key  func(i, n int, rng *testkit.RNG) uint64
 }{
-	{"uniform", func(i, n int, rng *testRNG) uint64 { return rng.next() % uint64(4*n) }},
-	{"skewed", func(i, n int, rng *testRNG) uint64 {
-		v := rng.next() % uint64(n)
-		return v * v / uint64(n) // quadratic pile-up near zero
-	}},
-	{"dups", func(i, n int, rng *testRNG) uint64 { return rng.next() % 50 }},
-}
-
-// testRNG is a deterministic xorshift generator, so grid inputs are
-// identical across P without importing math/rand.
-type testRNG struct{ s uint64 }
-
-func (r *testRNG) next() uint64 {
-	r.s ^= r.s << 13
-	r.s ^= r.s >> 7
-	r.s ^= r.s << 17
-	return r.s
+	{"uniform", func(i, n int, rng *testkit.RNG) uint64 { return rng.Next() % uint64(4*n) }},
+	{"skewed", func(i, n int, rng *testkit.RNG) uint64 { return rng.Skewed(n) }},
+	{"dups", func(i, n int, rng *testkit.RNG) uint64 { return rng.Dups() }},
 }
 
 // loadDistInput builds an input collection under the named distribution.
-func loadDistInput(t testing.TB, env *algo.Env, n int, dist func(i, n int, rng *testRNG) uint64) storage.Collection {
+func loadDistInput(t testing.TB, env *algo.Env, n int, dist func(i, n int, rng *testkit.RNG) uint64) storage.Collection {
 	t.Helper()
 	in, err := env.CreateTemp("gridin", record.Size)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := &testRNG{s: 0x9e3779b97f4a7c15}
+	rng := testkit.NewRNG(0x9e3779b97f4a7c15)
 	rec := make([]byte, record.Size)
 	for i := 0; i < n; i++ {
 		record.Fill(rec, dist(i, n, rng))
@@ -67,32 +51,15 @@ func loadDistInput(t testing.TB, env *algo.Env, n int, dist func(i, n int, rng *
 	return in
 }
 
-// newSpinEnv builds an environment whose device actually delays for the
-// simulated latencies (yielding between spin checks), so concurrent
-// workers interleave even on a single-CPU machine — required to observe
-// the overlap clock dropping below the serial clock.
-func newSpinEnv(t testing.TB, budgetRecords int) *algo.Env {
-	t.Helper()
-	dev := pmem.MustOpen(pmem.Config{Capacity: 256 << 20, Spin: true})
-	f, err := all.New("blocked", dev, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return algo.NewEnv(f, int64(budgetRecords*record.Size))
-}
-
 // sortGrid runs a at parallelism P and returns the output records, the
 // device stats of the sort, and the final-merge phase accounting. spin
-// selects a device that physically delays (see newSpinEnv).
-func sortGrid(t *testing.T, a Algorithm, dist func(i, n int, rng *testRNG) uint64, n, budgetRecords, parallelism int, spin bool) ([][]byte, pmem.Stats, algo.PhaseStat) {
+// selects a device that actually delays for the simulated latencies
+// (yielding between spin checks), so concurrent workers interleave even
+// on a single-CPU machine — required to observe the overlap clock
+// dropping below the serial clock.
+func sortGrid(t *testing.T, a Algorithm, dist func(i, n int, rng *testkit.RNG) uint64, n, budgetRecords, parallelism int, spin bool) ([][]byte, pmem.Stats, algo.PhaseStat) {
 	t.Helper()
-	var env *algo.Env
-	if spin {
-		env = newSpinEnv(t, budgetRecords)
-	} else {
-		env = newEnv(t, "blocked", budgetRecords)
-	}
-	env.Parallelism = parallelism
+	env := algo.NewParallelEnv(testkit.Factory(t, "blocked", pmem.Config{Capacity: kernelDevice, Spin: spin}), int64(budgetRecords*record.Size), parallelism)
 	rec := algo.NewPhaseRecorder()
 	env.WithPhases(rec)
 	in := loadDistInput(t, env, n, dist)
@@ -170,26 +137,12 @@ func TestParallelFinalMergeEngages(t *testing.T) {
 	}
 }
 
-// cancelAfterCtx cancels itself after its Err has been consulted n
-// times — deterministically mid-merge, unlike a timer.
-type cancelAfterCtx struct {
-	context.Context
-	remaining atomic.Int64
-}
-
-func (c *cancelAfterCtx) Err() error {
-	if c.remaining.Add(-1) < 0 {
-		return context.Canceled
-	}
-	return nil
-}
-
 // TestFinalMergeCancellation cancels mid final merge at P=8 and asserts
 // the error surfaces, every temp is swept, and no worker goroutine
 // leaks.
 func TestFinalMergeCancellation(t *testing.T) {
 	const n, budget = 20_000, 2500
-	env := newEnv(t, "blocked", budget)
+	env := testkit.Env(t, "blocked", kernelDevice, budget)
 	env.Parallelism = 8
 	in := loadDistInput(t, env, n, keyDistributions[0].key)
 	out, err := env.Factory.Create("out", record.Size)
@@ -198,9 +151,7 @@ func TestFinalMergeCancellation(t *testing.T) {
 	}
 	// Let run formation complete (~n/PollInterval polls) and cancel a few
 	// polls into the merge phase.
-	ctx := &cancelAfterCtx{Context: context.Background()}
-	ctx.remaining.Store(int64(n/algo.PollInterval) + 20)
-	env.WithContext(ctx)
+	env.WithContext(testkit.CancelAfter(context.Background(), int64(n/algo.PollInterval)+20))
 
 	before := runtime.NumGoroutine()
 	if err := NewExternalMergeSort().Sort(env, in, out); err == nil {
@@ -212,13 +163,7 @@ func TestFinalMergeCancellation(t *testing.T) {
 	if live := env.LiveTemps(); live != 0 {
 		t.Errorf("%d live temps after cancellation sweep", live)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before {
-		t.Errorf("goroutines leaked: %d before, %d after", before, after)
-	}
+	testkit.WaitGoroutines(t, before)
 }
 
 // errInjected is flakyStore's device failure.
@@ -289,7 +234,7 @@ func (s *flakyStore) ReleaseBlocks(seq, n int) error {
 // released, the runs are gone and the output still appends.
 func TestFinalMergeWriteFailureRollsBack(t *testing.T) {
 	const pre, perRun, nRuns = 20, 3000, 3 // 20 records: one flushed block and a 576-byte tail
-	env := newEnv(t, "blocked", 2500)
+	env := testkit.Env(t, "blocked", sortDevice, 2500)
 	env.Parallelism = 4
 	bs := env.Factory.BlockSize()
 	preRecs := make([][]byte, pre)

@@ -233,7 +233,8 @@ func (s *selectionStream) Close() error {
 // the next M smallest records, so the input is written exactly once (as
 // output) at the price of |T|/M read passes. It runs as lazy sort's loop
 // (§2.1.3) never materializing its survivors, and is priced as segment
-// sort's x = 0 end, whose I/O is the same (SelSProfile ≡ SegSProfile(0)).
+// sort's x = 0 end, whose I/O is the same (cost.Emit{}.SelS ≡
+// cost.Emit{}.SegS at x = 0).
 // Folding, it writes G groups in ⌈G/M⌉ passes, histogram-free.
 type SelectionSort struct{}
 

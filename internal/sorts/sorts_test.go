@@ -9,23 +9,20 @@ import (
 	"testing/quick"
 
 	"wlpm/internal/algo"
-	"wlpm/internal/pmem"
 	"wlpm/internal/record"
 	"wlpm/internal/storage"
-	"wlpm/internal/storage/all"
+	"wlpm/internal/testkit"
 )
 
-// newEnv builds an environment on a fresh device with the given backend
-// and memory budget in records.
-func newEnv(t testing.TB, backend string, budgetRecords int) *algo.Env {
-	t.Helper()
-	dev := pmem.MustOpen(pmem.Config{Capacity: 256 << 20})
-	f, err := all.New(backend, dev, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return algo.NewEnv(f, int64(budgetRecords*record.Size))
-}
+// sortDevice is the capacity of a sort test's device: most inputs here
+// are at most 8 000 records (640 KB), and their runs, merge outputs and
+// output take no more than four times that at once.
+const sortDevice = 4 << 20
+
+// kernelDevice is the capacity for the tests over 20 000 to 60 000
+// records (up to 4.8 MB of input): the kernels' allocation budgets, the
+// P grids, concurrent sorts on one device and inode exhaustion.
+const kernelDevice = 32 << 20
 
 // loadInput creates a collection with n permuted-key records.
 func loadInput(t testing.TB, env *algo.Env, n int, seed uint64) storage.Collection {
@@ -98,7 +95,7 @@ func TestAllAlgorithmsSortPermutedInput(t *testing.T) {
 	for _, a := range allAlgorithms() {
 		a := a
 		t.Run(a.Name(), func(t *testing.T) {
-			env := newEnv(t, "blocked", 200) // M ≈ 6.7% of input
+			env := testkit.Env(t, "blocked", sortDevice, 200) // M ≈ 6.7% of input
 			in := loadInput(t, env, n, 42)
 			out := runSort(t, env, a, in)
 			checkSorted(t, a, out, n)
@@ -112,7 +109,7 @@ func TestSortAcrossBackends(t *testing.T) {
 		backend := backend
 		t.Run(backend, func(t *testing.T) {
 			for _, a := range []Algorithm{NewExternalMergeSort(), NewSegmentSort(0.5), NewHybridSort(0.5), NewLazySort()} {
-				env := newEnv(t, backend, 150)
+				env := testkit.Env(t, backend, sortDevice, 150)
 				in := loadInput(t, env, n, 7)
 				out := runSort(t, env, a, in)
 				checkSorted(t, a, out, n)
@@ -123,7 +120,7 @@ func TestSortAcrossBackends(t *testing.T) {
 
 func TestSortEmptyInput(t *testing.T) {
 	for _, a := range allAlgorithms() {
-		env := newEnv(t, "blocked", 64)
+		env := testkit.Env(t, "blocked", sortDevice, 64)
 		in := loadInput(t, env, 0, 1)
 		out := runSort(t, env, a, in)
 		if out.Len() != 0 {
@@ -134,7 +131,7 @@ func TestSortEmptyInput(t *testing.T) {
 
 func TestSortSingleRecord(t *testing.T) {
 	for _, a := range allAlgorithms() {
-		env := newEnv(t, "blocked", 64)
+		env := testkit.Env(t, "blocked", sortDevice, 64)
 		in := loadInput(t, env, 1, 1)
 		out := runSort(t, env, a, in)
 		checkSorted(t, a, out, 1)
@@ -143,7 +140,7 @@ func TestSortSingleRecord(t *testing.T) {
 
 func TestSortInputFitsInMemory(t *testing.T) {
 	for _, a := range allAlgorithms() {
-		env := newEnv(t, "blocked", 1000)
+		env := testkit.Env(t, "blocked", sortDevice, 1000)
 		in := loadInput(t, env, 500, 3)
 		out := runSort(t, env, a, in)
 		checkSorted(t, a, out, 500)
@@ -153,7 +150,7 @@ func TestSortInputFitsInMemory(t *testing.T) {
 func TestSortTinyMemory(t *testing.T) {
 	// Budget below one block still has to work (degenerate fan-in 2).
 	for _, a := range allAlgorithms() {
-		env := newEnv(t, "blocked", 8)
+		env := testkit.Env(t, "blocked", sortDevice, 8)
 		in := loadInput(t, env, 300, 5)
 		out := runSort(t, env, a, in)
 		checkSorted(t, a, out, 300)
@@ -165,7 +162,7 @@ func TestSortWithDuplicateKeys(t *testing.T) {
 	for _, a := range allAlgorithms() {
 		a := a
 		t.Run(a.Name(), func(t *testing.T) {
-			env := newEnv(t, "blocked", 100)
+			env := testkit.Env(t, "blocked", sortDevice, 100)
 			in, err := env.Factory.Create("dups", record.Size)
 			if err != nil {
 				t.Fatal(err)
@@ -212,7 +209,7 @@ func TestSortWithDuplicateKeys(t *testing.T) {
 }
 
 func TestSortArgumentValidation(t *testing.T) {
-	env := newEnv(t, "blocked", 100)
+	env := testkit.Env(t, "blocked", sortDevice, 100)
 	in := loadInput(t, env, 10, 1)
 	a := NewExternalMergeSort()
 
@@ -253,7 +250,7 @@ func TestWriteProfileOrdering(t *testing.T) {
 	writes := map[string]uint64{}
 	reads := map[string]uint64{}
 	for _, a := range []Algorithm{NewExternalMergeSort(), NewSegmentSort(0.2), NewHybridSort(0.2), NewLazySort()} {
-		env := newEnv(t, "blocked", budget)
+		env := testkit.Env(t, "blocked", sortDevice, budget)
 		in := loadInput(t, env, n, 13)
 		dev := env.Factory.Device()
 		dev.ResetStats()
@@ -279,7 +276,7 @@ func TestWriteProfileOrdering(t *testing.T) {
 // writes must be close to the input footprint.
 func TestSelectionSortMinimalWrites(t *testing.T) {
 	const n = 2000
-	env := newEnv(t, "blocked", 100)
+	env := testkit.Env(t, "blocked", sortDevice, 100)
 	in := loadInput(t, env, n, 17)
 	dev := env.Factory.Device()
 	dev.ResetStats()
@@ -304,7 +301,7 @@ func TestQuickSortersAreCorrect(t *testing.T) {
 		n := int(nRaw)%800 + 1
 		budget := int(budgetRaw)%120 + 4
 		a := algos[rng.Intn(len(algos))]
-		env := newEnv(t, "blocked", budget)
+		env := testkit.Env(t, "blocked", sortDevice, budget)
 		in, err := env.Factory.Create("q", record.Size)
 		if err != nil {
 			return false

@@ -6,12 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 	"testing"
 
 	"wlpm/internal/algo"
 	"wlpm/internal/record"
 	"wlpm/internal/storage"
+	"wlpm/internal/testkit"
 )
 
 // streamKeys are the arrivals the Stream tests push: n keys over n/3
@@ -185,19 +185,19 @@ func TestIntakeStreamSweepsItsRuns(t *testing.T) {
 				_, err = pullAll(it)
 				return env, err
 			}
-			calib := &countingCtx{Context: context.Background()}
+			calib := testkit.NewCounting(context.Background())
 			var opened int64
-			if _, err := run(calib, func() { opened = calib.calls.Load() }); err != nil {
+			if _, err := run(calib, func() { opened = calib.Polls() }); err != nil {
 				t.Fatalf("calibration run: %v", err)
 			}
-			total := calib.calls.Load()
+			total := calib.Polls()
 			if opened < 8 || total-opened < 4 {
 				t.Fatalf("%d polls to open the stream, %d to pull it: too few to steer", opened, total-opened)
 			}
 			// Mid-append, between merge passes, at the last pass, mid-pull
 			// and at the pull's last poll.
 			for _, at := range []int64{opened / 8, opened / 2, opened - 1, opened + (total-opened)/2, total - 1} {
-				env, err := run(newCountdownCtx(at), func() {})
+				env, err := run(testkit.CancelAfter(context.Background(), at), func() {})
 				if !errors.Is(err, context.Canceled) {
 					t.Fatalf("cancel at poll %d/%d: err = %v, want context.Canceled", at, total, err)
 				}
@@ -208,7 +208,7 @@ func TestIntakeStreamSweepsItsRuns(t *testing.T) {
 		})
 		t.Run(fmt.Sprintf("run-read/p%d", par), func(t *testing.T) {
 			base := newParEnv(t, budget, par)
-			env := algo.NewParallelEnv(failingReads{Factory: base.Factory, prefix: "run", n: 5}, base.MemoryBudget, par)
+			env := algo.NewParallelEnv(&testkit.FailingTemps{Factory: base.Factory, Prefix: "run", N: 5, Reads: true}, base.MemoryBudget, par)
 			in, err := pushKeys(env, keys, true, true)
 			if err != nil {
 				t.Fatal(err)
@@ -217,7 +217,7 @@ func TestIntakeStreamSweepsItsRuns(t *testing.T) {
 			if err == nil {
 				_, err = pullAll(it)
 			}
-			if !errors.Is(err, errReadInjected) {
+			if !errors.Is(err, testkit.ErrInjected) {
 				t.Fatalf("err = %v, want the injected run read failure", err)
 			}
 			if live := env.LiveTemps(); live != 0 {
@@ -225,46 +225,4 @@ func TestIntakeStreamSweepsItsRuns(t *testing.T) {
 			}
 		})
 	}
-}
-
-var errReadInjected = errors.New("injected read failure")
-
-// failingReads fails every scan of a collection created under the temp
-// prefix after its n-th record.
-type failingReads struct {
-	storage.Factory
-	prefix string
-	n      int
-}
-
-func (f failingReads) Create(name string, recSize int) (storage.Collection, error) {
-	c, err := f.Factory.Create(name, recSize)
-	if err != nil || !strings.Contains(name, "."+f.prefix+".") {
-		return c, err
-	}
-	return &failingScan{Collection: c, n: f.n}, nil
-}
-
-type failingScan struct {
-	storage.Collection
-	n int
-}
-
-func (c *failingScan) Scan() storage.Iterator {
-	return &failAfterN{Iterator: c.Collection.Scan(), left: c.n}
-}
-
-// failAfterN serves left records one at a time (it hides the chunk
-// form), then the injected error.
-type failAfterN struct {
-	storage.Iterator
-	left int
-}
-
-func (it *failAfterN) Next() ([]byte, error) {
-	if it.left == 0 {
-		return nil, errReadInjected
-	}
-	it.left--
-	return it.Iterator.Next()
 }

@@ -15,7 +15,7 @@ import (
 // records in the given order.
 func newCollection(t *testing.T, name string, values []uint64) storage.Collection {
 	t.Helper()
-	dev := pmem.MustOpen(pmem.Config{Capacity: 256 << 20})
+	dev := pmem.MustOpen(pmem.Config{Capacity: 32 << 20})
 	fac := blocked.New(dev, 0)
 	c, err := fac.Create(name, record.Size)
 	if err != nil {

@@ -15,17 +15,14 @@ import (
 	"wlpm/internal/record"
 	"wlpm/internal/storage"
 	"wlpm/internal/storage/all"
+	"wlpm/internal/testkit"
 )
 
-// newFactory builds a backend on a fresh 64 MiB device.
+// newFactory builds a backend on a fresh device, sized to the few
+// thousand records a conformance test writes.
 func newFactory(t *testing.T, backend string) storage.Factory {
 	t.Helper()
-	dev := pmem.MustOpen(pmem.Config{Capacity: 64 << 20})
-	f, err := all.New(backend, dev, 0)
-	if err != nil {
-		t.Fatalf("all.New(%q): %v", backend, err)
-	}
-	return f
+	return testkit.Factory(t, backend, pmem.Config{Capacity: 4 << 20})
 }
 
 func forEachBackend(t *testing.T, fn func(t *testing.T, f storage.Factory)) {

@@ -15,7 +15,7 @@ import (
 // key domain, one fact table) into a fresh system.
 func starQuerySetup(t *testing.T, nDim, nFact, par int) (*wlpm.System, wlpm.Collection, wlpm.Collection, wlpm.Collection) {
 	t.Helper()
-	sys, err := wlpm.New(wlpm.WithCapacity(512<<20), wlpm.WithParallelism(par))
+	sys, err := wlpm.New(wlpm.WithCapacity(32<<20), wlpm.WithParallelism(par))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestParseQueryFacade(t *testing.T) {
 func TestQueryStatsAndSpillFacade(t *testing.T) {
 	const n, groups = 4000, 50
 	setup := func(opts ...wlpm.Option) (*wlpm.System, wlpm.Collection) {
-		sys, err := wlpm.New(append([]wlpm.Option{wlpm.WithCapacity(256 << 20)}, opts...)...)
+		sys, err := wlpm.New(append([]wlpm.Option{wlpm.WithCapacity(32 << 20)}, opts...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -339,7 +339,7 @@ func TestQueryStatsAndSpillFacade(t *testing.T) {
 	// chosen for groups that fit, must evict, and still match the
 	// sort-based output byte for byte.
 	const bigGroups = 2000
-	sysSp, err := wlpm.New(wlpm.WithCapacity(256 << 20))
+	sysSp, err := wlpm.New(wlpm.WithCapacity(32 << 20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +389,7 @@ func TestQueryStatsAndSpillFacade(t *testing.T) {
 // TestQueryFilterPushesNoWrites asserts the streaming property at the
 // façade: a filter+project pipeline only writes the result.
 func TestQueryFilterPushesNoWrites(t *testing.T) {
-	sys, err := wlpm.New(wlpm.WithCapacity(128 << 20))
+	sys, err := wlpm.New(wlpm.WithCapacity(32 << 20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +432,7 @@ func TestQueryFilterPushesNoWrites(t *testing.T) {
 // as "scan(in) | orderby | limit(7)", with the same device reads, under
 // a Limit[7] root.
 func TestQueryLimitMatchesParsedLimit(t *testing.T) {
-	sys, err := wlpm.New(wlpm.WithCapacity(128 << 20))
+	sys, err := wlpm.New(wlpm.WithCapacity(32 << 20))
 	if err != nil {
 		t.Fatal(err)
 	}

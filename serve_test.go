@@ -14,6 +14,7 @@ import (
 
 	"wlpm/client"
 	"wlpm/internal/server"
+	"wlpm/internal/testkit"
 )
 
 // serveStarPlan is the star pipeline of the concurrency acceptance
@@ -338,21 +339,18 @@ func TestServeShutdownCancelsInFlight(t *testing.T) {
 	}
 }
 
-// waitUnwound polls until no grant is held, no temp is live and the
-// goroutine count is back at (or under) the baseline plus a small
-// allowance for idle HTTP keep-alive machinery.
+// waitUnwound polls until no grant is held and no temp is live, then
+// waits for the goroutine count to come back to (or under) the baseline
+// plus a small allowance for idle HTTP keep-alive machinery.
 func waitUnwound(t *testing.T, sys *System, eng *recordingEngine, baseline int) {
 	t.Helper()
 	const slack = 4
 	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if sys.MemoryInUse() == 0 && eng.liveTemps() == 0 && runtime.NumGoroutine() <= baseline+slack {
-			return
-		}
+	for sys.MemoryInUse() != 0 || eng.liveTemps() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("did not unwind: %d B granted, %d temps, %d goroutines (baseline %d)",
-				sys.MemoryInUse(), eng.liveTemps(), runtime.NumGoroutine(), baseline)
+			t.Fatalf("did not unwind: %d B granted, %d temps", sys.MemoryInUse(), eng.liveTemps())
 		}
 		time.Sleep(time.Millisecond)
 	}
+	testkit.WaitGoroutines(t, baseline+slack)
 }

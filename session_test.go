@@ -8,16 +8,16 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
+	"wlpm/internal/testkit"
 )
 
 // --- helpers ---
 
 func newTestSystem(t testing.TB, opts ...Option) *System {
 	t.Helper()
-	sys, err := New(append([]Option{WithCapacity(256 << 20)}, opts...)...)
+	sys, err := New(append([]Option{WithCapacity(32 << 20)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,30 +166,6 @@ func mustRows(t testing.TB, q *Query) *Rows {
 
 // --- acceptance: cancellation releases everything ---
 
-// pollCountCtx counts cancellation polls (calibration).
-type pollCountCtx struct {
-	context.Context
-	calls atomic.Int64
-}
-
-func (c *pollCountCtx) Err() error {
-	c.calls.Add(1)
-	return c.Context.Err()
-}
-
-// cancelAfterCtx flips to Canceled from the n-th poll onwards.
-type cancelAfterCtx struct {
-	context.Context
-	remaining atomic.Int64
-}
-
-func (c *cancelAfterCtx) Err() error {
-	if c.remaining.Add(-1) < 0 {
-		return context.Canceled
-	}
-	return c.Context.Err()
-}
-
 // TestCancelledQueryReleasesGrantAndLeaksNothing cancels the pipeline
 // workload mid-run and asserts the three leak-freedom properties of the
 // acceptance criteria: the broker grant is released, no temp collections
@@ -202,21 +178,20 @@ func TestCancelledQueryReleasesGrantAndLeaksNothing(t *testing.T) {
 			sess := sys.Session()
 
 			// Calibrate the poll count of a clean run.
-			calib := &pollCountCtx{Context: context.Background()}
+			calib := testkit.NewCounting(context.Background())
 			rows, err := starQuery(sess, dim1, dim2, fact).Rows(calib)
 			if err != nil {
 				t.Fatal(err)
 			}
 			collectRows(t, rows)
-			total := calib.calls.Load()
+			total := calib.Polls()
 			if total < 4 {
 				t.Fatalf("only %d cancellation polls; workload too small to steer", total)
 			}
 
 			base := runtime.NumGoroutine()
 			for _, frac := range []float64{0, 0.3, 0.7} {
-				ctx := &cancelAfterCtx{Context: context.Background()}
-				ctx.remaining.Store(int64(float64(total) * frac))
+				ctx := testkit.CancelAfter(context.Background(), int64(float64(total)*frac))
 				rows, err := starQuery(sess, dim1, dim2, fact).Rows(ctx)
 				if err == nil {
 					for rows.Next() {
@@ -235,24 +210,10 @@ func TestCancelledQueryReleasesGrantAndLeaksNothing(t *testing.T) {
 				if inUse := sys.MemoryInUse(); inUse != 0 {
 					t.Fatalf("cancel at %.0f%%: %d B still granted", frac*100, inUse)
 				}
-				waitGoroutineBaseline(t, base)
+				testkit.WaitGoroutines(t, base)
 			}
 		})
 	}
-}
-
-// refusingOutput is a query output whose Append fails on the n-th record.
-type refusingOutput struct {
-	Collection
-	n   int
-	err error
-}
-
-func (o *refusingOutput) Append(rec []byte) error {
-	if o.n--; o.n < 0 {
-		return o.err
-	}
-	return o.Collection.Append(rec)
 }
 
 // TestSinkFailureReleasesGrant: the pipeline's root group-by folds into
@@ -276,7 +237,7 @@ func TestSinkFailureReleasesGrant(t *testing.T) {
 			}
 			base := runtime.NumGoroutine()
 			boom := errors.New("device full")
-			_, err = q.RunCtx(context.Background(), &refusingOutput{Collection: out, n: 50, err: boom})
+			_, err = q.RunCtx(context.Background(), &testkit.FailAfter{Collection: out, N: 50, Err: boom})
 			if !errors.Is(err, boom) {
 				t.Fatalf("err = %v, want the output's error", err)
 			}
@@ -286,23 +247,8 @@ func TestSinkFailureReleasesGrant(t *testing.T) {
 			if inUse := sys.MemoryInUse(); inUse != 0 {
 				t.Errorf("%d B still granted after the failed run", inUse)
 			}
-			waitGoroutineBaseline(t, base)
+			testkit.WaitGoroutines(t, base)
 		})
-	}
-}
-
-func waitGoroutineBaseline(t *testing.T, base int) {
-	t.Helper()
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		runtime.GC()
-		if runtime.NumGoroutine() <= base {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutine leak: %d live, baseline %d", runtime.NumGoroutine(), base)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -625,5 +571,5 @@ func TestSessionTenantBurstAdmitsOthersFairly(t *testing.T) {
 	if live != 0 {
 		t.Fatalf("%d temporaries live after the cursors closed", live)
 	}
-	waitGoroutineBaseline(t, base)
+	testkit.WaitGoroutines(t, base)
 }

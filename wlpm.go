@@ -149,7 +149,9 @@ type sysConfig struct {
 	memoryBudget  int64
 }
 
-// WithCapacity sets the device size in bytes (default 256 MiB).
+// WithCapacity sets the device size in bytes (default 256 MiB). The whole
+// capacity is allocated and zeroed when the System is built, so host time
+// and memory grow with it, whatever the tables hold.
 func WithCapacity(bytes int64) Option { return func(c *sysConfig) { c.capacity = bytes } }
 
 // WithBackend selects the persistence layer: "blocked" (default),

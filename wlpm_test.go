@@ -12,7 +12,7 @@ import (
 
 func newSystem(t *testing.T, opts ...wlpm.Option) *wlpm.System {
 	t.Helper()
-	sys, err := wlpm.New(append([]wlpm.Option{wlpm.WithCapacity(128 << 20)}, opts...)...)
+	sys, err := wlpm.New(append([]wlpm.Option{wlpm.WithCapacity(32 << 20)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
