@@ -55,6 +55,13 @@ const (
 	microDim     = 2_000
 	microFact    = 20_000
 	microMemFrac = 0.05
+
+	// microCapacity is each micro-benchmark System's device. A device
+	// zeroes its whole capacity when it opens, once per iteration here,
+	// so it is sized to the data: a 20 000-record input, its output and
+	// the sort's runs, or the join's 22 000 inputs, 160-byte output and
+	// partitions, on any backend.
+	microCapacity = 16 << 20
 )
 
 func benchSort(b *testing.B, a wlpm.SortAlgorithm, backend string) {
@@ -62,7 +69,7 @@ func benchSort(b *testing.B, a wlpm.SortAlgorithm, backend string) {
 	var totalWrites uint64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		sys, err := wlpm.New(wlpm.WithCapacity(256<<20), wlpm.WithBackend(backend))
+		sys, err := wlpm.New(wlpm.WithCapacity(microCapacity), wlpm.WithBackend(backend))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -111,7 +118,7 @@ func benchJoin(b *testing.B, a wlpm.JoinAlgorithm, backend string) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		sys, err := wlpm.New(wlpm.WithCapacity(256<<20), wlpm.WithBackend(backend))
+		sys, err := wlpm.New(wlpm.WithCapacity(microCapacity), wlpm.WithBackend(backend))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -161,7 +168,7 @@ func BenchmarkAblationBlockSize(b *testing.B) {
 		bs := bs
 		b.Run(fmt.Sprintf("%dB", bs), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sys, err := wlpm.New(wlpm.WithCapacity(256<<20), wlpm.WithBlockSize(bs))
+				sys, err := wlpm.New(wlpm.WithCapacity(microCapacity), wlpm.WithBlockSize(bs))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -194,7 +201,7 @@ func BenchmarkAblationLambda(b *testing.B) {
 		w := w
 		b.Run(fmt.Sprintf("w%dns", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sys, err := wlpm.New(wlpm.WithCapacity(256<<20),
+				sys, err := wlpm.New(wlpm.WithCapacity(microCapacity),
 					wlpm.WithLatencies(10*time.Nanosecond, time.Duration(w)*time.Nanosecond))
 				if err != nil {
 					b.Fatal(err)
@@ -241,7 +248,7 @@ func BenchmarkAblationEnergy(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			var energy float64
 			for i := 0; i < b.N; i++ {
-				sys, err := wlpm.New(wlpm.WithCapacity(256 << 20))
+				sys, err := wlpm.New(wlpm.WithCapacity(microCapacity))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -277,7 +284,7 @@ func BenchmarkAblationRunFormation(b *testing.B) {
 		memFrac := memFrac
 		b.Run(fmt.Sprintf("mem%.0f%%", memFrac*100), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sys, err := wlpm.New(wlpm.WithCapacity(256 << 20))
+				sys, err := wlpm.New(wlpm.WithCapacity(microCapacity))
 				if err != nil {
 					b.Fatal(err)
 				}

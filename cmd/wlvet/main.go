@@ -1,16 +1,15 @@
 // wlvet runs the engine's static-analysis suite (internal/analysis):
-// the wave-1 resource contracts (cancellation polling, temp-sweep
-// hygiene, grant release, batch ownership, context threading) and the
-// wave-2 concurrency contracts (lock ordering, blocking under locks,
-// goroutine lifecycle, field synchronization).
+// the contracts no test catches a breach of — temp sweeps on error
+// paths, grant and cursor release, context threading, and field
+// synchronization.
 //
 //	wlvet ./...            # exit 1 on any diagnostic
 //	wlvet -json ./...      # machine-readable findings + allow audit
 //
 // It has one driver, internal/analysis/driver — the one the analyzers'
-// golden tests (analyzertest) run on — which analyzes the module's
-// packages in one sequential, in-process pass, dependencies first. It
-// is not a go vet plugin.
+// golden tests (analyzertest) run on — which analyzes the matched
+// packages in one sequential, in-process pass. It is not a go vet
+// plugin.
 package main
 
 import (
@@ -63,18 +62,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "wlvet:", err)
 		os.Exit(2)
 	}
-	// Dependencies are analyzed only for their facts: audit the allows
-	// of the reported packages alone, as their diagnostics are.
-	reported := make(map[string]bool)
-	for _, path := range res.Reported {
-		reported[path] = true
-	}
-	var allowed []wlvet.AllowEntry
-	for _, a := range wlvet.TakeAllowLog() {
-		if reported[a.Pkg] {
-			allowed = append(allowed, a)
-		}
-	}
+	allowed := wlvet.TakeAllowLog()
 
 	if *jsonOut {
 		rep := jsonReport{
@@ -107,8 +95,8 @@ func main() {
 		}
 	}
 
-	fmt.Fprintf(os.Stderr, "wlvet: %d package(s) analyzed (%d total incl. deps) in %v\n",
-		len(res.Reported), res.Packages, res.Elapsed.Round(time.Millisecond))
+	fmt.Fprintf(os.Stderr, "wlvet: %d package(s) analyzed in %v\n",
+		len(res.Reported), res.Elapsed.Round(time.Millisecond))
 	if n := len(res.Diags); n > 0 {
 		fmt.Fprintf(os.Stderr, "wlvet: %d invariant violation(s)\n", n)
 		os.Exit(1)

@@ -64,6 +64,9 @@ var guards = []guard{
 		pattern: `encoding/gob|objectpath|sync\.(Cond|Mutex|RWMutex|WaitGroup)|go func`, scope: []string{"internal/analysis/driver"}},
 	{name: "one analysis pass (no vet-plugin-only vendoring)",
 		pattern: `objectpath|typesinternal|internal/stdlib|internal/versions`, scope: []string{"vendor/modules.txt"}},
+	{name: "one gate per contract (no analyzer regrown for a contract the tests hold, no analysis facts, no vendored typeutil)",
+		pattern: `"(ctxpoll|batchown|lockorder|lockblock|gospawn)"|FactTypes|ExportObjectFact|go/types/typeutil`,
+		scope:   []string{"internal/analysis", "cmd/wlvet", "vendor/modules.txt"}},
 	{name: "one kernel tree (no binary-heap sift regrown in Keyed)",
 		pattern: `func \(h \*Keyed\) (up|down)\(`, scope: []string{"internal/xheap"}},
 	{name: "one admission queue (no fairness gate beside the broker)",

@@ -25,7 +25,7 @@ var allowRe = regexp.MustCompile(`^//lint:allow\s+wlvet/([A-Za-z0-9_]+)(?:\s+(.*
 // Generated files are skipped entirely — the suite does not police
 // them, so it neither honors nor complains about their comments.
 type suppressor struct {
-	name  string                    // analyzer short name, e.g. "ctxpoll"
+	name  string                    // analyzer short name, e.g. "ctxparam"
 	lines map[string]map[int]string // filename → line → reason
 	spans []allowSpan
 }
@@ -106,7 +106,6 @@ func (s *suppressor) reportf(pass *analysis.Pass, pos token.Pos, format string, 
 // reason the site's //lint:allow comment gave. `wlvet -json` emits
 // these alongside live diagnostics so suppressions stay auditable.
 type AllowEntry struct {
-	Pkg      string // import path of the analyzed package
 	Pos      token.Position
 	Analyzer string
 	Reason   string
@@ -121,7 +120,6 @@ func logSuppression(pass *analysis.Pass, pos token.Pos, analyzer, reason string)
 	allowLog.Lock()
 	defer allowLog.Unlock()
 	allowLog.entries = append(allowLog.entries, AllowEntry{
-		Pkg:      pass.Pkg.Path(),
 		Pos:      pass.Fset.Position(pos),
 		Analyzer: analyzer,
 		Reason:   reason,

@@ -1,9 +1,11 @@
 // Package wlvet is the engine's static-analysis suite: go/analysis
-// analyzers that machine-check the unwritten contracts PRs 4–7
-// introduced — cancellation polling in record loops, temp hygiene on
-// error paths, broker-grant release discipline, batch ownership, and
-// context threading. The cmd/wlvet binary runs them (`wlvet ./...`)
-// on internal/analysis/driver; CI fails on any diagnostic.
+// analyzers that machine-check the unwritten contracts no test catches
+// a breach of — temp sweeps on error paths, grant and cursor release,
+// context threading, and field synchronization. The cmd/wlvet binary
+// runs them (`wlvet ./...`) on internal/analysis/driver; CI fails on
+// any diagnostic. The contracts whose breaches the leak, cancel and
+// identity tests catch (cancellation polling, batch ownership, lock
+// order, blocking under a lock, goroutine lifecycle) have no analyzer.
 //
 // Legitimate exceptions are annotated in source with
 //
@@ -49,20 +51,13 @@ func fileOf(pass *analysis.Pass, pos token.Pos) *ast.File {
 	return nil
 }
 
-// All returns the full wlvet suite in reporting order. Wave 1 (PR 8)
-// covers the resource contracts; wave 2 adds the concurrency
-// contracts: lock ordering, blocking under locks, goroutine lifecycle,
-// and field synchronization.
+// All returns the full wlvet suite in reporting order: the resource
+// contracts, then field synchronization.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		CtxPoll,
 		TempSweep,
 		GrantRelease,
-		BatchOwn,
 		CtxParam,
-		LockOrder,
-		LockBlock,
-		GoSpawn,
 		SyncField,
 	}
 }

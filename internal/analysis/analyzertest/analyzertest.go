@@ -153,35 +153,18 @@ func wantsOf(t *testing.T, fset *token.FileSet, files []*ast.File) []*want {
 	return wants
 }
 
-// analyzeWithDeps runs the analyzer over path after analyzing every
-// testdata dependency (report-off, depth-first), so analysis facts
-// flow across fixture package boundaries exactly as they do in the
-// real driver. done memoizes which paths already contributed facts to
-// the shared map.
-func analyzeWithDeps(t *testing.T, l *loader, facts driver.Facts, a *analysis.Analyzer, path string, done map[string]bool) []driver.Diagnostic {
+// analyze runs the analyzer over the testdata package at path.
+func analyze(t *testing.T, l *loader, a *analysis.Analyzer, path string) []driver.Diagnostic {
 	t.Helper()
 	p, err := l.load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var visit func(path string, p *loadedPackage, report bool) []driver.Diagnostic
-	visit = func(path string, p *loadedPackage, report bool) []driver.Diagnostic {
-		for _, imp := range p.pkg.Imports() {
-			if dep, ok := l.loaded[imp.Path()]; ok && !done[imp.Path()] {
-				visit(imp.Path(), dep, false)
-			}
-		}
-		if done[path] && !report {
-			return nil
-		}
-		done[path] = true
-		diags, err := driver.RunOnPackage(l.fset, p.files, p.pkg, p.info, []*analysis.Analyzer{a}, facts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return diags
+	diags, err := driver.RunOnPackage(l.fset, p.files, p.pkg, p.info, []*analysis.Analyzer{a})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return visit(path, p, true)
+	return diags
 }
 
 // Diagnostics loads one testdata package and returns the analyzer's
@@ -189,8 +172,7 @@ func analyzeWithDeps(t *testing.T, l *loader, facts driver.Facts, a *analysis.An
 // cannot express, like diagnostics reported at comment positions.
 func Diagnostics(t *testing.T, testdata string, a *analysis.Analyzer, path string) []string {
 	t.Helper()
-	l := newLoader(testdata)
-	diags := analyzeWithDeps(t, l, driver.Facts{}, a, path, make(map[string]bool))
+	diags := analyze(t, newLoader(testdata), a, path)
 	msgs := make([]string, len(diags))
 	for i, d := range diags {
 		msgs[i] = d.Message
@@ -200,17 +182,14 @@ func Diagnostics(t *testing.T, testdata string, a *analysis.Analyzer, path strin
 
 // Run applies the analyzer to each testdata package and compares
 // diagnostics against the packages' want annotations. Packages share
-// one loader and one Facts map, so a fixture package may import a
-// sibling and observe its exported facts.
+// one loader, so a fixture package may import a sibling.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, paths ...string) {
 	t.Helper()
 	l := newLoader(testdata)
-	facts := driver.Facts{}
-	done := make(map[string]bool)
 	for _, path := range paths {
 		path := path
 		t.Run(strings.ReplaceAll(path, "/", "_"), func(t *testing.T) {
-			diags := analyzeWithDeps(t, l, facts, a, path, done)
+			diags := analyze(t, l, a, path)
 			p := l.loaded[path]
 			wants := wantsOf(t, l.fset, p.files)
 			sort.SliceStable(wants, func(i, j int) bool {

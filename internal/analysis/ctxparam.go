@@ -3,7 +3,7 @@ package wlvet
 import (
 	"go/ast"
 	"go/token"
-	"strings"
+	"go/types"
 
 	"golang.org/x/tools/go/analysis"
 	"golang.org/x/tools/go/analysis/passes/inspect"
@@ -63,8 +63,7 @@ func runCtxParam(pass *analysis.Pass) (any, error) {
 		if id, ok := sel.X.(*ast.Ident); !ok || id.Name != "context" {
 			return true
 		}
-		fname := pass.Fset.Position(call.Pos()).Filename
-		if strings.HasSuffix(fname, "_test.go") {
+		if exemptPos(pass, call.Pos()) {
 			return true
 		}
 		for _, anc := range stack {
@@ -90,4 +89,8 @@ func isNilGuard(cond ast.Expr) bool {
 		}
 	}
 	return false
+}
+
+func isContextType(t types.Type) bool {
+	return t.String() == "context.Context"
 }

@@ -1,16 +1,11 @@
 // Package driver runs go/analysis analyzers over module packages
 // without golang.org/x/tools/go/packages (not vendored): it shells out
 // to `go list -deps -export -json` for the package list and compiled
-// export data, typechecks every module package from source, and runs
-// the analyzers with their Requires graph.
-//
-// The run is one sequential pass in the order `go list -deps` prints
-// packages, which lists every package after its dependencies. So when a
-// package is analyzed, every module package it imports has already
-// exported its facts into the run's one Facts map, keyed by the very
-// objects the dependent's typechecker resolves (module imports are
-// served from the source-checked packages, not export data).
-// Diagnostics are emitted in import-path order, then position order.
+// export data, typechecks each matched package from source against its
+// dependencies' export data, and runs the analyzers with their Requires
+// graph. The analyzers exchange no facts, so only the matched packages
+// are analyzed, one after another. Diagnostics are emitted in
+// import-path order, then position order.
 package driver
 
 import (
@@ -55,15 +50,12 @@ type Diagnostic struct {
 // the run's shape for the wall-clock report.
 type Result struct {
 	Diags    []Diagnostic
-	Packages int           // packages analyzed (matched + module deps)
-	Reported []string      // import paths of the matched packages, sorted
+	Reported []string      // import paths of the analyzed packages, sorted
 	Elapsed  time.Duration // wall clock of the analysis phase
 }
 
-// Run loads the packages matching patterns, analyzes every module
-// package in the import closure (dependencies first, so facts flow),
-// and returns the diagnostics of the matched ones in import-path and
-// position order.
+// Run loads the packages matching patterns, analyzes each of them and
+// returns the diagnostics in import-path and position order.
 func Run(analyzers []*analysis.Analyzer, patterns []string) (*Result, error) {
 	pkgs, err := goList(patterns)
 	if err != nil {
@@ -77,43 +69,27 @@ func Run(analyzers []*analysis.Analyzer, patterns []string) (*Result, error) {
 	}
 
 	fset := token.NewFileSet()
-	gc := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		f, ok := exports[path]
 		if !ok {
 			return nil, fmt.Errorf("no export data for %q", path)
 		}
 		return os.Open(f)
 	})
-	// Module packages resolve to their source-checked form so facts and
-	// type identities line up; everything else comes from export data.
-	checked := make(map[string]*types.Package)
-	imp := importerFunc(func(path string) (*types.Package, error) {
-		if pkg, ok := checked[path]; ok {
-			return pkg, nil
-		}
-		return gc.Import(path)
-	})
 
-	// Every module package in the closure is analyzed so its facts
-	// exist; only non-DepOnly (pattern-matched) packages report.
-	facts := Facts{}
 	reported := make(map[string][]Diagnostic)
 	res := &Result{}
 	start := time.Now()
 	for _, p := range pkgs {
-		if p.Module == nil || !p.Module.Main || len(p.GoFiles) == 0 {
+		if p.DepOnly || p.Module == nil || !p.Module.Main || len(p.GoFiles) == 0 {
 			continue
 		}
-		diags, pkg, err := analyzePackage(fset, imp, p, analyzers, facts)
+		diags, err := analyzePackage(fset, imp, p, analyzers)
 		if err != nil {
 			return nil, err
 		}
-		checked[p.ImportPath] = pkg
-		res.Packages++
-		if !p.DepOnly {
-			reported[p.ImportPath] = diags
-			res.Reported = append(res.Reported, p.ImportPath)
-		}
+		reported[p.ImportPath] = diags
+		res.Reported = append(res.Reported, p.ImportPath)
 	}
 	res.Elapsed = time.Since(start)
 
@@ -123,10 +99,6 @@ func Run(analyzers []*analysis.Analyzer, patterns []string) (*Result, error) {
 	}
 	return res, nil
 }
-
-type importerFunc func(path string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 func goList(patterns []string) ([]*listPackage, error) {
 	args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Dir,GoFiles,Export,DepOnly,Module", "--"}, patterns...)
@@ -156,12 +128,12 @@ func goList(patterns []string) ([]*listPackage, error) {
 	return pkgs, nil
 }
 
-func analyzePackage(fset *token.FileSet, imp types.Importer, p *listPackage, analyzers []*analysis.Analyzer, facts Facts) ([]Diagnostic, *types.Package, error) {
+func analyzePackage(fset *token.FileSet, imp types.Importer, p *listPackage, analyzers []*analysis.Analyzer) ([]Diagnostic, error) {
 	var files []*ast.File
 	for _, name := range p.GoFiles {
 		f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.ParseComments)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		files = append(files, f)
 	}
@@ -169,10 +141,9 @@ func analyzePackage(fset *token.FileSet, imp types.Importer, p *listPackage, ana
 	conf := types.Config{Importer: imp, Sizes: types.SizesFor("gc", runtime.GOARCH)}
 	pkg, err := conf.Check(p.ImportPath, fset, files, info)
 	if err != nil {
-		return nil, nil, fmt.Errorf("typecheck %s: %v", p.ImportPath, err)
+		return nil, fmt.Errorf("typecheck %s: %v", p.ImportPath, err)
 	}
-	diags, err := RunOnPackage(fset, files, pkg, info, analyzers, facts)
-	return diags, pkg, err
+	return RunOnPackage(fset, files, pkg, info, analyzers)
 }
 
 func newInfo() *types.Info {
@@ -190,9 +161,8 @@ func newInfo() *types.Info {
 // RunOnPackage applies the analyzers (and, transitively, their
 // Requires) to one typechecked package, returning the diagnostics in
 // position order. It is shared by the standalone driver and the
-// analyzertest golden harness. Facts exported here go into facts, where
-// packages analyzed later with the same map import them.
-func RunOnPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*analysis.Analyzer, facts Facts) ([]Diagnostic, error) {
+// analyzertest golden harness.
+func RunOnPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*analysis.Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	results := make(map[*analysis.Analyzer]any)
 	running := make(map[*analysis.Analyzer]bool)
@@ -234,7 +204,6 @@ func RunOnPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, in
 			},
 			ReadFile: os.ReadFile,
 		}
-		facts.bind(pass)
 		res, err := a.Run(pass)
 		if err != nil {
 			return fmt.Errorf("analyzer %s on %s: %v", a.Name, pkg.Path(), err)

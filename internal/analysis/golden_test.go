@@ -7,23 +7,19 @@ import (
 	"wlpm/internal/analysis/analyzertest"
 )
 
-func TestCtxPollGolden(t *testing.T) {
-	analyzertest.Run(t, "testdata/ctxpoll", CtxPoll, "internal/sorts", "plain")
-}
-
-// TestCtxPollAllowNeedsReason: a reason-less allow comment is itself
+// TestAllowNeedsReason: a reason-less allow comment is itself
 // diagnosed and suppresses nothing. Checked through raw diagnostics —
 // a want comment cannot annotate another comment's line.
-func TestCtxPollAllowNeedsReason(t *testing.T) {
-	msgs := analyzertest.Diagnostics(t, "testdata/ctxpoll", CtxPoll, "internal/sorts/badallow")
+func TestAllowNeedsReason(t *testing.T) {
+	msgs := analyzertest.Diagnostics(t, "testdata/ctxparam", CtxParam, "badallow")
 	if len(msgs) != 2 {
-		t.Fatalf("got %d diagnostics %q, want 2 (the reason-less allow and the unsuppressed loop)", len(msgs), msgs)
+		t.Fatalf("got %d diagnostics %q, want 2 (the reason-less allow and the unsuppressed root context)", len(msgs), msgs)
 	}
 	if !strings.Contains(msgs[0], "needs a reason") {
 		t.Errorf("first diagnostic = %q, want the needs-a-reason complaint", msgs[0])
 	}
-	if !strings.Contains(msgs[1], "no cancellation probe") {
-		t.Errorf("second diagnostic = %q, want the loop diagnostic (allow must not suppress)", msgs[1])
+	if !strings.Contains(msgs[1], "must not mint context.Background") {
+		t.Errorf("second diagnostic = %q, want the root-context diagnostic (allow must not suppress)", msgs[1])
 	}
 }
 
@@ -35,24 +31,8 @@ func TestGrantReleaseGolden(t *testing.T) {
 	analyzertest.Run(t, "testdata/grantrelease", GrantRelease, "grantrelease")
 }
 
-func TestBatchOwnGolden(t *testing.T) {
-	analyzertest.Run(t, "testdata/batchown", BatchOwn, "fakeexec")
-}
-
 func TestCtxParamGolden(t *testing.T) {
 	analyzertest.Run(t, "testdata/ctxparam", CtxParam, "ctxparam", "mainpkg")
-}
-
-func TestLockOrderGolden(t *testing.T) {
-	analyzertest.Run(t, "testdata/lockorder", LockOrder, "lockorder")
-}
-
-func TestLockBlockGolden(t *testing.T) {
-	analyzertest.Run(t, "testdata/lockblock", LockBlock, "lockblock")
-}
-
-func TestGoSpawnGolden(t *testing.T) {
-	analyzertest.Run(t, "testdata/gospawn", GoSpawn, "gospawn", "gospawnmain")
 }
 
 func TestSyncFieldGolden(t *testing.T) {
@@ -60,10 +40,10 @@ func TestSyncFieldGolden(t *testing.T) {
 }
 
 // TestGeneratedFilesSkipped: generated files are invisible to both the
-// analyzers and the allow auditor — the probe-less loop and the
+// analyzers and the allow auditor — the root context and the
 // reason-less allow in the generated fixture draw no diagnostics.
 func TestGeneratedFilesSkipped(t *testing.T) {
-	msgs := analyzertest.Diagnostics(t, "testdata/ctxpoll", CtxPoll, "internal/sorts/generated")
+	msgs := analyzertest.Diagnostics(t, "testdata/ctxparam", CtxParam, "generated")
 	if len(msgs) != 0 {
 		t.Fatalf("got %d diagnostics %q from a generated file, want 0", len(msgs), msgs)
 	}

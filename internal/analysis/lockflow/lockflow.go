@@ -1,5 +1,5 @@
 // Package lockflow computes must-hold mutex locksets over function
-// bodies for the wlvet wave-2 concurrency analyzers. It builds the
+// bodies for the wlvet syncfield analyzer. It builds the
 // control-flow graph of one function unit (via the vendored
 // golang.org/x/tools/go/cfg) and runs a forward dataflow: a mutex
 // enters the set at a Lock/RLock call, leaves it at Unlock/RUnlock,
@@ -11,16 +11,13 @@
 // Mutex identity is type-shaped, not instance-shaped: b.mu.Lock() on
 // any *broker.Broker contributes the one key
 // "wlpm/internal/broker.Broker.mu". That is the right granularity for
-// lock-order graphs (a hierarchy is a property of the code, not of the
-// heap) and for guarded-field checks, at the price of conflating
-// distinct instances of one type — acceptable while the engine never
-// nests two locks of the same type.
+// guarded-field checks, at the price of conflating distinct instances
+// of one type — acceptable while the engine never nests two locks of
+// the same type.
 //
 // Function literals are separate units with empty entry locksets, the
-// same unit boundary the wave-1 analyzers use: a goroutine or callback
-// does not inherit its creator's locks (it runs later), and creators
-// that call a literal inline under a lock are rare enough to accept
-// the missed edge.
+// same unit boundary the other analyzers use: a goroutine or callback
+// does not inherit its creator's locks (it runs later).
 package lockflow
 
 import (
@@ -35,11 +32,8 @@ import (
 
 // Lock is one mutex in a lockset.
 type Lock struct {
-	Key      string    // stable identity, e.g. "wlpm/internal/broker.Broker.mu"
-	Name     string    // display form, e.g. "Broker.mu"
-	Pos      token.Pos // acquisition site within the analyzed unit
-	Read     bool      // acquired via RLock
-	Deferred bool      // its release is deferred: held to every exit
+	Key      string // stable identity, e.g. "wlpm/internal/broker.Broker.mu"
+	Deferred bool   // its release is deferred: held to every exit
 }
 
 // OpKind classifies a mutex method call.
@@ -56,22 +50,13 @@ const (
 type Op struct {
 	Kind OpKind
 	Key  string
-	Name string
 }
 
-// Site is one program point of interest with the locks held on entry
-// to it. Sites are emitted for calls, channel sends and receives, go
-// statements, and struct field accesses; positions inside defer
-// statements and nested function literals are not emitted (defers run
-// at return, literals are units of their own).
-type Site struct {
-	Node ast.Node
-	Held []Lock
-}
-
-// Flow is the lockset analysis of one function unit.
+// Flow is the lockset analysis of one function unit: the locks held
+// on entry to each of its nodes. Nodes inside defer statements and
+// nested function literals are not covered (defers run at return,
+// literals are units of their own).
 type Flow struct {
-	Sites []Site
 	spans []heldSpan
 }
 
@@ -117,7 +102,7 @@ func Analyze(pass *analysis.Pass, body *ast.BlockStmt) *Flow {
 	for len(work) > 0 {
 		b := work[len(work)-1]
 		work = work[:len(work)-1]
-		out := f.scan(pass, b, in[b.Index], nil)
+		out := f.scan(pass, b, in[b.Index], false)
 		for _, s := range b.Succs {
 			if !defined[s.Index] {
 				defined[s.Index] = true
@@ -130,31 +115,31 @@ func Analyze(pass *analysis.Pass, body *ast.BlockStmt) *Flow {
 		}
 	}
 
-	// Emission pass over the stabilized entry sets.
+	// Record the held sets over the stabilized entry sets.
 	for _, b := range g.Blocks {
 		if !defined[b.Index] {
 			continue // unreachable
 		}
-		f.scan(pass, b, in[b.Index], func(s Site) { f.Sites = append(f.Sites, s) })
+		f.scan(pass, b, in[b.Index], true)
 	}
 	return f
 }
 
 // scan walks one block's nodes in order, applying mutex effects to a
-// copy of entry and emitting sites (when emit is non-nil). It returns
-// the block's exit set.
-func (f *Flow) scan(pass *analysis.Pass, b *cfg.Block, entry []Lock, emit func(Site)) []Lock {
+// copy of entry and, when record is set, noting the set held on entry
+// to each node. It returns the block's exit set.
+func (f *Flow) scan(pass *analysis.Pass, b *cfg.Block, entry []Lock, record bool) []Lock {
 	set := cloneSet(entry)
 	for _, n := range b.Nodes {
-		if emit != nil {
+		if record {
 			f.spans = append(f.spans, heldSpan{n.Pos(), n.End(), cloneSet(set)})
 		}
-		set = f.scanNode(pass, n, set, emit)
+		set = scanNode(pass, n, set)
 	}
 	return set
 }
 
-func (f *Flow) scanNode(pass *analysis.Pass, n ast.Node, set []Lock, emit func(Site)) []Lock {
+func scanNode(pass *analysis.Pass, n ast.Node, set []Lock) []Lock {
 	ast.Inspect(n, func(m ast.Node) bool {
 		switch m := m.(type) {
 		case *ast.FuncLit:
@@ -165,25 +150,8 @@ func (f *Flow) scanNode(pass *analysis.Pass, n ast.Node, set []Lock, emit func(S
 			set = applyDeferred(pass, m.Call, set)
 			return false
 		case *ast.CallExpr:
-			if emit != nil {
-				emit(Site{Node: m, Held: cloneSet(set)})
-			}
 			if op, ok := MutexOp(pass, m); ok {
-				set = applyOp(op, m.Pos(), set)
-			}
-		case *ast.SendStmt, *ast.GoStmt:
-			if emit != nil {
-				emit(Site{Node: m, Held: cloneSet(set)})
-			}
-		case *ast.UnaryExpr:
-			if m.Op == token.ARROW && emit != nil {
-				emit(Site{Node: m, Held: cloneSet(set)})
-			}
-		case *ast.SelectorExpr:
-			if emit != nil {
-				if sel := pass.TypesInfo.Selections[m]; sel != nil && sel.Kind() == types.FieldVal {
-					emit(Site{Node: m, Held: cloneSet(set)})
-				}
+				set = applyOp(op, set)
 			}
 		}
 		return true
@@ -223,7 +191,7 @@ func applyDeferred(pass *analysis.Pass, call *ast.CallExpr, set []Lock) []Lock {
 	return set
 }
 
-func applyOp(op Op, pos token.Pos, set []Lock) []Lock {
+func applyOp(op Op, set []Lock) []Lock {
 	switch op.Kind {
 	case OpLock, OpRLock:
 		for _, l := range set {
@@ -232,7 +200,7 @@ func applyOp(op Op, pos token.Pos, set []Lock) []Lock {
 			}
 		}
 		out := cloneSet(set)
-		return append(out, Lock{Key: op.Key, Name: op.Name, Pos: pos, Read: op.Kind == OpRLock})
+		return append(out, Lock{Key: op.Key})
 	case OpUnlock, OpRUnlock:
 		out := set[:0:0]
 		for _, l := range set {
@@ -311,25 +279,25 @@ func MutexOp(pass *analysis.Pass, call *ast.CallExpr) (Op, bool) {
 	if sel := pass.TypesInfo.Selections[fun]; sel != nil && sel.Kind() == types.MethodVal {
 		recv := derefType(sel.Recv())
 		if !isSyncMutex(recv) {
-			key, name, ok := embeddedMutexKey(recv, sel.Index())
+			key, ok := embeddedMutexKey(recv, sel.Index())
 			if !ok {
 				return Op{}, false
 			}
-			return Op{Kind: kind, Key: key, Name: name}, true
+			return Op{Kind: kind, Key: key}, true
 		}
 	}
-	key, name, ok := KeyOf(pass, fun.X)
+	key, ok := KeyOf(pass, fun.X)
 	if !ok {
 		return Op{}, false
 	}
-	return Op{Kind: kind, Key: key, Name: name}, true
+	return Op{Kind: kind, Key: key}, true
 }
 
 // KeyOf resolves a mutex-valued expression to its identity key: the
 // owning struct type plus field name for field mutexes, the package
 // path plus variable name for package-level mutexes, and a
 // position-qualified name for locals (which never cross packages).
-func KeyOf(pass *analysis.Pass, expr ast.Expr) (key, name string, ok bool) {
+func KeyOf(pass *analysis.Pass, expr ast.Expr) (key string, ok bool) {
 	switch e := expr.(type) {
 	case *ast.ParenExpr:
 		return KeyOf(pass, e.X)
@@ -341,13 +309,12 @@ func KeyOf(pass *analysis.Pass, expr ast.Expr) (key, name string, ok bool) {
 		if sel := pass.TypesInfo.Selections[e]; sel != nil && sel.Kind() == types.FieldVal {
 			field := sel.Obj()
 			if named, ok := derefType(sel.Recv()).(*types.Named); ok {
-				return FieldKey(named.Obj().Pkg().Path(), named.Obj().Name(), field.Name()),
-					named.Obj().Name() + "." + field.Name(), true
+				return FieldKey(named.Obj().Pkg().Path(), named.Obj().Name(), field.Name()), true
 			}
 			if field.Pkg() != nil {
-				return FieldKey(field.Pkg().Path(), "<anon>", field.Name()), field.Name(), true
+				return FieldKey(field.Pkg().Path(), "<anon>", field.Name()), true
 			}
-			return "", "", false
+			return "", false
 		}
 		// Qualified package-level var: pkg.Mu.
 		if v, ok := pass.TypesInfo.Uses[e.Sel].(*types.Var); ok {
@@ -362,18 +329,18 @@ func KeyOf(pass *analysis.Pass, expr ast.Expr) (key, name string, ok bool) {
 			return keyOfVar(v)
 		}
 	}
-	return "", "", false
+	return "", false
 }
 
-func keyOfVar(v *types.Var) (key, name string, ok bool) {
+func keyOfVar(v *types.Var) (key string, ok bool) {
 	if v.Pkg() == nil {
-		return "", "", false
+		return "", false
 	}
 	if v.Parent() == v.Pkg().Scope() {
-		return v.Pkg().Path() + "." + v.Name(), v.Name(), true
+		return v.Pkg().Path() + "." + v.Name(), true
 	}
-	// Local mutex: position-qualified, never exported across packages.
-	return fmt.Sprintf("%s.%s@%d", v.Pkg().Path(), v.Name(), v.Pos()), v.Name(), true
+	// Local mutex: position-qualified, distinct from every other.
+	return fmt.Sprintf("%s.%s@%d", v.Pkg().Path(), v.Name(), v.Pos()), true
 }
 
 // FieldKey is the canonical identity of a struct-field mutex; the
@@ -385,27 +352,26 @@ func FieldKey(pkgPath, typeName, fieldName string) string {
 
 // embeddedMutexKey resolves x.Lock() through the selection index path
 // to the embedded sync.Mutex field.
-func embeddedMutexKey(recv types.Type, index []int) (key, name string, ok bool) {
+func embeddedMutexKey(recv types.Type, index []int) (key string, ok bool) {
 	named, ok := derefType(recv).(*types.Named)
 	if !ok {
-		return "", "", false
+		return "", false
 	}
 	t := derefType(recv)
 	var fieldName string
 	for _, idx := range index[:len(index)-1] {
 		st, ok := t.Underlying().(*types.Struct)
 		if !ok || idx >= st.NumFields() {
-			return "", "", false
+			return "", false
 		}
 		f := st.Field(idx)
 		fieldName = f.Name()
 		t = derefType(f.Type())
 	}
 	if fieldName == "" {
-		return "", "", false
+		return "", false
 	}
-	return FieldKey(named.Obj().Pkg().Path(), named.Obj().Name(), fieldName),
-		named.Obj().Name() + "." + fieldName, true
+	return FieldKey(named.Obj().Pkg().Path(), named.Obj().Name(), fieldName), true
 }
 
 // StructMutex returns the mutex fields of a struct type (declared or

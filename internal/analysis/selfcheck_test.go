@@ -37,8 +37,8 @@ func TestWlvetSelfCheck(t *testing.T) {
 }
 
 // TestWlvetAllowAuditScope: the -json allow audit covers the reported
-// packages only. internal/server imports internal/exec, whose batchown
-// allows are analyzed for facts but belong to another package.
+// packages only — internal/server's two ctxparam allows, none of its
+// dependencies'.
 func TestWlvetAllowAuditScope(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs cmd/wlvet")

@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/types/typeutil"
 
 	"wlpm/internal/analysis/lockflow"
 )
@@ -219,6 +218,16 @@ func runSyncField(pass *analysis.Pass) (any, error) {
 					if sel, ok := unwrapSelector(n.X); ok {
 						writes[sel] = true
 					}
+				case *ast.CallExpr:
+					// delete(x.f, k) and clear(x.f) write the field's map
+					// (or slice) as surely as x.f[k] = v does.
+					if id, ok := n.Fun.(*ast.Ident); ok && (id.Name == "delete" || id.Name == "clear") && len(n.Args) > 0 {
+						if _, builtin := pass.TypesInfo.Uses[id].(*types.Builtin); builtin {
+							if sel, ok := unwrapSelector(n.Args[0]); ok {
+								writes[sel] = true
+							}
+						}
+					}
 				case *ast.UnaryExpr:
 					if n.Op == token.AND {
 						if sel, ok := unwrapSelector(n.X); ok {
@@ -257,7 +266,7 @@ func runSyncField(pass *analysis.Pass) (any, error) {
 						write:   writes[n],
 					})
 				case *ast.CallExpr:
-					fn, ok := typeutil.Callee(pass.TypesInfo, n).(*types.Func)
+					fn, ok := calleeFunc(pass, n)
 					if !ok {
 						return true
 					}
@@ -316,14 +325,16 @@ func runSyncField(pass *analysis.Pass) (any, error) {
 	return nil, nil
 }
 
-// unwrapSelector strips parens and stars off an lvalue and returns the
-// field selector underneath, if any.
+// unwrapSelector strips parens, stars and indexing off an lvalue and
+// returns the field selector underneath, if any: x.f[k] = v writes x.f.
 func unwrapSelector(e ast.Expr) (*ast.SelectorExpr, bool) {
 	for {
 		switch x := e.(type) {
 		case *ast.ParenExpr:
 			e = x.X
 		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
 			e = x.X
 		case *ast.SelectorExpr:
 			return x, true
@@ -367,4 +378,30 @@ func isAtomicType(t types.Type) bool {
 		return false
 	}
 	return named.Obj().Pkg().Path() == "sync/atomic"
+}
+
+// calleeFunc returns the function or method a call statically names —
+// through parens and an explicit instantiation — or false for calls of
+// func values, conversions and builtins.
+func calleeFunc(pass *analysis.Pass, call *ast.CallExpr) (*types.Func, bool) {
+	fun := ast.Unparen(call.Fun)
+	switch x := fun.(type) {
+	case *ast.IndexExpr:
+		fun = x.X
+	case *ast.IndexListExpr:
+		fun = x.X
+	}
+	var obj types.Object
+	switch x := ast.Unparen(fun).(type) {
+	case *ast.Ident:
+		obj = pass.TypesInfo.Uses[x]
+	case *ast.SelectorExpr:
+		if sel, ok := pass.TypesInfo.Selections[x]; ok {
+			obj = sel.Obj()
+		} else {
+			obj = pass.TypesInfo.Uses[x.Sel]
+		}
+	}
+	fn, ok := obj.(*types.Func)
+	return fn, ok
 }

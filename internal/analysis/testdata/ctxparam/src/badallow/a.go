@@ -4,15 +4,9 @@
 // annotate another comment line).
 package badallow
 
-type iter struct{}
+import "context"
 
-func (iter) Next() ([]byte, error) { return nil, nil }
-
-func badAllow(it iter) error {
-	//lint:allow wlvet/ctxpoll
-	for {
-		if _, err := it.Next(); err != nil {
-			return err
-		}
-	}
+func mint() context.Context {
+	//lint:allow wlvet/ctxparam
+	return context.Background()
 }

@@ -140,3 +140,31 @@ func (q *quota) estimate() int {
 	//lint:allow wlvet/syncfield fixture: racy read is documented as an estimate, staleness is acceptable
 	return q.left
 }
+
+// A map written only through index assignments and delete is written
+// all the same: a bare read of it races with the guarded writers.
+type registry struct {
+	mu    sync.Mutex
+	byKey map[string]int
+	gone  map[string]bool
+}
+
+func (r *registry) put(k string, v int) {
+	r.mu.Lock()
+	r.byKey[k] = v
+	r.mu.Unlock()
+}
+
+func (r *registry) get(k string) int {
+	return r.byKey[k] // want "registry.byKey is guarded by registry.mu"
+}
+
+func (r *registry) forget(k string) {
+	r.mu.Lock()
+	delete(r.gone, k)
+	r.mu.Unlock()
+}
+
+func (r *registry) wasForgotten(k string) bool {
+	return r.gone[k] // want "registry.gone is guarded by registry.mu"
+}

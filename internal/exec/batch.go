@@ -231,7 +231,7 @@ func (c *Cursor) Next(ctx context.Context) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		//lint:allow wlvet/batchown cursor contract: the held batch is valid until the next Next call, which replaces it before pulling again
+		// The held batch is valid until the next pull, which replaces it.
 		c.b, c.i = b, 0
 	}
 	rec := c.b.Recs[c.i]

@@ -251,6 +251,17 @@ var batchCancelCases = []struct {
 			},
 		},
 	},
+	{
+		// A filter that passes nothing: one pull of the stream loops over
+		// every child batch, so only the stream's own probe sees a cancel.
+		name: "stream-reject-batch7", batchSize: 7,
+		plan: cancelPlanCase{
+			name: "stream-reject",
+			plan: func(t *testing.T, r *rig) *Plan {
+				return Table(loadRows(t, r)).Filter(Predicate{Attr: 1, Op: Lt, Value: 0})
+			},
+		},
+	},
 	{name: "sort-batch1024", batchSize: DefaultBatchSize, plan: cancelPlans[0]},
 	{name: "join-batch1024", batchSize: DefaultBatchSize, plan: cancelPlans[1]},
 	{name: "spill-batch7", batchSize: 7, plan: cancelPlans[2]},

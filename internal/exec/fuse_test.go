@@ -16,7 +16,7 @@ import (
 // The fused filter view walks arbitrarily many base records per call —
 // its count pass scans the whole base and a selective predicate makes a
 // single iterator Next unbounded — so both loops must poll the run's
-// context like any kernel loop (the wlvet/ctxpoll contract).
+// context like any kernel loop (INVARIANTS.md, cancellation polling).
 
 // fuseFilter opens a Filter-over-Table plan and fuses it under ctx.
 func fuseFilter(t *testing.T, ctx context.Context, n int, pred Predicate) (*chainView, func()) {

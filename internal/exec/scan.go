@@ -207,7 +207,7 @@ func (s *Stream) Next(ctx context.Context) (*Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		//lint:allow wlvet/batchown PR 6 aliasing license: a non-projecting chain's selection vector is rebuilt from the child's fresh batch before every emit and never outlives it
+		// A view of the child's batch, rebuilt on every pull.
 		s.out.Recs = s.win.run(cb.Recs)
 		if len(s.out.Recs) == 0 {
 			continue
@@ -272,7 +272,7 @@ func (l *Limit) Next(ctx context.Context) (*Batch, error) {
 		k = rest
 	}
 	l.seen += k
-	//lint:allow wlvet/batchown PR 6 aliasing license: the truncated view is re-sliced from the child's fresh batch on every call and handed out under the same validity window
+	// A view of the child's batch, re-sliced on every pull.
 	l.out.Recs = cb.Recs[:k]
 	return &l.out, nil
 }

@@ -47,7 +47,7 @@ var storedShapes = []struct {
 	{"materialize", "mat", bgBudget, CompileOptions{MaterializeEveryStep: true}, foldAny, func(t *testing.T, r *rig) *Plan {
 		return Table(loadRows(t, r)).Filter(batchPred)
 	}},
-	{"hashagg-spill", "run", 16 << 10, CompileOptions{}, foldEvict, func(t *testing.T, r *rig) *Plan {
+	{"fold-evict", "run", 16 << 10, CompileOptions{}, foldEvict, func(t *testing.T, r *rig) *Plan {
 		// 50 hinted groups fit the fold's 204 slots, 1000 real ones do not:
 		// the intake evicts to runs, and the limit pulls their final merge,
 		// which no temp stands between — a fill fails in a run, a consumer

@@ -67,8 +67,8 @@ func (m *metricsRegistry) tenant(name string) *tenantCounters {
 // queues and the configured weights. Both inputs are plain data
 // computed before the call: running a caller-supplied callback under
 // m.mu would hide a lock edge (metricsRegistry.mu → whatever the
-// callback takes) behind an indirect call, where wlvet/lockorder
-// cannot prove it acyclic.
+// callback takes) behind an indirect call, where no reader can check
+// it against the lock hierarchy (INVARIANTS.md).
 func (m *metricsRegistry) snapshot(queues map[string]broker.Queue, weights map[string]int) map[string]TenantMetrics {
 	m.mu.Lock()
 	names := make([]string, 0, len(m.tenants))

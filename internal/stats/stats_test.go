@@ -1,8 +1,10 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"testing"
 
 	"wlpm/internal/pmem"
@@ -226,6 +228,61 @@ func TestCacheLifecycle(t *testing.T) {
 	if manual.TableStats(c) == nil {
 		t.Error("explicit Collect did not populate the cache")
 	}
+}
+
+// TestStatsCacheConcurrent: one Cache is shared by every session of a
+// System, so its lookups, collections and invalidations interleave.
+// Each method runs in a goroutine of its own, so under -race nothing
+// but that method's own locking orders its map accesses against the
+// others'.
+func TestStatsCacheConcurrent(t *testing.T) {
+	const rounds = 50
+	dev := pmem.MustOpen(pmem.Config{Capacity: 1 << 20})
+	fac := blocked.New(dev, 0)
+	var colls []storage.Collection
+	for i := 0; i < 2; i++ {
+		c, err := fac.Create(fmt.Sprintf("conc%d", i), record.Size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := uint64(0); v < 64; v++ {
+			if err := c.Append(record.New(v)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		colls = append(colls, c)
+	}
+	cache := NewCache(true)
+	calls := []func(c storage.Collection){
+		func(c storage.Collection) {
+			if tbl := cache.TableStats(c); tbl == nil || tbl.Rows != 64 {
+				t.Errorf("%s: TableStats = %+v, want 64 rows", c.Name(), tbl)
+			}
+		},
+		func(c storage.Collection) {
+			if _, err := cache.Collect(c); err != nil {
+				t.Error(err)
+			}
+		},
+		func(c storage.Collection) { cache.Invalidate(c.Name()) },
+		func(c storage.Collection) { cache.Lookup(c.Name()) },
+	}
+	var wg sync.WaitGroup
+	for _, call := range calls {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				for _, c := range colls {
+					call(c)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestTransforms(t *testing.T) {

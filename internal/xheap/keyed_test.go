@@ -381,33 +381,42 @@ func fillKeyed(h *Keyed, recs [][]byte) {
 // classes, and their header list) by carving a replica; the 2 KiB of
 // slack covers the tie-breaks' header list, the Keyed itself and the node
 // array's rounding to whole pages. An entry array grown by doubling
-// would overshoot it ~25-fold.
+// would overshoot it ~25-fold. TotalAlloc is process-wide, so the
+// runtime's own allocations land in the delta too; they only add bytes,
+// while a regression allocates on every repetition, so the test bounds
+// the smallest excess of three.
 func TestKeyedBookkeepingAllocs(t *testing.T) {
+	const reps, slack = 3, 2048
 	recs := benchRecs(2 * benchSlots)
-	var m0, m1, m2 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	var replica [][]byte
-	for carved := 0; carved < benchSlots; carved += segmentSlots {
-		replica = append(replica, make([]byte, min(segmentSlots, benchSlots-carved)*benchRecSize))
-	}
-	runtime.ReadMemStats(&m1)
-	h := NewKeyed(benchRecSize, benchSlots, true)
-	fillKeyed(h, recs[:benchSlots])
-	for i, r := range recs[benchSlots:] {
-		if top := h.Top(); binary.LittleEndian.Uint64(r) < top.Key {
-			h.ReplaceTop(binary.LittleEndian.Uint64(r), uint32(benchSlots+i), r)
+	best, bestSlab := -1, 0
+	for rep := 0; rep < reps; rep++ {
+		var m0, m1, m2 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		var replica [][]byte
+		for carved := 0; carved < benchSlots; carved += segmentSlots {
+			replica = append(replica, make([]byte, min(segmentSlots, benchSlots-carved)*benchRecSize))
+		}
+		runtime.ReadMemStats(&m1)
+		h := NewKeyed(benchRecSize, benchSlots, true)
+		fillKeyed(h, recs[:benchSlots])
+		for i, r := range recs[benchSlots:] {
+			if top := h.Top(); binary.LittleEndian.Uint64(r) < top.Key {
+				h.ReplaceTop(binary.LittleEndian.Uint64(r), uint32(benchSlots+i), r)
+			}
+		}
+		h.Sort()
+		runtime.ReadMemStats(&m2)
+		runtime.KeepAlive(replica)
+		slab, got := int(m1.TotalAlloc-m0.TotalAlloc), int(m2.TotalAlloc-m1.TotalAlloc)
+		if excess := got - slab; best < 0 || excess < best {
+			best, bestSlab = excess, slab
 		}
 	}
-	h.Sort()
-	runtime.ReadMemStats(&m2)
-	runtime.KeepAlive(replica)
-	const slack = 2048
-	slab, got := int(m1.TotalAlloc-m0.TotalAlloc), int(m2.TotalAlloc-m1.TotalAlloc)
-	if perSlot := float64(got-slab) / benchSlots; got > slab+20*benchSlots+slack {
-		t.Fatalf("a full %d-slot tree allocated %d bytes: %.1f B per slot beyond its %d-byte slab, want at most 20 (+%d B slack)",
-			benchSlots, got, perSlot, slab, slack)
+	if perSlot := float64(best) / benchSlots; best > 20*benchSlots+slack {
+		t.Fatalf("a full %d-slot tree allocated at least %d bytes beyond its %d-byte slab in each of %d runs: %.1f B per slot, want at most 20 (+%d B slack)",
+			benchSlots, best, bestSlab, reps, perSlot, slack)
 	} else {
-		t.Logf("%d bytes for a %d-byte slab: %.1f B per slot of bookkeeping", got, slab, perSlot)
+		t.Logf("%d bytes beyond a %d-byte slab at best of %d: %.1f B per slot of bookkeeping", best, bestSlab, reps, perSlot)
 	}
 }
 

@@ -104,7 +104,6 @@ func (r *Rows) Next() bool {
 	// legitimately contends while a fetch is in flight, and cancellation
 	// cuts a blocked fetch loose via r.ctx, which Close does not need
 	// r.mu to cancel.
-	//lint:allow wlvet/lockblock cursor advance is the guarded operation itself; contenders are the same consumer's calls and ctx cancellation unblocks it
 	rec, err := r.cur.Next(r.ctx)
 	if err == io.EOF {
 		r.done = true
