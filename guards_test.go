@@ -75,6 +75,8 @@ var guards = []guard{
 		pattern: `func \(f \*Factory\) (Create|ReservesBlocks)\(|names +map\[string\]bool`,
 		scope:   []string{"internal/storage", ":!internal/storage/factory.go"},
 		absent:  []string{"internal/storage/pmfs", "internal/storage/ramdisk"}},
+	{name: "one pull protocol (an opened operator is a storage iterator: no regrown batch type, batch scanner, limit hint, exec cursor or batch-valued Next)",
+		pattern: `type Batch struct|batchScanner|limitHint|type Cursor\b|Next\(ctx [^)]*\) \(\*Batch`, scope: []string{"internal/exec"}},
 	{name: "one split per plan (no Open-time re-split)",
 		pattern: `func \(bp \*budgetPlan\) (commit|clusterCap)\(|Resplit`, scope: []string{"internal/exec"}},
 	{name: "one price per algorithm (no optional profile interface, fold beside the drivers, closed form beside the profiles or per-algorithm façade pricer)",

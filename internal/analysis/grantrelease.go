@@ -9,15 +9,18 @@ import (
 )
 
 // GrantRelease enforces the PR 4/7 resource-release contracts: a
-// broker grant (Acquire, AcquireAs) must be Released on every path out of the
-// acquiring function, and a streaming cursor (a Rows-method result
-// with a Close method) must be Closed — directly, via defer, or by
-// handing the resource off (returning it, storing it
-// into longer-lived state, or passing it — or its release method — to
-// another call, e.g. context.AfterFunc(ctx, g.Release)). Discarding
-// either result with `_` is always a leak. The `if err != nil` guard
-// immediately after the acquisition is exempt: the resource is nil
-// there.
+// broker grant (Acquire, AcquireAs, or the façade's Session.acquire)
+// must be Released on every path out of the acquiring function, and a
+// streaming cursor (a Rows-method result with a Close method) must be
+// Closed — directly, via defer, or by handing the resource off
+// (returning it, storing it into longer-lived state, or passing it — or
+// its release method — to another call, e.g.
+// context.AfterFunc(ctx, g.Release); a value read from it, like
+// rows.Record(), hands nothing off). A call that takes the resource and
+// fails leaves it with the caller: the `if err != nil` guard after
+// `x, err := f(…, g, …)` must still release it. Discarding either result
+// with `_` is always a leak. The `if err != nil` guard immediately after
+// the acquisition is exempt: the resource is nil there.
 var GrantRelease = &analysis.Analyzer{
 	Name: "grantrelease",
 	Doc:  "broker grants and row streams must be released/closed or handed off on every path (PR 4/7 contracts)",
@@ -35,7 +38,7 @@ type releaseProtocol struct {
 var grantProtocols = []releaseProtocol{
 	{
 		kind:        "broker grant",
-		methods:     map[string]bool{"Acquire": true, "AcquireAs": true},
+		methods:     map[string]bool{"Acquire": true, "AcquireAs": true, "acquire": true},
 		release:     "Release",
 		resultNamed: "Grant",
 	},
@@ -180,29 +183,71 @@ func grantReleaseUnit(pass *analysis.Pass, sup *suppressor, u funcUnit) {
 		if l, h, ok := errGuardRange(pass, u, s.bind, s.errObj); ok {
 			lo, hi = l, h
 		}
-		for _, ret := range leakReturns(u, s.call, releasesOrEscapes, false, lo, hi) {
+		leaks := leakReturns(u, s.call, releasesOrEscapes, false, lo, hi)
+		handsOff := func(call *ast.CallExpr) bool {
+			for _, arg := range call.Args {
+				if refersTo(pass, arg, s.obj, s.proto.release) {
+					return true
+				}
+			}
+			return false
+		}
+		// A hand-off call that fails leaves the resource here: its error
+		// guard is a path out like any other.
+		walkLocal(u.body, func(n ast.Node) bool {
+			as, ok := n.(*ast.AssignStmt)
+			if !ok || as == s.bind || len(as.Rhs) != 1 || len(as.Lhs) < 2 {
+				return true
+			}
+			call, ok := as.Rhs[0].(*ast.CallExpr)
+			errID, isID := as.Lhs[len(as.Lhs)-1].(*ast.Ident)
+			if !ok || !isID || !isErrorType(pass.TypesInfo.TypeOf(errID)) || !handsOff(call) {
+				return true
+			}
+			if lo, hi, ok := errGuardRange(pass, u, as, objOf(pass, errID)); ok {
+				for _, ret := range leakReturns(u, as, releasesOrEscapes, false, 0, 0) {
+					if ret.Pos() >= lo && ret.Pos() < hi {
+						leaks = append(leaks, ret)
+					}
+				}
+			}
+			return true
+		})
+		for _, ret := range leaks {
 			sup.reportf(pass, ret.Pos(), "return leaks the %s acquired at line %d: %s it, defer that, or hand it off before returning (wlvet/grantrelease)",
 				s.proto.kind, pass.Fset.Position(s.call.Pos()).Line, s.proto.release)
 		}
 	}
 }
 
+// refersTo reports whether e mentions obj other than as the receiver of
+// a method call or a field read (rows.Record(), g.Bytes()), which reads
+// the resource and hands nothing off; its release method value
+// (g.Release) counts.
+func refersTo(pass *analysis.Pass, e ast.Expr, obj types.Object, release string) bool {
+	found := false
+	ast.Inspect(e, func(m ast.Node) bool {
+		switch m := m.(type) {
+		case *ast.SelectorExpr:
+			if id, ok := m.X.(*ast.Ident); ok && objOf(pass, id) == obj && m.Sel.Name != release {
+				return false
+			}
+		case *ast.Ident:
+			found = found || objOf(pass, m) == obj
+		}
+		return !found
+	})
+	return found
+}
+
 // nodeReleasesOrHandsOff reports whether the node's subtree releases
 // the tracked resource or moves its ownership elsewhere: calls
 // obj.<Release>(), returns obj, passes obj (or its release method
 // value) to a call, or stores obj into a field, captured variable,
-// composite literal, channel, or map/slice cell of such.
+// composite literal, channel, or map/slice cell of such — obj itself,
+// not a value read from it (refersTo).
 func nodeReleasesOrHandsOff(pass *analysis.Pass, u funcUnit, n ast.Node, obj types.Object, release string) bool {
-	usesObj := func(e ast.Expr) bool {
-		found := false
-		ast.Inspect(e, func(m ast.Node) bool {
-			if id, ok := m.(*ast.Ident); ok && objOf(pass, id) == obj {
-				found = true
-			}
-			return !found
-		})
-		return found
-	}
+	usesObj := func(e ast.Expr) bool { return refersTo(pass, e, obj, release) }
 	found := false
 	ast.Inspect(n, func(m ast.Node) bool {
 		if found {

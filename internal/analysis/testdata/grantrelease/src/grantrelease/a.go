@@ -15,6 +15,8 @@ type Stream struct{}
 
 func (*Stream) Close() error { return nil }
 
+func (*Stream) Record() []byte { return nil }
+
 type Query struct{}
 
 func (Query) Rows() (*Stream, error) { return &Stream{}, nil }
@@ -106,4 +108,67 @@ func allowedLeak(b *Broker, work func() error) error {
 	}
 	g.Release()
 	return nil
+}
+
+func consume(...any) {}
+
+// readInArgs reads the cursor inside call arguments: a value computed
+// from the cursor hands nothing off.
+func readInArgs(q Query, work func() error) error {
+	rows, err := q.Rows()
+	if err != nil {
+		return err
+	}
+	consume(append([]byte(nil), rows.Record()...))
+	if err := work(); err != nil {
+		return err // want "return leaks the row stream acquired at line \d+"
+	}
+	return rows.Close()
+}
+
+// returnsRead returns a value read from the cursor, never closing it.
+func returnsRead(q Query) []byte {
+	rows, err := q.Rows()
+	if err != nil {
+		return nil
+	}
+	return rows.Record() // want "return leaks the row stream acquired at line \d+"
+}
+
+// Session acquires the façade's grants through its own unexported
+// method; the Grant result confines the match.
+type Session struct{ b *Broker }
+
+func (s *Session) acquire() (*Grant, error) { return s.b.Acquire(1) }
+
+// leakySession forgets the session's grant on the work-error path.
+func (s *Session) leakySession(work func() error) error {
+	g, err := s.acquire()
+	if err != nil {
+		return err
+	}
+	if err := work(); err != nil {
+		return err // want "return leaks the broker grant acquired at line \d+"
+	}
+	g.Release()
+	return nil
+}
+
+type cursor struct{ g *Grant }
+
+// open takes the grant on success only; on error the caller keeps it.
+func open(g *Grant) (*cursor, error) { return &cursor{g}, nil }
+
+// failedHandOff does not release the grant when the call it was handed
+// to fails.
+func (s *Session) failedHandOff() (*cursor, error) {
+	g, err := s.acquire()
+	if err != nil {
+		return nil, err
+	}
+	c, err := open(g)
+	if err != nil {
+		return nil, err // want "return leaks the broker grant acquired at line \d+"
+	}
+	return c, nil
 }

@@ -21,9 +21,10 @@ import (
 // the output bytes and the simulated cacheline writes must be identical at
 // every batch size, because all device writes flow through the same
 // per-record Append path. Device reads are identical too for every shape
-// except a Limit above a Filter, where the batch engine's limit hints
-// bound — but cannot exactly reproduce — the record engine's lazy
-// read-ahead (see the Filter caveat in README's Batch execution section).
+// except a Limit above a Filter, where asking the scan for the records
+// still wanted bounds — but cannot exactly reproduce — the record
+// engine's lazy read-ahead (see the read-accounting caveat in README's
+// Batch execution section).
 
 // batchGridSizes is the batch-size grid: 1 is the record engine (the
 // baseline every other size is compared against), 7 forces ragged batch
@@ -84,8 +85,8 @@ var batchCases = []batchCase{
 		build: func(t *testing.T, r *rig) *Plan { return Table(loadRows(t, r)).Project(0, 2, 4).Limit(64) },
 	},
 	{
-		// The documented exception: a Limit above a Filter re-hints the
-		// child with the remaining need, which bounds but cannot exactly
+		// The documented exception: a Limit above a Filter asks the scan
+		// for the records it still wants, which bounds but cannot exactly
 		// match the record engine's lazy read-ahead. Writes stay exact.
 		name: "limit-project-filter-scan", exactReads: false, budget: 8 << 10,
 		build: func(t *testing.T, r *rig) *Plan {
@@ -113,13 +114,13 @@ var batchCases = []batchCase{
 	{
 		// The fold of 40 groups stays in memory; the fold of 1 000 (a
 		// hint of 100) evicts to runs.
-		name: "hashagg-memory", exactReads: true, budget: 1 << 20, fold: foldResident,
+		name: "fold-resident", exactReads: true, budget: 1 << 20, fold: foldResident,
 		build: func(t *testing.T, r *rig) *Plan {
 			return Table(loadGrouped(t, r, "in", bgRows, 40)).GroupHint(40).GroupBy(4)
 		},
 	},
 	{
-		name: "hashagg-spill", exactReads: true, budget: 16 << 10, fold: foldEvict,
+		name: "fold-evict", exactReads: true, budget: 16 << 10, fold: foldEvict,
 		build: func(t *testing.T, r *rig) *Plan {
 			return Table(loadGrouped(t, r, "in", 4000, 1000)).GroupHint(100).GroupBy(4)
 		},
@@ -207,20 +208,22 @@ func TestBatchSizeOneDegenerates(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if err := root.Open(ctx, ec); err != nil {
+	it, err := root.Open(ctx, ec)
+	if err != nil {
 		t.Fatal(err)
 	}
 	defer root.Close()
+	ci := storage.Chunked(it)
 	n := 0
 	for {
-		b, err := root.Next(ctx)
+		b, err := ci.NextChunk(ec.PullSize())
 		if err != nil {
 			break
 		}
-		if b.Len() != 1 {
-			t.Fatalf("BatchSize=1 produced a %d-record batch", b.Len())
+		if len(b) != 1 {
+			t.Fatalf("BatchSize=1 produced a %d-record batch", len(b))
 		}
-		n += b.Len()
+		n += len(b)
 	}
 	if n == 0 {
 		t.Fatal("no records produced")
@@ -252,8 +255,18 @@ var batchCancelCases = []struct {
 		},
 	},
 	{
+		// A bare table: no chain or kernel polls, so only the plan drain's
+		// probe sees a cancel.
+		name: "scan-batch7", batchSize: 7,
+		plan: cancelPlanCase{
+			name: "scan",
+			plan: func(t *testing.T, r *rig) *Plan { return Table(loadRows(t, r)) },
+		},
+	},
+	{
 		// A filter that passes nothing: one pull of the stream loops over
-		// every child batch, so only the stream's own probe sees a cancel.
+		// every child chunk, so only the chain iterator's own probe sees a
+		// cancel.
 		name: "stream-reject-batch7", batchSize: 7,
 		plan: cancelPlanCase{
 			name: "stream-reject",

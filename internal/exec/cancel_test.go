@@ -43,18 +43,19 @@ func pullCursor(ctx context.Context, ec *Ctx, root Operator, opened func(), take
 		if err := ec.Bind(ctx); err != nil {
 			return err
 		}
-		if err := root.Open(ctx, ec); err != nil {
+		it, err := root.Open(ctx, ec)
+		if err != nil {
 			return err
 		}
 		if opened != nil {
 			opened()
 		}
-		cur := NewCursor(root)
+		cur := storage.NewCursor(it, ec.PullSize())
 		for {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			rec, err := cur.Next(ctx)
+			rec, err := cur.Next()
 			if err == io.EOF {
 				return nil
 			}

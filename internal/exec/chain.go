@@ -17,15 +17,15 @@ import (
 //     emits, through a storage.Sink, so its temp — or the plan output, at
 //     the root — is a stored collection of the chain's width and row count
 //     that consumers read by block chunk and re-read without re-applying
-//     anything (a cursor pulling a fed group-by runs the batch kernel over
-//     its intake's stream instead, the partials widened to result records
-//     first, Sort.Open). OrderBy absorbs nothing: its final merge is
+//     anything (a cursor pulling a fed group-by runs the chain iterator
+//     over its intake's stream instead, the partials widened to result
+//     records first, Sort.Open). OrderBy absorbs nothing: its final merge is
 //     range-parallel at P > 1, and a sink would serialize it.
 //   - view: over a stored source (a base table, an OrderBy's sorted
 //     output) and under a blocking consumer, the chain is a zero-write
 //     collection view the consumer re-scans (fuse.go).
-//   - stream: anywhere else the Stream operator applies it batch by
-//     batch (scan.go).
+//   - stream: anywhere else the Stream operator applies it chunk by
+//     chunk, with the chain iterator a view's scan runs (scan.go).
 //
 // Next to the chain's three placements, the result a chain is applied
 // to has two homes, decided by price rather than shape (exec.go): stored
@@ -43,10 +43,10 @@ import (
 // side never costs a write of its own.
 //
 // Two pieces implement all three: the per-record closure an emit sink
-// calls (apply) and the batch kernel (window) behind the view and the
-// stream. Under MaterializeEveryStep, the materialize-everything
-// reference, no step is absorbed: each gets a Stream and a barrier of its
-// own.
+// calls (apply) and the chunk kernel (window, run by chainIterator)
+// behind the view and the stream. Under MaterializeEveryStep, the
+// materialize-everything reference, no step is absorbed: each gets a
+// Stream and a barrier of its own.
 
 // chain is a Filter/Project sequence in normal form over its source
 // record: every predicate (its attribute mapped back through the
@@ -154,19 +154,21 @@ func (c *chain) sink(dst storage.Collection, raw int) storage.Collection {
 	return storage.NewSink("emit("+dst.Name()+")", raw, c.apply(dst.Append), dst.Close)
 }
 
-// window is the chain's batch kernel: one window of source records in,
-// the chain's output for that window out. A chain that does not project
+// window is the chain's kernel: one window of source records in, the
+// chain's output for that window out. A chain that does not project
 // returns a selection vector aliasing the input records (the input
 // itself when it does not filter either); a projecting chain copies
-// into a buffer the window owns, grown to whatever the input holds, so a
-// surviving record is never dropped. Either way the result is valid
-// until the next run, or the input's own expiry if that comes first.
+// into a buffer the window owns. Both are grown to whatever the input
+// holds, on the first run that needs them, so a surviving record is
+// never dropped and a window that never runs allocates nothing. Either
+// way the result is valid until the next run, or the input's own expiry
+// if that comes first.
 type window struct {
 	match []func(rec []byte) bool
 	attrs []int
 	width int
 	sel   [][]byte
-	out   *Batch // owned copies, projecting chains only
+	out   [][]byte // views over one owned buffer, projecting chains only
 }
 
 // newWindow compiles c over raw-byte records.
@@ -177,6 +179,9 @@ func (c *chain) newWindow(raw int) *window {
 func (w *window) run(recs [][]byte) [][]byte {
 	in := len(recs)
 	if len(w.match) > 0 {
+		if cap(w.sel) < in {
+			w.sel = make([][]byte, 0, in)
+		}
 		w.sel = w.sel[:0]
 	next:
 		for _, rec := range recs {
@@ -192,13 +197,17 @@ func (w *window) run(recs [][]byte) [][]byte {
 	if w.attrs == nil {
 		return recs
 	}
-	if w.out == nil || in > len(w.out.views) {
-		w.out = newBatch(w.width, in)
+	if in > len(w.out) {
+		buf := make([]byte, w.width*in)
+		w.out = make([][]byte, in)
+		for i := range w.out {
+			w.out[i] = buf[i*w.width : (i+1)*w.width]
+		}
 	}
 	for i, rec := range recs {
-		projectInto(w.out.views[i], rec, w.attrs)
+		projectInto(w.out[i], rec, w.attrs)
 	}
-	return w.out.views[:len(recs)]
+	return w.out[:len(recs)]
 }
 
 // projectInto copies the chosen 8-byte attributes of rec into buf, in

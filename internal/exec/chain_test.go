@@ -106,7 +106,7 @@ func TestChainViewSortedMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			ctx := context.Background()
-			if err := root.Open(ctx, ec); err != nil {
+			if _, err := root.Open(ctx, ec); err != nil {
 				t.Fatal(err)
 			}
 			defer root.Close() //nolint:errcheck
@@ -156,25 +156,34 @@ func TestChainViewSortedMatchesReference(t *testing.T) {
 	}
 }
 
-// overDeliver is a child that hands out batches one record longer than
-// the run's batch size.
+// overDeliver is a child whose stream hands out chunks one record
+// longer than the run's batch size, whatever a pull asks for.
 type overDeliver struct {
 	Scan
 	recs [][]byte
 	per  int
-	b    Batch
 }
 
-func (o *overDeliver) Open(context.Context, *Ctx) error { return nil }
-func (o *overDeliver) Close() error                     { return nil }
+func (o *overDeliver) Open(context.Context, *Ctx) (storage.Iterator, error) { return o, nil }
+func (o *overDeliver) Close() error                                         { return nil }
 
-func (o *overDeliver) Next(context.Context) (*Batch, error) {
+func (o *overDeliver) NextChunk(int) ([][]byte, error) {
 	if len(o.recs) == 0 {
 		return nil, io.EOF
 	}
 	k := min(o.per, len(o.recs))
-	o.b.Recs, o.recs = o.recs[:k], o.recs[k:]
-	return &o.b, nil
+	b := o.recs[:k]
+	o.recs = o.recs[k:]
+	return b, nil
+}
+
+func (o *overDeliver) Next() ([]byte, error) {
+	if len(o.recs) == 0 {
+		return nil, io.EOF
+	}
+	rec := o.recs[0]
+	o.recs = o.recs[1:]
+	return rec, nil
 }
 
 // TestChainKernelNeverDropsRecords: the kernel sizes a projecting

@@ -1,13 +1,15 @@
 // Package exec is the pipelined query-execution engine layered over the
-// paper's operators: a Volcano-style batch-iterator tree of physical
-// operators (scan, stream, limit, sort, join, materialize) over storage
-// collections — one sort stage (Sort) renders as an OrderBy or, with an
-// aggregated attribute and the combine its kernels fold with, a GroupBy —
-// a small logical-plan builder, and a physical
-// planner that consults the internal/cost model — device λ, per-stage
-// memory budget, input cardinalities — to choose among the write-limited
-// sort and join variants (and place their write-intensity knobs) instead
-// of requiring the caller to name an algorithm.
+// paper's operators: a Volcano-style tree of physical operators (scan,
+// stream, limit, sort, join, materialize) over storage collections — one
+// sort stage (Sort) renders as an OrderBy or, with an aggregated
+// attribute and the combine its kernels fold with, a GroupBy — a small
+// logical-plan builder, and a physical planner that consults the
+// internal/cost model — device λ, per-stage memory budget, input
+// cardinalities — to choose among the write-limited sort and join
+// variants (and place their write-intensity knobs) instead of requiring
+// the caller to name an algorithm. An opened operator is a storage
+// iterator read by chunk: the one pull protocol the sort and join
+// kernels read their inputs with.
 //
 // Consecutive Filter and Project steps compile to one chain, and a chain
 // never touches the device, so a pipelined plan writes strictly fewer
@@ -26,7 +28,7 @@
 // A blocking operator's result has two homes, decided by price. Stored:
 // a temporary — the operator's own, a Materialize barrier's, the pipe
 // under a join that reads a stream — which is one embedded value (stored,
-// batch.go) that creates the temp, scans it and destroys it. Fed: when
+// batch.go) that creates the temp, serves its scan and destroys it. Fed: when
 // the temp's only reader would be the run formation of a planner-owned
 // OrderBy or GroupBy above it — over a Join or a GroupBy, or over a
 // stream that would be drained into a pipe — the consumer hands the
@@ -37,8 +39,8 @@
 // combined there and every merge combines, so only the groups are
 // emitted. Feeding is the engine's in-memory aggregation, so a GroupBy
 // may push even a base table or a view into its intake. A fed sort ends
-// in its reader: it never fills a result temp, but serves Next from its
-// intake's stream (sorts.Intake.Stream) — the heap of an intake that
+// in its reader: it never fills a result temp, but serves its intake's
+// stream (sorts.Intake.Stream) as its own — the heap of an intake that
 // never evicted, which writes nothing, or the pull merge of its last
 // runs — so the plan's result stage prices its output as its reader's.
 // The consumer's stage prices both homes inside the allocator's curve
@@ -68,28 +70,29 @@ package exec
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"wlpm/internal/algo"
 	"wlpm/internal/stats"
 	"wlpm/internal/storage"
 )
 
-// Operator is one node of a physical plan: a pull-based stream of
-// record batches in the vectorized Volcano style. Each Next returns a
-// non-empty window of up to Ctx.BatchSize records, amortizing virtual
-// dispatch, context polls and predicate branches over the whole window;
-// the batch (and every record view in it) is only valid until the
-// operator's following Next or Close — see Batch for the ownership
-// rules. Operators are single-owner and not safe for concurrent use —
+// Operator is one node of a physical plan. Opened, it is a stream: Open
+// returns a storage.Iterator of the operator's records, read by chunk
+// (storage.ChunkIterator) like every other input in the engine — Ctx's
+// PullSize records per pull, amortizing interface dispatch, context
+// polls and predicate branches over the whole chunk. A chunk (and every
+// record view in it) is only valid until the stream's following pull
+// or the operator's Close. The operator owns the stream and closes it
+// in Close. Operators are single-owner and not safe for concurrent use —
 // parallelism lives inside the blocking operators' algorithms, not
-// between operators. Record-level consumers pull through a Cursor.
+// between operators. Record-level consumers pull through a
+// storage.Cursor.
 //
-// Both Open and Next take the run's cancellation context: blocking
-// operators hand it (through their stage environments) to the sort and
-// join algorithms, which poll it between batches, and streaming
-// operators forward it down the pull chain, so a cancelled query stops
-// mid-sort, mid-merge or mid-probe instead of running to completion.
+// Open takes the run's cancellation context: blocking operators hand it
+// (through their stage environments) to the sort and join algorithms,
+// which poll it between chunks, and a Stream's chain iterator polls it
+// as it refills, so a cancelled query stops mid-sort, mid-merge,
+// mid-probe or mid-filter instead of running to completion.
 type Operator interface {
 	// Name renders the operator (with its physical algorithm choice, if
 	// any) for plan display.
@@ -98,14 +101,10 @@ type Operator interface {
 	RecordSize() int
 	// Children returns the input operators, left to right.
 	Children() []Operator
-	// Open prepares the stream. Blocking operators do their work here,
-	// honouring ctx cancellation.
-	Open(ctx context.Context, ec *Ctx) error
-	// Next returns the next batch of records, or io.EOF when exhausted,
-	// or the context's error once ctx is cancelled. Batches are never
-	// empty and never exceed Ctx.BatchSize records.
-	Next(ctx context.Context) (*Batch, error)
-	// Close releases resources (temporaries, iterators) and closes the
+	// Open prepares the stream and returns it. Blocking operators do
+	// their work here, honouring ctx cancellation.
+	Open(ctx context.Context, ec *Ctx) (storage.Iterator, error)
+	// Close releases resources (the stream, temporaries) and closes the
 	// children. Close is idempotent.
 	Close() error
 }
@@ -140,10 +139,10 @@ type Ctx struct {
 	Factory      storage.Factory
 	MemoryBudget int64
 	Parallelism  int
-	// BatchSize is the records-per-batch window of the run's operators;
-	// 0 means DefaultBatchSize. 1 degenerates to record-at-a-time
-	// execution — same output, same simulated device traffic, none of
-	// the amortization.
+	// BatchSize is the records per pull of the run's streams; 0 means
+	// DefaultBatchSize. 1 degenerates to record-at-a-time execution —
+	// same output, same simulated device traffic, none of the
+	// amortization.
 	BatchSize int
 	// Stats supplies per-table column statistics to the physical planner
 	// (selectivities, group counts, join cardinalities, join ordering).
@@ -175,8 +174,9 @@ func (c *Ctx) validate() error {
 	return nil
 }
 
-// batchSize resolves the run's records-per-batch window.
-func (c *Ctx) batchSize() int {
+// PullSize resolves the run's records per pull: BatchSize, or
+// DefaultBatchSize when that is 0.
+func (c *Ctx) PullSize() int {
 	if c.BatchSize > 0 {
 		return c.BatchSize
 	}
@@ -266,38 +266,17 @@ func RunCtx(ctx context.Context, ec *Ctx, root Operator, out storage.Collection)
 		}
 		return out.Close()
 	}
-	if err := root.Open(ctx, ec); err != nil {
+	it, err := root.Open(ctx, ec)
+	if err != nil {
 		return fail(err)
 	}
-	if err := drain(ctx, root, out.Append); err != nil {
+	if err := drain(ec, it, out.Append); err != nil {
 		return fail(err)
 	}
 	if err := root.Close(); err != nil {
 		return err
 	}
 	return out.Close()
-}
-
-// drain pulls op until EOF, feeding each record of each batch to emit
-// and polling ctx once per batch.
-func drain(ctx context.Context, op Operator, emit func(rec []byte) error) error {
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		b, err := op.Next(ctx)
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		for _, rec := range b.Recs {
-			if err := emit(rec); err != nil {
-				return err
-			}
-		}
-	}
 }
 
 // inputCollection opens child and returns its whole output as a storage
@@ -316,7 +295,8 @@ func drain(ctx context.Context, op Operator, emit func(rec []byte) error) error 
 // must be called once the collection has been consumed; the child itself
 // is closed by the caller's Close.
 func inputCollection(ctx context.Context, ec *Ctx, child Operator) (storage.Collection, func() error, error) {
-	if err := child.Open(ctx, ec); err != nil {
+	it, err := child.Open(ctx, ec)
+	if err != nil {
 		return nil, nil, err
 	}
 	if c, ok, err := fuseView(ctx, ec, child); err != nil {
@@ -325,7 +305,7 @@ func inputCollection(ctx context.Context, ec *Ctx, child Operator) (storage.Coll
 		return c, func() error { return nil }, nil
 	}
 	var pipe stored
-	if err := pipe.fillFrom(ctx, ec, "pipe", child); err != nil {
+	if _, err := pipe.fillFrom(ctx, ec, "pipe", child.RecordSize(), it); err != nil {
 		return nil, nil, err
 	}
 	return pipe.tmp, func() error { return pipe.drop() }, nil
@@ -340,10 +320,11 @@ func pour(ctx context.Context, ec *Ctx, child Operator, dst storage.Collection) 
 	if e, ok := child.(directEmitter); ok {
 		return e.emitTo(ctx, ec, dst)
 	}
-	if err := child.Open(ctx, ec); err != nil {
+	it, err := child.Open(ctx, ec)
+	if err != nil {
 		return err
 	}
-	return drain(ctx, child, dst.Append)
+	return drain(ec, it, dst.Append)
 }
 
 // closeAll closes every operator, keeping the first error.

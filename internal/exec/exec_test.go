@@ -556,12 +556,13 @@ func groupInMemory(tb testing.TB, r *rig, plan *Plan, drive string, i int) int {
 		if err := ec.Bind(ctx); err != nil {
 			tb.Fatal(err)
 		}
-		if err := root.Open(ctx, ec); err != nil {
+		it, err := root.Open(ctx, ec)
+		if err != nil {
 			tb.Fatal(err)
 		}
-		n, cur := 0, NewCursor(root)
+		n, cur := 0, storage.NewCursor(it, ec.PullSize())
 		for {
-			if _, err := cur.Next(ctx); err == io.EOF {
+			if _, err := cur.Next(); err == io.EOF {
 				break
 			} else if err != nil {
 				tb.Fatal(err)

@@ -384,10 +384,11 @@ func TestFedCursorEndsInItsReader(t *testing.T) {
 			if err := ec.Bind(ctx); err != nil {
 				t.Fatal(err)
 			}
-			if err := root.Open(ctx, ec); err != nil {
+			it, err := root.Open(ctx, ec)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := NewCursor(root).Next(ctx); err != nil {
+			if _, err := storage.NewCursor(it, ec.PullSize()).Next(); err != nil {
 				t.Fatal(err)
 			}
 			if ec.LiveTemps() == 0 {

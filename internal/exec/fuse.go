@@ -43,12 +43,12 @@ func fuseView(ctx context.Context, ec *Ctx, op Operator) (storage.Collection, bo
 }
 
 // chainView is a chain over a stored collection, as a read-only
-// collection. Scans pull the base one block's worth of records at a
-// time — whatever the consumer asks for, so a scan that stops early has
-// read exactly the base blocks a record-at-a-time scan to the same
-// record would have — and serve the batch kernel's window over each
-// pull. A projecting-only chain maps records 1:1: length and positional
-// scans delegate to the base. A filtering chain counts its length once,
+// collection. Scans pull the base at most one block's worth of records
+// at a time, and never more than the consumer asked for, so a scan that
+// stops early has read exactly the base blocks a record-at-a-time scan
+// to the same record would have, and serve the chain kernel's window
+// over each pull. A projecting-only chain maps records 1:1: length and
+// positional scans delegate to the base. A filtering chain counts its length once,
 // at construction, with one read-only scan (so Len stays error-free),
 // and positional scans re-read the base from the start and discard the
 // skipped survivors (reads, never writes). A selective predicate can
@@ -106,38 +106,40 @@ func (v *chainView) scan(c *chain, start int) *chainIterator {
 
 // chainIterator is a storage.ChunkIterator: NextChunk serves what is
 // left of the current window, refilled from one pull of the source at a
-// time, and Next is its one-record case. Its source is a view's base, or
-// the heap of a resident group-by (Sort.Open).
+// time, and Next is its one-record case. It is the chain kernel's one
+// loop: its source is a view's base, a Stream's child's stream, or the
+// stream of a fed sort stage (Sort.Open). A refill asks the source for
+// no more records than its reader asked, up to pull, so a bound above
+// it (storage.Limit) stops the source's fetches too.
 type chainIterator struct {
 	ctx    context.Context
 	it     storage.Iterator
 	ci     storage.ChunkIterator // it's chunk form
 	win    *window
-	pull   int      // source records per refill
+	pull   int      // most source records per refill
 	skip   int      // survivors still to discard before the first served record
 	budget int      // source records until the next ctx poll
 	recs   [][]byte // unserved rest of the window
 }
 
-// newChainIterator applies c to the raw-byte records of it, pull at a
-// time, polling ctx.
+// newChainIterator applies c to the raw-byte records of it, at most pull
+// at a time, polling ctx. It allocates nothing a refill needs: a Stream
+// that a view replaces (inputCollection) is opened but never pulled.
 func newChainIterator(ctx context.Context, it storage.Iterator, c *chain, raw, pull int) *chainIterator {
-	ci := &chainIterator{ctx: ctx, it: it, ci: storage.Chunked(it), win: c.newWindow(raw), pull: pull, budget: algo.PollInterval}
-	if len(c.preds) > 0 {
-		ci.win.sel = make([][]byte, 0, pull)
-	}
-	return ci
+	return &chainIterator{ctx: ctx, it: it, ci: storage.Chunked(it), win: c.newWindow(raw), pull: pull, budget: algo.PollInterval}
 }
 
 func (it *chainIterator) NextChunk(n int) ([][]byte, error) {
+	n = max(n, 1)
 	for len(it.recs) == 0 {
-		if it.budget -= it.pull; it.budget <= 0 {
+		ask := min(it.pull, n)
+		if it.budget -= ask; it.budget <= 0 {
 			it.budget = algo.PollInterval
 			if err := it.ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		recs, err := it.ci.NextChunk(it.pull)
+		recs, err := it.ci.NextChunk(ask)
 		if err != nil {
 			return nil, err
 		}
@@ -145,7 +147,7 @@ func (it *chainIterator) NextChunk(n int) ([][]byte, error) {
 		k := min(it.skip, len(recs))
 		it.recs, it.skip = recs[k:], it.skip-k
 	}
-	n = min(max(n, 1), len(it.recs))
+	n = min(n, len(it.recs))
 	recs := it.recs[:n]
 	it.recs = it.recs[n:]
 	return recs, nil

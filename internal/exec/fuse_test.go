@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"testing"
 
 	"wlpm/internal/pmem"
@@ -34,7 +35,7 @@ func fuseFilter(t *testing.T, ctx context.Context, n int, pred Predicate) (*chai
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := root.Open(context.Background(), ec); err != nil {
+	if _, err := root.Open(context.Background(), ec); err != nil {
 		t.Fatal(err)
 	}
 	c, ok, err := fuseView(ctx, ec, root)
@@ -70,7 +71,7 @@ func TestFuseCountPollsCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := root.Open(context.Background(), ec); err != nil {
+	if _, err := root.Open(context.Background(), ec); err != nil {
 		t.Fatal(err)
 	}
 	defer root.Close() //nolint:errcheck
@@ -231,7 +232,7 @@ func TestFuseViewDeviceIdentity(t *testing.T) {
 						t.Fatal(err)
 					}
 					ctx := context.Background()
-					if err := root.Open(ctx, ec); err != nil {
+					if _, err := root.Open(ctx, ec); err != nil {
 						t.Fatal(err)
 					}
 					defer root.Close() //nolint:errcheck
@@ -284,5 +285,47 @@ func TestFuseViewDeviceIdentity(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestViewReplacedStreamAllocs: a Stream under a blocking consumer is
+// opened and then replaced by a view (inputCollection → fuseView), never
+// pulled, so opening it allocates nothing sized to the pull: the bytes
+// to open and fuse it are the same at 16 and 4 096 records per pull.
+func TestViewReplacedStreamAllocs(t *testing.T) {
+	r := newRig(t)
+	in := loadRows(t, r)
+	ctx := context.Background()
+	const opens = 20
+	for _, vc := range viewChains {
+		perOpen := func(batch int) uint64 {
+			ec := r.ctx(8<<10, 1)
+			ec.BatchSize = batch
+			root, _, err := Compile(ec, vc.apply(Table(in)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < opens; i++ {
+				if _, err := root.Open(ctx, ec); err != nil {
+					t.Fatal(err)
+				}
+				if _, ok, err := fuseView(ctx, ec, root); err != nil || !ok {
+					t.Fatalf("fuseView: ok=%v err=%v", ok, err)
+				}
+				if err := root.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			return (after.TotalAlloc - before.TotalAlloc) / opens
+		}
+		// A vector sized to the pull adds ≥ 4 080 × 24 B; 256 B is noise.
+		small, large := perOpen(16), perOpen(4096)
+		if large > small+256 {
+			t.Errorf("%s: opening and fusing a stream allocates %d B at 4096 records per pull, %d B at 16", vc.name, large, small)
+		}
+		t.Logf("%s: %d B per open at 16 records per pull, %d B at 4096", vc.name, small, large)
 	}
 }

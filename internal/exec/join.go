@@ -57,7 +57,7 @@ func (j *Join) emitTo(ctx context.Context, ec *Ctx, dst storage.Collection) erro
 	return rclean()
 }
 
-func (j *Join) Open(ctx context.Context, ec *Ctx) error {
+func (j *Join) Open(ctx context.Context, ec *Ctx) (storage.Iterator, error) {
 	return j.fill(ctx, ec, "joined", j.RecordSize(), j.emitTo)
 }
 

@@ -3,6 +3,8 @@ package exec
 import (
 	"context"
 	"fmt"
+
+	"wlpm/internal/storage"
 )
 
 // Materialize is an explicit pipeline breaker: it drains its child into
@@ -26,11 +28,12 @@ func (m *Materialize) RecordSize() int      { return m.child.RecordSize() }
 func (m *Materialize) Children() []Operator { return []Operator{m.child} }
 func (m *Materialize) consumesMemory() bool { return false }
 
-func (m *Materialize) Open(ctx context.Context, ec *Ctx) error {
-	if err := m.child.Open(ctx, ec); err != nil {
-		return err
+func (m *Materialize) Open(ctx context.Context, ec *Ctx) (storage.Iterator, error) {
+	it, err := m.child.Open(ctx, ec)
+	if err != nil {
+		return nil, err
 	}
-	return m.fillFrom(ctx, ec, "mat", m.child)
+	return m.fillFrom(ctx, ec, "mat", m.RecordSize(), it)
 }
 
 func (m *Materialize) Close() error { return m.drop(m.child) }

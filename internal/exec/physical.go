@@ -195,7 +195,7 @@ func CompileWith(ctx *Ctx, p *Plan, opts CompileOptions) (Operator, *Explain, er
 		PlanCost:    alloc.Cost,
 		EvenCost:    alloc.EvenCost,
 		Lambda:      bp.lambda,
-		BatchSize:   ctx.batchSize(),
+		BatchSize:   ctx.PullSize(),
 		Reordered:   c.reordered,
 		Choices:     choices,
 		Elided:      c.notes,

@@ -3,7 +3,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"wlpm/internal/record"
 	"wlpm/internal/storage"
@@ -11,14 +10,14 @@ import (
 
 // --- Scan ---
 
-// Scan streams a base collection in batches. It is the only leaf
-// operator; its output "materialization" is the collection itself, so
-// blocking parents consume it without any copying. When the collection's
-// iterator supports chunked reads the batches alias the iterator's block
-// buffer — zero per-record copies.
+// Scan streams a base collection: its Open returns the collection's own
+// scan, read by chunk — on blocked memory the device bytes in place, zero
+// per-record copies. It is the only leaf operator; its output
+// "materialization" is the collection itself, so blocking parents
+// consume it without any copying.
 type Scan struct {
 	c  storage.Collection
-	sc *batchScanner
+	it storage.Iterator
 }
 
 // NewScan returns a scan over c.
@@ -28,31 +27,18 @@ func (s *Scan) Name() string         { return fmt.Sprintf("Scan(%s)", s.c.Name()
 func (s *Scan) RecordSize() int      { return s.c.RecordSize() }
 func (s *Scan) Children() []Operator { return nil }
 
-func (s *Scan) Open(_ context.Context, ec *Ctx) error {
-	s.sc = newBatchScanner(s.c.Scan(), ec.batchSize())
-	return nil
-}
-
-func (s *Scan) Next(context.Context) (*Batch, error) {
-	if s.sc == nil {
-		return nil, io.EOF
-	}
-	return s.sc.next()
-}
-
-func (s *Scan) limitHint(n int) {
-	if s.sc != nil {
-		s.sc.limit(n)
-	}
+func (s *Scan) Open(context.Context, *Ctx) (storage.Iterator, error) {
+	s.it = s.c.Scan()
+	return s.it, nil
 }
 
 func (s *Scan) Close() error {
-	if s.sc == nil {
+	if s.it == nil {
 		return nil
 	}
-	sc := s.sc
-	s.sc = nil
-	return sc.Close()
+	it := s.it
+	s.it = nil
+	return it.Close()
 }
 
 func (s *Scan) source() (storage.Collection, bool) { return s.c, true }
@@ -108,7 +94,7 @@ func (p Predicate) Eval(rec []byte) bool {
 }
 
 // matcher specializes the predicate to a single-comparison closure: the
-// operator switch is resolved once, so per-record evaluation in batch
+// operator switch is resolved once, so per-record evaluation in chunk
 // loops and view scans is one attribute load and one compare.
 func (p Predicate) matcher() func(rec []byte) bool {
 	a, v := p.Attr, p.Value
@@ -152,86 +138,46 @@ func (p Predicate) validate(recSize int) error {
 
 // --- Stream ---
 
-// Stream applies a Filter/Project chain to its child's batches: the
+// Stream applies a Filter/Project chain to its child's stream: the
 // chain's placement wherever no producer emits through it and no
 // blocking consumer re-scans it (chain.go). It absorbs the consecutive
 // steps above it the way the blocking producers do, so one operator and
-// one pass of the batch kernel serve the whole chain. A chain that does not project emits a
-// selection vector aliasing the surviving records of one child batch; a
-// projecting chain emits copies it owns. Non-blocking: it touches no
-// device lines of its own.
+// one chain iterator — the kernel a view's scan runs too (fuse.go) —
+// serve the whole chain. A chain that does not project serves a
+// selection vector aliasing the surviving records of one pull of the
+// child; a projecting chain serves copies it owns. Non-blocking: it
+// touches no device lines of its own.
 type Stream struct {
 	child Operator
 	chain
-	win  *window
-	out  Batch
-	need int // records the parent still wants under a limit hint; -1 none
 }
 
 func (s *Stream) Name() string         { return s.child.Name() + s.chain.String() }
 func (s *Stream) RecordSize() int      { return s.width(s.child.RecordSize()) }
 func (s *Stream) Children() []Operator { return []Operator{s.child} }
 
-func (s *Stream) Open(ctx context.Context, ec *Ctx) error {
-	s.win = s.newWindow(s.child.RecordSize())
-	s.need = -1
-	return s.child.Open(ctx, ec)
-}
-
-// limitHint bounds read-ahead under a Limit. A chain without predicates
-// maps 1:1 onto its child and forwards the hint. A filtering chain
-// re-hints its child before every pull with the records still needed,
-// narrowing the child's fetches as matches accumulate; selectivity is
-// unknown, so that bound is per-pull, not exact — the child may fetch up
-// to one hinted batch past the lazy record-at-a-time stopping point.
-func (s *Stream) limitHint(n int) {
-	if len(s.preds) == 0 {
-		hintLimit(s.child, n)
-		return
+func (s *Stream) Open(ctx context.Context, ec *Ctx) (storage.Iterator, error) {
+	it, err := s.child.Open(ctx, ec)
+	if err != nil {
+		return nil, err
 	}
-	s.need = n
+	return newChainIterator(ctx, it, &s.chain, s.child.RecordSize(), ec.PullSize()), nil
 }
 
-func (s *Stream) Next(ctx context.Context) (*Batch, error) {
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if s.need >= 0 {
-			if s.need == 0 {
-				return nil, io.EOF
-			}
-			hintLimit(s.child, s.need)
-		}
-		cb, err := s.child.Next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		// A view of the child's batch, rebuilt on every pull.
-		s.out.Recs = s.win.run(cb.Recs)
-		if len(s.out.Recs) == 0 {
-			continue
-		}
-		if s.need > 0 {
-			s.need = max(0, s.need-len(s.out.Recs))
-		}
-		return &s.out, nil
-	}
-}
-
+// Close closes the child, and with it the stream the chain reads.
 func (s *Stream) Close() error { return s.child.Close() }
 
 // --- Limit ---
 
-// Limit passes through the first n records, slicing the final child
-// batch at the cut. Non-blocking. At Open it hints the bound down the
-// chain (see limitHinted) so hinted producers fetch no input past the
-// n-th record.
+// Limit passes through the first n records of its child's stream, bound
+// by storage.Limit: no pull asks the child for more records than are
+// still wanted, so a producer fetches no input past the n-th record. A
+// filtering Stream passes the ask on to its own child, so the scan under
+// it reads ahead by at most what the filter drops from one pull.
+// Non-blocking.
 type Limit struct {
 	child Operator
 	n     int
-	seen  int
-	out   Batch
 }
 
 // NewLimit returns a limit of n records over child.
@@ -241,40 +187,16 @@ func (l *Limit) Name() string         { return fmt.Sprintf("Limit[%d](%s)", l.n,
 func (l *Limit) RecordSize() int      { return l.child.RecordSize() }
 func (l *Limit) Children() []Operator { return []Operator{l.child} }
 
-func (l *Limit) Open(ctx context.Context, ec *Ctx) error {
+func (l *Limit) Open(ctx context.Context, ec *Ctx) (storage.Iterator, error) {
 	if l.n < 0 {
-		return fmt.Errorf("exec: negative limit %d", l.n)
+		return nil, fmt.Errorf("exec: negative limit %d", l.n)
 	}
-	l.seen = 0
-	if err := l.child.Open(ctx, ec); err != nil {
-		return err
-	}
-	hintLimit(l.child, l.n)
-	return nil
-}
-
-func (l *Limit) limitHint(n int) {
-	if n < l.n-l.seen {
-		hintLimit(l.child, n)
-	}
-}
-
-func (l *Limit) Next(ctx context.Context) (*Batch, error) {
-	if l.seen >= l.n {
-		return nil, io.EOF
-	}
-	cb, err := l.child.Next(ctx)
+	it, err := l.child.Open(ctx, ec)
 	if err != nil {
 		return nil, err
 	}
-	k := len(cb.Recs)
-	if rest := l.n - l.seen; k > rest {
-		k = rest
-	}
-	l.seen += k
-	// A view of the child's batch, re-sliced on every pull.
-	l.out.Recs = cb.Recs[:k]
-	return &l.out, nil
+	return storage.Limit(it, l.n), nil
 }
 
+// Close closes the child, and with it the stream the bound reads.
 func (l *Limit) Close() error { return l.child.Close() }

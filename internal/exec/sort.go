@@ -128,27 +128,27 @@ func (s *Sort) emitTo(ctx context.Context, ec *Ctx, dst storage.Collection) erro
 	return cleanup()
 }
 
-// Open runs the stage. A fed stage ends in its reader: Next serves the
-// intake's stream — its heap, or the pull merge of its last runs —
-// through the chain, and no result temp is written. A stored input fills
-// the temp with emitTo.
-func (s *Sort) Open(ctx context.Context, ec *Ctx) error {
+// Open runs the stage and returns its result's stream. A fed stage ends
+// in its reader: it serves the intake's stream — its heap, or the pull
+// merge of its last runs — through the chain, and no result temp is
+// written. A stored input fills the temp with emitTo.
+func (s *Sort) Open(ctx context.Context, ec *Ctx) (storage.Iterator, error) {
 	if err := s.intake(ctx, ec, true); err != nil {
-		return err
+		return nil, err
 	}
 	if s.in != nil {
 		it, err := s.in.Stream()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if s.grouping() {
 			it = aggregate.ResultsOf(it)
 		}
 		if !s.chain.empty() {
-			it = newChainIterator(ctx, it, &s.chain, s.child.RecordSize(), ec.batchSize())
+			it = newChainIterator(ctx, it, &s.chain, s.child.RecordSize(), ec.PullSize())
 		}
-		s.sc = newBatchScanner(it, ec.batchSize())
-		return nil
+		s.it = it
+		return it, nil
 	}
 	prefix := "sorted"
 	if s.grouping() {

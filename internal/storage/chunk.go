@@ -15,8 +15,8 @@ func ChunkRecords(blockSize, recSize int) int {
 // Chunked returns it's ChunkIterator, or for an iterator without one
 // (selection streams, foreign collections) an adapter that serves
 // one-record chunks through Next: the one record-at-a-time fallback
-// every chunk reader — ForEach, Cursor, Slice, the engine's batch
-// scans — shares.
+// every chunk reader — ForEach, Cursor, Limit, the engine's drains and
+// chain iterators — shares.
 func Chunked(it Iterator) ChunkIterator {
 	if ci, ok := it.(ChunkIterator); ok {
 		return ci

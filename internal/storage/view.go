@@ -59,20 +59,25 @@ func (v *view) ScanFrom(start int) Iterator {
 	if abs > v.end {
 		abs = v.end
 	}
-	return &viewIterator{it: v.c.ScanFrom(abs), remaining: v.end - abs}
+	return Limit(v.c.ScanFrom(abs), v.end-abs)
 }
 
-// viewIterator bounds the underlying iterator to the view's record
-// count, in both its record and its chunk form: a sliced input is read
-// at the same granularity, and through the same block reads, as the
-// collection it slices.
-type viewIterator struct {
+// Limit bounds it to its next n records, in both its record and its
+// chunk form: no call asks it for a record past the n-th, so a sliced
+// input is read at the same granularity, and through the same block
+// reads, as the collection it slices, and a stream cut at n records
+// fetches nothing past them. Closing the bound closes it.
+func Limit(it Iterator, n int) Iterator {
+	return &limitIterator{it: it, remaining: n}
+}
+
+type limitIterator struct {
 	it        Iterator
 	ci        ChunkIterator // it's chunk form, resolved on first NextChunk
 	remaining int
 }
 
-func (it *viewIterator) Next() ([]byte, error) {
+func (it *limitIterator) Next() ([]byte, error) {
 	if it.remaining <= 0 {
 		return nil, io.EOF
 	}
@@ -84,9 +89,9 @@ func (it *viewIterator) Next() ([]byte, error) {
 	return rec, nil
 }
 
-// NextChunk implements ChunkIterator, clamping max to the records left in
-// the view so the underlying fetch never reaches a block past its end.
-func (it *viewIterator) NextChunk(max int) ([][]byte, error) {
+// NextChunk implements ChunkIterator, clamping max to the records left
+// so the underlying fetch never reaches a block past the bound.
+func (it *limitIterator) NextChunk(max int) ([][]byte, error) {
 	if it.remaining <= 0 {
 		return nil, io.EOF
 	}
@@ -104,4 +109,4 @@ func (it *viewIterator) NextChunk(max int) ([][]byte, error) {
 	return recs, nil
 }
 
-func (it *viewIterator) Close() error { return it.it.Close() }
+func (it *limitIterator) Close() error { return it.it.Close() }

@@ -9,6 +9,7 @@ import (
 	"wlpm/internal/broker"
 	"wlpm/internal/exec"
 	"wlpm/internal/record"
+	"wlpm/internal/storage"
 )
 
 // Rows is a streaming query result in the database/sql style: records
@@ -30,7 +31,7 @@ type Rows struct {
 	ctx    context.Context
 	ec     *exec.Ctx
 	root   exec.Operator
-	cur    *exec.Cursor // record-level view over the root's batches
+	cur    *storage.Cursor // record-level view over the root's stream
 	ex     *QueryExplain
 	grant  *broker.Grant
 	stop   func() bool // cancels the context watcher
@@ -71,13 +72,14 @@ func (q *Query) openRows(ctx context.Context, budget int64, grant *broker.Grant,
 	if err := ec.Bind(ctx); err != nil {
 		return nil, err
 	}
-	if err := root.Open(ctx, ec); err != nil {
+	it, err := root.Open(ctx, ec)
+	if err != nil {
 		root.Close()    //nolint:errcheck // best-effort cleanup after failure
 		ec.SweepTemps() //nolint:errcheck // best-effort cleanup after failure
 		return nil, err
 	}
 	ex.Rerender() // every blocking stage has opened, and may have re-planned
-	r := &Rows{ctx: ctx, ec: ec, root: root, cur: exec.NewCursor(root), ex: ex, grant: grant}
+	r := &Rows{ctx: ctx, ec: ec, root: root, cur: storage.NewCursor(it, ec.PullSize()), ex: ex, grant: grant}
 	if grant != nil {
 		// Release the memory grant the moment the context dies, whether or
 		// not the consumer gets around to Close (Release is idempotent).
@@ -104,7 +106,7 @@ func (r *Rows) Next() bool {
 	// legitimately contends while a fetch is in flight, and cancellation
 	// cuts a blocked fetch loose via r.ctx, which Close does not need
 	// r.mu to cancel.
-	rec, err := r.cur.Next(r.ctx)
+	rec, err := r.cur.Next()
 	if err == io.EOF {
 		r.done = true
 		return false
