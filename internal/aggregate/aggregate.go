@@ -40,8 +40,13 @@ const PartialSize = (AttrMax + 1) * record.AttrSize
 // of one benchmark record: its group key with attribute attr's value
 // counted once.
 func Singleton(buf, rec []byte, attr int) {
-	v := record.Attr(rec, attr)
-	record.SetAttr(buf, AttrGroupKey, record.Key(rec))
+	singleton(buf, record.Key(rec), record.Attr(rec, attr))
+}
+
+// singleton renders the partial of a row with group key key whose
+// aggregated attribute holds v.
+func singleton(buf []byte, key, v uint64) {
+	record.SetAttr(buf, AttrGroupKey, key)
 	record.SetAttr(buf, AttrCount, 1)
 	record.SetAttr(buf, AttrSum, v)
 	record.SetAttr(buf, AttrMin, v)
@@ -82,12 +87,33 @@ func Partials(in storage.Collection, attr int) (storage.Collection, error) {
 // rows that renders each appended row as its Singleton partial, once,
 // and appends that to dst — a folding sorts.Intake of PartialSize
 // records.
-func Feed(dst storage.Collection, attr int) storage.Collection {
-	buf := make([]byte, PartialSize)
-	return storage.NewSink("partials", record.Size, func(rec []byte) error {
-		Singleton(buf, rec, attr)
-		return dst.Append(buf)
+func Feed(dst storage.Collection, attr int) *Feeder {
+	f := &Feeder{dst: dst, attr: attr}
+	f.Sink = *storage.NewSink("partials", record.Size, func(rec []byte) error {
+		return f.Add(record.Key(rec), record.Attr(rec, attr))
 	}, nil)
+	return f
+}
+
+// Feeder is Feed's sink. A producer that holds a row's group key and
+// aggregated value without the row — a join, reading them from the two
+// halves of a match — hands it over by Add, and no row is built.
+type Feeder struct {
+	storage.Sink
+	dst  storage.Collection
+	attr int
+	buf  [PartialSize]byte
+}
+
+// Attr is the aggregated attribute of the rows the feeder takes.
+func (f *Feeder) Attr() int { return f.attr }
+
+// Add appends to the destination the partial of one row whose group key
+// is key and whose aggregated attribute holds v: the partial Singleton
+// renders from the row.
+func (f *Feeder) Add(key, v uint64) error {
+	singleton(f.buf[:], key, v)
+	return f.dst.Append(f.buf[:])
 }
 
 // partials is the rows' collection for its name, length and scans.

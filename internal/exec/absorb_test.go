@@ -5,7 +5,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"wlpm/internal/aggregate"
@@ -53,17 +56,41 @@ var absorbSources = []struct {
 // join key over [0, bgDim) or the group key over [0, groups).
 var absorbPred = Predicate{Attr: 0, Op: Ge, Value: 20}
 
+// chainCase is a Filter/Project chain put over a plan whose join (if it
+// has one) has a left input left attributes wide.
+type chainCase struct {
+	name  string
+	apply func(p *Plan, left int) *Plan
+}
+
 // absorbChains each drop a column or a row; the last filters a column
 // the projection beneath it moved, so the predicate must be mapped back.
-var absorbChains = []struct {
-	name  string
-	apply func(p *Plan) *Plan
-}{
-	{"project", func(p *Plan) *Plan { return p.Project(0, 3, 1) }},
-	{"filter", func(p *Plan) *Plan { return p.Filter(absorbPred) }},
-	{"filter-project", func(p *Plan) *Plan { return p.Filter(absorbPred).Project(1, 0) }},
-	{"project-filter-project", func(p *Plan) *Plan {
+var absorbChains = []chainCase{
+	{"project", func(p *Plan, _ int) *Plan { return p.Project(0, 3, 1) }},
+	{"filter", func(p *Plan, _ int) *Plan { return p.Filter(absorbPred) }},
+	{"filter-project", func(p *Plan, _ int) *Plan { return p.Filter(absorbPred).Project(1, 0) }},
+	{"project-filter-project", func(p *Plan, _ int) *Plan {
 		return p.Project(3, 1, 0).Filter(Predicate{Attr: 2, Op: Ge, Value: 20}).Project(2, 0)
+	}},
+}
+
+// splitChains read a join's right half, which a chain applied to each
+// match's halves must find past the left width: a filter on a right
+// attribute; a projection taking attributes of both halves in reverse
+// order; and a filter on a right attribute that projection moved,
+// mapped back through it. Each projects the star's left attributes (a0,
+// a1, a5, a7, a9), so a narrowed build side is 40 B wide. Over the star,
+// fact's a2 is its key ÷ 3. Every star attribute derives from the key, so
+// the two halves of a match hold the same values at the same positions:
+// only a narrowed build side, under a blocking consumer, tells a read of
+// the wrong half from the right one.
+var splitChains = []chainCase{
+	{"filter-right", func(p *Plan, left int) *Plan {
+		return p.Filter(Predicate{Attr: left + 2, Op: Ge, Value: 5}).Project(0, 1, 5, 7, 9, left+3)
+	}},
+	{"project-straddle", func(p *Plan, left int) *Plan { return p.Project(left+5, 9, 7, left+2, 5, 1, 0) }},
+	{"project-straddle-filter", func(p *Plan, left int) *Plan {
+		return p.Project(left+5, 9, 7, left+2, 5, 1, 0).Filter(Predicate{Attr: 3, Op: Ge, Value: 5})
 	}},
 }
 
@@ -114,7 +141,11 @@ func streamingOps(op Operator) int {
 // difference of sorts, not of materializing.
 func TestAbsorbedChainMatchesMaterializedReference(t *testing.T) {
 	for _, src := range absorbSources {
-		for _, ch := range absorbChains {
+		chains := absorbChains
+		if src.name == "join" {
+			chains = append(slices.Clip(chains), splitChains...)
+		}
+		for _, ch := range chains {
 			for _, shape := range []string{"blocking-input", "cursor", "root"} {
 				t.Run(fmt.Sprintf("%s/%s/%s", src.name, ch.name, shape), func(t *testing.T) {
 					run := func(opts CompileOptions) ([]byte, uint64) {
@@ -123,7 +154,7 @@ func TestAbsorbedChainMatchesMaterializedReference(t *testing.T) {
 						if opts.MaterializeEveryStep && src.fold == foldEvict {
 							plan = plan.left.GroupByWith(plan.attr, sorts.NewExternalMergeSort())
 						}
-						plan = ch.apply(plan)
+						plan = ch.apply(plan, record.NumAttrs)
 						if shape == "blocking-input" {
 							plan = plan.OrderByWith(sorts.NewExternalMergeSort())
 						}
@@ -376,7 +407,8 @@ func TestSinkDestinationFailure(t *testing.T) {
 
 // BenchmarkJoinEmitProjected: 10 k ⋈ 100 k through nested loops with 10
 // of the 20 joined attributes kept by the projection above — absorbed,
-// so the join writes 80-byte rows and the 160-byte ones never exist.
+// so the join writes 80-byte rows, each projected from the two halves of
+// its match: no 160-byte row is built, in DRAM or on the device.
 func BenchmarkJoinEmitProjected(b *testing.B) {
 	// The star's 120 000 rows (9.6 MB) and one iteration's 100 000
 	// 80-byte results.
@@ -406,4 +438,85 @@ func BenchmarkJoinEmitProjected(b *testing.B) {
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(r.dev.Stats().Writes)/float64(b.N), "cl-writes/op")
+}
+
+// joinFoldPlan is the star query of the benchmark's query_star workload
+// over r's nDim ⋈ nFact star: dim ⋈ fact, projected to ten attributes,
+// grouped on the projected a3 and ordered (the order-by compiles to no
+// stage). Left to the planner, the group-by is fed: each match is folded
+// into its intake from the join's two halves.
+func joinFoldPlan(t testing.TB, r *rig, nDim, nFact int) *Plan {
+	dim, _, fact := r.loadStar(t, nDim, nFact)
+	return Table(dim).Join(Table(fact)).Project(starCols...).GroupBy(3).OrderBy()
+}
+
+// BenchmarkJoinFold: the query_star plan over 10 k ⋈ 100 k, pulled by a
+// cursor — the join's matches folded into the group-by's intake, with no
+// joined or projected row built for any of them.
+func BenchmarkJoinFold(b *testing.B) {
+	const nDim, nFact = 10000, 100000
+	// The star's 120 000 rows (9.6 MB) with the fold's runs beside them.
+	r := rigOn(b, "blocked", pmem.Config{Capacity: 32 << 20})
+	plan := joinFoldPlan(b, r, nDim, nFact)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// query_star's budget: 5 % of the fact table.
+		res := r.runPlan(b, plan, runSpec{budget: nFact * record.Size / 20, par: 1, cursor: true})
+		if len(res.out) == 0 {
+			b.Fatal("no groups")
+		}
+	}
+}
+
+// TestJoinFoldAllocs: the fed star query allocates a fixed number of
+// times per query, whatever the fact table's row count — no allocation
+// per match on the way from the probe to the fold. The groups (one per
+// dim key) fit the fold's share, so its intake writes no run at either
+// size. The count is 251 run alone and 252 in a run of the whole
+// package; slack takes up that much, and under the race detector, whose
+// sync.Pool drops some of what it is handed (fmt's printers among it), a
+// few dozen from run to run. 15 000 more matches would still add 15 000.
+func TestJoinFoldAllocs(t *testing.T) {
+	const nDim, budget = 500, 251
+	slack := 2.0
+	if raceBuild() {
+		slack = 64
+	}
+	var counts []float64
+	for _, nFact := range []int{5000, 20000} {
+		r := newRig(t)
+		plan := joinFoldPlan(t, r, nDim, nFact)
+		allocs := testing.AllocsPerRun(3, func() {
+			res := r.runPlan(t, plan, runSpec{budget: 1 << 20, par: 1, cursor: true})
+			if !res.ex.Choices[len(res.ex.Choices)-1].Fed || res.temps.N(spillTemps...) != 0 {
+				t.Fatalf("fact %d: want a fed fold that never left memory:\n%s\ntemps %v", nFact, res.ex, res.temps)
+			}
+			if n := len(res.out) / record.Size; n != nDim {
+				t.Fatalf("fact %d: %d groups, want %d", nFact, n, nDim)
+			}
+		})
+		t.Logf("fact %d: %.0f allocations per query", nFact, allocs)
+		if allocs > budget+slack {
+			t.Errorf("fact %d: %.0f allocations per query, budget %d", nFact, allocs, budget)
+		}
+		counts = append(counts, allocs)
+	}
+	if math.Abs(counts[1]-counts[0]) > slack {
+		t.Errorf("%.0f allocations per query over 5 000 fact rows, %.0f over 20 000: a match allocates", counts[0], counts[1])
+	}
+}
+
+// raceBuild reports whether the test binary runs under the race detector.
+func raceBuild() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }

@@ -26,8 +26,9 @@ func drain(ec *Ctx, it storage.Iterator, emit func(rec []byte) error) error {
 // Join, Materialize, and the pipe under a blocking consumer of a stream).
 // Operators embed it: fill is their Open, returning the temp's scan as
 // the operator's stream, source is theirs as it stands, and drop is
-// their Close. The value owns the temp from the moment fill creates it —
-// nothing else destroys it. A Join or GroupBy whose consumer feeds
+// their Close; the pipe, read as a collection, is only stored. The value
+// owns the temp from the moment fill creates it — nothing else destroys
+// it. A Join or GroupBy whose consumer feeds
 // (exec.go) is never filled: its emitTo is called with the consumer's
 // intake, the embedded value stays empty, and drop only closes the
 // children. Nor is a fed sort stage: it serves its intake's stream
@@ -45,27 +46,37 @@ type stored struct {
 // temp is already destroyed.
 func (s *stored) fill(ctx context.Context, ec *Ctx, prefix string, recSize int,
 	emit func(ctx context.Context, ec *Ctx, dst storage.Collection) error) (storage.Iterator, error) {
+	if err := s.store(ctx, ec, prefix, recSize, emit); err != nil {
+		return nil, err
+	}
+	s.it = s.tmp.Scan()
+	return s.it, nil
+}
+
+// store is fill without the scan, for a consumer that reads the temp as
+// a collection (the pipe, inputCollection).
+func (s *stored) store(ctx context.Context, ec *Ctx, prefix string, recSize int,
+	emit func(ctx context.Context, ec *Ctx, dst storage.Collection) error) error {
 	tmp, err := ec.tempEnv().CreateTemp(prefix, recSize)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err = emit(ctx, ec, tmp); err == nil {
 		err = tmp.Close()
 	}
 	if err != nil {
 		tmp.Destroy() //nolint:errcheck // best-effort cleanup after failure
-		return nil, err
+		return err
 	}
-	s.tmp, s.it = tmp, tmp.Scan()
-	return s.it, nil
+	s.tmp = tmp
+	return nil
 }
 
-// fillFrom fills the value with the whole of src, an opened operator's
-// stream of recSize-byte records.
-func (s *stored) fillFrom(ctx context.Context, ec *Ctx, prefix string, recSize int, src storage.Iterator) (storage.Iterator, error) {
-	return s.fill(ctx, ec, prefix, recSize, func(_ context.Context, ec *Ctx, dst storage.Collection) error {
+// drainOf is the emit that stores src, an opened operator's stream.
+func drainOf(src storage.Iterator) func(ctx context.Context, ec *Ctx, dst storage.Collection) error {
+	return func(_ context.Context, ec *Ctx, dst storage.Collection) error {
 		return drain(ec, src, dst.Append)
-	})
+	}
 }
 
 func (s *stored) source() (storage.Collection, bool) { return s.tmp, s.tmp != nil }

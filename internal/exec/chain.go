@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"wlpm/internal/aggregate"
 	"wlpm/internal/record"
 	"wlpm/internal/storage"
 )
@@ -14,13 +15,17 @@ import (
 //
 //   - emit: over a blocking producer with a serial emit path (Join,
 //     GroupBy) the producer absorbs the chain and applies it where it
-//     emits, through a storage.Sink, so its temp — or the plan output, at
-//     the root — is a stored collection of the chain's width and row count
-//     that consumers read by block chunk and re-read without re-applying
-//     anything (a cursor pulling a fed group-by runs the chain iterator
-//     over its intake's stream instead, the partials widened to result
-//     records first, Sort.Open). OrderBy absorbs nothing: its final merge is
-//     range-parallel at P > 1, and a sink would serialize it.
+//     emits, so its temp — or the plan output, at the root — is a stored
+//     collection of the chain's width and row count that consumers read
+//     by block chunk and re-read without re-applying anything (a cursor
+//     pulling a fed group-by runs the chain iterator over its intake's
+//     stream instead, the partials widened to result records first,
+//     Sort.Open). A GroupBy applies it through a storage.Sink; a Join is
+//     handed it as a match function over each match's (left, right)
+//     halves (joins.Pairs), which reads the attributes it keeps from the
+//     half that holds them, so no joined row is built. OrderBy absorbs
+//     nothing: its final merge is range-parallel at P > 1, and a sink
+//     would serialize it.
 //   - view: over a stored source (a base table, an OrderBy's sorted
 //     output) and under a blocking consumer, the chain is a zero-write
 //     collection view the consumer re-scans (fuse.go).
@@ -31,8 +36,10 @@ import (
 // to has two homes, decided by price rather than shape (exec.go): stored
 // in the producer's temp, or fed — emitted, through the absorbed chain,
 // straight into the intake of the sort above. The emit placement serves
-// both: the sink's destination is the temp, the plan output or the
-// intake, and the chain cannot tell.
+// both: the destination is the temp, the plan output or the intake, and
+// the chain cannot tell — except that a join feeding a group-by folds
+// each match into its intake from the two halves (fold), with no row of
+// the chain's width built either.
 //
 // The compiler writes one chain step of its own: under a sort or
 // group-by, a chain over a join has a projection of the join's left input
@@ -42,9 +49,9 @@ import (
 // join or group-by, a stream over anything else — so a narrower build
 // side never costs a write of its own.
 //
-// Two pieces implement all three: the per-record closure an emit sink
-// calls (apply) and the chunk kernel (window, run by chainIterator)
-// behind the view and the stream. Under MaterializeEveryStep, the
+// Two pieces implement all three: the per-match function an emit
+// placement calls (match, and fold for a fed group-by) and the chunk
+// kernel (window, run by chainIterator) behind the view and the stream. Under MaterializeEveryStep, the
 // materialize-everything reference, no step is absorbed: each gets a
 // Stream and a barrier of its own.
 
@@ -116,42 +123,110 @@ func (c *chain) matchers() []func(rec []byte) bool {
 	return ms
 }
 
-// apply returns the chain as a function over raw records: it calls emit
-// with the chain's output for a record, or not at all when a predicate
-// drops it. The empty chain is emit itself.
-func (c *chain) apply(emit func(rec []byte) error) func(rec []byte) error {
-	if c.empty() {
-		return emit
+// match compiles the chain over left‖right pairs — a join's matches,
+// split at lsize bytes, a whole number of attributes; or whole records,
+// as the left half with rsize 0 — into the function an emit placement
+// calls for each: it calls emit with the chain's output for the pair, or
+// not at all when a predicate drops it. Every attribute the chain reads
+// is located at compile time in the half that holds it, so a projecting
+// chain copies the attributes it keeps and nothing else; one that does
+// not project emits the two halves concatenated.
+func (c *chain) match(lsize, rsize int, emit func(rec []byte) error) func(left, right []byte) error {
+	keep := c.pairMatchers(lsize)
+	at := make([]pairAttr, len(c.attrs))
+	for i, a := range c.attrs {
+		at[i] = locate(a, lsize)
 	}
-	matchers := c.matchers()
-	attrs := c.attrs
-	var buf []byte
-	if attrs != nil {
-		buf = make([]byte, len(attrs)*record.AttrSize)
-	}
-	return func(rec []byte) error {
-		for _, match := range matchers {
-			if !match(rec) {
+	project := c.attrs != nil
+	buf := make([]byte, c.width(lsize+rsize))
+	return func(left, right []byte) error {
+		for _, m := range keep {
+			if !m(left, right) {
 				return nil
 			}
 		}
-		if buf == nil {
-			return emit(rec)
+		if !project {
+			copy(buf, left)
+			copy(buf[lsize:], right)
 		}
-		projectInto(buf, rec, attrs)
+		for i, a := range at {
+			record.SetAttr(buf, i, a.load(left, right))
+		}
 		return emit(buf)
 	}
 }
 
-// sink returns the collection the operator hands its algorithm as out
-// so that dst receives the chain's output: a write-only sink of the raw
-// width that closes dst when the algorithm closes it, or dst itself for
-// the empty chain.
+// fold compiles the chain, followed by the partial a fed group-by takes
+// of its output, over left‖right pairs split at lsize bytes, a whole
+// number of attributes: it reads the group key and the aggregated
+// attribute of the chain's output from the halves that hold them and
+// hands the two to f, so no row is built for a pair at all.
+func (c *chain) fold(lsize int, f *aggregate.Feeder) func(left, right []byte) error {
+	keep := c.pairMatchers(lsize)
+	key, val := 0, f.Attr()
+	if c.attrs != nil {
+		key, val = c.attrs[key], c.attrs[val]
+	}
+	k, v := locate(key, lsize), locate(val, lsize)
+	return func(left, right []byte) error {
+		for _, m := range keep {
+			if !m(left, right) {
+				return nil
+			}
+		}
+		return f.Add(k.load(left, right), v.load(left, right))
+	}
+}
+
+// pairMatchers are the chain's predicates over left‖right pairs split at
+// lsize bytes.
+func (c *chain) pairMatchers(lsize int) []func(left, right []byte) bool {
+	ms := make([]func(left, right []byte) bool, len(c.preds))
+	for i, p := range c.preds {
+		at := locate(p.Attr, lsize)
+		p.Attr = at.attr
+		m := p.matcher()
+		if at.right {
+			ms[i] = func(_, right []byte) bool { return m(right) }
+		} else {
+			ms[i] = func(left, _ []byte) bool { return m(left) }
+		}
+	}
+	return ms
+}
+
+// pairAttr is where attribute a of a left‖right pair lives: attribute
+// attr of the half right names.
+type pairAttr struct {
+	right bool
+	attr  int
+}
+
+// locate finds attribute a of a pair whose left half is lsize bytes.
+func locate(a, lsize int) pairAttr {
+	if l := lsize / record.AttrSize; a >= l {
+		return pairAttr{right: true, attr: a - l}
+	}
+	return pairAttr{attr: a}
+}
+
+func (a pairAttr) load(left, right []byte) uint64 {
+	if a.right {
+		return record.Attr(right, a.attr)
+	}
+	return record.Attr(left, a.attr)
+}
+
+// sink returns the collection a GroupBy hands its sort as out so that
+// dst receives the chain's output: a write-only sink of the raw width
+// that closes dst when the sort closes it, or dst itself for the empty
+// chain.
 func (c *chain) sink(dst storage.Collection, raw int) storage.Collection {
 	if c.empty() {
 		return dst
 	}
-	return storage.NewSink("emit("+dst.Name()+")", raw, c.apply(dst.Append), dst.Close)
+	match := c.match(raw, 0, dst.Append)
+	return storage.NewSink("emit("+dst.Name()+")", raw, func(rec []byte) error { return match(rec, nil) }, dst.Close)
 }
 
 // window is the chain's kernel: one window of source records in, the

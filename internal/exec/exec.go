@@ -305,7 +305,7 @@ func inputCollection(ctx context.Context, ec *Ctx, child Operator) (storage.Coll
 		return c, func() error { return nil }, nil
 	}
 	var pipe stored
-	if _, err := pipe.fillFrom(ctx, ec, "pipe", child.RecordSize(), it); err != nil {
+	if err := pipe.store(ctx, ec, "pipe", child.RecordSize(), drainOf(it)); err != nil {
 		return nil, nil, err
 	}
 	return pipe.tmp, func() error { return pipe.drop() }, nil

@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 
+	"wlpm/internal/aggregate"
 	"wlpm/internal/joins"
+	"wlpm/internal/record"
 	"wlpm/internal/storage"
 )
 
@@ -46,7 +48,7 @@ func (j *Join) emitTo(ctx context.Context, ec *Ctx, dst storage.Collection) erro
 	// the choice is re-priced at the stage's share (and, when the planner
 	// owns it, re-made).
 	j.algo = j.st.openJoin(lcoll, rcoll, j.algo)
-	if err := j.algo.Join(ec.stageEnv(j.st), lcoll, rcoll, j.sink(dst, j.rawSize())); err != nil {
+	if err := j.algo.Join(ec.stageEnv(j.st), lcoll, rcoll, j.output(dst)); err != nil {
 		lclean() //nolint:errcheck // best-effort cleanup after failure
 		rclean() //nolint:errcheck // best-effort cleanup after failure
 		return err
@@ -55,6 +57,29 @@ func (j *Join) emitTo(ctx context.Context, ec *Ctx, dst storage.Collection) erro
 		return err
 	}
 	return rclean()
+}
+
+// output is what the join's algorithm emits into so that dst receives
+// the chain's output. Unless the chain is empty, it is a joins.Pairs
+// whose match function applies the chain to the two halves of each
+// match; when dst is a fed group-by's intake (aggregate.Feeder), the
+// function folds the match straight into it, so neither the joined row
+// nor the chain's projection is built. Over the empty chain the join
+// appends its joined rows to dst itself, and a left half that does not
+// end on an attribute boundary leaves the chain to read those rows.
+func (j *Join) output(dst storage.Collection) storage.Collection {
+	lsize, rsize := j.left.RecordSize(), j.right.RecordSize()
+	f, fold := dst.(*aggregate.Feeder)
+	if !fold && j.chain.empty() || lsize%record.AttrSize != 0 {
+		return j.sink(dst, lsize+rsize)
+	}
+	var match func(left, right []byte) error
+	if fold {
+		match = j.fold(lsize, f)
+	} else {
+		match = j.match(lsize, rsize, dst.Append)
+	}
+	return joins.NewPairs("emit("+dst.Name()+")", lsize, rsize, match, dst.Close)
 }
 
 func (j *Join) Open(ctx context.Context, ec *Ctx) (storage.Iterator, error) {

@@ -33,7 +33,7 @@ func (m *Materialize) Open(ctx context.Context, ec *Ctx) (storage.Iterator, erro
 	if err != nil {
 		return nil, err
 	}
-	return m.fillFrom(ctx, ec, "mat", m.RecordSize(), it)
+	return m.fill(ctx, ec, "mat", m.RecordSize(), drainOf(it))
 }
 
 func (m *Materialize) Close() error { return m.drop(m.child) }

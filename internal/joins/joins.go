@@ -15,7 +15,8 @@
 //     HJ — standard hash join, §2.2.3's baseline — on every iteration
 //
 // All algorithms join on key equality (attribute 0 of each record) and
-// emit left‖right concatenations into the output collection. The catalog
+// emit left‖right concatenations into the output collection, or hand each
+// match to a Pairs output as its two halves. The catalog
 // below is each algorithm's single declaration: the planner, the plan DSL
 // and the CLIs name, build and price it from there.
 package joins
@@ -37,8 +38,9 @@ import (
 type Algorithm interface {
 	// Name is the experiment identifier ("GJ", "HybJ(0.5,0.5)"…).
 	Name() string
-	// Join appends every matching left‖right pair to out. The output
-	// record size must be the sum of the input record sizes.
+	// Join appends every matching left‖right pair to out — to a Pairs
+	// out, hands it over as its halves. The output record size must be
+	// the sum of the input record sizes.
 	Join(env *algo.Env, left, right, out storage.Collection) error
 	// Profile is the predicted I/O for t build-side and v probe-side
 	// buffers with m of memory at ratio λ, emitting as em describes: what
@@ -261,33 +263,53 @@ func (ws *workingSet) buildParts(w int) []*record.Vec {
 	return ws.parts[:w]
 }
 
-// emitter materializes matched pairs into the output collection, either
-// as left‖right concatenations or as probe-side projections, depending on
-// the output's record size (see checkArgs).
+// Pairs is a join output that takes each match as its two halves: a
+// write-only collection of left‖right records whose emitter hands match
+// the left and right records themselves, so a consumer that reads a few
+// attributes of either half never has a joined row built for it. Its
+// Append splits a joined record at the left width and calls match.
+// match must not keep either slice past its return: the left one is a
+// build-table record, the right one a probe record whose block the
+// scan's next read may replace.
+type Pairs struct {
+	storage.Sink
+	match func(left, right []byte) error
+}
+
+// NewPairs returns the output of a join of lsize-byte left and
+// rsize-byte right records that calls match for every match and flush
+// when the join closes its output.
+func NewPairs(name string, lsize, rsize int, match func(left, right []byte) error, flush func() error) *Pairs {
+	split := func(rec []byte) error { return match(rec[:lsize], rec[lsize:]) }
+	return &Pairs{Sink: *storage.NewSink(name, lsize+rsize, split, flush), match: match}
+}
+
+// emitter hands every match to the output through one match function,
+// resolved when the join starts: a Pairs output's own, or one of two
+// defaults chosen by the output's record size (see checkArgs) — append
+// the probe-side record, or the left‖right concatenation.
 type emitter struct {
-	out     storage.Collection
-	scratch []byte
-	lsize   int
-	project bool          // emit only the right record
-	staged  []*record.Vec // one staging vector per probe worker (parallel.go)
+	match  func(left, right []byte) error
+	lsize  int // where a staged left‖right record splits
+	rsize  int
+	staged []*record.Vec // one staging vector per probe worker (parallel.go)
 }
 
 func newEmitter(out storage.Collection, lsize, rsize int) *emitter {
-	return &emitter{
-		out:     out,
-		scratch: make([]byte, lsize+rsize),
-		lsize:   lsize,
-		project: out.RecordSize() == rsize,
+	e := &emitter{lsize: lsize, rsize: rsize}
+	if p, ok := out.(*Pairs); ok {
+		e.match = p.match
+	} else if out.RecordSize() == rsize {
+		e.match = func(_, right []byte) error { return out.Append(right) }
+	} else {
+		row := make([]byte, lsize+rsize)
+		e.match = func(left, right []byte) error {
+			copy(row, left)
+			copy(row[lsize:], right)
+			return out.Append(row)
+		}
 	}
-}
-
-func (e *emitter) emit(left, right []byte) error {
-	if e.project {
-		return e.out.Append(right)
-	}
-	copy(e.scratch, left)
-	copy(e.scratch[e.lsize:], right)
-	return e.out.Append(e.scratch)
+	return e
 }
 
 // partitionCount is k = ⌈f·|T|/M⌉: the fewest partitions whose hash

@@ -124,7 +124,7 @@ func iterativeHash(env *algo.Env, left, right, out storage.Collection, materiali
 		if err = env.Scan(cur[1], env.Polled(func(r []byte) error {
 			part := partitionOf(r, k)
 			if part == p {
-				return table.probe(record.Key(r), func(l []byte) error { return em.emit(l, r) })
+				return table.probe(record.Key(r), func(l []byte) error { return em.match(l, r) })
 			}
 			if nextV != nil && part > p {
 				return nextV.Append(r)

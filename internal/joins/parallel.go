@@ -22,10 +22,10 @@ import (
 //     reconstituting the exact serial insertion order (which determines
 //     per-key match order) before any probe runs.
 //   - probing: the table is probed by several workers over contiguous
-//     chunks of the probe stream. Matches are staged in small per-worker
-//     DRAM buffers and appended to the output through a turnstile in chunk
-//     order, so the output sequence equals the serial one for every
-//     parallelism level.
+//     chunks of the probe stream. Matches are staged as left‖right
+//     records in small per-worker DRAM buffers and handed to the
+//     emitter's match function through a turnstile in chunk order, so the
+//     output sequence equals the serial one for every parallelism level.
 //
 // The table, the per-worker build vectors and the staging buffers are
 // the join's working set (workingSet): allocated once per Join and
@@ -50,7 +50,7 @@ const orderedOutputCap = 64 << 10
 // inside one.
 func (e *emitter) stage(n int) []*record.Vec {
 	for len(e.staged) < n {
-		e.staged = append(e.staged, record.NewVec(e.out.RecordSize(), e.stageRecords()))
+		e.staged = append(e.staged, record.NewVec(e.lsize+e.rsize, e.stageRecords()))
 	}
 	for _, v := range e.staged[:n] {
 		v.Reset()
@@ -58,12 +58,13 @@ func (e *emitter) stage(n int) []*record.Vec {
 	return e.staged[:n]
 }
 
-// stageRecords is a staging vector's capacity in records.
-func (e *emitter) stageRecords() int { return max(orderedOutputCap/e.out.RecordSize(), 1) }
+// stageRecords is a staging vector's capacity in left‖right records.
+func (e *emitter) stageRecords() int { return max(orderedOutputCap/(e.lsize+e.rsize), 1) }
 
 // orderedEmit is one probe worker's view of the shared emitter: matches
-// are buffered in DRAM until the worker's turn in the output order
-// arrives, then flushed and streamed directly.
+// are staged in DRAM as left‖right records until the worker's turn in
+// the output order arrives, then split at the left width and handed to
+// the emitter's match function, and later matches go to it directly.
 type orderedEmit struct {
 	em        *emitter
 	ts        *algo.Turnstile
@@ -76,13 +77,9 @@ type orderedEmit struct {
 
 func (o *orderedEmit) emit(left, right []byte) error {
 	if o.turnTaken {
-		return o.em.emit(left, right)
+		return o.em.match(left, right)
 	}
-	if o.em.project {
-		o.buf.Append(right)
-	} else {
-		o.buf.AppendJoined(left, right)
-	}
+	o.buf.AppendJoined(left, right)
 	if o.buf.Len() >= o.bufCap {
 		return o.takeTurn()
 	}
@@ -95,7 +92,8 @@ func (o *orderedEmit) takeTurn() error {
 	o.ts.Wait(o.i)
 	o.turnTaken = true
 	for j := 0; j < o.buf.Len(); j++ {
-		if err := o.em.out.Append(o.buf.At(j)); err != nil {
+		rec := o.buf.At(j)
+		if err := o.em.match(rec[:o.em.lsize], rec[o.em.lsize:]); err != nil {
 			return err
 		}
 	}
@@ -154,7 +152,7 @@ func parallelProbe(env *algo.Env, ws *workingSet, srcs []storage.Collection, fil
 		return nil
 	}
 	if len(srcs) == 1 {
-		return probeOne(srcs[0], em.emit)
+		return probeOne(srcs[0], em.match)
 	}
 	bufs, bufCap := em.stage(len(srcs)), em.stageRecords()
 	ts := algo.NewTurnstile(len(srcs))

@@ -27,7 +27,8 @@ type Allocator struct {
 	dev *Device
 
 	mu     sync.Mutex
-	free   []span   // sorted by offset, pairwise non-adjacent
+	free   []span   // from head on: sorted by offset, pairwise non-adjacent
+	head   int      // free[:head] are spans AllocAligned used up, reclaimed by FreeAll
 	base   int64    // offset of line 0 of the bitmaps: the range's aligned start
 	lines  int64    // lines in the range
 	starts []uint64 // bit u: an allocation starts at line u
@@ -139,7 +140,8 @@ func (a *Allocator) AllocAligned(size, align int64) (int64, error) {
 
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for i, s := range a.free {
+	for i := a.head; i < len(a.free); i++ {
+		s := a.free[i]
 		off := (s.off + align - 1) / align * align
 		head := off - s.off
 		if head+need > s.size {
@@ -148,7 +150,11 @@ func (a *Allocator) AllocAligned(size, align int64) (int64, error) {
 		tail := s.size - head - need
 		switch {
 		case head == 0 && tail == 0:
-			a.free = append(a.free[:i], a.free[i+1:]...)
+			// The spans before it move up one: first fit mostly uses up
+			// the first span, which moves nothing, and never more spans
+			// than the search has passed.
+			copy(a.free[a.head+1:i+1], a.free[a.head:i])
+			a.head++
 		case head == 0:
 			a.free[i] = span{off + need, tail}
 		case tail == 0:
@@ -208,10 +214,11 @@ func (a *Allocator) FreeAll(offs []int64) error {
 	// The free spans the batch can touch or interleave with: from the
 	// first one ending at or after the batch's start to the last one
 	// starting at or before its end.
+	free := a.free[a.head:]
 	last := freed[len(freed)-1]
-	lo := sort.Search(len(a.free), func(i int) bool { return a.free[i].off+a.free[i].size >= freed[0].off })
-	hi := sort.Search(len(a.free), func(i int) bool { return a.free[i].off > last.off+last.size })
-	window := a.free[lo:hi]
+	lo := sort.Search(len(free), func(i int) bool { return free[i].off+free[i].size >= freed[0].off })
+	hi := sort.Search(len(free), func(i int) bool { return free[i].off > last.off+last.size })
+	window := free[lo:hi]
 	merged := a.merged[:0]
 	for i, j := 0, 0; i < len(window) || j < len(freed); {
 		var s span
@@ -231,7 +238,13 @@ func (a *Allocator) FreeAll(offs []int64) error {
 		}
 	}
 	a.merged = merged
-	a.free = slices.Replace(a.free, lo, hi, merged...)
+	// The spans before the window move down over the used-up ones, and
+	// the window's replacement is spliced in after them.
+	start, end := a.head+lo, a.head+hi
+	if a.head > 0 {
+		start, a.head = copy(a.free, free[:lo]), 0
+	}
+	a.free = slices.Replace(a.free, start, end, merged...)
 	return nil
 }
 
