@@ -38,8 +38,8 @@ var absorbSources = []struct {
 	build  func(t *testing.T, r *rig) *Plan
 }{
 	{"join", bgBudget, foldAny, func(t *testing.T, r *rig) *Plan {
-		dim1, _, fact := r.loadStar(t, bgDim, bgFact)
-		return Table(dim1).JoinWith(Table(fact), joins.NewGrace())
+		dim, fact := loadJoinApart(t, r, bgDim, bgFact)
+		return Table(dim).JoinWith(Table(fact), joins.NewGrace())
 	}},
 	{"groupby-sort", bgBudget, foldAny, func(t *testing.T, r *rig) *Plan {
 		return Table(loadGrouped(t, r, "in", bgRows, 300)).GroupByWith(4, sorts.NewSegmentSort(0.5))
@@ -50,6 +50,32 @@ var absorbSources = []struct {
 	{"hashagg-spill", 16 << 10 * aggregate.PartialSize / record.Size, foldEvict, func(t *testing.T, r *rig) *Plan {
 		return Table(loadScattered(t, r, "in", 4000, 300)).GroupHint(300).GroupBy(4)
 	}},
+}
+
+// loadJoinApart loads loadStar's dim1 and fact, but with fact's payload
+// told apart from dim1's: attribute i > 0 of a fact record, v in the
+// star, holds 3v + i. In loadStar the two halves of a match hold equal
+// values at equal positions, so a chain that reads one half where it
+// should read the other still emits the right bytes; here it does not.
+func loadJoinApart(t *testing.T, r *rig, nDim, nFact int) (dim, fact storage.Collection) {
+	t.Helper()
+	dim = r.create(t, "dim1", record.Size)
+	fact = r.create(t, "fact", record.Size)
+	apart := func(rec []byte) error {
+		for i := 1; i < record.NumAttrs; i++ {
+			record.SetAttr(rec, i, 3*record.Attr(rec, i)+uint64(i))
+		}
+		return fact.Append(rec)
+	}
+	if err := record.GenerateJoin(nDim, nFact, 7, dim.Append, apart); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []storage.Collection{dim, fact} {
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dim, fact
 }
 
 // absorbPred keeps most but not all rows of every source: a0 is the
@@ -80,10 +106,12 @@ var absorbChains = []chainCase{
 // order; and a filter on a right attribute that projection moved,
 // mapped back through it. Each projects the star's left attributes (a0,
 // a1, a5, a7, a9), so a narrowed build side is 40 B wide. Over the star,
-// fact's a2 is its key ÷ 3. Every star attribute derives from the key, so
-// the two halves of a match hold the same values at the same positions:
-// only a narrowed build side, under a blocking consumer, tells a read of
-// the wrong half from the right one.
+// fact's a2 is its key ÷ 3 (3·⌊key/3⌋ + 2 over loadJoinApart's), so the
+// filters drop a few keys. Every star attribute derives from the key, so
+// over loadStar the two halves of a match hold the same values at the
+// same positions and only a narrowed build side tells a read of the
+// wrong half from the right one; loadJoinApart's halves differ at every
+// position, which tells it in every shape.
 var splitChains = []chainCase{
 	{"filter-right", func(p *Plan, left int) *Plan {
 		return p.Filter(Predicate{Attr: left + 2, Op: Ge, Value: 5}).Project(0, 1, 5, 7, 9, left+3)

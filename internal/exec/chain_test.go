@@ -111,10 +111,7 @@ func TestChainViewSortedMatchesReference(t *testing.T) {
 			}
 			defer root.Close() //nolint:errcheck
 			r.dev.ResetStats()
-			c, ok, err := fuseView(ctx, ec, root)
-			if err != nil || !ok {
-				t.Fatalf("fuseView: ok=%v err=%v", ok, err)
-			}
+			c := countedView(t, ctx, ec, root)
 			if _, isView := c.(*chainView); !isView {
 				t.Fatalf("chain over a table is served by %T, want *chainView", c)
 			}

@@ -283,7 +283,8 @@ func RunCtx(ctx context.Context, ec *Ctx, root Operator, out storage.Collection)
 // collection: directly when the child's output already lives on storage
 // (Scan, stored blocking children — a Join's or GroupBy's already through
 // the chain it absorbed), as a re-scannable zero-write view when the
-// child is a Stream over such a source (see fuseView), and otherwise by
+// child is a Stream over such a source (see fuseView; a filtering view
+// is not counted until its consumer counts it), and otherwise by
 // draining the stream into a pipe temporary — a fed sort's too, which
 // ends in its reader and so writes into the pipe what its own temp would
 // have held. It is how a join reads its
@@ -299,9 +300,7 @@ func inputCollection(ctx context.Context, ec *Ctx, child Operator) (storage.Coll
 	if err != nil {
 		return nil, nil, err
 	}
-	if c, ok, err := fuseView(ctx, ec, child); err != nil {
-		return nil, nil, err
-	} else if ok {
+	if c, ok := fuseView(ctx, ec, child); ok {
 		return c, func() error { return nil }, nil
 	}
 	var pipe stored

@@ -105,10 +105,10 @@ var feedShapes = []struct {
 	// 300 groups fit memory: no run anywhere. Ordered by an aggregate they
 	// go on into the order-by's intake (two fed stages); by the key the
 	// order-by elides.
-	{"hashagg-orderby", 1 << 20, 2, func(t *testing.T, r *rig, pin bool) *Plan {
+	{"fold-resident-orderby", 1 << 20, 2, func(t *testing.T, r *rig, pin bool) *Plan {
 		return sortWith(Table(loadGrouped(t, r, "in", feedFact, 300)).GroupHint(300).GroupBy(4).Project(byAgg...), pin)
 	}},
-	{"hashagg-elided-orderby", 1 << 20, 1, func(t *testing.T, r *rig, pin bool) *Plan {
+	{"fold-resident-elided-orderby", 1 << 20, 1, func(t *testing.T, r *rig, pin bool) *Plan {
 		return sortWith(Table(loadGrouped(t, r, "in", feedFact, 300)).GroupHint(300).GroupBy(4), pin)
 	}},
 	// The join feeds the group-by, whose final merge goes into the

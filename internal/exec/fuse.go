@@ -21,25 +21,19 @@ import (
 // fuseView returns op's whole output as a collection when it exists
 // without a drain: a collection source's own, or a chainView when op is
 // a Stream over one. op must already be Open (blocking leaves hold
-// their results). ctx bounds the view's count scan and every later
-// re-scan.
-func fuseView(ctx context.Context, ec *Ctx, op Operator) (storage.Collection, bool, error) {
+// their results). ctx bounds the view's count and every later scan.
+func fuseView(ctx context.Context, ec *Ctx, op Operator) (storage.Collection, bool) {
 	if s, ok := op.(*Stream); ok {
-		base, ok, err := fuseView(ctx, ec, s.child)
-		if !ok || err != nil {
-			return nil, ok, err
+		base, ok := fuseView(ctx, ec, s.child)
+		if !ok {
+			return nil, false
 		}
-		v, err := newChainView(ctx, base, &s.chain, ec.Factory.BlockSize())
-		if err != nil {
-			return nil, false, err
-		}
-		return v, true, nil
+		return newChainView(ctx, base, &s.chain, ec.Factory.BlockSize()), true
 	}
 	if src, ok := op.(collectionSource); ok {
-		c, ok := src.source()
-		return c, ok, nil
+		return src.source()
 	}
-	return nil, false, nil
+	return nil, false
 }
 
 // chainView is a chain over a stored collection, as a read-only
@@ -48,10 +42,13 @@ func fuseView(ctx context.Context, ec *Ctx, op Operator) (storage.Collection, bo
 // stops early has read exactly the base blocks a record-at-a-time scan
 // to the same record would have, and serve the chain kernel's window
 // over each pull. A projecting-only chain maps records 1:1: length and
-// positional scans delegate to the base. A filtering chain counts its length once,
-// at construction, with one read-only scan (so Len stays error-free),
-// and positional scans re-read the base from the start and discard the
-// skipped survivors (reads, never writes). A selective predicate can
+// positional scans delegate to the base. A filtering chain's length is
+// known once counted, and Len never scans: until then it is the base's,
+// an upper bound. A consumer that sizes its work by the length counts
+// it first (countInput: one read-only scan); a SelS stage has its first
+// pass count it instead (Sort.sortStored), which reads the whole view
+// anyway. Positional scans re-read the base from the start and discard
+// the skipped survivors (reads, never writes). A selective predicate can
 // walk arbitrarily many base records per call, so scans poll ctx like
 // any kernel loop.
 type chainView struct {
@@ -59,22 +56,39 @@ type chainView struct {
 	chain *chain
 	base  storage.Collection
 	pull  int // base records per NextChunk: one block's worth
-	n     int
+	n     int // the view's length; -1 until counted
 }
 
-func newChainView(ctx context.Context, base storage.Collection, c *chain, blockSize int) (*chainView, error) {
-	v := &chainView{ctx: ctx, chain: c, base: base, pull: storage.ChunkRecords(blockSize, base.RecordSize())}
+func newChainView(ctx context.Context, base storage.Collection, c *chain, blockSize int) *chainView {
+	v := &chainView{ctx: ctx, chain: c, base: base, pull: storage.ChunkRecords(blockSize, base.RecordSize()), n: -1}
 	if len(c.preds) == 0 {
 		v.n = base.Len()
-		return v, nil
 	}
-	// Count the survivors; nothing needs projecting to be counted.
-	it := v.scan(&chain{preds: c.preds}, 0)
+	return v
+}
+
+// count makes Len exact, counting the survivors with one read-only scan
+// when nothing has yet; nothing needs projecting to be counted.
+func (v *chainView) count() error {
+	if v.n >= 0 {
+		return nil
+	}
+	it := v.scan(&chain{preds: v.chain.preds}, 0)
 	defer it.Close() //nolint:errcheck // read-only iterator teardown
-	if err := storage.ForEach(it, v.pull, func([]byte) error { v.n++; return nil }); err != nil {
-		return nil, err
+	n := 0
+	if err := storage.ForEach(it, v.pull, func([]byte) error { n++; return nil }); err != nil {
+		return err
 	}
-	return v, nil
+	v.n = n
+	return nil
+}
+
+// countInput makes c's Len exact when c is a view that was not counted.
+func countInput(c storage.Collection) error {
+	if v, ok := c.(*chainView); ok {
+		return v.count()
+	}
+	return nil
 }
 
 func (v *chainView) readOnly(verb string) error {
@@ -88,7 +102,12 @@ func (v *chainView) Close() error        { return nil }
 
 func (v *chainView) Name() string    { return v.base.Name() + v.chain.String() }
 func (v *chainView) RecordSize() int { return v.chain.width(v.base.RecordSize()) }
-func (v *chainView) Len() int        { return v.n }
+func (v *chainView) Len() int {
+	if v.n < 0 {
+		return v.base.Len()
+	}
+	return v.n
+}
 
 func (v *chainView) Scan() storage.Iterator { return v.ScanFrom(0) }
 

@@ -1,23 +1,45 @@
 package exec
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"runtime"
+	"strings"
 	"testing"
 
+	"wlpm/internal/aggregate"
+	"wlpm/internal/algo"
+	"wlpm/internal/cost"
 	"wlpm/internal/pmem"
 	"wlpm/internal/record"
+	"wlpm/internal/sorts"
 	"wlpm/internal/storage"
 	"wlpm/internal/storage/all"
 )
 
 // The fused filter view walks arbitrarily many base records per call —
-// its count pass scans the whole base and a selective predicate makes a
-// single iterator Next unbounded — so both loops must poll the run's
-// context like any kernel loop (INVARIANTS.md, cancellation polling).
+// its count scans the whole base, and so does the first pass of a
+// selection sort that counts it instead, and a selective predicate makes
+// a single iterator Next unbounded — so every such loop must poll the
+// run's context like any kernel loop (INVARIANTS.md, cancellation
+// polling).
+
+// countedView fuses the opened root into a collection and counts it, as
+// a consumer that sizes its work by Len does.
+func countedView(t *testing.T, ctx context.Context, ec *Ctx, root Operator) storage.Collection {
+	t.Helper()
+	c, ok := fuseView(ctx, ec, root)
+	if !ok {
+		t.Fatalf("%s did not fuse", root.Name())
+	}
+	if err := countInput(c); err != nil {
+		t.Fatalf("counting %s: %v", c.Name(), err)
+	}
+	return c
+}
 
 // fuseFilter opens a Filter-over-Table plan and fuses it under ctx.
 func fuseFilter(t *testing.T, ctx context.Context, n int, pred Predicate) (*chainView, func()) {
@@ -38,25 +60,19 @@ func fuseFilter(t *testing.T, ctx context.Context, n int, pred Predicate) (*chai
 	if _, err := root.Open(context.Background(), ec); err != nil {
 		t.Fatal(err)
 	}
-	c, ok, err := fuseView(ctx, ec, root)
-	if err != nil {
-		root.Close() //nolint:errcheck
-		t.Fatalf("fuseView: %v", err)
-	}
+	v, ok := countedView(t, ctx, ec, root).(*chainView)
 	if !ok {
 		root.Close() //nolint:errcheck
-		t.Fatal("filter over a table did not fuse")
-	}
-	v, ok := c.(*chainView)
-	if !ok {
-		root.Close() //nolint:errcheck
-		t.Fatalf("fused collection is %T, want *chainView", c)
+		t.Fatal("fused collection is not a *chainView")
 	}
 	return v, func() { root.Close() } //nolint:errcheck
 }
 
-// TestFuseCountPollsCancellation: the eager count scan must stop once
-// the context is cancelled instead of reading the base to the end.
+// TestFuseCountPollsCancellation: counting a filtering view must stop
+// once the context is cancelled instead of reading the base to the end —
+// the view's own count, and the first pass of the selection sort that
+// counts it in its stead (sorts.SortCounting), which never gets to open
+// the stage.
 func TestFuseCountPollsCancellation(t *testing.T) {
 	r := newRig(t)
 	in := r.create(t, "in", record.Size)
@@ -78,9 +94,28 @@ func TestFuseCountPollsCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := fuseView(ctx, ec, root); !errors.Is(err, context.Canceled) {
-		t.Fatalf("fuseView under a cancelled context: err = %v, want context.Canceled", err)
-	}
+	t.Run("count", func(t *testing.T) {
+		c, ok := fuseView(ctx, ec, root)
+		if !ok {
+			t.Fatal("filter over a table did not fuse")
+		}
+		if err := countInput(c); !errors.Is(err, context.Canceled) {
+			t.Fatalf("count under a cancelled context: err = %v, want context.Canceled", err)
+		}
+	})
+	t.Run("selection", func(t *testing.T) {
+		c, _ := fuseView(ctx, ec, root)
+		out := r.create(t, "out", record.Size)
+		env := algo.NewEnv(r.fac, 4000*record.Size/10).WithContext(ctx)
+		opened := false
+		err := sorts.SortCounting(env, c, out, nil, func(int) sorts.Algorithm { opened = true; return sorts.NewSelectionSort() })
+		if !errors.Is(err, context.Canceled) || opened {
+			t.Fatalf("counting selection under a cancelled context: err = %v, opened = %v; want context.Canceled, unopened", err, opened)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("cancelled counting selection emitted %d records", out.Len())
+		}
+	})
 }
 
 // TestFuseScanPollsCancellation: a fused view's iterator must surface
@@ -236,10 +271,7 @@ func TestFuseViewDeviceIdentity(t *testing.T) {
 						t.Fatal(err)
 					}
 					defer root.Close() //nolint:errcheck
-					v, ok, err := fuseView(ctx, ec, root)
-					if err != nil || !ok {
-						t.Fatalf("fuseView: ok=%v err=%v", ok, err)
-					}
+					v := countedView(t, ctx, ec, root)
 					chunk := storage.ChunkRecords(bs, v.RecordSize())
 
 					_, base := scanReads(t, dev, in.Scan(), 0)
@@ -311,8 +343,8 @@ func TestViewReplacedStreamAllocs(t *testing.T) {
 				if _, err := root.Open(ctx, ec); err != nil {
 					t.Fatal(err)
 				}
-				if _, ok, err := fuseView(ctx, ec, root); err != nil || !ok {
-					t.Fatalf("fuseView: ok=%v err=%v", ok, err)
+				if _, ok := fuseView(ctx, ec, root); !ok {
+					t.Fatalf("%s did not fuse", root.Name())
 				}
 				if err := root.Close(); err != nil {
 					t.Fatal(err)
@@ -327,5 +359,145 @@ func TestViewReplacedStreamAllocs(t *testing.T) {
 			t.Errorf("%s: opening and fusing a stream allocates %d B at 4096 records per pull, %d B at 16", vc.name, large, small)
 		}
 		t.Logf("%s: %d B per open at 16 records per pull, %d B at 4096", vc.name, small, large)
+	}
+}
+
+// findSort returns the topmost Sort of a tree.
+func findSort(op Operator) *Sort {
+	if s, ok := op.(*Sort); ok {
+		return s
+	}
+	for _, c := range op.Children() {
+		if s := findSort(c); s != nil {
+			return s
+		}
+	}
+	return nil
+}
+
+// TestFuseViewCountedByFirstPass: a SelS stage over a filtering view
+// under a limit (scan | filter | orderby | limit, and a SelS group-by
+// folding in its passes) counts the view in its first selection pass,
+// not in a scan of its own. Kept at Open, the run reads the base once per
+// pass plus what the limit reads of the stage's result, and writes that
+// result once and the limit's rows. Re-planned away from SelS at Open, it
+// moves the cachelines of the same plan with the sort pinned to the
+// algorithm the re-plan picked, which counts the view up front: the
+// counting pass it abandoned reads what that count reads. Either way the
+// output is the materialize-every-step reference's, record-at-a-time and
+// batched, and the Explain choice's actual rows are the survivors. At
+// P = 4 the planner prices ExMS's parallel run formation below SelS in
+// this shape, so SelS runs there pinned.
+func TestFuseViewCountedByFirstPass(t *testing.T) {
+	const n, limit = 4000, 10
+	// Without statistics a range predicate is estimated at half the rows;
+	// a1 (the key mod 1001) < 800 keeps about 80 %, < 2000 all. Both
+	// compile to SelS at P = 1; at 3 200 rows and 1 200 slots SelS stays
+	// (three passes), at 4 000 rows and 800 slots the re-plan leaves it.
+	// Keys are unique, so the group-by's groups are the survivors.
+	selS := sorts.NewSelectionSort()
+	orderBy := func(p *Plan, a sorts.Algorithm) *Plan { return p.OrderByWith(a) }
+	groupBy := func(p *Plan, a sorts.Algorithm) *Plan { return p.GroupByWith(4, a) }
+	cases := []struct {
+		name      string
+		keep      uint64
+		budget    int64
+		stage     func(p *Plan, a sorts.Algorithm) *Plan
+		sort      sorts.Algorithm // nil: the planner's
+		slot      int             // bytes a pass holds per record: a sorted row or a group's partial
+		pars      []int
+		replanned bool
+	}{
+		{"planned", 800, 96000, orderBy, nil, record.Size, []int{1}, false},
+		{"pinned", 800, 96000, orderBy, selS, record.Size, []int{1, 4}, false},
+		{"grouped", 800, 96000, groupBy, selS, aggregate.PartialSize, []int{1, 4}, false},
+		{"replanned", 2000, 64000, orderBy, nil, record.Size, []int{1}, true},
+	}
+	for _, tc := range cases {
+		for _, par := range tc.pars {
+			for _, batch := range []int{1, 1024} {
+				t.Run(fmt.Sprintf("%s/p%d/b%d", tc.name, par, batch), func(t *testing.T) {
+					r := rigOn(t, "blocked", pmem.Config{Capacity: largeRigDevice})
+					in := r.create(t, "in", record.Size)
+					if err := record.Generate(n, 21, in.Append); err != nil {
+						t.Fatal(err)
+					}
+					if err := in.Close(); err != nil {
+						t.Fatal(err)
+					}
+					staged := func(a sorts.Algorithm) *Plan {
+						return tc.stage(Table(in).Filter(Predicate{Attr: 1, Op: Lt, Value: tc.keep}), a)
+					}
+					spec := runSpec{budget: tc.budget, par: par, batch: batch}
+
+					_, compiled, err := Compile(NewCtx(r.fac, tc.budget, par), staged(tc.sort).Limit(limit))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if a := compiled.Choices[0].Algorithm; a != cost.SortSelS {
+						t.Fatalf("the stage compiles to %s, want SelS:\n%s", a, compiled)
+					}
+					res := r.runPlan(t, staged(tc.sort).Limit(limit), spec)
+					// The stage's whole result, and its first rows: the reference.
+					result := r.runPlan(t, staged(nil), runSpec{budget: tc.budget, par: 1, opts: CompileOptions{MaterializeEveryStep: true}}).out
+					recSize := res.root.RecordSize()
+					if want := result[:min(len(result), limit*recSize)]; len(want) != limit*recSize || !bytes.Equal(res.out, want) {
+						t.Fatalf("emitted %d bytes that differ from the reference's %d", len(res.out), len(want))
+					}
+
+					all, err := storage.ReadAll(in)
+					if err != nil {
+						t.Fatal(err)
+					}
+					survivors := 0
+					for _, rec := range all {
+						if record.Attr(rec, 1) < tc.keep {
+							survivors++
+						}
+					}
+					c := res.ex.Choices[0]
+					if c.ActualRows != survivors || c.Replanned != tc.replanned {
+						t.Fatalf("choice %s: act %d, replanned %v; want act %d, replanned %v", c.Algorithm, c.ActualRows, c.Replanned, survivors, tc.replanned)
+					}
+					if !strings.Contains(res.ex.String(), fmt.Sprintf("act %d,", survivors)) {
+						t.Errorf("Explain does not show the survivors as the stage's actual rows:\n%s", res.ex)
+					}
+
+					if tc.replanned {
+						pinned := r.runPlan(t, staged(findSort(res.root).algo).Limit(limit), spec)
+						if res.stats.Reads != pinned.stats.Reads || res.stats.Writes != pinned.stats.Writes {
+							t.Errorf("re-planned to %s: %d reads, %d writes; pinned to it: %d, %d",
+								c.Algorithm, res.stats.Reads, res.stats.Writes, pinned.stats.Reads, pinned.stats.Writes)
+						}
+						return
+					}
+					if c.Algorithm != cost.SortSelS {
+						t.Fatalf("kept choice runs %s, want SelS", c.Algorithm)
+					}
+					// What the limit reads of the stage's result: the same pull
+					// over a table holding it.
+					tbl := r.create(t, "result", recSize)
+					for off := 0; off < len(result); off += recSize {
+						if err := tbl.Append(result[off : off+recSize]); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := tbl.Close(); err != nil {
+						t.Fatal(err)
+					}
+					limitReads := r.runPlan(t, Table(tbl).Limit(limit), spec).stats.Reads
+					_, base := scanReads(t, r.dev, in.Scan(), 0)
+					slots := int(c.Share) / tc.slot
+					passes := (survivors + slots - 1) / slots
+					if want := uint64(passes)*base.Reads + limitReads; res.stats.Reads != want {
+						t.Errorf("%d reads, want %d passes × %d base lines + the limit's %d = %d: no count scan",
+							res.stats.Reads, passes, base.Reads, limitReads, want)
+					}
+					if want := copyWrites(t, r, result, recSize) + copyWrites(t, r, res.out, recSize); res.stats.Writes != want {
+						t.Errorf("%d writes, want the stage's result's and the limit's rows' %d", res.stats.Writes, want)
+					}
+				})
+			}
+		}
 	}
 }

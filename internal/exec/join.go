@@ -44,11 +44,7 @@ func (j *Join) emitTo(ctx context.Context, ec *Ctx, dst storage.Collection) erro
 		lclean() //nolint:errcheck // best-effort cleanup after failure
 		return err
 	}
-	// Clamp the compile-time estimates against the materialized inputs:
-	// the choice is re-priced at the stage's share (and, when the planner
-	// owns it, re-made).
-	j.algo = j.st.openJoin(lcoll, rcoll, j.algo)
-	if err := j.algo.Join(ec.stageEnv(j.st), lcoll, rcoll, j.output(dst)); err != nil {
+	if err := j.join(ec, lcoll, rcoll, dst); err != nil {
 		lclean() //nolint:errcheck // best-effort cleanup after failure
 		rclean() //nolint:errcheck // best-effort cleanup after failure
 		return err
@@ -57,6 +53,22 @@ func (j *Join) emitTo(ctx context.Context, ec *Ctx, dst storage.Collection) erro
 		return err
 	}
 	return rclean()
+}
+
+// join joins the materialized inputs into dst. Every join sizes its work
+// by their lengths, so a view among them is counted first; then the
+// compile-time estimates are clamped against them and the choice
+// re-priced at the stage's share (and, when the planner owns it,
+// re-made).
+func (j *Join) join(ec *Ctx, left, right, dst storage.Collection) error {
+	if err := countInput(left); err != nil {
+		return err
+	}
+	if err := countInput(right); err != nil {
+		return err
+	}
+	j.algo = j.st.openJoin(left, right, j.algo)
+	return j.algo.Join(ec.stageEnv(j.st), left, right, j.output(dst))
 }
 
 // output is what the join's algorithm emits into so that dst receives

@@ -97,8 +97,7 @@ func (s *Sort) results(dst storage.Collection) storage.Collection {
 }
 
 // emitTo sorts the child's input — pushed, or materialized — into dst
-// through the chain: merged from the intake, or sorted where it lies, a
-// GroupBy's as its partials with the combine.
+// through the chain: merged from the intake, or sorted where it lies.
 func (s *Sort) emitTo(ctx context.Context, ec *Ctx, dst storage.Collection) error {
 	if err := s.intake(ctx, ec, false); err != nil {
 		return err
@@ -111,21 +110,50 @@ func (s *Sort) emitTo(ctx context.Context, ec *Ctx, dst storage.Collection) erro
 	if err != nil {
 		return err
 	}
-	// Clamp the compile-time estimate against the materialized input:
-	// the choice is re-priced at the stage's share (and, when the planner
-	// owns it, re-made).
-	s.algo = s.st.openSort(in, s.algo)
-	env := ec.stageEnv(s.st)
-	if !s.grouping() {
-		err = s.algo.Sort(env, in, out)
-	} else if in, err = aggregate.Partials(in, s.attr); err == nil {
-		err = sorts.SortFolding(env, s.algo, in, out, aggregate.Combine)
-	}
-	if err != nil {
+	if err := s.sortStored(ec, in, out); err != nil {
 		cleanup() //nolint:errcheck // best-effort cleanup after failure
 		return err
 	}
 	return cleanup()
+}
+
+// sortStored sorts in, the stored input, into out — a GroupBy's as its
+// partials, with the combine. The stage opens once in's length is known:
+// the compile-time estimate is clamped against it, and the choice
+// re-priced at the stage's share (and, when the planner owns it,
+// re-made). A view not yet counted under a SelS stage is counted by
+// SelS's first pass, which reads it whole anyway and writes nothing
+// (sorts.SortCounting): the stage opens before that pass's batch is
+// emitted, and a re-made choice sorts from the start. Any other input is
+// counted first.
+func (s *Sort) sortStored(ec *Ctx, in, out storage.Collection) error {
+	env := ec.stageEnv(s.st)
+	src := in
+	var combine func(dst, src []byte)
+	if s.grouping() {
+		var err error
+		if src, err = aggregate.Partials(in, s.attr); err != nil {
+			return err
+		}
+		combine = aggregate.Combine
+	}
+	open := func() sorts.Algorithm {
+		s.algo = s.st.openSort(in, s.algo)
+		return s.algo
+	}
+	if v, ok := in.(*chainView); ok && v.n < 0 && sorts.CountsInput(s.algo) {
+		return sorts.SortCounting(env, src, out, combine, func(rows int) sorts.Algorithm {
+			v.n = rows
+			return open()
+		})
+	}
+	if err := countInput(in); err != nil {
+		return err
+	}
+	if combine == nil {
+		return open().Sort(env, src, out)
+	}
+	return sorts.SortFolding(env, open(), src, out, combine)
 }
 
 // Open runs the stage and returns its result's stream. A fed stage ends

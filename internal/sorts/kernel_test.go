@@ -215,8 +215,7 @@ func TestSelectionPassHandOnOrder(t *testing.T) {
 }
 
 // canceledCtx is cancelled from the start: the amortized poll trips on
-// its first consultation, at record algo.PollInterval — which is not a
-// multiple of the block chunk, i.e. mid-chunk.
+// its first consultation, once algo.PollInterval records have gone by.
 func canceledCtx() context.Context {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -227,9 +226,7 @@ func TestSelectionPassCancelMidChunk(t *testing.T) {
 	const n, budget = 1000, 10
 	env := testkit.Env(t, "blocked", sortDevice, budget)
 	in := loadInput(t, env, n, 3)
-	if chunk := env.ChunkRecords(record.Size); algo.PollInterval%chunk == 0 {
-		t.Fatalf("poll interval %d falls on a %d-record chunk boundary", algo.PollInterval, chunk)
-	}
+	chunk := env.ChunkRecords(record.Size)
 	env.WithContext(canceledCtx())
 	sel := newSelector(env, record.Size, budget, nil)
 	survivors := 0
@@ -240,10 +237,25 @@ func TestSelectionPassCancelMidChunk(t *testing.T) {
 	if got != 0 || sel.heap.Len() != 0 {
 		t.Errorf("cancelled pass left a batch of %d (heap %d)", got, sel.heap.Len())
 	}
-	// Every record before the tripping poll was either admitted or handed
-	// on; none after it.
-	if want := algo.PollInterval - 1 - budget; survivors != want {
-		t.Errorf("onSurvivor saw %d records, want exactly %d (scan must stop at the poll, mid-chunk)", survivors, want)
+	// The scan polls as a chunk arrives that brings the records read to
+	// the interval, before taking any of it: every record of the chunks
+	// before was either admitted or handed on, none of that chunk.
+	read := 0
+	it := in.Scan()
+	defer it.Close()
+	ci := storage.Chunked(it)
+	for {
+		recs, err := ci.NextChunk(chunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if read+len(recs) >= algo.PollInterval {
+			break
+		}
+		read += len(recs)
+	}
+	if want := read - budget; survivors != want {
+		t.Errorf("onSurvivor saw %d records, want exactly %d (scan must stop at the poll, before the chunk that trips it)", survivors, want)
 	}
 }
 

@@ -33,7 +33,7 @@ func (s *LazySort) Sort(env *algo.Env, in, out storage.Collection) error {
 }
 
 func (s *LazySort) sortWith(env *algo.Env, in, out storage.Collection, combine func(dst, src []byte)) error {
-	return lazySort(env, in, out, cost.LazySortMaterializeIteration, combine)
+	return lazySort(env, in, out, cost.LazySortMaterializeIteration, combine, nil)
 }
 
 // Profile implements Algorithm.
@@ -46,9 +46,19 @@ func (s *LazySort) Profile(em cost.Emit, t, m, lambda float64) cost.Profile {
 // extracting budget per pass, at write/read ratio λ) the survivors are
 // written out as the next input: LaS passes Eq. 5, SelS never does.
 // Folding, every pass selects groups and Ti holds partials.
-func lazySort(env *algo.Env, in, out storage.Collection, materializeAt func(remaining, budget, lambda float64) int, combine func(dst, src []byte)) (err error) {
+//
+// opened, when set, is told in's length once the first pass has read it
+// — before that pass's batch reaches out, or at once when in.Len() is 0
+// — and says whether to go on; if not, lazySort returns errReopened
+// having written nothing. in.Len() is then an upper bound (SortCounting),
+// good for the emptiness check and the selector's 32-bit one; only a
+// policy that never materializes may be given one.
+func lazySort(env *algo.Env, in, out storage.Collection, materializeAt func(remaining, budget, lambda float64) int, combine func(dst, src []byte), opened func(rows int) bool) (err error) {
 	if err := checkArgs(env, in, out); err != nil {
 		return err
+	}
+	if opened != nil && in.Len() == 0 && !opened(0) {
+		return errReopened
 	}
 	recSize := in.RecordSize()
 	budget := env.BudgetRecords(recSize)
@@ -86,6 +96,12 @@ func lazySort(env *algo.Env, in, out storage.Collection, materializeAt func(rema
 		selected, err := sel.pass(cur, onSurvivor)
 		if err != nil {
 			return err
+		}
+		if opened != nil {
+			if !opened(sel.scanned) {
+				return errReopened
+			}
+			opened = nil
 		}
 		for i := 0; i < selected; i++ {
 			if err := out.Append(sel.rec(i)); err != nil {

@@ -1,6 +1,7 @@
 package sorts
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -25,11 +26,11 @@ import (
 // index), so ⌈G/M⌉ passes emit G groups. Tree and bound compare keys
 // alone: a key at or below the bound was emitted whole by an earlier pass.
 type selector struct {
-	env     *algo.Env
-	heap    *xheap.Keyed
-	poll    func() error
-	combine func(dst, src []byte) // folding: merges partial src into the resident partial dst
-	index   *xheap.Index          // folding: key → slot of every resident group
+	env      *algo.Env
+	heap     *xheap.Keyed
+	unpolled int                   // records scanned since the last cancellation poll
+	combine  func(dst, src []byte) // folding: merges partial src into the resident partial dst
+	index    *xheap.Index          // folding: key → slot of every resident group
 
 	// The last record of the previous batch; passes admit only records
 	// strictly after it.
@@ -38,13 +39,14 @@ type selector struct {
 	boundPos uint32
 	boundRec []byte
 	more     bool // the last pass left a record for a later one
+	scanned  int  // the records the last pass read: its input's length
 }
 
 // newSelector returns a selector extracting up to budget records (or
-// groups) of recSize bytes per pass, polling env's cancellation per
-// scanned record.
+// groups) of recSize bytes per pass, polling env's cancellation every
+// algo.PollInterval scanned records.
 func newSelector(env *algo.Env, recSize, budget int, combine func(dst, src []byte)) *selector {
-	s := &selector{env: env, heap: xheap.NewKeyed(recSize, budget, true), poll: env.Poll()}
+	s := &selector{env: env, heap: xheap.NewKeyed(recSize, budget, true)}
 	if combine != nil {
 		s.combine, s.index = combine, new(xheap.Index)
 	}
@@ -53,12 +55,13 @@ func newSelector(env *algo.Env, recSize, budget int, combine func(dst, src []byt
 
 // pass scans src once and selects the (at most budget) smallest records
 // strictly after the bound, leaving them in ascending order for rec and
-// advancing the bound past them; it reports how many it selected.
-// onSurvivor, when non-nil, receives every other record beyond the bound
-// (still unsorted business for later passes) as a view valid only during
-// the call (a displaced group as its one partial); this is the hook lazy
-// sort uses to materialize its intermediate inputs. On error the batch is
-// empty.
+// advancing the bound past them; it reports how many it selected, and
+// scanned how many it read. onSurvivor, when non-nil, receives every
+// other record beyond the bound (still unsorted business for later
+// passes) as a view valid only during the call (a displaced group as its
+// one partial); this is the hook lazy sort uses to materialize its
+// intermediate inputs. On error the batch is empty. src.Len() may be an
+// upper bound (SortCounting): it serves only the 32-bit check.
 func (s *selector) pass(src storage.Collection, onSurvivor func(rec []byte) error) (int, error) {
 	// Positions are the 32-bit tie-break of the tree's entries.
 	if uint64(src.Len()) > math.MaxUint32 {
@@ -69,7 +72,7 @@ func (s *selector) pass(src storage.Collection, onSurvivor func(rec []byte) erro
 	if s.index != nil {
 		s.index.Reset()
 	}
-	s.more = false
+	s.more, s.scanned = false, 0
 	it := src.Scan()
 	defer it.Close()
 	if err := s.scan(storage.Chunked(it), s.env.ChunkRecords(src.RecordSize()), onSurvivor); err != nil {
@@ -85,15 +88,13 @@ func (s *selector) pass(src storage.Collection, onSurvivor func(rec []byte) erro
 	return h.Len(), nil
 }
 
-// scan is pass's loop over one chunk at a time. Once the tree is full
-// its top is kept in a local, so rejecting a record costs one key
-// compare; record bytes are read only on a key tie.
+// scan is pass's loop over one chunk at a time, polling cancellation
+// once algo.PollInterval records have gone by since the last poll. Once
+// the tree is full its top is kept in a local, so rejecting a record
+// costs one key compare; record bytes are read only on a key tie.
 func (s *selector) scan(ci storage.ChunkIterator, chunk int, onSurvivor func(rec []byte) error) error {
 	h := s.heap
-	var (
-		next uint32      // the input position of the next record
-		top  xheap.Entry // h's top, once h is full
-	)
+	var top xheap.Entry // h's top, once h is full
 	for {
 		recs, err := ci.NextChunk(chunk)
 		if err == io.EOF {
@@ -102,19 +103,25 @@ func (s *selector) scan(ci storage.ChunkIterator, chunk int, onSurvivor func(rec
 		if err != nil {
 			return err
 		}
-		for _, rec := range recs {
-			if err := s.poll(); err != nil {
+		if s.unpolled += len(recs); s.unpolled >= algo.PollInterval {
+			s.unpolled = 0
+			if err := s.env.Canceled(); err != nil {
 				return err
 			}
-			pos := next
-			next++
-			key := record.Key(rec)
-			if s.index != nil {
-				if err := s.fold(key, pos, rec, onSurvivor); err != nil {
+		}
+		next := uint32(s.scanned) // the input position of recs[0]
+		s.scanned += len(recs)
+		if s.index != nil {
+			for i, rec := range recs {
+				if err := s.fold(record.Key(rec), next+uint32(i), rec, onSurvivor); err != nil {
 					return err
 				}
-				continue
 			}
+			continue
+		}
+		for i, rec := range recs {
+			pos := next + uint32(i)
+			key := record.Key(rec)
 			if s.bounded && key <= s.boundKey && !xheap.Before(s.boundKey, s.boundRec, s.boundPos, key, rec, pos) {
 				continue // emitted by an earlier pass
 			}
@@ -250,11 +257,49 @@ func (s *SelectionSort) Sort(env *algo.Env, in, out storage.Collection) error {
 }
 
 func (s *SelectionSort) sortWith(env *algo.Env, in, out storage.Collection, combine func(dst, src []byte)) error {
-	never := func(remaining, budget, lambda float64) int { return math.MaxInt }
-	return lazySort(env, in, out, never, combine)
+	return lazySort(env, in, out, never, combine, nil)
 }
 
 // Profile implements Algorithm.
 func (s *SelectionSort) Profile(em cost.Emit, t, m, lambda float64) cost.Profile {
 	return em.SelS(t, m)
 }
+
+// never is SelS's materialization policy: no iteration writes survivors.
+func never(remaining, budget, lambda float64) int { return math.MaxInt }
+
+// CountsInput reports whether a counts its input as it sorts: SelS's
+// first pass reads every record and writes none, so it can sort an input
+// whose length is known only once read (SortCounting). Every other
+// algorithm sizes its work by the length before it reads.
+func CountsInput(a Algorithm) bool {
+	_, ok := a.(*SelectionSort)
+	return ok
+}
+
+// SortCounting sorts in into out with SelS, as SortFolding does (a plain
+// sort when combine is nil), over an input whose in.Len() is an upper
+// bound until it is read: a filtering view, not yet counted. The first
+// pass counts it, and before that pass's batch reaches out, open receives
+// the count and names the algorithm to go on with. SelS goes on; any
+// other sorts in from its start, out still empty, so its I/O is one
+// counting scan plus its own. open must make in.Len() exact before it
+// returns.
+func SortCounting(env *algo.Env, in, out storage.Collection, combine func(dst, src []byte), open func(rows int) Algorithm) error {
+	var a Algorithm
+	err := lazySort(env, in, out, never, combine, func(rows int) bool {
+		a = open(rows)
+		return CountsInput(a)
+	})
+	if !errors.Is(err, errReopened) {
+		return err
+	}
+	if combine == nil {
+		return a.Sort(env, in, out)
+	}
+	return a.sortWith(env, in, out, combine)
+}
+
+// errReopened ends a counting selection whose input is to be sorted by
+// another algorithm (SortCounting).
+var errReopened = errors.New("sorts: counted input reopened with another algorithm")
