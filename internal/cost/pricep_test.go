@@ -215,3 +215,52 @@ func TestBestPlanEmitIdentity(t *testing.T) {
 		}
 	}
 }
+
+// TestLimitBoundsSelectionOnly: an Emit's Limit — what an order-by's
+// limit takes of its output — is read by SelS alone. Emit{} prices SelS
+// at its closed form, ⌈t/m⌉ passes over t and t writes, and every other
+// candidate as the plain constructor (TestEmitResizesOutputTerm); a
+// Limit leaves every other profile as it was, and makes SelS
+// ⌈min(t, L)/m⌉ passes over t and min(t, L) writes, all serial as
+// before, which for L ≥ t is the unbounded SelS. At serve_point's sizes
+// (5 000 survivors of 80 B in 1 024-B buffers, a 400 000 B share, 100
+// rows taken, λ = 15) the planner's sort is SelS at one pass, where
+// unbounded it would take two.
+func TestLimitBoundsSelectionOnly(t *testing.T) {
+	const tt, v, m, lambda = 100000.0, 300000.0, 5000.0, 15.0
+	plain, _ := emittedProfiles(Emit{}, tt, v, m, lambda)
+	if want := (Profile{Reads: 20 * tt, Writes: tt, SerialReads: 20 * tt, SerialWrites: tt}); plain["SelS"] != want {
+		t.Errorf("Emit{}.SelS = %+v, want the closed form %+v", plain["SelS"], want)
+	}
+	for _, limit := range []float64{0.1, 1, 7.8125, m - 1, m, 2.5 * m, tt - 1, tt, 3 * tt} {
+		bounded, _ := emittedProfiles(Emit{Limit: limit}, tt, v, m, lambda)
+		for name, p := range plain {
+			if name != "SelS" && bounded[name] != p {
+				t.Errorf("Limit %v moved %s: %+v from %+v", limit, name, bounded[name], p)
+			}
+		}
+		out := math.Min(tt, limit)
+		passes := math.Ceil(out / m)
+		want := Profile{Reads: passes * tt, Writes: out, SerialReads: passes * tt, SerialWrites: out}
+		got := bounded["SelS"]
+		if got != want {
+			t.Errorf("Emit{Limit: %v}.SelS = %+v, want %v passes over t and %v writes: %+v", limit, got, passes, out, want)
+		}
+		if limit >= tt && got != plain["SelS"] {
+			t.Errorf("Emit{Limit: %v}.SelS = %+v at or above t, want the unbounded %+v", limit, got, plain["SelS"])
+		}
+		if serial := (Emit{Limit: limit, Serial: true}).SelS(tt, m); serial != got {
+			t.Errorf("Limit %v into a sink: %+v, want %+v (SelS emits serially as profiled)", limit, serial, got)
+		}
+	}
+
+	st := math.Ceil(5000 * 80 / 1024.0) // t in whole buffers, as a stage is sized
+	const sm, sl = 400000 / 1024.0, 100 * 80 / 1024.0
+	best := BestSortPlanEmit(st, sm, lambda, 1, Emit{Limit: sl})
+	if best.Algo != SortSelS || best.Profile.Reads != st || best.Profile.Writes != sl {
+		t.Errorf("serve_point's bounded sort: %s %+v, want SelS reading t = %v once and writing L = %v", best.Algo, best.Profile, st, sl)
+	}
+	if unbounded := (Emit{}).SelS(st, sm); unbounded.Reads != 2*st {
+		t.Errorf("serve_point's sort unbounded: SelS reads %v, want two passes over t = %v", unbounded.Reads, st)
+	}
+}

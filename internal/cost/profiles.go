@@ -96,6 +96,12 @@ type Emit struct {
 	// LaJ's lazy passes, SegJ's re-scans) and t for what it wrote of it.
 	// It covers width only. 0 = t.
 	Source float64
+	// Limit > 0 is what the stage's reader takes of its sorted output,
+	// in buffers: an order-by under a limit (exec's stage bound). Only
+	// SelS reads it — a selection pass emits in output order, so it
+	// stops once Limit buffers are out; every other sort writes its
+	// whole input. 0 = all.
+	Limit float64
 }
 
 // rescan is the extra read of scans scans of a join's left input where
@@ -209,17 +215,23 @@ func (em Emit) FedExMS(t, m float64) Profile {
 }
 
 // SelS: multi-pass selection sort straight into the output. Each
-// pass's emission order is the output order — fully serial.
+// pass's emission order is the output order — fully serial. Under a
+// Limit it writes only the min(t, Limit) buffers its reader takes, in
+// ⌈min(t, Limit)/m⌉ passes over the whole input.
 // The output term is what em says is emitted.
 func (em Emit) SelS(t, m float64) Profile {
 	if t <= 0 {
 		return Profile{}
 	}
-	passes := math.Ceil(t / m)
+	out := t
+	if em.Limit > 0 && em.Limit < t {
+		out = em.Limit
+	}
+	passes := math.Ceil(out / m)
 	return Profile{
-		Reads: passes * t, Writes: t,
-		SerialReads: passes * t, SerialWrites: t,
-	}.emitting(em, t, t)
+		Reads: passes * t, Writes: out,
+		SerialReads: passes * t, SerialWrites: out,
+	}.emitting(em, out, out)
 }
 
 // SegS: fraction x through run formation, the rest streamed into

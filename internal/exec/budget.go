@@ -220,6 +220,13 @@ type stageAlloc struct {
 	share    int64           // allocated share in bytes, fixed for the run
 	choice   *Choice         // Explain entry mirroring share, cost and actuals
 
+	// An order-by's bound (compiler.bound): a limit over the stage takes
+	// only its first bound rows, boundBuf buffers, which is what a SelS
+	// stage writes (cost.Emit.Limit, sorts.SortTop). boundBuf = 0: the
+	// reader takes the whole result.
+	bound    int
+	boundBuf float64
+
 	// Process-to-append (§3.1), see feeding: a feedable stage may take
 	// its input pushed into a sorts.Intake instead of reading it where it
 	// lies, and owns the price of the temp that saves; the handed stage
@@ -463,7 +470,9 @@ func (s *stageAlloc) nestedLoops(pl stagePlan) bool {
 // order-by materializes what its profile says. A handed
 // stage's output is its feedable consumer's to price, wherever the
 // consumer has it put. An order-by's final merge range-appends only on a
-// backend that reserves blocks; elsewhere it is one ordered stream.
+// backend that reserves blocks; elsewhere it is one ordered stream. An
+// order-by under a limit is priced for the rows the limit takes, which
+// SelS alone writes no more than.
 func (s *stageAlloc) emit() cost.Emit {
 	switch s.op {
 	case "Join":
@@ -471,7 +480,16 @@ func (s *stageAlloc) emit() cost.Emit {
 	case "GroupBy":
 		return cost.Emit{Out: s.outBuf, Serial: true, Handed: s.handed}
 	}
-	return cost.Emit{Serial: !s.bp.reserves}
+	return cost.Emit{Serial: !s.bp.reserves, Limit: s.boundBuf}
+}
+
+// take is how many rows the stage's reader takes (sorts.SortTop): its
+// bound, or all of them (-1).
+func (s *stageAlloc) take() int {
+	if s.boundBuf > 0 {
+		return s.bound
+	}
+	return -1
 }
 
 // sortFor returns the sort pl runs: the pinned algorithm, else the

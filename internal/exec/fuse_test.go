@@ -18,6 +18,7 @@ import (
 	"wlpm/internal/sorts"
 	"wlpm/internal/storage"
 	"wlpm/internal/storage/all"
+	"wlpm/internal/testkit"
 )
 
 // The fused filter view walks arbitrarily many base records per call —
@@ -108,7 +109,7 @@ func TestFuseCountPollsCancellation(t *testing.T) {
 		out := r.create(t, "out", record.Size)
 		env := algo.NewEnv(r.fac, 4000*record.Size/10).WithContext(ctx)
 		opened := false
-		err := sorts.SortCounting(env, c, out, nil, func(int) sorts.Algorithm { opened = true; return sorts.NewSelectionSort() })
+		err := sorts.SortCounting(env, c, out, nil, -1, func(int) sorts.Algorithm { opened = true; return sorts.NewSelectionSort() })
 		if !errors.Is(err, context.Canceled) || opened {
 			t.Fatalf("counting selection under a cancelled context: err = %v, opened = %v; want context.Canceled, unopened", err, opened)
 		}
@@ -376,20 +377,22 @@ func findSort(op Operator) *Sort {
 }
 
 // TestFuseViewCountedByFirstPass: a SelS stage over a filtering view
-// under a limit (scan | filter | orderby | limit, and a SelS group-by
-// folding in its passes) counts the view in its first selection pass,
-// not in a scan of its own. Kept at Open, the run reads the base once per
-// pass plus what the limit reads of the stage's result, and writes that
-// result once and the limit's rows. Re-planned away from SelS at Open, it
-// moves the cachelines of the same plan with the sort pinned to the
-// algorithm the re-plan picked, which counts the view up front: the
+// (scan | filter | orderby, and a SelS group-by folding in its passes),
+// its whole result pulled by a cursor, counts the view in its first
+// selection pass, not in a scan of its own. Kept at Open, the run reads
+// the base once per pass plus what the cursor reads of the stage's
+// result, and writes that result once. Re-planned away from SelS at
+// Open, it moves the cachelines of the same plan with the sort pinned to
+// the algorithm the re-plan picked, which counts the view up front: the
 // counting pass it abandoned reads what that count reads. Either way the
 // output is the materialize-every-step reference's, record-at-a-time and
 // batched, and the Explain choice's actual rows are the survivors. At
 // P = 4 the planner prices ExMS's parallel run formation below SelS in
-// this shape, so SelS runs there pinned.
+// this shape, so SelS runs there pinned. No limit sits over the stage:
+// one would bound it (TestFuseTopNMatchesFullSort), and a bounded SelS
+// reads and writes what its reader takes.
 func TestFuseViewCountedByFirstPass(t *testing.T) {
-	const n, limit = 4000, 10
+	const n = 4000
 	// Without statistics a range predicate is estimated at half the rows;
 	// a1 (the key mod 1001) < 800 keeps about 80 %, < 2000 all. Both
 	// compile to SelS at P = 1; at 3 200 rows and 1 200 slots SelS stays
@@ -428,21 +431,21 @@ func TestFuseViewCountedByFirstPass(t *testing.T) {
 					staged := func(a sorts.Algorithm) *Plan {
 						return tc.stage(Table(in).Filter(Predicate{Attr: 1, Op: Lt, Value: tc.keep}), a)
 					}
-					spec := runSpec{budget: tc.budget, par: par, batch: batch}
+					spec := runSpec{budget: tc.budget, par: par, batch: batch, cursor: true}
 
-					_, compiled, err := Compile(NewCtx(r.fac, tc.budget, par), staged(tc.sort).Limit(limit))
+					_, compiled, err := Compile(NewCtx(r.fac, tc.budget, par), staged(tc.sort))
 					if err != nil {
 						t.Fatal(err)
 					}
 					if a := compiled.Choices[0].Algorithm; a != cost.SortSelS {
 						t.Fatalf("the stage compiles to %s, want SelS:\n%s", a, compiled)
 					}
-					res := r.runPlan(t, staged(tc.sort).Limit(limit), spec)
-					// The stage's whole result, and its first rows: the reference.
+					res := r.runPlan(t, staged(tc.sort), spec)
+					// The stage's whole result: the reference.
 					result := r.runPlan(t, staged(nil), runSpec{budget: tc.budget, par: 1, opts: CompileOptions{MaterializeEveryStep: true}}).out
 					recSize := res.root.RecordSize()
-					if want := result[:min(len(result), limit*recSize)]; len(want) != limit*recSize || !bytes.Equal(res.out, want) {
-						t.Fatalf("emitted %d bytes that differ from the reference's %d", len(res.out), len(want))
+					if len(result) == 0 || !bytes.Equal(res.out, result) {
+						t.Fatalf("emitted %d bytes that differ from the reference's %d", len(res.out), len(result))
 					}
 
 					all, err := storage.ReadAll(in)
@@ -464,7 +467,7 @@ func TestFuseViewCountedByFirstPass(t *testing.T) {
 					}
 
 					if tc.replanned {
-						pinned := r.runPlan(t, staged(findSort(res.root).algo).Limit(limit), spec)
+						pinned := r.runPlan(t, staged(findSort(res.root).algo), spec)
 						if res.stats.Reads != pinned.stats.Reads || res.stats.Writes != pinned.stats.Writes {
 							t.Errorf("re-planned to %s: %d reads, %d writes; pinned to it: %d, %d",
 								c.Algorithm, res.stats.Reads, res.stats.Writes, pinned.stats.Reads, pinned.stats.Writes)
@@ -474,7 +477,7 @@ func TestFuseViewCountedByFirstPass(t *testing.T) {
 					if c.Algorithm != cost.SortSelS {
 						t.Fatalf("kept choice runs %s, want SelS", c.Algorithm)
 					}
-					// What the limit reads of the stage's result: the same pull
+					// What the cursor reads of the stage's result: the same pull
 					// over a table holding it.
 					tbl := r.create(t, "result", recSize)
 					for off := 0; off < len(result); off += recSize {
@@ -485,19 +488,175 @@ func TestFuseViewCountedByFirstPass(t *testing.T) {
 					if err := tbl.Close(); err != nil {
 						t.Fatal(err)
 					}
-					limitReads := r.runPlan(t, Table(tbl).Limit(limit), spec).stats.Reads
+					resultReads := r.runPlan(t, Table(tbl), spec).stats.Reads
 					_, base := scanReads(t, r.dev, in.Scan(), 0)
 					slots := int(c.Share) / tc.slot
 					passes := (survivors + slots - 1) / slots
-					if want := uint64(passes)*base.Reads + limitReads; res.stats.Reads != want {
-						t.Errorf("%d reads, want %d passes × %d base lines + the limit's %d = %d: no count scan",
-							res.stats.Reads, passes, base.Reads, limitReads, want)
+					if want := uint64(passes)*base.Reads + resultReads; res.stats.Reads != want {
+						t.Errorf("%d reads, want %d passes × %d base lines + the cursor's %d = %d: no count scan",
+							res.stats.Reads, passes, base.Reads, resultReads, want)
 					}
-					if want := copyWrites(t, r, result, recSize) + copyWrites(t, r, res.out, recSize); res.stats.Writes != want {
-						t.Errorf("%d writes, want the stage's result's and the limit's rows' %d", res.stats.Writes, want)
+					if want := copyWrites(t, r, result, recSize); res.stats.Writes != want {
+						t.Errorf("%d writes, want the stage's result's %d", res.stats.Writes, want)
 					}
 				})
 			}
 		}
 	}
 }
+
+// TestFuseTopNMatchesFullSort: a limit of n over an order-by — directly,
+// or through a chain that only projects — bounds the stage, and a SelS
+// stage selects at most n records per pass and stops once they are out.
+// Over a base table, an uncounted filter view, with a projection between
+// the sort and the limit and over duplicate-heavy keys, at every n, P
+// and batch size, the planner's SelS and SelS pinned emit the first n
+// records of the materialize-every-step reference (which sorts whole),
+// read the base ⌈min(n, survivors)/M⌉ times plus what the limit reads of
+// the stage's result, write only the min(n, survivors) records the limit
+// takes, leave no temp, and name the bound on the plan line. Where the
+// bound is over the share (several passes) or over the survivors (none),
+// the planner may price another sort cheaper; that one is held to the
+// reference's bytes alone.
+func TestFuseTopNMatchesFullSort(t *testing.T) {
+	const rows, budget = 4000, 64000
+	slots := budget / record.Size // the stage's one share, in records
+	keep := Predicate{Attr: 1, Op: Lt, Value: 800}
+	inputs := []struct {
+		name  string
+		load  func(t *testing.T, r *rig) storage.Collection
+		stage func(in storage.Collection, a sorts.Algorithm) *Plan // the sort
+		read  func(p *Plan) *Plan                                  // what the limit reads it through
+		pass  func(rec []byte) bool                                // the records the sort takes
+	}{
+		{"table", loadTopN(rows, nil), sortedBy(nil), asIs, everyRow},
+		{"view", loadTopN(rows, nil), sortedBy(&keep), asIs, keep.Eval},
+		{"project", loadTopN(rows, nil), sortedBy(nil), func(p *Plan) *Plan { return p.Project(0, 3, 1) }, everyRow},
+		{"dups", loadTopN(rows, func(rng *testkit.RNG) uint64 { return rng.Dups() }), sortedBy(nil), asIs, everyRow},
+	}
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			r := rigOn(t, "blocked", pmem.Config{Capacity: rigDevice})
+			base := in.load(t, r)
+			recs, err := storage.ReadAll(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			survivors := 0
+			for _, rec := range recs {
+				if in.pass(rec) {
+					survivors++
+				}
+			}
+			_, baseScan := scanReads(t, r.dev, base.Scan(), 0)
+			// The stage's whole result and what the limit reads it through,
+			// each sorted whole by the reference.
+			ref := func(p *Plan) []byte {
+				return r.runPlan(t, p, runSpec{budget: budget, par: 1, opts: CompileOptions{MaterializeEveryStep: true}}).out
+			}
+			sorted, want := ref(in.stage(base, nil)), ref(in.read(in.stage(base, nil)))
+			outSize := len(want) / survivors
+			if len(sorted) != survivors*record.Size {
+				t.Fatalf("the reference sorted %d bytes, want %d survivors", len(sorted), survivors)
+			}
+			for _, n := range []int{0, 1, 100, slots - 1, slots + slots/2, rows + 50} {
+				took := min(n, survivors)
+				// The stage's bounded result as a table: what the limit reads
+				// of it, and what writing it costs.
+				tbl := r.create(t, fmt.Sprintf("result.%d", n), record.Size)
+				for off := 0; off < took*record.Size; off += record.Size {
+					if err := tbl.Append(sorted[off : off+record.Size]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := tbl.Close(); err != nil {
+					t.Fatal(err)
+				}
+				limitReads := r.runPlan(t, in.read(Table(tbl)).Limit(n), runSpec{budget: budget, par: 1, cursor: true}).stats.Reads
+				writes := copyWrites(t, r, sorted[:took*record.Size], record.Size)
+				passes := (took + slots - 1) / slots
+				for _, pin := range []sorts.Algorithm{nil, sorts.NewSelectionSort()} {
+					for _, par := range []int{1, 4} {
+						for _, batch := range []int{1, 1024} {
+							name := fmt.Sprintf("n%d/pinned=%v/p%d/b%d", n, pin != nil, par, batch)
+							res := r.runPlan(t, in.read(in.stage(base, pin)).Limit(n), runSpec{budget: budget, par: par, batch: batch, cursor: true})
+							if !bytes.Equal(res.out, want[:took*outSize]) {
+								t.Fatalf("%s: emitted %d bytes that differ from the reference's first %d records", name, len(res.out), took)
+							}
+							c := res.ex.Choices[0]
+							if c.Algorithm != cost.SortSelS || c.Replanned {
+								if pin != nil || took <= slots {
+									t.Fatalf("%s: the stage runs %s, want SelS under a one-pass bound:\n%s", name, c.Algorithm, res.ex)
+								}
+								continue
+							}
+							if mark := fmt.Sprintf("OrderBy[SelS ≤%d]", n); !strings.Contains(res.ex.Root, mark) {
+								t.Errorf("%s: the plan line %q does not name the bound %q", name, res.ex.Root, mark)
+							}
+							if c.Share != budget {
+								t.Fatalf("%s: the stage's share is %d B, want the whole %d", name, c.Share, budget)
+							}
+							if want := uint64(passes)*baseScan.Reads + limitReads; res.stats.Reads != want {
+								t.Errorf("%s: %d reads, want %d passes × %d base lines + the limit's %d = %d",
+									name, res.stats.Reads, passes, baseScan.Reads, limitReads, want)
+							}
+							if res.stats.Writes != writes {
+								t.Errorf("%s: %d writes, want the %d lines of the %d records the limit takes", name, res.stats.Writes, writes, took)
+							}
+						}
+					}
+				}
+				if err := tbl.Destroy(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// loadTopN loads rows records keyed by key (record.Generate's
+// permutation when nil) into a fresh table: a key shared by many rows
+// tells them apart by their third attribute, then by position.
+func loadTopN(rows int, key func(rng *testkit.RNG) uint64) func(t *testing.T, r *rig) storage.Collection {
+	return func(t *testing.T, r *rig) storage.Collection {
+		t.Helper()
+		in := r.create(t, "in", record.Size)
+		var err error
+		if key == nil {
+			err = record.Generate(rows, 21, in.Append)
+		} else {
+			rng, rec := testkit.NewRNG(21), make([]byte, record.Size)
+			for i := 0; i < rows && err == nil; i++ {
+				record.Fill(rec, key(rng))
+				record.SetAttr(rec, 2, uint64(i%7))
+				err = in.Append(rec)
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := in.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return in
+	}
+}
+
+// sortedBy is an order-by of a table, over a filter view when pred is
+// set, pinned to a unless it is nil.
+func sortedBy(pred *Predicate) func(in storage.Collection, a sorts.Algorithm) *Plan {
+	return func(in storage.Collection, a sorts.Algorithm) *Plan {
+		p := Table(in)
+		if pred != nil {
+			p = p.Filter(*pred)
+		}
+		if a == nil {
+			return p.OrderBy()
+		}
+		return p.OrderByWith(a)
+	}
+}
+
+func asIs(p *Plan) *Plan { return p }
+
+func everyRow([]byte) bool { return true }

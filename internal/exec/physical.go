@@ -348,6 +348,7 @@ func (c *compiler) build(p *Plan) (Operator, int, error) {
 		if err != nil {
 			return nil, -1, err
 		}
+		c.bound(child, p.n)
 		return c.breaker(NewLimit(child, p.n)), from, nil
 
 	case planOrderBy, planGroupBy:
@@ -442,6 +443,27 @@ func (c *compiler) feeding(s *stageAlloc, child Operator) {
 	}
 	s.feedable = s.op == "GroupBy"
 	s.onDevice = s.feedable
+}
+
+// bound makes a limit of n rows over child a property of the order-by
+// stage child reads 1:1 — child itself, or a Stream over it whose chain
+// only projects; a filter between them cuts the bound. The stage is then
+// priced and run for the n rows the limit takes (stageAlloc.bound): SelS
+// writes only those, in ⌈n/M⌉ passes. The bound is priced in exact
+// buffers, not rounded up to whole ones as t is, so a bound of M records
+// prices the one pass the kernel runs; n = 0, for which the kernel runs
+// none, is priced as one record. The materialize-everything reference
+// sorts its whole input.
+func (c *compiler) bound(child Operator, n int) {
+	if c.opts.MaterializeEveryStep {
+		return
+	}
+	if st, ok := child.(*Stream); ok && st.preds == nil {
+		child = st.child
+	}
+	if s, ok := child.(*Sort); ok && !s.grouping() {
+		s.st.bound, s.st.boundBuf = n, float64(max(n, 1)*s.RecordSize())/float64(c.blockSize)
+	}
 }
 
 // sourceWidth is the record width a scan of op's result reads where it

@@ -32,12 +32,18 @@ type Sort struct {
 
 func (s *Sort) grouping() bool { return s.attr >= 0 }
 
+// Name renders the stage with its algorithm, the bound a SelS stage
+// writes no more than (`OrderBy[SelS ≤100]`), the fed mark and the chain.
 func (s *Sort) Name() string {
 	op := "OrderBy["
 	if s.grouping() {
 		op = fmt.Sprintf("GroupBy[a%d, ", s.attr)
 	}
-	return fmt.Sprintf("%s%s%s%s](%s)", op, s.algo.Name(), s.st.fedMark(), &s.chain, s.child.Name())
+	var bound string
+	if n := s.st.take(); n >= 0 && sorts.Selects(s.algo) {
+		bound = fmt.Sprintf(" ≤%d", n)
+	}
+	return fmt.Sprintf("%s%s%s%s%s](%s)", op, s.algo.Name(), bound, s.st.fedMark(), &s.chain, s.child.Name())
 }
 func (s *Sort) RecordSize() int      { return s.width(s.child.RecordSize()) }
 func (s *Sort) Children() []Operator { return []Operator{s.child} }
@@ -125,7 +131,8 @@ func (s *Sort) emitTo(ctx context.Context, ec *Ctx, dst storage.Collection) erro
 // SelS's first pass, which reads it whole anyway and writes nothing
 // (sorts.SortCounting): the stage opens before that pass's batch is
 // emitted, and a re-made choice sorts from the start. Any other input is
-// counted first.
+// counted first. A bounded SelS stage writes only the rows its limit
+// takes (sorts.SortTop).
 func (s *Sort) sortStored(ec *Ctx, in, out storage.Collection) error {
 	env := ec.stageEnv(s.st)
 	src := in
@@ -141,8 +148,8 @@ func (s *Sort) sortStored(ec *Ctx, in, out storage.Collection) error {
 		s.algo = s.st.openSort(in, s.algo)
 		return s.algo
 	}
-	if v, ok := in.(*chainView); ok && v.n < 0 && sorts.CountsInput(s.algo) {
-		return sorts.SortCounting(env, src, out, combine, func(rows int) sorts.Algorithm {
+	if v, ok := in.(*chainView); ok && v.n < 0 && sorts.Selects(s.algo) {
+		return sorts.SortCounting(env, src, out, combine, s.st.take(), func(rows int) sorts.Algorithm {
 			v.n = rows
 			return open()
 		})
@@ -150,10 +157,7 @@ func (s *Sort) sortStored(ec *Ctx, in, out storage.Collection) error {
 	if err := countInput(in); err != nil {
 		return err
 	}
-	if combine == nil {
-		return open().Sort(env, src, out)
-	}
-	return sorts.SortFolding(env, open(), src, out, combine)
+	return sorts.SortTop(env, open(), src, out, combine, s.st.take())
 }
 
 // Open runs the stage and returns its result's stream. A fed stage ends

@@ -347,6 +347,52 @@ func TestSelectionPassAllocs(t *testing.T) {
 	t.Logf("%.0f allocations per two %d-record selection passes", allocs, kernelRecords)
 }
 
+// TestTopNSelectionAllocs: a selection bounded at n records (SortTop)
+// sizes its tree at n, not at the share: at n = 100 under a 400 000 B
+// share (5 000 slots) over 10 000 records it carves one slab segment of
+// 100 slots, so its bytes stay within one full segment and its
+// bookkeeping, while the same first pass unbounded carves all 5 000.
+// The count of allocations stays per pass, never per record.
+func TestTopNSelectionAllocs(t *testing.T) {
+	const rows, share, n = 10_000, 400_000, 100
+	env := testkit.Env(t, "blocked", kernelDevice, share/record.Size)
+	in := loadInput(t, env, rows, 9)
+	// run sorts in's first limit records into a fresh output and returns
+	// the bytes and allocations it took.
+	run := func(limit int) (bytes uint64, allocs float64) {
+		var before, after runtime.MemStats
+		const runs = 5
+		runtime.ReadMemStats(&before)
+		allocs = testing.AllocsPerRun(runs-1, func() { // AllocsPerRun runs it once more to warm up
+			out, err := env.CreateTemp("out", record.Size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := SortTop(env, NewSelectionSort(), in, out, nil, limit); err != nil {
+				t.Fatal(err)
+			}
+			if out.Len() != min(limit, rows) {
+				t.Fatalf("SortTop(%d) wrote %d records", limit, out.Len())
+			}
+			if err := out.Destroy(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs, allocs
+	}
+	bounded, allocs := run(n)
+	whole, _ := run(share / record.Size)            // one pass over a full tree
+	segment := uint64(256 * (record.Size + 4 + 16)) // xheap's segment: slots, tie-breaks, tree nodes
+	t.Logf("bounded at %d: %d B and %.0f allocations per sort; one full-tree pass: %d B", n, bounded, allocs, whole)
+	if bounded > segment {
+		t.Errorf("a selection bounded at %d records allocated %d B per sort, over one %d B slab segment with its bookkeeping (a full tree: %d B)", n, bounded, segment, whole)
+	}
+	if perRec := allocs / rows; perRec >= 0.01 {
+		t.Errorf("%.0f allocations for a %d-record pass: %.4f per record scanned, want 0", allocs, rows, perRec)
+	}
+}
+
 // formedRuns forms the runs of a kernel-sized input once.
 func formedRuns(t testing.TB, env *algo.Env) []storage.Collection {
 	t.Helper()

@@ -33,7 +33,7 @@ func (s *LazySort) Sort(env *algo.Env, in, out storage.Collection) error {
 }
 
 func (s *LazySort) sortWith(env *algo.Env, in, out storage.Collection, combine func(dst, src []byte)) error {
-	return lazySort(env, in, out, cost.LazySortMaterializeIteration, combine, nil)
+	return lazySort(env, in, out, cost.LazySortMaterializeIteration, combine, nil, -1)
 }
 
 // Profile implements Algorithm.
@@ -51,9 +51,15 @@ func (s *LazySort) Profile(em cost.Emit, t, m, lambda float64) cost.Profile {
 // — before that pass's batch reaches out, or at once when in.Len() is 0
 // — and says whether to go on; if not, lazySort returns errReopened
 // having written nothing. in.Len() is then an upper bound (SortCounting),
-// good for the emptiness check and the selector's 32-bit one; only a
-// policy that never materializes may be given one.
-func lazySort(env *algo.Env, in, out storage.Collection, materializeAt func(remaining, budget, lambda float64) int, combine func(dst, src []byte), opened func(rows int) bool) (err error) {
+// good for the emptiness check and the selector's 32-bit one.
+//
+// limit ≥ 0 is how many records the reader of out takes (SortTop): the
+// selector holds at most that many and the loop stops once they are
+// out, so a limit within the budget costs one pass, which still reads —
+// and counts — the whole input; a limit of 0 runs none. limit < 0
+// sorts the whole input. Only a policy that never materializes may be
+// given opened or a limit.
+func lazySort(env *algo.Env, in, out storage.Collection, materializeAt func(remaining, budget, lambda float64) int, combine func(dst, src []byte), opened func(rows int) bool, limit int) (err error) {
 	if err := checkArgs(env, in, out); err != nil {
 		return err
 	}
@@ -62,6 +68,9 @@ func lazySort(env *algo.Env, in, out storage.Collection, materializeAt func(rema
 	}
 	recSize := in.RecordSize()
 	budget := env.BudgetRecords(recSize)
+	if limit >= 0 {
+		budget = min(budget, limit)
+	}
 	lambda := env.Lambda()
 
 	cur := in                      // current input (in, or the latest materialized Ti)
@@ -80,7 +89,7 @@ func lazySort(env *algo.Env, in, out storage.Collection, materializeAt func(rema
 		}
 	}()
 
-	for more := in.Len() > 0; more; more = sel.more {
+	for more := in.Len() > 0 && limit != 0; more; more = sel.more && limit != 0 {
 		materialize := n >= materializeAt(float64(cur.Len()), float64(budget), lambda)
 
 		ti = nil
@@ -102,6 +111,10 @@ func lazySort(env *algo.Env, in, out storage.Collection, materializeAt func(rema
 				return errReopened
 			}
 			opened = nil
+		}
+		if limit >= 0 { // what the reader still takes
+			selected = min(selected, limit)
+			limit -= selected
 		}
 		for i := 0; i < selected; i++ {
 			if err := out.Append(sel.rec(i)); err != nil {

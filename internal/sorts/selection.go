@@ -257,7 +257,7 @@ func (s *SelectionSort) Sort(env *algo.Env, in, out storage.Collection) error {
 }
 
 func (s *SelectionSort) sortWith(env *algo.Env, in, out storage.Collection, combine func(dst, src []byte)) error {
-	return lazySort(env, in, out, never, combine, nil)
+	return lazySort(env, in, out, never, combine, nil, -1)
 }
 
 // Profile implements Algorithm.
@@ -268,36 +268,49 @@ func (s *SelectionSort) Profile(em cost.Emit, t, m, lambda float64) cost.Profile
 // never is SelS's materialization policy: no iteration writes survivors.
 func never(remaining, budget, lambda float64) int { return math.MaxInt }
 
-// CountsInput reports whether a counts its input as it sorts: SelS's
-// first pass reads every record and writes none, so it can sort an input
-// whose length is known only once read (SortCounting). Every other
-// algorithm sizes its work by the length before it reads.
-func CountsInput(a Algorithm) bool {
+// Selects reports whether a sorts by selection passes alone (SelS):
+// its first pass reads every record and writes none, so it can sort an
+// input whose length is known only once read (SortCounting), and each
+// pass emits in output order, so it can stop once its reader's records
+// are out (SortTop). Every other algorithm sizes its work by the length
+// before it reads and writes the whole input.
+func Selects(a Algorithm) bool {
 	_, ok := a.(*SelectionSort)
 	return ok
 }
 
-// SortCounting sorts in into out with SelS, as SortFolding does (a plain
-// sort when combine is nil), over an input whose in.Len() is an upper
-// bound until it is read: a filtering view, not yet counted. The first
-// pass counts it, and before that pass's batch reaches out, open receives
-// the count and names the algorithm to go on with. SelS goes on; any
-// other sorts in from its start, out still empty, so its I/O is one
-// counting scan plus its own. open must make in.Len() exact before it
-// returns.
-func SortCounting(env *algo.Env, in, out storage.Collection, combine func(dst, src []byte), open func(rows int) Algorithm) error {
+// SortTop sorts in into out with a, as SortFolding does (a plain sort
+// when combine is nil), for a reader that takes only the first n records
+// of out; n < 0 takes them all. SelS (Selects) writes only those: each
+// pass selects at most n, and it stops once n are out, so it reads the
+// input ⌈min(|T|, n)/M⌉ times and writes min(|T|, n) records
+// (cost.Emit.Limit). Every other algorithm sorts the whole input.
+func SortTop(env *algo.Env, a Algorithm, in, out storage.Collection, combine func(dst, src []byte), n int) error {
+	if Selects(a) {
+		return lazySort(env, in, out, never, combine, nil, n)
+	}
+	return a.sortWith(env, in, out, combine)
+}
+
+// SortCounting sorts in into out with SelS, as SortTop does, over an
+// input whose in.Len() is an upper bound until it is read: a filtering
+// view, not yet counted. The first pass counts it, and before that
+// pass's batch reaches out, open receives the count and names the
+// algorithm to go on with. SelS goes on; any other sorts in from its
+// start, out still empty, so its I/O is one counting scan plus its own.
+// open must make in.Len() exact before it returns. With n = 0 no pass
+// runs: in is neither read nor counted, and open is not called unless
+// in.Len() is 0.
+func SortCounting(env *algo.Env, in, out storage.Collection, combine func(dst, src []byte), n int, open func(rows int) Algorithm) error {
 	var a Algorithm
 	err := lazySort(env, in, out, never, combine, func(rows int) bool {
 		a = open(rows)
-		return CountsInput(a)
-	})
+		return Selects(a)
+	}, n)
 	if !errors.Is(err, errReopened) {
 		return err
 	}
-	if combine == nil {
-		return a.Sort(env, in, out)
-	}
-	return a.sortWith(env, in, out, combine)
+	return SortTop(env, a, in, out, combine, n)
 }
 
 // errReopened ends a counting selection whose input is to be sorted by
