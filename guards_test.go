@@ -53,8 +53,10 @@ var guards = []guard{
 		pattern: `HashAggregate|hashAggCap|"HashAgg"|\bSpilled\b|finishSpill`, scope: []string{"*.go", ":!vendor"}},
 	{name: "one sort stage, one fold (no regrown GroupBy operator, fold sink beside the kernels' combine, or row-at-a-time aggregation state)",
 		pattern: `type GroupBy struct|func Fold\(|aggregate\.GroupBy\(|\) Add\(v uint64\)`, scope: []string{"*.go", ":!vendor"}},
-	{name: "one end for a fed sort (no regrown resident-only stream or heap iterator beside Intake.Stream)",
-		pattern: `func \(in \*Intake\) Resident|type heapIter`, scope: []string{"internal/sorts"}},
+	{name: "one end for a fed sort (no regrown resident-only stream, heap iterator or merge into a collection beside Intake.Stream)",
+		pattern: `func \(in \*Intake\) (Resident|MergeInto)|type heapIter`, scope: []string{"internal/sorts"}},
+	{name: "one way to read an input (no regrown open-then-inspect collection source or drain-an-opened-stream emit)",
+		pattern: `collectionSource|drainOf\(`, scope: []string{"internal/exec"}},
 	{name: "40-byte partials (no regrown result-width partial buffer in aggregate)",
 		pattern: `make\(\[\]byte, record.Size\)`, scope: []string{"internal/aggregate"}},
 	{name: "one append protocol (range writers never wait on each other)",

@@ -24,62 +24,60 @@ func drain(ec *Ctx, it storage.Iterator, emit func(rec []byte) error) error {
 // stored is a result held in a temporary collection: the temp → scan →
 // destroy half of every operator that stores what it produced (Sort,
 // Join, Materialize, and the pipe under a blocking consumer of a stream).
-// Operators embed it: fill is their Open, returning the temp's scan as
-// the operator's stream, source is theirs as it stands, and drop is
-// their Close; the pipe, read as a collection, is only stored. The value
-// owns the temp from the moment fill creates it — nothing else destroys
-// it. A Join or GroupBy whose consumer feeds
-// (exec.go) is never filled: its emitTo is called with the consumer's
-// intake, the embedded value stays empty, and drop only closes the
-// children. Nor is a fed sort stage: it serves its intake's stream
-// (Sort.Open), which drop closes, destroying the runs the stream owns.
+// Operators embed it. A consumer that reads the result as a collection
+// has the operator store it (storeResult, inputCollection) and reads the
+// temp with no scan opened on it; a consumer that pulls it gets the
+// temp's scan from Open. drop is the operator's Close. The value owns
+// the temp from the moment store creates it — nothing else destroys it.
+// A Join or GroupBy whose consumer feeds (exec.go) is never stored: its
+// emitTo is called with the consumer's intake, the embedded value stays
+// empty, and drop only closes the children. Nor is a fed sort stage: it
+// serves its intake's stream (Sort.Open), which drop closes, destroying
+// the runs the stream owns.
 type stored struct {
 	tmp storage.Collection
 	it  storage.Iterator // the stream Open returned: the temp's scan, or a fed sort's
 }
 
-// fill creates the temp, has emit write the result into it, flushes it
-// and returns its scan. emit has a directEmitter's signature, because it
-// is the operator's emitTo: a blocking operator fills its own temp
-// exactly as it fills the plan output at the root. Kernels that close
-// their output themselves are fine — Close is idempotent. On error the
-// temp is already destroyed.
-func (s *stored) fill(ctx context.Context, ec *Ctx, prefix string, recSize int,
-	emit func(ctx context.Context, ec *Ctx, dst storage.Collection) error) (storage.Iterator, error) {
-	if err := s.store(ctx, ec, prefix, recSize, emit); err != nil {
+// scan is Open over a stored result: the scan of the temp store returned.
+func (s *stored) scan(tmp storage.Collection, err error) (storage.Iterator, error) {
+	if err != nil {
 		return nil, err
 	}
-	s.it = s.tmp.Scan()
+	s.it = tmp.Scan()
 	return s.it, nil
 }
 
-// store is fill without the scan, for a consumer that reads the temp as
-// a collection (the pipe, inputCollection).
+// store creates the temp, has emit write the result into it, flushes it
+// and returns it. emit has emitTo's signature, because it is the
+// operator's emitTo (or pour of its child): a blocking operator fills
+// its own temp exactly as it fills the plan output at the root. Kernels
+// that close their output themselves are fine — Close is idempotent. On
+// error the temp is already destroyed.
 func (s *stored) store(ctx context.Context, ec *Ctx, prefix string, recSize int,
-	emit func(ctx context.Context, ec *Ctx, dst storage.Collection) error) error {
+	emit func(ctx context.Context, ec *Ctx, dst storage.Collection) error) (storage.Collection, error) {
 	tmp, err := ec.tempEnv().CreateTemp(prefix, recSize)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err = emit(ctx, ec, tmp); err == nil {
 		err = tmp.Close()
 	}
 	if err != nil {
 		tmp.Destroy() //nolint:errcheck // best-effort cleanup after failure
-		return err
+		return nil, err
 	}
 	s.tmp = tmp
-	return nil
+	return tmp, nil
 }
 
-// drainOf is the emit that stores src, an opened operator's stream.
-func drainOf(src storage.Iterator) func(ctx context.Context, ec *Ctx, dst storage.Collection) error {
-	return func(_ context.Context, ec *Ctx, dst storage.Collection) error {
-		return drain(ec, src, dst.Append)
-	}
+// pourInto stores child's whole output, poured, in a temp under prefix:
+// a pipe or a materialization barrier.
+func (s *stored) pourInto(ctx context.Context, ec *Ctx, prefix string, child Operator) (storage.Collection, error) {
+	return s.store(ctx, ec, prefix, child.RecordSize(), func(ctx context.Context, ec *Ctx, dst storage.Collection) error {
+		return pour(ctx, ec, child, dst)
+	})
 }
-
-func (s *stored) source() (storage.Collection, bool) { return s.tmp, s.tmp != nil }
 
 // drop closes the stream, destroys the temp and closes the operators the
 // result was produced from, keeping the first error. Idempotent.

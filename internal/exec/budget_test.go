@@ -568,7 +568,7 @@ func TestFoldedPriceMatchesIntake(t *testing.T) {
 			for _, slots := range []int{128, 1024, 4096} {
 				var partials int
 				env := algo.NewEnv(runWrites{Factory: r.fac, n: &partials}, int64(slots*aggregate.PartialSize))
-				in, err := sorts.NewIntake(env, aggregate.PartialSize, aggregate.Combine, false)
+				in, err := sorts.NewIntake(env, aggregate.PartialSize, aggregate.Combine)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -582,7 +582,14 @@ func TestFoldedPriceMatchesIntake(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if err := in.MergeInto(storage.NewSink("discard", aggregate.PartialSize, func([]byte) error { return nil }, nil)); err != nil {
+				it, err := in.Stream()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := storage.ForEach(it, DefaultBatchSize, func([]byte) error { return nil }); err != nil {
+					t.Fatal(err)
+				}
+				if err := it.Close(); err != nil {
 					t.Fatal(err)
 				}
 				st := &stageAlloc{op: "GroupBy", groupEst: g, bp: &budgetPlan{blockSize: bs}}

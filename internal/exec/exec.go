@@ -28,7 +28,10 @@
 // A blocking operator's result has two homes, decided by price. Stored:
 // a temporary — the operator's own, a Materialize barrier's, the pipe
 // under a join that reads a stream — which is one embedded value (stored,
-// batch.go) that creates the temp, serves its scan and destroys it. Fed: when
+// batch.go) that creates the temp, serves its scan to a reader that
+// pulls it and destroys it. A result enters a collection one way (pour),
+// and a consumer reads its input as a collection one way
+// (inputCollection), decided before anything opens. Fed: when
 // the temp's only reader would be the run formation of a planner-owned
 // OrderBy or GroupBy above it — over a Join or a GroupBy, or over a
 // stream that would be drained into a pipe — the consumer hands the
@@ -40,9 +43,10 @@
 // emitted. Feeding is the engine's in-memory aggregation, so a GroupBy
 // may push even a base table or a view into its intake. A fed sort ends
 // in its reader: it never fills a result temp, but serves its intake's
-// stream (sorts.Intake.Stream) as its own — the heap of an intake that
-// never evicted, which writes nothing, or the pull merge of its last
-// runs — so the plan's result stage prices its output as its reader's.
+// stream (sorts.Intake.Stream, its one end) as its own — the heap of an
+// intake that never evicted, which writes nothing, or the pull merge of
+// its last runs — so the plan's result stage prices its output as its
+// reader's.
 // The consumer's stage prices both homes inside the allocator's curve
 // (stageAlloc.sortPlan) and takes the cheaper; Explain says which ran.
 // Pinned sorts, join inputs and the materialize-every-step reference
@@ -116,20 +120,19 @@ type memoryConsumer interface {
 	consumesMemory() bool
 }
 
-// collectionSource is implemented by operators whose whole output
-// already exists as a storage collection once Open returns: Scan (the
-// base collection) and the blocking operators (their materialized
-// result). Blocking parents use it to hand the collection straight to a
-// sort/join algorithm instead of copying the stream.
-type collectionSource interface {
-	source() (storage.Collection, bool)
-}
-
 // directEmitter is implemented by blocking operators that can write
-// their result straight into the caller's output collection, saving the
-// temp-then-copy writes when they sit at the plan root.
+// their result straight into a collection they are handed — the plan
+// output, a pipe, the next stage's intake — saving the temp-then-copy
+// writes (pour).
 type directEmitter interface {
 	emitTo(ctx context.Context, ec *Ctx, out storage.Collection) error
+}
+
+// storer is implemented by Sort, Join and Materialize: storeResult fills
+// the operator's own temp (stored) for a consumer that reads it as a
+// collection, or returns nil, having run nothing, for a fed sort.
+type storer interface {
+	storeResult(ctx context.Context, ec *Ctx) (storage.Collection, error)
 }
 
 // Ctx is the execution context of one plan run: the persistence layer,
@@ -235,10 +238,10 @@ func (c *Ctx) SweepTemps() error {
 
 // RunCtx executes the plan rooted at root under ctx, appending its
 // stream to out (in stream order) and closing both the tree and out. out
-// must be empty and match the root's record size. When the root is a
-// blocking operator it emits directly into out, avoiding a final
-// temp-and-copy. On error — including cancellation — the operator tree
-// is closed and every temporary the run created is destroyed.
+// must be empty and match the root's record size. The root's result is
+// poured into out: a blocking root emits into it directly, avoiding a
+// final temp-and-copy. On error — including cancellation — the operator
+// tree is closed and every temporary the run created is destroyed.
 func RunCtx(ctx context.Context, ec *Ctx, root Operator, out storage.Collection) error {
 	if err := ec.Bind(ctx); err != nil {
 		return err
@@ -252,26 +255,10 @@ func RunCtx(ctx context.Context, ec *Ctx, root Operator, out storage.Collection)
 	if out.Len() != 0 {
 		return fmt.Errorf("exec: output collection %q not empty", out.Name())
 	}
-	fail := func(err error) error {
+	if err := pour(ctx, ec, root, out); err != nil {
 		root.Close()    //nolint:errcheck // best-effort cleanup after failure
 		ec.SweepTemps() //nolint:errcheck // best-effort cleanup after failure
 		return err
-	}
-	if e, ok := root.(directEmitter); ok {
-		if err := e.emitTo(ctx, ec, out); err != nil {
-			return fail(err)
-		}
-		if err := root.Close(); err != nil {
-			return err
-		}
-		return out.Close()
-	}
-	it, err := root.Open(ctx, ec)
-	if err != nil {
-		return fail(err)
-	}
-	if err := drain(ec, it, out.Append); err != nil {
-		return fail(err)
 	}
 	if err := root.Close(); err != nil {
 		return err
@@ -279,42 +266,39 @@ func RunCtx(ctx context.Context, ec *Ctx, root Operator, out storage.Collection)
 	return out.Close()
 }
 
-// inputCollection opens child and returns its whole output as a storage
-// collection: directly when the child's output already lives on storage
-// (Scan, stored blocking children — a Join's or GroupBy's already through
-// the chain it absorbed), as a re-scannable zero-write view when the
-// child is a Stream over such a source (see fuseView; a filtering view
-// is not counted until its consumer counts it), and otherwise by
-// draining the stream into a pipe temporary — a fed sort's too, which
-// ends in its reader and so writes into the pipe what its own temp would
-// have held. It is how a join reads its
-// inputs and how a sort reads one that is stored; a sort stage that
-// feeds (stageAlloc.feed) never calls it, so a pipe still exists only
-// under a join, a pinned sort, or a sort whose share prices the fed
-// merge passes above the pipe's write. The returned cleanup
-// destroys the pipe (it is a no-op for direct collections and views) and
+// inputCollection returns child's whole output as a storage collection,
+// the one way a join reads its inputs and a stored sort its one. The
+// form is decided from the tree before anything runs (onDevice): a Scan
+// is its collection; an un-fed Sort, a Join (through its chain) or a
+// Materialize fills its own temp, read with no scan opened on it; a
+// Stream over either is a zero-write view. Anything else — a Limit, a fed
+// sort, a Stream over either — is poured into a pipe temp. A feeding sort
+// stage never calls it, so a pipe exists only under a join, a pinned
+// sort, or a sort that priced the fed merge passes above the pipe's
+// write. The returned cleanup destroys the pipe (a no-op otherwise) and
 // must be called once the collection has been consumed; the child itself
 // is closed by the caller's Close.
 func inputCollection(ctx context.Context, ec *Ctx, child Operator) (storage.Collection, func() error, error) {
-	it, err := child.Open(ctx, ec)
+	c, err := onDevice(ctx, ec, child)
 	if err != nil {
 		return nil, nil, err
 	}
-	if c, ok := fuseView(ctx, ec, child); ok {
+	if c != nil {
 		return c, func() error { return nil }, nil
 	}
 	var pipe stored
-	if err := pipe.store(ctx, ec, "pipe", child.RecordSize(), drainOf(it)); err != nil {
+	tmp, err := pipe.pourInto(ctx, ec, "pipe", child)
+	if err != nil {
 		return nil, nil, err
 	}
-	return pipe.tmp, func() error { return pipe.drop() }, nil
+	return tmp, func() error { return pipe.drop() }, nil
 }
 
-// pour opens child and pushes its whole output into dst, in stream
-// order, without storing it: a blocking producer emits into dst exactly
-// as it would fill its own temp or the plan output (emitTo), anything
-// else is drained. dst is the consumer's intake, or a sink in front of
-// it; the child is closed by the caller's Close.
+// pour pushes child's whole output into dst, in stream order, without
+// storing it: a blocking producer emits into dst exactly as it would fill
+// its own temp (emitTo), anything else is opened and drained. dst is the
+// plan output, a pipe or barrier temp, the consumer's intake, or a sink
+// in front of it; the child is closed by the caller's Close.
 func pour(ctx context.Context, ec *Ctx, child Operator, dst storage.Collection) error {
 	if e, ok := child.(directEmitter); ok {
 		return e.emitTo(ctx, ec, dst)

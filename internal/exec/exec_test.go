@@ -393,6 +393,13 @@ func (r *rig) runPlan(t testing.TB, plan *Plan, s runSpec) planRun {
 // fresh collection costs the device: the writes of a result alone.
 func copyWrites(t *testing.T, r *rig, recs []byte, recSize int) uint64 {
 	t.Helper()
+	return copyCost(t, r, recs, recSize).Writes
+}
+
+// copyCost is copyWrites' whole counter: a backend that grows its
+// collections by copying (dynarray) reads as it appends.
+func copyCost(t *testing.T, r *rig, recs []byte, recSize int) pmem.Stats {
+	t.Helper()
 	c := r.create(t, fmt.Sprintf("copy.%d", len(recs)), recSize)
 	r.dev.ResetStats()
 	for off := 0; off < len(recs); off += recSize {
@@ -403,7 +410,7 @@ func copyWrites(t *testing.T, r *rig, recs []byte, recSize int) uint64 {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return r.dev.Stats().Writes
+	return r.dev.Stats()
 }
 
 // groupByReference is the pinned-ExMS group-by of n rows over groups

@@ -134,10 +134,13 @@ func fedChoices(ex *Explain) int {
 }
 
 // TestFeedIdentityGrid: on every backend, at every parallelism and batch
-// size, a fed plan emits the materialize-every-step reference's bytes,
-// writes the same cachelines whatever P and the batch size — strictly
-// fewer than the same plan with its consumers pinned to ExMS over stored
-// inputs — and never creates the temp it replaces.
+// size, run into an output (RunCtx) and pulled by a cursor, a fed plan
+// emits the materialize-every-step reference's bytes, writes the same
+// cachelines whatever P and the batch size — strictly fewer than the
+// same plan with its consumers pinned to ExMS over stored inputs — and
+// never creates the temp it replaces. RunCtx's reads and writes are the
+// cursor's and what the output costs alone: on blocked memory the same
+// reads, and the output's lines more writes.
 func TestFeedIdentityGrid(t *testing.T) {
 	for _, backend := range storage.Backends {
 		for _, sh := range feedShapes {
@@ -157,30 +160,56 @@ func TestFeedIdentityGrid(t *testing.T) {
 					t.Fatal("the pinned plan stored no input either: the shape is not one a feed saves anything on")
 				}
 				pinnedWrites := pinned.stats.Writes
-				var wantWrites uint64
+				output := copyCost(t, rigOn(t, backend, pmem.Config{Capacity: largeRigDevice}), want, pinned.root.RecordSize())
+				var wantWrites [2]uint64 // RunCtx's, the cursor's
 				for _, par := range []int{1, 2, 4} {
 					for _, batch := range []int{1, 7, 1024} {
-						res := run(false, runSpec{par: par, batch: batch})
-						got, writes, ex := res.out, res.stats.Writes, res.ex
-						if n := fedChoices(ex); n != sh.fed || strings.Count(ex.Root, "⇐ feed") != sh.fed {
-							t.Fatalf("P=%d batch=%d: %d fed stage(s), want %d:\n%s", par, batch, n, sh.fed, ex)
+						var drivers [2]planRun // RunCtx's, the cursor's
+						for i, cursor := range []bool{false, true} {
+							res := run(false, runSpec{par: par, batch: batch, cursor: cursor})
+							drivers[i] = res
+							got, ex := res.out, res.ex
+							cell := fmt.Sprintf("P=%d batch=%d cursor=%v", par, batch, cursor)
+							if n := fedChoices(ex); n != sh.fed || strings.Count(ex.Root, "⇐ feed") != sh.fed {
+								t.Fatalf("%s: %d fed stage(s), want %d:\n%s", cell, n, sh.fed, ex)
+							}
+							stores := 0 // a stored root under the cursor fills its own result temp
+							if sh.fed == 0 && cursor {
+								stores = 1
+							}
+							if n := res.temps.N(inputTemps...); n != stores {
+								t.Errorf("%s: %d joined/grouped/pipe temp(s) created, want %d: none under a fed consumer", cell, n, stores)
+							}
+							if !bytes.Equal(got, want) {
+								t.Fatalf("%s: output differs from the materialize-every-step reference (%d vs %d bytes)", cell, len(got), len(want))
+							}
 						}
-						if n := res.temps.N(inputTemps...); n != 0 {
-							t.Errorf("P=%d batch=%d: %d joined/grouped/pipe temp(s) created under a fed consumer", par, batch, n)
+						// A fed root ends in its reader: RunCtx appends what
+						// the cursor takes to the output. A stored root (the
+						// elided shape's group-by) writes its result either
+						// way, into a temp for the cursor: the same lines
+						// where a collection carries no file metadata.
+						ran, pulled := drivers[0].stats, drivers[1].stats
+						if sh.fed > 0 && (ran.Reads != pulled.Reads+output.Reads || ran.Writes != pulled.Writes+output.Writes) {
+							t.Errorf("P=%d batch=%d: RunCtx read %d and wrote %d cachelines, the cursor %d and %d: want the cursor's and the output's %d and %d",
+								par, batch, ran.Reads, ran.Writes, pulled.Reads, pulled.Writes, output.Reads, output.Writes)
 						}
-						if !bytes.Equal(got, want) {
-							t.Fatalf("P=%d batch=%d: output differs from the materialize-every-step reference (%d vs %d bytes)", par, batch, len(got), len(want))
+						if sh.fed == 0 && (backend == "blocked" || backend == "dynarray") && pulled.Writes != ran.Writes {
+							t.Errorf("P=%d batch=%d: RunCtx wrote %d cachelines, the cursor %d: want the same result written once",
+								par, batch, ran.Writes, pulled.Writes)
 						}
-						if wantWrites == 0 {
-							wantWrites = writes
-						}
-						if writes != wantWrites {
-							t.Errorf("P=%d batch=%d: %d cacheline writes, P=1 batch=1 wrote %d", par, batch, writes, wantWrites)
+						for i, res := range drivers {
+							if par == 1 && batch == 1 {
+								wantWrites[i] = res.stats.Writes
+							}
+							if res.stats.Writes != wantWrites[i] {
+								t.Errorf("P=%d batch=%d cursor=%v: %d cacheline writes, P=1 batch=1 wrote %d", par, batch, i == 1, res.stats.Writes, wantWrites[i])
+							}
 						}
 					}
 				}
-				if wantWrites >= pinnedWrites {
-					t.Errorf("fed plan wrote %d cachelines, the same plan pinned to ExMS over stored inputs %d: want strictly fewer", wantWrites, pinnedWrites)
+				if wantWrites[0] >= pinnedWrites {
+					t.Errorf("fed plan wrote %d cachelines, the same plan pinned to ExMS over stored inputs %d: want strictly fewer", wantWrites[0], pinnedWrites)
 				}
 			})
 		}

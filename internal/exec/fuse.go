@@ -18,22 +18,26 @@ import (
 // view (it streams, and blocking consumers of a limit are rare enough
 // that the pipe temp is fine).
 
-// fuseView returns op's whole output as a collection when it exists
-// without a drain: a collection source's own, or a chainView when op is
-// a Stream over one. op must already be Open (blocking leaves hold
-// their results). ctx bounds the view's count and every later scan.
-func fuseView(ctx context.Context, ec *Ctx, op Operator) (storage.Collection, bool) {
-	if s, ok := op.(*Stream); ok {
-		base, ok := fuseView(ctx, ec, s.child)
-		if !ok {
-			return nil, false
+// onDevice returns op's whole output as a collection when it lies on the
+// device, deciding from the tree before anything runs and opening
+// nothing: a Scan's base collection; a storer's own temp, which it fills
+// here; a chainView over either when op is a Stream over it. It returns
+// nil, having run nothing, for anything else. ctx bounds the view's count
+// and every later scan.
+func onDevice(ctx context.Context, ec *Ctx, op Operator) (storage.Collection, error) {
+	switch op := op.(type) {
+	case *Scan:
+		return op.c, nil
+	case *Stream:
+		base, err := onDevice(ctx, ec, op.child)
+		if base == nil || err != nil {
+			return nil, err
 		}
-		return newChainView(ctx, base, &s.chain, ec.Factory.BlockSize()), true
+		return newChainView(ctx, base, &op.chain, ec.Factory.BlockSize()), nil
+	case storer:
+		return op.storeResult(ctx, ec)
 	}
-	if src, ok := op.(collectionSource); ok {
-		return src.source()
-	}
-	return nil, false
+	return nil, nil
 }
 
 // chainView is a chain over a stored collection, as a read-only
@@ -44,13 +48,13 @@ func fuseView(ctx context.Context, ec *Ctx, op Operator) (storage.Collection, bo
 // over each pull. A projecting-only chain maps records 1:1: length and
 // positional scans delegate to the base. A filtering chain's length is
 // known once counted, and Len never scans: until then it is the base's,
-// an upper bound. A consumer that sizes its work by the length counts
-// it first (countInput: one read-only scan); a SelS stage has its first
-// pass count it instead (Sort.sortStored), which reads the whole view
-// anyway. Positional scans re-read the base from the start and discard
-// the skipped survivors (reads, never writes). A selective predicate can
-// walk arbitrarily many base records per call, so scans poll ctx like
-// any kernel loop.
+// an upper bound. A join, and an unbounded sort stage compiled to
+// anything but SelS, count it first (countInput: one read-only scan);
+// any other sort stage has a selection pass count it (Sort.sortStored),
+// which reads the whole view anyway. Positional scans re-read the base
+// from the start and discard the skipped survivors (reads, never
+// writes). A selective predicate can walk arbitrarily many base records
+// per call, so scans poll ctx like any kernel loop.
 type chainView struct {
 	ctx   context.Context // run-scoped: the view lives only within one Run
 	chain *chain
@@ -142,8 +146,7 @@ type chainIterator struct {
 }
 
 // newChainIterator applies c to the raw-byte records of it, at most pull
-// at a time, polling ctx. It allocates nothing a refill needs: a Stream
-// that a view replaces (inputCollection) is opened but never pulled.
+// at a time, polling ctx.
 func newChainIterator(ctx context.Context, it storage.Iterator, c *chain, raw, pull int) *chainIterator {
 	return &chainIterator{ctx: ctx, it: it, ci: storage.Chunked(it), win: c.newWindow(raw), pull: pull, budget: algo.PollInterval}
 }

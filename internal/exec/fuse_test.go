@@ -28,13 +28,13 @@ import (
 // run's context like any kernel loop (INVARIANTS.md, cancellation
 // polling).
 
-// countedView fuses the opened root into a collection and counts it, as
-// a consumer that sizes its work by Len does.
+// countedView reads the root as the collection a consumer reads it as
+// and counts it, as a consumer that sizes its work by Len does.
 func countedView(t *testing.T, ctx context.Context, ec *Ctx, root Operator) storage.Collection {
 	t.Helper()
-	c, ok := fuseView(ctx, ec, root)
-	if !ok {
-		t.Fatalf("%s did not fuse", root.Name())
+	c, err := onDevice(ctx, ec, root)
+	if c == nil || err != nil {
+		t.Fatalf("%s did not fuse: %v", root.Name(), err)
 	}
 	if err := countInput(c); err != nil {
 		t.Fatalf("counting %s: %v", c.Name(), err)
@@ -42,7 +42,7 @@ func countedView(t *testing.T, ctx context.Context, ec *Ctx, root Operator) stor
 	return c
 }
 
-// fuseFilter opens a Filter-over-Table plan and fuses it under ctx.
+// fuseFilter compiles a Filter-over-Table plan and fuses it under ctx.
 func fuseFilter(t *testing.T, ctx context.Context, n int, pred Predicate) (*chainView, func()) {
 	t.Helper()
 	r := newRig(t)
@@ -56,9 +56,6 @@ func fuseFilter(t *testing.T, ctx context.Context, n int, pred Predicate) (*chai
 	ec := r.ctx(int64(n)*record.Size, 1)
 	root, _, err := Compile(ec, Table(in).Filter(pred))
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := root.Open(context.Background(), ec); err != nil {
 		t.Fatal(err)
 	}
 	v, ok := countedView(t, ctx, ec, root).(*chainView)
@@ -88,24 +85,21 @@ func TestFuseCountPollsCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := root.Open(context.Background(), ec); err != nil {
-		t.Fatal(err)
-	}
 	defer root.Close() //nolint:errcheck
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	t.Run("count", func(t *testing.T) {
-		c, ok := fuseView(ctx, ec, root)
-		if !ok {
-			t.Fatal("filter over a table did not fuse")
+		c, err := onDevice(ctx, ec, root)
+		if c == nil || err != nil {
+			t.Fatalf("filter over a table did not fuse: %v", err)
 		}
 		if err := countInput(c); !errors.Is(err, context.Canceled) {
 			t.Fatalf("count under a cancelled context: err = %v, want context.Canceled", err)
 		}
 	})
 	t.Run("selection", func(t *testing.T) {
-		c, _ := fuseView(ctx, ec, root)
+		c, _ := onDevice(ctx, ec, root)
 		out := r.create(t, "out", record.Size)
 		env := algo.NewEnv(r.fac, 4000*record.Size/10).WithContext(ctx)
 		opened := false
@@ -321,11 +315,12 @@ func TestFuseViewDeviceIdentity(t *testing.T) {
 	}
 }
 
-// TestViewReplacedStreamAllocs: a Stream under a blocking consumer is
-// opened and then replaced by a view (inputCollection → fuseView), never
-// pulled, so opening it allocates nothing sized to the pull: the bytes
-// to open and fuse it are the same at 16 and 4 096 records per pull.
-func TestViewReplacedStreamAllocs(t *testing.T) {
+// TestUnpulledStreamAllocs: a Stream's chain allocates its buffers on
+// the first refill that needs them, never at Open, so a Stream opened and
+// closed without a pull (a cursor closed early, a Limit(0)'s child)
+// allocates nothing sized to the pull: the bytes to open and close it are
+// the same at 16 and 4 096 records per pull.
+func TestUnpulledStreamAllocs(t *testing.T) {
 	r := newRig(t)
 	in := loadRows(t, r)
 	ctx := context.Background()
@@ -338,14 +333,14 @@ func TestViewReplacedStreamAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if _, ok := root.(*Stream); !ok {
+				t.Fatalf("%s compiled to %s, want a Stream", vc.name, root.Name())
+			}
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			for i := 0; i < opens; i++ {
 				if _, err := root.Open(ctx, ec); err != nil {
 					t.Fatal(err)
-				}
-				if _, ok := fuseView(ctx, ec, root); !ok {
-					t.Fatalf("%s did not fuse", root.Name())
 				}
 				if err := root.Close(); err != nil {
 					t.Fatal(err)
@@ -357,7 +352,7 @@ func TestViewReplacedStreamAllocs(t *testing.T) {
 		// A vector sized to the pull adds ≥ 4 080 × 24 B; 256 B is noise.
 		small, large := perOpen(16), perOpen(4096)
 		if large > small+256 {
-			t.Errorf("%s: opening and fusing a stream allocates %d B at 4096 records per pull, %d B at 16", vc.name, large, small)
+			t.Errorf("%s: opening and closing a stream allocates %d B at 4096 records per pull, %d B at 16", vc.name, large, small)
 		}
 		t.Logf("%s: %d B per open at 16 records per pull, %d B at 4096", vc.name, small, large)
 	}
@@ -514,10 +509,14 @@ func TestFuseViewCountedByFirstPass(t *testing.T) {
 // records of the materialize-every-step reference (which sorts whole),
 // read the base ⌈min(n, survivors)/M⌉ times plus what the limit reads of
 // the stage's result, write only the min(n, survivors) records the limit
-// takes, leave no temp, and name the bound on the plan line. Where the
-// bound is over the share (several passes) or over the survivors (none),
-// the planner may price another sort cheaper; that one is held to the
-// reference's bytes alone.
+// takes, leave no temp, and name the bound on the plan line — a stage
+// that compiled another sort and re-planned to SelS at Open as well: the
+// selection pass that counts the view is its first, so it reads no more
+// than a SelS compiled at plan time (n = 1 200 over the view at P = 4:
+// two base scans and the limit's reads, 11 500 lines, where a separate
+// count scan made it 16 500). Where the bound is over the share (several
+// passes) or over the survivors (none), the planner may price another
+// sort cheaper; that one is held to the reference's bytes alone.
 func TestFuseTopNMatchesFullSort(t *testing.T) {
 	const rows, budget = 4000, 64000
 	slots := budget / record.Size // the stage's one share, in records
@@ -584,7 +583,10 @@ func TestFuseTopNMatchesFullSort(t *testing.T) {
 								t.Fatalf("%s: emitted %d bytes that differ from the reference's first %d records", name, len(res.out), took)
 							}
 							c := res.ex.Choices[0]
-							if c.Algorithm != cost.SortSelS || c.Replanned {
+							if c.Replanned && (pin != nil || took <= slots) {
+								t.Fatalf("%s: the stage re-planned to %s at Open, want SelS compiled under a one-pass bound:\n%s", name, c.Algorithm, res.ex)
+							}
+							if c.Algorithm != cost.SortSelS {
 								if pin != nil || took <= slots {
 									t.Fatalf("%s: the stage runs %s, want SelS under a one-pass bound:\n%s", name, c.Algorithm, res.ex)
 								}

@@ -95,7 +95,12 @@ func (j *Join) output(dst storage.Collection) storage.Collection {
 }
 
 func (j *Join) Open(ctx context.Context, ec *Ctx) (storage.Iterator, error) {
-	return j.fill(ctx, ec, "joined", j.RecordSize(), j.emitTo)
+	return j.scan(j.storeResult(ctx, ec))
+}
+
+// storeResult fills the join's result temp.
+func (j *Join) storeResult(ctx context.Context, ec *Ctx) (storage.Collection, error) {
+	return j.store(ctx, ec, "joined", j.RecordSize(), j.emitTo)
 }
 
 func (j *Join) Close() error { return j.drop(j.left, j.right) }

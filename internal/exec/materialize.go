@@ -29,11 +29,12 @@ func (m *Materialize) Children() []Operator { return []Operator{m.child} }
 func (m *Materialize) consumesMemory() bool { return false }
 
 func (m *Materialize) Open(ctx context.Context, ec *Ctx) (storage.Iterator, error) {
-	it, err := m.child.Open(ctx, ec)
-	if err != nil {
-		return nil, err
-	}
-	return m.fill(ctx, ec, "mat", m.RecordSize(), drainOf(it))
+	return m.scan(m.storeResult(ctx, ec))
+}
+
+// storeResult pours the child into the barrier's temp.
+func (m *Materialize) storeResult(ctx context.Context, ec *Ctx) (storage.Collection, error) {
+	return m.pourInto(ctx, ec, "mat", m.child)
 }
 
 func (m *Materialize) Close() error { return m.drop(m.child) }

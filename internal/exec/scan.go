@@ -13,8 +13,8 @@ import (
 // Scan streams a base collection: its Open returns the collection's own
 // scan, read by chunk — on blocked memory the device bytes in place, zero
 // per-record copies. It is the only leaf operator; its output
-// "materialization" is the collection itself, so blocking parents
-// consume it without any copying.
+// "materialization" is the collection itself, so a blocking parent reads
+// the collection (inputCollection) and never opens the Scan at all.
 type Scan struct {
 	c  storage.Collection
 	it storage.Iterator
@@ -40,8 +40,6 @@ func (s *Scan) Close() error {
 	s.it = nil
 	return it.Close()
 }
-
-func (s *Scan) source() (storage.Collection, bool) { return s.c, true }
 
 // --- Predicates ---
 

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"io"
 
 	"wlpm/internal/aggregate"
 	"wlpm/internal/sorts"
@@ -59,11 +60,10 @@ func (s *Sort) absorbed() *chain {
 
 // intake runs the fed input side once, when the stage feeds: the child
 // emits into the sort's intake (a GroupBy's takes each row as its partial
-// and folds), never into a temp. pulled says Open will end it in its
-// reader (Stream) rather than emitTo in a collection (MergeInto). The
-// intake owns its runs: a failed producer has them swept here, a failed
-// merge sweeps its own, and Close one that never ended.
-func (s *Sort) intake(ctx context.Context, ec *Ctx, pulled bool) error {
+// and folds), never into a temp. The intake owns its runs: a failed
+// producer has them swept here, a failed merge sweeps its own, and Close
+// one that never ended.
+func (s *Sort) intake(ctx context.Context, ec *Ctx) error {
 	a, fed := s.st.feed(s.algo)
 	if !fed || s.in != nil {
 		return nil
@@ -74,7 +74,7 @@ func (s *Sort) intake(ctx context.Context, ec *Ctx, pulled bool) error {
 	if s.grouping() {
 		recSize, combine = aggregate.PartialSize, aggregate.Combine
 	}
-	in, err := sorts.NewIntake(ec.stageEnv(s.st), recSize, combine, pulled)
+	in, err := sorts.NewIntake(ec.stageEnv(s.st), recSize, combine)
 	if err != nil {
 		return err
 	}
@@ -103,14 +103,34 @@ func (s *Sort) results(dst storage.Collection) storage.Collection {
 }
 
 // emitTo sorts the child's input — pushed, or materialized — into dst
-// through the chain: merged from the intake, or sorted where it lies.
+// through the chain, and closes dst. A fed stage ends in its reader here
+// too: the intake's stream, a fed sort's one end, is pulled into dst.
 func (s *Sort) emitTo(ctx context.Context, ec *Ctx, dst storage.Collection) error {
-	if err := s.intake(ctx, ec, false); err != nil {
+	if err := s.intake(ctx, ec); err != nil {
 		return err
 	}
 	out := s.results(dst)
 	if s.in != nil {
-		return s.in.MergeInto(out)
+		// One Next at a time: the stream serves each record as a view of a
+		// head slot, where a chunked pull copies it first, and polls the
+		// run's context itself.
+		it, err := s.in.Stream()
+		if err != nil {
+			return err
+		}
+		var rec []byte
+		for err == nil {
+			if rec, err = it.Next(); err == nil {
+				err = out.Append(rec)
+			}
+		}
+		if cerr := it.Close(); err == io.EOF {
+			err = cerr
+		}
+		if err != nil {
+			return err
+		}
+		return out.Close()
 	}
 	in, cleanup, err := inputCollection(ctx, ec, s.child)
 	if err != nil {
@@ -127,12 +147,13 @@ func (s *Sort) emitTo(ctx context.Context, ec *Ctx, dst storage.Collection) erro
 // partials, with the combine. The stage opens once in's length is known:
 // the compile-time estimate is clamped against it, and the choice
 // re-priced at the stage's share (and, when the planner owns it,
-// re-made). A view not yet counted under a SelS stage is counted by
-// SelS's first pass, which reads it whole anyway and writes nothing
-// (sorts.SortCounting): the stage opens before that pass's batch is
-// emitted, and a re-made choice sorts from the start. Any other input is
-// counted first. A bounded SelS stage writes only the rows its limit
-// takes (sorts.SortTop).
+// re-made). Where the stage compiled SelS or a limit bounds it, a view
+// not yet counted is counted by a selection pass that reads it whole and
+// writes nothing (sorts.SortCounting): the stage opens before the pass's
+// batch is emitted, so a re-plan to SelS goes on with the pass, and any
+// other choice sorts from the start. An unbounded stage compiled to
+// another sort counts first (countInput), carving no selection slab. A
+// bounded SelS stage writes only the rows its limit takes (sorts.SortTop).
 func (s *Sort) sortStored(ec *Ctx, in, out storage.Collection) error {
 	env := ec.stageEnv(s.st)
 	src := in
@@ -148,7 +169,7 @@ func (s *Sort) sortStored(ec *Ctx, in, out storage.Collection) error {
 		s.algo = s.st.openSort(in, s.algo)
 		return s.algo
 	}
-	if v, ok := in.(*chainView); ok && v.n < 0 && sorts.Selects(s.algo) {
+	if v, ok := in.(*chainView); ok && v.n < 0 && (sorts.Selects(s.algo) || s.st.take() >= 0) {
 		return sorts.SortCounting(env, src, out, combine, s.st.take(), func(rows int) sorts.Algorithm {
 			v.n = rows
 			return open()
@@ -163,30 +184,39 @@ func (s *Sort) sortStored(ec *Ctx, in, out storage.Collection) error {
 // Open runs the stage and returns its result's stream. A fed stage ends
 // in its reader: it serves the intake's stream — its heap, or the pull
 // merge of its last runs — through the chain, and no result temp is
-// written. A stored input fills the temp with emitTo.
+// written. A stored stage fills its temp with emitTo.
 func (s *Sort) Open(ctx context.Context, ec *Ctx) (storage.Iterator, error) {
-	if err := s.intake(ctx, ec, true); err != nil {
+	if err := s.intake(ctx, ec); err != nil {
 		return nil, err
 	}
-	if s.in != nil {
-		it, err := s.in.Stream()
-		if err != nil {
-			return nil, err
-		}
-		if s.grouping() {
-			it = aggregate.ResultsOf(it)
-		}
-		if !s.chain.empty() {
-			it = newChainIterator(ctx, it, &s.chain, s.child.RecordSize(), ec.PullSize())
-		}
-		s.it = it
-		return it, nil
+	if s.in == nil {
+		return s.scan(s.storeResult(ctx, ec))
+	}
+	it, err := s.in.Stream()
+	if err != nil {
+		return nil, err
+	}
+	if s.grouping() {
+		it = aggregate.ResultsOf(it)
+	}
+	if !s.chain.empty() {
+		it = newChainIterator(ctx, it, &s.chain, s.child.RecordSize(), ec.PullSize())
+	}
+	s.it = it
+	return it, nil
+}
+
+// storeResult fills the stage's result temp; a fed stage stores
+// nothing, ending in its reader.
+func (s *Sort) storeResult(ctx context.Context, ec *Ctx) (storage.Collection, error) {
+	if s.st.fed {
+		return nil, nil
 	}
 	prefix := "sorted"
 	if s.grouping() {
 		prefix = "grouped"
 	}
-	return s.fill(ctx, ec, prefix, s.RecordSize(), s.emitTo)
+	return s.store(ctx, ec, prefix, s.RecordSize(), s.emitTo)
 }
 
 // Close also destroys the runs of an intake that was never ended; drop

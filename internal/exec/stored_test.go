@@ -16,7 +16,7 @@ import (
 )
 
 // Every operator result that lives in a temporary goes through one
-// value (stored: fill, scan, drop), so its five users are held to the
+// value (stored: store, scan, drop), so its five users are held to the
 // same contract by one test: whichever side of the temp fails — the
 // fill that writes it or the consumer that reads it — the run surfaces
 // that one error and leaves no temporary and no goroutine behind. A fed
@@ -25,7 +25,7 @@ import (
 // the same contract holds for those.
 
 // storedShapes put each user of the stored value under a Limit root, so
-// its result goes to a temp through fill instead of straight into the
+// its result goes to a temp through store instead of straight into the
 // plan output; temp is the name prefix of that temporary.
 var storedShapes = []struct {
 	name, temp string
@@ -107,6 +107,52 @@ func TestStoredFailureLeaksNothing(t *testing.T) {
 					checkFoldPath(t, sh.fold, res.temps)
 					testkit.WaitGoroutines(t, base)
 				})
+			}
+		}
+	}
+}
+
+// TestStoredInputsOpenOnlyWhatIsRead: a consumer reads an input that
+// lies on the device — a base table, a view over one, a stored result —
+// as a collection, decided before anything runs, and opens no stream on
+// it that it never pulls. Over a join of two base tables, a bounded
+// order-by over a filter view and a pinned stored order-by under a join,
+// each also under MaterializeEveryStep, at P = 1 and 4, run into an
+// output and pulled by a cursor, every scan opened on a base table or a
+// temp is pulled.
+func TestStoredInputsOpenOnlyWhatIsRead(t *testing.T) {
+	const nDim, nFact = 1000, 5000
+	plans := []struct {
+		name  string
+		build func(dim, fact storage.Collection) *Plan
+	}{
+		{"join", func(dim, fact storage.Collection) *Plan { return Table(dim).Join(Table(fact)) }},
+		{"filter-orderby-limit", func(dim, _ storage.Collection) *Plan {
+			return Table(dim).Filter(Predicate{Attr: 1, Op: Lt, Value: 500}).OrderBy().Limit(100)
+		}},
+		{"pinned-orderby-join", func(dim, fact storage.Collection) *Plan {
+			return Table(dim).OrderByWith(sorts.NewExternalMergeSort()).Join(Table(fact))
+		}},
+	}
+	for _, p := range plans {
+		for _, mat := range []bool{false, true} {
+			for _, par := range []int{1, 4} {
+				for _, cursor := range []bool{false, true} {
+					t.Run(fmt.Sprintf("%s/materialize=%v/p%d/cursor=%v", p.name, mat, par, cursor), func(t *testing.T) {
+						r := newRig(t)
+						dim, _, fact := r.loadStar(t, nDim, nFact)
+						scans := testkit.NewScans()
+						plan := p.build(scans.Collection(dim), scans.Collection(fact))
+						res := r.runPlan(t, plan, runSpec{budget: nFact * record.Size / 20, par: par, cursor: cursor,
+							opts: CompileOptions{MaterializeEveryStep: mat}, fac: scans.Factory})
+						if len(res.out) == 0 || scans.Opened() == 0 {
+							t.Fatalf("%d bytes out, %d scans opened: the plan read nothing", len(res.out), scans.Opened())
+						}
+						if u := scans.Unpulled(); len(u) != 0 {
+							t.Errorf("%s: scans opened and never pulled: %v", res.root.Name(), u)
+						}
+					})
+				}
 			}
 		}
 	}

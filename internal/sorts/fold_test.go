@@ -17,7 +17,7 @@ import (
 )
 
 // The folding intake is held to a map: whatever the arrival order, the
-// budget and P, MergeInto emits one record per key, in key order, holding
+// budget and P, its stream serves one record per key, in key order, holding
 // the combination of every partial appended under that key — and it
 // writes no more than the plain intake fed the same records, exactly as
 // much (byte for byte, counter for counter) when no key repeats, and no
@@ -129,9 +129,9 @@ type intakeRun struct {
 }
 
 // runIntake pushes one partial per key into a plain or folding intake of
-// budget records at parallelism par, on a fresh device, and merges it into
-// a write-only sink — a fed consumer's destination, and serial for both
-// kinds of intake, so their counters compare.
+// budget records at parallelism par, on a fresh device, and drains its
+// stream into a write-only sink — a fed consumer's destination; the final
+// merge is serial for both kinds of intake, so their counters compare.
 func runIntake(t *testing.T, keys []uint64, budget, par int, fold bool) intakeRun {
 	t.Helper()
 	base := newParEnv(t, budget, par)
@@ -145,9 +145,9 @@ func runIntake(t *testing.T, keys []uint64, budget, par int, fold bool) intakeRu
 	dev.ResetStats()
 	var in *Intake
 	if fold {
-		in, err = NewIntake(env, record.Size, addPartials, false)
+		in, err = NewIntake(env, record.Size, addPartials)
 	} else {
-		in, err = NewIntake(env, record.Size, nil, false)
+		in, err = NewIntake(env, record.Size, nil)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +158,7 @@ func runIntake(t *testing.T, keys []uint64, budget, par int, fold bool) intakeRu
 			t.Fatal(err)
 		}
 	}
-	if err := in.MergeInto(storage.NewSink("out", record.Size, dst.Append, dst.Close)); err != nil {
+	if err := drainInto(in, storage.NewSink("out", record.Size, dst.Append, dst.Close)); err != nil {
 		t.Fatal(err)
 	}
 	st := dev.Stats()
@@ -245,7 +245,7 @@ func foldKernelPartials(groups int, clustered bool) [][]byte {
 // foldAll pushes recs through a folding intake into a discarding sink and
 // returns the groups it emitted.
 func foldAll(t testing.TB, env *algo.Env, recs [][]byte) int {
-	in, err := NewIntake(env, record.Size, addPartials, false)
+	in, err := NewIntake(env, record.Size, addPartials)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func foldAll(t testing.TB, env *algo.Env, recs [][]byte) int {
 		}
 	}
 	groups := 0
-	if err := in.MergeInto(storage.NewSink("discard", record.Size, func([]byte) error { groups++; return nil }, nil)); err != nil {
+	if err := drainInto(in, storage.NewSink("discard", record.Size, func([]byte) error { groups++; return nil }, nil)); err != nil {
 		t.Fatal(err)
 	}
 	return groups

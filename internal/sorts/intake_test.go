@@ -15,8 +15,26 @@ import (
 	"wlpm/internal/testkit"
 )
 
+// drainInto ends the intake the way a consumer that wants its result in a
+// collection does: it drains the intake's stream into out, closes the
+// stream and then out.
+func drainInto(in *Intake, out storage.Collection) error {
+	it, err := in.Stream()
+	if err != nil {
+		return err
+	}
+	err = storage.ForEach(it, 64, out.Append)
+	if cerr := it.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	return out.Close()
+}
+
 // pushAll appends every record of src to the intake, the way a producer
-// would, and merges the intake into out.
+// would, and drains the intake into out.
 func pushAll(in *Intake, src, out storage.Collection) error {
 	recs, err := storage.ReadAll(src)
 	if err != nil {
@@ -28,14 +46,15 @@ func pushAll(in *Intake, src, out storage.Collection) error {
 			return err
 		}
 	}
-	return in.MergeInto(out)
+	return drainInto(in, out)
 }
 
-// TestIntakeIsExMSMinusTheInputScan: records pushed into an intake come
-// out as ExMS sorts them when it pulls them from a collection — the same
-// bytes and the same cacheline writes, on every backend and at every P
-// (a fed run formation is serial, so it is compared with the serial
-// pull) — for exactly one read of the input less.
+// TestIntakeIsExMSMinusTheInputScan: records pushed into an intake and
+// drained from its stream come out as ExMS sorts them when it pulls them
+// from a collection — the same bytes and the same cacheline writes, on
+// every backend and at every P (a fed run formation and its final merge
+// are serial, so they are compared with the serial pull) — for exactly
+// one read of the input less.
 func TestIntakeIsExMSMinusTheInputScan(t *testing.T) {
 	const n, budget = 6000, 400
 	for _, backend := range storage.Backends {
@@ -70,7 +89,7 @@ func TestIntakeIsExMSMinusTheInputScan(t *testing.T) {
 
 				pushed := create("pushed")
 				dev.ResetStats()
-				in, err := NewIntake(env, record.Size, nil, false)
+				in, err := NewIntake(env, record.Size, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -82,7 +101,7 @@ func TestIntakeIsExMSMinusTheInputScan(t *testing.T) {
 				if in.Len() != n {
 					t.Fatalf("intake took %d records, %d appended", in.Len(), n)
 				}
-				if err := in.MergeInto(pushed); err != nil {
+				if err := drainInto(in, pushed); err != nil {
 					t.Fatal(err)
 				}
 				push := dev.Stats()
@@ -98,9 +117,7 @@ func TestIntakeIsExMSMinusTheInputScan(t *testing.T) {
 				if push.Writes != pull.Writes {
 					t.Errorf("intake wrote %d cachelines, ExMS %d", push.Writes, pull.Writes)
 				}
-				// At P > 1 the range-parallel final merge re-reads the block
-				// under each splitter; the serial one reads every run once.
-				if par == 1 && push.Reads+scan != pull.Reads {
+				if push.Reads+scan != pull.Reads {
 					t.Errorf("intake read %d cachelines, ExMS %d: want exactly the %d-cacheline input scan less", push.Reads, pull.Reads, scan)
 				}
 			})
@@ -108,10 +125,11 @@ func TestIntakeIsExMSMinusTheInputScan(t *testing.T) {
 	}
 }
 
-// TestIntakeSweepsItsRuns: the intake owns its runs until the merge has
+// TestIntakeSweepsItsRuns: the intake owns its runs until its stream has
 // them. A run temp that fails under the producer's appends, an output
-// that fails under the merge, a context cancelled at any depth of either,
-// and a producer that gives up and discards: no run survives any of them.
+// that fails under the drained stream, a context cancelled at any depth
+// of either, and a producer that gives up and discards: no run survives
+// any of them.
 func TestIntakeSweepsItsRuns(t *testing.T) {
 	const n, budget = 6000, 50
 	for _, par := range []int{1, 4} {
@@ -120,7 +138,7 @@ func TestIntakeSweepsItsRuns(t *testing.T) {
 			src := loadInput(t, base, n, 7)
 			env := algo.NewParallelEnv(&testkit.FailingTemps{Factory: base.Factory, Prefix: "run", N: 24}, base.MemoryBudget, par)
 			out, _ := base.Factory.Create("out", record.Size)
-			in, err := NewIntake(env, record.Size, nil, false)
+			in, err := NewIntake(env, record.Size, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,12 +153,10 @@ func TestIntakeSweepsItsRuns(t *testing.T) {
 			env := newParEnv(t, budget, par)
 			src := loadInput(t, env, n, 7)
 			out, _ := env.Factory.Create("out", record.Size)
-			in, err := NewIntake(env, record.Size, nil, false)
+			in, err := NewIntake(env, record.Size, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// A wrapped output is no range appender: the final merge is the
-			// serial one, the path a sink or the next intake takes.
 			if err := pushAll(in, src, &testkit.FailAfter{Collection: out, N: 24}); !errors.Is(err, testkit.ErrInjected) {
 				t.Fatalf("err = %v, want the injected output failure", err)
 			}
@@ -153,7 +169,7 @@ func TestIntakeSweepsItsRuns(t *testing.T) {
 				env := newParEnv(t, budget, par).WithContext(ctx)
 				src := loadInput(t, env, n, 7)
 				out, _ := env.Factory.Create("out", record.Size)
-				in, err := NewIntake(env, record.Size, nil, false)
+				in, err := NewIntake(env, record.Size, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -178,7 +194,7 @@ func TestIntakeSweepsItsRuns(t *testing.T) {
 	}
 	t.Run("discard", func(t *testing.T) {
 		env := testkit.Env(t, "blocked", sortDevice, budget)
-		in, err := NewIntake(env, record.Size, nil, false)
+		in, err := NewIntake(env, record.Size, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,11 +212,12 @@ func TestIntakeSweepsItsRuns(t *testing.T) {
 	})
 }
 
-// TestIntakeRejectsMismatchedOutput: MergeInto holds its output to
-// ExMS's preconditions, and a refusal still sweeps the runs.
+// TestIntakeRejectsMismatchedOutput: an output of another record size
+// refuses the first record drained into it, and closing the refused
+// stream still sweeps the runs.
 func TestIntakeRejectsMismatchedOutput(t *testing.T) {
 	env := testkit.Env(t, "blocked", sortDevice, 50)
-	in, err := NewIntake(env, record.Size, nil, false)
+	in, err := NewIntake(env, record.Size, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +225,7 @@ func TestIntakeRejectsMismatchedOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	narrow, _ := env.Factory.Create("narrow", 16)
-	if err := in.MergeInto(narrow); err == nil || !strings.Contains(err.Error(), "record size mismatch") {
+	if err := drainInto(in, narrow); err == nil || !strings.Contains(err.Error(), "record size 80, want 16") {
 		t.Fatalf("err = %v, want a record size mismatch", err)
 	}
 	if live := env.LiveTemps(); live != 0 {

@@ -264,14 +264,16 @@ func (f *runFormer) finish() error {
 // operator that hands the intake to its producer as the producer's
 // output, so the producer's result is never stored just for run
 // formation to read it back. Append is the replacement-selection step
-// (runFormer.add) behind the environment's cancellation poll, MergeInto
-// is mergeRuns, and Stream ends it in a reader instead. It is a
-// write-only collection (storage.Sink: Len counts the records taken;
-// neither range-appendable nor unwrappable), one ordered stream, so run
-// formation through it is serial at any P; the merge passes and the
-// final merge run as ExMS's do; an input that fits memory writes no
-// run. The intake owns its runs until MergeInto or Stream hands them on;
-// Discard sweeps them on any path that never gets there.
+// (runFormer.add) behind the environment's cancellation poll, and Stream
+// is its one end: the reader pulls the final merge, which a consumer
+// that wants the result in a collection drains. It is a write-only
+// collection (storage.Sink: Len counts the records taken; neither
+// range-appendable nor unwrappable), one ordered stream, so run formation
+// through it is serial at any P; the merge passes run as ExMS's do and
+// the final merge is the serial pull, so its runs keep no key sidecar
+// (sampling); an input that fits memory writes no run. The intake owns
+// its runs until Stream hands them on; Discard sweeps them on any path
+// that never gets there.
 type Intake struct {
 	*storage.Sink
 	env *algo.Env
@@ -281,14 +283,12 @@ type Intake struct {
 // NewIntake returns an intake of recSize-byte records forming runs with
 // env's whole budget. With combine set it is SortFolding's ExMS pushed:
 // it writes one partial per eviction, never more than it takes, and
-// MergeInto emits one record per key from a serial final merge. pulled
-// says the intake will be ended by Stream, whose final merge is a serial
-// pull: like a folding intake's, its runs keep no key sidecar.
-func NewIntake(env *algo.Env, recSize int, combine func(dst, src []byte), pulled bool) (*Intake, error) {
+// Stream serves one record per key.
+func NewIntake(env *algo.Env, recSize int, combine func(dst, src []byte)) (*Intake, error) {
 	if err := env.Validate(); err != nil {
 		return nil, err
 	}
-	return newIntake(env, recSize, env.BudgetRecords(recSize), sampling(env, pulled || combine != nil), combine), nil
+	return newIntake(env, recSize, env.BudgetRecords(recSize), false, combine), nil
 }
 
 func newIntake(env *algo.Env, recSize, budget int, sample bool, combine func(dst, src []byte)) *Intake {
@@ -308,41 +308,13 @@ func (in *Intake) finish() ([]storage.Collection, error) {
 	return runs, nil
 }
 
-// MergeInto ends the intake: it merges the runs formed from the
-// appended records into out, in ascending order (a folding intake's one
-// record per key), and closes out — a resident intake's heap goes
-// straight to out. out must be empty and of the intake's record size — a
-// collection, a sink or the next stage's intake. On error (including
-// cancellation) no run survives.
-func (in *Intake) MergeInto(out storage.Collection) error {
-	if err := checkArgs(in.env, in, out); err != nil {
-		in.Discard()
-		return err
-	}
-	if in.resident() {
-		if err := in.popHeap().drain(out.Append); err != nil {
-			return err
-		}
-		return out.Close()
-	}
-	runs, err := in.finish()
-	if err != nil {
-		return err
-	}
-	if err := mergeRuns(in.env, runs, nil, out, in.RecordSize(), in.f.combine); err != nil {
-		destroyRuns(runs) // Destroy is idempotent: whatever the failed merge left
-		return err
-	}
-	return out.Close()
-}
-
 // Stream ends the intake in its reader: it returns the records taken in
 // ascending order (a folding intake's one record per key) as an iterator
 // the caller pulls and must Close, so the result is never written only to
 // be read back. A resident intake pops its heap, in chunks that alias the
 // heap's slots, and writes nothing. An evicting one drains working memory
-// into its last runs and merges them — intermediate passes as MergeInto's
-// — until the final merge's fan-in takes them all; that final merge is
+// into its last runs and merges them — intermediate passes as ExMS's —
+// until the final merge's fan-in takes them all; that final merge is
 // the iterator, a pull merge that copies each chunk into a buffer it owns
 // and polls the environment's context. The iterator owns those runs and
 // Close destroys them; on error no run survives.
@@ -382,8 +354,8 @@ func (in *Intake) popHeap() *merger {
 }
 
 // Discard destroys the runs formed so far: the error-path twin of
-// MergeInto, for a producer that failed or was cancelled mid-emit.
-// Idempotent, and a no-op once MergeInto or Stream has run.
+// Stream, for a producer that failed or was cancelled mid-emit.
+// Idempotent, and a no-op once Stream has run.
 func (in *Intake) Discard() {
 	destroyRuns(in.f.runs)
 	in.f.runs = nil
@@ -405,8 +377,9 @@ func formRunsReplacementSelection(env *algo.Env, src storage.Collection, budget 
 // sampling reports whether runs that will meet in env's final merge keep
 // a key sidecar (sampleRun): only parallelFinalMerge reads it, and that
 // needs P ≥ 2 and a final merge that is not serial anyway — serial says
-// a streaming source meets the runs there, the merge folds, or a reader
-// pulls it (Intake.Stream). Merge passes keep what formation decided.
+// a streaming source meets the runs there or the merge folds. An
+// intake's runs never keep one: its final merge is the serial pull
+// (Intake.Stream). Merge passes keep what formation decided.
 func sampling(env *algo.Env, serial bool) bool {
 	return env.Parallelism > 1 && !serial
 }

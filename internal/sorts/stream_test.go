@@ -24,14 +24,18 @@ func streamKeys(n int) []uint64 {
 	return keys
 }
 
-// pushKeys appends one partial per key into a fresh intake over env,
-// folding when fold is set, to be ended by Stream when pulled is.
-func pushKeys(env *algo.Env, keys []uint64, fold, pulled bool) (*Intake, error) {
-	var combine func(dst, src []byte)
+// foldWith is the test's combine when fold is set, and nil otherwise.
+func foldWith(fold bool) func(dst, src []byte) {
 	if fold {
-		combine = addPartials
+		return addPartials
 	}
-	in, err := NewIntake(env, record.Size, combine, pulled)
+	return nil
+}
+
+// pushKeys appends one partial per key into a fresh intake over env,
+// folding when fold is set.
+func pushKeys(env *algo.Env, keys []uint64, fold bool) (*Intake, error) {
+	in, err := NewIntake(env, record.Size, foldWith(fold))
 	if err != nil {
 		return nil, err
 	}
@@ -75,11 +79,13 @@ func pullAll(it storage.Iterator) ([]byte, error) {
 }
 
 // TestIntakeStreamIsMergeIntoWithoutTheOutput: Stream ends an intake in
-// its reader. Pulled in any mix of chunk sizes it serves MergeInto's
-// bytes — plain and folding, resident and evicting, through intermediate
-// merge passes at a budget of a few buffers — and costs the device
-// exactly what MergeInto costs into a sink that stores nothing: the runs
-// and their merges, never an output. Its runs keep no key sidecar.
+// its reader. Pulled in any mix of chunk sizes it serves the bytes ExMS
+// sorts the same records into from a collection — SortFolding's, when it
+// folds — resident and evicting, through intermediate merge passes at a
+// budget of a few buffers. An evicting intake costs the device exactly
+// what that stored sort costs into a sink that stores nothing, less its
+// input scan: the runs and their merges, never an output; a resident one
+// costs nothing at all. Its runs keep no key sidecar.
 func TestIntakeStreamIsMergeIntoWithoutTheOutput(t *testing.T) {
 	const n = 3000
 	keys := streamKeys(n)
@@ -89,27 +95,46 @@ func TestIntakeStreamIsMergeIntoWithoutTheOutput(t *testing.T) {
 				t.Run(fmt.Sprintf("fold%v/budget%d/p%d", fold, budget, par), func(t *testing.T) {
 					env := newParEnv(t, budget, par)
 					dev := env.Factory.Device()
-					in, err := pushKeys(env, keys, fold, false)
+					src, err := env.Factory.Create("in", record.Size)
+					if err != nil {
+						t.Fatal(err)
+					}
+					buf := make([]byte, record.Size)
+					for i, k := range keys {
+						if err := src.Append(setPartial(buf, k, 1, uint64(i))); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := src.Close(); err != nil {
+						t.Fatal(err)
+					}
+					dev.ResetStats()
+					if _, err := storage.ReadAll(src); err != nil {
+						t.Fatal(err)
+					}
+					scan := dev.Stats().Reads
+					// The stored sort runs at P = 1: a fed run formation is
+					// serial, and its chunked one would move the run
+					// boundaries.
+					var want bytes.Buffer
+					dev.ResetStats()
+					discard := storage.NewSink("discard", record.Size, func(rec []byte) error { want.Write(rec); return nil }, nil)
+					if err := SortFolding(algo.NewEnv(env.Factory, env.MemoryBudget), NewExternalMergeSort(), src, discard, foldWith(fold)); err != nil {
+						t.Fatal(err)
+					}
+					sorted := dev.Stats()
+
+					dev.ResetStats()
+					in, err := pushKeys(env, keys, fold)
 					if err != nil {
 						t.Fatal(err)
 					}
 					evicted := !in.resident()
-					var want bytes.Buffer
-					dev.ResetStats()
-					if err := in.MergeInto(storage.NewSink("discard", record.Size, func(rec []byte) error { want.Write(rec); return nil }, nil)); err != nil {
-						t.Fatal(err)
-					}
-					merged := dev.Stats()
-
-					if in, err = pushKeys(env, keys, fold, true); err != nil {
-						t.Fatal(err)
-					}
 					for _, r := range in.f.runs {
 						if _, ok := r.(*sampledRun); ok {
-							t.Fatal("a pulled intake's run keeps a key sidecar its serial final merge never reads")
+							t.Fatal("an intake's run keeps a key sidecar its serial final merge never reads")
 						}
 					}
-					dev.ResetStats()
 					it, err := in.Stream()
 					if err != nil {
 						t.Fatal(err)
@@ -120,13 +145,16 @@ func TestIntakeStreamIsMergeIntoWithoutTheOutput(t *testing.T) {
 					}
 					streamed := dev.Stats()
 					if !bytes.Equal(got, want.Bytes()) {
-						t.Fatalf("stream served %d records, MergeInto %d: contents differ", len(got)/record.Size, want.Len()/record.Size)
+						t.Fatalf("stream served %d records, the stored sort %d: contents differ", len(got)/record.Size, want.Len()/record.Size)
 					}
-					if streamed.Writes != merged.Writes || streamed.Reads != merged.Reads {
-						t.Errorf("stream cost %d writes, %d reads; MergeInto into a sink %d, %d", streamed.Writes, streamed.Reads, merged.Writes, merged.Reads)
+					if evicted != (budget < n) {
+						t.Errorf("budget %d: evicted=%v", budget, evicted)
 					}
-					if evicted != (budget < n) || (!evicted && streamed.Writes != 0) {
-						t.Errorf("budget %d: evicted=%v with %d writes", budget, evicted, streamed.Writes)
+					if !evicted && (streamed.Writes != 0 || streamed.Reads != 0) {
+						t.Errorf("a resident intake's stream cost %d writes, %d reads", streamed.Writes, streamed.Reads)
+					}
+					if evicted && (streamed.Writes != sorted.Writes || streamed.Reads+scan != sorted.Reads) {
+						t.Errorf("stream cost %d writes, %d reads; the stored sort into a sink %d, %d less its %d-read input scan", streamed.Writes, streamed.Reads, sorted.Writes, sorted.Reads, scan)
 					}
 					if live := env.LiveTemps(); live != 0 {
 						t.Fatalf("%d live temps after the stream closed", live)
@@ -147,7 +175,7 @@ func TestIntakeStreamSweepsItsRuns(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		t.Run(fmt.Sprintf("close-early/p%d", par), func(t *testing.T) {
 			env := newParEnv(t, budget, par)
-			in, err := pushKeys(env, keys, true, true)
+			in, err := pushKeys(env, keys, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,7 +201,7 @@ func TestIntakeStreamSweepsItsRuns(t *testing.T) {
 			// the stream is open.
 			run := func(ctx context.Context, opened func()) (*algo.Env, error) {
 				env := newParEnv(t, budget, par).WithContext(ctx)
-				in, err := pushKeys(env, keys, true, true)
+				in, err := pushKeys(env, keys, true)
 				if err != nil {
 					return env, err
 				}
@@ -209,7 +237,7 @@ func TestIntakeStreamSweepsItsRuns(t *testing.T) {
 		t.Run(fmt.Sprintf("run-read/p%d", par), func(t *testing.T) {
 			base := newParEnv(t, budget, par)
 			env := algo.NewParallelEnv(&testkit.FailingTemps{Factory: base.Factory, Prefix: "run", N: 5, Reads: true}, base.MemoryBudget, par)
-			in, err := pushKeys(env, keys, true, true)
+			in, err := pushKeys(env, keys, true)
 			if err != nil {
 				t.Fatal(err)
 			}

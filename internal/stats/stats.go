@@ -330,11 +330,13 @@ func buildHistogram(sample []uint64, lo uint64, buckets int) Histogram {
 // clamped, never rescaled.
 
 // WithRows returns a copy of t describing rows rows, with each column's
-// distinct count clamped to the new row count. Nil-safe.
+// distinct count clamped to the new row count; a negative count describes
+// no rows. Nil-safe.
 func (t *Table) WithRows(rows int) *Table {
 	if t == nil {
 		return nil
 	}
+	rows = max(rows, 0)
 	d := &Table{Name: t.Name, Rows: rows, Cols: append([]Column(nil), t.Cols...)}
 	for i := range d.Cols {
 		if d.Cols[i].Distinct > rows {
@@ -401,8 +403,8 @@ func (t *Table) Restrict(attr int, lo, hi uint64, rows int) *Table {
 			col.Distinct = scaled
 		}
 	}
-	if col.Distinct > rows {
-		col.Distinct = rows
+	if col.Distinct > d.Rows {
+		col.Distinct = d.Rows
 	}
 	col.Min, col.Max = lo, hi
 	col.Hist = col.Hist.clip(lo, hi)

@@ -107,3 +107,113 @@ func (r *RNG) Skewed(n int) uint64 {
 
 // Dups draws one of 50 keys: a duplicate-heavy domain.
 func (r *RNG) Dups() uint64 { return r.Next() % 50 }
+
+// Scans counts, per collection, the scans opened on the collections it
+// wraps and the scans pulled at least once (a Next or NextChunk, even
+// one that finds the end), so a test can say that nothing was opened
+// that was not read. Wrap a factory to count its temps' scans and a
+// base table to count its own. Safe for the concurrent scans of
+// parallel workers.
+type Scans struct {
+	mu             sync.Mutex
+	opened, pulled map[string]int
+}
+
+// NewScans returns an empty scan count.
+func NewScans() *Scans { return &Scans{opened: map[string]int{}, pulled: map[string]int{}} }
+
+// Factory wraps f: every collection it creates counts its scans in s.
+func (s *Scans) Factory(f storage.Factory) storage.Factory { return &scanFactory{Factory: f, s: s} }
+
+// Collection wraps c so that its scans are counted in s. The wrapper
+// unwraps to c (storage.Unwrapper), so range appends still reach it.
+func (s *Scans) Collection(c storage.Collection) storage.Collection {
+	return &scanned{Collection: c, s: s}
+}
+
+// Opened is how many scans were opened on all the collections together.
+func (s *Scans) Opened() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, k := range s.opened {
+		n += k
+	}
+	return n
+}
+
+// Unpulled names each collection with a scan opened and never pulled,
+// with its counts.
+func (s *Scans) Unpulled() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var out []string
+	for name, n := range s.opened {
+		if p := s.pulled[name]; p != n {
+			out = append(out, fmt.Sprintf("%s: %d opened, %d pulled", name, n, p))
+		}
+	}
+	return out
+}
+
+func (s *Scans) count(m map[string]int, name string) {
+	s.mu.Lock()
+	m[name]++
+	s.mu.Unlock()
+}
+
+type scanFactory struct {
+	storage.Factory
+	s *Scans
+}
+
+func (f *scanFactory) Create(name string, recSize int) (storage.Collection, error) {
+	c, err := f.Factory.Create(name, recSize)
+	if err != nil {
+		return nil, err
+	}
+	return f.s.Collection(c), nil
+}
+
+type scanned struct {
+	storage.Collection
+	s *Scans
+}
+
+func (c *scanned) Scan() storage.Iterator { return c.wrap(c.Collection.Scan()) }
+
+func (c *scanned) ScanFrom(start int) storage.Iterator { return c.wrap(c.Collection.ScanFrom(start)) }
+
+func (c *scanned) Unwrap() storage.Collection { return c.Collection }
+
+func (c *scanned) wrap(it storage.Iterator) storage.Iterator {
+	name := c.Name()
+	c.s.count(c.s.opened, name)
+	return &scanIter{it: it, ci: storage.Chunked(it), pull: func() { c.s.count(c.s.pulled, name) }}
+}
+
+// scanIter is a counted scan, chunked like the one it wraps.
+type scanIter struct {
+	it   storage.Iterator
+	ci   storage.ChunkIterator
+	pull func() // counts the first pull; nil after
+}
+
+func (it *scanIter) pulled() {
+	if it.pull != nil {
+		it.pull()
+		it.pull = nil
+	}
+}
+
+func (it *scanIter) Next() ([]byte, error) {
+	it.pulled()
+	return it.it.Next()
+}
+
+func (it *scanIter) NextChunk(n int) ([][]byte, error) {
+	it.pulled()
+	return it.ci.NextChunk(n)
+}
+
+func (it *scanIter) Close() error { return it.it.Close() }
