@@ -30,8 +30,8 @@ type guard struct {
 var guards = []guard{
 	{name: "one API generation (no deprecated entry points, no compat shims)",
 		pattern: `^// Deprecated:|compat shim|compat entry point`, scope: []string{"*.go", ":!vendor"}},
-	{name: "one chain, one poll wrapper (no regrown view type or per-package pollEmit/pollRecords)",
-		pattern: `type (filter|project)(View|Iterator)\b|func (\([^)]*\) )?poll(Emit|Records)\(`,
+	{name: "one chain, one poll (no regrown view type, per-package pollEmit/pollRecords, or poll beside algo.Poller: Env.Polled/Poll/Canceled, a selector's unpolled count)",
+		pattern: `type (filter|project)(View|Iterator)\b|func (\([^)]*\) )?poll(Emit|Records)\(|\.Polled\(|\.Poll\(\)|\.Canceled\(\)|unpolled`,
 		scope:   []string{"internal/exec", "internal/sorts", "internal/joins", "internal/aggregate"}},
 	{name: "one declaration per algorithm (no regrown type switch over implementations)",
 		pattern: `case \*(sorts|joins)\.[A-Z]`, scope: []string{"internal/exec", "cmd"}},

@@ -7,6 +7,7 @@ package algo
 import (
 	"context"
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 
@@ -38,8 +39,8 @@ type Env struct {
 	ns     string // temp-name namespace ("" for the root environment)
 	tmpSeq int
 
-	// ctx carries the invocation's cancellation signal. Algorithms poll
-	// it between batches via Poll/Canceled; nil means "never cancelled".
+	// ctx carries the invocation's cancellation signal. Read loops poll
+	// it through a Poller; nil means "never cancelled".
 	ctx context.Context
 	// temps registers every live temporary created through this
 	// environment (shared across Split children and Derive siblings), so
@@ -116,62 +117,42 @@ func (e *Env) WithContext(ctx context.Context) *Env {
 	return e
 }
 
-// Context returns the environment's cancellation context (Background
-// when none was attached).
-func (e *Env) Context() context.Context {
-	if e.ctx == nil {
-		return context.Background()
-	}
-	return e.ctx
-}
-
-// Canceled reports the environment's cancellation error, nil while the
-// invocation may keep running. It is cheap enough to call between
-// batches; record loops should amortize it through Poll.
-func (e *Env) Canceled() error {
-	if e.ctx == nil {
-		return nil
-	}
-	return e.ctx.Err()
-}
-
-// PollInterval is the record granularity at which the operators' tight
-// loops check cancellation: fine enough that a cancelled query stops
-// mid-run/mid-merge/mid-probe even when parallel workers hold small
-// per-chunk record counts, coarse enough that the check never shows up
-// in a profile.
+// PollInterval is the record granularity of the engine's cancellation
+// poll (Poller): fine enough that a cancelled query stops mid-run,
+// mid-merge or mid-probe, coarse enough that the check never shows up in
+// a profile.
 const PollInterval = 256
 
-// Poll returns a per-record cancellation check that consults the
-// context only every PollInterval calls. The returned closure is not
-// safe for concurrent use; create one per worker.
-func (e *Env) Poll() func() error {
-	if e.ctx == nil {
-		return func() error { return nil }
-	}
-	n := 0
-	return func() error {
-		n++
-		if n < PollInterval {
-			return nil
-		}
-		n = 0
-		return e.ctx.Err()
-	}
+// Poller is the engine's one cancellation poll. Every read loop — a
+// scan, a selection pass, a merge, an intake's appends, a chain
+// iterator's refills — holds one and ticks it before records pass. It
+// checks the context on its first tick, so a loop polls as it starts and
+// a loop of short loops polls once per loop, and again on each tick that
+// brings the records ticked since its last check to PollInterval. A
+// Poller belongs to one loop on one goroutine; over a nil context it
+// does nothing.
+type Poller struct {
+	ctx  context.Context
+	left int // records still to pass before the next check; ≤ 0 checks
 }
 
-// Polled wraps fn — an emit, add or probe callback of a record loop —
-// with Poll's amortized check, so scans, merges and probes stop
-// mid-stream when the invocation's context is cancelled. Like Poll's
-// closure, the result belongs to one worker.
-func (e *Env) Polled(fn func(rec []byte) error) func(rec []byte) error {
-	poll := e.Poll()
-	return func(rec []byte) error {
-		if err := poll(); err != nil {
-			return err
-		}
-		return fn(rec)
+// NewPoller polls ctx.
+func NewPoller(ctx context.Context) Poller { return Poller{ctx: ctx} }
+
+// Poller polls the environment's context.
+func (e *Env) Poller() Poller { return Poller{ctx: e.ctx} }
+
+// Tick is called before n records pass: it reports the context's error
+// when this tick checks it, nil otherwise.
+func (p *Poller) Tick(n int) error {
+	if p.ctx == nil {
+		return nil
 	}
+	if p.left -= n; p.left > 0 {
+		return nil
+	}
+	p.left = PollInterval - n
+	return p.ctx.Err()
 }
 
 // Derive returns an environment with the given budget that shares e's
@@ -281,13 +262,41 @@ func (e *Env) ChunkRecords(recSize int) int {
 }
 
 // Scan applies fn to every record of src, in order, reading it one block
-// chunk at a time (storage.ForEach): the kernels' one way to walk an
-// input. fn sees views valid only during the call and owns cancellation
-// (pass a poll-wrapped callback).
+// chunk at a time (ForEach, polling the environment's context): the
+// kernels' one way to walk an input.
 func (e *Env) Scan(src storage.Collection, fn func(rec []byte) error) error {
 	it := src.Scan()
 	defer it.Close()
-	return storage.ForEach(it, e.ChunkRecords(src.RecordSize()), fn)
+	return ForEach(e.Poller(), it, e.ChunkRecords(src.RecordSize()), fn)
+}
+
+// ForEach applies fn to every remaining record of it, in stream order,
+// reading at most chunk records per NextChunk call. It is the engine's
+// one read loop: records reach fn as views of the blocks read (valid
+// only during the call, and device bytes where the store reads in
+// place, so never written through), and a loop copies nothing it does
+// not keep. Each chunk fetched ticks poll before any of its records
+// reaches fn; a loop whose iterator polls itself passes the zero
+// Poller. ForEach does not close it.
+func ForEach(poll Poller, it storage.Iterator, chunk int, fn func(rec []byte) error) error {
+	ci := storage.Chunked(it)
+	for {
+		recs, err := ci.NextChunk(chunk)
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		if err := poll.Tick(len(recs)); err != nil {
+			return err
+		}
+		for _, rec := range recs {
+			if err := fn(rec); err != nil {
+				return err
+			}
+		}
+	}
 }
 
 // BudgetHashRecords is the number of records of size recSize whose hash

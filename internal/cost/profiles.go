@@ -193,24 +193,25 @@ func (em Emit) ExMS(t, m float64) Profile {
 
 // FedExMS is ExMS over an input that the stage producing it appends to
 // the sort's intake (sorts.Intake) instead of storing it: there is no
-// input scan, and run formation takes one ordered stream, so the run
-// writes are serial at any P. The merge passes and the final merge are
-// ExMS's, emitting as em describes. When the run-formation output fits
-// the m buffers of memory, the intake never evicts: no run is written or
+// input scan, and the rest is ExMS's, emitting as em describes — but
+// serial at any P. Run formation takes one ordered stream, the merge
+// passes merge one group at a time, and the final merge is the intake's
+// stream, one serial pull (Intake.Stream), so every read and write of
+// the profile is serial. When the run-formation output fits the m
+// buffers of memory, the intake never evicts: no run is written or
 // re-read, and the heap drains into the output as one ordered stream, so
-// the profile is the output alone, written serially.
+// the profile is the output alone.
 func (em Emit) FedExMS(t, m float64) Profile {
 	if t <= 0 {
 		return Profile{}
 	}
 	p := em.ExMS(t, m)
-	r := em.runs(t)
-	if r <= m {
-		out := p.Writes - r
-		return Profile{Writes: out, SerialWrites: out}
+	if r := em.runs(t); r <= m {
+		p = Profile{Writes: p.Writes - r}
+	} else {
+		p.Reads -= t
 	}
-	p.Reads -= t
-	p.SerialWrites += r
+	p.SerialReads, p.SerialWrites = p.Reads, p.Writes
 	return p
 }
 

@@ -200,25 +200,25 @@ func TestQuickProfilesSane(t *testing.T) {
 var feedEmits = []Emit{{}, {Out: 700}, {Serial: true}, {Out: 700, Serial: true}, {Handed: true}, {Out: 700, Serial: true, Handed: true}}
 
 // TestFedExMSIsExMSMinusTheInputRead: at every output shape a fed ExMS
-// is ExMS less the one read of its input, with the run writes serial —
-// so at P > 1 it costs exactly that read's parallel share less and the
-// run writes' lost overlap more.
+// is ExMS less the one read of its input, everything serial — an
+// intake's run formation, merge passes and final pull are one stream —
+// so its price at P > 1 is its serial price.
 func TestFedExMSIsExMSMinusTheInputRead(t *testing.T) {
 	for _, em := range feedEmits {
 		for _, sz := range []struct{ t, m float64 }{{6905, 145}, {782, 34}, {782, 3}, {47, 2}} {
 			pull, fed := em.ExMS(sz.t, sz.m), em.FedExMS(sz.t, sz.m)
 			want := pull
 			want.Reads -= sz.t
-			want.SerialWrites += sz.t
+			want.SerialReads, want.SerialWrites = want.Reads, want.Writes
 			if fed != want {
-				t.Errorf("%+v t=%v m=%v: FedExMS %+v, want ExMS %+v less t reads with t serial writes", em, sz.t, sz.m, fed, pull)
+				t.Errorf("%+v t=%v m=%v: FedExMS %+v, want ExMS %+v less t reads, all serial", em, sz.t, sz.m, fed, pull)
 			}
 			if fed.SerialWrites > fed.Writes || fed.SerialReads > fed.Reads || fed.Reads < 0 {
 				t.Errorf("%+v t=%v m=%v: FedExMS %+v is not a profile", em, sz.t, sz.m, fed)
 			}
 			const lambda, par = 15.0, 4.0
-			if got, want := fed.PriceP(1, lambda, par), pull.PriceP(1, lambda, par)-sz.t/par+lambda*sz.t*(1-1/par); math.Abs(got-want) > 1e-9*want {
-				t.Errorf("%+v t=%v m=%v: FedExMS priced %.9g at P=4, want %.9g", em, sz.t, sz.m, got, want)
+			if got, want := fed.PriceP(1, lambda, par), fed.PriceP(1, lambda, 1); math.Abs(got-want) > 1e-9*want {
+				t.Errorf("%+v t=%v m=%v: FedExMS priced %.9g at P=4, want its serial price %.9g", em, sz.t, sz.m, got, want)
 			}
 			if got, want := fed.PriceP(1, lambda, 1), pull.PriceP(1, lambda, 1)-sz.t; math.Abs(got-want) > 1e-9*want {
 				t.Errorf("%+v t=%v m=%v: FedExMS priced %.9g at P=1, want ExMS − t = %.9g", em, sz.t, sz.m, got, want)

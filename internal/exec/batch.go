@@ -13,14 +13,6 @@ import (
 // schema still fits comfortably in L2.
 const DefaultBatchSize = 1024
 
-// drain reads it to the end, Ctx.PullSize records per pull, feeding
-// each record to emit and polling the run's context every
-// algo.PollInterval records: the loop that runs a stream into the plan
-// output, a pipe or a consumer's intake.
-func drain(ec *Ctx, it storage.Iterator, emit func(rec []byte) error) error {
-	return storage.ForEach(it, ec.PullSize(), ec.tempEnv().Polled(emit))
-}
-
 // stored is a result held in a temporary collection: the temp → scan →
 // destroy half of every operator that stores what it produced (Sort,
 // Join, Materialize, and the pipe under a blocking consumer of a stream).

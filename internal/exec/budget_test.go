@@ -586,7 +586,7 @@ func TestFoldedPriceMatchesIntake(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := storage.ForEach(it, DefaultBatchSize, func([]byte) error { return nil }); err != nil {
+				if err := algo.ForEach(env.Poller(), it, DefaultBatchSize, func([]byte) error { return nil }); err != nil {
 					t.Fatal(err)
 				}
 				if err := it.Close(); err != nil {

@@ -296,7 +296,8 @@ func inputCollection(ctx context.Context, ec *Ctx, child Operator) (storage.Coll
 
 // pour pushes child's whole output into dst, in stream order, without
 // storing it: a blocking producer emits into dst exactly as it would fill
-// its own temp (emitTo), anything else is opened and drained. dst is the
+// its own temp (emitTo), anything else is opened and drained, PullSize
+// records per pull, polling the run's context (algo.ForEach). dst is the
 // plan output, a pipe or barrier temp, the consumer's intake, or a sink
 // in front of it; the child is closed by the caller's Close.
 func pour(ctx context.Context, ec *Ctx, child Operator, dst storage.Collection) error {
@@ -307,7 +308,7 @@ func pour(ctx context.Context, ec *Ctx, child Operator, dst storage.Collection) 
 	if err != nil {
 		return err
 	}
-	return drain(ec, it, dst.Append)
+	return algo.ForEach(ec.tempEnv().Poller(), it, ec.PullSize(), dst.Append)
 }
 
 // closeAll closes every operator, keeping the first error.

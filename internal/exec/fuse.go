@@ -72,7 +72,8 @@ func newChainView(ctx context.Context, base storage.Collection, c *chain, blockS
 }
 
 // count makes Len exact, counting the survivors with one read-only scan
-// when nothing has yet; nothing needs projecting to be counted.
+// when nothing has yet; nothing needs projecting to be counted. The
+// scan's chain iterator polls, so its loop's Poller is the zero one.
 func (v *chainView) count() error {
 	if v.n >= 0 {
 		return nil
@@ -80,7 +81,7 @@ func (v *chainView) count() error {
 	it := v.scan(&chain{preds: v.chain.preds}, 0)
 	defer it.Close() //nolint:errcheck // read-only iterator teardown
 	n := 0
-	if err := storage.ForEach(it, v.pull, func([]byte) error { n++; return nil }); err != nil {
+	if err := algo.ForEach(algo.Poller{}, it, v.pull, func([]byte) error { n++; return nil }); err != nil {
 		return err
 	}
 	v.n = n
@@ -135,31 +136,27 @@ func (v *chainView) scan(c *chain, start int) *chainIterator {
 // no more records than its reader asked, up to pull, so a bound above
 // it (storage.Limit) stops the source's fetches too.
 type chainIterator struct {
-	ctx    context.Context
-	it     storage.Iterator
-	ci     storage.ChunkIterator // it's chunk form
-	win    *window
-	pull   int      // most source records per refill
-	skip   int      // survivors still to discard before the first served record
-	budget int      // source records until the next ctx poll
-	recs   [][]byte // unserved rest of the window
+	it   storage.Iterator
+	ci   storage.ChunkIterator // it's chunk form
+	win  *window
+	pull int         // most source records per refill
+	skip int         // survivors still to discard before the first served record
+	poll algo.Poller // ticked with each refill's ask, before the fetch
+	recs [][]byte    // unserved rest of the window
 }
 
 // newChainIterator applies c to the raw-byte records of it, at most pull
 // at a time, polling ctx.
 func newChainIterator(ctx context.Context, it storage.Iterator, c *chain, raw, pull int) *chainIterator {
-	return &chainIterator{ctx: ctx, it: it, ci: storage.Chunked(it), win: c.newWindow(raw), pull: pull, budget: algo.PollInterval}
+	return &chainIterator{it: it, ci: storage.Chunked(it), win: c.newWindow(raw), pull: pull, poll: algo.NewPoller(ctx)}
 }
 
 func (it *chainIterator) NextChunk(n int) ([][]byte, error) {
 	n = max(n, 1)
 	for len(it.recs) == 0 {
 		ask := min(it.pull, n)
-		if it.budget -= ask; it.budget <= 0 {
-			it.budget = algo.PollInterval
-			if err := it.ctx.Err(); err != nil {
-				return nil, err
-			}
+		if err := it.poll.Tick(ask); err != nil {
+			return nil, err
 		}
 		recs, err := it.ci.NextChunk(ask)
 		if err != nil {

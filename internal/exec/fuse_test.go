@@ -204,7 +204,7 @@ func scanReads(t *testing.T, dev *pmem.Device, it storage.Iterator, chunk int) (
 	defer it.Close() //nolint:errcheck
 	before := dev.Stats()
 	if chunk > 0 {
-		if err := storage.ForEach(it, chunk, func([]byte) error { recs++; return nil }); err != nil {
+		if err := algo.ForEach(algo.Poller{}, it, chunk, func([]byte) error { recs++; return nil }); err != nil {
 			t.Fatal(err)
 		}
 		return recs, dev.Stats().Sub(before)

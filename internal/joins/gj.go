@@ -127,12 +127,12 @@ func partitionInto(env *algo.Env, src storage.Collection, k, x int, prefix strin
 			mine[p] = c
 		}
 		lo, hi := algo.SplitRange(src.Len(), w, i)
-		if err := envs[i].Scan(storage.Slice(src, lo, hi), envs[i].Polled(func(rec []byte) error {
+		if err := envs[i].Scan(storage.Slice(src, lo, hi), func(rec []byte) error {
 			if p := partitionOf(rec, k); p < x {
 				return mine[p].Append(rec)
 			}
 			return nil
-		})); err != nil {
+		}); err != nil {
 			return err
 		}
 		if err := closeAll(mine); err != nil {

@@ -108,7 +108,7 @@ func iterativeHash(env *algo.Env, left, right, out storage.Collection, materiali
 		// Two closures, not one routing helper: it cost LaJ 12% CPU.
 		table.reset()
 		nextT, nextV := next[0], next[1]
-		if err = env.Scan(cur[0], env.Polled(func(rec []byte) error {
+		if err = env.Scan(cur[0], func(rec []byte) error {
 			part := partitionOf(rec, k)
 			if part == p {
 				table.insert(rec)
@@ -118,10 +118,10 @@ func iterativeHash(env *algo.Env, left, right, out storage.Collection, materiali
 				return nextT.Append(rec)
 			}
 			return nil
-		})); err != nil {
+		}); err != nil {
 			return err
 		}
-		if err = env.Scan(cur[1], env.Polled(func(r []byte) error {
+		if err = env.Scan(cur[1], func(r []byte) error {
 			part := partitionOf(r, k)
 			if part == p {
 				return table.probe(record.Key(r), func(l []byte) error { return em.match(l, r) })
@@ -130,7 +130,7 @@ func iterativeHash(env *algo.Env, left, right, out storage.Collection, materiali
 				return nextV.Append(r)
 			}
 			return nil
-		})); err != nil {
+		}); err != nil {
 			return err
 		}
 		if !materialize {

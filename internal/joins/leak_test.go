@@ -72,3 +72,52 @@ func TestJoinCancelSweepsTemps(t *testing.T) {
 		}
 	}
 }
+
+// TestNestedLoopsCancelOverSmallProbeSide: NLJ re-scans its probe side
+// once per build block, and here every scan — each block's build and
+// each probe — is shorter than algo.PollInterval. Each scan polls as it
+// starts, so a cancelled join stops: on a context cancelled before it
+// starts it writes no match, cancelled halfway through a clean run's
+// polls it writes fewer than all, and either way leaves no temp.
+func TestNestedLoopsCancelOverSmallProbeSide(t *testing.T) {
+	const nLeft, nRight, budget = 2000, 200, 30
+	for _, par := range []int{1, 4} {
+		t.Run(fmt.Sprintf("p%d", par), func(t *testing.T) {
+			calib := testkit.NewCounting(context.Background())
+			env := newLeakEnv(t, budget, par).WithContext(calib)
+			left, right := loadJoinInputs(t, env, nLeft, nRight, 13)
+			if block := env.BudgetHashRecords(record.Size); block >= algo.PollInterval || nRight >= algo.PollInterval {
+				t.Fatalf("scans of %d and %d records reach the poll interval", block, nRight)
+			}
+			out, err := env.Factory.Create("out", 2*record.Size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := NewNestedLoops().Join(env, left, right, out); err != nil {
+				t.Fatalf("clean run: %v", err)
+			}
+			if out.Len() != nRight {
+				t.Fatalf("clean run: %d matches, want %d", out.Len(), nRight)
+			}
+			total := calib.Polls()
+
+			for _, polls := range []int64{0, total / 2} {
+				env := newLeakEnv(t, budget, par).WithContext(testkit.CancelAfter(context.Background(), polls))
+				left, right := loadJoinInputs(t, env, nLeft, nRight, 13)
+				out, err := env.Factory.Create("out", 2*record.Size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := NewNestedLoops().Join(env, left, right, out); !errors.Is(err, context.Canceled) {
+					t.Fatalf("cancel at poll %d/%d: err = %v with %d matches, want context.Canceled", polls, total, err, out.Len())
+				}
+				if polls == 0 && out.Len() != 0 || out.Len() >= nRight {
+					t.Errorf("cancel at poll %d/%d: %d matches written", polls, total, out.Len())
+				}
+				if live := env.LiveTemps(); live != 0 {
+					t.Errorf("cancel at poll %d/%d leaked %d temp collections", polls, total, live)
+				}
+			}
+		})
+	}
+}

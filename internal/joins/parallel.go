@@ -133,20 +133,19 @@ func (o *orderedEmit) release() {
 // the working set's table, emitting matches through its emitter exactly
 // as the serial algorithm would: stream-major, then probe-record-major,
 // then build-insertion order. Stream i is handled by worker i; records
-// failing filter (when non-nil) are skipped. Each worker polls env's
-// cancellation between probe records, so a cancelled join stops
-// mid-probe.
+// failing filter (when non-nil) are skipped. Each worker's scan polls
+// env's cancellation (Env.Scan), so a cancelled join stops mid-probe.
 func parallelProbe(env *algo.Env, ws *workingSet, srcs []storage.Collection, filter func(rec []byte) bool) error {
 	table, em := ws.table, ws.em
 	probeOne := func(src storage.Collection, emit func(l, r []byte) error) error {
-		return env.Scan(src, env.Polled(func(r []byte) error {
+		return env.Scan(src, func(r []byte) error {
 			if filter != nil && !filter(r) {
 				return nil
 			}
 			return table.probe(record.Key(r), func(l []byte) error {
 				return emit(l, r)
 			})
-		}))
+		})
 	}
 	if len(srcs) == 0 {
 		return nil
@@ -209,42 +208,39 @@ func buildTableParallel(env *algo.Env, ws *workingSet, subs []storage.Collection
 		table.reset()
 		n := lenAll(subs)
 		w := env.Workers(n)
+		// scan walks records [lo, hi) of subs, end to end, into fn.
+		scan := func(lo, hi int, fn func(rec []byte) error) error {
+			base := 0
+			for _, c := range subs {
+				sub := storage.Slice(c, lo-base, hi-base) // clamped to c
+				base += c.Len()
+				if sub.Len() == 0 {
+					continue
+				}
+				if err := env.Scan(sub, fn); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
 		if w <= 1 {
-			return scanAllInto(env, subs, env.Polled(func(rec []byte) error {
+			return scan(0, n, func(rec []byte) error {
 				if filter == nil || filter(rec) {
 					table.insert(rec)
 				}
 				return nil
-			}))
+			})
 		}
 		parts := ws.buildParts(w)
 		err := env.RunWorkers(w, func(i int) error {
 			lo, hi := algo.SplitRange(n, w, i)
 			part := parts[i]
-			keep := env.Polled(func(rec []byte) error {
+			return scan(lo, hi, func(rec []byte) error {
 				if filter == nil || filter(rec) {
 					part.Append(rec)
 				}
 				return nil
 			})
-			base := 0
-			for _, c := range subs {
-				clo, chi := lo-base, hi-base
-				base += c.Len()
-				if clo < 0 {
-					clo = 0
-				}
-				if chi > c.Len() {
-					chi = c.Len()
-				}
-				if clo >= chi {
-					continue
-				}
-				if err := env.Scan(storage.Slice(c, clo, chi), keep); err != nil {
-					return err
-				}
-			}
-			return nil
 		})
 		if err != nil {
 			return err
@@ -257,16 +253,6 @@ func buildTableParallel(env *algo.Env, ws *workingSet, subs []storage.Collection
 		}
 		return nil
 	})
-}
-
-// scanAllInto streams every record of subs, in order, into fn.
-func scanAllInto(env *algo.Env, subs []storage.Collection, fn func(rec []byte) error) error {
-	for _, c := range subs {
-		if err := env.Scan(c, fn); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // closeAll closes every collection in subs.

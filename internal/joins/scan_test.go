@@ -11,9 +11,9 @@ import (
 	"wlpm/internal/testkit"
 )
 
-// The joins walk every input through Env.Scan with a poll-wrapped
-// callback: block chunks in, one record at a time out, the same device
-// reads as a Next scan.
+// The joins walk every input through Env.Scan, which polls by itself:
+// block chunks in, one record at a time out, the same device reads as a
+// Next scan.
 
 func TestScanMatchesNextScan(t *testing.T) {
 	env := testkit.Env(t, "blocked", joinDevice, 100)
@@ -45,25 +45,49 @@ func TestScanMatchesNextScan(t *testing.T) {
 	}
 }
 
-// Cancellation arriving mid-chunk: the poll trips at record PollInterval,
-// which is not on a block-chunk boundary; the scan returns the error and
-// hands on nothing after it.
+// Cancellation: a scan checks the context as its first chunk arrives, so
+// one cancelled before it starts hands on nothing. Its second check
+// comes with the chunk that brings the records read to PollInterval,
+// which is not on a block-chunk boundary: a context that cancels there
+// lets through every record of the chunks before, none of that chunk.
 func TestScanCancelMidChunk(t *testing.T) {
 	env := testkit.Env(t, "blocked", joinDevice, 100)
 	_, right := loadJoinInputs(t, env, 50, 1000, 4)
 	if chunk := env.ChunkRecords(record.Size); algo.PollInterval%chunk == 0 {
 		t.Fatalf("poll interval %d falls on a %d-record chunk boundary", algo.PollInterval, chunk)
 	}
+	it := right.Scan()
+	defer it.Close()
+	ci, before := storage.Chunked(it), 0
+	for {
+		recs, err := ci.NextChunk(env.ChunkRecords(record.Size))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if before+len(recs) >= algo.PollInterval {
+			break
+		}
+		before += len(recs)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	env.WithContext(ctx)
-	seen := 0
-	err := env.Scan(right, env.Polled(func([]byte) error { seen++; return nil }))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("scan on a cancelled context: err = %v, want context.Canceled", err)
-	}
-	if seen != algo.PollInterval-1 {
-		t.Errorf("callback saw %d records, want exactly %d", seen, algo.PollInterval-1)
+	for _, c := range []struct {
+		name string
+		ctx  context.Context
+		want int
+	}{
+		{"cancelled before the scan", ctx, 0},
+		{"cancelled on the second check", testkit.CancelAfter(context.Background(), 1), before},
+	} {
+		env.WithContext(c.ctx)
+		seen := 0
+		err := env.Scan(right, func([]byte) error { seen++; return nil })
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", c.name, err)
+		}
+		if seen != c.want {
+			t.Errorf("%s: callback saw %d records, want exactly %d", c.name, seen, c.want)
+		}
 	}
 }
 
@@ -75,7 +99,7 @@ func TestScanAllocs(t *testing.T) {
 	_, right := loadJoinInputs(t, env, 50, n, 5)
 	seen := 0
 	allocs := testing.AllocsPerRun(5, func() {
-		if err := env.Scan(right, env.Polled(func([]byte) error { seen++; return nil })); err != nil {
+		if err := env.Scan(right, func([]byte) error { seen++; return nil }); err != nil {
 			t.Fatal(err)
 		}
 	})

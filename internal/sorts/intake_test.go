@@ -23,7 +23,7 @@ func drainInto(in *Intake, out storage.Collection) error {
 	if err != nil {
 		return err
 	}
-	err = storage.ForEach(it, 64, out.Append)
+	err = algo.ForEach(in.env.Poller(), it, 64, out.Append)
 	if cerr := it.Close(); err == nil {
 		err = cerr
 	}
@@ -175,6 +175,32 @@ func TestIntakeSweepsItsRuns(t *testing.T) {
 				}
 				return env, pushAll(in, src, out)
 			}
+			// The intake polls once per append, as its first arrives and
+			// then every algo.PollInterval appends: a context that cancels
+			// on its second check fails exactly append PollInterval, with
+			// runs already written, which Discard sweeps.
+			env := newParEnv(t, budget, par).WithContext(testkit.CancelAfter(context.Background(), 1))
+			recs, err := storage.ReadAll(loadInput(t, env, n, 7))
+			if err != nil {
+				t.Fatal(err)
+			}
+			in, err := NewIntake(env, record.Size, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, rec := range recs[:algo.PollInterval] {
+				if err := in.Append(rec); i < algo.PollInterval-1 && err != nil || i == algo.PollInterval-1 && !errors.Is(err, context.Canceled) {
+					t.Fatalf("append %d: err = %v, want nil before append %d and context.Canceled at it", i+1, err, algo.PollInterval)
+				}
+			}
+			if env.LiveTemps() == 0 {
+				t.Fatal("no run written before the cancelled append: nothing to sweep")
+			}
+			in.Discard()
+			if live := env.LiveTemps(); live != 0 {
+				t.Fatalf("%d live temps after discarding a cancelled intake", live)
+			}
+
 			calib := testkit.NewCounting(context.Background())
 			if _, err := run(calib); err != nil {
 				t.Fatalf("calibration run: %v", err)

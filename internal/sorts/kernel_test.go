@@ -214,8 +214,8 @@ func TestSelectionPassHandOnOrder(t *testing.T) {
 	}
 }
 
-// canceledCtx is cancelled from the start: the amortized poll trips on
-// its first consultation, once algo.PollInterval records have gone by.
+// canceledCtx is cancelled from the start: a loop's poll trips on its
+// first tick, before any record passes.
 func canceledCtx() context.Context {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -227,19 +227,30 @@ func TestSelectionPassCancelMidChunk(t *testing.T) {
 	env := testkit.Env(t, "blocked", sortDevice, budget)
 	in := loadInput(t, env, n, 3)
 	chunk := env.ChunkRecords(record.Size)
-	env.WithContext(canceledCtx())
-	sel := newSelector(env, record.Size, budget, nil)
-	survivors := 0
-	got, err := sel.pass(in, func([]byte) error { survivors++; return nil })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("pass on a cancelled context: err = %v, want context.Canceled", err)
+	// pass runs a selection pass on ctx and reports how many records it
+	// handed on; the pass must fail with context.Canceled, its batch empty.
+	pass := func(ctx context.Context) int {
+		env.WithContext(ctx)
+		sel := newSelector(env, record.Size, budget, nil)
+		survivors := 0
+		got, err := sel.pass(in, func([]byte) error { survivors++; return nil })
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("pass on a cancelled context: err = %v, want context.Canceled", err)
+		}
+		if got != 0 || sel.heap.Len() != 0 {
+			t.Errorf("cancelled pass left a batch of %d (heap %d)", got, sel.heap.Len())
+		}
+		return survivors
 	}
-	if got != 0 || sel.heap.Len() != 0 {
-		t.Errorf("cancelled pass left a batch of %d (heap %d)", got, sel.heap.Len())
+	// The scan checks as its first chunk arrives: a context cancelled
+	// before the pass lets no record through.
+	if survivors := pass(canceledCtx()); survivors != 0 {
+		t.Errorf("pass cancelled before it started handed on %d records, want 0", survivors)
 	}
-	// The scan polls as a chunk arrives that brings the records read to
+	// It checks again as a chunk arrives that brings the records read to
 	// the interval, before taking any of it: every record of the chunks
 	// before was either admitted or handed on, none of that chunk.
+	survivors := pass(testkit.CancelAfter(context.Background(), 1))
 	read := 0
 	it := in.Scan()
 	defer it.Close()
@@ -263,9 +274,14 @@ func TestSelectionStreamCancelMidPass(t *testing.T) {
 	const n, budget = 2000, 300
 	env := testkit.Env(t, "blocked", sortDevice, budget)
 	in := loadInput(t, env, n, 5)
-	// The first pass consults the context n/PollInterval times; cancel on
-	// the second consultation of the second pass.
-	env.WithContext(testkit.CancelAfter(context.Background(), int64(n/algo.PollInterval)+1))
+	// Count one pass's consultations of the context on a clean pass, then
+	// cancel on the second consultation of the second pass.
+	counting := testkit.NewCounting(context.Background())
+	env.WithContext(counting)
+	if _, err := newSelector(env, record.Size, budget, nil).pass(in, nil); err != nil {
+		t.Fatal(err)
+	}
+	env.WithContext(testkit.CancelAfter(context.Background(), counting.Polls()+1))
 	s := newSelectionStream(env, in, budget, nil)
 	for i := 0; i < budget; i++ {
 		rec, err := s.Next()

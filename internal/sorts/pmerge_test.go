@@ -149,9 +149,16 @@ func TestFinalMergeCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Let run formation complete (~n/PollInterval polls) and cancel a few
-	// polls into the merge phase.
-	env.WithContext(testkit.CancelAfter(context.Background(), int64(n/algo.PollInterval)+20))
+	// Let run formation complete — its polls counted on a clean formation
+	// of the same input — and cancel 20 polls into the merge phase.
+	counting := testkit.NewCounting(context.Background())
+	env.WithContext(counting)
+	runs, err := formRuns(env, in, record.Size, sampling(env, false), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	destroyRuns(runs)
+	env.WithContext(testkit.CancelAfter(context.Background(), counting.Polls()+20))
 
 	before := runtime.NumGoroutine()
 	if err := NewExternalMergeSort().Sort(env, in, out); err == nil {
@@ -164,6 +171,78 @@ func TestFinalMergeCancellation(t *testing.T) {
 		t.Errorf("%d live temps after cancellation sweep", live)
 	}
 	testkit.WaitGoroutines(t, before)
+}
+
+// TestMergePassCancelsPerGroup: every merge group polls as its merge
+// starts, however short. ExMS at a two-block share over descending keys
+// forms runs of exactly the share's records and merges them two at a
+// time through intermediate passes whose groups all hold fewer than
+// algo.PollInterval records. Cancelled right after run formation, the
+// sort stops in its first group: one merge temp, where a clean run makes
+// one per group.
+func TestMergePassCancelsPerGroup(t *testing.T) {
+	const n = 400
+	temps := testkit.CountTemps(testkit.Factory(t, "blocked", pmem.Config{Capacity: sortDevice}))
+	newEnv := func(ctx context.Context) (*algo.Env, storage.Collection, storage.Collection) {
+		env := algo.NewEnv(temps, int64(2*temps.BlockSize())).WithContext(ctx)
+		in, err := env.Factory.Create(env.TempName("desc"), record.Size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := make([]byte, record.Size)
+		for i := 0; i < n; i++ {
+			record.Fill(rec, uint64(n-i))
+			if err := in.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := in.Close(); err != nil {
+			t.Fatal(err)
+		}
+		out, err := env.Factory.Create(env.TempName("out"), record.Size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return env, in, out
+	}
+
+	// A clean run: its runs hold the share, and every group of every
+	// intermediate pass is shorter than the poll interval.
+	counting := testkit.NewCounting(context.Background())
+	env, in, out := newEnv(counting)
+	share := env.BudgetRecords(record.Size)
+	runs, err := formRuns(env, in, record.Size, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	formation := counting.Polls()
+	if len(runs) != n/share || runs[0].Len() != share {
+		t.Fatalf("%d runs of %d records, want %d of %d", len(runs), runs[0].Len(), n/share, share)
+	}
+	destroyRuns(runs)
+	if last := n / 2; last >= algo.PollInterval || env.BudgetBuffers() != 2 {
+		t.Fatalf("the last intermediate pass merges groups of %d records at fan-in %d: not every group is below the poll interval", last, env.BudgetBuffers())
+	}
+	before := temps.N("merge")
+	if err := NewExternalMergeSort().Sort(env, in, out); err != nil {
+		t.Fatal(err)
+	}
+	groups := temps.N("merge") - before
+	if groups < 2 {
+		t.Fatalf("clean run merged %d groups, want several", groups)
+	}
+
+	env, in, out = newEnv(testkit.CancelAfter(context.Background(), formation))
+	before = temps.N("merge")
+	if err := NewExternalMergeSort().Sort(env, in, out); !errors.Is(err, context.Canceled) {
+		t.Fatalf("sort cancelled after run formation: err = %v, want context.Canceled", err)
+	}
+	if got := temps.N("merge") - before; got != 1 {
+		t.Errorf("sort cancelled after run formation merged %d of %d groups, want 1", got, groups)
+	}
+	if live := env.LiveTemps(); live != 0 {
+		t.Errorf("%d live temps after cancellation", live)
+	}
 }
 
 // errInjected is flakyStore's device failure.

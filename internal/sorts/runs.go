@@ -264,7 +264,7 @@ func (f *runFormer) finish() error {
 // operator that hands the intake to its producer as the producer's
 // output, so the producer's result is never stored just for run
 // formation to read it back. Append is the replacement-selection step
-// (runFormer.add) behind the environment's cancellation poll, and Stream
+// (runFormer.add) behind one tick of the intake's Poller, and Stream
 // is its one end: the reader pulls the final merge, which a consumer
 // that wants the result in a collection drains. It is a write-only
 // collection (storage.Sink: Len counts the records taken; neither
@@ -276,8 +276,9 @@ func (f *runFormer) finish() error {
 // that never gets there.
 type Intake struct {
 	*storage.Sink
-	env *algo.Env
-	f   *runFormer
+	env  *algo.Env
+	f    *runFormer
+	poll algo.Poller // ticked once per Append: run formation's poll
 }
 
 // NewIntake returns an intake of recSize-byte records forming runs with
@@ -292,8 +293,14 @@ func NewIntake(env *algo.Env, recSize int, combine func(dst, src []byte)) (*Inta
 }
 
 func newIntake(env *algo.Env, recSize, budget int, sample bool, combine func(dst, src []byte)) *Intake {
-	f := newRunFormer(env, "run", recSize, budget, sample, combine)
-	return &Intake{Sink: storage.NewSink("intake", recSize, env.Polled(f.add), nil), env: env, f: f}
+	in := &Intake{env: env, f: newRunFormer(env, "run", recSize, budget, sample, combine), poll: env.Poller()}
+	in.Sink = storage.NewSink("intake", recSize, func(rec []byte) error {
+		if err := in.poll.Tick(1); err != nil {
+			return err
+		}
+		return in.f.add(rec)
+	}, nil)
+	return in
 }
 
 // finish drains working memory into the last runs and releases them to
@@ -348,7 +355,7 @@ func (in *Intake) resident() bool { return in.f.run == nil && len(in.f.runs) == 
 // heap's records, each its own exhausted source. Their keys are distinct
 // when the intake folds, so nothing is left to combine.
 func (in *Intake) popHeap() *merger {
-	m := &merger{heads: in.f.heap, poll: in.env.Poll(), alias: true}
+	m := &merger{heads: in.f.heap, poll: in.env.Poller(), alias: true}
 	m.cur = m.least()
 	return m
 }
@@ -361,13 +368,14 @@ func (in *Intake) Discard() {
 	in.f.runs = nil
 }
 
-// formRunsReplacementSelection is a scan of src into an intake of budget
-// records, folding when combine is set: the pull form of run formation.
-// Returned runs are closed and non-empty. On error (including
-// cancellation) every run created so far is destroyed before returning.
+// formRunsReplacementSelection is a scan of src, which polls, into the
+// former of an intake of budget records, folding when combine is set:
+// the pull form of run formation. Returned runs are closed and non-empty.
+// On error (including cancellation) every run created so far is
+// destroyed before returning.
 func formRunsReplacementSelection(env *algo.Env, src storage.Collection, budget int, sample bool, combine func(dst, src []byte)) ([]storage.Collection, error) {
 	in := newIntake(env, src.RecordSize(), budget, sample, combine)
-	if err := env.Scan(src, in.Append); err != nil {
+	if err := env.Scan(src, in.f.add); err != nil {
 		in.Discard()
 		return nil, err
 	}
@@ -531,14 +539,14 @@ func mergeIters(env *algo.Env, iters []storage.Iterator, recSize int, emit func(
 // cursor. A head whose tie-break names no source is its own, exhausted
 // source: a resident intake's heap pops as a merge (Intake.popHeap). With
 // combine set, the records of one key — adjacent in merge order — come
-// out as one, combined in a buffer the merger owns. Cancellation is
-// polled once per record consumed.
+// out as one, combined in a buffer the merger owns. Its Poller ticks once
+// per record consumed, so a merge polls as its first record is consumed.
 type merger struct {
 	heads   *xheap.Keyed // nil: one source
 	cur     []byte       // the least record not consumed (a head slot, or the one source's), nil past the end
 	stale   bool         // cur was handed out: the next pull advances past it
 	srcs    []*storage.Cursor
-	poll    func() error
+	poll    algo.Poller // ticked once per record consumed
 	combine func(dst, src []byte)
 	iters   []storage.Iterator // closed by Close
 	acc     []byte             // folding: the open key's combined record
@@ -552,7 +560,7 @@ type merger struct {
 // newMerger opens a merge of iters, reading the first record of each;
 // on error they are closed.
 func newMerger(env *algo.Env, iters []storage.Iterator, recSize int, combine func(dst, src []byte)) (*merger, error) {
-	m := &merger{iters: iters, srcs: make([]*storage.Cursor, len(iters)), poll: env.Poll(), combine: combine, recSize: recSize}
+	m := &merger{iters: iters, srcs: make([]*storage.Cursor, len(iters)), poll: env.Poller(), combine: combine, recSize: recSize}
 	if combine != nil {
 		m.acc = make([]byte, recSize)
 	}
@@ -591,7 +599,7 @@ func (m *merger) least() []byte {
 // advance consumes cur: its source's next record takes its place, and
 // cur becomes the least record left.
 func (m *merger) advance() error {
-	if err := m.poll(); err != nil {
+	if err := m.poll.Tick(1); err != nil {
 		return err
 	}
 	h := m.heads

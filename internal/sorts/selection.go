@@ -26,11 +26,10 @@ import (
 // index), so ⌈G/M⌉ passes emit G groups. Tree and bound compare keys
 // alone: a key at or below the bound was emitted whole by an earlier pass.
 type selector struct {
-	env      *algo.Env
-	heap     *xheap.Keyed
-	unpolled int                   // records scanned since the last cancellation poll
-	combine  func(dst, src []byte) // folding: merges partial src into the resident partial dst
-	index    *xheap.Index          // folding: key → slot of every resident group
+	env     *algo.Env
+	heap    *xheap.Keyed
+	combine func(dst, src []byte) // folding: merges partial src into the resident partial dst
+	index   *xheap.Index          // folding: key → slot of every resident group
 
 	// The last record of the previous batch; passes admit only records
 	// strictly after it.
@@ -43,8 +42,8 @@ type selector struct {
 }
 
 // newSelector returns a selector extracting up to budget records (or
-// groups) of recSize bytes per pass, polling env's cancellation every
-// algo.PollInterval scanned records.
+// groups) of recSize bytes per pass, polling env's cancellation as it
+// scans.
 func newSelector(env *algo.Env, recSize, budget int, combine func(dst, src []byte)) *selector {
 	s := &selector{env: env, heap: xheap.NewKeyed(recSize, budget, true)}
 	if combine != nil {
@@ -88,13 +87,14 @@ func (s *selector) pass(src storage.Collection, onSurvivor func(rec []byte) erro
 	return h.Len(), nil
 }
 
-// scan is pass's loop over one chunk at a time, polling cancellation
-// once algo.PollInterval records have gone by since the last poll. Once
-// the tree is full its top is kept in a local, so rejecting a record
-// costs one key compare; record bytes are read only on a key tie.
+// scan is pass's loop over one chunk at a time, ticking the pass's
+// Poller with each chunk before taking any of it. Once the tree is full
+// its top is kept in a local, so rejecting a record costs one key
+// compare; record bytes are read only on a key tie.
 func (s *selector) scan(ci storage.ChunkIterator, chunk int, onSurvivor func(rec []byte) error) error {
 	h := s.heap
 	var top xheap.Entry // h's top, once h is full
+	poll := s.env.Poller()
 	for {
 		recs, err := ci.NextChunk(chunk)
 		if err == io.EOF {
@@ -103,11 +103,8 @@ func (s *selector) scan(ci storage.ChunkIterator, chunk int, onSurvivor func(rec
 		if err != nil {
 			return err
 		}
-		if s.unpolled += len(recs); s.unpolled >= algo.PollInterval {
-			s.unpolled = 0
-			if err := s.env.Canceled(); err != nil {
-				return err
-			}
+		if err := poll.Tick(len(recs)); err != nil {
+			return err
 		}
 		next := uint32(s.scanned) // the input position of recs[0]
 		s.scanned += len(recs)

@@ -2,6 +2,7 @@ package storage_test
 
 import (
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 
@@ -34,9 +35,8 @@ func scanInput(t testing.TB) storage.Collection {
 	return c
 }
 
-// scanKeys reads all of c through storage.ForEach — at P = 2 as two
-// workers over the halves of one Slice each — and returns the sum of
-// its keys.
+// scanKeys reads all of c one chunk at a time — at P = 2 as two workers
+// over the halves of one Slice each — and returns the sum of its keys.
 func scanKeys(t testing.TB, c storage.Collection, p int) uint64 {
 	sums := make([]uint64, p)
 	errs := make([]error, p)
@@ -48,10 +48,19 @@ func scanKeys(t testing.TB, c storage.Collection, p int) uint64 {
 			part := storage.Slice(c, w*c.Len()/p, (w+1)*c.Len()/p)
 			it := part.Scan()
 			defer it.Close()
-			errs[w] = storage.ForEach(it, scanChunk, func(rec []byte) error {
-				sums[w] += record.Key(rec)
-				return nil
-			})
+			ci := storage.Chunked(it)
+			for {
+				recs, err := ci.NextChunk(scanChunk)
+				if err != nil {
+					if err != io.EOF {
+						errs[w] = err
+					}
+					return
+				}
+				for _, rec := range recs {
+					sums[w] += record.Key(rec)
+				}
+			}
 		}(w)
 	}
 	wg.Wait()
